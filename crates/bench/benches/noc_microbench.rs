@@ -2,13 +2,13 @@
 //! engine (cycles/sec) and of one loaded ring — the numbers that bound
 //! how large an experiment the harness can run.
 //!
-//! The `tick64/*` benchmarks compare the occupancy-indexed fast path
+//! The `tick64/*` benchmarks compare the event-indexed fast path
 //! (`TickMode::Fast`) against the golden-model full sweep
 //! (`TickMode::Reference`, the engine's original inner loop) on a
 //! 64-station full ring, at low occupancy (a handful of flits in
 //! flight, where skipping idle stations should win big) and at
-//! saturation (every station pushing flits, where the fast path must
-//! fall back to full sweeps and merely not regress).
+//! saturation (every station pushing flits, where every station is an
+//! event every cycle and the fast path must merely not regress).
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use noc_core::{FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode, TopologyBuilder};
 
@@ -60,7 +60,7 @@ fn run_low_occupancy(mode: TickMode, cycles: u64, inflight: u64) -> Network {
 }
 
 /// Every station tries to enqueue every cycle: inject queues stay full
-/// and lane activity sits at the saturation fallback.
+/// and every station's head wants a slot.
 fn run_saturated(mode: TickMode, cycles: u64) -> Network {
     let (mut net, eps) = ring64(mode);
     for c in 0..cycles {

@@ -1,11 +1,11 @@
-//! Fixed-size rotating bitsets backing the occupancy-indexed tick.
+//! Fixed-size rotating bitsets backing the event-indexed tick.
 //!
 //! A [`BitRing`] tracks which stations of a ring lane currently hold
-//! something of interest (a flit, an I-tag, a pending injector). The
-//! fast-path sweep merges these per 64-station word and visits only set
-//! bits, so an idle lane costs one word test instead of a full station
-//! walk. Because lane slots physically rotate each cycle, the bitset can
-//! rotate with them in O(words).
+//! something of interest (a flit, an I-tag, a queue head wanting a
+//! lane). The fast-path sweep merges these per 64-station word and
+//! visits only set bits, so an idle lane costs one word test instead of
+//! a full station walk. Because lane slots physically rotate each
+//! cycle, the bitset can rotate with them in O(words).
 
 /// A bitset over `n` ring stations supporting single-step rotation.
 ///

@@ -39,6 +39,7 @@
 use crate::config::BridgeConfig;
 use crate::flit::Flit;
 use crate::ids::BridgeId;
+use crate::shard::RingShard;
 use std::collections::VecDeque;
 
 /// One side of a bridge, owned by the shard of the ring it sits on.
@@ -60,8 +61,8 @@ pub(crate) struct BridgeSide {
     pub tx: VecDeque<(u64, Flit)>,
     /// Peer `rx` length snapshotted at the pre-phase barrier.
     pub peer_backlog: usize,
-    /// Reserved escape buffers (SWAP/escape mode, §4.4).
-    pub reserved: Vec<Flit>,
+    /// Reserved escape buffers (SWAP/escape mode, §4.4), oldest first.
+    pub reserved: VecDeque<Flit>,
     /// Whether this side is in deadlock resolution mode.
     pub drm: bool,
     /// Times this side has entered DRM since construction (monotonic;
@@ -93,5 +94,46 @@ impl BridgeSide {
     /// for conservation checks.
     pub fn resident_flits(&self) -> usize {
         self.rx.len() + self.tx.len() + self.reserved.len()
+    }
+}
+
+/// The two sides of one bridge, borrowed together out of the two
+/// shards that own them (a bridge never joins a ring to itself). `a`
+/// and `b` are `(shard index, side index)` into `shards` — the engine's
+/// full shard list or an epoch task's own.
+pub(crate) fn pair_mut(
+    shards: &mut [RingShard],
+    a: (usize, usize),
+    b: (usize, usize),
+) -> (&mut BridgeSide, &mut BridgeSide) {
+    assert_ne!(a.0, b.0, "bridge sides live on different rings");
+    let (lo, hi) = shards.split_at_mut(a.0.max(b.0));
+    let (sa, sb) = if a.0 < b.0 {
+        (&mut lo[a.0], &mut hi[0])
+    } else {
+        (&mut hi[0], &mut lo[b.0])
+    };
+    (&mut sa.sides[a.1], &mut sb.sides[b.1])
+}
+
+/// Pre-phase barrier for one bridge: each side records the other's
+/// post-delivery inbox depth.
+#[inline]
+pub(crate) fn snapshot_backlogs(a: &mut BridgeSide, b: &mut BridgeSide) {
+    a.peer_backlog = b.rx.len();
+    b.peer_backlog = a.rx.len();
+}
+
+/// Post-phase barrier for one bridge: append each side's `tx` outbox
+/// onto the other's `rx` inbox. Most sides stage nothing in a given
+/// cycle, so the empty case returns before touching the peer; `append`
+/// leaves the outbox empty with its capacity intact.
+#[inline]
+pub(crate) fn exchange(a: &mut BridgeSide, b: &mut BridgeSide) {
+    if !a.tx.is_empty() {
+        b.rx.append(&mut a.tx);
+    }
+    if !b.tx.is_empty() {
+        a.rx.append(&mut b.tx);
     }
 }

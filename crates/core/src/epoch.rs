@@ -45,6 +45,7 @@
 //!
 //! [`BridgeSide::peer_backlog`]: crate::bridge::BridgeSide::peer_backlog
 
+use crate::bridge;
 use crate::flit::Flit;
 use crate::network::TickMode;
 use crate::shard::{EngineShared, RingShard};
@@ -233,14 +234,12 @@ impl EpochTask {
         for t in first..=last {
             let now = Cycle(t);
             for sh in &mut self.shards {
-                sh.phase_deliver::<TRACE>(now);
+                sh.phase_deliver::<TRACE>(shared, now);
             }
             // Barrier 1: post-delivery peer inbox depths.
             for p in &self.local {
-                let da = self.shards[p.a.0].sides[p.a.1].rx.len();
-                let db = self.shards[p.b.0].sides[p.b.1].rx.len();
-                self.shards[p.a.0].sides[p.a.1].peer_backlog = db;
-                self.shards[p.b.0].sides[p.b.1].peer_backlog = da;
+                let (a, b) = bridge::pair_mut(&mut self.shards, p.a, p.b);
+                bridge::snapshot_backlogs(a, b);
             }
             for l in &self.cross {
                 let depth = self.shards[l.shard].sides[l.side].rx.len() as u32;
@@ -260,12 +259,8 @@ impl EpochTask {
             }
             // Barrier 2: staged tx batches onto peer rx inboxes.
             for p in &self.local {
-                let mut tx = std::mem::take(&mut self.shards[p.a.0].sides[p.a.1].tx);
-                self.shards[p.b.0].sides[p.b.1].rx.append(&mut tx);
-                self.shards[p.a.0].sides[p.a.1].tx = tx;
-                let mut tx = std::mem::take(&mut self.shards[p.b.0].sides[p.b.1].tx);
-                self.shards[p.a.0].sides[p.a.1].rx.append(&mut tx);
-                self.shards[p.b.0].sides[p.b.1].tx = tx;
+                let (a, b) = bridge::pair_mut(&mut self.shards, p.a, p.b);
+                bridge::exchange(a, b);
             }
             for l in &self.cross {
                 let batch: Vec<(u64, Flit)> =

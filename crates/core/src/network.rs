@@ -38,20 +38,24 @@
 //! ([`Network::max_epoch`]); within that bound the deferral is
 //! invisible and every observable stream is byte-identical to K=1.
 //!
-//! # Occupancy-indexed tick
+//! # Event-indexed tick
 //!
-//! A cross station is a strict no-op for a lane pass unless at least
-//! one of three things is true: the slot at the station carries a flit,
-//! the slot carries an I-tag, or a node interface at the station has a
-//! non-empty inject queue. Each shard maintains one bitset per
-//! condition ([`crate::bits::BitRing`]) and the default
-//! [`TickMode::Fast`] sweep visits only stations whose merged
-//! activity word is non-zero, falling back to a straight sweep on
-//! saturated lanes. The original full sweep is preserved verbatim as
-//! [`TickMode::Reference`] (see [`crate::reference`]) and serves as the
-//! golden model for the differential tests in
-//! `tests/tick_equivalence.rs`.
+//! On-the-fly flits have priority (paper §4.1), so a cross station is
+//! a strict no-op for a lane pass unless one of three things is true:
+//! the flit in the slot leaves the ring *at this station*, the slot
+//! carries an I-tag, or the head of a node interface's inject queue
+//! wants a slot *on this lane*. A flit merely passing by is not an
+//! event. Each lane keeps an exit calendar that yields the first set
+//! per cycle ([`crate::ring`]), each shard keeps one station bitset
+//! per cached head intent ([`crate::bits::BitRing`]), and the default
+//! [`TickMode::Fast`] sweep visits only stations whose merged word is
+//! non-zero. The exhaustive sweep is preserved as
+//! [`TickMode::Reference`] (see [`crate::reference`]): it visits every
+//! station and decides arrivals and intents from the flits themselves,
+//! never from those indices, and serves as the golden model for the
+//! differential tests in `tests/tick_equivalence.rs`.
 
+use crate::bridge;
 use crate::census::{self, WaitCensus};
 use crate::config::NetworkConfig;
 use crate::epoch::{EpochCell, EpochEngine, EpochTask};
@@ -75,16 +79,18 @@ use std::sync::Arc;
 ///
 /// Both modes simulate the exact same network, cycle for cycle — the
 /// differential test suite holds them to identical delivery streams and
-/// [`NetStats::fingerprint`]s. They differ only in how stations are
-/// enumerated.
+/// [`NetStats::fingerprint`]s. They differ in how stations are
+/// enumerated and in where a station learns what happens at it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TickMode {
-    /// Occupancy-indexed sweep: visit only stations with a flit, an
-    /// I-tag, or a pending injector; fall back to a full sweep on
-    /// saturated lanes.
+    /// Event-indexed sweep: visit only stations where a flit arrives
+    /// at its exit, an I-tag rides the slot, or a queue head wants the
+    /// lane — read from the exit calendar and the head-intent cache.
     #[default]
     Fast,
-    /// The original exhaustive station walk, kept as the golden model.
+    /// The exhaustive station walk, kept as the golden model: every
+    /// station, every cycle, routing the flit in the slot and the queue
+    /// heads afresh instead of reading the indices `Fast` relies on.
     Reference,
 }
 
@@ -197,7 +203,7 @@ pub struct Network<S: TraceSink = NullSink> {
 
 impl Network {
     /// Instantiate the runtime network for a validated topology, using
-    /// the default occupancy-indexed tick ([`TickMode::Fast`]) and no
+    /// the default event-indexed tick ([`TickMode::Fast`]) and no
     /// telemetry ([`NullSink`]).
     pub fn new(topo: Topology, cfg: NetworkConfig) -> Self {
         Self::with_mode(topo, cfg, TickMode::Fast)
@@ -745,7 +751,7 @@ impl<S: TraceSink> Network<S> {
             }
             shard.stats.enqueued.inc();
             if shard.nodes[ni].inject.len() == 1 {
-                shard.inject_became_nonempty(ni);
+                shard.head_changed(&self.shared, ni);
             }
             shard.nodes[ni].station
         };
@@ -909,13 +915,14 @@ impl<S: TraceSink> Network<S> {
         let now = self.now;
         // Phase 1: bridge delivery. Cheap enough to stay sequential in
         // every mode (a handful of queue pops per bridge).
+        let shared = Arc::clone(&self.shared);
         if S::ENABLED {
             for shard in &mut self.shards {
-                shard.phase_deliver::<true>(now);
+                shard.phase_deliver::<true>(&shared, now);
             }
         } else {
             for shard in &mut self.shards {
-                shard.phase_deliver::<false>(now);
+                shard.phase_deliver::<false>(&shared, now);
             }
         }
         // Barrier: snapshot peer inbox depths so intake can enforce
@@ -925,7 +932,6 @@ impl<S: TraceSink> Network<S> {
         // out, and the only one that runs with shards detached.
         match self.exec {
             ExecMode::Sequential => {
-                let shared = Arc::clone(&self.shared);
                 let mode = self.mode;
                 if S::ENABLED {
                     for shard in &mut self.shards {
@@ -1013,11 +1019,11 @@ impl<S: TraceSink> Network<S> {
             let now = Cycle(t);
             if S::ENABLED {
                 for shard in &mut self.shards {
-                    shard.phase_deliver::<true>(now);
+                    shard.phase_deliver::<true>(&shared, now);
                 }
             } else {
                 for shard in &mut self.shards {
-                    shard.phase_deliver::<false>(now);
+                    shard.phase_deliver::<false>(&shared, now);
                 }
             }
             self.refresh_peer_backlogs();
@@ -1181,37 +1187,18 @@ impl<S: TraceSink> Network<S> {
     /// (post-delivery), reproducing the monolith's single-pipeline
     /// occupancy for intake capacity checks.
     fn refresh_peer_backlogs(&mut self) {
-        for bi in 0..self.shared.side_loc.len() {
-            let [la, lb] = self.shared.side_loc[bi];
-            let len_a = self.shards[la.ring as usize].sides[la.idx as usize]
-                .rx
-                .len();
-            let len_b = self.shards[lb.ring as usize].sides[lb.idx as usize]
-                .rx
-                .len();
-            self.shards[la.ring as usize].sides[la.idx as usize].peer_backlog = len_b;
-            self.shards[lb.ring as usize].sides[lb.idx as usize].peer_backlog = len_a;
+        for &[la, lb] in &self.shared.side_loc {
+            let (a, b) = bridge::pair_mut(&mut self.shards, la.at(), lb.at());
+            bridge::snapshot_backlogs(a, b);
         }
     }
 
     /// Append every side's `tx` outbox onto its peer's `rx` inbox, in
-    /// bridge order. Mailbox buffers are returned to their owners so
-    /// capacity is reused tick over tick.
+    /// bridge order.
     fn exchange_bridges(&mut self) {
-        for bi in 0..self.shared.side_loc.len() {
-            let [la, lb] = self.shared.side_loc[bi];
-            let mut tx =
-                std::mem::take(&mut self.shards[la.ring as usize].sides[la.idx as usize].tx);
-            self.shards[lb.ring as usize].sides[lb.idx as usize]
-                .rx
-                .append(&mut tx);
-            self.shards[la.ring as usize].sides[la.idx as usize].tx = tx;
-            let mut tx =
-                std::mem::take(&mut self.shards[lb.ring as usize].sides[lb.idx as usize].tx);
-            self.shards[la.ring as usize].sides[la.idx as usize]
-                .rx
-                .append(&mut tx);
-            self.shards[lb.ring as usize].sides[lb.idx as usize].tx = tx;
+        for &[la, lb] in &self.shared.side_loc {
+            let (a, b) = bridge::pair_mut(&mut self.shards, la.at(), lb.at());
+            bridge::exchange(a, b);
         }
     }
 

@@ -2,11 +2,12 @@
 //!
 //! A [`RingShard`] owns everything the paper's §4 station logic can
 //! touch while processing one ring for one cycle: the ring's lanes and
-//! their flit/I-tag bitsets, the node interfaces attached to its
-//! stations (inject/eject queues, starvation counters, E-tag lists),
-//! its sides of any bridges ([`BridgeSide`] mailboxes), the
-//! round-robin pointers and pending-injector index, plus a private
-//! [`NetStats`], [`TickProfile`] and [`TraceBuffer`].
+//! their occupancy bitsets and exit calendars, the node interfaces
+//! attached to its stations (inject/eject queues, starvation counters,
+//! E-tag lists, cached head intent), its sides of any bridges
+//! ([`BridgeSide`] mailboxes), the round-robin pointers and the
+//! per-intent station bitsets, plus a private [`NetStats`],
+//! [`TickProfile`] and [`TraceBuffer`].
 //!
 //! Because the station logic is provably ring-local — a flit can only
 //! leave its ring through a bridge mailbox, and mailboxes are swapped
@@ -41,12 +42,6 @@ use noc_telemetry::{
 };
 use std::collections::VecDeque;
 
-/// Fast-path lanes fall back to a full sweep when
-/// `active * SATURATION_DENOM >= stations * SATURATION_NUM` — i.e. at
-/// ≥ 50% activity, where per-station bit extraction stops paying off.
-const SATURATION_NUM: usize = 1;
-const SATURATION_DENOM: usize = 2;
-
 /// When a tracing sink is attached, every ring's occupancy is sampled
 /// ([`noc_telemetry::FlitEvent::RingUtil`]) once per this many cycles.
 /// Irrelevant for `NullSink` networks: the sampling sites compile away.
@@ -80,6 +75,15 @@ pub(crate) struct SideLoc {
     pub idx: u32,
 }
 
+impl SideLoc {
+    /// `(shard index, side index)`, the form [`crate::bridge::pair_mut`]
+    /// takes.
+    #[inline]
+    pub(crate) fn at(self) -> (usize, usize) {
+        (self.ring as usize, self.idx as usize)
+    }
+}
+
 /// Immutable engine inputs shared by all shards (held in an `Arc` so a
 /// parallel fan-out can hand every worker the same reference).
 #[derive(Debug)]
@@ -93,6 +97,48 @@ pub(crate) struct EngineShared {
     pub side_loc: Vec<[SideLoc; 2]>,
 }
 
+/// What the head of a node's inject queue needs from its station.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Intent {
+    /// Nothing queued (or nothing routable).
+    Idle,
+    /// The zero-hop path: the head leaves the ring at its own station.
+    Local,
+    /// A free slot on this lane.
+    Lane(u8),
+}
+
+impl Intent {
+    /// Index of this intent's station bitset in
+    /// `RingShard::intent_bits`: the lane index, then local.
+    #[inline]
+    fn bits_index(self) -> Option<usize> {
+        match self {
+            Intent::Idle => None,
+            Intent::Lane(l) => Some(l as usize),
+            Intent::Local => Some(LOCAL_BITS),
+        }
+    }
+}
+
+/// Index of the zero-hop bitset in `RingShard::intent_bits`.
+const LOCAL_BITS: usize = 2;
+
+/// An [`Intent`] plus the station the head leaves this ring at
+/// (meaningful unless idle).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct HeadWant {
+    pub intent: Intent,
+    pub exit: u16,
+}
+
+impl HeadWant {
+    const IDLE: HeadWant = HeadWant {
+        intent: Intent::Idle,
+        exit: 0,
+    };
+}
+
 /// Per-node runtime state: the two queues of a node interface plus tag
 /// bookkeeping.
 #[derive(Debug, Clone)]
@@ -101,6 +147,11 @@ pub(crate) struct NodeState {
     pub id: NodeId,
     pub ring: RingId,
     pub station: u16,
+    /// What the head of `inject` wants, cached so the station logic
+    /// reads a byte instead of routing the head on every visit. Kept
+    /// true by [`RingShard::head_changed`] at every push-to-empty and
+    /// every pop; `TickMode::Reference` recomputes instead of reading.
+    pub want: HeadWant,
     pub kind: NodeKind,
     pub inject: Fifo<Flit>,
     pub eject: Fifo<Flit>,
@@ -131,10 +182,13 @@ pub(crate) struct RingShard {
     rr: Vec<[u8; 2]>,
     /// Local node index attached per (station, port).
     ports: Vec<[Option<u32>; 2]>,
-    /// Nodes with a non-empty inject queue per station: 0–2.
-    inject_count: Vec<u8>,
-    /// Station bit set iff `inject_count > 0`.
-    inject_bits: BitRing,
+    /// One station bitset per head intent — lane 0, lane 1, zero-hop
+    /// local (`Intent::bits_index`): bit `s` is set iff a node at
+    /// station `s` has that cached intent.
+    intent_bits: [BitRing; 3],
+    /// Indices into `sides` of the L2 sides with SWAP enabled — the
+    /// only ones deadlock resolution mode applies to.
+    drm_sides: Vec<u32>,
     pub stats: NetStats,
     /// Shard-local sweep instrumentation (`ticks` stays 0 here; the
     /// engine adds the tick count on top when merging).
@@ -199,8 +253,8 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
             sides: Vec::new(),
             rr: vec![[0u8; 2]; r.stations as usize],
             ports: vec![[None, None]; r.stations as usize],
-            inject_count: vec![0u8; r.stations as usize],
-            inject_bits: BitRing::new(r.stations as usize),
+            intent_bits: std::array::from_fn(|_| BitRing::new(r.stations as usize)),
+            drm_sides: Vec::new(),
             stats: NetStats::new(),
             profile: TickProfile::default(),
             trace: TraceBuffer::default(),
@@ -229,6 +283,7 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
             id: n.id,
             ring: n.ring,
             station: n.station,
+            want: HeadWant::IDLE,
             kind: n.kind,
             inject: Fifo::new(cfg.inject_queue_cap),
             eject: Fifo::new(cfg.eject_queue_cap),
@@ -251,6 +306,9 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
                 ring: loc.ring,
                 idx: shard.sides.len() as u32,
             };
+            if b.config.level == BridgeLevel::L2 && b.config.swap_enabled {
+                shard.drm_sides.push(shard.sides.len() as u32);
+            }
             shard.sides.push(BridgeSide {
                 bridge: b.id,
                 side,
@@ -259,7 +317,7 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
                 rx: VecDeque::new(),
                 tx: VecDeque::new(),
                 peer_backlog: 0,
-                reserved: Vec::new(),
+                reserved: VecDeque::new(),
                 drm: false,
                 drm_entries: 0,
                 tx_pushed: 0,
@@ -280,32 +338,124 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
 
 impl RingShard {
     // ------------------------------------------------------------------
-    // Occupancy-index maintenance
+    // Head-intent cache
     // ------------------------------------------------------------------
 
-    /// Record that local node `ni`'s inject queue went from empty to
-    /// non-empty. Must be called at every such transition.
-    #[inline]
-    pub(crate) fn inject_became_nonempty(&mut self, ni: usize) {
-        let s = self.nodes[ni].station as usize;
-        let c = &mut self.inject_count[s];
-        *c += 1;
-        if *c == 1 {
-            self.inject_bits.set(s);
+    /// What local node `ni`'s inject-queue head wants, from the route
+    /// table: nothing, the zero-hop path, or a slot on the lane of the
+    /// shorter arc to its exit station.
+    fn head_want(&self, shared: &EngineShared, ni: usize) -> HeadWant {
+        let node = &self.nodes[ni];
+        let Some(hop) = node
+            .inject
+            .peek()
+            .and_then(|head| shared.route.exit(node.ring, head.dst))
+        else {
+            return HeadWant::IDLE;
+        };
+        let intent = if hop.station == node.station {
+            Intent::Local
+        } else {
+            let (dir, _) = ring_travel(
+                self.ring.kind,
+                self.ring.stations,
+                node.station,
+                hop.station,
+            );
+            Intent::Lane(dir.lane() as u8)
+        };
+        HeadWant {
+            intent,
+            exit: hop.station,
         }
     }
 
-    /// Record that local node `ni`'s inject queue went from non-empty
-    /// to empty. Must be called at every such transition.
+    /// [`RingShard::head_want`] as the station logic sees it: the
+    /// cached value, or recomputed for the golden model.
     #[inline]
-    fn inject_became_empty(&mut self, ni: usize) {
-        let s = self.nodes[ni].station as usize;
-        let c = &mut self.inject_count[s];
-        debug_assert!(*c > 0, "inject count underflow at station {s}");
-        *c -= 1;
-        if *c == 0 {
-            self.inject_bits.clear(s);
+    fn want_of<const REF: bool>(&self, shared: &EngineShared, ni: usize) -> HeadWant {
+        if REF {
+            self.head_want(shared, ni)
+        } else {
+            self.nodes[ni].want
         }
+    }
+
+    /// Refresh local node `ni`'s cached head intent and its station's
+    /// intent bits. Must be called whenever the head of its inject
+    /// queue changes: at every push onto an empty queue and every pop.
+    pub(crate) fn head_changed(&mut self, shared: &EngineShared, ni: usize) {
+        let new = self.head_want(shared, ni);
+        let old = std::mem::replace(&mut self.nodes[ni].want, new);
+        if old.intent == new.intent {
+            return;
+        }
+        let s = self.nodes[ni].station as usize;
+        for intent in [old.intent, new.intent] {
+            let Some(k) = intent.bits_index() else {
+                continue;
+            };
+            if self.station_has(s, intent) {
+                self.intent_bits[k].set(s);
+            } else {
+                self.intent_bits[k].clear(s);
+            }
+        }
+    }
+
+    /// Whether a node at station `s` has cached intent `intent`.
+    fn station_has(&self, s: usize, intent: Intent) -> bool {
+        self.ports[s]
+            .iter()
+            .flatten()
+            .any(|&local| self.nodes[local as usize].want.intent == intent)
+    }
+
+    /// Debug builds: the indices the event-indexed tick reads — lane
+    /// `li`'s calendar row, the cached intent of every node at station
+    /// `s`, and the station's intent bits — equal what the flit in the
+    /// slot and the route table say. Called by the golden-model sweeps,
+    /// which never read those indices themselves.
+    pub(crate) fn debug_check_indices(&self, shared: &EngineShared, li: usize, s: u16) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let lane = &self.ring.lanes[li];
+        let exits_here = lane.flit_at(s).is_some_and(|f| {
+            shared
+                .route
+                .exit(self.ring.id, f.dst)
+                .is_some_and(|hop| hop.station == s)
+        });
+        assert_eq!(
+            lane.arrives(s),
+            exits_here,
+            "{} lane {li} station {s}: calendar row disagrees with the slot",
+            self.ring.id
+        );
+        for &local in self.ports[s as usize].iter().flatten() {
+            self.debug_check_want(shared, local as usize);
+        }
+        for intent in [Intent::Lane(0), Intent::Lane(1), Intent::Local] {
+            let k = intent.bits_index().expect("not idle");
+            assert_eq!(
+                self.intent_bits[k].test(s as usize),
+                self.station_has(s as usize, intent),
+                "{} station {s}: {intent:?} bit disagrees with the cached intents",
+                self.ring.id
+            );
+        }
+    }
+
+    /// Debug builds: local node `ni`'s cached head intent equals the
+    /// recomputed one.
+    pub(crate) fn debug_check_want(&self, shared: &EngineShared, ni: usize) {
+        debug_assert_eq!(
+            self.nodes[ni].want,
+            self.head_want(shared, ni),
+            "stale head intent at node {}",
+            self.nodes[ni].id
+        );
     }
 
     // ------------------------------------------------------------------
@@ -314,7 +464,7 @@ impl RingShard {
 
     /// Move matured flits from this shard's bridge inboxes into their
     /// endpoint inject queues.
-    pub(crate) fn phase_deliver<const TRACE: bool>(&mut self, now: Cycle) {
+    pub(crate) fn phase_deliver<const TRACE: bool>(&mut self, shared: &EngineShared, now: Cycle) {
         let nraw = now.raw();
         for si in 0..self.sides.len() {
             let ep = self.sides[si].endpoint as usize;
@@ -343,7 +493,7 @@ impl RingShard {
                 self.sides[si].rx_popped += 1;
                 self.nodes[ep].inject.push(flit).expect("checked not full");
                 if self.nodes[ep].inject.len() == 1 {
-                    self.inject_became_nonempty(ep);
+                    self.head_changed(shared, ep);
                 }
                 self.stats.bridge_crossings.inc();
             }
@@ -392,64 +542,52 @@ impl RingShard {
         }
     }
 
-    /// Occupancy-indexed station walk: per lane, merge the flit, I-tag
-    /// and pending-injector bitsets word by word and visit only set
-    /// bits, in ascending station order — the same order as the
-    /// reference sweep. Correctness rests on `process_station(s)` only
-    /// mutating state attached to station `s` (its slot, its ports'
-    /// queues, its bridge side), so skipping provably-idle stations and
-    /// snapshotting each 64-station word before visiting it cannot
-    /// change the outcome.
+    /// Event-indexed station walk: per lane, merge this cycle's
+    /// arrivals (the calendar's current row), the I-tag bits and the
+    /// stations where a head wants *this* lane, word by word, and visit
+    /// only set bits, in ascending station order — the same order as
+    /// the reference sweep. A flit passing a station is not among them:
+    /// it is never copied, routed or looked at. Correctness rests on
+    /// `process_station(s)` being a no-op without one of those three
+    /// events and only mutating state attached to station `s` (its
+    /// slot, its ports' queues, its bridge side), so skipping idle
+    /// stations and snapshotting each 64-station word before visiting
+    /// it cannot change the outcome.
     fn sweep_active<const TRACE: bool>(&mut self, shared: &EngineShared, now: Cycle) {
-        let stations = self.ring.stations as usize;
-        let nlanes = self.ring.lanes.len();
-        let nwords = self.inject_bits.words().len();
-        for li in 0..nlanes {
+        let stations = self.ring.stations as u64;
+        let nwords = self.intent_bits[0].words().len();
+        for li in 0..self.ring.lanes.len() {
             self.profile.lane_passes += 1;
-            self.profile.stations_total += stations as u64;
-            let mut active = 0usize;
+            self.profile.stations_total += stations;
             for wi in 0..nwords {
                 let lane = &self.ring.lanes[li];
-                let w = lane.flit_bits().words()[wi]
+                let mut w = lane.arrivals()[wi]
                     | lane.itag_bits().words()[wi]
-                    | self.inject_bits.words()[wi];
-                active += w.count_ones() as usize;
-            }
-            if active * SATURATION_DENOM >= stations * SATURATION_NUM {
-                self.profile.full_lane_sweeps += 1;
-                self.profile.stations_visited += stations as u64;
-                for s in 0..stations as u16 {
-                    self.process_station::<TRACE>(shared, now, li, s);
-                }
-                continue;
-            }
-            for wi in 0..nwords {
-                let lane = &self.ring.lanes[li];
-                let mut w = lane.flit_bits().words()[wi]
-                    | lane.itag_bits().words()[wi]
-                    | self.inject_bits.words()[wi];
+                    | self.intent_bits[li].words()[wi];
+                self.profile.stations_visited += u64::from(w.count_ones());
                 while w != 0 {
                     let s = wi * 64 + w.trailing_zeros() as usize;
                     w &= w - 1;
-                    self.profile.stations_visited += 1;
-                    self.process_station::<TRACE>(shared, now, li, s as u16);
+                    self.process_station::<TRACE, false>(shared, now, li, s as u16);
                 }
             }
         }
     }
 
     /// Deliver head flits whose exit station equals their source node's
-    /// own station without touching the ring (zero-hop path),
-    /// enumerating candidate stations from the pending-injector bits.
+    /// own station without touching the ring (zero-hop path), visiting
+    /// only the nodes whose cached intent says so.
     fn local_deliveries_fast<const TRACE: bool>(&mut self, shared: &EngineShared, now: Cycle) {
-        for wi in 0..self.inject_bits.words().len() {
-            let mut w = self.inject_bits.words()[wi];
+        for wi in 0..self.intent_bits[LOCAL_BITS].words().len() {
+            let mut w = self.intent_bits[LOCAL_BITS].words()[wi];
             while w != 0 {
                 let s = wi * 64 + w.trailing_zeros() as usize;
                 w &= w - 1;
                 for port in 0..2 {
                     if let Some(local) = self.ports[s][port] {
-                        self.try_local_delivery::<TRACE>(shared, now, local as usize);
+                        if self.nodes[local as usize].want.intent == Intent::Local {
+                            self.try_local_delivery::<TRACE>(shared, now, local as usize);
+                        }
                     }
                 }
             }
@@ -481,9 +619,7 @@ impl RingShard {
         let reserved = self.nodes[t].etag_list.len();
         if free > reserved {
             let mut flit = self.nodes[i].inject.pop().expect("peeked");
-            if self.nodes[i].inject.is_empty() {
-                self.inject_became_empty(i);
-            }
+            self.head_changed(shared, i);
             flit.itag_wait += self.nodes[i].starve;
             flit.injected_at = Some(now);
             self.stats.injected.inc();
@@ -508,7 +644,13 @@ impl RingShard {
     /// The full cross-station evaluation for `(lane, station)`:
     /// arrival/ejection, injection arbitration (I-tag claim or
     /// round-robin), then starvation accounting and I-tag placement.
-    pub(crate) fn process_station<const TRACE: bool>(
+    ///
+    /// `REF = false` learns of an arrival from the lane's exit calendar
+    /// and of what a head wants from the intent cache. `REF = true`, the
+    /// golden model, reads neither: it routes the flit in the slot and
+    /// the queue heads every time, so a wrong index shows as a
+    /// divergence between the two.
+    pub(crate) fn process_station<const TRACE: bool, const REF: bool>(
         &mut self,
         shared: &EngineShared,
         now: Cycle,
@@ -516,56 +658,58 @@ impl RingShard {
         s: u16,
     ) {
         let ring_id = self.ring.id;
-        // ---- arrival / ejection ----
-        if let Some(flit) = self.ring.lanes[li].take_flit(s) {
-            let hop = shared
+        let exit_of = |flit: &Flit| {
+            shared
                 .route
                 .exit(ring_id, flit.dst)
-                .expect("validated topology routes every destination");
-            if hop.station == s {
-                self.arrive::<TRACE>(shared, now, li, s, hop.target, flit);
-            } else {
-                self.ring.lanes[li].put_flit(s, flit);
-            }
+                .expect("validated topology routes every destination")
+        };
+        // ---- arrival / ejection ----
+        let lane = &mut self.ring.lanes[li];
+        let arrives = if REF {
+            lane.flit_at(s).is_some_and(|f| exit_of(f).station == s)
+        } else {
+            lane.arrives(s)
+        };
+        if arrives {
+            let flit = lane.take_arrival(s);
+            let target = exit_of(&flit).target;
+            self.arrive::<TRACE, REF>(shared, now, li, s, target, flit);
         }
         // ---- injection ----
         let mut injected_port: Option<u8> = None;
-        let slot_free = self.ring.lanes[li].flit_at(s).is_none();
+        let slot_free = !self.ring.lanes[li].flit_bits().test(s as usize);
+        let wants_lane = Intent::Lane(li as u8);
         if slot_free {
             let itag = self.ring.lanes[li].itag_at(s);
             if let Some(owner) = itag {
                 let loc = shared.node_loc[owner.index()];
                 let o = loc.local as usize;
                 if loc.ring == ring_id.0 && self.nodes[o].station == s {
-                    match self.head_lane(shared, o) {
-                        Some(lane) if lane == li => {
-                            if TRACE {
-                                let fid = self.nodes[o].inject.peek().expect("head checked").id;
-                                let record = TraceRecord {
-                                    cycle: now.raw(),
-                                    flit: fid,
-                                    ring: ring_id.0,
-                                    station: s,
-                                    lane: li as u8,
-                                    event: FlitEvent::ITagClaimed { node: owner.0 },
-                                };
-                                self.trace.push(record);
-                            }
-                            self.inject_head::<TRACE>(now, o, li, s);
-                            injected_port = self.ports[s as usize]
-                                .iter()
-                                .position(|&p| p == Some(o as u32))
-                                .map(|p| p as u8);
-                            self.ring.lanes[li].take_itag(s);
-                            self.nodes[o].itag_pending = false;
+                    let want = self.want_of::<REF>(shared, o);
+                    if want.intent == wants_lane {
+                        if TRACE {
+                            let fid = self.nodes[o].inject.peek().expect("head checked").id;
+                            let record = TraceRecord {
+                                cycle: now.raw(),
+                                flit: fid,
+                                ring: ring_id.0,
+                                station: s,
+                                lane: li as u8,
+                                event: FlitEvent::ITagClaimed { node: owner.0 },
+                            };
+                            self.trace.push(record);
                         }
-                        Some(_) | None => {
-                            // Stale tag: head now prefers the other lane
-                            // or queue drained. Release the slot.
-                            self.ring.lanes[li].take_itag(s);
-                            self.nodes[o].itag_pending = false;
-                        }
+                        self.inject_head::<TRACE>(shared, now, o, li, s, want.exit);
+                        injected_port = self.ports[s as usize]
+                            .iter()
+                            .position(|&p| p == Some(o as u32))
+                            .map(|p| p as u8);
                     }
+                    // Claimed, or stale (the head now prefers the other
+                    // lane or the queue drained): release the slot.
+                    self.ring.lanes[li].take_itag(s);
+                    self.nodes[o].itag_pending = false;
                 }
                 // Tag owned by a node elsewhere on the ring: slot stays
                 // reserved and passes by.
@@ -578,8 +722,9 @@ impl RingShard {
                         continue;
                     };
                     let ni = local as usize;
-                    if self.head_lane(shared, ni) == Some(li) {
-                        self.inject_head::<TRACE>(now, ni, li, s);
+                    let want = self.want_of::<REF>(shared, ni);
+                    if want.intent == wants_lane {
+                        self.inject_head::<TRACE>(shared, now, ni, li, s, want.exit);
                         self.rr[s as usize][li] = (port + 1) % 2;
                         injected_port = Some(port);
                         break;
@@ -596,7 +741,7 @@ impl RingShard {
                 continue;
             };
             let ni = local as usize;
-            if self.head_lane(shared, ni) != Some(li) {
+            if self.want_of::<REF>(shared, ni).intent != wants_lane {
                 continue;
             }
             self.nodes[ni].starve += 1;
@@ -641,31 +786,19 @@ impl RingShard {
         }
     }
 
-    /// Which lane the head flit of local node `ni` wants, if it has one
-    /// and needs the ring (zero-hop deliveries are handled elsewhere).
-    fn head_lane(&self, shared: &EngineShared, ni: usize) -> Option<usize> {
-        let node = &self.nodes[ni];
-        let head = node.inject.peek()?;
-        let hop = shared.route.exit(node.ring, head.dst)?;
-        if hop.station == node.station {
-            return None; // zero-hop: local delivery path
-        }
-        let (dir, _) = ring_travel(
-            self.ring.kind,
-            self.ring.stations,
-            node.station,
-            hop.station,
-        );
-        Some(dir.lane())
-    }
-
-    /// Move local node `ni`'s head flit into the (empty) slot at its
-    /// station.
-    fn inject_head<const TRACE: bool>(&mut self, now: Cycle, ni: usize, li: usize, s: u16) {
+    /// Move local node `ni`'s head flit, which leaves this ring at
+    /// station `exit`, into the (empty) slot at its station.
+    fn inject_head<const TRACE: bool>(
+        &mut self,
+        shared: &EngineShared,
+        now: Cycle,
+        ni: usize,
+        li: usize,
+        s: u16,
+        exit: u16,
+    ) {
         let mut flit = self.nodes[ni].inject.pop().expect("head checked");
-        if self.nodes[ni].inject.is_empty() {
-            self.inject_became_empty(ni);
-        }
+        self.head_changed(shared, ni);
         flit.itag_wait += self.nodes[ni].starve;
         if flit.injected_at.is_none() {
             flit.injected_at = Some(now);
@@ -684,13 +817,13 @@ impl RingShard {
                 self.trace.push(record);
             }
         }
-        self.ring.lanes[li].put_flit(s, flit);
+        self.ring.lanes[li].put_flit(s, flit, exit);
         self.nodes[ni].starve = 0;
     }
 
     /// Handle a flit arriving at its exit station: eject, SWAP, or
     /// deflect with an E-tag.
-    fn arrive<const TRACE: bool>(
+    fn arrive<const TRACE: bool, const REF: bool>(
         &mut self,
         shared: &EngineShared,
         now: Cycle,
@@ -734,7 +867,7 @@ impl RingShard {
             {
                 // Push the Eject Queue head into a reserved Tx buffer…
                 let escaped = self.nodes[t].eject.pop().expect("non-empty");
-                self.sides[si].reserved.push(escaped);
+                self.sides[si].reserved.push_back(escaped);
                 // …eject the traversing flit into the vacated space…
                 if flit.etag {
                     self.consume_etag(t, flit.id);
@@ -759,7 +892,11 @@ impl RingShard {
                 // alternative lacks this simultaneous injection — that
                 // is exactly the latency edge §4.4 claims for SWAP.
                 if self.sides[si].drm && self.nodes[t].inject.peek().is_some() {
-                    self.inject_head::<TRACE>(now, t, li, s);
+                    // Whatever lane the head would have chosen, it
+                    // takes this slot; if it leaves the ring here, at
+                    // `s`, that is one full lap away.
+                    let exit = self.want_of::<REF>(shared, t).exit;
+                    self.inject_head::<TRACE>(shared, now, t, li, s, exit);
                     self.stats.swaps.inc();
                     if TRACE {
                         let record = TraceRecord {
@@ -821,7 +958,8 @@ impl RingShard {
             };
             self.trace.push(record);
         }
-        self.ring.lanes[li].put_flit(s, flit);
+        // Back into the slot it came from: one lap to the next try.
+        self.ring.lanes[li].put_flit(s, flit, s);
     }
 
     fn consume_etag(&mut self, t: usize, flit_id: u64) {
@@ -916,7 +1054,7 @@ impl RingShard {
                 && !self.sides[si].reserved.is_empty()
                 && self.sides[si].pipe_len() < cap
             {
-                let mut flit = self.sides[si].reserved.remove(0);
+                let mut flit = self.sides[si].reserved.pop_front().expect("non-empty");
                 flit.ring_changes += 1;
                 if TRACE {
                     self.push_bridge_enqueued(nraw, si, ep, flit.id);
@@ -959,10 +1097,8 @@ impl RingShard {
     /// ring. Reads only this side's escape buffers and its endpoint's
     /// starvation state — both shard-local.
     fn drm_update(&mut self) {
-        for si in 0..self.sides.len() {
-            if self.sides[si].cfg.level != BridgeLevel::L2 || !self.sides[si].cfg.swap_enabled {
-                continue;
-            }
+        for i in 0..self.drm_sides.len() {
+            let si = self.drm_sides[i] as usize;
             let ep = self.sides[si].endpoint as usize;
             let starve = self.nodes[ep].starve;
             let inject_empty = self.nodes[ep].inject.is_empty();

@@ -165,11 +165,11 @@ impl NetStats {
     /// (count, sum, max) triple per histogram.
     ///
     /// Two networks that simulated the same traffic identically produce
-    /// equal fingerprints. Engine instrumentation (station visit counts,
-    /// sweep fallbacks) deliberately lives in
-    /// [`TickProfile`], not here, so the occupancy-indexed
-    /// and reference tick paths can be compared with `fingerprint()`
-    /// while legitimately differing in how much work they did.
+    /// equal fingerprints. Engine instrumentation (station visit counts)
+    /// deliberately lives in [`TickProfile`], not here, so the
+    /// event-indexed and reference tick paths can be compared with
+    /// `fingerprint()` while legitimately differing in how much work
+    /// they did.
     pub fn fingerprint(&self) -> Vec<u64> {
         let mut fp = vec![
             self.enqueued.get(),
@@ -202,7 +202,7 @@ impl NetStats {
 ///
 /// These counters describe how much work the sweep did — not what the
 /// simulated network did — so they are kept out of [`NetStats`] and its
-/// [`NetStats::fingerprint`]: the occupancy-indexed fast path and the
+/// [`NetStats::fingerprint`]: the event-indexed fast path and the
 /// reference full sweep produce identical `NetStats` but very different
 /// profiles.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -213,9 +213,12 @@ pub struct TickProfile {
     pub lane_passes: u64,
     /// Stations a full sweep would have visited.
     pub stations_total: u64,
-    /// Stations actually visited.
+    /// (Lane, station) visits the fast path made: one per station where,
+    /// on that lane, a flit stood at its exit, an I-tag rode the slot,
+    /// or a queue head wanted a slot.
     pub stations_visited: u64,
-    /// Lane passes that fell back to a full sweep (saturated lane).
+    /// Always 0: the fast path has no full-sweep fallback any more.
+    /// The field stays because the benchmark reads it.
     pub full_lane_sweeps: u64,
 }
 

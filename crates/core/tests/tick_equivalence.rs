@@ -1,4 +1,4 @@
-//! Differential oracle: the occupancy-indexed fast tick
+//! Differential oracle: the event-indexed fast tick
 //! (`TickMode::Fast`) must be cycle-exact against the golden-model full
 //! sweep (`TickMode::Reference`) — identical delivery streams, identical
 //! stats fingerprints — on randomized topologies and traffic.
@@ -116,6 +116,43 @@ fn digest(f: &noc_core::Flit) -> (u64, NodeId, NodeId, u64, u32, u32, u32, u32) 
 fn run_seed(seed: u64) {
     let mut rng = Rng(seed.wrapping_mul(0x5851_f42d_4c95_7f2d) ^ 0xa076_1d64_78bd_642f);
     let (topo, devices) = random_topology(&mut rng);
+    run_pair(seed, &mut rng, topo, devices);
+}
+
+/// Two bridged rings of the given kinds and sizes with `ndev` devices
+/// scattered over each (two to a station where the draw collides, so
+/// the zero-hop path is exercised too).
+fn two_ring_topology(
+    rng: &mut Rng,
+    rings: [(RingKind, u16); 2],
+    ndev: usize,
+) -> (Topology, Vec<NodeId>) {
+    let mut b = TopologyBuilder::new();
+    let die = b.add_chiplet("die");
+    let ids = rings.map(|(kind, n)| b.add_ring(die, kind, n).expect("ring"));
+    // Bridge first, at station 0 of both, so it is never crowded out.
+    let cfg = BridgeConfig::l2()
+        .with_latency(1 + rng.below(4) as u32)
+        .with_deadlock_threshold(24 + rng.below(64) as u32);
+    b.add_bridge(cfg, ids[0], 0, ids[1], 0).expect("bridge");
+    let mut devices = Vec::new();
+    for (i, &(_, n)) in rings.iter().enumerate() {
+        for d in 0..ndev {
+            let s = 1 + rng.below(u64::from(n) - 1) as u16;
+            if let Ok(id) = b.add_node(format!("dev{i}_{d}"), ids[i], s) {
+                devices.push(id);
+            }
+        }
+    }
+    (b.build().expect("valid topology"), devices)
+}
+
+/// Drive a `Fast` and a `Reference` network over `topo` through one
+/// random enqueue/drain schedule and hold them to identical delivery
+/// streams and fingerprints. In debug builds the reference sweeps also
+/// assert, at every station every cycle, that the exit calendar and the
+/// head-intent cache it maintains (but never reads) tell the truth.
+fn run_pair(seed: u64, rng: &mut Rng, topo: Topology, devices: Vec<NodeId>) {
     assert!(devices.len() >= 2, "seed {seed}: too few devices");
     let cfg = NetworkConfig {
         inject_queue_cap: 2 + rng.below(7) as usize,
@@ -211,7 +248,31 @@ fn fast_tick_matches_reference_on_120_random_seeds() {
     }
 }
 
-/// Three-way differential: the golden-model sweep, the occupancy-indexed
+/// Half rings only: one lane, every flit travels clockwise, a head
+/// never wants lane 1.
+#[test]
+fn fast_tick_matches_reference_on_half_rings() {
+    for seed in 0..8 {
+        let mut rng = Rng(seed ^ 0x6a09_e667_f3bc_c908);
+        let rings = [(RingKind::Half, 12), (RingKind::Half, 9)];
+        let (topo, devices) = two_ring_topology(&mut rng, rings, 6);
+        run_pair(seed, &mut rng, topo, devices);
+    }
+}
+
+/// Rings past 64 stations: calendar rows and intent bitsets span more
+/// than one word (130 stations = three, 70 = two).
+#[test]
+fn fast_tick_matches_reference_on_multi_word_rings() {
+    for seed in 0..8 {
+        let mut rng = Rng(seed ^ 0xbb67_ae85_84ca_a73b);
+        let rings = [(RingKind::Full, 130), (RingKind::Half, 70)];
+        let (topo, devices) = two_ring_topology(&mut rng, rings, 40);
+        run_pair(seed, &mut rng, topo, devices);
+    }
+}
+
+/// Three-way differential: the golden-model sweep, the event-indexed
 /// fast tick and the sharded parallel engine must agree flit for flit.
 /// All three networks share one enqueue/drain schedule; the parallel
 /// engine's thread count rotates through {1, 2, 4, 8} across seeds.
