@@ -1,12 +1,16 @@
-//! Engine scaling: ticks/sec of the sharded tick engine on the AI
-//! topology as the per-ring phase fans out over worker threads
-//! (`ExecMode::Parallel(n)` vs `ExecMode::Sequential`).
+//! Engine scaling at K = 1: ticks/sec of `Network::tick()` — the
+//! one-cycle epoch — on the AI topology, with the cycle loop on the
+//! calling thread (`ExecMode::Sequential`) or on `n` threads each owning
+//! a partition of the rings (`ExecMode::Parallel(n)`).
 //!
 //! Results are bit-identical across modes by construction (see
 //! `tick_equivalence.rs`); this bench measures only the wall-clock
-//! trade. Interpret the numbers against the host's actual core count —
-//! on a single-CPU host the parallel rows measure pure fan-out
-//! overhead, not speedup.
+//! trade. The `k1/parallel/n` rows for n ≥ 2 pay one pool handoff and,
+//! per cross-partition bridge, four SPSC messages *per cycle*; longer
+//! epochs amortize the handoff (`noc-bench scaling` sweeps K).
+//! `k1/parallel/1` is the sequential path: no pool. Interpret the
+//! numbers against the host's actual core count — on a single-CPU host
+//! the parallel rows measure pure handoff overhead, not speedup.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use noc_ai::{build_topology, AiConfig};
@@ -62,7 +66,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_scaling");
     g.throughput(Throughput::Elements(CYCLES));
     g.sample_size(10);
-    g.bench_function("sequential", |b| {
+    g.bench_function("k1/sequential", |b| {
         b.iter_with_setup(
             || build(ExecMode::Sequential),
             |(mut net, cores, l2s)| {
@@ -72,7 +76,7 @@ fn bench(c: &mut Criterion) {
         )
     });
     for threads in [1usize, 2, 4] {
-        g.bench_function(&format!("parallel/{threads}"), |b| {
+        g.bench_function(&format!("k1/parallel/{threads}"), |b| {
             b.iter_with_setup(
                 || build(ExecMode::Parallel(threads)),
                 |(mut net, cores, l2s)| {

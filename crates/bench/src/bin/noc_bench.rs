@@ -14,7 +14,7 @@
 //! overhead or the flight recorder's overhead on top of it exceeds
 //! `PCT` percent — the CI regression gate.
 //!
-//! `scaling` runs the epoch-batched parallel-scaling sweep
+//! `scaling` runs the epoch-length × thread-count sweep
 //! ([`noc_experiments::scaling`]) on the 16-ring chain and writes
 //! `BENCH_PR8.json`. Any fingerprint divergence across the exec × K
 //! grid fails the run unconditionally. With `--gate` the process also

@@ -1,9 +1,11 @@
-//! `noc-bench scaling`: the epoch-batched parallel-scaling sweep.
+//! `noc-bench scaling`: the epoch-length × thread-count sweep.
 //!
 //! One run produces `BENCH_PR8.json`: engine throughput on a 16-ring
 //! chain (256 stations, L2 bridges) across
-//! `ExecMode::{Sequential, Parallel(2/4/8)}` × K ∈ {1, 2, 4, 8}, where
-//! 8 is the fabric's bridge-latency epoch bound
+//! `ExecMode::{Sequential, Parallel(2/4/8)}` × K ∈ {1, 2, 4, 8}. The
+//! K = 1 rows are the one-cycle epoch — what every
+//! [`noc_core::Network::tick`] call runs, one pool handoff per cycle
+//! under `Parallel` — and 8 is the fabric's bridge-latency epoch bound
 //! ([`noc_core::Network::max_epoch`]). Traffic and drains are applied
 //! only at cycles aligned to the largest K, so every point simulates
 //! the identical network and the sweep doubles as a 16-way fingerprint
@@ -99,7 +101,8 @@ pub struct ScalingPoint {
     /// Engine throughput in simulated cycles per wall-clock second
     /// (best of the timing repeats).
     pub ticks_per_sec: f64,
-    /// This point's throughput over the sequential K=1 point's.
+    /// This point's throughput over the sequential K=1 point's (the
+    /// calling thread running one-cycle epochs, i.e. plain `tick()`).
     pub speedup_vs_seq_k1: f64,
     /// Whether this point's `NetStats` fingerprint matched the
     /// sequential K=1 run.

@@ -23,18 +23,20 @@
 //! [`BridgeSide::pipe_len`] (`peer_backlog + tx.len()`) reproduces the
 //! monolith's pipeline occupancy bit for bit.
 //!
-//! # Under epoch batching
+//! # Who performs the swap
 //!
-//! [`Network::tick_epoch`](crate::Network::tick_epoch) runs the same
-//! two exchanges *inside* the workers, once per cycle of the epoch:
-//! sides whose peer lives in the same epoch task swap inline exactly as
-//! above, and cross-task sides exchange the identical values — the
-//! post-delivery `rx` depth, then the staged `tx` batch — as messages
-//! over a dedicated SPSC ring per direction (see [`crate::epoch`]).
-//! The bridge's `latency` also bounds the epoch: `K` may not exceed
-//! the fabric's minimum bridge latency, so no flit both enters and
-//! matures in a pipeline within one epoch, which is what lets the
-//! engine defer caller-visible drains to the epoch boundary.
+//! The engine's cycle loop (`crate::epoch::run_cycles`) runs both
+//! exchanges once per cycle. Sides whose peer is among the shards the
+//! loop was handed swap inline, exactly as above — under
+//! `ExecMode::Sequential` that is every bridge. Under
+//! `ExecMode::Parallel` a side whose peer lives in another thread's
+//! partition exchanges the identical values — the post-delivery `rx`
+//! depth, then the staged `tx` batch — as messages over a dedicated
+//! SPSC ring per direction. The bridge's `latency` also bounds the
+//! epoch: `K` may not exceed the fabric's minimum bridge latency, so
+//! no flit both enters and matures in a pipeline within one epoch,
+//! which is what lets the engine defer caller-visible drains to the
+//! epoch boundary.
 
 use crate::config::BridgeConfig;
 use crate::flit::Flit;
@@ -100,7 +102,7 @@ impl BridgeSide {
 /// The two sides of one bridge, borrowed together out of the two
 /// shards that own them (a bridge never joins a ring to itself). `a`
 /// and `b` are `(shard index, side index)` into `shards` — the engine's
-/// full shard list or an epoch task's own.
+/// full shard list or one partition of it.
 pub(crate) fn pair_mut(
     shards: &mut [RingShard],
     a: (usize, usize),

@@ -129,17 +129,18 @@ impl fmt::Display for EnqueueError {
 impl Error for EnqueueError {}
 
 /// Errors raised while advancing the engine (epoch validation and
-/// worker-pool failures). [`Network::tick`](crate::Network::tick)
-/// keeps its infallible signature and panics on these;
-/// [`Network::tick_epoch`](crate::Network::tick_epoch) and
-/// [`Network::try_tick`](crate::Network::try_tick) surface them.
+/// worker-pool failures).
+/// [`Network::tick_epoch`](crate::Network::tick_epoch) surfaces them;
+/// [`Network::tick`](crate::Network::tick), its one-cycle case, keeps
+/// an infallible signature and panics on the only one it can meet
+/// ([`EngineError::Pool`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The requested epoch length exceeds the minimum bridge traversal
-    /// latency, so a flit staged early in the epoch could mature —
-    /// and in the monolithic engine would be *delivered* — before the
-    /// epoch's single mailbox exchange. Running anyway would be
-    /// silently wrong; the engine refuses instead.
+    /// latency, so a flit staged early in the epoch could mature and be
+    /// delivered — with every drain it triggers — before the epoch
+    /// boundary where the engine replays its deferred drains. Running
+    /// anyway would be silently wrong; the engine refuses instead.
     EpochTooLong {
         /// The rejected epoch length.
         requested: u64,

@@ -1,35 +1,34 @@
-//! Execution modes for the per-ring phase of the tick.
+//! Execution modes: which threads run the engine's cycle loop.
 
-use crate::shard::RingShard;
-use noc_sim::ShardPool;
-
-/// How the per-ring phase of [`Network::tick`](crate::Network::tick)
-/// is executed.
+/// Who runs the cycle loop of [`Network::tick`](crate::Network::tick)
+/// and [`Network::tick_epoch`](crate::Network::tick_epoch).
 ///
 /// Both modes produce bit-identical results — delivery order, every
 /// [`NetStats`](crate::NetStats) counter and histogram, and the
 /// telemetry event stream — for every thread count, because ring
 /// shards own all the state they touch and exchange bridge traffic
-/// only at phase barriers. The differential fuzz in
+/// only at the loop's two per-cycle barriers. The differential fuzz in
 /// `tests/tick_equivalence.rs` holds this to
 /// [`NetStats::fingerprint`](crate::NetStats::fingerprint) equality
 /// over random topologies. Choose by wall-clock alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Evaluate ring shards one after another on the calling thread.
+    /// The calling thread runs the loop over every ring shard, with
+    /// every bridge exchanged inline.
     #[default]
     Sequential,
-    /// Fan the per-ring phase out across `n` threads (the calling
-    /// thread plus `n - 1` pooled workers). `Parallel(0)` and
-    /// `Parallel(1)` degenerate to the sequential path through the
-    /// same code. Under [`Network::tick`](crate::Network::tick) the
-    /// pool rendezvous happens every phase, so threads only pay off
-    /// once a shard's phase outweighs two channel hops (~µs); under
-    /// [`Network::tick_epoch`](crate::Network::tick_epoch) the handoff
-    /// amortizes over K cycles and cross-thread bridge traffic moves
-    /// over lock-free SPSC mailboxes instead (see [`crate::epoch`]),
-    /// which is where the scaling curve comes from
-    /// (`noc-bench scaling` → `BENCH_PR8.json`).
+    /// Partition the ring shards over `n` threads (the calling thread
+    /// plus `n - 1` pooled workers); each runs the same loop on its
+    /// partition for the whole epoch, exchanging cross-partition bridge
+    /// traffic over lock-free SPSC mailboxes (see the `epoch` module
+    /// source and DESIGN.md §19). `Parallel(0)` and `Parallel(1)` *are*
+    /// `Sequential`: one partition, no pool, nothing moved. The pool
+    /// handoff — two channel hops per worker — is paid once per
+    /// [`tick_epoch`](crate::Network::tick_epoch) call, so
+    /// [`tick`](crate::Network::tick), a one-cycle epoch, pays it every
+    /// cycle and longer epochs amortize it over K cycles
+    /// (`noc-bench scaling`; `sim.par2_k1_ratio` vs
+    /// `sim.par2_kmax_ratio` in `noc-benchmark`).
     Parallel(usize),
 }
 
@@ -39,27 +38,6 @@ impl ExecMode {
         match self {
             ExecMode::Sequential => 0,
             ExecMode::Parallel(n) => n.max(1) - 1,
-        }
-    }
-}
-
-/// Lazily spawned worker pool. Cloning a network must not duplicate
-/// OS threads, so a clone starts with an empty cell and respawns on
-/// its first parallel tick.
-#[derive(Default)]
-pub(crate) struct PoolCell(pub Option<ShardPool<RingShard>>);
-
-impl Clone for PoolCell {
-    fn clone(&self) -> Self {
-        PoolCell(None)
-    }
-}
-
-impl std::fmt::Debug for PoolCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            Some(p) => write!(f, "PoolCell({} workers)", p.workers()),
-            None => write!(f, "PoolCell(idle)"),
         }
     }
 }

@@ -2,14 +2,18 @@
 //! starvation and livelock protection, ring bridges and SWAP deadlock
 //! resolution — the complete §4 of the paper, cycle by cycle.
 //!
-//! # Sharded tick
+//! # One engine, one loop
 //!
 //! The engine is decomposed along the paper's own fault line: rings are
 //! independent conveyor belts coupled *only* at bridges. Each ring is a
 //! self-contained [`crate::shard::RingShard`] owning its lanes,
 //! bitsets, node interfaces, bridge sides, statistics and telemetry
-//! buffer; [`Network`] itself is just the orchestrator. One call to
-//! [`Network::tick`] runs four phases:
+//! buffer; [`Network`] itself is just the orchestrator.
+//!
+//! Time advances in **epochs** of K cycles ([`Network::tick_epoch`]);
+//! [`Network::tick`] is the one-cycle epoch. For every cycle of an
+//! epoch the engine's single cycle loop (`crate::epoch::run_cycles`)
+//! runs four phases:
 //!
 //! 1. **Deliver** — each shard drains matured flits from its bridge
 //!    inboxes ([`crate::bridge::BridgeSide::rx`]) into endpoint inject
@@ -18,25 +22,22 @@
 //!    enforce pipeline capacity without reading another shard.
 //! 3. **Per-ring cycle** — zero-hop deliveries, the station sweep,
 //!    lane advance, bridge intake (staged into `tx` outboxes) and DRM
-//!    bookkeeping, entirely within one shard. This phase runs
-//!    sequentially or fanned out per [`ExecMode`]; since shards share
-//!    nothing mutable, both are bit-identical.
-//! 4. **Barrier** — `tx` outboxes are appended onto peer `rx` inboxes
-//!    in bridge order, per-shard telemetry is drained into the sink in
-//!    ring order, and ring utilization is sampled.
+//!    bookkeeping, entirely within one shard.
+//! 4. **Barrier** — `tx` outboxes are appended onto peer `rx` inboxes.
 //!
-//! # Epoch-batched tick
+//! Who runs the loop is the [`ExecMode`]: the calling thread over every
+//! shard, or one thread per contiguous partition of the shards, the
+//! barriers of cross-partition bridges carried as per-cycle mail over
+//! lock-free SPSC rings. Shards share nothing mutable and the mail is a
+//! pure function of the sender's state at a fixed cycle, so every
+//! partitioning is bit-identical.
 //!
-//! [`Network::tick_epoch`] runs **K cycles per handoff** instead of
-//! one: the per-cycle phases execute back to back (on the calling
-//! thread, or detached on long-lived epoch workers that exchange
-//! per-cycle bridge mail over lock-free SPSC rings — see
-//! `crate::epoch`), and every engine-side drain (metrics commits,
-//! watchdog evaluation, trace emission, utilization samples) is
-//! deferred and replayed in cycle order at the epoch boundary. K is
+//! Every caller-visible drain — metrics commits, watchdog evaluation,
+//! trace emission in ring order, utilization samples — happens after
+//! the loop, at the epoch boundary, replayed cycle by cycle. K is
 //! bounded by the minimum bridge traversal latency
 //! ([`Network::max_epoch`]); within that bound the deferral is
-//! invisible and every observable stream is byte-identical to K=1.
+//! invisible and every observable stream is byte-identical for every K.
 //!
 //! # Event-indexed tick
 //!
@@ -55,19 +56,18 @@
 //! never from those indices, and serves as the golden model for the
 //! differential tests in `tests/tick_equivalence.rs`.
 
-use crate::bridge;
 use crate::census::{self, WaitCensus};
 use crate::config::NetworkConfig;
-use crate::epoch::{EpochCell, EpochEngine, EpochTask};
+use crate::epoch::{self, CycleLoop, EpochCell, EpochEngine};
 use crate::error::{EngineError, EnqueueError};
-use crate::exec::{ExecMode, PoolCell};
+use crate::exec::ExecMode;
 use crate::flit::{Flit, FlitClass};
 use crate::ids::{BridgeId, NodeId, RingId};
 use crate::route::RouteTable;
 use crate::shard::{EngineShared, NodeState, RingShard};
 use crate::stats::{NetStats, TickProfile};
 use crate::topology::{NodeKind, Topology};
-use noc_sim::{BandwidthProbe, Component, Cycle, PoolJob, ShardPool};
+use noc_sim::{BandwidthProbe, Component, Cycle};
 use noc_telemetry::{
     merge_ranked, BundleEnv, BundleMeta, FlightRecorder, FlitEvent, FlowRecord, HealthConfig,
     HealthMonitor, MetricsRegistry, NullSink, PostmortemBundle, RecorderConfig, RingWindow,
@@ -145,11 +145,11 @@ struct Observatory {
 ///
 /// # Parallel execution
 ///
-/// The per-ring phase of the tick can be fanned out over a persistent
-/// worker pool with [`Network::set_exec_mode`] /
+/// The cycle loop can run on a persistent worker pool, one partition
+/// of the rings per thread, with [`Network::set_exec_mode`] /
 /// [`ExecMode::Parallel`]. Results are bit-identical to sequential
 /// execution for every thread count — see the module docs and
-/// DESIGN.md §10 for why.
+/// DESIGN.md §19 for why.
 ///
 /// # Telemetry
 ///
@@ -192,7 +192,6 @@ pub struct Network<S: TraceSink = NullSink> {
     shards: Vec<RingShard>,
     mode: TickMode,
     exec: ExecMode,
-    pool: PoolCell,
     epoch: EpochCell,
     now: Cycle,
     ticks: u64,
@@ -239,7 +238,6 @@ impl<S: TraceSink> Network<S> {
             shards,
             mode,
             exec,
-            pool: PoolCell::default(),
             epoch: EpochCell::default(),
             now: Cycle::ZERO,
             ticks: 0,
@@ -520,7 +518,6 @@ impl<S: TraceSink> Network<S> {
         let Some(period) = self.observatory.as_ref().map(|o| o.registry.period()) else {
             return;
         };
-        self.drain_staged_metrics();
         let now = self.now;
         let shared = Arc::clone(&self.shared);
         for shard in &mut self.shards {
@@ -530,26 +527,11 @@ impl<S: TraceSink> Network<S> {
         self.commit_staged(now.raw() % period);
     }
 
-    /// Commit every staged sample row. Runs at the epoch boundary with
-    /// no shard active; shards stage samples in lockstep (same cycles
-    /// everywhere), and each commit pops one row across all shards in
-    /// ascending ring id — so the snapshot stream is identical to the
-    /// K=1 engine committing at every tick's barrier.
-    fn drain_staged_metrics(&mut self) {
-        let Some(window) = self.observatory.as_ref().map(|o| o.registry.period()) else {
-            return;
-        };
-        while self
-            .shards
-            .first()
-            .is_some_and(|s| !s.pending_metrics.is_empty())
-        {
-            self.commit_staged(window);
-        }
-    }
-
     /// Pop one staged sample row (oldest; all shards sampled it at the
-    /// same cycle) and commit it as one snapshot.
+    /// same cycle) and commit it as one snapshot, in ascending ring id —
+    /// so the snapshot stream is independent of who ran the shards.
+    /// Every epoch's epilogue commits the rows its cycles staged, so
+    /// none outlives a `tick_epoch` call.
     fn commit_staged(&mut self, window: u64) {
         let mut in_flight = 0u64;
         let mut cycle = 0u64;
@@ -638,15 +620,19 @@ impl<S: TraceSink> Network<S> {
         self.mode
     }
 
-    /// How the per-ring phase is executed.
+    /// Which threads run the cycle loop.
     pub fn exec_mode(&self) -> ExecMode {
         self.exec
     }
 
-    /// Change how the per-ring phase is executed. Takes effect on the
-    /// next tick; the worker pool is (re)spawned lazily. Switching
+    /// Change which threads run the cycle loop. Takes effect on the
+    /// next tick. A change of worker count joins the current pool's
+    /// threads here; the new pool, if any, is spawned lazily. Switching
     /// modes mid-run cannot change results.
     pub fn set_exec_mode(&mut self, exec: ExecMode) {
+        if exec.workers() != self.exec.workers() {
+            self.epoch.0 = None;
+        }
         self.exec = exec;
     }
 
@@ -892,69 +878,17 @@ impl<S: TraceSink> Network<S> {
     // Simulation step
     // ------------------------------------------------------------------
 
-    /// Advance the network by one clock cycle (see the module docs for
-    /// the phase structure).
+    /// Advance the network by one clock cycle: [`Network::tick_epoch`]
+    /// with `k = 1` (see the module docs for the phase structure).
     ///
     /// # Panics
     ///
-    /// Panics if a parallel worker died (see [`Network::try_tick`] for
-    /// the non-panicking form).
+    /// Panics if a parallel worker died ([`Network::tick_epoch`] is the
+    /// non-panicking form).
     pub fn tick(&mut self) {
-        if let Err(e) = self.try_tick() {
+        if let Err(e) = self.tick_epoch(1) {
             panic!("{e}");
         }
-    }
-
-    /// [`Network::tick`], surfacing engine failures as a typed
-    /// [`EngineError`] instead of panicking. After an
-    /// [`EngineError::Pool`] the shards handed to the dead worker are
-    /// lost and the network must be discarded.
-    pub fn try_tick(&mut self) -> Result<(), EngineError> {
-        self.now += 1;
-        self.ticks += 1;
-        let now = self.now;
-        // Phase 1: bridge delivery. Cheap enough to stay sequential in
-        // every mode (a handful of queue pops per bridge).
-        let shared = Arc::clone(&self.shared);
-        if S::ENABLED {
-            for shard in &mut self.shards {
-                shard.phase_deliver::<true>(&shared, now);
-            }
-        } else {
-            for shard in &mut self.shards {
-                shard.phase_deliver::<false>(&shared, now);
-            }
-        }
-        // Barrier: snapshot peer inbox depths so intake can enforce
-        // pipeline capacity without reading another shard.
-        self.refresh_peer_backlogs();
-        // Phase 2: the per-ring cycle — the only phase worth fanning
-        // out, and the only one that runs with shards detached.
-        match self.exec {
-            ExecMode::Sequential => {
-                let mode = self.mode;
-                if S::ENABLED {
-                    for shard in &mut self.shards {
-                        shard.phase_cycle::<true>(&shared, now, mode);
-                    }
-                } else {
-                    for shard in &mut self.shards {
-                        shard.phase_cycle::<false>(&shared, now, mode);
-                    }
-                }
-            }
-            ExecMode::Parallel(_) => self.run_parallel(now)?,
-        }
-        // Barrier: swap bridge mailboxes, commit staged metrics
-        // samples, then drain telemetry in ring order so the sink sees
-        // one deterministic stream.
-        self.exchange_bridges();
-        self.drain_staged_metrics();
-        if S::ENABLED {
-            self.drain_trace_buffers();
-            self.emit_staged_util(now.raw());
-        }
-        Ok(())
     }
 
     /// The largest epoch [`Network::tick_epoch`] accepts: the minimum
@@ -964,31 +898,25 @@ impl<S: TraceSink> Network<S> {
     /// which is what makes deferring all engine-side drains to the
     /// epoch boundary invisible (see `crate::epoch`).
     pub fn max_epoch(&self) -> u64 {
-        self.shared
-            .topo
-            .bridges()
-            .iter()
-            .map(|b| u64::from(b.config.latency.max(1)))
-            .min()
-            .unwrap_or(u64::MAX)
+        self.shared.max_epoch
     }
 
-    /// Advance the network by `k` cycles as one epoch: the per-cycle
-    /// phases run back to back (sequentially, or detached on the epoch
+    /// Advance the network by `k` cycles as one epoch: the cycle loop
+    /// runs `k` times back to back (on the calling thread, or on the
     /// worker pool under [`ExecMode::Parallel`]), and every
     /// caller-visible drain — metrics commits, watchdog evaluation,
-    /// trace-sink emission, ring-utilization samples — is deferred to
-    /// this epoch boundary and then replayed in cycle order. The
-    /// resulting state, statistics, snapshot stream and telemetry
-    /// stream are byte-identical to calling [`Network::tick`] `k`
-    /// times; only the synchronization structure changes.
+    /// trace-sink emission, ring-utilization samples — happens at this
+    /// epoch boundary, replayed in cycle order. The resulting state,
+    /// statistics, snapshot stream and telemetry stream are
+    /// byte-identical to `k` one-cycle epochs; only the synchronization
+    /// structure changes.
     ///
     /// # Errors
     ///
     /// * [`EngineError::EmptyEpoch`] — `k == 0`.
     /// * [`EngineError::EpochTooLong`] — `k > `[`Network::max_epoch`].
-    /// * [`EngineError::Pool`] — a parallel worker died; the network
-    ///   must be discarded.
+    /// * [`EngineError::Pool`] — a parallel worker died; the shards it
+    ///   held are lost and the network must be discarded.
     pub fn tick_epoch(&mut self, k: u64) -> Result<(), EngineError> {
         if k == 0 {
             return Err(EngineError::EmptyEpoch);
@@ -999,113 +927,63 @@ impl<S: TraceSink> Network<S> {
         }
         let first = self.now.raw() + 1;
         let last = self.now.raw() + k;
-        match self.exec {
-            ExecMode::Sequential => self.epoch_sequential(first, last),
-            ExecMode::Parallel(_) => self.epoch_parallel(first, last)?,
-        }
-        self.now = Cycle(last);
-        self.ticks += k;
-        self.epoch_epilogue(first, last);
-        Ok(())
-    }
-
-    /// The epoch's cycle loop on the calling thread: per cycle, exactly
-    /// the phases of [`Network::try_tick`] minus the drains (those run
-    /// in [`Network::epoch_epilogue`]).
-    fn epoch_sequential(&mut self, first: u64, last: u64) {
-        let shared = Arc::clone(&self.shared);
-        let mode = self.mode;
-        for t in first..=last {
-            let now = Cycle(t);
-            if S::ENABLED {
-                for shard in &mut self.shards {
-                    shard.phase_deliver::<true>(&shared, now);
-                }
-            } else {
-                for shard in &mut self.shards {
-                    shard.phase_deliver::<false>(&shared, now);
-                }
-            }
-            self.refresh_peer_backlogs();
-            if S::ENABLED {
-                for shard in &mut self.shards {
-                    shard.phase_cycle::<true>(&shared, now, mode);
-                }
-            } else {
-                for shard in &mut self.shards {
-                    shard.phase_cycle::<false>(&shared, now, mode);
-                }
-            }
-            self.exchange_bridges();
-        }
-    }
-
-    /// The epoch's cycle loop fanned out on the epoch pool: shards move
-    /// into per-slot [`EpochTask`]s, every task runs all K cycles
-    /// (exchanging per-cycle bridge mail over SPSC rings), and the
-    /// shards move back at the single gather.
-    fn epoch_parallel(&mut self, first: u64, last: u64) -> Result<(), EngineError> {
-        let workers = self.exec.workers();
-        let rebuild = match &self.epoch.0 {
-            Some(e) => e.pool.workers() != workers,
-            None => true,
-        };
-        if rebuild {
-            let tasks = crate::epoch::build_tasks(&self.shared, workers + 1);
-            self.epoch.0 = Some(EpochEngine {
-                pool: ShardPool::new(workers),
-                tasks,
-            });
-        }
-        let engine = self.epoch.0.as_mut().expect("just ensured");
-        let mut src: Vec<Option<RingShard>> = self.shards.drain(..).map(Some).collect();
-        let mut tasks = std::mem::take(&mut engine.tasks);
-        for task in &mut tasks {
-            task.shards = task
-                .ring_ids
-                .iter()
-                .map(|&r| src[r].take().expect("each ring owned by one task"))
-                .collect();
-        }
-        let shared = Arc::clone(&self.shared);
-        let mode = self.mode;
-        let job: PoolJob<EpochTask> = if S::ENABLED {
-            Arc::new(move |t: &mut EpochTask| t.run_epoch::<true>(&shared, mode, first, last))
+        // The one place the sink type picks the loop's TRACE parameter.
+        let cycles: CycleLoop = if S::ENABLED {
+            epoch::run_cycles::<true>
         } else {
-            Arc::new(move |t: &mut EpochTask| t.run_epoch::<false>(&shared, mode, first, last))
+            epoch::run_cycles::<false>
         };
-        let mut done = match engine.pool.run(tasks, job) {
-            Ok(done) => done,
-            Err(e) => {
-                // Shards died with the worker; drop the stale wiring so
-                // a (doomed) retry cannot see half a network.
+        let workers = self.exec.workers();
+        if workers == 0 {
+            // The one-task case: every ring, every bridge a local pair.
+            let shared = &*self.shared;
+            cycles(
+                &mut self.shards,
+                &shared.side_loc,
+                &[],
+                shared,
+                self.mode,
+                first,
+                last,
+            );
+        } else {
+            let engine = self
+                .epoch
+                .0
+                .get_or_insert_with(|| EpochEngine::new(&self.shared, workers));
+            // `set_exec_mode` is the only writer of `exec` and drops a
+            // mis-sized engine there; a second writer must do the same.
+            debug_assert_eq!(engine.workers(), workers);
+            let ran = engine.run(
+                &mut self.shards,
+                cycles,
+                &self.shared,
+                self.mode,
+                first,
+                last,
+            );
+            if let Err(e) = ran {
+                // Drop the stale wiring so a (doomed) retry cannot see
+                // half a network.
                 self.epoch.0 = None;
                 return Err(e.into());
             }
-        };
-        let mut out: Vec<Option<RingShard>> = (0..src.len()).map(|_| None).collect();
-        for task in &mut done {
-            let shards = std::mem::take(&mut task.shards);
-            for (&r, sh) in task.ring_ids.iter().zip(shards) {
-                out[r] = Some(sh);
-            }
         }
-        self.shards = out
-            .into_iter()
-            .map(|o| o.expect("every ring gathered back"))
-            .collect();
-        engine.tasks = done;
+        self.now = Cycle(last);
+        self.ticks += k;
+        if S::ENABLED || self.observatory.is_some() {
+            self.epoch_epilogue(first, last);
+        }
         Ok(())
     }
 
     /// Replay the epoch's deferred drains in cycle order: for each
     /// cycle, commit that cycle's staged metrics sample (if any), feed
     /// that cycle's trace records to the recorder and sink in ring
-    /// order, then emit its staged ring-utilization samples — the exact
-    /// per-tick sequence of the K=1 engine, batched.
+    /// order, then emit its staged ring-utilization samples. Allocates
+    /// nothing.
     fn epoch_epilogue(&mut self, first: u64, last: u64) {
         let window = self.observatory.as_ref().map(|o| o.registry.period());
-        let mut cursors = vec![0usize; self.shards.len()];
         for t in first..=last {
             if let Some(w) = window {
                 if self
@@ -1117,106 +995,39 @@ impl<S: TraceSink> Network<S> {
                 }
             }
             if S::ENABLED {
-                self.feed_traces_for_cycle(&mut cursors, t);
+                self.feed_traces_for_cycle(t);
                 self.emit_staged_util(t);
             }
         }
         if S::ENABLED {
-            for (si, cur) in cursors.iter().enumerate() {
+            for shard in &mut self.shards {
                 debug_assert_eq!(
-                    *cur,
-                    self.shards[si].trace.len(),
+                    shard.trace_fed,
+                    shard.trace.len(),
                     "epoch epilogue consumed every staged record"
                 );
-                let mut trace = std::mem::take(&mut self.shards[si].trace);
-                trace.drain_into(&mut NullSink);
-                self.shards[si].trace = trace;
+                shard.trace.drain_into(&mut NullSink);
+                shard.trace_fed = 0;
             }
         }
     }
 
     /// Feed every trace record staged for cycle `t` to the recorder and
-    /// sink, in ring order, advancing the per-shard cursors. Records
-    /// within a shard's buffer are non-decreasing in cycle, so one pass
-    /// per cycle consumes the buffer exactly once.
-    fn feed_traces_for_cycle(&mut self, cursors: &mut [usize], t: u64) {
-        for (si, cursor) in cursors.iter_mut().enumerate() {
-            let trace = std::mem::take(&mut self.shards[si].trace);
-            let records = trace.records();
-            let mut cur = *cursor;
-            while cur < records.len() && records[cur].cycle == t {
-                let record = records[cur];
-                if let Some(rec) = self.observatory.as_mut().and_then(|o| o.recorder.as_mut()) {
+    /// sink, in ring order — the deterministic merge that makes the
+    /// event stream independent of execution mode. Records within a
+    /// shard's buffer are non-decreasing in cycle, so one pass per
+    /// cycle consumes each buffer exactly once.
+    fn feed_traces_for_cycle(&mut self, t: u64) {
+        let mut recorder = self.observatory.as_mut().and_then(|o| o.recorder.as_mut());
+        for shard in &mut self.shards {
+            let records = shard.trace.records();
+            while let Some(&record) = records.get(shard.trace_fed).filter(|r| r.cycle == t) {
+                if let Some(rec) = recorder.as_deref_mut() {
                     rec.record_event(record);
                 }
                 self.sink.emit(record);
-                cur += 1;
+                shard.trace_fed += 1;
             }
-            *cursor = cur;
-            self.shards[si].trace = trace;
-        }
-    }
-
-    /// Fan the per-ring phase out over the worker pool, (re)spawning it
-    /// lazily when the requested thread count changed. Shards are moved
-    /// into the pool by value and reassembled in ring order, so no
-    /// state is ever shared between threads.
-    fn run_parallel(&mut self, now: Cycle) -> Result<(), EngineError> {
-        let workers = self.exec.workers();
-        if self.pool.0.as_ref().map(ShardPool::workers) != Some(workers) {
-            self.pool.0 = Some(ShardPool::new(workers));
-        }
-        let shared = Arc::clone(&self.shared);
-        let mode = self.mode;
-        let job: PoolJob<RingShard> = if S::ENABLED {
-            Arc::new(move |shard: &mut RingShard| shard.phase_cycle::<true>(&shared, now, mode))
-        } else {
-            Arc::new(move |shard: &mut RingShard| shard.phase_cycle::<false>(&shared, now, mode))
-        };
-        let shards = std::mem::take(&mut self.shards);
-        self.shards = self
-            .pool
-            .0
-            .as_mut()
-            .expect("pool just ensured")
-            .run(shards, job)?;
-        Ok(())
-    }
-
-    /// Record each bridge side's view of its peer's inbox depth
-    /// (post-delivery), reproducing the monolith's single-pipeline
-    /// occupancy for intake capacity checks.
-    fn refresh_peer_backlogs(&mut self) {
-        for &[la, lb] in &self.shared.side_loc {
-            let (a, b) = bridge::pair_mut(&mut self.shards, la.at(), lb.at());
-            bridge::snapshot_backlogs(a, b);
-        }
-    }
-
-    /// Append every side's `tx` outbox onto its peer's `rx` inbox, in
-    /// bridge order.
-    fn exchange_bridges(&mut self) {
-        for &[la, lb] in &self.shared.side_loc {
-            let (a, b) = bridge::pair_mut(&mut self.shards, la.at(), lb.at());
-            bridge::exchange(a, b);
-        }
-    }
-
-    /// Drain per-shard trace buffers into the sink in ascending ring
-    /// order — the deterministic merge that makes the event stream
-    /// independent of execution mode.
-    fn drain_trace_buffers(&mut self) {
-        for si in 0..self.shards.len() {
-            let mut trace = std::mem::take(&mut self.shards[si].trace);
-            // Tee into the flight recorder's bounded event ring at the
-            // same deterministic point, before the sink consumes them.
-            if let Some(rec) = self.observatory.as_mut().and_then(|o| o.recorder.as_mut()) {
-                for record in trace.records() {
-                    rec.record_event(*record);
-                }
-            }
-            trace.drain_into(&mut self.sink);
-            self.shards[si].trace = trace;
         }
     }
 
@@ -1250,5 +1061,89 @@ impl<S: TraceSink> Component for Network<S> {
 
     fn busy(&self) -> bool {
         self.in_flight() > 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::BridgeConfig;
+    use crate::ids::RingKind;
+    use crate::topology::TopologyBuilder;
+
+    /// Four rings in a chain, bridge latency 4, one device per ring.
+    fn chain() -> (Topology, Vec<NodeId>) {
+        let mut b = TopologyBuilder::new();
+        let die = b.add_chiplet("die");
+        let rings: Vec<_> = (0..4)
+            .map(|_| b.add_ring(die, RingKind::Full, 8).unwrap())
+            .collect();
+        let devs = rings
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| b.add_node(format!("d{i}"), r, 1).unwrap())
+            .collect();
+        for w in rings.windows(2) {
+            b.add_bridge(BridgeConfig::l2().with_latency(4), w[0], 6, w[1], 6)
+                .unwrap();
+        }
+        (b.build().unwrap(), devs)
+    }
+
+    #[test]
+    fn a_network_owns_at_most_one_pool_and_releases_it_when_unused() {
+        let (topo, devs) = chain();
+        let cfg = NetworkConfig::default();
+        let mut twin = Network::new(topo.clone(), cfg.clone());
+        let mut net =
+            Network::with_exec(topo, cfg, TickMode::Fast, ExecMode::Parallel(4), NullSink);
+        let k = net.max_epoch();
+        assert_eq!(k, 4);
+        let step = |net: &mut Network, twin: &mut Network, epoch: bool| {
+            for (i, &src) in devs.iter().enumerate() {
+                let dst = devs[(i + 2) % devs.len()];
+                let a = net.enqueue(src, dst, FlitClass::Data, 64, 0).is_ok();
+                assert_eq!(a, twin.enqueue(src, dst, FlitClass::Data, 64, 0).is_ok());
+            }
+            if epoch {
+                net.tick_epoch(k).unwrap();
+                twin.tick_epoch(k).unwrap();
+            } else {
+                net.tick();
+                twin.tick();
+            }
+            for &d in &devs {
+                while net.pop_delivered(d).is_some() {}
+                while twin.pop_delivered(d).is_some() {}
+            }
+            assert_eq!(net.fingerprint(), twin.fingerprint());
+        };
+
+        assert!(net.epoch.0.is_none(), "the pool is spawned lazily");
+        for i in 0..20 {
+            step(&mut net, &mut twin, i % 2 == 1);
+            assert_eq!(net.epoch.0.as_ref().map(EpochEngine::workers), Some(3));
+        }
+        // Same worker count: the pool is kept.
+        net.set_exec_mode(ExecMode::Parallel(4));
+        assert!(net.epoch.0.is_some());
+        // No workers wanted: the threads are joined at the switch, not
+        // left parked behind a network that ticks inline.
+        net.set_exec_mode(ExecMode::Sequential);
+        assert_eq!(format!("{:?}", net.epoch), "EpochCell(idle)");
+        for i in 0..20 {
+            step(&mut net, &mut twin, i % 2 == 1);
+            assert!(net.epoch.0.is_none());
+        }
+        // A different worker count replaces the pool rather than
+        // adding a second one.
+        net.set_exec_mode(ExecMode::Parallel(2));
+        step(&mut net, &mut twin, false);
+        assert_eq!(net.epoch.0.as_ref().map(EpochEngine::workers), Some(1));
+        net.set_exec_mode(ExecMode::Parallel(3));
+        assert!(net.epoch.0.is_none());
+        step(&mut net, &mut twin, true);
+        assert_eq!(net.epoch.0.as_ref().map(EpochEngine::workers), Some(2));
+        assert!(twin.stats().delivered.get() > 0);
     }
 }

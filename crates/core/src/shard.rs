@@ -52,7 +52,8 @@ pub(crate) const UTIL_SAMPLE_PERIOD: u64 = 8;
 /// of an epoch's deferred epilogue. `in_flight` is this shard's
 /// contribution to the global in-flight gauge (enqueued − delivered) at
 /// the sample cycle; summing the staged contributions reproduces
-/// exactly what `Network::in_flight()` returned at the K=1 barrier.
+/// exactly what `Network::in_flight()` would return had the epoch ended
+/// at that cycle.
 #[derive(Debug, Clone)]
 pub(crate) struct StagedSample {
     pub cycle: u64,
@@ -95,6 +96,10 @@ pub(crate) struct EngineShared {
     pub node_loc: Vec<NodeLoc>,
     /// Bridge id → location of each side.
     pub side_loc: Vec<[SideLoc; 2]>,
+    /// The minimum bridge traversal latency (at least 1), `u64::MAX`
+    /// without bridges: the longest epoch the engine may run, fixed by
+    /// the topology and therefore computed once here.
+    pub max_epoch: u64,
 }
 
 /// What the head of a node's inject queue needs from its station.
@@ -193,8 +198,11 @@ pub(crate) struct RingShard {
     /// Shard-local sweep instrumentation (`ticks` stays 0 here; the
     /// engine adds the tick count on top when merging).
     pub profile: TickProfile,
-    /// Events staged this tick, drained by the engine in ring order.
+    /// Events staged this epoch, replayed into the sink by the engine
+    /// cycle by cycle, in ring order, at the epoch boundary.
     pub trace: TraceBuffer,
+    /// How many records of `trace` that replay has consumed so far.
+    pub trace_fed: usize,
     /// Metrics sampling period in cycles; 0 disables sampling.
     pub metrics_period: u64,
     /// Counter readings at the end of the previous metrics window, so
@@ -203,7 +211,7 @@ pub(crate) struct RingShard {
     /// Samples staged during the (possibly parallel) per-ring phase,
     /// oldest first, collected by the engine in ring order at the next
     /// epoch boundary. Holds at most one entry per elapsed sampling
-    /// boundary; a K=1 tick drains it every cycle.
+    /// boundary; one-cycle epochs drain it every cycle.
     pub pending_metrics: VecDeque<StagedSample>,
     /// Ring-utilization samples `(cycle, occupied, capacity)` staged at
     /// [`UTIL_SAMPLE_PERIOD`] boundaries when tracing, emitted by the
@@ -258,6 +266,7 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
             stats: NetStats::new(),
             profile: TickProfile::default(),
             trace: TraceBuffer::default(),
+            trace_fed: 0,
             metrics_period: 0,
             metrics_base: WindowCounters::default(),
             pending_metrics: VecDeque::new(),
@@ -326,12 +335,19 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
         }
         side_loc.push(locs);
     }
+    let max_epoch = topo
+        .bridges()
+        .iter()
+        .map(|b| u64::from(b.config.latency.max(1)))
+        .min()
+        .unwrap_or(u64::MAX);
     let shared = EngineShared {
         cfg,
         topo,
         route,
         node_loc,
         side_loc,
+        max_epoch,
     };
     (shared, shards)
 }
@@ -1262,7 +1278,7 @@ impl RingShard {
     /// per-ring phase — it reads only shard-local state, so samples are
     /// identical under any execution order. The engine collects the
     /// staged [`StagedSample`]s in ring order at the next epoch
-    /// boundary (every cycle for a K=1 tick).
+    /// boundary (every cycle for one-cycle epochs).
     pub(crate) fn sample_metrics(&mut self, shared: &EngineShared, now: Cycle) {
         let now_counters = self.counters_now();
         let counters = now_counters.delta_since(&self.metrics_base);

@@ -1,39 +1,26 @@
-//! Epoch-batched tick equivalence: `tick_epoch(k)` must validate its
-//! bound with typed errors, reduce exactly to `tick()` at K = 1, and —
-//! when traffic is applied only at epoch boundaries — replay the
-//! per-cycle engine bit for bit at any K up to the bridge-latency
-//! bound, on both the sequential and the parallel engine.
+//! Epoch engine edge cases: `tick_epoch(k)` must validate its bound
+//! with typed errors, one-cycle epochs on the worker pool must replay
+//! the calling thread's bit for bit, and — when traffic is applied only
+//! at epoch boundaries — one K-cycle epoch must replay K one-cycle
+//! epochs at any K up to the bridge-latency bound, on the calling
+//! thread and on the pool alike.
 //!
 //! The last property is phrased where it matters most: same-flow flits
-//! must be delivered in the same order under epoch batching as under
+//! must be delivered in the same order under one long epoch as under
 //! per-cycle ticking (a proptest over random two-ring fabrics and
 //! schedules), with the full stats fingerprint as a stricter backstop.
 
 use std::collections::BTreeMap;
 
+mod common;
+
+use common::{chain_topology, digest, Rng};
 use noc_core::telemetry::RingBufferSink;
 use noc_core::{
     BridgeConfig, EngineError, ExecMode, FlitClass, Network, NetworkConfig, NodeId, RingKind,
     TickMode, Topology, TopologyBuilder,
 };
 use proptest::prelude::*;
-
-/// splitmix64: deterministic per-seed stream.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
 
 /// Two full rings joined by one bridge of the given latency, two
 /// devices per ring.
@@ -50,44 +37,6 @@ fn two_ring(latency: u32) -> (Topology, Vec<NodeId>) {
     }
     b.add_bridge(BridgeConfig::l2().with_latency(latency), r0, 6, r1, 6)
         .unwrap();
-    (b.build().unwrap(), devs)
-}
-
-/// Random 2–4 ring chain: mixed half/full rings over two chiplets,
-/// consecutive rings joined by an L2 bridge of random latency, two
-/// devices per ring.
-fn chain_topology(rng: &mut Rng) -> (Topology, Vec<NodeId>) {
-    let mut b = TopologyBuilder::new();
-    let dies = [b.add_chiplet("die0"), b.add_chiplet("die1")];
-    let nrings = 2 + rng.below(3) as usize;
-    let mut rings = Vec::new();
-    let mut devs = Vec::new();
-    for i in 0..nrings {
-        let kind = if rng.below(2) == 0 {
-            RingKind::Full
-        } else {
-            RingKind::Half
-        };
-        let n = 6 + rng.below(11) as u16;
-        let r = b.add_ring(dies[i % 2], kind, n).unwrap();
-        devs.push(
-            b.add_node(format!("p{i}"), r, 1 + rng.below(2) as u16)
-                .unwrap(),
-        );
-        devs.push(b.add_node(format!("q{i}"), r, 4).unwrap());
-        rings.push((r, n));
-    }
-    for w in 0..nrings - 1 {
-        let cfg = BridgeConfig::l2().with_latency(1 + rng.below(8) as u32);
-        b.add_bridge(
-            cfg,
-            rings[w].0,
-            rings[w].1 - 1,
-            rings[w + 1].0,
-            rings[w + 1].1 - 1,
-        )
-        .unwrap();
-    }
     (b.build().unwrap(), devs)
 }
 
@@ -129,37 +78,25 @@ fn epoch_bounds_are_typed_errors() {
     assert!(lone.pop_delivered(z).is_some());
 }
 
-/// Digest of one delivered flit for stream comparison.
-fn digest(f: &noc_core::Flit) -> (u64, NodeId, NodeId, u64, u32, u32, u32, u32) {
-    (
-        f.id,
-        f.src,
-        f.dst,
-        f.token,
-        f.payload_bytes,
-        f.hops,
-        f.deflections,
-        f.ring_changes,
-    )
-}
-
-/// K = 1 epochs must be the per-cycle tick, bit for bit: same delivery
-/// stream, same stats fingerprint, same telemetry record stream — on
-/// ten pinned seeds, with the epoch engine rotating through the
-/// parallel thread counts as well.
+/// One-cycle epochs scattered over the worker pool must be the calling
+/// thread's tick, bit for bit: same delivery stream, same stats
+/// fingerprint, same telemetry record stream — on pinned seeds rotating
+/// through the parallel thread counts. `tick()` *is* `tick_epoch(1)`,
+/// so on the calling thread the comparison would be a path against
+/// itself; the seeds that used to make it (0, 4, 8) are pinned against
+/// cross-commit constants in `engine_goldens.rs` instead.
 #[test]
-fn epoch_of_one_is_bit_identical_to_tick_on_10_pinned_seeds() {
-    for seed in 0..10u64 {
+fn one_cycle_epochs_on_the_pool_match_the_calling_thread_on_pinned_seeds() {
+    for seed in (0..10u64).filter(|s| s % 4 != 0) {
         let mut rng = Rng(seed.wrapping_mul(0xd605_0bb5_9b44_2b5d) ^ 0x1c69_b3f7_4ac4_ab57);
         let (topo, devs) = chain_topology(&mut rng);
         let cfg = NetworkConfig::default();
         let sink = || RingBufferSink::new(1 << 20);
         let exec = [
-            ExecMode::Sequential,
             ExecMode::Parallel(2),
             ExecMode::Parallel(4),
             ExecMode::Parallel(8),
-        ][(seed % 4) as usize];
+        ][(seed % 4 - 1) as usize];
         let mut ticked = Network::with_exec(
             topo.clone(),
             cfg.clone(),

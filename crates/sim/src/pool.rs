@@ -10,28 +10,26 @@
 //! never influence the result, only the wall-clock.
 //!
 //! Spawning a thread costs tens of microseconds; a network tick at low
-//! occupancy costs well under one. A scoped-thread fan-out per tick
-//! would drown the work in spawn overhead, so the pool keeps its
-//! workers parked on channel receives between calls and a `run` costs
-//! two channel hops per worker.
+//! occupancy costs a few. A scoped-thread fan-out per call would drown
+//! the work in spawn overhead, so the pool keeps its workers parked on
+//! channel receives between calls and a `run` costs two channel hops
+//! per worker.
 //!
-//! # Epoch batching and the determinism argument, re-proven
+//! # What the engine scatters, and why the result cannot depend on it
 //!
-//! The engine above no longer performs one `run` per simulated phase.
-//! Instead it scatters *epoch tasks* — each owning a disjoint set of
+//! The engine above performs one `run` per **epoch** of K ≥ 1 simulated
+//! cycles. It scatters *epoch tasks* — each owning a disjoint set of
 //! shards plus the [`crate::spsc`] mailbox endpoints wiring it to its
-//! bridge neighbours — and every task runs **K cycles** before the
-//! single gather. The two mpsc hops per worker are thus paid once per
-//! epoch instead of once per phase; within the epoch, workers exchange
-//! per-cycle bridge mail over the lock-free SPSC rings (one pair per
-//! bridge-connected shard pair), never through this pool.
+//! bridge neighbours — one per slot, and every task runs all K cycles
+//! before the single gather. Within the epoch, tasks exchange per-cycle
+//! bridge mail over the lock-free SPSC rings (one pair per
+//! bridge-connected task pair), never through this pool.
 //!
-//! The ownership argument survives the change intact, it just gains a
-//! second clause:
+//! The ownership argument has two clauses:
 //!
-//! 1. **Owned items, no shared state** — as before, each task is moved
-//!    into exactly one thread, mutated there, and gathered back by
-//!    index. Which thread ran which task cannot influence the result.
+//! 1. **Owned items, no shared state** — each task is moved into
+//!    exactly one thread, mutated there, and gathered back by index.
+//!    Which thread ran which task cannot influence the result.
 //! 2. **Deterministic mail** — the only inter-task communication is the
 //!    SPSC traffic, and each message's *content* is a pure function of
 //!    the sending shard's state at a fixed cycle (its post-delivery
@@ -40,7 +38,7 @@
 //!    every ring is identical on every run and every thread count —
 //!    timing can change *when* a message is consumed, never *what* it
 //!    says. By induction over cycles, every shard observes exactly the
-//!    inputs the sequential engine would feed it.
+//!    inputs it would be fed with all shards on one thread.
 //!
 //! # Example
 //!
@@ -103,9 +101,9 @@ struct Job<T> {
 }
 
 struct WorkerLane<T> {
-    tx: Option<Sender<Job<T>>>,
+    tx: Sender<Job<T>>,
     rx: Receiver<Vec<(usize, T)>>,
-    handle: Option<JoinHandle<()>>,
+    handle: JoinHandle<()>,
 }
 
 /// A fixed-size pool of parked worker threads executing owned-item
@@ -136,9 +134,9 @@ impl<T: Send + 'static> ShardPool<T> {
                     })
                     .expect("spawn shard worker");
                 WorkerLane {
-                    tx: Some(jtx),
+                    tx: jtx,
                     rx: rrx,
-                    handle: Some(handle),
+                    handle,
                 }
             })
             .collect();
@@ -164,7 +162,6 @@ impl<T: Send + 'static> ShardPool<T> {
     /// can report a typed failure and leave the process alive.
     pub fn run(&mut self, items: Vec<T>, job: PoolJob<T>) -> Result<Vec<T>, PoolError> {
         let slots = self.lanes.len() + 1;
-        let total = items.len();
         let mut chunks: Vec<Vec<(usize, T)>> = (0..slots).map(|_| Vec::new()).collect();
         for (i, item) in items.into_iter().enumerate() {
             chunks[i % slots].push((i, item));
@@ -176,8 +173,6 @@ impl<T: Send + 'static> ShardPool<T> {
         for (wi, (lane, chunk)) in self.lanes.iter().zip(chunks).enumerate() {
             let sent = lane
                 .tx
-                .as_ref()
-                .expect("sender live until drop")
                 .send(Job {
                     items: chunk,
                     job: Arc::clone(&job),
@@ -200,17 +195,9 @@ impl<T: Send + 'static> ShardPool<T> {
         for (_, item) in &mut own {
             job(item);
         }
-        let mut out: Vec<Option<T>> = (0..total).map(|_| None).collect();
-        for (i, item) in own {
-            out[i] = Some(item);
-        }
         for (wi, lane) in self.lanes.iter().take(dispatched).enumerate() {
             match lane.rx.recv() {
-                Ok(returned) => {
-                    for (i, item) in returned {
-                        out[i] = Some(item);
-                    }
-                }
+                Ok(returned) => own.extend(returned),
                 Err(_) => {
                     error.get_or_insert(PoolError {
                         worker: wi,
@@ -222,22 +209,17 @@ impl<T: Send + 'static> ShardPool<T> {
         if let Some(e) = error {
             return Err(e);
         }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("every index gathered exactly once"))
-            .collect())
+        // Every index came back exactly once; restore the input order.
+        own.sort_unstable_by_key(|&(i, _)| i);
+        Ok(own.into_iter().map(|(_, item)| item).collect())
     }
 }
 
 impl<T: Send + 'static> Drop for ShardPool<T> {
     fn drop(&mut self) {
-        for lane in &mut self.lanes {
-            lane.tx.take(); // closing the channel parks the worker out of its loop
-        }
-        for lane in &mut self.lanes {
-            if let Some(handle) = lane.handle.take() {
-                let _ = handle.join();
-            }
+        for WorkerLane { tx, handle, .. } in self.lanes.drain(..) {
+            drop(tx); // closing the channel ends the worker's receive loop
+            let _ = handle.join();
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Lock-free single-producer single-consumer mailbox queues.
 //!
-//! The epoch-batched parallel engine keeps shard workers detached from
-//! the main thread for many cycles at a time, and within an epoch the
-//! only cross-thread traffic is bridge mail between fixed shard pairs:
-//! one writer, one reader, tiny messages, every cycle. That access
+//! The parallel engine keeps shard workers detached from the calling
+//! thread for a whole epoch, and within an epoch the only cross-thread
+//! traffic is bridge mail between fixed shard pairs: one writer, one
+//! reader, tiny messages, every cycle. That access
 //! pattern is exactly what a classic Lamport ring buffer serves with
 //! two atomics and no locks, so [`channel`] hands out a
 //! [`SpscSender`]/[`SpscReceiver`] pair over one shared ring.
@@ -28,14 +28,15 @@
 //! empty (`tail == head`) are unambiguous without a separate flag.
 //!
 //! Sends never block: [`SpscSender::send`] returns the value back when
-//! the ring is full, and the epoch engine sizes rings so that a
-//! well-behaved cycle protocol cannot fill them (see
-//! [`SpscReceiver::recv_spin`] for the consumer-side wait).
+//! the ring is full, and the engine sizes rings so that a well-behaved
+//! cycle protocol cannot fill them (see [`SpscReceiver::recv_timeout`]
+//! for the consumer-side wait).
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Pad the two indices onto separate cache lines so producer and
 /// consumer do not false-share.
@@ -125,21 +126,30 @@ impl<T> SpscReceiver<T> {
         Some(value)
     }
 
-    /// Dequeue, spinning until a message arrives. The wait backs off to
+    /// Dequeue, waiting up to `timeout` for a message: the receiver's
+    /// only blocking receive. Spins briefly, then backs off to
     /// [`std::thread::yield_now`] so a descheduled producer on an
-    /// oversubscribed host still makes progress.
-    pub fn recv_spin(&self) -> T {
-        let mut spins = 0u32;
+    /// oversubscribed host still makes progress; the clock is read only
+    /// once the spin phase is over, and then every 1024th attempt.
+    /// `None` means the producer stayed silent for the whole `timeout`
+    /// — for a peer that owes a message, that it is dead.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
+        let mut spins = 0u64;
+        let mut yielding_since: Option<Instant> = None;
         loop {
             if let Some(v) = self.recv() {
-                return v;
+                return Some(v);
             }
             spins += 1;
             if spins < 64 {
                 std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
+                continue;
             }
+            let start = *yielding_since.get_or_insert_with(Instant::now);
+            if spins.is_multiple_of(1024) && start.elapsed() > timeout {
+                return None;
+            }
+            std::thread::yield_now();
         }
     }
 }
@@ -198,27 +208,33 @@ mod tests {
 
     #[test]
     fn cross_thread_stream_is_ordered() {
-        const N: u64 = 100_000;
+        // Miri interprets ~1000x slower than native; the interleavings
+        // it checks do not need the long stream.
+        const N: u64 = if cfg!(miri) { 2_000 } else { 100_000 };
         let (tx, rx) = channel(64);
         let producer = std::thread::spawn(move || {
             for i in 0..N {
-                let mut v = i;
-                loop {
-                    match tx.send(v) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            v = back;
-                            std::hint::spin_loop();
-                        }
-                    }
+                while tx.send(i).is_err() {
+                    std::hint::spin_loop();
                 }
             }
         });
         for i in 0..N {
-            assert_eq!(rx.recv_spin(), i);
+            assert_eq!(rx.recv_timeout(Duration::from_secs(60)), Some(i));
         }
         producer.join().unwrap();
         assert_eq!(rx.recv(), None);
+    }
+
+    #[test]
+    fn silent_sender_times_out_instead_of_hanging() {
+        let (tx, rx) = channel::<u8>(2);
+        let began = Instant::now();
+        assert_eq!(rx.recv_timeout(Duration::from_millis(20)), None);
+        assert!(began.elapsed() >= Duration::from_millis(20));
+        // The ring is still usable afterwards.
+        tx.send(7).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_millis(20)), Some(7));
     }
 
     #[test]

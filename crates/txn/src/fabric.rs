@@ -5,23 +5,23 @@
 //! # Determinism
 //!
 //! [`TxnFabric`] owns all transaction state and mutates it only in
-//! [`TxnFabric::tick`], single-threadedly, *around* the network's own
-//! tick: staged flits are pumped into inject queues in ascending
-//! endpoint order before the tick, and deliveries are drained in
-//! ascending endpoint order after it. The engine below guarantees
-//! byte-identical delivery streams across `TickMode::{Fast,Reference}`
-//! and `ExecMode::{Sequential,Parallel(n)}`, so every transaction-layer
+//! [`TxnFabric::tick_epoch`] ([`TxnFabric::tick`] is its one-cycle
+//! case), single-threadedly, *around* the network's own epoch: staged
+//! flits are pumped into inject queues in ascending endpoint order
+//! before it, and deliveries are drained in ascending endpoint order
+//! after it. The engine below guarantees byte-identical delivery
+//! streams across `TickMode::{Fast,Reference}` and
+//! `ExecMode::{Sequential,Parallel(n)}`, so every transaction-layer
 //! decision — reassembly completions, window releases, broadcast
 //! forwards, atomic results — replays identically on every engine.
 //! Hash maps are keyed-lookup only (never iterated), endpoints live in
 //! a `BTreeMap`, so no iteration order leaks into behavior.
 //!
-//! [`TxnFabric::tick_epoch`] re-points the pump and drain at **epoch
-//! boundaries**: admission happens once per K cycles instead of every
-//! cycle, so for K > 1 the schedule legitimately differs from K = 1 —
-//! fewer pump opportunities, batched drains. What holds instead is
-//! that the K-schedule is itself a pure function of K: for any fixed
-//! epoch length the fabric replays byte-identically across
+//! The pump and drain run at **epoch boundaries**: admission happens
+//! once per K cycles, so for K > 1 the schedule legitimately differs
+//! from K = 1 — fewer pump opportunities, batched drains. What holds
+//! instead is that the K-schedule is itself a pure function of K: for
+//! any fixed epoch length the fabric replays byte-identically across
 //! `TickMode` × `ExecMode`, which is exactly what the lockstep suite
 //! checks (each K-variant against its own K-golden).
 //!
@@ -1192,32 +1192,29 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             .push(bundle);
     }
 
-    /// Advance one cycle: pump staged flits, tick the network, drain
-    /// and process deliveries, sample the observatory.
+    /// Advance one cycle: [`TxnFabric::tick_epoch`] with `k = 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parallel worker died, like [`Network::tick`].
     pub fn tick(&mut self) {
-        let nodes: Vec<NodeId> = self.endpoints.keys().copied().collect();
-        self.pump_staged(&nodes);
-        self.net.tick();
-        self.drain_deliveries(&nodes);
-        if let Some(reg) = &self.registry {
-            if self.net.now().raw().is_multiple_of(reg.period()) {
-                self.sample_observatory();
-            }
+        if let Err(e) = self.tick_epoch(1) {
+            panic!("{e}");
         }
     }
 
-    /// Advance `k` cycles as one epoch: the admission pump, delivery
-    /// drain and observatory sampling all move to the epoch boundary,
-    /// and the network below runs [`Network::tick_epoch`]. For `k = 1`
-    /// this is exactly [`TxnFabric::tick`]; for larger `k` the fabric
-    /// interacts with the network `k`× less often, so admission and
-    /// drain *cadence* differ from `k = 1` — but the result is still a
-    /// pure function of `k` alone: byte-identical across
-    /// `TickMode` × `ExecMode` for any fixed epoch length.
+    /// Advance `k` cycles as one epoch: pump staged flits, run the
+    /// network's [`Network::tick_epoch`], drain and process deliveries,
+    /// sample the observatory. The fabric meets the network once per
+    /// epoch, so for larger `k` admission and drain *cadence* differ
+    /// from `k = 1` — but the result is still a pure function of `k`
+    /// alone: byte-identical across `TickMode` × `ExecMode` for any
+    /// fixed epoch length.
     ///
     /// The transaction observatory samples once per epoch that crosses
-    /// a period boundary, stamped at the epoch's end cycle (for `k`
-    /// dividing the period this coincides with the `k = 1` stamps).
+    /// a period boundary, stamped at the epoch's end cycle (every
+    /// multiple of the period for `k = 1`; the same stamps for any `k`
+    /// dividing the period).
     ///
     /// # Errors
     ///

@@ -284,3 +284,66 @@ fn twenty_seed_engine_lockstep_with_conservation() {
         }
     }
 }
+
+/// 64-bit FNV-1a over `bytes`, continuing from `state`.
+fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(seed, K, fingerprint hash, completion-stream hash)`, generated at
+/// commit 56c2f59 — before `TxnFabric::tick` became `tick_epoch(1)` —
+/// with K = 1 driven through `tick()`. Never regenerate these in a
+/// change that claims to preserve behaviour.
+#[rustfmt::skip]
+const TXN_GOLDENS: &[(u64, u64, u64, u64)] = &[
+    (0, 1, 0x2ce7d29979a41e72, 0xa825c138f8d8e321),
+    (0, 2, 0x5d7c709e37d05760, 0x377ec8ce36de856a),
+    (0, 4, 0x64489fcbf3d4d1af, 0x483f62bd176f9cee),
+    (1, 1, 0x0711b1c63d7d81af, 0x258156039fe93473),
+    (1, 2, 0x949f1aa87330e2fc, 0xb7dd036504aa1275),
+    (1, 4, 0x8eeb0fe0f9d07310, 0x965b6eb7c8b74c9f),
+    (2, 1, 0x40fce8a8ea3a4385, 0x5fc4b8971388a05e),
+    (2, 2, 0x524f27844089c7ed, 0x70380e6efd0c239c),
+    (2, 4, 0x8db070489f810bec, 0x884e425984551ff5),
+];
+
+/// Cross-commit anchor: every other check in this file compares engine
+/// variants of one build against each other, so a refactor that moves
+/// all of them together would pass. This one compares against values
+/// pinned at an earlier commit.
+#[test]
+fn fabric_matches_goldens_pinned_before_tick_became_a_one_cycle_epoch() {
+    let mut table = String::new();
+    let mut moved = Vec::new();
+    for seed in 0..3u64 {
+        for k in [1u64, 2, 4] {
+            let out = if k == 1 {
+                run_variant(seed, TickMode::Fast, ExecMode::Sequential)
+            } else {
+                run_variant_epoch(seed, TickMode::Fast, ExecMode::Sequential, k)
+            };
+            let fp = out
+                .fingerprint
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325, |h, w| fnv1a(h, &w.to_le_bytes()));
+            let stream = fnv1a(
+                0xcbf2_9ce4_8422_2325,
+                format!("{:?}", out.completions).as_bytes(),
+            );
+            if !TXN_GOLDENS.contains(&(seed, k, fp, stream)) {
+                moved.push(format!(
+                    "seed {seed} k={k}: now ({fp:#018x}, {stream:#018x})"
+                ));
+            }
+            table.push_str(&format!("    ({seed}, {k}, {fp:#018x}, {stream:#018x}),\n"));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "fabric output moved against the pinned goldens:\n{}\n\nfull table as the fabric \
+         produces it now (paste over TXN_GOLDENS only if the change is intended):\n{table}",
+        moved.join("\n")
+    );
+}
