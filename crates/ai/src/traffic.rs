@@ -9,27 +9,28 @@
 
 use crate::soc::AiProcessor;
 use noc_core::{EnqueueError, FlitClass, NodeId};
-use noc_sim::SimRng;
-use std::collections::{HashMap, VecDeque};
+use noc_sim::{IdMap, SimRng};
+use std::collections::VecDeque;
 
-/// What a token stands for.
+/// What a token stands for. `core` is the requesting core's position
+/// in `AiMap::cores` — the index of its closed-loop counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     /// Core→L2 read request.
-    ReadReq { core: NodeId },
+    ReadReq { core: u32 },
     /// L2→core read data.
-    ReadData { core: NodeId },
+    ReadData { core: u32 },
     /// Core→L2 write data.
-    WriteData { core: NodeId },
+    WriteData { core: u32 },
     /// L2→core write acknowledgement.
-    WriteAck { core: NodeId },
+    WriteAck { core: u32 },
     /// DMA line between HBM and L2 (either direction).
     Dma,
     /// Core→LLC directory lookup (Fig. 8B Path 1, when the LLC path is
     /// enabled).
     LlcReq {
         /// The requesting core.
-        core: NodeId,
+        core: u32,
     },
 }
 
@@ -144,20 +145,44 @@ struct L2Ports {
     pending: VecDeque<(u64, u64)>,
 }
 
+/// Re-offer every backpressured `(slice, token)` of `list` in order,
+/// keeping in place — still in order — those refused again.
+fn retry_each(
+    list: &mut Vec<(usize, u64)>,
+    mut offer: impl FnMut(usize, u64) -> Result<bool, EnqueueError>,
+) -> Result<(), EnqueueError> {
+    let mut kept = 0;
+    for j in 0..list.len() {
+        let (i, token) = list[j];
+        if !offer(i, token)? {
+            list[kept] = (i, token);
+            kept += 1;
+        }
+    }
+    list.truncate(kept);
+    Ok(())
+}
+
 /// The traffic engine driving an [`AiProcessor`].
 #[derive(Debug)]
 pub struct AiEngine {
     proc: AiProcessor,
     traffic: AiTraffic,
     rng: SimRng,
-    tokens: HashMap<u64, Kind>,
+    /// Live tokens. Keyed lookups only.
+    tokens: IdMap<u64, Kind>,
     next_token: u64,
     l2_ports: Vec<L2Ports>,
     /// Pending directory lookups per LLC slice: (ready cycle, token).
     llc_pending: Vec<VecDeque<(u64, u64)>>,
     /// Backpressured LLC forwards: (llc index, token).
     llc_retry: Vec<(usize, u64)>,
-    core_outstanding: HashMap<NodeId, u32>,
+    /// Closed-loop transactions in flight, parallel to `AiMap::cores`.
+    core_outstanding: Vec<u32>,
+    /// L2 slices on each HBM stack's / LLC slice's own horizontal
+    /// ring, parallel to `AiMap::{hbms, llcs}` (fixed at build time).
+    hbm_partners: Vec<Vec<NodeId>>,
+    llc_partners: Vec<Vec<NodeId>>,
     dma_flip: bool,
     dma_rr: usize,
     /// Retry buffers for backpressured L2 responses: (l2 index, token).
@@ -173,17 +198,23 @@ impl AiEngine {
     pub fn new(proc: AiProcessor, traffic: AiTraffic) -> Self {
         let l2_ports = vec![L2Ports::default(); proc.map.l2s.len()];
         let llc_pending = vec![VecDeque::new(); proc.map.llcs.len()];
-        let core_outstanding = proc.map.cores.iter().map(|&c| (c, 0)).collect();
+        let map = &proc.map;
         AiEngine {
+            core_outstanding: vec![0; map.cores.len()],
+            hbm_partners: (0..map.hbms.len())
+                .map(|h| map.l2s_on_ring_of_hbm(h))
+                .collect(),
+            llc_partners: (0..map.llcs.len())
+                .map(|i| map.l2s_on_ring_of_llc(i))
+                .collect(),
             rng: SimRng::seed_from(traffic.seed),
             l2_ports,
             llc_pending,
             llc_retry: Vec::new(),
-            core_outstanding,
             dma_flip: false,
             dma_rr: 0,
             retry: Vec::new(),
-            tokens: HashMap::new(),
+            tokens: IdMap::default(),
             next_token: 0,
             read_bytes: 0,
             write_bytes: 0,
@@ -204,19 +235,14 @@ impl AiEngine {
         &mut self.proc
     }
 
-    fn alloc(&mut self, kind: Kind) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        self.tokens.insert(t, kind);
-        t
-    }
-
-    /// Try to enqueue one transaction flit. `Ok(true)` means the flit
-    /// entered the network, `Ok(false)` means the inject queue pushed
-    /// back (retry later — the token is released). Any other enqueue
-    /// failure is a wiring bug in the engine (bad node id, self-send)
-    /// and is propagated instead of panicking so callers can surface
-    /// it.
+    /// Try to enqueue one transaction flit under a fresh token.
+    /// `Ok(true)` means the flit entered the network and the token now
+    /// stands for `kind`; `Ok(false)` means the inject queue pushed
+    /// back (retry later — the token number is spent, as every attempt
+    /// spends one, but nothing is recorded under it). Any other
+    /// enqueue failure is a wiring bug in the engine (bad node id,
+    /// self-send) and is propagated instead of panicking so callers
+    /// can surface it.
     fn offer(
         &mut self,
         src: NodeId,
@@ -225,26 +251,25 @@ impl AiEngine {
         bytes: u32,
         kind: Kind,
     ) -> Result<bool, EnqueueError> {
-        let token = self.alloc(kind);
+        let token = self.next_token;
+        self.next_token += 1;
         match self.proc.net.enqueue(src, dst, class, bytes, token) {
-            Ok(_) => Ok(true),
-            Err(EnqueueError::InjectQueueFull { .. }) => {
-                self.tokens.remove(&token);
-                Ok(false)
+            Ok(_) => {
+                self.tokens.insert(token, kind);
+                Ok(true)
             }
-            Err(e) => {
-                self.tokens.remove(&token);
-                Err(e)
-            }
+            Err(EnqueueError::InjectQueueFull { .. }) => Ok(false),
+            Err(e) => Err(e),
         }
     }
 
     fn issue_core_traffic(&mut self) -> Result<(), EnqueueError> {
         let line = self.proc.cfg.line_bytes;
-        let cores = self.proc.map.cores.clone();
         let n_l2 = self.proc.map.l2s.len();
-        for core in cores {
-            while self.core_outstanding[&core] < self.traffic.outstanding {
+        for c in 0..self.proc.map.cores.len() {
+            let node = self.proc.map.cores[c];
+            let core = c as u32;
+            while self.core_outstanding[c] < self.traffic.outstanding {
                 // Interleaved L2 addressing: uniform over slices
                 // (§3.2.2 — requests "evenly spread across the chip").
                 let l2 = self.proc.map.l2s[self.rng.gen_index(n_l2)];
@@ -253,15 +278,15 @@ impl AiEngine {
                     if self.traffic.via_llc {
                         let n_llc = self.proc.map.llcs.len().max(1);
                         let llc = self.proc.map.llcs[self.rng.gen_index(n_llc)];
-                        self.offer(core, llc, FlitClass::Request, 16, Kind::LlcReq { core })?
+                        self.offer(node, llc, FlitClass::Request, 16, Kind::LlcReq { core })?
                     } else {
-                        self.offer(core, l2, FlitClass::Request, 16, Kind::ReadReq { core })?
+                        self.offer(node, l2, FlitClass::Request, 16, Kind::ReadReq { core })?
                     }
                 } else {
-                    self.offer(core, l2, FlitClass::Data, line, Kind::WriteData { core })?
+                    self.offer(node, l2, FlitClass::Data, line, Kind::WriteData { core })?
                 };
                 if ok {
-                    *self.core_outstanding.get_mut(&core).expect("core") += 1;
+                    self.core_outstanding[c] += 1;
                 } else {
                     break;
                 }
@@ -277,7 +302,7 @@ impl AiEngine {
                 continue;
             }
             let hbm = self.proc.map.hbms[h];
-            let partners = self.proc.map.l2s_on_ring_of_hbm(h);
+            let partners = &self.hbm_partners[h];
             if partners.is_empty() {
                 continue;
             }
@@ -294,37 +319,22 @@ impl AiEngine {
         Ok(())
     }
 
+    /// Answer the serviced request `token` from L2 slice `l2_idx`; the
+    /// request's token retires once the reply is in the network.
     fn respond(&mut self, l2_idx: usize, token: u64) -> Result<bool, EnqueueError> {
         let l2 = self.proc.map.l2s[l2_idx];
         let line = self.proc.cfg.line_bytes;
-        let (reply, sent) = match self.tokens[&token] {
-            Kind::ReadReq { core } => {
-                let t = self.alloc(Kind::ReadData { core });
-                (t, self.proc.net.enqueue(l2, core, FlitClass::Data, line, t))
-            }
-            Kind::WriteData { core } => {
-                let t = self.alloc(Kind::WriteAck { core });
-                (
-                    t,
-                    self.proc.net.enqueue(l2, core, FlitClass::Response, 8, t),
-                )
-            }
+        let (core, class, bytes, reply) = match self.tokens[&token] {
+            Kind::ReadReq { core } => (core, FlitClass::Data, line, Kind::ReadData { core }),
+            Kind::WriteData { core } => (core, FlitClass::Response, 8, Kind::WriteAck { core }),
             other => unreachable!("L2 service queue held {other:?}"),
         };
-        match sent {
-            Ok(_) => {
-                self.tokens.remove(&token);
-                Ok(true)
-            }
-            Err(EnqueueError::InjectQueueFull { .. }) => {
-                self.tokens.remove(&reply);
-                Ok(false)
-            }
-            Err(e) => {
-                self.tokens.remove(&reply);
-                Err(e)
-            }
+        let node = self.proc.map.cores[core as usize];
+        let sent = self.offer(l2, node, class, bytes, reply)?;
+        if sent {
+            self.tokens.remove(&token);
         }
+        Ok(sent)
     }
 
     fn drain_deliveries(&mut self) {
@@ -365,17 +375,18 @@ impl AiEngine {
             }
         }
         // Core-side arrivals.
-        for core in self.proc.map.cores.clone() {
+        for i in 0..self.proc.map.cores.len() {
+            let core = self.proc.map.cores[i];
             while let Some(f) = self.proc.net.pop_delivered(core) {
                 match self.tokens.remove(&f.token) {
                     Some(Kind::ReadData { core: c }) => {
                         if self.recording {
                             self.read_bytes += line;
                         }
-                        *self.core_outstanding.get_mut(&c).expect("core") -= 1;
+                        self.core_outstanding[c as usize] -= 1;
                     }
                     Some(Kind::WriteAck { core: c }) => {
-                        *self.core_outstanding.get_mut(&c).expect("core") -= 1;
+                        self.core_outstanding[c as usize] -= 1;
                     }
                     other => unreachable!("core received {other:?}"),
                 }
@@ -394,7 +405,8 @@ impl AiEngine {
             }
         }
         // HBM and other memory-side sinks (DMA arrivals).
-        for hbm in self.proc.map.hbms.clone() {
+        for h in 0..self.proc.map.hbms.len() {
+            let hbm = self.proc.map.hbms[h];
             while let Some(f) = self.proc.net.pop_delivered(hbm) {
                 match self.tokens.remove(&f.token) {
                     Some(Kind::Dma) => {
@@ -413,13 +425,9 @@ impl AiEngine {
         let width = self.traffic.l2_port_bytes.max(1);
         let line = u64::from(self.proc.cfg.line_bytes);
         // Retry backpressured responses first (out-port already paid).
-        let mut still = Vec::new();
-        for (i, token) in std::mem::take(&mut self.retry) {
-            if !self.respond(i, token)? {
-                still.push((i, token));
-            }
-        }
-        self.retry = still;
+        let mut retry = std::mem::take(&mut self.retry);
+        retry_each(&mut retry, |i, token| self.respond(i, token))?;
+        self.retry = retry;
         for i in 0..self.l2_ports.len() {
             loop {
                 let p = &self.l2_ports[i];
@@ -449,7 +457,7 @@ impl AiEngine {
     /// Diagnostic snapshot of engine state (token table size, summed
     /// outstanding counters, retry backlog) for calibration tooling.
     pub fn debug_state(&self) -> String {
-        let outst: u32 = self.core_outstanding.values().sum();
+        let outst: u32 = self.core_outstanding.iter().sum();
         format!(
             "tokens={} sum_outstanding={} retry={} in_flight={}",
             self.tokens.len(),
@@ -464,7 +472,7 @@ impl AiEngine {
             unreachable!("llc pending held a non-LlcReq token");
         };
         let llc = self.proc.map.llcs[i];
-        let partners = self.proc.map.l2s_on_ring_of_llc(i);
+        let partners = &self.llc_partners[i];
         if partners.is_empty() {
             // Degenerate config: fall back to any slice.
             let n = self.proc.map.l2s.len();
@@ -479,35 +487,21 @@ impl AiEngine {
         &mut self,
         llc: NodeId,
         l2: NodeId,
-        core: NodeId,
+        core: u32,
         token: u64,
     ) -> Result<bool, EnqueueError> {
-        let t = self.alloc(Kind::ReadReq { core });
-        match self.proc.net.enqueue(llc, l2, FlitClass::Request, 16, t) {
-            Ok(_) => {
-                self.tokens.remove(&token);
-                Ok(true)
-            }
-            Err(EnqueueError::InjectQueueFull { .. }) => {
-                self.tokens.remove(&t);
-                Ok(false)
-            }
-            Err(e) => {
-                self.tokens.remove(&t);
-                Err(e)
-            }
+        let sent = self.offer(llc, l2, FlitClass::Request, 16, Kind::ReadReq { core })?;
+        if sent {
+            self.tokens.remove(&token);
         }
+        Ok(sent)
     }
 
     fn service_llc(&mut self) -> Result<(), EnqueueError> {
         let now = self.proc.net.now().raw();
-        let mut still = Vec::new();
-        for (i, token) in std::mem::take(&mut self.llc_retry) {
-            if !self.forward_from_llc(i, token)? {
-                still.push((i, token));
-            }
-        }
-        self.llc_retry = still;
+        let mut retry = std::mem::take(&mut self.llc_retry);
+        retry_each(&mut retry, |i, token| self.forward_from_llc(i, token))?;
+        self.llc_retry = retry;
         for i in 0..self.llc_pending.len() {
             while self.llc_pending[i]
                 .front()
@@ -654,9 +648,21 @@ mod tests {
         );
         // The closed loop really was throttled by the tiny queue: no
         // core can have more transactions in flight than it asked for.
-        for (&core, &n) in &e.core_outstanding {
+        for (core, &n) in e.proc.map.cores.iter().zip(&e.core_outstanding) {
             assert!(n <= e.traffic.outstanding, "{core} holds {n}");
         }
+    }
+
+    #[test]
+    fn a_core_one_past_the_topology_is_a_typed_error() {
+        // The per-core counters are indexed by position in `map.cores`,
+        // never by node id, so a mis-wired map reaches the network's
+        // own check instead of an index out of bounds.
+        let mut proc = AiProcessor::build(small()).unwrap();
+        let past = NodeId(proc.net.topology().nodes().len() as u32);
+        proc.map.cores.push(past);
+        let mut e = AiEngine::new(proc, AiTraffic::from_ratio(1, 1));
+        assert_eq!(e.tick(), Err(EnqueueError::UnknownNode { node: past }));
     }
 
     #[test]

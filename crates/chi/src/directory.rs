@@ -2,7 +2,8 @@
 
 use crate::types::LineAddr;
 use noc_core::NodeId;
-use std::collections::{BTreeSet, HashMap};
+use noc_sim::IdMap;
+use std::collections::BTreeSet;
 
 /// Directory state of one line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,7 +30,8 @@ pub enum DirState {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
-    lines: HashMap<LineAddr, DirState>,
+    /// Keyed lookups only (`len` counts, which is order-insensitive).
+    lines: IdMap<LineAddr, DirState>,
 }
 
 impl Directory {

@@ -12,8 +12,8 @@ use crate::memory::{MemoryModel, MemoryParams};
 use crate::message::{Message, MsgOp};
 use crate::types::{LineAddr, MesiState, ReadKind, TxnId};
 use noc_core::{FlitClass, Network, NodeId};
-use noc_sim::Cycle;
-use std::collections::{HashMap, HashSet, VecDeque};
+use noc_sim::{Cycle, IdMap, IdSet, SlotIndex};
+use std::collections::VecDeque;
 
 /// The transport a [`CoherentSystem`] runs over.
 ///
@@ -148,6 +148,66 @@ enum Role {
     Sn(usize),
 }
 
+/// The fixed agent set, wired once in [`CoherentSystem::new`]: every
+/// per-agent table is a `Vec` indexed by the agent's *slot* — its
+/// position in `order` (requesters, then home nodes, then memories).
+#[derive(Debug)]
+struct Agents {
+    /// Slot → node. Deliveries are polled and outboxes flushed in this
+    /// order, which therefore fixes every flit id.
+    order: Vec<NodeId>,
+    /// [`NodeId::index`] → slot.
+    slot_of: SlotIndex,
+    role: Vec<Role>,
+    outboxes: Vec<VecDeque<(NodeId, Message)>>,
+    /// One bit per slot, set while that outbox is non-empty, so the
+    /// flush visits only agents with something to send.
+    unsent: Vec<u64>,
+}
+
+impl Agents {
+    /// # Panics
+    ///
+    /// Panics if an agent id appears in more than one role.
+    fn new(spec: &SystemSpec) -> Self {
+        let order: Vec<NodeId> = [&spec.requesters, &spec.home_nodes, &spec.memories]
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect();
+        let role = (0..spec.requesters.len())
+            .map(Role::Rn)
+            .chain((0..spec.home_nodes.len()).map(Role::Hn))
+            .chain((0..spec.memories.len()).map(Role::Sn))
+            .collect();
+        let slot_of = SlotIndex::new(order.iter().map(|n| n.index()))
+            .unwrap_or_else(|i| panic!("{} has two roles", NodeId(i as u32)));
+        Agents {
+            role,
+            slot_of,
+            outboxes: vec![VecDeque::new(); order.len()],
+            unsent: vec![0; order.len().div_ceil(64)],
+            order,
+        }
+    }
+
+    /// The slot of `n`; `None` for any id — in range of the topology or
+    /// not — that was not registered as an agent.
+    fn slot(&self, n: NodeId) -> Option<usize> {
+        self.slot_of.get(n.index())
+    }
+
+    fn role(&self, n: NodeId) -> Option<Role> {
+        self.slot(n).map(|s| self.role[s])
+    }
+
+    fn send(&mut self, from: NodeId, to: NodeId, msg: Message) {
+        let slot = self.slot(from).expect("sender is a registered agent");
+        self.outboxes[slot].push_back((to, msg));
+        self.unsent[slot / 64] |= 1 << (slot % 64);
+    }
+}
+
 #[derive(Debug)]
 struct RnTxn {
     addr: LineAddr,
@@ -204,22 +264,28 @@ struct HnTxn {
 pub struct CoherentSystem<T = Network> {
     net: T,
     spec: SystemSpec,
-    role: HashMap<NodeId, Role>,
-    agents_order: Vec<NodeId>,
-    rn_lines: Vec<HashMap<LineAddr, MesiState>>,
+    agents: Agents,
+    /// Per requester: line → state. Keyed lookups only.
+    rn_lines: Vec<IdMap<LineAddr, MesiState>>,
     dirs: Vec<Directory>,
     llcs: Vec<SetAssocCache>,
     mems: Vec<MemoryModel<Message>>,
-    msgs: HashMap<u64, Message>,
+    /// In-flight messages by flit token. Keyed lookups only.
+    msgs: IdMap<u64, Message>,
     next_msg: u64,
     next_txn: u64,
-    outboxes: HashMap<NodeId, VecDeque<(NodeId, Message)>>,
-    rn_txns: HashMap<TxnId, RnTxn>,
-    hn_txns: HashMap<TxnId, HnTxn>,
-    busy: HashMap<(usize, LineAddr), VecDeque<Message>>,
-    busy_set: HashSet<(usize, LineAddr)>,
-    /// Grants in flight: txn → (hn index, line) held busy until CompAck.
-    awaiting_ack: HashMap<TxnId, (usize, LineAddr)>,
+    /// Live transactions at the requester. Keyed lookups only.
+    rn_txns: IdMap<TxnId, RnTxn>,
+    /// Live transactions at the home node. Keyed lookups only.
+    hn_txns: IdMap<TxnId, HnTxn>,
+    /// Requests queued behind a busy line, by (hn index, line). Keyed
+    /// lookups only.
+    busy: IdMap<(usize, LineAddr), VecDeque<Message>>,
+    /// Lines with a transaction in progress. Keyed lookups only.
+    busy_set: IdSet<(usize, LineAddr)>,
+    /// Grants in flight: txn → (hn index, line) held busy until
+    /// CompAck. Keyed lookups only.
+    awaiting_ack: IdMap<TxnId, (usize, LineAddr)>,
     local_done: VecDeque<(u64, Completion)>,
     /// Messages waiting out a pipeline delay before entering an outbox.
     delayed: Vec<(u64, NodeId, NodeId, Message)>,
@@ -237,20 +303,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
         assert!(!spec.requesters.is_empty(), "need at least one requester");
         assert!(!spec.home_nodes.is_empty(), "need at least one home node");
         assert!(!spec.memories.is_empty(), "need at least one memory");
-        let mut role = HashMap::new();
-        let mut agents_order = Vec::new();
-        for (i, &n) in spec.requesters.iter().enumerate() {
-            assert!(role.insert(n, Role::Rn(i)).is_none(), "{n} has two roles");
-            agents_order.push(n);
-        }
-        for (i, &n) in spec.home_nodes.iter().enumerate() {
-            assert!(role.insert(n, Role::Hn(i)).is_none(), "{n} has two roles");
-            agents_order.push(n);
-        }
-        for (i, &n) in spec.memories.iter().enumerate() {
-            assert!(role.insert(n, Role::Sn(i)).is_none(), "{n} has two roles");
-            agents_order.push(n);
-        }
+        let agents = Agents::new(&spec);
         let line = spec.line_bytes as u64;
         let llcs = spec
             .home_nodes
@@ -262,25 +315,22 @@ impl<T: ChiTransport> CoherentSystem<T> {
             .iter()
             .map(|_| MemoryModel::new(spec.mem_params))
             .collect();
-        let outboxes = agents_order.iter().map(|&n| (n, VecDeque::new())).collect();
         CoherentSystem {
-            rn_lines: vec![HashMap::new(); spec.requesters.len()],
+            rn_lines: vec![IdMap::default(); spec.requesters.len()],
             dirs: spec.home_nodes.iter().map(|_| Directory::new()).collect(),
             llcs,
             mems,
-            role,
-            agents_order,
+            agents,
             net,
             spec,
-            msgs: HashMap::new(),
+            msgs: IdMap::default(),
             next_msg: 0,
             next_txn: 0,
-            outboxes,
-            rn_txns: HashMap::new(),
-            hn_txns: HashMap::new(),
-            busy: HashMap::new(),
-            busy_set: HashSet::new(),
-            awaiting_ack: HashMap::new(),
+            rn_txns: IdMap::default(),
+            hn_txns: IdMap::default(),
+            busy: IdMap::default(),
+            busy_set: IdSet::default(),
+            awaiting_ack: IdMap::default(),
             local_done: VecDeque::new(),
             delayed: Vec::new(),
             completions: Vec::new(),
@@ -309,8 +359,8 @@ impl<T: ChiTransport> CoherentSystem<T> {
 
     /// The MESI state `rn` currently holds for `addr`.
     pub fn rn_state(&self, rn: NodeId, addr: LineAddr) -> MesiState {
-        match self.role.get(&rn) {
-            Some(Role::Rn(i)) => self.rn_lines[*i]
+        match self.agents.role(rn) {
+            Some(Role::Rn(i)) => self.rn_lines[i]
                 .get(&addr)
                 .copied()
                 .unwrap_or(MesiState::Invalid),
@@ -334,18 +384,11 @@ impl<T: ChiTransport> CoherentSystem<T> {
         t
     }
 
-    fn send(&mut self, from: NodeId, to: NodeId, msg: Message) {
-        self.outboxes
-            .get_mut(&from)
-            .expect("sender is a registered agent")
-            .push_back((to, msg));
-    }
-
     /// Send after a pipeline delay (home-node array access, snoop
     /// lookup). Zero-delay sends go straight to the outbox.
     fn send_after(&mut self, from: NodeId, to: NodeId, msg: Message, delay: u64) {
         if delay == 0 {
-            self.send(from, to, msg);
+            self.agents.send(from, to, msg);
         } else {
             let ready = self.net.now().raw() + delay;
             self.delayed.push((ready, from, to, msg));
@@ -367,7 +410,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
     }
 
     fn issue(&mut self, rn: NodeId, addr: LineAddr, kind: TxnKind) -> TxnId {
-        let Some(&Role::Rn(idx)) = self.role.get(&rn) else {
+        let Some(Role::Rn(idx)) = self.agents.role(rn) else {
             panic!("{rn} is not a requester");
         };
         let txn = self.alloc_txn();
@@ -407,7 +450,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
             TxnKind::WriteBack => unreachable!(),
         };
         let home = self.home_of(addr);
-        self.send(
+        self.agents.send(
             rn,
             home,
             Message {
@@ -423,7 +466,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
     /// Write back a dirty/owned line. Returns `None` when `rn` does not
     /// hold the line in a writable state.
     pub fn write_back(&mut self, rn: NodeId, addr: LineAddr) -> Option<TxnId> {
-        let Some(&Role::Rn(idx)) = self.role.get(&rn) else {
+        let Some(Role::Rn(idx)) = self.agents.role(rn) else {
             return None;
         };
         let st = self.rn_lines[idx]
@@ -445,7 +488,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
             },
         );
         let home = self.home_of(addr);
-        self.send(
+        self.agents.send(
             rn,
             home,
             Message {
@@ -478,8 +521,8 @@ impl<T: ChiTransport> CoherentSystem<T> {
             self.completions.push(c);
         }
         // Deliveries.
-        for i in 0..self.agents_order.len() {
-            let node = self.agents_order[i];
+        for slot in 0..self.agents.order.len() {
+            let node = self.agents.order[slot];
             while let Some(token) = self.net.recv(node) {
                 let msg = self
                     .msgs
@@ -500,7 +543,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
                             addr: req.addr,
                             from: sn,
                         };
-                        self.send(sn, req.from, reply);
+                        self.agents.send(sn, req.from, reply);
                     }
                     MsgOp::WriteNoSnp => { /* fire-and-forget eviction */ }
                     other => unreachable!("memory received {other:?}"),
@@ -513,28 +556,38 @@ impl<T: ChiTransport> CoherentSystem<T> {
         while i < self.delayed.len() {
             if self.delayed[i].0 <= now_raw {
                 let (_, from, to, msg) = self.delayed.swap_remove(i);
-                self.send(from, to, msg);
+                self.agents.send(from, to, msg);
             } else {
                 i += 1;
             }
         }
-        // Flush outboxes into the NoC.
-        for i in 0..self.agents_order.len() {
-            let node = self.agents_order[i];
-            while let Some(&(dst, msg)) = self.outboxes[&node].front() {
-                let token = self.next_msg;
-                if self.net.offer(
-                    node,
-                    dst,
-                    msg.op.class(),
-                    msg.op.payload_bytes(self.spec.line_bytes),
-                    token,
-                ) {
+        // Flush outboxes into the NoC, ascending slot order over the
+        // agents that have something to send: the order of `offer`
+        // calls is the order flit ids are handed out in.
+        for w in 0..self.agents.unsent.len() {
+            let mut word = self.agents.unsent[w];
+            while word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                let slot = w * 64 + bit;
+                let node = self.agents.order[slot];
+                while let Some(&(dst, msg)) = self.agents.outboxes[slot].front() {
+                    let token = self.next_msg;
+                    if !self.net.offer(
+                        node,
+                        dst,
+                        msg.op.class(),
+                        msg.op.payload_bytes(self.spec.line_bytes),
+                        token,
+                    ) {
+                        break;
+                    }
                     self.next_msg += 1;
                     self.msgs.insert(token, msg);
-                    self.outboxes.get_mut(&node).expect("agent").pop_front();
-                } else {
-                    break;
+                    self.agents.outboxes[slot].pop_front();
+                }
+                if self.agents.outboxes[slot].is_empty() {
+                    self.agents.unsent[w] &= !(1 << bit);
                 }
             }
         }
@@ -561,7 +614,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
     }
 
     fn handle(&mut self, at: NodeId, msg: Message) {
-        match *self.role.get(&at).expect("delivery to registered agent") {
+        match self.agents.role(at).expect("delivery to registered agent") {
             Role::Rn(idx) => self.handle_rn(at, idx, msg),
             Role::Hn(idx) => self.handle_hn(at, idx, msg),
             Role::Sn(idx) => {
@@ -614,7 +667,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
                     addr: msg.addr,
                     from: rn,
                 };
-                self.send(rn, msg.from, ack);
+                self.agents.send(rn, msg.from, ack);
                 if let Some(t) = self.rn_txns.remove(&msg.txn) {
                     let final_state = if matches!(t.kind, TxnKind::Write) {
                         MesiState::Modified
@@ -660,7 +713,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
                 // Evicted dirty line flows to memory (fire-and-forget).
                 let txn = self.alloc_txn();
                 let mem = self.memory_of(victim);
-                self.send(
+                self.agents.send(
                     hn,
                     mem,
                     Message {
@@ -699,7 +752,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
                     },
                 );
                 let mem = self.memory_of(msg.addr);
-                self.send(
+                self.agents.send(
                     hn,
                     mem,
                     Message {
@@ -773,7 +826,6 @@ impl<T: ChiTransport> CoherentSystem<T> {
     fn start_hn_txn(&mut self, hn: NodeId, idx: usize, msg: Message) {
         let addr = msg.addr;
         let req = msg.from;
-        let dir_state = self.dirs[idx].state(addr).clone();
         let mut t = HnTxn {
             requester: req,
             addr,
@@ -784,19 +836,23 @@ impl<T: ChiTransport> CoherentSystem<T> {
             mem_done: true,
             coherent: true,
         };
-        match (&msg.op, &dir_state) {
-            (MsgOp::ReadShared, DirState::Owned(o)) if *o != req => {
-                let snp = Message {
-                    txn: msg.txn,
-                    op: MsgOp::SnpShared,
-                    addr,
-                    from: hn,
-                };
-                self.send(hn, *o, snp);
+        let snoop = |op| Message {
+            txn: msg.txn,
+            op,
+            addr,
+            from: hn,
+        };
+        // The directory entry is only read here (it changes when the
+        // transaction finishes), so it is borrowed, not cloned; the
+        // arms touch `agents` and `llcs`, which are disjoint fields.
+        let mut lookup_llc = false;
+        match (msg.op, self.dirs[idx].state(addr)) {
+            (MsgOp::ReadShared, &DirState::Owned(o)) if o != req => {
+                self.agents.send(hn, o, snoop(MsgOp::SnpShared));
                 t.pending_acks = 1;
                 t.grant = MesiState::Shared;
             }
-            (MsgOp::ReadShared, _) => {
+            (MsgOp::ReadShared, dir_state) => {
                 // Owned-by-requester (stale), Shared, or Invalid: data
                 // comes from LLC or memory.
                 t.grant = if matches!(dir_state, DirState::Invalid) {
@@ -804,52 +860,34 @@ impl<T: ChiTransport> CoherentSystem<T> {
                 } else {
                     MesiState::Shared
                 };
-                if !self.llcs[idx].access(addr) {
-                    t.need_mem = true;
-                    t.mem_done = false;
-                }
+                lookup_llc = true;
             }
-            (MsgOp::ReadUnique, DirState::Owned(o)) if *o != req => {
-                let snp = Message {
-                    txn: msg.txn,
-                    op: MsgOp::SnpUnique,
-                    addr,
-                    from: hn,
-                };
-                self.send(hn, *o, snp);
+            (MsgOp::ReadUnique, &DirState::Owned(o)) if o != req => {
+                self.agents.send(hn, o, snoop(MsgOp::SnpUnique));
                 t.pending_acks = 1;
                 t.grant = MesiState::Exclusive;
             }
             (MsgOp::ReadUnique, DirState::Shared(sharers)) => {
-                let targets: Vec<NodeId> = sharers.iter().copied().filter(|&s| s != req).collect();
-                for s in &targets {
-                    let snp = Message {
-                        txn: msg.txn,
-                        op: MsgOp::SnpUnique,
-                        addr,
-                        from: hn,
-                    };
-                    self.send(hn, *s, snp);
+                for &s in sharers.iter().filter(|&&s| s != req) {
+                    self.agents.send(hn, s, snoop(MsgOp::SnpUnique));
+                    t.pending_acks += 1;
                 }
-                t.pending_acks = targets.len() as u32;
                 t.grant = MesiState::Exclusive;
-                if !self.llcs[idx].access(addr) {
-                    t.need_mem = true;
-                    t.mem_done = false;
-                }
+                lookup_llc = true;
             }
             (MsgOp::ReadUnique, _) => {
                 t.grant = MesiState::Exclusive;
-                if !self.llcs[idx].access(addr) {
-                    t.need_mem = true;
-                    t.mem_done = false;
-                }
+                lookup_llc = true;
             }
             (other, _) => unreachable!("start_hn_txn got {other:?}"),
         }
+        if lookup_llc && !self.llcs[idx].access(addr) {
+            t.need_mem = true;
+            t.mem_done = false;
+        }
         if t.need_mem {
             let mem = self.memory_of(addr);
-            self.send(
+            self.agents.send(
                 hn,
                 mem,
                 Message {

@@ -151,6 +151,43 @@ fn write_back_requires_ownership() {
 }
 
 #[test]
+#[should_panic(expected = "n8 is not a requester")]
+fn a_node_one_past_the_topology_is_not_a_requester() {
+    // The agent tables are indexed by node id: an id beyond them must
+    // read as "no such agent", by name, not as an index out of bounds.
+    let (mut sys, _) = small_system();
+    let past = NodeId(8);
+    assert_eq!(sys.rn_state(past, LineAddr(1)), MesiState::Invalid);
+    assert!(sys.write_back(past, LineAddr(1)).is_none());
+    sys.read(past, LineAddr(1), ReadKind::Shared);
+}
+
+#[test]
+#[should_panic(expected = "n0 has two roles")]
+fn an_agent_listed_in_two_roles_is_rejected_by_name() {
+    let mut b = TopologyBuilder::new();
+    let die = b.add_chiplet("die");
+    let r = b.add_ring(die, RingKind::Full, 8).unwrap();
+    let a = b.add_node("a", r, 0).unwrap();
+    let c = b.add_node("c", r, 4).unwrap();
+    let net = Network::new(b.build().unwrap(), NetworkConfig::default());
+    CoherentSystem::new(
+        net,
+        SystemSpec {
+            requesters: vec![a],
+            home_nodes: vec![c],
+            memories: vec![a],
+            mem_params: MemoryParams::ddr4(),
+            llc: LlcParams::default(),
+            line_bytes: 64,
+            local_hit_latency: 10,
+            hn_latency: 12,
+            snoop_latency: 6,
+        },
+    );
+}
+
+#[test]
 fn nosnp_read_does_not_install_state() {
     let (mut sys, rns) = small_system();
     let a = LineAddr(0x7000);

@@ -9,6 +9,9 @@
 //! * Statistics: [`Counter`], [`Histogram`] (latency distributions),
 //!   [`BandwidthProbe`] (windowed byte throughput, the mechanism behind the
 //!   paper's Figure 14 equilibrium probes), and [`TimeSeries`].
+//! * [`IdMap`] / [`IdSet`] — hash tables over the deterministic
+//!   [`IdHasher`], for side tables keyed by ids the simulator allocates;
+//!   [`SlotIndex`] — dense `id → slot` numbering of a fixed agent set.
 //! * [`Engine`] — a minimal run loop for anything implementing
 //!   [`Component`].
 //!
@@ -29,6 +32,7 @@
 pub mod clock;
 pub mod engine;
 pub mod fuzz;
+pub mod idmap;
 pub mod pool;
 pub mod rng;
 pub mod spsc;
@@ -37,6 +41,7 @@ pub mod stats;
 pub use clock::{Clock, Cycle};
 pub use engine::{Component, Engine, RunOutcome};
 pub use fuzz::{SeedMatrix, TrafficPattern};
+pub use idmap::{IdHasher, IdMap, IdSet, SlotIndex};
 pub use pool::{PoolError, PoolJob, ShardPool};
 pub use rng::SimRng;
 pub use spsc::{SpscReceiver, SpscSender};

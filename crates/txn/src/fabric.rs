@@ -14,8 +14,11 @@
 //! `ExecMode::{Sequential,Parallel(n)}`, so every transaction-layer
 //! decision — reassembly completions, window releases, broadcast
 //! forwards, atomic results — replays identically on every engine.
-//! Hash maps are keyed-lookup only (never iterated), endpoints live in
-//! a `BTreeMap`, so no iteration order leaks into behavior.
+//! Endpoints live in a `Vec` sorted by node id (reached through a
+//! dense node-id → slot index), id-keyed side tables are
+//! [`noc_sim::IdMap`]s used for keyed lookups only — the few places
+//! that walk one (forensics, gauges) sort or reduce commutatively —
+//! so no iteration order leaks into behavior.
 //!
 //! The pump and drain run at **epoch boundaries**: admission happens
 //! once per K cycles, so for K > 1 the schedule legitimately differs
@@ -48,12 +51,13 @@ use noc_core::{
     EngineError, EnqueueError, Flit, FlitClass, Network, NodeId, NodeKind, PacketPlace,
     PacketToken, Topology,
 };
-use noc_sim::{Cycle, Histogram};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use noc_sim::{Cycle, Histogram, IdMap, IdSet, SlotIndex};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Per-endpoint transaction state.
 #[derive(Debug)]
 struct Endpoint {
+    id: NodeId,
     reassembly: ReassemblyBuffer,
     window: InFlightWindow,
     staged: VecDeque<StagedFlit>,
@@ -66,8 +70,9 @@ struct Endpoint {
 }
 
 impl Endpoint {
-    fn new(window: usize) -> Self {
+    fn new(id: NodeId, window: usize) -> Self {
         Endpoint {
+            id,
             reassembly: ReassemblyBuffer::new(),
             window: InFlightWindow::new(window),
             staged: VecDeque::new(),
@@ -143,11 +148,19 @@ struct TxnState {
 pub struct TxnFabric<S: TraceSink = NullSink, P: SpanSink = NullSpanSink> {
     net: Network<S>,
     cfg: TxnConfig,
-    endpoints: BTreeMap<NodeId, Endpoint>,
+    /// Every device node's transaction state, ascending node id — the
+    /// order the pump's round-robin and the delivery drain walk.
+    endpoints: Vec<Endpoint>,
+    /// [`NodeId::index`] → position in `endpoints` (bridge ends have
+    /// none).
+    slot_of: SlotIndex,
+    /// Pump scratch, one flag per endpoint: nothing more to inject
+    /// from it in this pump call.
+    pump_paused: Vec<bool>,
     /// Live packet descriptors by packet id. Keyed lookups only.
-    packets: HashMap<u64, PacketDesc>,
+    packets: IdMap<u64, PacketDesc>,
     /// Live transactions by id. Keyed lookups only.
-    txns: HashMap<u64, TxnState>,
+    txns: IdMap<u64, TxnState>,
     next_packet: u64,
     next_txn: u64,
     completions: VecDeque<TxnCompletion>,
@@ -166,20 +179,20 @@ pub struct TxnFabric<S: TraceSink = NullSink, P: SpanSink = NullSpanSink> {
     span_sink: P,
     /// In-progress packet spans: packet id → (owning txn, span).
     /// Keyed lookups only; empty when spans are disabled.
-    pkt_spans: HashMap<u64, (u64, PacketSpan)>,
+    pkt_spans: IdMap<u64, (u64, PacketSpan)>,
     /// In-progress transaction trees by txn id. Keyed lookups only;
     /// empty when spans are disabled.
-    txn_spans: HashMap<u64, TxnSpanTree>,
+    txn_spans: IdMap<u64, TxnSpanTree>,
     /// Wait-graph stall forensics, if enabled.
     forensics: Option<Forensics>,
     /// Packets staged non-urgently that must acquire a reassembly
     /// credit at their destination before the pump releases their
     /// header flit. Keyed lookups only; empty when
     /// [`TxnConfig::reassembly_slots`] is 0.
-    credit_pending: HashSet<u64>,
+    credit_pending: IdSet<u64>,
     /// Packets currently holding a reassembly credit at their
     /// destination. Keyed lookups only.
-    credited: HashSet<u64>,
+    credited: IdSet<u64>,
 }
 
 /// Map the fabric's [`TxnKind`] onto
@@ -213,11 +226,18 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             cfg.max_data_flits >= 1 && cfg.max_data_flits <= 256,
             "max_data_flits must be in 1..=256 (token seq space)"
         );
-        let endpoints = net
+        let mut endpoints: Vec<Endpoint> = net
             .topology()
             .devices()
-            .map(|d| (d.id, Endpoint::new(cfg.window)))
+            .map(|d| Endpoint::new(d.id, cfg.window))
             .collect();
+        endpoints.sort_by_key(|e| e.id);
+        debug_assert!(
+            endpoints.windows(2).all(|w| w[0].id < w[1].id),
+            "endpoints ascend by node id"
+        );
+        let slot_of = SlotIndex::new(endpoints.iter().map(|e| e.id.index()))
+            .expect("device ids are distinct");
         let registry = (cfg.metrics_period > 0).then(|| TxnRegistry::new(cfg.metrics_period));
         let outstanding_cap = if cfg.max_outstanding_flits > 0 {
             cfg.max_outstanding_flits as u64
@@ -238,9 +258,11 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         TxnFabric {
             net,
             cfg,
+            pump_paused: vec![false; endpoints.len()],
             endpoints,
-            packets: HashMap::new(),
-            txns: HashMap::new(),
+            slot_of,
+            packets: IdMap::default(),
+            txns: IdMap::default(),
             next_packet: 0,
             next_txn: 0,
             completions: VecDeque::new(),
@@ -250,11 +272,11 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             outstanding: 0,
             outstanding_cap,
             span_sink: spans,
-            pkt_spans: HashMap::new(),
-            txn_spans: HashMap::new(),
+            pkt_spans: IdMap::default(),
+            txn_spans: IdMap::default(),
             forensics: None,
-            credit_pending: HashSet::new(),
-            credited: HashSet::new(),
+            credit_pending: IdSet::default(),
+            credited: IdSet::default(),
         }
     }
 
@@ -380,7 +402,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
 
     /// Transaction endpoints, in ascending id order.
     pub fn endpoints(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.endpoints.keys().copied()
+        self.endpoints.iter().map(|e| e.id)
     }
 
     /// Transactions currently in flight.
@@ -392,7 +414,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     /// the observatory's window gauge.
     pub fn window_occupancy(&self) -> u64 {
         self.endpoints
-            .values()
+            .iter()
             .map(|e| e.window.occupancy() as u64)
             .sum()
     }
@@ -409,12 +431,13 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
 
     /// Window occupancy of one endpoint (`None` for non-endpoints).
     pub fn window_of(&self, node: NodeId) -> Option<usize> {
-        self.endpoints.get(&node).map(|e| e.window.occupancy())
+        self.slot(node)
+            .map(|s| self.endpoints[s].window.occupancy())
     }
 
     /// The destination-side 64-bit atomic cell of `node`.
     pub fn atomic_cell(&self, node: NodeId) -> Option<u64> {
-        self.endpoints.get(&node).map(|e| e.atomic_cell)
+        self.slot(node).map(|s| self.endpoints[s].atomic_cell)
     }
 
     /// Lifetime counters.
@@ -456,8 +479,23 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         }
     }
 
+    /// The position of `node` in `endpoints`; `None` for a bridge end
+    /// or an id outside the topology.
+    fn slot(&self, node: NodeId) -> Option<usize> {
+        self.slot_of.get(node.index())
+    }
+
+    fn ep(&self, node: NodeId) -> &Endpoint {
+        &self.endpoints[self.slot(node).expect("known endpoint")]
+    }
+
+    fn ep_mut(&mut self, node: NodeId) -> &mut Endpoint {
+        let slot = self.slot(node).expect("known endpoint");
+        &mut self.endpoints[slot]
+    }
+
     fn staging_full(&self, src: NodeId) -> bool {
-        self.endpoints[&src].staged.len() >= self.cfg.max_staged_flits
+        self.ep(src).staged.len() >= self.cfg.max_staged_flits
     }
 
     /// Allocate a packet, record its descriptor, and stage its flits at
@@ -519,11 +557,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             // waiting on them.
             self.credit_pending.insert(id);
         }
-        self.endpoints
-            .get_mut(&from)
-            .expect("staging at a known endpoint")
-            .staged
-            .extend(flits);
+        self.ep_mut(from).staged.extend(flits);
     }
 
     /// Span bookkeeping for one accepted (non-duplicate) flit. Callers
@@ -590,7 +624,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         if src == dst {
             return Err(TxnError::SelfSend(src));
         }
-        if self.staging_full(src) || (op.non_posted() && self.endpoints[&src].window.is_full()) {
+        if self.staging_full(src) || (op.non_posted() && self.ep(src).window.is_full()) {
             self.counters.backpressured += 1;
             return Ok(None);
         }
@@ -632,7 +666,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                     issued_at: now.raw(),
                     req_done_at: None,
                     completed_at: 0,
-                    window_occupancy: self.endpoints[&src].window.occupancy() as u64,
+                    window_occupancy: self.ep(src).window.occupancy() as u64,
                     final_packet: 0,
                     packets: Vec::new(),
                 },
@@ -680,12 +714,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         }
 
         if op.non_posted() {
-            let ok = self
-                .endpoints
-                .get_mut(&src)
-                .expect("validated endpoint")
-                .window
-                .try_reserve(txn);
+            let ok = self.ep_mut(src).window.try_reserve(txn);
             debug_assert!(ok, "window checked above");
         }
         self.counters.submitted += 1;
@@ -746,7 +775,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                     issued_at: now.raw(),
                     req_done_at: None,
                     completed_at: 0,
-                    window_occupancy: self.endpoints[&src].window.occupancy() as u64,
+                    window_occupancy: self.ep(src).window.occupancy() as u64,
                     final_packet: 0,
                     packets: Vec::new(),
                 },
@@ -848,7 +877,8 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
 
     /// Pop the token of the oldest message delivered to `node`.
     pub fn recv_message(&mut self, node: NodeId) -> Option<u64> {
-        self.endpoints.get_mut(&node)?.msg_inbox.pop_front()
+        let slot = self.slot(node)?;
+        self.endpoints[slot].msg_inbox.pop_front()
     }
 
     /// Fault-injection hook: enqueue a raw flit with an arbitrary token
@@ -879,17 +909,17 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     /// queue pauses an endpoint (flits stay staged); reaching the
     /// cap pauses the pump until deliveries bring the outstanding
     /// count back down.
-    fn pump_staged(&mut self, nodes: &[NodeId]) {
-        let mut paused = vec![false; nodes.len()];
+    fn pump_staged(&mut self) {
+        self.pump_paused.fill(false);
         let mut progress = true;
         while progress && self.outstanding < self.outstanding_cap {
             progress = false;
-            for (i, &node) in nodes.iter().enumerate() {
-                if paused[i] || self.outstanding >= self.outstanding_cap {
+            for i in 0..self.endpoints.len() {
+                if self.pump_paused[i] || self.outstanding >= self.outstanding_cap {
                     continue;
                 }
-                let Some(&flit) = self.endpoints[&node].staged.front() else {
-                    paused[i] = true;
+                let Some(&flit) = self.endpoints[i].staged.front() else {
+                    self.pump_paused[i] = true;
                     continue;
                 };
                 let tok = PacketToken::decode(flit.token);
@@ -902,34 +932,29 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                     // saturation wedge (full rings + full escape
                     // buffers in a cyclic wait SWAP cannot break).
                     let dst = self.packets[&tok.packet].dst;
-                    if self.endpoints[&dst].credit_used >= self.cfg.reassembly_slots {
+                    let d = self.slot(dst).expect("known endpoint");
+                    if self.endpoints[d].credit_used >= self.cfg.reassembly_slots {
                         self.counters.reassembly_deferred += 1;
-                        paused[i] = true;
+                        self.pump_paused[i] = true;
                         continue;
                     }
+                    self.endpoints[d].credit_used += 1;
                     self.credit_pending.remove(&tok.packet);
                     self.credited.insert(tok.packet);
-                    self.endpoints
-                        .get_mut(&dst)
-                        .expect("known endpoint")
-                        .credit_used += 1;
                 }
+                let node = self.endpoints[i].id;
                 match self
                     .net
                     .enqueue(node, flit.dst, flit.class, flit.bytes, flit.token)
                 {
                     Ok(_) => {
-                        self.endpoints
-                            .get_mut(&node)
-                            .expect("known endpoint")
-                            .staged
-                            .pop_front();
+                        self.endpoints[i].staged.pop_front();
                         self.counters.flits_sent += 1;
                         self.counters.bytes_sent += u64::from(flit.bytes);
                         self.outstanding += 1;
                         progress = true;
                     }
-                    Err(EnqueueError::InjectQueueFull { .. }) => paused[i] = true,
+                    Err(EnqueueError::InjectQueueFull { .. }) => self.pump_paused[i] = true,
                     Err(e) => unreachable!("staged flit rejected: {e:?}"),
                 }
             }
@@ -938,10 +963,11 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
 
     /// Drain network deliveries into the transaction layer, ascending
     /// endpoint order.
-    fn drain_deliveries(&mut self, nodes: &[NodeId]) {
-        for &node in nodes {
+    fn drain_deliveries(&mut self) {
+        for slot in 0..self.endpoints.len() {
+            let node = self.endpoints[slot].id;
             while let Some(flit) = self.net.pop_delivered(node) {
-                self.accept_flit(node, &flit);
+                self.accept_flit(slot, &flit);
             }
         }
     }
@@ -966,8 +992,8 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         let census = self.net.wait_census_light();
         // Push in [`ResourceId`] order (rings, escapes, windows,
         // reassembly; each group ascending) so no sort is needed: the
-        // census emits rings/escapes sorted, and the endpoint map
-        // iterates ascending.
+        // census emits rings/escapes sorted, and `endpoints` ascends
+        // by node id.
         let mut nodes: Vec<WaitNode> = Vec::with_capacity(
             census.rings.len() + census.escapes.len() + 2 * self.endpoints.len(),
         );
@@ -991,7 +1017,8 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             });
         }
         let mut rea: Vec<WaitNode> = Vec::with_capacity(self.endpoints.len());
-        for (&id, ep) in &self.endpoints {
+        for ep in &self.endpoints {
+            let id = ep.id;
             nodes.push(WaitNode {
                 id: ResourceId::Window { node: id.0 },
                 occupancy: ep.window.occupancy() as u64,
@@ -1059,7 +1086,8 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         // enter. Both maps iterate owner-held ordered state.
         let mut open_at: BTreeMap<u64, u32> = BTreeMap::new();
         let mut staged_on: BTreeMap<u64, u16> = BTreeMap::new();
-        for (&id, ep) in &self.endpoints {
+        for ep in &self.endpoints {
+            let id = ep.id;
             let ring = topo_nodes[id.index()].ring.0;
             for pkt in ep.reassembly.open_packet_ids() {
                 open_at.insert(pkt, id.0);
@@ -1092,7 +1120,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                 // Admission-deferred: the header waits for a
                 // reassembly credit at the destination.
                 if let Some(desc) = self.packets.get(&packet) {
-                    if self.endpoints[&desc.dst].credit_used >= self.cfg.reassembly_slots {
+                    if self.ep(desc.dst).credit_used >= self.cfg.reassembly_slots {
                         v.push(ResourceId::Reassembly { node: desc.dst.0 });
                     }
                 }
@@ -1102,7 +1130,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             v
         };
 
-        // Live packets per transaction (hash map collected, then
+        // Live packets per transaction (id map collected, then
         // sorted — determinism is restored before anything reads it).
         let mut pkts_of: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         {
@@ -1113,7 +1141,8 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             }
         }
 
-        for (&id, ep) in &self.endpoints {
+        for ep in &self.endpoints {
+            let id = ep.id;
             let win = ResourceId::Window { node: id.0 };
             let rea = ResourceId::Reassembly { node: id.0 };
             // A held window slot waits on every resource its
@@ -1221,11 +1250,10 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     /// Propagates the engine's [`EngineError`] (`k` validation and
     /// worker-pool failures); see [`Network::tick_epoch`].
     pub fn tick_epoch(&mut self, k: u64) -> Result<(), EngineError> {
-        let nodes: Vec<NodeId> = self.endpoints.keys().copied().collect();
-        self.pump_staged(&nodes);
+        self.pump_staged();
         let before = self.net.now().raw();
         self.net.tick_epoch(k)?;
-        self.drain_deliveries(&nodes);
+        self.drain_deliveries();
         if let Some(reg) = &self.registry {
             let period = reg.period();
             if self.net.now().raw() / period > before / period {
@@ -1253,7 +1281,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     pub fn quiet(&self) -> bool {
         self.net.in_flight() == 0
             && self.txns.is_empty()
-            && self.endpoints.values().all(|e| e.staged.is_empty())
+            && self.endpoints.iter().all(|e| e.staged.is_empty())
     }
 
     /// Take all completions accumulated so far, in completion order.
@@ -1261,7 +1289,8 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         self.completions.drain(..).collect()
     }
 
-    fn accept_flit(&mut self, node: NodeId, flit: &Flit) {
+    fn accept_flit(&mut self, slot: usize, flit: &Flit) {
+        let node = self.endpoints[slot].id;
         self.outstanding = self.outstanding.saturating_sub(1);
         let tok = PacketToken::decode(flit.token);
         let Some(desc) = self.packets.get(&tok.packet).copied() else {
@@ -1275,8 +1304,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             self.counters.stray_flits += 1;
             return;
         }
-        let ep = self.endpoints.get_mut(&node).expect("delivery at endpoint");
-        match ep.reassembly.accept(tok, desc.n_data) {
+        match self.endpoints[slot].reassembly.accept(tok, desc.n_data) {
             Accept::Partial => {
                 if P::ENABLED {
                     self.span_flit(tok.packet, flit, false);
@@ -1291,8 +1319,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                 if self.credited.remove(&tok.packet) {
                     // The packet's reassembly credit returns to its
                     // destination (this endpoint).
-                    let ep = self.endpoints.get_mut(&node).expect("delivery at endpoint");
-                    ep.credit_used -= 1;
+                    self.endpoints[slot].credit_used -= 1;
                 }
                 self.counters.packets_reassembled += 1;
                 self.packet_complete(node, tok.packet, desc);
@@ -1305,11 +1332,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         let txn_id = desc.txn;
         match desc.kind {
             PacketKind::Msg { token } => {
-                self.endpoints
-                    .get_mut(&node)
-                    .expect("msg endpoint")
-                    .msg_inbox
-                    .push_back(token);
+                self.ep_mut(node).msg_inbox.push_back(token);
                 self.counters.messages += 1;
                 self.txns.remove(&txn_id);
             }
@@ -1370,12 +1393,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             return;
         }
         let src = st.src;
-        let released = self
-            .endpoints
-            .get_mut(&src)
-            .expect("source endpoint")
-            .window
-            .complete(txn_id);
+        let released = self.ep_mut(src).window.complete(txn_id);
         if !released {
             self.counters.late_responses += 1;
             self.txns.remove(&txn_id);
@@ -1454,12 +1472,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             }
             PacketKind::AtomicReq => {
                 let op = atomic.expect("atomic txn carries its op");
-                let cell = &mut self
-                    .endpoints
-                    .get_mut(&node)
-                    .expect("atomic endpoint")
-                    .atomic_cell;
-                let result = op.apply(cell);
+                let result = op.apply(&mut self.ep_mut(node).atomic_cell);
                 self.txns.get_mut(&txn_id).expect("live txn").atomic_result = Some(result);
                 self.stage_packet(
                     node,

@@ -276,6 +276,26 @@ mod tests {
             fab.submit(d[0], NodeId(999), TxnOp::Read { bytes: 1 }),
             Err(TxnError::BadEndpoint(NodeId(999)))
         );
+        // One past the topology's last node: the endpoint table is
+        // indexed by node id, and every keyed entry point must answer
+        // "no such endpoint" rather than index out of bounds.
+        let past = NodeId(d.len() as u32);
+        assert_eq!(
+            fab.submit(past, d[0], TxnOp::Read { bytes: 1 }),
+            Err(TxnError::BadEndpoint(past))
+        );
+        assert_eq!(
+            fab.submit_broadcast(d[0], &[past], 64),
+            Err(TxnError::BadEndpoint(past))
+        );
+        assert!(!fab.submit_message(d[0], past, FlitClass::Data, 8, 1));
+        assert_eq!(fab.recv_message(past), None);
+        assert_eq!(fab.window_of(past), None);
+        assert_eq!(fab.atomic_cell(past), None);
+        assert_eq!(
+            fab.inject_raw(past, d[0], FlitClass::Data, 8, 1),
+            Err(noc_core::EnqueueError::UnknownNode { node: past })
+        );
         assert_eq!(
             fab.submit_broadcast(d[0], &[d[0]], 64),
             Err(TxnError::EmptyBroadcast)

@@ -10,7 +10,7 @@
 //! arrived. Duplicate sequences are rejected and counted by the fabric.
 
 use noc_core::PacketToken;
-use std::collections::HashMap;
+use noc_sim::IdMap;
 
 /// Outcome of feeding one flit to the buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +54,8 @@ impl PartialPacket {
 /// Reassembly buffer of one endpoint.
 #[derive(Debug, Clone, Default)]
 pub struct ReassemblyBuffer {
-    parts: HashMap<u64, PartialPacket>,
+    /// Open packets by id. Keyed lookups only (`open_packet_ids` sorts).
+    parts: IdMap<u64, PartialPacket>,
     /// Flits ever absorbed (headers + data, duplicates excluded;
     /// monotonic) — the wait-graph detector's progress counter for
     /// this buffer: open packets with no absorption across consecutive
@@ -78,8 +79,8 @@ impl ReassemblyBuffer {
         self.accepted
     }
 
-    /// Ids of packets currently mid-assembly, ascending (sorted for
-    /// deterministic iteration over the underlying hash map).
+    /// Ids of packets currently mid-assembly, ascending (sorted, so the
+    /// id map's iteration order never shows).
     pub fn open_packet_ids(&self) -> Vec<u64> {
         let mut v: Vec<u64> = self.parts.keys().copied().collect();
         v.sort_unstable();

@@ -9,13 +9,14 @@
 //! fault-injection hook crafted) are rejected rather than corrupting a
 //! live slot.
 
-use std::collections::HashSet;
+use noc_sim::IdSet;
 
 /// Bounded set of transaction ids awaiting responses at one endpoint.
 #[derive(Debug, Clone)]
 pub struct InFlightWindow {
     cap: usize,
-    pending: HashSet<u64>,
+    /// Keyed lookups only (`pending_txns` sorts).
+    pending: IdSet<u64>,
     /// Slots ever released (monotonic) — the wait-graph detector's
     /// progress counter for this window: occupied slots with no
     /// completions across consecutive samples mean the window is
@@ -29,7 +30,7 @@ impl InFlightWindow {
     pub fn new(cap: usize) -> Self {
         InFlightWindow {
             cap,
-            pending: HashSet::with_capacity(cap),
+            pending: IdSet::with_capacity_and_hasher(cap, Default::default()),
             completions: 0,
         }
     }
@@ -74,8 +75,8 @@ impl InFlightWindow {
         self.completions
     }
 
-    /// Transaction ids currently holding slots, ascending (sorted for
-    /// deterministic iteration over the underlying hash set).
+    /// Transaction ids currently holding slots, ascending (sorted, so
+    /// the id set's iteration order never shows).
     pub fn pending_txns(&self) -> Vec<u64> {
         let mut v: Vec<u64> = self.pending.iter().copied().collect();
         v.sort_unstable();
