@@ -115,14 +115,22 @@ impl BitRing {
 
     /// Iterate set bits in ascending station order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            std::iter::successors((w != 0).then_some(w), |&rem| {
-                let rem = rem & (rem - 1);
-                (rem != 0).then_some(rem)
-            })
-            .map(move |rem| wi * 64 + rem.trailing_zeros() as usize)
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, &w)| word_ones(wi, w))
     }
+}
+
+/// The positions of the set bits of `word`, word number `wi` of a
+/// bitset, ascending. Takes the word by value, so a caller can walk a
+/// snapshot of one word while it mutates the set (and whatever owns it).
+pub(crate) fn word_ones(wi: usize, word: u64) -> impl Iterator<Item = usize> {
+    std::iter::successors((word != 0).then_some(word), |&rem| {
+        let rem = rem & (rem - 1);
+        (rem != 0).then_some(rem)
+    })
+    .map(move |rem| wi * 64 + rem.trailing_zeros() as usize)
 }
 
 #[cfg(test)]

@@ -5,28 +5,37 @@
 //!
 //! [`run_cycles`] is the only place the tick's phases are spelled out.
 //! For every cycle of an epoch it runs, over the shards it was handed:
-//! deliver → peer-backlog snapshot → per-ring cycle → mailbox exchange.
-//! The two barrier phases touch the *peer* side of each bridge, and a
-//! bridge reaches the loop in one of two forms:
+//! deliver → barrier 1 → per-ring cycle → barrier 2. The barriers keep
+//! one invariant across shards — every bridge side's
+//! [`BridgeSide::peer_backlog`] equals its peer's `rx` length — and
+//! they do it by event, not by census: [`bridge::publish_pops`] visits
+//! the sides delivery popped from this cycle (per shard, straight after
+//! that shard's delivery — nothing reads a depth before the per-ring
+//! phase), [`bridge::exchange`] the sides intake staged into (see
+//! [`crate::bridge`]). A bridge whose two sides are both among the
+//! shards at hand needs nothing else.
 //!
-//! * a **local pair** — both sides live in the shards at hand, and the
-//!   loop swaps them inline ([`bridge::snapshot_backlogs`],
-//!   [`bridge::exchange`]);
-//! * a **cross link** — the peer lives in another task, and the same
-//!   two values travel over a dedicated pair of [`noc_sim::spsc`] rings
-//!   (one per direction per bridge) as [`BridgeMail`]:
-//!   1. after delivery, each side sends its own post-delivery inbox
-//!      depth and receives the peer's ([`BridgeSide::peer_backlog`]);
-//!   2. after the per-ring cycle, each side sends the flit batch its
-//!      intake staged this cycle and appends the peer's batch onto `rx`.
+//! A bridge whose peer lives in another task is a **cross link**: the
+//! same two values travel over a dedicated pair of [`noc_sim::spsc`]
+//! rings (one per direction per bridge) as [`BridgeMail`], every cycle,
+//! marked or not — the lockstep is what bounds how far one thread can
+//! run ahead of another:
+//! 1. after delivery, each side sends its own post-delivery inbox
+//!    depth and receives the peer's;
+//! 2. after the per-ring cycle, each side sends the flit batch its
+//!    intake staged this cycle (adding its length to `peer_backlog`, so
+//!    the invariant also holds when the epoch ends and the next one
+//!    runs under another partitioning) and appends the peer's batch
+//!    onto `rx` through the same [`RingShard::receive`] a local
+//!    exchange uses.
 //!
-//! The calling thread runs the loop over every shard with every bridge
-//! a local pair and no cross links — that is `ExecMode::Sequential`,
-//! and `Parallel(0)`/`Parallel(1)`, with nothing moved and no pool.
-//! Under `Parallel(n ≥ 2)` an [`EpochEngine`] partitions the shards into
-//! one [`EpochTask`] per pool slot (contiguous ring ranges, so
-//! chain-like topologies keep most bridges task-internal), moves the
-//! shards in, and every task runs the same loop on its partition.
+//! The calling thread runs the loop over every shard with no cross
+//! links — that is `ExecMode::Sequential`, and
+//! `Parallel(0)`/`Parallel(1)`, with nothing moved and no pool. Under
+//! `Parallel(n ≥ 2)` an [`EpochEngine`] partitions the shards into one
+//! [`EpochTask`] per pool slot (contiguous ring ranges, so chain-like
+//! topologies keep most bridges task-internal), moves the shards in,
+//! and every task runs the same loop on its partition.
 //!
 //! # Why cross links cannot change the result
 //!
@@ -37,8 +46,8 @@
 //! carries one `Depth` then one `Batch`; a producer can run at most one
 //! cycle ahead before blocking on its peer's depth, so at most two
 //! messages are ever in flight per direction ([`MAIL_CAP`] has slack on
-//! top). The protocol *is* the local-pair barrier, relocated: same
-//! values, same per-bridge pairing, same cycle.
+//! top). The protocol *is* the local barrier, relocated: same values,
+//! same per-bridge pairing, same cycle.
 //!
 //! # Why epochs may be longer than one cycle
 //!
@@ -82,7 +91,7 @@ enum BridgeMail {
 }
 
 /// A bridge side whose peer lives in another task: the mailbox
-/// endpoints that replace the local-pair barrier for this side.
+/// endpoints that carry the barriers for this side.
 #[derive(Debug)]
 pub(crate) struct CrossLink {
     /// The side, with `ring` indexing the owning task's shard slice.
@@ -111,15 +120,13 @@ impl CrossLink {
 
 /// [`run_cycles`] at a fixed `TRACE`, as the engine hands it to
 /// whichever thread runs it.
-pub(crate) type CycleLoop =
-    fn(&mut [RingShard], &[[SideLoc; 2]], &[CrossLink], &EngineShared, TickMode, u64, u64);
+pub(crate) type CycleLoop = fn(&mut [RingShard], &[CrossLink], &EngineShared, TickMode, u64, u64);
 
-/// Run cycles `first..=last` on `shards`. `local` and `cross` index into
-/// `shards` (see the module docs for the phase order and the two bridge
-/// forms).
+/// Run cycles `first..=last` on `shards`, a contiguous run of rings.
+/// `cross` indexes into `shards` (see the module docs for the phase
+/// order and what the barriers do).
 pub(crate) fn run_cycles<const TRACE: bool>(
     shards: &mut [RingShard],
-    local: &[[SideLoc; 2]],
     cross: &[CrossLink],
     shared: &EngineShared,
     mode: TickMode,
@@ -128,14 +135,12 @@ pub(crate) fn run_cycles<const TRACE: bool>(
 ) {
     for t in first..=last {
         let now = Cycle(t);
-        for sh in shards.iter_mut() {
-            sh.phase_deliver::<TRACE>(shared, now);
-        }
-        // Barrier 1: post-delivery peer inbox depths, so intake can
-        // enforce pipeline capacity without reading another shard.
-        for &[a, b] in local {
-            let (a, b) = bridge::pair_mut(shards, a.at(), b.at());
-            bridge::snapshot_backlogs(a, b);
+        // Deliver, and barrier 1: post-delivery inbox depths reach the
+        // peers of the sides that were popped from.
+        for sh in 0..shards.len() {
+            if shards[sh].phase_deliver::<TRACE>(shared, now) {
+                bridge::publish_pops(shards, sh);
+            }
         }
         for l in cross {
             let (sh, side) = l.at.at();
@@ -148,25 +153,53 @@ pub(crate) fn run_cycles<const TRACE: bool>(
                 BridgeMail::Batch(_) => unreachable!("protocol alternates depth/batch"),
             }
         }
+        debug_check_barrier(shards, t);
         for sh in shards.iter_mut() {
             sh.phase_cycle::<TRACE>(shared, now, mode);
         }
         // Barrier 2: staged tx batches onto peer rx inboxes.
-        for &[a, b] in local {
-            let (a, b) = bridge::pair_mut(shards, a.at(), b.at());
-            bridge::exchange(a, b);
-        }
+        bridge::exchange(shards);
         for l in cross {
             let (sh, side) = l.at.at();
-            l.send(BridgeMail::Batch(
-                shards[sh].sides[side].tx.drain(..).collect(),
-            ));
+            let side = &mut shards[sh].sides[side];
+            let batch: Vec<_> = side.tx.drain(..).collect();
+            side.peer_backlog += batch.len();
+            l.send(BridgeMail::Batch(batch));
         }
         for l in cross {
             let (sh, side) = l.at.at();
             match l.recv() {
-                BridgeMail::Batch(batch) => shards[sh].sides[side].rx.extend(batch),
+                BridgeMail::Batch(batch) => {
+                    shards[sh].receive(side, &mut batch.into());
+                }
                 BridgeMail::Depth(_) => unreachable!("protocol alternates depth/batch"),
+            }
+        }
+    }
+}
+
+/// Debug builds: after barrier 1 of cycle `now`, walk every side and
+/// check what only the loop can see — delivery skipped no side that had
+/// a matured flit and room for it, and every side whose peer is at hand
+/// holds that peer's true inbox depth. (The shard-local indices are
+/// checked by `RingShard::debug_check_side_indices`.)
+fn debug_check_barrier(shards: &[RingShard], now: u64) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    for (sh, shard) in shards.iter().enumerate() {
+        for (si, side) in shard.sides.iter().enumerate() {
+            let ring = shard.ring.id;
+            assert!(
+                side.head_due() > now || shard.nodes[side.endpoint as usize].inject.is_full(),
+                "{ring} side {si}: delivery skipped a matured flit at cycle {now}"
+            );
+            if let Some((ps, pi)) = bridge::peer_of(shards, sh, si) {
+                assert_eq!(
+                    side.peer_backlog,
+                    shards[ps].sides[pi].rx.len(),
+                    "{ring} side {si}: stale peer_backlog at cycle {now}"
+                );
             }
         }
     }
@@ -183,8 +216,7 @@ struct EpochTask {
     rings: usize,
     /// The owned shards (populated only while an epoch runs).
     shards: Vec<RingShard>,
-    /// Bridges with both sides in this task, `ring` task-local.
-    local: Vec<[SideLoc; 2]>,
+    /// Bridge sides whose peer another task owns.
     cross: Vec<CrossLink>,
 }
 
@@ -221,8 +253,8 @@ impl std::fmt::Debug for EpochCell {
 impl EpochEngine {
     /// Spawn `workers` threads and partition the rings into at most
     /// `workers + 1` contiguous, near-even tasks (never more tasks than
-    /// rings, never an empty task), wiring every bridge either
-    /// task-locally or with an SPSC pair per direction. Task `i` is run
+    /// rings, never an empty task), wiring every bridge that joins two
+    /// tasks with an SPSC pair per direction. Task `i` is run
     /// by pool slot `i`: the pool's round-robin scatter with exactly one
     /// item per slot keeps every task on its own thread, which the
     /// cycle protocol requires for progress.
@@ -239,30 +271,26 @@ impl EpochEngine {
             tasks.push(EpochTask {
                 rings,
                 shards: Vec::with_capacity(rings),
-                local: Vec::new(),
                 cross: Vec::new(),
             });
         }
         for &[la, lb] in &shared.side_loc {
             let ((ta, ra), (tb, rb)) = (home[la.ring as usize], home[lb.ring as usize]);
-            let a = SideLoc { ring: ra, ..la };
-            let b = SideLoc { ring: rb, ..lb };
             if ta == tb {
-                tasks[ta].local.push([a, b]);
-            } else {
-                let (ab_tx, ab_rx) = spsc::channel(MAIL_CAP);
-                let (ba_tx, ba_rx) = spsc::channel(MAIL_CAP);
-                tasks[ta].cross.push(CrossLink {
-                    at: a,
-                    tx: ab_tx,
-                    rx: ba_rx,
-                });
-                tasks[tb].cross.push(CrossLink {
-                    at: b,
-                    tx: ba_tx,
-                    rx: ab_rx,
-                });
+                continue;
             }
+            let (ab_tx, ab_rx) = spsc::channel(MAIL_CAP);
+            let (ba_tx, ba_rx) = spsc::channel(MAIL_CAP);
+            tasks[ta].cross.push(CrossLink {
+                at: SideLoc { ring: ra, ..la },
+                tx: ab_tx,
+                rx: ba_rx,
+            });
+            tasks[tb].cross.push(CrossLink {
+                at: SideLoc { ring: rb, ..lb },
+                tx: ba_tx,
+                rx: ab_rx,
+            });
         }
         EpochEngine {
             pool: ShardPool::new(workers),
@@ -299,15 +327,7 @@ impl EpochEngine {
         drop(src);
         let shared = Arc::clone(shared);
         let job: PoolJob<EpochTask> = Arc::new(move |t: &mut EpochTask| {
-            cycles(
-                &mut t.shards,
-                &t.local,
-                &t.cross,
-                &shared,
-                mode,
-                first,
-                last,
-            )
+            cycles(&mut t.shards, &t.cross, &shared, mode, first, last)
         });
         self.tasks = self.pool.run(tasks, job)?;
         // Tasks come back in slot order and own ascending contiguous

@@ -18,12 +18,18 @@
 //! 1. **Deliver** — each shard drains matured flits from its bridge
 //!    inboxes ([`crate::bridge::BridgeSide::rx`]) into endpoint inject
 //!    queues.
-//! 2. **Barrier** — peer inbox depths are snapshotted so intake can
-//!    enforce pipeline capacity without reading another shard.
+//! 2. **Barrier** — the sides that were popped from tell their peers
+//!    the new inbox depth, so intake can enforce pipeline capacity
+//!    without reading another shard.
 //! 3. **Per-ring cycle** — zero-hop deliveries, the station sweep,
 //!    lane advance, bridge intake (staged into `tx` outboxes) and DRM
 //!    bookkeeping, entirely within one shard.
-//! 4. **Barrier** — `tx` outboxes are appended onto peer `rx` inboxes.
+//! 4. **Barrier** — the `tx` outboxes that were staged into are
+//!    appended onto peer `rx` inboxes.
+//!
+//! The bridge phases (1, 2, 4 and the intake/DRM part of 3) are
+//! indexed by event like the station sweep below: a side where nothing
+//! is due in a cycle is not visited in it (see [`crate::bridge`]).
 //!
 //! Who runs the loop is the [`ExecMode`]: the calling thread over every
 //! shard, or one thread per contiguous partition of the shards, the
@@ -935,17 +941,8 @@ impl<S: TraceSink> Network<S> {
         };
         let workers = self.exec.workers();
         if workers == 0 {
-            // The one-task case: every ring, every bridge a local pair.
-            let shared = &*self.shared;
-            cycles(
-                &mut self.shards,
-                &shared.side_loc,
-                &[],
-                shared,
-                self.mode,
-                first,
-                last,
-            );
+            // The one-task case: every ring, no cross links.
+            cycles(&mut self.shards, &[], &self.shared, self.mode, first, last);
         } else {
             let engine = self
                 .epoch

@@ -24,18 +24,26 @@ pub struct Hop {
 /// Precomputed next-hop table: for every (ring, destination node) pair,
 /// the station and agent to eject into on that ring.
 ///
-/// Stored as one dense ring-major array (`ring * stride + node`) so the
-/// per-arrival `exit` lookup in the tick hot path is a single indexed
-/// load with no nested-`Vec` pointer chase.
+/// Stored as one dense ring-major array of exit targets
+/// (`ring * stride + node`, four bytes each) plus every node's station,
+/// so the `exit` lookup in the tick hot path is two indexed loads from
+/// tables a third the size of an `Option<Hop>` grid — on the 8×8 torus
+/// 132 KB instead of 393 KB.
 #[derive(Debug, Clone)]
 pub struct RouteTable {
-    /// Exit hop at `ring.index() * stride + node.index()`.
-    next: Vec<Option<Hop>>,
+    /// Exit target's node id at `ring.index() * stride + node.index()`,
+    /// [`UNREACHABLE`] when there is none.
+    next: Vec<u32>,
     /// Row stride of `next` (= node count at build time).
     stride: usize,
+    /// Station of every node, by node id: the other half of a [`Hop`].
+    station: Vec<u16>,
     /// Bridge-count distance between rings (`u32::MAX` = unreachable).
     ring_dist: Vec<Vec<u32>>,
 }
+
+/// `RouteTable::next` entry for "no route".
+const UNREACHABLE: u32 = u32::MAX;
 
 impl RouteTable {
     /// Build the table for a validated topology.
@@ -86,36 +94,28 @@ impl RouteTable {
                 .collect()
         };
 
-        // Exit hop per (ring, destination node), ring-major.
+        // Exit target per (ring, destination node), ring-major.
         let stride = nodes.len();
-        let mut next = vec![None; nrings * stride];
+        let mut next = vec![UNREACHABLE; nrings * stride];
         for dst in nodes {
             for ring in 0..nrings {
-                let hop = if dst.ring.index() == ring {
-                    Some(Hop {
-                        station: dst.station,
-                        target: dst.id,
-                    })
+                let target = if dst.ring.index() == ring {
+                    dst.id
                 } else {
                     let cands = candidates(ring, dst.ring.index());
                     if cands.is_empty() {
-                        None
-                    } else {
-                        let ep = cands[dst.id.index() % cands.len()];
-                        let ep_spec = &nodes[ep.index()];
-                        Some(Hop {
-                            station: ep_spec.station,
-                            target: ep,
-                        })
+                        continue;
                     }
+                    cands[dst.id.index() % cands.len()]
                 };
-                next[ring * stride + dst.id.index()] = hop;
+                next[ring * stride + dst.id.index()] = target.0;
             }
         }
 
         RouteTable {
             next,
             stride,
+            station: nodes.iter().map(|n| n.station).collect(),
             ring_dist,
         }
     }
@@ -124,7 +124,11 @@ impl RouteTable {
     /// unreachable.
     #[inline]
     pub fn exit(&self, ring: RingId, dst: NodeId) -> Option<Hop> {
-        self.next[ring.index() * self.stride + dst.index()]
+        let target = self.next[ring.index() * self.stride + dst.index()];
+        (target != UNREACHABLE).then(|| Hop {
+            station: self.station[target as usize],
+            target: NodeId(target),
+        })
     }
 
     /// Number of ring changes (bridge traversals) between two rings.
@@ -153,11 +157,12 @@ impl RouteTable {
 /// ```
 pub fn ring_travel(kind: RingKind, stations: u16, from: u16, to: u16) -> (Direction, u16) {
     let n = stations;
-    let cw = (to + n - from) % n;
+    // `from, to < n`, so each arc is one conditional add — no division.
+    let cw = if to >= from { to - from } else { to + n - from };
     match kind {
         RingKind::Half => (Direction::Cw, cw),
         RingKind::Full => {
-            let ccw = (from + n - to) % n;
+            let ccw = if cw == 0 { 0 } else { n - cw };
             if cw <= ccw {
                 (Direction::Cw, cw)
             } else {
@@ -231,6 +236,29 @@ mod tests {
     fn half_ring_always_clockwise() {
         assert_eq!(ring_travel(RingKind::Half, 6, 5, 0), (Direction::Cw, 1));
         assert_eq!(ring_travel(RingKind::Half, 6, 0, 5), (Direction::Cw, 5));
+    }
+
+    #[test]
+    fn ring_travel_equals_the_modulo_form() {
+        for n in 1..=130u16 {
+            for from in 0..n {
+                for to in 0..n {
+                    let cw = (to + n - from) % n;
+                    let ccw = (from + n - to) % n;
+                    let full = if cw <= ccw {
+                        (Direction::Cw, cw)
+                    } else {
+                        (Direction::Ccw, ccw)
+                    };
+                    assert_eq!(ring_travel(RingKind::Full, n, from, to), full, "n={n}");
+                    assert_eq!(
+                        ring_travel(RingKind::Half, n, from, to),
+                        (Direction::Cw, cw),
+                        "n={n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

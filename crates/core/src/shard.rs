@@ -10,12 +10,20 @@
 //! [`TickProfile`] and [`TraceBuffer`].
 //!
 //! Because the station logic is provably ring-local — a flit can only
-//! leave its ring through a bridge mailbox, and mailboxes are swapped
-//! by the engine at phase barriers — shards can be evaluated in any
-//! order, or concurrently, with bit-identical results. The engine
+//! leave its ring through a bridge mailbox, and mail moves between
+//! shards only at the engine's phase barriers — shards can be evaluated
+//! in any order, or concurrently, with bit-identical results. The engine
 //! merges their stats, profiles and trace buffers in ascending ring
 //! order afterwards. Immutable inputs every shard needs (config, route
 //! table, global→local id maps) live in one shared [`EngineShared`].
+//!
+//! The bridge phases are event-indexed like the station sweep: a shard
+//! keeps the earliest cycle any of its inboxes matures
+//! ([`RingShard::rx_due`]) and four side bitsets — intake work, DRM
+//! watch, and the `popped`/`staged` marks the barriers consume — so
+//! delivery, intake, DRM bookkeeping and both barriers
+//! ([`crate::bridge`]) touch only the sides where something is due, in
+//! ascending side order (DESIGN.md §21).
 //!
 //! Methods take a `const TRACE: bool` parameter instead of a sink type:
 //! with `TRACE = false` every record construction folds away exactly
@@ -23,10 +31,10 @@
 //! independent of sink types (which keeps them `Send` without bounds
 //! gymnastics).
 
-use crate::bits::BitRing;
+use crate::bits::{word_ones, BitRing};
 use crate::bridge::BridgeSide;
 use crate::census::{self, PacketPlace, RingCensus, SidePart, TransitCensus, WaitCensus};
-use crate::config::{BridgeLevel, NetworkConfig};
+use crate::config::NetworkConfig;
 use crate::flit::Flit;
 use crate::ids::{NodeId, RingId};
 use crate::network::TickMode;
@@ -77,8 +85,7 @@ pub(crate) struct SideLoc {
 }
 
 impl SideLoc {
-    /// `(shard index, side index)`, the form [`crate::bridge::pair_mut`]
-    /// takes.
+    /// `(shard index, side index)`.
     #[inline]
     pub(crate) fn at(self) -> (usize, usize) {
         (self.ring as usize, self.idx as usize)
@@ -158,6 +165,15 @@ pub(crate) struct NodeState {
     /// every pop; `TickMode::Reference` recomputes instead of reading.
     pub want: HeadWant,
     pub kind: NodeKind,
+    /// For a bridge endpoint, the index in `RingShard::sides` of the
+    /// side it feeds — how an arrival or a lost arbitration here finds
+    /// the side set to mark.
+    pub side: Option<u32>,
+    /// The `starve` count that puts that side on DRM watch: its
+    /// `deadlock_threshold` if DRM applies to it, `u32::MAX` otherwise
+    /// (and for devices) — so the arbitration-loss path compares two
+    /// fields of the node it already holds.
+    pub drm_watch_at: u32,
     pub inject: Fifo<Flit>,
     pub eject: Fifo<Flit>,
     /// Consecutive cycles the head of `inject` failed to win a slot.
@@ -191,9 +207,23 @@ pub(crate) struct RingShard {
     /// local (`Intent::bits_index`): bit `s` is set iff a node at
     /// station `s` has that cached intent.
     intent_bits: [BitRing; 3],
-    /// Indices into `sides` of the L2 sides with SWAP enabled — the
-    /// only ones deadlock resolution mode applies to.
-    drm_sides: Vec<u32>,
+    /// Earliest `BridgeSide::rx_due` over `sides` (`u64::MAX` when every
+    /// inbox is empty): delivery is one compare while this lies in the
+    /// future. A side held by a full endpoint Inject Queue stays due.
+    pub rx_due: u64,
+    /// Sides with intake work: a flit in the endpoint's Eject Queue or
+    /// in `reserved`. Set where a flit enters either, cleared by intake
+    /// once both are empty. Like the three sets below, one bit per
+    /// entry of `sides`, walked in ascending order.
+    intake: BitRing,
+    /// Sides on DRM watch: in deadlock resolution mode, or with the
+    /// endpoint's `starve` at the deadlock threshold. Only DRM-capable
+    /// sides are ever marked.
+    drm_watch: BitRing,
+    /// Sides delivery popped from this cycle; barrier 1 consumes it.
+    pub popped: BitRing,
+    /// Sides intake staged into this cycle; barrier 2 consumes it.
+    pub staged: BitRing,
     pub stats: NetStats,
     /// Shard-local sweep instrumentation (`ticks` stays 0 here; the
     /// engine adds the tick count on top when merging).
@@ -252,17 +282,28 @@ pub(crate) struct RingShard {
 /// topology.
 pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<RingShard>) {
     let route = RouteTable::build(&topo);
+    let mut nsides = vec![0usize; topo.rings().len()];
+    for b in topo.bridges() {
+        for ep in [b.a, b.b] {
+            nsides[topo.nodes()[ep.index()].ring.index()] += 1;
+        }
+    }
     let mut shards: Vec<RingShard> = topo
         .rings()
         .iter()
-        .map(|r| RingShard {
+        .zip(nsides)
+        .map(|(r, nsides)| RingShard {
             ring: Ring::new(r.id, r.chiplet, r.kind, r.stations),
             nodes: Vec::new(),
             sides: Vec::new(),
             rr: vec![[0u8; 2]; r.stations as usize],
             ports: vec![[None, None]; r.stations as usize],
             intent_bits: std::array::from_fn(|_| BitRing::new(r.stations as usize)),
-            drm_sides: Vec::new(),
+            rx_due: u64::MAX,
+            intake: BitRing::new(nsides),
+            drm_watch: BitRing::new(nsides),
+            popped: BitRing::new(nsides),
+            staged: BitRing::new(nsides),
             stats: NetStats::new(),
             profile: TickProfile::default(),
             trace: TraceBuffer::default(),
@@ -294,6 +335,8 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
             station: n.station,
             want: HeadWant::IDLE,
             kind: n.kind,
+            side: None,
+            drm_watch_at: u32::MAX,
             inject: Fifo::new(cfg.inject_queue_cap),
             eject: Fifo::new(cfg.eject_queue_cap),
             starve: 0,
@@ -307,31 +350,42 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
     }
     let mut side_loc = Vec::with_capacity(topo.bridges().len());
     for b in topo.bridges() {
-        let mut locs = [SideLoc { ring: 0, idx: 0 }; 2];
+        let locs = [b.a, b.b].map(|ep| {
+            let ring = node_loc[ep.index()].ring;
+            SideLoc {
+                ring,
+                idx: shards[ring as usize].sides.len() as u32,
+            }
+        });
         for (side, ep) in [(0u8, b.a), (1u8, b.b)] {
             let loc = node_loc[ep.index()];
             let shard = &mut shards[loc.ring as usize];
-            locs[side as usize] = SideLoc {
-                ring: loc.ring,
-                idx: shard.sides.len() as u32,
-            };
-            if b.config.level == BridgeLevel::L2 && b.config.swap_enabled {
-                shard.drm_sides.push(shard.sides.len() as u32);
-            }
+            let idx = locs[side as usize].idx;
+            shard.nodes[loc.local as usize].side = Some(idx);
             shard.sides.push(BridgeSide {
                 bridge: b.id,
                 side,
                 endpoint: loc.local,
+                peer: locs[1 - side as usize],
                 cfg: b.config.clone(),
                 rx: VecDeque::new(),
+                rx_due: u64::MAX,
                 tx: VecDeque::new(),
                 peer_backlog: 0,
+                last_staged: (0, 0),
                 reserved: VecDeque::new(),
                 drm: false,
                 drm_entries: 0,
                 tx_pushed: 0,
                 rx_popped: 0,
             });
+            if shard.sides[idx as usize].drm_capable() {
+                shard.nodes[loc.local as usize].drm_watch_at = b.config.deadlock_threshold;
+                // A zero threshold is met before the first lost arbitration.
+                if b.config.deadlock_threshold == 0 {
+                    shard.drm_watch.set(idx as usize);
+                }
+            }
         }
         side_loc.push(locs);
     }
@@ -479,41 +533,90 @@ impl RingShard {
     // ------------------------------------------------------------------
 
     /// Move matured flits from this shard's bridge inboxes into their
-    /// endpoint inject queues.
-    pub(crate) fn phase_deliver<const TRACE: bool>(&mut self, shared: &EngineShared, now: Cycle) {
+    /// endpoint inject queues. Returns at once while nothing on this
+    /// ring is due; otherwise visits the due sides in ascending order,
+    /// marks the ones it popped from for barrier 1 and re-derives the
+    /// shard's earliest due cycle. Returns whether any side was popped.
+    pub(crate) fn phase_deliver<const TRACE: bool>(
+        &mut self,
+        shared: &EngineShared,
+        now: Cycle,
+    ) -> bool {
         let nraw = now.raw();
-        for si in 0..self.sides.len() {
-            let ep = self.sides[si].endpoint as usize;
-            loop {
-                let ready = self.sides[si].rx.front().is_some_and(|&(r, _)| r <= nraw);
-                if !ready || self.nodes[ep].inject.is_full() {
-                    if TRACE && ready {
-                        // Matured flit held in the pipeline by a full
-                        // endpoint Inject Queue: backpressure.
-                        let fid = self.sides[si].rx.front().map_or(NO_FLIT, |(_, f)| f.id);
-                        let record = TraceRecord {
-                            cycle: nraw,
-                            flit: fid,
-                            ring: self.ring.id.0,
-                            station: self.nodes[ep].station,
-                            lane: NO_LANE,
-                            event: FlitEvent::BridgeStalled {
-                                bridge: self.sides[si].bridge.index() as u16,
-                            },
-                        };
-                        self.trace.push(record);
-                    }
-                    break;
-                }
-                let (_, flit) = self.sides[si].rx.pop_front().expect("checked non-empty");
-                self.sides[si].rx_popped += 1;
-                self.nodes[ep].inject.push(flit).expect("checked not full");
-                if self.nodes[ep].inject.len() == 1 {
-                    self.head_changed(shared, ep);
-                }
-                self.stats.bridge_crossings.inc();
-            }
+        if self.rx_due > nraw {
+            return false;
         }
+        let mut popped = false;
+        let mut earliest = u64::MAX;
+        for si in 0..self.sides.len() {
+            if self.sides[si].rx_due <= nraw {
+                self.profile.side_visits += 1;
+                popped |= self.deliver_side::<TRACE>(shared, nraw, si);
+            }
+            earliest = earliest.min(self.sides[si].rx_due);
+        }
+        self.rx_due = earliest;
+        popped
+    }
+
+    /// Drain side `si`'s matured flits into its endpoint's inject queue
+    /// until the inbox head lies in the future or the queue is full.
+    /// Returns whether it popped any, having marked the side if so.
+    fn deliver_side<const TRACE: bool>(
+        &mut self,
+        shared: &EngineShared,
+        nraw: u64,
+        si: usize,
+    ) -> bool {
+        let ep = self.sides[si].endpoint as usize;
+        let mut popped = false;
+        while self.sides[si].rx_due <= nraw {
+            if self.nodes[ep].inject.is_full() {
+                if TRACE {
+                    // Matured flit held in the pipeline by a full
+                    // endpoint Inject Queue: backpressure.
+                    let fid = self.sides[si].rx.front().map_or(NO_FLIT, |(_, f)| f.id);
+                    let record = TraceRecord {
+                        cycle: nraw,
+                        flit: fid,
+                        ring: self.ring.id.0,
+                        station: self.nodes[ep].station,
+                        lane: NO_LANE,
+                        event: FlitEvent::BridgeStalled {
+                            bridge: self.sides[si].bridge.index() as u16,
+                        },
+                    };
+                    self.trace.push(record);
+                }
+                break;
+            }
+            let side = &mut self.sides[si];
+            let (_, flit) = side.rx.pop_front().expect("due implies non-empty");
+            side.rx_popped += 1;
+            side.refresh_rx_due();
+            popped = true;
+            self.nodes[ep].inject.push(flit).expect("checked not full");
+            if self.nodes[ep].inject.len() == 1 {
+                self.head_changed(shared, ep);
+            }
+            self.stats.bridge_crossings.inc();
+        }
+        if popped {
+            self.popped.set(si);
+        }
+        popped
+    }
+
+    /// Move a batch the peer staged onto the end of side `si`'s inbox
+    /// (leaving `batch` empty), keeping the side's and the shard's due
+    /// cycles true. Returns the inbox depth afterwards — the sender's
+    /// new `peer_backlog`.
+    pub(crate) fn receive(&mut self, si: usize, batch: &mut VecDeque<(u64, Flit)>) -> usize {
+        let side = &mut self.sides[si];
+        side.rx.append(batch);
+        side.refresh_rx_due();
+        self.rx_due = self.rx_due.min(side.rx_due);
+        side.rx.len()
     }
 
     // ------------------------------------------------------------------
@@ -540,6 +643,7 @@ impl RingShard {
         for lane in &mut self.ring.lanes {
             lane.advance();
         }
+        self.debug_check_side_indices();
         self.bridge_intake::<TRACE>(now);
         self.drm_update();
         if self.metrics_period != 0 && now.raw().is_multiple_of(self.metrics_period) {
@@ -761,6 +865,12 @@ impl RingShard {
                 continue;
             }
             self.nodes[ni].starve += 1;
+            if self.nodes[ni].starve >= self.nodes[ni].drm_watch_at {
+                let si = self.nodes[ni]
+                    .side
+                    .expect("only endpoints have a threshold");
+                self.drm_watch.set(si as usize);
+            }
             self.stats.inject_losses.inc();
             if TRACE {
                 let fid = self.nodes[ni].inject.peek().expect("head checked").id;
@@ -874,8 +984,8 @@ impl RingShard {
 
         // SWAP path (§4.4): bridge endpoint in DRM (or permanently, in
         // escape-buffer mode) with escape space.
-        if let NodeKind::BridgeEndpoint { bridge, side } = self.nodes[t].kind {
-            let si = shared.side_loc[bridge.index()][side as usize].idx as usize;
+        if let Some(si) = self.nodes[t].side {
+            let si = si as usize;
             let active = self.sides[si].drm || self.sides[si].cfg.escape_always;
             if active
                 && self.sides[si].reserved.len() < self.sides[si].cfg.reserved_cap
@@ -884,6 +994,7 @@ impl RingShard {
                 // Push the Eject Queue head into a reserved Tx buffer…
                 let escaped = self.nodes[t].eject.pop().expect("non-empty");
                 self.sides[si].reserved.push_back(escaped);
+                self.intake.set(si);
                 // …eject the traversing flit into the vacated space…
                 if flit.etag {
                     self.consume_etag(t, flit.id);
@@ -1044,6 +1155,9 @@ impl RingShard {
                 });
             }
         }
+        if let Some(si) = self.nodes[t].side {
+            self.intake.set(si as usize);
+        }
         self.nodes[t]
             .eject
             .push(flit)
@@ -1051,47 +1165,63 @@ impl RingShard {
     }
 
     /// Pull flits from bridge endpoint eject queues into the outbound
-    /// `tx` mailboxes, draining reserved escape buffers first.
+    /// `tx` mailboxes, draining reserved escape buffers first. Visits
+    /// only the sides marked as having intake work; a side that staged
+    /// anything is marked for barrier 2, and one left with nothing to
+    /// pull loses its mark.
     fn bridge_intake<const TRACE: bool>(&mut self, now: Cycle) {
         let nraw = now.raw();
-        for si in 0..self.sides.len() {
-            let (ep, latency, width, cap) = {
-                let side = &self.sides[si];
-                (
-                    side.endpoint as usize,
-                    side.cfg.latency as u64,
-                    side.cfg.width_flits_per_cycle as usize,
-                    side.cfg.buffer_cap,
-                )
-            };
-            let mut moved = 0usize;
-            // Priority: reserved escape buffers drain first.
-            while moved < width
-                && !self.sides[si].reserved.is_empty()
-                && self.sides[si].pipe_len() < cap
-            {
-                let mut flit = self.sides[si].reserved.pop_front().expect("non-empty");
-                flit.ring_changes += 1;
-                if TRACE {
-                    self.push_bridge_enqueued(nraw, si, ep, flit.id);
-                }
-                self.sides[si].tx.push_back((nraw + latency, flit));
-                self.sides[si].tx_pushed += 1;
-                moved += 1;
+        for wi in 0..self.intake.words().len() {
+            let w = self.intake.words()[wi];
+            self.profile.side_visits += u64::from(w.count_ones());
+            for si in word_ones(wi, w) {
+                self.intake_side::<TRACE>(nraw, si);
             }
-            while moved < width
-                && !self.nodes[ep].eject.is_empty()
-                && self.sides[si].pipe_len() < cap
-            {
-                let mut flit = self.nodes[ep].eject.pop().expect("non-empty");
-                flit.ring_changes += 1;
-                if TRACE {
-                    self.push_bridge_enqueued(nraw, si, ep, flit.id);
-                }
-                self.sides[si].tx.push_back((nraw + latency, flit));
-                self.sides[si].tx_pushed += 1;
-                moved += 1;
+        }
+    }
+
+    /// [`RingShard::bridge_intake`] for side `si`.
+    fn intake_side<const TRACE: bool>(&mut self, nraw: u64, si: usize) {
+        let (ep, latency, width, cap) = {
+            let side = &self.sides[si];
+            (
+                side.endpoint as usize,
+                side.cfg.latency as u64,
+                side.cfg.width_flits_per_cycle as usize,
+                side.cfg.buffer_cap,
+            )
+        };
+        let mut moved = 0usize;
+        // Priority: reserved escape buffers drain first.
+        while moved < width
+            && !self.sides[si].reserved.is_empty()
+            && self.sides[si].pipe_len() < cap
+        {
+            let mut flit = self.sides[si].reserved.pop_front().expect("non-empty");
+            flit.ring_changes += 1;
+            if TRACE {
+                self.push_bridge_enqueued(nraw, si, ep, flit.id);
             }
+            self.sides[si].tx.push_back((nraw + latency, flit));
+            self.sides[si].tx_pushed += 1;
+            moved += 1;
+        }
+        while moved < width && !self.nodes[ep].eject.is_empty() && self.sides[si].pipe_len() < cap {
+            let mut flit = self.nodes[ep].eject.pop().expect("non-empty");
+            flit.ring_changes += 1;
+            if TRACE {
+                self.push_bridge_enqueued(nraw, si, ep, flit.id);
+            }
+            self.sides[si].tx.push_back((nraw + latency, flit));
+            self.sides[si].tx_pushed += 1;
+            moved += 1;
+        }
+        if moved != 0 {
+            self.staged.set(si);
+            self.sides[si].last_staged = (nraw, moved);
+        }
+        if self.sides[si].reserved.is_empty() && self.nodes[ep].eject.is_empty() {
+            self.intake.clear(si);
         }
     }
 
@@ -1109,32 +1239,93 @@ impl RingShard {
         });
     }
 
-    /// Enter/exit deadlock resolution mode per L2 bridge side on this
-    /// ring. Reads only this side's escape buffers and its endpoint's
-    /// starvation state — both shard-local.
+    /// Enter/exit deadlock resolution mode on the sides under DRM
+    /// watch. Reads only a side's escape buffers and its endpoint's
+    /// starvation state — both shard-local. A side neither in DRM nor
+    /// starving at its threshold afterwards leaves the watch.
     fn drm_update(&mut self) {
-        for i in 0..self.drm_sides.len() {
-            let si = self.drm_sides[i] as usize;
-            let ep = self.sides[si].endpoint as usize;
-            let starve = self.nodes[ep].starve;
-            let inject_empty = self.nodes[ep].inject.is_empty();
-            let side = &mut self.sides[si];
-            let mut entered = false;
-            if !side.drm {
-                if starve >= side.cfg.deadlock_threshold && !inject_empty {
-                    side.drm = true;
-                    side.drm_entries += 1;
-                    entered = true;
+        for wi in 0..self.drm_watch.words().len() {
+            let w = self.drm_watch.words()[wi];
+            self.profile.side_visits += u64::from(w.count_ones());
+            for si in word_ones(wi, w) {
+                let ep = self.sides[si].endpoint as usize;
+                let starve = self.nodes[ep].starve;
+                let inject_empty = self.nodes[ep].inject.is_empty();
+                let side = &mut self.sides[si];
+                let starving = starve >= side.cfg.deadlock_threshold;
+                if !side.drm {
+                    if starving && !inject_empty {
+                        side.drm = true;
+                        side.drm_entries += 1;
+                        self.stats.drm_entries.inc();
+                    }
+                } else if side.reserved.len() <= side.cfg.drm_exit_occupancy && !starving {
+                    side.drm = false;
                 }
-            } else if side.reserved.len() <= side.cfg.drm_exit_occupancy
-                && starve < side.cfg.deadlock_threshold
-            {
-                side.drm = false;
-            }
-            if entered {
-                self.stats.drm_entries.inc();
+                if !side.drm && !starving {
+                    self.drm_watch.clear(si);
+                }
             }
         }
+    }
+
+    /// Debug builds: walk every side and check the indices the
+    /// event-indexed bridge phases read against the state they
+    /// summarise — `rx_due` against the inbox heads, and that a side
+    /// without an intake mark or off the DRM watch really has nothing
+    /// for those phases to do. Called between the station sweep and
+    /// intake, the point where a missed wake-up would first be skipped.
+    /// (`crate::epoch::debug_check_barrier` checks what needs the peer.)
+    fn debug_check_side_indices(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let ring = self.ring.id;
+        let mut earliest = u64::MAX;
+        for (si, side) in self.sides.iter().enumerate() {
+            let node = &self.nodes[side.endpoint as usize];
+            assert_eq!(
+                node.side,
+                Some(si as u32),
+                "{ring} side {si}: endpoint index"
+            );
+            assert_eq!(
+                side.rx_due,
+                side.head_due(),
+                "{ring} side {si}: rx_due disagrees with the inbox head"
+            );
+            earliest = earliest.min(side.rx_due);
+            assert!(
+                self.intake.test(si) || (node.eject.is_empty() && side.reserved.is_empty()),
+                "{ring} side {si}: intake work without a mark"
+            );
+            let watch_at = if side.drm_capable() {
+                side.cfg.deadlock_threshold
+            } else {
+                u32::MAX
+            };
+            assert_eq!(
+                node.drm_watch_at, watch_at,
+                "{ring} side {si}: watch threshold"
+            );
+            let watch = side.drm || node.starve >= side.cfg.deadlock_threshold;
+            assert!(
+                !self.drm_watch.test(si) || side.drm_capable(),
+                "{ring} side {si}: DRM watch on a side DRM does not apply to"
+            );
+            assert!(
+                self.drm_watch.test(si) || !(watch && side.drm_capable()),
+                "{ring} side {si}: DRM transition due without a watch mark"
+            );
+            assert!(
+                side.tx.is_empty() && !self.staged.test(si) && !self.popped.test(si),
+                "{ring} side {si}: a barrier left mail or a mark behind"
+            );
+        }
+        assert_eq!(
+            self.rx_due, earliest,
+            "{ring}: shard rx_due is not the minimum"
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1309,7 +1500,7 @@ impl RingShard {
                 bridge: side.bridge.index() as u16,
                 side: side.side,
                 ring: self.ring.id.0,
-                tx_pipe: side.pipe_len() as u32,
+                tx_pipe: side.pipe_gauge(now.raw()) as u32,
                 rx_depth: side.rx.len() as u32,
                 reserved: side.reserved.len() as u32,
                 in_drm: side.drm,

@@ -220,6 +220,11 @@ pub struct TickProfile {
     /// Always 0: the fast path has no full-sweep fallback any more.
     /// The field stays because the benchmark reads it.
     pub full_lane_sweeps: u64,
+    /// Bridge-side bodies run: one per side delivery drained or found
+    /// stalled, per side intake or DRM bookkeeping looked at, and per
+    /// side a mailbox barrier moved mail or a depth for. Zero on an
+    /// idle fabric, whatever its bridge count.
+    pub side_visits: u64,
 }
 
 impl TickProfile {
@@ -232,6 +237,7 @@ impl TickProfile {
         self.stations_total += other.stations_total;
         self.stations_visited += other.stations_visited;
         self.full_lane_sweeps += other.full_lane_sweeps;
+        self.side_visits += other.side_visits;
     }
 
     /// Fraction of station visits skipped relative to a full sweep

@@ -2,7 +2,11 @@
 //! multi-chiplet traffic (DESIGN.md §6, invariants 1, 7, 8).
 
 use noc_chi::{CoherentSystem, LineAddr, LlcParams, MemoryParams, ReadKind, SystemSpec};
-use noc_core::{BridgeConfig, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
+use noc_core::route::Hop;
+use noc_core::{
+    BridgeConfig, GridParams, Network, NetworkConfig, NodeId, RingId, RingKind, RouteTable,
+    Topology, TopologyBuilder,
+};
 use proptest::prelude::*;
 
 /// Two-die coherent system with configurable geometry.
@@ -122,5 +126,81 @@ proptest! {
             )
         };
         prop_assert_eq!(run(), run());
+    }
+}
+
+/// The exit-hop grid as `RouteTable` stored it before it was packed
+/// into `u32` targets plus a station table: one `Option<Hop>` per
+/// (ring, node), ring-major, derived the way `RouteTable::build` did —
+/// the destination itself on its own ring, otherwise the bridge
+/// endpoint toward a ring one change closer, parallel bridges sharing
+/// by destination id over the (neighbour ring, endpoint)-sorted set.
+fn unpacked_route_grid(topo: &Topology, table: &RouteTable) -> Vec<Option<Hop>> {
+    let nodes = topo.nodes();
+    let nrings = topo.rings().len();
+    let mut adj: Vec<Vec<(RingId, NodeId)>> = vec![Vec::new(); nrings];
+    for br in topo.bridges() {
+        let (ra, rb) = (nodes[br.a.index()].ring, nodes[br.b.index()].ring);
+        adj[ra.index()].push((rb, br.a));
+        adj[rb.index()].push((ra, br.b));
+    }
+    let mut grid = Vec::with_capacity(nrings * nodes.len());
+    for (ring, adj) in adj.iter_mut().enumerate() {
+        adj.sort();
+        let from = RingId(ring as u16);
+        for dst in nodes {
+            let via = match table.ring_changes(from, dst.ring) {
+                None => None,
+                Some(0) => Some(dst.id),
+                Some(d) => {
+                    let cands: Vec<NodeId> = adj
+                        .iter()
+                        .filter(|&&(nbr, _)| table.ring_changes(nbr, dst.ring) == Some(d - 1))
+                        .map(|&(_, via)| via)
+                        .collect();
+                    Some(cands[dst.id.index() % cands.len()])
+                }
+            };
+            grid.push(via.map(|target| Hop {
+                station: nodes[target.index()].station,
+                target,
+            }));
+        }
+    }
+    grid
+}
+
+/// Every (ring, node) of the largest generated torus and of both of the
+/// paper's SoCs routes exactly as the unpacked table did.
+#[test]
+fn packed_route_table_answers_as_the_option_hop_grid_did() {
+    let (torus, _) = GridParams::torus(8, 8)
+        .with_stations(16)
+        .with_devices(4)
+        .generate()
+        .expect("8x8 torus generates")
+        .compile()
+        .expect("generated spec compiles");
+    let (server, _) = noc_server_cpu::build_topology(&noc_server_cpu::ServerCpuConfig::default())
+        .expect("Server-CPU builds");
+    let (ai, _) = noc_ai::build_topology(&noc_ai::AiConfig::default()).expect("AI SoC builds");
+    for (name, topo) in [("torus8x8", torus), ("server-cpu", server), ("ai", ai)] {
+        let table = RouteTable::build(&topo);
+        let grid = unpacked_route_grid(&topo, &table);
+        let stride = topo.nodes().len();
+        let mut bridged = 0usize;
+        for ring in 0..topo.rings().len() {
+            for dst in topo.nodes() {
+                let want = grid[ring * stride + dst.id.index()];
+                assert_eq!(
+                    table.exit(RingId(ring as u16), dst.id),
+                    want,
+                    "{name}: ring {ring} -> {}",
+                    dst.id
+                );
+                bridged += usize::from(want.is_some_and(|hop| hop.target != dst.id));
+            }
+        }
+        assert!(bridged > 0, "{name}: no route leaves its ring");
     }
 }
