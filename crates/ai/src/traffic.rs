@@ -8,8 +8,9 @@
 //! horizontal ring.
 
 use crate::soc::AiProcessor;
-use noc_core::{EnqueueError, FlitClass, NodeId};
-use noc_sim::{IdMap, SimRng};
+use noc_core::bits::word_ones;
+use noc_core::{BitRing, EnqueueError, FlitClass, NodeId};
+use noc_sim::{IdMap, SimRng, SlotIndex};
 use std::collections::VecDeque;
 
 /// What a token stands for. `core` is the requesting core's position
@@ -187,6 +188,11 @@ pub struct AiEngine {
     dma_rr: usize,
     /// Retry buffers for backpressured L2 responses: (l2 index, token).
     retry: Vec<(usize, u64)>,
+    /// [`NodeId::index`] → slot over the nodes that receive traffic, in
+    /// drain order: `AiMap::l2s`, then `cores`, `llcs`, `hbms`.
+    sinks: SlotIndex,
+    /// Drain scratch: sink slots the network reported deliveries for.
+    delivered: BitRing,
     read_bytes: u64,
     write_bytes: u64,
     dma_bytes: u64,
@@ -199,6 +205,12 @@ impl AiEngine {
         let l2_ports = vec![L2Ports::default(); proc.map.l2s.len()];
         let llc_pending = vec![VecDeque::new(); proc.map.llcs.len()];
         let map = &proc.map;
+        let sinks = [&map.l2s, &map.cores, &map.llcs, &map.hbms]
+            .into_iter()
+            .flatten();
+        let delivered = BitRing::new(sinks.clone().count());
+        let sinks = SlotIndex::new(sinks.map(|n| n.index()))
+            .unwrap_or_else(|i| panic!("{} is wired as two kinds of sink", NodeId(i as u32)));
         AiEngine {
             core_outstanding: vec![0; map.cores.len()],
             hbm_partners: (0..map.hbms.len())
@@ -214,6 +226,8 @@ impl AiEngine {
             dma_flip: false,
             dma_rr: 0,
             retry: Vec::new(),
+            sinks,
+            delivered,
             tokens: IdMap::default(),
             next_token: 0,
             read_bytes: 0,
@@ -337,85 +351,120 @@ impl AiEngine {
         Ok(sent)
     }
 
+    /// Drain deliveries in ascending sink slot order over the sinks the
+    /// network reports mail for: every L2 slice, then every core, LLC
+    /// slice and HBM stack — the order polling them all would take
+    /// (handling a flit never delivers another).
     fn drain_deliveries(&mut self) {
+        for node in self.proc.net.nodes_with_deliveries() {
+            if let Some(slot) = self.sinks.get(node.index()) {
+                self.delivered.set(slot);
+            }
+        }
+        let map = &self.proc.map;
+        let cores = map.l2s.len();
+        let llcs = cores + map.cores.len();
+        let hbms = llcs + map.llcs.len();
+        for wi in 0..self.delivered.words().len() {
+            for slot in word_ones(wi, self.delivered.words()[wi]) {
+                self.delivered.clear(slot);
+                if slot < cores {
+                    self.l2_arrivals(slot);
+                } else if slot < llcs {
+                    self.core_arrivals(slot - cores);
+                } else if slot < hbms {
+                    self.llc_arrivals(slot - llcs);
+                } else {
+                    self.hbm_arrivals(slot - hbms);
+                }
+            }
+        }
+    }
+
+    /// L2 slice `i`'s arrivals: charge the byte-limited receive port,
+    /// then the array pipeline.
+    fn l2_arrivals(&mut self, i: usize) {
         let now = self.proc.net.now().raw();
         let line = u64::from(self.proc.cfg.line_bytes);
-        // L2-side arrivals: charge the byte-limited receive port, then
-        // the array pipeline.
         let width = self.traffic.l2_port_bytes.max(1);
         let latency = self.traffic.l2_latency;
-        for i in 0..self.proc.map.l2s.len() {
-            let l2 = self.proc.map.l2s[i];
-            while let Some(f) = self.proc.net.pop_delivered(l2) {
-                let in_cost = (u64::from(f.payload_bytes) / width).max(1);
-                match self.tokens[&f.token] {
-                    Kind::ReadReq { .. } => {
-                        let p = &mut self.l2_ports[i];
-                        p.in_free = p.in_free.max(now) + in_cost;
-                        p.pending.push_back((p.in_free + latency, f.token));
-                    }
-                    Kind::WriteData { .. } => {
-                        if self.recording {
-                            self.write_bytes += line;
-                        }
-                        let p = &mut self.l2_ports[i];
-                        p.in_free = p.in_free.max(now) + in_cost;
-                        p.pending.push_back((p.in_free + latency, f.token));
-                    }
-                    Kind::Dma => {
-                        if self.recording {
-                            self.dma_bytes += line;
-                        }
-                        let p = &mut self.l2_ports[i];
-                        p.in_free = p.in_free.max(now) + in_cost;
-                        self.tokens.remove(&f.token);
-                    }
-                    other => unreachable!("L2 received {other:?}"),
+        let l2 = self.proc.map.l2s[i];
+        while let Some(f) = self.proc.net.pop_delivered(l2) {
+            let in_cost = (u64::from(f.payload_bytes) / width).max(1);
+            match self.tokens[&f.token] {
+                Kind::ReadReq { .. } => {
+                    let p = &mut self.l2_ports[i];
+                    p.in_free = p.in_free.max(now) + in_cost;
+                    p.pending.push_back((p.in_free + latency, f.token));
                 }
+                Kind::WriteData { .. } => {
+                    if self.recording {
+                        self.write_bytes += line;
+                    }
+                    let p = &mut self.l2_ports[i];
+                    p.in_free = p.in_free.max(now) + in_cost;
+                    p.pending.push_back((p.in_free + latency, f.token));
+                }
+                Kind::Dma => {
+                    if self.recording {
+                        self.dma_bytes += line;
+                    }
+                    let p = &mut self.l2_ports[i];
+                    p.in_free = p.in_free.max(now) + in_cost;
+                    self.tokens.remove(&f.token);
+                }
+                other => unreachable!("L2 received {other:?}"),
             }
         }
-        // Core-side arrivals.
-        for i in 0..self.proc.map.cores.len() {
-            let core = self.proc.map.cores[i];
-            while let Some(f) = self.proc.net.pop_delivered(core) {
-                match self.tokens.remove(&f.token) {
-                    Some(Kind::ReadData { core: c }) => {
-                        if self.recording {
-                            self.read_bytes += line;
-                        }
-                        self.core_outstanding[c as usize] -= 1;
+    }
+
+    /// Core `i`'s arrivals: read data and write acks retire its
+    /// closed-loop transactions.
+    fn core_arrivals(&mut self, i: usize) {
+        let line = u64::from(self.proc.cfg.line_bytes);
+        let core = self.proc.map.cores[i];
+        while let Some(f) = self.proc.net.pop_delivered(core) {
+            match self.tokens.remove(&f.token) {
+                Some(Kind::ReadData { core: c }) => {
+                    if self.recording {
+                        self.read_bytes += line;
                     }
-                    Some(Kind::WriteAck { core: c }) => {
-                        self.core_outstanding[c as usize] -= 1;
-                    }
-                    other => unreachable!("core received {other:?}"),
+                    self.core_outstanding[c as usize] -= 1;
                 }
+                Some(Kind::WriteAck { core: c }) => {
+                    self.core_outstanding[c as usize] -= 1;
+                }
+                other => unreachable!("core received {other:?}"),
             }
         }
-        // LLC directory arrivals (Path 1).
-        for i in 0..self.proc.map.llcs.len() {
-            let llc = self.proc.map.llcs[i];
-            while let Some(f) = self.proc.net.pop_delivered(llc) {
-                match self.tokens[&f.token] {
-                    Kind::LlcReq { .. } => {
-                        self.llc_pending[i].push_back((now + self.traffic.llc_latency, f.token));
-                    }
-                    other => unreachable!("LLC received {other:?}"),
+    }
+
+    /// LLC slice `i`'s directory arrivals (Path 1).
+    fn llc_arrivals(&mut self, i: usize) {
+        let now = self.proc.net.now().raw();
+        let llc = self.proc.map.llcs[i];
+        while let Some(f) = self.proc.net.pop_delivered(llc) {
+            match self.tokens[&f.token] {
+                Kind::LlcReq { .. } => {
+                    self.llc_pending[i].push_back((now + self.traffic.llc_latency, f.token));
                 }
+                other => unreachable!("LLC received {other:?}"),
             }
         }
-        // HBM and other memory-side sinks (DMA arrivals).
-        for h in 0..self.proc.map.hbms.len() {
-            let hbm = self.proc.map.hbms[h];
-            while let Some(f) = self.proc.net.pop_delivered(hbm) {
-                match self.tokens.remove(&f.token) {
-                    Some(Kind::Dma) => {
-                        if self.recording {
-                            self.dma_bytes += line;
-                        }
+    }
+
+    /// HBM stack `h`'s arrivals (DMA lines).
+    fn hbm_arrivals(&mut self, h: usize) {
+        let line = u64::from(self.proc.cfg.line_bytes);
+        let hbm = self.proc.map.hbms[h];
+        while let Some(f) = self.proc.net.pop_delivered(hbm) {
+            match self.tokens.remove(&f.token) {
+                Some(Kind::Dma) => {
+                    if self.recording {
+                        self.dma_bytes += line;
                     }
-                    other => unreachable!("HBM received {other:?}"),
                 }
+                other => unreachable!("HBM received {other:?}"),
             }
         }
     }

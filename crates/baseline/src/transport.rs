@@ -37,6 +37,11 @@ macro_rules! impl_transport {
             fn recv(&mut self, node: NodeId) -> Option<u64> {
                 self.pop_delivered(node.index()).map(|d| d.token)
             }
+
+            /// Every endpoint: a superset, which the contract allows.
+            fn nodes_with_mail(&self) -> impl Iterator<Item = NodeId> + '_ {
+                (0..Interconnect::endpoints(self)).map(|i| NodeId(i as u32))
+            }
         }
     };
 }

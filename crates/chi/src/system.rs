@@ -11,7 +11,8 @@ use crate::directory::{DirState, Directory};
 use crate::memory::{MemoryModel, MemoryParams};
 use crate::message::{Message, MsgOp};
 use crate::types::{LineAddr, MesiState, ReadKind, TxnId};
-use noc_core::{FlitClass, Network, NodeId};
+use noc_core::bits::word_ones;
+use noc_core::{BitRing, FlitClass, Network, NodeId};
 use noc_sim::{Cycle, IdMap, IdSet, SlotIndex};
 use std::collections::VecDeque;
 
@@ -36,6 +37,12 @@ pub trait ChiTransport {
 
     /// Pop the token of the oldest message delivered to `node`.
     fn recv(&mut self, node: NodeId) -> Option<u64>;
+
+    /// The nodes that may have a message waiting: at least every node
+    /// `recv` would return `Some` for, in any order. A superset is
+    /// allowed — the protocol layer drains each reported agent until
+    /// `recv` returns `None` and ignores ids that are not agents.
+    fn nodes_with_mail(&self) -> impl Iterator<Item = NodeId> + '_;
 }
 
 impl ChiTransport for Network {
@@ -60,6 +67,10 @@ impl ChiTransport for Network {
 
     fn recv(&mut self, node: NodeId) -> Option<u64> {
         self.pop_delivered(node).map(|f| f.token)
+    }
+
+    fn nodes_with_mail(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.nodes_with_deliveries()
     }
 }
 
@@ -153,16 +164,19 @@ enum Role {
 /// position in `order` (requesters, then home nodes, then memories).
 #[derive(Debug)]
 struct Agents {
-    /// Slot → node. Deliveries are polled and outboxes flushed in this
-    /// order, which therefore fixes every flit id.
+    /// Slot → node. Deliveries are drained and outboxes flushed in
+    /// this order, which therefore fixes every flit id.
     order: Vec<NodeId>,
     /// [`NodeId::index`] → slot.
     slot_of: SlotIndex,
     role: Vec<Role>,
     outboxes: Vec<VecDeque<(NodeId, Message)>>,
-    /// One bit per slot, set while that outbox is non-empty, so the
-    /// flush visits only agents with something to send.
-    unsent: Vec<u64>,
+    /// Slots whose outbox is non-empty, so the flush visits only agents
+    /// with something to send.
+    unsent: BitRing,
+    /// Tick scratch: slots the transport reported mail for, drained in
+    /// ascending order.
+    mail: BitRing,
 }
 
 impl Agents {
@@ -186,7 +200,8 @@ impl Agents {
             role,
             slot_of,
             outboxes: vec![VecDeque::new(); order.len()],
-            unsent: vec![0; order.len().div_ceil(64)],
+            unsent: BitRing::new(order.len()),
+            mail: BitRing::new(order.len()),
             order,
         }
     }
@@ -204,7 +219,7 @@ impl Agents {
     fn send(&mut self, from: NodeId, to: NodeId, msg: Message) {
         let slot = self.slot(from).expect("sender is a registered agent");
         self.outboxes[slot].push_back((to, msg));
-        self.unsent[slot / 64] |= 1 << (slot % 64);
+        self.unsent.set(slot);
     }
 }
 
@@ -520,15 +535,25 @@ impl<T: ChiTransport> CoherentSystem<T> {
             self.rn_txns.remove(&c.txn);
             self.completions.push(c);
         }
-        // Deliveries.
-        for slot in 0..self.agents.order.len() {
-            let node = self.agents.order[slot];
-            while let Some(token) = self.net.recv(node) {
-                let msg = self
-                    .msgs
-                    .remove(&token)
-                    .expect("every protocol flit has a side-table entry");
-                self.handle(node, msg);
+        // Deliveries, in ascending slot order over the agents the
+        // transport reports: the order polling every agent would find
+        // them in (handling a message never delivers another).
+        for node in self.net.nodes_with_mail() {
+            if let Some(slot) = self.agents.slot(node) {
+                self.agents.mail.set(slot);
+            }
+        }
+        for wi in 0..self.agents.mail.words().len() {
+            for slot in word_ones(wi, self.agents.mail.words()[wi]) {
+                self.agents.mail.clear(slot);
+                let node = self.agents.order[slot];
+                while let Some(token) = self.net.recv(node) {
+                    let msg = self
+                        .msgs
+                        .remove(&token)
+                        .expect("every protocol flit has a side-table entry");
+                    self.handle(node, msg);
+                }
             }
         }
         // Memory service.
@@ -564,12 +589,8 @@ impl<T: ChiTransport> CoherentSystem<T> {
         // Flush outboxes into the NoC, ascending slot order over the
         // agents that have something to send: the order of `offer`
         // calls is the order flit ids are handed out in.
-        for w in 0..self.agents.unsent.len() {
-            let mut word = self.agents.unsent[w];
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let slot = w * 64 + bit;
+        for wi in 0..self.agents.unsent.words().len() {
+            for slot in word_ones(wi, self.agents.unsent.words()[wi]) {
                 let node = self.agents.order[slot];
                 while let Some(&(dst, msg)) = self.agents.outboxes[slot].front() {
                     let token = self.next_msg;
@@ -587,7 +608,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
                     self.agents.outboxes[slot].pop_front();
                 }
                 if self.agents.outboxes[slot].is_empty() {
-                    self.agents.unsent[w] &= !(1 << bit);
+                    self.agents.unsent.clear(slot);
                 }
             }
         }

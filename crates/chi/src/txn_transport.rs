@@ -40,6 +40,10 @@ impl<S: TraceSink, P: SpanSink> ChiTransport for TxnFabric<S, P> {
     fn recv(&mut self, node: NodeId) -> Option<u64> {
         self.recv_message(node)
     }
+
+    fn nodes_with_mail(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.nodes_with_messages()
+    }
 }
 
 #[cfg(test)]

@@ -1,24 +1,42 @@
-//! Fixed-size rotating bitsets backing the event-indexed tick.
+//! Fixed-size bitsets backing the event-indexed tick.
 //!
-//! A [`BitRing`] tracks which stations of a ring lane currently hold
-//! something of interest (a flit, an I-tag, a queue head wanting a
-//! lane). The fast-path sweep merges these per 64-station word and
-//! visits only set bits, so an idle lane costs one word test instead of
-//! a full station walk. Because lane slots physically rotate each
-//! cycle, the bitset can rotate with them in O(words).
+//! A [`BitRing`] marks which positions of a ring hold something of
+//! interest. A lane keeps two over its *slots* (flits, I-tags), which
+//! never move: a slot's station follows from the lane's rotation
+//! offset, so advancing a lane touches no bit. The shard keeps them
+//! over *stations* (queue heads wanting a lane) and bridge sides. The
+//! fast-path sweep merges station-space words and visits only set bits,
+//! so an idle lane costs one word test instead of a full station walk;
+//! [`BitRing::window`] reads a slot-space set at a station offset.
 
-/// A bitset over `n` ring stations supporting single-step rotation.
+/// A bitset over `n` positions around a ring.
 ///
-/// Bit `s` corresponds to station `s`. Bits at positions `>= n` are
-/// always zero (maintained by every mutator).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Bits at positions `>= n` are always zero (maintained by every
+/// mutator).
+#[derive(Debug, PartialEq, Eq)]
 pub struct BitRing {
     n: usize,
     words: Vec<u64>,
 }
 
+impl Clone for BitRing {
+    fn clone(&self) -> Self {
+        BitRing {
+            n: self.n,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocation, so a per-call scratch copy costs no
+    /// allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.words.clone_from(&source.words);
+    }
+}
+
 impl BitRing {
-    /// An empty bitset over `n` stations.
+    /// An empty bitset over `n` positions.
     pub fn new(n: usize) -> Self {
         BitRing {
             n,
@@ -26,13 +44,13 @@ impl BitRing {
         }
     }
 
-    /// Number of stations covered.
+    /// Number of positions covered.
     #[inline]
     pub fn len(&self) -> usize {
         self.n
     }
 
-    /// Whether the ring covers zero stations.
+    /// Whether the ring covers zero positions.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.n == 0
@@ -65,55 +83,43 @@ impl BitRing {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// The backing words (64 stations each, little-endian bit order).
+    /// The backing words (64 positions each, little-endian bit order).
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
     }
 
-    /// Rotate every bit one station upward: `s -> (s + 1) % n`.
-    pub fn rotate_up(&mut self) {
-        if self.n <= 1 {
-            return;
+    /// The `len ≤ 64` bits from position `start` on, read circularly
+    /// (position `n` is position 0 again), as one word: bit `k` of the
+    /// result is bit `(start + k) mod n`. Requires `start < n` and
+    /// `len ≤ n`.
+    pub fn window(&self, start: usize, len: usize) -> u64 {
+        debug_assert!(start < self.n && len <= self.n.min(64));
+        let straight = len.min(self.n - start);
+        let mut w = self.run(start, straight);
+        if straight < len {
+            w |= self.run(0, len - straight) << straight;
         }
-        let top = self.test(self.n - 1);
-        let mut carry = 0u64;
-        for w in self.words.iter_mut() {
-            let next = *w >> 63;
-            *w = (*w << 1) | carry;
-            carry = next;
-        }
-        // The old top bit shifted to position n; move it to position 0.
-        if !self.n.is_multiple_of(64) {
-            self.words[self.n / 64] &= !(1u64 << (self.n % 64));
-        }
-        if top {
-            self.words[0] |= 1;
-        } else {
-            self.words[0] &= !1;
-        }
+        w
     }
 
-    /// Rotate every bit one station downward: `s -> (s + n - 1) % n`.
-    pub fn rotate_down(&mut self) {
-        if self.n <= 1 {
-            return;
+    /// The `len ≤ 64` bits `start..start + len` (no wrap) as one word.
+    fn run(&self, start: usize, len: usize) -> u64 {
+        if len == 0 {
+            return 0;
         }
-        let bottom = self.words[0] & 1 != 0;
-        let mut carry = 0u64;
-        for w in self.words.iter_mut().rev() {
-            let next = *w & 1;
-            *w = (*w >> 1) | (carry << 63);
-            carry = next;
+        let (wi, off) = (start / 64, start % 64);
+        let mut w = self.words[wi] >> off;
+        if off != 0 && wi + 1 < self.words.len() {
+            w |= self.words[wi + 1] << (64 - off);
         }
-        if bottom {
-            self.set(self.n - 1);
-        } else {
-            self.clear(self.n - 1);
+        if len < 64 {
+            w &= (1u64 << len) - 1;
         }
+        w
     }
 
-    /// Iterate set bits in ascending station order.
+    /// Iterate set bits in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words
             .iter()
@@ -125,7 +131,7 @@ impl BitRing {
 /// The positions of the set bits of `word`, word number `wi` of a
 /// bitset, ascending. Takes the word by value, so a caller can walk a
 /// snapshot of one word while it mutates the set (and whatever owns it).
-pub(crate) fn word_ones(wi: usize, word: u64) -> impl Iterator<Item = usize> {
+pub fn word_ones(wi: usize, word: u64) -> impl Iterator<Item = usize> {
     std::iter::successors((word != 0).then_some(word), |&rem| {
         let rem = rem & (rem - 1);
         (rem != 0).then_some(rem)
@@ -153,52 +159,20 @@ mod tests {
     }
 
     #[test]
-    fn rotate_up_wraps() {
+    fn window_reads_circularly() {
         for n in [1usize, 2, 5, 63, 64, 65, 130] {
             let mut b = BitRing::new(n);
-            b.set(n - 1);
-            if n > 2 {
-                b.set(1);
+            for s in [0, 1 % n, n / 2, n - 1] {
+                b.set(s);
             }
-            let expect: Vec<usize> = b.iter_ones().map(|s| (s + 1) % n).collect();
-            b.rotate_up();
-            let mut expect = expect;
-            expect.sort_unstable();
-            assert_eq!(b.iter_ones().collect::<Vec<_>>(), expect, "n={n}");
-        }
-    }
-
-    #[test]
-    fn rotate_down_wraps() {
-        for n in [1usize, 2, 5, 63, 64, 65, 130] {
-            let mut b = BitRing::new(n);
-            b.set(0);
-            if n > 2 {
-                b.set(2);
+            for start in [0, 1 % n, n / 3, n - 1] {
+                for len in [0, 1, n.min(64) / 2, n.min(64)] {
+                    let want = (0..len)
+                        .filter(|&k| b.test((start + k) % n))
+                        .fold(0u64, |w, k| w | 1 << k);
+                    assert_eq!(b.window(start, len), want, "n={n} start={start} len={len}");
+                }
             }
-            let expect: Vec<usize> = b.iter_ones().map(|s| (s + n - 1) % n).collect();
-            b.rotate_down();
-            let mut expect = expect;
-            expect.sort_unstable();
-            assert_eq!(b.iter_ones().collect::<Vec<_>>(), expect, "n={n}");
         }
-    }
-
-    #[test]
-    fn many_rotations_roundtrip() {
-        let n = 37;
-        let mut b = BitRing::new(n);
-        for s in [0usize, 7, 18, 36] {
-            b.set(s);
-        }
-        let before: Vec<usize> = b.iter_ones().collect();
-        for _ in 0..n {
-            b.rotate_up();
-        }
-        assert_eq!(b.iter_ones().collect::<Vec<_>>(), before);
-        for _ in 0..n {
-            b.rotate_down();
-        }
-        assert_eq!(b.iter_ones().collect::<Vec<_>>(), before);
     }
 }

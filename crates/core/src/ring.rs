@@ -7,10 +7,10 @@
 //! node interface that placed the tag.
 //!
 //! Slot contents are only reachable through the mutators below, which
-//! keep the lane's station-space indices in sync with the slot arrays:
-//! two [`BitRing`]s (occupied slots, I-tagged slots) and the **exit
-//! calendar**. The event-indexed tick reads the calendar and the I-tag
-//! bits to visit only stations where something happens this cycle.
+//! keep the lane's indices in sync with the slot arrays: two
+//! [`BitRing`]s over slots (occupied, I-tagged) and the station-space
+//! **exit calendar**. The event-indexed tick reads the calendar and the
+//! I-tags to visit only stations where something happens this cycle.
 //!
 //! # Exit calendar
 //!
@@ -27,10 +27,19 @@
 //! (`Lane::take_arrival`) clears its bit, putting it back sets the
 //! same bit in the same row, and the row comes round after `n` advances.
 //!
-//! # Lazy hops
+//! # Lanes that stand still
 //!
-//! [`Lane::advance`] is two bit rotations and two counter increments;
-//! it touches no flit. The lane counts its own advances, a slot
+//! [`Lane::advance`] is two counter increments; it touches no flit and
+//! no bit. Every per-slot array — payloads, boarding counts, I-tag
+//! owners and both bitsets — is indexed by slot, and slot `i` stands at
+//! station `(i ± offset) mod n`, so moving the lane is moving `offset`.
+//! The calendar needs no rotation either: its rows are already indexed
+//! by `offset`. The one reader that wants I-tags by station — the sweep
+//! merge — gets a word at a time from [`Lane::itag_word`], which reads
+//! the slot bits at the station offset, and only on a lane with a live
+//! I-tag.
+//!
+//! Hops are charged lazily: the lane counts its own advances, a slot
 //! remembers the count at boarding, and the difference is added to
 //! [`Flit::hops`] when the flit leaves the slot. `hops` of a flit still
 //! on a ring ([`Lane::flits`]) therefore excludes its current ride.
@@ -39,7 +48,7 @@
 //!
 //! Slot state is stored as parallel dense arrays, not an
 //! array-of-`Option` structs: the flit payload array, the
-//! boarding-count array, the I-tag owner array, and the two occupancy
+//! boarding-count array, the I-tag owner array, and the two slot-space
 //! word arrays ([`BitRing`]s) that are the *sole* authority on which
 //! entries are live. A vacant slot's payload bytes are garbage (a
 //! placeholder or departed flit / owner id) and are never read, because
@@ -69,23 +78,26 @@ fn vacant_flit() -> Flit {
 pub struct Lane {
     dir: Direction,
     /// Flit payload per slot, indexed by slot position (not station).
-    /// Live iff the slot's station bit is set in `flit_bits`.
+    /// Live iff the slot's bit is set in `flit_bits`.
     flits: Vec<Flit>,
     /// Value of `advances` when the flit in each slot boarded (live
     /// with `flits`).
     boarded: Vec<u32>,
     /// I-tag owner per slot: the node interface the slot is reserved
-    /// for. Live iff the slot's station bit is set in `itag_bits`.
+    /// for. Live iff the slot's bit is set in `itag_bits`.
     itags: Vec<NodeId>,
     /// Rotation offset in `[0, n)`: slot `i` currently sits at station
     /// `(i + offset) mod n` (Cw) or `(i - offset) mod n` (Ccw).
     offset: usize,
     /// Advances so far (wrapping), for lazy hop charging.
     advances: u32,
-    /// Station-space occupancy bits, rotated alongside `offset`.
+    /// Occupied slots.
     flit_bits: BitRing,
-    /// Station-space I-tag bits, rotated alongside `offset`.
+    /// I-tagged slots.
     itag_bits: BitRing,
+    /// Set bits of `itag_bits`: the sweep derives station-space I-tag
+    /// words only while this is non-zero.
+    itags_live: u32,
     /// The exit calendar: `n` rows of `row_words` words; bit `e` of row
     /// `r` is set iff an occupied slot will stand at its exit station
     /// `e` when `offset == r` next.
@@ -108,6 +120,7 @@ impl Lane {
             advances: 0,
             flit_bits: BitRing::new(n),
             itag_bits: BitRing::new(n),
+            itags_live: 0,
             calendar: vec![0; n * row_words],
             row_words,
         }
@@ -165,14 +178,18 @@ impl Lane {
         (row * self.row_words + e / 64, 1u64 << (e % 64))
     }
 
+    /// Whether the slot currently at `station` carries a flit.
+    #[inline]
+    pub(crate) fn occupied(&self, station: u16) -> bool {
+        self.flit_bits.test(self.index_of_station(station))
+    }
+
     /// The flit in the slot currently at `station`, if any. Its `hops`
     /// excludes the ride it is on (see the module docs).
     #[inline]
     pub(crate) fn flit_at(&self, station: u16) -> Option<&Flit> {
-        if !self.flit_bits.test(station as usize) {
-            return None;
-        }
-        Some(&self.flits[self.index_of_station(station)])
+        let i = self.index_of_station(station);
+        self.flit_bits.test(i).then(|| &self.flits[i])
     }
 
     /// Station-space bits of the flits standing at their exit station
@@ -204,16 +221,13 @@ impl Lane {
     /// [`Lane::arrives`], or from the flit itself.
     #[inline]
     pub(crate) fn take_arrival(&mut self, station: u16) -> Flit {
-        debug_assert!(
-            self.flit_bits.test(station as usize),
-            "no flit at station {station}"
-        );
+        let i = self.index_of_station(station);
+        debug_assert!(self.flit_bits.test(i), "no flit at station {station}");
         debug_assert!(
             self.arrives(station),
             "calendar misses arrival at station {station}"
         );
-        let i = self.index_of_station(station);
-        self.flit_bits.clear(station as usize);
+        self.flit_bits.clear(i);
         let (w, bit) = self.arrival_bit(station);
         self.calendar[w] &= !bit;
         // Copy out; the stale bytes left behind are gated by the
@@ -229,14 +243,14 @@ impl Lane {
     /// Panics if the slot is occupied.
     #[inline]
     pub(crate) fn put_flit(&mut self, station: u16, flit: Flit, exit: u16) {
+        let i = self.index_of_station(station);
         assert!(
-            !self.flit_bits.test(station as usize),
+            !self.flit_bits.test(i),
             "slot at station {station} occupied"
         );
-        let i = self.index_of_station(station);
         self.flits[i] = flit;
         self.boarded[i] = self.advances;
-        self.flit_bits.set(station as usize);
+        self.flit_bits.set(i);
         let (w, bit) = self.calendar_bit(station, exit);
         self.calendar[w] |= bit;
     }
@@ -244,10 +258,8 @@ impl Lane {
     /// The I-tag on the slot currently at `station`, if any.
     #[inline]
     pub fn itag_at(&self, station: u16) -> Option<NodeId> {
-        if !self.itag_bits.test(station as usize) {
-            return None;
-        }
-        Some(self.itags[self.index_of_station(station)])
+        let i = self.index_of_station(station);
+        self.itag_bits.test(i).then(|| self.itags[i])
     }
 
     /// Reserve the slot currently at `station` for `owner`.
@@ -255,28 +267,48 @@ impl Lane {
     /// Panics if the slot already carries an I-tag.
     #[inline]
     pub fn set_itag(&mut self, station: u16, owner: NodeId) {
+        let i = self.index_of_station(station);
         assert!(
-            !self.itag_bits.test(station as usize),
+            !self.itag_bits.test(i),
             "slot at station {station} already tagged"
         );
-        let i = self.index_of_station(station);
         self.itags[i] = owner;
-        self.itag_bits.set(station as usize);
+        self.itag_bits.set(i);
+        self.itags_live += 1;
     }
 
     /// Remove and return the I-tag on the slot currently at `station`.
     #[inline]
     pub fn take_itag(&mut self, station: u16) -> Option<NodeId> {
-        if !self.itag_bits.test(station as usize) {
+        let i = self.index_of_station(station);
+        if !self.itag_bits.test(i) {
             return None;
         }
-        self.itag_bits.clear(station as usize);
-        Some(self.itags[self.index_of_station(station)])
+        self.itag_bits.clear(i);
+        self.itags_live -= 1;
+        Some(self.itags[i])
     }
 
-    /// Shift every slot one station in the lane's direction. Costs
-    /// O(words): the bitsets rotate with the slots, the calendar's
-    /// current row moves on by one, and hops are charged lazily.
+    /// Station-space word `wi` of the I-tags: bit `k` is set iff the
+    /// slot now at station `64 * wi + k` carries one. Zero without
+    /// reading a bit while no I-tag circulates on this lane.
+    #[inline]
+    pub(crate) fn itag_word(&self, wi: usize) -> u64 {
+        if self.itags_live == 0 {
+            return 0;
+        }
+        let s = wi * 64;
+        // Consecutive stations stand on consecutive slots (mod n) in
+        // either direction, so the word is one circular run of slots.
+        let len = (self.flits.len() - s).min(64);
+        self.itag_bits.window(self.index_of_station(s as u16), len)
+    }
+
+    /// Shift every slot one station in the lane's direction. O(1): the
+    /// slots and their bits stay where they are, `offset` moves (which
+    /// also selects the calendar's next row), and hops are charged
+    /// lazily.
+    #[inline]
     pub fn advance(&mut self) {
         let n = self.flits.len();
         if n == 0 {
@@ -287,16 +319,6 @@ impl Lane {
             self.offset = 0;
         }
         self.advances = self.advances.wrapping_add(1);
-        match self.dir {
-            Direction::Cw => {
-                self.flit_bits.rotate_up();
-                self.itag_bits.rotate_up();
-            }
-            Direction::Ccw => {
-                self.flit_bits.rotate_down();
-                self.itag_bits.rotate_down();
-            }
-        }
     }
 
     /// Number of occupied slots.
@@ -308,30 +330,21 @@ impl Lane {
     /// Number of I-tag-reserved slots currently circulating.
     #[inline]
     pub fn itag_count(&self) -> usize {
-        self.itag_bits.count_ones()
+        self.itags_live as usize
     }
 
-    /// Station-space occupancy bitset.
-    #[inline]
-    pub fn flit_bits(&self) -> &BitRing {
-        &self.flit_bits
+    /// The stations whose slot carries a flit, in slot order.
+    pub(crate) fn occupied_stations(&self) -> impl Iterator<Item = usize> + '_ {
+        let (dir, n, off) = (self.dir, self.flits.len(), self.offset);
+        self.flit_bits
+            .iter_ones()
+            .map(move |i| station_of_index(dir, n, off, i))
     }
 
-    /// Station-space I-tag bitset.
-    #[inline]
-    pub fn itag_bits(&self) -> &BitRing {
-        &self.itag_bits
-    }
-
-    /// Iterate over all in-flight flits (arbitrary positional order).
+    /// Iterate over all in-flight flits (positional slot order).
     /// Their `hops` excludes the ride they are on.
     pub fn flits(&self) -> impl Iterator<Item = &Flit> {
-        let (dir, n, off) = (self.dir, self.flits.len(), self.offset);
-        let bits = &self.flit_bits;
-        self.flits
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, f)| bits.test(station_of_index(dir, n, off, i)).then_some(f))
+        self.flit_bits.iter_ones().map(|i| &self.flits[i])
     }
 
     /// Iterate mutably over all in-flight flits together with the
@@ -340,10 +353,11 @@ impl Lane {
     pub fn flits_mut(&mut self) -> impl Iterator<Item = (u16, &mut Flit)> {
         let (dir, n, off) = (self.dir, self.flits.len(), self.offset);
         let bits = &self.flit_bits;
-        self.flits.iter_mut().enumerate().filter_map(move |(i, f)| {
-            let s = station_of_index(dir, n, off, i);
-            bits.test(s).then_some((s as u16, f))
-        })
+        self.flits
+            .iter_mut()
+            .enumerate()
+            .filter(move |(i, _)| bits.test(*i))
+            .map(move |(i, f)| (station_of_index(dir, n, off, i) as u16, f))
     }
 }
 
@@ -450,15 +464,15 @@ mod tests {
         lane.advance();
         assert!(lane.flit_at(0).is_none());
         assert!(lane.flit_at(1).is_some());
-        assert!(lane.flit_bits().test(1));
-        assert!(!lane.flit_bits().test(0));
+        assert!(lane.occupied(1));
+        assert!(!lane.occupied(0));
         lane.advance();
         assert!(lane.flit_at(2).is_some());
         // Wrap-around.
         lane.advance();
         lane.advance();
         assert!(lane.flit_at(0).is_some());
-        assert!(lane.flit_bits().test(0));
+        assert!(lane.occupied(0));
     }
 
     #[test]
@@ -467,12 +481,12 @@ mod tests {
         lane.put_flit(2, test_flit(1), 3);
         lane.advance();
         assert!(lane.flit_at(1).is_some());
-        assert!(lane.flit_bits().test(1));
+        assert!(lane.occupied(1));
         lane.advance();
         assert!(lane.flit_at(0).is_some());
         lane.advance();
         assert!(lane.flit_at(3).is_some());
-        assert!(lane.flit_bits().test(3));
+        assert!(lane.occupied(3));
         assert!(lane.arrives(3));
         assert_eq!(lane.take_arrival(3).hops, 3);
     }
@@ -484,10 +498,10 @@ mod tests {
         lane.advance();
         assert_eq!(lane.itag_at(1), Some(NodeId(9)));
         assert!(lane.itag_at(0).is_none());
-        assert!(lane.itag_bits().test(1));
+        assert_eq!(lane.itag_word(0), 0b10);
         assert_eq!(lane.take_itag(1), Some(NodeId(9)));
         assert_eq!(lane.itag_count(), 0);
-        assert!(!lane.itag_bits().test(1));
+        assert_eq!(lane.itag_word(0), 0);
     }
 
     #[test]
@@ -546,22 +560,76 @@ mod tests {
             .collect()
     }
 
+    /// The lane's station-space I-tag words, as [`Lane::itag_word`]
+    /// derives them for the sweep merge.
+    fn itag_words(lane: &Lane) -> Vec<u64> {
+        (0..lane.len().div_ceil(64))
+            .map(|wi| lane.itag_word(wi))
+            .collect()
+    }
+
     fn assert_matches(lane: &Lane, model: &Model) {
         let due = model.arrivals();
         assert_eq!(ones(lane.arrivals()), due, "arrivals");
-        let occupied: Vec<usize> = (0..model.n)
-            .filter(|&s| model.riders[s].is_some())
-            .collect();
-        assert_eq!(lane.flit_bits().iter_ones().collect::<Vec<_>>(), occupied);
         let tagged: Vec<usize> = (0..model.n).filter(|&s| model.itags[s].is_some()).collect();
-        assert_eq!(lane.itag_bits().iter_ones().collect::<Vec<_>>(), tagged);
+        assert_eq!(ones(&itag_words(lane)), tagged, "derived I-tag words");
+        assert_eq!(lane.itag_count(), tagged.len());
         for s in 0..model.n {
             assert_eq!(lane.arrives(s as u16), due.contains(&s));
+            assert_eq!(lane.occupied(s as u16), model.riders[s].is_some());
             assert_eq!(
                 lane.flit_at(s as u16).map(|f| f.id),
                 model.riders[s].map(|r| r.id)
             );
             assert_eq!(lane.itag_at(s as u16), model.itags[s]);
+        }
+        let mut stations: Vec<usize> = lane.occupied_stations().collect();
+        stations.sort_unstable();
+        let occupied: Vec<usize> = (0..model.n)
+            .filter(|&s| model.riders[s].is_some())
+            .collect();
+        assert_eq!(stations, occupied, "occupied stations");
+    }
+
+    /// The derived station-space I-tag word against the model over at
+    /// least two full laps, with several live tags, on single- and
+    /// multi-word lanes in both directions — a word read at the wrong
+    /// offset, or across the wrong word boundary, shows as a moved bit.
+    #[test]
+    fn itag_words_follow_the_slots() {
+        for n in [1usize, 63, 64, 65, 130] {
+            for dir in [Direction::Cw, Direction::Ccw] {
+                let mut lane = Lane::new(dir, n as u16);
+                let mut model = Model {
+                    n,
+                    cw: dir == Direction::Cw,
+                    riders: vec![None; n],
+                    itags: vec![None; n],
+                };
+                let tag = |lane: &mut Lane, model: &mut Model, s: usize| {
+                    if model.itags[s].is_none() {
+                        lane.set_itag(s as u16, NodeId(s as u32));
+                        model.itags[s] = Some(NodeId(s as u32));
+                    }
+                };
+                for s in [0, n / 2, n - 1, 63 % n, 64 % n] {
+                    tag(&mut lane, &mut model, s);
+                }
+                for step in 0..2 * n + 3 {
+                    assert_matches(&lane, &model);
+                    if step % 7 == 3 {
+                        // Retire one tag and place another mid-lap.
+                        let s = step % n;
+                        if let Some(owner) = model.itags[s].take() {
+                            assert_eq!(lane.take_itag(s as u16), Some(owner));
+                        }
+                        tag(&mut lane, &mut model, (s + n / 3) % n);
+                    }
+                    lane.advance();
+                    model.advance();
+                }
+                assert!(lane.itag_count() > 0, "n={n} {dir:?}: tags stayed live");
+            }
         }
     }
 
@@ -571,9 +639,10 @@ mod tests {
         /// Random put / take-arrival / deflect-put-back / I-tag /
         /// advance sequences on single- and multi-word lanes: after
         /// every step the calendar's current row is exactly the set of
-        /// occupied slots standing at their exit, the occupancy bits
-        /// match, and a taken flit has been charged one hop per advance
-        /// it was aboard for. A put whose exit is the station it boards
+        /// occupied slots standing at their exit, occupancy and I-tags
+        /// read by station match the model (and so does the derived
+        /// I-tag word), and a taken flit has been charged one hop per
+        /// advance it was aboard for. A put whose exit is the station it boards
         /// at (the SWAP case) is one full lap, not an arrival now.
         #[test]
         fn calendar_matches_brute_force(

@@ -224,6 +224,12 @@ pub(crate) struct RingShard {
     pub popped: BitRing,
     /// Sides intake staged into this cycle; barrier 2 consumes it.
     pub staged: BitRing,
+    /// Devices with mail: bit `i` is set iff `nodes[i]` is a device
+    /// whose Eject Queue is non-empty. Set by `finish_arrival`, cleared
+    /// by `Network::pop_delivered` — the only two places a device's
+    /// Eject Queue changes (SWAP and intake touch bridge endpoints
+    /// only). [`crate::Network::nodes_with_deliveries`] walks it.
+    pub delivered: BitRing,
     pub stats: NetStats,
     /// Shard-local sweep instrumentation (`ticks` stays 0 here; the
     /// engine adds the tick count on top when merging).
@@ -304,6 +310,7 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
             drm_watch: BitRing::new(nsides),
             popped: BitRing::new(nsides),
             staged: BitRing::new(nsides),
+            delivered: BitRing::new(0),
             stats: NetStats::new(),
             profile: TickProfile::default(),
             trace: TraceBuffer::default(),
@@ -347,6 +354,9 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
             probe: (cfg.probe_window > 0 && matches!(n.kind, NodeKind::Device))
                 .then(|| BandwidthProbe::new(n.name.clone(), cfg.probe_window)),
         });
+    }
+    for shard in &mut shards {
+        shard.delivered = BitRing::new(shard.nodes.len());
     }
     let mut side_loc = Vec::with_capacity(topo.bridges().len());
     for b in topo.bridges() {
@@ -482,10 +492,10 @@ impl RingShard {
     }
 
     /// Debug builds: the indices the event-indexed tick reads — lane
-    /// `li`'s calendar row, the cached intent of every node at station
-    /// `s`, and the station's intent bits — equal what the flit in the
-    /// slot and the route table say. Called by the golden-model sweeps,
-    /// which never read those indices themselves.
+    /// `li`'s calendar row and derived I-tag word, the cached intent of
+    /// every node at station `s`, and the station's intent bits — equal
+    /// what the slot and the route table say. Called by the golden-model
+    /// sweeps, which never read those indices themselves.
     pub(crate) fn debug_check_indices(&self, shared: &EngineShared, li: usize, s: u16) {
         if !cfg!(debug_assertions) {
             return;
@@ -501,6 +511,13 @@ impl RingShard {
             lane.arrives(s),
             exits_here,
             "{} lane {li} station {s}: calendar row disagrees with the slot",
+            self.ring.id
+        );
+        let tagged = (lane.itag_word(s as usize / 64) >> (s % 64)) & 1 == 1;
+        assert_eq!(
+            tagged,
+            lane.itag_at(s).is_some(),
+            "{} lane {li} station {s}: derived I-tag word disagrees with the slot",
             self.ring.id
         );
         for &local in self.ports[s as usize].iter().flatten() {
@@ -643,6 +660,7 @@ impl RingShard {
         for lane in &mut self.ring.lanes {
             lane.advance();
         }
+        self.debug_check_delivered();
         self.debug_check_side_indices();
         self.bridge_intake::<TRACE>(now);
         self.drm_update();
@@ -681,9 +699,8 @@ impl RingShard {
             self.profile.stations_total += stations;
             for wi in 0..nwords {
                 let lane = &self.ring.lanes[li];
-                let mut w = lane.arrivals()[wi]
-                    | lane.itag_bits().words()[wi]
-                    | self.intent_bits[li].words()[wi];
+                let mut w =
+                    lane.arrivals()[wi] | lane.itag_word(wi) | self.intent_bits[li].words()[wi];
                 self.profile.stations_visited += u64::from(w.count_ones());
                 while w != 0 {
                     let s = wi * 64 + w.trailing_zeros() as usize;
@@ -798,7 +815,7 @@ impl RingShard {
         }
         // ---- injection ----
         let mut injected_port: Option<u8> = None;
-        let slot_free = !self.ring.lanes[li].flit_bits().test(s as usize);
+        let slot_free = !self.ring.lanes[li].occupied(s);
         let wants_lane = Intent::Lane(li as u8);
         if slot_free {
             let itag = self.ring.lanes[li].itag_at(s);
@@ -1155,8 +1172,9 @@ impl RingShard {
                 });
             }
         }
-        if let Some(si) = self.nodes[t].side {
-            self.intake.set(si as usize);
+        match self.nodes[t].side {
+            Some(si) => self.intake.set(si as usize),
+            None => self.delivered.set(t),
         }
         self.nodes[t]
             .eject
@@ -1266,6 +1284,26 @@ impl RingShard {
                     self.drm_watch.clear(si);
                 }
             }
+        }
+    }
+
+    /// Debug builds: walk every node and check the delivery index — a
+    /// bit is set exactly where a device has mail waiting. Called after
+    /// the station sweep, so it sees both this cycle's arrivals and the
+    /// pops consumers made since the last cycle.
+    pub(crate) fn debug_check_delivered(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        for (i, node) in self.nodes.iter().enumerate() {
+            let device = matches!(node.kind, NodeKind::Device);
+            assert_eq!(
+                self.delivered.test(i),
+                device && !node.eject.is_empty(),
+                "{} node {}: delivery bit disagrees with its Eject Queue",
+                self.ring.id,
+                node.id
+            );
         }
     }
 
@@ -1393,14 +1431,9 @@ impl RingShard {
     /// memory touched. Runs at every sampling boundary; the sum over
     /// windows approximates relative link load without per-tick cost.
     fn sample_links(&mut self) {
-        let link_util = &mut self.link_util;
         for lane in &self.ring.lanes {
-            for (wi, &word) in lane.flit_bits().words().iter().enumerate() {
-                let mut w = word;
-                while w != 0 {
-                    link_util[wi * 64 + w.trailing_zeros() as usize] += 1;
-                    w &= w - 1;
-                }
+            for s in lane.occupied_stations() {
+                self.link_util[s] += 1;
             }
         }
     }

@@ -42,13 +42,14 @@ use crate::types::{
     AtomicKind, TxnCompletion, TxnConfig, TxnCounters, TxnError, TxnId, TxnKind, TxnOp,
 };
 use crate::window::InFlightWindow;
+use noc_core::bits::word_ones;
 use noc_core::telemetry::{
     FlitSpan, NullSink, NullSpanSink, PacketSpan, PostmortemBundle, ResourceId, SpanRole, SpanSink,
     TraceSink, TxnRegistry, TxnSnapshot, TxnSpanTree, WaitEdge, WaitGraphConfig, WaitGraphTracker,
     WaitNode, WedgeReport,
 };
 use noc_core::{
-    EngineError, EnqueueError, Flit, FlitClass, Network, NodeId, NodeKind, PacketPlace,
+    BitRing, EngineError, EnqueueError, Flit, FlitClass, Network, NodeId, NodeKind, PacketPlace,
     PacketToken, Topology,
 };
 use noc_sim::{Cycle, Histogram, IdMap, IdSet, SlotIndex};
@@ -154,9 +155,14 @@ pub struct TxnFabric<S: TraceSink = NullSink, P: SpanSink = NullSpanSink> {
     /// [`NodeId::index`] → position in `endpoints` (bridge ends have
     /// none).
     slot_of: SlotIndex,
-    /// Pump scratch, one flag per endpoint: nothing more to inject
-    /// from it in this pump call.
-    pump_paused: Vec<bool>,
+    /// Endpoints with staged flits: set where `stage_packet` stages,
+    /// cleared where the pump empties the queue.
+    staged: BitRing,
+    /// Pump scratch: a per-call copy of `staged` from which an endpoint
+    /// leaves once nothing more can be injected from it this call.
+    pump_live: BitRing,
+    /// Drain scratch: endpoints the network reported deliveries for.
+    delivered: BitRing,
     /// Live packet descriptors by packet id. Keyed lookups only.
     packets: IdMap<u64, PacketDesc>,
     /// Live transactions by id. Keyed lookups only.
@@ -258,7 +264,9 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         TxnFabric {
             net,
             cfg,
-            pump_paused: vec![false; endpoints.len()],
+            staged: BitRing::new(endpoints.len()),
+            pump_live: BitRing::new(endpoints.len()),
+            delivered: BitRing::new(endpoints.len()),
             endpoints,
             slot_of,
             packets: IdMap::default(),
@@ -557,7 +565,9 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             // waiting on them.
             self.credit_pending.insert(id);
         }
-        self.ep_mut(from).staged.extend(flits);
+        let slot = self.slot(from).expect("known endpoint");
+        self.endpoints[slot].staged.extend(flits);
+        self.staged.set(slot);
     }
 
     /// Span bookkeeping for one accepted (non-duplicate) flit. Callers
@@ -881,6 +891,15 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         self.endpoints[slot].msg_inbox.pop_front()
     }
 
+    /// The endpoints with a message waiting for
+    /// [`TxnFabric::recv_message`], ascending id.
+    pub fn nodes_with_messages(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.endpoints
+            .iter()
+            .filter(|e| !e.msg_inbox.is_empty())
+            .map(|e| e.id)
+    }
+
     /// Fault-injection hook: enqueue a raw flit with an arbitrary token
     /// directly onto the wrapped network, bypassing packetization. The
     /// transaction layer must survive whatever arrives — unknown packet
@@ -902,72 +921,104 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         Ok(id)
     }
 
-    /// Pump staged flits into inject queues: round-robin over
-    /// endpoints in ascending id order, one flit per endpoint per
-    /// pass, so the admission cap is shared fairly instead of being
-    /// consumed by the lowest-numbered endpoints. A full inject
-    /// queue pauses an endpoint (flits stay staged); reaching the
-    /// cap pauses the pump until deliveries bring the outstanding
+    /// Pump staged flits into inject queues: round-robin over the
+    /// endpoints with staged flits in ascending id order, one flit per
+    /// endpoint per pass, so the admission cap is shared fairly instead
+    /// of being consumed by the lowest-numbered endpoints. A full
+    /// inject queue pauses an endpoint (flits stay staged); reaching
+    /// the cap pauses the pump until deliveries bring the outstanding
     /// count back down.
     fn pump_staged(&mut self) {
-        self.pump_paused.fill(false);
+        debug_assert!(
+            (0..self.endpoints.len())
+                .all(|i| self.staged.test(i) != self.endpoints[i].staged.is_empty()),
+            "staged-endpoint bits disagree with the staging queues"
+        );
+        self.pump_live.clone_from(&self.staged);
         let mut progress = true;
         while progress && self.outstanding < self.outstanding_cap {
             progress = false;
-            for i in 0..self.endpoints.len() {
-                if self.pump_paused[i] || self.outstanding >= self.outstanding_cap {
-                    continue;
-                }
-                let Some(&flit) = self.endpoints[i].staged.front() else {
-                    self.pump_paused[i] = true;
-                    continue;
-                };
-                let tok = PacketToken::decode(flit.token);
-                if tok.is_header() && self.credit_pending.contains(&tok.packet) {
-                    // Reserve a reassembly credit at the responder
-                    // before releasing a request packet's header. The
-                    // credit returns when the packet finishes
-                    // reassembly there, bounding inbound demand per
-                    // endpoint — the admission-side fix for the
-                    // saturation wedge (full rings + full escape
-                    // buffers in a cyclic wait SWAP cannot break).
-                    let dst = self.packets[&tok.packet].dst;
-                    let d = self.slot(dst).expect("known endpoint");
-                    if self.endpoints[d].credit_used >= self.cfg.reassembly_slots {
-                        self.counters.reassembly_deferred += 1;
-                        self.pump_paused[i] = true;
-                        continue;
+            for wi in 0..self.pump_live.words().len() {
+                for i in word_ones(wi, self.pump_live.words()[wi]) {
+                    if self.outstanding >= self.outstanding_cap {
+                        return;
                     }
-                    self.endpoints[d].credit_used += 1;
-                    self.credit_pending.remove(&tok.packet);
-                    self.credited.insert(tok.packet);
-                }
-                let node = self.endpoints[i].id;
-                match self
-                    .net
-                    .enqueue(node, flit.dst, flit.class, flit.bytes, flit.token)
-                {
-                    Ok(_) => {
-                        self.endpoints[i].staged.pop_front();
-                        self.counters.flits_sent += 1;
-                        self.counters.bytes_sent += u64::from(flit.bytes);
-                        self.outstanding += 1;
+                    if self.pump_one(i) {
                         progress = true;
+                    } else {
+                        self.pump_live.clear(i);
                     }
-                    Err(EnqueueError::InjectQueueFull { .. }) => self.pump_paused[i] = true,
-                    Err(e) => unreachable!("staged flit rejected: {e:?}"),
                 }
             }
         }
     }
 
-    /// Drain network deliveries into the transaction layer, ascending
-    /// endpoint order.
+    /// Try to inject the head staged flit of endpoint `i`. Returns
+    /// whether it went in; `false` pauses the endpoint for the rest of
+    /// this pump call.
+    fn pump_one(&mut self, i: usize) -> bool {
+        let flit = *self.endpoints[i]
+            .staged
+            .front()
+            .expect("a live pump slot has staged flits");
+        let tok = PacketToken::decode(flit.token);
+        if tok.is_header() && self.credit_pending.contains(&tok.packet) {
+            // Reserve a reassembly credit at the responder before
+            // releasing a request packet's header. The credit returns
+            // when the packet finishes reassembly there, bounding
+            // inbound demand per endpoint — the admission-side fix for
+            // the saturation wedge (full rings + full escape buffers in
+            // a cyclic wait SWAP cannot break).
+            let dst = self.packets[&tok.packet].dst;
+            let d = self.slot(dst).expect("known endpoint");
+            if self.endpoints[d].credit_used >= self.cfg.reassembly_slots {
+                self.counters.reassembly_deferred += 1;
+                return false;
+            }
+            self.endpoints[d].credit_used += 1;
+            self.credit_pending.remove(&tok.packet);
+            self.credited.insert(tok.packet);
+        }
+        let node = self.endpoints[i].id;
+        match self
+            .net
+            .enqueue(node, flit.dst, flit.class, flit.bytes, flit.token)
+        {
+            Ok(_) => {
+                self.endpoints[i].staged.pop_front();
+                if self.endpoints[i].staged.is_empty() {
+                    self.staged.clear(i);
+                    self.pump_live.clear(i);
+                }
+                self.counters.flits_sent += 1;
+                self.counters.bytes_sent += u64::from(flit.bytes);
+                self.outstanding += 1;
+                true
+            }
+            Err(EnqueueError::InjectQueueFull { .. }) => false,
+            Err(e) => unreachable!("staged flit rejected: {e:?}"),
+        }
+    }
+
+    /// Drain network deliveries into the transaction layer, in
+    /// ascending endpoint order over the endpoints the network reports
+    /// mail for — the order polling every endpoint would find them in
+    /// (accepting a flit never delivers another).
     fn drain_deliveries(&mut self) {
-        for slot in 0..self.endpoints.len() {
-            let node = self.endpoints[slot].id;
-            while let Some(flit) = self.net.pop_delivered(node) {
-                self.accept_flit(slot, &flit);
+        for node in self.net.nodes_with_deliveries() {
+            let slot = self
+                .slot_of
+                .get(node.index())
+                .expect("every device is an endpoint");
+            self.delivered.set(slot);
+        }
+        for wi in 0..self.delivered.words().len() {
+            for slot in word_ones(wi, self.delivered.words()[wi]) {
+                self.delivered.clear(slot);
+                let node = self.endpoints[slot].id;
+                while let Some(flit) = self.net.pop_delivered(node) {
+                    self.accept_flit(slot, &flit);
+                }
             }
         }
     }

@@ -1,18 +1,24 @@
-//! Cross-commit anchors for the two protocol layers above `core`:
-//! `CoherentSystem` (through `ServerCpu`) and `AiEngine`.
+//! Cross-commit anchors for the protocol layers above `core`:
+//! `CoherentSystem` (through `ServerCpu`), `AiEngine`, and
+//! `CoherentSystem` over packets (`CoherentSystem<TxnFabric>`).
 //!
 //! `engine_goldens` pins `core` and `TXN_GOLDENS` (in `txn_lockstep`)
 //! pins `txn`; every other check of the CHI and AI layers compares two
 //! runs of one build against each other, so a refactor that moves both
-//! together would pass. The constants below were produced at commit
-//! 2fec607 — before the layers' side tables moved from SipHash maps to
-//! dense slots and `noc_sim::idmap` — and must never be regenerated in
-//! a change that claims to preserve behaviour.
+//! together would pass. `SERVER_GOLDENS` and `AI_GOLDENS` were produced
+//! at commit 2fec607 — before the layers' side tables moved from
+//! SipHash maps to dense slots and `noc_sim::idmap` — and
+//! `CHI_TXN_GOLDENS` at 7ce9597, before the layers stopped polling
+//! every agent for deliveries. None may be regenerated in a change that
+//! claims to preserve behaviour.
 
 use noc_ai::{AiConfig, AiEngine, AiProcessor, AiTraffic};
-use noc_chi::{LineAddr, ReadKind, TxnKind};
-use noc_server_cpu::{ServerCpu, ServerCpuConfig};
+use noc_chi::system::ChiTransport;
+use noc_chi::{CoherentSystem, LineAddr, ReadKind, SystemSpec, TxnKind};
+use noc_core::{Network, NodeId};
+use noc_server_cpu::{build_topology, ServerCpu, ServerCpuConfig};
 use noc_sim::SimRng;
+use noc_txn::{TxnConfig, TxnFabric};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -39,23 +45,30 @@ fn kind_code(kind: TxnKind) -> u64 {
     }
 }
 
-/// A seeded mix of every requester-side operation over a hot set (line
-/// contention: busy queues, snoops, migratory ownership) and a wide set
-/// (LLC misses to memory), then a full drain. Returns `(completions,
-/// completion-stream hash, NetStats fingerprint hash)`.
-fn server_run(seed: u64) -> (u64, u64, u64) {
-    let mut s = ServerCpu::build(ServerCpuConfig {
+/// The reduced Server-CPU both coherent runs are built from.
+fn server_cfg() -> ServerCpuConfig {
+    ServerCpuConfig {
         clusters_per_ccd: 4,
         hn_per_ccd: 2,
         ddr_per_ccd: 2,
         ..Default::default()
-    })
-    .expect("builds");
-    let clusters = s.map.clusters.clone();
+    }
+}
+
+/// A seeded mix of every requester-side operation over a hot set (line
+/// contention: busy queues, snoops, migratory ownership) and a wide set
+/// (LLC misses to memory), then a full drain until `idle`. Returns
+/// `(completions, completion-stream hash)`.
+fn chi_run<T: ChiTransport>(
+    sys: &mut CoherentSystem<T>,
+    clusters: &[NodeId],
+    seed: u64,
+    idle: impl Fn(&T) -> bool,
+) -> (u64, u64) {
     let mut rng = SimRng::seed_from(seed);
     let mut stream = FNV_OFFSET;
     let mut completions = 0u64;
-    let mut absorb = |sys: &mut noc_chi::CoherentSystem| {
+    let mut absorb = |sys: &mut CoherentSystem<T>| {
         for c in sys.take_completions() {
             completions += 1;
             for w in [
@@ -83,35 +96,70 @@ fn server_run(seed: u64) -> (u64, u64, u64) {
             };
             match rng.gen_range(0..20) {
                 0..=8 => {
-                    s.sys.read(rn, addr, ReadKind::Shared);
+                    sys.read(rn, addr, ReadKind::Shared);
                 }
                 9..=13 => {
-                    s.sys.write(rn, addr);
+                    sys.write(rn, addr);
                 }
                 14..=15 => {
-                    s.sys.read(rn, addr, ReadKind::Unique);
+                    sys.read(rn, addr, ReadKind::Unique);
                 }
                 16 => {
-                    s.sys.read(rn, addr, ReadKind::NoSnp);
+                    sys.read(rn, addr, ReadKind::NoSnp);
                 }
                 _ => {
-                    s.sys.write_back(rn, addr);
+                    sys.write_back(rn, addr);
                 }
             }
         }
-        s.sys.tick();
-        absorb(&mut s.sys);
+        sys.tick();
+        absorb(sys);
     }
     for _ in 0..300_000 {
-        if s.sys.outstanding() == 0 && s.sys.network().in_flight() == 0 {
+        if sys.outstanding() == 0 && idle(sys.network()) {
             break;
         }
-        s.sys.tick();
-        absorb(&mut s.sys);
+        sys.tick();
+        absorb(sys);
     }
-    assert_eq!(s.sys.outstanding(), 0, "seed {seed}: transactions stuck");
+    assert_eq!(sys.outstanding(), 0, "seed {seed}: transactions stuck");
+    (completions, stream)
+}
+
+/// [`chi_run`] on `ServerCpu` (CHI over the bare network). Returns
+/// `(completions, completion-stream hash, NetStats fingerprint hash)`.
+fn server_run(seed: u64) -> (u64, u64, u64) {
+    let mut s = ServerCpu::build(server_cfg()).expect("builds");
+    let clusters = s.map.clusters.clone();
+    let (n, stream) = chi_run(&mut s.sys, &clusters, seed, |net| net.in_flight() == 0);
     let net = fnv_words(s.sys.network().stats().fingerprint());
-    (completions, stream, net)
+    (n, stream, net)
+}
+
+/// [`chi_run`] on the same topology and agents with every CHI message
+/// packetised by a [`TxnFabric`] (chi/src/txn_transport.rs). Same
+/// return shape as [`server_run`].
+fn chi_txn_run(seed: u64) -> (u64, u64, u64) {
+    let cfg = server_cfg();
+    let (topo, map) = build_topology(&cfg).expect("builds");
+    let fab = TxnFabric::new(Network::new(topo, cfg.net.clone()), TxnConfig::default());
+    let mut sys = CoherentSystem::new(
+        fab,
+        SystemSpec {
+            requesters: map.clusters.clone(),
+            home_nodes: map.home_nodes.clone(),
+            memories: map.ddrs.clone(),
+            mem_params: cfg.mem_params,
+            llc: cfg.llc,
+            line_bytes: 64,
+            local_hit_latency: 10,
+            hn_latency: 12,
+            snoop_latency: 6,
+        },
+    );
+    let (n, stream) = chi_run(&mut sys, &map.clusters, seed, TxnFabric::quiet);
+    let net = fnv_words(sys.network().network().stats().fingerprint());
+    (n, stream, net)
 }
 
 /// Fixed warm-up/measure on the reduced AI SoC; `via_llc` on the second
@@ -148,6 +196,14 @@ const SERVER_GOLDENS: &[(u64, u64, u64, u64)] = &[
     (3, 1757, 0x652a25f8bcf02787, 0xefd8bdc93466d08b),
     (7, 1788, 0x2c721f98ecacdc43, 0x0dc8a40cc2f5f27f),
     (11, 1760, 0xd64ea9e1a0bf510b, 0x65959f342e8e2b97),
+];
+
+/// `(seed, completions, completion-stream hash, net fingerprint hash)`,
+/// pinned at 7ce9597.
+#[rustfmt::skip]
+const CHI_TXN_GOLDENS: &[(u64, u64, u64, u64)] = &[
+    (5, 1747, 0x068e22b52cc0bbdb, 0xaa7e0aac3c01ac06),
+    (13, 1769, 0xec5a783d31d71575, 0x7a4d8d3f67b02eb1),
 ];
 
 /// `(seed, via_llc, read bytes, write bytes, dma bytes, net fingerprint hash)`.
@@ -199,6 +255,30 @@ fn ai_engine_matches_goldens_pinned_at_2fec607() {
         moved.is_empty(),
         "AiEngine output moved against the pinned goldens:\n{}\n\nfull table as the engine \
          produces it now (paste over AI_GOLDENS only if the change is intended):\n{table}",
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn coherent_system_over_txn_matches_goldens_pinned_at_7ce9597() {
+    let mut table = String::new();
+    let mut moved = Vec::new();
+    for seed in [5u64, 13] {
+        let (n, stream, net) = chi_txn_run(seed);
+        if !CHI_TXN_GOLDENS.contains(&(seed, n, stream, net)) {
+            moved.push(format!(
+                "seed {seed}: now ({n}, {stream:#018x}, {net:#018x})"
+            ));
+        }
+        table.push_str(&format!(
+            "    ({seed}, {n}, {stream:#018x}, {net:#018x}),\n"
+        ));
+    }
+    assert!(
+        moved.is_empty(),
+        "CoherentSystem<TxnFabric> output moved against the pinned goldens:\n{}\n\nfull table \
+         as the system produces it now (paste over CHI_TXN_GOLDENS only if the change is \
+         intended):\n{table}",
         moved.join("\n")
     );
 }
