@@ -20,7 +20,9 @@
 //! function of the deterministic engine state: byte-identical across
 //! `Sequential`/`Parallel(n)`, `Fast`/`Reference` and epoch `K`.
 
+use crate::bridge::BridgeSide;
 use crate::flit::PacketToken;
+use noc_telemetry::{ResourceId, WaitNode};
 use serde::{Deserialize, Serialize};
 
 /// Where a packet's in-network flits currently sit, from the
@@ -157,64 +159,46 @@ pub(crate) fn packet_of(token: u64) -> u64 {
     PacketToken::decode(token).packet
 }
 
-/// Raw one-side readings a shard hands the engine; two parts (one per
-/// shard) combine into one [`EscapeCensus`] row, because a side's pipe
-/// contents physically straddle both shards (staged `tx` here, the
-/// in-flight mailbox at the peer).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SidePart {
-    pub bridge: u16,
-    pub side: u8,
-    pub ring: u16,
-    /// `tx.len() + reserved.len()` on this side.
-    pub out_occ: u64,
-    /// Inbound mailbox depth on this side (counts toward the *peer's*
-    /// escape resource).
-    pub rx_occ: u64,
-    pub min_packet_out: Option<u64>,
-    pub min_packet_rx: Option<u64>,
-    pub tx_pushed: u64,
-    pub rx_popped: u64,
-    pub pipe_cap: u64,
-    pub reserved_cap: u64,
-    pub drm: bool,
+/// The wait-graph node of bridge side `p`'s escape resource: its
+/// outbound half (staged `tx` plus escape buffers) and the flits in
+/// flight toward its peer (`peer.rx`) — a side's pipe physically
+/// straddles both shards, which is why the engine, not a shard, reads
+/// these. Occupancy, capacity and monotone progress (flits pushed in on
+/// this side plus flits drained out at the peer: either end moving
+/// counts) are O(1) reads.
+pub(crate) fn escape_node(p: &BridgeSide, peer: &BridgeSide) -> WaitNode {
+    WaitNode {
+        id: ResourceId::Escape {
+            bridge: p.bridge.index() as u32,
+            side: p.side,
+        },
+        occupancy: (p.tx.len() + p.reserved.len() + peer.rx.len()) as u64,
+        capacity: p.cfg.buffer_cap as u64 + p.cfg.reserved_cap as u64,
+        progress: p.tx_pushed + peer.rx_popped,
+    }
 }
 
-/// Pair up per-side parts into the escape rows: for each bridge side,
-/// combine its outbound half with the peer side's inbound mailbox.
-/// `parts` must hold every side of every bridge exactly once.
-pub(crate) fn combine_escapes(parts: &[SidePart]) -> Vec<EscapeCensus> {
-    // Sort a view by (bridge, side) so the two sides of each bridge
-    // are adjacent — pairs them in one pass instead of a quadratic
-    // scan, and emits the rows already in canonical order.
-    let mut idx: Vec<usize> = (0..parts.len()).collect();
-    idx.sort_unstable_by_key(|&i| (parts[i].bridge, parts[i].side));
-    let mut out: Vec<EscapeCensus> = Vec::with_capacity(parts.len());
-    for pair in idx.chunks(2) {
-        let [a, b] = pair else {
-            panic!("every bridge side contributes a part");
-        };
-        let (a, b) = (&parts[*a], &parts[*b]);
-        assert!(
-            a.bridge == b.bridge && a.side == 0 && b.side == 1,
-            "every bridge side contributes a part"
-        );
-        for (p, peer) in [(a, b), (b, a)] {
-            out.push(EscapeCensus {
-                bridge: p.bridge,
-                side: p.side,
-                ring: p.ring,
-                to_ring: peer.ring,
-                occupancy: p.out_occ + peer.rx_occ,
-                capacity: p.pipe_cap + p.reserved_cap,
-                progress: p.tx_pushed + peer.rx_popped,
-                min_packet: match (p.min_packet_out, peer.min_packet_rx) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                },
-                drm: p.drm,
-            });
-        }
+/// The census row of bridge side `p`: [`escape_node`]'s readings plus
+/// the rings on either end, the DRM state and the smallest resident
+/// packet id (the one reading that walks individual flits).
+pub(crate) fn escape_row(p: &BridgeSide, peer: &BridgeSide) -> EscapeCensus {
+    let node = escape_node(p, peer);
+    let min_packet =
+        p.tx.iter()
+            .map(|(_, f)| f)
+            .chain(&p.reserved)
+            .chain(peer.rx.iter().map(|(_, f)| f))
+            .map(|f| packet_of(f.token))
+            .min();
+    EscapeCensus {
+        bridge: p.bridge.index() as u16,
+        side: p.side,
+        ring: peer.peer.ring,
+        to_ring: p.peer.ring,
+        occupancy: node.occupancy,
+        capacity: node.capacity,
+        progress: node.progress,
+        min_packet,
+        drm: p.drm,
     }
-    out
 }

@@ -62,6 +62,7 @@
 //! never from those indices, and serves as the golden model for the
 //! differential tests in `tests/tick_equivalence.rs`.
 
+use crate::bridge::BridgeSide;
 use crate::census::{self, WaitCensus};
 use crate::config::NetworkConfig;
 use crate::epoch::{self, CycleLoop, EpochCell, EpochEngine};
@@ -70,14 +71,14 @@ use crate::exec::ExecMode;
 use crate::flit::{Flit, FlitClass};
 use crate::ids::{BridgeId, NodeId, RingId};
 use crate::route::RouteTable;
-use crate::shard::{EngineShared, NodeState, RingShard};
+use crate::shard::{EngineShared, NodeState, RingShard, UTIL_SAMPLE_PERIOD};
 use crate::stats::{NetStats, TickProfile};
 use crate::topology::{NodeKind, Topology};
 use noc_sim::{BandwidthProbe, Component, Cycle};
 use noc_telemetry::{
     merge_ranked, BundleEnv, BundleMeta, FlightRecorder, FlitEvent, FlowRecord, HealthConfig,
-    HealthMonitor, MetricsRegistry, NullSink, PostmortemBundle, RecorderConfig, RingWindow,
-    TraceRecord, TraceSink, WaitGraphSample, WaitStats, NO_FLIT, NO_LANE,
+    HealthMonitor, MetricsRegistry, NullSink, PostmortemBundle, RecorderConfig, RecorderView,
+    RingWindow, TraceRecord, TraceSink, WaitGraphSample, WaitNode, WaitStats, NO_FLIT, NO_LANE,
 };
 use std::sync::Arc;
 
@@ -109,8 +110,8 @@ pub enum TickMode {
 struct Observatory {
     registry: MetricsRegistry,
     monitor: HealthMonitor,
-    /// Bounded recent-history rings; `None` unless the flight recorder
-    /// was enabled.
+    /// The flight recorder's event ring and limits; `None` unless it
+    /// was enabled. Its snapshot window is the tail of `registry`.
     recorder: Option<FlightRecorder>,
     /// Watchdog-triggered bundles, capped at
     /// [`RecorderConfig::max_bundles`]. Explicit
@@ -293,9 +294,11 @@ impl<S: TraceSink> Network<S> {
 
     /// [`Network::enable_observatory`] plus the flight recorder: each
     /// shard additionally keeps a deterministic Space-Saving flow table
-    /// and per-link utilization row, snapshots and (when a tracing sink
-    /// is attached) trace events are retained in the recorder's bounded
-    /// rings, and any watchdog latching a new verdict captures a
+    /// and per-link utilization row, the last
+    /// [`RecorderConfig::snapshot_window`] snapshots of the (new)
+    /// registry form the recorder's history, (when a tracing sink is
+    /// attached) trace events are retained in its bounded event ring,
+    /// and any watchdog latching a new verdict captures a
     /// [`PostmortemBundle`] — up to [`RecorderConfig::max_bundles`],
     /// readable via [`Network::bundles`].
     ///
@@ -316,9 +319,11 @@ impl<S: TraceSink> Network<S> {
             Some(FlightRecorder::new(recorder));
     }
 
-    /// The flight recorder, if enabled.
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.observatory.as_ref().and_then(|o| o.recorder.as_ref())
+    /// The flight recorder, if enabled: its limits, its event ring and
+    /// its snapshot window (the tail of [`Network::metrics`]).
+    pub fn recorder(&self) -> Option<RecorderView<'_>> {
+        let obs = self.observatory.as_ref()?;
+        Some(obs.recorder.as_ref()?.view(&obs.registry))
     }
 
     /// Watchdog-triggered postmortem bundles captured so far, in
@@ -370,7 +375,7 @@ impl<S: TraceSink> Network<S> {
     /// observatory is enabled.
     fn capture_bundle(&self, reason: &str, cycle: u64) -> PostmortemBundle {
         let obs = self.observatory.as_ref().expect("caller checked");
-        let rec = obs.recorder.as_ref();
+        let rec = self.recorder();
         let flow_top_k = rec.map_or(0, |r| r.config().flow_top_k);
         PostmortemBundle {
             meta: BundleMeta {
@@ -378,8 +383,8 @@ impl<S: TraceSink> Network<S> {
                 cycle,
                 stations: self.shards.iter().map(|s| s.ring.stations).collect(),
                 flow_top_k,
-                snapshots_seen: rec.map_or(0, FlightRecorder::snapshots_seen),
-                events_seen: rec.map_or(0, FlightRecorder::events_seen),
+                snapshots_seen: rec.map_or(0, |r| r.snapshots_seen()),
+                events_seen: rec.map_or(0, |r| r.events_seen()),
                 config: serde_json::to_value(&self.shared.cfg),
             },
             env: BundleEnv {
@@ -389,7 +394,7 @@ impl<S: TraceSink> Network<S> {
             verdicts: obs.monitor.verdicts().to_vec(),
             flows: self.flow_top(flow_top_k),
             links: self.link_cells(),
-            snapshots: rec.map_or_else(Vec::new, |r| r.snapshots().cloned().collect()),
+            snapshots: rec.map_or_else(Vec::new, |r| r.snapshots().as_slice().to_vec()),
             events: rec.map_or_else(Vec::new, |r| r.events().copied().collect()),
             // The network has no transaction layer; TxnFabric attaches
             // its tail exemplars and wedge reports when it re-dumps a
@@ -442,33 +447,48 @@ impl<S: TraceSink> Network<S> {
     /// ticks, iterating in ascending ring/side order — byte-identical
     /// across execution modes, tick modes and epoch lengths.
     pub fn wait_census(&self) -> WaitCensus {
-        self.census_with(true)
-    }
-
-    /// [`Network::wait_census`] without the per-flit walks: occupancy,
-    /// capacity and progress for every ring and escape resource, but no
-    /// transit demand, packet placement or min-packet holders. This is
-    /// the stall-forensics fast path — cheap enough to run at every
-    /// observatory boundary; the full census is only taken when a
-    /// freeze streak warrants edge construction.
-    pub fn wait_census_light(&self) -> WaitCensus {
-        self.census_with(false)
-    }
-
-    fn census_with(&self, full: bool) -> WaitCensus {
         let mut out = WaitCensus {
             cycle: self.now.raw(),
             rings: Vec::with_capacity(self.shards.len()),
-            escapes: Vec::new(),
+            escapes: Vec::with_capacity(2 * self.shared.side_loc.len()),
             packet_where: Vec::new(),
         };
-        let mut parts = Vec::new();
         for shard in &self.shards {
-            parts.extend(shard.wait_census_part(&self.shared, &mut out, full));
+            shard.wait_census_part(&self.shared, &mut out);
         }
-        out.escapes = census::combine_escapes(&parts);
+        for [a, b] in self.bridge_sides() {
+            out.escapes.push(census::escape_row(a, b));
+            out.escapes.push(census::escape_row(b, a));
+        }
         out.seal();
         out
+    }
+
+    /// The stall-forensics fast path: append one [`WaitNode`] per ring,
+    /// then one per bridge escape resource, in ascending [`ResourceId`]
+    /// order — the occupancy, capacity and progress
+    /// [`Network::wait_census`] reports for the same resources, without
+    /// its per-flit walks and without building a census. Cheap enough
+    /// to run at every observatory boundary; the full census is only
+    /// taken when a freeze streak warrants edge construction.
+    ///
+    /// [`ResourceId`]: noc_telemetry::ResourceId
+    pub fn push_wait_nodes(&self, nodes: &mut Vec<WaitNode>) {
+        nodes.extend(self.shards.iter().map(RingShard::ring_node));
+        for [a, b] in self.bridge_sides() {
+            nodes.push(census::escape_node(a, b));
+            nodes.push(census::escape_node(b, a));
+        }
+    }
+
+    /// Both sides of every bridge, side a first, in ascending bridge id
+    /// — the canonical (bridge, side) order, straight from the fixed
+    /// pairing of bridge sides.
+    fn bridge_sides(&self) -> impl Iterator<Item = [&BridgeSide; 2]> {
+        self.shared
+            .side_loc
+            .iter()
+            .map(|locs| locs.map(|l| &self.shards[l.ring as usize].sides[l.idx as usize]))
     }
 
     /// Feed one wait-graph sample from the stall-forensics detector to
@@ -560,8 +580,7 @@ impl<S: TraceSink> Network<S> {
         let snap = obs.registry.commit(cycle, window, in_flight, rings);
         let new_verdicts = obs.monitor.observe(snap);
         let mut capture_reason = None;
-        if let Some(rec) = obs.recorder.as_mut() {
-            rec.record_snapshot(snap.clone());
+        if let Some(rec) = &obs.recorder {
             // A newly latched verdict triggers a capture, up to the
             // configured bundle cap.
             if new_verdicts > 0 && obs.bundles.len() < rec.config().max_bundles {
@@ -992,7 +1011,8 @@ impl<S: TraceSink> Network<S> {
     /// cycle, commit that cycle's staged metrics sample (if any), feed
     /// that cycle's trace records to the recorder and sink in ring
     /// order, then emit its staged ring-utilization samples. Allocates
-    /// nothing.
+    /// nothing; a one-cycle epoch walks the shards once (plus once more
+    /// at each [`UTIL_SAMPLE_PERIOD`] boundary).
     fn epoch_epilogue(&mut self, first: u64, last: u64) {
         let window = self.observatory.as_ref().map(|o| o.registry.period());
         for t in first..=last {
@@ -1006,19 +1026,12 @@ impl<S: TraceSink> Network<S> {
                 }
             }
             if S::ENABLED {
-                self.feed_traces_for_cycle(t);
-                self.emit_staged_util(t);
-            }
-        }
-        if S::ENABLED {
-            for shard in &mut self.shards {
-                debug_assert_eq!(
-                    shard.trace_fed,
-                    shard.trace.len(),
-                    "epoch epilogue consumed every staged record"
-                );
-                shard.trace.drain_into(&mut NullSink);
-                shard.trace_fed = 0;
+                self.feed_traces_for_cycle(t, t == last);
+                // Shards stage utilization samples only at these
+                // boundaries, so no other cycle has any to emit.
+                if t.is_multiple_of(UTIL_SAMPLE_PERIOD) {
+                    self.emit_staged_util(t);
+                }
             }
         }
     }
@@ -1027,24 +1040,40 @@ impl<S: TraceSink> Network<S> {
     /// sink, in ring order — the deterministic merge that makes the
     /// event stream independent of execution mode. Records within a
     /// shard's buffer are non-decreasing in cycle, so one pass per
-    /// cycle consumes each buffer exactly once.
-    fn feed_traces_for_cycle(&mut self, t: u64) {
+    /// cycle consumes each buffer exactly once; on the epoch's `last`
+    /// cycle everything left is that cycle's, and the buffer is emptied
+    /// in the same pass.
+    fn feed_traces_for_cycle(&mut self, t: u64, last: bool) {
         let mut recorder = self.observatory.as_mut().and_then(|o| o.recorder.as_mut());
         for shard in &mut self.shards {
-            let records = shard.trace.records();
-            while let Some(&record) = records.get(shard.trace_fed).filter(|r| r.cycle == t) {
+            let pending = &shard.trace.records()[shard.trace_fed..];
+            let n = if last {
+                pending.len()
+            } else {
+                pending.partition_point(|r| r.cycle == t)
+            };
+            let batch = &pending[..n];
+            debug_assert!(
+                batch.iter().all(|r| r.cycle == t),
+                "the epoch epilogue consumes every staged record at its own cycle"
+            );
+            if n > 0 {
                 if let Some(rec) = recorder.as_deref_mut() {
-                    rec.record_event(record);
+                    rec.record_events(batch);
                 }
-                self.sink.emit(record);
-                shard.trace_fed += 1;
+                self.sink.emit_all(batch);
+            }
+            if last {
+                shard.trace.clear();
+                shard.trace_fed = 0;
+            } else {
+                shard.trace_fed += n;
             }
         }
     }
 
     /// Emit the [`FlitEvent::RingUtil`] samples shards staged for cycle
-    /// `t` (at [`crate::shard::UTIL_SAMPLE_PERIOD`] boundaries), in
-    /// ring order.
+    /// `t` (at [`UTIL_SAMPLE_PERIOD`] boundaries), in ring order.
     fn emit_staged_util(&mut self, t: u64) {
         for si in 0..self.shards.len() {
             while let Some(&(cycle, occupied, capacity)) = self.shards[si].pending_util.front() {

@@ -33,7 +33,7 @@
 
 use crate::bits::{word_ones, BitRing};
 use crate::bridge::BridgeSide;
-use crate::census::{self, PacketPlace, RingCensus, SidePart, TransitCensus, WaitCensus};
+use crate::census::{self, PacketPlace, RingCensus, TransitCensus, WaitCensus};
 use crate::config::NetworkConfig;
 use crate::flit::Flit;
 use crate::ids::{NodeId, RingId};
@@ -45,8 +45,8 @@ use crate::stats::{NetStats, TickProfile};
 use crate::topology::{NodeKind, Topology};
 use noc_sim::{BandwidthProbe, Cycle};
 use noc_telemetry::{
-    BridgeGauges, FlitEvent, FlowDelta, FlowTable, RingGauges, RingWindow, TraceBuffer,
-    TraceRecord, WindowCounters, NO_FLIT, NO_LANE,
+    BridgeGauges, FlitEvent, FlowDelta, FlowTable, ResourceId, RingGauges, RingWindow, TraceBuffer,
+    TraceRecord, WaitNode, WindowCounters, NO_FLIT, NO_LANE,
 };
 use std::collections::VecDeque;
 
@@ -1581,25 +1581,32 @@ impl RingShard {
         });
     }
 
+    /// This ring's slot pool as a wait-graph node: occupancy, capacity
+    /// and monotone progress (injections + deliveries + bridge
+    /// crossings), all O(1) reads of owner-held state.
+    pub(crate) fn ring_node(&self) -> WaitNode {
+        WaitNode {
+            id: ResourceId::Ring {
+                ring: self.ring.id.0,
+            },
+            occupancy: self.ring.occupancy() as u64,
+            capacity: self.ring.capacity() as u64,
+            progress: self.stats.injected.get()
+                + self.stats.delivered.get()
+                + self.stats.bridge_crossings.get(),
+        }
+    }
+
     /// Contribute this ring's rows to a wait census (see
-    /// [`crate::census`]): the ring's slot-pool node with its monotone
-    /// progress counter, per-bridge-side transit demand (who on this
-    /// ring wants to cross where), raw per-side escape readings for the
-    /// engine to pair up across shards, and the placement of every
+    /// [`crate::census`]): the ring's slot-pool readings
+    /// ([`RingShard::ring_node`]), per-bridge-side transit demand (who
+    /// on this ring wants to cross where) and the placement of every
     /// resident flit's packet. Runs between ticks on owner-held state;
     /// iteration is in lane/station/side order, so the contribution is
-    /// deterministic across execution modes.
-    ///
-    /// `full = false` skips everything that walks individual flits —
-    /// transit demand, packet placement, min-packet holders — leaving
-    /// only the O(1)-per-resource occupancy and progress readings the
-    /// stall-forensics fast path needs.
-    pub(crate) fn wait_census_part(
-        &self,
-        shared: &EngineShared,
-        census: &mut WaitCensus,
-        full: bool,
-    ) -> Vec<SidePart> {
+    /// deterministic across execution modes. The escape rows are the
+    /// engine's to build: each pairs two sides that live in different
+    /// shards.
+    pub(crate) fn wait_census_part(&self, shared: &EngineShared, census: &mut WaitCensus) {
         let ring_id = self.ring.id.0;
         // Transit demand: flits resident on the lanes whose route exits
         // over a bridge, accumulated per (bridge, side).
@@ -1619,112 +1626,58 @@ impl RingShard {
                 min_packet: packet,
             }),
         };
-        if full {
-            for lane in &self.ring.lanes {
-                for flit in lane.flits() {
-                    let packet = census::packet_of(flit.token);
-                    census
-                        .packet_where
-                        .push((packet, PacketPlace::Ring { ring: ring_id }));
-                    if let Some(hop) = shared.route.exit(self.ring.id, flit.dst) {
-                        if let NodeKind::BridgeEndpoint { bridge, side } =
-                            shared.topo.nodes()[hop.target.index()].kind
-                        {
-                            note_transit(bridge.index() as u16, side, packet);
-                        }
+        for lane in &self.ring.lanes {
+            for flit in lane.flits() {
+                let packet = census::packet_of(flit.token);
+                census
+                    .packet_where
+                    .push((packet, PacketPlace::Ring { ring: ring_id }));
+                if let Some(hop) = shared.route.exit(self.ring.id, flit.dst) {
+                    if let NodeKind::BridgeEndpoint { bridge, side } =
+                        shared.topo.nodes()[hop.target.index()].kind
+                    {
+                        note_transit(bridge.index() as u16, side, packet);
                     }
-                }
-            }
-            // Flits queued to inject are pinned to this ring's slot pool
-            // exactly like resident flits — they only matter for packet
-            // placement, not occupancy (they hold no slot yet).
-            for node in &self.nodes {
-                for flit in node.inject.iter() {
-                    census.packet_where.push((
-                        census::packet_of(flit.token),
-                        PacketPlace::Ring { ring: ring_id },
-                    ));
                 }
             }
         }
+        // Flits queued to inject are pinned to this ring's slot pool
+        // exactly like resident flits — they only matter for packet
+        // placement, not occupancy (they hold no slot yet).
+        for node in &self.nodes {
+            for flit in node.inject.iter() {
+                census.packet_where.push((
+                    census::packet_of(flit.token),
+                    PacketPlace::Ring { ring: ring_id },
+                ));
+            }
+        }
+        for side in &self.sides {
+            let bridge = side.bridge.index() as u16;
+            let escape = |side| PacketPlace::Escape { bridge, side };
+            let outbound = side.tx.iter().map(|(_, f)| f).chain(&side.reserved);
+            for f in outbound {
+                census
+                    .packet_where
+                    .push((census::packet_of(f.token), escape(side.side)));
+            }
+            // Inbound flits belong to the *peer's* escape resource: they
+            // are its pipe contents in flight toward us.
+            for (_, f) in &side.rx {
+                census
+                    .packet_where
+                    .push((census::packet_of(f.token), escape(1 - side.side)));
+            }
+        }
         transit.sort_unstable_by_key(|t| (t.bridge, t.side));
+        let node = self.ring_node();
         census.rings.push(RingCensus {
             ring: ring_id,
-            occupancy: self.ring.occupancy() as u64,
-            capacity: self.ring.capacity() as u64,
-            progress: self.stats.injected.get()
-                + self.stats.delivered.get()
-                + self.stats.bridge_crossings.get(),
+            occupancy: node.occupancy,
+            capacity: node.capacity,
+            progress: node.progress,
             transit,
         });
-
-        // Raw per-side readings; the engine pairs side A's outbound
-        // half with side B's inbound mailbox to form each escape row.
-        self.sides
-            .iter()
-            .map(|side| {
-                let bridge = side.bridge.index() as u16;
-                let mut min_out = None;
-                let mut min_rx = None;
-                if full {
-                    min_out = side
-                        .tx
-                        .iter()
-                        .map(|(_, f)| census::packet_of(f.token))
-                        .chain(side.reserved.iter().map(|f| census::packet_of(f.token)))
-                        .min();
-                    min_rx = side
-                        .rx
-                        .iter()
-                        .map(|(_, f)| census::packet_of(f.token))
-                        .min();
-                    for (_, f) in &side.tx {
-                        census.packet_where.push((
-                            census::packet_of(f.token),
-                            PacketPlace::Escape {
-                                bridge,
-                                side: side.side,
-                            },
-                        ));
-                    }
-                    for f in &side.reserved {
-                        census.packet_where.push((
-                            census::packet_of(f.token),
-                            PacketPlace::Escape {
-                                bridge,
-                                side: side.side,
-                            },
-                        ));
-                    }
-                    // Inbound flits belong to the *peer's* escape
-                    // resource: they are its pipe contents in flight
-                    // toward us.
-                    for (_, f) in &side.rx {
-                        census.packet_where.push((
-                            census::packet_of(f.token),
-                            PacketPlace::Escape {
-                                bridge,
-                                side: 1 - side.side,
-                            },
-                        ));
-                    }
-                }
-                SidePart {
-                    bridge,
-                    side: side.side,
-                    ring: ring_id,
-                    out_occ: (side.tx.len() + side.reserved.len()) as u64,
-                    rx_occ: side.rx.len() as u64,
-                    min_packet_out: min_out,
-                    min_packet_rx: min_rx,
-                    tx_pushed: side.tx_pushed,
-                    rx_popped: side.rx_popped,
-                    pipe_cap: side.cfg.buffer_cap as u64,
-                    reserved_cap: side.cfg.reserved_cap as u64,
-                    drm: side.drm,
-                }
-            })
-            .collect()
     }
 
     /// Flits physically inside this shard (queues, slots, mailboxes,

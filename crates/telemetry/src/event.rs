@@ -113,6 +113,28 @@ pub enum FlitEvent {
     },
 }
 
+impl FlitEvent {
+    /// This kind's position in declaration order — also the position
+    /// of its counter in [`EventCounts::counters_mut`].
+    fn kind_index(&self) -> usize {
+        match self {
+            FlitEvent::Enqueued { .. } => 0,
+            FlitEvent::Injected { .. } => 1,
+            FlitEvent::InjectLost { .. } => 2,
+            FlitEvent::ITagSet { .. } => 3,
+            FlitEvent::ITagClaimed { .. } => 4,
+            FlitEvent::Deflected { .. } => 5,
+            FlitEvent::ETagReserved { .. } => 6,
+            FlitEvent::BridgeEnqueued { .. } => 7,
+            FlitEvent::BridgeStalled { .. } => 8,
+            FlitEvent::SwapTriggered { .. } => 9,
+            FlitEvent::Ejected { .. } => 10,
+            FlitEvent::Delivered { .. } => 11,
+            FlitEvent::RingUtil { .. } => 12,
+        }
+    }
+}
+
 /// One emitted event, stamped with when and where it happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceRecord {
@@ -167,21 +189,40 @@ impl EventCounts {
     /// Bump the counter for `event`'s kind.
     #[inline]
     pub fn record(&mut self, event: &FlitEvent) {
-        match event {
-            FlitEvent::Enqueued { .. } => self.enqueued += 1,
-            FlitEvent::Injected { .. } => self.injected += 1,
-            FlitEvent::InjectLost { .. } => self.inject_lost += 1,
-            FlitEvent::ITagSet { .. } => self.itag_set += 1,
-            FlitEvent::ITagClaimed { .. } => self.itag_claimed += 1,
-            FlitEvent::Deflected { .. } => self.deflected += 1,
-            FlitEvent::ETagReserved { .. } => self.etag_reserved += 1,
-            FlitEvent::BridgeEnqueued { .. } => self.bridge_enqueued += 1,
-            FlitEvent::BridgeStalled { .. } => self.bridge_stalled += 1,
-            FlitEvent::SwapTriggered { .. } => self.swap_triggered += 1,
-            FlitEvent::Ejected { .. } => self.ejected += 1,
-            FlitEvent::Delivered { .. } => self.delivered += 1,
-            FlitEvent::RingUtil { .. } => self.ring_util += 1,
+        self.record_all([event]);
+    }
+
+    /// Bump the counter for each event's kind. An indexed add rather
+    /// than a `match` that bumps one field: the `match` compiles to an
+    /// indirect jump, which a trace stream's mix of kinds mispredicts.
+    /// The counter array is taken once per call, so a run of events
+    /// costs one add each.
+    #[inline]
+    pub(crate) fn record_all<'a>(&mut self, events: impl IntoIterator<Item = &'a FlitEvent>) {
+        let counters = self.counters_mut();
+        for event in events {
+            *counters[event.kind_index()] += 1;
         }
+    }
+
+    /// Every counter, in [`FlitEvent`] declaration order, so
+    /// [`FlitEvent::kind_index`] indexes it.
+    fn counters_mut(&mut self) -> [&mut u64; 13] {
+        [
+            &mut self.enqueued,
+            &mut self.injected,
+            &mut self.inject_lost,
+            &mut self.itag_set,
+            &mut self.itag_claimed,
+            &mut self.deflected,
+            &mut self.etag_reserved,
+            &mut self.bridge_enqueued,
+            &mut self.bridge_stalled,
+            &mut self.swap_triggered,
+            &mut self.ejected,
+            &mut self.delivered,
+            &mut self.ring_util,
+        ]
     }
 
     /// Total events recorded across all kinds.
@@ -220,6 +261,51 @@ mod tests {
         assert_eq!(c.deflected, 2);
         assert_eq!(c.ring_util, 1);
         assert_eq!(c.total(), 4);
+    }
+
+    #[test]
+    fn every_kind_bumps_its_own_counter() {
+        let kinds = [
+            FlitEvent::Enqueued { node: 0, class: 0 },
+            FlitEvent::Injected { node: 0 },
+            FlitEvent::InjectLost { node: 0 },
+            FlitEvent::ITagSet { node: 0 },
+            FlitEvent::ITagClaimed { node: 0 },
+            FlitEvent::Deflected { target: 0 },
+            FlitEvent::ETagReserved { target: 0 },
+            FlitEvent::BridgeEnqueued { bridge: 0 },
+            FlitEvent::BridgeStalled { bridge: 0 },
+            FlitEvent::SwapTriggered { node: 0 },
+            FlitEvent::Ejected { node: 0 },
+            FlitEvent::Delivered { node: 0, class: 0 },
+            FlitEvent::RingUtil {
+                occupied: 0,
+                capacity: 0,
+            },
+        ];
+        for (n, kind) in kinds.iter().enumerate() {
+            let mut c = EventCounts::default();
+            c.record(kind);
+            // Read by field name, not through `counters_mut`, so a
+            // counter out of order in that array shows here.
+            let got = [
+                c.enqueued,
+                c.injected,
+                c.inject_lost,
+                c.itag_set,
+                c.itag_claimed,
+                c.deflected,
+                c.etag_reserved,
+                c.bridge_enqueued,
+                c.bridge_stalled,
+                c.swap_triggered,
+                c.ejected,
+                c.delivered,
+                c.ring_util,
+            ];
+            let want: Vec<u64> = (0..kinds.len()).map(|i| u64::from(i == n)).collect();
+            assert_eq!(got.to_vec(), want, "{kind:?}");
+        }
     }
 
     #[test]

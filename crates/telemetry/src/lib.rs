@@ -56,12 +56,12 @@
 //! keeps a deterministic Space-Saving [`FlowTable`] of its heaviest
 //! (src, dst) flows — delivered flits, cumulative latency, deflections,
 //! extra E-tag laps, I-tag wait cycles — plus a per-link utilization
-//! row. A bounded [`FlightRecorder`] retains the last R snapshots and
-//! last T trace events, and when a watchdog latches (or on an explicit
-//! dump) the engine freezes everything into a [`PostmortemBundle`]:
-//! recent history, flow top-K, link heat, fired rules, and the config +
-//! seed + execution mode needed for deterministic replay, serialized as
-//! kind-tagged JSONL.
+//! row. A bounded [`FlightRecorder`] exposes the last R snapshots of the
+//! registry and retains the last T trace events, and when a watchdog
+//! latches (or on an explicit dump) the engine freezes everything into
+//! a [`PostmortemBundle`]: recent history, flow top-K, link heat, fired
+//! rules, and the config + seed + execution mode needed for
+//! deterministic replay, serialized as kind-tagged JSONL.
 //!
 //! # Example
 //!
@@ -86,6 +86,7 @@ pub mod event;
 pub mod export;
 pub mod flowstats;
 pub mod health;
+mod last_n;
 pub mod metrics;
 pub mod postmortem;
 pub mod recorder;
@@ -111,7 +112,7 @@ pub use metrics::{
     BridgeGauges, MetricsRegistry, MetricsSnapshot, RingGauges, RingWindow, WindowCounters,
 };
 pub use postmortem::{link_heat_ascii, BundleEnv, BundleMeta, PostmortemBundle};
-pub use recorder::{FlightRecorder, RecorderConfig};
+pub use recorder::{FlightRecorder, RecorderConfig, RecorderView};
 pub use sink::{JsonlSink, NullSink, RingBufferSink, TraceBuffer, TraceSink};
 pub use spans::{
     span_trees_jsonl, FlitSpan, NullSpanSink, PacketSpan, SpanCollector, SpanRole, SpanSink,

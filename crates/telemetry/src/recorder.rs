@@ -1,12 +1,19 @@
 //! The flight recorder: bounded retention of the recent past.
 //!
-//! A [`FlightRecorder`] keeps two fixed-size rings — the last R
-//! committed [`MetricsSnapshot`]s and the last T flit-lifecycle
-//! [`TraceRecord`]s — so that when a health watchdog latches, the
-//! postmortem bundle can include what the network looked like in the
-//! windows *leading up to* the verdict, not just at the moment of it.
-//! Memory is bounded by construction; a recorder attached to a
-//! year-long run costs the same as one attached to a test.
+//! When a health watchdog latches, the postmortem bundle should show
+//! what the network looked like in the windows *leading up to* the
+//! verdict, not just at the moment of it. The recorder keeps that
+//! history without storing anything twice:
+//!
+//! * **snapshots** — the last R committed [`MetricsSnapshot`]s are the
+//!   last R entries of the network's [`MetricsRegistry`], which the
+//!   recorder is created beside and which sees the same commit stream.
+//!   The recorder holds no copy; [`RecorderView::snapshots`] is a slice
+//!   of the registry.
+//! * **events** — the last T flit-lifecycle [`TraceRecord`]s, in one
+//!   fixed-capacity ring. Memory is bounded by construction; a
+//!   recorder attached to a year-long run costs the same as one
+//!   attached to a test.
 //!
 //! The event ring only fills when the network runs with a real
 //! [`TraceSink`](crate::TraceSink) (the engine tees the per-shard trace
@@ -15,8 +22,8 @@
 //! tee is compiled away with the rest of the telemetry path.
 
 use crate::event::TraceRecord;
-use crate::metrics::MetricsSnapshot;
-use std::collections::VecDeque;
+use crate::last_n::LastN;
+use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 
 /// Sizing for the flight recorder and the flow-attribution layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,27 +60,20 @@ impl Default for RecorderConfig {
     }
 }
 
-/// Fixed-size recent-history rings for snapshots and trace events.
+/// The recorder's own state: its limits and the trace-event ring. Read
+/// it through [`FlightRecorder::view`], which adds the snapshot window.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     cfg: RecorderConfig,
-    snapshots: VecDeque<MetricsSnapshot>,
-    events: VecDeque<TraceRecord>,
-    /// Totals pushed (not retained) — tells a bundle reader how much
-    /// history scrolled past the window.
-    snapshots_seen: u64,
-    events_seen: u64,
+    events: LastN<TraceRecord>,
 }
 
 impl FlightRecorder {
     /// A recorder with the given retention limits.
     pub fn new(cfg: RecorderConfig) -> Self {
         FlightRecorder {
-            snapshots: VecDeque::with_capacity(cfg.snapshot_window.min(1024)),
-            events: VecDeque::with_capacity(cfg.event_window.min(4096)),
+            events: LastN::new(cfg.event_window),
             cfg,
-            snapshots_seen: 0,
-            events_seen: 0,
         }
     }
 
@@ -82,48 +82,58 @@ impl FlightRecorder {
         &self.cfg
     }
 
-    /// Retain a committed snapshot, evicting the oldest past R.
-    pub fn record_snapshot(&mut self, snap: MetricsSnapshot) {
-        self.snapshots_seen += 1;
-        if self.cfg.snapshot_window == 0 {
-            return;
-        }
-        if self.snapshots.len() == self.cfg.snapshot_window {
-            self.snapshots.pop_front();
-        }
-        self.snapshots.push_back(snap);
+    /// Retain trace events in order, evicting the oldest past T.
+    #[inline]
+    pub fn record_events(&mut self, records: &[TraceRecord]) {
+        self.events.extend_from_slice(records);
     }
 
-    /// Retain a trace event, evicting the oldest past T.
-    pub fn record_event(&mut self, record: TraceRecord) {
-        self.events_seen += 1;
-        if self.cfg.event_window == 0 {
-            return;
+    /// The recorder as a reader sees it, with its snapshot window taken
+    /// from `registry` — the registry created beside it.
+    pub fn view<'a>(&'a self, registry: &'a MetricsRegistry) -> RecorderView<'a> {
+        RecorderView {
+            recorder: self,
+            registry,
         }
-        if self.events.len() == self.cfg.event_window {
-            self.events.pop_front();
-        }
-        self.events.push_back(record);
+    }
+}
+
+/// A read-only view of a [`FlightRecorder`] together with the registry
+/// its snapshot window lives in.
+#[derive(Debug, Clone, Copy)]
+pub struct RecorderView<'a> {
+    recorder: &'a FlightRecorder,
+    registry: &'a MetricsRegistry,
+}
+
+impl<'a> RecorderView<'a> {
+    /// The retention limits in effect.
+    pub fn config(&self) -> &'a RecorderConfig {
+        &self.recorder.cfg
     }
 
-    /// Retained snapshots, oldest first.
-    pub fn snapshots(&self) -> impl Iterator<Item = &MetricsSnapshot> {
-        self.snapshots.iter()
+    /// Retained snapshots, oldest first: the last
+    /// [`RecorderConfig::snapshot_window`] the registry committed.
+    pub fn snapshots(&self) -> std::slice::Iter<'a, MetricsSnapshot> {
+        let all = self.registry.snapshots();
+        let window = self.recorder.cfg.snapshot_window.min(all.len());
+        all[all.len() - window..].iter()
     }
 
     /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.events.iter()
+    pub fn events(&self) -> impl DoubleEndedIterator<Item = &'a TraceRecord> {
+        self.recorder.events.iter()
     }
 
-    /// Snapshots ever pushed (retained or scrolled off).
+    /// Snapshots ever committed while the recorder was on (retained or
+    /// scrolled off).
     pub fn snapshots_seen(&self) -> u64 {
-        self.snapshots_seen
+        self.registry.len() as u64
     }
 
-    /// Events ever pushed (retained or scrolled off).
+    /// Events ever recorded (retained or scrolled off).
     pub fn events_seen(&self) -> u64 {
-        self.events_seen
+        self.recorder.events.len() as u64 + self.recorder.events.dropped()
     }
 }
 
@@ -131,14 +141,7 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::event::{FlitEvent, NO_LANE};
-
-    fn snap(seq: u64) -> MetricsSnapshot {
-        MetricsSnapshot {
-            seq,
-            cycle: seq * 32,
-            ..MetricsSnapshot::default()
-        }
-    }
+    use crate::metrics::RingWindow;
 
     fn event(cycle: u64) -> TraceRecord {
         TraceRecord {
@@ -151,6 +154,12 @@ mod tests {
         }
     }
 
+    fn commit(reg: &mut MetricsRegistry, n: u64) {
+        for i in 0..n {
+            reg.commit((i + 1) * 32, 32, 0, vec![RingWindow::default()]);
+        }
+    }
+
     #[test]
     fn rings_retain_the_most_recent() {
         let mut r = FlightRecorder::new(RecorderConfig {
@@ -158,16 +167,17 @@ mod tests {
             event_window: 2,
             ..RecorderConfig::default()
         });
-        for i in 0..10 {
-            r.record_snapshot(snap(i));
-            r.record_event(event(i));
-        }
-        let seqs: Vec<u64> = r.snapshots().map(|s| s.seq).collect();
+        let mut reg = MetricsRegistry::new(32);
+        commit(&mut reg, 10);
+        let events: Vec<TraceRecord> = (0..10).map(event).collect();
+        r.record_events(&events);
+        let v = r.view(&reg);
+        let seqs: Vec<u64> = v.snapshots().map(|s| s.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9]);
-        let cycles: Vec<u64> = r.events().map(|e| e.cycle).collect();
+        let cycles: Vec<u64> = v.events().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![8, 9]);
-        assert_eq!(r.snapshots_seen(), 10);
-        assert_eq!(r.events_seen(), 10);
+        assert_eq!(v.snapshots_seen(), 10);
+        assert_eq!(v.events_seen(), 10);
     }
 
     #[test]
@@ -177,10 +187,23 @@ mod tests {
             event_window: 0,
             ..RecorderConfig::default()
         });
-        r.record_snapshot(snap(0));
-        r.record_event(event(0));
-        assert_eq!(r.snapshots().count(), 0);
-        assert_eq!(r.events().count(), 0);
-        assert_eq!(r.snapshots_seen(), 1);
+        let mut reg = MetricsRegistry::new(32);
+        commit(&mut reg, 1);
+        r.record_events(&[event(0)]);
+        let v = r.view(&reg);
+        assert_eq!(v.snapshots().count(), 0);
+        assert_eq!(v.events().count(), 0);
+        assert_eq!(v.snapshots_seen(), 1);
+        assert_eq!(v.events_seen(), 1);
+    }
+
+    #[test]
+    fn a_window_longer_than_the_series_shows_all_of_it() {
+        let r = FlightRecorder::new(RecorderConfig::default());
+        let mut reg = MetricsRegistry::new(32);
+        assert_eq!(r.view(&reg).snapshots().count(), 0);
+        commit(&mut reg, 5);
+        let seqs: Vec<u64> = r.view(&reg).snapshots().map(|s| s.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
     }
 }

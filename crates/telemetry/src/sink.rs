@@ -15,7 +15,7 @@
 //! loop is bit-identical to one compiled without telemetry.
 
 use crate::event::{EventCounts, TraceRecord};
-use std::collections::VecDeque;
+use crate::last_n::LastN;
 use std::io;
 
 /// Destination for engine trace records.
@@ -26,6 +26,14 @@ pub trait TraceSink {
 
     /// Accept one record.
     fn emit(&mut self, record: TraceRecord);
+
+    /// Accept a run of records, in order — what the engine hands over
+    /// per ring and cycle. Default: one [`TraceSink::emit`] each.
+    fn emit_all(&mut self, records: &[TraceRecord]) {
+        for &record in records {
+            self.emit(record);
+        }
+    }
 
     /// Flush buffered output (end of run). Default: nothing.
     fn flush(&mut self) {}
@@ -44,7 +52,7 @@ pub trait TraceSink {
 /// # Example
 ///
 /// ```
-/// use noc_telemetry::{FlitEvent, RingBufferSink, TraceBuffer, TraceRecord, NO_LANE};
+/// use noc_telemetry::{FlitEvent, RingBufferSink, TraceBuffer, TraceRecord, TraceSink, NO_LANE};
 /// let mut buf = TraceBuffer::default();
 /// buf.push(TraceRecord {
 ///     cycle: 0,
@@ -55,7 +63,10 @@ pub trait TraceSink {
 ///     event: FlitEvent::Injected { node: 9 },
 /// });
 /// let mut sink = RingBufferSink::new(16);
-/// buf.drain_into(&mut sink);
+/// for &record in buf.records() {
+///     sink.emit(record);
+/// }
+/// buf.clear();
 /// assert!(buf.is_empty());
 /// assert_eq!(sink.counts().injected, 1);
 /// ```
@@ -71,12 +82,10 @@ impl TraceBuffer {
         self.records.push(record);
     }
 
-    /// Emit all buffered records into `sink` in push order, leaving the
-    /// buffer empty (capacity retained for the next tick).
-    pub fn drain_into<S: TraceSink>(&mut self, sink: &mut S) {
-        for record in self.records.drain(..) {
-            sink.emit(record);
-        }
+    /// Discard every buffered record (capacity retained for the next
+    /// tick).
+    pub fn clear(&mut self) {
+        self.records.clear();
     }
 
     /// The buffered records in push order, without draining — lets the
@@ -132,10 +141,8 @@ impl TraceSink for NullSink {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RingBufferSink {
-    capacity: usize,
-    records: VecDeque<TraceRecord>,
+    records: LastN<TraceRecord>,
     counts: EventCounts,
-    dropped: u64,
 }
 
 impl RingBufferSink {
@@ -147,10 +154,8 @@ impl RingBufferSink {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring buffer capacity must be positive");
         RingBufferSink {
-            capacity,
-            records: VecDeque::with_capacity(capacity.min(4096)),
+            records: LastN::new(capacity),
             counts: EventCounts::default(),
-            dropped: 0,
         }
     }
 
@@ -161,7 +166,7 @@ impl RingBufferSink {
 
     /// Retained records as a contiguous vector (oldest first).
     pub fn to_vec(&self) -> Vec<TraceRecord> {
-        self.records.iter().copied().collect()
+        self.records.to_vec()
     }
 
     /// Number of retained records.
@@ -176,7 +181,7 @@ impl RingBufferSink {
 
     /// Records evicted to stay within capacity.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.records.dropped()
     }
 
     /// Never-dropping per-kind totals.
@@ -191,13 +196,16 @@ impl RingBufferSink {
 }
 
 impl TraceSink for RingBufferSink {
+    #[inline]
     fn emit(&mut self, record: TraceRecord) {
         self.counts.record(&record.event);
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(record);
+        self.records.push(record);
+    }
+
+    #[inline]
+    fn emit_all(&mut self, records: &[TraceRecord]) {
+        self.counts.record_all(records.iter().map(|r| &r.event));
+        self.records.extend_from_slice(records);
     }
 }
 

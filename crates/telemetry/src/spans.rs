@@ -33,8 +33,8 @@
 //! tick modes, and each epoch K is its own deterministic schedule
 //! (PR 8 convention).
 
+use crate::last_n::LastN;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Human-readable names for [`TxnSpanTree::op`], in index order.
 /// The transaction layer maps its `TxnKind` onto these indices so the
@@ -313,11 +313,8 @@ impl TailExemplars {
 /// stays exact even after the recent buffer wraps.
 #[derive(Debug, Clone)]
 pub struct SpanCollector {
-    capacity: usize,
-    recent: VecDeque<TxnSpanTree>,
+    recent: LastN<TxnSpanTree>,
     exemplars: TailExemplars,
-    recorded: u64,
-    dropped: u64,
 }
 
 impl SpanCollector {
@@ -330,11 +327,8 @@ impl SpanCollector {
     pub fn new(capacity: usize, k: usize) -> Self {
         assert!(capacity > 0, "span collector capacity must be positive");
         SpanCollector {
-            capacity,
-            recent: VecDeque::with_capacity(capacity.min(4096)),
+            recent: LastN::new(capacity),
             exemplars: TailExemplars::new(k),
-            recorded: 0,
-            dropped: 0,
         }
     }
 
@@ -348,26 +342,22 @@ impl SpanCollector {
         &self.exemplars
     }
 
-    /// Trees recorded since creation (never drops).
+    /// Trees recorded since creation (never drops): every tree is
+    /// offered to the reservoir.
     pub fn recorded(&self) -> u64 {
-        self.recorded
+        self.exemplars.offered()
     }
 
     /// Recent trees evicted to stay within capacity.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.recent.dropped()
     }
 }
 
 impl SpanSink for SpanCollector {
     fn record(&mut self, tree: TxnSpanTree) {
-        self.recorded += 1;
         self.exemplars.offer(&tree);
-        if self.recent.len() == self.capacity {
-            self.recent.pop_front();
-            self.dropped += 1;
-        }
-        self.recent.push_back(tree);
+        self.recent.push(tree);
     }
 
     fn exemplars(&self) -> &[TxnSpanTree] {

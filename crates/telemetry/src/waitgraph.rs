@@ -59,8 +59,9 @@
 //! `Sequential/Parallel(n)` × `Fast/Reference` × epoch `K` (each `K`
 //! against its own `K`-golden, the workspace's lockstep convention).
 
+use crate::last_n::LastN;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One blocking resource. Variant order defines the canonical sort
@@ -384,7 +385,7 @@ impl Default for WaitGraphConfig {
 }
 
 /// Per-resource progress memory.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ResourceTrack {
     last_progress: u64,
     /// Consecutive samples with occupancy > 0 and no progress.
@@ -392,7 +393,7 @@ struct ResourceTrack {
     /// Cycle the current frozen streak started at.
     frozen_since: u64,
     /// Recent occupancies, oldest first, bounded by config.
-    occupancy: VecDeque<u64>,
+    occupancy: LastN<u64>,
 }
 
 /// Online wait-graph classifier: ingest one built graph per
@@ -404,7 +405,7 @@ pub struct WaitGraphTracker {
     /// Per-resource streak state, sorted by id (merged against the
     /// sorted node list in one linear pass per sample).
     tracks: Vec<(ResourceId, ResourceTrack)>,
-    samples: VecDeque<WaitGraphSample>,
+    samples: LastN<WaitGraphSample>,
     stats: Vec<WaitStats>,
     report: Option<WedgeReport>,
 }
@@ -417,7 +418,7 @@ impl WaitGraphTracker {
         WaitGraphTracker {
             cfg,
             tracks: Vec::new(),
-            samples: VecDeque::new(),
+            samples: LastN::new(cfg.max_samples),
             stats: Vec::new(),
             report: None,
         }
@@ -502,7 +503,13 @@ impl WaitGraphTracker {
                 ti += 1;
             }
             if ti >= self.tracks.len() || self.tracks[ti].0 != n.id {
-                self.tracks.insert(ti, (n.id, ResourceTrack::default()));
+                let track = ResourceTrack {
+                    last_progress: 0,
+                    frozen_streak: 0,
+                    frozen_since: 0,
+                    occupancy: LastN::new(self.cfg.history),
+                };
+                self.tracks.insert(ti, (n.id, track));
             }
             let t = &mut self.tracks[ti].1;
             if n.occupancy > 0 && n.progress == t.last_progress && !t.occupancy.is_empty() {
@@ -515,10 +522,7 @@ impl WaitGraphTracker {
                 t.frozen_since = cycle;
             }
             t.last_progress = n.progress;
-            t.occupancy.push_back(n.occupancy);
-            while t.occupancy.len() > self.cfg.history {
-                t.occupancy.pop_front();
-            }
+            t.occupancy.push(n.occupancy);
             if t.frozen_streak > 0 {
                 oldest = oldest.max(cycle.saturating_sub(t.frozen_since));
                 if t.frozen_streak >= self.cfg.freeze_windows
@@ -629,11 +633,8 @@ impl WaitGraphTracker {
 
     fn push_sample(&mut self, sample: WaitGraphSample, stats: WaitStats) -> &WaitGraphSample {
         self.stats.push(stats);
-        self.samples.push_back(sample);
-        while self.samples.len() > self.cfg.max_samples {
-            self.samples.pop_front();
-        }
-        self.samples.back().expect("just pushed")
+        self.samples.push(sample);
+        self.samples.last().expect("just pushed")
     }
 
     fn freeze_report(
@@ -690,7 +691,7 @@ impl WaitGraphTracker {
 
     /// The most recent sample.
     pub fn last(&self) -> Option<&WaitGraphSample> {
-        self.samples.back()
+        self.samples.last()
     }
 
     /// Per-sample gauge stream (never evicted; one row per ingest).

@@ -1036,54 +1036,31 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     /// Build the wait-graph's node set: one [`WaitNode`] per ring,
     /// escape buffer, window and reassembly buffer, carrying occupancy
     /// and monotone progress counters. This is the cheap per-boundary
-    /// pass — it uses the light census (no per-flit packet walks) and
-    /// its values are identical to what the full census would report,
-    /// since both read the same owner-held counters.
+    /// pass — no per-flit packet walks, no census — and its values are
+    /// identical to what the full census would report, since both read
+    /// the same owner-held counters.
     fn build_wait_nodes(&self) -> Vec<WaitNode> {
-        let census = self.net.wait_census_light();
+        let topo = self.net.topology();
+        let mut nodes: Vec<WaitNode> = Vec::with_capacity(
+            topo.rings().len() + 2 * topo.bridges().len() + 2 * self.endpoints.len(),
+        );
         // Push in [`ResourceId`] order (rings, escapes, windows,
         // reassembly; each group ascending) so no sort is needed: the
-        // census emits rings/escapes sorted, and `endpoints` ascends
+        // network emits rings/escapes sorted, and `endpoints` ascends
         // by node id.
-        let mut nodes: Vec<WaitNode> = Vec::with_capacity(
-            census.rings.len() + census.escapes.len() + 2 * self.endpoints.len(),
-        );
-        for r in &census.rings {
-            nodes.push(WaitNode {
-                id: ResourceId::Ring { ring: r.ring },
-                occupancy: r.occupancy,
-                capacity: r.capacity,
-                progress: r.progress,
-            });
-        }
-        for e in &census.escapes {
-            nodes.push(WaitNode {
-                id: ResourceId::Escape {
-                    bridge: u32::from(e.bridge),
-                    side: e.side,
-                },
-                occupancy: e.occupancy,
-                capacity: e.capacity,
-                progress: e.progress,
-            });
-        }
-        let mut rea: Vec<WaitNode> = Vec::with_capacity(self.endpoints.len());
-        for ep in &self.endpoints {
-            let id = ep.id;
-            nodes.push(WaitNode {
-                id: ResourceId::Window { node: id.0 },
-                occupancy: ep.window.occupancy() as u64,
-                capacity: ep.window.cap() as u64,
-                progress: ep.window.completions(),
-            });
-            rea.push(WaitNode {
-                id: ResourceId::Reassembly { node: id.0 },
-                occupancy: ep.reassembly.open_packets() as u64,
-                capacity: self.cfg.reassembly_slots as u64,
-                progress: ep.reassembly.accepted(),
-            });
-        }
-        nodes.extend(rea);
+        self.net.push_wait_nodes(&mut nodes);
+        nodes.extend(self.endpoints.iter().map(|ep| WaitNode {
+            id: ResourceId::Window { node: ep.id.0 },
+            occupancy: ep.window.occupancy() as u64,
+            capacity: ep.window.cap() as u64,
+            progress: ep.window.completions(),
+        }));
+        nodes.extend(self.endpoints.iter().map(|ep| WaitNode {
+            id: ResourceId::Reassembly { node: ep.id.0 },
+            occupancy: ep.reassembly.open_packets() as u64,
+            capacity: self.cfg.reassembly_slots as u64,
+            progress: ep.reassembly.accepted(),
+        }));
         debug_assert!(nodes.windows(2).all(|w| w[0].id < w[1].id), "nodes sorted");
         nodes
     }

@@ -1,0 +1,285 @@
+//! Cross-commit anchor for the telemetry planes: every exported byte of
+//! an all-planes `TxnFabric` run on the 4×4 torus, pinned as constants.
+//!
+//! The identity suites (`span_identity`, `waitgraph_identity`,
+//! `topogen_observatory`, …) compare two engines of one build against
+//! each other, so a change to how telemetry records are *stored* — ring
+//! buffers, the recorder's snapshot window, the ranking of flow tables,
+//! the census feeding the wait graph — moves every engine together and
+//! passes them. `TELEMETRY_GOLDENS` was produced at commit bb697c9,
+//! before those stores were rewritten, and may not be regenerated in a
+//! change that claims to preserve behaviour.
+//!
+//! Every plane is on: a small `RingBufferSink` (so the sink wraps), the
+//! flight recorder with short windows, the network and transaction
+//! observatories, a `SpanCollector` and wait-graph forensics. Two
+//! traffic seeds run the benchmark's mix (one at epoch K = 4); the third
+//! case runs `TxnMix::default()` with 32-flit bursts, which wedges the
+//! fabric so forensics latches and watchdog bundles are captured.
+
+use noc_core::telemetry::{
+    chrome_trace, prometheus_text, snapshots_jsonl, span_trees_jsonl, spans_chrome_trace,
+    txn_snapshots_jsonl, wait_graphs_jsonl, HealthConfig, MetricsSnapshot, PostmortemBundle,
+    RecorderConfig, RingBufferSink, SpanCollector, TxnSpanTree, WaitGraphConfig,
+};
+use noc_core::{ExecMode, GridParams, Network, NetworkConfig, NodeId, TickMode};
+use noc_sim::fuzz::TrafficPattern;
+use noc_sim::SimRng;
+use noc_txn::{TxnConfig, TxnFabric};
+use noc_workloads::{TxnMix, TxnRequest, TxnWorkload};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(FNV_OFFSET, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The benchmark's transaction mix (`TxnParams::BENCH`): no broadcasts.
+const BENCH_MIX: TxnMix = TxnMix {
+    read_frac: 0.45,
+    write_frac: 0.43,
+    atomic_frac: 0.12,
+    bcast_frac: 0.0,
+    posted_frac: 0.5,
+};
+
+/// One pinned run.
+struct Case {
+    name: &'static str,
+    seed: u64,
+    mix: TxnMix,
+    max_data_flits: u16,
+    k: u64,
+    cycles: u64,
+    /// Transactions kept in flight (closed loop).
+    outstanding: usize,
+    recorder: RecorderConfig,
+}
+
+fn cases() -> [Case; 3] {
+    let short = RecorderConfig {
+        snapshot_window: 8,
+        event_window: 300,
+        ..RecorderConfig::default()
+    };
+    [
+        Case {
+            name: "bench-mix seed 1",
+            seed: 1,
+            mix: BENCH_MIX,
+            max_data_flits: 16,
+            k: 1,
+            cycles: 3_000,
+            outstanding: 48,
+            recorder: short.clone(),
+        },
+        Case {
+            name: "bench-mix seed 2, K = 4",
+            seed: 2,
+            mix: BENCH_MIX,
+            max_data_flits: 16,
+            k: 4,
+            cycles: 3_000,
+            outstanding: 48,
+            recorder: short,
+        },
+        Case {
+            name: "default mix, 32-flit bursts (wedges)",
+            seed: 1,
+            mix: TxnMix::default(),
+            max_data_flits: 32,
+            k: 1,
+            cycles: 8_000,
+            outstanding: 200,
+            recorder: RecorderConfig::default(),
+        },
+    ]
+}
+
+/// Which export each hash covers, in [`Digest::hashes`] order.
+const PARTS: [&str; 10] = [
+    "registry snapshots_jsonl",
+    "recorder-window snapshots_jsonl",
+    "prometheus_text(last)",
+    "txn_snapshots_jsonl",
+    "chrome_trace(sink)",
+    "sink EventCounts + dropped",
+    "span_trees_jsonl",
+    "spans_chrome_trace(exemplars)",
+    "wait_graphs_jsonl",
+    "bundles comparable_jsonl",
+];
+
+#[derive(Debug, PartialEq)]
+struct Digest {
+    cycles: u64,
+    wedged: bool,
+    snapshots: usize,
+    bundles: usize,
+    sink_dropped: u64,
+    hashes: [u64; 10],
+}
+
+fn torus() -> (noc_core::Topology, Vec<NodeId>) {
+    let (topo, names) = GridParams::torus(4, 4)
+        .with_stations(16)
+        .with_devices(2)
+        .with_seed(0x7261_6a65)
+        .generate()
+        .expect("the 4x4 torus generates")
+        .compile()
+        .expect("the 4x4 torus compiles");
+    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
+    named.sort();
+    (topo, named.into_iter().map(|(_, id)| id).collect())
+}
+
+fn run(case: &Case) -> Digest {
+    let (topo, devs) = torus();
+    let mut net = Network::with_exec(
+        topo,
+        NetworkConfig::default(),
+        TickMode::Fast,
+        ExecMode::Sequential,
+        RingBufferSink::new(1_000),
+    );
+    net.enable_flight_recorder(32, HealthConfig::default(), case.recorder.clone());
+    let mut fab = TxnFabric::with_spans(
+        net,
+        TxnConfig {
+            reassembly_slots: 1,
+            max_data_flits: case.max_data_flits,
+            metrics_period: 32,
+            ..TxnConfig::default()
+        },
+        SpanCollector::new(64, 8),
+    );
+    fab.enable_forensics(WaitGraphConfig::default());
+
+    let wl = TxnWorkload::new(
+        devs,
+        case.mix,
+        TrafficPattern::Uniform,
+        64,
+        u32::from(case.max_data_flits),
+    );
+    let mut rng = SimRng::seed_from(case.seed.wrapping_mul(0x9E37_79B9));
+    let mut pending: Option<TxnRequest> = None;
+    while fab.now().raw() < case.cycles {
+        while fab.in_flight_txns() < case.outstanding {
+            let req = pending.take().unwrap_or_else(|| wl.next(&mut rng));
+            let accepted = match &req {
+                TxnRequest::Point { src, dst, op } => {
+                    fab.submit(*src, *dst, *op).expect("valid").is_some()
+                }
+                TxnRequest::Broadcast {
+                    src,
+                    targets,
+                    bytes,
+                } => fab
+                    .submit_broadcast(*src, targets, *bytes)
+                    .expect("valid")
+                    .is_some(),
+            };
+            if !accepted {
+                pending = Some(req);
+                break;
+            }
+        }
+        fab.tick_epoch(case.k).expect("k within the torus bound");
+        fab.drain_completions();
+    }
+
+    let net = fab.network();
+    let registry = net.metrics().expect("observatory on");
+    let window: Vec<MetricsSnapshot> = net
+        .recorder()
+        .expect("recorder on")
+        .snapshots()
+        .cloned()
+        .collect();
+    let sink = net.sink();
+    let trees: Vec<TxnSpanTree> = fab.span_sink().recent().cloned().collect();
+    let mut bundles: Vec<PostmortemBundle> = net.bundles().to_vec();
+    bundles.extend(fab.wedge_bundles().iter().cloned());
+    bundles.push(fab.dump_postmortem("golden: end of run").expect("on"));
+    let bundle_text: String = bundles.iter().map(|b| b.comparable_jsonl()).collect();
+    Digest {
+        cycles: fab.now().raw(),
+        wedged: fab.wedge_latched(),
+        snapshots: registry.len(),
+        bundles: bundles.len(),
+        sink_dropped: sink.dropped(),
+        hashes: [
+            fnv(&snapshots_jsonl(registry.snapshots())),
+            fnv(&snapshots_jsonl(&window)),
+            fnv(&prometheus_text(registry.last().expect("sampled"))),
+            fnv(&txn_snapshots_jsonl(fab.txn_snapshots())),
+            fnv(&chrome_trace(&sink.to_vec())),
+            fnv(&format!(
+                "{}/{}",
+                serde_json::to_string(sink.counts()).expect("counts serialize"),
+                sink.dropped()
+            )),
+            fnv(&span_trees_jsonl(&trees)),
+            fnv(&spans_chrome_trace(fab.tail_exemplars())),
+            fnv(&wait_graphs_jsonl(
+                fab.wait_tracker().expect("forensics on").samples(),
+            )),
+            fnv(&bundle_text),
+        ],
+    }
+}
+
+/// `(case, cycles, wedge latched, snapshots, bundles, sink dropped,
+/// hashes in PARTS order)`.
+type Golden = (&'static str, u64, bool, usize, usize, u64, [u64; 10]);
+
+/// Produced at bb697c9.
+#[rustfmt::skip]
+const TELEMETRY_GOLDENS: &[Golden] = &[
+    ("bench-mix seed 1", 3000, false, 93, 1, 87006, [0x8baebae84eeddb37, 0x321c2db89fa61fbf, 0x25f2a122790dd094, 0xb978c00a5ddf5478, 0x4fbd206d037f425f, 0xc691d0c578ba8c43, 0x26af2dc38cb93dad, 0xc3daa8f7c570871a, 0xcfe51c73bef77ed7, 0xd9635bf8b6404912]),
+    ("bench-mix seed 2, K = 4", 3000, false, 93, 1, 94470, [0xe38af2b11ada6217, 0xa6a953b2a4ab8ba8, 0xf942c2fc7f4b3106, 0xbbc52584434d14ec, 0x011209bada9e7f6a, 0x97c2c5ed3e3d2795, 0x9b77982061b7199a, 0x86d67b8ebd248921, 0x6c00e0dfaa9cb755, 0xb9b7267ec21c2db9]),
+    ("default mix, 32-flit bursts (wedges)", 8000, true, 250, 6, 262517, [0x64f46b17a7b45c39, 0xd0f588849b3d2534, 0x20e7aa9803a0b973, 0xc55b75492ceb248e, 0x889811af3c029341, 0x21d1b7856873cdd0, 0xabc860b7343c3c22, 0xf2cdd50d1d12a07a, 0x033d297a2b840863, 0x5dca2f2956101a4e]),
+];
+
+#[test]
+fn telemetry_exports_match_goldens_pinned_at_bb697c9() {
+    let cases = cases();
+    let got: Vec<Digest> = cases.iter().map(run).collect();
+    for (case, d) in cases.iter().zip(&got) {
+        println!(
+            "    (\"{}\", {}, {}, {}, {}, {}, [{}]),",
+            case.name,
+            d.cycles,
+            d.wedged,
+            d.snapshots,
+            d.bundles,
+            d.sink_dropped,
+            d.hashes
+                .iter()
+                .map(|h| format!("0x{h:016x}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
+    }
+    assert_eq!(TELEMETRY_GOLDENS.len(), cases.len(), "one golden per case");
+    for ((case, d), g) in cases.iter().zip(&got).zip(TELEMETRY_GOLDENS) {
+        assert_eq!(case.name, g.0);
+        assert_eq!(
+            (d.cycles, d.wedged, d.snapshots, d.bundles, d.sink_dropped),
+            (g.1, g.2, g.3, g.4, g.5),
+            "{}: run shape moved",
+            case.name
+        );
+        for (i, part) in PARTS.iter().enumerate() {
+            assert_eq!(
+                d.hashes[i], g.6[i],
+                "{}: {part} moved from its bb697c9 golden",
+                case.name
+            );
+        }
+    }
+}
