@@ -19,24 +19,18 @@
 //! | [`table08`] | Table 8 — MLPerf training vs A100-class |
 //! | [`table09`] | Table 9 — commercial NoC survey |
 //! | [`ablations`] | Figure 9 SWAP + §3.4 design-choice ablations |
-//! | [`engine`] | engine tick profile (fast-path skip fractions) |
-//! | [`determinism`] | parallel-engine fingerprint gate |
-//! | [`trajectory`] | `noc-bench trajectory` → `BENCH_PR4.json` perf trajectory |
-//! | [`scaling`] | `noc-bench scaling` → `BENCH_PR8.json` epoch-batched parallel scaling |
-//! | [`spanreport`] | `noc-bench trace-report` → `BENCH_PR9.json` critical-path latency attribution |
-//! | [`wedgereport`] | `noc-bench wedge-report` → `BENCH_PR10.json` wedge-frontier stall forensics |
+//!
+//! [`systems`] holds the Server-CPU systems the experiments share, and
+//! [`report`] the result type. Nothing here times the simulator:
+//! wall-clock numbers come from `noc-benchmark` (`benchmark/`).
 
 pub mod ablations;
-pub mod determinism;
-pub mod engine;
 pub mod fig03;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12_13;
 pub mod fig14;
 pub mod report;
-pub mod scaling;
-pub mod spanreport;
 pub mod systems;
 pub mod table04;
 pub mod table05;
@@ -44,8 +38,6 @@ pub mod table06;
 pub mod table07;
 pub mod table08;
 pub mod table09;
-pub mod trajectory;
-pub mod wedgereport;
 
 pub use report::{ExperimentResult, Scale};
 
@@ -78,7 +70,5 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("ablation_llc", ablations::run_llc_path),
         ("ablation_4p", ablations::run_multi_package),
         ("ablation_io", ablations::run_io_interference),
-        ("engine_profile", engine::run),
-        ("determinism", determinism::run),
     ]
 }

@@ -27,8 +27,8 @@ pub enum ExecMode {
     /// [`tick_epoch`](crate::Network::tick_epoch) call, so
     /// [`tick`](crate::Network::tick), a one-cycle epoch, pays it every
     /// cycle and longer epochs amortize it over K cycles
-    /// (`noc-bench scaling`; `sim.par2_k1_ratio` vs
-    /// `sim.par2_kmax_ratio` in `noc-benchmark`).
+    /// (`sim.par2_k1_ratio` vs `sim.par2_kmax_ratio` in
+    /// `noc-benchmark`).
     Parallel(usize),
 }
 

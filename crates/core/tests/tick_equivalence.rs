@@ -652,3 +652,58 @@ fn fast_tick_skips_stations_at_low_occupancy() {
     assert_eq!(p.full_lane_sweeps, 0);
     assert!(p.skip_fraction() > 0.9);
 }
+
+/// 64-station full ring with a device on every station.
+fn ring64(mode: TickMode) -> (Network, Vec<NodeId>) {
+    let mut b = TopologyBuilder::new();
+    let die = b.add_chiplet("die");
+    let r = b.add_ring(die, RingKind::Full, 64).expect("ring");
+    let eps = (0..64)
+        .map(|i| b.add_node(format!("n{i}"), r, i).expect("node"))
+        .collect();
+    let net = Network::with_mode(b.build().expect("valid"), NetworkConfig::default(), mode);
+    (net, eps)
+}
+
+#[test]
+fn reference_tick_never_skips_a_station() {
+    // Closed loop of 12 flits (~9% of the 128 slots), where the fast
+    // path skips most visits. The golden-model sweep visits every
+    // station and keeps no skip accounting, so it reports no skipping.
+    let (mut net, eps) = ring64(TickMode::Reference);
+    for i in 0..12u64 {
+        let s = eps[(i * 11 % 64) as usize];
+        let d = eps[((i * 11 + 32) % 64) as usize];
+        net.enqueue(s, d, FlitClass::Data, 64, i)
+            .expect("seed flit");
+    }
+    for _ in 0..1_000 {
+        net.tick();
+        for ei in 0..eps.len() {
+            while let Some(f) = net.pop_delivered(eps[ei]) {
+                let back = eps[(ei + 17) % 64];
+                let _ = net.enqueue(eps[ei], back, FlitClass::Data, 64, f.token);
+            }
+        }
+    }
+    assert_eq!(net.tick_profile().skip_fraction(), 0.0);
+}
+
+#[test]
+fn saturated_clockwise_load_skips_exactly_the_idle_lane() {
+    // Every station enqueues every cycle to a destination 21–33 stations
+    // clockwise, so every head wants lane 0 and lane 1 stays idle: the
+    // fast path visits exactly half the station slots.
+    let (mut net, eps) = ring64(TickMode::Fast);
+    for c in 0..1_000u64 {
+        for (i, &s) in eps.iter().enumerate() {
+            let d = eps[(i + 21 + (c as usize % 13)) % 64];
+            let _ = net.enqueue(s, d, FlitClass::Data, 64, c);
+        }
+        net.tick();
+        for &e in &eps {
+            while net.pop_delivered(e).is_some() {}
+        }
+    }
+    assert_eq!(net.tick_profile().skip_fraction(), 0.5);
+}

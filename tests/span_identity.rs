@@ -11,7 +11,9 @@
 //! K is checked against its own K-golden (PR 8 convention), not
 //! against K = 1.
 
-use noc_core::telemetry::{critical_path, span_trees_jsonl, SpanCollector, SpanSink};
+use noc_core::telemetry::{
+    critical_path, span_trees_jsonl, LatencyBreakdown, SpanCollector, SpanSink,
+};
 use noc_core::{ExecMode, GridParams, Network, NetworkConfig, NodeId, TickMode};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
@@ -119,6 +121,20 @@ fn run_variant(seed: u64, mode: TickMode, exec: ExecMode, epoch: u64) -> SpanStr
             t.latency()
         );
     }
+    // And in aggregate against the registry: a completion that never
+    // produced a tree would leave cycles unattributed here.
+    let breakdown = LatencyBreakdown::of(&trees);
+    assert_eq!(
+        breakdown.total,
+        fab.latency().sum(),
+        "seed {seed}: phase totals != registry latency sum"
+    );
+    assert_eq!(
+        breakdown.txns,
+        fab.counters().completed(),
+        "seed {seed}: trees != registry completions"
+    );
+    assert!(breakdown.phases.ring > 0, "seed {seed}: no ring time");
     SpanStream {
         trees: span_trees_jsonl(&trees),
         exemplars: span_trees_jsonl(fab.span_sink().exemplars()),

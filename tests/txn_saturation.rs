@@ -16,11 +16,13 @@
 //!
 //! * legacy admission (`reassembly_slots = 0`) wedges the stride-7
 //!   pattern and the detector latches a wedge report naming a
-//!   ring/escape cycle — the detector-fires-on-wedge guarantee;
+//!   ring/escape cycle — the detector-fires-on-wedge guarantee — while
+//!   the same pattern at a load below the wedge frontier drains with
+//!   the detector silent;
 //! * with the fix, the exact configurations that used to wedge drain
 //!   completely and the detector never latches — the fix guarantee.
 
-use noc_core::telemetry::{NullSink, WaitGraphConfig};
+use noc_core::telemetry::{NullSink, PostmortemBundle, WaitGraphConfig};
 use noc_core::topogen::GridParams;
 use noc_core::{ExecMode, Network, NetworkConfig, NodeId, TickMode};
 use noc_txn::{TxnConfig, TxnFabric, TxnOp};
@@ -81,6 +83,10 @@ struct SaturationRun {
     drained: bool,
     latched: bool,
     chain_len: usize,
+    /// `WedgeReport::render()` of the latched report, empty if none.
+    wedge_text: String,
+    /// The postmortem bundle captured at the first latch.
+    bundle: Option<PostmortemBundle>,
     health: String,
 }
 
@@ -146,6 +152,8 @@ fn run_saturation(
                 drained: quiet,
                 latched: fab.wedge_latched(),
                 chain_len: fab.wedge_report().map_or(0, |r| r.chain.len()),
+                wedge_text: fab.wedge_report().map(|r| r.render()).unwrap_or_default(),
+                bundle: fab.wedge_bundles().first().cloned(),
                 health: fab.network().health_report(),
             };
         }
@@ -174,6 +182,28 @@ fn legacy_admission_wedges_and_detector_latches() {
         "health summary misses the stall line:\n{}",
         run.health
     );
+    // The rendered report names both halves of the cycle, and the
+    // latch captured a postmortem bundle that survives its own JSONL.
+    assert!(run.wedge_text.contains("ring:"), "{}", run.wedge_text);
+    assert!(run.wedge_text.contains("escape:"), "{}", run.wedge_text);
+    let bundle = run.bundle.expect("the latch captured no postmortem bundle");
+    let back = PostmortemBundle::from_jsonl(&bundle.to_jsonl()).expect("bundle parses back");
+    assert_eq!(bundle, back, "bundle JSONL round trip");
+}
+
+#[test]
+fn legacy_admission_below_the_frontier_drains_silently() {
+    // The detector's other half: at 32 outstanding the same greedy
+    // stride-7 pattern drains under legacy admission, and a draining
+    // run must never latch.
+    let run = run_saturation(stride7, 32, 400, true, 0);
+    assert!(
+        run.drained,
+        "legacy stride-7 at 32 outstanding failed to drain: completed {} of {}",
+        run.completed, run.accepted
+    );
+    assert!(!run.latched, "detector latched on a draining run");
+    assert_eq!(run.accepted, 400);
 }
 
 #[test]
