@@ -302,6 +302,12 @@ impl<S: TraceSink> Network<S> {
     /// [`PostmortemBundle`] — up to [`RecorderConfig::max_bundles`],
     /// readable via [`Network::bundles`].
     ///
+    /// The registry itself then keeps only that window: at least the
+    /// newest max(R, 1) snapshots and fewer than twice that, however
+    /// long the run. Read the whole series through
+    /// [`MetricsRegistry::since`] as it is committed, and the commit
+    /// count through [`MetricsRegistry::committed`].
+    ///
     /// # Panics
     ///
     /// Panics if `period` is zero.
@@ -315,8 +321,9 @@ impl<S: TraceSink> Network<S> {
         for shard in &mut self.shards {
             shard.enable_flow_accounting(recorder.flow_top_k, recorder.charge_stride);
         }
-        self.observatory.as_mut().expect("just enabled").recorder =
-            Some(FlightRecorder::new(recorder));
+        let obs = self.observatory.as_mut().expect("just enabled");
+        obs.registry.retain_last(recorder.snapshot_window);
+        obs.recorder = Some(FlightRecorder::new(recorder));
     }
 
     /// The flight recorder, if enabled: its limits, its event ring and
@@ -404,7 +411,9 @@ impl<S: TraceSink> Network<S> {
         }
     }
 
-    /// The snapshot registry, if the observatory is enabled.
+    /// The snapshot registry, if the observatory is enabled: the whole
+    /// series, or with the flight recorder attached only its window
+    /// (see [`Network::enable_flight_recorder`]).
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.observatory.as_ref().map(|o| &o.registry)
     }

@@ -1,9 +1,11 @@
 //! Seeded generators and digests shared by the engine identity suites
-//! (`tick_equivalence`, `epoch_batching`, `engine_goldens`). Each suite
-//! uses a subset, hence the blanket `dead_code` allowance.
+//! (`tick_equivalence`, `epoch_batching`, `engine_goldens`), and the
+//! snapshot-stream reader of the observatory suites. Each suite uses a
+//! subset, hence the blanket `dead_code` allowance.
 #![allow(dead_code)]
 
-use noc_core::{BridgeConfig, Flit, NodeId, RingKind, Topology, TopologyBuilder};
+use noc_core::telemetry::{snapshots_jsonl, TraceSink};
+use noc_core::{BridgeConfig, Flit, Network, NodeId, RingKind, Topology, TopologyBuilder};
 
 /// splitmix64: deterministic per-seed stream.
 pub struct Rng(pub u64);
@@ -151,3 +153,26 @@ pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
 
 /// The FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// A network's snapshot series read as it is committed: each
+/// [`SnapshotStream::read`] appends, as JSONL, what the registry
+/// committed since the previous read. With a flight recorder attached
+/// the registry keeps only the recorder's window, so a suite that
+/// compares the whole series reads it this way after every tick or
+/// epoch; the bytes equal `snapshots_jsonl` of the full series.
+#[derive(Debug, Default)]
+pub struct SnapshotStream {
+    pub jsonl: String,
+    next: u64,
+}
+
+impl SnapshotStream {
+    pub fn read<S: TraceSink>(&mut self, net: &Network<S>) {
+        let reg = net.metrics().expect("observatory enabled");
+        let fresh = reg
+            .since(self.next)
+            .expect("read before the window scrolled past");
+        self.jsonl.push_str(&snapshots_jsonl(fresh));
+        self.next = reg.committed();
+    }
+}

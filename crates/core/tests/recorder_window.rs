@@ -5,14 +5,20 @@
 //! Its trace events live in one fixed-capacity ring. These tests pin
 //! what a reader sees through `Network::recorder()` and in bundles:
 //! a zero window, a window longer than the series, re-enabling mid-run,
-//! and a watchdog capture that lands inside a multi-cycle epoch.
+//! and a watchdog capture that lands inside a multi-cycle epoch. The
+//! registry keeps only the window (fewer than `2·max(R, 1)` snapshots),
+//! so the whole series is read as it is committed, through `since`.
 
+mod common;
+
+use common::SnapshotStream;
 use noc_core::telemetry::{
     snapshots_jsonl, FlitEvent, HealthConfig, RecorderConfig, RingBufferSink,
 };
 use noc_core::{
     BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode, TopologyBuilder,
 };
+use std::ops::Range;
 
 /// Three rings in a chain joined by latency-4 bridges, two devices per
 /// ring; every device sends to the device two rings away.
@@ -41,8 +47,8 @@ fn chain() -> (Network<RingBufferSink>, Vec<NodeId>) {
     (net, devs)
 }
 
-fn drive(net: &mut Network<RingBufferSink>, devs: &[NodeId], cycles: u64) {
-    for c in 0..cycles {
+fn drive(net: &mut Network<RingBufferSink>, devs: &[NodeId], cycles: Range<u64>) {
+    for c in cycles {
         let src = devs[c as usize % devs.len()];
         let dst = devs[(c as usize + 4) % devs.len()];
         let _ = net.enqueue(src, dst, FlitClass::Data, 64, c);
@@ -80,8 +86,8 @@ fn a_zero_window_keeps_no_snapshots_but_counts_every_commit() {
             ..RecorderConfig::default()
         },
     );
-    drive(&mut net, &devs, 400);
-    let committed = net.metrics().expect("on").len() as u64;
+    drive(&mut net, &devs, 0..400);
+    let committed = net.metrics().expect("on").committed();
     assert_eq!(committed, 400 / 16);
     let rec = net.recorder().expect("on");
     assert_eq!(rec.snapshots().count(), 0);
@@ -107,7 +113,7 @@ fn a_window_longer_than_the_series_shows_all_of_it_and_a_short_one_its_tail() {
                 ..RecorderConfig::default()
             },
         );
-        drive(&mut net, &devs, 200);
+        drive(&mut net, &devs, 0..200);
         net.finish_metrics();
         let all = net.metrics().expect("on").snapshots();
         let tail = &all[all.len().saturating_sub(window)..];
@@ -118,7 +124,8 @@ fn a_window_longer_than_the_series_shows_all_of_it_and_a_short_one_its_tail() {
             snapshots_jsonl(tail),
             "window {window}"
         );
-        assert_eq!(rec.snapshots_seen(), all.len() as u64);
+        assert_eq!(rec.snapshots_seen(), net.metrics().expect("on").committed());
+        assert_eq!(rec.snapshots_seen(), 200 / 16 + 1);
         // The event ring keeps the newest 64 of what the sink saw.
         let kept: Vec<_> = rec.events().copied().collect();
         let sunk: Vec<_> = net
@@ -134,6 +141,40 @@ fn a_window_longer_than_the_series_shows_all_of_it_and_a_short_one_its_tail() {
     }
 }
 
+/// The chain traffic with the given snapshot window, the series read
+/// through `since` after every tick: its JSONL, and the commit count.
+fn streamed(window: usize) -> (String, u64) {
+    let (mut net, devs) = chain();
+    net.enable_flight_recorder(
+        16,
+        HealthConfig::default(),
+        RecorderConfig {
+            snapshot_window: window,
+            ..RecorderConfig::default()
+        },
+    );
+    let bound = window.max(1).saturating_mul(2);
+    let mut snapshots = SnapshotStream::default();
+    for c in 0..400u64 {
+        drive(&mut net, &devs, c..c + 1);
+        snapshots.read(&net);
+        assert!(net.metrics().expect("on").len() < bound, "window {window}");
+    }
+    net.finish_metrics();
+    snapshots.read(&net);
+    (snapshots.jsonl, net.metrics().expect("on").committed())
+}
+
+#[test]
+fn the_stream_survives_the_window() {
+    let (bounded, committed) = streamed(4);
+    let (full, all) = streamed(usize::MAX);
+    assert_eq!(committed, 400 / 16 + 1);
+    assert_eq!(all, committed);
+    assert_eq!(bounded.lines().count() as u64, committed);
+    assert_eq!(bounded, full);
+}
+
 #[test]
 fn re_enabling_mid_run_resets_snapshots_and_events_together() {
     let (mut net, devs) = chain();
@@ -143,7 +184,7 @@ fn re_enabling_mid_run_resets_snapshots_and_events_together() {
         ..RecorderConfig::default()
     };
     net.enable_flight_recorder(16, HealthConfig::default(), cfg.clone());
-    drive(&mut net, &devs, 160);
+    drive(&mut net, &devs, 0..160);
     assert!(net.recorder().expect("on").snapshots_seen() > 0);
     let before = flit_records(&net);
 
@@ -152,7 +193,7 @@ fn re_enabling_mid_run_resets_snapshots_and_events_together() {
     assert_eq!((rec.snapshots().count(), rec.snapshots_seen()), (0, 0));
     assert_eq!((rec.events().count(), rec.events_seen()), (0, 0));
 
-    drive(&mut net, &devs, 64);
+    drive(&mut net, &devs, 0..64);
     let rec = net.recorder().expect("on");
     let seqs: Vec<u64> = rec.snapshots().map(|s| s.seq).collect();
     assert_eq!(seqs, vec![0, 1, 2, 3], "a fresh series starts at seq 0");

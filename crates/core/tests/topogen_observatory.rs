@@ -8,8 +8,15 @@
 //!
 //! As there, the bundle's `"kind":"env"` JSONL line is the one
 //! sanctioned difference; `comparable_jsonl()` excludes it.
+//!
+//! The recorder's 8-snapshot window bounds what the registry retains,
+//! so the snapshot stream compared is the whole series, read through
+//! `since` after every tick or epoch.
 
-use noc_core::telemetry::{snapshots_jsonl, HealthConfig, PostmortemBundle, RecorderConfig};
+mod common;
+
+use common::SnapshotStream;
+use noc_core::telemetry::{HealthConfig, PostmortemBundle, RecorderConfig};
 use noc_core::topogen::GridParams;
 use noc_core::{
     ExecMode, FlitClass, Network, NetworkConfig, NocDiagnostics, NodeId, TickMode, Topology,
@@ -36,14 +43,15 @@ fn torus_64(seed: u64) -> (Topology, Vec<NodeId>) {
 }
 
 /// Drive one flight-recorded network over the generated torus to full
-/// drain with a seeded uniform schedule, finishing the metrics series.
+/// drain with a seeded uniform schedule, finishing the metrics series;
+/// return it with its snapshot series as streamed.
 fn run_recorded(
     topo: Topology,
     mode: TickMode,
     exec: ExecMode,
     devices: &[NodeId],
     traffic_seed: u64,
-) -> Network {
+) -> (Network, String) {
     let mut net = Network::with_exec(
         topo,
         NetworkConfig::default(),
@@ -63,6 +71,7 @@ fn run_recorded(
     let mut rng = SimRng::seed_from(traffic_seed);
     let cycles = 220u64;
     let mut token = 0u64;
+    let mut snapshots = SnapshotStream::default();
     for cycle in 0..cycles + 10_000 {
         if cycle < cycles {
             for si in 0..devices.len() {
@@ -75,6 +84,7 @@ fn run_recorded(
             }
         }
         net.tick();
+        snapshots.read(&net);
         if cycle % 2 == 0 || cycle >= cycles {
             for &d in devices {
                 while net.pop_delivered(d).is_some() {}
@@ -85,7 +95,8 @@ fn run_recorded(
         }
     }
     net.finish_metrics();
-    net
+    snapshots.read(&net);
+    (net, snapshots.jsonl)
 }
 
 /// Snapshot stream, flow top-K, link heat matrix and postmortem bundle
@@ -109,15 +120,16 @@ fn observatory_byte_identical_across_modes_on_generated_torus() {
         let mut baseline: Option<Baseline> = None;
         for (mode, exec) in variants {
             let ctx = format!("seed {seed:#x} {mode:?} {exec:?}");
-            let net = run_recorded(topo.clone(), mode, exec, &devices, traffic_seed);
+            let (net, snapshots) = run_recorded(topo.clone(), mode, exec, &devices, traffic_seed);
             assert!(
                 net.stats().delivered.get() > 0,
                 "{ctx}: nothing was delivered"
             );
             assert_eq!(net.in_flight(), 0, "{ctx}: torus failed to drain");
 
-            let snapshots = snapshots_jsonl(net.metrics().expect("enabled").snapshots());
-            assert!(!snapshots.is_empty(), "{ctx}: no snapshots sampled");
+            let committed = net.metrics().expect("enabled").committed();
+            assert_eq!(snapshots.lines().count() as u64, committed, "{ctx}");
+            assert!(committed > 8, "{ctx}: the series fits the recorder window");
             let flows = net.flow_top(8);
             assert!(!flows.is_empty(), "{ctx}: flow accounting recorded nothing");
             let flows_json = serde_json::to_string(&flows).expect("flows serialize");
@@ -179,7 +191,7 @@ fn run_recorded_epoch(
     traffic_seed: u64,
     k: u64,
     align: u64,
-) -> Network {
+) -> (Network, String) {
     assert!(align.is_multiple_of(k));
     let mut net = Network::with_exec(
         topo,
@@ -200,6 +212,7 @@ fn run_recorded_epoch(
     let mut rng = SimRng::seed_from(traffic_seed);
     let cycles = 224u64;
     let mut token = 0u64;
+    let mut snapshots = SnapshotStream::default();
     loop {
         let now = net.now().raw();
         if now.is_multiple_of(align) && now < cycles {
@@ -214,6 +227,7 @@ fn run_recorded_epoch(
         }
         net.tick_epoch(k)
             .expect("k bounded by the torus L2 latency");
+        snapshots.read(&net);
         if net.now().raw().is_multiple_of(align) {
             for &d in devices {
                 while net.pop_delivered(d).is_some() {}
@@ -225,7 +239,8 @@ fn run_recorded_epoch(
         }
     }
     net.finish_metrics();
-    net
+    snapshots.read(&net);
+    (net, snapshots.jsonl)
 }
 
 /// Epoch axis over the generated torus: snapshot streams, flow tables,
@@ -250,7 +265,7 @@ fn observatory_byte_identical_with_epoch_batching() {
     let mut baseline: Option<Baseline> = None;
     for (k, exec) in variants {
         let ctx = format!("seed {seed:#x} k={k} {exec:?}");
-        let net = run_recorded_epoch(
+        let (net, snapshots) = run_recorded_epoch(
             topo.clone(),
             TickMode::Fast,
             exec,
@@ -261,8 +276,9 @@ fn observatory_byte_identical_with_epoch_batching() {
         );
         assert_eq!(net.max_epoch(), 8, "{ctx}: torus bridge-latency bound");
         assert!(net.stats().delivered.get() > 0, "{ctx}: nothing delivered");
-        let snapshots = snapshots_jsonl(net.metrics().expect("enabled").snapshots());
-        assert!(!snapshots.is_empty(), "{ctx}: no snapshots sampled");
+        let committed = net.metrics().expect("enabled").committed();
+        assert_eq!(snapshots.lines().count() as u64, committed, "{ctx}");
+        assert!(committed > 8, "{ctx}: the series fits the recorder window");
         let flows_json = serde_json::to_string(&net.flow_top(8)).expect("flows serialize");
         let bundle = net
             .dump_postmortem("epoch determinism probe")
@@ -289,7 +305,7 @@ fn observatory_byte_identical_with_epoch_batching() {
 #[test]
 fn generated_torus_flow_attribution_sees_bridge_crossings() {
     let (topo, devices) = torus_64(7);
-    let net = run_recorded(topo, TickMode::Fast, ExecMode::Sequential, &devices, 0xF10);
+    let (net, _) = run_recorded(topo, TickMode::Fast, ExecMode::Sequential, &devices, 0xF10);
     assert!(
         net.stats().bridge_crossings.get() > 0,
         "uniform traffic must cross dies"

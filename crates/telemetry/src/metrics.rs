@@ -272,15 +272,36 @@ impl MetricsSnapshot {
 /// shards, hands the per-ring windows to [`MetricsRegistry::commit`]
 /// in ascending ring order, and the registry derives totals, the
 /// cumulative series and sequence numbers.
+///
+/// # Retention
+///
+/// A new registry keeps the whole series. After
+/// [`MetricsRegistry::retain_last`]`(n)` — which the network calls with
+/// the flight recorder's `snapshot_window` when it attaches one — it
+/// keeps only a tail: at least the newest `max(n, 1)` snapshots and
+/// fewer than `2·max(n, 1)`, so memory is bounded by configuration, not
+/// by run length. Eviction drops the oldest half at once, amortised
+/// O(1) per commit, and keeps the retained tail one contiguous slice.
+/// Eviction changes nothing that is committed: `seq` stays the commit
+/// index, and [`MetricsRegistry::summed`] and
+/// [`MetricsRegistry::committed`] count every window. A reader that
+/// needs the whole stream reads it as it is committed, through
+/// [`MetricsRegistry::since`].
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     period: u64,
     cumulative: WindowCounters,
+    /// The retained tail of the series, oldest first.
     snapshots: Vec<MetricsSnapshot>,
+    /// Snapshots ever committed, retained or evicted: the next `seq`.
+    committed: u64,
+    /// Newest snapshots always retained; `usize::MAX` keeps everything.
+    keep: usize,
 }
 
 impl MetricsRegistry {
-    /// Create a registry sampling every `period` cycles.
+    /// Create a registry sampling every `period` cycles, keeping every
+    /// snapshot it commits.
     ///
     /// # Panics
     ///
@@ -291,6 +312,24 @@ impl MetricsRegistry {
             period,
             cumulative: WindowCounters::default(),
             snapshots: Vec::new(),
+            committed: 0,
+            keep: usize::MAX,
+        }
+    }
+
+    /// Bound retention to the newest `max(n, 1)` snapshots: from here
+    /// on the registry holds at least that many (once committed) and
+    /// fewer than twice that many. `usize::MAX` keeps the whole series.
+    pub fn retain_last(&mut self, n: usize) {
+        self.keep = n.max(1);
+        self.evict();
+    }
+
+    /// Drop the oldest snapshots once the tail reaches twice the bound,
+    /// keeping the newest `keep`.
+    fn evict(&mut self) {
+        if self.snapshots.len() >= self.keep.saturating_mul(2) {
+            self.snapshots.drain(..self.snapshots.len() - self.keep);
         }
     }
 
@@ -314,7 +353,7 @@ impl MetricsRegistry {
         }
         self.cumulative.add(&totals);
         let snap = MetricsSnapshot {
-            seq: self.snapshots.len() as u64,
+            seq: self.committed,
             cycle,
             window,
             in_flight,
@@ -322,13 +361,27 @@ impl MetricsRegistry {
             cumulative: self.cumulative,
             rings,
         };
+        self.committed += 1;
         self.snapshots.push(snap);
+        self.evict();
         self.snapshots.last().expect("just pushed")
     }
 
-    /// Every snapshot committed so far, in order.
+    /// The retained snapshots, oldest first: every snapshot committed so
+    /// far unless retention is bounded (see the type-level docs).
     pub fn snapshots(&self) -> &[MetricsSnapshot] {
         &self.snapshots
+    }
+
+    /// The snapshots from sequence number `seq` on, oldest first (empty
+    /// once `seq` reaches [`MetricsRegistry::committed`]), or `None` if
+    /// one of them was already evicted. Polling again from the
+    /// `committed()` of the previous poll reads the series as it is
+    /// committed.
+    pub fn since(&self, seq: u64) -> Option<&[MetricsSnapshot]> {
+        let first = self.committed - self.snapshots.len() as u64;
+        let skip = seq.checked_sub(first)?.min(self.snapshots.len() as u64);
+        Some(&self.snapshots[skip as usize..])
     }
 
     /// The most recent snapshot.
@@ -336,14 +389,20 @@ impl MetricsRegistry {
         self.snapshots.last()
     }
 
-    /// Number of snapshots.
+    /// Number of retained snapshots.
     pub fn len(&self) -> usize {
         self.snapshots.len()
     }
 
-    /// Whether no snapshot has been committed yet.
+    /// Whether no snapshot is retained (equivalently: none has been
+    /// committed yet — a bounded registry keeps at least one).
     pub fn is_empty(&self) -> bool {
         self.snapshots.is_empty()
+    }
+
+    /// Snapshots ever committed, retained or evicted.
+    pub fn committed(&self) -> u64 {
+        self.committed
     }
 
     /// Sum of every window committed so far — equals the cumulative
@@ -357,6 +416,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn win(enqueued: u64, delivered: u64, deflections: u64) -> WindowCounters {
         WindowCounters {
@@ -440,6 +500,123 @@ mod tests {
         assert_eq!(reg.summed(), win(6, 6, 1));
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.last().expect("two").cycle, 32);
+    }
+
+    /// The `i`-th commit of the retention tests: one to three rings, so
+    /// no two snapshots render alike.
+    fn commit_nth(reg: &mut MetricsRegistry, i: u64) {
+        let rings = (0..=i % 3)
+            .map(|r| RingWindow {
+                ring: r as u16,
+                counters: win(i + r, i / 2, i % 5),
+                ..RingWindow::default()
+            })
+            .collect();
+        reg.commit(8 * (i + 1), 8, i % 7, rings);
+    }
+
+    /// Snapshots a registry bounded to `keep` retains after `committed`
+    /// commits: all of them up to `keep`, then `keep` plus however many
+    /// arrived since the last eviction (each eviction, at `2·keep`,
+    /// leaves `keep`).
+    fn retained(committed: u64, keep: u64) -> u64 {
+        if committed < keep {
+            committed
+        } else {
+            keep + (committed - keep) % keep
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// A registry bounded to R snapshots against an unbounded one fed
+        /// the same commits, with `since` polled after the commits `poll`
+        /// selects and once at the end. Sequence numbers, the retained
+        /// tail, the recorder's window, the streamed bytes, `summed()` and
+        /// `committed()` all agree; the tail stays under `2·max(R, 1)`;
+        /// `since` is `None` exactly when the poll came after its next
+        /// snapshot was evicted, and the reader then resumes at the tail.
+        #[test]
+        fn a_bounded_registry_streams_what_an_unbounded_one_keeps(
+            window in 0usize..6,
+            commits in 0u64..60,
+            poll in proptest::collection::vec(any::<bool>(), 60..61),
+        ) {
+            use crate::export::snapshots_jsonl;
+            use crate::recorder::{FlightRecorder, RecorderConfig};
+            let keep = window.max(1) as u64;
+            let mut full = MetricsRegistry::new(8);
+            let mut bounded = MetricsRegistry::new(8);
+            bounded.retain_last(window);
+            let recorder = FlightRecorder::new(RecorderConfig {
+                snapshot_window: window,
+                ..RecorderConfig::default()
+            });
+            let (mut streamed, mut seqs, mut next) = (String::new(), Vec::new(), 0u64);
+            for i in 0..=commits {
+                let last = i == commits;
+                if !last {
+                    commit_nth(&mut full, i);
+                    commit_nth(&mut bounded, i);
+                }
+                let committed = full.committed();
+                prop_assert_eq!(bounded.committed(), committed);
+                prop_assert_eq!(full.len() as u64, committed);
+                prop_assert_eq!(bounded.summed(), full.summed());
+                prop_assert_eq!(bounded.last(), full.last());
+                prop_assert_eq!(bounded.is_empty(), committed == 0);
+                let len = bounded.len() as u64;
+                prop_assert_eq!(len, retained(committed, keep));
+                prop_assert!(len < 2 * keep);
+                let tail = &full.snapshots()[(committed - len) as usize..];
+                prop_assert_eq!(bounded.snapshots(), tail);
+                let shown = |reg: &MetricsRegistry| -> Vec<u64> {
+                    recorder.view(reg).snapshots().map(|s| s.seq).collect()
+                };
+                prop_assert_eq!(shown(&bounded), shown(&full));
+                if last || poll[i as usize] {
+                    let too_late = next < committed - len;
+                    let got = bounded.since(next);
+                    prop_assert_eq!(got.is_none(), too_late);
+                    let fresh = match got {
+                        Some(fresh) => fresh,
+                        None => bounded.snapshots(),
+                    };
+                    prop_assert_eq!(Some(fresh), full.since(fresh.first().map_or(next, |s| s.seq)));
+                    streamed.push_str(&snapshots_jsonl(fresh));
+                    seqs.extend(fresh.iter().map(|s| s.seq));
+                    next = committed;
+                }
+            }
+            // What reached the reader, byte for byte, is what the
+            // unbounded registry holds at the same sequence numbers.
+            let same: Vec<MetricsSnapshot> =
+                seqs.iter().map(|&s| full.snapshots()[s as usize].clone()).collect();
+            prop_assert_eq!(&streamed, &snapshots_jsonl(&same));
+            prop_assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(seqs.last().copied(), commits.checked_sub(1));
+            if seqs.len() as u64 == commits {
+                prop_assert_eq!(streamed, snapshots_jsonl(full.snapshots()));
+            }
+        }
+    }
+
+    #[test]
+    fn since_reads_the_stream_and_refuses_an_evicted_start() {
+        let mut reg = MetricsRegistry::new(8);
+        reg.retain_last(2);
+        assert_eq!(reg.since(0).map(<[_]>::len), Some(0));
+        for i in 0..5 {
+            commit_nth(&mut reg, i);
+        }
+        // Four commits evicted the oldest two; the fifth sits beside them.
+        let seqs = |s: &[MetricsSnapshot]| s.iter().map(|s| s.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(reg.snapshots()), vec![2, 3, 4]);
+        assert_eq!(reg.since(1), None);
+        assert_eq!(reg.since(3).map(seqs), Some(vec![3, 4]));
+        assert_eq!(reg.since(5).map(<[_]>::len), Some(0));
+        assert_eq!(reg.since(99).map(<[_]>::len), Some(0));
+        assert_eq!((reg.committed(), reg.len()), (5, 3));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   last R entries of the network's [`MetricsRegistry`], which the
 //!   recorder is created beside and which sees the same commit stream.
 //!   The recorder holds no copy; [`RecorderView::snapshots`] is a slice
-//!   of the registry.
+//!   of the registry. Attaching the recorder bounds that registry to
+//!   the same window ([`MetricsRegistry::retain_last`]), so the
+//!   snapshots cost fewer than 2·max(R, 1) entries however long the run.
 //! * **events** — the last T flit-lifecycle [`TraceRecord`]s, in one
 //!   fixed-capacity ring. Memory is bounded by construction; a
 //!   recorder attached to a year-long run costs the same as one
@@ -28,7 +30,12 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 /// Sizing for the flight recorder and the flow-attribution layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecorderConfig {
-    /// Snapshots retained (R): the visible history of a bundle.
+    /// Snapshots retained (R): the visible history of a bundle. A
+    /// network that attaches the recorder bounds its metrics registry
+    /// by it too: the registry keeps at least the newest max(R, 1)
+    /// snapshots and fewer than twice that (`usize::MAX` keeps the
+    /// whole series). Read the full stream through
+    /// [`MetricsRegistry::since`] as it is committed.
     pub snapshot_window: usize,
     /// Trace events retained (T) when a tracing sink is attached.
     pub event_window: usize,
@@ -128,7 +135,7 @@ impl<'a> RecorderView<'a> {
     /// Snapshots ever committed while the recorder was on (retained or
     /// scrolled off).
     pub fn snapshots_seen(&self) -> u64 {
-        self.registry.len() as u64
+        self.registry.committed()
     }
 
     /// Events ever recorded (retained or scrolled off).

@@ -368,7 +368,10 @@ pub struct WaitGraphConfig {
     /// (non-empty, zero progress delta) before the verdict escalates
     /// to [`WaitVerdict::Wedged`].
     pub freeze_windows: u32,
-    /// Bound on retained samples (oldest evicted first).
+    /// Bound on retained samples (oldest evicted first). Samples are
+    /// export-only — the verdict runs on per-resource streaks and the
+    /// wedge report keeps its own `history` — so the default keeps 32,
+    /// the flight recorder's default snapshot window.
     pub max_samples: usize,
     /// Occupancy-history depth kept per resource for the wedge report.
     pub history: usize,
@@ -378,7 +381,7 @@ impl Default for WaitGraphConfig {
     fn default() -> Self {
         WaitGraphConfig {
             freeze_windows: 4,
-            max_samples: 4096,
+            max_samples: 32,
             history: 8,
         }
     }

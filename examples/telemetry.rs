@@ -170,9 +170,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // View 4: the observatory — live health verdicts and a Prometheus
     // scrape sample from the latest snapshot. The DDR bottleneck above
     // is exactly the kind of pressure the starvation watchdog reports.
+    // With the flight recorder on, the registry keeps only the
+    // recorder's window; `committed()` counts every snapshot of the run.
     let reg = net.metrics().expect("observatory enabled");
     println!(
-        "\nobservatory: {} snapshots (period {} cycles)",
+        "\nobservatory: {} snapshots committed, last {} retained (period {} cycles)",
+        reg.committed(),
         reg.len(),
         reg.period()
     );
@@ -184,7 +187,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {line}");
     }
     println!(
-        "  … {} more lines; full series: snapshots_jsonl(reg.snapshots())",
+        "  … {} more lines; retained window: snapshots_jsonl(reg.snapshots()), \
+         whole series: reg.since(seq) polled as it is committed",
         scrape.lines().count().saturating_sub(12)
     );
 

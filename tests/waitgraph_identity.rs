@@ -21,6 +21,16 @@ use noc_workloads::{TxnMix, TxnRequest, TxnWorkload};
 const SEEDS: u64 = 10;
 const TXNS_PER_SEED: usize = 24;
 
+/// The tracker config the streams are compared under: up to 4096
+/// samples retained, so the comparison covers a run's whole graph
+/// stream rather than the default 32-sample tail.
+fn forensics() -> WaitGraphConfig {
+    WaitGraphConfig {
+        max_samples: 4096,
+        ..WaitGraphConfig::default()
+    }
+}
+
 /// The forensics surface of one run, all pre-serialized: comparing
 /// strings is the byte-identity claim, not structural equality.
 #[derive(Debug, PartialEq)]
@@ -75,7 +85,7 @@ fn run_mixed(seed: u64, mode: TickMode, exec: ExecMode, k: u64) -> DetectorStrea
     let mut net = Network::with_exec(topo, NetworkConfig::default(), mode, exec, NullSink);
     net.enable_metrics(16);
     let mut fab = TxnFabric::new(net, txn_cfg());
-    fab.enable_forensics(WaitGraphConfig::default());
+    fab.enable_forensics(forensics());
     let wl = TxnWorkload::new(devs, TxnMix::default(), TrafficPattern::Uniform, 64, 32);
     let mut rng = SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9));
     let mut accepted = 0usize;
@@ -138,7 +148,7 @@ fn run_wedge(mode: TickMode, exec: ExecMode, k: u64) -> DetectorStream {
             ..TxnConfig::default()
         },
     );
-    fab.enable_forensics(WaitGraphConfig::default());
+    fab.enable_forensics(forensics());
     let n = devs.len();
     let mut i = 0usize;
     while fab.now().raw() < 4_000 && !fab.wedge_latched() {
