@@ -8,6 +8,8 @@
 //! [`AiEngine`] drives the Table 7 read/write-ratio bandwidth sweeps and
 //! the Figure 14 equilibrium measurements.
 
+#![forbid(unsafe_code)]
+
 pub mod burst;
 pub mod soc;
 pub mod traffic;

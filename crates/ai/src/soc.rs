@@ -3,10 +3,10 @@
 //! rings, RBRG-L1 bridges at every intersection. Any core↔memory route
 //! takes at most one ring change (X-Y/Y-X routing).
 
-use noc_core::telemetry::{HealthConfig, NullSink, RecorderConfig};
+use noc_core::telemetry::{HealthConfig, RecorderConfig};
 use noc_core::{
-    BridgeConfig, ExecMode, Network, NetworkConfig, NocDiagnostics, NodeId, RingId, RingKind,
-    TickMode, Topology, TopologyBuilder, TopologyError,
+    BridgeConfig, Network, NetworkConfig, NocDiagnostics, NodeId, RingId, RingKind, Topology,
+    TopologyBuilder, TopologyError,
 };
 
 /// AI-Processor configuration.
@@ -35,10 +35,6 @@ pub struct AiConfig {
     pub clock_ghz: f64,
     /// Network parameters.
     pub net: NetworkConfig,
-    /// How the NoC engine executes the per-ring phase of each tick
-    /// (sequential or fanned out over a worker pool). Results are
-    /// bit-identical either way; this only trades wall-clock time.
-    pub exec: ExecMode,
     /// Observatory sampling period in cycles: a metrics snapshot (and
     /// health-watchdog pass) every this many cycles. `0` (the default)
     /// keeps the observatory off.
@@ -70,7 +66,6 @@ impl Default for AiConfig {
                 eject_queue_cap: 16,
                 ..NetworkConfig::default()
             },
-            exec: ExecMode::Sequential,
             metrics_period: 0,
             recorder: None,
         }
@@ -269,7 +264,7 @@ impl AiProcessor {
     /// Propagates topology errors.
     pub fn build(cfg: AiConfig) -> Result<Self, TopologyError> {
         let (topo, map) = build_topology(&cfg)?;
-        let mut net = Network::with_exec(topo, cfg.net.clone(), TickMode::Fast, cfg.exec, NullSink);
+        let mut net = Network::new(topo, cfg.net.clone());
         if cfg.metrics_period > 0 {
             match &cfg.recorder {
                 Some(rec) => net.enable_flight_recorder(

@@ -13,6 +13,8 @@
 //!   [`Interconnect`] trait, so experiment harnesses drive all designs
 //!   identically.
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod hub;
 pub mod mesh;

@@ -4,11 +4,17 @@
 //! repro [--quick] [experiment-id ...]
 //! ```
 //!
-//! With no ids, runs everything in paper order. Results are printed as
-//! aligned tables with PASS/FAIL shape checks and also written as JSON
-//! to `results/<id>.json`.
+//! With no ids, runs everything. The experiments are independent, so
+//! they run side by side, one thread per available CPU; once all are
+//! done their results are printed in paper order as aligned tables with
+//! PASS/FAIL shape checks and also written as JSON to
+//! `results/<id>.json`.
+
+#![forbid(unsafe_code)]
 
 use noc_experiments::{all_experiments, Scale};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 use std::time::Instant;
 
 fn main() {
@@ -34,12 +40,37 @@ fn main() {
         std::process::exit(2);
     }
 
+    // Each worker takes the next experiment not yet started, so the
+    // longest ones overlap the rest.
+    let workers = thread::available_parallelism().map_or(1, |n| n.get());
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<_> = thread::scope(|s| {
+        let handles: Vec<_> = (0..workers.min(selected.len()))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(id, runner)) = selected.get(i) else {
+                            return mine;
+                        };
+                        let start = Instant::now();
+                        let result = runner(scale);
+                        mine.push((i, id, result, start.elapsed()));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("an experiment panicked"))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, ..)| i);
+
     let _ = std::fs::create_dir_all("results");
     let mut failures = 0usize;
-    for (id, runner) in selected {
-        let start = Instant::now();
-        let result = runner(scale);
-        let elapsed = start.elapsed();
+    for (_, id, result, elapsed) in done {
         println!("{result}");
         println!("  ({id} completed in {:.1?}, scale {scale:?})\n", elapsed);
         failures += result.notes.iter().filter(|n| n.ends_with("FAIL")).count();

@@ -24,6 +24,8 @@
 //! [`report`] the result type. Nothing here times the simulator:
 //! wall-clock numbers come from `noc-benchmark` (`benchmark/`).
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod fig03;
 pub mod fig10;

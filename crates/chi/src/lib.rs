@@ -18,6 +18,8 @@
 //! the paper's premise that makes the bufferless single-flit design
 //! viable.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod directory;
 pub mod memory;

@@ -10,10 +10,9 @@
 //! * `rx` — flits in flight toward this side's endpoint (bridge
 //!   delivery drains matured entries at the start of the cycle).
 //!
-//! During the per-ring phase a shard only ever touches its own sides —
-//! which is exactly what makes the fan-out deterministic: no ordering
-//! between shards can be observed. Capacity must still behave as if the
-//! pipeline were one queue, so each side carries
+//! During the per-ring phase a shard only ever touches its own sides, so
+//! the order the shards run in cannot be observed. Capacity must still
+//! behave as if the pipeline were one queue, so each side carries
 //! [`BridgeSide::peer_backlog`], the length of the peer's `rx`, and
 //! [`BridgeSide::pipe_len`] (`peer_backlog + tx.len()`) is the
 //! pipeline's occupancy.
@@ -40,17 +39,10 @@
 //!
 //! # Who performs them
 //!
-//! The engine's cycle loop (`crate::epoch::run_cycles`) runs both
-//! barriers once per cycle over the shards it was handed. The peer of a
-//! marked side is found through [`BridgeSide::peer`]; when it lies
-//! outside the slice — `ExecMode::Parallel`, a bridge between two
-//! threads' partitions — the mark is dropped here and the identical
-//! values travel as messages over that bridge's SPSC link, which runs
-//! every cycle regardless (see `crate::epoch`). The bridge's `latency`
-//! also bounds the epoch: `K` may not exceed the fabric's minimum
-//! bridge latency, so no flit both enters and matures in a pipeline
-//! within one epoch, which is what lets the engine defer caller-visible
-//! drains to the epoch boundary.
+//! The engine's cycle (`crate::epoch::run_cycle`) runs both barriers
+//! once per cycle over every shard of the network. The peer of a marked
+//! side is found through [`BridgeSide::peer`], a global (ring, side)
+//! index.
 
 use crate::bits::word_ones;
 use crate::config::{BridgeConfig, BridgeLevel};
@@ -157,17 +149,6 @@ impl BridgeSide {
     }
 }
 
-/// `(shard index, side index)` in `shards` of the peer of side `si` of
-/// `shards[sh]`, or `None` when the peer's ring lies outside the slice.
-/// A slice is always a contiguous ascending run of rings, so its first
-/// ring id is the offset between global and slice-local ring indices.
-#[inline]
-pub(crate) fn peer_of(shards: &[RingShard], sh: usize, si: usize) -> Option<(usize, usize)> {
-    let peer = shards[sh].sides[si].peer;
-    let ring = (peer.ring as usize).wrapping_sub(shards[0].ring.id.index());
-    (ring < shards.len()).then_some((ring, peer.idx as usize))
-}
-
 /// Barrier 1, for one shard whose delivery just popped: every side it
 /// popped from tells its peer the new inbox depth, so intake can
 /// enforce pipeline capacity without reading another shard. Consumes
@@ -180,9 +161,8 @@ pub(crate) fn publish_pops(shards: &mut [RingShard], sh: usize) {
         shards[sh].profile.side_visits += u64::from(w.count_ones());
         for si in word_ones(wi, w) {
             shards[sh].popped.clear(si);
-            if let Some((ps, pi)) = peer_of(shards, sh, si) {
-                shards[ps].sides[pi].peer_backlog = shards[sh].sides[si].rx.len();
-            }
+            let (ps, pi) = shards[sh].sides[si].peer.at();
+            shards[ps].sides[pi].peer_backlog = shards[sh].sides[si].rx.len();
         }
     }
 }
@@ -200,9 +180,7 @@ pub(crate) fn exchange(shards: &mut [RingShard]) {
             shards[sh].profile.side_visits += u64::from(w.count_ones());
             for si in word_ones(wi, w) {
                 shards[sh].staged.clear(si);
-                let Some((ps, pi)) = peer_of(shards, sh, si) else {
-                    continue;
-                };
+                let (ps, pi) = shards[sh].sides[si].peer.at();
                 // A bridge never joins a ring to itself.
                 let [from, to] = shards
                     .get_disjoint_mut([sh, ps])

@@ -14,11 +14,10 @@
 //! # Determinism
 //!
 //! [`Network::wait_census`](crate::Network::wait_census) runs between
-//! ticks, when every shard is owned by the network (the same settled
-//! point the metrics snapshots commit at), iterating rings, lanes and
-//! bridge sides in ascending id order. The census is therefore a pure
-//! function of the deterministic engine state: byte-identical across
-//! `Sequential`/`Parallel(n)`, `Fast`/`Reference` and epoch `K`.
+//! ticks (the same settled point the metrics snapshots commit at),
+//! iterating rings, lanes and bridge sides in ascending id order. The
+//! census is therefore a pure function of the deterministic engine
+//! state: byte-identical across `Fast`/`Reference`.
 
 use crate::bridge::BridgeSide;
 use crate::flit::PacketToken;

@@ -128,31 +128,20 @@ impl fmt::Display for EnqueueError {
 
 impl Error for EnqueueError {}
 
-/// Errors raised while advancing the engine (epoch validation and
-/// worker-pool failures).
-/// [`Network::tick_epoch`](crate::Network::tick_epoch) surfaces them;
-/// [`Network::tick`](crate::Network::tick), its one-cycle case, keeps
-/// an infallible signature and panics on the only one it can meet
-/// ([`EngineError::Pool`]).
+/// Errors raised by [`Network::tick_epoch`](crate::Network::tick_epoch)
+/// when it validates `k`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The requested epoch length exceeds the minimum bridge traversal
-    /// latency, so a flit staged early in the epoch could mature and be
-    /// delivered — with every drain it triggers — before the epoch
-    /// boundary where the engine replays its deferred drains. Running
-    /// anyway would be silently wrong; the engine refuses instead.
+    /// latency ([`Network::max_epoch`](crate::Network::max_epoch)).
     EpochTooLong {
         /// The rejected epoch length.
         requested: u64,
-        /// The largest valid epoch for this topology
-        /// ([`Network::max_epoch`](crate::Network::max_epoch)).
+        /// The largest valid epoch for this topology.
         max: u64,
     },
     /// An epoch of zero cycles was requested.
     EmptyEpoch,
-    /// A parallel worker died (its job panicked). The shards it held
-    /// are lost, so the network is no longer usable.
-    Pool(noc_sim::PoolError),
 }
 
 impl fmt::Display for EngineError {
@@ -164,25 +153,11 @@ impl fmt::Display for EngineError {
                  latency bound of {max}"
             ),
             EngineError::EmptyEpoch => write!(f, "epoch must span at least one cycle"),
-            EngineError::Pool(e) => write!(f, "parallel engine failed: {e}"),
         }
     }
 }
 
-impl Error for EngineError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            EngineError::Pool(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<noc_sim::PoolError> for EngineError {
-    fn from(e: noc_sim::PoolError) -> Self {
-        EngineError::Pool(e)
-    }
-}
+impl Error for EngineError {}
 
 #[cfg(test)]
 mod tests {
@@ -217,11 +192,5 @@ mod tests {
             e.to_string(),
             "epoch of 9 cycles exceeds the minimum bridge latency bound of 2"
         );
-        let e = EngineError::Pool(noc_sim::PoolError {
-            worker: 3,
-            on_dispatch: false,
-        });
-        assert!(e.to_string().contains("worker 3"));
-        assert!(e.source().is_some());
     }
 }

@@ -43,6 +43,8 @@
 //! # Ok::<(), noc_core::TopologyError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bits;
 mod bridge;
 pub mod census;

@@ -2,7 +2,7 @@
 //! starvation and livelock protection, ring bridges and SWAP deadlock
 //! resolution — the complete §4 of the paper, cycle by cycle.
 //!
-//! # One engine, one loop
+//! # One thread, one cycle
 //!
 //! The engine is decomposed along the paper's own fault line: rings are
 //! independent conveyor belts coupled *only* at bridges. Each ring is a
@@ -10,10 +10,9 @@
 //! bitsets, node interfaces, bridge sides, statistics and telemetry
 //! buffer; [`Network`] itself is just the orchestrator.
 //!
-//! Time advances in **epochs** of K cycles ([`Network::tick_epoch`]);
-//! [`Network::tick`] is the one-cycle epoch. For every cycle of an
-//! epoch the engine's single cycle loop (`crate::epoch::run_cycles`)
-//! runs four phases:
+//! [`Network::tick`] advances one cycle on the calling thread. The
+//! engine's cycle (`crate::epoch::run_cycle`) runs four phases over
+//! every shard:
 //!
 //! 1. **Deliver** — each shard drains matured flits from its bridge
 //!    inboxes ([`crate::bridge::BridgeSide::rx`]) into endpoint inject
@@ -31,19 +30,12 @@
 //! indexed by event like the station sweep below: a side where nothing
 //! is due in a cycle is not visited in it (see [`crate::bridge`]).
 //!
-//! Who runs the loop is the [`ExecMode`]: the calling thread over every
-//! shard, or one thread per contiguous partition of the shards, the
-//! barriers of cross-partition bridges carried as per-cycle mail over
-//! lock-free SPSC rings. Shards share nothing mutable and the mail is a
-//! pure function of the sender's state at a fixed cycle, so every
-//! partitioning is bit-identical.
-//!
 //! Every caller-visible drain — metrics commits, watchdog evaluation,
-//! trace emission in ring order, utilization samples — happens after
-//! the loop, at the epoch boundary, replayed cycle by cycle. K is
-//! bounded by the minimum bridge traversal latency
-//! ([`Network::max_epoch`]); within that bound the deferral is
-//! invisible and every observable stream is byte-identical for every K.
+//! trace emission in ring order, utilization samples — happens in the
+//! epilogue at the end of the same cycle. A host scales by running many
+//! networks side by side, one per thread, not by splitting one network
+//! over threads. [`Network::tick_epoch`] is `k` calls of
+//! [`Network::tick`].
 //!
 //! # Event-indexed tick
 //!
@@ -65,13 +57,13 @@
 use crate::bridge::BridgeSide;
 use crate::census::{self, WaitCensus};
 use crate::config::NetworkConfig;
-use crate::epoch::{self, CycleLoop, EpochCell, EpochEngine};
+use crate::epoch;
 use crate::error::{EngineError, EnqueueError};
 use crate::exec::ExecMode;
 use crate::flit::{Flit, FlitClass};
 use crate::ids::{BridgeId, NodeId, RingId};
 use crate::route::RouteTable;
-use crate::shard::{EngineShared, NodeState, RingShard, UTIL_SAMPLE_PERIOD};
+use crate::shard::{EngineShared, NodeState, RingShard};
 use crate::stats::{NetStats, TickProfile};
 use crate::topology::{NodeKind, Topology};
 use noc_sim::{BandwidthProbe, Component, Cycle};
@@ -80,7 +72,11 @@ use noc_telemetry::{
     HealthMonitor, MetricsRegistry, NullSink, PostmortemBundle, RecorderConfig, RecorderView,
     RingWindow, TraceRecord, TraceSink, WaitGraphSample, WaitNode, WaitStats, NO_FLIT, NO_LANE,
 };
-use std::sync::Arc;
+
+/// When a tracing sink is attached, every ring's occupancy is sampled
+/// ([`FlitEvent::RingUtil`]) once per this many cycles. Irrelevant for
+/// `NullSink` networks: the sampling site compiles away.
+const UTIL_SAMPLE_PERIOD: u64 = 8;
 
 /// Which sweep implementation [`Network::tick`] uses.
 ///
@@ -150,14 +146,6 @@ struct Observatory {
 /// # Ok::<(), noc_core::TopologyError>(())
 /// ```
 ///
-/// # Parallel execution
-///
-/// The cycle loop can run on a persistent worker pool, one partition
-/// of the rings per thread, with [`Network::set_exec_mode`] /
-/// [`ExecMode::Parallel`]. Results are bit-identical to sequential
-/// execution for every thread count — see the module docs and
-/// DESIGN.md §19 for why.
-///
 /// # Telemetry
 ///
 /// The network is generic over a [`TraceSink`] that receives a
@@ -195,13 +183,10 @@ struct Observatory {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Network<S: TraceSink = NullSink> {
-    shared: Arc<EngineShared>,
+    shared: EngineShared,
     shards: Vec<RingShard>,
     mode: TickMode,
-    exec: ExecMode,
-    epoch: EpochCell,
     now: Cycle,
-    ticks: u64,
     next_flit_id: u64,
     sink: S,
     observatory: Option<Observatory>,
@@ -228,30 +213,28 @@ impl<S: TraceSink> Network<S> {
     /// Instantiate with an explicit [`TraceSink`] receiving the full
     /// flit-lifecycle event stream (see the type-level docs).
     pub fn with_sink(topo: Topology, cfg: NetworkConfig, mode: TickMode, sink: S) -> Self {
-        Self::with_exec(topo, cfg, mode, ExecMode::Sequential, sink)
-    }
-
-    /// Instantiate with explicit tick and execution modes.
-    pub fn with_exec(
-        topo: Topology,
-        cfg: NetworkConfig,
-        mode: TickMode,
-        exec: ExecMode,
-        sink: S,
-    ) -> Self {
         let (shared, shards) = crate::shard::build(topo, cfg);
         Network {
-            shared: Arc::new(shared),
+            shared,
             shards,
             mode,
-            exec,
-            epoch: EpochCell::default(),
             now: Cycle::ZERO,
-            ticks: 0,
             next_flit_id: 0,
             sink,
             observatory: None,
         }
+    }
+
+    /// [`Network::with_sink`]; the [`ExecMode`] is accepted and ignored
+    /// (every mode runs on the calling thread).
+    pub fn with_exec(
+        topo: Topology,
+        cfg: NetworkConfig,
+        mode: TickMode,
+        _exec: ExecMode,
+        sink: S,
+    ) -> Self {
+        Self::with_sink(topo, cfg, mode, sink)
     }
 
     // ------------------------------------------------------------------
@@ -262,10 +245,8 @@ impl<S: TraceSink> Network<S> {
     /// watchdogs): every `period` cycles each shard stages one
     /// per-ring sample during the per-ring phase, and the engine
     /// commits them as one
-    /// [`MetricsSnapshot`](noc_telemetry::MetricsSnapshot) at the
-    /// merge barrier —
-    /// in ring order, so the snapshot stream is bit-identical across
-    /// [`ExecMode::Sequential`] and [`ExecMode::Parallel`].
+    /// [`MetricsSnapshot`](noc_telemetry::MetricsSnapshot) at the end
+    /// of the cycle, in ring order.
     ///
     /// Counters observed before this call are excluded from the
     /// windows; enabling mid-run starts a fresh series.
@@ -364,8 +345,8 @@ impl<S: TraceSink> Network<S> {
     /// Freeze the current state into a [`PostmortemBundle`] without
     /// waiting for a watchdog: recent snapshots and events from the
     /// flight recorder (empty if it is off), merged flow top-K,
-    /// per-link heat, every verdict so far, and the config + execution
-    /// mode needed for replay. Returns `None` when the observatory is
+    /// per-link heat, every verdict so far, and the config + tick mode
+    /// needed for replay. Returns `None` when the observatory is
     /// disabled. Explicit dumps are not stored in [`Network::bundles`]
     /// and not counted against [`RecorderConfig::max_bundles`]; unlike
     /// watchdog captures they do not force a charge sweep, so in-flight
@@ -377,9 +358,8 @@ impl<S: TraceSink> Network<S> {
     }
 
     /// Build a bundle from the current observatory state, stamped with
-    /// `cycle` (the watchdog path passes the sample cycle, which inside
-    /// an epoch epilogue can trail `self.now`). Caller guarantees the
-    /// observatory is enabled.
+    /// `cycle` (the watchdog paths pass the cycle of the sample that
+    /// latched). Caller guarantees the observatory is enabled.
     fn capture_bundle(&self, reason: &str, cycle: u64) -> PostmortemBundle {
         let obs = self.observatory.as_ref().expect("caller checked");
         let rec = self.recorder();
@@ -395,7 +375,6 @@ impl<S: TraceSink> Network<S> {
                 config: serde_json::to_value(&self.shared.cfg),
             },
             env: BundleEnv {
-                exec_mode: format!("{:?}", self.exec),
                 tick_mode: format!("{:?}", self.mode),
             },
             verdicts: obs.monitor.verdicts().to_vec(),
@@ -452,9 +431,8 @@ impl<S: TraceSink> Network<S> {
     /// slot pool and every bridge escape resource with occupancy,
     /// capacity and monotone progress counters, per-ring transit demand
     /// toward each bridge side, and the placement of every in-network
-    /// packet (see [`crate::census`]). Runs on owner-held state between
-    /// ticks, iterating in ascending ring/side order — byte-identical
-    /// across execution modes, tick modes and epoch lengths.
+    /// packet (see [`crate::census`]). Runs between ticks, iterating in
+    /// ascending ring/side order — byte-identical across tick modes.
     pub fn wait_census(&self) -> WaitCensus {
         let mut out = WaitCensus {
             cycle: self.now.raw(),
@@ -554,36 +532,22 @@ impl<S: TraceSink> Network<S> {
             return;
         };
         let now = self.now;
-        let shared = Arc::clone(&self.shared);
         for shard in &mut self.shards {
             shard.charge_and_flush();
-            shard.sample_metrics(&shared, now);
+            shard.sample_metrics(&self.shared, now);
         }
         self.commit_staged(now.raw() % period);
     }
 
-    /// Pop one staged sample row (oldest; all shards sampled it at the
-    /// same cycle) and commit it as one snapshot, in ascending ring id —
-    /// so the snapshot stream is independent of who ran the shards.
-    /// Every epoch's epilogue commits the rows its cycles staged, so
-    /// none outlives a `tick_epoch` call.
+    /// Take the sample row every shard staged this cycle and commit it
+    /// as one snapshot, in ascending ring id.
     fn commit_staged(&mut self, window: u64) {
-        let mut in_flight = 0u64;
-        let mut cycle = 0u64;
+        let cycle = self.now.raw();
+        let in_flight = self.in_flight();
         let rings: Vec<RingWindow> = self
             .shards
             .iter_mut()
-            .map(|s| {
-                let staged = s
-                    .pending_metrics
-                    .pop_front()
-                    .expect("all shards sample together");
-                // Wrapping: per-shard contributions may be "negative"
-                // (see `StagedSample`); the sum is exact.
-                in_flight = in_flight.wrapping_add(staged.in_flight);
-                cycle = staged.cycle;
-                staged.window
-            })
+            .map(|s| s.staged_window.take().expect("all shards sample together"))
             .collect();
         let obs = self.observatory.as_mut().expect("caller checked");
         let snap = obs.registry.commit(cycle, window, in_flight, rings);
@@ -654,25 +618,8 @@ impl<S: TraceSink> Network<S> {
         self.mode
     }
 
-    /// Which threads run the cycle loop.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
-    }
-
-    /// Change which threads run the cycle loop. Takes effect on the
-    /// next tick. A change of worker count joins the current pool's
-    /// threads here; the new pool, if any, is spawned lazily. Switching
-    /// modes mid-run cannot change results.
-    pub fn set_exec_mode(&mut self, exec: ExecMode) {
-        if exec.workers() != self.exec.workers() {
-            self.epoch.0 = None;
-        }
-        self.exec = exec;
-    }
-
     /// Accumulated statistics: the per-shard blocks merged in ring
-    /// order (the merge is commutative, so every execution mode yields
-    /// the same totals, histograms and [`NetStats::fingerprint`]).
+    /// order.
     pub fn stats(&self) -> NetStats {
         let mut total = NetStats::new();
         for shard in &self.shards {
@@ -682,7 +629,7 @@ impl<S: TraceSink> Network<S> {
     }
 
     /// The merged [`NetStats::fingerprint`] — the canonical value for
-    /// differential (tick-mode / exec-mode) identity checks.
+    /// differential (tick-mode) identity checks.
     pub fn fingerprint(&self) -> Vec<u64> {
         self.stats().fingerprint()
     }
@@ -692,7 +639,7 @@ impl<S: TraceSink> Network<S> {
     /// merged across shards.
     pub fn tick_profile(&self) -> TickProfile {
         let mut p = TickProfile {
-            ticks: self.ticks,
+            ticks: self.now.raw(),
             ..TickProfile::default()
         };
         for shard in &self.shards {
@@ -926,45 +873,35 @@ impl<S: TraceSink> Network<S> {
     // Simulation step
     // ------------------------------------------------------------------
 
-    /// Advance the network by one clock cycle: [`Network::tick_epoch`]
-    /// with `k = 1` (see the module docs for the phase structure).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a parallel worker died ([`Network::tick_epoch`] is the
-    /// non-panicking form).
+    /// Advance the network by one clock cycle (see the module docs for
+    /// the phase structure), then run the cycle's epilogue.
     pub fn tick(&mut self) {
-        if let Err(e) = self.tick_epoch(1) {
-            panic!("{e}");
+        self.now += 1;
+        // The one place the sink type picks the cycle's TRACE parameter.
+        if S::ENABLED {
+            epoch::run_cycle::<true>(&mut self.shards, &self.shared, self.mode, self.now);
+        } else {
+            epoch::run_cycle::<false>(&mut self.shards, &self.shared, self.mode, self.now);
+        }
+        if S::ENABLED || self.observatory.is_some() {
+            self.epilogue();
         }
     }
 
-    /// The largest epoch [`Network::tick_epoch`] accepts: the minimum
+    /// The largest `k` [`Network::tick_epoch`] accepts: the minimum
     /// bridge traversal latency over the topology (at least 1), or
-    /// `u64::MAX` when there are no bridges. Within this bound no flit
-    /// can enter *and* mature in a bridge pipeline inside one epoch,
-    /// which is what makes deferring all engine-side drains to the
-    /// epoch boundary invisible (see `crate::epoch`).
+    /// `u64::MAX` when there are no bridges.
     pub fn max_epoch(&self) -> u64 {
         self.shared.max_epoch
     }
 
-    /// Advance the network by `k` cycles as one epoch: the cycle loop
-    /// runs `k` times back to back (on the calling thread, or on the
-    /// worker pool under [`ExecMode::Parallel`]), and every
-    /// caller-visible drain — metrics commits, watchdog evaluation,
-    /// trace-sink emission, ring-utilization samples — happens at this
-    /// epoch boundary, replayed in cycle order. The resulting state,
-    /// statistics, snapshot stream and telemetry stream are
-    /// byte-identical to `k` one-cycle epochs; only the synchronization
-    /// structure changes.
+    /// Advance the network by `k` cycles: `k` calls of
+    /// [`Network::tick`].
     ///
     /// # Errors
     ///
     /// * [`EngineError::EmptyEpoch`] — `k == 0`.
     /// * [`EngineError::EpochTooLong`] — `k > `[`Network::max_epoch`].
-    /// * [`EngineError::Pool`] — a parallel worker died; the shards it
-    ///   held are lost and the network must be discarded.
     pub fn tick_epoch(&mut self, k: u64) -> Result<(), EngineError> {
         if k == 0 {
             return Err(EngineError::EmptyEpoch);
@@ -973,130 +910,55 @@ impl<S: TraceSink> Network<S> {
         if k > max {
             return Err(EngineError::EpochTooLong { requested: k, max });
         }
-        let first = self.now.raw() + 1;
-        let last = self.now.raw() + k;
-        // The one place the sink type picks the loop's TRACE parameter.
-        let cycles: CycleLoop = if S::ENABLED {
-            epoch::run_cycles::<true>
-        } else {
-            epoch::run_cycles::<false>
-        };
-        let workers = self.exec.workers();
-        if workers == 0 {
-            // The one-task case: every ring, no cross links.
-            cycles(&mut self.shards, &[], &self.shared, self.mode, first, last);
-        } else {
-            let engine = self
-                .epoch
-                .0
-                .get_or_insert_with(|| EpochEngine::new(&self.shared, workers));
-            // `set_exec_mode` is the only writer of `exec` and drops a
-            // mis-sized engine there; a second writer must do the same.
-            debug_assert_eq!(engine.workers(), workers);
-            let ran = engine.run(
-                &mut self.shards,
-                cycles,
-                &self.shared,
-                self.mode,
-                first,
-                last,
-            );
-            if let Err(e) = ran {
-                // Drop the stale wiring so a (doomed) retry cannot see
-                // half a network.
-                self.epoch.0 = None;
-                return Err(e.into());
-            }
-        }
-        self.now = Cycle(last);
-        self.ticks += k;
-        if S::ENABLED || self.observatory.is_some() {
-            self.epoch_epilogue(first, last);
+        for _ in 0..k {
+            self.tick();
         }
         Ok(())
     }
 
-    /// Replay the epoch's deferred drains in cycle order: for each
-    /// cycle, commit that cycle's staged metrics sample (if any), feed
-    /// that cycle's trace records to the recorder and sink in ring
-    /// order, then emit its staged ring-utilization samples. Allocates
-    /// nothing; a one-cycle epoch walks the shards once (plus once more
-    /// at each [`UTIL_SAMPLE_PERIOD`] boundary).
-    fn epoch_epilogue(&mut self, first: u64, last: u64) {
-        let window = self.observatory.as_ref().map(|o| o.registry.period());
-        for t in first..=last {
-            if let Some(w) = window {
-                if self
-                    .shards
-                    .first()
-                    .is_some_and(|s| s.pending_metrics.front().is_some_and(|p| p.cycle == t))
-                {
-                    self.commit_staged(w);
-                }
-            }
-            if S::ENABLED {
-                self.feed_traces_for_cycle(t, t == last);
-                // Shards stage utilization samples only at these
-                // boundaries, so no other cycle has any to emit.
-                if t.is_multiple_of(UTIL_SAMPLE_PERIOD) {
-                    self.emit_staged_util(t);
-                }
-            }
+    /// The end of every cycle: commit the cycle's staged metrics sample
+    /// (if any), feed its trace records to the recorder and sink in ring
+    /// order, then, at [`UTIL_SAMPLE_PERIOD`] boundaries, emit each
+    /// ring's occupancy.
+    fn epilogue(&mut self) {
+        if self
+            .shards
+            .first()
+            .is_some_and(|s| s.staged_window.is_some())
+        {
+            let obs = self
+                .observatory
+                .as_ref()
+                .expect("only an observatory samples");
+            self.commit_staged(obs.registry.period());
         }
-    }
-
-    /// Feed every trace record staged for cycle `t` to the recorder and
-    /// sink, in ring order — the deterministic merge that makes the
-    /// event stream independent of execution mode. Records within a
-    /// shard's buffer are non-decreasing in cycle, so one pass per
-    /// cycle consumes each buffer exactly once; on the epoch's `last`
-    /// cycle everything left is that cycle's, and the buffer is emptied
-    /// in the same pass.
-    fn feed_traces_for_cycle(&mut self, t: u64, last: bool) {
+        if !S::ENABLED {
+            return;
+        }
         let mut recorder = self.observatory.as_mut().and_then(|o| o.recorder.as_mut());
         for shard in &mut self.shards {
-            let pending = &shard.trace.records()[shard.trace_fed..];
-            let n = if last {
-                pending.len()
-            } else {
-                pending.partition_point(|r| r.cycle == t)
-            };
-            let batch = &pending[..n];
-            debug_assert!(
-                batch.iter().all(|r| r.cycle == t),
-                "the epoch epilogue consumes every staged record at its own cycle"
-            );
-            if n > 0 {
+            let batch = shard.trace.records();
+            if !batch.is_empty() {
                 if let Some(rec) = recorder.as_deref_mut() {
                     rec.record_events(batch);
                 }
                 self.sink.emit_all(batch);
-            }
-            if last {
                 shard.trace.clear();
-                shard.trace_fed = 0;
-            } else {
-                shard.trace_fed += n;
             }
         }
-    }
-
-    /// Emit the [`FlitEvent::RingUtil`] samples shards staged for cycle
-    /// `t` (at [`UTIL_SAMPLE_PERIOD`] boundaries), in ring order.
-    fn emit_staged_util(&mut self, t: u64) {
-        for si in 0..self.shards.len() {
-            while let Some(&(cycle, occupied, capacity)) = self.shards[si].pending_util.front() {
-                if cycle != t {
-                    break;
-                }
-                self.shards[si].pending_util.pop_front();
+        let cycle = self.now.raw();
+        if cycle.is_multiple_of(UTIL_SAMPLE_PERIOD) {
+            for shard in &self.shards {
                 self.sink.emit(TraceRecord {
                     cycle,
                     flit: NO_FLIT,
-                    ring: si as u16,
+                    ring: shard.ring.id.0,
                     station: 0,
                     lane: NO_LANE,
-                    event: FlitEvent::RingUtil { occupied, capacity },
+                    event: FlitEvent::RingUtil {
+                        occupied: shard.ring.occupancy() as u16,
+                        capacity: shard.ring.capacity() as u16,
+                    },
                 });
             }
         }
@@ -1120,79 +982,49 @@ mod tests {
     use crate::ids::RingKind;
     use crate::topology::TopologyBuilder;
 
-    /// Four rings in a chain, bridge latency 4, one device per ring.
-    fn chain() -> (Topology, Vec<NodeId>) {
+    #[test]
+    fn epoch_bounds_are_typed_errors() {
+        // Two full rings joined by one bridge of latency 3.
+        let mut b = TopologyBuilder::new();
+        let d0 = b.add_chiplet("d0");
+        let d1 = b.add_chiplet("d1");
+        let r0 = b.add_ring(d0, RingKind::Full, 8).unwrap();
+        let r1 = b.add_ring(d1, RingKind::Full, 8).unwrap();
+        let src = b.add_node("a0", r0, 1).unwrap();
+        let dst = b.add_node("a1", r1, 1).unwrap();
+        b.add_bridge(BridgeConfig::l2().with_latency(3), r0, 6, r1, 6)
+            .unwrap();
+        let mut net = Network::new(b.build().unwrap(), NetworkConfig::default());
+        assert_eq!(net.max_epoch(), 3);
+
+        match net.tick_epoch(0) {
+            Err(EngineError::EmptyEpoch) => {}
+            other => panic!("k = 0 must be EmptyEpoch, got {other:?}"),
+        }
+        match net.tick_epoch(4) {
+            Err(EngineError::EpochTooLong {
+                requested: 4,
+                max: 3,
+            }) => {}
+            other => panic!("k = 4 must be EpochTooLong, got {other:?}"),
+        }
+        // Rejected epochs must not advance time or touch state.
+        assert_eq!(net.now().raw(), 0);
+        net.enqueue(src, dst, FlitClass::Data, 64, 1).unwrap();
+        net.tick_epoch(3).expect("k = max_epoch is legal");
+        assert_eq!(net.now().raw(), 3);
+
+        // A bridgeless fabric has no pipeline to outrun: any K is legal.
         let mut b = TopologyBuilder::new();
         let die = b.add_chiplet("die");
-        let rings: Vec<_> = (0..4)
-            .map(|_| b.add_ring(die, RingKind::Full, 8).unwrap())
-            .collect();
-        let devs = rings
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| b.add_node(format!("d{i}"), r, 1).unwrap())
-            .collect();
-        for w in rings.windows(2) {
-            b.add_bridge(BridgeConfig::l2().with_latency(4), w[0], 6, w[1], 6)
-                .unwrap();
-        }
-        (b.build().unwrap(), devs)
-    }
-
-    #[test]
-    fn a_network_owns_at_most_one_pool_and_releases_it_when_unused() {
-        let (topo, devs) = chain();
-        let cfg = NetworkConfig::default();
-        let mut twin = Network::new(topo.clone(), cfg.clone());
-        let mut net =
-            Network::with_exec(topo, cfg, TickMode::Fast, ExecMode::Parallel(4), NullSink);
-        let k = net.max_epoch();
-        assert_eq!(k, 4);
-        let step = |net: &mut Network, twin: &mut Network, epoch: bool| {
-            for (i, &src) in devs.iter().enumerate() {
-                let dst = devs[(i + 2) % devs.len()];
-                let a = net.enqueue(src, dst, FlitClass::Data, 64, 0).is_ok();
-                assert_eq!(a, twin.enqueue(src, dst, FlitClass::Data, 64, 0).is_ok());
-            }
-            if epoch {
-                net.tick_epoch(k).unwrap();
-                twin.tick_epoch(k).unwrap();
-            } else {
-                net.tick();
-                twin.tick();
-            }
-            for &d in &devs {
-                while net.pop_delivered(d).is_some() {}
-                while twin.pop_delivered(d).is_some() {}
-            }
-            assert_eq!(net.fingerprint(), twin.fingerprint());
-        };
-
-        assert!(net.epoch.0.is_none(), "the pool is spawned lazily");
-        for i in 0..20 {
-            step(&mut net, &mut twin, i % 2 == 1);
-            assert_eq!(net.epoch.0.as_ref().map(EpochEngine::workers), Some(3));
-        }
-        // Same worker count: the pool is kept.
-        net.set_exec_mode(ExecMode::Parallel(4));
-        assert!(net.epoch.0.is_some());
-        // No workers wanted: the threads are joined at the switch, not
-        // left parked behind a network that ticks inline.
-        net.set_exec_mode(ExecMode::Sequential);
-        assert_eq!(format!("{:?}", net.epoch), "EpochCell(idle)");
-        for i in 0..20 {
-            step(&mut net, &mut twin, i % 2 == 1);
-            assert!(net.epoch.0.is_none());
-        }
-        // A different worker count replaces the pool rather than
-        // adding a second one.
-        net.set_exec_mode(ExecMode::Parallel(2));
-        step(&mut net, &mut twin, false);
-        assert_eq!(net.epoch.0.as_ref().map(EpochEngine::workers), Some(1));
-        net.set_exec_mode(ExecMode::Parallel(3));
-        assert!(net.epoch.0.is_none());
-        step(&mut net, &mut twin, true);
-        assert_eq!(net.epoch.0.as_ref().map(EpochEngine::workers), Some(2));
-        assert!(twin.stats().delivered.get() > 0);
+        let r = b.add_ring(die, RingKind::Full, 8).unwrap();
+        let a = b.add_node("a", r, 0).unwrap();
+        let z = b.add_node("z", r, 4).unwrap();
+        let mut lone = Network::new(b.build().unwrap(), NetworkConfig::default());
+        assert_eq!(lone.max_epoch(), u64::MAX);
+        lone.enqueue(a, z, FlitClass::Data, 64, 1).unwrap();
+        lone.tick_epoch(64).unwrap();
+        assert_eq!(lone.now().raw(), 64);
+        assert!(lone.pop_delivered(z).is_some());
     }
 }

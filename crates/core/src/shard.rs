@@ -1,4 +1,4 @@
-//! Per-ring shards: the unit of state ownership and parallelism.
+//! Per-ring shards: the unit of state ownership.
 //!
 //! A [`RingShard`] owns everything the paper's §4 station logic can
 //! touch while processing one ring for one cycle: the ring's lanes and
@@ -12,10 +12,10 @@
 //! Because the station logic is provably ring-local — a flit can only
 //! leave its ring through a bridge mailbox, and mail moves between
 //! shards only at the engine's phase barriers — shards can be evaluated
-//! in any order, or concurrently, with bit-identical results. The engine
-//! merges their stats, profiles and trace buffers in ascending ring
-//! order afterwards. Immutable inputs every shard needs (config, route
-//! table, global→local id maps) live in one shared [`EngineShared`].
+//! in any order with bit-identical results. The engine merges their
+//! stats, profiles and trace buffers in ascending ring order afterwards.
+//! Immutable inputs every shard needs (config, route table, global→local
+//! id maps) live in one shared [`EngineShared`].
 //!
 //! The bridge phases are event-indexed like the station sweep: a shard
 //! keeps the earliest cycle any of its inboxes matures
@@ -28,8 +28,7 @@
 //! Methods take a `const TRACE: bool` parameter instead of a sink type:
 //! with `TRACE = false` every record construction folds away exactly
 //! like the `S::ENABLED` guards did in the monolith, and shards stay
-//! independent of sink types (which keeps them `Send` without bounds
-//! gymnastics).
+//! independent of sink types.
 
 use crate::bits::{word_ones, BitRing};
 use crate::bridge::BridgeSide;
@@ -49,25 +48,6 @@ use noc_telemetry::{
     TraceRecord, WaitNode, WindowCounters, NO_FLIT, NO_LANE,
 };
 use std::collections::VecDeque;
-
-/// When a tracing sink is attached, every ring's occupancy is sampled
-/// ([`noc_telemetry::FlitEvent::RingUtil`]) once per this many cycles.
-/// Irrelevant for `NullSink` networks: the sampling sites compile away.
-pub(crate) const UTIL_SAMPLE_PERIOD: u64 = 8;
-
-/// One metrics sample staged inside the per-ring phase, tagged with the
-/// cycle it was taken at so the engine can commit it at the right point
-/// of an epoch's deferred epilogue. `in_flight` is this shard's
-/// contribution to the global in-flight gauge (enqueued − delivered) at
-/// the sample cycle; summing the staged contributions reproduces
-/// exactly what `Network::in_flight()` would return had the epoch ended
-/// at that cycle.
-#[derive(Debug, Clone)]
-pub(crate) struct StagedSample {
-    pub cycle: u64,
-    pub in_flight: u64,
-    pub window: RingWindow,
-}
 
 /// Where a global node id lives: which ring shard, at which index.
 #[derive(Debug, Clone, Copy)]
@@ -92,9 +72,8 @@ impl SideLoc {
     }
 }
 
-/// Immutable engine inputs shared by all shards (held in an `Arc` so a
-/// parallel fan-out can hand every worker the same reference).
-#[derive(Debug)]
+/// Immutable engine inputs shared by all shards.
+#[derive(Debug, Clone)]
 pub(crate) struct EngineShared {
     pub cfg: NetworkConfig,
     pub topo: Topology,
@@ -104,8 +83,8 @@ pub(crate) struct EngineShared {
     /// Bridge id → location of each side.
     pub side_loc: Vec<[SideLoc; 2]>,
     /// The minimum bridge traversal latency (at least 1), `u64::MAX`
-    /// without bridges: the longest epoch the engine may run, fixed by
-    /// the topology and therefore computed once here.
+    /// without bridges: the longest `Network::tick_epoch` accepts, fixed
+    /// by the topology and therefore computed once here.
     pub max_epoch: u64,
 }
 
@@ -234,32 +213,24 @@ pub(crate) struct RingShard {
     /// Shard-local sweep instrumentation (`ticks` stays 0 here; the
     /// engine adds the tick count on top when merging).
     pub profile: TickProfile,
-    /// Events staged this epoch, replayed into the sink by the engine
-    /// cycle by cycle, in ring order, at the epoch boundary.
+    /// Events staged this cycle, fed to the sink by the engine in ring
+    /// order at the end of the cycle.
     pub trace: TraceBuffer,
-    /// How many records of `trace` that replay has consumed so far.
-    pub trace_fed: usize,
     /// Metrics sampling period in cycles; 0 disables sampling.
     pub metrics_period: u64,
     /// Counter readings at the end of the previous metrics window, so
     /// each sample reports exact per-window deltas.
     metrics_base: WindowCounters,
-    /// Samples staged during the (possibly parallel) per-ring phase,
-    /// oldest first, collected by the engine in ring order at the next
-    /// epoch boundary. Holds at most one entry per elapsed sampling
-    /// boundary; one-cycle epochs drain it every cycle.
-    pub pending_metrics: VecDeque<StagedSample>,
-    /// Ring-utilization samples `(cycle, occupied, capacity)` staged at
-    /// [`UTIL_SAMPLE_PERIOD`] boundaries when tracing, emitted by the
-    /// engine in ring order at the next epoch boundary.
-    pub pending_util: VecDeque<(u64, u16, u16)>,
+    /// The sample staged by this cycle's per-ring phase, committed by
+    /// the engine in ring order at the end of the cycle.
+    pub staged_window: Option<RingWindow>,
     /// Space-Saving capacity of the flow table; 0 disables flow
     /// accounting (and link counting) entirely.
     pub flow_topk: usize,
     /// Heaviest (src, dst) flows delivering or deflecting on this ring.
     /// Shard-local; fed from `flow_buf` at sampling boundaries in
     /// sorted flow-key order, so its contents are identical under any
-    /// execution order.
+    /// sweep order.
     pub flows: FlowTable,
     /// Per-flow deltas staged since the last flush. Charging is lazy —
     /// deflections accumulate on the flit itself and are converted to
@@ -314,11 +285,9 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
             stats: NetStats::new(),
             profile: TickProfile::default(),
             trace: TraceBuffer::default(),
-            trace_fed: 0,
             metrics_period: 0,
             metrics_base: WindowCounters::default(),
-            pending_metrics: VecDeque::new(),
-            pending_util: VecDeque::new(),
+            staged_window: None,
             flow_topk: 0,
             flows: FlowTable::new(0),
             flow_buf: Vec::new(),
@@ -637,7 +606,7 @@ impl RingShard {
     }
 
     // ------------------------------------------------------------------
-    // Phase 2: the per-ring cycle (safe to run concurrently per shard)
+    // Phase 2: the per-ring cycle (touches only this shard)
     // ------------------------------------------------------------------
 
     /// The fused per-ring portion of one tick: zero-hop local
@@ -666,17 +635,6 @@ impl RingShard {
         self.drm_update();
         if self.metrics_period != 0 && now.raw().is_multiple_of(self.metrics_period) {
             self.sample_metrics(shared, now);
-        }
-        // Ring occupancy no longer changes this cycle, so the sample
-        // staged here is exactly what the engine's end-of-tick probe
-        // used to read. Staging (instead of emitting) lets an epoch
-        // defer the sink traffic without changing a byte of it.
-        if TRACE && now.raw().is_multiple_of(UTIL_SAMPLE_PERIOD) {
-            self.pending_util.push_back((
-                now.raw(),
-                self.ring.occupancy() as u16,
-                self.ring.capacity() as u16,
-            ));
         }
     }
 
@@ -1499,10 +1457,9 @@ impl RingShard {
 
     /// Stage one metrics sample: window counter deltas since the last
     /// sample plus instantaneous ring/bridge gauges. Runs inside the
-    /// per-ring phase — it reads only shard-local state, so samples are
-    /// identical under any execution order. The engine collects the
-    /// staged [`StagedSample`]s in ring order at the next epoch
-    /// boundary (every cycle for one-cycle epochs).
+    /// per-ring phase — it reads only shard-local state, so samples do
+    /// not depend on the order the shards run in. The engine commits
+    /// the staged windows in ring order at the end of the cycle.
     pub(crate) fn sample_metrics(&mut self, shared: &EngineShared, now: Cycle) {
         let now_counters = self.counters_now();
         let counters = now_counters.delta_since(&self.metrics_base);
@@ -1559,25 +1516,13 @@ impl RingShard {
             (self.flows.ranked(), self.link_util.clone())
         };
 
-        // Wrapping: enqueues count at the source shard but deliveries
-        // at the destination shard, so one shard's delta may be
-        // "negative". The engine's wrapping sum over all shards is the
-        // exact global gauge.
-        self.pending_metrics.push_back(StagedSample {
-            cycle: now.raw(),
-            in_flight: self
-                .stats
-                .enqueued
-                .get()
-                .wrapping_sub(self.stats.delivered.get()),
-            window: RingWindow {
-                ring: self.ring.id.0,
-                counters,
-                gauges,
-                bridges,
-                flows,
-                links,
-            },
+        self.staged_window = Some(RingWindow {
+            ring: self.ring.id.0,
+            counters,
+            gauges,
+            bridges,
+            flows,
+            links,
         });
     }
 
@@ -1603,7 +1548,7 @@ impl RingShard {
     /// on this ring wants to cross where) and the placement of every
     /// resident flit's packet. Runs between ticks on owner-held state;
     /// iteration is in lane/station/side order, so the contribution is
-    /// deterministic across execution modes. The escape rows are the
+    /// deterministic across tick modes. The escape rows are the
     /// engine's to build: each pairs two sides that live in different
     /// shards.
     pub(crate) fn wait_census_part(&self, shared: &EngineShared, census: &mut WaitCensus) {

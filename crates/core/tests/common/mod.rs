@@ -1,5 +1,5 @@
 //! Seeded generators and digests shared by the engine identity suites
-//! (`tick_equivalence`, `epoch_batching`, `engine_goldens`), and the
+//! (`tick_equivalence`, `engine_goldens`, `side_index`, …), and the
 //! snapshot-stream reader of the observatory suites. Each suite uses a
 //! subset, hence the blanket `dead_code` allowance.
 #![allow(dead_code)]

@@ -1,19 +1,18 @@
 //! The delivery index (DESIGN.md §22): `Network::nodes_with_deliveries`
 //! yields exactly the devices with mail waiting, in ring order, after
 //! anything the public API can do — partial drains that leave a mark
-//! set, a pop at a bridge endpoint, a clone mid-run, long epochs,
-//! parallel shards. Each check compares against a brute-force filter
-//! over every device; debug builds additionally run
-//! `debug_check_delivered` on every shard every cycle.
+//! set, a pop at a bridge endpoint, a clone mid-run, long epochs. Each
+//! check compares against a brute-force filter over every device; debug
+//! builds additionally run `debug_check_delivered` on every shard every
+//! cycle.
 
 mod common;
 
 use common::{random_topology, Rng};
-use noc_core::telemetry::{NullSink, TraceSink};
+use noc_core::telemetry::TraceSink;
 use noc_core::topogen::GridParams;
 use noc_core::{
-    BridgeConfig, ExecMode, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode,
-    TopologyBuilder,
+    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder,
 };
 use proptest::prelude::*;
 
@@ -70,7 +69,7 @@ fn drain_some<S: TraceSink>(net: &mut Network<S>, rng: &mut Rng) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random fabric × load × epoch length × partitioning, consumers
+    /// Random fabric × load × epoch length, consumers
     /// draining only part of their mail: after every epoch and every
     /// drain the index equals the brute-force filter.
     #[test]
@@ -78,13 +77,10 @@ proptest! {
         seed in any::<u64>(),
         one_in in 1u64..6,
         long_epochs in any::<bool>(),
-        parallel in any::<bool>(),
     ) {
         let mut rng = Rng(seed);
         let (topo, devs) = random_topology(&mut rng);
-        let exec = if parallel { ExecMode::Parallel(2) } else { ExecMode::Sequential };
-        let mut net =
-            Network::with_exec(topo, NetworkConfig::default(), TickMode::Fast, exec, NullSink);
+        let mut net = Network::new(topo, NetworkConfig::default());
         let k = if long_epochs { net.max_epoch() } else { 1 };
         let mut marked_left = 0u64;
         for step in 0..1_200 / k {

@@ -20,16 +20,17 @@
 //!   plus the flight recorder's postmortem bundle (retained events,
 //!   flow table, link heat).
 //!
-//! `Sequential` and `Parallel(2)` must both reproduce each row. Traffic
-//! and drains happen only at epoch-aligned cycles, so a K-cycle epoch
-//! and K one-cycle epochs are the same schedule.
+//! Traffic and drains happen only at epoch-aligned cycles, so a K-cycle
+//! epoch and K one-cycle epochs are the same schedule: the K > 1 rows,
+//! pinned when a K-cycle epoch still deferred its drains to the epoch
+//! boundary, now pin `tick_epoch(k)` as `k` calls of `tick()`.
 
 mod common;
 
 use common::{chain_topology, digest, fnv1a, random_topology, Rng, SnapshotStream, FNV_OFFSET};
 use noc_core::telemetry::{HealthConfig, RecorderConfig, RingBufferSink};
 use noc_core::topogen::GridParams;
-use noc_core::{ExecMode, FlitClass, Network, NetworkConfig, NodeId, TickMode, Topology};
+use noc_core::{FlitClass, Network, NetworkConfig, NodeId, TickMode, Topology};
 
 /// Simulated cycles per run; divisible by every K the table uses.
 const CYCLES: u64 = 600;
@@ -70,11 +71,9 @@ const GOLDENS: &[(&str, u64, [Golden; 2])] = &[
     ("torus4x4", 4, [g(0x3934bfca9c362813, 0xc0b5c3a2f819834d, 0x04aa4c549ba80d9b), g(0x3934bfca9c362813, 0xc0b5c3a2f819834d, 0x04aa4c549ba80d9b)]),
 ];
 
-/// The pinned fabrics: four `chain_topology` seeds under
-/// `epoch_batching`'s derivation (0, 4 and 8 are the seeds that suite
-/// used to compare `tick()` against `tick_epoch(1)` on the calling
-/// thread), four `random_topology` seeds under `tick_equivalence`'s
-/// epoch-axis derivation, and one generated 4×4 torus.
+/// The pinned fabrics: four `chain_topology` seeds, four
+/// `random_topology` seeds under `tick_equivalence`'s epoch-axis
+/// derivation, and one generated 4×4 torus.
 fn cases() -> Vec<(String, Topology, Vec<NodeId>, u64)> {
     let mut out = Vec::new();
     for seed in [0u64, 4, 5, 8] {
@@ -102,19 +101,11 @@ fn cases() -> Vec<(String, Topology, Vec<NodeId>, u64)> {
     out
 }
 
-fn run(
-    topo: &Topology,
-    devs: &[NodeId],
-    traffic_seed: u64,
-    mode: TickMode,
-    exec: ExecMode,
-    k: u64,
-) -> Golden {
-    let mut net = Network::with_exec(
+fn run(topo: &Topology, devs: &[NodeId], traffic_seed: u64, mode: TickMode, k: u64) -> Golden {
+    let mut net = Network::with_sink(
         topo.clone(),
         NetworkConfig::default(),
         mode,
-        exec,
         RingBufferSink::new(1 << 20),
     );
     net.enable_flight_recorder(
@@ -186,22 +177,13 @@ fn engine_matches_goldens_pinned_before_the_engines_were_collapsed() {
         let mut ks = vec![1, kmax];
         ks.dedup();
         for k in ks {
-            let mut row = Vec::new();
-            for mode in [TickMode::Fast, TickMode::Reference] {
-                let got = run(&topo, &devs, traffic_seed, mode, ExecMode::Sequential, k);
-                let par = run(&topo, &devs, traffic_seed, mode, ExecMode::Parallel(2), k);
-                if par != got {
-                    mismatches.push(format!(
-                        "{name} k={k} {mode:?}: Parallel(2) {par:x?} != Sequential {got:x?}"
-                    ));
-                }
-                row.push(got);
-            }
+            let row = [TickMode::Fast, TickMode::Reference]
+                .map(|mode| run(&topo, &devs, traffic_seed, mode, k));
             let pinned = GOLDENS
                 .iter()
                 .find(|(n, gk, _)| *n == name && *gk == k)
                 .map(|(_, _, g)| *g);
-            if pinned != Some([row[0], row[1]]) {
+            if pinned != Some(row) {
                 mismatches.push(format!(
                     "{name} k={k}: pinned {pinned:x?}, engine now produces {row:x?}"
                 ));

@@ -1,18 +1,18 @@
 //! Flight-recorder correctness: flow attribution and postmortem
-//! bundles must be byte-identical across every execution mode — the
-//! evidence a postmortem presents cannot depend on how the simulation
-//! happened to be scheduled — and a watchdog latching on a wedged
+//! bundles must be byte-identical across both tick modes — the
+//! evidence a postmortem presents cannot depend on how the stations
+//! happened to be enumerated — and a watchdog latching on a wedged
 //! network must yield exactly one bundle that names the stalled flow.
 //!
 //! The single sanctioned exception is the bundle's `"kind":"env"` JSONL
-//! line, which records the execution/tick mode for replay;
+//! line, which records the tick mode for replay;
 //! `comparable_jsonl()` excludes it and everything else is compared
 //! byte for byte.
 
 use noc_core::telemetry::{HealthConfig, PostmortemBundle, RecorderConfig, Severity};
 use noc_core::{
-    BridgeConfig, ExecMode, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode,
-    Topology, TopologyBuilder,
+    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode, Topology,
+    TopologyBuilder,
 };
 
 /// splitmix64: deterministic per-seed stream.
@@ -92,11 +92,10 @@ fn run_recorded(
     topo: Topology,
     cfg: NetworkConfig,
     mode: TickMode,
-    exec: ExecMode,
     devices: &[NodeId],
     traffic_seed: u64,
 ) -> Network {
-    let mut net = Network::with_exec(topo, cfg, mode, exec, noc_core::telemetry::NullSink);
+    let mut net = Network::with_mode(topo, cfg, mode);
     net.enable_flight_recorder(
         SAMPLE_PERIOD,
         HealthConfig::default(),
@@ -144,7 +143,7 @@ fn run_recorded(
 }
 
 /// Flow tables, link matrices and full postmortem bundles must be
-/// byte-identical across Sequential/Parallel(2/4/8) × Fast/Reference —
+/// byte-identical across Fast/Reference —
 /// modulo the bundle's env line, the one place the mode may appear.
 #[test]
 fn flow_tables_and_bundles_byte_identical_across_modes_on_20_seeds() {
@@ -160,24 +159,10 @@ fn flow_tables_and_bundles_byte_identical_across_modes_on_20_seeds() {
         };
         let traffic_seed = rng.next();
 
-        let variants: [(TickMode, ExecMode); 5] = [
-            (TickMode::Fast, ExecMode::Sequential),
-            (TickMode::Fast, ExecMode::Parallel(2)),
-            (TickMode::Fast, ExecMode::Parallel(4)),
-            (TickMode::Fast, ExecMode::Parallel(8)),
-            (TickMode::Reference, ExecMode::Sequential),
-        ];
         let mut baseline: Option<(String, String, Vec<Vec<u64>>)> = None;
-        for (mode, exec) in variants {
-            let ctx = format!("seed {seed} {mode:?} {exec:?}");
-            let net = run_recorded(
-                topo.clone(),
-                cfg.clone(),
-                mode,
-                exec,
-                &devices,
-                traffic_seed,
-            );
+        for mode in [TickMode::Fast, TickMode::Reference] {
+            let ctx = format!("seed {seed} {mode:?}");
+            let net = run_recorded(topo.clone(), cfg.clone(), mode, &devices, traffic_seed);
             assert!(
                 net.stats().delivered.get() > 0,
                 "{ctx}: nothing was delivered"
@@ -192,11 +177,11 @@ fn flow_tables_and_bundles_byte_identical_across_modes_on_20_seeds() {
             let back =
                 PostmortemBundle::from_jsonl(&bundle.to_jsonl()).expect("bundle parses back");
             assert_eq!(bundle, back, "{ctx}: bundle JSONL round trip");
-            // The env line carries this run's modes and nothing else
+            // The env line carries this run's mode and nothing else
             // mode-dependent survives comparable_jsonl().
             assert!(
-                bundle.to_jsonl().contains(&format!("{exec:?}")),
-                "{ctx}: env line must record the exec mode"
+                bundle.to_jsonl().contains(&format!("{mode:?}")),
+                "{ctx}: env line must record the tick mode"
             );
             let comparable = bundle.comparable_jsonl();
             let links = net.link_cells();
@@ -209,15 +194,15 @@ fn flow_tables_and_bundles_byte_identical_across_modes_on_20_seeds() {
                 Some((base_flows, base_bundle, base_links)) => {
                     assert_eq!(
                         base_flows, &flows_json,
-                        "{ctx}: flow top-K diverged from sequential fast"
+                        "{ctx}: flow top-K diverged from fast"
                     );
                     assert_eq!(
                         base_bundle, &comparable,
-                        "{ctx}: postmortem bundle diverged from sequential fast"
+                        "{ctx}: postmortem bundle diverged from fast"
                     );
                     assert_eq!(
                         base_links, &links,
-                        "{ctx}: link heat matrix diverged from sequential fast"
+                        "{ctx}: link heat matrix diverged from fast"
                     );
                 }
             }

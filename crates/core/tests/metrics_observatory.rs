@@ -1,8 +1,7 @@
 //! Observatory correctness: the online metrics snapshot stream must be
 //! (a) exact — window counter deltas sum to the run's `NetStats`
 //! totals, counter for counter — and (b) deterministic — byte-identical
-//! JSONL across `ExecMode::Sequential` and `Parallel(n)` for every
-//! thread count, and across `TickMode::Fast`/`Reference`.
+//! JSONL across `TickMode::Fast`/`Reference`.
 //!
 //! Plus the watchdog regression pair: the liveness rule must fire when
 //! ejection is artificially wedged, and must stay silent on workloads
@@ -10,8 +9,8 @@
 
 use noc_core::telemetry::{snapshots_jsonl, HealthRule, WindowCounters};
 use noc_core::{
-    BridgeConfig, ExecMode, FlitClass, NetStats, Network, NetworkConfig, NodeId, RingKind,
-    TickMode, Topology, TopologyBuilder,
+    BridgeConfig, FlitClass, NetStats, Network, NetworkConfig, NodeId, RingKind, TickMode,
+    Topology, TopologyBuilder,
 };
 
 /// splitmix64: deterministic per-seed stream.
@@ -91,11 +90,10 @@ fn run_observed(
     topo: Topology,
     cfg: NetworkConfig,
     mode: TickMode,
-    exec: ExecMode,
     devices: &[NodeId],
     traffic_seed: u64,
 ) -> Network {
-    let mut net = Network::with_exec(topo, cfg, mode, exec, noc_core::telemetry::NullSink);
+    let mut net = Network::with_mode(topo, cfg, mode);
     net.enable_metrics(SAMPLE_PERIOD);
     let mut rng = Rng(traffic_seed);
     let cycles = 200 + rng.below(100);
@@ -195,24 +193,10 @@ fn snapshots_reconcile_and_are_byte_identical_across_modes_on_20_seeds() {
         };
         let traffic_seed = rng.next();
 
-        let variants: [(TickMode, ExecMode); 5] = [
-            (TickMode::Fast, ExecMode::Sequential),
-            (TickMode::Fast, ExecMode::Parallel(2)),
-            (TickMode::Fast, ExecMode::Parallel(4)),
-            (TickMode::Fast, ExecMode::Parallel(8)),
-            (TickMode::Reference, ExecMode::Sequential),
-        ];
         let mut baseline: Option<(String, Vec<u64>)> = None;
-        for (mode, exec) in variants {
-            let ctx = format!("seed {seed} {mode:?} {exec:?}");
-            let net = run_observed(
-                topo.clone(),
-                cfg.clone(),
-                mode,
-                exec,
-                &devices,
-                traffic_seed,
-            );
+        for mode in [TickMode::Fast, TickMode::Reference] {
+            let ctx = format!("seed {seed} {mode:?}");
+            let net = run_observed(topo.clone(), cfg.clone(), mode, &devices, traffic_seed);
             assert!(
                 net.stats().delivered.get() > 0,
                 "{ctx}: nothing was delivered"
@@ -225,11 +209,11 @@ fn snapshots_reconcile_and_are_byte_identical_across_modes_on_20_seeds() {
                 Some((base_jsonl, base_fp)) => {
                     assert_eq!(
                         base_fp, &fp,
-                        "{ctx}: NetStats fingerprint diverged from sequential fast"
+                        "{ctx}: NetStats fingerprint diverged from fast"
                     );
                     assert_eq!(
                         base_jsonl, &jsonl,
-                        "{ctx}: snapshot JSONL diverged from sequential fast"
+                        "{ctx}: snapshot JSONL diverged from fast"
                     );
                 }
             }
@@ -291,14 +275,7 @@ fn liveness_never_fires_on_draining_workloads() {
         let (topo, devices) = random_topology(&mut rng);
         let cfg = NetworkConfig::default();
         let traffic_seed = rng.next();
-        let net = run_observed(
-            topo,
-            cfg,
-            TickMode::Fast,
-            ExecMode::Sequential,
-            &devices,
-            traffic_seed,
-        );
+        let net = run_observed(topo, cfg, TickMode::Fast, &devices, traffic_seed);
         if net.in_flight() > 0 {
             continue; // rare wedged seed: not a liveness false positive
         }

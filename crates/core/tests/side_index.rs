@@ -12,19 +12,19 @@
 //! endpoint Inject Queue holds in the pipeline — with the resulting
 //! trace stream pinned against the commit before the index existed.
 //! The second half pokes the indices from outside: draining a bridge
-//! endpoint's Eject Queue behind the intake mark, re-partitioning the
-//! shards mid-run, cloning mid-run. Debug builds additionally run
+//! endpoint's Eject Queue behind the intake mark, cloning mid-run.
+//! Debug builds additionally run
 //! `debug_check_side_indices` every cycle of every test here, which is
 //! what the closing proptest leans on.
 
 mod common;
 
 use common::{digest, fnv1a, random_topology, Rng, FNV_OFFSET};
-use noc_core::telemetry::{FlitEvent, NullSink, RingBufferSink, TraceSink};
+use noc_core::telemetry::{FlitEvent, RingBufferSink, TraceSink};
 use noc_core::topogen::{GridParams, HierRingParams};
 use noc_core::{
-    BridgeConfig, ExecMode, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode,
-    Topology, TopologyBuilder,
+    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode, Topology,
+    TopologyBuilder,
 };
 use proptest::prelude::*;
 
@@ -340,58 +340,6 @@ fn a_zero_deadlock_threshold_needs_no_lost_arbitration_to_enter_drm() {
 }
 
 #[test]
-fn repartitioning_a_loaded_torus_mid_run_changes_nothing() {
-    let (topo, devs) = generated(
-        GridParams::torus(4, 4)
-            .with_stations(12)
-            .with_devices(2)
-            .with_seed(13)
-            .generate()
-            .expect("4x4 torus generates"),
-    );
-    let cfg = NetworkConfig::default();
-    let mut twin = Network::new(topo.clone(), cfg.clone());
-    let mut net = Network::new(topo, cfg);
-    let mut rng = Rng(0x05e7_e8ec);
-    // Cross links only compute depths while they exist: an `rx_due`
-    // they failed to keep true strands a flit for good, and a
-    // `peer_backlog` they left stale fails the debug check at the first
-    // sequential cycle after them (the peer's next pop repairs it, so
-    // without debug assertions only a pipeline at capacity would show).
-    lockstep(&mut [&mut twin, &mut net], &devs, &mut rng, 0..150, 3, true);
-    net.set_exec_mode(ExecMode::Parallel(2));
-    lockstep(
-        &mut [&mut twin, &mut net],
-        &devs,
-        &mut rng,
-        150..300,
-        3,
-        true,
-    );
-    net.set_exec_mode(ExecMode::Sequential);
-    lockstep(
-        &mut [&mut twin, &mut net],
-        &devs,
-        &mut rng,
-        300..450,
-        3,
-        true,
-    );
-    lockstep(
-        &mut [&mut twin, &mut net],
-        &devs,
-        &mut rng,
-        450..2_450,
-        3,
-        false,
-    );
-    assert_eq!(twin.in_flight(), 0, "failed to drain");
-    assert!(twin.stats().bridge_crossings.get() > 1_000);
-    assert_eq!(net.fingerprint(), twin.fingerprint());
-    assert_eq!(net.tick_profile(), twin.tick_profile());
-}
-
-#[test]
 fn a_clone_taken_mid_run_continues_like_the_original() {
     let (topo, devs) = generated(
         GridParams::torus(3, 3)
@@ -432,8 +380,8 @@ fn a_clone_taken_mid_run_continues_like_the_original() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any random fabric, load, epoch length and partitioning matches
-    /// the per-cycle sequential engine — and in a build with debug
+    /// Any random fabric, load and epoch length matches the per-cycle
+    /// engine — and in a build with debug
     /// assertions every cycle of both has walked every side against its
     /// indices, so a missed wake-up fails there, at the cycle it
     /// happens, before it can show as a diverged stream here.
@@ -442,14 +390,12 @@ proptest! {
         seed in any::<u64>(),
         one_in in 1u64..6,
         long_epochs in any::<bool>(),
-        parallel in any::<bool>(),
     ) {
         let mut rng = Rng(seed);
         let (topo, devs) = random_topology(&mut rng);
         let cfg = NetworkConfig::default();
-        let exec = if parallel { ExecMode::Parallel(2) } else { ExecMode::Sequential };
         let mut base = Network::new(topo.clone(), cfg.clone());
-        let mut net = Network::with_exec(topo, cfg, TickMode::Fast, exec, NullSink);
+        let mut net = Network::new(topo, cfg);
         let k = if long_epochs { net.max_epoch() } else { 1 };
         let mut streams = [Vec::new(), Vec::new()];
         for step in 0..2_400 / k {

@@ -11,11 +11,11 @@
 mod common;
 
 use common::{digest, random_topology, Rng};
-use noc_core::telemetry::{NullSink, RingBufferSink};
+use noc_core::telemetry::RingBufferSink;
 use noc_core::topogen::GridParams;
 use noc_core::{
-    BridgeConfig, ExecMode, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode,
-    Topology, TopologyBuilder,
+    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode, Topology,
+    TopologyBuilder,
 };
 
 fn run_seed(seed: u64) {
@@ -177,15 +177,14 @@ fn fast_tick_matches_reference_on_multi_word_rings() {
     }
 }
 
-/// Three-way differential: the golden-model sweep, the event-indexed
-/// fast tick and the sharded parallel engine must agree flit for flit.
-/// All three networks share one enqueue/drain schedule; the parallel
-/// engine's thread count rotates through {1, 2, 4, 8} across seeds.
+/// Three-way differential: the golden-model sweep and the event-indexed
+/// fast tick, both traced, and the fast tick with no sink must agree
+/// flit for flit. All three networks share one enqueue/drain schedule.
 ///
 /// Checked per seed: per-drain delivery streams (order included), final
-/// stats fingerprints, telemetry event *counts* across all three, and
-/// full telemetry record-stream equality between the sequential and
-/// parallel fast engines (the tentpole determinism guarantee).
+/// stats fingerprints, and telemetry event *counts* between the two
+/// traced sweeps — so neither the sweep nor the tracing changes what
+/// the fabric does.
 fn run_seed_3way(seed: u64) {
     let mut rng = Rng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0x9e6c_63d0_876a_68ee);
     let (topo, devices) = random_topology(&mut rng);
@@ -196,31 +195,10 @@ fn run_seed_3way(seed: u64) {
         itag_threshold: 4 + rng.below(12) as u32,
         ..NetworkConfig::default()
     };
-    let threads = [1usize, 2, 4, 8][(seed % 4) as usize];
     let sink = || RingBufferSink::new(1 << 20);
-    let mut nets = [
-        Network::with_exec(
-            topo.clone(),
-            cfg.clone(),
-            TickMode::Reference,
-            ExecMode::Sequential,
-            sink(),
-        ),
-        Network::with_exec(
-            topo.clone(),
-            cfg.clone(),
-            TickMode::Fast,
-            ExecMode::Sequential,
-            sink(),
-        ),
-        Network::with_exec(
-            topo,
-            cfg,
-            TickMode::Fast,
-            ExecMode::Parallel(threads),
-            sink(),
-        ),
-    ];
+    let mut nets = [TickMode::Reference, TickMode::Fast]
+        .map(|mode| Network::with_sink(topo.clone(), cfg.clone(), mode, sink()));
+    let mut plain = Network::new(topo, cfg);
 
     let cycles = 200 + rng.below(100);
     let drain_period = 1 + rng.below(4);
@@ -241,45 +219,52 @@ fn run_seed_3way(seed: u64) {
                 };
                 let bytes = [32u32, 64][rng.below(2) as usize];
                 token += 1;
-                let outcomes = nets.each_mut().map(|n| {
+                let [a, b] = nets.each_mut().map(|n| {
                     n.enqueue(devices[si], devices[di], class, bytes, token)
                         .is_ok()
                 });
+                let c = plain
+                    .enqueue(devices[si], devices[di], class, bytes, token)
+                    .is_ok();
                 assert!(
-                    outcomes[0] == outcomes[1] && outcomes[1] == outcomes[2],
-                    "seed {seed} cycle {cycle}: enqueue outcome diverged {outcomes:?}"
+                    a == b && b == c,
+                    "seed {seed} cycle {cycle}: enqueue outcome diverged {:?}",
+                    [a, b, c]
                 );
             }
         }
         for n in nets.iter_mut() {
             n.tick();
         }
+        plain.tick();
         if cycle % drain_period == 0 || cycle >= cycles {
             for &d in &devices {
                 loop {
-                    let pops = nets.each_mut().map(|n| n.pop_delivered(d));
-                    match &pops[0] {
+                    let [p0, p1] = nets.each_mut().map(|n| n.pop_delivered(d));
+                    let p2 = plain.pop_delivered(d);
+                    match &p0 {
                         None => {
                             assert!(
-                                pops[1].is_none() && pops[2].is_none(),
-                                "seed {seed} cycle {cycle} ({threads} threads): delivery \
-                                 presence diverged at {d:?}: {pops:?}"
+                                p1.is_none() && p2.is_none(),
+                                "seed {seed} cycle {cycle}: delivery presence diverged at \
+                                 {d:?}: {:?}",
+                                [p1, p2]
                             );
                             break;
                         }
                         Some(f0) => {
-                            for (name, f) in [("fast", &pops[1]), ("parallel", &pops[2])] {
+                            for (name, f) in [("fast", &p1), ("untraced", &p2)] {
                                 let f = f.as_ref().unwrap_or_else(|| {
                                     panic!(
-                                        "seed {seed} cycle {cycle} ({threads} threads): \
-                                         {name} missed a delivery at {d:?}"
+                                        "seed {seed} cycle {cycle}: {name} missed a delivery \
+                                         at {d:?}"
                                     )
                                 });
                                 assert_eq!(
                                     digest(f0),
                                     digest(f),
-                                    "seed {seed} cycle {cycle} ({threads} threads): \
-                                     {name} delivery stream diverged at {d:?}"
+                                    "seed {seed} cycle {cycle}: {name} delivery stream \
+                                     diverged at {d:?}"
                                 );
                             }
                         }
@@ -292,30 +277,26 @@ fn run_seed_3way(seed: u64) {
         }
     }
 
-    let fp = nets.each_ref().map(|n| n.stats().fingerprint());
+    let fp = [
+        &nets[0].fingerprint(),
+        &nets[1].fingerprint(),
+        &plain.fingerprint(),
+    ];
     assert!(
         fp[0] == fp[1] && fp[1] == fp[2],
-        "seed {seed} ({threads} threads): stats fingerprints diverged {fp:?}"
+        "seed {seed}: stats fingerprints diverged {fp:?}"
     );
     let counts = nets.each_ref().map(|n| *n.sink().counts());
     assert_eq!(
         counts[0], counts[1],
         "seed {seed}: reference vs fast event counts diverged"
     );
-    assert_eq!(
-        counts[1], counts[2],
-        "seed {seed} ({threads} threads): fast vs parallel event counts diverged"
+    assert!(
+        nets[1].sink().dropped() == 0,
+        "seed {seed}: sink capacity too small for exact event counts"
     );
     assert!(
-        nets[1].sink().dropped() == 0 && nets[2].sink().dropped() == 0,
-        "seed {seed}: sink capacity too small for exact stream comparison"
-    );
-    assert!(
-        nets[1].sink().to_vec() == nets[2].sink().to_vec(),
-        "seed {seed} ({threads} threads): fast vs parallel telemetry record streams diverged"
-    );
-    assert!(
-        nets[1].stats().delivered.get() > 0,
+        plain.stats().delivered.get() > 0,
         "seed {seed}: nothing was delivered"
     );
 }
@@ -327,53 +308,10 @@ fn three_way_differential_fuzz_on_60_seeds() {
     }
 }
 
-#[test]
-fn parallel_engine_is_bit_identical_at_every_thread_count() {
-    // One fixed topology and schedule, run once sequentially and once
-    // per thread count: every run must produce the same fingerprint and
-    // the same telemetry record stream, bit for bit.
-    let run = |exec: ExecMode| {
-        let mut rng = Rng(0xba5e_ba11 ^ 0x5bd1_e995);
-        let (topo, devices) = random_topology(&mut rng);
-        let cfg = NetworkConfig::default();
-        let mut net = Network::with_exec(
-            topo,
-            cfg,
-            TickMode::Fast,
-            exec,
-            RingBufferSink::new(1 << 20),
-        );
-        let mut token = 0u64;
-        for cycle in 0..600 {
-            if cycle < 300 {
-                for si in 0..devices.len() {
-                    let di = (si + 1) % devices.len();
-                    token += 1;
-                    let _ = net.enqueue(devices[si], devices[di], FlitClass::Data, 64, token);
-                }
-            }
-            net.tick();
-            for &d in &devices {
-                while net.pop_delivered(d).is_some() {}
-            }
-        }
-        assert_eq!(net.exec_mode(), exec);
-        (net.stats().fingerprint(), net.into_sink().to_vec())
-    };
-    let (base_fp, base_trace) = run(ExecMode::Sequential);
-    assert!(!base_trace.is_empty());
-    for n in [1, 2, 4, 8] {
-        let (fp, trace) = run(ExecMode::Parallel(n));
-        assert_eq!(fp, base_fp, "{n}-thread fingerprint diverged");
-        assert!(trace == base_trace, "{n}-thread telemetry diverged");
-    }
-}
-
 /// Generated-topology differential fuzz: one seed samples grid/torus
 /// generator parameters, builds the fabric through [`GridParams`], and
-/// drives the full {Reference, Fast} × {Sequential, Parallel(2),
-/// Parallel(4)} engine matrix through one schedule. All six
-/// fingerprints must be byte-identical.
+/// drives both tick modes through one schedule. The fingerprints must
+/// be byte-identical.
 fn run_generated_seed(seed: u64) {
     let mut rng = Rng(seed.wrapping_mul(0x9e6c_63d0_876a_68ee) ^ 0x53a9_1d6c_40f1_72b3);
     let rows = 1 + rng.below(4) as u16;
@@ -410,16 +348,7 @@ fn run_generated_seed(seed: u64) {
     };
     let mut nets: Vec<Network> = [TickMode::Reference, TickMode::Fast]
         .into_iter()
-        .flat_map(|mode| {
-            [
-                ExecMode::Sequential,
-                ExecMode::Parallel(2),
-                ExecMode::Parallel(4),
-            ]
-            .into_iter()
-            .map(move |exec| (mode, exec))
-        })
-        .map(|(mode, exec)| Network::with_exec(topo.clone(), cfg.clone(), mode, exec, NullSink))
+        .map(|mode| Network::with_mode(topo.clone(), cfg.clone(), mode))
         .collect();
 
     let cycles = 120 + rng.below(80);
@@ -502,127 +431,6 @@ fn generated_fabrics_fingerprint_identical_across_engine_matrix_24_seeds() {
     for seed in 0..24 {
         run_generated_seed(seed);
     }
-}
-
-/// Epoch axis over the random-topology fuzz: with traffic and drains
-/// applied only at epoch-aligned cycles, `tick_epoch(k)` at the
-/// topology's largest legal K ≤ 4 must match the per-cycle tick bit
-/// for bit — delivery streams, fingerprints and the full telemetry
-/// record stream — across Sequential and Parallel(2/4) epoch engines.
-#[test]
-fn epoch_batched_engine_matches_per_cycle_tick_across_exec_modes() {
-    let mut deep_epochs = 0u32;
-    for seed in 0..8u64 {
-        let mut rng = Rng(seed.wrapping_mul(0x6c62_272e_07bb_0142) ^ 0x27d4_eb2f_1656_67c5);
-        let (topo, devices) = random_topology(&mut rng);
-        let cfg = NetworkConfig::default();
-        let sink = || RingBufferSink::new(1 << 20);
-        let mut nets = [
-            Network::with_exec(
-                topo.clone(),
-                cfg.clone(),
-                TickMode::Fast,
-                ExecMode::Sequential,
-                sink(),
-            ),
-            Network::with_exec(
-                topo.clone(),
-                cfg.clone(),
-                TickMode::Fast,
-                ExecMode::Sequential,
-                sink(),
-            ),
-            Network::with_exec(
-                topo.clone(),
-                cfg.clone(),
-                TickMode::Fast,
-                ExecMode::Parallel(2),
-                sink(),
-            ),
-            Network::with_exec(topo, cfg, TickMode::Fast, ExecMode::Parallel(4), sink()),
-        ];
-        let k = nets[0].max_epoch().min(4);
-        deep_epochs += u32::from(k > 1);
-
-        let steps = 60 + rng.below(30);
-        let mut token = 0u64;
-        for step in 0..steps + 2_000 {
-            if step < steps {
-                for si in 0..devices.len() {
-                    if rng.below(3) != 0 {
-                        continue;
-                    }
-                    let di =
-                        (si + 1 + rng.below(devices.len() as u64 - 1) as usize) % devices.len();
-                    token += 1;
-                    let ok = nets.each_mut().map(|n| {
-                        n.enqueue(devices[si], devices[di], FlitClass::Data, 64, token)
-                            .is_ok()
-                    });
-                    assert!(
-                        ok.iter().all(|&o| o == ok[0]),
-                        "seed {seed} step {step}: enqueue outcome diverged {ok:?}"
-                    );
-                }
-            }
-            for _ in 0..k {
-                nets[0].tick();
-            }
-            for n in nets.iter_mut().skip(1) {
-                n.tick_epoch(k).expect("k bounded by max_epoch");
-            }
-            for &d in &devices {
-                loop {
-                    let pops = nets.each_mut().map(|n| n.pop_delivered(d));
-                    match &pops[0] {
-                        None => {
-                            assert!(
-                                pops.iter().all(|p| p.is_none()),
-                                "seed {seed} step {step} (k={k}): presence diverged at {d:?}"
-                            );
-                            break;
-                        }
-                        Some(f0) => {
-                            for f in &pops[1..] {
-                                let f = f.as_ref().unwrap_or_else(|| {
-                                    panic!("seed {seed} step {step} (k={k}): missed delivery")
-                                });
-                                assert_eq!(
-                                    digest(f0),
-                                    digest(f),
-                                    "seed {seed} step {step} (k={k}): stream diverged at {d:?}"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            if step >= steps && nets.iter().all(|n| n.in_flight() == 0) {
-                break;
-            }
-        }
-        let fp = nets.each_ref().map(|n| n.stats().fingerprint());
-        assert!(
-            fp.iter().all(|f| *f == fp[0]),
-            "seed {seed} (k={k}): fingerprints diverged"
-        );
-        assert!(
-            nets[0].stats().delivered.get() > 0,
-            "seed {seed}: nothing was delivered"
-        );
-        let traces = nets.map(|n| n.into_sink().to_vec());
-        assert!(!traces[0].is_empty(), "seed {seed}: no telemetry recorded");
-        for (i, t) in traces.iter().enumerate().skip(1) {
-            assert!(
-                t == &traces[0],
-                "seed {seed} (k={k}): telemetry stream diverged for net {i}"
-            );
-        }
-    }
-    assert!(
-        deep_epochs >= 4,
-        "only {deep_epochs}/8 seeds exercised K > 1 — bridge latencies too shallow"
-    );
 }
 
 #[test]

@@ -1,10 +1,9 @@
 //! Observatory and flight-recorder determinism on *generated* fabrics:
 //! a 64-chiplet torus built by [`GridParams`] must produce
 //! byte-identical snapshot streams, flow tables, link matrices and
-//! postmortem bundles across every execution mode — the same guarantee
-//! `flow_postmortem.rs` pins on hand-rolled random topologies, now on
-//! the generative frontier where ring counts reach the tick engine's
-//! sharding limits.
+//! postmortem bundles across both tick modes and every epoch length —
+//! the same guarantee `flow_postmortem.rs` pins on hand-rolled random
+//! topologies, now on the generative frontier of 64 rings.
 //!
 //! As there, the bundle's `"kind":"env"` JSONL line is the one
 //! sanctioned difference; `comparable_jsonl()` excludes it.
@@ -18,9 +17,7 @@ mod common;
 use common::SnapshotStream;
 use noc_core::telemetry::{HealthConfig, PostmortemBundle, RecorderConfig};
 use noc_core::topogen::GridParams;
-use noc_core::{
-    ExecMode, FlitClass, Network, NetworkConfig, NocDiagnostics, NodeId, TickMode, Topology,
-};
+use noc_core::{FlitClass, Network, NetworkConfig, NocDiagnostics, NodeId, TickMode, Topology};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 
@@ -48,17 +45,10 @@ fn torus_64(seed: u64) -> (Topology, Vec<NodeId>) {
 fn run_recorded(
     topo: Topology,
     mode: TickMode,
-    exec: ExecMode,
     devices: &[NodeId],
     traffic_seed: u64,
 ) -> (Network, String) {
-    let mut net = Network::with_exec(
-        topo,
-        NetworkConfig::default(),
-        mode,
-        exec,
-        noc_core::telemetry::NullSink,
-    );
+    let mut net = Network::with_mode(topo, NetworkConfig::default(), mode);
     net.enable_flight_recorder(
         SAMPLE_PERIOD,
         HealthConfig::default(),
@@ -100,8 +90,8 @@ fn run_recorded(
 }
 
 /// Snapshot stream, flow top-K, link heat matrix and postmortem bundle
-/// must be byte-identical across Sequential/Parallel(2/4/8) × Fast and
-/// the Reference sweep, on the generated 64-chiplet torus.
+/// must be byte-identical across the Fast and Reference sweeps, on the
+/// generated 64-chiplet torus.
 #[test]
 fn observatory_byte_identical_across_modes_on_generated_torus() {
     for seed in [0x0Bu64, 0x5EED] {
@@ -109,18 +99,11 @@ fn observatory_byte_identical_across_modes_on_generated_torus() {
         assert_eq!(topo.chiplets().len(), 64);
         let traffic_seed = seed ^ 0x0B5E_11AE;
 
-        let variants: [(TickMode, ExecMode); 5] = [
-            (TickMode::Fast, ExecMode::Sequential),
-            (TickMode::Fast, ExecMode::Parallel(2)),
-            (TickMode::Fast, ExecMode::Parallel(4)),
-            (TickMode::Fast, ExecMode::Parallel(8)),
-            (TickMode::Reference, ExecMode::Sequential),
-        ];
         type Baseline = (String, String, String, Vec<Vec<u64>>, Vec<u64>);
         let mut baseline: Option<Baseline> = None;
-        for (mode, exec) in variants {
-            let ctx = format!("seed {seed:#x} {mode:?} {exec:?}");
-            let (net, snapshots) = run_recorded(topo.clone(), mode, exec, &devices, traffic_seed);
+        for mode in [TickMode::Fast, TickMode::Reference] {
+            let ctx = format!("seed {seed:#x} {mode:?}");
+            let (net, snapshots) = run_recorded(topo.clone(), mode, &devices, traffic_seed);
             assert!(
                 net.stats().delivered.get() > 0,
                 "{ctx}: nothing was delivered"
@@ -139,8 +122,8 @@ fn observatory_byte_identical_across_modes_on_generated_torus() {
             let back = PostmortemBundle::from_jsonl(&bundle.to_jsonl()).expect("bundle parses");
             assert_eq!(bundle, back, "{ctx}: bundle JSONL round trip");
             assert!(
-                bundle.to_jsonl().contains(&format!("{exec:?}")),
-                "{ctx}: env line must record the exec mode"
+                bundle.to_jsonl().contains(&format!("{mode:?}")),
+                "{ctx}: env line must record the tick mode"
             );
             let comparable = bundle.comparable_jsonl();
             let links = net.link_cells();
@@ -155,24 +138,21 @@ fn observatory_byte_identical_across_modes_on_generated_torus() {
                 Some((base_snaps, base_flows, base_bundle, base_links, base_fp)) => {
                     assert_eq!(
                         base_snaps, &snapshots,
-                        "{ctx}: snapshot stream diverged from sequential fast"
+                        "{ctx}: snapshot stream diverged from fast"
                     );
                     assert_eq!(
                         base_flows, &flows_json,
-                        "{ctx}: flow top-K diverged from sequential fast"
+                        "{ctx}: flow top-K diverged from fast"
                     );
                     assert_eq!(
                         base_bundle, &comparable,
-                        "{ctx}: postmortem bundle diverged from sequential fast"
+                        "{ctx}: postmortem bundle diverged from fast"
                     );
                     assert_eq!(
                         base_links, &links,
-                        "{ctx}: link heat matrix diverged from sequential fast"
+                        "{ctx}: link heat matrix diverged from fast"
                     );
-                    assert_eq!(
-                        base_fp, &fp,
-                        "{ctx}: stats fingerprint diverged from sequential fast"
-                    );
+                    assert_eq!(base_fp, &fp, "{ctx}: stats fingerprint diverged from fast");
                 }
             }
         }
@@ -185,21 +165,13 @@ fn observatory_byte_identical_across_modes_on_generated_torus() {
 /// identical per-cycle inputs).
 fn run_recorded_epoch(
     topo: Topology,
-    mode: TickMode,
-    exec: ExecMode,
     devices: &[NodeId],
     traffic_seed: u64,
     k: u64,
     align: u64,
 ) -> (Network, String) {
     assert!(align.is_multiple_of(k));
-    let mut net = Network::with_exec(
-        topo,
-        NetworkConfig::default(),
-        mode,
-        exec,
-        noc_core::telemetry::NullSink,
-    );
+    let mut net = Network::new(topo, NetworkConfig::default());
     net.enable_flight_recorder(
         SAMPLE_PERIOD,
         HealthConfig::default(),
@@ -246,8 +218,8 @@ fn run_recorded_epoch(
 /// Epoch axis over the generated torus: snapshot streams, flow tables,
 /// link matrices, postmortem bundles and fingerprints must stay
 /// byte-identical when the engine advances in K-cycle epochs — K ∈
-/// {1, 2, 4, 8 = the torus' bridge-latency bound} across sequential
-/// and parallel epoch engines — given an epoch-aligned schedule.
+/// {1, 2, 4, 8 = the torus' bridge-latency bound} — given an
+/// epoch-aligned schedule.
 #[test]
 fn observatory_byte_identical_with_epoch_batching() {
     let seed = 0x0Bu64;
@@ -255,25 +227,11 @@ fn observatory_byte_identical_with_epoch_batching() {
     let traffic_seed = seed ^ 0x0B5E_11AE;
     const ALIGN: u64 = 8;
 
-    let variants: [(u64, ExecMode); 4] = [
-        (1, ExecMode::Sequential),
-        (2, ExecMode::Sequential),
-        (4, ExecMode::Parallel(4)),
-        (8, ExecMode::Parallel(8)),
-    ];
     type Baseline = (String, String, String, Vec<Vec<u64>>, Vec<u64>);
     let mut baseline: Option<Baseline> = None;
-    for (k, exec) in variants {
-        let ctx = format!("seed {seed:#x} k={k} {exec:?}");
-        let (net, snapshots) = run_recorded_epoch(
-            topo.clone(),
-            TickMode::Fast,
-            exec,
-            &devices,
-            traffic_seed,
-            k,
-            ALIGN,
-        );
+    for k in [1, 2, 4, 8] {
+        let ctx = format!("seed {seed:#x} k={k}");
+        let (net, snapshots) = run_recorded_epoch(topo.clone(), &devices, traffic_seed, k, ALIGN);
         assert_eq!(net.max_epoch(), 8, "{ctx}: torus bridge-latency bound");
         assert!(net.stats().delivered.get() > 0, "{ctx}: nothing delivered");
         let committed = net.metrics().expect("enabled").committed();
@@ -305,7 +263,7 @@ fn observatory_byte_identical_with_epoch_batching() {
 #[test]
 fn generated_torus_flow_attribution_sees_bridge_crossings() {
     let (topo, devices) = torus_64(7);
-    let (net, _) = run_recorded(topo, TickMode::Fast, ExecMode::Sequential, &devices, 0xF10);
+    let (net, _) = run_recorded(topo, TickMode::Fast, &devices, 0xF10);
     assert!(
         net.stats().bridge_crossings.get() > 0,
         "uniform traffic must cross dies"

@@ -12,8 +12,8 @@
 //! * the generalized E-tag one-lap bound on delivered flits,
 //! * the I-tag starvation bound (under the deflection-free
 //!   precondition, as in `properties.rs`),
-//! * Fast/Reference and Sequential/Parallel(n) fingerprint identity
-//!   plus flit-for-flit delivery-stream equality.
+//! * Fast/Reference fingerprint identity plus flit-for-flit
+//!   delivery-stream equality.
 //!
 //! A failing case saves the generated `SocSpec` JSON under the fuzz
 //! artifact directory (`NOC_TOPO_FUZZ_ARTIFACT_DIR`, default
@@ -23,11 +23,8 @@
 //! `NOC_TOPO_FUZZ_SEEDS` — the knobs the CI `topo-fuzz` job pins.
 
 use noc_core::spec::SocSpec;
-use noc_core::telemetry::NullSink;
 use noc_core::topogen::{GridParams, HierRingParams, TopoGenError};
-use noc_core::{
-    ExecMode, FlitClass, Network, NodeId, RingKind, SpecError, TickMode, TopologyError,
-};
+use noc_core::{FlitClass, Network, NodeId, RingKind, SpecError, TickMode, TopologyError};
 use noc_sim::fuzz::{save_failing_artifact, SeedMatrix, TrafficPattern};
 use noc_sim::SimRng;
 use proptest::prelude::*;
@@ -46,10 +43,10 @@ fn digest(f: &noc_core::Flit) -> (u64, NodeId, NodeId, u64, u32, u32, u32, u32) 
     )
 }
 
-/// Drive one generated fabric through three engines — Reference
-/// (golden sweep), Fast sequential, Fast parallel — under one seeded
-/// traffic schedule, checking every standing invariant along the way.
-/// Returns a human-readable divergence description on failure.
+/// Drive one generated fabric through both engines — Reference
+/// (golden sweep) and Fast — under one seeded traffic schedule,
+/// checking every standing invariant along the way. Returns a
+/// human-readable divergence description on failure.
 fn fuzz_fabric(
     spec: &SocSpec,
     traffic_seed: u64,
@@ -68,18 +65,8 @@ fn fuzz_fabric(
     }
 
     let cfg = spec.network.clone();
-    let threads = [2usize, 4][(traffic_seed % 2) as usize];
-    let mut nets = [
-        Network::with_mode(topo.clone(), cfg.clone(), TickMode::Reference),
-        Network::with_mode(topo.clone(), cfg.clone(), TickMode::Fast),
-        Network::with_exec(
-            topo.clone(),
-            cfg.clone(),
-            TickMode::Fast,
-            ExecMode::Parallel(threads),
-            NullSink,
-        ),
-    ];
+    let mut nets = [TickMode::Reference, TickMode::Fast]
+        .map(|mode| Network::with_mode(topo.clone(), cfg.clone(), mode));
 
     let total_stations = topo.total_stations();
     let max_ring = topo
@@ -105,7 +92,7 @@ fn fuzz_fabric(
                     n.enqueue(devices[si], devices[di], FlitClass::Data, 64, token)
                         .is_ok()
                 });
-                if !(outs[0] == outs[1] && outs[1] == outs[2]) {
+                if outs[0] != outs[1] {
                     return Err(format!("cycle {cycle}: enqueue outcome diverged {outs:?}"));
                 }
             }
@@ -114,7 +101,7 @@ fn fuzz_fabric(
             n.tick();
         }
 
-        // Invariant 1, per-tick form, on the fast sequential engine.
+        // Invariant 1, per-tick form, on the fast engine.
         let undrained: u64 = devices
             .iter()
             .map(|&d| nets[1].delivered_len(d) as u64)
@@ -143,10 +130,10 @@ fn fuzz_fabric(
             for &d in &devices {
                 loop {
                     let pops = nets.each_mut().map(|n| n.pop_delivered(d));
-                    match (&pops[0], &pops[1], &pops[2]) {
-                        (None, None, None) => break,
-                        (Some(fr), Some(ff), Some(fp)) => {
-                            if digest(fr) != digest(ff) || digest(ff) != digest(fp) {
+                    match (&pops[0], &pops[1]) {
+                        (None, None) => break,
+                        (Some(fr), Some(ff)) => {
+                            if digest(fr) != digest(ff) {
                                 return Err(format!(
                                     "cycle {cycle}: delivery streams diverged at {d:?}"
                                 ));
@@ -188,10 +175,8 @@ fn fuzz_fabric(
     }
 
     let fps = nets.each_ref().map(|n| n.fingerprint());
-    if !(fps[0] == fps[1] && fps[1] == fps[2]) {
-        return Err(format!(
-            "fingerprints diverged across Reference/Fast/Parallel({threads})"
-        ));
+    if fps[0] != fps[1] {
+        return Err("fingerprints diverged across Reference/Fast".into());
     }
 
     // Invariant 3: the I-tag starvation bound holds whenever the run was
@@ -358,7 +343,7 @@ proptest! {
 
 /// Acceptance gate (ISSUE 6): a seeded 8×8 torus — 64 chiplets, 1024
 /// stations — passes conservation, one-lap and starvation invariants
-/// with cross-exec-mode fingerprint identity, for every seed of the
+/// with cross-tick-mode fingerprint identity, for every seed of the
 /// pinned matrix. Reproduce any failure from the printed seed:
 /// `NOC_TOPO_FUZZ_SEED_BASE=<seed> NOC_TOPO_FUZZ_SEEDS=1`.
 #[test]

@@ -31,6 +31,8 @@
 //! assert!(budget_hs.cycles < budget_hd.cycles);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod choose;
 pub mod floorplan;
 pub mod wire;

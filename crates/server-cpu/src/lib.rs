@@ -10,6 +10,8 @@
 //! The [`experiments`] module contains the measurement runners behind
 //! the paper's Server-CPU evaluation (Table 5, Figures 10-13, Table 6).
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod soc;
 

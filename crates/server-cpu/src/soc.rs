@@ -5,10 +5,10 @@
 //! (via PA/SerDes) between packages.
 
 use noc_chi::{CoherentSystem, LlcParams, MemoryParams, SystemSpec};
-use noc_core::telemetry::{HealthConfig, NullSink, RecorderConfig};
+use noc_core::telemetry::{HealthConfig, RecorderConfig};
 use noc_core::{
-    BridgeConfig, ExecMode, Network, NetworkConfig, NocDiagnostics, NodeId, RingKind, TickMode,
-    Topology, TopologyBuilder, TopologyError,
+    BridgeConfig, Network, NetworkConfig, NocDiagnostics, NodeId, RingKind, Topology,
+    TopologyBuilder, TopologyError,
 };
 
 /// Server-CPU configuration.
@@ -37,10 +37,6 @@ pub struct ServerCpuConfig {
     pub llc: LlcParams,
     /// Network queue/tag parameters.
     pub net: NetworkConfig,
-    /// How the NoC engine executes the per-ring phase of each tick.
-    /// Results are bit-identical across modes; this only trades
-    /// wall-clock time.
-    pub exec: ExecMode,
     /// Observatory sampling period in cycles: a metrics snapshot (and
     /// health-watchdog pass) every this many cycles. `0` (the default)
     /// keeps the observatory off.
@@ -68,7 +64,6 @@ impl Default for ServerCpuConfig {
             mem_params: MemoryParams::ddr4(),
             llc: LlcParams::default(),
             net: NetworkConfig::default(),
-            exec: ExecMode::Sequential,
             metrics_period: 0,
             recorder: None,
         }
@@ -241,7 +236,7 @@ impl ServerCpu {
     /// Propagates topology errors from degenerate configurations.
     pub fn build(cfg: ServerCpuConfig) -> Result<Self, TopologyError> {
         let (topo, map) = build_topology(&cfg)?;
-        let mut net = Network::with_exec(topo, cfg.net.clone(), TickMode::Fast, cfg.exec, NullSink);
+        let mut net = Network::new(topo, cfg.net.clone());
         if cfg.metrics_period > 0 {
             match &cfg.recorder {
                 Some(rec) => net.enable_flight_recorder(

@@ -29,20 +29,18 @@
 //! assert_eq!(Cycle(5) + 3, Cycle(8));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod engine;
 pub mod fuzz;
 pub mod idmap;
-pub mod pool;
 pub mod rng;
-pub mod spsc;
 pub mod stats;
 
 pub use clock::{Clock, Cycle};
 pub use engine::{Component, Engine, RunOutcome};
 pub use fuzz::{SeedMatrix, TrafficPattern};
 pub use idmap::{IdHasher, IdMap, IdSet, SlotIndex};
-pub use pool::{PoolError, PoolJob, ShardPool};
 pub use rng::SimRng;
-pub use spsc::{SpscReceiver, SpscSender};
 pub use stats::{BandwidthProbe, Counter, Histogram, TimeSeries};

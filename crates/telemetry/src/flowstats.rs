@@ -12,7 +12,7 @@
 //! pair with true weight above `total/k` is present in the table.
 //!
 //! Determinism is load-bearing here (the engine's snapshot stream must
-//! stay byte-identical across execution modes), so every tie is broken
+//! stay byte-identical across tick modes), so every tie is broken
 //! structurally: entries live in a `Vec` in insertion order, lookups
 //! scan that `Vec`, and the eviction scan takes the *first*
 //! minimal-weight entry. Sorting for presentation uses a total order

@@ -43,9 +43,9 @@
 //! Beyond post-hoc tracing, the crate hosts the *online* observability
 //! layer: the engine samples every ring into a [`MetricsSnapshot`]
 //! (window counter deltas + instantaneous gauges) every N cycles and
-//! commits them to a [`MetricsRegistry`] at a deterministic phase
-//! barrier, so the snapshot stream is bit-identical across sequential
-//! and parallel execution. A [`HealthMonitor`] turns the stream into
+//! commits them to a [`MetricsRegistry`] in ring order at the end of
+//! the cycle, so the snapshot stream is deterministic. A
+//! [`HealthMonitor`] turns the stream into
 //! cycle-stamped watchdog verdicts (starvation onset, congestion knee,
 //! SWAP storms, liveness stalls), and the exporters render it as JSONL
 //! ([`snapshots_jsonl`]) or Prometheus text ([`prometheus_text`]).
@@ -60,7 +60,7 @@
 //! registry and retains the last T trace events, and when a watchdog
 //! latches (or on an explicit dump) the engine freezes everything into
 //! a [`PostmortemBundle`]: recent history, flow top-K, link heat, fired
-//! rules, and the config + seed + execution mode needed for
+//! rules, and the config + seed + tick mode needed for
 //! deterministic replay, serialized as kind-tagged JSONL.
 //!
 //! # Example
@@ -79,6 +79,8 @@
 //! });
 //! assert_eq!(sink.counts().enqueued, 1);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod chrome;
 pub mod critical;

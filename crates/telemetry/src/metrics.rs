@@ -2,12 +2,11 @@
 //!
 //! The engine samples each ring shard every N cycles *inside* the
 //! per-ring phase — where the shard owns all of its state — and merges
-//! the per-ring samples into one [`MetricsSnapshot`] at the tick's
-//! phase barrier, in ascending ring order. Because sampling reads only
+//! the per-ring samples into one [`MetricsSnapshot`] at the end of the
+//! cycle, in ascending ring order. Because sampling reads only
 //! shard-local state and the merge order is fixed, the snapshot stream
-//! is bit-identical across sequential and parallel execution for every
-//! thread count (the same argument that makes the trace stream
-//! deterministic; see DESIGN.md §11).
+//! is bit-identical across tick modes (the same argument that makes the
+//! trace stream deterministic; see DESIGN.md §11).
 //!
 //! A snapshot carries two kinds of data:
 //!

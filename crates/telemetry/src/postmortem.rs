@@ -4,20 +4,22 @@
 //! A [`PostmortemBundle`] collects the recent past (the flight
 //! recorder's retained snapshots and events), the attribution layer
 //! (flow top-K and the per-link heat matrix), the fired watchdog
-//! verdicts, and the run's identity (engine config + seed, execution
-//! and tick mode) — enough to understand the pathology *and* to replay
-//! the run deterministically.
+//! verdicts, and the run's identity (engine config + seed, tick mode)
+//! — enough to understand the pathology *and* to replay the run
+//! deterministically.
 //!
 //! # Serialization and byte-identity
 //!
 //! [`PostmortemBundle::to_jsonl`] renders one `{"kind": ...}` object
 //! per line. Everything the simulation produced is byte-identical
-//! across `Sequential`/`Parallel(n)` and `Fast`/`Reference` execution —
-//! except the execution mode itself, which the bundle must record for
-//! replay. That mode-dependent data is confined to the single
-//! `"kind":"env"` line; [`PostmortemBundle::comparable_jsonl`] is the
-//! same rendering with that line removed, and the determinism tests
-//! hold it byte-identical across every mode combination.
+//! across `Fast`/`Reference` ticks — except the tick mode itself, which
+//! the bundle must record for replay. That mode-dependent data is
+//! confined to the single `"kind":"env"` line;
+//! [`PostmortemBundle::comparable_jsonl`] is the same rendering with
+//! that line removed, and the determinism tests hold it byte-identical
+//! across both modes. Bundles written before the engine became
+//! single-threaded also carry an `exec_mode` key on that line; it is
+//! ignored on read.
 
 use crate::flowstats::{flow_table_ascii, FlowRecord};
 use crate::health::Verdict;
@@ -55,9 +57,6 @@ pub struct BundleMeta {
 /// bundle, confined to their own JSONL line (see the module docs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BundleEnv {
-    /// How the per-ring phase was executed (`Sequential`,
-    /// `Parallel(n)`).
-    pub exec_mode: String,
     /// Which sweep implementation ran (`Fast`, `Reference`).
     pub tick_mode: String,
 }
@@ -157,7 +156,7 @@ impl PostmortemBundle {
 
     /// [`PostmortemBundle::to_jsonl`] with the `"kind":"env"` line
     /// removed: the mode-independent bytes the determinism tests
-    /// compare across execution modes.
+    /// compare across tick modes.
     pub fn comparable_jsonl(&self) -> String {
         self.to_jsonl()
             .lines()
@@ -224,8 +223,8 @@ impl PostmortemBundle {
     /// flow attribution table and the per-link heat rows.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "postmortem @ cycle {} — {}\n  modes: {} / {}\n",
-            self.meta.cycle, self.meta.reason, self.env.exec_mode, self.env.tick_mode
+            "postmortem @ cycle {} — {}\n  tick mode: {}\n",
+            self.meta.cycle, self.meta.reason, self.env.tick_mode
         );
         out.push_str(&format!(
             "  history: {} snapshot(s) retained of {} seen, {} event(s) of {}\n",
@@ -315,7 +314,6 @@ mod tests {
                 config: Value::Object(vec![("seed".into(), Value::UInt(42))]),
             },
             env: BundleEnv {
-                exec_mode: "Parallel(4)".into(),
                 tick_mode: "Fast".into(),
             },
             verdicts: vec![Verdict {
@@ -388,6 +386,17 @@ mod tests {
             let v: Value = serde_json::from_str(line).expect("valid JSON");
             assert!(v.get("kind").is_some(), "{line}");
         }
+        // Bundles from the multi-threaded engine record an exec mode too.
+        let env = "{\"kind\":\"env\",\"tick_mode\":\"Fast\"}";
+        assert!(text.contains(env), "{text}");
+        let old = text.replace(
+            env,
+            "{\"kind\":\"env\",\"exec_mode\":\"Parallel(4)\",\"tick_mode\":\"Fast\"}",
+        );
+        assert_eq!(
+            PostmortemBundle::from_jsonl(&old).expect("old bundles parse"),
+            b
+        );
     }
 
     #[test]
@@ -395,7 +404,6 @@ mod tests {
         let a = sample_bundle();
         let mut b = sample_bundle();
         b.env = BundleEnv {
-            exec_mode: "Sequential".into(),
             tick_mode: "Reference".into(),
         };
         assert_ne!(a.to_jsonl(), b.to_jsonl());
@@ -411,7 +419,7 @@ mod tests {
         assert!(r.contains("liveness-stall"), "{r}");
         assert!(r.contains("n1 -> n5"), "{r}");
         assert!(r.contains("link utilization"), "{r}");
-        assert!(r.contains("Parallel(4)"), "{r}");
+        assert!(r.contains("tick mode: Fast"), "{r}");
         assert!(
             r.contains("txn exemplars: 1 (slowest: txn 17 at 620 cycles)"),
             "{r}"

@@ -43,11 +43,10 @@ pub trait TraceSink {
 ///
 /// The sharded engine cannot hand every ring a `&mut` to the one
 /// [`TraceSink`], so each shard appends its records here during its
-/// (possibly parallel) phase, and the engine drains the buffers into
-/// the real sink **in ring order** at the tick's merge barrier. Records
-/// within one shard keep their emission order, and the drain order is
-/// fixed, so the sink observes a deterministic stream regardless of
-/// execution mode or thread count.
+/// phase, and the engine drains the buffers into the real sink **in
+/// ring order** at the end of the cycle. Records within one shard keep
+/// their emission order, and the drain order is fixed, so the sink
+/// observes a deterministic stream.
 ///
 /// # Example
 ///

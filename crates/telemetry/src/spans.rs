@@ -23,15 +23,11 @@
 //!
 //! # Determinism
 //!
-//! The fabric mutates its state single-threadedly between network
-//! ticks: staged flits are pumped in ascending endpoint order,
-//! deliveries drained in ascending endpoint order, and under epoch
-//! batching both happen at the epoch boundary in exact K=1 order. Span
-//! trees are emitted from that same single-threaded path, so the span
-//! stream — and the [`TailExemplars`] reservoir derived from it — is
-//! byte-identical across `Sequential`/`Parallel(n)` execution and both
-//! tick modes, and each epoch K is its own deterministic schedule
-//! (PR 8 convention).
+//! The fabric mutates its state between network ticks: staged flits
+//! are pumped in ascending endpoint order and deliveries drained in
+//! ascending endpoint order. Span trees are emitted from that same
+//! path, so the span stream — and the [`TailExemplars`] reservoir
+//! derived from it — is byte-identical across both tick modes.
 
 use crate::last_n::LastN;
 use serde::{Deserialize, Serialize};
@@ -86,8 +82,7 @@ pub struct FlitSpan {
     /// Cycle the flit first won a ring slot.
     pub injected_at: u64,
     /// Cycle the transaction layer drained the flit from its eject
-    /// queue. Under epoch batching (K > 1) drains happen at the epoch
-    /// boundary, so eject-queue dwell shows up here by design.
+    /// queue.
     pub delivered_at: u64,
     /// Ring hops travelled (a ring flit advances every cycle, so this
     /// is exactly its cycles spent on rings).
@@ -243,7 +238,7 @@ impl SpanSink for NullSpanSink {
 /// (latency descending, transaction id ascending) so ties resolve
 /// identically on every engine variant. Because the fabric emits trees
 /// in a deterministic order, the reservoir contents are byte-identical
-/// across execution modes.
+/// across tick modes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TailExemplars {
     k: usize,

@@ -50,14 +50,11 @@
 //!
 //! # Determinism
 //!
-//! Samples are built between engine ticks from settled, owner-held
-//! state (the same argument as the metrics snapshots of DESIGN.md §11:
-//! shards are owned by the network at every barrier), on the
+//! Samples are built between engine ticks from settled state (the same
+//! argument as the metrics snapshots of DESIGN.md §11), on the
 //! observatory's sample schedule. Nodes and edges are sorted, the SCC
 //! pass iterates sorted adjacency, and history is keyed by `BTreeMap`
-//! — the sampled stream is byte-identical across
-//! `Sequential/Parallel(n)` × `Fast/Reference` × epoch `K` (each `K`
-//! against its own `K`-golden, the workspace's lockstep convention).
+//! — the sampled stream is byte-identical across `Fast/Reference`.
 
 use crate::last_n::LastN;
 use serde::{Deserialize, Serialize};

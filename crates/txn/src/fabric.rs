@@ -5,28 +5,17 @@
 //! # Determinism
 //!
 //! [`TxnFabric`] owns all transaction state and mutates it only in
-//! [`TxnFabric::tick_epoch`] ([`TxnFabric::tick`] is its one-cycle
-//! case), single-threadedly, *around* the network's own epoch: staged
-//! flits are pumped into inject queues in ascending endpoint order
-//! before it, and deliveries are drained in ascending endpoint order
-//! after it. The engine below guarantees byte-identical delivery
-//! streams across `TickMode::{Fast,Reference}` and
-//! `ExecMode::{Sequential,Parallel(n)}`, so every transaction-layer
-//! decision — reassembly completions, window releases, broadcast
-//! forwards, atomic results — replays identically on every engine.
-//! Endpoints live in a `Vec` sorted by node id (reached through a
-//! dense node-id → slot index), id-keyed side tables are
-//! [`noc_sim::IdMap`]s used for keyed lookups only — the few places
-//! that walk one (forensics, gauges) sort or reduce commutatively —
-//! so no iteration order leaks into behavior.
-//!
-//! The pump and drain run at **epoch boundaries**: admission happens
-//! once per K cycles, so for K > 1 the schedule legitimately differs
-//! from K = 1 — fewer pump opportunities, batched drains. What holds
-//! instead is that the K-schedule is itself a pure function of K: for
-//! any fixed epoch length the fabric replays byte-identically across
-//! `TickMode` × `ExecMode`, which is exactly what the lockstep suite
-//! checks (each K-variant against its own K-golden).
+//! [`TxnFabric::tick`], *around* the network's own cycle: staged flits
+//! are pumped into inject queues in ascending endpoint order before it,
+//! and deliveries are drained in ascending endpoint order after it. The
+//! engine below guarantees byte-identical delivery streams across
+//! `TickMode::{Fast,Reference}`, so every transaction-layer decision —
+//! reassembly completions, window releases, broadcast forwards, atomic
+//! results — replays identically on both. Endpoints live in a `Vec`
+//! sorted by node id (reached through a dense node-id → slot index),
+//! id-keyed side tables are [`noc_sim::IdMap`]s used for keyed lookups
+//! only — the few places that walk one (forensics, gauges) sort or
+//! reduce commutatively — so no iteration order leaks into behavior.
 //!
 //! # Backpressure
 //!
@@ -49,8 +38,8 @@ use noc_core::telemetry::{
     WaitNode, WedgeReport,
 };
 use noc_core::{
-    BitRing, EngineError, EnqueueError, Flit, FlitClass, Network, NodeId, NodeKind, PacketPlace,
-    PacketToken, Topology,
+    BitRing, EnqueueError, Flit, FlitClass, Network, NodeId, NodeKind, PacketPlace, PacketToken,
+    Topology,
 };
 use noc_sim::{Cycle, Histogram, IdMap, IdSet, SlotIndex};
 use std::collections::{BTreeMap, VecDeque};
@@ -1249,46 +1238,19 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             .push(bundle);
     }
 
-    /// Advance one cycle: [`TxnFabric::tick_epoch`] with `k = 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a parallel worker died, like [`Network::tick`].
+    /// Advance one cycle: pump staged flits, run the network's
+    /// [`Network::tick`], drain and process deliveries, and at every
+    /// multiple of the observatory period sample the transaction
+    /// observatory.
     pub fn tick(&mut self) {
-        if let Err(e) = self.tick_epoch(1) {
-            panic!("{e}");
-        }
-    }
-
-    /// Advance `k` cycles as one epoch: pump staged flits, run the
-    /// network's [`Network::tick_epoch`], drain and process deliveries,
-    /// sample the observatory. The fabric meets the network once per
-    /// epoch, so for larger `k` admission and drain *cadence* differ
-    /// from `k = 1` — but the result is still a pure function of `k`
-    /// alone: byte-identical across `TickMode` × `ExecMode` for any
-    /// fixed epoch length.
-    ///
-    /// The transaction observatory samples once per epoch that crosses
-    /// a period boundary, stamped at the epoch's end cycle (every
-    /// multiple of the period for `k = 1`; the same stamps for any `k`
-    /// dividing the period).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the engine's [`EngineError`] (`k` validation and
-    /// worker-pool failures); see [`Network::tick_epoch`].
-    pub fn tick_epoch(&mut self, k: u64) -> Result<(), EngineError> {
         self.pump_staged();
-        let before = self.net.now().raw();
-        self.net.tick_epoch(k)?;
+        self.net.tick();
         self.drain_deliveries();
         if let Some(reg) = &self.registry {
-            let period = reg.period();
-            if self.net.now().raw() / period > before / period {
+            if self.net.now().raw().is_multiple_of(reg.period()) {
                 self.sample_observatory();
             }
         }
-        Ok(())
     }
 
     /// Tick until the fabric is quiet (no staged flits, nothing in the

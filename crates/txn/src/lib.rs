@@ -24,10 +24,9 @@
 //!   in-flight gauges sampled into
 //!   [`TxnSnapshot`](noc_core::telemetry::TxnSnapshot)s.
 //!
-//! Everything above the network runs single-threadedly in
-//! deterministic endpoint order, so the byte-identical
-//! Sequential/Parallel(n) and Fast/Reference guarantees of the engine
-//! extend to transactions — see the module docs of [`fabric`].
+//! Everything above the network runs in deterministic endpoint order,
+//! so the byte-identical Fast/Reference guarantee of the engine extends
+//! to transactions — see the module docs of [`fabric`].
 //!
 //! # Quickstart
 //!
@@ -50,6 +49,8 @@
 //! assert_eq!(fab.drain_completions().len(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod broadcast;
 pub mod fabric;

@@ -13,6 +13,8 @@
 //!   YOLOv3 (Tables 3 and 8);
 //! * [`Machine`] rooflines (Figure 3).
 
+#![forbid(unsafe_code)]
+
 pub mod lmbench;
 pub mod nn;
 pub mod roofline;

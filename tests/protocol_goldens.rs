@@ -10,14 +10,12 @@
 //! SipHash maps to dense slots and `noc_sim::idmap` — and
 //! `CHI_TXN_GOLDENS` at 7ce9597, before the layers stopped polling
 //! every agent for deliveries. None may be regenerated in a change that
-//! claims to preserve behaviour. `AI_GOLDENS` is reproduced under both
-//! `ExecMode::Sequential` and `ExecMode::Parallel(2)`: the one check
-//! that runs a whole SoC on the sharded engine.
+//! claims to preserve behaviour.
 
 use noc_ai::{AiConfig, AiEngine, AiProcessor, AiTraffic};
 use noc_chi::system::ChiTransport;
 use noc_chi::{CoherentSystem, LineAddr, ReadKind, SystemSpec, TxnKind};
-use noc_core::{ExecMode, Network, NodeId};
+use noc_core::{Network, NodeId};
 use noc_server_cpu::{build_topology, ServerCpu, ServerCpuConfig};
 use noc_sim::SimRng;
 use noc_txn::{TxnConfig, TxnFabric};
@@ -164,10 +162,10 @@ fn chi_txn_run(seed: u64) -> (u64, u64, u64) {
     (n, stream, net)
 }
 
-/// Fixed warm-up/measure on the reduced AI SoC under `exec`; `via_llc`
+/// Fixed warm-up/measure on the reduced AI SoC; `via_llc`
 /// on the second seed so the directory path is pinned too. Returns
 /// `(read, write, dma bytes, NetStats fingerprint hash)`.
-fn ai_run(seed: u64, via_llc: bool, exec: ExecMode) -> (u64, u64, u64, u64) {
+fn ai_run(seed: u64, via_llc: bool) -> (u64, u64, u64, u64) {
     let proc = AiProcessor::build(AiConfig {
         v_rings: 4,
         cores_per_vring: 4,
@@ -176,7 +174,6 @@ fn ai_run(seed: u64, via_llc: bool, exec: ExecMode) -> (u64, u64, u64, u64) {
         hbm_count: 3,
         dma_count: 3,
         llc_count: 3,
-        exec,
         ..Default::default()
     })
     .expect("builds");
@@ -241,27 +238,25 @@ fn coherent_system_matches_goldens_pinned_at_2fec607() {
 
 #[test]
 fn ai_engine_matches_goldens_pinned_at_2fec607() {
-    for exec in [ExecMode::Sequential, ExecMode::Parallel(2)] {
-        let mut table = String::new();
-        let mut moved = Vec::new();
-        for (seed, via_llc) in [(0xA1u64, false), (5, true)] {
-            let (r, w, d, net) = ai_run(seed, via_llc, exec);
-            if !AI_GOLDENS.contains(&(seed, via_llc, r, w, d, net)) {
-                moved.push(format!(
-                    "seed {seed} via_llc={via_llc}: now ({r}, {w}, {d}, {net:#018x})"
-                ));
-            }
-            table.push_str(&format!(
-                "    ({seed}, {via_llc}, {r}, {w}, {d}, {net:#018x}),\n"
+    let mut table = String::new();
+    let mut moved = Vec::new();
+    for (seed, via_llc) in [(0xA1u64, false), (5, true)] {
+        let (r, w, d, net) = ai_run(seed, via_llc);
+        if !AI_GOLDENS.contains(&(seed, via_llc, r, w, d, net)) {
+            moved.push(format!(
+                "seed {seed} via_llc={via_llc}: now ({r}, {w}, {d}, {net:#018x})"
             ));
         }
-        assert!(
-            moved.is_empty(),
-            "AiEngine output on {exec:?} moved against the pinned goldens:\n{}\n\nfull table as \
-             the engine produces it now (paste over AI_GOLDENS only if the change is intended):\n{table}",
-            moved.join("\n")
-        );
+        table.push_str(&format!(
+            "    ({seed}, {via_llc}, {r}, {w}, {d}, {net:#018x}),\n"
+        ));
     }
+    assert!(
+        moved.is_empty(),
+        "AiEngine output moved against the pinned goldens:\n{}\n\nfull table as the engine \
+         produces it now (paste over AI_GOLDENS only if the change is intended):\n{table}",
+        moved.join("\n")
+    );
 }
 
 #[test]

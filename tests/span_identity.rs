@@ -1,20 +1,15 @@
 //! Span-stream determinism: the causal span trees (and the
 //! tail-exemplar reservoir derived from them) must be byte-identical
-//! across every engine variant, because they are emitted from the
-//! fabric's single-threaded drain path in deterministic endpoint
-//! order. This is the observability extension of `txn_lockstep`: not
-//! just *that* the same transactions complete at the same cycles, but
-//! that every per-packet counter, causal edge and critical-flit record
-//! agrees byte for byte.
-//!
-//! Epoch batching (K > 1) legitimately reschedules admission, so each
-//! K is checked against its own K-golden (PR 8 convention), not
-//! against K = 1.
+//! across both tick modes, because they are emitted from the fabric's
+//! drain path in deterministic endpoint order. This is the
+//! observability extension of `txn_lockstep`: not just *that* the same
+//! transactions complete at the same cycles, but that every per-packet
+//! counter, causal edge and critical-flit record agrees byte for byte.
 
 use noc_core::telemetry::{
     critical_path, span_trees_jsonl, LatencyBreakdown, SpanCollector, SpanSink,
 };
-use noc_core::{ExecMode, GridParams, Network, NetworkConfig, NodeId, TickMode};
+use noc_core::{GridParams, Network, NetworkConfig, NodeId, TickMode};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 use noc_txn::{TxnConfig, TxnFabric};
@@ -56,17 +51,10 @@ fn txn_cfg() -> TxnConfig {
     }
 }
 
-/// Drive the seeded workload to quiescence, collecting spans. `epoch`
-/// of 1 uses the per-cycle tick; larger values the epoch tick.
-fn run_variant(seed: u64, mode: TickMode, exec: ExecMode, epoch: u64) -> SpanStream {
+/// Drive the seeded workload to quiescence, collecting spans.
+fn run_variant(seed: u64, mode: TickMode) -> SpanStream {
     let (topo, devs) = torus(seed);
-    let net = Network::with_exec(
-        topo,
-        NetworkConfig::default(),
-        mode,
-        exec,
-        noc_core::telemetry::NullSink,
-    );
+    let net = Network::with_mode(topo, NetworkConfig::default(), mode);
     let mut fab = TxnFabric::with_spans(net, txn_cfg(), SpanCollector::new(4096, EXEMPLAR_K));
     let wl = TxnWorkload::new(devs, TxnMix::default(), TrafficPattern::Uniform, 64, 32);
     let mut rng = SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9));
@@ -93,18 +81,13 @@ fn run_variant(seed: u64, mode: TickMode, exec: ExecMode, epoch: u64) -> SpanStr
             Some(()) => accepted += 1,
             None => pending = Some(req),
         }
-        fab.tick_epoch(epoch).expect("epoch within the torus bound");
+        fab.tick();
         guard += 1;
         assert!(guard < 1_000_000, "seed {seed}: workload never accepted");
     }
-    let mut spent = 0u64;
-    while !fab.quiet() && spent < 2_000_000 {
-        fab.tick_epoch(epoch).expect("epoch within the torus bound");
-        spent += epoch;
-    }
     assert!(
-        fab.quiet(),
-        "seed {seed}: fabric failed to quiesce on {mode:?}/{exec:?} k={epoch}"
+        fab.run_until_quiet(2_000_000),
+        "seed {seed}: fabric failed to quiesce on {mode:?}"
     );
 
     // Every recorded tree must reconcile exactly before we bother
@@ -143,56 +126,21 @@ fn run_variant(seed: u64, mode: TickMode, exec: ExecMode, epoch: u64) -> SpanStr
 }
 
 /// 20 pinned seeds: the span and exemplar JSONL streams are
-/// byte-identical across `Reference/Fast` × `Sequential/Parallel(2/4)`.
+/// byte-identical across `Reference/Fast`.
 #[test]
 fn span_streams_are_byte_identical_across_engines() {
-    let variants: [(TickMode, ExecMode); 4] = [
-        (TickMode::Reference, ExecMode::Sequential),
-        (TickMode::Fast, ExecMode::Sequential),
-        (TickMode::Fast, ExecMode::Parallel(2)),
-        (TickMode::Fast, ExecMode::Parallel(4)),
-    ];
     for seed in 0..SEEDS {
-        let golden = run_variant(seed, variants[0].0, variants[0].1, 1);
+        let golden = run_variant(seed, TickMode::Reference);
         assert_eq!(golden.recorded, TXNS_PER_SEED as u64);
         assert!(!golden.exemplars.is_empty(), "seed {seed}: no exemplars");
-        for &(mode, exec) in &variants[1..] {
-            let other = run_variant(seed, mode, exec, 1);
-            assert_eq!(
-                golden.trees, other.trees,
-                "seed {seed}: span stream diverged on {mode:?}/{exec:?}"
-            );
-            assert_eq!(
-                golden.exemplars, other.exemplars,
-                "seed {seed}: exemplar reservoir diverged on {mode:?}/{exec:?}"
-            );
-        }
-    }
-}
-
-/// Epoch axis: each K ∈ {2, 4, 8} reproduces its own K-golden span
-/// stream on every engine variant.
-#[test]
-fn epoch_batched_span_streams_match_their_own_k_golden() {
-    let variants: [(TickMode, ExecMode); 3] = [
-        (TickMode::Reference, ExecMode::Sequential),
-        (TickMode::Fast, ExecMode::Sequential),
-        (TickMode::Fast, ExecMode::Parallel(4)),
-    ];
-    for k in [2u64, 4, 8] {
-        for seed in 0..6 {
-            let golden = run_variant(seed, variants[0].0, variants[0].1, k);
-            for &(mode, exec) in &variants[1..] {
-                let other = run_variant(seed, mode, exec, k);
-                assert_eq!(
-                    golden.trees, other.trees,
-                    "seed {seed} k={k}: span stream diverged on {mode:?}/{exec:?}"
-                );
-                assert_eq!(
-                    golden.exemplars, other.exemplars,
-                    "seed {seed} k={k}: exemplar reservoir diverged on {mode:?}/{exec:?}"
-                );
-            }
-        }
+        let other = run_variant(seed, TickMode::Fast);
+        assert_eq!(
+            golden.trees, other.trees,
+            "seed {seed}: span stream diverged on Fast"
+        );
+        assert_eq!(
+            golden.exemplars, other.exemplars,
+            "seed {seed}: exemplar reservoir diverged on Fast"
+        );
     }
 }

@@ -15,18 +15,18 @@
 //! observatories, a `SpanCollector` and wait-graph forensics. The
 //! recorder's window bounds what the snapshot registry retains, so the
 //! registry's series is hashed as it is committed (read through `since`
-//! after every epoch), and forensics keeps the 4096 wait-graph samples
-//! the goldens were pinned with, not the 32 it keeps by default. Two
-//! traffic seeds run the benchmark's mix (one at epoch K = 4); the third
-//! case runs `TxnMix::default()` with 32-flit bursts, which wedges the
-//! fabric so forensics latches and watchdog bundles are captured.
+//! after every tick), and forensics keeps the 4096 wait-graph samples
+//! the goldens were pinned with, not the 32 it keeps by default. One
+//! case runs the benchmark's mix; the other runs `TxnMix::default()`
+//! with 32-flit bursts, which wedges the fabric so forensics latches and
+//! watchdog bundles are captured.
 
 use noc_core::telemetry::{
     chrome_trace, prometheus_text, snapshots_jsonl, span_trees_jsonl, spans_chrome_trace,
     txn_snapshots_jsonl, wait_graphs_jsonl, HealthConfig, MetricsSnapshot, PostmortemBundle,
     RecorderConfig, RingBufferSink, SpanCollector, TxnSpanTree, WaitGraphConfig,
 };
-use noc_core::{ExecMode, GridParams, Network, NetworkConfig, NodeId, TickMode};
+use noc_core::{GridParams, Network, NetworkConfig, NodeId, TickMode};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 use noc_txn::{TxnConfig, TxnFabric};
@@ -55,14 +55,13 @@ struct Case {
     seed: u64,
     mix: TxnMix,
     max_data_flits: u16,
-    k: u64,
     cycles: u64,
     /// Transactions kept in flight (closed loop).
     outstanding: usize,
     recorder: RecorderConfig,
 }
 
-fn cases() -> [Case; 3] {
+fn cases() -> [Case; 2] {
     let short = RecorderConfig {
         snapshot_window: 8,
         event_window: 300,
@@ -74,17 +73,6 @@ fn cases() -> [Case; 3] {
             seed: 1,
             mix: BENCH_MIX,
             max_data_flits: 16,
-            k: 1,
-            cycles: 3_000,
-            outstanding: 48,
-            recorder: short.clone(),
-        },
-        Case {
-            name: "bench-mix seed 2, K = 4",
-            seed: 2,
-            mix: BENCH_MIX,
-            max_data_flits: 16,
-            k: 4,
             cycles: 3_000,
             outstanding: 48,
             recorder: short,
@@ -94,7 +82,6 @@ fn cases() -> [Case; 3] {
             seed: 1,
             mix: TxnMix::default(),
             max_data_flits: 32,
-            k: 1,
             cycles: 8_000,
             outstanding: 200,
             recorder: RecorderConfig::default(),
@@ -142,11 +129,10 @@ fn torus() -> (noc_core::Topology, Vec<NodeId>) {
 
 fn run(case: &Case) -> Digest {
     let (topo, devs) = torus();
-    let mut net = Network::with_exec(
+    let mut net = Network::with_sink(
         topo,
         NetworkConfig::default(),
         TickMode::Fast,
-        ExecMode::Sequential,
         RingBufferSink::new(1_000),
     );
     net.enable_flight_recorder(32, HealthConfig::default(), case.recorder.clone());
@@ -196,10 +182,10 @@ fn run(case: &Case) -> Digest {
                 break;
             }
         }
-        fab.tick_epoch(case.k).expect("k within the torus bound");
+        fab.tick();
         fab.drain_completions();
         let registry = fab.network().metrics().expect("observatory on");
-        let fresh = registry.since(next).expect("read every epoch");
+        let fresh = registry.since(next).expect("read every tick");
         series.push_str(&snapshots_jsonl(fresh));
         next = registry.committed();
     }
@@ -253,7 +239,6 @@ type Golden = (&'static str, u64, bool, u64, usize, u64, [u64; 10]);
 #[rustfmt::skip]
 const TELEMETRY_GOLDENS: &[Golden] = &[
     ("bench-mix seed 1", 3000, false, 93, 1, 87006, [0x8baebae84eeddb37, 0x321c2db89fa61fbf, 0x25f2a122790dd094, 0xb978c00a5ddf5478, 0x4fbd206d037f425f, 0xc691d0c578ba8c43, 0x26af2dc38cb93dad, 0xc3daa8f7c570871a, 0xcfe51c73bef77ed7, 0xd9635bf8b6404912]),
-    ("bench-mix seed 2, K = 4", 3000, false, 93, 1, 94470, [0xe38af2b11ada6217, 0xa6a953b2a4ab8ba8, 0xf942c2fc7f4b3106, 0xbbc52584434d14ec, 0x011209bada9e7f6a, 0x97c2c5ed3e3d2795, 0x9b77982061b7199a, 0x86d67b8ebd248921, 0x6c00e0dfaa9cb755, 0xb9b7267ec21c2db9]),
     ("default mix, 32-flit bursts (wedges)", 8000, true, 250, 6, 262517, [0x64f46b17a7b45c39, 0xd0f588849b3d2534, 0x20e7aa9803a0b973, 0xc55b75492ceb248e, 0x889811af3c029341, 0x21d1b7856873cdd0, 0xabc860b7343c3c22, 0xf2cdd50d1d12a07a, 0x033d297a2b840863, 0x5dca2f2956101a4e]),
 ];
 

@@ -8,12 +8,9 @@
 //! Invariants per seed:
 //! * the fabric quiesces within a generous cycle bound;
 //! * conservation — accepted transactions all complete, exactly once,
-//!   with zero stray/duplicate/late counters;
-//! * Sequential and Parallel(4) runs agree byte-for-byte (fingerprint,
-//!   counters, completion stream).
+//!   with zero stray/duplicate/late counters.
 
-use noc_core::telemetry::NullSink;
-use noc_core::{ExecMode, GridParams, Network, NetworkConfig, NodeId, TickMode};
+use noc_core::{GridParams, Network, NetworkConfig, NodeId};
 use noc_sim::fuzz::{save_failing_artifact, SeedMatrix, TrafficPattern};
 use noc_sim::SimRng;
 use noc_txn::{TxnConfig, TxnCounters, TxnFabric};
@@ -36,13 +33,6 @@ struct TxnTrace {
     violation: String,
 }
 
-struct RunResult {
-    fingerprint: Vec<u64>,
-    counters: TxnCounters,
-    completions: usize,
-    submitted: Vec<TxnRequest>,
-}
-
 /// Grid shape and per-chiplet device count derived from the seed.
 fn shape(seed: u64) -> (u16, u16, u16) {
     let mut rng = SimRng::seed_from(seed ^ 0x7A57_F00D);
@@ -52,7 +42,9 @@ fn shape(seed: u64) -> (u16, u16, u16) {
     (x, y, devices_per_chiplet)
 }
 
-fn run(seed: u64, exec: ExecMode) -> Result<RunResult, String> {
+/// Run one seed to quiescence and check its invariants, recording into
+/// `trace` what it submitted and where it ended.
+fn run(seed: u64, trace: &mut TxnTrace) -> Result<(), String> {
     let (x, y, devices) = shape(seed);
     let (topo, names) = GridParams::torus(x, y)
         .with_devices(devices)
@@ -66,25 +58,18 @@ fn run(seed: u64, exec: ExecMode) -> Result<RunResult, String> {
     let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
     named.sort();
     let devs: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
-    let net = Network::with_exec(
-        topo,
-        NetworkConfig::default(),
-        TickMode::Fast,
-        exec,
-        NullSink,
-    );
+    let net = Network::new(topo, NetworkConfig::default());
     let cfg = TxnConfig {
-        window: 4,
-        max_data_flits: 32,
+        window: trace.window,
+        max_data_flits: trace.max_data_flits,
         ..TxnConfig::default()
     };
     let mut fab = TxnFabric::new(net, cfg);
     let wl = TxnWorkload::new(devs, TxnMix::default(), TrafficPattern::Uniform, 64, 32);
     let mut rng = SimRng::seed_from(seed);
-    let mut submitted = Vec::new();
     let mut pending: Option<TxnRequest> = None;
     let mut guard = 0u64;
-    while submitted.len() < TXNS_PER_SEED {
+    while trace.submitted.len() < TXNS_PER_SEED {
         let req = pending.take().unwrap_or_else(|| wl.next(&mut rng));
         let accepted = match &req {
             TxnRequest::Point { src, dst, op } => fab
@@ -101,7 +86,7 @@ fn run(seed: u64, exec: ExecMode) -> Result<RunResult, String> {
                 .is_some(),
         };
         if accepted {
-            submitted.push(req);
+            trace.submitted.push(req);
         } else {
             pending = Some(req);
         }
@@ -111,7 +96,10 @@ fn run(seed: u64, exec: ExecMode) -> Result<RunResult, String> {
             return Err("workload starved: nothing accepted for 1M cycles".into());
         }
     }
-    if !fab.run_until_quiet(2_000_000) {
+    let quiet = fab.run_until_quiet(2_000_000);
+    trace.counters = *fab.counters();
+    trace.fingerprint = fab.fingerprint();
+    if !quiet {
         return Err(format!(
             "failed to quiesce: {} txns in flight at cycle {}",
             fab.in_flight_txns(),
@@ -119,7 +107,7 @@ fn run(seed: u64, exec: ExecMode) -> Result<RunResult, String> {
         ));
     }
     let completions = fab.drain_completions();
-    let c = *fab.counters();
+    let c = trace.counters;
     if c.stray_flits != 0 || c.duplicate_flits != 0 || c.late_responses != 0 {
         return Err(format!(
             "anomaly counters nonzero: stray={} dup={} late={}",
@@ -139,28 +127,6 @@ fn run(seed: u64, exec: ExecMode) -> Result<RunResult, String> {
     if ids.len() != TXNS_PER_SEED {
         return Err("conservation: a transaction completed twice".into());
     }
-    Ok(RunResult {
-        fingerprint: fab.fingerprint(),
-        counters: c,
-        completions: completions.len(),
-        submitted,
-    })
-}
-
-/// Run one seed under both exec modes, check invariants and engine
-/// agreement; on violation, drop the artifact and return its path.
-fn fuzz_seed(seed: u64) -> Result<(), String> {
-    let seq = run(seed, ExecMode::Sequential)?;
-    let par = run(seed, ExecMode::Parallel(4))?;
-    if seq.fingerprint != par.fingerprint {
-        return Err("Sequential vs Parallel(4) fingerprints diverged".into());
-    }
-    if seq.counters != par.counters {
-        return Err("Sequential vs Parallel(4) counters diverged".into());
-    }
-    if seq.completions != par.completions {
-        return Err("Sequential vs Parallel(4) completion counts diverged".into());
-    }
     Ok(())
 }
 
@@ -168,25 +134,20 @@ fn fuzz_seed(seed: u64) -> Result<(), String> {
 fn seeded_transaction_fuzz_with_artifact_drop() {
     let matrix = SeedMatrix::from_env(0x7001_BA5E, 3);
     for seed in matrix.seeds() {
-        if let Err(violation) = fuzz_seed(seed) {
-            // Rebuild the trace under the failing seed for the artifact;
-            // if even that run errors out, record the violation alone.
-            let (x, y, devices) = shape(seed);
-            let (submitted, counters, fingerprint) = match run(seed, ExecMode::Sequential) {
-                Ok(r) => (r.submitted, r.counters, r.fingerprint),
-                Err(_) => (Vec::new(), TxnCounters::default(), Vec::new()),
-            };
-            let trace = TxnTrace {
-                seed,
-                grid: (x, y),
-                devices: devices as usize,
-                window: 4,
-                max_data_flits: 32,
-                submitted,
-                counters,
-                fingerprint,
-                violation: violation.clone(),
-            };
+        let (x, y, devices) = shape(seed);
+        let mut trace = TxnTrace {
+            seed,
+            grid: (x, y),
+            devices: devices as usize,
+            window: 4,
+            max_data_flits: 32,
+            submitted: Vec::new(),
+            counters: TxnCounters::default(),
+            fingerprint: Vec::new(),
+            violation: String::new(),
+        };
+        if let Err(violation) = run(seed, &mut trace) {
+            trace.violation = violation.clone();
             let json = serde_json::to_string(&trace).expect("trace serializes");
             let path = save_failing_artifact(&format!("txn-fuzz-seed-{seed}"), &json)
                 .expect("artifact dir writable");

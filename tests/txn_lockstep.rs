@@ -1,7 +1,6 @@
 //! Differential lockstep for the transaction layer: a 20-seed
 //! transaction workload must behave byte-identically across
-//! `TickMode::{Reference,Fast}` and
-//! `ExecMode::{Sequential,Parallel(2/4/8)}`, and conserve transactions
+//! `TickMode::{Reference,Fast}`, and conserve transactions
 //! — every accepted non-posted request completes exactly once, no
 //! strays, no duplicates, no late responses.
 //!
@@ -10,8 +9,7 @@
 //! identically; here the packetization, reassembly, window and
 //! broadcast decisions layered on top must too.
 
-use noc_core::telemetry::NullSink;
-use noc_core::{ExecMode, GridParams, Network, NetworkConfig, NodeId, TickMode};
+use noc_core::{GridParams, Network, NetworkConfig, NodeId, TickMode};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 use noc_txn::{TxnCompletion, TxnConfig, TxnCounters, TxnFabric, TxnKind};
@@ -54,9 +52,9 @@ fn txn_cfg() -> TxnConfig {
 }
 
 /// Drive the same seeded workload to quiescence on one engine variant.
-fn run_variant(seed: u64, mode: TickMode, exec: ExecMode) -> Outcome {
+fn run_variant(seed: u64, mode: TickMode) -> Outcome {
     let (topo, devs) = torus(seed);
-    let net = Network::with_exec(topo, NetworkConfig::default(), mode, exec, NullSink);
+    let net = Network::with_mode(topo, NetworkConfig::default(), mode);
     let mut fab = TxnFabric::new(net, txn_cfg());
     let wl = TxnWorkload::new(devs, TxnMix::default(), TrafficPattern::Uniform, 64, 32);
     let mut rng = SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9));
@@ -89,7 +87,7 @@ fn run_variant(seed: u64, mode: TickMode, exec: ExecMode) -> Outcome {
     }
     assert!(
         fab.run_until_quiet(2_000_000),
-        "seed {seed}: fabric failed to quiesce on {mode:?}/{exec:?}: \
+        "seed {seed}: fabric failed to quiesce on {mode:?}: \
          {} txns live, {} net flits in flight, counters {:?}",
         fab.in_flight_txns(),
         fab.network().in_flight(),
@@ -103,123 +101,10 @@ fn run_variant(seed: u64, mode: TickMode, exec: ExecMode) -> Outcome {
     }
 }
 
-/// Like [`run_variant`] but advancing the fabric in `k`-cycle epochs.
-/// For K > 1 the admission pump runs once per epoch, so the schedule —
-/// and therefore the outcome — legitimately differs from K = 1; what
-/// must hold is that each K's outcome is a pure function of K alone,
-/// identical across every engine variant (the "own K-golden" check).
-fn run_variant_epoch(seed: u64, mode: TickMode, exec: ExecMode, k: u64) -> Outcome {
-    let (topo, devs) = torus(seed);
-    let net = Network::with_exec(topo, NetworkConfig::default(), mode, exec, NullSink);
-    let mut fab = TxnFabric::new(net, txn_cfg());
-    assert!(k <= fab.network().max_epoch(), "k exceeds the torus bound");
-    let wl = TxnWorkload::new(devs, TxnMix::default(), TrafficPattern::Uniform, 64, 32);
-    let mut rng = SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9));
-    let mut accepted = 0usize;
-    let mut pending: Option<TxnRequest> = None;
-    let mut guard = 0u64;
-    while accepted < TXNS_PER_SEED {
-        let req = pending.take().unwrap_or_else(|| wl.next(&mut rng));
-        let outcome = match &req {
-            TxnRequest::Point { src, dst, op } => fab
-                .submit(*src, *dst, *op)
-                .expect("generated endpoints are valid")
-                .map(|_| ()),
-            TxnRequest::Broadcast {
-                src,
-                targets,
-                bytes,
-            } => fab
-                .submit_broadcast(*src, targets, *bytes)
-                .expect("generated broadcasts are valid")
-                .map(|_| ()),
-        };
-        match outcome {
-            Some(()) => accepted += 1,
-            None => pending = Some(req),
-        }
-        fab.tick_epoch(k).expect("k within the torus bound");
-        guard += 1;
-        assert!(guard < 1_000_000, "seed {seed}: workload never accepted");
-    }
-    let mut spent = 0u64;
-    while !fab.quiet() && spent < 2_000_000 {
-        fab.tick_epoch(k).expect("k within the torus bound");
-        spent += k;
-    }
-    assert!(
-        fab.quiet(),
-        "seed {seed}: fabric failed to quiesce on {mode:?}/{exec:?} k={k}: \
-         {} txns live, {} net flits in flight",
-        fab.in_flight_txns(),
-        fab.network().in_flight(),
-    );
-    Outcome {
-        fingerprint: fab.fingerprint(),
-        cycles: fab.now().raw(),
-        completions: fab.drain_completions(),
-        counters: *fab.counters(),
-    }
-}
-
-/// Epoch axis: for each K > 1, every engine variant must reproduce
-/// that K's golden outcome byte for byte — completions, counters,
-/// fingerprint, quiescence time — and conserve transactions.
-#[test]
-fn epoch_batched_fabric_matches_its_own_k_golden() {
-    let variants: [(TickMode, ExecMode); 4] = [
-        (TickMode::Reference, ExecMode::Sequential),
-        (TickMode::Fast, ExecMode::Sequential),
-        (TickMode::Fast, ExecMode::Parallel(2)),
-        (TickMode::Fast, ExecMode::Parallel(4)),
-    ];
-    for k in [2u64, 4, 8] {
-        for seed in 0..6 {
-            let golden = run_variant_epoch(seed, variants[0].0, variants[0].1, k);
-            let c = &golden.counters;
-            assert_eq!(c.stray_flits, 0, "seed {seed} k={k}: stray flits");
-            assert_eq!(c.duplicate_flits, 0, "seed {seed} k={k}: duplicate flits");
-            assert_eq!(c.late_responses, 0, "seed {seed} k={k}: late responses");
-            assert_eq!(
-                golden.completions.len(),
-                TXNS_PER_SEED,
-                "seed {seed} k={k}: accepted vs completed mismatch"
-            );
-            for &(mode, exec) in &variants[1..] {
-                let other = run_variant_epoch(seed, mode, exec, k);
-                assert_eq!(
-                    golden.fingerprint, other.fingerprint,
-                    "seed {seed} k={k}: fingerprint diverged on {mode:?}/{exec:?}"
-                );
-                assert_eq!(
-                    golden.completions, other.completions,
-                    "seed {seed} k={k}: completion stream diverged on {mode:?}/{exec:?}"
-                );
-                assert_eq!(
-                    golden.counters, other.counters,
-                    "seed {seed} k={k}: counters diverged on {mode:?}/{exec:?}"
-                );
-                assert_eq!(
-                    golden.cycles, other.cycles,
-                    "seed {seed} k={k}: quiescence time diverged on {mode:?}/{exec:?}"
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn twenty_seed_engine_lockstep_with_conservation() {
-    let variants: [(TickMode, ExecMode); 6] = [
-        (TickMode::Reference, ExecMode::Sequential),
-        (TickMode::Reference, ExecMode::Parallel(4)),
-        (TickMode::Fast, ExecMode::Sequential),
-        (TickMode::Fast, ExecMode::Parallel(2)),
-        (TickMode::Fast, ExecMode::Parallel(4)),
-        (TickMode::Fast, ExecMode::Parallel(8)),
-    ];
     for seed in 0..SEEDS {
-        let golden = run_variant(seed, variants[0].0, variants[0].1);
+        let golden = run_variant(seed, TickMode::Reference);
 
         // Conservation on the golden run.
         let c = &golden.counters;
@@ -262,26 +147,24 @@ fn twenty_seed_engine_lockstep_with_conservation() {
             "seed {seed}: zero-latency completion"
         );
 
-        // Byte-identity across every other engine variant.
-        for &(mode, exec) in &variants[1..] {
-            let other = run_variant(seed, mode, exec);
-            assert_eq!(
-                golden.fingerprint, other.fingerprint,
-                "seed {seed}: fingerprint diverged on {mode:?}/{exec:?}"
-            );
-            assert_eq!(
-                golden.completions, other.completions,
-                "seed {seed}: completion stream diverged on {mode:?}/{exec:?}"
-            );
-            assert_eq!(
-                golden.counters, other.counters,
-                "seed {seed}: counters diverged on {mode:?}/{exec:?}"
-            );
-            assert_eq!(
-                golden.cycles, other.cycles,
-                "seed {seed}: quiescence time diverged on {mode:?}/{exec:?}"
-            );
-        }
+        // Byte-identity with the fast sweep.
+        let other = run_variant(seed, TickMode::Fast);
+        assert_eq!(
+            golden.fingerprint, other.fingerprint,
+            "seed {seed}: fingerprint diverged on Fast"
+        );
+        assert_eq!(
+            golden.completions, other.completions,
+            "seed {seed}: completion stream diverged on Fast"
+        );
+        assert_eq!(
+            golden.counters, other.counters,
+            "seed {seed}: counters diverged on Fast"
+        );
+        assert_eq!(
+            golden.cycles, other.cycles,
+            "seed {seed}: quiescence time diverged on Fast"
+        );
     }
 }
 
@@ -293,20 +176,13 @@ fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
 }
 
 /// `(seed, K, fingerprint hash, completion-stream hash)`, generated at
-/// commit 56c2f59 — before `TxnFabric::tick` became `tick_epoch(1)` —
-/// with K = 1 driven through `tick()`. Never regenerate these in a
-/// change that claims to preserve behaviour.
+/// commit 56c2f59 with K = 1 driven through `tick()`. Never regenerate
+/// these in a change that claims to preserve behaviour.
 #[rustfmt::skip]
 const TXN_GOLDENS: &[(u64, u64, u64, u64)] = &[
     (0, 1, 0x2ce7d29979a41e72, 0xa825c138f8d8e321),
-    (0, 2, 0x5d7c709e37d05760, 0x377ec8ce36de856a),
-    (0, 4, 0x64489fcbf3d4d1af, 0x483f62bd176f9cee),
     (1, 1, 0x0711b1c63d7d81af, 0x258156039fe93473),
-    (1, 2, 0x949f1aa87330e2fc, 0xb7dd036504aa1275),
-    (1, 4, 0x8eeb0fe0f9d07310, 0x965b6eb7c8b74c9f),
     (2, 1, 0x40fce8a8ea3a4385, 0x5fc4b8971388a05e),
-    (2, 2, 0x524f27844089c7ed, 0x70380e6efd0c239c),
-    (2, 4, 0x8db070489f810bec, 0x884e425984551ff5),
 ];
 
 /// Cross-commit anchor: every other check in this file compares engine
@@ -318,27 +194,19 @@ fn fabric_matches_goldens_pinned_before_tick_became_a_one_cycle_epoch() {
     let mut table = String::new();
     let mut moved = Vec::new();
     for seed in 0..3u64 {
-        for k in [1u64, 2, 4] {
-            let out = if k == 1 {
-                run_variant(seed, TickMode::Fast, ExecMode::Sequential)
-            } else {
-                run_variant_epoch(seed, TickMode::Fast, ExecMode::Sequential, k)
-            };
-            let fp = out
-                .fingerprint
-                .iter()
-                .fold(0xcbf2_9ce4_8422_2325, |h, w| fnv1a(h, &w.to_le_bytes()));
-            let stream = fnv1a(
-                0xcbf2_9ce4_8422_2325,
-                format!("{:?}", out.completions).as_bytes(),
-            );
-            if !TXN_GOLDENS.contains(&(seed, k, fp, stream)) {
-                moved.push(format!(
-                    "seed {seed} k={k}: now ({fp:#018x}, {stream:#018x})"
-                ));
-            }
-            table.push_str(&format!("    ({seed}, {k}, {fp:#018x}, {stream:#018x}),\n"));
+        let out = run_variant(seed, TickMode::Fast);
+        let fp = out
+            .fingerprint
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, w| fnv1a(h, &w.to_le_bytes()));
+        let stream = fnv1a(
+            0xcbf2_9ce4_8422_2325,
+            format!("{:?}", out.completions).as_bytes(),
+        );
+        if !TXN_GOLDENS.contains(&(seed, 1, fp, stream)) {
+            moved.push(format!("seed {seed}: now ({fp:#018x}, {stream:#018x})"));
         }
+        table.push_str(&format!("    ({seed}, 1, {fp:#018x}, {stream:#018x}),\n"));
     }
     assert!(
         moved.is_empty(),

@@ -22,9 +22,9 @@
 //! * with the fix, the exact configurations that used to wedge drain
 //!   completely and the detector never latches — the fix guarantee.
 
-use noc_core::telemetry::{NullSink, PostmortemBundle, WaitGraphConfig};
+use noc_core::telemetry::{PostmortemBundle, WaitGraphConfig};
 use noc_core::topogen::GridParams;
-use noc_core::{ExecMode, Network, NetworkConfig, NodeId, TickMode};
+use noc_core::{Network, NetworkConfig, NodeId};
 use noc_txn::{TxnConfig, TxnFabric, TxnOp};
 
 /// The ROADMAP wedge topology: 4×4 torus, 16 stations, 2 devices per
@@ -102,13 +102,7 @@ fn run_saturation(
     slots: usize,
 ) -> SaturationRun {
     let (topo, devs) = torus_devices();
-    let mut net = Network::with_exec(
-        topo,
-        NetworkConfig::default(),
-        TickMode::Fast,
-        ExecMode::Sequential,
-        NullSink,
-    );
+    let mut net = Network::new(topo, NetworkConfig::default());
     net.enable_metrics(32);
     let mut fab = TxnFabric::new(
         net,

@@ -1,9 +1,6 @@
 //! Detector-stream lockstep: the stall-forensics surface — sampled
 //! wait graphs, SCC verdicts, gauge rows and wedge reports — must be
-//! byte-identical across `TickMode::{Reference,Fast}` ×
-//! `ExecMode::{Sequential,Parallel(2,4)}` × epoch K ∈ {1,2,4,8}, each
-//! K against its own K-golden (the workspace's lockstep convention:
-//! admission cadence is a pure function of K).
+//! byte-identical across `TickMode::{Reference,Fast}`.
 //!
 //! Two workloads cover both detector regimes: a mixed transactional
 //! load that never wedges (verdict stream stays
@@ -11,8 +8,8 @@
 //! pattern with legacy admission, which must latch the *same* wedge
 //! report on every engine.
 
-use noc_core::telemetry::{wait_graphs_jsonl, NullSink, WaitGraphConfig, WaitVerdict};
-use noc_core::{ExecMode, GridParams, Network, NetworkConfig, NodeId, TickMode};
+use noc_core::telemetry::{wait_graphs_jsonl, WaitGraphConfig, WaitVerdict};
+use noc_core::{GridParams, Network, NetworkConfig, NodeId, TickMode};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 use noc_txn::{TxnConfig, TxnFabric, TxnOp};
@@ -78,11 +75,11 @@ fn stream_of<S: noc_core::telemetry::TraceSink>(fab: &TxnFabric<S>) -> DetectorS
     }
 }
 
-/// Drive a mixed seeded workload to quiescence in `k`-cycle epochs and
-/// return the detector stream.
-fn run_mixed(seed: u64, mode: TickMode, exec: ExecMode, k: u64) -> DetectorStream {
+/// Drive a mixed seeded workload to quiescence and return the detector
+/// stream.
+fn run_mixed(seed: u64, mode: TickMode) -> DetectorStream {
     let (topo, devs) = torus(seed);
-    let mut net = Network::with_exec(topo, NetworkConfig::default(), mode, exec, NullSink);
+    let mut net = Network::with_mode(topo, NetworkConfig::default(), mode);
     net.enable_metrics(16);
     let mut fab = TxnFabric::new(net, txn_cfg());
     fab.enable_forensics(forensics());
@@ -111,23 +108,21 @@ fn run_mixed(seed: u64, mode: TickMode, exec: ExecMode, k: u64) -> DetectorStrea
             Some(()) => accepted += 1,
             None => pending = Some(req),
         }
-        fab.tick_epoch(k).expect("k within the torus bound");
+        fab.tick();
         guard += 1;
         assert!(guard < 1_000_000, "seed {seed}: workload never accepted");
     }
-    let mut spent = 0u64;
-    while !fab.quiet() && spent < 2_000_000 {
-        fab.tick_epoch(k).expect("k within the torus bound");
-        spent += k;
-    }
-    assert!(fab.quiet(), "seed {seed} k={k}: failed to quiesce");
+    assert!(
+        fab.run_until_quiet(2_000_000),
+        "seed {seed}: failed to quiesce"
+    );
     stream_of(&fab)
 }
 
 /// Drive the known stride-7 saturation wedge (legacy admission, no
 /// reassembly credits) until the detector latches, then a few more
-/// epochs, and return the detector stream.
-fn run_wedge(mode: TickMode, exec: ExecMode, k: u64) -> DetectorStream {
+/// cycles, and return the detector stream.
+fn run_wedge(mode: TickMode) -> DetectorStream {
     let (topo, names) = GridParams::torus(4, 4)
         .with_stations(16)
         .with_devices(2)
@@ -139,7 +134,7 @@ fn run_wedge(mode: TickMode, exec: ExecMode, k: u64) -> DetectorStream {
     let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
     named.sort();
     let devs: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
-    let mut net = Network::with_exec(topo, NetworkConfig::default(), mode, exec, NullSink);
+    let mut net = Network::with_mode(topo, NetworkConfig::default(), mode);
     net.enable_metrics(32);
     let mut fab = TxnFabric::new(
         net,
@@ -171,75 +166,53 @@ fn run_wedge(mode: TickMode, exec: ExecMode, k: u64) -> DetectorStream {
             }
             i += 1;
         }
-        fab.tick_epoch(k).expect("k within the torus bound");
+        fab.tick();
     }
     assert!(
         fab.wedge_latched(),
-        "stride-7 saturation must latch on {mode:?}/{exec:?} k={k}"
+        "stride-7 saturation must latch on {mode:?}"
     );
-    // A few more samples past the latch: the post-latch stream must
+    // A few more cycles past the latch: the post-latch stream must
     // stay identical too (the report is frozen, samples keep flowing).
     for _ in 0..4 {
-        fab.tick_epoch(k).expect("k within the torus bound");
+        fab.tick();
     }
     stream_of(&fab)
 }
 
 #[test]
 fn detector_streams_match_their_k_golden_on_ten_seeds() {
-    let variants: [(TickMode, ExecMode); 6] = [
-        (TickMode::Reference, ExecMode::Sequential),
-        (TickMode::Reference, ExecMode::Parallel(2)),
-        (TickMode::Reference, ExecMode::Parallel(4)),
-        (TickMode::Fast, ExecMode::Sequential),
-        (TickMode::Fast, ExecMode::Parallel(2)),
-        (TickMode::Fast, ExecMode::Parallel(4)),
-    ];
-    for k in [1u64, 2, 4, 8] {
-        for seed in 0..SEEDS {
-            let golden = run_mixed(seed, variants[0].0, variants[0].1, k);
-            assert!(
-                !golden.graphs.is_empty(),
-                "seed {seed} k={k}: no wait-graph samples recorded"
-            );
-            assert_eq!(
-                golden.report, "null",
-                "seed {seed} k={k}: mixed workload latched a wedge"
-            );
-            for &(mode, exec) in &variants[1..] {
-                let other = run_mixed(seed, mode, exec, k);
-                assert_eq!(
-                    golden, other,
-                    "seed {seed} k={k}: detector stream diverged on {mode:?}/{exec:?}"
-                );
-            }
-        }
+    for seed in 0..SEEDS {
+        let golden = run_mixed(seed, TickMode::Reference);
+        assert!(
+            !golden.graphs.is_empty(),
+            "seed {seed}: no wait-graph samples recorded"
+        );
+        assert_eq!(
+            golden.report, "null",
+            "seed {seed}: mixed workload latched a wedge"
+        );
+        let other = run_mixed(seed, TickMode::Fast);
+        assert_eq!(
+            golden, other,
+            "seed {seed}: detector stream diverged on Fast"
+        );
     }
 }
 
 #[test]
 fn wedge_reports_are_byte_identical_across_engines() {
-    let variants: [(TickMode, ExecMode); 4] = [
-        (TickMode::Reference, ExecMode::Sequential),
-        (TickMode::Fast, ExecMode::Sequential),
-        (TickMode::Fast, ExecMode::Parallel(2)),
-        (TickMode::Fast, ExecMode::Parallel(4)),
-    ];
-    for k in [1u64, 4] {
-        let golden = run_wedge(variants[0].0, variants[0].1, k);
-        assert_ne!(golden.report, "null", "k={k}: no report latched");
-        assert!(
-            golden.report.contains("\"chain\""),
-            "k={k}: report names no cyclic chain"
-        );
-        for &(mode, exec) in &variants[1..] {
-            let other = run_wedge(mode, exec, k);
-            assert_eq!(
-                golden, other,
-                "k={k}: wedge report diverged on {mode:?}/{exec:?}"
-            );
-        }
-    }
+    let golden = run_wedge(TickMode::Reference);
+    assert_ne!(golden.report, "null", "no report latched");
+    assert!(
+        golden.report.contains("\"chain\""),
+        "report names no cyclic chain"
+    );
+    assert_eq!(
+        golden,
+        run_wedge(TickMode::Fast),
+        "wedge report diverged on Fast"
+    );
 }
 
 #[test]
@@ -248,7 +221,7 @@ fn verdict_stream_distinguishes_load_from_wedge() {
     // into a terminal wedged streak; the latched report must name ring
     // and escape resources in its chain and pin windows or reassembly
     // buffers behind it.
-    let s = run_wedge(TickMode::Fast, ExecMode::Sequential, 1);
+    let s = run_wedge(TickMode::Fast);
     let stats: Vec<noc_core::telemetry::WaitStats> =
         serde_json::from_str(&s.stats).expect("stats parse");
     assert!(
