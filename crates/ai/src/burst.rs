@@ -6,7 +6,7 @@
 //! out, multi-flit data response back) and posted **writes to the L2
 //! slices** sharing that HBM's horizontal ring (header + data flits
 //! out, completing at delivery), all over a
-//! [`TxnFabric`](noc_txn::TxnFabric) with bounded per-DMA in-flight
+//! [`TxnFabric`] with bounded per-DMA in-flight
 //! windows. Burst sizes are whole transfers — a 4 KiB read is one
 //! packet of 64 data flits — so the reported p50/p99 are end-to-end
 //! *burst* latencies: queueing, packetization, deflections, reassembly

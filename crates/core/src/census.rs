@@ -17,7 +17,7 @@
 //! ticks (the same settled point the metrics snapshots commit at),
 //! iterating rings, lanes and bridge sides in ascending id order. The
 //! census is therefore a pure function of the deterministic engine
-//! state: byte-identical across `Fast`/`Reference`.
+//! state: byte-identical run to run.
 
 use crate::bridge::BridgeSide;
 use crate::flit::PacketToken;

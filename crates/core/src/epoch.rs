@@ -20,7 +20,6 @@
 //! [`BridgeSide::peer_backlog`]: crate::bridge::BridgeSide::peer_backlog
 
 use crate::bridge;
-use crate::network::TickMode;
 use crate::shard::{EngineShared, RingShard};
 use noc_sim::Cycle;
 
@@ -29,7 +28,6 @@ use noc_sim::Cycle;
 pub(crate) fn run_cycle<const TRACE: bool>(
     shards: &mut [RingShard],
     shared: &EngineShared,
-    mode: TickMode,
     now: Cycle,
 ) {
     // Deliver, and barrier 1: post-delivery inbox depths reach the
@@ -41,7 +39,7 @@ pub(crate) fn run_cycle<const TRACE: bool>(
     }
     debug_check_barrier(shards, now.raw());
     for sh in shards.iter_mut() {
-        sh.phase_cycle::<TRACE>(shared, now, mode);
+        sh.phase_cycle::<TRACE>(shared, now);
     }
     // Barrier 2: staged tx batches onto peer rx inboxes.
     bridge::exchange(shards);

@@ -1,4 +1,4 @@
-//! Execution modes, kept for source compatibility only.
+//! Execution and tick modes, kept for source compatibility only.
 
 /// Accepted by [`Network::with_exec`](crate::Network::with_exec) and
 /// ignored: every variant runs the network on the calling thread, one
@@ -11,4 +11,14 @@ pub enum ExecMode {
     Sequential,
     /// Also the calling thread; the thread count is ignored.
     Parallel(usize),
+}
+
+/// Accepted by [`Network::with_exec`](crate::Network::with_exec) and
+/// ignored: the network has one tick, the event-indexed sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TickMode {
+    /// Visit only stations where a flit arrives at its exit, an I-tag
+    /// rides the slot, or a queue head wants the lane.
+    #[default]
+    Fast,
 }

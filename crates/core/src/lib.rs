@@ -57,7 +57,6 @@ pub mod flit;
 pub mod ids;
 pub mod network;
 pub mod queue;
-pub mod reference;
 pub mod render;
 pub mod ring;
 pub mod route;
@@ -77,10 +76,10 @@ pub use census::{EscapeCensus, PacketPlace, RingCensus, TransitCensus, WaitCensu
 pub use config::{BridgeConfig, BridgeLevel, NetworkConfig};
 pub use diag::NocDiagnostics;
 pub use error::{EngineError, EnqueueError, TopologyError};
-pub use exec::ExecMode;
+pub use exec::{ExecMode, TickMode};
 pub use flit::{Flit, FlitClass, PacketToken};
 pub use ids::{BridgeId, ChipletId, Direction, NodeId, Port, RingId, RingKind};
-pub use network::{Network, TickMode};
+pub use network::Network;
 pub use route::RouteTable;
 pub use spec::{SocSpec, SpecError};
 pub use stats::{NetStats, TickProfile};

@@ -6,7 +6,7 @@
 //!
 //! The engine is decomposed along the paper's own fault line: rings are
 //! independent conveyor belts coupled *only* at bridges. Each ring is a
-//! self-contained [`crate::shard::RingShard`] owning its lanes,
+//! self-contained ring shard (`RingShard`) owning its lanes,
 //! bitsets, node interfaces, bridge sides, statistics and telemetry
 //! buffer; [`Network`] itself is just the orchestrator.
 //!
@@ -15,8 +15,7 @@
 //! every shard:
 //!
 //! 1. **Deliver** — each shard drains matured flits from its bridge
-//!    inboxes ([`crate::bridge::BridgeSide::rx`]) into endpoint inject
-//!    queues.
+//!    inboxes (`BridgeSide::rx`) into endpoint inject queues.
 //! 2. **Barrier** — the sides that were popped from tell their peers
 //!    the new inbox depth, so intake can enforce pipeline capacity
 //!    without reading another shard.
@@ -28,7 +27,7 @@
 //!
 //! The bridge phases (1, 2, 4 and the intake/DRM part of 3) are
 //! indexed by event like the station sweep below: a side where nothing
-//! is due in a cycle is not visited in it (see [`crate::bridge`]).
+//! is due in a cycle is not visited in it (DESIGN.md §21).
 //!
 //! Every caller-visible drain — metrics commits, watchdog evaluation,
 //! trace emission in ring order, utilization samples — happens in the
@@ -46,20 +45,23 @@
 //! wants a slot *on this lane*. A flit merely passing by is not an
 //! event. Each lane keeps an exit calendar that yields the first set
 //! per cycle ([`crate::ring`]), each shard keeps one station bitset
-//! per cached head intent ([`crate::bits::BitRing`]), and the default
-//! [`TickMode::Fast`] sweep visits only stations whose merged word is
-//! non-zero. The exhaustive sweep is preserved as
-//! [`TickMode::Reference`] (see [`crate::reference`]): it visits every
-//! station and decides arrivals and intents from the flits themselves,
-//! never from those indices, and serves as the golden model for the
-//! differential tests in `tests/tick_equivalence.rs`.
+//! per cached head intent ([`crate::bits::BitRing`]), and the sweep
+//! visits only stations whose merged word is non-zero.
+//!
+//! Debug builds check those indices against the truth they summarise
+//! in every cycle: each occupied slot's calendar bit against the route
+//! table's exit for its flit, the I-tag words against the tagged slots,
+//! each node's cached intent against its routed queue head, and, after
+//! every visited station, that no event appeared ahead of the sweep in
+//! the word it had already read. A stale index fails at the cycle it
+//! goes wrong, in every debug-build test run.
 
 use crate::bridge::BridgeSide;
 use crate::census::{self, WaitCensus};
 use crate::config::NetworkConfig;
 use crate::epoch;
 use crate::error::{EngineError, EnqueueError};
-use crate::exec::ExecMode;
+use crate::exec::{ExecMode, TickMode};
 use crate::flit::{Flit, FlitClass};
 use crate::ids::{BridgeId, NodeId, RingId};
 use crate::route::RouteTable;
@@ -77,25 +79,6 @@ use noc_telemetry::{
 /// ([`FlitEvent::RingUtil`]) once per this many cycles. Irrelevant for
 /// `NullSink` networks: the sampling site compiles away.
 const UTIL_SAMPLE_PERIOD: u64 = 8;
-
-/// Which sweep implementation [`Network::tick`] uses.
-///
-/// Both modes simulate the exact same network, cycle for cycle — the
-/// differential test suite holds them to identical delivery streams and
-/// [`NetStats::fingerprint`]s. They differ in how stations are
-/// enumerated and in where a station learns what happens at it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TickMode {
-    /// Event-indexed sweep: visit only stations where a flit arrives
-    /// at its exit, an I-tag rides the slot, or a queue head wants the
-    /// lane — read from the exit calendar and the head-intent cache.
-    #[default]
-    Fast,
-    /// The exhaustive station walk, kept as the golden model: every
-    /// station, every cycle, routing the flit in the slot and the queue
-    /// heads afresh instead of reading the indices `Fast` relies on.
-    Reference,
-}
 
 /// Online observability state: the snapshot registry plus the watchdog
 /// monitor, attached by [`Network::enable_metrics`] /
@@ -159,8 +142,7 @@ struct Observatory {
 /// [`Network::with_sink`]:
 ///
 /// ```
-/// use noc_core::{FlitClass, Network, NetworkConfig, RingKind, TickMode,
-///                TopologyBuilder};
+/// use noc_core::{FlitClass, Network, NetworkConfig, RingKind, TopologyBuilder};
 /// use noc_telemetry::RingBufferSink;
 ///
 /// let mut b = TopologyBuilder::new();
@@ -171,7 +153,6 @@ struct Observatory {
 /// let mut net = Network::with_sink(
 ///     b.build()?,
 ///     NetworkConfig::default(),
-///     TickMode::Fast,
 ///     RingBufferSink::new(4096),
 /// );
 /// net.enqueue(src, dst, FlitClass::Request, 64, 0).unwrap();
@@ -185,7 +166,6 @@ struct Observatory {
 pub struct Network<S: TraceSink = NullSink> {
     shared: EngineShared,
     shards: Vec<RingShard>,
-    mode: TickMode,
     now: Cycle,
     next_flit_id: u64,
     sink: S,
@@ -193,31 +173,21 @@ pub struct Network<S: TraceSink = NullSink> {
 }
 
 impl Network {
-    /// Instantiate the runtime network for a validated topology, using
-    /// the default event-indexed tick ([`TickMode::Fast`]) and no
-    /// telemetry ([`NullSink`]).
+    /// Instantiate the runtime network for a validated topology, with
+    /// no telemetry ([`NullSink`]).
     pub fn new(topo: Topology, cfg: NetworkConfig) -> Self {
-        Self::with_mode(topo, cfg, TickMode::Fast)
-    }
-
-    /// Instantiate with an explicit [`TickMode`] and no telemetry.
-    /// `Reference` runs the golden-model exhaustive sweep — useful for
-    /// differential testing and as a fallback while debugging the
-    /// engine itself.
-    pub fn with_mode(topo: Topology, cfg: NetworkConfig, mode: TickMode) -> Self {
-        Self::with_sink(topo, cfg, mode, NullSink)
+        Self::with_sink(topo, cfg, NullSink)
     }
 }
 
 impl<S: TraceSink> Network<S> {
     /// Instantiate with an explicit [`TraceSink`] receiving the full
     /// flit-lifecycle event stream (see the type-level docs).
-    pub fn with_sink(topo: Topology, cfg: NetworkConfig, mode: TickMode, sink: S) -> Self {
+    pub fn with_sink(topo: Topology, cfg: NetworkConfig, sink: S) -> Self {
         let (shared, shards) = crate::shard::build(topo, cfg);
         Network {
             shared,
             shards,
-            mode,
             now: Cycle::ZERO,
             next_flit_id: 0,
             sink,
@@ -225,16 +195,17 @@ impl<S: TraceSink> Network<S> {
         }
     }
 
-    /// [`Network::with_sink`]; the [`ExecMode`] is accepted and ignored
-    /// (every mode runs on the calling thread).
+    /// [`Network::with_sink`]; the [`TickMode`] and the [`ExecMode`]
+    /// are accepted and ignored (there is one tick, and it runs on the
+    /// calling thread).
     pub fn with_exec(
         topo: Topology,
         cfg: NetworkConfig,
-        mode: TickMode,
+        _tick: TickMode,
         _exec: ExecMode,
         sink: S,
     ) -> Self {
-        Self::with_sink(topo, cfg, mode, sink)
+        Self::with_sink(topo, cfg, sink)
     }
 
     // ------------------------------------------------------------------
@@ -345,8 +316,8 @@ impl<S: TraceSink> Network<S> {
     /// Freeze the current state into a [`PostmortemBundle`] without
     /// waiting for a watchdog: recent snapshots and events from the
     /// flight recorder (empty if it is off), merged flow top-K,
-    /// per-link heat, every verdict so far, and the config + tick mode
-    /// needed for replay. Returns `None` when the observatory is
+    /// per-link heat, every verdict so far, and the config needed for
+    /// replay. Returns `None` when the observatory is
     /// disabled. Explicit dumps are not stored in [`Network::bundles`]
     /// and not counted against [`RecorderConfig::max_bundles`]; unlike
     /// watchdog captures they do not force a charge sweep, so in-flight
@@ -375,7 +346,8 @@ impl<S: TraceSink> Network<S> {
                 config: serde_json::to_value(&self.shared.cfg),
             },
             env: BundleEnv {
-                tick_mode: format!("{:?}", self.mode),
+                // The one tick; exported bundles keep naming it.
+                tick_mode: format!("{:?}", TickMode::Fast),
             },
             verdicts: obs.monitor.verdicts().to_vec(),
             flows: self.flow_top(flow_top_k),
@@ -432,7 +404,7 @@ impl<S: TraceSink> Network<S> {
     /// capacity and monotone progress counters, per-ring transit demand
     /// toward each bridge side, and the placement of every in-network
     /// packet (see [`crate::census`]). Runs between ticks, iterating in
-    /// ascending ring/side order — byte-identical across tick modes.
+    /// ascending ring/side order, so the census is deterministic.
     pub fn wait_census(&self) -> WaitCensus {
         let mut out = WaitCensus {
             cycle: self.now.raw(),
@@ -613,11 +585,6 @@ impl<S: TraceSink> Network<S> {
         &self.shared.cfg
     }
 
-    /// Which sweep implementation `tick` uses.
-    pub fn mode(&self) -> TickMode {
-        self.mode
-    }
-
     /// Accumulated statistics: the per-shard blocks merged in ring
     /// order.
     pub fn stats(&self) -> NetStats {
@@ -629,7 +596,7 @@ impl<S: TraceSink> Network<S> {
     }
 
     /// The merged [`NetStats::fingerprint`] — the canonical value for
-    /// differential (tick-mode) identity checks.
+    /// run-to-run identity checks.
     pub fn fingerprint(&self) -> Vec<u64> {
         self.stats().fingerprint()
     }
@@ -879,9 +846,9 @@ impl<S: TraceSink> Network<S> {
         self.now += 1;
         // The one place the sink type picks the cycle's TRACE parameter.
         if S::ENABLED {
-            epoch::run_cycle::<true>(&mut self.shards, &self.shared, self.mode, self.now);
+            epoch::run_cycle::<true>(&mut self.shards, &self.shared, self.now);
         } else {
-            epoch::run_cycle::<false>(&mut self.shards, &self.shared, self.mode, self.now);
+            epoch::run_cycle::<false>(&mut self.shards, &self.shared, self.now);
         }
         if S::ENABLED || self.observatory.is_some() {
             self.epilogue();

@@ -35,7 +35,7 @@
 //! station `(i ± offset) mod n`, so moving the lane is moving `offset`.
 //! The calendar needs no rotation either: its rows are already indexed
 //! by `offset`. The one reader that wants I-tags by station — the sweep
-//! merge — gets a word at a time from [`Lane::itag_word`], which reads
+//! merge — gets a word at a time from `Lane::itag_word`, which reads
 //! the slot bits at the station offset, and only on a lane with a live
 //! I-tag.
 //!
@@ -57,6 +57,7 @@
 use crate::bits::BitRing;
 use crate::flit::{Flit, FlitClass};
 use crate::ids::{ChipletId, Direction, NodeId, RingId, RingKind};
+use crate::route::RouteTable;
 use noc_sim::Cycle;
 
 /// Garbage filler for never-yet-occupied flit slots. Never observable:
@@ -184,14 +185,6 @@ impl Lane {
         self.flit_bits.test(self.index_of_station(station))
     }
 
-    /// The flit in the slot currently at `station`, if any. Its `hops`
-    /// excludes the ride it is on (see the module docs).
-    #[inline]
-    pub(crate) fn flit_at(&self, station: u16) -> Option<&Flit> {
-        let i = self.index_of_station(station);
-        self.flit_bits.test(i).then(|| &self.flits[i])
-    }
-
     /// Station-space bits of the flits standing at their exit station
     /// this cycle (64 stations per word).
     #[inline]
@@ -217,16 +210,12 @@ impl Lane {
     /// Remove and return the flit standing at its exit `station`,
     /// charging it the hops of the ride.
     ///
-    /// The caller must know the flit is there and exits here — from
-    /// [`Lane::arrives`], or from the flit itself.
+    /// The caller must know the flit is there and exits here, from
+    /// [`Lane::arrives`].
     #[inline]
     pub(crate) fn take_arrival(&mut self, station: u16) -> Flit {
         let i = self.index_of_station(station);
         debug_assert!(self.flit_bits.test(i), "no flit at station {station}");
-        debug_assert!(
-            self.arrives(station),
-            "calendar misses arrival at station {station}"
-        );
         self.flit_bits.clear(i);
         let (w, bit) = self.arrival_bit(station);
         self.calendar[w] &= !bit;
@@ -341,6 +330,35 @@ impl Lane {
             .map(move |i| station_of_index(dir, n, off, i))
     }
 
+    /// Debug builds: the calendar holds exactly one bit per occupied
+    /// slot — the one for the exit `route` gives its flit on `ring` —
+    /// and the derived I-tag words hold exactly the tagged slots. Costs
+    /// one route lookup per flit and one pass over the calendar words.
+    pub(crate) fn debug_check(&self, route: &RouteTable, ring: RingId) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let station = |i| station_of_index(self.dir, self.flits.len(), self.offset, i);
+        for i in self.flit_bits.iter_ones() {
+            let exit = route.exit(ring, self.flits[i].dst).expect("routed").station;
+            let (w, bit) = self.calendar_bit(station(i) as u16, exit);
+            assert!(self.calendar[w] & bit != 0, "{ring}: exit missing");
+        }
+        // One bit per flit: two slots never share a (row, exit) bit.
+        let bits: u32 = self.calendar.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(bits as usize, self.occupancy(), "{ring}: calendar");
+        let tags = self.itags_live as usize;
+        assert_eq!(tags, self.itag_bits.count_ones(), "{ring}: I-tags");
+        for s in self.itag_bits.iter_ones().map(station) {
+            let word = self.itag_word(s / 64);
+            assert_eq!(word >> (s % 64) & 1, 1, "{ring}: I-tag word");
+        }
+        let words: u32 = (0..self.row_words)
+            .map(|wi| self.itag_word(wi).count_ones())
+            .sum();
+        assert_eq!(words as usize, tags, "{ring}: I-tag words");
+    }
+
     /// Iterate over all in-flight flits (positional slot order).
     /// Their `hops` excludes the ride they are on.
     pub fn flits(&self) -> impl Iterator<Item = &Flit> {
@@ -445,6 +463,12 @@ mod tests {
     use noc_sim::Cycle;
     use proptest::prelude::*;
 
+    /// The flit in the slot currently at `station`, if any.
+    fn flit_at(lane: &Lane, station: u16) -> Option<&Flit> {
+        let i = lane.index_of_station(station);
+        lane.flit_bits.test(i).then(|| &lane.flits[i])
+    }
+
     fn test_flit(id: u64) -> Flit {
         Flit::new(
             id,
@@ -462,16 +486,16 @@ mod tests {
         let mut lane = Lane::new(Direction::Cw, 4);
         lane.put_flit(0, test_flit(1), 3);
         lane.advance();
-        assert!(lane.flit_at(0).is_none());
-        assert!(lane.flit_at(1).is_some());
+        assert!(flit_at(&lane, 0).is_none());
+        assert!(flit_at(&lane, 1).is_some());
         assert!(lane.occupied(1));
         assert!(!lane.occupied(0));
         lane.advance();
-        assert!(lane.flit_at(2).is_some());
+        assert!(flit_at(&lane, 2).is_some());
         // Wrap-around.
         lane.advance();
         lane.advance();
-        assert!(lane.flit_at(0).is_some());
+        assert!(flit_at(&lane, 0).is_some());
         assert!(lane.occupied(0));
     }
 
@@ -480,12 +504,12 @@ mod tests {
         let mut lane = Lane::new(Direction::Ccw, 4);
         lane.put_flit(2, test_flit(1), 3);
         lane.advance();
-        assert!(lane.flit_at(1).is_some());
+        assert!(flit_at(&lane, 1).is_some());
         assert!(lane.occupied(1));
         lane.advance();
-        assert!(lane.flit_at(0).is_some());
+        assert!(flit_at(&lane, 0).is_some());
         lane.advance();
-        assert!(lane.flit_at(3).is_some());
+        assert!(flit_at(&lane, 3).is_some());
         assert!(lane.occupied(3));
         assert!(lane.arrives(3));
         assert_eq!(lane.take_arrival(3).hops, 3);
@@ -578,7 +602,7 @@ mod tests {
             assert_eq!(lane.arrives(s as u16), due.contains(&s));
             assert_eq!(lane.occupied(s as u16), model.riders[s].is_some());
             assert_eq!(
-                lane.flit_at(s as u16).map(|f| f.id),
+                flit_at(lane, s as u16).map(|f| f.id),
                 model.riders[s].map(|r| r.id)
             );
             assert_eq!(lane.itag_at(s as u16), model.itags[s]);

@@ -36,7 +36,6 @@ use crate::census::{self, PacketPlace, RingCensus, TransitCensus, WaitCensus};
 use crate::config::NetworkConfig;
 use crate::flit::Flit;
 use crate::ids::{NodeId, RingId};
-use crate::network::TickMode;
 use crate::queue::Fifo;
 use crate::ring::Ring;
 use crate::route::{ring_travel, RouteTable};
@@ -141,7 +140,8 @@ pub(crate) struct NodeState {
     /// What the head of `inject` wants, cached so the station logic
     /// reads a byte instead of routing the head on every visit. Kept
     /// true by [`RingShard::head_changed`] at every push-to-empty and
-    /// every pop; `TickMode::Reference` recomputes instead of reading.
+    /// every pop; debug builds check it against the route table every
+    /// cycle.
     pub want: HeadWant,
     pub kind: NodeKind,
     /// For a bridge endpoint, the index in `RingShard::sides` of the
@@ -229,17 +229,15 @@ pub(crate) struct RingShard {
     pub flow_topk: usize,
     /// Heaviest (src, dst) flows delivering or deflecting on this ring.
     /// Shard-local; fed from `flow_buf` at sampling boundaries in
-    /// sorted flow-key order, so its contents are identical under any
-    /// sweep order.
+    /// sorted flow-key order.
     pub flows: FlowTable,
     /// Per-flow deltas staged since the last flush. Charging is lazy —
     /// deflections accumulate on the flit itself and are converted to
     /// deltas at delivery and at metrics sampling boundaries — so the
-    /// deflection hot path stays free of accounting work. The fast and
-    /// reference sweeps visit stations in different orders and
-    /// Space-Saving eviction is order-sensitive; sorting the staged
-    /// deltas by (src, dst) and summing per flow before applying makes
-    /// the table evolution canonical (per-flow sums commute).
+    /// deflection hot path stays free of accounting work. Space-Saving
+    /// eviction depends on the order flows arrive in; the flush sorts
+    /// the staged deltas by (src, dst) and sums per flow, and that key
+    /// order is the one the golden tests pin.
     flow_buf: Vec<(u32, u32, FlowDelta)>,
     /// Flits observed on each station's link at sampling boundaries
     /// (lanes summed, cumulative across windows), index = station. A
@@ -419,17 +417,6 @@ impl RingShard {
         }
     }
 
-    /// [`RingShard::head_want`] as the station logic sees it: the
-    /// cached value, or recomputed for the golden model.
-    #[inline]
-    fn want_of<const REF: bool>(&self, shared: &EngineShared, ni: usize) -> HeadWant {
-        if REF {
-            self.head_want(shared, ni)
-        } else {
-            self.nodes[ni].want
-        }
-    }
-
     /// Refresh local node `ni`'s cached head intent and its station's
     /// intent bits. Must be called whenever the head of its inject
     /// queue changes: at every push onto an empty queue and every pop.
@@ -460,58 +447,25 @@ impl RingShard {
             .any(|&local| self.nodes[local as usize].want.intent == intent)
     }
 
-    /// Debug builds: the indices the event-indexed tick reads — lane
-    /// `li`'s calendar row and derived I-tag word, the cached intent of
-    /// every node at station `s`, and the station's intent bits — equal
-    /// what the slot and the route table say. Called by the golden-model
-    /// sweeps, which never read those indices themselves.
-    pub(crate) fn debug_check_indices(&self, shared: &EngineShared, li: usize, s: u16) {
+    /// Debug builds: every node's cached head intent is what
+    /// [`RingShard::head_want`] routes, and the three intent bitsets
+    /// hold exactly the stations of those intents. O(nodes + words).
+    fn debug_check_intents(&self, shared: &EngineShared) {
         if !cfg!(debug_assertions) {
             return;
         }
-        let lane = &self.ring.lanes[li];
-        let exits_here = lane.flit_at(s).is_some_and(|f| {
-            shared
-                .route
-                .exit(self.ring.id, f.dst)
-                .is_some_and(|hop| hop.station == s)
-        });
-        assert_eq!(
-            lane.arrives(s),
-            exits_here,
-            "{} lane {li} station {s}: calendar row disagrees with the slot",
-            self.ring.id
-        );
-        let tagged = (lane.itag_word(s as usize / 64) >> (s % 64)) & 1 == 1;
-        assert_eq!(
-            tagged,
-            lane.itag_at(s).is_some(),
-            "{} lane {li} station {s}: derived I-tag word disagrees with the slot",
-            self.ring.id
-        );
-        for &local in self.ports[s as usize].iter().flatten() {
-            self.debug_check_want(shared, local as usize);
+        let words = self.intent_bits[0].words().len();
+        let mut expect = [vec![0u64; words], vec![0u64; words], vec![0u64; words]];
+        for (ni, node) in self.nodes.iter().enumerate() {
+            assert_eq!(node.want, self.head_want(shared, ni), "{}", node.id);
+            if let Some(k) = node.want.intent.bits_index() {
+                let s = node.station as usize;
+                expect[k][s / 64] |= 1 << (s % 64);
+            }
         }
-        for intent in [Intent::Lane(0), Intent::Lane(1), Intent::Local] {
-            let k = intent.bits_index().expect("not idle");
-            assert_eq!(
-                self.intent_bits[k].test(s as usize),
-                self.station_has(s as usize, intent),
-                "{} station {s}: {intent:?} bit disagrees with the cached intents",
-                self.ring.id
-            );
+        for (k, words) in expect.iter().enumerate() {
+            assert_eq!(self.intent_bits[k].words(), words, "{}", self.ring.id);
         }
-    }
-
-    /// Debug builds: local node `ni`'s cached head intent equals the
-    /// recomputed one.
-    pub(crate) fn debug_check_want(&self, shared: &EngineShared, ni: usize) {
-        debug_assert_eq!(
-            self.nodes[ni].want,
-            self.head_want(shared, ni),
-            "stale head intent at node {}",
-            self.nodes[ni].id
-        );
     }
 
     // ------------------------------------------------------------------
@@ -612,20 +566,9 @@ impl RingShard {
     /// The fused per-ring portion of one tick: zero-hop local
     /// deliveries, the station sweep, lane advancement, bridge intake
     /// (staged into `tx` mailboxes) and DRM bookkeeping.
-    pub(crate) fn phase_cycle<const TRACE: bool>(
-        &mut self,
-        shared: &EngineShared,
-        now: Cycle,
-        mode: TickMode,
-    ) {
-        match mode {
-            TickMode::Fast => self.local_deliveries_fast::<TRACE>(shared, now),
-            TickMode::Reference => crate::reference::local_sweep::<TRACE>(self, shared, now),
-        }
-        match mode {
-            TickMode::Fast => self.sweep_active::<TRACE>(shared, now),
-            TickMode::Reference => crate::reference::sweep::<TRACE>(self, shared, now),
-        }
+    pub(crate) fn phase_cycle<const TRACE: bool>(&mut self, shared: &EngineShared, now: Cycle) {
+        self.local_deliveries_fast::<TRACE>(shared, now);
+        self.sweep_active::<TRACE>(shared, now);
         for lane in &mut self.ring.lanes {
             lane.advance();
         }
@@ -641,8 +584,8 @@ impl RingShard {
     /// Event-indexed station walk: per lane, merge this cycle's
     /// arrivals (the calendar's current row), the I-tag bits and the
     /// stations where a head wants *this* lane, word by word, and visit
-    /// only set bits, in ascending station order — the same order as
-    /// the reference sweep. A flit passing a station is not among them:
+    /// only set bits, in ascending station order. A flit passing a
+    /// station is not among them:
     /// it is never copied, routed or looked at. Correctness rests on
     /// `process_station(s)` being a no-op without one of those three
     /// events and only mutating state attached to station `s` (its
@@ -653,26 +596,43 @@ impl RingShard {
         let stations = self.ring.stations as u64;
         let nwords = self.intent_bits[0].words().len();
         for li in 0..self.ring.lanes.len() {
+            // Debug builds: the lane's calendar and I-tag words are true.
+            self.ring.lanes[li].debug_check(&shared.route, self.ring.id);
             self.profile.lane_passes += 1;
             self.profile.stations_total += stations;
             for wi in 0..nwords {
-                let lane = &self.ring.lanes[li];
-                let mut w =
-                    lane.arrivals()[wi] | lane.itag_word(wi) | self.intent_bits[li].words()[wi];
+                let mut w = self.event_word(li, wi);
                 self.profile.stations_visited += u64::from(w.count_ones());
                 while w != 0 {
                     let s = wi * 64 + w.trailing_zeros() as usize;
                     w &= w - 1;
-                    self.process_station::<TRACE, false>(shared, now, li, s as u16);
+                    self.process_station::<TRACE>(shared, now, li, s as u16);
+                    if cfg!(debug_assertions) {
+                        // The visit raised no event ahead of `s` in this
+                        // word that the snapshot `w` lacks: the snapshot
+                        // is sound because a visit touches only `s`.
+                        let ahead = self.event_word(li, wi) & (!1u64 << (s % 64));
+                        assert_eq!(ahead & !w, 0, "visiting {s} raised events ahead");
+                    }
                 }
             }
         }
+    }
+
+    /// Word `wi` of lane `li`'s events: this cycle's arrivals, the
+    /// I-tags, and the stations where a head wants this lane.
+    #[inline]
+    fn event_word(&self, li: usize, wi: usize) -> u64 {
+        let lane = &self.ring.lanes[li];
+        lane.arrivals()[wi] | lane.itag_word(wi) | self.intent_bits[li].words()[wi]
     }
 
     /// Deliver head flits whose exit station equals their source node's
     /// own station without touching the ring (zero-hop path), visiting
     /// only the nodes whose cached intent says so.
     fn local_deliveries_fast<const TRACE: bool>(&mut self, shared: &EngineShared, now: Cycle) {
+        // Debug builds: the intents this cycle starts from are true.
+        self.debug_check_intents(shared);
         for wi in 0..self.intent_bits[LOCAL_BITS].words().len() {
             let mut w = self.intent_bits[LOCAL_BITS].words()[wi];
             while w != 0 {
@@ -691,7 +651,7 @@ impl RingShard {
 
     /// Attempt the zero-hop local delivery for local node `i`'s head
     /// flit.
-    pub(crate) fn try_local_delivery<const TRACE: bool>(
+    fn try_local_delivery<const TRACE: bool>(
         &mut self,
         shared: &EngineShared,
         now: Cycle,
@@ -739,13 +699,9 @@ impl RingShard {
     /// The full cross-station evaluation for `(lane, station)`:
     /// arrival/ejection, injection arbitration (I-tag claim or
     /// round-robin), then starvation accounting and I-tag placement.
-    ///
-    /// `REF = false` learns of an arrival from the lane's exit calendar
-    /// and of what a head wants from the intent cache. `REF = true`, the
-    /// golden model, reads neither: it routes the flit in the slot and
-    /// the queue heads every time, so a wrong index shows as a
-    /// divergence between the two.
-    pub(crate) fn process_station<const TRACE: bool, const REF: bool>(
+    /// It learns of an arrival from the lane's exit calendar and of what
+    /// a head wants from the intent cache.
+    fn process_station<const TRACE: bool>(
         &mut self,
         shared: &EngineShared,
         now: Cycle,
@@ -753,23 +709,15 @@ impl RingShard {
         s: u16,
     ) {
         let ring_id = self.ring.id;
-        let exit_of = |flit: &Flit| {
-            shared
-                .route
-                .exit(ring_id, flit.dst)
-                .expect("validated topology routes every destination")
-        };
         // ---- arrival / ejection ----
         let lane = &mut self.ring.lanes[li];
-        let arrives = if REF {
-            lane.flit_at(s).is_some_and(|f| exit_of(f).station == s)
-        } else {
-            lane.arrives(s)
-        };
-        if arrives {
+        if lane.arrives(s) {
             let flit = lane.take_arrival(s);
-            let target = exit_of(&flit).target;
-            self.arrive::<TRACE, REF>(shared, now, li, s, target, flit);
+            let hop = shared.route.exit(ring_id, flit.dst);
+            let target = hop
+                .expect("validated topology routes every destination")
+                .target;
+            self.arrive::<TRACE>(shared, now, li, s, target, flit);
         }
         // ---- injection ----
         let mut injected_port: Option<u8> = None;
@@ -781,7 +729,7 @@ impl RingShard {
                 let loc = shared.node_loc[owner.index()];
                 let o = loc.local as usize;
                 if loc.ring == ring_id.0 && self.nodes[o].station == s {
-                    let want = self.want_of::<REF>(shared, o);
+                    let want = self.nodes[o].want;
                     if want.intent == wants_lane {
                         if TRACE {
                             let fid = self.nodes[o].inject.peek().expect("head checked").id;
@@ -817,7 +765,7 @@ impl RingShard {
                         continue;
                     };
                     let ni = local as usize;
-                    let want = self.want_of::<REF>(shared, ni);
+                    let want = self.nodes[ni].want;
                     if want.intent == wants_lane {
                         self.inject_head::<TRACE>(shared, now, ni, li, s, want.exit);
                         self.rr[s as usize][li] = (port + 1) % 2;
@@ -836,7 +784,7 @@ impl RingShard {
                 continue;
             };
             let ni = local as usize;
-            if self.want_of::<REF>(shared, ni).intent != wants_lane {
+            if self.nodes[ni].want.intent != wants_lane {
                 continue;
             }
             self.nodes[ni].starve += 1;
@@ -924,7 +872,7 @@ impl RingShard {
 
     /// Handle a flit arriving at its exit station: eject, SWAP, or
     /// deflect with an E-tag.
-    fn arrive<const TRACE: bool, const REF: bool>(
+    fn arrive<const TRACE: bool>(
         &mut self,
         shared: &EngineShared,
         now: Cycle,
@@ -997,7 +945,7 @@ impl RingShard {
                     // Whatever lane the head would have chosen, it
                     // takes this slot; if it leaves the ring here, at
                     // `s`, that is one full lap away.
-                    let exit = self.want_of::<REF>(shared, t).exit;
+                    let exit = self.nodes[t].want.exit;
                     self.inject_head::<TRACE>(shared, now, t, li, s, exit);
                     self.stats.swaps.inc();
                     if TRACE {
@@ -1360,10 +1308,9 @@ impl RingShard {
     /// Apply the staged flow deltas in sorted (src, dst) order, one
     /// batched table update per distinct flow. Eviction in the
     /// Space-Saving table depends on the sequence of keys it sees; the
-    /// sort erases the sweep-order differences between the fast and
-    /// reference ticks (see `flow_buf`), and summing a flow's run of
-    /// deltas keeps a deflection storm from paying one table lookup
-    /// per event.
+    /// sort fixes that sequence (see `flow_buf`), and summing a flow's
+    /// run of deltas keeps a deflection storm from paying one table
+    /// lookup per event.
     fn flush_flow_events(&mut self) {
         if self.flow_buf.is_empty() {
             return;
@@ -1548,7 +1495,7 @@ impl RingShard {
     /// on this ring wants to cross where) and the placement of every
     /// resident flit's packet. Runs between ticks on owner-held state;
     /// iteration is in lane/station/side order, so the contribution is
-    /// deterministic across tick modes. The escape rows are the
+    /// deterministic. The escape rows are the
     /// engine's to build: each pairs two sides that live in different
     /// shards.
     pub(crate) fn wait_census_part(&self, shared: &EngineShared, census: &mut WaitCensus) {

@@ -166,10 +166,9 @@ impl NetStats {
     ///
     /// Two networks that simulated the same traffic identically produce
     /// equal fingerprints. Engine instrumentation (station visit counts)
-    /// deliberately lives in [`TickProfile`], not here, so the
-    /// event-indexed and reference tick paths can be compared with
-    /// `fingerprint()` while legitimately differing in how much work
-    /// they did.
+    /// deliberately lives in [`TickProfile`], not here: the fingerprint
+    /// describes what the network simulated, not how much work the
+    /// sweep did to simulate it.
     pub fn fingerprint(&self) -> Vec<u64> {
         let mut fp = vec![
             self.enqueued.get(),
@@ -202,9 +201,7 @@ impl NetStats {
 ///
 /// These counters describe how much work the sweep did — not what the
 /// simulated network did — so they are kept out of [`NetStats`] and its
-/// [`NetStats::fingerprint`]: the event-indexed fast path and the
-/// reference full sweep produce identical `NetStats` but very different
-/// profiles.
+/// [`NetStats::fingerprint`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TickProfile {
     /// Cycles simulated.
@@ -241,7 +238,7 @@ impl TickProfile {
     }
 
     /// Fraction of station visits skipped relative to a full sweep
-    /// (0.0 for the reference mode or a fully saturated network).
+    /// (0.0 for a fully saturated network).
     pub fn skip_fraction(&self) -> f64 {
         if self.stations_total == 0 {
             0.0

@@ -8,9 +8,7 @@
 //! a separate path — and must never be regenerated by a change that
 //! claims to preserve behaviour.
 //!
-//! Per case and epoch length K the table pins, for `TickMode::Fast` and
-//! `TickMode::Reference` separately (the two sweeps emit the same
-//! events in a different within-cycle order), three FNV-1a hashes:
+//! Per case and epoch length K the table pins three FNV-1a hashes:
 //!
 //! * `state` — enqueue outcomes, the delivered-flit stream and
 //!   [`NetStats::fingerprint`](noc_core::NetStats::fingerprint);
@@ -30,7 +28,7 @@ mod common;
 use common::{chain_topology, digest, fnv1a, random_topology, Rng, SnapshotStream, FNV_OFFSET};
 use noc_core::telemetry::{HealthConfig, RecorderConfig, RingBufferSink};
 use noc_core::topogen::GridParams;
-use noc_core::{FlitClass, Network, NetworkConfig, NodeId, TickMode, Topology};
+use noc_core::{FlitClass, Network, NetworkConfig, NodeId, Topology};
 
 /// Simulated cycles per run; divisible by every K the table uses.
 const CYCLES: u64 = 600;
@@ -51,24 +49,24 @@ const fn g(state: u64, trace: u64, obs: u64) -> Golden {
     Golden { state, trace, obs }
 }
 
-/// `(case, K, [Fast, Reference])`, generated at commit 56c2f59.
+/// `(case, K, golden)`, generated at commit 56c2f59.
 #[rustfmt::skip]
-const GOLDENS: &[(&str, u64, [Golden; 2])] = &[
-    ("chain0", 1, [g(0x5e026d569b270651, 0x11ab16aafff4679e, 0x430ab3936c1ad724), g(0x5e026d569b270651, 0x11ab16aafff4679e, 0x430ab3936c1ad724)]),
-    ("chain4", 1, [g(0xac7d9bed33c86757, 0x6f6c6aadc513be3b, 0x2f8eae32fdb488e8), g(0xac7d9bed33c86757, 0x6f6c6aadc513be3b, 0x2f8eae32fdb488e8)]),
-    ("chain4", 2, [g(0xd68d577ae1ca4ad1, 0xec9f65fcb467d147, 0x0f33ad8c977c4c9c), g(0xd68d577ae1ca4ad1, 0xec9f65fcb467d147, 0x0f33ad8c977c4c9c)]),
-    ("chain5", 1, [g(0xc3b371ed23edd9c8, 0x6dad259f010010a2, 0x9462f8fceaae1597), g(0xc3b371ed23edd9c8, 0x6dad259f010010a2, 0x9462f8fceaae1597)]),
-    ("chain5", 4, [g(0x2bf9994ed3402c01, 0x3ff668d6beb77cd4, 0x212fa65d6b728ec9), g(0x2bf9994ed3402c01, 0x3ff668d6beb77cd4, 0x212fa65d6b728ec9)]),
-    ("chain8", 1, [g(0x40f769893c98112d, 0x69ce4a2589470005, 0x7738879ccc0ee179), g(0x40f769893c98112d, 0x69ce4a2589470005, 0x7738879ccc0ee179)]),
-    ("random0", 1, [g(0x2afdc1d01f3fb441, 0x7db3ac47ec0d44cf, 0xc5e0a6d20c7f9339), g(0x2afdc1d01f3fb441, 0x7db3ac47ec0d44cf, 0xc5e0a6d20c7f9339)]),
-    ("random0", 4, [g(0xf08288f7c74ed0e6, 0x44d68704edeecb52, 0x7d1996f7acad8d28), g(0xf08288f7c74ed0e6, 0x9efc9757ae5eca00, 0x7d9ab375ead6779c)]),
-    ("random1", 1, [g(0xa228c47bb46cecb8, 0xf2c4847da8668d2f, 0xebc87663f74189ad), g(0xa228c47bb46cecb8, 0xf2c4847da8668d2f, 0xebc87663f74189ad)]),
-    ("random1", 4, [g(0x272cb2e32a83713c, 0x120568df83726ec2, 0x11650691f421b361), g(0x272cb2e32a83713c, 0x120568df83726ec2, 0x11650691f421b361)]),
-    ("random2", 1, [g(0xaa6535b28684d551, 0x84f9b674baf68197, 0x2206950180f5b74c), g(0xaa6535b28684d551, 0x84f9b674baf68197, 0x2206950180f5b74c)]),
-    ("random3", 1, [g(0x4f43968eb38746c4, 0xd3215d70064ee96c, 0x9ee4a9527c8d253d), g(0x4f43968eb38746c4, 0xd3215d70064ee96c, 0x9ee4a9527c8d253d)]),
-    ("random3", 2, [g(0xd8f660e36a627bef, 0x75222dd2317493ec, 0x0e9528ac820b093c), g(0xd8f660e36a627bef, 0x75222dd2317493ec, 0x0e9528ac820b093c)]),
-    ("torus4x4", 1, [g(0x6a0845f56a590c58, 0x0e25ec912ae52f2f, 0x3527b436e692923e), g(0x6a0845f56a590c58, 0x0e25ec912ae52f2f, 0x3527b436e692923e)]),
-    ("torus4x4", 4, [g(0x3934bfca9c362813, 0xc0b5c3a2f819834d, 0x04aa4c549ba80d9b), g(0x3934bfca9c362813, 0xc0b5c3a2f819834d, 0x04aa4c549ba80d9b)]),
+const GOLDENS: &[(&str, u64, Golden)] = &[
+    ("chain0", 1, g(0x5e026d569b270651, 0x11ab16aafff4679e, 0x430ab3936c1ad724)),
+    ("chain4", 1, g(0xac7d9bed33c86757, 0x6f6c6aadc513be3b, 0x2f8eae32fdb488e8)),
+    ("chain4", 2, g(0xd68d577ae1ca4ad1, 0xec9f65fcb467d147, 0x0f33ad8c977c4c9c)),
+    ("chain5", 1, g(0xc3b371ed23edd9c8, 0x6dad259f010010a2, 0x9462f8fceaae1597)),
+    ("chain5", 4, g(0x2bf9994ed3402c01, 0x3ff668d6beb77cd4, 0x212fa65d6b728ec9)),
+    ("chain8", 1, g(0x40f769893c98112d, 0x69ce4a2589470005, 0x7738879ccc0ee179)),
+    ("random0", 1, g(0x2afdc1d01f3fb441, 0x7db3ac47ec0d44cf, 0xc5e0a6d20c7f9339)),
+    ("random0", 4, g(0xf08288f7c74ed0e6, 0x44d68704edeecb52, 0x7d1996f7acad8d28)),
+    ("random1", 1, g(0xa228c47bb46cecb8, 0xf2c4847da8668d2f, 0xebc87663f74189ad)),
+    ("random1", 4, g(0x272cb2e32a83713c, 0x120568df83726ec2, 0x11650691f421b361)),
+    ("random2", 1, g(0xaa6535b28684d551, 0x84f9b674baf68197, 0x2206950180f5b74c)),
+    ("random3", 1, g(0x4f43968eb38746c4, 0xd3215d70064ee96c, 0x9ee4a9527c8d253d)),
+    ("random3", 2, g(0xd8f660e36a627bef, 0x75222dd2317493ec, 0x0e9528ac820b093c)),
+    ("torus4x4", 1, g(0x6a0845f56a590c58, 0x0e25ec912ae52f2f, 0x3527b436e692923e)),
+    ("torus4x4", 4, g(0x3934bfca9c362813, 0xc0b5c3a2f819834d, 0x04aa4c549ba80d9b)),
 ];
 
 /// The pinned fabrics: four `chain_topology` seeds, four
@@ -101,11 +99,10 @@ fn cases() -> Vec<(String, Topology, Vec<NodeId>, u64)> {
     out
 }
 
-fn run(topo: &Topology, devs: &[NodeId], traffic_seed: u64, mode: TickMode, k: u64) -> Golden {
+fn run(topo: &Topology, devs: &[NodeId], traffic_seed: u64, k: u64) -> Golden {
     let mut net = Network::with_sink(
         topo.clone(),
         NetworkConfig::default(),
-        mode,
         RingBufferSink::new(1 << 20),
     );
     net.enable_flight_recorder(
@@ -177,8 +174,7 @@ fn engine_matches_goldens_pinned_before_the_engines_were_collapsed() {
         let mut ks = vec![1, kmax];
         ks.dedup();
         for k in ks {
-            let row = [TickMode::Fast, TickMode::Reference]
-                .map(|mode| run(&topo, &devs, traffic_seed, mode, k));
+            let row = run(&topo, &devs, traffic_seed, k);
             let pinned = GOLDENS
                 .iter()
                 .find(|(n, gk, _)| *n == name && *gk == k)
@@ -188,12 +184,9 @@ fn engine_matches_goldens_pinned_before_the_engines_were_collapsed() {
                     "{name} k={k}: pinned {pinned:x?}, engine now produces {row:x?}"
                 ));
             }
-            let cell =
-                |x: Golden| format!("g({:#018x}, {:#018x}, {:#018x})", x.state, x.trace, x.obs);
             table.push_str(&format!(
-                "    (\"{name}\", {k}, [{}, {}]),\n",
-                cell(row[0]),
-                cell(row[1])
+                "    (\"{name}\", {k}, g({:#018x}, {:#018x}, {:#018x})),\n",
+                row.state, row.trace, row.obs
             ));
         }
     }

@@ -1,18 +1,12 @@
 //! Flight-recorder correctness: flow attribution and postmortem
-//! bundles must be byte-identical across both tick modes — the
-//! evidence a postmortem presents cannot depend on how the stations
-//! happened to be enumerated — and a watchdog latching on a wedged
-//! network must yield exactly one bundle that names the stalled flow.
-//!
-//! The single sanctioned exception is the bundle's `"kind":"env"` JSONL
-//! line, which records the tick mode for replay;
-//! `comparable_jsonl()` excludes it and everything else is compared
-//! byte for byte.
+//! bundles must be byte-identical across two fresh runs — the evidence
+//! a postmortem presents cannot depend on anything but the inputs —
+//! and a watchdog latching on a wedged network must yield exactly one
+//! bundle that names the stalled flow.
 
 use noc_core::telemetry::{HealthConfig, PostmortemBundle, RecorderConfig, Severity};
 use noc_core::{
-    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode, Topology,
-    TopologyBuilder,
+    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, Topology, TopologyBuilder,
 };
 
 /// splitmix64: deterministic per-seed stream.
@@ -91,11 +85,10 @@ const SAMPLE_PERIOD: u64 = 32;
 fn run_recorded(
     topo: Topology,
     cfg: NetworkConfig,
-    mode: TickMode,
     devices: &[NodeId],
     traffic_seed: u64,
 ) -> Network {
-    let mut net = Network::with_mode(topo, cfg, mode);
+    let mut net = Network::new(topo, cfg);
     net.enable_flight_recorder(
         SAMPLE_PERIOD,
         HealthConfig::default(),
@@ -143,8 +136,7 @@ fn run_recorded(
 }
 
 /// Flow tables, link matrices and full postmortem bundles must be
-/// byte-identical across Fast/Reference —
-/// modulo the bundle's env line, the one place the mode may appear.
+/// byte-identical across two fresh runs.
 #[test]
 fn flow_tables_and_bundles_byte_identical_across_modes_on_20_seeds() {
     for seed in 0..20u64 {
@@ -160,9 +152,9 @@ fn flow_tables_and_bundles_byte_identical_across_modes_on_20_seeds() {
         let traffic_seed = rng.next();
 
         let mut baseline: Option<(String, String, Vec<Vec<u64>>)> = None;
-        for mode in [TickMode::Fast, TickMode::Reference] {
-            let ctx = format!("seed {seed} {mode:?}");
-            let net = run_recorded(topo.clone(), cfg.clone(), mode, &devices, traffic_seed);
+        for run in 0..2 {
+            let ctx = format!("seed {seed} run {run}");
+            let net = run_recorded(topo.clone(), cfg.clone(), &devices, traffic_seed);
             assert!(
                 net.stats().delivered.get() > 0,
                 "{ctx}: nothing was delivered"
@@ -177,32 +169,26 @@ fn flow_tables_and_bundles_byte_identical_across_modes_on_20_seeds() {
             let back =
                 PostmortemBundle::from_jsonl(&bundle.to_jsonl()).expect("bundle parses back");
             assert_eq!(bundle, back, "{ctx}: bundle JSONL round trip");
-            // The env line carries this run's mode and nothing else
-            // mode-dependent survives comparable_jsonl().
-            assert!(
-                bundle.to_jsonl().contains(&format!("{mode:?}")),
-                "{ctx}: env line must record the tick mode"
-            );
-            let comparable = bundle.comparable_jsonl();
+            let bundle_jsonl = bundle.to_jsonl();
             let links = net.link_cells();
             assert!(
                 links.iter().flatten().any(|&v| v > 0),
                 "{ctx}: link matrix recorded no traversals"
             );
             match &baseline {
-                None => baseline = Some((flows_json, comparable, links)),
+                None => baseline = Some((flows_json, bundle_jsonl, links)),
                 Some((base_flows, base_bundle, base_links)) => {
                     assert_eq!(
                         base_flows, &flows_json,
-                        "{ctx}: flow top-K diverged from fast"
+                        "{ctx}: flow top-K diverged from run 0"
                     );
                     assert_eq!(
-                        base_bundle, &comparable,
-                        "{ctx}: postmortem bundle diverged from fast"
+                        base_bundle, &bundle_jsonl,
+                        "{ctx}: postmortem bundle diverged from run 0"
                     );
                     assert_eq!(
                         base_links, &links,
-                        "{ctx}: link heat matrix diverged from fast"
+                        "{ctx}: link heat matrix diverged from run 0"
                     );
                 }
             }

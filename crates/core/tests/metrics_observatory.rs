@@ -1,7 +1,7 @@
 //! Observatory correctness: the online metrics snapshot stream must be
 //! (a) exact — window counter deltas sum to the run's `NetStats`
 //! totals, counter for counter — and (b) deterministic — byte-identical
-//! JSONL across `TickMode::Fast`/`Reference`.
+//! JSONL across two fresh runs.
 //!
 //! Plus the watchdog regression pair: the liveness rule must fire when
 //! ejection is artificially wedged, and must stay silent on workloads
@@ -9,8 +9,8 @@
 
 use noc_core::telemetry::{snapshots_jsonl, HealthRule, WindowCounters};
 use noc_core::{
-    BridgeConfig, FlitClass, NetStats, Network, NetworkConfig, NodeId, RingKind, TickMode,
-    Topology, TopologyBuilder,
+    BridgeConfig, FlitClass, NetStats, Network, NetworkConfig, NodeId, RingKind, Topology,
+    TopologyBuilder,
 };
 
 /// splitmix64: deterministic per-seed stream.
@@ -89,11 +89,10 @@ const SAMPLE_PERIOD: u64 = 32;
 fn run_observed(
     topo: Topology,
     cfg: NetworkConfig,
-    mode: TickMode,
     devices: &[NodeId],
     traffic_seed: u64,
 ) -> Network {
-    let mut net = Network::with_mode(topo, cfg, mode);
+    let mut net = Network::new(topo, cfg);
     net.enable_metrics(SAMPLE_PERIOD);
     let mut rng = Rng(traffic_seed);
     let cycles = 200 + rng.below(100);
@@ -194,9 +193,9 @@ fn snapshots_reconcile_and_are_byte_identical_across_modes_on_20_seeds() {
         let traffic_seed = rng.next();
 
         let mut baseline: Option<(String, Vec<u64>)> = None;
-        for mode in [TickMode::Fast, TickMode::Reference] {
-            let ctx = format!("seed {seed} {mode:?}");
-            let net = run_observed(topo.clone(), cfg.clone(), mode, &devices, traffic_seed);
+        for run in 0..2 {
+            let ctx = format!("seed {seed} run {run}");
+            let net = run_observed(topo.clone(), cfg.clone(), &devices, traffic_seed);
             assert!(
                 net.stats().delivered.get() > 0,
                 "{ctx}: nothing was delivered"
@@ -209,11 +208,11 @@ fn snapshots_reconcile_and_are_byte_identical_across_modes_on_20_seeds() {
                 Some((base_jsonl, base_fp)) => {
                     assert_eq!(
                         base_fp, &fp,
-                        "{ctx}: NetStats fingerprint diverged from fast"
+                        "{ctx}: NetStats fingerprint diverged from run 0"
                     );
                     assert_eq!(
                         base_jsonl, &jsonl,
-                        "{ctx}: snapshot JSONL diverged from fast"
+                        "{ctx}: snapshot JSONL diverged from run 0"
                     );
                 }
             }
@@ -275,7 +274,7 @@ fn liveness_never_fires_on_draining_workloads() {
         let (topo, devices) = random_topology(&mut rng);
         let cfg = NetworkConfig::default();
         let traffic_seed = rng.next();
-        let net = run_observed(topo, cfg, TickMode::Fast, &devices, traffic_seed);
+        let net = run_observed(topo, cfg, &devices, traffic_seed);
         if net.in_flight() > 0 {
             continue; // rare wedged seed: not a liveness false positive
         }

@@ -16,7 +16,7 @@ use noc_core::telemetry::{
     snapshots_jsonl, FlitEvent, HealthConfig, RecorderConfig, RingBufferSink,
 };
 use noc_core::{
-    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode, TopologyBuilder,
+    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder,
 };
 use std::ops::Range;
 
@@ -41,7 +41,6 @@ fn chain() -> (Network<RingBufferSink>, Vec<NodeId>) {
     let net = Network::with_sink(
         b.build().expect("topology"),
         NetworkConfig::default(),
-        TickMode::Fast,
         RingBufferSink::new(1 << 14),
     );
     (net, devs)
@@ -218,7 +217,6 @@ fn wedged(k: u64) -> Network<RingBufferSink> {
             eject_queue_cap: 2,
             ..NetworkConfig::default()
         },
-        TickMode::Fast,
         RingBufferSink::new(1 << 12),
     );
     net.enable_flight_recorder(

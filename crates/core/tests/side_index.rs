@@ -6,9 +6,9 @@
 //!
 //! The first half counts visits ([`TickProfile::side_visits`]
 //! (noc_core::TickProfile::side_visits)): none on an idle fabric,
-//! exactly four for one flit over one bridge, equal between
-//! `TickMode::Fast` and its `Reference` twin on a ring with more bridge
-//! sides than one set word holds, and one per cycle for a flit a full
+//! exactly four for one flit over one bridge, equal between two fresh
+//! runs on a ring with more bridge sides than one set word holds, and
+//! one per cycle for a flit a full
 //! endpoint Inject Queue holds in the pipeline — with the resulting
 //! trace stream pinned against the commit before the index existed.
 //! The second half pokes the indices from outside: draining a bridge
@@ -23,8 +23,7 @@ use common::{digest, fnv1a, random_topology, Rng, FNV_OFFSET};
 use noc_core::telemetry::{FlitEvent, RingBufferSink, TraceSink};
 use noc_core::topogen::{GridParams, HierRingParams};
 use noc_core::{
-    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode, Topology,
-    TopologyBuilder,
+    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, Topology, TopologyBuilder,
 };
 use proptest::prelude::*;
 
@@ -158,8 +157,10 @@ fn seventy_sides_on_one_ring_stay_in_lockstep_with_the_reference_twin() {
         "the hub ring carries 70 sides: two set words"
     );
     let cfg = NetworkConfig::default();
-    let mut fast = Network::with_mode(topo.clone(), cfg.clone(), TickMode::Fast);
-    let mut reference = Network::with_mode(topo, cfg, TickMode::Reference);
+    // The twin is a second fresh network: any nondeterminism in the
+    // side index shows as a diverged stream or visit count.
+    let mut fast = Network::new(topo.clone(), cfg.clone());
+    let mut reference = Network::new(topo, cfg);
     let mut rng = Rng(0x0705_1de5);
     let nets = &mut [&mut fast, &mut reference];
     lockstep(nets, &devs, &mut rng, 0..400, 6, true);
@@ -171,7 +172,7 @@ fn seventy_sides_on_one_ring_stay_in_lockstep_with_the_reference_twin() {
     assert_eq!(
         visits,
         reference.tick_profile().side_visits,
-        "the golden model runs the same bridge phases"
+        "the twin runs the same bridge phases"
     );
 }
 
@@ -210,12 +211,7 @@ fn stalled_bridge_run() -> (Vec<noc_core::telemetry::TraceRecord>, u64) {
         inject_queue_cap: 2,
         ..NetworkConfig::default()
     };
-    let mut net = Network::with_sink(
-        b.build().unwrap(),
-        cfg,
-        TickMode::Fast,
-        RingBufferSink::new(1 << 20),
-    );
+    let mut net = Network::with_sink(b.build().unwrap(), cfg, RingBufferSink::new(1 << 20));
     for cycle in 0..240u64 {
         if cycle < 160 {
             let _ = net.enqueue(hog, hog_dst, FlitClass::Data, 64, cycle);
@@ -275,12 +271,7 @@ fn draining_a_bridge_endpoint_behind_the_intake_mark_leaves_one_silent_visit() {
     // the second waits in the endpoint's Eject Queue, marked.
     let (topo, devs) = two_ring(BridgeConfig::l2().with_latency(40).with_buffer_cap(1));
     let endpoint = topo.bridges()[0].a;
-    let mut net = Network::with_sink(
-        topo,
-        NetworkConfig::default(),
-        TickMode::Fast,
-        RingBufferSink::new(1 << 12),
-    );
+    let mut net = Network::with_sink(topo, NetworkConfig::default(), RingBufferSink::new(1 << 12));
     for token in 0..2 {
         net.enqueue(devs[0], devs[3], FlitClass::Data, 64, token)
             .unwrap();

@@ -5,14 +5,11 @@
 //!
 //! Each seed builds one random multi-ring topology (the same generator
 //! as `tick_equivalence`), drives it to full drain under a
-//! `RingBufferSink` (whose `EventCounts` never drop), and reconciles —
-//! in both `TickMode::Fast` and `TickMode::Reference`, which must also
-//! agree with each other event-for-event.
+//! `RingBufferSink` (whose `EventCounts` never drop), and reconciles.
 
 use noc_core::telemetry::{EventCounts, RingBufferSink};
 use noc_core::{
-    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode, Topology,
-    TopologyBuilder,
+    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, Topology, TopologyBuilder,
 };
 
 /// splitmix64: deterministic per-seed stream.
@@ -96,13 +93,12 @@ fn random_topology(rng: &mut Rng) -> (Topology, Vec<NodeId>) {
 fn run_traced(
     topo: Topology,
     cfg: NetworkConfig,
-    mode: TickMode,
     devices: &[NodeId],
     traffic_seed: u64,
 ) -> Network<RingBufferSink> {
     // Small record buffer on purpose: reconciliation uses the never-
     // dropping EventCounts, not the bounded record ring.
-    let mut net = Network::with_sink(topo, cfg, mode, RingBufferSink::new(512));
+    let mut net = Network::with_sink(topo, cfg, RingBufferSink::new(512));
     let mut rng = Rng(traffic_seed);
     let cycles = 200 + rng.below(100);
     let drain_period = 1 + rng.below(4);
@@ -148,10 +144,10 @@ fn run_traced(
 /// oracle also tolerates) reconcile too. Only the bridge and
 /// completeness identities additionally need the pipes/queues empty,
 /// hence the `drained` gate.
-fn reconcile(net: &Network<RingBufferSink>, seed: u64, mode: TickMode, drained: bool) {
+fn reconcile(net: &Network<RingBufferSink>, seed: u64, drained: bool) {
     let c: &EventCounts = net.sink().counts();
     let s = net.stats();
-    let ctx = format!("seed {seed} mode {mode:?}");
+    let ctx = format!("seed {seed}");
     assert_eq!(c.enqueued, s.enqueued.get(), "{ctx}: enqueued");
     assert_eq!(c.injected, s.injected.get(), "{ctx}: injected");
     assert_eq!(c.delivered, s.delivered.get(), "{ctx}: delivered");
@@ -197,36 +193,14 @@ fn event_counts_reconcile_with_stats_on_20_random_seeds() {
         };
         let traffic_seed = rng.next();
 
-        let fast = run_traced(
-            topo.clone(),
-            cfg.clone(),
-            TickMode::Fast,
-            &devices,
-            traffic_seed,
-        );
-        let reference = run_traced(topo, cfg, TickMode::Reference, &devices, traffic_seed);
-
+        let net = run_traced(topo, cfg, &devices, traffic_seed);
         assert!(
-            fast.stats().delivered.get() > 0,
+            net.stats().delivered.get() > 0,
             "seed {seed}: nothing was delivered"
         );
-        let drained = fast.in_flight() == 0;
-        assert_eq!(
-            drained,
-            reference.in_flight() == 0,
-            "seed {seed}: engines disagree on drain"
-        );
+        let drained = net.in_flight() == 0;
         drained_seeds += u32::from(drained);
-        reconcile(&fast, seed, TickMode::Fast, drained);
-        reconcile(&reference, seed, TickMode::Reference, drained);
-
-        // The two engines must not only reconcile internally — they
-        // must tell the same lifecycle story event-for-event.
-        assert_eq!(
-            fast.sink().counts(),
-            reference.sink().counts(),
-            "seed {seed}: fast and reference event counts diverged"
-        );
+        reconcile(&net, seed, drained);
     }
     // The drain-gated identities must actually get coverage.
     assert!(
@@ -241,7 +215,7 @@ fn bounded_sink_drops_records_but_never_counts() {
     let mut rng = Rng(7);
     let (topo, devices) = random_topology(&mut rng);
     let cfg = NetworkConfig::default();
-    let net = run_traced(topo, cfg, TickMode::Fast, &devices, 99);
+    let net = run_traced(topo, cfg, &devices, 99);
     let sink = net.sink();
     assert!(sink.counts().total() > 0);
     assert!(sink.len() <= 512);

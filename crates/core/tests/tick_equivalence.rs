@@ -1,12 +1,17 @@
-//! Differential oracle: the event-indexed fast tick
-//! (`TickMode::Fast`) must be cycle-exact against the golden-model full
-//! sweep (`TickMode::Reference`) — identical delivery streams, identical
-//! stats fingerprints — on randomized topologies and traffic.
+//! The event-indexed tick on randomized topologies and traffic.
+//!
+//! The tick visits only the stations its indices name: each lane's exit
+//! calendar and I-tag words, and the cached head intents. In debug
+//! builds every cycle checks those indices against the slots and the
+//! route table (see `noc_core::network`), so a wrong calendar bit or a
+//! stale intent fails at the cycle it appears; every seed here is a run
+//! of that check, and the reference it matches is the route table.
 //!
 //! Each seed builds one random multi-ring topology (mixed half/full
-//! rings, L1 and L2 bridges across two chiplets), then drives two
-//! networks that differ only in tick mode through the same enqueue and
-//! drain schedule, comparing every popped flit and the final stats.
+//! rings, L1 and L2 bridges across two chiplets), then drives a traced
+//! and an untraced network through the same enqueue and drain schedule,
+//! comparing every popped flit and the final stats: tracing must not
+//! change what the fabric does.
 
 mod common;
 
@@ -14,8 +19,7 @@ use common::{digest, random_topology, Rng};
 use noc_core::telemetry::RingBufferSink;
 use noc_core::topogen::GridParams;
 use noc_core::{
-    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode, Topology,
-    TopologyBuilder,
+    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, Topology, TopologyBuilder,
 };
 
 fn run_seed(seed: u64) {
@@ -52,11 +56,11 @@ fn two_ring_topology(
     (b.build().expect("valid topology"), devices)
 }
 
-/// Drive a `Fast` and a `Reference` network over `topo` through one
+/// Drive a traced and an untraced network over `topo` through one
 /// random enqueue/drain schedule and hold them to identical delivery
-/// streams and fingerprints. In debug builds the reference sweeps also
-/// assert, at every station every cycle, that the exit calendar and the
-/// head-intent cache it maintains (but never reads) tell the truth.
+/// streams and fingerprints (the sink is small: its counts are exact,
+/// its records may drop). In debug builds every cycle of both also
+/// checks the tick's indices against the route table.
 fn run_pair(seed: u64, rng: &mut Rng, topo: Topology, devices: Vec<NodeId>) {
     assert!(devices.len() >= 2, "seed {seed}: too few devices");
     let cfg = NetworkConfig {
@@ -65,8 +69,8 @@ fn run_pair(seed: u64, rng: &mut Rng, topo: Topology, devices: Vec<NodeId>) {
         itag_threshold: 4 + rng.below(12) as u32,
         ..NetworkConfig::default()
     };
-    let mut fast = Network::with_mode(topo.clone(), cfg.clone(), TickMode::Fast);
-    let mut reference = Network::with_mode(topo, cfg, TickMode::Reference);
+    let mut traced = Network::with_sink(topo.clone(), cfg.clone(), RingBufferSink::new(256));
+    let mut plain = Network::new(topo, cfg);
 
     let cycles = 200 + rng.below(100);
     let drain_period = 1 + rng.below(4);
@@ -88,8 +92,8 @@ fn run_pair(seed: u64, rng: &mut Rng, topo: Topology, devices: Vec<NodeId>) {
                 };
                 let bytes = [32u32, 64][rng.below(2) as usize];
                 token += 1;
-                let a = fast.enqueue(devices[si], devices[di], class, bytes, token);
-                let b = reference.enqueue(devices[si], devices[di], class, bytes, token);
+                let a = traced.enqueue(devices[si], devices[di], class, bytes, token);
+                let b = plain.enqueue(devices[si], devices[di], class, bytes, token);
                 assert_eq!(
                     a.is_ok(),
                     b.is_ok(),
@@ -97,13 +101,13 @@ fn run_pair(seed: u64, rng: &mut Rng, topo: Topology, devices: Vec<NodeId>) {
                 );
             }
         }
-        fast.tick();
-        reference.tick();
+        traced.tick();
+        plain.tick();
         if cycle % drain_period == 0 || cycle >= cycles {
             for &d in &devices {
                 loop {
-                    let a = fast.pop_delivered(d);
-                    let b = reference.pop_delivered(d);
+                    let a = traced.pop_delivered(d);
+                    let b = plain.pop_delivered(d);
                     match (&a, &b) {
                         (None, None) => break,
                         (Some(fa), Some(fb)) => assert_eq!(
@@ -113,35 +117,40 @@ fn run_pair(seed: u64, rng: &mut Rng, topo: Topology, devices: Vec<NodeId>) {
                         ),
                         _ => panic!(
                             "seed {seed} cycle {cycle}: delivery presence diverged at \
-                             {d:?}: fast={a:?} reference={b:?}"
+                             {d:?}: traced={a:?} untraced={b:?}"
                         ),
                     }
                 }
             }
         }
-        if cycle >= cycles && fast.in_flight() == 0 && reference.in_flight() == 0 {
+        if cycle >= cycles && traced.in_flight() == 0 && plain.in_flight() == 0 {
             break;
         }
     }
     assert_eq!(
-        fast.stats().fingerprint(),
-        reference.stats().fingerprint(),
+        traced.stats().fingerprint(),
+        plain.stats().fingerprint(),
         "seed {seed}: stats fingerprints diverged"
     );
     assert_eq!(
-        fast.in_flight(),
-        reference.in_flight(),
+        traced.in_flight(),
+        plain.in_flight(),
         "seed {seed}: in-flight counts diverged"
     );
     assert_eq!(
-        fast.count_resident_flits(),
-        reference.count_resident_flits(),
+        traced.count_resident_flits(),
+        plain.count_resident_flits(),
         "seed {seed}: resident flit counts diverged"
+    );
+    assert_eq!(
+        traced.sink().counts().delivered,
+        traced.stats().delivered.get(),
+        "seed {seed}: the sink missed deliveries"
     );
     // The traffic phase must actually have produced deliveries for this
     // to be a meaningful comparison.
     assert!(
-        fast.stats().delivered.get() > 0,
+        traced.stats().delivered.get() > 0,
         "seed {seed}: nothing was delivered"
     );
 }
@@ -177,13 +186,14 @@ fn fast_tick_matches_reference_on_multi_word_rings() {
     }
 }
 
-/// Three-way differential: the golden-model sweep and the event-indexed
-/// fast tick, both traced, and the fast tick with no sink must agree
-/// flit for flit. All three networks share one enqueue/drain schedule.
+/// Three-way differential: two traced networks, one whose sink holds
+/// every record and one whose sink drops most of them, and one with no
+/// sink must agree flit for flit. All three share one enqueue/drain
+/// schedule.
 ///
 /// Checked per seed: per-drain delivery streams (order included), final
 /// stats fingerprints, and telemetry event *counts* between the two
-/// traced sweeps — so neither the sweep nor the tracing changes what
+/// traced networks — so neither tracing nor a full sink changes what
 /// the fabric does.
 fn run_seed_3way(seed: u64) {
     let mut rng = Rng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0x9e6c_63d0_876a_68ee);
@@ -195,9 +205,8 @@ fn run_seed_3way(seed: u64) {
         itag_threshold: 4 + rng.below(12) as u32,
         ..NetworkConfig::default()
     };
-    let sink = || RingBufferSink::new(1 << 20);
-    let mut nets = [TickMode::Reference, TickMode::Fast]
-        .map(|mode| Network::with_sink(topo.clone(), cfg.clone(), mode, sink()));
+    let mut nets = [1 << 20, 64]
+        .map(|cap| Network::with_sink(topo.clone(), cfg.clone(), RingBufferSink::new(cap)));
     let mut plain = Network::new(topo, cfg);
 
     let cycles = 200 + rng.below(100);
@@ -253,7 +262,7 @@ fn run_seed_3way(seed: u64) {
                             break;
                         }
                         Some(f0) => {
-                            for (name, f) in [("fast", &p1), ("untraced", &p2)] {
+                            for (name, f) in [("dropping", &p1), ("untraced", &p2)] {
                                 let f = f.as_ref().unwrap_or_else(|| {
                                     panic!(
                                         "seed {seed} cycle {cycle}: {name} missed a delivery \
@@ -289,11 +298,11 @@ fn run_seed_3way(seed: u64) {
     let counts = nets.each_ref().map(|n| *n.sink().counts());
     assert_eq!(
         counts[0], counts[1],
-        "seed {seed}: reference vs fast event counts diverged"
+        "seed {seed}: event counts depend on the sink's capacity"
     );
     assert!(
-        nets[1].sink().dropped() == 0,
-        "seed {seed}: sink capacity too small for exact event counts"
+        nets[0].sink().dropped() == 0 && nets[1].sink().dropped() > 0,
+        "seed {seed}: the sinks must differ in what they drop"
     );
     assert!(
         plain.stats().delivered.get() > 0,
@@ -308,10 +317,10 @@ fn three_way_differential_fuzz_on_60_seeds() {
     }
 }
 
-/// Generated-topology differential fuzz: one seed samples grid/torus
-/// generator parameters, builds the fabric through [`GridParams`], and
-/// drives both tick modes through one schedule. The fingerprints must
-/// be byte-identical.
+/// Generated-topology fuzz: one seed samples grid/torus generator
+/// parameters, builds the fabric through [`GridParams`], and drives two
+/// fresh networks through one schedule. The fabric must drain and the
+/// two runs must be byte-identical.
 fn run_generated_seed(seed: u64) {
     let mut rng = Rng(seed.wrapping_mul(0x9e6c_63d0_876a_68ee) ^ 0x53a9_1d6c_40f1_72b3);
     let rows = 1 + rng.below(4) as u16;
@@ -346,9 +355,8 @@ fn run_generated_seed(seed: u64) {
         itag_threshold: 4 + rng.below(12) as u32,
         ..NetworkConfig::default()
     };
-    let mut nets: Vec<Network> = [TickMode::Reference, TickMode::Fast]
-        .into_iter()
-        .map(|mode| Network::with_mode(topo.clone(), cfg.clone(), mode))
+    let mut nets: Vec<Network> = (0..2)
+        .map(|_| Network::new(topo.clone(), cfg.clone()))
         .collect();
 
     let cycles = 120 + rng.below(80);
@@ -417,7 +425,7 @@ fn run_generated_seed(seed: u64) {
         assert_eq!(
             n.fingerprint(),
             base_fp,
-            "seed {seed}: fingerprint diverged for engine {i} on {rows}x{cols} fabric"
+            "seed {seed}: fingerprint diverged for run {i} on {rows}x{cols} fabric"
         );
     }
     assert!(
@@ -462,39 +470,15 @@ fn fast_tick_skips_stations_at_low_occupancy() {
 }
 
 /// 64-station full ring with a device on every station.
-fn ring64(mode: TickMode) -> (Network, Vec<NodeId>) {
+fn ring64() -> (Network, Vec<NodeId>) {
     let mut b = TopologyBuilder::new();
     let die = b.add_chiplet("die");
     let r = b.add_ring(die, RingKind::Full, 64).expect("ring");
     let eps = (0..64)
         .map(|i| b.add_node(format!("n{i}"), r, i).expect("node"))
         .collect();
-    let net = Network::with_mode(b.build().expect("valid"), NetworkConfig::default(), mode);
+    let net = Network::new(b.build().expect("valid"), NetworkConfig::default());
     (net, eps)
-}
-
-#[test]
-fn reference_tick_never_skips_a_station() {
-    // Closed loop of 12 flits (~9% of the 128 slots), where the fast
-    // path skips most visits. The golden-model sweep visits every
-    // station and keeps no skip accounting, so it reports no skipping.
-    let (mut net, eps) = ring64(TickMode::Reference);
-    for i in 0..12u64 {
-        let s = eps[(i * 11 % 64) as usize];
-        let d = eps[((i * 11 + 32) % 64) as usize];
-        net.enqueue(s, d, FlitClass::Data, 64, i)
-            .expect("seed flit");
-    }
-    for _ in 0..1_000 {
-        net.tick();
-        for ei in 0..eps.len() {
-            while let Some(f) = net.pop_delivered(eps[ei]) {
-                let back = eps[(ei + 17) % 64];
-                let _ = net.enqueue(eps[ei], back, FlitClass::Data, 64, f.token);
-            }
-        }
-    }
-    assert_eq!(net.tick_profile().skip_fraction(), 0.0);
 }
 
 #[test]
@@ -502,7 +486,7 @@ fn saturated_clockwise_load_skips_exactly_the_idle_lane() {
     // Every station enqueues every cycle to a destination 21–33 stations
     // clockwise, so every head wants lane 0 and lane 1 stays idle: the
     // fast path visits exactly half the station slots.
-    let (mut net, eps) = ring64(TickMode::Fast);
+    let (mut net, eps) = ring64();
     for c in 0..1_000u64 {
         for (i, &s) in eps.iter().enumerate() {
             let d = eps[(i + 21 + (c as usize % 13)) % 64];

@@ -1,12 +1,9 @@
 //! Observatory and flight-recorder determinism on *generated* fabrics:
 //! a 64-chiplet torus built by [`GridParams`] must produce
 //! byte-identical snapshot streams, flow tables, link matrices and
-//! postmortem bundles across both tick modes and every epoch length —
-//! the same guarantee `flow_postmortem.rs` pins on hand-rolled random
+//! postmortem bundles across fresh runs and every epoch length — the
+//! same guarantee `flow_postmortem.rs` pins on hand-rolled random
 //! topologies, now on the generative frontier of 64 rings.
-//!
-//! As there, the bundle's `"kind":"env"` JSONL line is the one
-//! sanctioned difference; `comparable_jsonl()` excludes it.
 //!
 //! The recorder's 8-snapshot window bounds what the registry retains,
 //! so the snapshot stream compared is the whole series, read through
@@ -17,7 +14,7 @@ mod common;
 use common::SnapshotStream;
 use noc_core::telemetry::{HealthConfig, PostmortemBundle, RecorderConfig};
 use noc_core::topogen::GridParams;
-use noc_core::{FlitClass, Network, NetworkConfig, NocDiagnostics, NodeId, TickMode, Topology};
+use noc_core::{FlitClass, Network, NetworkConfig, NocDiagnostics, NodeId, Topology};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 
@@ -42,13 +39,8 @@ fn torus_64(seed: u64) -> (Topology, Vec<NodeId>) {
 /// Drive one flight-recorded network over the generated torus to full
 /// drain with a seeded uniform schedule, finishing the metrics series;
 /// return it with its snapshot series as streamed.
-fn run_recorded(
-    topo: Topology,
-    mode: TickMode,
-    devices: &[NodeId],
-    traffic_seed: u64,
-) -> (Network, String) {
-    let mut net = Network::with_mode(topo, NetworkConfig::default(), mode);
+fn run_recorded(topo: Topology, devices: &[NodeId], traffic_seed: u64) -> (Network, String) {
+    let mut net = Network::new(topo, NetworkConfig::default());
     net.enable_flight_recorder(
         SAMPLE_PERIOD,
         HealthConfig::default(),
@@ -90,8 +82,8 @@ fn run_recorded(
 }
 
 /// Snapshot stream, flow top-K, link heat matrix and postmortem bundle
-/// must be byte-identical across the Fast and Reference sweeps, on the
-/// generated 64-chiplet torus.
+/// must be byte-identical across two fresh runs on the generated
+/// 64-chiplet torus.
 #[test]
 fn observatory_byte_identical_across_modes_on_generated_torus() {
     for seed in [0x0Bu64, 0x5EED] {
@@ -101,9 +93,9 @@ fn observatory_byte_identical_across_modes_on_generated_torus() {
 
         type Baseline = (String, String, String, Vec<Vec<u64>>, Vec<u64>);
         let mut baseline: Option<Baseline> = None;
-        for mode in [TickMode::Fast, TickMode::Reference] {
-            let ctx = format!("seed {seed:#x} {mode:?}");
-            let (net, snapshots) = run_recorded(topo.clone(), mode, &devices, traffic_seed);
+        for run in 0..2 {
+            let ctx = format!("seed {seed:#x} run {run}");
+            let (net, snapshots) = run_recorded(topo.clone(), &devices, traffic_seed);
             assert!(
                 net.stats().delivered.get() > 0,
                 "{ctx}: nothing was delivered"
@@ -121,11 +113,7 @@ fn observatory_byte_identical_across_modes_on_generated_torus() {
                 .expect("observatory enabled");
             let back = PostmortemBundle::from_jsonl(&bundle.to_jsonl()).expect("bundle parses");
             assert_eq!(bundle, back, "{ctx}: bundle JSONL round trip");
-            assert!(
-                bundle.to_jsonl().contains(&format!("{mode:?}")),
-                "{ctx}: env line must record the tick mode"
-            );
-            let comparable = bundle.comparable_jsonl();
+            let bundle_jsonl = bundle.to_jsonl();
             let links = net.link_cells();
             assert!(
                 links.iter().flatten().any(|&v| v > 0),
@@ -134,25 +122,25 @@ fn observatory_byte_identical_across_modes_on_generated_torus() {
             let fp = net.fingerprint();
 
             match &baseline {
-                None => baseline = Some((snapshots, flows_json, comparable, links, fp)),
+                None => baseline = Some((snapshots, flows_json, bundle_jsonl, links, fp)),
                 Some((base_snaps, base_flows, base_bundle, base_links, base_fp)) => {
                     assert_eq!(
                         base_snaps, &snapshots,
-                        "{ctx}: snapshot stream diverged from fast"
+                        "{ctx}: snapshot stream diverged from run 0"
                     );
                     assert_eq!(
                         base_flows, &flows_json,
-                        "{ctx}: flow top-K diverged from fast"
+                        "{ctx}: flow top-K diverged from run 0"
                     );
                     assert_eq!(
-                        base_bundle, &comparable,
-                        "{ctx}: postmortem bundle diverged from fast"
+                        base_bundle, &bundle_jsonl,
+                        "{ctx}: postmortem bundle diverged from run 0"
                     );
                     assert_eq!(
                         base_links, &links,
-                        "{ctx}: link heat matrix diverged from fast"
+                        "{ctx}: link heat matrix diverged from run 0"
                     );
-                    assert_eq!(base_fp, &fp, "{ctx}: stats fingerprint diverged from fast");
+                    assert_eq!(base_fp, &fp, "{ctx}: stats fingerprint diverged from run 0");
                 }
             }
         }
@@ -263,7 +251,7 @@ fn observatory_byte_identical_with_epoch_batching() {
 #[test]
 fn generated_torus_flow_attribution_sees_bridge_crossings() {
     let (topo, devices) = torus_64(7);
-    let (net, _) = run_recorded(topo, TickMode::Fast, &devices, 0xF10);
+    let (net, _) = run_recorded(topo, &devices, 0xF10);
     assert!(
         net.stats().bridge_crossings.get() > 0,
         "uniform traffic must cross dies"

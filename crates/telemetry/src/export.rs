@@ -5,7 +5,7 @@
 //!
 //! * **JSONL** ([`snapshots_jsonl`]) — one JSON object per snapshot,
 //!   one per line, for offline time-series analysis. Byte-identical
-//!   across tick modes because the snapshots are.
+//!   run to run because the snapshots are.
 //! * **Prometheus text exposition** ([`prometheus_text`]) — the
 //!   current state of the network as `noc_*` metrics with ring/bridge
 //!   labels, ready for a scrape endpoint or `promtool` ingestion.

@@ -11,8 +11,8 @@
 //! `overcount` error bound, which keeps the classic guarantee that any
 //! pair with true weight above `total/k` is present in the table.
 //!
-//! Determinism is load-bearing here (the engine's snapshot stream must
-//! stay byte-identical across tick modes), so every tie is broken
+//! Determinism is load-bearing here (golden tests pin the engine's
+//! snapshot stream byte for byte), so every tie is broken
 //! structurally: entries live in a `Vec` in insertion order, lookups
 //! scan that `Vec`, and the eviction scan takes the *first*
 //! minimal-weight entry. Sorting for presentation uses a total order
@@ -122,23 +122,6 @@ pub struct FlowDelta {
 }
 
 impl FlowDelta {
-    /// Fold one event into the delta.
-    pub fn add(&mut self, event: FlowEvent) {
-        match event {
-            FlowEvent::Delivered { latency, itag_wait } => {
-                self.delivered += 1;
-                self.latency_sum += latency;
-                self.itag_waits += itag_wait;
-            }
-            FlowEvent::Deflected { extra_lap } => {
-                self.deflections += 1;
-                if extra_lap {
-                    self.etag_laps += 1;
-                }
-            }
-        }
-    }
-
     /// Fold another delta into this one (field-wise sum).
     pub fn merge(&mut self, other: &FlowDelta) {
         self.delivered += other.delivered;
@@ -149,28 +132,9 @@ impl FlowDelta {
     }
 }
 
-/// One flow observation, applied to the flow's entry.
-#[derive(Debug, Clone, Copy)]
-pub enum FlowEvent {
-    /// The flit reached its destination device.
-    Delivered {
-        /// End-to-end latency of the delivered flit (cycles).
-        latency: u64,
-        /// Cycles the flit spent as a starving inject-queue head.
-        itag_wait: u64,
-    },
-    /// The flit was deflected past its eject point. `extra_lap` is true
-    /// when an E-tag reservation was already in place (the deflection
-    /// defeats the one-lap guarantee once more).
-    Deflected {
-        /// Whether this deflection happened with an E-tag already set.
-        extra_lap: bool,
-    },
-}
-
 impl FlowTable {
     /// A table tracking at most `capacity` flows (0 disables tracking:
-    /// every record call is a no-op and the table stays empty).
+    /// every apply call is a no-op and the table stays empty).
     pub fn new(capacity: usize) -> Self {
         FlowTable {
             entries: Vec::with_capacity(capacity),
@@ -194,18 +158,9 @@ impl FlowTable {
         self.entries.is_empty()
     }
 
-    /// Apply one observation for `src → dst`.
-    pub fn record(&mut self, src: u32, dst: u32, event: FlowEvent) {
-        let mut delta = FlowDelta::default();
-        delta.add(event);
-        self.apply(src, dst, &delta);
-    }
-
-    /// Apply a batch of observations for `src → dst` in one lookup.
-    /// Equivalent to recording each folded event individually: the
-    /// entry (and any eviction) is resolved once up front, then every
-    /// counter is summed — the same final state per-event recording
-    /// reaches, since increments to an existing entry commute.
+    /// Apply a batch of observations for `src → dst` in one lookup:
+    /// the entry (and any eviction) is resolved once up front, then
+    /// every counter is summed.
     pub fn apply(&mut self, src: u32, dst: u32, delta: &FlowDelta) {
         if self.capacity == 0 {
             return;
@@ -345,25 +300,33 @@ pub fn flow_table_ascii(flows: &[FlowRecord], name_of: impl Fn(u32) -> String) -
 mod tests {
     use super::*;
 
+    /// `n` deliveries of `src → dst`, each 10 cycles with one I-tag wait.
     fn deliver(t: &mut FlowTable, src: u32, dst: u32, n: u64) {
-        for _ in 0..n {
-            t.record(
-                src,
-                dst,
-                FlowEvent::Delivered {
-                    latency: 10,
-                    itag_wait: 1,
-                },
-            );
-        }
+        let delta = FlowDelta {
+            delivered: n,
+            latency_sum: 10 * n,
+            itag_waits: n,
+            ..FlowDelta::default()
+        };
+        t.apply(src, dst, &delta);
+    }
+
+    /// One deflection of `src → dst`; an extra E-tag lap if `extra_lap`.
+    fn deflect(t: &mut FlowTable, src: u32, dst: u32, extra_lap: bool) {
+        let delta = FlowDelta {
+            deflections: 1,
+            etag_laps: u64::from(extra_lap),
+            ..FlowDelta::default()
+        };
+        t.apply(src, dst, &delta);
     }
 
     #[test]
     fn accumulates_per_flow() {
         let mut t = FlowTable::new(4);
         deliver(&mut t, 0, 1, 3);
-        t.record(0, 1, FlowEvent::Deflected { extra_lap: false });
-        t.record(0, 1, FlowEvent::Deflected { extra_lap: true });
+        deflect(&mut t, 0, 1, false);
+        deflect(&mut t, 0, 1, true);
         let r = t.ranked();
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].delivered, 3);
@@ -486,7 +449,7 @@ mod tests {
         let mut a = FlowTable::new(4);
         let mut b = FlowTable::new(4);
         deliver(&mut a, 0, 1, 2);
-        a.record(7, 8, FlowEvent::Deflected { extra_lap: false });
+        deflect(&mut a, 7, 8, false);
         deliver(&mut b, 0, 1, 3);
         deliver(&mut b, 5, 6, 4);
         let merged = merge_ranked(&[&a, &b], 2);
@@ -499,7 +462,7 @@ mod tests {
     #[test]
     fn ascii_table_renders_and_guards_empty_flows() {
         let mut t = FlowTable::new(4);
-        t.record(0, 1, FlowEvent::Deflected { extra_lap: false });
+        deflect(&mut t, 0, 1, false);
         let s = flow_table_ascii(&t.ranked(), |id| format!("n{id}"));
         assert!(s.contains("n0 -> n1"), "{s}");
         assert!(s.contains("0.0"), "wedged flow mean latency: {s}");

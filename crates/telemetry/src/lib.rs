@@ -108,7 +108,7 @@ pub use export::{
     escape_label_value, prometheus_flows, prometheus_text, prometheus_txn, prometheus_wait,
     snapshots_jsonl, wait_stats_jsonl,
 };
-pub use flowstats::{flow_table_ascii, merge_ranked, FlowDelta, FlowEvent, FlowRecord, FlowTable};
+pub use flowstats::{flow_table_ascii, merge_ranked, FlowDelta, FlowRecord, FlowTable};
 pub use health::{HealthConfig, HealthMonitor, HealthRule, Severity, Verdict};
 pub use metrics::{
     BridgeGauges, MetricsRegistry, MetricsSnapshot, RingGauges, RingWindow, WindowCounters,

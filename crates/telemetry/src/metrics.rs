@@ -5,7 +5,7 @@
 //! the per-ring samples into one [`MetricsSnapshot`] at the end of the
 //! cycle, in ascending ring order. Because sampling reads only
 //! shard-local state and the merge order is fixed, the snapshot stream
-//! is bit-identical across tick modes (the same argument that makes the
+//! is bit-identical run to run (the same argument that makes the
 //! trace stream deterministic; see DESIGN.md §11).
 //!
 //! A snapshot carries two kinds of data:

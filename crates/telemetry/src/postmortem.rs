@@ -11,15 +11,13 @@
 //! # Serialization and byte-identity
 //!
 //! [`PostmortemBundle::to_jsonl`] renders one `{"kind": ...}` object
-//! per line. Everything the simulation produced is byte-identical
-//! across `Fast`/`Reference` ticks — except the tick mode itself, which
-//! the bundle must record for replay. That mode-dependent data is
-//! confined to the single `"kind":"env"` line;
+//! per line. Everything the simulation produced is byte-identical run
+//! to run. The execution environment the engine reports is confined
+//! to the single `"kind":"env"` line;
 //! [`PostmortemBundle::comparable_jsonl`] is the same rendering with
-//! that line removed, and the determinism tests hold it byte-identical
-//! across both modes. Bundles written before the engine became
-//! single-threaded also carry an `exec_mode` key on that line; it is
-//! ignored on read.
+//! that line removed, for comparing bundles whose environments may
+//! differ. Bundles written before the engine became single-threaded
+//! also carry an `exec_mode` key on that line; it is ignored on read.
 
 use crate::flowstats::{flow_table_ascii, FlowRecord};
 use crate::health::Verdict;
@@ -53,11 +51,11 @@ pub struct BundleMeta {
     pub config: Value,
 }
 
-/// The execution environment: the only mode-dependent bytes in a
-/// bundle, confined to their own JSONL line (see the module docs).
+/// The execution environment, confined to its own JSONL line (see the
+/// module docs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BundleEnv {
-    /// Which sweep implementation ran (`Fast`, `Reference`).
+    /// The engine's tick mode (`Fast`, its only one).
     pub tick_mode: String,
 }
 
@@ -155,8 +153,8 @@ impl PostmortemBundle {
     }
 
     /// [`PostmortemBundle::to_jsonl`] with the `"kind":"env"` line
-    /// removed: the mode-independent bytes the determinism tests
-    /// compare across tick modes.
+    /// removed: the bytes that depend on the simulation alone, not on
+    /// the environment it ran in.
     pub fn comparable_jsonl(&self) -> String {
         self.to_jsonl()
             .lines()
@@ -434,7 +432,7 @@ mod tests {
         let back = PostmortemBundle::from_jsonl(&text).expect("parses");
         assert_eq!(back.txn_exemplars, b.txn_exemplars);
         // Exemplars are simulation output: they stay in the comparable
-        // rendering the determinism tests diff across engine variants.
+        // rendering.
         assert!(b.comparable_jsonl().contains("{\"kind\":\"txn_exemplar\""));
         // Pre-PR 9 bundles (no exemplar lines) still parse.
         let old: String = text

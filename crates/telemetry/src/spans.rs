@@ -27,7 +27,7 @@
 //! are pumped in ascending endpoint order and deliveries drained in
 //! ascending endpoint order. Span trees are emitted from that same
 //! path, so the span stream — and the [`TailExemplars`] reservoir
-//! derived from it — is byte-identical across both tick modes.
+//! derived from it — is byte-identical run to run.
 
 use crate::last_n::LastN;
 use serde::{Deserialize, Serialize};
@@ -236,9 +236,9 @@ impl SpanSink for NullSpanSink {
 /// Admission is a pure function of the tree stream: a tree enters if
 /// its latency beats the current K-th slowest, ordered by
 /// (latency descending, transaction id ascending) so ties resolve
-/// identically on every engine variant. Because the fabric emits trees
-/// in a deterministic order, the reservoir contents are byte-identical
-/// across tick modes.
+/// identically on every run. Because the fabric emits trees in a
+/// deterministic order, the reservoir contents are byte-identical run
+/// to run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TailExemplars {
     k: usize,

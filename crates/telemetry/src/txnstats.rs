@@ -4,7 +4,7 @@
 //! Mirrors the [`MetricsRegistry`](crate::MetricsRegistry) discipline:
 //! the transaction fabric samples a [`TxnSnapshot`] every `period`
 //! cycles from state it mutates after each network tick, so the
-//! snapshot stream is byte-identical across tick modes for free.
+//! snapshot stream is byte-identical run to run for free.
 //! Latency is recorded per *completed transaction* (not per flit),
 //! which is the number an application actually sees —
 //! a DMA burst's p99 here is the tail of whole bursts, headers,

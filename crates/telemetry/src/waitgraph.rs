@@ -54,7 +54,7 @@
 //! argument as the metrics snapshots of DESIGN.md §11), on the
 //! observatory's sample schedule. Nodes and edges are sorted, the SCC
 //! pass iterates sorted adjacency, and history is keyed by `BTreeMap`
-//! — the sampled stream is byte-identical across `Fast/Reference`.
+//! — the sampled stream is byte-identical run to run.
 
 use crate::last_n::LastN;
 use serde::{Deserialize, Serialize};
@@ -207,28 +207,6 @@ pub struct WaitStats {
     pub cyclic_sccs: u64,
 }
 
-impl WaitGraphSample {
-    /// Reduce the sample to its gauge surface. `oldest_frozen` needs
-    /// the tracker's history, so it is stamped by
-    /// [`WaitGraphTracker::ingest`]; recomputing here yields 0.
-    pub fn stats(&self) -> WaitStats {
-        let mut blocked = [0u64; 4];
-        let mut seen = BTreeSet::new();
-        for e in &self.edges {
-            if seen.insert(e.from) {
-                blocked[e.from.class()] += 1;
-            }
-        }
-        WaitStats {
-            cycle: self.cycle,
-            verdict: self.verdict,
-            blocked,
-            oldest_frozen: 0,
-            cyclic_sccs: count_cyclic_sccs(&self.nodes, &self.edges) as u64,
-        }
-    }
-}
-
 /// Tarjan's strongly-connected-components algorithm over the sorted
 /// node list, iterative (explicit stack) and deterministic: nodes are
 /// visited in sorted [`ResourceId`] order and adjacency lists are
@@ -311,10 +289,6 @@ pub fn cyclic_sccs(nodes: &[WaitNode], edges: &[WaitEdge]) -> Vec<Vec<ResourceId
     // Canonical order: by smallest member.
     out.sort();
     out
-}
-
-fn count_cyclic_sccs(nodes: &[WaitNode], edges: &[WaitEdge]) -> usize {
-    cyclic_sccs(nodes, edges).len()
 }
 
 /// The frozen deadlock certificate emitted on the first
@@ -415,6 +389,7 @@ impl WaitGraphTracker {
     pub fn new(cfg: WaitGraphConfig) -> Self {
         assert!(cfg.freeze_windows > 0, "freeze_windows must be positive");
         assert!(cfg.history > 0, "history must be positive");
+        assert!(cfg.max_samples > 0, "max_samples must be positive");
         WaitGraphTracker {
             cfg,
             tracks: Vec::new(),
@@ -933,5 +908,14 @@ mod tests {
         assert_eq!(st.blocked[0], 1, "one ring blocked");
         assert_eq!(st.blocked[2], 1, "one window blocked");
         assert_eq!(st.cyclic_sccs, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_samples must be positive")]
+    fn zero_max_samples_is_rejected() {
+        WaitGraphTracker::new(WaitGraphConfig {
+            max_samples: 0,
+            ..WaitGraphConfig::default()
+        });
     }
 }

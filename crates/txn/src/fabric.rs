@@ -8,10 +8,10 @@
 //! [`TxnFabric::tick`], *around* the network's own cycle: staged flits
 //! are pumped into inject queues in ascending endpoint order before it,
 //! and deliveries are drained in ascending endpoint order after it. The
-//! engine below guarantees byte-identical delivery streams across
-//! `TickMode::{Fast,Reference}`, so every transaction-layer decision —
-//! reassembly completions, window releases, broadcast forwards, atomic
-//! results — replays identically on both. Endpoints live in a `Vec`
+//! engine below is deterministic: the same inputs give byte-identical
+//! delivery streams. So every transaction-layer decision — reassembly
+//! completions, window releases, broadcast forwards, atomic results —
+//! replays identically run to run. Endpoints live in a `Vec`
 //! sorted by node id (reached through a dense node-id → slot index),
 //! id-keyed side tables are [`noc_sim::IdMap`]s used for keyed lookups
 //! only — the few places that walk one (forensics, gauges) sort or
@@ -77,9 +77,6 @@ impl Endpoint {
 #[derive(Debug)]
 struct Forensics {
     tracker: WaitGraphTracker,
-    /// `false` is the "detector-off" tripwire mode: the per-sample hook
-    /// runs but builds no graph — the overhead-gate baseline.
-    active: bool,
     /// Postmortem bundles captured on the rising wedge edge, with the
     /// wedge report and tail exemplars attached.
     bundles: Vec<PostmortemBundle>,
@@ -331,7 +328,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     /// Panics unless the transaction observatory is on
     /// ([`TxnConfig::metrics_period`] > 0) — forensics rides its
     /// sample schedule, which is what makes the detector stream
-    /// byte-identical across engines.
+    /// deterministic.
     pub fn enable_forensics(&mut self, cfg: WaitGraphConfig) {
         assert!(
             self.registry.is_some(),
@@ -340,18 +337,6 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         );
         self.forensics = Some(Forensics {
             tracker: WaitGraphTracker::new(cfg),
-            active: true,
-            bundles: Vec::new(),
-        });
-    }
-
-    /// Enable forensics in detector-off tripwire mode: the per-sample
-    /// hook runs but no graph is built and nothing can latch. This is
-    /// the baseline arm of the detector-overhead gate.
-    pub fn enable_forensics_idle(&mut self) {
-        self.forensics = Some(Forensics {
-            tracker: WaitGraphTracker::new(WaitGraphConfig::default()),
-            active: false,
             bundles: Vec::new(),
         });
     }
@@ -458,8 +443,8 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     }
 
     /// Network fingerprint extended with the transaction layer's
-    /// counter digest: byte-identical across engines iff both the
-    /// fabric below *and* every transaction-layer decision agree.
+    /// counter digest: two runs match iff both the fabric below *and*
+    /// every transaction-layer decision agree.
     pub fn fingerprint(&self) -> Vec<u64> {
         let mut fp = self.net.fingerprint();
         fp.extend(self.counters.digest());
@@ -1205,10 +1190,6 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         let Some(mut f) = self.forensics.take() else {
             return;
         };
-        if !f.active {
-            self.forensics = Some(f);
-            return;
-        }
         let cycle = self.net.now().raw();
         let nodes = self.build_wait_nodes();
         let was_latched = f.tracker.latched();

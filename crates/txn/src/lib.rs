@@ -25,8 +25,8 @@
 //!   [`TxnSnapshot`](noc_core::telemetry::TxnSnapshot)s.
 //!
 //! Everything above the network runs in deterministic endpoint order,
-//! so the byte-identical Fast/Reference guarantee of the engine extends
-//! to transactions — see the module docs of [`fabric`].
+//! so the engine's run-to-run byte identity extends to transactions —
+//! see the module docs of [`fabric`].
 //!
 //! # Quickstart
 //!

@@ -4,7 +4,7 @@
 //! The deflection fabric gives no ordering guarantee: flits of one
 //! packet may deflect, overtake each other, or interleave with flits of
 //! any other packet bound for the same endpoint. Reassembly therefore
-//! keeps one [`PartialPacket`] per in-flight packet id, tracks received
+//! keeps one `PartialPacket` per in-flight packet id, tracks received
 //! data sequences in a bitmask, and completes a packet only once the
 //! header *and* every data flit announced by the descriptor have
 //! arrived. Duplicate sequences are rejected and counted by the fabric.

@@ -18,7 +18,7 @@ use noc_core::telemetry::{chrome_trace, Heatmap, LatencyView, TraceRecord, Utili
 use noc_core::telemetry::{flow_table_ascii, HealthConfig, RecorderConfig};
 use noc_core::telemetry::{prometheus_text, FlitEvent, RingBufferSink};
 use noc_core::{
-    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TickMode, TopologyBuilder,
+    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder,
 };
 use noc_sim::SimRng;
 
@@ -43,12 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The only change versus an untraced run: hand the network a
     // recording sink instead of the default `NullSink`.
-    let mut net = Network::with_sink(
-        topo,
-        NetworkConfig::default(),
-        TickMode::Fast,
-        RingBufferSink::new(1 << 16),
-    );
+    let mut net = Network::with_sink(topo, NetworkConfig::default(), RingBufferSink::new(1 << 16));
     // Flight recorder on: windowed metrics + health watchdogs every 64
     // cycles, plus per-flow attribution, link occupancy sampling and
     // bounded snapshot/event retention for postmortem bundles.

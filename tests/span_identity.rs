@@ -1,6 +1,6 @@
 //! Span-stream determinism: the causal span trees (and the
 //! tail-exemplar reservoir derived from them) must be byte-identical
-//! across both tick modes, because they are emitted from the fabric's
+//! across two fresh runs, because they are emitted from the fabric's
 //! drain path in deterministic endpoint order. This is the
 //! observability extension of `txn_lockstep`: not just *that* the same
 //! transactions complete at the same cycles, but that every per-packet
@@ -9,7 +9,7 @@
 use noc_core::telemetry::{
     critical_path, span_trees_jsonl, LatencyBreakdown, SpanCollector, SpanSink,
 };
-use noc_core::{GridParams, Network, NetworkConfig, NodeId, TickMode};
+use noc_core::{GridParams, Network, NetworkConfig, NodeId};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 use noc_txn::{TxnConfig, TxnFabric};
@@ -52,9 +52,9 @@ fn txn_cfg() -> TxnConfig {
 }
 
 /// Drive the seeded workload to quiescence, collecting spans.
-fn run_variant(seed: u64, mode: TickMode) -> SpanStream {
+fn run_variant(seed: u64) -> SpanStream {
     let (topo, devs) = torus(seed);
-    let net = Network::with_mode(topo, NetworkConfig::default(), mode);
+    let net = Network::new(topo, NetworkConfig::default());
     let mut fab = TxnFabric::with_spans(net, txn_cfg(), SpanCollector::new(4096, EXEMPLAR_K));
     let wl = TxnWorkload::new(devs, TxnMix::default(), TrafficPattern::Uniform, 64, 32);
     let mut rng = SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9));
@@ -87,7 +87,7 @@ fn run_variant(seed: u64, mode: TickMode) -> SpanStream {
     }
     assert!(
         fab.run_until_quiet(2_000_000),
-        "seed {seed}: fabric failed to quiesce on {mode:?}"
+        "seed {seed}: fabric failed to quiesce"
     );
 
     // Every recorded tree must reconcile exactly before we bother
@@ -126,21 +126,21 @@ fn run_variant(seed: u64, mode: TickMode) -> SpanStream {
 }
 
 /// 20 pinned seeds: the span and exemplar JSONL streams are
-/// byte-identical across `Reference/Fast`.
+/// byte-identical across two fresh runs.
 #[test]
 fn span_streams_are_byte_identical_across_engines() {
     for seed in 0..SEEDS {
-        let golden = run_variant(seed, TickMode::Reference);
+        let golden = run_variant(seed);
         assert_eq!(golden.recorded, TXNS_PER_SEED as u64);
         assert!(!golden.exemplars.is_empty(), "seed {seed}: no exemplars");
-        let other = run_variant(seed, TickMode::Fast);
+        let other = run_variant(seed);
         assert_eq!(
             golden.trees, other.trees,
-            "seed {seed}: span stream diverged on Fast"
+            "seed {seed}: span stream diverged on a second run"
         );
         assert_eq!(
             golden.exemplars, other.exemplars,
-            "seed {seed}: exemplar reservoir diverged on Fast"
+            "seed {seed}: exemplar reservoir diverged on a second run"
         );
     }
 }

@@ -26,7 +26,7 @@ use noc_core::telemetry::{
     txn_snapshots_jsonl, wait_graphs_jsonl, HealthConfig, MetricsSnapshot, PostmortemBundle,
     RecorderConfig, RingBufferSink, SpanCollector, TxnSpanTree, WaitGraphConfig,
 };
-use noc_core::{GridParams, Network, NetworkConfig, NodeId, TickMode};
+use noc_core::{GridParams, Network, NetworkConfig, NodeId};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 use noc_txn::{TxnConfig, TxnFabric};
@@ -129,12 +129,7 @@ fn torus() -> (noc_core::Topology, Vec<NodeId>) {
 
 fn run(case: &Case) -> Digest {
     let (topo, devs) = torus();
-    let mut net = Network::with_sink(
-        topo,
-        NetworkConfig::default(),
-        TickMode::Fast,
-        RingBufferSink::new(1_000),
-    );
+    let mut net = Network::with_sink(topo, NetworkConfig::default(), RingBufferSink::new(1_000));
     net.enable_flight_recorder(32, HealthConfig::default(), case.recorder.clone());
     let mut fab = TxnFabric::with_spans(
         net,

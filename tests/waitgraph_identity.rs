@@ -1,15 +1,15 @@
 //! Detector-stream lockstep: the stall-forensics surface — sampled
 //! wait graphs, SCC verdicts, gauge rows and wedge reports — must be
-//! byte-identical across `TickMode::{Reference,Fast}`.
+//! byte-identical across two fresh runs.
 //!
 //! Two workloads cover both detector regimes: a mixed transactional
 //! load that never wedges (verdict stream stays
 //! progressing/transient), and the known 4×4-torus stride-7 saturation
 //! pattern with legacy admission, which must latch the *same* wedge
-//! report on every engine.
+//! report on every run.
 
 use noc_core::telemetry::{wait_graphs_jsonl, WaitGraphConfig, WaitVerdict};
-use noc_core::{GridParams, Network, NetworkConfig, NodeId, TickMode};
+use noc_core::{GridParams, Network, NetworkConfig, NodeId};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 use noc_txn::{TxnConfig, TxnFabric, TxnOp};
@@ -77,9 +77,9 @@ fn stream_of<S: noc_core::telemetry::TraceSink>(fab: &TxnFabric<S>) -> DetectorS
 
 /// Drive a mixed seeded workload to quiescence and return the detector
 /// stream.
-fn run_mixed(seed: u64, mode: TickMode) -> DetectorStream {
+fn run_mixed(seed: u64) -> DetectorStream {
     let (topo, devs) = torus(seed);
-    let mut net = Network::with_mode(topo, NetworkConfig::default(), mode);
+    let mut net = Network::new(topo, NetworkConfig::default());
     net.enable_metrics(16);
     let mut fab = TxnFabric::new(net, txn_cfg());
     fab.enable_forensics(forensics());
@@ -122,7 +122,7 @@ fn run_mixed(seed: u64, mode: TickMode) -> DetectorStream {
 /// Drive the known stride-7 saturation wedge (legacy admission, no
 /// reassembly credits) until the detector latches, then a few more
 /// cycles, and return the detector stream.
-fn run_wedge(mode: TickMode) -> DetectorStream {
+fn run_wedge() -> DetectorStream {
     let (topo, names) = GridParams::torus(4, 4)
         .with_stations(16)
         .with_devices(2)
@@ -134,7 +134,7 @@ fn run_wedge(mode: TickMode) -> DetectorStream {
     let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
     named.sort();
     let devs: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
-    let mut net = Network::with_mode(topo, NetworkConfig::default(), mode);
+    let mut net = Network::new(topo, NetworkConfig::default());
     net.enable_metrics(32);
     let mut fab = TxnFabric::new(
         net,
@@ -168,10 +168,7 @@ fn run_wedge(mode: TickMode) -> DetectorStream {
         }
         fab.tick();
     }
-    assert!(
-        fab.wedge_latched(),
-        "stride-7 saturation must latch on {mode:?}"
-    );
+    assert!(fab.wedge_latched(), "stride-7 saturation must latch");
     // A few more cycles past the latch: the post-latch stream must
     // stay identical too (the report is frozen, samples keep flowing).
     for _ in 0..4 {
@@ -183,7 +180,7 @@ fn run_wedge(mode: TickMode) -> DetectorStream {
 #[test]
 fn detector_streams_match_their_k_golden_on_ten_seeds() {
     for seed in 0..SEEDS {
-        let golden = run_mixed(seed, TickMode::Reference);
+        let golden = run_mixed(seed);
         assert!(
             !golden.graphs.is_empty(),
             "seed {seed}: no wait-graph samples recorded"
@@ -192,27 +189,23 @@ fn detector_streams_match_their_k_golden_on_ten_seeds() {
             golden.report, "null",
             "seed {seed}: mixed workload latched a wedge"
         );
-        let other = run_mixed(seed, TickMode::Fast);
+        let other = run_mixed(seed);
         assert_eq!(
             golden, other,
-            "seed {seed}: detector stream diverged on Fast"
+            "seed {seed}: detector stream diverged on a second run"
         );
     }
 }
 
 #[test]
 fn wedge_reports_are_byte_identical_across_engines() {
-    let golden = run_wedge(TickMode::Reference);
+    let golden = run_wedge();
     assert_ne!(golden.report, "null", "no report latched");
     assert!(
         golden.report.contains("\"chain\""),
         "report names no cyclic chain"
     );
-    assert_eq!(
-        golden,
-        run_wedge(TickMode::Fast),
-        "wedge report diverged on Fast"
-    );
+    assert_eq!(golden, run_wedge(), "wedge report diverged on a second run");
 }
 
 #[test]
@@ -221,7 +214,7 @@ fn verdict_stream_distinguishes_load_from_wedge() {
     // into a terminal wedged streak; the latched report must name ring
     // and escape resources in its chain and pin windows or reassembly
     // buffers behind it.
-    let s = run_wedge(TickMode::Fast);
+    let s = run_wedge();
     let stats: Vec<noc_core::telemetry::WaitStats> =
         serde_json::from_str(&s.stats).expect("stats parse");
     assert!(
