@@ -10,10 +10,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod burst;
 pub mod soc;
 pub mod traffic;
 
-pub use burst::{DmaBurstConfig, DmaBurstEngine, DmaBurstReport};
 pub use soc::{build_topology, AiConfig, AiMap, AiProcessor};
 pub use traffic::{AiBandwidthReport, AiEngine, AiTraffic};

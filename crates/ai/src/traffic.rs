@@ -503,19 +503,6 @@ impl AiEngine {
         Ok(())
     }
 
-    /// Diagnostic snapshot of engine state (token table size, summed
-    /// outstanding counters, retry backlog) for calibration tooling.
-    pub fn debug_state(&self) -> String {
-        let outst: u32 = self.core_outstanding.iter().sum();
-        format!(
-            "tokens={} sum_outstanding={} retry={} in_flight={}",
-            self.tokens.len(),
-            outst,
-            self.retry.len(),
-            self.proc.net.in_flight()
-        )
-    }
-
     fn forward_from_llc(&mut self, i: usize, token: u64) -> Result<bool, EnqueueError> {
         let Kind::LlcReq { core } = self.tokens[&token] else {
             unreachable!("llc pending held a non-LlcReq token");

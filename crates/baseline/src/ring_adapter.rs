@@ -6,13 +6,17 @@
 use crate::traits::{Delivered, Interconnect};
 use noc_core::{FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
 
+/// Per-endpoint delivery queue depth: consumer backpressure, to which
+/// the bufferless network responds with E-tag deflection instead of
+/// blocking.
+const DELIVERY_CAP: usize = 8;
+
 /// Wraps a [`Network`] plus an endpoint-index → [`NodeId`] mapping.
 #[derive(Debug)]
 pub struct RingAdapter {
     name: String,
     net: Network,
     endpoints: Vec<NodeId>,
-    delivery_cap: usize,
     delivered: Vec<std::collections::VecDeque<Delivered>>,
     latency_sum: u64,
     delivered_count: u64,
@@ -31,7 +35,6 @@ impl RingAdapter {
         assert!(!endpoints.is_empty());
         RingAdapter {
             name: name.into(),
-            delivery_cap: 8,
             delivered: vec![std::collections::VecDeque::new(); endpoints.len()],
             net,
             endpoints,
@@ -60,23 +63,9 @@ impl RingAdapter {
         RingAdapter::new(format!("single-ring-{n}"), net, endpoints)
     }
 
-    /// Set the per-endpoint delivery queue depth (consumer
-    /// backpressure; the bufferless network responds with E-tag
-    /// deflection instead of blocking).
-    pub fn with_delivery_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0);
-        self.delivery_cap = cap;
-        self
-    }
-
     /// The wrapped network (stats access).
     pub fn network(&self) -> &Network {
         &self.net
-    }
-
-    /// Node id of an endpoint index.
-    pub fn node_of(&self, endpoint: usize) -> NodeId {
-        self.endpoints[endpoint]
     }
 }
 
@@ -105,7 +94,7 @@ impl Interconnect for RingAdapter {
         let now = self.net.now().raw();
         // Index endpoints by NodeId for src/dst reverse mapping.
         for (i, &node) in self.endpoints.iter().enumerate() {
-            while self.delivered[i].len() < self.delivery_cap {
+            while self.delivered[i].len() < DELIVERY_CAP {
                 let Some(f) = self.net.pop_delivered(node) else {
                     break;
                 };

@@ -9,7 +9,7 @@
 //! latency-vs-load curve, then multiply by core count.
 
 use crate::report::{fnum, ExperimentResult, Scale};
-use crate::systems::{self, Partition};
+use crate::systems;
 use noc_baseline::{Interconnect, MemHarness, MemHarnessConfig};
 use noc_server_cpu::experiments::{latency_vs_noise, LatencyPoint};
 use noc_workloads::{geomean_ratio, specint2006, specint2017, SpecProfile};
@@ -325,15 +325,6 @@ pub fn ssj_profile() -> SpecProfile {
         base_cpi: 0.7,
         mlp: 1.8,
     }
-}
-
-/// Expose partitions for reuse (kept for API symmetry).
-pub fn partitions() -> (Partition, Partition, Partition) {
-    (
-        systems::ours(12).1,
-        systems::intel_like().1,
-        systems::amd_like().1,
-    )
 }
 
 #[cfg(test)]

@@ -88,11 +88,6 @@ impl SetAssocCache {
         ((addr.0.wrapping_mul(0x2545_F491_4F6C_DD1D)) >> 24) as usize % self.sets
     }
 
-    /// Total line capacity.
-    pub fn capacity_lines(&self) -> usize {
-        self.sets * self.ways
-    }
-
     /// Whether `addr` is resident (does not update LRU or counters).
     pub fn contains(&self, addr: LineAddr) -> bool {
         self.entries[self.set_of(addr)]
@@ -154,17 +149,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Mark a resident line dirty; returns false if absent.
-    pub fn mark_dirty(&mut self, addr: LineAddr) -> bool {
-        let set = self.set_of(addr);
-        if let Some(e) = self.entries[set].iter_mut().find(|e| e.addr == addr) {
-            e.dirty = true;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Remove a line; returns whether it was present and dirty.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<bool> {
         let set = self.set_of(addr);
@@ -181,16 +165,6 @@ impl SetAssocCache {
     /// Lookup misses so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Hit rate in `[0, 1]` (0 when never accessed).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 
     /// Currently resident line count.
@@ -216,7 +190,6 @@ mod tests {
         assert!(c.access(LineAddr(5)));
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -253,14 +226,13 @@ mod tests {
     fn invalidate_absent_is_none() {
         let mut c = SetAssocCache::new(4, 2);
         assert_eq!(c.invalidate(LineAddr(1)), None);
-        assert!(!c.mark_dirty(LineAddr(1)));
     }
 
     #[test]
     fn with_capacity_geometry() {
         // 1 MiB, 64 B lines, 16 ways → 1024 sets.
         let c = SetAssocCache::with_capacity(1 << 20, 64, 16);
-        assert_eq!(c.capacity_lines(), 16384);
+        assert_eq!((c.sets, c.ways), (1024, 16));
     }
 
     #[test]

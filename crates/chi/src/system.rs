@@ -357,11 +357,6 @@ impl<T: ChiTransport> CoherentSystem<T> {
         &self.net
     }
 
-    /// Mutable access to the transport (for probes and stats).
-    pub fn network_mut(&mut self) -> &mut T {
-        &mut self.net
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> Cycle {
         self.net.now()

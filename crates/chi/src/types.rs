@@ -11,9 +11,12 @@ use std::fmt;
 ///
 /// ```
 /// use noc_chi::LineAddr;
-/// let a = LineAddr::from_byte_addr(0x1_0040, 64);
+/// // Byte address 0x1_0040 with 64-byte lines is line 0x401.
+/// let a = LineAddr(0x1_0040 / 64);
 /// assert_eq!(a, LineAddr(0x401));
-/// assert_eq!(a.byte_addr(64), 0x1_0040);
+/// // Lines interleave deterministically over the home slices.
+/// assert!(a.interleave(8) < 8);
+/// assert_eq!(a.interleave(8), LineAddr(0x401).interleave(8));
 /// ```
 #[derive(
     Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
@@ -21,16 +24,6 @@ use std::fmt;
 pub struct LineAddr(pub u64);
 
 impl LineAddr {
-    /// Convert a byte address into its line index.
-    pub fn from_byte_addr(addr: u64, line_bytes: u64) -> Self {
-        LineAddr(addr / line_bytes)
-    }
-
-    /// The first byte address of this line.
-    pub fn byte_addr(self, line_bytes: u64) -> u64 {
-        self.0 * line_bytes
-    }
-
     /// Deterministic interleave: which of `n` slices services this line.
     ///
     /// # Panics
@@ -100,13 +93,6 @@ pub enum ReadKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn line_addr_roundtrip() {
-        let a = LineAddr::from_byte_addr(4096, 64);
-        assert_eq!(a.0, 64);
-        assert_eq!(a.byte_addr(64), 4096);
-    }
 
     #[test]
     fn interleave_spreads_strided_streams() {

@@ -4,12 +4,14 @@
 //! At an observatory sample boundary the transaction layer needs to
 //! know, for every ring and bridge escape resource: how full it is,
 //! whether it is still moving, and which packets hold or want it. The
-//! engine owns that state; this module is the typed snapshot it hands
-//! upward. The census carries *mechanical facts only* — occupancy,
-//! capacity, monotone progress counters, per-packet placement — and
-//! the `noc-txn` fabric combines them with its own window/reassembly
-//! state into the wait-for graph of
-//! `noc_telemetry::waitgraph`.
+//! engine owns that state. Occupancy, capacity and monotone progress
+//! reach the detector as one [`WaitNode`] per resource, read by
+//! [`Network::push_wait_nodes`](crate::Network::push_wait_nodes); the
+//! census here is the typed snapshot of what the *edges* need — each
+//! ring's transit demand toward each bridge side, each escape's
+//! occupancy and target ring, and per-packet placement. The `noc-txn`
+//! fabric combines both with its own window/reassembly state into the
+//! wait-for graph of `noc_telemetry::waitgraph`.
 //!
 //! # Determinism
 //!
@@ -53,8 +55,6 @@ pub struct TransitCensus {
     pub bridge: u16,
     /// Which side of it they approach.
     pub side: u8,
-    /// How many resident flits route through it.
-    pub count: u64,
     /// Smallest packet id among them (deterministic representative).
     pub min_packet: u64,
 }
@@ -64,15 +64,6 @@ pub struct TransitCensus {
 pub struct RingCensus {
     /// Ring id.
     pub ring: u16,
-    /// Flits resident on the ring's lanes.
-    pub occupancy: u64,
-    /// Total lane slots.
-    pub capacity: u64,
-    /// Monotone progress: injections + deliveries + bridge crossings
-    /// on this ring since construction. A non-empty ring whose counter
-    /// stops advancing is frozen; a full ring under live load keeps
-    /// advancing even though its occupancy never changes.
-    pub progress: u64,
     /// Per-bridge-side transit demand, ascending (bridge, side).
     pub transit: Vec<TransitCensus>,
 }
@@ -84,31 +75,19 @@ pub struct EscapeCensus {
     pub bridge: u16,
     /// Side (0 or 1) — the side flits *enter* from.
     pub side: u8,
-    /// Ring this side sits on.
-    pub ring: u16,
     /// Ring the crossing lands on (the peer side's ring) — the
     /// resource this escape waits for.
     pub to_ring: u16,
     /// Flits resident in the resource: staged `tx` + escape `reserved`
     /// on this side, plus the peer's inbound mailbox.
     pub occupancy: u64,
-    /// Pipe capacity + escape-buffer capacity.
-    pub capacity: u64,
-    /// Monotone progress: flits ever pushed into the pipe on this side
-    /// plus flits ever drained out at the peer. Either end moving
-    /// counts.
-    pub progress: u64,
     /// Smallest packet id resident in the resource, if any.
     pub min_packet: Option<u64>,
-    /// Whether this side is currently in deadlock-resolution mode.
-    pub drm: bool,
 }
 
 /// The full engine-side evidence snapshot. See the module docs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WaitCensus {
-    /// Cycle the census was taken at.
-    pub cycle: u64,
     /// Every ring, ascending id.
     pub rings: Vec<RingCensus>,
     /// Every bridge side, ascending (bridge, side).
@@ -130,18 +109,6 @@ impl WaitCensus {
             .iter()
             .take_while(move |&&(p, _)| p == packet)
             .map(|&(_, place)| place)
-    }
-
-    /// The ring census for `ring`, if present.
-    pub fn ring(&self, ring: u16) -> Option<&RingCensus> {
-        self.rings.iter().find(|r| r.ring == ring)
-    }
-
-    /// The escape census for `(bridge, side)`, if present.
-    pub fn escape(&self, bridge: u16, side: u8) -> Option<&EscapeCensus> {
-        self.escapes
-            .iter()
-            .find(|e| e.bridge == bridge && e.side == side)
     }
 
     /// Canonicalize `packet_where`: sort and deduplicate. Called once
@@ -177,11 +144,10 @@ pub(crate) fn escape_node(p: &BridgeSide, peer: &BridgeSide) -> WaitNode {
     }
 }
 
-/// The census row of bridge side `p`: [`escape_node`]'s readings plus
-/// the rings on either end, the DRM state and the smallest resident
-/// packet id (the one reading that walks individual flits).
+/// The census row of bridge side `p`: [`escape_node`]'s occupancy plus
+/// the ring the crossing lands on and the smallest resident packet id
+/// (the one reading that walks individual flits).
 pub(crate) fn escape_row(p: &BridgeSide, peer: &BridgeSide) -> EscapeCensus {
-    let node = escape_node(p, peer);
     let min_packet =
         p.tx.iter()
             .map(|(_, f)| f)
@@ -192,12 +158,8 @@ pub(crate) fn escape_row(p: &BridgeSide, peer: &BridgeSide) -> EscapeCensus {
     EscapeCensus {
         bridge: p.bridge.index() as u16,
         side: p.side,
-        ring: peer.peer.ring,
         to_ring: p.peer.ring,
-        occupancy: node.occupancy,
-        capacity: node.capacity,
-        progress: node.progress,
+        occupancy: escape_node(p, peer).occupancy,
         min_packet,
-        drm: p.drm,
     }
 }

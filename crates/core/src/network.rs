@@ -63,12 +63,12 @@ use crate::epoch;
 use crate::error::{EngineError, EnqueueError};
 use crate::exec::{ExecMode, TickMode};
 use crate::flit::{Flit, FlitClass};
-use crate::ids::{BridgeId, NodeId, RingId};
+use crate::ids::{NodeId, RingId};
 use crate::route::RouteTable;
 use crate::shard::{EngineShared, NodeState, RingShard};
 use crate::stats::{NetStats, TickProfile};
 use crate::topology::{NodeKind, Topology};
-use noc_sim::{BandwidthProbe, Component, Cycle};
+use noc_sim::{BandwidthProbe, Cycle};
 use noc_telemetry::{
     merge_ranked, BundleEnv, BundleMeta, FlightRecorder, FlitEvent, FlowRecord, HealthConfig,
     HealthMonitor, MetricsRegistry, NullSink, PostmortemBundle, RecorderConfig, RecorderView,
@@ -399,15 +399,14 @@ impl<S: TraceSink> Network<S> {
         out
     }
 
-    /// Snapshot the engine-side stall-forensics evidence: every ring's
-    /// slot pool and every bridge escape resource with occupancy,
-    /// capacity and monotone progress counters, per-ring transit demand
-    /// toward each bridge side, and the placement of every in-network
-    /// packet (see [`crate::census`]). Runs between ticks, iterating in
-    /// ascending ring/side order, so the census is deterministic.
+    /// Snapshot the engine-side evidence the stall-forensics edges
+    /// need: per-ring transit demand toward each bridge side, every
+    /// bridge escape resource's occupancy and target ring, and the
+    /// placement of every in-network packet (see [`crate::census`]).
+    /// Runs between ticks, iterating in ascending ring/side order, so
+    /// the census is deterministic.
     pub fn wait_census(&self) -> WaitCensus {
         let mut out = WaitCensus {
-            cycle: self.now.raw(),
             rings: Vec::with_capacity(self.shards.len()),
             escapes: Vec::with_capacity(2 * self.shared.side_loc.len()),
             packet_where: Vec::new(),
@@ -425,11 +424,11 @@ impl<S: TraceSink> Network<S> {
 
     /// The stall-forensics fast path: append one [`WaitNode`] per ring,
     /// then one per bridge escape resource, in ascending [`ResourceId`]
-    /// order — the occupancy, capacity and progress
-    /// [`Network::wait_census`] reports for the same resources, without
-    /// its per-flit walks and without building a census. Cheap enough
-    /// to run at every observatory boundary; the full census is only
-    /// taken when a freeze streak warrants edge construction.
+    /// order, with its occupancy, capacity and monotone progress — the
+    /// only place those are read. No per-flit walks: cheap enough to
+    /// run at every observatory boundary; the full
+    /// [`Network::wait_census`] is only taken when a freeze streak
+    /// warrants edge construction.
     ///
     /// [`ResourceId`]: noc_telemetry::ResourceId
     pub fn push_wait_nodes(&self, nodes: &mut Vec<WaitNode>) {
@@ -557,11 +556,6 @@ impl<S: TraceSink> Network<S> {
     /// The attached trace sink.
     pub fn sink(&self) -> &S {
         &self.sink
-    }
-
-    /// Mutable access to the attached trace sink.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
     }
 
     /// Consume the network, returning the sink (flushed).
@@ -737,16 +731,6 @@ impl<S: TraceSink> Network<S> {
         self.node(node).map_or(0, |n| n.inject.len())
     }
 
-    /// Deflections charged to flits targeting `node` (diagnostics).
-    pub fn deflections_at(&self, node: NodeId) -> u64 {
-        self.node(node).map_or(0, |n| n.deflected_here)
-    }
-
-    /// I-tags node `node` has placed on passing slots (diagnostics).
-    pub fn itags_placed_by(&self, node: NodeId) -> u64 {
-        self.node(node).map_or(0, |n| n.itags_here)
-    }
-
     /// Per-(ring, station) deflection counts from the engine's built-in
     /// diagnostics — available on any network, [`NullSink`] included —
     /// shaped for [`crate::render::ascii_heatmap`].
@@ -787,18 +771,6 @@ impl<S: TraceSink> Network<S> {
     /// Flits currently riding ring `ring`.
     pub fn ring_occupancy(&self, ring: RingId) -> usize {
         self.shards[ring.index()].ring.occupancy()
-    }
-
-    /// Slots of `ring` currently reserved by circulating I-tags.
-    pub fn ring_itag_count(&self, ring: RingId) -> usize {
-        self.shards[ring.index()].ring.itag_count()
-    }
-
-    /// Whether either side of `bridge` is in deadlock resolution mode.
-    pub fn bridge_in_drm(&self, bridge: BridgeId) -> bool {
-        self.shared.side_loc[bridge.index()]
-            .iter()
-            .any(|l| self.shards[l.ring as usize].sides[l.idx as usize].drm)
     }
 
     /// Per-device bandwidth probes (present when
@@ -929,16 +901,6 @@ impl<S: TraceSink> Network<S> {
                 });
             }
         }
-    }
-}
-
-impl<S: TraceSink> Component for Network<S> {
-    fn tick(&mut self, _now: Cycle) {
-        Network::tick(self);
-    }
-
-    fn busy(&self) -> bool {
-        self.in_flight() > 0
     }
 }
 

@@ -55,11 +55,6 @@ impl<T> Fifo<T> {
         self.items.front()
     }
 
-    /// Mutable peek at the oldest item.
-    pub fn peek_mut(&mut self) -> Option<&mut T> {
-        self.items.front_mut()
-    }
-
     /// Current length.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -88,11 +83,6 @@ impl<T> Fifo<T> {
     /// Iterate oldest-to-newest.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
-    }
-
-    /// Drain every item, oldest first.
-    pub fn drain_all(&mut self) -> impl Iterator<Item = T> + '_ {
-        self.items.drain(..)
     }
 }
 
@@ -126,16 +116,6 @@ mod tests {
         assert_eq!(q.capacity(), 4);
         assert_eq!(q.free(), 3);
         assert_eq!(q.peek(), Some(&0));
-    }
-
-    #[test]
-    fn drain_all_empties() {
-        let mut q = Fifo::new(4);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        let v: Vec<_> = q.drain_all().collect();
-        assert_eq!(v, vec![1, 2]);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -1490,10 +1490,9 @@ impl RingShard {
     }
 
     /// Contribute this ring's rows to a wait census (see
-    /// [`crate::census`]): the ring's slot-pool readings
-    /// ([`RingShard::ring_node`]), per-bridge-side transit demand (who
-    /// on this ring wants to cross where) and the placement of every
-    /// resident flit's packet. Runs between ticks on owner-held state;
+    /// [`crate::census`]): per-bridge-side transit demand (who on this
+    /// ring wants to cross where) and the placement of every resident
+    /// flit's packet. Runs between ticks on owner-held state;
     /// iteration is in lane/station/side order, so the contribution is
     /// deterministic. The escape rows are the
     /// engine's to build: each pairs two sides that live in different
@@ -1507,14 +1506,10 @@ impl RingShard {
             .iter_mut()
             .find(|t| t.bridge == bridge && t.side == side)
         {
-            Some(t) => {
-                t.count += 1;
-                t.min_packet = t.min_packet.min(packet);
-            }
+            Some(t) => t.min_packet = t.min_packet.min(packet),
             None => transit.push(TransitCensus {
                 bridge,
                 side,
-                count: 1,
                 min_packet: packet,
             }),
         };
@@ -1562,12 +1557,8 @@ impl RingShard {
             }
         }
         transit.sort_unstable_by_key(|t| (t.bridge, t.side));
-        let node = self.ring_node();
         census.rings.push(RingCensus {
             ring: ring_id,
-            occupancy: node.occupancy,
-            capacity: node.capacity,
-            progress: node.progress,
             transit,
         });
     }

@@ -1,6 +1,6 @@
 //! Network-wide statistics.
 
-use crate::flit::{Flit, FlitClass};
+use crate::flit::Flit;
 use noc_sim::{Counter, Cycle, Histogram};
 
 /// Aggregated statistics of one [`Network`](crate::Network) run.
@@ -111,11 +111,6 @@ impl NetStats {
         } else {
             sum as f64 / count as f64
         }
-    }
-
-    /// Mean end-to-end latency for one class (cycles).
-    pub fn mean_total_latency_of(&self, class: FlitClass) -> f64 {
-        self.total_latency[class.index()].mean()
     }
 
     /// Delivered payload bandwidth in bytes/cycle over `elapsed` cycles.
@@ -257,6 +252,7 @@ impl Default for NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flit::FlitClass;
     use crate::ids::NodeId;
 
     #[test]
@@ -275,8 +271,6 @@ mod tests {
         assert_eq!(s.hops.max(), 5);
         assert_eq!(s.outstanding(), 0);
         assert_eq!(s.mean_total_latency(), 20.0);
-        assert_eq!(s.mean_total_latency_of(FlitClass::Data), 20.0);
-        assert_eq!(s.mean_total_latency_of(FlitClass::Request), 0.0);
     }
 
     #[test]

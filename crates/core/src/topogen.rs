@@ -342,12 +342,6 @@ impl GridParams {
         self
     }
 
-    /// Set the network configuration.
-    pub fn with_network(mut self, network: NetworkConfig) -> Self {
-        self.network = network;
-        self
-    }
-
     /// Canonical name of the chiplet at `(row, col)`.
     pub fn chiplet_name(row: u16, col: u16) -> String {
         format!("d{row}x{col}")
@@ -571,12 +565,6 @@ impl HierRingParams {
     /// Set the placement seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Set the network configuration.
-    pub fn with_network(mut self, network: NetworkConfig) -> Self {
-        self.network = network;
         self
     }
 

@@ -118,14 +118,6 @@ impl Topology {
             .filter(|n| n.ring == ring && matches!(n.kind, NodeKind::BridgeEndpoint { .. }))
             .count()
     }
-
-    /// Look up a device node by name.
-    pub fn device_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .find(|n| n.name == name && matches!(n.kind, NodeKind::Device))
-            .map(|n| n.id)
-    }
 }
 
 /// Incrementally builds a [`Topology`].
@@ -385,8 +377,6 @@ mod tests {
         assert_eq!(topo.bridges().len(), 1);
         assert_eq!(topo.devices().count(), 2);
         assert_eq!(topo.nodes().len(), 4); // 2 devices + 2 endpoints
-        assert_eq!(topo.device_by_name("a"), Some(NodeId(0)));
-        assert_eq!(topo.device_by_name("missing"), None);
     }
 
     #[test]

@@ -127,11 +127,6 @@ impl FloorplanEstimate {
         self.wire_area_mm2 + self.station_area_mm2 - self.reclaimed_area_mm2
     }
 
-    /// Fraction of the die lost to the NoC.
-    pub fn blocked_fraction(&self) -> f64 {
-        self.net_blocked_mm2() / self.die_area_mm2
-    }
-
     /// Area-efficiency KPI (§2.2): GB/s of ring bandwidth per mm² of
     /// blocked silicon. Higher is better.
     pub fn bandwidth_per_mm2(&self) -> f64 {
@@ -200,7 +195,7 @@ mod tests {
     #[test]
     fn blocked_fraction_reasonable() {
         let hs = spec().estimate(&WireFabric::high_speed());
-        let f = hs.blocked_fraction();
+        let f = hs.net_blocked_mm2() / hs.die_area_mm2;
         assert!(f > 0.0 && f < 0.2, "fraction {f}");
     }
 

@@ -77,37 +77,7 @@ impl WireFabric {
         }
     }
 
-    /// A fully custom fabric for what-if studies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is non-positive (stride may be zero).
-    #[allow(clippy::too_many_arguments)]
-    pub fn custom(
-        name: impl Into<String>,
-        metal: impl Into<String>,
-        rel_width: f64,
-        rel_pitch: f64,
-        rel_bus_width: f64,
-        jump_um_at_3ghz: f64,
-        stride_um: f64,
-        over: OverlapUse,
-    ) -> Self {
-        assert!(rel_width > 0.0 && rel_pitch > 0.0 && rel_bus_width > 0.0);
-        assert!(jump_um_at_3ghz > 0.0 && stride_um >= 0.0);
-        WireFabric {
-            name: name.into(),
-            metal: metal.into(),
-            rel_width,
-            rel_pitch,
-            rel_bus_width,
-            jump_um_at_3ghz,
-            stride_um,
-            over,
-        }
-    }
-
-    /// Fabric name ("high-dense", "high-speed", or a custom label).
+    /// Fabric name ("high-dense" or "high-speed").
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -289,19 +259,5 @@ mod tests {
     fn link_budget_minimum_one_cycle() {
         let b = LinkBudget::for_length(&WireFabric::high_speed(), 10.0, 3.0);
         assert_eq!(b.cycles, 1);
-    }
-
-    #[test]
-    fn custom_fabric_roundtrip() {
-        let f = WireFabric::custom("x", "Mz", 2.0, 2.0, 2.0, 1000.0, 50.0, OverlapUse::Sram);
-        assert_eq!(f.name(), "x");
-        assert_eq!(f.metal(), "Mz");
-        assert_eq!(f.jump_um(3.0), 1000.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn custom_rejects_zero_jump() {
-        let _ = WireFabric::custom("x", "M", 1.0, 1.0, 1.0, 0.0, 0.0, OverlapUse::Nothing);
     }
 }

@@ -171,16 +171,10 @@ where
         .collect()
 }
 
-/// The load level past which the curve is considered "turned": the
-/// first rate whose latency exceeds `threshold ×` the unloaded latency.
-pub fn turning_point(points: &[LatencyPoint], threshold: f64) -> Option<f64> {
-    let base = points.first()?.probe_latency;
-    turning_point_abs(points, base * threshold)
-}
-
-/// Turning point against an absolute latency threshold (for comparing
-/// systems with different unloaded latencies on the paper's shared
-/// y-axis): the first rate whose latency exceeds `latency_threshold`.
+/// The load level past which the curve is considered "turned", against
+/// an absolute latency threshold (for comparing systems with different
+/// unloaded latencies on the paper's shared y-axis): the first rate
+/// whose latency exceeds `latency_threshold`.
 pub fn turning_point_abs(points: &[LatencyPoint], latency_threshold: f64) -> Option<f64> {
     points
         .iter()
@@ -309,7 +303,7 @@ mod tests {
             max: probe_latency as u64,
         };
         let pts = vec![pt(0.0, 100.0), pt(0.5, 110.0), pt(0.8, 260.0)];
-        assert_eq!(turning_point(&pts, 2.0), Some(0.8));
-        assert_eq!(turning_point(&pts, 5.0), None);
+        assert_eq!(turning_point_abs(&pts, 200.0), Some(0.8));
+        assert_eq!(turning_point_abs(&pts, 500.0), None);
     }
 }

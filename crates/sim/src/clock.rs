@@ -1,4 +1,4 @@
-//! Simulation time: [`Cycle`] newtype and the [`Clock`] that advances it.
+//! Simulation time: the [`Cycle`] newtype.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -75,83 +75,6 @@ impl fmt::Display for Cycle {
     }
 }
 
-/// A free-running clock with a physical frequency, used to convert cycle
-/// counts into seconds and bandwidths.
-///
-/// # Example
-///
-/// ```
-/// use noc_sim::Clock;
-/// let mut clk = Clock::new(3.0e9); // the paper's 3 GHz target
-/// clk.advance();
-/// assert_eq!(clk.now().raw(), 1);
-/// assert!((clk.seconds_of(3_000_000_000) - 1.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Clock {
-    now: Cycle,
-    freq_hz: f64,
-}
-
-impl Clock {
-    /// Create a clock running at `freq_hz` hertz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_hz` is not finite and positive.
-    pub fn new(freq_hz: f64) -> Self {
-        assert!(
-            freq_hz.is_finite() && freq_hz > 0.0,
-            "clock frequency must be positive"
-        );
-        Clock {
-            now: Cycle::ZERO,
-            freq_hz,
-        }
-    }
-
-    /// Current simulation time.
-    #[inline]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// The clock frequency in hertz.
-    #[inline]
-    pub fn frequency_hz(&self) -> f64 {
-        self.freq_hz
-    }
-
-    /// Advance one cycle and return the new time.
-    #[inline]
-    pub fn advance(&mut self) -> Cycle {
-        self.now += 1;
-        self.now
-    }
-
-    /// Convert a cycle count into wall seconds at this clock's frequency.
-    #[inline]
-    pub fn seconds_of(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.freq_hz
-    }
-
-    /// Bytes moved over `cycles` expressed in GB/s at this frequency.
-    #[inline]
-    pub fn gbps(&self, bytes: u64, cycles: u64) -> f64 {
-        if cycles == 0 {
-            return 0.0;
-        }
-        bytes as f64 / self.seconds_of(cycles) / 1e9
-    }
-}
-
-impl Default for Clock {
-    /// A 3 GHz clock, the paper's physical-implementation target frequency.
-    fn default() -> Self {
-        Clock::new(3.0e9)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,29 +100,5 @@ mod tests {
     fn cycle_ordering() {
         assert!(Cycle(1) < Cycle(2));
         assert_eq!(Cycle::default(), Cycle::ZERO);
-    }
-
-    #[test]
-    fn clock_advances_and_converts() {
-        let mut clk = Clock::new(1.0e9);
-        for _ in 0..10 {
-            clk.advance();
-        }
-        assert_eq!(clk.now(), Cycle(10));
-        assert!((clk.seconds_of(10) - 10e-9).abs() < 1e-18);
-        // 64 bytes per cycle at 1 GHz = 64 GB/s.
-        assert!((clk.gbps(640, 10) - 64.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clock_gbps_zero_cycles_is_zero() {
-        let clk = Clock::default();
-        assert_eq!(clk.gbps(1000, 0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn clock_rejects_zero_frequency() {
-        let _ = Clock::new(0.0);
     }
 }

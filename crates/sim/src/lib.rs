@@ -1,6 +1,10 @@
 //! # noc-sim — cycle-driven simulation kernel
 //!
-//! The substrate every other crate in this workspace builds on. It provides:
+//! The substrate every other crate in this workspace builds on. The whole
+//! workspace is cycle-driven rather than event-driven: a NoC is a dense
+//! synchronous system where nearly every element does work every cycle, so
+//! each model exposes its own `tick()` and its callers loop over it. This
+//! crate provides:
 //!
 //! * [`Cycle`] — a newtype for simulation time measured in clock cycles.
 //! * [`SimRng`] — a small, fully deterministic pseudo-random number
@@ -8,12 +12,10 @@
 //!   identical simulations on every platform; no wall-clock anywhere.
 //! * Statistics: [`Counter`], [`Histogram`] (latency distributions),
 //!   [`BandwidthProbe`] (windowed byte throughput, the mechanism behind the
-//!   paper's Figure 14 equilibrium probes), and [`TimeSeries`].
+//!   paper's Figure 14 equilibrium probes).
 //! * [`IdMap`] / [`IdSet`] — hash tables over the deterministic
 //!   [`IdHasher`], for side tables keyed by ids the simulator allocates;
 //!   [`SlotIndex`] — dense `id → slot` numbering of a fixed agent set.
-//! * [`Engine`] — a minimal run loop for anything implementing
-//!   [`Component`].
 //!
 //! # Example
 //!
@@ -32,15 +34,13 @@
 #![forbid(unsafe_code)]
 
 pub mod clock;
-pub mod engine;
 pub mod fuzz;
 pub mod idmap;
 pub mod rng;
 pub mod stats;
 
-pub use clock::{Clock, Cycle};
-pub use engine::{Component, Engine, RunOutcome};
+pub use clock::Cycle;
 pub use fuzz::{SeedMatrix, TrafficPattern};
 pub use idmap::{IdHasher, IdMap, IdSet, SlotIndex};
 pub use rng::SimRng;
-pub use stats::{BandwidthProbe, Counter, Histogram, TimeSeries};
+pub use stats::{BandwidthProbe, Counter, Histogram};

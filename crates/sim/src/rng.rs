@@ -111,14 +111,6 @@ impl SimRng {
         self.gen_f64() < p
     }
 
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.gen_index(i + 1);
-            items.swap(i, j);
-        }
-    }
-
     /// Pick a reference to a uniformly random element.
     ///
     /// Returns `None` on an empty slice.
@@ -200,16 +192,6 @@ mod tests {
         let hits = (0..100_000).filter(|_| r.gen_bool(0.25)).count();
         let rate = hits as f64 / 100_000.0;
         assert!((rate - 0.25).abs() < 0.01, "rate {rate}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seed_from(3);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Statistics: counters, latency histograms, bandwidth probes and
-//! generic time series.
+//! Statistics: counters, latency histograms and bandwidth probes.
 //!
 //! These are the measurement instruments behind every table and figure in
 //! the reproduction: [`Histogram`] backs the latency tables (paper
 //! Table 5, Figure 11), [`BandwidthProbe`] backs the bandwidth numbers
 //! (Figure 10, Table 7) and the equilibrium time series (Figure 14).
 
+use crate::clock::Cycle;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -353,81 +353,6 @@ impl BandwidthProbe {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// Mean bytes/cycle across completed windows (0.0 if none).
-    pub fn mean_bytes_per_cycle(&self) -> f64 {
-        let cycles: u64 = self.windows.iter().map(|w| w.len).sum();
-        if cycles == 0 {
-            0.0
-        } else {
-            let bytes: u64 = self.windows.iter().map(|w| w.bytes).sum();
-            bytes as f64 / cycles as f64
-        }
-    }
-}
-
-use crate::clock::Cycle;
-
-/// An append-only `(cycle, value)` series for arbitrary scalar signals.
-///
-/// # Example
-///
-/// ```
-/// use noc_sim::{TimeSeries, Cycle};
-/// let mut ts = TimeSeries::new("queue-depth");
-/// ts.push(Cycle(1), 3.0);
-/// ts.push(Cycle(2), 4.0);
-/// assert_eq!(ts.len(), 2);
-/// assert!((ts.mean() - 3.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TimeSeries {
-    name: String,
-    points: Vec<(u64, f64)>,
-}
-
-impl TimeSeries {
-    /// Create a named, empty series.
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// Append a point.
-    pub fn push(&mut self, at: Cycle, value: f64) {
-        self.points.push((at.raw(), value));
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no points have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The raw `(cycle, value)` points.
-    pub fn points(&self) -> &[(u64, f64)] {
-        &self.points
-    }
-
-    /// Mean of the recorded values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-        }
-    }
-
-    /// The series' name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
 }
 
 #[cfg(test)]
@@ -525,7 +450,6 @@ mod tests {
         assert_eq!(w[3].len, 5);
         assert_eq!(w[3].bytes, 10);
         assert_eq!(p.total_bytes(), 70);
-        assert!((p.mean_bytes_per_cycle() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -553,16 +477,5 @@ mod tests {
             bytes: 0,
         };
         assert_eq!(z.bytes_per_cycle(), 0.0);
-    }
-
-    #[test]
-    fn time_series_basics() {
-        let mut ts = TimeSeries::new("t");
-        assert!(ts.is_empty());
-        ts.push(Cycle(0), 1.0);
-        ts.push(Cycle(1), 3.0);
-        assert_eq!(ts.len(), 2);
-        assert!((ts.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(ts.points()[1], (1, 3.0));
     }
 }

@@ -28,7 +28,6 @@
 
 use crate::spans::{SpanRole, TxnSpanTree};
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 
 /// Phase names, in [`PhaseCycles::as_array`] order.
 pub const PHASE_NAMES: [&str; 5] = ["staging", "inject", "ring", "recirc", "bridge"];
@@ -226,41 +225,6 @@ impl LatencyBreakdown {
     }
 }
 
-/// Render labelled breakdown profiles as an aligned ASCII table: one
-/// row per profile, one column per phase (cycles and share), plus the
-/// transaction count and mean latency.
-pub fn breakdown_table(rows: &[(&str, &LatencyBreakdown)]) -> String {
-    let label_w = rows
-        .iter()
-        .map(|(l, _)| l.len())
-        .chain(std::iter::once("profile".len()))
-        .max()
-        .unwrap_or(7);
-    let mut out = String::new();
-    let w = &mut out;
-    write!(w, "{:label_w$}  {:>8}  {:>10}", "profile", "txns", "mean").expect("String write");
-    for name in PHASE_NAMES {
-        write!(w, "  {name:>16}").expect("String write");
-    }
-    w.push('\n');
-    for (label, b) in rows {
-        write!(
-            w,
-            "{:label_w$}  {:>8}  {:>10.1}",
-            label,
-            b.txns,
-            b.mean_latency()
-        )
-        .expect("String write");
-        for (idx, cycles) in b.phases.as_array().into_iter().enumerate() {
-            let cell = format!("{} ({:.1}%)", cycles, 100.0 * b.share(idx));
-            write!(w, "  {cell:>16}").expect("String write");
-        }
-        w.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,11 +359,6 @@ mod tests {
         assert!(b.reconciles());
         assert!((b.mean_latency() - 50.0).abs() < 1e-9);
         assert!((b.share(2) - 46.0 / 100.0).abs() < 1e-9, "ring share");
-
-        let table = breakdown_table(&[("all", &b), ("tail", &b)]);
-        assert!(table.contains("staging"), "{table}");
-        assert!(table.contains("46 (46.0%)"), "{table}");
-        assert_eq!(table.lines().count(), 3);
     }
 
     #[test]

@@ -10,10 +10,8 @@
 //!   current state of the network as `noc_*` metrics with ring/bridge
 //!   labels, ready for a scrape endpoint or `promtool` ingestion.
 
-use crate::flowstats::FlowRecord;
 use crate::metrics::MetricsSnapshot;
 use crate::txnstats::TxnSnapshot;
-use crate::waitgraph::{WaitStats, WaitVerdict, WAIT_CLASS_NAMES};
 use std::fmt::Write as _;
 
 /// `writeln!` into a `String`, made explicit about infallibility
@@ -22,76 +20,6 @@ macro_rules! line {
     ($out:expr, $($arg:tt)*) => {
         writeln!($out, $($arg)*).expect("writing to a String cannot fail")
     };
-}
-
-/// Escape a string for use inside a Prometheus label value, per the
-/// text exposition format (version 0.0.4): backslash, double quote and
-/// line feed must be written as `\\`, `\"` and `\n`. Everything the
-/// exporters interpolate into `{label="..."}` positions goes through
-/// this — ring and workload names come from user configs and may
-/// contain anything.
-pub fn escape_label_value(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a merged flow top-K as Prometheus text exposition, one series
-/// per (src, dst) pair per metric. `name_of` maps node ids to label
-/// values (device names, typically); the result is escaped with
-/// [`escape_label_value`], so hostile names cannot break the format.
-pub fn prometheus_flows(flows: &[FlowRecord], name_of: impl Fn(u32) -> String) -> String {
-    let mut out = String::new();
-    let w = &mut out;
-    type FlowMetric = (&'static str, &'static str, fn(&FlowRecord) -> u64);
-    let metrics: [FlowMetric; 5] = [
-        (
-            "flow_delivered_total",
-            "Flits delivered on the flow.",
-            |f| f.delivered,
-        ),
-        (
-            "flow_latency_cycles_total",
-            "Cumulative end-to-end latency of delivered flits.",
-            |f| f.latency_sum,
-        ),
-        (
-            "flow_deflections_total",
-            "Deflections suffered by the flow.",
-            |f| f.deflections,
-        ),
-        (
-            "flow_etag_laps_total",
-            "Extra laps flown after an E-tag reservation.",
-            |f| f.etag_laps,
-        ),
-        (
-            "flow_itag_wait_cycles_total",
-            "Cycles spent starving at inject-queue heads.",
-            |f| f.itag_waits,
-        ),
-    ];
-    for (name, help, get) in metrics {
-        line!(w, "# HELP noc_{name} {help}");
-        line!(w, "# TYPE noc_{name} counter");
-        for f in flows {
-            line!(
-                w,
-                "noc_{name}{{src=\"{}\",dst=\"{}\"}} {}",
-                escape_label_value(&name_of(f.src)),
-                escape_label_value(&name_of(f.dst)),
-                get(f)
-            );
-        }
-    }
-    out
 }
 
 /// Render a snapshot series as JSON Lines: one snapshot object per
@@ -295,82 +223,6 @@ pub fn prometheus_txn(snap: &TxnSnapshot) -> String {
     out
 }
 
-/// Render the latest wait-graph gauges as Prometheus text exposition
-/// (version 0.0.4) — the scrape surface of the stall-forensics
-/// detector. Blocked-holder counts export per resource class, the
-/// verdict as a one-hot state set, and the freeze age directly. On a
-/// fast-path sample (no ring/escape freeze, so no edge build) the
-/// blocked gauges and SCC count read 0 by construction.
-pub fn prometheus_wait(stats: &WaitStats) -> String {
-    let mut out = String::new();
-    let w = &mut out;
-
-    line!(
-        w,
-        "# HELP noc_wait_sample_cycle Cycle of the latest wait-graph sample."
-    );
-    line!(w, "# TYPE noc_wait_sample_cycle gauge");
-    line!(w, "noc_wait_sample_cycle {}", stats.cycle);
-
-    line!(
-        w,
-        "# HELP noc_wait_blocked Resources of the class currently waiting on another resource."
-    );
-    line!(w, "# TYPE noc_wait_blocked gauge");
-    for (i, class) in WAIT_CLASS_NAMES.iter().enumerate() {
-        line!(
-            w,
-            "noc_wait_blocked{{class=\"{class}\"}} {}",
-            stats.blocked[i]
-        );
-    }
-
-    line!(
-        w,
-        "# HELP noc_wait_oldest_frozen_cycles Cycles since the oldest frozen resource last progressed."
-    );
-    line!(w, "# TYPE noc_wait_oldest_frozen_cycles gauge");
-    line!(w, "noc_wait_oldest_frozen_cycles {}", stats.oldest_frozen);
-
-    line!(
-        w,
-        "# HELP noc_wait_cyclic_sccs Cyclic strongly connected components in the wait graph."
-    );
-    line!(w, "# TYPE noc_wait_cyclic_sccs gauge");
-    line!(w, "noc_wait_cyclic_sccs {}", stats.cyclic_sccs);
-
-    line!(
-        w,
-        "# HELP noc_wait_verdict One-hot detector verdict for the sample."
-    );
-    line!(w, "# TYPE noc_wait_verdict gauge");
-    for v in [
-        WaitVerdict::Progressing,
-        WaitVerdict::TransientCycle,
-        WaitVerdict::Wedged,
-    ] {
-        line!(
-            w,
-            "noc_wait_verdict{{verdict=\"{v}\"}} {}",
-            u8::from(stats.verdict == v)
-        );
-    }
-    out
-}
-
-/// Render a wait-gauge series as JSON Lines, one [`WaitStats`] row per
-/// line — the compact time-series twin of
-/// [`wait_graphs_jsonl`](crate::waitgraph::wait_graphs_jsonl) (which
-/// carries the full per-sample graphs).
-pub fn wait_stats_jsonl(stats: &[WaitStats]) -> String {
-    let mut out = String::new();
-    for s in stats {
-        out.push_str(&serde_json::to_string(s).expect("stats serialize"));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,92 +329,5 @@ mod tests {
             6,
             "{text}"
         );
-    }
-
-    #[test]
-    fn wait_exposition_has_class_gauges_and_one_hot_verdict() {
-        let stats = WaitStats {
-            cycle: 96,
-            verdict: WaitVerdict::Wedged,
-            blocked: [2, 1, 3, 0],
-            oldest_frozen: 128,
-            cyclic_sccs: 1,
-        };
-        let text = prometheus_wait(&stats);
-        assert!(text.contains("noc_wait_sample_cycle 96"), "{text}");
-        assert!(
-            text.contains("noc_wait_blocked{class=\"ring\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("noc_wait_blocked{class=\"reassembly\"} 0"),
-            "{text}"
-        );
-        assert!(
-            text.contains("noc_wait_verdict{verdict=\"wedged\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("noc_wait_verdict{verdict=\"progressing\"} 0"),
-            "{text}"
-        );
-        assert!(text.contains("noc_wait_oldest_frozen_cycles 128"), "{text}");
-        assert!(text.contains("noc_wait_cyclic_sccs 1"), "{text}");
-        // Format discipline: every non-comment line is `name value`,
-        // every metric has HELP and TYPE headers.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            assert_eq!(line.split_whitespace().count(), 2, "{line}");
-        }
-        assert_eq!(
-            text.lines().filter(|l| l.starts_with("# TYPE")).count(),
-            5,
-            "{text}"
-        );
-
-        let jsonl = wait_stats_jsonl(&[stats, stats]);
-        assert_eq!(jsonl.lines().count(), 2);
-        for line in jsonl.lines() {
-            let v: Value = serde_json::from_str(line).expect("valid JSON");
-            assert!(v.get("blocked").is_some(), "{line}");
-            assert!(v.get("verdict").is_some(), "{line}");
-        }
-        assert!(wait_stats_jsonl(&[]).is_empty());
-    }
-
-    #[test]
-    fn label_values_are_escaped_per_exposition_format() {
-        assert_eq!(escape_label_value("plain"), "plain");
-        assert_eq!(escape_label_value("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
-
-        // A hostile workload/ring name survives the flow exporter
-        // without breaking the line structure.
-        let flows = vec![FlowRecord {
-            src: 0,
-            dst: 1,
-            delivered: 7,
-            latency_sum: 21,
-            ..FlowRecord::default()
-        }];
-        let hostile = |id: u32| {
-            if id == 0 {
-                "evil\"ring\\one\nx".to_string()
-            } else {
-                "dst".to_string()
-            }
-        };
-        let text = prometheus_flows(&flows, hostile);
-        assert!(
-            text.contains(
-                "noc_flow_delivered_total{src=\"evil\\\"ring\\\\one\\nx\",dst=\"dst\"} 7"
-            ),
-            "{text}"
-        );
-        // No raw newline or quote leaked into a label: every
-        // non-comment line still splits into exactly two fields, and
-        // the line count is 5 metrics × (2 headers + 1 series).
-        assert_eq!(text.lines().count(), 15, "{text}");
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            assert_eq!(line.split_whitespace().count(), 2, "{line}");
-        }
     }
 }

@@ -22,8 +22,6 @@
 //! * [`RingBufferSink`] — bounded in-memory buffer (oldest records
 //!   dropped) plus never-dropping [`EventCounts`]; the workhorse for
 //!   tests and short diagnostics runs.
-//! * [`JsonlSink`] — streams one JSON object per record to any
-//!   `io::Write`, for offline analysis of unbounded runs.
 //!
 //! # Derived views
 //!
@@ -100,14 +98,10 @@ pub mod waitgraph;
 
 pub use chrome::{chrome_trace, spans_chrome_trace};
 pub use critical::{
-    breakdown_table, critical_path, CriticalLink, CriticalPath, LatencyBreakdown, PhaseCycles,
-    PHASE_NAMES,
+    critical_path, CriticalLink, CriticalPath, LatencyBreakdown, PhaseCycles, PHASE_NAMES,
 };
 pub use event::{EventCounts, FlitEvent, TraceRecord, NO_FLIT, NO_LANE};
-pub use export::{
-    escape_label_value, prometheus_flows, prometheus_text, prometheus_txn, prometheus_wait,
-    snapshots_jsonl, wait_stats_jsonl,
-};
+pub use export::{prometheus_text, prometheus_txn, snapshots_jsonl};
 pub use flowstats::{flow_table_ascii, merge_ranked, FlowDelta, FlowRecord, FlowTable};
 pub use health::{HealthConfig, HealthMonitor, HealthRule, Severity, Verdict};
 pub use metrics::{
@@ -115,7 +109,7 @@ pub use metrics::{
 };
 pub use postmortem::{link_heat_ascii, BundleEnv, BundleMeta, PostmortemBundle};
 pub use recorder::{FlightRecorder, RecorderConfig, RecorderView};
-pub use sink::{JsonlSink, NullSink, RingBufferSink, TraceBuffer, TraceSink};
+pub use sink::{NullSink, RingBufferSink, TraceBuffer, TraceSink};
 pub use spans::{
     span_trees_jsonl, FlitSpan, NullSpanSink, PacketSpan, SpanCollector, SpanRole, SpanSink,
     TailExemplars, TxnSpanTree, SPAN_OP_NAMES,
@@ -124,5 +118,5 @@ pub use txnstats::{txn_snapshots_jsonl, TxnRegistry, TxnSnapshot};
 pub use views::{Heatmap, LatencyView, UtilizationTimeline};
 pub use waitgraph::{
     cyclic_sccs, wait_graphs_jsonl, ResourceId, WaitEdge, WaitGraphConfig, WaitGraphSample,
-    WaitGraphTracker, WaitNode, WaitStats, WaitVerdict, WedgeReport, WAIT_CLASS_NAMES,
+    WaitGraphTracker, WaitNode, WaitStats, WaitVerdict, WedgeReport,
 };

@@ -254,15 +254,6 @@ impl MetricsSnapshot {
     pub fn bridges(&self) -> impl Iterator<Item = &BridgeGauges> {
         self.rings.iter().flat_map(|r| r.bridges.iter())
     }
-
-    /// Delivered flits per cycle over the window.
-    pub fn delivery_rate(&self) -> f64 {
-        if self.window == 0 {
-            0.0
-        } else {
-            self.totals.delivered as f64 / self.window as f64
-        }
-    }
 }
 
 /// Collects the deterministic snapshot series of one network run.

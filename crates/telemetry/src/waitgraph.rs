@@ -104,10 +104,6 @@ impl ResourceId {
     }
 }
 
-/// Kebab-case names of the four resource classes, indexed by
-/// [`ResourceId::class`].
-pub const WAIT_CLASS_NAMES: [&str; 4] = ["ring", "escape", "window", "reassembly"];
-
 impl fmt::Display for ResourceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -198,7 +194,8 @@ pub struct WaitStats {
     /// Verdict.
     pub verdict: WaitVerdict,
     /// Resources with at least one out-edge (blocked holders), per
-    /// class, indexed like [`WAIT_CLASS_NAMES`].
+    /// class, indexed by [`ResourceId::class`] (ring, escape, window,
+    /// reassembly).
     pub blocked: [u64; 4],
     /// Cycles since the oldest currently-frozen resource last made
     /// progress.

@@ -204,6 +204,10 @@ impl<S: TraceSink> TxnFabric<S> {
     /// topology becomes a transaction endpoint. Span tracing is off
     /// (and compiled away); use [`TxnFabric::with_spans`] to record
     /// causal span trees.
+    ///
+    /// # Panics
+    ///
+    /// On the same invalid configurations as [`TxnFabric::with_spans`].
     pub fn new(net: Network<S>, cfg: TxnConfig) -> Self {
         Self::with_spans(net, cfg, NullSpanSink)
     }
@@ -212,11 +216,28 @@ impl<S: TraceSink> TxnFabric<S> {
 impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     /// Layer a transaction fabric over `net`, recording one
     /// [`TxnSpanTree`] per finished transaction into `spans`.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.flit_bytes`, `cfg.window`, `cfg.max_staged_flits` or
+    /// `cfg.broadcast_fanout` is 0, or `cfg.max_data_flits` is outside
+    /// `1..=256`. A zero window or staging cap would refuse every
+    /// submission forever, and a zero fan-out cannot build a broadcast
+    /// tree.
     pub fn with_spans(net: Network<S>, cfg: TxnConfig, spans: P) -> Self {
         assert!(cfg.flit_bytes > 0, "flit_bytes must be positive");
         assert!(
             cfg.max_data_flits >= 1 && cfg.max_data_flits <= 256,
             "max_data_flits must be in 1..=256 (token seq space)"
+        );
+        assert!(cfg.window >= 1, "window must be at least 1");
+        assert!(
+            cfg.max_staged_flits >= 1,
+            "max_staged_flits must be at least 1"
+        );
+        assert!(
+            cfg.broadcast_fanout >= 1,
+            "broadcast_fanout must be at least 1"
         );
         let mut endpoints: Vec<Endpoint> = net
             .topology()
@@ -278,11 +299,6 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     /// [`SpanCollector`](noc_core::telemetry::SpanCollector)'s trees).
     pub fn span_sink(&self) -> &P {
         &self.span_sink
-    }
-
-    /// Mutable span-sink access (e.g. to flush a streaming sink).
-    pub fn span_sink_mut(&mut self) -> &mut P {
-        &mut self.span_sink
     }
 
     /// The K slowest transactions' span trees, if the sink keeps them.
@@ -1010,9 +1026,8 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     /// Build the wait-graph's node set: one [`WaitNode`] per ring,
     /// escape buffer, window and reassembly buffer, carrying occupancy
     /// and monotone progress counters. This is the cheap per-boundary
-    /// pass — no per-flit packet walks, no census — and its values are
-    /// identical to what the full census would report, since both read
-    /// the same owner-held counters.
+    /// pass — no per-flit packet walks, no census; the census only
+    /// feeds `build_wait_edges`.
     fn build_wait_nodes(&self) -> Vec<WaitNode> {
         let topo = self.net.topology();
         let mut nodes: Vec<WaitNode> = Vec::with_capacity(

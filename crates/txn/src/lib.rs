@@ -551,4 +551,31 @@ mod tests {
         assert!(fab.run_until_quiet(100_000));
         assert_ne!(fab.fingerprint(), before);
     }
+
+    #[test]
+    #[should_panic(expected = "window must be at least 1")]
+    fn zero_window_is_rejected_at_construction() {
+        ring_fabric(TxnConfig {
+            window: 0,
+            ..TxnConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "max_staged_flits must be at least 1")]
+    fn zero_staging_cap_is_rejected_at_construction() {
+        ring_fabric(TxnConfig {
+            max_staged_flits: 0,
+            ..TxnConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "broadcast_fanout must be at least 1")]
+    fn zero_broadcast_fanout_is_rejected_at_construction() {
+        ring_fabric(TxnConfig {
+            broadcast_fanout: 0,
+            ..TxnConfig::default()
+        });
+    }
 }

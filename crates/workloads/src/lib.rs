@@ -4,8 +4,7 @@
 //!
 //! * [`TrafficGen`]/[`Pattern`] — synthetic endpoint traffic (uniform,
 //!   hotspot, permutation, neighbor) with read/write mixes;
-//! * [`Zipf`]/[`ZipfAddressStream`] — skewed server address streams
-//!   (§3.1.1);
+//! * [`Zipf`] — skewed server address sampling (§3.1.1);
 //! * [`lmbench_kernels`] — the Figure 10 bandwidth kernels;
 //! * [`SpecProfile`] + suites — analytic SPECint/SPECpower models
 //!   converting measured latency into scores (Figures 12/13, Table 6);
@@ -32,7 +31,7 @@ pub use nn::{
 pub use roofline::{figure3_app_points, AppPoint, Machine};
 pub use server_app::{ServerApp, ServerAppParams, ServerOp};
 pub use spec::{geomean_ratio, specint2006, specint2017, PowerModel, SpecProfile, SpecSuite};
-pub use synthetic::{Pattern, TrafficGen, ZipfAddressStream};
-pub use trace::{Trace, TraceEvent, TraceReplayer};
+pub use synthetic::{Pattern, TrafficGen};
+pub use trace::{Trace, TraceEvent};
 pub use txn::{TxnMix, TxnRequest, TxnWorkload};
 pub use zipf::Zipf;

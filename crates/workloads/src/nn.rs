@@ -79,11 +79,6 @@ impl NnModel {
             .map(|l| machine.time_s(l.gflops, l.total_gb()))
             .sum()
     }
-
-    /// Training throughput in steps/second.
-    pub fn steps_per_s(&self, machine: &Machine) -> f64 {
-        1.0 / self.step_time_s(machine)
-    }
 }
 
 fn layer(name: &str, gflops: f64, read_gb: f64, write_gb: f64) -> Layer {
@@ -290,7 +285,6 @@ mod tests {
         let fast = Machine::new("fast", 300.0, 3.0);
         for m in table3_models() {
             assert!(m.step_time_s(&fast) < m.step_time_s(&slow), "{}", m.name);
-            assert!(m.steps_per_s(&fast) > 0.0);
         }
     }
 }

@@ -56,12 +56,6 @@ impl SpecProfile {
     pub fn score(&self, mem_latency: f64, freq_ghz: f64) -> f64 {
         self.ipc(mem_latency) * freq_ghz
     }
-
-    /// Off-chip demand bandwidth in bytes/cycle at the given latency
-    /// (misses × line size × IPC).
-    pub fn demand_bytes_per_cycle(&self, mem_latency: f64, line_bytes: f64) -> f64 {
-        self.ipc(mem_latency) * self.mpki_l3 / 1000.0 * line_bytes
-    }
 }
 
 /// The SPECint-2017 (intrate) profiles.
@@ -182,14 +176,6 @@ mod tests {
     fn score_monotone_in_latency() {
         for p in specint2017() {
             assert!(p.score(100.0, 3.0) > p.score(200.0, 3.0), "{}", p.name);
-        }
-    }
-
-    #[test]
-    fn demand_bandwidth_positive_and_bounded() {
-        for p in specint2006() {
-            let bw = p.demand_bytes_per_cycle(150.0, 64.0);
-            assert!(bw > 0.0 && bw < 64.0, "{}: {bw}", p.name);
         }
     }
 

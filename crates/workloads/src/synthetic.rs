@@ -1,6 +1,5 @@
 //! Synthetic traffic generators for raw NoC experiments.
 
-use crate::zipf::Zipf;
 use noc_core::FlitClass;
 use noc_sim::SimRng;
 use serde::{Deserialize, Serialize};
@@ -81,12 +80,6 @@ impl TrafficGen {
         self.rate
     }
 
-    /// Change the injection rate (for load sweeps).
-    pub fn set_rate(&mut self, rate: f64) {
-        assert!((0.0..=1.0).contains(&rate));
-        self.rate = rate;
-    }
-
     fn pick_dst(&mut self, src: usize) -> usize {
         let n = self.n;
         let dst = match self.pattern {
@@ -134,32 +127,6 @@ impl TrafficGen {
             }
         }
         out
-    }
-}
-
-/// A skewed (Zipfian) line-address stream over a footprint, the §3.1.1
-/// server data-access shape.
-#[derive(Debug, Clone)]
-pub struct ZipfAddressStream {
-    zipf: Zipf,
-    rng: SimRng,
-    /// Line-address base offset.
-    pub base: u64,
-}
-
-impl ZipfAddressStream {
-    /// Stream over `lines` distinct lines with skew `theta`.
-    pub fn new(lines: usize, theta: f64, seed: u64) -> Self {
-        ZipfAddressStream {
-            zipf: Zipf::new(lines, theta),
-            rng: SimRng::seed_from(seed),
-            base: 0,
-        }
-    }
-
-    /// Next line address.
-    pub fn next_line(&mut self) -> u64 {
-        self.base + self.zipf.sample(&mut self.rng) as u64
     }
 }
 
@@ -233,16 +200,6 @@ mod tests {
             for (s, d, _, _) in g.cycle_events() {
                 assert_eq!(d, 7 - s);
             }
-        }
-    }
-
-    #[test]
-    fn zipf_stream_in_range() {
-        let mut s = ZipfAddressStream::new(128, 0.9, 6);
-        s.base = 1000;
-        for _ in 0..1000 {
-            let a = s.next_line();
-            assert!((1000..1128).contains(&a));
         }
     }
 }

@@ -3,8 +3,8 @@
 //! The paper's AI-processor bandwidth experiments "use AI-processor's
 //! instruction trace record as NoC's input" (§5.2). This module provides
 //! the equivalent facility: capture `(cycle, src, dst, class, bytes)`
-//! events from any traffic source, serialize them, and replay them
-//! cycle-accurately into any interconnect.
+//! events from any traffic source and serialize them; a harness replays
+//! [`Trace::events`] in cycle order into any interconnect.
 
 use noc_core::FlitClass;
 use serde::{Deserialize, Serialize};
@@ -110,15 +110,6 @@ impl Trace {
         let t: Trace = serde_json::from_str(s)?;
         Ok(t)
     }
-
-    /// Create a replayer for this trace.
-    pub fn replay(&self) -> TraceReplayer<'_> {
-        TraceReplayer {
-            trace: self,
-            next: 0,
-            retry: Vec::new(),
-        }
-    }
 }
 
 impl FromIterator<TraceEvent> for Trace {
@@ -128,57 +119,6 @@ impl FromIterator<TraceEvent> for Trace {
             t.record(e);
         }
         t
-    }
-}
-
-/// Replays a [`Trace`] cycle by cycle, retrying backpressured events.
-#[derive(Debug)]
-pub struct TraceReplayer<'a> {
-    trace: &'a Trace,
-    next: usize,
-    retry: Vec<TraceEvent>,
-}
-
-impl TraceReplayer<'_> {
-    /// Offer every event scheduled at or before `cycle` through `offer`
-    /// (returning `false` means backpressure: the event is retried on
-    /// the next call). Returns the number of events accepted this call.
-    pub fn pump<F: FnMut(&TraceEvent) -> bool>(&mut self, cycle: u64, mut offer: F) -> usize {
-        let mut accepted = 0;
-        let mut still = Vec::new();
-        for e in std::mem::take(&mut self.retry) {
-            if offer(&e) {
-                accepted += 1;
-            } else {
-                still.push(e);
-            }
-        }
-        self.retry = still;
-        while self
-            .next
-            .checked_sub(0)
-            .and_then(|i| self.trace.events.get(i))
-            .is_some_and(|e| e.cycle <= cycle)
-        {
-            let e = self.trace.events[self.next];
-            self.next += 1;
-            if offer(&e) {
-                accepted += 1;
-            } else {
-                self.retry.push(e);
-            }
-        }
-        accepted
-    }
-
-    /// Whether every event has been accepted.
-    pub fn finished(&self) -> bool {
-        self.next >= self.trace.events.len() && self.retry.is_empty()
-    }
-
-    /// Events still waiting (scheduled or backpressured).
-    pub fn pending(&self) -> usize {
-        (self.trace.events.len() - self.next) + self.retry.len()
     }
 }
 
@@ -220,61 +160,5 @@ mod tests {
         let t: Trace = [ev(0, 0, 1), ev(2, 1, 0)].into_iter().collect();
         let back = Trace::from_json(&t.to_json().unwrap()).unwrap();
         assert_eq!(t, back);
-    }
-
-    #[test]
-    fn replay_respects_time_and_backpressure() {
-        let t: Trace = [ev(0, 0, 1), ev(0, 1, 2), ev(5, 2, 0)]
-            .into_iter()
-            .collect();
-        let mut r = t.replay();
-        // First cycle: accept only the first event, push back the second.
-        let mut calls = 0;
-        let accepted = r.pump(0, |_| {
-            calls += 1;
-            calls == 1
-        });
-        assert_eq!(accepted, 1);
-        assert_eq!(r.pending(), 2);
-        // Cycle 1: retry succeeds; the cycle-5 event is not yet due.
-        let accepted = r.pump(1, |_| true);
-        assert_eq!(accepted, 1);
-        assert!(!r.finished());
-        // Cycle 5: final event.
-        let accepted = r.pump(5, |_| true);
-        assert_eq!(accepted, 1);
-        assert!(r.finished());
-    }
-
-    #[test]
-    fn replay_into_real_network() {
-        use noc_core::{Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
-        let mut b = TopologyBuilder::new();
-        let die = b.add_chiplet("die");
-        let ring = b.add_ring(die, RingKind::Full, 4).unwrap();
-        let eps: Vec<NodeId> = (0..4)
-            .map(|i| b.add_node(format!("n{i}"), ring, i).unwrap())
-            .collect();
-        let mut net = Network::new(b.build().unwrap(), NetworkConfig::default());
-
-        let t: Trace = (0..20)
-            .map(|i| ev(i, (i % 4) as usize, ((i + 1) % 4) as usize))
-            .collect();
-        let mut r = t.replay();
-        for cycle in 0..200u64 {
-            r.pump(cycle, |e| {
-                net.enqueue(eps[e.src], eps[e.dst], e.class, e.bytes, e.cycle)
-                    .is_ok()
-            });
-            net.tick();
-            for &n in &eps {
-                while net.pop_delivered(n).is_some() {}
-            }
-            if r.finished() && net.in_flight() == 0 {
-                break;
-            }
-        }
-        assert!(r.finished());
-        assert_eq!(net.stats().delivered.get(), 20);
     }
 }

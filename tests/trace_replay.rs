@@ -37,22 +37,29 @@ fn record(cycles: u64, n: usize, seed: u64) -> Trace {
 }
 
 /// Run a trace through a network and return per-class delivery counts
-/// plus total latency.
+/// plus total latency. Each event is offered from its recorded cycle on;
+/// a refused (backpressured) event is offered again the next cycle.
 fn run_trace(trace: &Trace, n: u16) -> (u64, u64) {
     let (mut net, eps) = build(n);
-    let mut replayer = trace.replay();
+    let events = trace.events();
+    let mut next = 0;
+    let mut waiting: Vec<TraceEvent> = Vec::new();
     let mut cycle = 0u64;
     loop {
-        replayer.pump(cycle, |e| {
+        while next < events.len() && events[next].cycle <= cycle {
+            waiting.push(events[next]);
+            next += 1;
+        }
+        waiting.retain(|e| {
             net.enqueue(eps[e.src], eps[e.dst], e.class, e.bytes, e.cycle)
-                .is_ok()
+                .is_err()
         });
         net.tick();
         for &ep in &eps {
             while net.pop_delivered(ep).is_some() {}
         }
         cycle += 1;
-        if replayer.finished() && net.in_flight() == 0 {
+        if next == events.len() && waiting.is_empty() && net.in_flight() == 0 {
             break;
         }
         assert!(cycle < 500_000, "trace replay wedged");
