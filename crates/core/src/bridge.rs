@@ -1,193 +1,163 @@
-//! Bridge sides as double-buffered mailboxes, and the two barriers
-//! that couple them.
+//! Ring bridges: one FIFO per bridge direction.
 //!
-//! Each bridge is split into two [`BridgeSide`]s, one owned by each
-//! endpoint's [`RingShard`], and the pipeline between them is a pair of
-//! mailboxes:
+//! A bridge (RBRG-L1/L2, §4.1.3 and §4.4) has one buffered Tx pipeline
+//! per direction, plus, on L2, the reserved escape buffers SWAP fills.
+//! Each direction is one [`Escape`], indexed `2 * bridge + sending
+//! side` — the unit the wait graph calls `ResourceId::Escape`. The
+//! escapes live in [`Bridges`], which the `Network` owns next to the
+//! ring shards and lends to each phase of the cycle:
 //!
-//! * `tx` — flits this side pushed toward the peer **this cycle**
-//!   (bridge intake writes here during the per-ring phase);
-//! * `rx` — flits in flight toward this side's endpoint (bridge
-//!   delivery drains matured entries at the start of the cycle).
+//! * delivery pops a side's inbound escape (`out ^ 1`) into its
+//!   endpoint's Inject Queue;
+//! * intake pushes its endpoint's Eject Queue (reserved buffers first)
+//!   into its outbound escape;
+//! * the SWAP path of the station sweep fills the outbound reserved
+//!   buffers.
 //!
-//! During the per-ring phase a shard only ever touches its own sides, so
-//! the order the shards run in cannot be observed. Capacity must still
-//! behave as if the pipeline were one queue, so each side carries
-//! [`BridgeSide::peer_backlog`], the length of the peer's `rx`, and
-//! [`BridgeSide::pipe_len`] (`peer_backlog + tx.len()`) is the
-//! pipeline's occupancy.
+//! A shard keeps only what belongs to one side ([`BridgeSide`]: the
+//! endpoint and the DRM state), plus the intake and DRM-watch side sets
+//! that decide which sides those phases visit (DESIGN.md §21).
 //!
-//! # The barriers visit only sides whose mailbox moved
+//! # Due cycles
 //!
-//! `peer_backlog == peer.rx.len()` is an invariant, not a per-cycle
-//! snapshot: it is repaired at the two moments an `rx` changes length.
-//!
-//! * Delivery pops `rx` and marks the side in its shard's `popped` set.
-//!   Barrier 1 ([`publish_pops`]) walks those marks and writes the new
-//!   depth into each popped side's peer. A side that popped nothing has
-//!   a peer whose `peer_backlog` is still right, and a shard with
-//!   nothing matured is not looked at.
-//! * Intake stages into `tx` and marks the side `staged`. Barrier 2
-//!   ([`exchange`]) walks those marks, appends `tx` onto the peer's
-//!   `rx`, and in the same step sets the sender's `peer_backlog`, the
-//!   receiver's [`BridgeSide::rx_due`] and the receiving shard's
-//!   earliest due cycle.
-//!
-//! Most sides of most bridges carry nothing in a given cycle; for them
-//! neither barrier does anything, and an idle fabric pays one compare
-//! per shard for barrier 1 and one word test per shard for barrier 2.
-//!
-//! # Who performs them
-//!
-//! The engine's cycle (`crate::epoch::run_cycle`) runs both barriers
-//! once per cycle over every shard of the network. The peer of a marked
-//! side is found through [`BridgeSide::peer`], a global (ring, side)
-//! index.
+//! [`Bridges::due`] holds, per ring, the earliest ready cycle over the
+//! heads of the escapes that land on it (`u64::MAX` when all are
+//! empty). A push lowers the receiving ring's entry and a ring's
+//! delivery re-derives its own, so a ring with nothing matured pays one
+//! compare for delivery.
 
-use crate::bits::word_ones;
 use crate::config::{BridgeConfig, BridgeLevel};
 use crate::flit::Flit;
 use crate::ids::BridgeId;
-use crate::shard::{RingShard, SideLoc};
 use std::collections::VecDeque;
 
-/// One side of a bridge, owned by the shard of the ring it sits on.
-/// Entries in `rx`/`tx` are `(ready_cycle, flit)` pairs, FIFO.
+/// One direction of one bridge. See the module docs.
+#[derive(Debug, Clone)]
+pub(crate) struct Escape {
+    /// The bridge's configuration (both directions carry it).
+    pub cfg: BridgeConfig,
+    /// Ring the crossing lands on.
+    pub to_ring: u16,
+    /// The Tx pipeline: `(ready_cycle, flit)` in push order, at most
+    /// `cfg.buffer_cap` entries.
+    pub fifo: VecDeque<(u64, Flit)>,
+    /// Reserved escape buffers (SWAP/escape mode, §4.4), oldest first,
+    /// at most `cfg.reserved_cap` flits.
+    pub reserved: VecDeque<Flit>,
+    /// Flits ever pushed into `fifo` (monotonic).
+    pub pushed: u64,
+    /// Flits ever delivered out of `fifo` (monotonic). With `pushed`
+    /// it is the wait-graph detector's progress counter: either end
+    /// moving means the resource moves, which occupancy alone cannot
+    /// tell of a full pipe.
+    pub popped: u64,
+    /// `(cycle, flits)` of the most recent intake that pushed anything,
+    /// read only by [`Bridges::gauges`].
+    pub last_push: (u64, usize),
+}
+
+impl Escape {
+    /// Ready cycle of the pipeline's head, `u64::MAX` when it is empty.
+    #[inline]
+    pub fn head_due(&self) -> u64 {
+        self.fifo.front().map_or(u64::MAX, |&(ready, _)| ready)
+    }
+
+    /// Flits intake pushed during cycle `now`.
+    fn pushed_at(&self, now: u64) -> usize {
+        let (at, flits) = self.last_push;
+        if at == now {
+            flits
+        } else {
+            0
+        }
+    }
+
+    /// Whether deadlock resolution mode applies at all: an L2 bridge
+    /// with SWAP armed.
+    pub fn drm_capable(&self) -> bool {
+        self.cfg.level == BridgeLevel::L2 && self.cfg.swap_enabled
+    }
+}
+
+/// Every bridge direction of a network plus the per-ring due cycles.
+#[derive(Debug, Clone)]
+pub(crate) struct Bridges {
+    /// Index `2 * bridge + sending side`.
+    pub escapes: Vec<Escape>,
+    /// Per ring: the earliest [`Escape::head_due`] over the escapes
+    /// landing on it.
+    pub due: Vec<u64>,
+}
+
+impl Bridges {
+    /// Append `flit`, ready at cycle `ready`, to escape `e`.
+    #[inline]
+    pub fn push(&mut self, e: usize, ready: u64, flit: Flit) {
+        let esc = &mut self.escapes[e];
+        esc.fifo.push_back((ready, flit));
+        esc.pushed += 1;
+        let due = &mut self.due[esc.to_ring as usize];
+        *due = (*due).min(ready);
+    }
+
+    /// The `(tx_pipe, rx_depth)` gauges of `side` at cycle `now`.
+    ///
+    /// The observatory streams were pinned when each direction was an
+    /// outbox on the sending ring plus an inbox on the receiving one,
+    /// and a cycle's pushes moved from the first to the second only
+    /// after every ring had run. So a sample taken inside the cycle
+    /// (`in_cycle`) leaves the flits pushed in cycle `now` out of
+    /// `rx_depth`, and a sample taken between ticks leaves them out of
+    /// `tx_pipe`.
+    pub fn gauges(&self, side: &BridgeSide, now: u64, in_cycle: bool) -> (u32, u32) {
+        let (out, inbound) = (&self.escapes[side.out()], &self.escapes[side.inbound()]);
+        let (tx_fresh, rx_fresh) = if in_cycle {
+            (0, inbound.pushed_at(now))
+        } else {
+            (out.pushed_at(now), 0)
+        };
+        (
+            (out.fifo.len() - tx_fresh) as u32,
+            (inbound.fifo.len() - rx_fresh) as u32,
+        )
+    }
+
+    /// Flits inside the escapes, for conservation checks.
+    pub fn resident_flits(&self) -> u64 {
+        self.escapes
+            .iter()
+            .map(|e| (e.fifo.len() + e.reserved.len()) as u64)
+            .sum()
+    }
+}
+
+/// What one shard keeps of one bridge side.
 #[derive(Debug, Clone)]
 pub(crate) struct BridgeSide {
     /// The bridge this side belongs to.
     pub bridge: BridgeId,
-    /// Which side of the bridge this is (0 = `a`, 1 = `b`), for
-    /// metrics labelling.
+    /// Which side of the bridge this is (0 = `a`, 1 = `b`).
     pub side: u8,
     /// Shard-local index of this side's endpoint node.
     pub endpoint: u32,
-    /// Where the other side of the bridge lives (global ring index).
-    pub peer: SideLoc,
-    /// The bridge's configuration (shared by both sides).
-    pub cfg: BridgeConfig,
-    /// Inbound mailbox: flits in flight toward this endpoint.
-    pub rx: VecDeque<(u64, Flit)>,
-    /// Ready cycle of `rx.front()`, `u64::MAX` when `rx` is empty:
-    /// delivery compares this instead of dereferencing the queue.
-    pub rx_due: u64,
-    /// Outbound mailbox: flits staged toward the peer this cycle.
-    pub tx: VecDeque<(u64, Flit)>,
-    /// The peer's `rx` length, kept true by the two barriers.
-    pub peer_backlog: usize,
-    /// `(cycle, flits)` of the most recent intake that staged anything,
-    /// read only by [`BridgeSide::pipe_gauge`].
-    pub last_staged: (u64, usize),
-    /// Reserved escape buffers (SWAP/escape mode, §4.4), oldest first.
-    pub reserved: VecDeque<Flit>,
     /// Whether this side is in deadlock resolution mode.
     pub drm: bool,
     /// Times this side has entered DRM since construction (monotonic;
     /// the per-side split of `NetStats::drm_entries`).
     pub drm_entries: u64,
-    /// Flits ever pushed into `tx` by bridge intake (monotonic). The
-    /// wait-graph detector's progress counter for this escape
-    /// resource: a side with flits resident whose `tx_pushed` stops
-    /// advancing is frozen, even though occupancy alone can't
-    /// distinguish a full-but-flowing pipe from a wedged one.
-    pub tx_pushed: u64,
-    /// Flits ever drained from `rx` into the endpoint inject queue
-    /// (monotonic). Paired with the peer's `tx_pushed` it covers both
-    /// ends of the pipeline: either counter advancing means the escape
-    /// resource is still moving.
-    pub rx_popped: u64,
 }
 
 impl BridgeSide {
-    /// Occupancy of this side's outgoing pipeline as the monolith saw
-    /// it: what already sits in the peer's inbox plus what this cycle
-    /// has staged. Intake is capped by `cfg.buffer_cap` against this.
+    /// Index of the escape this side sends into.
     #[inline]
-    pub fn pipe_len(&self) -> usize {
-        self.peer_backlog + self.tx.len()
+    pub fn out(&self) -> usize {
+        2 * self.bridge.index() + self.side as usize
     }
 
-    /// The `tx_pipe` gauge at cycle `now`: the pipeline as this side's
-    /// intake last saw it. A sample taken between ticks (`now` is the
-    /// last cycle run, barrier 2 has emptied `tx`) leaves out the batch
-    /// that barrier just handed over — the reading every observatory
-    /// stream was pinned with, from when `peer_backlog` was refreshed
-    /// once per cycle rather than kept true.
-    pub fn pipe_gauge(&self, now: u64) -> usize {
-        let (at, flits) = self.last_staged;
-        let handed_over = if at == now && self.tx.is_empty() {
-            flits
-        } else {
-            0
-        };
-        self.pipe_len() - handed_over
-    }
-
-    /// Whether deadlock resolution mode applies to this side at all:
-    /// an L2 bridge with SWAP armed.
+    /// Index of the escape that lands on this side.
     #[inline]
-    pub fn drm_capable(&self) -> bool {
-        self.cfg.level == BridgeLevel::L2 && self.cfg.swap_enabled
-    }
-
-    /// What `rx_due` must read: the ready cycle of the head of `rx`.
-    #[inline]
-    pub fn head_due(&self) -> u64 {
-        self.rx.front().map_or(u64::MAX, |&(ready, _)| ready)
-    }
-
-    /// Re-read `rx_due` after `rx` changed.
-    #[inline]
-    pub fn refresh_rx_due(&mut self) {
-        self.rx_due = self.head_due();
-    }
-
-    /// Flits physically inside this side (mailboxes + escape buffers),
-    /// for conservation checks.
-    pub fn resident_flits(&self) -> usize {
-        self.rx.len() + self.tx.len() + self.reserved.len()
-    }
-}
-
-/// Barrier 1, for one shard whose delivery just popped: every side it
-/// popped from tells its peer the new inbox depth, so intake can
-/// enforce pipeline capacity without reading another shard. Consumes
-/// the shard's `popped` marks. Nothing reads a `peer_backlog` before
-/// the per-ring phase, so the loop calls this per shard, straight after
-/// its delivery, rather than in a pass of its own.
-pub(crate) fn publish_pops(shards: &mut [RingShard], sh: usize) {
-    for wi in 0..shards[sh].popped.words().len() {
-        let w = shards[sh].popped.words()[wi];
-        shards[sh].profile.side_visits += u64::from(w.count_ones());
-        for si in word_ones(wi, w) {
-            shards[sh].popped.clear(si);
-            let (ps, pi) = shards[sh].sides[si].peer.at();
-            shards[ps].sides[pi].peer_backlog = shards[sh].sides[si].rx.len();
-        }
-    }
-}
-
-/// Barrier 2: every side intake staged into this cycle appends its `tx`
-/// outbox onto the peer's `rx` inbox (`append` leaves the outbox empty
-/// with its capacity intact), and the indices that depend on that inbox
-/// follow in the same step. Consumes the `staged` marks. Unlike
-/// barrier 1 this must wait for every shard's per-ring phase: a
-/// receiver's `rx` depth is a gauge its metrics sample reads.
-pub(crate) fn exchange(shards: &mut [RingShard]) {
-    for sh in 0..shards.len() {
-        for wi in 0..shards[sh].staged.words().len() {
-            let w = shards[sh].staged.words()[wi];
-            shards[sh].profile.side_visits += u64::from(w.count_ones());
-            for si in word_ones(wi, w) {
-                shards[sh].staged.clear(si);
-                let (ps, pi) = shards[sh].sides[si].peer.at();
-                // A bridge never joins a ring to itself.
-                let [from, to] = shards
-                    .get_disjoint_mut([sh, ps])
-                    .expect("bridge sides live on different rings");
-                let side = &mut from.sides[si];
-                side.peer_backlog = to.receive(pi, &mut side.tx);
-            }
-        }
+    pub fn inbound(&self) -> usize {
+        self.out() ^ 1
     }
 }

@@ -17,11 +17,11 @@
 //!
 //! [`Network::wait_census`](crate::Network::wait_census) runs between
 //! ticks (the same settled point the metrics snapshots commit at),
-//! iterating rings, lanes and bridge sides in ascending id order. The
-//! census is therefore a pure function of the deterministic engine
-//! state: byte-identical run to run.
+//! iterating rings and lanes in ascending id order, then the escapes in
+//! (bridge, side) order. The census is therefore a pure function of the
+//! deterministic engine state: byte-identical run to run.
 
-use crate::bridge::BridgeSide;
+use crate::bridge::Escape;
 use crate::flit::PacketToken;
 use noc_telemetry::{ResourceId, WaitNode};
 use serde::{Deserialize, Serialize};
@@ -37,8 +37,8 @@ pub enum PacketPlace {
         /// Ring id.
         ring: u16,
     },
-    /// Inside one bridge side's escape resource (outbound pipe, escape
-    /// buffers, or the in-flight mailbox toward the peer).
+    /// Inside the escape resource of one bridge direction, named by the
+    /// side flits enter from (its Tx pipeline or reserved buffers).
     Escape {
         /// Bridge id.
         bridge: u16,
@@ -68,7 +68,7 @@ pub struct RingCensus {
     pub transit: Vec<TransitCensus>,
 }
 
-/// One bridge side's escape resource at the census boundary.
+/// One bridge direction's escape resource at the census boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EscapeCensus {
     /// Bridge id.
@@ -78,8 +78,8 @@ pub struct EscapeCensus {
     /// Ring the crossing lands on (the peer side's ring) — the
     /// resource this escape waits for.
     pub to_ring: u16,
-    /// Flits resident in the resource: staged `tx` + escape `reserved`
-    /// on this side, plus the peer's inbound mailbox.
+    /// Flits resident in the resource: its Tx pipeline plus its
+    /// reserved buffers.
     pub occupancy: u64,
     /// Smallest packet id resident in the resource, if any.
     pub min_packet: Option<u64>,
@@ -90,7 +90,7 @@ pub struct EscapeCensus {
 pub struct WaitCensus {
     /// Every ring, ascending id.
     pub rings: Vec<RingCensus>,
-    /// Every bridge side, ascending (bridge, side).
+    /// Every escape, ascending (bridge, side).
     pub escapes: Vec<EscapeCensus>,
     /// Placement of every in-network flit's packet: sorted, unique
     /// `(packet, place)` pairs. A packet spread across three resources
@@ -125,41 +125,39 @@ pub(crate) fn packet_of(token: u64) -> u64 {
     PacketToken::decode(token).packet
 }
 
-/// The wait-graph node of bridge side `p`'s escape resource: its
-/// outbound half (staged `tx` plus escape buffers) and the flits in
-/// flight toward its peer (`peer.rx`) — a side's pipe physically
-/// straddles both shards, which is why the engine, not a shard, reads
-/// these. Occupancy, capacity and monotone progress (flits pushed in on
-/// this side plus flits drained out at the peer: either end moving
-/// counts) are O(1) reads.
-pub(crate) fn escape_node(p: &BridgeSide, peer: &BridgeSide) -> WaitNode {
+/// The wait-graph node of escape `e` (index `2 * bridge + side`, see
+/// [`crate::bridge`]): occupancy, capacity and monotone progress (flits
+/// pushed in plus flits delivered out: either end moving counts), all
+/// O(1) reads.
+pub(crate) fn escape_node(e: usize, esc: &Escape) -> WaitNode {
     WaitNode {
         id: ResourceId::Escape {
-            bridge: p.bridge.index() as u32,
-            side: p.side,
+            bridge: (e / 2) as u32,
+            side: (e % 2) as u8,
         },
-        occupancy: (p.tx.len() + p.reserved.len() + peer.rx.len()) as u64,
-        capacity: p.cfg.buffer_cap as u64 + p.cfg.reserved_cap as u64,
-        progress: p.tx_pushed + peer.rx_popped,
+        occupancy: (esc.fifo.len() + esc.reserved.len()) as u64,
+        capacity: esc.cfg.buffer_cap as u64 + esc.cfg.reserved_cap as u64,
+        progress: esc.pushed + esc.popped,
     }
 }
 
-/// The census row of bridge side `p`: [`escape_node`]'s occupancy plus
-/// the ring the crossing lands on and the smallest resident packet id
-/// (the one reading that walks individual flits).
-pub(crate) fn escape_row(p: &BridgeSide, peer: &BridgeSide) -> EscapeCensus {
-    let min_packet =
-        p.tx.iter()
-            .map(|(_, f)| f)
-            .chain(&p.reserved)
-            .chain(peer.rx.iter().map(|(_, f)| f))
-            .map(|f| packet_of(f.token))
-            .min();
-    EscapeCensus {
-        bridge: p.bridge.index() as u16,
-        side: p.side,
-        to_ring: p.peer.ring,
-        occupancy: escape_node(p, peer).occupancy,
-        min_packet,
+/// Contribute escape `e` to `census`: its row ([`escape_node`]'s
+/// occupancy, the ring the crossing lands on, the smallest resident
+/// packet id) and the placement of every flit inside it.
+pub(crate) fn escape_part(e: usize, esc: &Escape, census: &mut WaitCensus) {
+    let (bridge, side) = ((e / 2) as u16, (e % 2) as u8);
+    let place = PacketPlace::Escape { bridge, side };
+    let mut min_packet: Option<u64> = None;
+    for f in esc.fifo.iter().map(|(_, f)| f).chain(&esc.reserved) {
+        let packet = packet_of(f.token);
+        census.packet_where.push((packet, place));
+        min_packet = Some(min_packet.map_or(packet, |m| m.min(packet)));
     }
+    census.escapes.push(EscapeCensus {
+        bridge,
+        side,
+        to_ring: esc.to_ring,
+        occupancy: escape_node(e, esc).occupancy,
+        min_packet,
+    });
 }

@@ -52,6 +52,12 @@ pub enum TopologyError {
     },
     /// The topology has no device nodes.
     NoDevices,
+    /// A bridge was configured with a zero `buffer_cap` or
+    /// `width_flits_per_cycle`: its pipeline could never move a flit.
+    ZeroBridgeCapacity {
+        /// The [`BridgeConfig`](crate::BridgeConfig) field that is 0.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -80,6 +86,9 @@ impl fmt::Display for TopologyError {
                 write!(f, "no bridge path from {from} to {to}")
             }
             TopologyError::NoDevices => write!(f, "topology has no device nodes"),
+            TopologyError::ZeroBridgeCapacity { field } => {
+                write!(f, "bridge {field} must be at least 1")
+            }
         }
     }
 }

@@ -6,28 +6,25 @@
 //!
 //! The engine is decomposed along the paper's own fault line: rings are
 //! independent conveyor belts coupled *only* at bridges. Each ring is a
-//! self-contained ring shard (`RingShard`) owning its lanes,
-//! bitsets, node interfaces, bridge sides, statistics and telemetry
-//! buffer; [`Network`] itself is just the orchestrator.
+//! self-contained ring shard (`RingShard`) owning its lanes, bitsets,
+//! node interfaces, its sides' DRM state, statistics and telemetry
+//! buffer. Each bridge direction is one escape (`crate::bridge`): the
+//! Tx pipeline FIFO plus the reserved escape buffers, owned by
+//! [`Network`] next to the shards.
 //!
 //! [`Network::tick`] advances one cycle on the calling thread. The
-//! engine's cycle (`crate::epoch::run_cycle`) runs four phases over
+//! engine's cycle (`crate::epoch::run_cycle`) runs two phases over
 //! every shard:
 //!
-//! 1. **Deliver** — each shard drains matured flits from its bridge
-//!    inboxes (`BridgeSide::rx`) into endpoint inject queues.
-//! 2. **Barrier** — the sides that were popped from tell their peers
-//!    the new inbox depth, so intake can enforce pipeline capacity
-//!    without reading another shard.
-//! 3. **Per-ring cycle** — zero-hop deliveries, the station sweep,
-//!    lane advance, bridge intake (staged into `tx` outboxes) and DRM
-//!    bookkeeping, entirely within one shard.
-//! 4. **Barrier** — the `tx` outboxes that were staged into are
-//!    appended onto peer `rx` inboxes.
+//! 1. **Deliver** — each shard drains the matured flits of the escapes
+//!    landing on its ring into endpoint inject queues.
+//! 2. **Per-ring cycle** — zero-hop deliveries, the station sweep,
+//!    lane advance, bridge intake (pushed into the outbound escapes)
+//!    and DRM bookkeeping.
 //!
-//! The bridge phases (1, 2, 4 and the intake/DRM part of 3) are
-//! indexed by event like the station sweep below: a side where nothing
-//! is due in a cycle is not visited in it (DESIGN.md §21).
+//! The bridge work of both phases is indexed by event like the station
+//! sweep below: a side where nothing is due in a cycle is not visited
+//! in it (DESIGN.md §21).
 //!
 //! Every caller-visible drain — metrics commits, watchdog evaluation,
 //! trace emission in ring order, utilization samples — happens in the
@@ -56,7 +53,7 @@
 //! the word it had already read. A stale index fails at the cycle it
 //! goes wrong, in every debug-build test run.
 
-use crate::bridge::BridgeSide;
+use crate::bridge::Bridges;
 use crate::census::{self, WaitCensus};
 use crate::config::NetworkConfig;
 use crate::epoch;
@@ -166,6 +163,7 @@ struct Observatory {
 pub struct Network<S: TraceSink = NullSink> {
     shared: EngineShared,
     shards: Vec<RingShard>,
+    bridges: Bridges,
     now: Cycle,
     next_flit_id: u64,
     sink: S,
@@ -175,6 +173,12 @@ pub struct Network<S: TraceSink = NullSink> {
 impl Network {
     /// Instantiate the runtime network for a validated topology, with
     /// no telemetry ([`NullSink`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.inject_queue_cap` or `cfg.eject_queue_cap` is 0
+    /// (a [`SocSpec`](crate::SocSpec) with either fails to compile
+    /// instead).
     pub fn new(topo: Topology, cfg: NetworkConfig) -> Self {
         Self::with_sink(topo, cfg, NullSink)
     }
@@ -183,11 +187,18 @@ impl Network {
 impl<S: TraceSink> Network<S> {
     /// Instantiate with an explicit [`TraceSink`] receiving the full
     /// flit-lifecycle event stream (see the type-level docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.inject_queue_cap` or `cfg.eject_queue_cap` is 0
+    /// (a [`SocSpec`](crate::SocSpec) with either fails to compile
+    /// instead).
     pub fn with_sink(topo: Topology, cfg: NetworkConfig, sink: S) -> Self {
-        let (shared, shards) = crate::shard::build(topo, cfg);
+        let (shared, shards, bridges) = crate::shard::build(topo, cfg);
         Network {
             shared,
             shards,
+            bridges,
             now: Cycle::ZERO,
             next_flit_id: 0,
             sink,
@@ -408,15 +419,14 @@ impl<S: TraceSink> Network<S> {
     pub fn wait_census(&self) -> WaitCensus {
         let mut out = WaitCensus {
             rings: Vec::with_capacity(self.shards.len()),
-            escapes: Vec::with_capacity(2 * self.shared.side_loc.len()),
+            escapes: Vec::with_capacity(self.bridges.escapes.len()),
             packet_where: Vec::new(),
         };
         for shard in &self.shards {
             shard.wait_census_part(&self.shared, &mut out);
         }
-        for [a, b] in self.bridge_sides() {
-            out.escapes.push(census::escape_row(a, b));
-            out.escapes.push(census::escape_row(b, a));
+        for (e, esc) in self.bridges.escapes.iter().enumerate() {
+            census::escape_part(e, esc, &mut out);
         }
         out.seal();
         out
@@ -433,20 +443,8 @@ impl<S: TraceSink> Network<S> {
     /// [`ResourceId`]: noc_telemetry::ResourceId
     pub fn push_wait_nodes(&self, nodes: &mut Vec<WaitNode>) {
         nodes.extend(self.shards.iter().map(RingShard::ring_node));
-        for [a, b] in self.bridge_sides() {
-            nodes.push(census::escape_node(a, b));
-            nodes.push(census::escape_node(b, a));
-        }
-    }
-
-    /// Both sides of every bridge, side a first, in ascending bridge id
-    /// — the canonical (bridge, side) order, straight from the fixed
-    /// pairing of bridge sides.
-    fn bridge_sides(&self) -> impl Iterator<Item = [&BridgeSide; 2]> {
-        self.shared
-            .side_loc
-            .iter()
-            .map(|locs| locs.map(|l| &self.shards[l.ring as usize].sides[l.idx as usize]))
+        let escapes = self.bridges.escapes.iter().enumerate();
+        nodes.extend(escapes.map(|(e, esc)| census::escape_node(e, esc)));
     }
 
     /// Feed one wait-graph sample from the stall-forensics detector to
@@ -505,7 +503,7 @@ impl<S: TraceSink> Network<S> {
         let now = self.now;
         for shard in &mut self.shards {
             shard.charge_and_flush();
-            shard.sample_metrics(&self.shared, now);
+            shard.sample_metrics(&self.shared, &self.bridges, now, false);
         }
         self.commit_staged(now.raw() % period);
     }
@@ -802,10 +800,11 @@ impl<S: TraceSink> Network<S> {
     }
 
     /// Total flits physically present anywhere inside the network
-    /// (queues, slots, mailboxes, escape buffers). Used by conservation
-    /// checks.
+    /// (queues, slots, bridge pipelines, escape buffers). Used by
+    /// conservation checks.
     pub fn count_resident_flits(&self) -> u64 {
-        self.shards.iter().map(RingShard::resident_flits).sum()
+        let shards: u64 = self.shards.iter().map(RingShard::resident_flits).sum();
+        shards + self.bridges.resident_flits()
     }
 
     // ------------------------------------------------------------------
@@ -818,9 +817,9 @@ impl<S: TraceSink> Network<S> {
         self.now += 1;
         // The one place the sink type picks the cycle's TRACE parameter.
         if S::ENABLED {
-            epoch::run_cycle::<true>(&mut self.shards, &self.shared, self.now);
+            epoch::run_cycle::<true>(&mut self.shards, &mut self.bridges, &self.shared, self.now);
         } else {
-            epoch::run_cycle::<false>(&mut self.shards, &self.shared, self.now);
+            epoch::run_cycle::<false>(&mut self.shards, &mut self.bridges, &self.shared, self.now);
         }
         if S::ENABLED || self.observatory.is_some() {
             self.epilogue();

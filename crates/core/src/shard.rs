@@ -4,26 +4,24 @@
 //! touch while processing one ring for one cycle: the ring's lanes and
 //! their occupancy bitsets and exit calendars, the node interfaces
 //! attached to its stations (inject/eject queues, starvation counters,
-//! E-tag lists, cached head intent), its sides of any bridges
-//! ([`BridgeSide`] mailboxes), the round-robin pointers and the
-//! per-intent station bitsets, plus a private [`NetStats`],
-//! [`TickProfile`] and [`TraceBuffer`].
+//! E-tag lists, cached head intent), what belongs to its side of each
+//! bridge ([`BridgeSide`]: endpoint and DRM state), the round-robin
+//! pointers and the per-intent station bitsets, plus a private
+//! [`NetStats`], [`TickProfile`] and [`TraceBuffer`].
 //!
-//! Because the station logic is provably ring-local — a flit can only
-//! leave its ring through a bridge mailbox, and mail moves between
-//! shards only at the engine's phase barriers — shards can be evaluated
-//! in any order with bit-identical results. The engine merges their
-//! stats, profiles and trace buffers in ascending ring order afterwards.
-//! Immutable inputs every shard needs (config, route table, global→local
-//! id maps) live in one shared [`EngineShared`].
+//! The station logic is ring-local: a flit leaves its ring only by
+//! being pushed into a bridge escape ([`crate::bridge`]), which the
+//! network owns and lends to each phase, and it cannot come out of the
+//! escape in the cycle it went in. The engine merges the shards' stats,
+//! profiles and trace buffers in ascending ring order. Immutable inputs
+//! every shard needs (config, route table, global→local id maps) live
+//! in one shared [`EngineShared`].
 //!
-//! The bridge phases are event-indexed like the station sweep: a shard
-//! keeps the earliest cycle any of its inboxes matures
-//! ([`RingShard::rx_due`]) and four side bitsets — intake work, DRM
-//! watch, and the `popped`/`staged` marks the barriers consume — so
-//! delivery, intake, DRM bookkeeping and both barriers
-//! ([`crate::bridge`]) touch only the sides where something is due, in
-//! ascending side order (DESIGN.md §21).
+//! The bridge phases are event-indexed like the station sweep: delivery
+//! is one compare against the ring's due cycle while nothing landing on
+//! it has matured, and two side bitsets — intake work and DRM watch —
+//! let intake and DRM bookkeeping touch only the sides where something
+//! is due, in ascending side order (DESIGN.md §21).
 //!
 //! Methods take a `const TRACE: bool` parameter instead of a sink type:
 //! with `TRACE = false` every record construction folds away exactly
@@ -31,7 +29,7 @@
 //! independent of sink types.
 
 use crate::bits::{word_ones, BitRing};
-use crate::bridge::BridgeSide;
+use crate::bridge::{BridgeSide, Bridges, Escape};
 use crate::census::{self, PacketPlace, RingCensus, TransitCensus, WaitCensus};
 use crate::config::NetworkConfig;
 use crate::flit::Flit;
@@ -55,22 +53,6 @@ pub(crate) struct NodeLoc {
     pub local: u32,
 }
 
-/// Where one side of a bridge lives: which ring shard, at which index
-/// in that shard's `sides`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SideLoc {
-    pub ring: u16,
-    pub idx: u32,
-}
-
-impl SideLoc {
-    /// `(shard index, side index)`.
-    #[inline]
-    pub(crate) fn at(self) -> (usize, usize) {
-        (self.ring as usize, self.idx as usize)
-    }
-}
-
 /// Immutable engine inputs shared by all shards.
 #[derive(Debug, Clone)]
 pub(crate) struct EngineShared {
@@ -79,8 +61,6 @@ pub(crate) struct EngineShared {
     pub route: RouteTable,
     /// Global node id → owning shard and local index.
     pub node_loc: Vec<NodeLoc>,
-    /// Bridge id → location of each side.
-    pub side_loc: Vec<[SideLoc; 2]>,
     /// The minimum bridge traversal latency (at least 1), `u64::MAX`
     /// without bridges: the longest `Network::tick_epoch` accepts, fixed
     /// by the topology and therefore computed once here.
@@ -186,23 +166,15 @@ pub(crate) struct RingShard {
     /// local (`Intent::bits_index`): bit `s` is set iff a node at
     /// station `s` has that cached intent.
     intent_bits: [BitRing; 3],
-    /// Earliest `BridgeSide::rx_due` over `sides` (`u64::MAX` when every
-    /// inbox is empty): delivery is one compare while this lies in the
-    /// future. A side held by a full endpoint Inject Queue stays due.
-    pub rx_due: u64,
     /// Sides with intake work: a flit in the endpoint's Eject Queue or
-    /// in `reserved`. Set where a flit enters either, cleared by intake
-    /// once both are empty. Like the three sets below, one bit per
-    /// entry of `sides`, walked in ascending order.
+    /// in the outbound reserved buffers. Set where a flit enters
+    /// either, cleared by intake once both are empty. Like the set
+    /// below, one bit per entry of `sides`, walked in ascending order.
     intake: BitRing,
     /// Sides on DRM watch: in deadlock resolution mode, or with the
     /// endpoint's `starve` at the deadlock threshold. Only DRM-capable
     /// sides are ever marked.
     drm_watch: BitRing,
-    /// Sides delivery popped from this cycle; barrier 1 consumes it.
-    pub popped: BitRing,
-    /// Sides intake staged into this cycle; barrier 2 consumes it.
-    pub staged: BitRing,
     /// Devices with mail: bit `i` is set iff `nodes[i]` is a device
     /// whose Eject Queue is non-empty. Set by `finish_arrival`, cleared
     /// by `Network::pop_delivered` — the only two places a device's
@@ -253,9 +225,9 @@ pub(crate) struct RingShard {
     windows_until_charge: usize,
 }
 
-/// Build the shared inputs and one shard per ring from a validated
-/// topology.
-pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<RingShard>) {
+/// Build the shared inputs, one shard per ring and the bridge escapes
+/// from a validated topology.
+pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<RingShard>, Bridges) {
     let route = RouteTable::build(&topo);
     let mut nsides = vec![0usize; topo.rings().len()];
     for b in topo.bridges() {
@@ -274,11 +246,8 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
             rr: vec![[0u8; 2]; r.stations as usize],
             ports: vec![[None, None]; r.stations as usize],
             intent_bits: std::array::from_fn(|_| BitRing::new(r.stations as usize)),
-            rx_due: u64::MAX,
             intake: BitRing::new(nsides),
             drm_watch: BitRing::new(nsides),
-            popped: BitRing::new(nsides),
-            staged: BitRing::new(nsides),
             delivered: BitRing::new(0),
             stats: NetStats::new(),
             profile: TickProfile::default(),
@@ -325,47 +294,43 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
     for shard in &mut shards {
         shard.delivered = BitRing::new(shard.nodes.len());
     }
-    let mut side_loc = Vec::with_capacity(topo.bridges().len());
+    let mut escapes = Vec::with_capacity(2 * topo.bridges().len());
     for b in topo.bridges() {
-        let locs = [b.a, b.b].map(|ep| {
-            let ring = node_loc[ep.index()].ring;
-            SideLoc {
-                ring,
-                idx: shards[ring as usize].sides.len() as u32,
-            }
-        });
-        for (side, ep) in [(0u8, b.a), (1u8, b.b)] {
-            let loc = node_loc[ep.index()];
+        let eps = [b.a, b.b].map(|ep| node_loc[ep.index()]);
+        for (side, loc) in eps.into_iter().enumerate() {
+            let escape = Escape {
+                cfg: b.config.clone(),
+                to_ring: eps[1 - side].ring,
+                fifo: VecDeque::new(),
+                reserved: VecDeque::new(),
+                pushed: 0,
+                popped: 0,
+                last_push: (0, 0),
+            };
             let shard = &mut shards[loc.ring as usize];
-            let idx = locs[side as usize].idx;
-            shard.nodes[loc.local as usize].side = Some(idx);
+            let idx = shard.sides.len();
+            shard.nodes[loc.local as usize].side = Some(idx as u32);
             shard.sides.push(BridgeSide {
                 bridge: b.id,
-                side,
+                side: side as u8,
                 endpoint: loc.local,
-                peer: locs[1 - side as usize],
-                cfg: b.config.clone(),
-                rx: VecDeque::new(),
-                rx_due: u64::MAX,
-                tx: VecDeque::new(),
-                peer_backlog: 0,
-                last_staged: (0, 0),
-                reserved: VecDeque::new(),
                 drm: false,
                 drm_entries: 0,
-                tx_pushed: 0,
-                rx_popped: 0,
             });
-            if shard.sides[idx as usize].drm_capable() {
+            if escape.drm_capable() {
                 shard.nodes[loc.local as usize].drm_watch_at = b.config.deadlock_threshold;
                 // A zero threshold is met before the first lost arbitration.
                 if b.config.deadlock_threshold == 0 {
-                    shard.drm_watch.set(idx as usize);
+                    shard.drm_watch.set(idx);
                 }
             }
+            escapes.push(escape);
         }
-        side_loc.push(locs);
     }
+    let bridges = Bridges {
+        escapes,
+        due: vec![u64::MAX; shards.len()],
+    };
     let max_epoch = topo
         .bridges()
         .iter()
@@ -377,10 +342,9 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
         topo,
         route,
         node_loc,
-        side_loc,
         max_epoch,
     };
-    (shared, shards)
+    (shared, shards, bridges)
 }
 
 impl RingShard {
@@ -469,53 +433,53 @@ impl RingShard {
     }
 
     // ------------------------------------------------------------------
-    // Phase 1: bridge delivery (reads only this shard + its rx inboxes)
+    // Phase 1: bridge delivery (this shard + the escapes landing on it)
     // ------------------------------------------------------------------
 
-    /// Move matured flits from this shard's bridge inboxes into their
-    /// endpoint inject queues. Returns at once while nothing on this
-    /// ring is due; otherwise visits the due sides in ascending order,
-    /// marks the ones it popped from for barrier 1 and re-derives the
-    /// shard's earliest due cycle. Returns whether any side was popped.
+    /// Move matured flits from the escapes landing on this ring into
+    /// their endpoint inject queues. Returns at once while nothing here
+    /// is due; otherwise visits the due sides in ascending order and
+    /// re-derives the ring's due cycle.
     pub(crate) fn phase_deliver<const TRACE: bool>(
         &mut self,
         shared: &EngineShared,
+        bridges: &mut Bridges,
         now: Cycle,
-    ) -> bool {
+    ) {
         let nraw = now.raw();
-        if self.rx_due > nraw {
-            return false;
+        let ring = self.ring.id.index();
+        if bridges.due[ring] > nraw {
+            return;
         }
-        let mut popped = false;
         let mut earliest = u64::MAX;
         for si in 0..self.sides.len() {
-            if self.sides[si].rx_due <= nraw {
+            let inbound = &mut bridges.escapes[self.sides[si].inbound()];
+            if inbound.head_due() <= nraw {
                 self.profile.side_visits += 1;
-                popped |= self.deliver_side::<TRACE>(shared, nraw, si);
+                self.deliver_side::<TRACE>(shared, inbound, nraw, si);
             }
-            earliest = earliest.min(self.sides[si].rx_due);
+            earliest = earliest.min(inbound.head_due());
         }
-        self.rx_due = earliest;
-        popped
+        bridges.due[ring] = earliest;
     }
 
-    /// Drain side `si`'s matured flits into its endpoint's inject queue
-    /// until the inbox head lies in the future or the queue is full.
-    /// Returns whether it popped any, having marked the side if so.
+    /// Drain side `si`'s matured flits from `inbound` into its
+    /// endpoint's inject queue until the head lies in the future or the
+    /// queue is full.
     fn deliver_side<const TRACE: bool>(
         &mut self,
         shared: &EngineShared,
+        inbound: &mut Escape,
         nraw: u64,
         si: usize,
-    ) -> bool {
+    ) {
         let ep = self.sides[si].endpoint as usize;
-        let mut popped = false;
-        while self.sides[si].rx_due <= nraw {
+        while inbound.head_due() <= nraw {
             if self.nodes[ep].inject.is_full() {
                 if TRACE {
                     // Matured flit held in the pipeline by a full
                     // endpoint Inject Queue: backpressure.
-                    let fid = self.sides[si].rx.front().map_or(NO_FLIT, |(_, f)| f.id);
+                    let fid = inbound.fifo.front().map_or(NO_FLIT, |(_, f)| f.id);
                     let record = TraceRecord {
                         cycle: nraw,
                         flit: fid,
@@ -530,33 +494,14 @@ impl RingShard {
                 }
                 break;
             }
-            let side = &mut self.sides[si];
-            let (_, flit) = side.rx.pop_front().expect("due implies non-empty");
-            side.rx_popped += 1;
-            side.refresh_rx_due();
-            popped = true;
+            let (_, flit) = inbound.fifo.pop_front().expect("due implies non-empty");
+            inbound.popped += 1;
             self.nodes[ep].inject.push(flit).expect("checked not full");
             if self.nodes[ep].inject.len() == 1 {
                 self.head_changed(shared, ep);
             }
             self.stats.bridge_crossings.inc();
         }
-        if popped {
-            self.popped.set(si);
-        }
-        popped
-    }
-
-    /// Move a batch the peer staged onto the end of side `si`'s inbox
-    /// (leaving `batch` empty), keeping the side's and the shard's due
-    /// cycles true. Returns the inbox depth afterwards — the sender's
-    /// new `peer_backlog`.
-    pub(crate) fn receive(&mut self, si: usize, batch: &mut VecDeque<(u64, Flit)>) -> usize {
-        let side = &mut self.sides[si];
-        side.rx.append(batch);
-        side.refresh_rx_due();
-        self.rx_due = self.rx_due.min(side.rx_due);
-        side.rx.len()
     }
 
     // ------------------------------------------------------------------
@@ -565,19 +510,24 @@ impl RingShard {
 
     /// The fused per-ring portion of one tick: zero-hop local
     /// deliveries, the station sweep, lane advancement, bridge intake
-    /// (staged into `tx` mailboxes) and DRM bookkeeping.
-    pub(crate) fn phase_cycle<const TRACE: bool>(&mut self, shared: &EngineShared, now: Cycle) {
+    /// (pushed into the outbound escapes) and DRM bookkeeping.
+    pub(crate) fn phase_cycle<const TRACE: bool>(
+        &mut self,
+        shared: &EngineShared,
+        bridges: &mut Bridges,
+        now: Cycle,
+    ) {
         self.local_deliveries_fast::<TRACE>(shared, now);
-        self.sweep_active::<TRACE>(shared, now);
+        self.sweep_active::<TRACE>(shared, bridges, now);
         for lane in &mut self.ring.lanes {
             lane.advance();
         }
         self.debug_check_delivered();
-        self.debug_check_side_indices();
-        self.bridge_intake::<TRACE>(now);
-        self.drm_update();
+        self.debug_check_side_indices(bridges);
+        self.bridge_intake::<TRACE>(bridges, now);
+        self.drm_update(bridges);
         if self.metrics_period != 0 && now.raw().is_multiple_of(self.metrics_period) {
-            self.sample_metrics(shared, now);
+            self.sample_metrics(shared, bridges, now, true);
         }
     }
 
@@ -591,8 +541,14 @@ impl RingShard {
     /// events and only mutating state attached to station `s` (its
     /// slot, its ports' queues, its bridge side), so skipping idle
     /// stations and snapshotting each 64-station word before visiting
-    /// it cannot change the outcome.
-    fn sweep_active<const TRACE: bool>(&mut self, shared: &EngineShared, now: Cycle) {
+    /// it cannot change the outcome. (A SWAP at `s` also fills the
+    /// reserved buffers of the bridge side attached there.)
+    fn sweep_active<const TRACE: bool>(
+        &mut self,
+        shared: &EngineShared,
+        bridges: &mut Bridges,
+        now: Cycle,
+    ) {
         let stations = self.ring.stations as u64;
         let nwords = self.intent_bits[0].words().len();
         for li in 0..self.ring.lanes.len() {
@@ -606,7 +562,7 @@ impl RingShard {
                 while w != 0 {
                     let s = wi * 64 + w.trailing_zeros() as usize;
                     w &= w - 1;
-                    self.process_station::<TRACE>(shared, now, li, s as u16);
+                    self.process_station::<TRACE>(shared, bridges, now, li, s as u16);
                     if cfg!(debug_assertions) {
                         // The visit raised no event ahead of `s` in this
                         // word that the snapshot `w` lacks: the snapshot
@@ -704,6 +660,7 @@ impl RingShard {
     fn process_station<const TRACE: bool>(
         &mut self,
         shared: &EngineShared,
+        bridges: &mut Bridges,
         now: Cycle,
         li: usize,
         s: u16,
@@ -713,11 +670,7 @@ impl RingShard {
         let lane = &mut self.ring.lanes[li];
         if lane.arrives(s) {
             let flit = lane.take_arrival(s);
-            let hop = shared.route.exit(ring_id, flit.dst);
-            let target = hop
-                .expect("validated topology routes every destination")
-                .target;
-            self.arrive::<TRACE>(shared, now, li, s, target, flit);
+            self.arrive::<TRACE>(shared, bridges, now, li, s, flit);
         }
         // ---- injection ----
         let mut injected_port: Option<u8> = None;
@@ -875,12 +828,17 @@ impl RingShard {
     fn arrive<const TRACE: bool>(
         &mut self,
         shared: &EngineShared,
+        bridges: &mut Bridges,
         now: Cycle,
         li: usize,
         s: u16,
-        target: NodeId,
         mut flit: Flit,
     ) {
+        let target = shared
+            .route
+            .exit(self.ring.id, flit.dst)
+            .expect("validated topology routes every destination")
+            .target;
         let t = shared.node_loc[target.index()].local as usize;
         let free = self.nodes[t].eject.free();
         let reserved_count = self.nodes[t].etag_list.len();
@@ -909,14 +867,15 @@ impl RingShard {
         // escape-buffer mode) with escape space.
         if let Some(si) = self.nodes[t].side {
             let si = si as usize;
-            let active = self.sides[si].drm || self.sides[si].cfg.escape_always;
+            let out = &mut bridges.escapes[self.sides[si].out()];
+            let active = self.sides[si].drm || out.cfg.escape_always;
             if active
-                && self.sides[si].reserved.len() < self.sides[si].cfg.reserved_cap
+                && out.reserved.len() < out.cfg.reserved_cap
                 && !self.nodes[t].eject.is_empty()
             {
                 // Push the Eject Queue head into a reserved Tx buffer…
                 let escaped = self.nodes[t].eject.pop().expect("non-empty");
-                self.sides[si].reserved.push_back(escaped);
+                out.reserved.push_back(escaped);
                 self.intake.set(si);
                 // …eject the traversing flit into the vacated space…
                 if flit.etag {
@@ -1088,63 +1047,49 @@ impl RingShard {
             .expect("caller checked eject space");
     }
 
-    /// Pull flits from bridge endpoint eject queues into the outbound
-    /// `tx` mailboxes, draining reserved escape buffers first. Visits
-    /// only the sides marked as having intake work; a side that staged
-    /// anything is marked for barrier 2, and one left with nothing to
-    /// pull loses its mark.
-    fn bridge_intake<const TRACE: bool>(&mut self, now: Cycle) {
+    /// Push flits from bridge endpoint eject queues into the outbound
+    /// escapes, draining reserved escape buffers first. Visits only the
+    /// sides marked as having intake work; one left with nothing to
+    /// push loses its mark.
+    fn bridge_intake<const TRACE: bool>(&mut self, bridges: &mut Bridges, now: Cycle) {
         let nraw = now.raw();
         for wi in 0..self.intake.words().len() {
             let w = self.intake.words()[wi];
             self.profile.side_visits += u64::from(w.count_ones());
             for si in word_ones(wi, w) {
-                self.intake_side::<TRACE>(nraw, si);
+                self.intake_side::<TRACE>(bridges, nraw, si);
             }
         }
     }
 
     /// [`RingShard::bridge_intake`] for side `si`.
-    fn intake_side<const TRACE: bool>(&mut self, nraw: u64, si: usize) {
-        let (ep, latency, width, cap) = {
-            let side = &self.sides[si];
-            (
-                side.endpoint as usize,
-                side.cfg.latency as u64,
-                side.cfg.width_flits_per_cycle as usize,
-                side.cfg.buffer_cap,
-            )
-        };
+    fn intake_side<const TRACE: bool>(&mut self, bridges: &mut Bridges, nraw: u64, si: usize) {
+        let ep = self.sides[si].endpoint as usize;
+        let e = self.sides[si].out();
+        let cfg = &bridges.escapes[e].cfg;
+        let (ready, width, cap) = (
+            nraw + cfg.latency as u64,
+            cfg.width_flits_per_cycle as usize,
+            cfg.buffer_cap,
+        );
         let mut moved = 0usize;
-        // Priority: reserved escape buffers drain first.
-        while moved < width
-            && !self.sides[si].reserved.is_empty()
-            && self.sides[si].pipe_len() < cap
-        {
-            let mut flit = self.sides[si].reserved.pop_front().expect("non-empty");
+        while moved < width && bridges.escapes[e].fifo.len() < cap {
+            // Priority: reserved escape buffers drain first.
+            let reserved = bridges.escapes[e].reserved.pop_front();
+            let Some(mut flit) = reserved.or_else(|| self.nodes[ep].eject.pop()) else {
+                break;
+            };
             flit.ring_changes += 1;
             if TRACE {
                 self.push_bridge_enqueued(nraw, si, ep, flit.id);
             }
-            self.sides[si].tx.push_back((nraw + latency, flit));
-            self.sides[si].tx_pushed += 1;
-            moved += 1;
-        }
-        while moved < width && !self.nodes[ep].eject.is_empty() && self.sides[si].pipe_len() < cap {
-            let mut flit = self.nodes[ep].eject.pop().expect("non-empty");
-            flit.ring_changes += 1;
-            if TRACE {
-                self.push_bridge_enqueued(nraw, si, ep, flit.id);
-            }
-            self.sides[si].tx.push_back((nraw + latency, flit));
-            self.sides[si].tx_pushed += 1;
+            bridges.push(e, ready, flit);
             moved += 1;
         }
         if moved != 0 {
-            self.staged.set(si);
-            self.sides[si].last_staged = (nraw, moved);
+            bridges.escapes[e].last_push = (nraw, moved);
         }
-        if self.sides[si].reserved.is_empty() && self.nodes[ep].eject.is_empty() {
+        if bridges.escapes[e].reserved.is_empty() && self.nodes[ep].eject.is_empty() {
             self.intake.clear(si);
         }
     }
@@ -1164,10 +1109,10 @@ impl RingShard {
     }
 
     /// Enter/exit deadlock resolution mode on the sides under DRM
-    /// watch. Reads only a side's escape buffers and its endpoint's
-    /// starvation state — both shard-local. A side neither in DRM nor
-    /// starving at its threshold afterwards leaves the watch.
-    fn drm_update(&mut self) {
+    /// watch. Reads a side's outbound reserved buffers and its
+    /// endpoint's starvation state. A side neither in DRM nor starving
+    /// at its threshold afterwards leaves the watch.
+    fn drm_update(&mut self, bridges: &Bridges) {
         for wi in 0..self.drm_watch.words().len() {
             let w = self.drm_watch.words()[wi];
             self.profile.side_visits += u64::from(w.count_ones());
@@ -1176,14 +1121,15 @@ impl RingShard {
                 let starve = self.nodes[ep].starve;
                 let inject_empty = self.nodes[ep].inject.is_empty();
                 let side = &mut self.sides[si];
-                let starving = starve >= side.cfg.deadlock_threshold;
+                let out = &bridges.escapes[side.out()];
+                let starving = starve >= out.cfg.deadlock_threshold;
                 if !side.drm {
                     if starving && !inject_empty {
                         side.drm = true;
                         side.drm_entries += 1;
                         self.stats.drm_entries.inc();
                     }
-                } else if side.reserved.len() <= side.cfg.drm_exit_occupancy && !starving {
+                } else if out.reserved.len() <= out.cfg.drm_exit_occupancy && !starving {
                     side.drm = false;
                 }
                 if !side.drm && !starving {
@@ -1213,38 +1159,31 @@ impl RingShard {
         }
     }
 
-    /// Debug builds: walk every side and check the indices the
-    /// event-indexed bridge phases read against the state they
-    /// summarise — `rx_due` against the inbox heads, and that a side
-    /// without an intake mark or off the DRM watch really has nothing
-    /// for those phases to do. Called between the station sweep and
-    /// intake, the point where a missed wake-up would first be skipped.
-    /// (`crate::epoch::debug_check_barrier` checks what needs the peer.)
-    fn debug_check_side_indices(&self) {
+    /// Debug builds: walk every side and check the side sets against
+    /// the state they summarise — a side without an intake mark or off
+    /// the DRM watch really has nothing for those phases to do. Called
+    /// between the station sweep and intake, the point where a missed
+    /// wake-up would first be skipped. (`crate::epoch` checks the
+    /// escapes themselves.)
+    fn debug_check_side_indices(&self, bridges: &Bridges) {
         if !cfg!(debug_assertions) {
             return;
         }
         let ring = self.ring.id;
-        let mut earliest = u64::MAX;
         for (si, side) in self.sides.iter().enumerate() {
             let node = &self.nodes[side.endpoint as usize];
+            let out = &bridges.escapes[side.out()];
             assert_eq!(
                 node.side,
                 Some(si as u32),
                 "{ring} side {si}: endpoint index"
             );
-            assert_eq!(
-                side.rx_due,
-                side.head_due(),
-                "{ring} side {si}: rx_due disagrees with the inbox head"
-            );
-            earliest = earliest.min(side.rx_due);
             assert!(
-                self.intake.test(si) || (node.eject.is_empty() && side.reserved.is_empty()),
+                self.intake.test(si) || (node.eject.is_empty() && out.reserved.is_empty()),
                 "{ring} side {si}: intake work without a mark"
             );
-            let watch_at = if side.drm_capable() {
-                side.cfg.deadlock_threshold
+            let watch_at = if out.drm_capable() {
+                out.cfg.deadlock_threshold
             } else {
                 u32::MAX
             };
@@ -1252,24 +1191,16 @@ impl RingShard {
                 node.drm_watch_at, watch_at,
                 "{ring} side {si}: watch threshold"
             );
-            let watch = side.drm || node.starve >= side.cfg.deadlock_threshold;
+            let watch = side.drm || node.starve >= out.cfg.deadlock_threshold;
             assert!(
-                !self.drm_watch.test(si) || side.drm_capable(),
+                !self.drm_watch.test(si) || out.drm_capable(),
                 "{ring} side {si}: DRM watch on a side DRM does not apply to"
             );
             assert!(
-                self.drm_watch.test(si) || !(watch && side.drm_capable()),
+                self.drm_watch.test(si) || !(watch && out.drm_capable()),
                 "{ring} side {si}: DRM transition due without a watch mark"
             );
-            assert!(
-                side.tx.is_empty() && !self.staged.test(si) && !self.popped.test(si),
-                "{ring} side {si}: a barrier left mail or a mark behind"
-            );
         }
-        assert_eq!(
-            self.rx_due, earliest,
-            "{ring}: shard rx_due is not the minimum"
-        );
     }
 
     // ------------------------------------------------------------------
@@ -1404,10 +1335,17 @@ impl RingShard {
 
     /// Stage one metrics sample: window counter deltas since the last
     /// sample plus instantaneous ring/bridge gauges. Runs inside the
-    /// per-ring phase — it reads only shard-local state, so samples do
-    /// not depend on the order the shards run in. The engine commits
-    /// the staged windows in ring order at the end of the cycle.
-    pub(crate) fn sample_metrics(&mut self, shared: &EngineShared, now: Cycle) {
+    /// per-ring phase (`in_cycle`) or between ticks, when
+    /// `Network::finish_metrics` closes the series; the bridge gauges
+    /// depend on which ([`Bridges::gauges`]). The engine commits the
+    /// staged windows in ring order at the end of the cycle.
+    pub(crate) fn sample_metrics(
+        &mut self,
+        shared: &EngineShared,
+        bridges: &Bridges,
+        now: Cycle,
+        in_cycle: bool,
+    ) {
         let now_counters = self.counters_now();
         let counters = now_counters.delta_since(&self.metrics_base);
         self.metrics_base = now_counters;
@@ -1433,15 +1371,18 @@ impl RingShard {
         let bridges = self
             .sides
             .iter()
-            .map(|side| BridgeGauges {
-                bridge: side.bridge.index() as u16,
-                side: side.side,
-                ring: self.ring.id.0,
-                tx_pipe: side.pipe_gauge(now.raw()) as u32,
-                rx_depth: side.rx.len() as u32,
-                reserved: side.reserved.len() as u32,
-                in_drm: side.drm,
-                drm_entries: side.drm_entries,
+            .map(|side| {
+                let (tx_pipe, rx_depth) = bridges.gauges(side, now.raw(), in_cycle);
+                BridgeGauges {
+                    bridge: side.bridge.index() as u16,
+                    side: side.side,
+                    ring: self.ring.id.0,
+                    tx_pipe,
+                    rx_depth,
+                    reserved: bridges.escapes[side.out()].reserved.len() as u32,
+                    in_drm: side.drm,
+                    drm_entries: side.drm_entries,
+                }
             })
             .collect();
 
@@ -1491,12 +1432,10 @@ impl RingShard {
 
     /// Contribute this ring's rows to a wait census (see
     /// [`crate::census`]): per-bridge-side transit demand (who on this
-    /// ring wants to cross where) and the placement of every resident
-    /// flit's packet. Runs between ticks on owner-held state;
-    /// iteration is in lane/station/side order, so the contribution is
-    /// deterministic. The escape rows are the
-    /// engine's to build: each pairs two sides that live in different
-    /// shards.
+    /// ring wants to cross where) and the placement of every packet on
+    /// its lanes or inject queues. Runs between ticks on owner-held
+    /// state; iteration is in lane/station order, so the contribution
+    /// is deterministic. The escapes are the engine's to add.
     pub(crate) fn wait_census_part(&self, shared: &EngineShared, census: &mut WaitCensus) {
         let ring_id = self.ring.id.0;
         // Transit demand: flits resident on the lanes whose route exits
@@ -1539,23 +1478,6 @@ impl RingShard {
                 ));
             }
         }
-        for side in &self.sides {
-            let bridge = side.bridge.index() as u16;
-            let escape = |side| PacketPlace::Escape { bridge, side };
-            let outbound = side.tx.iter().map(|(_, f)| f).chain(&side.reserved);
-            for f in outbound {
-                census
-                    .packet_where
-                    .push((census::packet_of(f.token), escape(side.side)));
-            }
-            // Inbound flits belong to the *peer's* escape resource: they
-            // are its pipe contents in flight toward us.
-            for (_, f) in &side.rx {
-                census
-                    .packet_where
-                    .push((census::packet_of(f.token), escape(1 - side.side)));
-            }
-        }
         transit.sort_unstable_by_key(|t| (t.bridge, t.side));
         census.rings.push(RingCensus {
             ring: ring_id,
@@ -1563,17 +1485,14 @@ impl RingShard {
         });
     }
 
-    /// Flits physically inside this shard (queues, slots, mailboxes,
-    /// escape buffers), for conservation checks.
+    /// Flits physically inside this shard (queues and slots), for
+    /// conservation checks.
     pub(crate) fn resident_flits(&self) -> u64 {
-        let mut n = 0u64;
-        for node in &self.nodes {
-            n += (node.inject.len() + node.eject.len()) as u64;
-        }
-        n += self.ring.occupancy() as u64;
-        for side in &self.sides {
-            n += side.resident_flits() as u64;
-        }
-        n
+        let queued: usize = self
+            .nodes
+            .iter()
+            .map(|n| n.inject.len() + n.eject.len())
+            .sum();
+        (queued + self.ring.occupancy()) as u64
     }
 }

@@ -139,6 +139,9 @@ pub enum SpecError {
     },
     /// Two devices share a name.
     DuplicateDevice(String),
+    /// A `network` queue capacity (`inject_queue_cap` or
+    /// `eject_queue_cap`) is 0: no node interface could hold a flit.
+    ZeroQueueCap(&'static str),
     /// The underlying topology was invalid.
     Topology(TopologyError),
 }
@@ -152,6 +155,7 @@ impl fmt::Display for SpecError {
                 write!(f, "chiplet '{chiplet}' has no ring {ring}")
             }
             SpecError::DuplicateDevice(name) => write!(f, "duplicate device name '{name}'"),
+            SpecError::ZeroQueueCap(field) => write!(f, "network.{field} must be at least 1"),
             SpecError::Topology(e) => write!(f, "topology error: {e}"),
         }
     }
@@ -213,7 +217,8 @@ impl SocSpec {
 
     /// Compile and validate the topology only — every check
     /// [`SocSpec::build`] performs (dangling bridge references,
-    /// duplicate device names, port occupancy, reachability) without
+    /// duplicate device names, port occupancy, reachability, zero queue
+    /// or bridge capacities) without
     /// instantiating the runtime network. This is what generators call
     /// to certify a spec before handing it out.
     ///
@@ -229,9 +234,17 @@ impl SocSpec {
     ///
     /// # Errors
     ///
-    /// Fails on dangling bridge references, duplicate device names, or
-    /// any topology-level violation (occupied ports, unreachable rings).
+    /// Fails on a zero queue capacity in `network`, dangling bridge
+    /// references, duplicate device names, or any topology-level
+    /// violation (occupied ports, unreachable rings, zero bridge
+    /// capacity).
     pub fn compile(&self) -> Result<(Topology, HashMap<String, NodeId>), SpecError> {
+        if self.network.inject_queue_cap == 0 {
+            return Err(SpecError::ZeroQueueCap("inject_queue_cap"));
+        }
+        if self.network.eject_queue_cap == 0 {
+            return Err(SpecError::ZeroQueueCap("eject_queue_cap"));
+        }
         let mut b = TopologyBuilder::new();
         let mut names = HashMap::new();
         // chiplet name -> ring handles
@@ -284,8 +297,7 @@ impl SocSpec {
     ///
     /// # Errors
     ///
-    /// Fails on dangling bridge references, duplicate device names, or
-    /// any topology-level violation (occupied ports, unreachable rings).
+    /// Same failure modes as [`SocSpec::compile`].
     pub fn build(&self) -> Result<(Network, HashMap<String, NodeId>), SpecError> {
         let (topo, names) = self.compile()?;
         Ok((Network::new(topo, self.network.clone()), names))
@@ -403,6 +415,42 @@ mod tests {
         let mut spec = two_die_spec();
         spec.chiplets[0].rings[0].devices[0].station = 99;
         assert!(matches!(spec.build(), Err(SpecError::Topology(_))));
+    }
+
+    #[test]
+    fn rejects_zero_bridge_buffer() {
+        let json = two_die_spec().to_json().unwrap();
+        let zeroed = json.replace("\"buffer_cap\": null", "\"buffer_cap\": 0");
+        assert_ne!(zeroed, json);
+        let spec = SocSpec::from_json(&zeroed).unwrap();
+        assert!(matches!(
+            spec.validate(),
+            Err(SpecError::Topology(TopologyError::ZeroBridgeCapacity {
+                field: "buffer_cap"
+            }))
+        ));
+    }
+
+    #[test]
+    fn rejects_zero_inject_queue_cap() {
+        let mut spec = two_die_spec();
+        spec.network.inject_queue_cap = 0;
+        assert!(matches!(
+            spec.validate(),
+            Err(SpecError::ZeroQueueCap("inject_queue_cap"))
+        ));
+    }
+
+    #[test]
+    fn rejects_zero_eject_queue_cap() {
+        let json = two_die_spec().to_json().unwrap();
+        let zeroed = json.replace("\"eject_queue_cap\": 4", "\"eject_queue_cap\": 0");
+        assert_ne!(zeroed, json);
+        let spec = SocSpec::from_json(&zeroed).unwrap();
+        assert!(matches!(
+            spec.build(),
+            Err(SpecError::ZeroQueueCap("eject_queue_cap"))
+        ));
     }
 
     #[test]

@@ -213,9 +213,8 @@ pub struct TickProfile {
     /// The field stays because the benchmark reads it.
     pub full_lane_sweeps: u64,
     /// Bridge-side bodies run: one per side delivery drained or found
-    /// stalled, per side intake or DRM bookkeeping looked at, and per
-    /// side a mailbox barrier moved mail or a depth for. Zero on an
-    /// idle fabric, whatever its bridge count.
+    /// stalled, and per side intake or DRM bookkeeping looked at. Zero
+    /// on an idle fabric, whatever its bridge count.
     pub side_visits: u64,
 }
 

@@ -255,8 +255,9 @@ impl TopologyBuilder {
     ///
     /// # Errors
     ///
-    /// Fails on unknown rings/stations, occupied stations, or if both
-    /// endpoints are on the same ring.
+    /// Fails on unknown rings/stations, occupied stations, if both
+    /// endpoints are on the same ring, or if `config` has a zero
+    /// `buffer_cap` or `width_flits_per_cycle`.
     pub fn add_bridge(
         &mut self,
         config: BridgeConfig,
@@ -267,6 +268,16 @@ impl TopologyBuilder {
     ) -> Result<BridgeId, TopologyError> {
         if ring_a == ring_b {
             return Err(TopologyError::SelfBridge { ring: ring_a });
+        }
+        if config.buffer_cap == 0 {
+            return Err(TopologyError::ZeroBridgeCapacity {
+                field: "buffer_cap",
+            });
+        }
+        if config.width_flits_per_cycle == 0 {
+            return Err(TopologyError::ZeroBridgeCapacity {
+                field: "width_flits_per_cycle",
+            });
         }
         let id = BridgeId(self.bridges.len() as u16);
         let a = self.attach(
@@ -432,6 +443,27 @@ mod tests {
             b.add_bridge(BridgeConfig::l1(), r, 0, r, 2),
             Err(TopologyError::SelfBridge { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_zero_capacity_bridge() {
+        let mut b = TopologyBuilder::new();
+        let d = b.add_chiplet("die");
+        let r0 = b.add_ring(d, RingKind::Full, 4).unwrap();
+        let r1 = b.add_ring(d, RingKind::Full, 4).unwrap();
+        let no_buffer = BridgeConfig::l2().with_buffer_cap(0);
+        let no_width = BridgeConfig::l1().with_width(0);
+        for (cfg, field) in [
+            (no_buffer, "buffer_cap"),
+            (no_width, "width_flits_per_cycle"),
+        ] {
+            assert_eq!(
+                b.add_bridge(cfg, r0, 0, r1, 0),
+                Err(TopologyError::ZeroBridgeCapacity { field })
+            );
+        }
+        assert!(b.nodes.is_empty(), "a rejected bridge attaches nothing");
+        assert!(b.add_bridge(BridgeConfig::l1(), r0, 0, r1, 0).is_ok());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The event-indexed bridge layer (DESIGN.md §21): a bridge side is
 //! visited only in a cycle where something is due at it, and the
-//! indices that decide "due" — `rx_due`, the intake / DRM-watch sets,
-//! the `popped` / `staged` marks and the `peer_backlog` invariant —
+//! indices that decide "due" — each ring's earliest due cycle over the
+//! bridge FIFOs landing on it, and the intake / DRM-watch side sets —
 //! survive everything the public API can do between ticks.
 //!
 //! The first half counts visits ([`TickProfile::side_visits`]
 //! (noc_core::TickProfile::side_visits)): none on an idle fabric,
-//! exactly four for one flit over one bridge, equal between two fresh
+//! exactly two for one flit over one bridge, equal between two fresh
 //! runs on a ring with more bridge sides than one set word holds, and
 //! one per cycle for a flit a full
 //! endpoint Inject Queue holds in the pipeline — with the resulting
@@ -14,8 +14,9 @@
 //! The second half pokes the indices from outside: draining a bridge
 //! endpoint's Eject Queue behind the intake mark, cloning mid-run.
 //! Debug builds additionally run
-//! `debug_check_side_indices` every cycle of every test here, which is
-//! what the closing proptest leans on.
+//! `debug_check_side_indices` and the engine's escape checks (no
+//! matured flit skipped, buffer bounds, due cycles) every cycle of
+//! every test here, which is what the closing proptest leans on.
 
 mod common;
 
@@ -125,7 +126,7 @@ fn an_idle_fabric_visits_no_side() {
 }
 
 #[test]
-fn one_flit_over_one_bridge_is_four_side_visits() {
+fn one_flit_over_one_bridge_is_two_side_visits() {
     let (topo, devs) = two_ring(BridgeConfig::l2().with_latency(3));
     let mut net = Network::new(topo, NetworkConfig::default());
     net.enqueue(devs[0], devs[3], FlitClass::Data, 64, 1)
@@ -136,12 +137,11 @@ fn one_flit_over_one_bridge_is_four_side_visits() {
         got = got.or(net.pop_delivered(devs[3]));
     }
     assert_eq!(got.expect("delivered").ring_changes, 1);
-    // Sending side: intake pulls the flit off the endpoint's Eject
-    // Queue (1) and barrier 2 moves the staged batch (2). Receiving
-    // side, three cycles later: delivery drains the matured flit (3)
-    // and barrier 1 publishes the new inbox depth (4). The other 63
+    // Sending side: intake pushes the flit from the endpoint's Eject
+    // Queue into the bridge FIFO (1). Receiving side, three cycles
+    // later: delivery drains the matured flit (2). The other 63
     // cycles, and DRM bookkeeping in all 64, touch nothing.
-    assert_eq!(net.tick_profile().side_visits, 4);
+    assert_eq!(net.tick_profile().side_visits, 2);
 }
 
 #[test]

@@ -183,8 +183,9 @@ pub struct BridgeGauges {
     pub side: u8,
     /// Ring this side sits on.
     pub ring: u16,
-    /// Outgoing pipeline occupancy as capacity checks see it
-    /// (peer inbox backlog + staged Tx).
+    /// Outgoing pipeline occupancy. A flit pushed in the sampled
+    /// cycle counts here in a periodic sample and in the peer's
+    /// `rx_depth` in the closing one (`noc_core`'s `Bridges::gauges`).
     pub tx_pipe: u32,
     /// Flits in flight toward this side's endpoint.
     pub rx_depth: u32,
