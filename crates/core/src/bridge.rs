@@ -3,7 +3,7 @@
 //! A bridge (RBRG-L1/L2, §4.1.3 and §4.4) has one buffered Tx pipeline
 //! per direction, plus, on L2, the reserved escape buffers SWAP fills.
 //! Each direction is one [`Escape`], indexed `2 * bridge + sending
-//! side` — the unit the wait graph calls `ResourceId::Escape`. The
+//! side` — the unit the wait graph calls an escape resource. The
 //! escapes live in [`Bridges`], which the `Network` owns next to the
 //! ring shards and lends to each phase of the cycle:
 //!
@@ -106,10 +106,12 @@ impl Bridges {
     /// The observatory streams were pinned when each direction was an
     /// outbox on the sending ring plus an inbox on the receiving one,
     /// and a cycle's pushes moved from the first to the second only
-    /// after every ring had run. So a sample taken inside the cycle
-    /// (`in_cycle`) leaves the flits pushed in cycle `now` out of
-    /// `rx_depth`, and a sample taken between ticks leaves them out of
-    /// `tx_pipe`.
+    /// after every ring had run. Two rules keep them:
+    ///
+    /// * the periodic sample, at the end of cycle `now` (`in_cycle`),
+    ///   leaves the flits pushed in that cycle out of `rx_depth`;
+    /// * `Network::finish_metrics`, between ticks, leaves them out of
+    ///   `tx_pipe`.
     pub fn gauges(&self, side: &BridgeSide, now: u64, in_cycle: bool) -> (u32, u32) {
         let (out, inbound) = (&self.escapes[side.out()], &self.escapes[side.inbound()]);
         let (tx_fresh, rx_fresh) = if in_cycle {

@@ -12,9 +12,11 @@
 //!
 //! One thread runs one cycle at a time. The rings are independent
 //! conveyor belts coupled only at bridges, so a host scales by running
-//! many networks side by side, not by splitting one. Everything a caller
-//! can observe — metrics commits, watchdogs, trace emission — happens
-//! in `Network`'s epilogue at the end of the same cycle.
+//! many networks side by side, not by splitting one. The cycle writes
+//! datapath state only. Everything a caller can observe — the metrics
+//! sample and its commit, watchdogs, trace emission — happens in
+//! `Network`'s epilogue at the end of the same cycle, once every ring
+//! has run (`crate::observe`).
 
 use crate::bridge::Bridges;
 use crate::shard::{EngineShared, RingShard};

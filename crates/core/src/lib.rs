@@ -47,7 +47,6 @@
 
 pub mod bits;
 mod bridge;
-pub mod census;
 pub mod config;
 pub mod diag;
 mod epoch;
@@ -56,6 +55,7 @@ pub mod exec;
 pub mod flit;
 pub mod ids;
 pub mod network;
+mod observe;
 pub mod queue;
 pub mod render;
 pub mod ring;
@@ -72,7 +72,6 @@ pub mod topology;
 pub use noc_telemetry as telemetry;
 
 pub use bits::BitRing;
-pub use census::{EscapeCensus, PacketPlace, RingCensus, TransitCensus, WaitCensus};
 pub use config::{BridgeConfig, BridgeLevel, NetworkConfig};
 pub use diag::NocDiagnostics;
 pub use error::{EngineError, EnqueueError, TopologyError};

@@ -26,9 +26,12 @@
 //! sweep below: a side where nothing is due in a cycle is not visited
 //! in it (DESIGN.md §21).
 //!
-//! Every caller-visible drain — metrics commits, watchdog evaluation,
-//! trace emission in ring order, utilization samples — happens in the
-//! epilogue at the end of the same cycle. A host scales by running many
+//! Every caller-visible drain — the metrics sample and its commit,
+//! watchdog evaluation, trace emission in ring order, utilization
+//! samples — happens in the epilogue at the end of the same cycle, once
+//! every ring has run. The observer half of [`Network`] (metrics,
+//! watchdogs, flight recorder, wait-graph evidence) lives in
+//! `crate::observe`. A host scales by running many
 //! networks side by side, one per thread, not by splitting one network
 //! over threads. [`Network::tick_epoch`] is `k` calls of
 //! [`Network::tick`].
@@ -54,49 +57,24 @@
 //! goes wrong, in every debug-build test run.
 
 use crate::bridge::Bridges;
-use crate::census::{self, WaitCensus};
 use crate::config::NetworkConfig;
 use crate::epoch;
 use crate::error::{EngineError, EnqueueError};
 use crate::exec::{ExecMode, TickMode};
 use crate::flit::{Flit, FlitClass};
 use crate::ids::{NodeId, RingId};
+use crate::observe::Observatory;
 use crate::route::RouteTable;
 use crate::shard::{EngineShared, NodeState, RingShard};
 use crate::stats::{NetStats, TickProfile};
 use crate::topology::{NodeKind, Topology};
 use noc_sim::{BandwidthProbe, Cycle};
-use noc_telemetry::{
-    merge_ranked, BundleEnv, BundleMeta, FlightRecorder, FlitEvent, FlowRecord, HealthConfig,
-    HealthMonitor, MetricsRegistry, NullSink, PostmortemBundle, RecorderConfig, RecorderView,
-    RingWindow, TraceRecord, TraceSink, WaitGraphSample, WaitNode, WaitStats, NO_FLIT, NO_LANE,
-};
+use noc_telemetry::{FlitEvent, NullSink, TraceRecord, TraceSink, NO_FLIT, NO_LANE};
 
 /// When a tracing sink is attached, every ring's occupancy is sampled
 /// ([`FlitEvent::RingUtil`]) once per this many cycles. Irrelevant for
 /// `NullSink` networks: the sampling site compiles away.
 const UTIL_SAMPLE_PERIOD: u64 = 8;
-
-/// Online observability state: the snapshot registry plus the watchdog
-/// monitor, attached by [`Network::enable_metrics`] /
-/// [`Network::enable_observatory`], optionally extended with the
-/// flight recorder and its captured postmortem bundles by
-/// [`Network::enable_flight_recorder`].
-#[derive(Debug, Clone)]
-struct Observatory {
-    registry: MetricsRegistry,
-    monitor: HealthMonitor,
-    /// The flight recorder's event ring and limits; `None` unless it
-    /// was enabled. Its snapshot window is the tail of `registry`.
-    recorder: Option<FlightRecorder>,
-    /// Watchdog-triggered bundles, capped at
-    /// [`RecorderConfig::max_bundles`]. Explicit
-    /// [`Network::dump_postmortem`] calls are not stored here.
-    bundles: Vec<PostmortemBundle>,
-    /// Gauges of the most recent wait-graph sample fed through
-    /// [`Network::observe_wait`], for the diagnostics stall summary.
-    last_wait: Option<WaitStats>,
-}
 
 /// The bufferless multi-ring network.
 ///
@@ -161,13 +139,14 @@ struct Observatory {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Network<S: TraceSink = NullSink> {
-    shared: EngineShared,
-    shards: Vec<RingShard>,
-    bridges: Bridges,
-    now: Cycle,
+    pub(crate) shared: EngineShared,
+    pub(crate) shards: Vec<RingShard>,
+    pub(crate) bridges: Bridges,
+    pub(crate) now: Cycle,
     next_flit_id: u64,
     sink: S,
-    observatory: Option<Observatory>,
+    /// The observer half (`crate::observe`); `None` until switched on.
+    pub(crate) observatory: Option<Observatory>,
 }
 
 impl Network {
@@ -217,338 +196,6 @@ impl<S: TraceSink> Network<S> {
         sink: S,
     ) -> Self {
         Self::with_sink(topo, cfg, sink)
-    }
-
-    // ------------------------------------------------------------------
-    // Observatory: online metrics + health watchdogs
-    // ------------------------------------------------------------------
-
-    /// Switch on online metrics sampling (and the default health
-    /// watchdogs): every `period` cycles each shard stages one
-    /// per-ring sample during the per-ring phase, and the engine
-    /// commits them as one
-    /// [`MetricsSnapshot`](noc_telemetry::MetricsSnapshot) at the end
-    /// of the cycle, in ring order.
-    ///
-    /// Counters observed before this call are excluded from the
-    /// windows; enabling mid-run starts a fresh series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn enable_metrics(&mut self, period: u64) {
-        self.enable_observatory(period, HealthConfig::default());
-    }
-
-    /// [`Network::enable_metrics`] with explicit watchdog thresholds.
-    pub fn enable_observatory(&mut self, period: u64, cfg: HealthConfig) {
-        for shard in &mut self.shards {
-            shard.metrics_period = period;
-            shard.rebase_metrics();
-        }
-        self.observatory = Some(Observatory {
-            registry: MetricsRegistry::new(period),
-            monitor: HealthMonitor::new(cfg),
-            recorder: None,
-            bundles: Vec::new(),
-            last_wait: None,
-        });
-    }
-
-    /// [`Network::enable_observatory`] plus the flight recorder: each
-    /// shard additionally keeps a deterministic Space-Saving flow table
-    /// and per-link utilization row, the last
-    /// [`RecorderConfig::snapshot_window`] snapshots of the (new)
-    /// registry form the recorder's history, (when a tracing sink is
-    /// attached) trace events are retained in its bounded event ring,
-    /// and any watchdog latching a new verdict captures a
-    /// [`PostmortemBundle`] — up to [`RecorderConfig::max_bundles`],
-    /// readable via [`Network::bundles`].
-    ///
-    /// The registry itself then keeps only that window: at least the
-    /// newest max(R, 1) snapshots and fewer than twice that, however
-    /// long the run. Read the whole series through
-    /// [`MetricsRegistry::since`] as it is committed, and the commit
-    /// count through [`MetricsRegistry::committed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn enable_flight_recorder(
-        &mut self,
-        period: u64,
-        health: HealthConfig,
-        recorder: RecorderConfig,
-    ) {
-        self.enable_observatory(period, health);
-        for shard in &mut self.shards {
-            shard.enable_flow_accounting(recorder.flow_top_k, recorder.charge_stride);
-        }
-        let obs = self.observatory.as_mut().expect("just enabled");
-        obs.registry.retain_last(recorder.snapshot_window);
-        obs.recorder = Some(FlightRecorder::new(recorder));
-    }
-
-    /// The flight recorder, if enabled: its limits, its event ring and
-    /// its snapshot window (the tail of [`Network::metrics`]).
-    pub fn recorder(&self) -> Option<RecorderView<'_>> {
-        let obs = self.observatory.as_ref()?;
-        Some(obs.recorder.as_ref()?.view(&obs.registry))
-    }
-
-    /// Watchdog-triggered postmortem bundles captured so far, in
-    /// capture order.
-    pub fn bundles(&self) -> &[PostmortemBundle] {
-        self.observatory
-            .as_ref()
-            .map_or(&[], |o| o.bundles.as_slice())
-    }
-
-    /// The heaviest (src, dst) flows across all rings: per-shard
-    /// Space-Saving tables merged and cut to `k`. Empty unless
-    /// [`Network::enable_flight_recorder`] switched flow accounting on.
-    /// Deliveries are current to the last sampling window; a still
-    /// circulating flit's deflections are attributed at charge-stride
-    /// sweeps ([`RecorderConfig::charge_stride`]) and become exact
-    /// after [`Network::finish_metrics`] or inside a watchdog bundle.
-    pub fn flow_top(&self, k: usize) -> Vec<FlowRecord> {
-        let tables: Vec<_> = self.shards.iter().map(|s| &s.flows).collect();
-        merge_ranked(&tables, k)
-    }
-
-    /// Per-(ring, station) link occupancy samples accumulated at
-    /// sampling boundaries, shaped for
-    /// [`crate::render::ascii_heatmap`]. All zeros unless flow
-    /// accounting is on.
-    pub fn link_cells(&self) -> Vec<Vec<u64>> {
-        self.shards.iter().map(|s| s.link_util.clone()).collect()
-    }
-
-    /// Freeze the current state into a [`PostmortemBundle`] without
-    /// waiting for a watchdog: recent snapshots and events from the
-    /// flight recorder (empty if it is off), merged flow top-K,
-    /// per-link heat, every verdict so far, and the config needed for
-    /// replay. Returns `None` when the observatory is
-    /// disabled. Explicit dumps are not stored in [`Network::bundles`]
-    /// and not counted against [`RecorderConfig::max_bundles`]; unlike
-    /// watchdog captures they do not force a charge sweep, so in-flight
-    /// deflection attribution may lag by up to
-    /// [`RecorderConfig::charge_stride`] windows.
-    pub fn dump_postmortem(&self, reason: &str) -> Option<PostmortemBundle> {
-        self.observatory.as_ref()?;
-        Some(self.capture_bundle(reason, self.now.raw()))
-    }
-
-    /// Build a bundle from the current observatory state, stamped with
-    /// `cycle` (the watchdog paths pass the cycle of the sample that
-    /// latched). Caller guarantees the observatory is enabled.
-    fn capture_bundle(&self, reason: &str, cycle: u64) -> PostmortemBundle {
-        let obs = self.observatory.as_ref().expect("caller checked");
-        let rec = self.recorder();
-        let flow_top_k = rec.map_or(0, |r| r.config().flow_top_k);
-        PostmortemBundle {
-            meta: BundleMeta {
-                reason: reason.to_string(),
-                cycle,
-                stations: self.shards.iter().map(|s| s.ring.stations).collect(),
-                flow_top_k,
-                snapshots_seen: rec.map_or(0, |r| r.snapshots_seen()),
-                events_seen: rec.map_or(0, |r| r.events_seen()),
-                config: serde_json::to_value(&self.shared.cfg),
-            },
-            env: BundleEnv {
-                // The one tick; exported bundles keep naming it.
-                tick_mode: format!("{:?}", TickMode::Fast),
-            },
-            verdicts: obs.monitor.verdicts().to_vec(),
-            flows: self.flow_top(flow_top_k),
-            links: self.link_cells(),
-            snapshots: rec.map_or_else(Vec::new, |r| r.snapshots().as_slice().to_vec()),
-            events: rec.map_or_else(Vec::new, |r| r.events().copied().collect()),
-            // The network has no transaction layer; TxnFabric attaches
-            // its tail exemplars and wedge reports when it re-dumps a
-            // bundle.
-            txn_exemplars: Vec::new(),
-            wedges: Vec::new(),
-        }
-    }
-
-    /// The snapshot registry, if the observatory is enabled: the whole
-    /// series, or with the flight recorder attached only its window
-    /// (see [`Network::enable_flight_recorder`]).
-    pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.observatory.as_ref().map(|o| &o.registry)
-    }
-
-    /// The health monitor, if the observatory is enabled.
-    pub fn health(&self) -> Option<&HealthMonitor> {
-        self.observatory.as_ref().map(|o| &o.monitor)
-    }
-
-    /// Human-readable watchdog report: every verdict so far, or a
-    /// one-line all-clear. Works on any network; says so when the
-    /// observatory is off.
-    pub fn health_report(&self) -> String {
-        let mut out = match self.health() {
-            Some(monitor) => monitor.report(),
-            None => "health: observatory disabled (call enable_metrics)\n".to_string(),
-        };
-        if let Some(ws) = self.wait_stats() {
-            out.push_str(&format!(
-                "stalls: {} at cycle {} — blocked {} ring / {} escape / {} window / {} reassembly, \
-                 oldest frozen {} cycles, {} cyclic sccs\n",
-                ws.verdict,
-                ws.cycle,
-                ws.blocked[0],
-                ws.blocked[1],
-                ws.blocked[2],
-                ws.blocked[3],
-                ws.oldest_frozen,
-                ws.cyclic_sccs
-            ));
-        }
-        out
-    }
-
-    /// Snapshot the engine-side evidence the stall-forensics edges
-    /// need: per-ring transit demand toward each bridge side, every
-    /// bridge escape resource's occupancy and target ring, and the
-    /// placement of every in-network packet (see [`crate::census`]).
-    /// Runs between ticks, iterating in ascending ring/side order, so
-    /// the census is deterministic.
-    pub fn wait_census(&self) -> WaitCensus {
-        let mut out = WaitCensus {
-            rings: Vec::with_capacity(self.shards.len()),
-            escapes: Vec::with_capacity(self.bridges.escapes.len()),
-            packet_where: Vec::new(),
-        };
-        for shard in &self.shards {
-            shard.wait_census_part(&self.shared, &mut out);
-        }
-        for (e, esc) in self.bridges.escapes.iter().enumerate() {
-            census::escape_part(e, esc, &mut out);
-        }
-        out.seal();
-        out
-    }
-
-    /// The stall-forensics fast path: append one [`WaitNode`] per ring,
-    /// then one per bridge escape resource, in ascending [`ResourceId`]
-    /// order, with its occupancy, capacity and monotone progress — the
-    /// only place those are read. No per-flit walks: cheap enough to
-    /// run at every observatory boundary; the full
-    /// [`Network::wait_census`] is only taken when a freeze streak
-    /// warrants edge construction.
-    ///
-    /// [`ResourceId`]: noc_telemetry::ResourceId
-    pub fn push_wait_nodes(&self, nodes: &mut Vec<WaitNode>) {
-        nodes.extend(self.shards.iter().map(RingShard::ring_node));
-        let escapes = self.bridges.escapes.iter().enumerate();
-        nodes.extend(escapes.map(|(e, esc)| census::escape_node(e, esc)));
-    }
-
-    /// Feed one wait-graph sample from the stall-forensics detector to
-    /// the health monitor's `deadlock-suspected` watchdog, remembering
-    /// its gauges for [`NocDiagnostics::health_summary`] stall lines.
-    /// A newly latched verdict captures a postmortem bundle exactly
-    /// like the snapshot watchdogs do. Returns how many new verdicts
-    /// fired. No-op (returns 0) when the observatory is disabled.
-    ///
-    /// [`NocDiagnostics::health_summary`]: crate::diag::NocDiagnostics::health_summary
-    pub fn observe_wait(&mut self, sample: &WaitGraphSample) -> usize {
-        let Some(obs) = self.observatory.as_mut() else {
-            return 0;
-        };
-        let fired = obs.monitor.observe_wait(sample);
-        let can_capture = obs
-            .recorder
-            .as_ref()
-            .is_some_and(|r| obs.bundles.len() < r.config().max_bundles);
-        if fired > 0 && can_capture {
-            for shard in &mut self.shards {
-                shard.charge_and_flush();
-            }
-            let bundle = self.capture_bundle("watchdog: CRIT:deadlock-suspected", sample.cycle);
-            self.observatory
-                .as_mut()
-                .expect("checked above")
-                .bundles
-                .push(bundle);
-        }
-        fired
-    }
-
-    /// Remember the latest wait-graph gauges (called by the transaction
-    /// fabric alongside [`Network::observe_wait`], and usable directly
-    /// by embedders running their own tracker).
-    pub fn note_wait_stats(&mut self, stats: WaitStats) {
-        if let Some(obs) = self.observatory.as_mut() {
-            obs.last_wait = Some(stats);
-        }
-    }
-
-    /// Gauges of the most recent wait-graph sample observed, if any.
-    pub fn wait_stats(&self) -> Option<&WaitStats> {
-        self.observatory.as_ref().and_then(|o| o.last_wait.as_ref())
-    }
-
-    /// Force one final sample covering the partial window since the
-    /// last periodic snapshot (plus any post-tick enqueues), so the
-    /// committed windows sum exactly to the run's [`NetStats`] totals.
-    /// Call at end of run before reading [`Network::metrics`].
-    pub fn finish_metrics(&mut self) {
-        let Some(period) = self.observatory.as_ref().map(|o| o.registry.period()) else {
-            return;
-        };
-        let now = self.now;
-        for shard in &mut self.shards {
-            shard.charge_and_flush();
-            shard.sample_metrics(&self.shared, &self.bridges, now, false);
-        }
-        self.commit_staged(now.raw() % period);
-    }
-
-    /// Take the sample row every shard staged this cycle and commit it
-    /// as one snapshot, in ascending ring id.
-    fn commit_staged(&mut self, window: u64) {
-        let cycle = self.now.raw();
-        let in_flight = self.in_flight();
-        let rings: Vec<RingWindow> = self
-            .shards
-            .iter_mut()
-            .map(|s| s.staged_window.take().expect("all shards sample together"))
-            .collect();
-        let obs = self.observatory.as_mut().expect("caller checked");
-        let snap = obs.registry.commit(cycle, window, in_flight, rings);
-        let new_verdicts = obs.monitor.observe(snap);
-        let mut capture_reason = None;
-        if let Some(rec) = &obs.recorder {
-            // A newly latched verdict triggers a capture, up to the
-            // configured bundle cap.
-            if new_verdicts > 0 && obs.bundles.len() < rec.config().max_bundles {
-                let vs = obs.monitor.verdicts();
-                let fired: Vec<String> = vs[vs.len() - new_verdicts..]
-                    .iter()
-                    .map(|v| format!("{}:{}", v.severity, v.rule))
-                    .collect();
-                capture_reason = Some(format!("watchdog: {}", fired.join(", ")));
-            }
-        }
-        if let Some(reason) = capture_reason {
-            // Make the flow tables exact as of this cycle before the
-            // bundle freezes them — a watchdog can latch between
-            // charge-stride sweeps, and the flow that wedged the
-            // network may never deliver (so only sweeps see it).
-            for shard in &mut self.shards {
-                shard.charge_and_flush();
-            }
-            let bundle = self.capture_bundle(&reason, cycle);
-            self.observatory
-                .as_mut()
-                .expect("checked above")
-                .bundles
-                .push(bundle);
-        }
     }
 
     /// The attached trace sink.
@@ -854,22 +501,13 @@ impl<S: TraceSink> Network<S> {
         Ok(())
     }
 
-    /// The end of every cycle: commit the cycle's staged metrics sample
-    /// (if any), feed its trace records to the recorder and sink in ring
+    /// The end of every cycle, once every ring has run it: at a metrics
+    /// period boundary sample every ring and commit the snapshot, feed
+    /// the cycle's trace records to the recorder and sink in ring
     /// order, then, at [`UTIL_SAMPLE_PERIOD`] boundaries, emit each
     /// ring's occupancy.
     fn epilogue(&mut self) {
-        if self
-            .shards
-            .first()
-            .is_some_and(|s| s.staged_window.is_some())
-        {
-            let obs = self
-                .observatory
-                .as_ref()
-                .expect("only an observatory samples");
-            self.commit_staged(obs.registry.period());
-        }
+        self.sample_if_due();
         if !S::ENABLED {
             return;
         }

@@ -9,6 +9,13 @@
 //! pointers and the per-intent station bitsets, plus a private
 //! [`NetStats`], [`TickProfile`] and [`TraceBuffer`].
 //!
+//! Of the observer a shard keeps only what the hot path writes: the
+//! trace buffer, and the per-flow deltas it stages at deliveries while
+//! flow accounting is on (`flow_on`, `flow_buf`). Everything else the
+//! observer needs — window counter bases, flow tables, link heat — is
+//! the observatory's (`crate::observe`), which reads the shard after
+//! the cycle.
+//!
 //! The station logic is ring-local: a flit leaves its ring only by
 //! being pushed into a bridge escape ([`crate::bridge`]), which the
 //! network owns and lends to each phase, and it cannot come out of the
@@ -30,7 +37,6 @@
 
 use crate::bits::{word_ones, BitRing};
 use crate::bridge::{BridgeSide, Bridges, Escape};
-use crate::census::{self, PacketPlace, RingCensus, TransitCensus, WaitCensus};
 use crate::config::NetworkConfig;
 use crate::flit::Flit;
 use crate::ids::{NodeId, RingId};
@@ -40,10 +46,7 @@ use crate::route::{ring_travel, RouteTable};
 use crate::stats::{NetStats, TickProfile};
 use crate::topology::{NodeKind, Topology};
 use noc_sim::{BandwidthProbe, Cycle};
-use noc_telemetry::{
-    BridgeGauges, FlitEvent, FlowDelta, FlowTable, ResourceId, RingGauges, RingWindow, TraceBuffer,
-    TraceRecord, WaitNode, WindowCounters, NO_FLIT, NO_LANE,
-};
+use noc_telemetry::{FlitEvent, FlowDelta, TraceBuffer, TraceRecord, NO_FLIT, NO_LANE};
 use std::collections::VecDeque;
 
 /// Where a global node id lives: which ring shard, at which index.
@@ -188,41 +191,15 @@ pub(crate) struct RingShard {
     /// Events staged this cycle, fed to the sink by the engine in ring
     /// order at the end of the cycle.
     pub trace: TraceBuffer,
-    /// Metrics sampling period in cycles; 0 disables sampling.
-    pub metrics_period: u64,
-    /// Counter readings at the end of the previous metrics window, so
-    /// each sample reports exact per-window deltas.
-    metrics_base: WindowCounters,
-    /// The sample staged by this cycle's per-ring phase, committed by
-    /// the engine in ring order at the end of the cycle.
-    pub staged_window: Option<RingWindow>,
-    /// Space-Saving capacity of the flow table; 0 disables flow
-    /// accounting (and link counting) entirely.
-    pub flow_topk: usize,
-    /// Heaviest (src, dst) flows delivering or deflecting on this ring.
-    /// Shard-local; fed from `flow_buf` at sampling boundaries in
-    /// sorted flow-key order.
-    pub flows: FlowTable,
-    /// Per-flow deltas staged since the last flush. Charging is lazy —
-    /// deflections accumulate on the flit itself and are converted to
-    /// deltas at delivery and at metrics sampling boundaries — so the
-    /// deflection hot path stays free of accounting work. Space-Saving
-    /// eviction depends on the order flows arrive in; the flush sorts
-    /// the staged deltas by (src, dst) and sums per flow, and that key
-    /// order is the one the golden tests pin.
-    flow_buf: Vec<(u32, u32, FlowDelta)>,
-    /// Flits observed on each station's link at sampling boundaries
-    /// (lanes summed, cumulative across windows), index = station. A
-    /// deterministic occupancy sample, not an exact traversal count —
-    /// counting every traversal would put work on every tick.
-    pub link_util: Vec<u64>,
-    /// Sampling windows between in-flight charge sweeps (see
-    /// `charge_inflight`); 1 sweeps every window.
-    flow_charge_stride: usize,
-    /// Windows left before the next in-flight charge sweep. A forced
-    /// sweep (bundle capture, `finish_metrics`) resets the countdown so
-    /// the following window boundary does not sweep again.
-    windows_until_charge: usize,
+    /// Whether flow accounting is on: the observatory's flight recorder
+    /// asked for per-flow tables (`crate::observe`).
+    pub flow_on: bool,
+    /// Per-flow deltas staged since the observatory's last flush, only
+    /// while `flow_on`. Charging is lazy — deflections accumulate on the
+    /// flit itself and are converted to deltas at delivery and at
+    /// metrics sampling boundaries — so the deflection hot path stays
+    /// free of accounting work.
+    pub flow_buf: Vec<(u32, u32, FlowDelta)>,
 }
 
 /// Build the shared inputs, one shard per ring and the bridge escapes
@@ -252,15 +229,8 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
             stats: NetStats::new(),
             profile: TickProfile::default(),
             trace: TraceBuffer::default(),
-            metrics_period: 0,
-            metrics_base: WindowCounters::default(),
-            staged_window: None,
-            flow_topk: 0,
-            flows: FlowTable::new(0),
+            flow_on: false,
             flow_buf: Vec::new(),
-            link_util: vec![0; r.stations as usize],
-            flow_charge_stride: 1,
-            windows_until_charge: 1,
         })
         .collect();
     let mut node_loc = Vec::with_capacity(topo.nodes().len());
@@ -526,9 +496,6 @@ impl RingShard {
         self.debug_check_side_indices(bridges);
         self.bridge_intake::<TRACE>(bridges, now);
         self.drm_update(bridges);
-        if self.metrics_period != 0 && now.raw().is_multiple_of(self.metrics_period) {
-            self.sample_metrics(shared, bridges, now, true);
-        }
     }
 
     /// Event-indexed station walk: per lane, merge this cycle's
@@ -991,7 +958,7 @@ impl RingShard {
         let is_device = matches!(self.nodes[t].kind, NodeKind::Device);
         if is_device {
             self.stats.record_delivery(&flit, now);
-            if self.flow_topk != 0 {
+            if self.flow_on {
                 // Charge the delivery plus whatever deflections and
                 // E-tag laps the window sweeps have not yet seen.
                 self.flow_buf.push((
@@ -1201,288 +1168,6 @@ impl RingShard {
                 "{ring} side {si}: DRM transition due without a watch mark"
             );
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Flow attribution (shard-local, deterministic)
-    // ------------------------------------------------------------------
-
-    /// Switch flow accounting on with a Space-Saving capacity of `k`
-    /// per ring (or off with 0), discarding any prior table. In-flight
-    /// charge sweeps run every `stride` sampling windows (clamped to at
-    /// least 1).
-    pub(crate) fn enable_flow_accounting(&mut self, k: usize, stride: usize) {
-        self.flow_topk = k;
-        self.flows = FlowTable::new(k);
-        self.flow_buf.clear();
-        self.link_util = vec![0; self.ring.stations as usize];
-        self.flow_charge_stride = stride.max(1);
-        self.windows_until_charge = self.flow_charge_stride;
-    }
-
-    /// Force the flow table exact *now*: sweep in-flight flits, then
-    /// flush everything staged. Called before a postmortem bundle
-    /// freezes the table and at `finish_metrics`, so captured flow
-    /// rankings never lag behind the charge stride. Resets the stride
-    /// countdown — the next window boundary will not sweep again.
-    pub(crate) fn charge_and_flush(&mut self) {
-        if self.flow_topk == 0 {
-            return;
-        }
-        self.charge_inflight();
-        self.flush_flow_events();
-        // +1 because a window boundary in the same cycle (finish's
-        // final sample) will decrement before checking.
-        self.windows_until_charge = self.flow_charge_stride + 1;
-    }
-
-    /// Apply the staged flow deltas in sorted (src, dst) order, one
-    /// batched table update per distinct flow. Eviction in the
-    /// Space-Saving table depends on the sequence of keys it sees; the
-    /// sort fixes that sequence (see `flow_buf`), and summing a flow's
-    /// run of deltas keeps a deflection storm from paying one table
-    /// lookup per event.
-    fn flush_flow_events(&mut self) {
-        if self.flow_buf.is_empty() {
-            return;
-        }
-        let mut buf = core::mem::take(&mut self.flow_buf);
-        buf.sort_unstable_by_key(|&(src, dst, _)| (src, dst));
-        let mut run = buf.iter();
-        let &(mut src, mut dst, mut delta) = run.next().expect("buffer is non-empty");
-        for &(s, d, next) in run {
-            if (s, d) != (src, dst) {
-                self.flows.apply(src, dst, &delta);
-                (src, dst, delta) = (s, d, FlowDelta::default());
-            }
-            delta.merge(&next);
-        }
-        self.flows.apply(src, dst, &delta);
-        buf.clear();
-        self.flow_buf = buf;
-    }
-
-    /// Credit every station whose ring slot holds a flit with one link
-    /// occupancy sample, straight from the occupancy bitsets — no flit
-    /// memory touched. Runs at every sampling boundary; the sum over
-    /// windows approximates relative link load without per-tick cost.
-    fn sample_links(&mut self) {
-        for lane in &self.ring.lanes {
-            for s in lane.occupied_stations() {
-                self.link_util[s] += 1;
-            }
-        }
-    }
-
-    /// Sweep the in-flight flits: charge each one's as-yet-uncharged
-    /// deflections and E-tag laps to its flow. Runs every
-    /// `flow_charge_stride`-th metrics window plus whenever the table
-    /// is frozen (bundle capture, finish), so a wedged flow
-    /// (circulating forever, delivering nothing) still climbs the
-    /// table while the deflection hot path itself carries no
-    /// accounting work.
-    fn charge_inflight(&mut self) {
-        let flow_buf = &mut self.flow_buf;
-        for lane in &mut self.ring.lanes {
-            for (_s, flit) in lane.flits_mut() {
-                let deflections = flit.deflections - flit.charged_deflections;
-                if deflections != 0 {
-                    let etag_laps = flit.etag_laps - flit.charged_etag_laps;
-                    flit.charged_deflections = flit.deflections;
-                    flit.charged_etag_laps = flit.etag_laps;
-                    flow_buf.push((
-                        flit.src.0,
-                        flit.dst.0,
-                        FlowDelta {
-                            deflections: u64::from(deflections),
-                            etag_laps: u64::from(etag_laps),
-                            ..FlowDelta::default()
-                        },
-                    ));
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Observatory sampling (shard-local, deterministic)
-    // ------------------------------------------------------------------
-
-    /// Current cumulative counter readings of this shard, in
-    /// [`WindowCounters`] form.
-    pub(crate) fn counters_now(&self) -> WindowCounters {
-        WindowCounters {
-            enqueued: self.stats.enqueued.get(),
-            injected: self.stats.injected.get(),
-            inject_losses: self.stats.inject_losses.get(),
-            delivered: self.stats.delivered.get(),
-            delivered_bytes: self.stats.delivered_bytes.get(),
-            deflections: self.stats.deflections.get(),
-            itags_placed: self.stats.itags_placed.get(),
-            etags_placed: self.stats.etags_placed.get(),
-            drm_entries: self.stats.drm_entries.get(),
-            swaps: self.stats.swaps.get(),
-            bridge_crossings: self.stats.bridge_crossings.get(),
-        }
-    }
-
-    /// Reset the window base to the current counter readings (called
-    /// when sampling is switched on, so the first window excludes
-    /// pre-enable history).
-    pub(crate) fn rebase_metrics(&mut self) {
-        self.metrics_base = self.counters_now();
-    }
-
-    /// Stage one metrics sample: window counter deltas since the last
-    /// sample plus instantaneous ring/bridge gauges. Runs inside the
-    /// per-ring phase (`in_cycle`) or between ticks, when
-    /// `Network::finish_metrics` closes the series; the bridge gauges
-    /// depend on which ([`Bridges::gauges`]). The engine commits the
-    /// staged windows in ring order at the end of the cycle.
-    pub(crate) fn sample_metrics(
-        &mut self,
-        shared: &EngineShared,
-        bridges: &Bridges,
-        now: Cycle,
-        in_cycle: bool,
-    ) {
-        let now_counters = self.counters_now();
-        let counters = now_counters.delta_since(&self.metrics_base);
-        self.metrics_base = now_counters;
-
-        let mut gauges = RingGauges {
-            occupancy: self.ring.occupancy() as u64,
-            capacity: self.ring.capacity() as u64,
-            itag_slots: self.ring.itag_count() as u64,
-            ..RingGauges::default()
-        };
-        for node in &self.nodes {
-            gauges.inject_backlog += node.inject.len() as u64;
-            gauges.eject_backlog += node.eject.len() as u64;
-            gauges.etag_backlog += node.etag_list.len() as u64;
-            let starve = node.starve as u64;
-            gauges.record_starve(starve);
-            gauges.max_starve = gauges.max_starve.max(starve);
-            if node.starve >= shared.cfg.itag_threshold {
-                gauges.starving_nodes += 1;
-            }
-        }
-
-        let bridges = self
-            .sides
-            .iter()
-            .map(|side| {
-                let (tx_pipe, rx_depth) = bridges.gauges(side, now.raw(), in_cycle);
-                BridgeGauges {
-                    bridge: side.bridge.index() as u16,
-                    side: side.side,
-                    ring: self.ring.id.0,
-                    tx_pipe,
-                    rx_depth,
-                    reserved: bridges.escapes[side.out()].reserved.len() as u32,
-                    in_drm: side.drm,
-                    drm_entries: side.drm_entries,
-                }
-            })
-            .collect();
-
-        let (flows, links) = if self.flow_topk == 0 {
-            (Vec::new(), Vec::new())
-        } else {
-            // Link occupancy and delivery flushes run every window;
-            // the in-flight charge sweep only every
-            // `flow_charge_stride`-th, to keep steady-state cost down.
-            // Forced sweeps (bundle capture, finish) make the table
-            // exact whenever it is actually frozen.
-            self.sample_links();
-            self.windows_until_charge -= 1;
-            if self.windows_until_charge == 0 {
-                self.charge_inflight();
-                self.windows_until_charge = self.flow_charge_stride;
-            }
-            self.flush_flow_events();
-            (self.flows.ranked(), self.link_util.clone())
-        };
-
-        self.staged_window = Some(RingWindow {
-            ring: self.ring.id.0,
-            counters,
-            gauges,
-            bridges,
-            flows,
-            links,
-        });
-    }
-
-    /// This ring's slot pool as a wait-graph node: occupancy, capacity
-    /// and monotone progress (injections + deliveries + bridge
-    /// crossings), all O(1) reads of owner-held state.
-    pub(crate) fn ring_node(&self) -> WaitNode {
-        WaitNode {
-            id: ResourceId::Ring {
-                ring: self.ring.id.0,
-            },
-            occupancy: self.ring.occupancy() as u64,
-            capacity: self.ring.capacity() as u64,
-            progress: self.stats.injected.get()
-                + self.stats.delivered.get()
-                + self.stats.bridge_crossings.get(),
-        }
-    }
-
-    /// Contribute this ring's rows to a wait census (see
-    /// [`crate::census`]): per-bridge-side transit demand (who on this
-    /// ring wants to cross where) and the placement of every packet on
-    /// its lanes or inject queues. Runs between ticks on owner-held
-    /// state; iteration is in lane/station order, so the contribution
-    /// is deterministic. The escapes are the engine's to add.
-    pub(crate) fn wait_census_part(&self, shared: &EngineShared, census: &mut WaitCensus) {
-        let ring_id = self.ring.id.0;
-        // Transit demand: flits resident on the lanes whose route exits
-        // over a bridge, accumulated per (bridge, side).
-        let mut transit: Vec<TransitCensus> = Vec::new();
-        let mut note_transit = |bridge: u16, side: u8, packet: u64| match transit
-            .iter_mut()
-            .find(|t| t.bridge == bridge && t.side == side)
-        {
-            Some(t) => t.min_packet = t.min_packet.min(packet),
-            None => transit.push(TransitCensus {
-                bridge,
-                side,
-                min_packet: packet,
-            }),
-        };
-        for lane in &self.ring.lanes {
-            for flit in lane.flits() {
-                let packet = census::packet_of(flit.token);
-                census
-                    .packet_where
-                    .push((packet, PacketPlace::Ring { ring: ring_id }));
-                if let Some(hop) = shared.route.exit(self.ring.id, flit.dst) {
-                    if let NodeKind::BridgeEndpoint { bridge, side } =
-                        shared.topo.nodes()[hop.target.index()].kind
-                    {
-                        note_transit(bridge.index() as u16, side, packet);
-                    }
-                }
-            }
-        }
-        // Flits queued to inject are pinned to this ring's slot pool
-        // exactly like resident flits — they only matter for packet
-        // placement, not occupancy (they hold no slot yet).
-        for node in &self.nodes {
-            for flit in node.inject.iter() {
-                census.packet_where.push((
-                    census::packet_of(flit.token),
-                    PacketPlace::Ring { ring: ring_id },
-                ));
-            }
-        }
-        transit.sort_unstable_by_key(|t| (t.bridge, t.side));
-        census.rings.push(RingCensus {
-            ring: ring_id,
-            transit,
-        });
     }
 
     /// Flits physically inside this shard (queues and slots), for

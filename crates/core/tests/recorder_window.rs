@@ -4,7 +4,8 @@
 //! `snapshot_window` entries of the metrics registry created beside it.
 //! Its trace events live in one fixed-capacity ring. These tests pin
 //! what a reader sees through `Network::recorder()` and in bundles:
-//! a zero window, a window longer than the series, re-enabling mid-run,
+//! a zero window, a window longer than the series, re-enabling mid-run
+//! (with the recorder, or metrics only, which drops flow accounting),
 //! and a watchdog capture that lands inside a multi-cycle epoch. The
 //! registry keeps only the window (fewer than `2·max(R, 1)` snapshots),
 //! so the whole series is read as it is committed, through `since`.
@@ -198,6 +199,38 @@ fn re_enabling_mid_run_resets_snapshots_and_events_together() {
     assert_eq!(seqs, vec![0, 1, 2, 3], "a fresh series starts at seq 0");
     assert_eq!(rec.events_seen(), flit_records(&net) - before);
     assert!(rec.events().all(|e| e.cycle > 160));
+}
+
+#[test]
+fn a_metrics_only_observatory_after_the_recorder_drops_flow_accounting() {
+    /// Flow rows and link cells in the last snapshot, and `flow_top(8)`.
+    fn flow_evidence(net: &Network<RingBufferSink>) -> (usize, usize, usize) {
+        let snaps = net.metrics().expect("on").snapshots();
+        let last = snaps.last().expect("a snapshot");
+        let flows = last.rings.iter().map(|r| r.flows.len()).sum();
+        let links = last.rings.iter().map(|r| r.links.len()).sum();
+        (flows, links, net.flow_top(8).len())
+    }
+
+    let (mut net, devs) = chain();
+    net.enable_flight_recorder(16, HealthConfig::default(), RecorderConfig::default());
+    drive(&mut net, &devs, 0..200);
+    assert_ne!(
+        flow_evidence(&net),
+        (0, 0, 0),
+        "the recorder accounts flows"
+    );
+
+    net.enable_metrics(16);
+    drive(&mut net, &devs, 200..400);
+    assert!(net.recorder().is_none());
+    assert_eq!(flow_evidence(&net), (0, 0, 0));
+    assert!(net.link_cells().iter().flatten().all(|&c| c == 0));
+
+    let (mut fresh, devs) = chain();
+    fresh.enable_metrics(16);
+    drive(&mut fresh, &devs, 0..400);
+    assert_eq!(flow_evidence(&fresh), (0, 0, 0));
 }
 
 /// One ring whose destination never drains: arrivals past the eject

@@ -50,9 +50,9 @@
 //!
 //! # Flight recorder and postmortems
 //!
-//! The attribution layer turns verdicts into evidence. Each ring shard
-//! keeps a deterministic Space-Saving [`FlowTable`] of its heaviest
-//! (src, dst) flows — delivered flits, cumulative latency, deflections,
+//! The attribution layer turns verdicts into evidence. The observatory
+//! keeps, per ring, a deterministic Space-Saving [`FlowTable`] of the
+//! ring's heaviest (src, dst) flows — delivered flits, cumulative latency, deflections,
 //! extra E-tag laps, I-tag wait cycles — plus a per-link utilization
 //! row. A bounded [`FlightRecorder`] exposes the last R snapshots of the
 //! registry and retains the last T trace events, and when a watchdog

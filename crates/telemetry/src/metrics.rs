@@ -1,10 +1,9 @@
 //! Windowed metrics: the data model of the `noc-observatory` layer.
 //!
-//! The engine samples each ring shard every N cycles *inside* the
-//! per-ring phase — where the shard owns all of its state — and merges
-//! the per-ring samples into one [`MetricsSnapshot`] at the end of the
-//! cycle, in ascending ring order. Because sampling reads only
-//! shard-local state and the merge order is fixed, the snapshot stream
+//! Every N cycles, at the end of the cycle once every ring has run it,
+//! the engine samples each ring and commits the per-ring samples as one
+//! [`MetricsSnapshot`], in ascending ring order. Because sampling reads
+//! settled engine state and the order is fixed, the snapshot stream
 //! is bit-identical run to run (the same argument that makes the
 //! trace stream deterministic; see DESIGN.md §11).
 //!

@@ -38,8 +38,7 @@ use noc_core::telemetry::{
     WaitNode, WedgeReport,
 };
 use noc_core::{
-    BitRing, EnqueueError, Flit, FlitClass, Network, NodeId, NodeKind, PacketPlace, PacketToken,
-    Topology,
+    BitRing, EnqueueError, Flit, FlitClass, Network, NodeId, NodeKind, PacketToken, Topology,
 };
 use noc_sim::{Cycle, Histogram, IdMap, IdSet, SlotIndex};
 use std::collections::{BTreeMap, VecDeque};
@@ -1026,8 +1025,8 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     /// Build the wait-graph's node set: one [`WaitNode`] per ring,
     /// escape buffer, window and reassembly buffer, carrying occupancy
     /// and monotone progress counters. This is the cheap per-boundary
-    /// pass — no per-flit packet walks, no census; the census only
-    /// feeds `build_wait_edges`.
+    /// pass — no per-flit packet walks; those only feed
+    /// `build_wait_edges`.
     fn build_wait_nodes(&self) -> Vec<WaitNode> {
         let topo = self.net.topology();
         let mut nodes: Vec<WaitNode> = Vec::with_capacity(
@@ -1054,49 +1053,20 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         nodes
     }
 
-    /// Build the wait-graph's edge set: the engine's full census
-    /// contributes where every in-network packet sits, the fabric
-    /// contributes staged packets, credit-deferred headers and the
-    /// holder-transaction ids. This is the expensive pass — the lazy
+    /// Build the wait-graph's edge set: the engine contributes its
+    /// ring/escape edges and where every in-network packet sits, the
+    /// fabric contributes staged packets, credit-deferred headers and
+    /// the holder-transaction ids. This is the expensive pass — the lazy
     /// tracker only requests it when a ring or escape resource has
     /// stopped making progress.
     fn build_wait_edges(&self) -> Vec<WaitEdge> {
-        let census = self.net.wait_census();
         let topo_nodes = self.net.topology().nodes();
         // Holder id for edges: the owning transaction of a packet, or
         // the raw packet id for traffic the fabric never staged.
         let holder_of = |packet: u64| self.packets.get(&packet).map_or(packet, |d| d.txn);
 
         let mut edges: Vec<WaitEdge> = Vec::new();
-        for r in &census.rings {
-            let from = ResourceId::Ring { ring: r.ring };
-            // Resident flits routing through a bridge side hold ring
-            // slots until that side's escape resource admits them.
-            for t in &r.transit {
-                edges.push(WaitEdge {
-                    from,
-                    to: ResourceId::Escape {
-                        bridge: u32::from(t.bridge),
-                        side: t.side,
-                    },
-                    holder: holder_of(t.min_packet),
-                });
-            }
-        }
-        for e in &census.escapes {
-            // An occupied escape pipe needs free slots on the ring the
-            // crossing lands on.
-            if e.occupancy > 0 {
-                edges.push(WaitEdge {
-                    from: ResourceId::Escape {
-                        bridge: u32::from(e.bridge),
-                        side: e.side,
-                    },
-                    to: ResourceId::Ring { ring: e.to_ring },
-                    holder: e.min_packet.map_or(0, holder_of),
-                });
-            }
-        }
+        let placed = self.net.push_wait_edges(holder_of, &mut edges);
 
         // Fabric-side placement: which endpoint is reassembling each
         // open packet, and which ring each staged packet waits to
@@ -1117,15 +1087,11 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         }
         // Every resource flits of `packet` currently hold or wait at.
         let places = |packet: u64| -> Vec<ResourceId> {
-            let mut v: Vec<ResourceId> = census
-                .places_of(packet)
-                .map(|p| match p {
-                    PacketPlace::Ring { ring } => ResourceId::Ring { ring },
-                    PacketPlace::Escape { bridge, side } => ResourceId::Escape {
-                        bridge: u32::from(bridge),
-                        side,
-                    },
-                })
+            let start = placed.partition_point(|&(p, _)| p < packet);
+            let mut v: Vec<ResourceId> = placed[start..]
+                .iter()
+                .take_while(|&&(p, _)| p == packet)
+                .map(|&(_, place)| place)
                 .collect();
             if let Some(&ring) = staged_on.get(&packet) {
                 v.push(ResourceId::Ring { ring });
@@ -1194,7 +1160,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     }
 
     /// Forensics hook, run at every observatory sample: take the cheap
-    /// node census, let the tracker decide whether the full edge build
+    /// node set, let the tracker decide whether the full edge build
     /// is warranted ([`WaitGraphTracker::ingest_lazy`]), feed the
     /// network's watchdog and gauges, and on the rising wedge edge
     /// capture a postmortem bundle with the report and tail exemplars
@@ -1212,8 +1178,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             .ingest_lazy(cycle, nodes, || self.build_wait_edges());
         let sample = f.tracker.last().expect("just ingested");
         let stats = *f.tracker.stats().last().expect("ingest pushed a row");
-        self.net.observe_wait(sample);
-        self.net.note_wait_stats(stats);
+        self.net.observe_wait(sample, stats);
         let latched = f.tracker.latched();
         self.forensics = Some(f);
         if was_latched || !latched {
