@@ -27,8 +27,8 @@
 //! compare for delivery.
 
 use crate::config::{BridgeConfig, BridgeLevel};
-use crate::flit::Flit;
 use crate::ids::BridgeId;
+use crate::slab::FlitRef;
 use std::collections::VecDeque;
 
 /// One direction of one bridge. See the module docs.
@@ -40,10 +40,10 @@ pub(crate) struct Escape {
     pub to_ring: u16,
     /// The Tx pipeline: `(ready_cycle, flit)` in push order, at most
     /// `cfg.buffer_cap` entries.
-    pub fifo: VecDeque<(u64, Flit)>,
+    pub fifo: VecDeque<(u64, FlitRef)>,
     /// Reserved escape buffers (SWAP/escape mode, §4.4), oldest first,
     /// at most `cfg.reserved_cap` flits.
-    pub reserved: VecDeque<Flit>,
+    pub reserved: VecDeque<FlitRef>,
     /// Flits ever pushed into `fifo` (monotonic).
     pub pushed: u64,
     /// Flits ever delivered out of `fifo` (monotonic). With `pushed`
@@ -93,7 +93,7 @@ pub(crate) struct Bridges {
 impl Bridges {
     /// Append `flit`, ready at cycle `ready`, to escape `e`.
     #[inline]
-    pub fn push(&mut self, e: usize, ready: u64, flit: Flit) {
+    pub fn push(&mut self, e: usize, ready: u64, flit: FlitRef) {
         let esc = &mut self.escapes[e];
         esc.fifo.push_back((ready, flit));
         esc.pushed += 1;

@@ -3,9 +3,11 @@
 //!
 //! [`run_cycle`] runs two phases over every shard, in ring order, on
 //! the calling thread: deliver, then the per-ring cycle. Both borrow the
-//! network's bridge escapes ([`crate::bridge`]): delivery pops the
-//! matured flits landing on a ring, the per-ring cycle's intake and SWAP
-//! push into the escapes leaving it. A flit pushed in a cycle is due
+//! network's bridge escapes ([`crate::bridge`]) and its flit slab
+//! ([`crate::slab`]): delivery pops the matured flits landing on a ring,
+//! the per-ring cycle's intake and SWAP push into the escapes leaving
+//! it, and every container moves handles while the per-event writes go
+//! to the bodies in the slab. A flit pushed in a cycle is due
 //! one bridge latency (at least one cycle) later, so nothing a ring
 //! pushes can be delivered in the cycle it was pushed, whatever order
 //! the rings run in.
@@ -20,6 +22,7 @@
 
 use crate::bridge::Bridges;
 use crate::shard::{EngineShared, RingShard};
+use crate::slab::FlitSlab;
 use noc_sim::Cycle;
 
 /// Run cycle `now` on `shards`, every ring of the network in ring order
@@ -27,17 +30,19 @@ use noc_sim::Cycle;
 pub(crate) fn run_cycle<const TRACE: bool>(
     shards: &mut [RingShard],
     bridges: &mut Bridges,
+    slab: &mut FlitSlab,
     shared: &EngineShared,
     now: Cycle,
 ) {
     for sh in shards.iter_mut() {
-        sh.phase_deliver::<TRACE>(shared, bridges, now);
+        sh.phase_deliver::<TRACE>(shared, bridges, slab, now);
     }
     debug_check_matured(shards, bridges, now.raw());
     for sh in shards.iter_mut() {
-        sh.phase_cycle::<TRACE>(shared, bridges, now);
+        sh.phase_cycle::<TRACE>(shared, bridges, slab, now);
     }
     debug_check_escapes(bridges);
+    debug_check_handles(shards, bridges, slab);
 }
 
 /// Debug builds: after the delivery phase of cycle `now`, no side is
@@ -89,4 +94,29 @@ fn debug_check_escapes(bridges: &Bridges) {
         bridges.due, due,
         "a ring's due cycle is not its earliest head"
     );
+}
+
+/// Debug builds: at the end of a cycle, the handles held by every
+/// container of flits — lane slots, Inject and Eject Queues, escape
+/// pipelines and reserved buffers — name each live slab slot exactly
+/// once and no free one ([`FlitSlab::debug_check_owners`]). The walk
+/// starts from the containers, not from counters, so a handle dropped,
+/// duplicated or left behind by a move fails at the cycle it happens.
+fn debug_check_handles(shards: &[RingShard], bridges: &Bridges, slab: &FlitSlab) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let lanes = shards
+        .iter()
+        .flat_map(|sh| sh.ring.lanes.iter().flat_map(|lane| lane.flits()));
+    let queues = shards.iter().flat_map(|sh| {
+        sh.nodes
+            .iter()
+            .flat_map(|n| n.inject.iter().chain(n.eject.iter()).copied())
+    });
+    let escapes = bridges.escapes.iter().flat_map(|esc| {
+        let fifo = esc.fifo.iter().map(|&(_, flit)| flit);
+        fifo.chain(esc.reserved.iter().copied())
+    });
+    slab.debug_check_owners(lanes.chain(queues).chain(escapes));
 }

@@ -61,6 +61,7 @@ pub mod render;
 pub mod ring;
 pub mod route;
 mod shard;
+mod slab;
 pub mod spec;
 pub mod stats;
 pub mod topogen;

@@ -10,7 +10,10 @@
 //! node interfaces, its sides' DRM state, statistics and telemetry
 //! buffer. Each bridge direction is one escape (`crate::bridge`): the
 //! Tx pipeline FIFO plus the reserved escape buffers, owned by
-//! [`Network`] next to the shards.
+//! [`Network`] next to the shards. So is the flit slab
+//! (`crate::slab`): every flit's body is stored there once, from
+//! [`Network::enqueue`] to [`Network::pop_delivered`], and lanes,
+//! queues and escapes hold 8-byte handles to it.
 //!
 //! [`Network::tick`] advances one cycle on the calling thread. The
 //! engine's cycle (`crate::epoch::run_cycle`) runs two phases over
@@ -66,6 +69,7 @@ use crate::ids::{NodeId, RingId};
 use crate::observe::Observatory;
 use crate::route::RouteTable;
 use crate::shard::{EngineShared, NodeState, RingShard};
+use crate::slab::FlitSlab;
 use crate::stats::{NetStats, TickProfile};
 use crate::topology::{NodeKind, Topology};
 use noc_sim::{BandwidthProbe, Cycle};
@@ -142,6 +146,8 @@ pub struct Network<S: TraceSink = NullSink> {
     pub(crate) shared: EngineShared,
     pub(crate) shards: Vec<RingShard>,
     pub(crate) bridges: Bridges,
+    /// Every resident flit's body; everything else holds handles.
+    pub(crate) slab: FlitSlab,
     pub(crate) now: Cycle,
     next_flit_id: u64,
     sink: S,
@@ -178,6 +184,7 @@ impl<S: TraceSink> Network<S> {
             shared,
             shards,
             bridges,
+            slab: FlitSlab::default(),
             now: Cycle::ZERO,
             next_flit_id: 0,
             sink,
@@ -309,14 +316,16 @@ impl<S: TraceSink> Network<S> {
             return Err(EnqueueError::NotAddressable { node: dst });
         }
         let id = self.next_flit_id;
-        let flit = Flit::new(id, src, dst, class, payload_bytes, token, self.now);
         let loc = self.shared.node_loc[src.index()];
         let station = {
             let shard = &mut self.shards[loc.ring as usize];
             let ni = loc.local as usize;
-            if shard.nodes[ni].inject.push(flit).is_err() {
+            if shard.nodes[ni].inject.is_full() {
                 return Err(EnqueueError::InjectQueueFull { node: src });
             }
+            let flit = Flit::new(id, src, dst, class, payload_bytes, token, self.now);
+            let flit = self.slab.alloc(flit);
+            shard.nodes[ni].inject.push(flit).expect("checked not full");
             shard.stats.enqueued.inc();
             if shard.nodes[ni].inject.len() == 1 {
                 shard.head_changed(&self.shared, ni);
@@ -352,7 +361,7 @@ impl<S: TraceSink> Network<S> {
             // A bridge endpoint's bit is never set; clearing it is moot.
             shard.delivered.clear(loc.local as usize);
         }
-        flit
+        flit.map(|flit| self.slab.free(flit))
     }
 
     /// Exactly the devices with at least one delivered flit waiting —
@@ -454,6 +463,15 @@ impl<S: TraceSink> Network<S> {
         shards + self.bridges.resident_flits()
     }
 
+    /// The flit slab's `(live, slots)`: bodies of resident flits, and
+    /// slots ever allocated. Every flit inside the network has its one
+    /// body there, so `live` equals [`Network::count_resident_flits`]
+    /// between ticks; freed slots are reused, so `slots` is the most
+    /// flits ever resident at once — bounded by load, not run length.
+    pub fn flit_slab_usage(&self) -> (usize, usize) {
+        (self.slab.live(), self.slab.slots())
+    }
+
     // ------------------------------------------------------------------
     // Simulation step
     // ------------------------------------------------------------------
@@ -463,10 +481,11 @@ impl<S: TraceSink> Network<S> {
     pub fn tick(&mut self) {
         self.now += 1;
         // The one place the sink type picks the cycle's TRACE parameter.
+        let (shards, bridges, slab) = (&mut self.shards, &mut self.bridges, &mut self.slab);
         if S::ENABLED {
-            epoch::run_cycle::<true>(&mut self.shards, &mut self.bridges, &self.shared, self.now);
+            epoch::run_cycle::<true>(shards, bridges, slab, &self.shared, self.now);
         } else {
-            epoch::run_cycle::<false>(&mut self.shards, &mut self.bridges, &self.shared, self.now);
+            epoch::run_cycle::<false>(shards, bridges, slab, &self.shared, self.now);
         }
         if S::ENABLED || self.observatory.is_some() {
             self.epilogue();

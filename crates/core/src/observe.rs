@@ -23,6 +23,7 @@ use crate::exec::TickMode;
 use crate::flit::PacketToken;
 use crate::network::Network;
 use crate::shard::{EngineShared, RingShard};
+use crate::slab::FlitSlab;
 use crate::topology::NodeKind;
 use noc_sim::Cycle;
 use noc_telemetry::{
@@ -98,11 +99,11 @@ impl RingObs {
     /// freezes the table and at `finish_metrics`, so captured flow
     /// rankings never lag behind the charge stride. Resets the stride
     /// countdown — the next window boundary will not sweep again.
-    fn charge_and_flush(&mut self, shard: &mut RingShard) {
+    fn charge_and_flush(&mut self, shard: &mut RingShard, slab: &mut FlitSlab) {
         if !shard.flow_on {
             return;
         }
-        charge_inflight(shard);
+        charge_inflight(shard, slab);
         self.flush_flow_events(shard);
         // +1 because a window boundary in the same cycle (finish's
         // final sample) will decrement before checking.
@@ -151,11 +152,13 @@ impl RingObs {
     /// a cycle (`in_cycle`) or between ticks, when
     /// `Network::finish_metrics` closes the series; the bridge gauges
     /// depend on which ([`Bridges::gauges`]).
+    #[allow(clippy::too_many_arguments)]
     fn sample(
         &mut self,
         shard: &mut RingShard,
         shared: &EngineShared,
         bridges: &Bridges,
+        slab: &mut FlitSlab,
         now: Cycle,
         in_cycle: bool,
     ) -> RingWindow {
@@ -206,7 +209,7 @@ impl RingObs {
             self.sample_links(shard);
             self.windows_until_charge -= 1;
             if self.windows_until_charge == 0 {
-                charge_inflight(shard);
+                charge_inflight(shard, slab);
                 self.windows_until_charge = self.flow_charge_stride;
             }
             self.flush_flow_events(shard);
@@ -251,10 +254,11 @@ fn counters_now(shard: &RingShard) -> WindowCounters {
 /// frozen (bundle capture, finish), so a wedged flow (circulating
 /// forever, delivering nothing) still climbs the table while the
 /// deflection hot path itself carries no accounting work.
-fn charge_inflight(shard: &mut RingShard) {
+fn charge_inflight(shard: &mut RingShard, slab: &mut FlitSlab) {
     let flow_buf = &mut shard.flow_buf;
-    for lane in &mut shard.ring.lanes {
-        for (_s, flit) in lane.flits_mut() {
+    for lane in &shard.ring.lanes {
+        for flit in lane.flits() {
+            let flit = &mut slab[flit];
             let deflections = flit.deflections - flit.charged_deflections;
             if deflections != 0 {
                 let etag_laps = flit.etag_laps - flit.charged_etag_laps;
@@ -590,7 +594,7 @@ impl<S: TraceSink> Network<S> {
             // Smallest resident packet per wanted escape.
             let mut transit: Vec<(ResourceId, u64)> = Vec::new();
             for flit in shard.ring.lanes.iter().flat_map(|lane| lane.flits()) {
-                let packet = packet_of(flit.token);
+                let packet = packet_of(self.slab[flit].token);
                 placed.push((packet, ring));
                 let Some(hop) = self.shared.route.exit(shard.ring.id, flit.dst) else {
                     continue;
@@ -609,7 +613,8 @@ impl<S: TraceSink> Network<S> {
             // Flits queued to inject are pinned to this ring's slot
             // pool like resident ones, though they hold no slot yet.
             for node in &shard.nodes {
-                placed.extend(node.inject.iter().map(|f| (packet_of(f.token), ring)));
+                let queued = node.inject.iter().map(|&f| packet_of(self.slab[f].token));
+                placed.extend(queued.map(|packet| (packet, ring)));
             }
             transit.sort_unstable();
             edges.extend(transit.into_iter().map(|(to, packet)| WaitEdge {
@@ -620,8 +625,12 @@ impl<S: TraceSink> Network<S> {
         }
         for (e, esc) in self.bridges.escapes.iter().enumerate() {
             let from = escape_id(e);
-            let packets = esc.fifo.iter().map(|(_, f)| f).chain(&esc.reserved);
-            let packets = packets.map(|f| packet_of(f.token));
+            let packets = esc
+                .fifo
+                .iter()
+                .map(|&(_, f)| f)
+                .chain(esc.reserved.iter().copied());
+            let packets = packets.map(|f| packet_of(self.slab[f].token));
             let before = placed.len();
             placed.extend(packets.map(|p| (p, from)));
             if let Some(&(min, _)) = placed[before..].iter().min() {
@@ -672,7 +681,7 @@ impl<S: TraceSink> Network<S> {
             return;
         };
         let window = self.now.raw() % obs.registry.period();
-        obs.charge_all(&mut self.shards);
+        obs.charge_all(&mut self.shards, &mut self.slab);
         self.sample_and_commit(window, false);
     }
 
@@ -699,7 +708,16 @@ impl<S: TraceSink> Network<S> {
             .rings
             .iter_mut()
             .zip(&mut self.shards)
-            .map(|(o, shard)| o.sample(shard, &self.shared, &self.bridges, self.now, in_cycle))
+            .map(|(o, shard)| {
+                o.sample(
+                    shard,
+                    &self.shared,
+                    &self.bridges,
+                    &mut self.slab,
+                    self.now,
+                    in_cycle,
+                )
+            })
             .collect();
         let snap = obs.registry.commit(cycle, window, in_flight, rings);
         let new_verdicts = obs.monitor.observe(snap);
@@ -727,7 +745,7 @@ impl<S: TraceSink> Network<S> {
         if !room {
             return;
         }
-        obs.charge_all(&mut self.shards);
+        obs.charge_all(&mut self.shards, &mut self.slab);
         let mut bundle = self.dump_postmortem(reason).expect("observatory is on");
         bundle.meta.cycle = cycle;
         let obs = self.observatory.as_mut().expect("caller checked");
@@ -737,9 +755,9 @@ impl<S: TraceSink> Network<S> {
 
 impl Observatory {
     /// [`RingObs::charge_and_flush`] for every ring.
-    fn charge_all(&mut self, shards: &mut [RingShard]) {
+    fn charge_all(&mut self, shards: &mut [RingShard], slab: &mut FlitSlab) {
         for (o, shard) in self.rings.iter_mut().zip(shards) {
-            o.charge_and_flush(shard);
+            o.charge_and_flush(shard, slab);
         }
     }
 }

@@ -30,7 +30,7 @@
 //! # Lanes that stand still
 //!
 //! [`Lane::advance`] is two counter increments; it touches no flit and
-//! no bit. Every per-slot array — payloads, boarding counts, I-tag
+//! no bit. Every per-slot array — handles, boarding counts, I-tag
 //! owners and both bitsets — is indexed by slot, and slot `i` stands at
 //! station `(i ± offset) mod n`, so moving the lane is moving `offset`.
 //! The calendar needs no rotation either: its rows are already indexed
@@ -40,47 +40,43 @@
 //! I-tag.
 //!
 //! Hops are charged lazily: the lane counts its own advances, a slot
-//! remembers the count at boarding, and the difference is added to
-//! [`Flit::hops`] when the flit leaves the slot. `hops` of a flit still
-//! on a ring ([`Lane::flits`]) therefore excludes its current ride.
+//! remembers the count at boarding, and `Lane::take_arrival` adds the
+//! difference to the flit's `hops` when the flit leaves the slot. The
+//! `hops` of a flit still on a ring therefore excludes its current
+//! ride.
 //!
 //! # Struct-of-arrays slot storage
 //!
 //! Slot state is stored as parallel dense arrays, not an
-//! array-of-`Option` structs: the flit payload array, the
-//! boarding-count array, the I-tag owner array, and the two slot-space
-//! word arrays ([`BitRing`]s) that are the *sole* authority on which
-//! entries are live. A vacant slot's payload bytes are garbage (a
-//! placeholder or departed flit / owner id) and are never read, because
-//! every accessor consults the occupancy word first.
+//! array-of-`Option` structs: a handle per slot, a boarding count per
+//! slot, an I-tag owner per slot, and the two slot-space word arrays
+//! ([`BitRing`]s) that are the *sole* authority on which entries are
+//! live.
+//!
+//! A slot holds no flit, only the flit's 8-byte handle: its slot in
+//! the network's flit slab plus its destination (`crate::slab`). The
+//! body stays in the slab from enqueue to delivery, so boarding and
+//! leaving a lane move 8 bytes, and a lane of `n` slots reserves `8n`
+//! bytes for flits, not `104n`. The handle's destination is all the
+//! lane's debug check routes by. The lane writes one body field: the
+//! hop charge when a flit leaves.
+//!
+//! A vacant slot's handle is stale — a departed flit's, or the zero
+//! handle the lane was built with — and is never read, because every
+//! accessor tests the occupancy bit first. Vacancy is that bit alone.
 
 use crate::bits::BitRing;
-use crate::flit::{Flit, FlitClass};
 use crate::ids::{ChipletId, Direction, NodeId, RingId, RingKind};
 use crate::route::RouteTable;
-use noc_sim::Cycle;
-
-/// Garbage filler for never-yet-occupied flit slots. Never observable:
-/// the occupancy bitset gates every read.
-fn vacant_flit() -> Flit {
-    Flit::new(
-        u64::MAX,
-        NodeId(u32::MAX),
-        NodeId(u32::MAX),
-        FlitClass::Request,
-        0,
-        0,
-        Cycle(0),
-    )
-}
+use crate::slab::{FlitRef, FlitSlab};
 
 /// One unidirectional lane of a ring.
 #[derive(Debug, Clone)]
 pub struct Lane {
     dir: Direction,
-    /// Flit payload per slot, indexed by slot position (not station).
+    /// Flit handle per slot, indexed by slot position (not station).
     /// Live iff the slot's bit is set in `flit_bits`.
-    flits: Vec<Flit>,
+    flits: Vec<FlitRef>,
     /// Value of `advances` when the flit in each slot boarded (live
     /// with `flits`).
     boarded: Vec<u32>,
@@ -114,7 +110,7 @@ impl Lane {
         let row_words = n.div_ceil(64);
         Lane {
             dir,
-            flits: (0..stations).map(|_| vacant_flit()).collect(),
+            flits: vec![FlitRef::default(); n],
             boarded: vec![0; n],
             itags: vec![NodeId(u32::MAX); n],
             offset: 0,
@@ -208,21 +204,21 @@ impl Lane {
     }
 
     /// Remove and return the flit standing at its exit `station`,
-    /// charging it the hops of the ride.
+    /// charging its body in `slab` the hops of the ride.
     ///
     /// The caller must know the flit is there and exits here, from
     /// [`Lane::arrives`].
     #[inline]
-    pub(crate) fn take_arrival(&mut self, station: u16) -> Flit {
+    pub(crate) fn take_arrival(&mut self, station: u16, slab: &mut FlitSlab) -> FlitRef {
         let i = self.index_of_station(station);
         debug_assert!(self.flit_bits.test(i), "no flit at station {station}");
         self.flit_bits.clear(i);
         let (w, bit) = self.arrival_bit(station);
         self.calendar[w] &= !bit;
-        // Copy out; the stale bytes left behind are gated by the
-        // occupancy bit like any vacant slot.
-        let mut flit = self.flits[i].clone();
-        flit.hops += self.advances.wrapping_sub(self.boarded[i]);
+        // The stale handle left behind is gated by the occupancy bit
+        // like any vacant slot's.
+        let flit = self.flits[i];
+        slab[flit].hops += self.advances.wrapping_sub(self.boarded[i]);
         flit
     }
 
@@ -231,7 +227,7 @@ impl Lane {
     ///
     /// Panics if the slot is occupied.
     #[inline]
-    pub(crate) fn put_flit(&mut self, station: u16, flit: Flit, exit: u16) {
+    pub(crate) fn put_flit(&mut self, station: u16, flit: FlitRef, exit: u16) {
         let i = self.index_of_station(station);
         assert!(
             !self.flit_bits.test(i),
@@ -359,23 +355,10 @@ impl Lane {
         assert_eq!(words as usize, tags, "{ring}: I-tag words");
     }
 
-    /// Iterate over all in-flight flits (positional slot order).
-    /// Their `hops` excludes the ride they are on.
-    pub fn flits(&self) -> impl Iterator<Item = &Flit> {
-        self.flit_bits.iter_ones().map(|i| &self.flits[i])
-    }
-
-    /// Iterate mutably over all in-flight flits together with the
-    /// station each currently sits at (positional slot order — callers
-    /// needing a canonical order must impose it themselves).
-    pub fn flits_mut(&mut self) -> impl Iterator<Item = (u16, &mut Flit)> {
-        let (dir, n, off) = (self.dir, self.flits.len(), self.offset);
-        let bits = &self.flit_bits;
-        self.flits
-            .iter_mut()
-            .enumerate()
-            .filter(move |(i, _)| bits.test(*i))
-            .map(move |(i, f)| (station_of_index(dir, n, off, i) as u16, f))
+    /// The handles of all in-flight flits (positional slot order).
+    /// Their bodies' `hops` excludes the ride they are on.
+    pub(crate) fn flits(&self) -> impl Iterator<Item = FlitRef> + '_ {
+        self.flit_bits.iter_ones().map(|i| self.flits[i])
     }
 }
 
@@ -459,18 +442,19 @@ impl Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::FlitClass;
+    use crate::flit::{Flit, FlitClass};
     use noc_sim::Cycle;
     use proptest::prelude::*;
 
-    /// The flit in the slot currently at `station`, if any.
-    fn flit_at(lane: &Lane, station: u16) -> Option<&Flit> {
+    /// The handle in the slot currently at `station`, if any.
+    fn flit_at(lane: &Lane, station: u16) -> Option<FlitRef> {
         let i = lane.index_of_station(station);
-        lane.flit_bits.test(i).then(|| &lane.flits[i])
+        lane.flit_bits.test(i).then(|| lane.flits[i])
     }
 
-    fn test_flit(id: u64) -> Flit {
-        Flit::new(
+    /// A flit with id `id` stored in `slab`.
+    fn test_flit(slab: &mut FlitSlab, id: u64) -> FlitRef {
+        slab.alloc(Flit::new(
             id,
             NodeId(0),
             NodeId(1),
@@ -478,13 +462,14 @@ mod tests {
             64,
             0,
             Cycle(0),
-        )
+        ))
     }
 
     #[test]
     fn cw_lane_moves_flit_forward() {
+        let mut slab = FlitSlab::default();
         let mut lane = Lane::new(Direction::Cw, 4);
-        lane.put_flit(0, test_flit(1), 3);
+        lane.put_flit(0, test_flit(&mut slab, 1), 3);
         lane.advance();
         assert!(flit_at(&lane, 0).is_none());
         assert!(flit_at(&lane, 1).is_some());
@@ -501,8 +486,9 @@ mod tests {
 
     #[test]
     fn ccw_lane_moves_flit_backward() {
+        let mut slab = FlitSlab::default();
         let mut lane = Lane::new(Direction::Ccw, 4);
-        lane.put_flit(2, test_flit(1), 3);
+        lane.put_flit(2, test_flit(&mut slab, 1), 3);
         lane.advance();
         assert!(flit_at(&lane, 1).is_some());
         assert!(lane.occupied(1));
@@ -512,7 +498,8 @@ mod tests {
         assert!(flit_at(&lane, 3).is_some());
         assert!(lane.occupied(3));
         assert!(lane.arrives(3));
-        assert_eq!(lane.take_arrival(3).hops, 3);
+        let flit = lane.take_arrival(3, &mut slab);
+        assert_eq!(slab[flit].hops, 3);
     }
 
     #[test]
@@ -530,13 +517,14 @@ mod tests {
 
     #[test]
     fn occupancy_counts() {
+        let mut slab = FlitSlab::default();
         let mut lane = Lane::new(Direction::Cw, 4);
         assert_eq!(lane.occupancy(), 0);
-        lane.put_flit(0, test_flit(1), 1);
-        lane.put_flit(2, test_flit(2), 1);
+        lane.put_flit(0, test_flit(&mut slab, 1), 1);
+        lane.put_flit(2, test_flit(&mut slab, 2), 1);
         assert_eq!(lane.occupancy(), 2);
         assert_eq!(lane.flits().count(), 2);
-        assert_eq!(lane.flits_mut().count(), 2);
+        slab.debug_check_owners(lane.flits());
     }
 
     /// What the brute-force model knows about an occupied slot.
@@ -592,7 +580,7 @@ mod tests {
             .collect()
     }
 
-    fn assert_matches(lane: &Lane, model: &Model) {
+    fn assert_matches(lane: &Lane, slab: &FlitSlab, model: &Model) {
         let due = model.arrivals();
         assert_eq!(ones(lane.arrivals()), due, "arrivals");
         let tagged: Vec<usize> = (0..model.n).filter(|&s| model.itags[s].is_some()).collect();
@@ -602,7 +590,7 @@ mod tests {
             assert_eq!(lane.arrives(s as u16), due.contains(&s));
             assert_eq!(lane.occupied(s as u16), model.riders[s].is_some());
             assert_eq!(
-                flit_at(lane, s as u16).map(|f| f.id),
+                flit_at(lane, s as u16).map(|f| slab[f].id),
                 model.riders[s].map(|r| r.id)
             );
             assert_eq!(lane.itag_at(s as u16), model.itags[s]);
@@ -613,6 +601,9 @@ mod tests {
             .filter(|&s| model.riders[s].is_some())
             .collect();
         assert_eq!(stations, occupied, "occupied stations");
+        // The lane's handles are exactly the slab's live flits.
+        assert_eq!(slab.live(), occupied.len(), "live bodies");
+        slab.debug_check_owners(lane.flits());
     }
 
     /// The derived station-space I-tag word against the model over at
@@ -639,8 +630,9 @@ mod tests {
                 for s in [0, n / 2, n - 1, 63 % n, 64 % n] {
                     tag(&mut lane, &mut model, s);
                 }
+                let slab = FlitSlab::default();
                 for step in 0..2 * n + 3 {
-                    assert_matches(&lane, &model);
+                    assert_matches(&lane, &slab, &model);
                     if step % 7 == 3 {
                         // Retire one tag and place another mid-lap.
                         let s = step % n;
@@ -665,9 +657,13 @@ mod tests {
         /// every step the calendar's current row is exactly the set of
         /// occupied slots standing at their exit, occupancy and I-tags
         /// read by station match the model (and so does the derived
-        /// I-tag word), and a taken flit has been charged one hop per
-        /// advance it was aboard for. A put whose exit is the station it boards
-        /// at (the SWAP case) is one full lap, not an arrival now.
+        /// I-tag word), the lane holds exactly the slab's live handles,
+        /// and a taken flit's body has been charged one hop per advance
+        /// it was aboard for, summed over every ride since it first
+        /// boarded (a deflected flit is put back with its hops so far).
+        /// A taken flit that is not put back is freed, so later boards
+        /// reuse its slot. A put whose exit is the station it boards at
+        /// (the SWAP case) is one full lap, not an arrival now.
         #[test]
         fn calendar_matches_brute_force(
             size in 0usize..8,
@@ -677,6 +673,7 @@ mod tests {
             let n = [1usize, 2, 5, 16, 63, 64, 65, 130][size];
             let dir = if cw { Direction::Cw } else { Direction::Ccw };
             let mut lane = Lane::new(dir, n as u16);
+            let mut slab = FlitSlab::default();
             let mut model = Model { n, cw, riders: vec![None; n], itags: vec![None; n] };
             let mut next_id = 0u64;
             for &(op, x, y) in &ops {
@@ -686,7 +683,7 @@ mod tests {
                     0 | 1 => {
                         if model.riders[s].is_none() {
                             let exit = if y % 4 == 0 { s } else { y as usize % n };
-                            lane.put_flit(s as u16, test_flit(next_id), exit as u16);
+                            lane.put_flit(s as u16, test_flit(&mut slab, next_id), exit as u16);
                             model.riders[s] = Some(Rider { id: next_id, exit, hops_due: 0 });
                             next_id += 1;
                         }
@@ -697,12 +694,14 @@ mod tests {
                         if !due.is_empty() {
                             let s = due[x as usize % due.len()];
                             let rider = model.riders[s].take().expect("arrival");
-                            let flit = lane.take_arrival(s as u16);
-                            prop_assert_eq!(flit.id, rider.id);
-                            prop_assert_eq!(flit.hops, rider.hops_due);
+                            let flit = lane.take_arrival(s as u16, &mut slab);
+                            prop_assert_eq!(slab[flit].id, rider.id);
+                            prop_assert_eq!(slab[flit].hops, rider.hops_due);
                             if y % 2 == 1 {
                                 lane.put_flit(s as u16, flit, s as u16);
                                 model.riders[s] = Some(rider);
+                            } else {
+                                slab.free(flit);
                             }
                         }
                     }
@@ -718,7 +717,7 @@ mod tests {
                         model.advance();
                     }
                 }
-                assert_matches(&lane, &model);
+                assert_matches(&lane, &slab, &model);
             }
         }
     }
@@ -736,10 +735,11 @@ mod tests {
 
     #[test]
     fn utilization_is_occupied_fraction() {
+        let mut slab = FlitSlab::default();
         let mut ring = Ring::new(RingId(0), ChipletId(0), RingKind::Full, 4);
         assert_eq!(ring.utilization(), 0.0);
-        ring.lanes[0].put_flit(0, test_flit(1), 1);
-        ring.lanes[1].put_flit(2, test_flit(2), 1);
+        ring.lanes[0].put_flit(0, test_flit(&mut slab, 1), 1);
+        ring.lanes[1].put_flit(2, test_flit(&mut slab, 2), 1);
         assert_eq!(ring.utilization(), 2.0 / 8.0);
     }
 }

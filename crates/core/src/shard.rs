@@ -38,11 +38,11 @@
 use crate::bits::{word_ones, BitRing};
 use crate::bridge::{BridgeSide, Bridges, Escape};
 use crate::config::NetworkConfig;
-use crate::flit::Flit;
 use crate::ids::{NodeId, RingId};
 use crate::queue::Fifo;
 use crate::ring::Ring;
 use crate::route::{ring_travel, RouteTable};
+use crate::slab::{FlitRef, FlitSlab};
 use crate::stats::{NetStats, TickProfile};
 use crate::topology::{NodeKind, Topology};
 use noc_sim::{BandwidthProbe, Cycle};
@@ -136,8 +136,12 @@ pub(crate) struct NodeState {
     /// (and for devices) — so the arbitration-loss path compares two
     /// fields of the node it already holds.
     pub drm_watch_at: u32,
-    pub inject: Fifo<Flit>,
-    pub eject: Fifo<Flit>,
+    /// Handles of the flits queued to inject, bodies in the network's
+    /// slab ([`crate::slab`]).
+    pub inject: Fifo<FlitRef>,
+    /// Handles of the flits ejected here, awaiting the device or the
+    /// bridge intake.
+    pub eject: Fifo<FlitRef>,
     /// Consecutive cycles the head of `inject` failed to win a slot.
     pub starve: u32,
     /// Whether an I-tagged slot is circulating for this node.
@@ -414,6 +418,7 @@ impl RingShard {
         &mut self,
         shared: &EngineShared,
         bridges: &mut Bridges,
+        slab: &FlitSlab,
         now: Cycle,
     ) {
         let nraw = now.raw();
@@ -426,7 +431,7 @@ impl RingShard {
             let inbound = &mut bridges.escapes[self.sides[si].inbound()];
             if inbound.head_due() <= nraw {
                 self.profile.side_visits += 1;
-                self.deliver_side::<TRACE>(shared, inbound, nraw, si);
+                self.deliver_side::<TRACE>(shared, inbound, slab, nraw, si);
             }
             earliest = earliest.min(inbound.head_due());
         }
@@ -440,6 +445,7 @@ impl RingShard {
         &mut self,
         shared: &EngineShared,
         inbound: &mut Escape,
+        slab: &FlitSlab,
         nraw: u64,
         si: usize,
     ) {
@@ -449,7 +455,7 @@ impl RingShard {
                 if TRACE {
                     // Matured flit held in the pipeline by a full
                     // endpoint Inject Queue: backpressure.
-                    let fid = inbound.fifo.front().map_or(NO_FLIT, |(_, f)| f.id);
+                    let fid = inbound.fifo.front().map_or(NO_FLIT, |&(_, f)| slab[f].id);
                     let record = TraceRecord {
                         cycle: nraw,
                         flit: fid,
@@ -485,16 +491,17 @@ impl RingShard {
         &mut self,
         shared: &EngineShared,
         bridges: &mut Bridges,
+        slab: &mut FlitSlab,
         now: Cycle,
     ) {
-        self.local_deliveries_fast::<TRACE>(shared, now);
-        self.sweep_active::<TRACE>(shared, bridges, now);
+        self.local_deliveries_fast::<TRACE>(shared, slab, now);
+        self.sweep_active::<TRACE>(shared, bridges, slab, now);
         for lane in &mut self.ring.lanes {
             lane.advance();
         }
         self.debug_check_delivered();
         self.debug_check_side_indices(bridges);
-        self.bridge_intake::<TRACE>(bridges, now);
+        self.bridge_intake::<TRACE>(bridges, slab, now);
         self.drm_update(bridges);
     }
 
@@ -514,6 +521,7 @@ impl RingShard {
         &mut self,
         shared: &EngineShared,
         bridges: &mut Bridges,
+        slab: &mut FlitSlab,
         now: Cycle,
     ) {
         let stations = self.ring.stations as u64;
@@ -529,7 +537,7 @@ impl RingShard {
                 while w != 0 {
                     let s = wi * 64 + w.trailing_zeros() as usize;
                     w &= w - 1;
-                    self.process_station::<TRACE>(shared, bridges, now, li, s as u16);
+                    self.process_station::<TRACE>(shared, bridges, slab, now, li, s as u16);
                     if cfg!(debug_assertions) {
                         // The visit raised no event ahead of `s` in this
                         // word that the snapshot `w` lacks: the snapshot
@@ -553,7 +561,12 @@ impl RingShard {
     /// Deliver head flits whose exit station equals their source node's
     /// own station without touching the ring (zero-hop path), visiting
     /// only the nodes whose cached intent says so.
-    fn local_deliveries_fast<const TRACE: bool>(&mut self, shared: &EngineShared, now: Cycle) {
+    fn local_deliveries_fast<const TRACE: bool>(
+        &mut self,
+        shared: &EngineShared,
+        slab: &mut FlitSlab,
+        now: Cycle,
+    ) {
         // Debug builds: the intents this cycle starts from are true.
         self.debug_check_intents(shared);
         for wi in 0..self.intent_bits[LOCAL_BITS].words().len() {
@@ -564,7 +577,7 @@ impl RingShard {
                 for port in 0..2 {
                     if let Some(local) = self.ports[s][port] {
                         if self.nodes[local as usize].want.intent == Intent::Local {
-                            self.try_local_delivery::<TRACE>(shared, now, local as usize);
+                            self.try_local_delivery::<TRACE>(shared, slab, now, local as usize);
                         }
                     }
                 }
@@ -577,6 +590,7 @@ impl RingShard {
     fn try_local_delivery<const TRACE: bool>(
         &mut self,
         shared: &EngineShared,
+        slab: &mut FlitSlab,
         now: Cycle,
         i: usize,
     ) {
@@ -596,15 +610,16 @@ impl RingShard {
         let free = self.nodes[t].eject.free();
         let reserved = self.nodes[t].etag_list.len();
         if free > reserved {
-            let mut flit = self.nodes[i].inject.pop().expect("peeked");
+            let flit = self.nodes[i].inject.pop().expect("peeked");
             self.head_changed(shared, i);
-            flit.itag_wait += self.nodes[i].starve;
-            flit.injected_at = Some(now);
+            let body = &mut slab[flit];
+            body.itag_wait += self.nodes[i].starve;
+            body.injected_at = Some(now);
             self.stats.injected.inc();
             if TRACE {
                 let record = TraceRecord {
                     cycle: now.raw(),
-                    flit: flit.id,
+                    flit: body.id,
                     ring: self.ring.id.0,
                     station,
                     lane: NO_LANE,
@@ -614,7 +629,7 @@ impl RingShard {
                 };
                 self.trace.push(record);
             }
-            self.finish_arrival::<TRACE>(now, t, flit, NO_LANE);
+            self.finish_arrival::<TRACE>(slab, now, t, flit, NO_LANE);
             self.nodes[i].starve = 0;
         }
     }
@@ -628,16 +643,15 @@ impl RingShard {
         &mut self,
         shared: &EngineShared,
         bridges: &mut Bridges,
+        slab: &mut FlitSlab,
         now: Cycle,
         li: usize,
         s: u16,
     ) {
         let ring_id = self.ring.id;
         // ---- arrival / ejection ----
-        let lane = &mut self.ring.lanes[li];
-        if lane.arrives(s) {
-            let flit = lane.take_arrival(s);
-            self.arrive::<TRACE>(shared, bridges, now, li, s, flit);
+        if self.ring.lanes[li].arrives(s) {
+            self.arrive::<TRACE>(shared, bridges, slab, now, li, s);
         }
         // ---- injection ----
         let mut injected_port: Option<u8> = None;
@@ -652,7 +666,7 @@ impl RingShard {
                     let want = self.nodes[o].want;
                     if want.intent == wants_lane {
                         if TRACE {
-                            let fid = self.nodes[o].inject.peek().expect("head checked").id;
+                            let fid = slab[*self.nodes[o].inject.peek().expect("head checked")].id;
                             let record = TraceRecord {
                                 cycle: now.raw(),
                                 flit: fid,
@@ -663,7 +677,7 @@ impl RingShard {
                             };
                             self.trace.push(record);
                         }
-                        self.inject_head::<TRACE>(shared, now, o, li, s, want.exit);
+                        self.inject_head::<TRACE>(shared, slab, now, o, li, s);
                         injected_port = self.ports[s as usize]
                             .iter()
                             .position(|&p| p == Some(o as u32))
@@ -687,7 +701,7 @@ impl RingShard {
                     let ni = local as usize;
                     let want = self.nodes[ni].want;
                     if want.intent == wants_lane {
-                        self.inject_head::<TRACE>(shared, now, ni, li, s, want.exit);
+                        self.inject_head::<TRACE>(shared, slab, now, ni, li, s);
                         self.rr[s as usize][li] = (port + 1) % 2;
                         injected_port = Some(port);
                         break;
@@ -716,7 +730,7 @@ impl RingShard {
             }
             self.stats.inject_losses.inc();
             if TRACE {
-                let fid = self.nodes[ni].inject.peek().expect("head checked").id;
+                let fid = slab[*self.nodes[ni].inject.peek().expect("head checked")].id;
                 let record = TraceRecord {
                     cycle: now.raw(),
                     flit: fid,
@@ -738,7 +752,7 @@ impl RingShard {
                 self.nodes[ni].itags_here += 1;
                 self.stats.itags_placed.inc();
                 if TRACE {
-                    let fid = self.nodes[ni].inject.peek().expect("head checked").id;
+                    let fid = slab[*self.nodes[ni].inject.peek().expect("head checked")].id;
                     let record = TraceRecord {
                         cycle: now.raw(),
                         flit: fid,
@@ -755,27 +769,29 @@ impl RingShard {
         }
     }
 
-    /// Move local node `ni`'s head flit, which leaves this ring at
-    /// station `exit`, into the (empty) slot at its station.
+    /// Move local node `ni`'s head flit into the (empty) slot at its
+    /// station, bound for the exit its cached intent names.
     fn inject_head<const TRACE: bool>(
         &mut self,
         shared: &EngineShared,
+        slab: &mut FlitSlab,
         now: Cycle,
         ni: usize,
         li: usize,
         s: u16,
-        exit: u16,
     ) {
-        let mut flit = self.nodes[ni].inject.pop().expect("head checked");
+        let exit = self.nodes[ni].want.exit;
+        let flit = self.nodes[ni].inject.pop().expect("head checked");
         self.head_changed(shared, ni);
-        flit.itag_wait += self.nodes[ni].starve;
-        if flit.injected_at.is_none() {
-            flit.injected_at = Some(now);
+        let body = &mut slab[flit];
+        body.itag_wait += self.nodes[ni].starve;
+        if body.injected_at.is_none() {
+            body.injected_at = Some(now);
             self.stats.injected.inc();
             if TRACE {
                 let record = TraceRecord {
                     cycle: now.raw(),
-                    flit: flit.id,
+                    flit: body.id,
                     ring: self.ring.id.0,
                     station: s,
                     lane: li as u8,
@@ -790,17 +806,18 @@ impl RingShard {
         self.nodes[ni].starve = 0;
     }
 
-    /// Handle a flit arriving at its exit station: eject, SWAP, or
-    /// deflect with an E-tag.
+    /// Take the flit arriving at its exit station `s` off lane `li`
+    /// and handle it: eject, SWAP, or deflect with an E-tag.
     fn arrive<const TRACE: bool>(
         &mut self,
         shared: &EngineShared,
         bridges: &mut Bridges,
+        slab: &mut FlitSlab,
         now: Cycle,
         li: usize,
         s: u16,
-        mut flit: Flit,
     ) {
+        let flit = self.ring.lanes[li].take_arrival(s, slab);
         let target = shared
             .route
             .exit(self.ring.id, flit.dst)
@@ -809,11 +826,12 @@ impl RingShard {
         let t = shared.node_loc[target.index()].local as usize;
         let free = self.nodes[t].eject.free();
         let reserved_count = self.nodes[t].etag_list.len();
+        let (fid, etag) = (slab[flit].id, slab[flit].etag);
 
-        let may_eject = if flit.etag {
+        let may_eject = if etag {
             // A returning E-tag flit may use a freed buffer once its
             // reservation is covered by the free count.
-            match self.nodes[t].etag_list.iter().position(|&id| id == flit.id) {
+            match self.nodes[t].etag_list.iter().position(|&id| id == fid) {
                 Some(pos) => free > pos,
                 None => free > reserved_count, // tagged for another node earlier
             }
@@ -822,11 +840,11 @@ impl RingShard {
         };
 
         if may_eject {
-            if flit.etag {
-                self.consume_etag(t, flit.id);
-                flit.etag = false;
+            if etag {
+                self.consume_etag(t, fid);
+                slab[flit].etag = false;
             }
-            self.finish_arrival::<TRACE>(now, t, flit, li as u8);
+            self.finish_arrival::<TRACE>(slab, now, t, flit, li as u8);
             return;
         }
 
@@ -845,12 +863,11 @@ impl RingShard {
                 out.reserved.push_back(escaped);
                 self.intake.set(si);
                 // …eject the traversing flit into the vacated space…
-                if flit.etag {
-                    self.consume_etag(t, flit.id);
-                    flit.etag = false;
+                if etag {
+                    self.consume_etag(t, fid);
+                    slab[flit].etag = false;
                 }
-                let fid = flit.id;
-                flit.settle_recirc(now);
+                slab[flit].settle_recirc(now);
                 self.nodes[t].eject.push(flit).expect("space just vacated");
                 if TRACE {
                     let record = TraceRecord {
@@ -871,8 +888,7 @@ impl RingShard {
                     // Whatever lane the head would have chosen, it
                     // takes this slot; if it leaves the ring here, at
                     // `s`, that is one full lap away.
-                    let exit = self.nodes[t].want.exit;
-                    self.inject_head::<TRACE>(shared, now, t, li, s, exit);
+                    self.inject_head::<TRACE>(shared, slab, now, t, li, s);
                     self.stats.swaps.inc();
                     if TRACE {
                         let record = TraceRecord {
@@ -891,15 +907,15 @@ impl RingShard {
         }
 
         // Deflect: place an E-tag reservation (once) and circle on.
-        let had_etag = flit.etag;
-        if !flit.etag {
-            flit.etag = true;
-            self.nodes[t].etag_list.push_back(flit.id);
+        let body = &mut slab[flit];
+        if !etag {
+            body.etag = true;
+            self.nodes[t].etag_list.push_back(fid);
             self.stats.etags_placed.inc();
             if TRACE {
                 let record = TraceRecord {
                     cycle: now.raw(),
-                    flit: flit.id,
+                    flit: fid,
                     ring: self.ring.id.0,
                     station: s,
                     lane: li as u8,
@@ -908,16 +924,16 @@ impl RingShard {
                 self.trace.push(record);
             }
         }
-        flit.deflections += 1;
-        if flit.deflected_since.is_none() {
+        body.deflections += 1;
+        if body.deflected_since.is_none() {
             // Open a re-circulation episode: every ring cycle from here
             // until the successful ejection is deflection penalty.
-            flit.deflected_since = Some(now);
+            body.deflected_since = Some(now);
         }
-        if had_etag {
+        if etag {
             // A deflection of an already-tagged flit defeats the
             // one-lap guarantee once more (§4.1.2).
-            flit.etag_laps += 1;
+            body.etag_laps += 1;
         }
         // Flow accounting charges these counters lazily (at delivery
         // and at sampling boundaries) — nothing to do here.
@@ -926,7 +942,7 @@ impl RingShard {
         if TRACE {
             let record = TraceRecord {
                 cycle: now.raw(),
-                flit: flit.id,
+                flit: fid,
                 ring: self.ring.id.0,
                 station: s,
                 lane: li as u8,
@@ -949,32 +965,34 @@ impl RingShard {
     /// left (or [`NO_LANE`] for the zero-hop local path).
     fn finish_arrival<const TRACE: bool>(
         &mut self,
+        slab: &mut FlitSlab,
         now: Cycle,
         t: usize,
-        mut flit: Flit,
+        flit: FlitRef,
         lane: u8,
     ) {
-        flit.settle_recirc(now);
+        slab[flit].settle_recirc(now);
+        let body = &slab[flit];
         let is_device = matches!(self.nodes[t].kind, NodeKind::Device);
         if is_device {
-            self.stats.record_delivery(&flit, now);
+            self.stats.record_delivery(body, now);
             if self.flow_on {
                 // Charge the delivery plus whatever deflections and
                 // E-tag laps the window sweeps have not yet seen.
                 self.flow_buf.push((
-                    flit.src.0,
-                    flit.dst.0,
+                    body.src.0,
+                    body.dst.0,
                     FlowDelta {
                         delivered: 1,
-                        latency_sum: flit.total_latency(now),
-                        itag_waits: u64::from(flit.itag_wait),
-                        deflections: u64::from(flit.deflections - flit.charged_deflections),
-                        etag_laps: u64::from(flit.etag_laps - flit.charged_etag_laps),
+                        latency_sum: body.total_latency(now),
+                        itag_waits: u64::from(body.itag_wait),
+                        deflections: u64::from(body.deflections - body.charged_deflections),
+                        etag_laps: u64::from(body.etag_laps - body.charged_etag_laps),
                     },
                 ));
             }
             if let Some(p) = &mut self.nodes[t].probe {
-                p.record(now, flit.payload_bytes as u64);
+                p.record(now, body.payload_bytes as u64);
             }
         }
         if TRACE {
@@ -982,7 +1000,7 @@ impl RingShard {
             let cycle = now.raw();
             self.trace.push(TraceRecord {
                 cycle,
-                flit: flit.id,
+                flit: body.id,
                 ring,
                 station,
                 lane,
@@ -993,13 +1011,13 @@ impl RingShard {
             if is_device {
                 self.trace.push(TraceRecord {
                     cycle,
-                    flit: flit.id,
+                    flit: body.id,
                     ring,
                     station,
                     lane,
                     event: FlitEvent::Delivered {
                         node: self.nodes[t].id.0,
-                        class: flit.class.index() as u8,
+                        class: body.class.index() as u8,
                     },
                 });
             }
@@ -1018,19 +1036,30 @@ impl RingShard {
     /// escapes, draining reserved escape buffers first. Visits only the
     /// sides marked as having intake work; one left with nothing to
     /// push loses its mark.
-    fn bridge_intake<const TRACE: bool>(&mut self, bridges: &mut Bridges, now: Cycle) {
+    fn bridge_intake<const TRACE: bool>(
+        &mut self,
+        bridges: &mut Bridges,
+        slab: &mut FlitSlab,
+        now: Cycle,
+    ) {
         let nraw = now.raw();
         for wi in 0..self.intake.words().len() {
             let w = self.intake.words()[wi];
             self.profile.side_visits += u64::from(w.count_ones());
             for si in word_ones(wi, w) {
-                self.intake_side::<TRACE>(bridges, nraw, si);
+                self.intake_side::<TRACE>(bridges, slab, nraw, si);
             }
         }
     }
 
     /// [`RingShard::bridge_intake`] for side `si`.
-    fn intake_side<const TRACE: bool>(&mut self, bridges: &mut Bridges, nraw: u64, si: usize) {
+    fn intake_side<const TRACE: bool>(
+        &mut self,
+        bridges: &mut Bridges,
+        slab: &mut FlitSlab,
+        nraw: u64,
+        si: usize,
+    ) {
         let ep = self.sides[si].endpoint as usize;
         let e = self.sides[si].out();
         let cfg = &bridges.escapes[e].cfg;
@@ -1043,12 +1072,12 @@ impl RingShard {
         while moved < width && bridges.escapes[e].fifo.len() < cap {
             // Priority: reserved escape buffers drain first.
             let reserved = bridges.escapes[e].reserved.pop_front();
-            let Some(mut flit) = reserved.or_else(|| self.nodes[ep].eject.pop()) else {
+            let Some(flit) = reserved.or_else(|| self.nodes[ep].eject.pop()) else {
                 break;
             };
-            flit.ring_changes += 1;
+            slab[flit].ring_changes += 1;
             if TRACE {
-                self.push_bridge_enqueued(nraw, si, ep, flit.id);
+                self.push_bridge_enqueued(nraw, si, ep, slab[flit].id);
             }
             bridges.push(e, ready, flit);
             moved += 1;
