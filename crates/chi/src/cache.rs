@@ -7,13 +7,36 @@
 
 use crate::types::LineAddr;
 
-/// One resident line.
+/// One resident line: 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     addr: LineAddr,
-    dirty: bool,
-    /// Monotonic LRU stamp: larger = more recently used.
-    stamp: u64,
+    /// The monotonic LRU stamp (larger = more recently used) shifted
+    /// left by one, with the dirty bit in bit 0.
+    meta: u64,
+}
+
+impl Entry {
+    fn new(addr: LineAddr, dirty: bool, stamp: u64) -> Self {
+        Entry {
+            addr,
+            meta: (stamp << 1) | u64::from(dirty),
+        }
+    }
+
+    fn stamp(self) -> u64 {
+        self.meta >> 1
+    }
+
+    fn dirty(self) -> bool {
+        self.meta & 1 != 0
+    }
+
+    /// Make this the most recently used line; it stays dirty if it was,
+    /// and becomes dirty if `dirty`.
+    fn touch(&mut self, stamp: u64, dirty: bool) {
+        self.meta = (stamp << 1) | (self.meta & 1) | u64::from(dirty);
+    }
 }
 
 /// Result of inserting into the cache.
@@ -101,7 +124,7 @@ impl SetAssocCache {
         let set = self.set_of(addr);
         let tick = self.tick;
         if let Some(e) = self.entries[set].iter_mut().find(|e| e.addr == addr) {
-            e.stamp = tick;
+            e.touch(tick, false);
             self.hits += 1;
             true
         } else {
@@ -119,33 +142,23 @@ impl SetAssocCache {
         let set = self.set_of(addr);
         let entries = &mut self.entries[set];
         if let Some(e) = entries.iter_mut().find(|e| e.addr == addr) {
-            e.stamp = tick;
-            e.dirty |= dirty;
+            e.touch(tick, dirty);
             return Inserted::AlreadyPresent;
         }
         if entries.len() < ways {
-            entries.push(Entry {
-                addr,
-                dirty,
-                stamp: tick,
-            });
+            entries.push(Entry::new(addr, dirty, tick));
             return Inserted::Installed;
         }
         let lru = entries
             .iter()
             .enumerate()
-            .min_by_key(|(_, e)| e.stamp)
+            .min_by_key(|(_, e)| e.stamp())
             .map(|(i, _)| i)
             .expect("set is full, so non-empty");
-        let victim = entries[lru];
-        entries[lru] = Entry {
-            addr,
-            dirty,
-            stamp: tick,
-        };
+        let victim = std::mem::replace(&mut entries[lru], Entry::new(addr, dirty, tick));
         Inserted::Evicted {
             victim: victim.addr,
-            dirty: victim.dirty,
+            dirty: victim.dirty(),
         }
     }
 
@@ -154,7 +167,7 @@ impl SetAssocCache {
         let set = self.set_of(addr);
         let pos = self.entries[set].iter().position(|e| e.addr == addr)?;
         let e = self.entries[set].swap_remove(pos);
-        Some(e.dirty)
+        Some(e.dirty())
     }
 
     /// Lookup hits so far.
@@ -220,6 +233,37 @@ mod tests {
         assert_eq!(c.invalidate(LineAddr(7)), Some(true));
         assert_eq!(c.len(), 0);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn an_entry_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+    }
+
+    #[test]
+    fn the_dirty_bit_survives_an_lru_refresh_and_is_reported_on_eviction() {
+        let mut c = SetAssocCache::new(1, 2);
+        c.insert(LineAddr(1), true);
+        c.insert(LineAddr(2), false);
+        // Refresh 1 both ways: 2 becomes LRU and is evicted clean.
+        assert!(c.access(LineAddr(1)));
+        assert_eq!(c.insert(LineAddr(1), false), Inserted::AlreadyPresent);
+        assert_eq!(
+            c.insert(LineAddr(3), false),
+            Inserted::Evicted {
+                victim: LineAddr(2),
+                dirty: false
+            }
+        );
+        // 1 is LRU now and still dirty.
+        assert_eq!(
+            c.insert(LineAddr(4), false),
+            Inserted::Evicted {
+                victim: LineAddr(1),
+                dirty: true
+            }
+        );
+        assert_eq!(c.invalidate(LineAddr(3)), Some(false));
     }
 
     #[test]

@@ -3,15 +3,21 @@
 use crate::types::LineAddr;
 use noc_core::NodeId;
 use noc_sim::IdMap;
-use std::collections::BTreeSet;
+use std::sync::Arc;
+
+/// The most requesters a directory can name: one bit each in the
+/// [`DirState::Shared`] mask.
+pub const MAX_REQUESTERS: usize = 128;
 
 /// Directory state of one line.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirState {
     /// No coherent copies exist.
     Invalid,
-    /// One or more clean shared copies.
-    Shared(BTreeSet<NodeId>),
+    /// One or more clean shared copies: bit *i* is set when the
+    /// requester of rank *i* (the *i*-th in ascending `NodeId`) holds
+    /// one.
+    Shared(u128),
     /// A single requester owns the line (M or E).
     Owned(NodeId),
 }
@@ -19,30 +25,65 @@ pub enum DirState {
 /// Tracks, per line, which requesters hold copies — the "L3 tag" half of
 /// the paper's hybrid L3 design.
 ///
+/// A line no requester holds has no entry; [`Directory::state`] reads
+/// it as [`DirState::Invalid`].
+///
 /// # Example
 ///
 /// ```
 /// use noc_chi::{Directory, DirState, LineAddr};
 /// use noc_core::NodeId;
-/// let mut d = Directory::new();
+/// let mut d = Directory::new(vec![NodeId(3), NodeId(5)].into());
 /// d.set_owner(LineAddr(1), NodeId(3));
-/// assert_eq!(d.state(LineAddr(1)), &DirState::Owned(NodeId(3)));
+/// assert_eq!(d.state(LineAddr(1)), DirState::Owned(NodeId(3)));
+/// d.add_sharer(LineAddr(1), NodeId(5));
+/// assert!(d.holders(LineAddr(1)).eq([NodeId(3), NodeId(5)]));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Directory {
-    /// Keyed lookups only (`len` counts, which is order-insensitive).
+    /// Rank → requester, ascending `NodeId`.
+    ranked: Arc<[NodeId]>,
+    /// Keyed lookups only (`len` is the map's own count).
     lines: IdMap<LineAddr, DirState>,
 }
 
 impl Directory {
-    /// Empty directory.
-    pub fn new() -> Self {
-        Self::default()
+    /// Empty directory over the requesters in `ranked`, which must be in
+    /// strictly ascending `NodeId` order: a requester's position there is
+    /// its rank, its bit in a [`DirState::Shared`] mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranked` is not strictly ascending or names more than
+    /// [`MAX_REQUESTERS`] requesters.
+    pub fn new(ranked: Arc<[NodeId]>) -> Self {
+        assert!(
+            ranked.len() <= MAX_REQUESTERS,
+            "{} requesters, a directory names at most {MAX_REQUESTERS}",
+            ranked.len()
+        );
+        assert!(
+            ranked.windows(2).all(|w| w[0] < w[1]),
+            "requesters must be ranked in strictly ascending NodeId"
+        );
+        Directory {
+            ranked,
+            lines: IdMap::default(),
+        }
     }
 
-    /// Current state of a line (Invalid if never touched).
-    pub fn state(&self, addr: LineAddr) -> &DirState {
-        self.lines.get(&addr).unwrap_or(&DirState::Invalid)
+    /// The bit of requester `node` in a [`DirState::Shared`] mask.
+    fn bit(&self, node: NodeId) -> u128 {
+        let rank = self
+            .ranked
+            .binary_search(&node)
+            .unwrap_or_else(|_| panic!("{node} is not a ranked requester"));
+        1 << rank
+    }
+
+    /// Current state of a line (Invalid if no requester holds it).
+    pub fn state(&self, addr: LineAddr) -> DirState {
+        self.lines.get(&addr).copied().unwrap_or(DirState::Invalid)
     }
 
     /// Record `owner` as the sole (M/E) holder.
@@ -51,38 +92,36 @@ impl Directory {
     }
 
     /// Add a sharer, demoting an owner if present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sharer`, or the owner it demotes, is not ranked.
     pub fn add_sharer(&mut self, addr: LineAddr, sharer: NodeId) {
-        let entry = self.lines.entry(addr).or_insert(DirState::Invalid);
-        match entry {
-            DirState::Invalid => {
-                *entry = DirState::Shared(BTreeSet::from([sharer]));
-            }
-            DirState::Shared(set) => {
-                set.insert(sharer);
-            }
-            DirState::Owned(owner) => {
-                let set = BTreeSet::from([*owner, sharer]);
-                *entry = DirState::Shared(set);
-            }
-        }
+        let held = match self.state(addr) {
+            DirState::Invalid => 0,
+            DirState::Shared(mask) => mask,
+            DirState::Owned(owner) => self.bit(owner),
+        };
+        let mask = held | self.bit(sharer);
+        self.lines.insert(addr, DirState::Shared(mask));
     }
 
-    /// Remove one holder (sharer or owner); line becomes Invalid when
-    /// the last copy goes.
+    /// Remove one holder (sharer or owner); the line's entry goes when
+    /// the last copy does.
     pub fn remove(&mut self, addr: LineAddr, node: NodeId) {
-        if let Some(entry) = self.lines.get_mut(&addr) {
-            match entry {
-                DirState::Owned(o) if *o == node => {
-                    *entry = DirState::Invalid;
-                }
-                DirState::Shared(set) => {
-                    set.remove(&node);
-                    if set.is_empty() {
-                        *entry = DirState::Invalid;
-                    }
-                }
-                _ => {}
+        match self.state(addr) {
+            DirState::Owned(o) if o == node => {
+                self.lines.remove(&addr);
             }
+            DirState::Shared(mask) => {
+                let left = mask & !self.bit(node);
+                if left == 0 {
+                    self.lines.remove(&addr);
+                } else {
+                    self.lines.insert(addr, DirState::Shared(left));
+                }
+            }
+            _ => {}
         }
     }
 
@@ -91,26 +130,28 @@ impl Directory {
         self.lines.remove(&addr);
     }
 
-    /// Every holder of the line, in deterministic order.
-    pub fn holders(&self, addr: LineAddr) -> Vec<NodeId> {
-        match self.state(addr) {
-            DirState::Invalid => Vec::new(),
-            DirState::Owned(o) => vec![*o],
-            DirState::Shared(set) => set.iter().copied().collect(),
-        }
+    /// Every holder of the line, in ascending `NodeId` (rank) order.
+    pub fn holders(&self, addr: LineAddr) -> impl Iterator<Item = NodeId> + '_ {
+        let (owner, mut mask) = match self.state(addr) {
+            DirState::Invalid => (None, 0),
+            DirState::Owned(o) => (Some(o), 0),
+            DirState::Shared(mask) => (None, mask),
+        };
+        owner.into_iter().chain(std::iter::from_fn(move || {
+            let rank = mask.trailing_zeros() as usize;
+            mask &= mask.checked_sub(1)?;
+            Some(self.ranked[rank])
+        }))
     }
 
-    /// Number of tracked (non-invalid) lines.
+    /// Number of tracked (held) lines.
     pub fn len(&self) -> usize {
-        self.lines
-            .values()
-            .filter(|s| !matches!(s, DirState::Invalid))
-            .count()
+        self.lines.len()
     }
 
     /// Whether the directory tracks no lines.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lines.is_empty()
     }
 }
 
@@ -118,44 +159,105 @@ impl Directory {
 mod tests {
     use super::*;
 
+    /// A directory over requesters `0..n`.
+    fn dir(n: u32) -> Directory {
+        Directory::new((0..n).map(NodeId).collect())
+    }
+
     #[test]
     fn owner_then_share_demotes() {
-        let mut d = Directory::new();
+        let mut d = dir(2);
         d.set_owner(LineAddr(1), NodeId(0));
         d.add_sharer(LineAddr(1), NodeId(1));
-        assert_eq!(d.holders(LineAddr(1)), vec![NodeId(0), NodeId(1)]);
+        assert!(d.holders(LineAddr(1)).eq([NodeId(0), NodeId(1)]));
         assert!(matches!(d.state(LineAddr(1)), DirState::Shared(_)));
     }
 
     #[test]
     fn remove_last_holder_invalidates() {
-        let mut d = Directory::new();
+        let mut d = dir(6);
         d.add_sharer(LineAddr(2), NodeId(5));
         d.remove(LineAddr(2), NodeId(5));
-        assert_eq!(d.state(LineAddr(2)), &DirState::Invalid);
+        assert_eq!(d.state(LineAddr(2)), DirState::Invalid);
         assert!(d.is_empty());
     }
 
     #[test]
     fn remove_owner() {
-        let mut d = Directory::new();
+        let mut d = dir(2);
         d.set_owner(LineAddr(3), NodeId(1));
         d.remove(LineAddr(3), NodeId(1));
-        assert_eq!(d.state(LineAddr(3)), &DirState::Invalid);
+        assert_eq!(d.state(LineAddr(3)), DirState::Invalid);
+        assert_eq!(d.len(), 0);
     }
 
     #[test]
     fn remove_wrong_owner_is_noop() {
-        let mut d = Directory::new();
+        let mut d = dir(3);
         d.set_owner(LineAddr(3), NodeId(1));
         d.remove(LineAddr(3), NodeId(2));
-        assert_eq!(d.state(LineAddr(3)), &DirState::Owned(NodeId(1)));
+        assert_eq!(d.state(LineAddr(3)), DirState::Owned(NodeId(1)));
     }
 
     #[test]
     fn untouched_lines_are_invalid() {
-        let d = Directory::new();
-        assert_eq!(d.state(LineAddr(9)), &DirState::Invalid);
-        assert!(d.holders(LineAddr(9)).is_empty());
+        let d = dir(1);
+        assert_eq!(d.state(LineAddr(9)), DirState::Invalid);
+        assert_eq!(d.holders(LineAddr(9)).count(), 0);
+    }
+
+    #[test]
+    fn holders_come_back_in_ascending_node_order() {
+        let mut d = Directory::new(vec![NodeId(2), NodeId(7), NodeId(9), NodeId(40)].into());
+        for n in [40, 2, 9, 7] {
+            d.add_sharer(LineAddr(4), NodeId(n));
+        }
+        let held: Vec<NodeId> = d.holders(LineAddr(4)).collect();
+        assert_eq!(held, [NodeId(2), NodeId(7), NodeId(9), NodeId(40)]);
+        assert_eq!(d.state(LineAddr(4)), DirState::Shared(0b1111));
+    }
+
+    #[test]
+    fn a_rank_in_the_upper_half_of_the_mask_round_trips() {
+        let mut d = dir(MAX_REQUESTERS as u32);
+        for n in [127, 64, 3] {
+            d.add_sharer(LineAddr(5), NodeId(n));
+        }
+        assert!(d
+            .holders(LineAddr(5))
+            .eq([NodeId(3), NodeId(64), NodeId(127)]));
+        d.remove(LineAddr(5), NodeId(3));
+        d.remove(LineAddr(5), NodeId(127));
+        assert_eq!(d.state(LineAddr(5)), DirState::Shared(1 << 64));
+        assert!(d.holders(LineAddr(5)).eq([NodeId(64)]));
+        d.remove(LineAddr(5), NodeId(64));
+        assert_eq!(d.len(), 0);
+    }
+
+    #[test]
+    fn removing_the_last_sharer_drops_the_entry() {
+        let mut d = dir(4);
+        d.set_owner(LineAddr(6), NodeId(0));
+        d.add_sharer(LineAddr(6), NodeId(3));
+        d.add_sharer(LineAddr(7), NodeId(1));
+        assert_eq!(d.len(), 2);
+        d.remove(LineAddr(6), NodeId(3));
+        assert_eq!(d.len(), 2, "one sharer left");
+        d.remove(LineAddr(6), NodeId(0));
+        d.remove(LineAddr(7), NodeId(1));
+        assert_eq!(d.len(), 0);
+        assert!(d.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "n4 is not a ranked requester")]
+    fn an_unranked_sharer_is_rejected_by_name() {
+        dir(4).add_sharer(LineAddr(1), NodeId(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "129 requesters")]
+    fn more_requesters_than_mask_bits_are_rejected() {
+        dir(MAX_REQUESTERS as u32 + 1);
     }
 }

@@ -7,7 +7,7 @@
 //! each hit/miss event becomes an independent single-flit transaction.
 
 use crate::cache::{Inserted, SetAssocCache};
-use crate::directory::{DirState, Directory};
+use crate::directory::{DirState, Directory, MAX_REQUESTERS};
 use crate::memory::{MemoryModel, MemoryParams};
 use crate::message::{Message, MsgOp};
 use crate::types::{LineAddr, MesiState, ReadKind, TxnId};
@@ -15,6 +15,7 @@ use noc_core::bits::word_ones;
 use noc_core::{BitRing, FlitClass, Network, NodeId};
 use noc_sim::{Cycle, IdMap, IdSet, SlotIndex};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The transport a [`CoherentSystem`] runs over.
 ///
@@ -280,7 +281,8 @@ pub struct CoherentSystem<T = Network> {
     net: T,
     spec: SystemSpec,
     agents: Agents,
-    /// Per requester: line → state. Keyed lookups only.
+    /// Per requester: line → state, for the lines it holds; an absent
+    /// line is Invalid. Keyed lookups only.
     rn_lines: Vec<IdMap<LineAddr, MesiState>>,
     dirs: Vec<Directory>,
     llcs: Vec<SetAssocCache>,
@@ -313,12 +315,22 @@ impl<T: ChiTransport> CoherentSystem<T> {
     /// # Panics
     ///
     /// Panics if the spec lists no requesters, home nodes or memories,
-    /// or if an agent id appears in more than one role.
+    /// more than 128 requesters, or an agent id in more than one role.
     pub fn new(net: T, spec: SystemSpec) -> Self {
         assert!(!spec.requesters.is_empty(), "need at least one requester");
+        assert!(
+            spec.requesters.len() <= MAX_REQUESTERS,
+            "{} requesters, at most {MAX_REQUESTERS} fit a directory's sharer mask",
+            spec.requesters.len()
+        );
         assert!(!spec.home_nodes.is_empty(), "need at least one home node");
         assert!(!spec.memories.is_empty(), "need at least one memory");
         let agents = Agents::new(&spec);
+        // Rank every requester once: its position in ascending `NodeId`
+        // is its bit in each directory's sharer mask.
+        let mut ranked = spec.requesters.clone();
+        ranked.sort_unstable();
+        let ranked: Arc<[NodeId]> = ranked.into();
         let line = spec.line_bytes as u64;
         let llcs = spec
             .home_nodes
@@ -332,7 +344,11 @@ impl<T: ChiTransport> CoherentSystem<T> {
             .collect();
         CoherentSystem {
             rn_lines: vec![IdMap::default(); spec.requesters.len()],
-            dirs: spec.home_nodes.iter().map(|_| Directory::new()).collect(),
+            dirs: spec
+                .home_nodes
+                .iter()
+                .map(|_| Directory::new(Arc::clone(&ranked)))
+                .collect(),
             llcs,
             mems,
             agents,
@@ -370,12 +386,23 @@ impl<T: ChiTransport> CoherentSystem<T> {
     /// The MESI state `rn` currently holds for `addr`.
     pub fn rn_state(&self, rn: NodeId, addr: LineAddr) -> MesiState {
         match self.agents.role(rn) {
-            Some(Role::Rn(i)) => self.rn_lines[i]
-                .get(&addr)
-                .copied()
-                .unwrap_or(MesiState::Invalid),
+            Some(Role::Rn(i)) => self.rn_line(i, addr),
             _ => MesiState::Invalid,
         }
+    }
+
+    /// How many lines `rn`'s table holds: only valid ones, since a line
+    /// it gives up leaves the table. Zero for a non-requester.
+    pub fn rn_lines_held(&self, rn: NodeId) -> usize {
+        match self.agents.role(rn) {
+            Some(Role::Rn(i)) => self.rn_lines[i].len(),
+            _ => 0,
+        }
+    }
+
+    /// The directory of the home node servicing `addr` (read-only).
+    pub fn directory_of(&self, addr: LineAddr) -> &Directory {
+        &self.dirs[addr.interleave(self.spec.home_nodes.len())]
     }
 
     /// The home node servicing `addr`.
@@ -386,6 +413,21 @@ impl<T: ChiTransport> CoherentSystem<T> {
     /// The memory controller servicing `addr`.
     pub fn memory_of(&self, addr: LineAddr) -> NodeId {
         self.spec.memories[addr.interleave(self.spec.memories.len())]
+    }
+
+    fn rn_line(&self, idx: usize, addr: LineAddr) -> MesiState {
+        self.rn_lines[idx]
+            .get(&addr)
+            .copied()
+            .unwrap_or(MesiState::Invalid)
+    }
+
+    /// Requester `idx` gives up `addr`: the line leaves its table, which
+    /// holds only valid lines. Returns the state it was in.
+    fn rn_forget(&mut self, idx: usize, addr: LineAddr) -> MesiState {
+        self.rn_lines[idx]
+            .remove(&addr)
+            .unwrap_or(MesiState::Invalid)
     }
 
     fn alloc_txn(&mut self) -> TxnId {
@@ -427,10 +469,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
         let start = self.now();
         self.rn_txns.insert(txn, RnTxn { addr, kind, start });
         // Local hit path.
-        let st = self.rn_lines[idx]
-            .get(&addr)
-            .copied()
-            .unwrap_or(MesiState::Invalid);
+        let st = self.rn_line(idx, addr);
         let local = match kind {
             TxnKind::Read(ReadKind::Shared) => st.readable(),
             TxnKind::Read(ReadKind::Unique) | TxnKind::Write => st.writable(),
@@ -479,14 +518,10 @@ impl<T: ChiTransport> CoherentSystem<T> {
         let Some(Role::Rn(idx)) = self.agents.role(rn) else {
             return None;
         };
-        let st = self.rn_lines[idx]
-            .get(&addr)
-            .copied()
-            .unwrap_or(MesiState::Invalid);
-        if !st.writable() {
+        if !self.rn_line(idx, addr).writable() {
             return None;
         }
-        self.rn_lines[idx].insert(addr, MesiState::Invalid);
+        self.rn_forget(idx, addr);
         let txn = self.alloc_txn();
         let start = self.now();
         self.rn_txns.insert(
@@ -643,11 +678,14 @@ impl<T: ChiTransport> CoherentSystem<T> {
     fn handle_rn(&mut self, rn: NodeId, idx: usize, msg: Message) {
         match msg.op {
             MsgOp::SnpShared => {
-                let was = self.rn_lines[idx]
-                    .get(&msg.addr)
-                    .copied()
-                    .unwrap_or(MesiState::Invalid);
-                self.rn_lines[idx].insert(msg.addr, MesiState::Shared);
+                // Demote only a line still held: a write-back may have
+                // let it go while this snoop was on its way, and the
+                // directory, which dropped this requester, would never
+                // snoop a copy brought back here.
+                let was = self.rn_line(idx, msg.addr);
+                if was.readable() {
+                    self.rn_lines[idx].insert(msg.addr, MesiState::Shared);
+                }
                 let reply = Message {
                     txn: msg.txn,
                     op: MsgOp::SnpRespData {
@@ -660,11 +698,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
                 self.send_after(rn, msg.from, reply, d);
             }
             MsgOp::SnpUnique => {
-                let was = self.rn_lines[idx]
-                    .get(&msg.addr)
-                    .copied()
-                    .unwrap_or(MesiState::Invalid);
-                self.rn_lines[idx].insert(msg.addr, MesiState::Invalid);
+                let was = self.rn_forget(idx, msg.addr);
                 let reply = Message {
                     txn: msg.txn,
                     op: MsgOp::SnpRespData {
@@ -859,11 +893,10 @@ impl<T: ChiTransport> CoherentSystem<T> {
             from: hn,
         };
         // The directory entry is only read here (it changes when the
-        // transaction finishes), so it is borrowed, not cloned; the
-        // arms touch `agents` and `llcs`, which are disjoint fields.
+        // transaction finishes); `state` copies it out.
         let mut lookup_llc = false;
         match (msg.op, self.dirs[idx].state(addr)) {
-            (MsgOp::ReadShared, &DirState::Owned(o)) if o != req => {
+            (MsgOp::ReadShared, DirState::Owned(o)) if o != req => {
                 self.agents.send(hn, o, snoop(MsgOp::SnpShared));
                 t.pending_acks = 1;
                 t.grant = MesiState::Shared;
@@ -878,13 +911,15 @@ impl<T: ChiTransport> CoherentSystem<T> {
                 };
                 lookup_llc = true;
             }
-            (MsgOp::ReadUnique, &DirState::Owned(o)) if o != req => {
+            (MsgOp::ReadUnique, DirState::Owned(o)) if o != req => {
                 self.agents.send(hn, o, snoop(MsgOp::SnpUnique));
                 t.pending_acks = 1;
                 t.grant = MesiState::Exclusive;
             }
-            (MsgOp::ReadUnique, DirState::Shared(sharers)) => {
-                for &s in sharers.iter().filter(|&&s| s != req) {
+            (MsgOp::ReadUnique, DirState::Shared(_)) => {
+                // Ascending `NodeId`, the order the snoops are sent in.
+                // `holders` borrows `dirs`; the loop touches `agents`.
+                for s in self.dirs[idx].holders(addr).filter(|&s| s != req) {
                     self.agents.send(hn, s, snoop(MsgOp::SnpUnique));
                     t.pending_acks += 1;
                 }

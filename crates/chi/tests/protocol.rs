@@ -2,12 +2,36 @@
 //! coherence invariants over a real multi-ring network.
 
 use noc_chi::{
-    CoherentSystem, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec, TxnKind,
+    CoherentSystem, DirState, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec,
+    TxnKind,
 };
 use noc_core::{Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
 
+fn spec(requesters: Vec<NodeId>, home_nodes: Vec<NodeId>, memories: Vec<NodeId>) -> SystemSpec {
+    SystemSpec {
+        requesters,
+        home_nodes,
+        memories,
+        mem_params: MemoryParams::ddr4(),
+        llc: LlcParams::default(),
+        line_bytes: 64,
+        local_hit_latency: 10,
+        hn_latency: 12,
+        snoop_latency: 6,
+    }
+}
+
 /// One ring: 4 requesters, 2 home nodes, 2 memory controllers.
 fn small_system() -> (CoherentSystem, Vec<NodeId>) {
+    small_system_listing(|rns| rns)
+}
+
+/// [`small_system`] with its requesters (built in ascending `NodeId`)
+/// listed to the spec in the order `order` puts them in; returns them in
+/// that order.
+fn small_system_listing(
+    order: impl FnOnce(Vec<NodeId>) -> Vec<NodeId>,
+) -> (CoherentSystem, Vec<NodeId>) {
     let mut b = TopologyBuilder::new();
     let die = b.add_chiplet("die");
     let r = b.add_ring(die, RingKind::Full, 16).unwrap();
@@ -21,21 +45,36 @@ fn small_system() -> (CoherentSystem, Vec<NodeId>) {
         .map(|i| b.add_node(format!("ddr{i}"), r, 13 + i * 2).unwrap())
         .collect();
     let net = Network::new(b.build().unwrap(), NetworkConfig::default());
-    let sys = CoherentSystem::new(
-        net,
-        SystemSpec {
-            requesters: rns.clone(),
-            home_nodes: hns,
-            memories: sns,
-            mem_params: MemoryParams::ddr4(),
-            llc: LlcParams::default(),
-            line_bytes: 64,
-            local_hit_latency: 10,
-            hn_latency: 12,
-            snoop_latency: 6,
-        },
-    );
+    let rns = order(rns);
+    let sys = CoherentSystem::new(net, spec(rns.clone(), hns, sns));
     (sys, rns)
+}
+
+/// The coherence invariants over `lines`. SWMR: at most one writable
+/// copy, and a writable copy is the only copy. And the directory lists
+/// every copy, so a write snoops them all.
+fn assert_coherent(sys: &CoherentSystem, rns: &[NodeId], lines: std::ops::Range<u64>) {
+    for line in lines {
+        let states = rns.iter().map(|&rn| sys.rn_state(rn, LineAddr(line)));
+        let writable = states.clone().filter(|s| s.writable()).count();
+        let readable = states.filter(|s| s.readable()).count();
+        assert!(writable <= 1, "line {line}: {writable} writable holders");
+        if writable == 1 {
+            assert_eq!(
+                readable, 1,
+                "line {line}: writable copy must be the only copy"
+            );
+        }
+        let a = LineAddr(line);
+        for &rn in rns {
+            if sys.rn_state(rn, a).readable() {
+                assert!(
+                    sys.directory_of(a).holders(a).any(|h| h == rn),
+                    "{rn} holds {a} but the directory does not list it"
+                );
+            }
+        }
+    }
 }
 
 fn settle(sys: &mut CoherentSystem, budget: u64) {
@@ -134,7 +173,93 @@ fn read_unique_invalidates_all_sharers() {
             MesiState::Invalid,
             "{rn} must be invalidated"
         );
+        assert_eq!(sys.rn_lines_held(rn), 0, "{rn}'s table forgets the line");
     }
+    assert_eq!(sys.rn_lines_held(rns[3]), 1);
+    let dir = sys.directory_of(a);
+    assert_eq!(dir.state(a), DirState::Owned(rns[3]));
+    assert_eq!(dir.len(), 1);
+}
+
+#[test]
+fn a_write_back_leaves_no_entry_behind() {
+    let (mut sys, rns) = small_system();
+    let a = LineAddr(0x5100);
+    let t = sys.write(rns[1], a);
+    sys.run_until_complete(t, 5000).unwrap();
+    let wb = sys.write_back(rns[1], a).expect("owner can write back");
+    assert_eq!(
+        sys.rn_lines_held(rns[1]),
+        0,
+        "forgotten when the write-back is sent"
+    );
+    sys.run_until_complete(wb, 5000).unwrap();
+    assert_eq!(sys.rn_state(rns[1], a), MesiState::Invalid);
+    assert!(sys.directory_of(a).is_empty(), "the last holder went");
+}
+
+#[test]
+fn a_snoop_that_overtakes_a_write_back_brings_nothing_back() {
+    // rn1's read reaches the home while rn0's write-back is on its way,
+    // so the home snoops rn0, which has already let the line go. For
+    // some gap between the two the write-back then lands before the
+    // snoop; either way rn0 must stay Invalid — a copy the directory
+    // has dropped would never be snooped by the write below.
+    let a = LineAddr(0x5300);
+    for gap in 0..24 {
+        let (mut sys, rns) = small_system();
+        let t = sys.write(rns[0], a);
+        sys.run_until_complete(t, 5000).unwrap();
+        sys.read(rns[1], a, ReadKind::Shared);
+        for _ in 0..gap {
+            sys.tick();
+        }
+        sys.write_back(rns[0], a);
+        settle(&mut sys, 5000);
+        assert_coherent(&sys, &rns, a.0..a.0 + 1);
+        let t = sys.write(rns[2], a);
+        sys.run_until_complete(t, 5000).unwrap();
+        assert_coherent(&sys, &rns, a.0..a.0 + 1);
+    }
+}
+
+#[test]
+fn sharers_are_ranked_by_node_id_whatever_order_the_spec_lists() {
+    let (mut sys, listed) = small_system_listing(|mut rns| {
+        rns.swap(0, 3);
+        rns.swap(1, 2);
+        rns
+    });
+    let mut ascending = listed.clone();
+    ascending.sort_unstable();
+    assert_ne!(listed, ascending, "the spec lists requesters out of order");
+    let a = LineAddr(0x5200);
+    for &rn in &[listed[1], listed[3], listed[0], listed[2]] {
+        let t = sys.read(rn, a, ReadKind::Shared);
+        sys.run_until_complete(t, 5000).unwrap();
+    }
+    let held: Vec<NodeId> = sys.directory_of(a).holders(a).collect();
+    assert_eq!(held, ascending);
+    // The write snoops the other three and leaves only the writer.
+    let t = sys.write(listed[0], a);
+    sys.run_until_complete(t, 5000).unwrap();
+    assert!(sys.directory_of(a).holders(a).eq([listed[0]]));
+    for &rn in &listed[1..] {
+        assert_eq!(sys.rn_lines_held(rn), 0);
+    }
+}
+
+#[test]
+#[should_panic(expected = "129 requesters")]
+fn more_requesters_than_a_sharer_mask_holds_are_rejected() {
+    let mut b = TopologyBuilder::new();
+    let die = b.add_chiplet("die");
+    let r = b.add_ring(die, RingKind::Full, 4).unwrap();
+    b.add_node("a", r, 0).unwrap();
+    let net = Network::new(b.build().unwrap(), NetworkConfig::default());
+    // Checked before any id is looked up, so the ids need not exist.
+    let rns = (0..129).map(NodeId).collect();
+    CoherentSystem::new(net, spec(rns, vec![NodeId(200)], vec![NodeId(201)]));
 }
 
 #[test]
@@ -171,20 +296,7 @@ fn an_agent_listed_in_two_roles_is_rejected_by_name() {
     let a = b.add_node("a", r, 0).unwrap();
     let c = b.add_node("c", r, 4).unwrap();
     let net = Network::new(b.build().unwrap(), NetworkConfig::default());
-    CoherentSystem::new(
-        net,
-        SystemSpec {
-            requesters: vec![a],
-            home_nodes: vec![c],
-            memories: vec![a],
-            mem_params: MemoryParams::ddr4(),
-            llc: LlcParams::default(),
-            line_bytes: 64,
-            local_hit_latency: 10,
-            hn_latency: 12,
-            snoop_latency: 6,
-        },
-    );
+    CoherentSystem::new(net, spec(vec![a], vec![c], vec![a]));
 }
 
 #[test]
@@ -223,7 +335,7 @@ fn interleaved_random_traffic_drains_and_stays_coherent() {
         seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
         seed >> 33
     };
-    for step in 0..400 {
+    for _ in 0..400 {
         let rn = rns[(next() % 4) as usize];
         let addr = LineAddr(next() % 32);
         match next() % 4 {
@@ -239,29 +351,16 @@ fn interleaved_random_traffic_drains_and_stays_coherent() {
         }
         for _ in 0..3 {
             sys.tick();
-        }
-        // Invariant: never more than one writable holder per line.
-        if step % 20 == 0 {
-            for line in 0..32u64 {
-                let writable = rns
-                    .iter()
-                    .filter(|&&rn| sys.rn_state(rn, LineAddr(line)).writable())
-                    .count();
-                let readable = rns
-                    .iter()
-                    .filter(|&&rn| sys.rn_state(rn, LineAddr(line)).readable())
-                    .count();
-                assert!(writable <= 1, "line {line}: {writable} writable holders");
-                if writable == 1 {
-                    assert_eq!(
-                        readable, 1,
-                        "line {line}: writable copy must be the only copy"
-                    );
-                }
-            }
+            assert_coherent(&sys, &rns, 0..32);
         }
     }
-    settle(&mut sys, 50_000);
+    for _ in 0..50_000 {
+        if sys.outstanding() == 0 {
+            break;
+        }
+        sys.tick();
+        assert_coherent(&sys, &rns, 0..32);
+    }
     assert_eq!(sys.outstanding(), 0);
 }
 

@@ -1,14 +1,17 @@
 //! Transport parity: the CHI protocol must reach the same logical
 //! outcome (final MESI states, completion counts, coherence invariants)
-//! whether it runs over the bufferless multi-ring NoC, the buffered
-//! mesh, or the hub-and-spoke — only timing may differ.
+//! whether it runs over the bufferless multi-ring NoC, the transaction
+//! layer on top of it, the buffered mesh, or the hub-and-spoke — only
+//! timing may differ. SWMR holds after every cycle on all of them.
 
 use noc_baseline::{BufferedMesh, HubConfig, HubSpoke, MeshConfig};
 use noc_chi::system::ChiTransport;
 use noc_chi::{CoherentSystem, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec};
 use noc_core::{Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
+use noc_txn::{TxnConfig, TxnFabric};
 
 const RNS: usize = 4;
+const LINES: u64 = 12;
 
 fn spec(rns: Vec<NodeId>, hns: Vec<NodeId>, sns: Vec<NodeId>) -> SystemSpec {
     SystemSpec {
@@ -37,19 +40,27 @@ fn script() -> Vec<(usize, u64, u8)> {
         .map(|_| {
             (
                 (next() % RNS as u64) as usize,
-                next() % 12,
+                next() % LINES,
                 (next() % 3) as u8,
             )
         })
         .collect()
 }
 
-/// Run the script to quiescence; return per-line final states and the
-/// completion count.
-fn run<T: ChiTransport>(
-    mut sys: CoherentSystem<T>,
-    rns: &[NodeId],
-) -> (Vec<Vec<MesiState>>, usize) {
+/// Every requester's state of every line the script touches.
+fn states<T: ChiTransport>(sys: &CoherentSystem<T>, rns: &[NodeId]) -> Vec<Vec<MesiState>> {
+    (0..LINES)
+        .map(|l| {
+            rns.iter()
+                .map(|&rn| sys.rn_state(rn, LineAddr(l)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Run the script to quiescence, checking SWMR after every tick; return
+/// the completion count.
+fn run<T: ChiTransport>(mut sys: CoherentSystem<T>, rns: &[NodeId]) -> usize {
     for (rn, line, op) in script() {
         let rn = rns[rn];
         let addr = LineAddr(line);
@@ -63,6 +74,7 @@ fn run<T: ChiTransport>(
         }
         for _ in 0..5 {
             sys.tick();
+            check_invariants(&states(&sys, rns));
         }
     }
     for _ in 0..300_000 {
@@ -70,19 +82,27 @@ fn run<T: ChiTransport>(
             break;
         }
         sys.tick();
+        check_invariants(&states(&sys, rns));
     }
     assert_eq!(sys.outstanding(), 0, "transport wedged");
-    let states = (0..12u64)
-        .map(|l| {
-            rns.iter()
-                .map(|&rn| sys.rn_state(rn, LineAddr(l)))
-                .collect()
-        })
-        .collect();
-    (states, sys.take_completions().len())
+    sys.take_completions().len()
+}
+
+/// The ring system's network, wrapped in the transaction layer.
+fn txn_system() -> (CoherentSystem<TxnFabric>, Vec<NodeId>) {
+    let (net, spec) = ring_parts();
+    let rns = spec.requesters.clone();
+    let fab = TxnFabric::new(net, TxnConfig::default());
+    (CoherentSystem::new(fab, spec), rns)
 }
 
 fn ring_system() -> (CoherentSystem<Network>, Vec<NodeId>) {
+    let (net, spec) = ring_parts();
+    let rns = spec.requesters.clone();
+    (CoherentSystem::new(net, spec), rns)
+}
+
+fn ring_parts() -> (Network, SystemSpec) {
     let mut b = TopologyBuilder::new();
     let die = b.add_chiplet("die");
     let r = b.add_ring(die, RingKind::Full, 16).unwrap();
@@ -98,8 +118,7 @@ fn ring_system() -> (CoherentSystem<Network>, Vec<NodeId>) {
         b.add_node("sn1", r, 15).unwrap(),
     ];
     let net = Network::new(b.build().unwrap(), NetworkConfig::default());
-    let sys = CoherentSystem::new(net, spec(rns.clone(), hns, sns));
-    (sys, rns)
+    (net, spec(rns, hns, sns))
 }
 
 fn mesh_system() -> (CoherentSystem<BufferedMesh>, Vec<NodeId>) {
@@ -127,6 +146,8 @@ fn hub_system() -> (CoherentSystem<HubSpoke>, Vec<NodeId>) {
     (sys, rns)
 }
 
+/// SWMR on every line: at most one writable copy, and a writable copy is
+/// the only copy.
 fn check_invariants(states: &[Vec<MesiState>]) {
     for (line, holders) in states.iter().enumerate() {
         let writable = holders.iter().filter(|s| s.writable()).count();
@@ -141,20 +162,21 @@ fn check_invariants(states: &[Vec<MesiState>]) {
 #[test]
 fn all_transports_complete_the_script() {
     let (sys, rns) = ring_system();
-    let (ring_states, ring_done) = run(sys, &rns);
-    check_invariants(&ring_states);
+    let ring_done = run(sys, &rns);
 
     let (sys, rns) = mesh_system();
-    let (mesh_states, mesh_done) = run(sys, &rns);
-    check_invariants(&mesh_states);
+    let mesh_done = run(sys, &rns);
 
     let (sys, rns) = hub_system();
-    let (hub_states, hub_done) = run(sys, &rns);
-    check_invariants(&hub_states);
+    let hub_done = run(sys, &rns);
+
+    let (sys, rns) = txn_system();
+    let txn_done = run(sys, &rns);
 
     // Same script → same number of completions on every transport.
     assert_eq!(ring_done, mesh_done);
     assert_eq!(ring_done, hub_done);
+    assert_eq!(ring_done, txn_done);
     assert_eq!(ring_done, 120);
 }
 
@@ -176,13 +198,7 @@ fn final_ownership_matches_across_transports_for_serial_script() {
             };
             sys.run_until_complete(txn, 300_000).expect("completes");
         }
-        (0..12u64)
-            .map(|l| {
-                rns.iter()
-                    .map(|&rn| sys.rn_state(rn, LineAddr(l)))
-                    .collect()
-            })
-            .collect()
+        states(&sys, rns)
     }
     let (sys, rns) = ring_system();
     let ring = run_serial(sys, &rns);
@@ -190,6 +206,9 @@ fn final_ownership_matches_across_transports_for_serial_script() {
     let mesh = run_serial(sys, &rns);
     let (sys, rns) = hub_system();
     let hub = run_serial(sys, &rns);
+    let (sys, rns) = txn_system();
+    let txn = run_serial(sys, &rns);
     assert_eq!(ring, mesh, "ring vs mesh final states differ");
     assert_eq!(ring, hub, "ring vs hub final states differ");
+    assert_eq!(ring, txn, "ring vs txn final states differ");
 }
