@@ -13,5 +13,5 @@
 pub mod soc;
 pub mod traffic;
 
-pub use soc::{build_topology, AiConfig, AiMap, AiProcessor};
+pub use soc::{AiConfig, AiMap, AiProcessor};
 pub use traffic::{AiBandwidthReport, AiEngine, AiTraffic};

@@ -3,10 +3,10 @@
 //! rings, RBRG-L1 bridges at every intersection. Any core↔memory route
 //! takes at most one ring change (X-Y/Y-X routing).
 
+use noc_core::spec::{BridgeDef, ChipletDef, DeviceDef, EndpointRef, RingDef};
 use noc_core::telemetry::{HealthConfig, RecorderConfig};
 use noc_core::{
-    BridgeConfig, Network, NetworkConfig, NocDiagnostics, NodeId, RingId, RingKind, Topology,
-    TopologyBuilder, TopologyError,
+    BridgeLevel, Network, NetworkConfig, NocDiagnostics, NodeId, RingKind, SocSpec, SpecError,
 };
 
 /// AI-Processor configuration.
@@ -87,10 +87,102 @@ impl AiConfig {
     pub fn tbs(&self, bytes_per_cycle: f64) -> f64 {
         bytes_per_cycle * self.clock_ghz * 1e9 / 1e12
     }
+
+    /// The SoC as a [`SocSpec`], plus the node map its compile yields
+    /// ([`SocSpec::compile`] numbers devices in declaration order, so
+    /// each id is recorded as its device is declared). One die carries
+    /// the vertical rings, then the horizontal rings, then an RBRG-L1
+    /// at every intersection.
+    ///
+    /// Balanced layout (§4.3: "the balanced layout of a large number of
+    /// devices ... is the key"): devices occupy station port 0; bridge
+    /// endpoints are interleaved around the ring on port 1, so average
+    /// device↔bridge distance is minimal and both station interfaces
+    /// are used.
+    pub fn spec(&self) -> (SocSpec, AiMap) {
+        let (vr, hr) = (self.v_rings, self.h_rings);
+        let mut map = AiMap::default();
+        let mut next = 0;
+        // Devices sit on consecutive stations from 0, in declaration order.
+        let mut dev = |devices: &mut Vec<DeviceDef>, ids: &mut Vec<NodeId>, name: String| {
+            ids.push(NodeId(next));
+            next += 1;
+            let station = devices.len() as u16;
+            devices.push(DeviceDef { name, station });
+        };
+        let full = |stations: usize, devices| RingDef {
+            kind: RingKind::Full,
+            stations: stations as u16,
+            devices,
+        };
+        let mut rings = Vec::new();
+        for v in 0..vr {
+            let mut devices = Vec::new();
+            for i in 0..self.cores_per_vring {
+                dev(&mut devices, &mut map.cores, format!("core{v}_{i}"));
+            }
+            rings.push(full(self.cores_per_vring.max(hr), devices));
+        }
+        // Horizontal rings: L2 slices plus this ring's share of
+        // HBM/DMA/LLC on port 0, in ring-major order (HBM h, h + H, …
+        // share ring h); one bridge endpoint per vertical ring on port 1.
+        for h in 0..hr {
+            let mut devices = Vec::new();
+            for i in 0..self.l2_per_hring {
+                dev(&mut devices, &mut map.l2s, format!("l2_{h}_{i}"));
+                map.l2_ring.push(h);
+            }
+            let mine = |count: usize| (h..count).step_by(hr);
+            for i in mine(self.hbm_count) {
+                dev(&mut devices, &mut map.hbms, format!("hbm{i}"));
+                map.hbm_ring.push(h);
+            }
+            for i in mine(self.dma_count) {
+                dev(&mut devices, &mut map.dmas, format!("dma{i}"));
+            }
+            for i in mine(self.llc_count) {
+                dev(&mut devices, &mut map.llcs, format!("llc{i}"));
+                map.llc_ring.push(h);
+            }
+            rings.push(full(devices.len().max(vr), devices));
+        }
+
+        // RBRG-L1 at every (vertical, horizontal) intersection, at
+        // station k·stations/of of each ring. The paper's RBRG-L1
+        // provides "data buffering for the flits that need to exchange a
+        // ring path" — deep enough to absorb a full burst from one
+        // vertical ring's cores.
+        let at = |ring: usize, k: usize, of: usize| EndpointRef {
+            chiplet: "ai-die".into(),
+            ring,
+            station: (k * rings[ring].stations as usize / of) as u16,
+        };
+        let mut bridges = Vec::new();
+        for v in 0..vr {
+            for h in 0..hr {
+                bridges.push(BridgeDef {
+                    latency: Some(self.bridge_latency),
+                    width: Some(4),
+                    buffer_cap: Some(32),
+                    ..BridgeDef::new(BridgeLevel::L1, at(v, h, hr), at(vr + h, v, vr))
+                });
+            }
+        }
+        let spec = SocSpec {
+            name: "ai-processor".into(),
+            chiplets: vec![ChipletDef {
+                name: "ai-die".into(),
+                rings,
+            }],
+            bridges,
+            network: self.net.clone(),
+        };
+        (spec, map)
+    }
 }
 
 /// Node map of a built AI processor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AiMap {
     /// AI cores, grouped by vertical ring.
     pub cores: Vec<NodeId>,
@@ -134,117 +226,6 @@ impl AiMap {
     }
 }
 
-/// Build the AI-Processor topology.
-///
-/// # Errors
-///
-/// Propagates [`TopologyError`] on degenerate configurations.
-pub fn build_topology(cfg: &AiConfig) -> Result<(Topology, AiMap), TopologyError> {
-    let mut b = TopologyBuilder::new();
-    let die = b.add_chiplet("ai-die");
-    let mut map = AiMap {
-        cores: Vec::new(),
-        l2s: Vec::new(),
-        hbms: Vec::new(),
-        dmas: Vec::new(),
-        llcs: Vec::new(),
-        l2_ring: Vec::new(),
-        hbm_ring: Vec::new(),
-        llc_ring: Vec::new(),
-    };
-
-    // Balanced layout (§4.3: "the balanced layout of a large number of
-    // devices ... is the key"): devices occupy station port 0; bridge
-    // endpoints are interleaved around the ring on port 1, so average
-    // device↔bridge distance is minimal and both station interfaces are
-    // used.
-    let mut vrings: Vec<RingId> = Vec::new();
-    // Station (on the vertical ring v) of the bridge toward hring h.
-    let mut v_bridge_station: Vec<Vec<u16>> = Vec::new();
-    for v in 0..cfg.v_rings {
-        let stations = cfg.cores_per_vring.max(cfg.h_rings) as u16;
-        let ring = b.add_ring(die, RingKind::Full, stations)?;
-        vrings.push(ring);
-        for i in 0..cfg.cores_per_vring {
-            map.cores
-                .push(b.add_node(format!("core{v}_{i}"), ring, i as u16)?);
-        }
-        v_bridge_station.push(
-            (0..cfg.h_rings)
-                .map(|h| (h * stations as usize / cfg.h_rings) as u16)
-                .collect(),
-        );
-    }
-
-    // Horizontal rings: L2 slices plus this ring's share of HBM/DMA/LLC
-    // on port 0; one bridge endpoint per vertical ring spread on port 1.
-    let mut hrings: Vec<RingId> = Vec::new();
-    let mut h_bridge_station: Vec<Vec<u16>> = Vec::new();
-    let mem_share =
-        |count: usize, h: usize| -> usize { (0..count).filter(|i| i % cfg.h_rings == h).count() };
-    for h in 0..cfg.h_rings {
-        let shares =
-            mem_share(cfg.hbm_count, h) + mem_share(cfg.dma_count, h) + mem_share(cfg.llc_count, h);
-        let devices = cfg.l2_per_hring + shares;
-        let stations = devices.max(cfg.v_rings) as u16;
-        let ring = b.add_ring(die, RingKind::Full, stations)?;
-        hrings.push(ring);
-        let mut st = 0u16;
-        for i in 0..cfg.l2_per_hring {
-            map.l2s.push(b.add_node(format!("l2_{h}_{i}"), ring, st)?);
-            map.l2_ring.push(h);
-            st += 1;
-        }
-        for i in 0..cfg.hbm_count {
-            if i % cfg.h_rings == h {
-                map.hbms.push(b.add_node(format!("hbm{i}"), ring, st)?);
-                map.hbm_ring.push(h);
-                st += 1;
-            }
-        }
-        for i in 0..cfg.dma_count {
-            if i % cfg.h_rings == h {
-                map.dmas.push(b.add_node(format!("dma{i}"), ring, st)?);
-                st += 1;
-            }
-        }
-        for i in 0..cfg.llc_count {
-            if i % cfg.h_rings == h {
-                map.llcs.push(b.add_node(format!("llc{i}"), ring, st)?);
-                map.llc_ring.push(h);
-                st += 1;
-            }
-        }
-        h_bridge_station.push(
-            (0..cfg.v_rings)
-                .map(|v| (v * stations as usize / cfg.v_rings) as u16)
-                .collect(),
-        );
-    }
-
-    // RBRG-L1 at every (vertical, horizontal) intersection.
-    // The paper's RBRG-L1 provides "data buffering for the flits that
-    // need to exchange a ring path" — deep enough to absorb a full burst
-    // from one vertical ring's cores.
-    let l1 = BridgeConfig::l1()
-        .with_latency(cfg.bridge_latency)
-        .with_width(4)
-        .with_buffer_cap(32);
-    for (v, &vr) in vrings.iter().enumerate() {
-        for (h, &hr) in hrings.iter().enumerate() {
-            b.add_bridge(
-                l1.clone(),
-                vr,
-                v_bridge_station[v][h],
-                hr,
-                h_bridge_station[h][v],
-            )?;
-        }
-    }
-
-    Ok((b.build()?, map))
-}
-
 /// A built AI processor: network plus node map.
 #[derive(Debug)]
 pub struct AiProcessor {
@@ -261,10 +242,10 @@ impl AiProcessor {
     ///
     /// # Errors
     ///
-    /// Propagates topology errors.
-    pub fn build(cfg: AiConfig) -> Result<Self, TopologyError> {
-        let (topo, map) = build_topology(&cfg)?;
-        let mut net = Network::new(topo, cfg.net.clone());
+    /// Returns the [`SpecError`] of a degenerate configuration's spec.
+    pub fn build(cfg: AiConfig) -> Result<Self, SpecError> {
+        let (spec, map) = cfg.spec();
+        let (mut net, _) = spec.build()?;
         if cfg.metrics_period > 0 {
             match &cfg.recorder {
                 Some(rec) => net.enable_flight_recorder(
@@ -291,6 +272,26 @@ impl NocDiagnostics for AiProcessor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `specs/ai_processor.json` is the default config's spec, byte for byte
+    /// (`NOC_WRITE_SPECS=1` rewrites it after a deliberate change).
+    #[test]
+    fn committed_spec_is_what_the_default_config_emits() {
+        let json = AiConfig::default().spec().0.to_json().unwrap() + "\n";
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/ai_processor.json");
+        if std::env::var_os("NOC_WRITE_SPECS").is_some() {
+            std::fs::write(path, &json).unwrap();
+        }
+        let committed = std::fs::read_to_string(path).unwrap();
+        assert!(
+            json == committed,
+            "{path} is stale (NOC_WRITE_SPECS=1 rewrites it)"
+        );
+        assert_eq!(
+            SocSpec::from_json(&committed).unwrap(),
+            AiConfig::default().spec().0
+        );
+    }
     use noc_core::FlitClass;
 
     #[test]

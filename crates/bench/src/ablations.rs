@@ -724,7 +724,7 @@ pub fn run_agent_scaling(scale: Scale) -> ExperimentResult {
 /// on the I/O die's half ring so their DMA traffic does not disturb the
 /// compute die's memory latency.
 pub fn run_io_interference(scale: Scale) -> ExperimentResult {
-    use noc_server_cpu::{build_topology, ServerCpuConfig};
+    use noc_server_cpu::ServerCpuConfig;
 
     let cfg = ServerCpuConfig {
         clusters_per_ccd: 8,
@@ -743,8 +743,8 @@ pub fn run_io_interference(scale: Scale) -> ExperimentResult {
     ]);
 
     let run = |io_rate: f64| -> f64 {
-        let (topo, map) = build_topology(&cfg).expect("builds");
-        let net = Network::new(topo, cfg.net.clone());
+        let (spec, map) = cfg.spec();
+        let (net, _) = spec.build().expect("builds");
         // Endpoints: probe cluster, DDRs, and the I/O devices.
         let mut endpoints = vec![map.clusters[0]];
         endpoints.extend(&map.ddrs);

@@ -58,6 +58,15 @@ pub enum TopologyError {
         /// The [`BridgeConfig`](crate::BridgeConfig) field that is 0.
         field: &'static str,
     },
+    /// More chiplets, rings or bridges than their id type can number
+    /// ([`ChipletId`](crate::ChipletId) is a `u8`, [`RingId`] and
+    /// [`BridgeId`](crate::BridgeId) are `u16`s).
+    TooMany {
+        /// `"chiplets"`, `"rings"` or `"bridges"`.
+        what: &'static str,
+        /// How many the id type can number.
+        max: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -89,6 +98,7 @@ impl fmt::Display for TopologyError {
             TopologyError::ZeroBridgeCapacity { field } => {
                 write!(f, "bridge {field} must be at least 1")
             }
+            TopologyError::TooMany { what, max } => write!(f, "more than {max} {what}"),
         }
     }
 }

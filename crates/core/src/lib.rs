@@ -83,5 +83,5 @@ pub use network::Network;
 pub use route::RouteTable;
 pub use spec::{SocSpec, SpecError};
 pub use stats::{NetStats, TickProfile};
-pub use topogen::{GridParams, HierRingParams, LinkClass, TopoGenError};
+pub use topogen::{GridParams, HierRingParams, TopoGenError};
 pub use topology::{NodeKind, Topology, TopologyBuilder};

@@ -106,6 +106,24 @@ pub struct BridgeDef {
     /// Optional buffer-capacity override (flits).
     #[serde(default)]
     pub buffer_cap: Option<usize>,
+    /// Optional transfer-width override (flits per cycle).
+    #[serde(default)]
+    pub width: Option<u32>,
+}
+
+impl BridgeDef {
+    /// A bridge between `a` and `b` with every parameter at `level`'s
+    /// defaults.
+    pub fn new(level: BridgeLevel, a: EndpointRef, b: EndpointRef) -> Self {
+        BridgeDef {
+            level,
+            a,
+            b,
+            latency: None,
+            buffer_cap: None,
+            width: None,
+        }
+    }
 }
 
 /// A complete application-defined SoC.
@@ -232,6 +250,11 @@ impl SocSpec {
     /// Compile the spec into a validated [`Topology`] plus a
     /// device-name → [`NodeId`] map.
     ///
+    /// Devices are numbered `NodeId(0)..NodeId(n)` in declaration order
+    /// (chiplet by chiplet, ring by ring, device by device); bridge
+    /// endpoints follow, two per bridge in `bridges` order. A generator
+    /// that declares devices may therefore record their ids as it goes.
+    ///
     /// # Errors
     ///
     /// Fails on a zero queue capacity in `network`, dangling bridge
@@ -283,6 +306,9 @@ impl SocSpec {
             }
             if let Some(cap) = bridge.buffer_cap {
                 cfg = cfg.with_buffer_cap(cap);
+            }
+            if let Some(width) = bridge.width {
+                cfg = cfg.with_width(width);
             }
             let ra = resolve(&bridge.a)?;
             let rb = resolve(&bridge.b)?;
@@ -355,6 +381,7 @@ mod tests {
                 },
                 latency: Some(4),
                 buffer_cap: None,
+                width: None,
             }],
             network: NetworkConfig::default(),
         }
@@ -450,6 +477,74 @@ mod tests {
         assert!(matches!(
             spec.build(),
             Err(SpecError::ZeroQueueCap("eject_queue_cap"))
+        ));
+    }
+
+    #[test]
+    fn width_override_reaches_the_bridge() {
+        let width = |spec: &SocSpec| {
+            spec.validate().unwrap().bridges()[0]
+                .config
+                .width_flits_per_cycle
+        };
+        let mut spec = two_die_spec();
+        assert_eq!(width(&spec), 2, "absent: the L2 default");
+        spec.bridges[0].width = Some(4);
+        assert_eq!(
+            width(&SocSpec::from_json(&spec.to_json().unwrap()).unwrap()),
+            4
+        );
+    }
+
+    #[test]
+    fn devices_are_numbered_in_declaration_order() {
+        let spec = two_die_spec();
+        let (topo, names) = spec.compile().unwrap();
+        let declared = spec
+            .chiplets
+            .iter()
+            .flat_map(|c| &c.rings)
+            .flat_map(|r| &r.devices);
+        for (i, dev) in declared.enumerate() {
+            assert_eq!(names[&dev.name], NodeId(i as u32), "{}", dev.name);
+        }
+        let bridge = &topo.bridges()[0];
+        assert_eq!((bridge.a, bridge.b), (NodeId(3), NodeId(4)));
+    }
+
+    #[test]
+    fn more_chiplets_than_ids_is_a_typed_error() {
+        // 300 one-ring dies in a chain: ring 299 would otherwise be
+        // attributed to chiplet 299 mod 256.
+        let chiplets: Vec<String> = (0..300)
+            .map(|i| {
+                format!(
+                    r#"{{ "name": "c{i}", "rings": [ {{ "kind": "Full", "stations": 4,
+                       "devices": [ {{ "name": "dev{i}", "station": 0 }} ] }} ] }}"#
+                )
+            })
+            .collect();
+        let bridges: Vec<String> = (1..300)
+            .map(|i| {
+                format!(
+                    r#"{{ "level": "L2", "a": {{ "chiplet": "c{}", "ring": 0, "station": 2 }},
+                       "b": {{ "chiplet": "c{i}", "ring": 0, "station": 3 }} }}"#,
+                    i - 1
+                )
+            })
+            .collect();
+        let json = format!(
+            r#"{{ "name": "wide", "chiplets": [{}], "bridges": [{}] }}"#,
+            chiplets.join(","),
+            bridges.join(",")
+        );
+        let spec = SocSpec::from_json(&json).unwrap();
+        assert!(matches!(
+            spec.compile(),
+            Err(SpecError::Topology(TopologyError::TooMany {
+                what: "chiplets",
+                max: 256
+            }))
         ));
     }
 

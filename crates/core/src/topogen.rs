@@ -43,61 +43,6 @@ use std::fmt;
 /// Hard cap on generated chiplets ([`crate::ChipletId`] is a `u8`).
 pub const MAX_CHIPLETS: usize = 256;
 
-/// A d2d link/bridge class applied to one edge family of a generated
-/// fabric (east-west, north-south, wrap-around, or local-to-global).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkClass {
-    /// RBRG level of the generated bridges.
-    pub level: BridgeLevel,
-    /// Optional latency override (cycles); `None` keeps the level's
-    /// default.
-    pub latency: Option<u32>,
-    /// Optional buffer-capacity override (flits).
-    pub buffer_cap: Option<usize>,
-}
-
-impl LinkClass {
-    /// Intra-die RBRG-L1 class with level defaults.
-    pub fn l1() -> Self {
-        LinkClass {
-            level: BridgeLevel::L1,
-            latency: None,
-            buffer_cap: None,
-        }
-    }
-
-    /// Inter-die RBRG-L2 class with level defaults.
-    pub fn l2() -> Self {
-        LinkClass {
-            level: BridgeLevel::L2,
-            latency: None,
-            buffer_cap: None,
-        }
-    }
-
-    /// Override the crossing latency in cycles.
-    pub fn with_latency(mut self, cycles: u32) -> Self {
-        self.latency = Some(cycles);
-        self
-    }
-
-    /// Override the bridge buffer capacity in flits.
-    pub fn with_buffer_cap(mut self, flits: usize) -> Self {
-        self.buffer_cap = Some(flits);
-        self
-    }
-
-    fn bridge(&self, a: EndpointRef, b: EndpointRef) -> BridgeDef {
-        BridgeDef {
-            level: self.level,
-            a,
-            b,
-            latency: self.latency,
-            buffer_cap: self.buffer_cap,
-        }
-    }
-}
-
 /// Errors from topology generators. Everything a fuzz harness can
 /// provoke with degenerate parameters is a typed variant here — the
 /// generators never panic on bad input.
@@ -262,6 +207,9 @@ fn check_capacity(
 /// Bridge endpoints occupy stations `stations-1, stations-2, …` of
 /// each ring (one endpoint per station); devices are placed on the
 /// stations below that region, shuffled deterministically from `seed`.
+/// Every bridge is an RBRG-L2 at the level's defaults; a fabric with,
+/// say, slower wrap-around links sets `latency` on those entries of the
+/// generated spec's [`SocSpec::bridges`].
 #[derive(Debug, Clone)]
 pub struct GridParams {
     /// Fabric name (becomes [`SocSpec::name`]).
@@ -280,12 +228,6 @@ pub struct GridParams {
     pub wrap: bool,
     /// Seed for deterministic device placement.
     pub seed: u64,
-    /// Link class for east-west edges.
-    pub east_west: LinkClass,
-    /// Link class for north-south edges.
-    pub north_south: LinkClass,
-    /// Link class for wrap-around edges.
-    pub wraparound: LinkClass,
     /// Network parameters for the built fabric.
     pub network: NetworkConfig,
 }
@@ -303,9 +245,6 @@ impl GridParams {
             devices_per_chiplet: 2,
             wrap: false,
             seed: 1,
-            east_west: LinkClass::l2(),
-            north_south: LinkClass::l2(),
-            wraparound: LinkClass::l2(),
             network: NetworkConfig::default(),
         }
     }
@@ -437,37 +376,29 @@ impl GridParams {
         let at = |row: u16, col: u16| -> usize { row as usize * self.cols as usize + col as usize };
 
         let mut bridges = Vec::new();
+        let mut link = |a: usize, b: usize| {
+            let (a, b) = (endpoint(a), endpoint(b));
+            bridges.push(BridgeDef::new(BridgeLevel::L2, a, b));
+        };
         for row in 0..self.rows {
             for col in 0..self.cols {
                 if col + 1 < self.cols {
-                    bridges.push(
-                        self.east_west
-                            .bridge(endpoint(at(row, col)), endpoint(at(row, col + 1))),
-                    );
+                    link(at(row, col), at(row, col + 1));
                 }
                 if row + 1 < self.rows {
-                    bridges.push(
-                        self.north_south
-                            .bridge(endpoint(at(row, col)), endpoint(at(row + 1, col))),
-                    );
+                    link(at(row, col), at(row + 1, col));
                 }
             }
         }
         if self.wrap {
             if self.cols >= 2 {
                 for row in 0..self.rows {
-                    bridges.push(
-                        self.wraparound
-                            .bridge(endpoint(at(row, self.cols - 1)), endpoint(at(row, 0))),
-                    );
+                    link(at(row, self.cols - 1), at(row, 0));
                 }
             }
             if self.rows >= 2 {
                 for col in 0..self.cols {
-                    bridges.push(
-                        self.wraparound
-                            .bridge(endpoint(at(self.rows - 1, col)), endpoint(at(0, col))),
-                    );
+                    link(at(self.rows - 1, col), at(0, col));
                 }
             }
         }
@@ -517,8 +448,6 @@ pub struct HierRingParams {
     pub local_kind: RingKind,
     /// Ring kind for the global ring.
     pub global_kind: RingKind,
-    /// Link class for local-to-global bridges.
-    pub bridge: LinkClass,
     /// Seed for deterministic device placement.
     pub seed: u64,
     /// Network parameters for the built fabric.
@@ -538,7 +467,6 @@ impl HierRingParams {
             devices_per_local: 2,
             local_kind: RingKind::Full,
             global_kind: RingKind::Full,
-            bridge: LinkClass::l2(),
             seed: 1,
             network: NetworkConfig::default(),
         }
@@ -627,7 +555,8 @@ impl HierRingParams {
             });
             // Even spread: strictly increasing while global ≥ locals.
             let g_station = (i as u64 * self.global_stations as u64 / self.locals as u64) as u16;
-            bridges.push(self.bridge.bridge(
+            bridges.push(BridgeDef::new(
+                BridgeLevel::L2,
                 EndpointRef {
                     chiplet: name,
                     ring: 0,

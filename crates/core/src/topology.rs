@@ -150,7 +150,8 @@ impl TopologyBuilder {
         Self::default()
     }
 
-    /// Register a chiplet (die).
+    /// Register a chiplet (die). Past 256 chiplets the id wraps and
+    /// [`TopologyBuilder::build`] returns [`TopologyError::TooMany`].
     pub fn add_chiplet(&mut self, name: impl Into<String>) -> ChipletId {
         let id = ChipletId(self.chiplets.len() as u8);
         self.chiplets.push(name.into());
@@ -161,8 +162,9 @@ impl TopologyBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::EmptyRing`] for zero stations and
-    /// [`TopologyError::UnknownChiplet`] for an unregistered chiplet.
+    /// Returns [`TopologyError::EmptyRing`] for zero stations,
+    /// [`TopologyError::UnknownChiplet`] for an unregistered chiplet and
+    /// [`TopologyError::TooMany`] past 65 536 rings.
     pub fn add_ring(
         &mut self,
         chiplet: ChipletId,
@@ -172,7 +174,7 @@ impl TopologyBuilder {
         if chiplet.index() >= self.chiplets.len() {
             return Err(TopologyError::UnknownChiplet { chiplet: chiplet.0 });
         }
-        let id = RingId(self.rings.len() as u16);
+        let id = RingId(u16::try_from(self.rings.len()).map_err(|_| too_many("rings", u16::BITS))?);
         if stations == 0 {
             return Err(TopologyError::EmptyRing { ring: id });
         }
@@ -183,12 +185,6 @@ impl TopologyBuilder {
             stations,
         });
         Ok(id)
-    }
-
-    /// Station count of an already-added ring (useful for placing
-    /// bridges at computed positions).
-    pub fn ring_stations(&self, ring: RingId) -> Option<u16> {
-        self.rings.get(ring.index()).map(|r| r.stations)
     }
 
     fn free_port(&self, ring: RingId, station: u16) -> Option<Port> {
@@ -256,8 +252,8 @@ impl TopologyBuilder {
     /// # Errors
     ///
     /// Fails on unknown rings/stations, occupied stations, if both
-    /// endpoints are on the same ring, or if `config` has a zero
-    /// `buffer_cap` or `width_flits_per_cycle`.
+    /// endpoints are on the same ring, if `config` has a zero
+    /// `buffer_cap` or `width_flits_per_cycle`, or past 65 536 bridges.
     pub fn add_bridge(
         &mut self,
         config: BridgeConfig,
@@ -279,7 +275,9 @@ impl TopologyBuilder {
                 field: "width_flits_per_cycle",
             });
         }
-        let id = BridgeId(self.bridges.len() as u16);
+        let id = BridgeId(
+            u16::try_from(self.bridges.len()).map_err(|_| too_many("bridges", u16::BITS))?,
+        );
         let a = self.attach(
             format!("{id}.a"),
             ring_a,
@@ -313,9 +311,13 @@ impl TopologyBuilder {
     ///
     /// # Errors
     ///
-    /// Fails if there are no device nodes, or if any pair of rings that
-    /// both host devices is not connected by a bridge path.
+    /// Fails past 256 chiplets, if there are no device nodes, or if any
+    /// pair of rings that both host devices is not connected by a
+    /// bridge path.
     pub fn build(self) -> Result<Topology, TopologyError> {
+        if self.chiplets.len() > 1 << u8::BITS {
+            return Err(too_many("chiplets", u8::BITS));
+        }
         let topo = Topology {
             chiplets: self.chiplets,
             rings: self.rings,
@@ -362,6 +364,14 @@ impl TopologyBuilder {
             }
         }
         Ok(topo)
+    }
+}
+
+/// The error for an id space of `bits` bits that is one id short.
+fn too_many(what: &'static str, bits: u32) -> TopologyError {
+    TopologyError::TooMany {
+        what,
+        max: 1 << bits,
     }
 }
 
@@ -478,6 +488,22 @@ mod tests {
         let before = b.nodes.len();
         assert!(b.add_bridge(BridgeConfig::l1(), r0, 0, r1, 0).is_err());
         assert_eq!(b.nodes.len(), before, "endpoint A must be rolled back");
+    }
+
+    #[test]
+    fn ring_ids_do_not_wrap() {
+        let mut b = TopologyBuilder::new();
+        let d = b.add_chiplet("die");
+        for _ in 0..1 << 16 {
+            b.add_ring(d, RingKind::Half, 1).unwrap();
+        }
+        assert_eq!(
+            b.add_ring(d, RingKind::Half, 1),
+            Err(TopologyError::TooMany {
+                what: "rings",
+                max: 65_536
+            })
+        );
     }
 
     #[test]

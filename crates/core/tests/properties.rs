@@ -478,6 +478,7 @@ proptest! {
                 b: EndpointRef { chiplet: format!("c{}", c + 1), ring: 0, station: stations - 1 },
                 latency: None,
                 buffer_cap: None,
+                width: None,
             });
         }
         let json = spec.to_json().unwrap();

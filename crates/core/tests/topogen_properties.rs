@@ -14,7 +14,10 @@
 //!   precondition, as in `properties.rs`),
 //!
 //! and, in debug builds, the engine's own per-cycle check of its
-//! station indices against the route table.
+//! station indices against the route table. The same invariants run
+//! on the paper's two SoCs, read from their committed specs
+//! (`specs/*.json`), over a fixed seed matrix with the known defects
+//! pinned as failing.
 //!
 //! A failing case saves the generated `SocSpec` JSON under the fuzz
 //! artifact directory (`NOC_TOPO_FUZZ_ARTIFACT_DIR`, default
@@ -342,6 +345,83 @@ fn hotspot_torus_holds_invariants() {
             );
         }
     }
+}
+
+// ---- the paper's two SoCs ------------------------------------------
+
+/// Runs of the paper-SoC matrix that fail today, as
+/// `(spec, uniform-traffic seed, start of the failure message)`. Each is
+/// asserted to fail that way, so a fix flips it (ROADMAP.md, "No
+/// excluded loads"):
+///
+/// * Server-CPU: flits still in flight after the 20 000-cycle drain;
+///   deflections keep climbing on a longer drain, so this is a livelock
+///   although the fabric's bridge graph is acyclic.
+/// * AI-Processor: the I-tag starvation bound breaks in deflection-free
+///   runs.
+#[rustfmt::skip]
+const PAPER_SOC_KNOWN_DEFECTS: &[(&str, u64, &str)] = &[
+    ("server_cpu", 0, "failed to drain within budget (271 flits left)"),
+    ("server_cpu", 9, "failed to drain within budget (231 flits left)"),
+    ("server_cpu", 10, "failed to drain within budget (196 flits left)"),
+    ("server_cpu", 23, "failed to drain within budget (298 flits left)"),
+    ("ai_processor", 35, "starve counter 20 > threshold 8 + circumference 11"),
+    ("ai_processor", 36, "starve counter 21 > threshold 8 + circumference 11"),
+];
+
+/// The generated-grid load on a committed paper-SoC spec: traffic
+/// seeds 0–39 × {uniform, hotspot}, 120 cycles at rate 0.2. Every run
+/// holds the invariants except the pinned known defects, which must
+/// still fail as pinned.
+fn paper_soc_matrix(name: &str, json: &str) {
+    let spec = SocSpec::from_json(json).expect("committed spec parses");
+    let mut wrong = Vec::new();
+    for seed in 0..40u64 {
+        let patterns = [
+            ("uniform", TrafficPattern::Uniform),
+            (
+                "hotspot",
+                TrafficPattern::Hotspot {
+                    target: 0,
+                    bias: 0.5,
+                },
+            ),
+        ];
+        for (pattern_name, pattern) in patterns {
+            let known = PAPER_SOC_KNOWN_DEFECTS
+                .iter()
+                .find(|&&(n, s, _)| n == name && s == seed && pattern_name == "uniform");
+            match (fuzz_fabric(&spec, seed, pattern, 120, 0.2), known) {
+                (Ok(()), None) => {}
+                (Err(msg), Some(&(_, _, want))) if msg.starts_with(want) => {}
+                (Ok(()), Some(&(_, _, want))) => wrong.push(format!(
+                    "{pattern_name} seed {seed}: known defect \"{want}\" no longer fails; \
+                     move it out of PAPER_SOC_KNOWN_DEFECTS"
+                )),
+                (Err(msg), _) => {
+                    let tag = format!("{name}-{pattern_name}-{seed}");
+                    wrong.push(format!(
+                        "{pattern_name} seed {seed}: {}",
+                        report_failure(&spec, &tag, seed, &msg)
+                    ));
+                }
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{name}:\n{}", wrong.join("\n"));
+}
+
+#[test]
+fn server_cpu_spec_holds_invariants_but_for_known_defects() {
+    paper_soc_matrix("server_cpu", include_str!("../../../specs/server_cpu.json"));
+}
+
+#[test]
+fn ai_processor_spec_holds_invariants_but_for_known_defects() {
+    paper_soc_matrix(
+        "ai_processor",
+        include_str!("../../../specs/ai_processor.json"),
+    );
 }
 
 // ---- negative paths: typed errors, never panics ---------------------

@@ -2,11 +2,11 @@
 //! coherence-latency pings (Table 5), DDR-latency-under-noise curves
 //! (Figure 11), and LMBench-style bandwidth runs (Figure 10).
 
-use crate::soc::{build_topology, ServerCpuConfig};
+use crate::soc::ServerCpuConfig;
 use noc_baseline::{Interconnect, MemHarness, MemHarnessConfig, RingAdapter};
 use noc_chi::system::ChiTransport;
 use noc_chi::{CoherentSystem, LineAddr, ReadKind};
-use noc_core::{Network, NodeId, TopologyError};
+use noc_core::{NodeId, SpecError};
 
 /// Coherence state prepared at the first core before the measured read
 /// (paper Table 5 rows).
@@ -103,12 +103,12 @@ pub struct ServerEndpoints {
 ///
 /// # Errors
 ///
-/// Propagates topology errors from degenerate configurations.
+/// Returns the [`SpecError`] of a degenerate configuration's spec.
 pub fn server_interconnect(
     cfg: &ServerCpuConfig,
-) -> Result<(RingAdapter, ServerEndpoints), TopologyError> {
-    let (topo, map) = build_topology(cfg)?;
-    let mut net = Network::new(topo, cfg.net.clone());
+) -> Result<(RingAdapter, ServerEndpoints), SpecError> {
+    let (spec, map) = cfg.spec();
+    let (mut net, _) = spec.build()?;
     if cfg.metrics_period > 0 {
         net.enable_metrics(cfg.metrics_period);
     }

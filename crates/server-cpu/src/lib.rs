@@ -15,4 +15,4 @@
 pub mod experiments;
 pub mod soc;
 
-pub use soc::{build_topology, ServerCpu, ServerCpuConfig, ServerCpuMap};
+pub use soc::{ServerCpu, ServerCpuConfig, ServerCpuMap};

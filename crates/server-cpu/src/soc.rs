@@ -5,10 +5,10 @@
 //! (via PA/SerDes) between packages.
 
 use noc_chi::{CoherentSystem, LlcParams, MemoryParams, SystemSpec};
+use noc_core::spec::{BridgeDef, ChipletDef, DeviceDef, EndpointRef, RingDef};
 use noc_core::telemetry::{HealthConfig, RecorderConfig};
 use noc_core::{
-    BridgeConfig, Network, NetworkConfig, NocDiagnostics, NodeId, RingKind, Topology,
-    TopologyBuilder, TopologyError,
+    BridgeLevel, Network, NetworkConfig, NocDiagnostics, NodeId, RingKind, SocSpec, SpecError,
 };
 
 /// Server-CPU configuration.
@@ -82,10 +82,133 @@ impl ServerCpuConfig {
         self.clusters_per_ccd = clusters;
         self
     }
+
+    /// The SoC as a [`SocSpec`], plus the node map its compile yields
+    /// ([`SocSpec::compile`] numbers devices in declaration order, so
+    /// each id is recorded as its device is declared). Every package's
+    /// dies come first, then its bridges, package by package, then the
+    /// package-to-package SerDes links.
+    pub fn spec(&self) -> (SocSpec, ServerCpuMap) {
+        let mut map = ServerCpuMap {
+            clusters_per_ccd: self.clusters_per_ccd,
+            ccd_count: self.ccd_count,
+            ..Default::default()
+        };
+        let mut next = 0;
+        let mut dev = |devices: &mut Vec<DeviceDef>, ids: &mut Vec<NodeId>, name, station| {
+            ids.push(NodeId(next));
+            next += 1;
+            devices.push(DeviceDef {
+                name,
+                station: station as u16,
+            });
+        };
+        let die = |name: String, kind, stations: usize, devices| ChipletDef {
+            name,
+            rings: vec![RingDef {
+                kind,
+                stations: stations as u16,
+                devices,
+            }],
+        };
+        // Port budget: clusters on port 0 of every station; HN and DDR
+        // share port 1 of the body, spread evenly around it; the last
+        // three stations are reserved for bridge endpoints (dual
+        // CCD↔CCD bridges plus links to both I/O dies).
+        let side = self.hn_per_ccd + self.ddr_per_ccd;
+        let stations = self.clusters_per_ccd.max(side) + 3;
+        let body = stations - 3;
+        let mut chiplets = Vec::new();
+        for pkg in 0..self.packages {
+            for c in 0..self.ccd_count {
+                let (p, mut devices) = (format!("p{pkg}.ccd{c}"), Vec::new());
+                for i in 0..self.clusters_per_ccd {
+                    dev(&mut devices, &mut map.clusters, format!("{p}.cl{i}"), i);
+                }
+                for i in 0..self.hn_per_ccd {
+                    let st = i * body / side;
+                    dev(&mut devices, &mut map.home_nodes, format!("{p}.hn{i}"), st);
+                }
+                for i in 0..self.ddr_per_ccd {
+                    let st = (self.hn_per_ccd + i) * body / side;
+                    dev(&mut devices, &mut map.ddrs, format!("{p}.ddr{i}"), st);
+                }
+                chiplets.push(die(p, RingKind::Full, stations, devices));
+            }
+            for i in 0..self.iod_count {
+                let (p, mut devices) = (format!("p{pkg}.iod{i}"), Vec::new());
+                for (j, d) in ["pcie", "eth", "sata", "accel"].iter().enumerate() {
+                    dev(&mut devices, &mut map.io_devices, format!("{p}.{d}"), j);
+                }
+                dev(&mut devices, &mut map.pas, format!("{p}.pa"), 4);
+                chiplets.push(die(p, RingKind::Half, 6, devices));
+            }
+        }
+
+        let at = |chiplet: String, station: usize| EndpointRef {
+            chiplet,
+            ring: 0,
+            station: station as u16,
+        };
+        let ccd = |pkg: usize, c: usize, station| at(format!("p{pkg}.ccd{c}"), station);
+        let iod = |pkg: usize, i: usize, station| at(format!("p{pkg}.iod{i}"), station);
+        // In-package bridges (RBRG-L2 over the parallel die-to-die PHY).
+        let d2d = |a, b| BridgeDef {
+            latency: Some(self.d2d_latency),
+            ..BridgeDef::new(BridgeLevel::L2, a, b)
+        };
+        let mut bridges = Vec::new();
+        for pkg in 0..self.packages {
+            // CCD chain (CCD0↔CCD1↔…): two parallel bridges per pair at
+            // the last compute-ring station (the route table load-shares
+            // them).
+            for c in 1..self.ccd_count {
+                for _ in 0..2 {
+                    bridges.push(d2d(
+                        ccd(pkg, c - 1, stations - 1),
+                        ccd(pkg, c, stations - 1),
+                    ));
+                }
+            }
+            // Each CCD to up to two I/O dies.
+            for c in 0..self.ccd_count {
+                for k in 0..self.iod_count.min(2) {
+                    let i = (c + k) % self.iod_count;
+                    bridges.push(d2d(ccd(pkg, c, stations - 2), iod(pkg, i, 5)));
+                }
+            }
+            // I/O-die chain.
+            for i in 1..self.iod_count {
+                bridges.push(d2d(iod(pkg, i - 1, 4), iod(pkg, i, 4)));
+            }
+        }
+        // Package-to-package scale-up via PA SerDes (a ring of packages;
+        // 2P has one link), bridging I/O die 0 of each neighbouring pair.
+        let links = match self.packages {
+            0 | 1 => 0,
+            2 => 1,
+            n => n,
+        };
+        for pkg in 0..links {
+            let (a, b) = (iod(pkg, 0, 3), iod((pkg + 1) % self.packages, 0, 2));
+            bridges.push(BridgeDef {
+                latency: Some(self.serdes_latency),
+                buffer_cap: Some(16),
+                ..BridgeDef::new(BridgeLevel::L2, a, b)
+            });
+        }
+        let spec = SocSpec {
+            name: "server-cpu".into(),
+            chiplets,
+            bridges,
+            network: self.net.clone(),
+        };
+        (spec, map)
+    }
 }
 
 /// Node map of a built Server-CPU.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerCpuMap {
     /// CPU-cluster requesters, grouped by (package, ccd) in build order.
     pub clusters: Vec<NodeId>,
@@ -112,111 +235,6 @@ impl ServerCpuMap {
     }
 }
 
-/// Build the Server-CPU topology. Returns the topology and its node map.
-///
-/// # Errors
-///
-/// Propagates [`TopologyError`] if the configuration is degenerate
-/// (zero rings, etc.).
-pub fn build_topology(cfg: &ServerCpuConfig) -> Result<(Topology, ServerCpuMap), TopologyError> {
-    let mut b = TopologyBuilder::new();
-    let mut map = ServerCpuMap {
-        clusters: Vec::new(),
-        home_nodes: Vec::new(),
-        ddrs: Vec::new(),
-        io_devices: Vec::new(),
-        pas: Vec::new(),
-        clusters_per_ccd: cfg.clusters_per_ccd,
-        ccd_count: cfg.ccd_count,
-    };
-    let mut ccd_rings = Vec::new();
-    let mut iod_rings = Vec::new();
-
-    for pkg in 0..cfg.packages {
-        for c in 0..cfg.ccd_count {
-            let die = b.add_chiplet(format!("p{pkg}.ccd{c}"));
-            // Port budget: clusters on port 0 of every station; HN and
-            // DDR share port 1 of the body; the last three stations are
-            // reserved for bridge endpoints (dual CCD↔CCD bridges plus
-            // links to both I/O dies).
-            let stations = (cfg.clusters_per_ccd.max(cfg.hn_per_ccd + cfg.ddr_per_ccd) + 3) as u16;
-            let body = stations - 3;
-            let ring = b.add_ring(die, RingKind::Full, stations)?;
-            ccd_rings.push(ring);
-            for i in 0..cfg.clusters_per_ccd {
-                map.clusters
-                    .push(b.add_node(format!("p{pkg}.ccd{c}.cl{i}"), ring, i as u16)?);
-            }
-            // Spread HNs and DDRs around the ring body on port 1.
-            let side = cfg.hn_per_ccd + cfg.ddr_per_ccd;
-            for i in 0..cfg.hn_per_ccd {
-                let st = (i * body as usize / side) as u16;
-                map.home_nodes
-                    .push(b.add_node(format!("p{pkg}.ccd{c}.hn{i}"), ring, st)?);
-            }
-            for i in 0..cfg.ddr_per_ccd {
-                let st = ((cfg.hn_per_ccd + i) * body as usize / side) as u16;
-                map.ddrs
-                    .push(b.add_node(format!("p{pkg}.ccd{c}.ddr{i}"), ring, st)?);
-            }
-        }
-        for i in 0..cfg.iod_count {
-            let die = b.add_chiplet(format!("p{pkg}.iod{i}"));
-            let ring = b.add_ring(die, RingKind::Half, 6)?;
-            iod_rings.push(ring);
-            for (j, dev) in ["pcie", "eth", "sata", "accel"].iter().enumerate() {
-                map.io_devices
-                    .push(b.add_node(format!("p{pkg}.iod{i}.{dev}"), ring, j as u16)?);
-            }
-            map.pas
-                .push(b.add_node(format!("p{pkg}.iod{i}.pa"), ring, 4)?);
-        }
-        // In-package bridges (RBRG-L2 over the parallel die-to-die PHY).
-        let d2d = BridgeConfig::l2()
-            .with_latency(cfg.d2d_latency)
-            .with_width(2);
-        let pkg_ccds = &ccd_rings[pkg * cfg.ccd_count..(pkg + 1) * cfg.ccd_count];
-        let pkg_iods = &iod_rings[pkg * cfg.iod_count..(pkg + 1) * cfg.iod_count];
-        // CCD chain (CCD0↔CCD1↔…): two parallel bridges per pair at the
-        // last compute-ring station (the route table load-shares them).
-        for w in pkg_ccds.windows(2) {
-            let st0 = b.ring_stations(w[0]).expect("ring exists") - 1;
-            let st1 = b.ring_stations(w[1]).expect("ring exists") - 1;
-            b.add_bridge(d2d.clone(), w[0], st0, w[1], st1)?;
-            b.add_bridge(d2d.clone(), w[0], st0, w[1], st1)?;
-        }
-        // Each CCD to up to two I/O dies.
-        for (ci, &ccd) in pkg_ccds.iter().enumerate() {
-            let st = b.ring_stations(ccd).expect("ring exists") - 2;
-            for k in 0..pkg_iods.len().min(2) {
-                let iod = pkg_iods[(ci + k) % pkg_iods.len()];
-                b.add_bridge(d2d.clone(), ccd, st, iod, 5)?;
-            }
-        }
-        // I/O-die chain.
-        for w in pkg_iods.windows(2) {
-            b.add_bridge(d2d.clone(), w[0], 4, w[1], 4)?;
-        }
-    }
-    // Package-to-package scale-up via PA SerDes (ring of packages),
-    // bridging I/O die 0 of each neighbouring package pair.
-    if cfg.packages > 1 {
-        let serdes = BridgeConfig::l2()
-            .with_latency(cfg.serdes_latency)
-            .with_buffer_cap(16);
-        for pkg in 0..cfg.packages {
-            let next = (pkg + 1) % cfg.packages;
-            if cfg.packages == 2 && pkg == 1 {
-                break; // avoid a duplicate second link for 2P
-            }
-            let a = iod_rings[pkg * cfg.iod_count];
-            let z = iod_rings[next * cfg.iod_count];
-            b.add_bridge(serdes.clone(), a, 3, z, 2)?;
-        }
-    }
-    Ok((b.build()?, map))
-}
-
 /// A fully assembled, coherent Server-CPU system.
 #[derive(Debug)]
 pub struct ServerCpu {
@@ -233,10 +251,10 @@ impl ServerCpu {
     ///
     /// # Errors
     ///
-    /// Propagates topology errors from degenerate configurations.
-    pub fn build(cfg: ServerCpuConfig) -> Result<Self, TopologyError> {
-        let (topo, map) = build_topology(&cfg)?;
-        let mut net = Network::new(topo, cfg.net.clone());
+    /// Returns the [`SpecError`] of a degenerate configuration's spec.
+    pub fn build(cfg: ServerCpuConfig) -> Result<Self, SpecError> {
+        let (spec, map) = cfg.spec();
+        let (mut net, _) = spec.build()?;
         if cfg.metrics_period > 0 {
             match &cfg.recorder {
                 Some(rec) => net.enable_flight_recorder(
@@ -277,6 +295,26 @@ impl NocDiagnostics for ServerCpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `specs/server_cpu.json` is the default config's spec, byte for byte
+    /// (`NOC_WRITE_SPECS=1` rewrites it after a deliberate change).
+    #[test]
+    fn committed_spec_is_what_the_default_config_emits() {
+        let json = ServerCpuConfig::default().spec().0.to_json().unwrap() + "\n";
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/server_cpu.json");
+        if std::env::var_os("NOC_WRITE_SPECS").is_some() {
+            std::fs::write(path, &json).unwrap();
+        }
+        let committed = std::fs::read_to_string(path).unwrap();
+        assert!(
+            json == committed,
+            "{path} is stale (NOC_WRITE_SPECS=1 rewrites it)"
+        );
+        assert_eq!(
+            SocSpec::from_json(&committed).unwrap(),
+            ServerCpuConfig::default().spec().0
+        );
+    }
     use noc_chi::{LineAddr, ReadKind};
 
     #[test]

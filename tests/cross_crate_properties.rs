@@ -205,9 +205,16 @@ fn packed_route_table_answers_as_the_option_hop_grid_did() {
         .expect("8x8 torus generates")
         .compile()
         .expect("generated spec compiles");
-    let (server, _) = noc_server_cpu::build_topology(&noc_server_cpu::ServerCpuConfig::default())
+    let (server, _) = noc_server_cpu::ServerCpuConfig::default()
+        .spec()
+        .0
+        .compile()
         .expect("Server-CPU builds");
-    let (ai, _) = noc_ai::build_topology(&noc_ai::AiConfig::default()).expect("AI SoC builds");
+    let (ai, _) = noc_ai::AiConfig::default()
+        .spec()
+        .0
+        .compile()
+        .expect("AI SoC builds");
     for (name, topo) in [("torus8x8", torus), ("server-cpu", server), ("ai", ai)] {
         let table = RouteTable::build(&topo);
         let grid = unpacked_route_grid(&topo, &table);

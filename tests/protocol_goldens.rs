@@ -15,8 +15,8 @@
 use noc_ai::{AiConfig, AiEngine, AiProcessor, AiTraffic};
 use noc_chi::system::ChiTransport;
 use noc_chi::{CoherentSystem, LineAddr, ReadKind, SystemSpec, TxnKind};
-use noc_core::{Network, NodeId};
-use noc_server_cpu::{build_topology, ServerCpu, ServerCpuConfig};
+use noc_core::NodeId;
+use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 use noc_sim::SimRng;
 use noc_txn::{TxnConfig, TxnFabric};
 
@@ -141,8 +141,9 @@ fn server_run(seed: u64) -> (u64, u64, u64) {
 /// return shape as [`server_run`].
 fn chi_txn_run(seed: u64) -> (u64, u64, u64) {
     let cfg = server_cfg();
-    let (topo, map) = build_topology(&cfg).expect("builds");
-    let fab = TxnFabric::new(Network::new(topo, cfg.net.clone()), TxnConfig::default());
+    let (spec, map) = cfg.spec();
+    let (net, _) = spec.build().expect("builds");
+    let fab = TxnFabric::new(net, TxnConfig::default());
     let mut sys = CoherentSystem::new(
         fab,
         SystemSpec {
