@@ -1,4 +1,4 @@
-//! A memory request/response harness over any [`Interconnect`].
+//! A memory request/response harness over any [`ChiTransport`].
 //!
 //! Drives the paper's bandwidth and latency experiments identically
 //! across the multi-ring NoC and the baselines: requesters issue
@@ -7,9 +7,9 @@
 //! them, responses flow back, and per-requester latency/bandwidth is
 //! recorded.
 
-use crate::traits::Interconnect;
+use noc_chi::system::ChiTransport;
 use noc_chi::{MemoryModel, MemoryParams};
-use noc_core::FlitClass;
+use noc_core::{FlitClass, NodeId};
 use noc_sim::{Histogram, SimRng};
 use std::collections::HashMap;
 
@@ -47,7 +47,7 @@ const NOISE_MLP: u64 = 8;
 
 #[derive(Debug, Clone, Copy)]
 struct Req {
-    requester: usize,
+    requester: NodeId,
     is_read: bool,
     issued_at: u64,
 }
@@ -108,7 +108,7 @@ impl MemHarnessReport {
         self.read_bytes + self.write_bytes
     }
 
-    /// Delivered data bandwidth in bytes/cycle.
+    /// Data bandwidth moved, in bytes/cycle.
     pub fn bytes_per_cycle(&self) -> f64 {
         if self.cycles == 0 {
             0.0
@@ -124,17 +124,18 @@ impl MemHarnessReport {
 ///
 /// ```
 /// use noc_baseline::{MemHarness, MemHarnessConfig, BufferedMesh, MeshConfig};
+/// use noc_core::NodeId;
 ///
 /// let mesh = BufferedMesh::new(MeshConfig { k: 3, ..Default::default() });
-/// let mut h = MemHarness::new(mesh, vec![8], MemHarnessConfig::default());
-/// let report = h.run_closed_loop(&[0, 1], 4, 1.0, 500, 2000);
+/// let mut h = MemHarness::new(mesh, vec![NodeId(8)], MemHarnessConfig::default());
+/// let report = h.run_closed_loop(&[NodeId(0), NodeId(1)], 4, 1.0, 500, 2000);
 /// assert!(report.completed > 0);
 /// ```
 #[derive(Debug)]
-pub struct MemHarness<I> {
-    ic: I,
+pub struct MemHarness<T> {
+    ic: T,
     cfg: MemHarnessConfig,
-    mem_endpoints: Vec<usize>,
+    mem_endpoints: Vec<NodeId>,
     mems: Vec<MemoryModel<u64>>,
     reqs: HashMap<u64, Req>,
     next_token: u64,
@@ -143,17 +144,14 @@ pub struct MemHarness<I> {
     retry: Vec<(usize, u64)>,
 }
 
-impl<I: Interconnect> MemHarness<I> {
-    /// Attach memory controllers at `mem_endpoints` of `ic`.
+impl<T: ChiTransport> MemHarness<T> {
+    /// Attach memory controllers at the `mem_endpoints` nodes of `ic`.
     ///
     /// # Panics
     ///
-    /// Panics if `mem_endpoints` is empty or out of range.
-    pub fn new(ic: I, mem_endpoints: Vec<usize>, cfg: MemHarnessConfig) -> Self {
+    /// Panics if `mem_endpoints` is empty.
+    pub fn new(ic: T, mem_endpoints: Vec<NodeId>, cfg: MemHarnessConfig) -> Self {
         assert!(!mem_endpoints.is_empty());
-        for &m in &mem_endpoints {
-            assert!(m < ic.endpoints(), "memory endpoint out of range");
-        }
         let mems = mem_endpoints
             .iter()
             .map(|_| MemoryModel::new(cfg.mem))
@@ -171,13 +169,13 @@ impl<I: Interconnect> MemHarness<I> {
     }
 
     /// The wrapped interconnect.
-    pub fn interconnect(&self) -> &I {
+    pub fn interconnect(&self) -> &T {
         &self.ic
     }
 
     /// Offer one request from `requester`; returns false on
     /// backpressure.
-    pub fn issue(&mut self, requester: usize, is_read: bool) -> bool {
+    pub fn issue(&mut self, requester: NodeId, is_read: bool) -> bool {
         // Uniform interleave over channels (address-hash style); a
         // synchronized round-robin pointer would sweep hotspots.
         let mem = self.mem_endpoints[self.rng.gen_index(self.mem_endpoints.len())];
@@ -199,7 +197,7 @@ impl<I: Interconnect> MemHarness<I> {
                 Req {
                     requester,
                     is_read,
-                    issued_at: self.ic.now(),
+                    issued_at: self.ic.now().raw(),
                 },
             );
             true
@@ -208,16 +206,16 @@ impl<I: Interconnect> MemHarness<I> {
         }
     }
 
-    fn service_memory(&mut self, stats: &mut MemHarnessRun) {
-        let now = self.ic.now();
+    fn service_memory(&mut self) {
+        let now = self.ic.now().raw();
         // Requests arriving at memory endpoints (bounded controller
         // queue: a full controller backpressures into the NoC).
         for (mi, &ep) in self.mem_endpoints.iter().enumerate() {
             while self.mems[mi].pending() < self.cfg.mem_queue_cap {
-                let Some(d) = self.ic.pop_delivered(ep) else {
+                let Some(token) = self.ic.recv(ep) else {
                     break;
                 };
-                self.mems[mi].push(now, d.token);
+                self.mems[mi].push(now, token);
             }
         }
         // Retry previously backpressured responses first.
@@ -237,7 +235,6 @@ impl<I: Interconnect> MemHarness<I> {
                 }
             }
         }
-        let _ = stats;
     }
 
     fn try_respond(&mut self, mi: usize, token: u64) -> bool {
@@ -251,13 +248,13 @@ impl<I: Interconnect> MemHarness<I> {
             .offer(self.mem_endpoints[mi], req.requester, class, bytes, token)
     }
 
-    fn collect_completions(&mut self, requesters: &[usize], run: &mut MemHarnessRun) {
-        let now = self.ic.now();
+    fn collect_completions(&mut self, requesters: &[NodeId], run: &mut MemHarnessRun) {
+        let now = self.ic.now().raw();
         for &r in requesters {
-            while let Some(d) = self.ic.pop_delivered(r) {
+            while let Some(token) = self.ic.recv(r) {
                 let req = self
                     .reqs
-                    .remove(&d.token)
+                    .remove(&token)
                     .expect("response matches an issued request");
                 let lat = now - req.issued_at;
                 run.stats[run.index[&r]].completed += 1;
@@ -278,7 +275,7 @@ impl<I: Interconnect> MemHarness<I> {
     /// `warmup` cycles, for `measure` cycles.
     pub fn run_closed_loop(
         &mut self,
-        requesters: &[usize],
+        requesters: &[NodeId],
         outstanding: u32,
         read_frac: f64,
         warmup: u64,
@@ -306,7 +303,7 @@ impl<I: Interconnect> MemHarness<I> {
                     }
                 }
                 self.ic.tick();
-                self.service_memory(&mut run);
+                self.service_memory();
                 self.collect_completions(requesters, &mut run);
             }
         }
@@ -326,8 +323,8 @@ impl<I: Interconnect> MemHarness<I> {
     #[allow(clippy::too_many_arguments)]
     pub fn run_probe_with_noise(
         &mut self,
-        probe: usize,
-        noise: &[usize],
+        probe: NodeId,
+        noise: &[NodeId],
         noise_rate: f64,
         noise_read_frac: f64,
         warmup: u64,
@@ -359,7 +356,7 @@ impl<I: Interconnect> MemHarness<I> {
                     }
                 }
                 self.ic.tick();
-                self.service_memory(&mut run);
+                self.service_memory();
                 self.collect_completions(&all, &mut run);
             }
         }
@@ -369,7 +366,7 @@ impl<I: Interconnect> MemHarness<I> {
 
 #[derive(Debug)]
 struct MemHarnessRun {
-    index: HashMap<usize, usize>,
+    index: HashMap<NodeId, usize>,
     stats: Vec<RequesterStats>,
     outstanding: Vec<u64>,
     read_bytes: u64,
@@ -377,7 +374,7 @@ struct MemHarnessRun {
 }
 
 impl MemHarnessRun {
-    fn new(requesters: &[usize]) -> Self {
+    fn new(requesters: &[NodeId]) -> Self {
         MemHarnessRun {
             index: requesters
                 .iter()
@@ -424,11 +421,15 @@ mod tests {
     use crate::ring_adapter::RingAdapter;
     use noc_core::NetworkConfig;
 
+    fn nodes(ids: impl IntoIterator<Item = u32>) -> Vec<NodeId> {
+        ids.into_iter().map(NodeId).collect()
+    }
+
     #[test]
     fn closed_loop_moves_data() {
         let ring = RingAdapter::single_ring(8, NetworkConfig::default());
-        let mut h = MemHarness::new(ring, vec![6, 7], MemHarnessConfig::default());
-        let report = h.run_closed_loop(&[0, 1, 2], 4, 0.5, 500, 3000);
+        let mut h = MemHarness::new(ring, nodes([6, 7]), MemHarnessConfig::default());
+        let report = h.run_closed_loop(&nodes(0..3), 4, 0.5, 500, 3000);
         assert!(report.completed > 100, "completed {}", report.completed);
         assert!(report.mean_latency > 0.0);
         assert!(report.read_bytes > 0 && report.write_bytes > 0);
@@ -437,18 +438,13 @@ mod tests {
 
     #[test]
     fn probe_latency_rises_with_noise() {
-        let quiet = {
+        let probe_latency = |noise_rate| {
             let ring = RingAdapter::single_ring(10, NetworkConfig::default());
-            let mut h = MemHarness::new(ring, vec![9], MemHarnessConfig::default());
-            let r = h.run_probe_with_noise(0, &[1, 2, 3, 4], 0.0, 0.5, 500, 4000);
+            let mut h = MemHarness::new(ring, nodes([9]), MemHarnessConfig::default());
+            let r = h.run_probe_with_noise(NodeId(0), &nodes(1..5), noise_rate, 0.5, 500, 4000);
             r.per_requester[0].mean_latency()
         };
-        let noisy = {
-            let ring = RingAdapter::single_ring(10, NetworkConfig::default());
-            let mut h = MemHarness::new(ring, vec![9], MemHarnessConfig::default());
-            let r = h.run_probe_with_noise(0, &[1, 2, 3, 4], 0.4, 0.5, 500, 4000);
-            r.per_requester[0].mean_latency()
-        };
+        let (quiet, noisy) = (probe_latency(0.0), probe_latency(0.4));
         assert!(
             noisy > quiet,
             "noise must raise probe latency: quiet={quiet} noisy={noisy}"
@@ -462,8 +458,8 @@ mod tests {
                 k: 4,
                 ..Default::default()
             });
-            let mut h = MemHarness::new(mesh, vec![15], MemHarnessConfig::default());
-            h.run_closed_loop(&[0], outstanding, 1.0, 500, 3000)
+            let mut h = MemHarness::new(mesh, nodes([15]), MemHarnessConfig::default());
+            h.run_closed_loop(&[NodeId(0)], outstanding, 1.0, 500, 3000)
                 .bytes_per_cycle()
         };
         assert!(run(8) > 1.5 * run(1), "MLP must increase bandwidth");

@@ -7,18 +7,16 @@
 //! → destination ring. The central switch is the structural bottleneck
 //! the paper's distributed multi-ring design avoids.
 
-use crate::traits::{Delivered, Interconnect};
-use noc_core::FlitClass;
+use crate::Mailboxes;
+use noc_chi::system::ChiTransport;
+use noc_core::{FlitClass, NodeId};
+use noc_sim::Cycle;
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy)]
 struct Msg {
-    src: usize,
     dst: usize,
     token: u64,
-    bytes: u32,
-    enqueued_at: u64,
-    hops: u32,
 }
 
 /// Hub-and-spoke configuration.
@@ -63,17 +61,17 @@ impl Default for HubConfig {
 /// # Example
 ///
 /// ```
-/// use noc_baseline::{HubSpoke, HubConfig, Interconnect};
-/// use noc_core::FlitClass;
+/// use noc_baseline::{HubSpoke, HubConfig};
+/// use noc_chi::system::ChiTransport;
+/// use noc_core::{FlitClass, NodeId};
 /// let mut hub = HubSpoke::new(HubConfig::default());
-/// assert!(hub.offer(0, 63, FlitClass::Data, 64, 5)); // cross-chiplet
+/// assert!(hub.offer(NodeId(0), NodeId(63), FlitClass::Data, 64, 5)); // cross-chiplet
 /// for _ in 0..200 { hub.tick(); }
-/// assert!(hub.pop_delivered(63).is_some());
+/// assert_eq!(hub.recv(NodeId(63)), Some(5));
 /// ```
 #[derive(Debug)]
 pub struct HubSpoke {
     cfg: HubConfig,
-    name: String,
     /// Per-chiplet egress queue toward the hub.
     egress: Vec<VecDeque<Msg>>,
     /// In flight chiplet→hub: (arrival cycle, msg).
@@ -84,13 +82,9 @@ pub struct HubSpoke {
     from_hub: Vec<VecDeque<(u64, Msg)>>,
     /// Intra-chiplet deliveries in flight: (arrival, msg).
     local: Vec<VecDeque<(u64, Msg)>>,
-    delivered: Vec<VecDeque<Delivered>>,
+    delivered: Mailboxes,
     rr_hub: usize,
     now: u64,
-    delivered_count: u64,
-    delivered_bytes: u64,
-    latency_sum: u64,
-    accepted: u64,
 }
 
 impl HubSpoke {
@@ -104,19 +98,14 @@ impl HubSpoke {
         let c = cfg.chiplets;
         let n = c * cfg.per_chiplet;
         HubSpoke {
-            name: format!("hub-spoke-{c}x{}", cfg.per_chiplet),
             egress: vec![VecDeque::new(); c],
             to_hub: vec![VecDeque::new(); c],
             hub_in: vec![VecDeque::new(); c],
             from_hub: vec![VecDeque::new(); c],
             local: vec![VecDeque::new(); c],
-            delivered: vec![VecDeque::new(); n],
+            delivered: Mailboxes::new(n),
             rr_hub: 0,
             now: 0,
-            delivered_count: 0,
-            delivered_bytes: 0,
-            latency_sum: 0,
-            accepted: 0,
             cfg,
         }
     }
@@ -124,50 +113,29 @@ impl HubSpoke {
     fn chiplet_of(&self, endpoint: usize) -> usize {
         endpoint / self.cfg.per_chiplet
     }
-
-    fn deliver(&mut self, msg: Msg) {
-        let d = Delivered {
-            src: msg.src,
-            dst: msg.dst,
-            token: msg.token,
-            bytes: msg.bytes,
-            enqueued_at: msg.enqueued_at,
-            delivered_at: self.now,
-            hops: msg.hops,
-        };
-        self.latency_sum += d.latency();
-        self.delivered_count += 1;
-        self.delivered_bytes += u64::from(d.bytes);
-        self.delivered[msg.dst].push_back(d);
-    }
 }
 
-impl Interconnect for HubSpoke {
-    fn endpoints(&self) -> usize {
-        self.cfg.chiplets * self.cfg.per_chiplet
-    }
-
-    fn offer(&mut self, src: usize, dst: usize, _class: FlitClass, bytes: u32, token: u64) -> bool {
-        assert!(src < self.endpoints() && dst < self.endpoints());
+impl ChiTransport for HubSpoke {
+    fn offer(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        _class: FlitClass,
+        _bytes: u32,
+        token: u64,
+    ) -> bool {
+        let n = self.cfg.chiplets * self.cfg.per_chiplet;
+        let (src, dst) = (src.index(), dst.index());
+        assert!(src < n && dst < n);
         assert_ne!(src, dst);
         let sc = self.chiplet_of(src);
-        let dc = self.chiplet_of(dst);
-        let msg = Msg {
-            src,
-            dst,
-            token,
-            bytes,
-            enqueued_at: self.now,
-            hops: 0,
-        };
-        if sc == dc {
+        let msg = Msg { dst, token };
+        if sc == self.chiplet_of(dst) {
             // Intra-chiplet: local ring latency only.
             self.local[sc].push_back((self.now + self.cfg.intra_latency, msg));
-            self.accepted += 1;
             true
         } else if self.egress[sc].len() < self.cfg.queue_cap {
             self.egress[sc].push_back(msg);
-            self.accepted += 1;
             true
         } else {
             false
@@ -181,11 +149,11 @@ impl Interconnect for HubSpoke {
         // is full: head-of-line within the chiplet).
         for ch in 0..c {
             while let Some(&(t, msg)) = self.local[ch].front() {
-                if t > self.now || self.delivered[msg.dst].len() >= self.cfg.delivery_cap {
+                if t > self.now || self.delivered.len(msg.dst) >= self.cfg.delivery_cap {
                     break;
                 }
                 self.local[ch].pop_front();
-                self.deliver(msg);
+                self.delivered.push(msg.dst, msg.token);
             }
         }
         // Chiplet egress → link (after local ring transit).
@@ -194,10 +162,9 @@ impl Interconnect for HubSpoke {
                 if self.to_hub[ch].len() >= self.cfg.queue_cap {
                     break;
                 }
-                let Some(mut msg) = self.egress[ch].pop_front() else {
+                let Some(msg) = self.egress[ch].pop_front() else {
                     break;
                 };
-                msg.hops += 1;
                 self.to_hub[ch].push_back((
                     self.now + self.cfg.intra_latency + self.cfg.link_latency,
                     msg,
@@ -229,8 +196,7 @@ impl Interconnect for HubSpoke {
             if out_used[dc] || self.from_hub[dc].len() >= self.cfg.queue_cap {
                 continue;
             }
-            let mut msg = self.hub_in[ch].pop_front().expect("head exists");
-            msg.hops += 1;
+            let msg = self.hub_in[ch].pop_front().expect("head exists");
             out_used[dc] = true;
             forwards += 1;
             self.from_hub[dc].push_back((self.now + self.cfg.link_latency, msg));
@@ -242,8 +208,7 @@ impl Interconnect for HubSpoke {
                 .front()
                 .is_some_and(|&(t, _)| t <= self.now)
             {
-                let (_, mut msg) = self.from_hub[ch].pop_front().expect("checked");
-                msg.hops += 1;
+                let (_, msg) = self.from_hub[ch].pop_front().expect("checked");
                 self.local[ch].push_back((self.now + self.cfg.intra_latency, msg));
             }
             // Keep the local queue time-ordered (link arrivals append
@@ -251,68 +216,74 @@ impl Interconnect for HubSpoke {
         }
     }
 
-    fn pop_delivered(&mut self, endpoint: usize) -> Option<Delivered> {
-        self.delivered[endpoint].pop_front()
+    fn now(&self) -> Cycle {
+        Cycle(self.now)
     }
 
-    fn now(&self) -> u64 {
-        self.now
+    fn recv(&mut self, node: NodeId) -> Option<u64> {
+        self.delivered.recv(node)
     }
 
-    fn delivered_count(&self) -> u64 {
-        self.delivered_count
-    }
-
-    fn delivered_bytes(&self) -> u64 {
-        self.delivered_bytes
-    }
-
-    fn mean_latency(&self) -> f64 {
-        if self.delivered_count == 0 {
-            0.0
-        } else {
-            self.latency_sum as f64 / self.delivered_count as f64
-        }
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.accepted - self.delivered_count
-    }
-
-    fn name(&self) -> &str {
-        &self.name
+    fn nodes_with_mail(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.delivered.with_mail()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_chi::{CoherentSystem, LineAddr, LlcParams, MemoryParams, ReadKind, SystemSpec};
+
+    fn offer(h: &mut HubSpoke, src: usize, dst: usize, token: u64) -> bool {
+        h.offer(
+            NodeId(src as u32),
+            NodeId(dst as u32),
+            FlitClass::Data,
+            64,
+            token,
+        )
+    }
+
+    /// Receive every waiting token at `endpoints`, returning the count.
+    fn drain(h: &mut HubSpoke, endpoints: std::ops::Range<usize>) -> u64 {
+        let mut got = 0;
+        for e in endpoints {
+            while h.recv(NodeId(e as u32)).is_some() {
+                got += 1;
+            }
+        }
+        got
+    }
+
+    /// Tick until `dst` receives a message; the cycles that took.
+    fn latency_to(h: &mut HubSpoke, dst: usize) -> u64 {
+        let start = h.now;
+        loop {
+            h.tick();
+            if h.recv(NodeId(dst as u32)).is_some() {
+                return h.now - start;
+            }
+            assert!(h.now - start < 1_000, "never arrived");
+        }
+    }
 
     #[test]
     fn intra_chiplet_is_cheap() {
         let mut h = HubSpoke::new(HubConfig::default());
-        h.offer(0, 1, FlitClass::Data, 64, 0);
-        for _ in 0..50 {
-            h.tick();
-        }
-        let d = h.pop_delivered(1).expect("arrived");
-        assert_eq!(d.latency(), HubConfig::default().intra_latency);
+        offer(&mut h, 0, 1, 0);
+        assert_eq!(latency_to(&mut h, 1), HubConfig::default().intra_latency);
     }
 
     #[test]
     fn cross_chiplet_pays_two_links_and_switch() {
         let cfg = HubConfig::default();
         let mut h = HubSpoke::new(cfg);
-        h.offer(0, 63, FlitClass::Data, 64, 0);
-        for _ in 0..300 {
-            h.tick();
-        }
-        let d = h.pop_delivered(63).expect("arrived");
+        offer(&mut h, 0, 63, 0);
+        let latency = latency_to(&mut h, 63);
         let floor = 2 * cfg.intra_latency + 2 * cfg.link_latency;
         assert!(
-            d.latency() >= floor,
-            "latency {} below physical floor {floor}",
-            d.latency()
+            latency >= floor,
+            "latency {latency} below physical floor {floor}"
         );
     }
 
@@ -327,7 +298,7 @@ mod tests {
         let per = cfg.per_chiplet;
         for ch in 1..cfg.chiplets {
             for i in 0..4 {
-                assert!(h.offer(ch * per, i, FlitClass::Data, 64, (ch * 10 + i) as u64));
+                assert!(offer(&mut h, ch * per, i, (ch * 10 + i) as u64));
             }
         }
         let total = 4 * (cfg.chiplets - 1) as u64;
@@ -336,11 +307,7 @@ mod tests {
         while got < total {
             h.tick();
             t += 1;
-            for e in 0..per {
-                while h.pop_delivered(e).is_some() {
-                    got += 1;
-                }
-            }
+            got += drain(&mut h, 0..per);
             assert!(t < 10_000, "wedged");
         }
         // 28 messages through a 1-flit/cycle switch: at least 28 cycles
@@ -351,32 +318,50 @@ mod tests {
     #[test]
     fn conservation() {
         let mut h = HubSpoke::new(HubConfig::default());
-        let n = h.endpoints();
+        let n = 64;
         let mut sent = 0u64;
         let mut got = 0u64;
         for i in 0..3000usize {
             let s = (i * 13) % n;
             let d = (i * 29 + 7) % n;
-            if s != d && h.offer(s, d, FlitClass::Data, 64, i as u64) {
+            if s != d && offer(&mut h, s, d, i as u64) {
                 sent += 1;
             }
             h.tick();
-            for e in 0..n {
-                while h.pop_delivered(e).is_some() {
-                    got += 1;
-                }
-            }
+            got += drain(&mut h, 0..n);
         }
         for _ in 0..2000 {
             h.tick();
-            for e in 0..n {
-                while h.pop_delivered(e).is_some() {
-                    got += 1;
-                }
-            }
+            got += drain(&mut h, 0..n);
         }
         assert_eq!(got, sent);
-        assert_eq!(h.delivered_count(), sent);
-        assert_eq!(h.in_flight(), 0);
+        assert_eq!(h.nodes_with_mail().count(), 0);
+    }
+
+    #[test]
+    fn chi_protocol_runs_over_hub_spoke() {
+        let hub = HubSpoke::new(crate::hub::HubConfig {
+            chiplets: 2,
+            per_chiplet: 4,
+            ..Default::default()
+        });
+        let mut sys = CoherentSystem::new(
+            hub,
+            SystemSpec {
+                requesters: vec![NodeId(0), NodeId(4)],
+                home_nodes: vec![NodeId(1), NodeId(5)],
+                memories: vec![NodeId(2), NodeId(6)],
+                mem_params: MemoryParams::ddr4(),
+                llc: LlcParams::default(),
+                line_bytes: 64,
+                local_hit_latency: 10,
+                hn_latency: 12,
+                snoop_latency: 6,
+            },
+        );
+        let a = LineAddr(7);
+        let t = sys.read(NodeId(0), a, ReadKind::Shared);
+        let c = sys.run_until_complete(t, 20_000).expect("completes");
+        assert!(c.latency() > 0);
     }
 }

@@ -5,8 +5,10 @@
 //! credit-style downstream space checks, a fixed per-router pipeline
 //! delay, and round-robin switch allocation per output port.
 
-use crate::traits::{Delivered, Interconnect};
-use noc_core::FlitClass;
+use crate::Mailboxes;
+use noc_chi::system::ChiTransport;
+use noc_core::{FlitClass, NodeId};
+use noc_sim::Cycle;
 use std::collections::VecDeque;
 
 const PORTS: usize = 5; // N, S, E, W, Local
@@ -18,13 +20,9 @@ const L: usize = 4;
 
 #[derive(Debug, Clone, Copy)]
 struct Msg {
-    src: usize,
     dst: usize,
     token: u64,
-    bytes: u32,
-    enqueued_at: u64,
     eligible_at: u64,
-    hops: u32,
 }
 
 /// Mesh configuration.
@@ -59,28 +57,23 @@ impl Default for MeshConfig {
 /// # Example
 ///
 /// ```
-/// use noc_baseline::{BufferedMesh, Interconnect, MeshConfig};
-/// use noc_core::FlitClass;
+/// use noc_baseline::{BufferedMesh, MeshConfig};
+/// use noc_chi::system::ChiTransport;
+/// use noc_core::{FlitClass, NodeId};
 /// let mut mesh = BufferedMesh::new(MeshConfig { k: 4, ..Default::default() });
-/// assert!(mesh.offer(0, 15, FlitClass::Data, 64, 1));
+/// assert!(mesh.offer(NodeId(0), NodeId(15), FlitClass::Data, 64, 1));
 /// for _ in 0..100 { mesh.tick(); }
-/// let d = mesh.pop_delivered(15).expect("arrived");
-/// assert_eq!(d.token, 1);
+/// assert_eq!(mesh.recv(NodeId(15)), Some(1));
 /// ```
 #[derive(Debug)]
 pub struct BufferedMesh {
     cfg: MeshConfig,
-    name: String,
     /// `inputs[router][port]` — input FIFOs.
     inputs: Vec<[VecDeque<Msg>; PORTS]>,
     /// Round-robin pointers per (router, output port).
     rr: Vec<[usize; PORTS]>,
-    delivered: Vec<VecDeque<Delivered>>,
+    delivered: Mailboxes,
     now: u64,
-    delivered_count: u64,
-    delivered_bytes: u64,
-    latency_sum: u64,
-    accepted: u64,
 }
 
 impl BufferedMesh {
@@ -94,15 +87,10 @@ impl BufferedMesh {
         assert!(cfg.buf_cap > 0);
         let n = cfg.k * cfg.k;
         BufferedMesh {
-            name: format!("buffered-mesh-{}x{}", cfg.k, cfg.k),
             inputs: (0..n).map(|_| Default::default()).collect(),
             rr: vec![[0; PORTS]; n],
-            delivered: vec![VecDeque::new(); n],
+            delivered: Mailboxes::new(n),
             now: 0,
-            delivered_count: 0,
-            delivered_bytes: 0,
-            latency_sum: 0,
-            accepted: 0,
             cfg,
         }
     }
@@ -156,33 +144,33 @@ impl BufferedMesh {
     }
 }
 
-impl Interconnect for BufferedMesh {
-    fn endpoints(&self) -> usize {
-        self.cfg.k * self.cfg.k
-    }
-
-    fn offer(&mut self, src: usize, dst: usize, _class: FlitClass, bytes: u32, token: u64) -> bool {
-        assert!(src < self.endpoints() && dst < self.endpoints());
+impl ChiTransport for BufferedMesh {
+    fn offer(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        _class: FlitClass,
+        _bytes: u32,
+        token: u64,
+    ) -> bool {
+        let n = self.inputs.len();
+        let (src, dst) = (src.index(), dst.index());
+        assert!(src < n && dst < n);
         assert_ne!(src, dst, "self-send");
         if self.inputs[src][L].len() >= self.cfg.buf_cap {
             return false;
         }
         self.inputs[src][L].push_back(Msg {
-            src,
             dst,
             token,
-            bytes,
-            enqueued_at: self.now,
             eligible_at: self.now + self.cfg.router_delay,
-            hops: 0,
         });
-        self.accepted += 1;
         true
     }
 
     fn tick(&mut self) {
         self.now += 1;
-        let n = self.endpoints();
+        let n = self.inputs.len();
         // Collect moves first so every decision sees start-of-cycle state.
         // (router, in_port) -> (out_port)
         let mut moves: Vec<(usize, usize, usize)> = Vec::new();
@@ -201,7 +189,7 @@ impl Interconnect for BufferedMesh {
                         continue;
                     }
                     if out == L {
-                        if self.delivered[r].len() + reserved[r][L] < self.cfg.delivery_cap {
+                        if self.delivered.len(r) + reserved[r][L] < self.cfg.delivery_cap {
                             reserved[r][L] += 1;
                             moves.push((r, inp, out));
                             self.rr[r][out] = (inp + 1) % PORTS;
@@ -222,21 +210,8 @@ impl Interconnect for BufferedMesh {
         for (r, inp, out) in moves {
             let mut msg = self.inputs[r][inp].pop_front().expect("selected head");
             if out == L {
-                let d = Delivered {
-                    src: msg.src,
-                    dst: msg.dst,
-                    token: msg.token,
-                    bytes: msg.bytes,
-                    enqueued_at: msg.enqueued_at,
-                    delivered_at: self.now,
-                    hops: msg.hops,
-                };
-                self.latency_sum += d.latency();
-                self.delivered_count += 1;
-                self.delivered_bytes += u64::from(d.bytes);
-                self.delivered[r].push_back(d);
+                self.delivered.push(r, msg.token);
             } else {
-                msg.hops += 1;
                 msg.eligible_at = self.now + self.cfg.router_delay;
                 let nbr = self.neighbor(r, out);
                 self.inputs[nbr][Self::entry_port(out)].push_back(msg);
@@ -244,42 +219,25 @@ impl Interconnect for BufferedMesh {
         }
     }
 
-    fn pop_delivered(&mut self, endpoint: usize) -> Option<Delivered> {
-        self.delivered[endpoint].pop_front()
+    fn now(&self) -> Cycle {
+        Cycle(self.now)
     }
 
-    fn now(&self) -> u64 {
-        self.now
+    fn recv(&mut self, node: NodeId) -> Option<u64> {
+        self.delivered.recv(node)
     }
 
-    fn delivered_count(&self) -> u64 {
-        self.delivered_count
-    }
-
-    fn delivered_bytes(&self) -> u64 {
-        self.delivered_bytes
-    }
-
-    fn mean_latency(&self) -> f64 {
-        if self.delivered_count == 0 {
-            0.0
-        } else {
-            self.latency_sum as f64 / self.delivered_count as f64
-        }
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.accepted - self.delivered_count
-    }
-
-    fn name(&self) -> &str {
-        &self.name
+    fn nodes_with_mail(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.delivered.with_mail()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_chi::{
+        CoherentSystem, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec,
+    };
 
     fn mesh(k: usize) -> BufferedMesh {
         BufferedMesh::new(MeshConfig {
@@ -290,28 +248,54 @@ mod tests {
         })
     }
 
+    fn offer(m: &mut BufferedMesh, src: usize, dst: usize, token: u64) -> bool {
+        m.offer(
+            NodeId(src as u32),
+            NodeId(dst as u32),
+            FlitClass::Data,
+            64,
+            token,
+        )
+    }
+
+    /// Receive every waiting token, returning how many there were.
+    fn drain(m: &mut BufferedMesh) -> u64 {
+        let mut got = 0;
+        for e in 0..m.inputs.len() {
+            while m.recv(NodeId(e as u32)).is_some() {
+                got += 1;
+            }
+        }
+        got
+    }
+
     #[test]
     fn corner_to_corner_delivery() {
         let mut m = mesh(4);
-        m.offer(0, 15, FlitClass::Data, 64, 9);
-        for _ in 0..200 {
+        offer(&mut m, 0, 15, 9);
+        let token = loop {
             m.tick();
-        }
-        let d = m.pop_delivered(15).expect("arrived");
-        assert_eq!(d.hops, 6, "Manhattan distance 3+3");
-        assert_eq!(d.token, 9);
-        assert_eq!(m.in_flight(), 0);
+            if let Some(t) = m.recv(NodeId(15)) {
+                break t;
+            }
+            assert!(m.now < 200);
+        };
+        assert_eq!(token, 9);
+        // Manhattan distance 3+3: six link hops, so seven 3-cycle
+        // router pipelines on an empty mesh.
+        assert_eq!(m.now, 3 * (6 + 1));
+        assert!(m.inputs.iter().flatten().all(VecDeque::is_empty));
     }
 
     #[test]
     fn latency_includes_router_pipeline() {
         let mut m = mesh(4);
-        m.offer(0, 1, FlitClass::Data, 64, 0);
+        offer(&mut m, 0, 1, 0);
         let mut t = 0;
         loop {
             m.tick();
             t += 1;
-            if m.pop_delivered(1).is_some() {
+            if m.recv(NodeId(1)).is_some() {
                 break;
             }
             assert!(t < 100);
@@ -324,20 +308,20 @@ mod tests {
     fn backpressure_on_full_local_queue() {
         let mut m = mesh(4);
         for i in 0..4 {
-            assert!(m.offer(0, 15, FlitClass::Data, 64, i));
+            assert!(offer(&mut m, 0, 15, i));
         }
-        assert!(!m.offer(0, 15, FlitClass::Data, 64, 99), "queue full");
+        assert!(!offer(&mut m, 0, 15, 99), "queue full");
     }
 
     #[test]
     fn all_pairs_eventually_deliver() {
         let mut m = mesh(3);
-        let n = m.endpoints();
+        let n = 9;
         let mut expected = 0;
         for s in 0..n {
             for d in 0..n {
                 if s != d {
-                    while !m.offer(s, d, FlitClass::Data, 64, 0) {
+                    while !offer(&mut m, s, d, 0) {
                         m.tick();
                     }
                     expected += 1;
@@ -347,41 +331,60 @@ mod tests {
         for _ in 0..2000 {
             m.tick();
         }
-        let got: usize = (0..n)
-            .map(|e| {
-                let mut c = 0;
-                while m.pop_delivered(e).is_some() {
-                    c += 1;
-                }
-                c
-            })
-            .sum();
-        assert_eq!(got, expected);
-        assert_eq!(m.in_flight(), 0);
+        assert_eq!(m.nodes_with_mail().count(), n);
+        assert_eq!(drain(&mut m), expected);
+        assert_eq!(m.nodes_with_mail().count(), 0);
     }
 
     #[test]
     fn xy_routing_is_deadlock_free_under_load() {
         let mut m = mesh(4);
-        let n = m.endpoints();
-        let mut sent = 0u64;
+        let n = 16;
+        let (mut sent, mut got) = (0u64, 0u64);
         for cycle in 0..5000u64 {
             let s = (cycle as usize * 7) % n;
             let d = (cycle as usize * 11 + 3) % n;
-            if s != d && m.offer(s, d, FlitClass::Data, 64, cycle) {
+            if s != d && offer(&mut m, s, d, cycle) {
                 sent += 1;
             }
             m.tick();
-            for e in 0..n {
-                while m.pop_delivered(e).is_some() {}
-            }
+            got += drain(&mut m);
         }
         for _ in 0..2000 {
             m.tick();
-            for e in 0..n {
-                while m.pop_delivered(e).is_some() {}
-            }
+            got += drain(&mut m);
         }
-        assert_eq!(m.delivered_count(), sent);
+        assert_eq!(got, sent);
+    }
+
+    #[test]
+    fn chi_protocol_runs_over_buffered_mesh() {
+        let mesh = BufferedMesh::new(MeshConfig {
+            k: 3,
+            ..Default::default()
+        });
+        // Endpoints 0..9: 4 requesters, 3 home nodes, 2 memories.
+        let mut sys = CoherentSystem::new(
+            mesh,
+            SystemSpec {
+                requesters: (0..4).map(NodeId).collect(),
+                home_nodes: (4..7).map(NodeId).collect(),
+                memories: (7..9).map(NodeId).collect(),
+                mem_params: MemoryParams::ddr4(),
+                llc: LlcParams::default(),
+                line_bytes: 64,
+                local_hit_latency: 10,
+                hn_latency: 12,
+                snoop_latency: 6,
+            },
+        );
+        let a = LineAddr(0x42);
+        let t = sys.write(NodeId(0), a);
+        sys.run_until_complete(t, 10_000).expect("write completes");
+        assert_eq!(sys.rn_state(NodeId(0), a), MesiState::Modified);
+        let t = sys.read(NodeId(1), a, ReadKind::Shared);
+        sys.run_until_complete(t, 10_000).expect("snooped read");
+        assert_eq!(sys.rn_state(NodeId(0), a), MesiState::Shared);
+        assert_eq!(sys.rn_state(NodeId(1), a), MesiState::Shared);
     }
 }

@@ -1,66 +1,55 @@
-//! Adapters exposing `noc_core::Network` instances through the
-//! [`Interconnect`] trait: the paper's multi-ring NoC itself, and a
-//! single bufferless ring (the Intel-8280-style monolithic baseline and
-//! the scalability ablation of §3.4.2).
+//! [`RingAdapter`]: a `noc_core::Network` behind a bounded per-node
+//! delivery buffer — the paper's multi-ring NoC itself, or a single
+//! bufferless ring (the Intel-8280-style monolithic baseline and the
+//! scalability ablation of §3.4.2).
 
-use crate::traits::{Delivered, Interconnect};
+use crate::Mailboxes;
+use noc_chi::system::ChiTransport;
 use noc_core::{FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
+use noc_sim::Cycle;
 
-/// Per-endpoint delivery queue depth: consumer backpressure, to which
+/// Per-node delivery buffer depth: consumer backpressure, to which
 /// the bufferless network responds with E-tag deflection instead of
 /// blocking.
 const DELIVERY_CAP: usize = 8;
 
-/// Wraps a [`Network`] plus an endpoint-index → [`NodeId`] mapping.
+/// A [`Network`] whose deliveries wait in a buffer of at most
+/// `DELIVERY_CAP` (8) tokens per node until received; nodes are the
+/// network's own [`NodeId`]s.
 #[derive(Debug)]
 pub struct RingAdapter {
-    name: String,
     net: Network,
-    endpoints: Vec<NodeId>,
-    delivered: Vec<std::collections::VecDeque<Delivered>>,
-    latency_sum: u64,
-    delivered_count: u64,
-    delivered_bytes: u64,
-    accepted: u64,
+    delivered: Mailboxes,
+    /// Scratch list of the nodes with deliveries, reused every tick.
+    pulled: Vec<NodeId>,
 }
 
 impl RingAdapter {
-    /// Adapt an existing network; `endpoints[i]` is the device node for
-    /// endpoint index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `endpoints` is empty.
-    pub fn new(name: impl Into<String>, net: Network, endpoints: Vec<NodeId>) -> Self {
-        assert!(!endpoints.is_empty());
+    /// Adapt an existing network.
+    pub fn new(net: Network) -> Self {
         RingAdapter {
-            name: name.into(),
-            delivered: vec![std::collections::VecDeque::new(); endpoints.len()],
+            delivered: Mailboxes::new(net.topology().nodes().len()),
             net,
-            endpoints,
-            latency_sum: 0,
-            delivered_count: 0,
-            delivered_bytes: 0,
-            accepted: 0,
+            pulled: Vec::new(),
         }
     }
 
     /// Build a single bufferless full ring with `n` endpoints, one per
-    /// station — the monolithic single-ring baseline.
+    /// station — the monolithic single-ring baseline. Station `i` hosts
+    /// `NodeId(i)`.
     pub fn single_ring(n: usize, cfg: NetworkConfig) -> Self {
         let mut b = TopologyBuilder::new();
         let die = b.add_chiplet("monolithic");
         let r = b
             .add_ring(die, RingKind::Full, n as u16)
             .expect("n > 0 stations");
-        let endpoints: Vec<NodeId> = (0..n)
-            .map(|i| {
-                b.add_node(format!("ep{i}"), r, i as u16)
-                    .expect("free port")
-            })
-            .collect();
-        let net = Network::new(b.build().expect("valid"), cfg);
-        RingAdapter::new(format!("single-ring-{n}"), net, endpoints)
+        for i in 0..n {
+            let node = b
+                .add_node(format!("ep{i}"), r, i as u16)
+                .expect("free port");
+            debug_assert_eq!(node, NodeId(i as u32));
+        }
+        RingAdapter::new(Network::new(b.build().expect("valid"), cfg))
     }
 
     /// The wrapped network (stats access).
@@ -69,87 +58,42 @@ impl RingAdapter {
     }
 }
 
-impl Interconnect for RingAdapter {
-    fn endpoints(&self) -> usize {
-        self.endpoints.len()
-    }
-
-    fn offer(&mut self, src: usize, dst: usize, class: FlitClass, bytes: u32, token: u64) -> bool {
-        self.net
-            .enqueue(
-                self.endpoints[src],
-                self.endpoints[dst],
-                class,
-                bytes,
-                token,
-            )
-            .map(|_| {
-                self.accepted += 1;
-            })
-            .is_ok()
+impl ChiTransport for RingAdapter {
+    fn offer(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        class: FlitClass,
+        bytes: u32,
+        token: u64,
+    ) -> bool {
+        self.net.enqueue(src, dst, class, bytes, token).is_ok()
     }
 
     fn tick(&mut self) {
         self.net.tick();
-        let now = self.net.now().raw();
-        // Index endpoints by NodeId for src/dst reverse mapping.
-        for (i, &node) in self.endpoints.iter().enumerate() {
-            while self.delivered[i].len() < DELIVERY_CAP {
+        // Each node's eject queue is independent: the pull order is free.
+        self.pulled.extend(self.net.nodes_with_deliveries());
+        for node in self.pulled.drain(..) {
+            while self.delivered.len(node.index()) < DELIVERY_CAP {
                 let Some(f) = self.net.pop_delivered(node) else {
                     break;
                 };
-                let src_idx = self
-                    .endpoints
-                    .iter()
-                    .position(|&n| n == f.src)
-                    .unwrap_or(usize::MAX);
-                let d = Delivered {
-                    src: src_idx,
-                    dst: i,
-                    token: f.token,
-                    bytes: f.payload_bytes,
-                    enqueued_at: f.created_at.raw(),
-                    delivered_at: now,
-                    hops: f.hops,
-                };
-                self.latency_sum += d.latency();
-                self.delivered_count += 1;
-                self.delivered_bytes += u64::from(d.bytes);
-                self.delivered[i].push_back(d);
+                self.delivered.push(node.index(), f.token);
             }
         }
     }
 
-    fn pop_delivered(&mut self, endpoint: usize) -> Option<Delivered> {
-        self.delivered[endpoint].pop_front()
+    fn now(&self) -> Cycle {
+        self.net.now()
     }
 
-    fn now(&self) -> u64 {
-        self.net.now().raw()
+    fn recv(&mut self, node: NodeId) -> Option<u64> {
+        self.delivered.recv(node)
     }
 
-    fn delivered_count(&self) -> u64 {
-        self.delivered_count
-    }
-
-    fn delivered_bytes(&self) -> u64 {
-        self.delivered_bytes
-    }
-
-    fn mean_latency(&self) -> f64 {
-        if self.delivered_count == 0 {
-            0.0
-        } else {
-            self.latency_sum as f64 / self.delivered_count as f64
-        }
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.accepted - self.delivered_count
-    }
-
-    fn name(&self) -> &str {
-        &self.name
+    fn nodes_with_mail(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.delivered.with_mail()
     }
 }
 
@@ -160,29 +104,51 @@ mod tests {
     #[test]
     fn single_ring_roundtrip() {
         let mut r = RingAdapter::single_ring(8, NetworkConfig::default());
-        assert_eq!(r.endpoints(), 8);
-        assert!(r.offer(0, 4, FlitClass::Data, 64, 3));
+        assert!(r.offer(NodeId(0), NodeId(4), FlitClass::Data, 64, 3));
         for _ in 0..50 {
             r.tick();
         }
-        let d = r.pop_delivered(4).expect("arrived");
-        assert_eq!(d.src, 0);
-        assert_eq!(d.token, 3);
-        assert!(d.latency() > 0);
-        assert_eq!(r.in_flight(), 0);
+        assert_eq!(r.nodes_with_mail().collect::<Vec<_>>(), [NodeId(4)]);
+        assert_eq!(r.recv(NodeId(4)), Some(3));
+        assert_eq!(r.network().in_flight(), 0);
+        assert_eq!(r.nodes_with_mail().count(), 0);
     }
 
     #[test]
     fn adapter_tracks_bandwidth() {
         let mut r = RingAdapter::single_ring(6, NetworkConfig::default());
-        for i in 0..5 {
-            r.offer(i, (i + 3) % 6, FlitClass::Data, 64, 0);
+        for i in 0..5u32 {
+            r.offer(NodeId(i), NodeId((i + 3) % 6), FlitClass::Data, 64, 0);
         }
         for _ in 0..100 {
             r.tick();
         }
-        assert_eq!(r.delivered_count(), 5);
-        assert_eq!(r.delivered_bytes(), 320);
-        assert!(r.mean_latency() > 0.0);
+        let stats = r.network().stats();
+        assert_eq!(stats.delivered.get(), 5);
+        assert_eq!(stats.delivered_bytes.get(), 320);
+        let got: usize = (0..6)
+            .map(|i| usize::from(r.recv(NodeId(i)).is_some()))
+            .sum();
+        assert_eq!(got, 5);
+    }
+
+    #[test]
+    fn delivery_buffer_holds_eight_and_backs_up_into_the_network() {
+        let mut r = RingAdapter::single_ring(12, NetworkConfig::default());
+        let mut offered = 0;
+        for cycle in 0..400u64 {
+            let src = NodeId(1 + (cycle % 11) as u32);
+            if r.offer(src, NodeId(0), FlitClass::Data, 64, cycle) {
+                offered += 1;
+            }
+            r.tick();
+        }
+        assert!(offered > DELIVERY_CAP);
+        let mut got = 0;
+        while r.recv(NodeId(0)).is_some() {
+            got += 1;
+        }
+        assert_eq!(got, DELIVERY_CAP, "nobody received: the buffer fills");
+        assert!(r.network().delivered_len(NodeId(0)) > 0);
     }
 }

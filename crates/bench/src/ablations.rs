@@ -4,11 +4,50 @@
 //! ring-count scaling of the AI mesh.
 
 use crate::report::{fnum, ExperimentResult, Scale};
+use crate::systems::nodes;
 use noc_ai::{AiConfig, AiEngine, AiProcessor, AiTraffic};
-use noc_baseline::{BufferedMesh, Interconnect, MeshConfig, RingAdapter};
+use noc_baseline::{BufferedMesh, MeshConfig, RingAdapter};
+use noc_chi::system::ChiTransport;
 use noc_core::{
     BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder,
 };
+use noc_workloads::{Pattern, TrafficGen};
+
+/// Uniform random traffic among `eps` for `cycles` (`TrafficGen` at
+/// `load` flits/node/cycle, half data, `seed`), receiving every
+/// delivery the cycle it arrives. Each message carries its offer cycle
+/// as its token, so latency is measured where it is received. Returns
+/// (messages received, their mean latency).
+fn drive_uniform<T: ChiTransport>(
+    ic: &mut T,
+    eps: &[NodeId],
+    load: f64,
+    seed: u64,
+    cycles: u64,
+) -> (u64, f64) {
+    let mut gen = TrafficGen::new(eps.len(), load, Pattern::UniformRandom, 0.5, seed);
+    let (mut received, mut latency_sum) = (0u64, 0u64);
+    for _ in 0..cycles {
+        let now = ic.now().raw();
+        for (s, d, class, bytes) in gen.cycle_events() {
+            let _ = ic.offer(eps[s], eps[d], class, bytes, now);
+        }
+        ic.tick();
+        let now = ic.now().raw();
+        for &e in eps {
+            while let Some(offered_at) = ic.recv(e) {
+                received += 1;
+                latency_sum += now - offered_at;
+            }
+        }
+    }
+    let mean = if received == 0 {
+        0.0
+    } else {
+        latency_sum as f64 / received as f64
+    };
+    (received, mean)
+}
 
 /// Figure 9 scenario: adversarial cross-ring saturation with and
 /// without SWAP.
@@ -105,18 +144,15 @@ pub fn run_swap(scale: Scale) -> ExperimentResult {
 /// Ablation: half ring vs full ring at equal device count.
 pub fn run_half_vs_full(scale: Scale) -> ExperimentResult {
     let cycles = scale.pick(5_000, 20_000);
-    let build = |kind: RingKind| -> RingAdapter {
+    let build = |kind: RingKind| -> (RingAdapter, Vec<NodeId>) {
         let mut b = TopologyBuilder::new();
         let die = b.add_chiplet("die");
         let ring = b.add_ring(die, kind, 12).expect("ring");
         let eps: Vec<NodeId> = (0..12)
             .map(|i| b.add_node(format!("n{i}"), ring, i).expect("node"))
             .collect();
-        RingAdapter::new(
-            format!("{kind:?}-ring"),
-            Network::new(b.build().expect("valid"), NetworkConfig::default()),
-            eps,
-        )
+        let net = Network::new(b.build().expect("valid"), NetworkConfig::default());
+        (RingAdapter::new(net), eps)
     };
     let mut r = ExperimentResult::new(
         "ablation_half_full",
@@ -130,28 +166,16 @@ pub fn run_half_vs_full(scale: Scale) -> ExperimentResult {
     ]);
     let mut stats = Vec::new();
     for kind in [RingKind::Half, RingKind::Full] {
-        let mut ic = build(kind);
-        let mut gen =
-            noc_workloads::TrafficGen::new(12, 0.25, noc_workloads::Pattern::UniformRandom, 0.5, 7);
-        for _ in 0..cycles {
-            for (s, d, class, bytes) in gen.cycle_events() {
-                let _ = ic.offer(s, d, class, bytes, 0);
-            }
-            ic.tick();
-            for e in 0..12 {
-                while ic.pop_delivered(e).is_some() {}
-            }
-        }
-        stats.push((
-            ic.delivered_count(),
-            ic.mean_latency(),
-            ic.delivered_bytes(),
-        ));
+        let (mut ic, eps) = build(kind);
+        let (_, latency) = drive_uniform(&mut ic, &eps, 0.25, 7, cycles);
+        let net = ic.network().stats();
+        let (delivered, bytes) = (net.delivered.get(), net.delivered_bytes.get());
+        stats.push((delivered, latency));
         r.push_row(vec![
             format!("{kind:?}"),
-            ic.delivered_count().to_string(),
-            fnum(ic.mean_latency(), 1),
-            fnum(ic.delivered_bytes() as f64 / cycles as f64, 1),
+            delivered.to_string(),
+            fnum(latency, 1),
+            fnum(bytes as f64 / cycles as f64, 1),
         ]);
     }
     r.note(format!(
@@ -165,6 +189,36 @@ pub fn run_half_vs_full(scale: Scale) -> ExperimentResult {
         }
     ));
     r
+}
+
+/// The multi-ring of [`run_vs_alternatives`]: 6 full rings of 8
+/// stations with 6 devices each, every ring bridged to the next by a
+/// width-2 RBRG-L1 (no SWAP), the last back to the first.
+fn ring_of_rings() -> (RingAdapter, Vec<NodeId>) {
+    let mut b = TopologyBuilder::new();
+    let die = b.add_chiplet("die");
+    let rings: Vec<_> = (0..6)
+        .map(|_| b.add_ring(die, RingKind::Full, 8).expect("ring"))
+        .collect();
+    let mut eps = Vec::new();
+    for (ri, &ring) in rings.iter().enumerate() {
+        for i in 0..6u16 {
+            eps.push(b.add_node(format!("n{ri}_{i}"), ring, i).expect("node"));
+        }
+    }
+    for w in 0..rings.len() {
+        let next = (w + 1) % rings.len();
+        b.add_bridge(
+            BridgeConfig::l1().with_width(2),
+            rings[w],
+            6,
+            rings[next],
+            7,
+        )
+        .expect("bridge");
+    }
+    let net = Network::new(b.build().expect("valid"), NetworkConfig::default());
+    (RingAdapter::new(net), eps)
 }
 
 /// Ablation: bufferless multi-ring vs buffered mesh vs single ring at
@@ -183,76 +237,34 @@ pub fn run_vs_alternatives(scale: Scale) -> ExperimentResult {
         "mean latency",
     ]);
 
-    // Multi-ring: 6 rings × 6 devices, fully bridged neighbours.
-    let multi_ring = || -> RingAdapter {
-        let mut b = TopologyBuilder::new();
-        let die = b.add_chiplet("die");
-        let rings: Vec<_> = (0..6)
-            .map(|_| b.add_ring(die, RingKind::Full, 8).expect("ring"))
-            .collect();
-        let mut eps = Vec::new();
-        for (ri, &ring) in rings.iter().enumerate() {
-            for i in 0..6u16 {
-                eps.push(b.add_node(format!("n{ri}_{i}"), ring, i).expect("node"));
-            }
-        }
-        for w in 0..rings.len() {
-            let next = (w + 1) % rings.len();
-            b.add_bridge(
-                BridgeConfig::l1().with_width(2),
-                rings[w],
-                6,
-                rings[next],
-                7,
-            )
-            .expect("bridge");
-        }
-        RingAdapter::new(
-            "multi-ring",
-            Network::new(b.build().expect("valid"), NetworkConfig::default()),
-            eps,
-        )
-    };
-
     let mut summary: Vec<(String, f64, f64)> = Vec::new();
     for &load in &loads {
-        let mut drive = |name: &str, ic: &mut dyn Interconnect| {
-            let n = ic.endpoints().min(36);
-            let mut gen = noc_workloads::TrafficGen::new(
-                n,
-                load,
-                noc_workloads::Pattern::UniformRandom,
-                0.5,
-                11,
-            );
-            for _ in 0..cycles {
-                for (s, d, class, bytes) in gen.cycle_events() {
-                    let _ = ic.offer(s, d, class, bytes, 0);
-                }
-                ic.tick();
-                for e in 0..n {
-                    while ic.pop_delivered(e).is_some() {}
-                }
-            }
+        let mut record = |name: &str, (delivered, latency): (u64, f64)| {
             r.push_row(vec![
                 name.to_string(),
                 fnum(load, 2),
-                ic.delivered_count().to_string(),
-                fnum(ic.mean_latency(), 1),
+                delivered.to_string(),
+                fnum(latency, 1),
             ]);
-            summary.push((name.to_string(), load, ic.mean_latency()));
+            summary.push((name.to_string(), load, latency));
         };
-        drive("multi-ring (this work)", &mut multi_ring());
-        drive(
-            "buffered mesh",
-            &mut BufferedMesh::new(MeshConfig {
-                k: 6,
-                ..Default::default()
-            }),
+        let (mut ic, eps) = ring_of_rings();
+        record(
+            "multi-ring (this work)",
+            drive_uniform(&mut ic, &eps, load, 11, cycles),
         );
-        drive(
+        let mut mesh = BufferedMesh::new(MeshConfig {
+            k: 6,
+            ..Default::default()
+        });
+        record(
+            "buffered mesh",
+            drive_uniform(&mut mesh, &nodes(0..36), load, 11, cycles),
+        );
+        let mut single = RingAdapter::single_ring(36, NetworkConfig::default());
+        record(
             "single ring",
-            &mut RingAdapter::single_ring(36, NetworkConfig::default()),
+            drive_uniform(&mut single, &nodes(0..36), load, 11, cycles),
         );
     }
     let low_load: Vec<_> = summary.iter().filter(|s| s.1 == loads[0]).collect();
@@ -624,7 +636,7 @@ pub fn run_agent_scaling(scale: Scale) -> ExperimentResult {
         "multi-ring advantage",
     ]);
 
-    let multi_ring = |agents: usize| -> RingAdapter {
+    let multi_ring = |agents: usize| -> (RingAdapter, Vec<NodeId>) {
         // sqrt-ish decomposition: rings of ~8 devices chained pairwise.
         let per_ring = 8usize.min(agents);
         let rings_n = agents.div_ceil(per_ring);
@@ -661,42 +673,19 @@ pub fn run_agent_scaling(scale: Scale) -> ExperimentResult {
                 .expect("bridge");
             }
         }
-        RingAdapter::new(
-            "multi",
-            Network::new(b.build().expect("valid"), NetworkConfig::default()),
-            eps,
-        )
-    };
-
-    let drive = |ic: &mut dyn Interconnect, agents: usize| -> f64 {
-        let mut gen = noc_workloads::TrafficGen::new(
-            agents,
-            0.05,
-            noc_workloads::Pattern::UniformRandom,
-            0.5,
-            13,
-        );
-        for _ in 0..cycles {
-            for (s, d, class, bytes) in gen.cycle_events() {
-                let _ = ic.offer(s, d, class, bytes, 0);
-            }
-            ic.tick();
-            for e in 0..agents {
-                while ic.pop_delivered(e).is_some() {}
-            }
-        }
-        ic.mean_latency()
+        let net = Network::new(b.build().expect("valid"), NetworkConfig::default());
+        (RingAdapter::new(net), eps)
     };
 
     let mut gaps = Vec::new();
     for agents in [8usize, 16, 32, 64] {
         let single = {
             let mut ic = RingAdapter::single_ring(agents, NetworkConfig::default());
-            drive(&mut ic, agents)
+            drive_uniform(&mut ic, &nodes(0..agents as u32), 0.05, 13, cycles).1
         };
         let multi = {
-            let mut ic = multi_ring(agents);
-            drive(&mut ic, agents)
+            let (mut ic, eps) = multi_ring(agents);
+            drive_uniform(&mut ic, &eps, 0.05, 13, cycles).1
         };
         gaps.push((agents, single / multi));
         r.push_row(vec![
@@ -745,22 +734,15 @@ pub fn run_io_interference(scale: Scale) -> ExperimentResult {
     let run = |io_rate: f64| -> f64 {
         let (spec, map) = cfg.spec();
         let (net, _) = spec.build().expect("builds");
-        // Endpoints: probe cluster, DDRs, and the I/O devices.
-        let mut endpoints = vec![map.clusters[0]];
-        endpoints.extend(&map.ddrs);
-        endpoints.extend(&map.io_devices);
-        let n_ddr = map.ddrs.len();
-        let n_io = map.io_devices.len();
-        let ic = RingAdapter::new("server-io", net, endpoints);
         let mut h = noc_baseline::MemHarness::new(
-            ic,
-            (1..=n_ddr).collect(),
+            RingAdapter::new(net),
+            map.ddrs,
             noc_baseline::MemHarnessConfig::default(),
         );
-        let io_eps: Vec<usize> = (1 + n_ddr..1 + n_ddr + n_io).collect();
+        // The probe is the first cluster; every I/O device makes noise.
         let report = h.run_probe_with_noise(
-            0,
-            &io_eps,
+            map.clusters[0],
+            &map.io_devices,
             io_rate,
             0.5,
             scale.pick(300, 1_500),
@@ -798,6 +780,37 @@ mod tests {
     fn swap_ablation_quick() {
         let r = run_swap(Scale::Quick);
         assert!(r.notes.iter().any(|n| n.contains("PASS")), "{:?}", r.notes);
+    }
+
+    /// Known defect (pinned so a fix flips it): under
+    /// `run_vs_alternatives`' load-0.30 traffic the ring of rings stops
+    /// delivering by cycle 5 000 and never resumes, flits still inside
+    /// while deflections climb. Each ring waits on the next through an
+    /// RBRG-L1 that cannot SWAP: a cyclic bridge dependency.
+    #[test]
+    fn ring_of_rings_wedges_at_load_0_30() {
+        let (mut ic, eps) = ring_of_rings();
+        let mut gen = TrafficGen::new(eps.len(), 0.30, Pattern::UniformRandom, 0.5, 11);
+        let mut delivered_at = Vec::new();
+        for cycle in 1..=40_000u64 {
+            for (s, d, class, bytes) in gen.cycle_events() {
+                let _ = ic.offer(eps[s], eps[d], class, bytes, 0);
+            }
+            ic.tick();
+            for &e in &eps {
+                while ic.recv(e).is_some() {}
+            }
+            if cycle % 5_000 == 0 {
+                delivered_at.push(ic.network().stats().delivered.get());
+            }
+        }
+        let net = ic.network();
+        assert!(
+            delivered_at.iter().all(|&d| d == delivered_at[0]),
+            "delivery resumed after cycle 5 000: {delivered_at:?}"
+        );
+        assert!(net.in_flight() > 0, "the fabric drained");
+        assert_eq!(net.stats().swaps.get(), 0, "RBRG-L1 bridges never SWAP");
     }
 
     #[test]

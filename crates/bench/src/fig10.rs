@@ -2,34 +2,33 @@
 //! whole package's DDR bandwidth, and all cores competing for it.
 
 use crate::report::{fnum, ExperimentResult, Scale};
-use crate::systems;
-use noc_baseline::{Interconnect, MemHarness, MemHarnessConfig};
+use crate::systems::{self, Partition};
+use noc_chi::system::ChiTransport;
 use noc_workloads::{geomean_ratio, lmbench_kernels};
 
-fn bandwidth<I: Interconnect>(
-    ic: I,
-    mems: &[usize],
-    actives: &[usize],
-    outstanding: u32,
+/// LMBench-style closed-loop bandwidth in data bytes/cycle, `read_frac`
+/// of the requests reads: one core with deep MLP (16 outstanding), or
+/// every requester with moderate MLP (8).
+fn bandwidth<T: ChiTransport>(
+    (ic, part): (T, Partition),
+    single_core: bool,
     read_frac: f64,
     scale: Scale,
 ) -> f64 {
-    let mut h = MemHarness::new(
-        ic,
-        mems.to_vec(),
-        MemHarnessConfig {
-            mem: systems::mem_params(),
-            ..Default::default()
-        },
-    );
-    h.run_closed_loop(
-        actives,
-        outstanding,
-        read_frac,
-        scale.pick(500, 2_000),
-        scale.pick(3_000, 10_000),
-    )
-    .bytes_per_cycle()
+    let (actives, outstanding) = if single_core {
+        (&part.requesters[..1], 16)
+    } else {
+        (&part.requesters[..], 8)
+    };
+    systems::mem_harness(ic, &part)
+        .run_closed_loop(
+            actives,
+            outstanding,
+            read_frac,
+            scale.pick(500, 2_000),
+            scale.pick(3_000, 10_000),
+        )
+        .bytes_per_cycle()
 }
 
 /// Reproduce Figure 10: per-kernel bandwidth, this work vs both
@@ -56,31 +55,13 @@ pub fn run(scale: Scale) -> ExperimentResult {
     for k in lmbench_kernels() {
         let rf = k.read_frac();
         // Single core with deep MLP: can it use the whole package's DDR?
-        let s_ours = {
-            let (ic, p) = systems::ours(12);
-            bandwidth(ic, &p.memories, &p.requesters[..1], 16, rf, scale)
-        };
-        let s_intel = {
-            let (ic, p) = systems::intel_like();
-            bandwidth(ic, &p.memories, &p.requesters[..1], 16, rf, scale)
-        };
-        let s_amd = {
-            let (ic, p) = systems::amd_like();
-            bandwidth(ic, &p.memories, &p.requesters[..1], 16, rf, scale)
-        };
+        let s_ours = bandwidth(systems::ours(12), true, rf, scale);
+        let s_intel = bandwidth(systems::intel_like(), true, rf, scale);
+        let s_amd = bandwidth(systems::amd_like(), true, rf, scale);
         // Whole package: every requester keeps moderate MLP.
-        let p_ours = {
-            let (ic, p) = systems::ours(12);
-            bandwidth(ic, &p.memories, &p.requesters, 8, rf, scale)
-        };
-        let p_intel = {
-            let (ic, p) = systems::intel_like();
-            bandwidth(ic, &p.memories, &p.requesters, 8, rf, scale)
-        };
-        let p_amd = {
-            let (ic, p) = systems::amd_like();
-            bandwidth(ic, &p.memories, &p.requesters, 8, rf, scale)
-        };
+        let p_ours = bandwidth(systems::ours(12), false, rf, scale);
+        let p_intel = bandwidth(systems::intel_like(), false, rf, scale);
+        let p_amd = bandwidth(systems::amd_like(), false, rf, scale);
         r.push_row(vec![
             k.name.to_string(),
             fnum(s_ours, 1),
@@ -128,6 +109,27 @@ pub fn run(scale: Scale) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_server_cpu::experiments::server_interconnect;
+    use noc_server_cpu::ServerCpuConfig;
+
+    #[test]
+    fn server_interconnect_moves_traffic() {
+        let cfg = ServerCpuConfig {
+            clusters_per_ccd: 4,
+            hn_per_ccd: 2,
+            ddr_per_ccd: 2,
+            ..Default::default()
+        };
+        let (ic, map) = server_interconnect(&cfg).unwrap();
+        let part = Partition {
+            requesters: map.clusters,
+            home_nodes: Vec::new(),
+            memories: map.ddrs,
+            cores_per_requester: 4,
+        };
+        let bw = bandwidth((ic, part), false, 1.0, Scale::Full);
+        assert!(bw > 0.5, "bandwidth {bw} bytes/cycle too low");
+    }
 
     #[test]
     fn fig10_ours_wins_quick() {

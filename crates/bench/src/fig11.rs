@@ -2,52 +2,21 @@
 //! turning point of this work comes later than the baseline's.
 
 use crate::report::{fnum, ExperimentResult, Scale};
-use crate::systems;
-use noc_baseline::{MemHarness, MemHarnessConfig};
+use crate::systems::{self, Partition};
+use noc_chi::system::ChiTransport;
 use noc_server_cpu::experiments::{latency_vs_noise, turning_point_abs, LatencyPoint};
 
 /// The background traffic mixes of the paper's experiment.
 pub const MIXES: [(&str, f64); 3] = [("read", 1.0), ("write", 0.0), ("hybrid", 0.5)];
 
-fn sweep_ours(rates: &[f64], read_frac: f64, scale: Scale) -> Vec<LatencyPoint> {
+fn sweep<T: ChiTransport>(
+    system: impl Fn() -> (T, Partition),
+    rates: &[f64],
+    read_frac: f64,
+    scale: Scale,
+) -> Vec<LatencyPoint> {
     latency_vs_noise(
-        || {
-            let (ic, p) = systems::ours(12);
-            let mut noise = p.requesters.clone();
-            let probe = noise.remove(0);
-            let h = MemHarness::new(
-                ic,
-                p.memories.clone(),
-                MemHarnessConfig {
-                    mem: systems::mem_params(),
-                    ..Default::default()
-                },
-            );
-            (h, probe, noise)
-        },
-        rates,
-        read_frac,
-        scale.pick(300, 1_500),
-        scale.pick(2_500, 8_000),
-    )
-}
-
-fn sweep_intel(rates: &[f64], read_frac: f64, scale: Scale) -> Vec<LatencyPoint> {
-    latency_vs_noise(
-        || {
-            let (ic, p) = systems::intel_like();
-            let mut noise = p.requesters.clone();
-            let probe = noise.remove(0);
-            let h = MemHarness::new(
-                ic,
-                p.memories.clone(),
-                MemHarnessConfig {
-                    mem: systems::mem_params(),
-                    ..Default::default()
-                },
-            );
-            (h, probe, noise)
-        },
+        || systems::probe_and_noise(system()),
         rates,
         read_frac,
         scale.pick(300, 1_500),
@@ -78,8 +47,8 @@ pub fn run(scale: Scale) -> ExperimentResult {
 
     let mut all_pass = true;
     for &(mix, rf) in &MIXES {
-        let ours = sweep_ours(&rates, rf, scale);
-        let intel = sweep_intel(&rates, rf, scale);
+        let ours = sweep(|| systems::ours(12), &rates, rf, scale);
+        let intel = sweep(systems::intel_like, &rates, rf, scale);
         for (o, i) in ours.iter().zip(&intel) {
             r.push_row(vec![
                 mix.to_string(),

@@ -10,7 +10,8 @@
 
 use crate::report::{fnum, ExperimentResult, Scale};
 use crate::systems;
-use noc_baseline::{Interconnect, MemHarness, MemHarnessConfig};
+use crate::systems::Partition;
+use noc_chi::system::ChiTransport;
 use noc_server_cpu::experiments::{latency_vs_noise, LatencyPoint};
 use noc_workloads::{geomean_ratio, specint2006, specint2017, SpecProfile};
 
@@ -71,24 +72,21 @@ impl LatencyProfile {
     }
 }
 
-/// Measure a system's latency profile.
-pub fn profile<I, F>(
+/// Measure the latency profile of the system `factory` builds, its
+/// first requester probing under noise from the rest.
+pub fn profile<T: ChiTransport>(
     name: &str,
-    factory: F,
+    factory: impl Fn() -> (T, Partition),
     cores: usize,
     cpr: usize,
     scale: Scale,
-) -> LatencyProfile
-where
-    I: Interconnect,
-    F: Fn() -> (MemHarness<I>, usize, Vec<usize>),
-{
+) -> LatencyProfile {
     let rates: Vec<f64> = match scale {
         Scale::Quick => vec![0.0, 0.05, 0.15, 0.4],
         Scale::Full => vec![0.0, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.8],
     };
     let curve = latency_vs_noise(
-        factory,
+        || systems::probe_and_noise(factory()),
         &rates,
         0.67,
         scale.pick(300, 1_500),
@@ -102,100 +100,17 @@ where
     }
 }
 
-fn harness_factory_ours(
-    clusters: usize,
-) -> impl Fn() -> (MemHarness<noc_baseline::RingAdapter>, usize, Vec<usize>) {
-    move || {
-        let (ic, p) = systems::ours(clusters);
-        let mut noise = p.requesters.clone();
-        let probe = noise.remove(0);
-        (
-            MemHarness::new(
-                ic,
-                p.memories.clone(),
-                MemHarnessConfig {
-                    mem: systems::mem_params(),
-                    ..Default::default()
-                },
-            ),
-            probe,
-            noise,
-        )
-    }
-}
-
 /// Latency profiles of all compared systems.
 pub fn all_profiles(scale: Scale) -> Vec<LatencyProfile> {
-    let mut out = Vec::new();
-    out.push(profile(
-        "this-work-96c",
-        harness_factory_ours(12),
-        96,
-        4,
-        scale,
-    ));
-    out.push(profile(
-        "intel-like-28c",
-        || {
-            let (ic, p) = systems::intel_like();
-            let mut noise = p.requesters.clone();
-            let probe = noise.remove(0);
-            (
-                MemHarness::new(
-                    ic,
-                    p.memories.clone(),
-                    MemHarnessConfig {
-                        mem: systems::mem_params(),
-                        ..Default::default()
-                    },
-                ),
-                probe,
-                noise,
-            )
-        },
-        28,
-        1,
-        scale,
-    ));
-    out.push(profile(
-        "amd-like-64c",
-        || {
-            let (ic, p) = systems::amd_like();
-            let mut noise = p.requesters.clone();
-            let probe = noise.remove(0);
-            (
-                MemHarness::new(
-                    ic,
-                    p.memories.clone(),
-                    MemHarnessConfig {
-                        mem: systems::mem_params(),
-                        ..Default::default()
-                    },
-                ),
-                probe,
-                noise,
-            )
-        },
-        64,
-        1,
-        scale,
-    ));
-    // Scaled-down variants of this work for fair core-count matches.
-    out.push(profile(
-        "this-work-28c",
-        harness_factory_ours(4), // 2 dies × 4 clusters × 4 cores = 32 ≈ 28
-        32,
-        4,
-        scale,
-    ));
-    out.push(profile(
-        "this-work-64c",
-        harness_factory_ours(8),
-        64,
-        4,
-        scale,
-    ));
-    out
+    vec![
+        profile("this-work-96c", || systems::ours(12), 96, 4, scale),
+        profile("intel-like-28c", systems::intel_like, 28, 1, scale),
+        profile("amd-like-64c", systems::amd_like, 64, 1, scale),
+        // Scaled-down variants of this work for fair core-count matches:
+        // 2 dies × 4 clusters × 4 cores = 32 ≈ 28.
+        profile("this-work-28c", || systems::ours(4), 32, 4, scale),
+        profile("this-work-64c", || systems::ours(8), 64, 4, scale),
+    ]
 }
 
 const FREQ_GHZ: f64 = 3.0;

@@ -1,41 +1,48 @@
 //! System factories shared by the Server-CPU experiments: this work's
-//! multi-ring NoC plus the two commercial-style baselines, all exposed
-//! through the same `Interconnect`/`ChiTransport` interfaces with
+//! multi-ring NoC plus the two commercial-style baselines, all driven
+//! through the one [`ChiTransport`] interface by [`NodeId`], with
 //! normalized memory parameters (the paper normalizes DDR channel count
 //! and frequency across systems).
 
-use noc_baseline::{BufferedMesh, HubConfig, HubSpoke, MeshConfig, RingAdapter};
+use noc_baseline::{
+    BufferedMesh, HubConfig, HubSpoke, MemHarness, MemHarnessConfig, MeshConfig, RingAdapter,
+};
+use noc_chi::system::ChiTransport;
 use noc_chi::{CoherentSystem, LlcParams, MemoryParams, SystemSpec};
 use noc_core::NodeId;
-use noc_server_cpu::experiments::{server_interconnect, ServerEndpoints};
+use noc_server_cpu::experiments::server_interconnect;
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 
 /// Endpoint partition of a generic system.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// Requester endpoints.
-    pub requesters: Vec<usize>,
+    pub requesters: Vec<NodeId>,
     /// Home-node endpoints (coherence experiments only).
-    pub home_nodes: Vec<usize>,
+    pub home_nodes: Vec<NodeId>,
     /// Memory endpoints.
-    pub memories: Vec<usize>,
+    pub memories: Vec<NodeId>,
     /// Physical CPU cores represented by one requester endpoint.
     pub cores_per_requester: usize,
 }
 
-/// This work: the Server-CPU multi-ring NoC as a raw interconnect
-/// (clusters then DDRs), with the given cluster count per compute die.
+/// The endpoints `NodeId(ids.start)..NodeId(ids.end)`.
+pub(crate) fn nodes(ids: std::ops::Range<u32>) -> Vec<NodeId> {
+    ids.map(NodeId).collect()
+}
+
+/// This work: the Server-CPU multi-ring NoC as a raw transport, with
+/// the given cluster count per compute die.
 pub fn ours(clusters_per_ccd: usize) -> (RingAdapter, Partition) {
     let cfg = ServerCpuConfig {
         clusters_per_ccd,
         ..Default::default()
     };
-    let (ic, eps): (RingAdapter, ServerEndpoints) =
-        server_interconnect(&cfg).expect("server config builds");
+    let (ic, map) = server_interconnect(&cfg).expect("server config builds");
     let part = Partition {
-        requesters: eps.clusters.clone(),
+        requesters: map.clusters,
         home_nodes: Vec::new(),
-        memories: eps.ddrs.clone(),
+        memories: map.ddrs,
         cores_per_requester: 4,
     };
     (ic, part)
@@ -52,9 +59,9 @@ pub fn intel_like() -> (BufferedMesh, Partition) {
     });
     // Cores on the first 28 endpoints, HNs next, memories spread last.
     let part = Partition {
-        requesters: (0..28).collect(),
-        home_nodes: (28..36).collect(),
-        memories: (36..44).collect(),
+        requesters: nodes(0..28),
+        home_nodes: nodes(28..36),
+        memories: nodes(36..44),
         cores_per_requester: 1,
     };
     (mesh, part)
@@ -70,9 +77,9 @@ pub fn amd_like() -> (HubSpoke, Partition) {
         ..Default::default()
     });
     let part = Partition {
-        requesters: (0..64).collect(),  // chiplets 0..8
-        home_nodes: (64..72).collect(), // chiplet 8
-        memories: (72..80).collect(),   // chiplet 9
+        requesters: nodes(0..64),  // chiplets 0..8
+        home_nodes: nodes(64..72), // chiplet 8
+        memories: nodes(72..80),   // chiplet 9
         cores_per_requester: 1,
     };
     (hub, part)
@@ -83,17 +90,37 @@ pub fn mem_params() -> MemoryParams {
     MemoryParams::ddr4()
 }
 
+/// A memory harness over `ic` with `part`'s memories and the normalized
+/// memory model.
+pub fn mem_harness<T: ChiTransport>(ic: T, part: &Partition) -> MemHarness<T> {
+    MemHarness::new(
+        ic,
+        part.memories.clone(),
+        MemHarnessConfig {
+            mem: mem_params(),
+            ..Default::default()
+        },
+    )
+}
+
+/// The Figure 11 setup over `ic`: the first requester probes, the rest
+/// make background noise.
+pub fn probe_and_noise<T: ChiTransport>(
+    (ic, part): (T, Partition),
+) -> (MemHarness<T>, NodeId, Vec<NodeId>) {
+    let mut noise = part.requesters.clone();
+    let probe = noise.remove(0);
+    (mem_harness(ic, &part), probe, noise)
+}
+
 /// Build a CHI coherent system over any transport given a partition.
-pub fn coherent<T: noc_chi::system::ChiTransport>(
-    transport: T,
-    part: &Partition,
-) -> CoherentSystem<T> {
+pub fn coherent<T: ChiTransport>(transport: T, part: &Partition) -> CoherentSystem<T> {
     CoherentSystem::new(
         transport,
         SystemSpec {
-            requesters: part.requesters.iter().map(|&i| NodeId(i as u32)).collect(),
-            home_nodes: part.home_nodes.iter().map(|&i| NodeId(i as u32)).collect(),
-            memories: part.memories.iter().map(|&i| NodeId(i as u32)).collect(),
+            requesters: part.requesters.clone(),
+            home_nodes: part.home_nodes.clone(),
+            memories: part.memories.clone(),
             mem_params: mem_params(),
             llc: LlcParams::default(),
             line_bytes: 64,
@@ -112,25 +139,25 @@ pub fn ours_coherent() -> ServerCpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_baseline::Interconnect;
 
     #[test]
     fn factories_have_consistent_partitions() {
         let (ic, p) = ours(12);
         assert_eq!(p.requesters.len(), 24);
         assert_eq!(p.memories.len(), 8);
+        let devices = ic.network().topology().nodes().len();
         assert!(p
             .requesters
             .iter()
             .chain(&p.memories)
-            .all(|&e| e < ic.endpoints()));
+            .all(|e| e.index() < devices));
 
-        let (mesh, p) = intel_like();
-        assert!(p.memories.iter().all(|&e| e < mesh.endpoints()));
+        let (_, p) = intel_like();
+        assert!(p.memories.iter().all(|e| e.index() < 7 * 7));
         assert_eq!(p.requesters.len(), 28);
 
-        let (hub, p) = amd_like();
-        assert!(p.home_nodes.iter().all(|&e| e < hub.endpoints()));
+        let (_, p) = amd_like();
+        assert!(p.home_nodes.iter().all(|e| e.index() < 10 * 8));
         assert_eq!(p.requesters.len(), 64);
     }
 }

@@ -3,8 +3,36 @@
 //! runs over every transport.
 
 use crate::report::{fnum, ExperimentResult, Scale};
-use crate::systems;
+use crate::systems::{self, Partition};
+use noc_chi::system::ChiTransport;
+use noc_chi::LineAddr;
 use noc_server_cpu::experiments::{coherence_ping, lines_homed_at, PreparedState};
+
+/// Table 5 over a baseline: requester 0 prepares `lines` lines in
+/// `state` (helped by requester 2), then requester `reader` reads them.
+fn ping_baseline<T: ChiTransport>(
+    (ic, part): (T, Partition),
+    reader: usize,
+    state: PreparedState,
+    lines: u64,
+) -> f64 {
+    let mut sys = systems::coherent(ic, &part);
+    let addrs: Vec<_> = (0..lines).map(|i| LineAddr(0x100 + i)).collect();
+    let r = &part.requesters;
+    coherence_ping(&mut sys, r[0], r[2], r[reader], state, &addrs)
+}
+
+/// Table 5 on this work: lines homed on compute die 0, prepared by its
+/// clusters 0 (and 2), read by cluster `reader.1` of die `reader.0`.
+fn ping_ours(reader: (usize, usize), state: PreparedState, lines: u64) -> f64 {
+    let mut s = systems::ours_coherent();
+    let local_hns: Vec<_> = s.map.home_nodes[..s.cfg.hn_per_ccd].to_vec();
+    let addrs = lines_homed_at(&s.sys, &local_hns, lines as usize, 0x100);
+    let ccd0 = s.map.clusters_of_ccd(0);
+    let (owner, helper) = (ccd0[0], ccd0[2]);
+    let reader = s.map.clusters_of_ccd(reader.0)[reader.1];
+    coherence_ping(&mut s.sys, owner, helper, reader, state, &addrs)
+}
 
 /// Reproduce Table 5.
 pub fn run(scale: Scale) -> ExperimentResult {
@@ -28,82 +56,21 @@ pub fn run(scale: Scale) -> ExperimentResult {
     ];
 
     // Baselines (monolithic mesh has no chiplet distinction; the hub
-    // design pays the central switch either way).
+    // design pays the central switch either way). Readers: the mesh's
+    // requester 14; the hub's 1 (same chiplet) and 9 (other chiplet).
     let mut intel = Vec::new();
     let mut amd_intra = Vec::new();
     let mut amd_inter = Vec::new();
-    for &(state, _) in &states {
-        let (mesh, p) = systems::intel_like();
-        let mut sys = systems::coherent(mesh, &p);
-        let owner = noc_core::NodeId(p.requesters[0] as u32);
-        let helper = noc_core::NodeId(p.requesters[2] as u32);
-        let reader = noc_core::NodeId(p.requesters[14] as u32);
-        let addrs: Vec<_> = (0..lines).map(|i| noc_chi::LineAddr(0x100 + i)).collect();
-        intel.push(coherence_ping(
-            &mut sys, owner, helper, reader, state, &addrs,
-        ));
-
-        let (hub, p) = systems::amd_like();
-        let mut sys = systems::coherent(hub, &p);
-        let owner = noc_core::NodeId(p.requesters[0] as u32);
-        let helper = noc_core::NodeId(p.requesters[2] as u32);
-        let intra_reader = noc_core::NodeId(p.requesters[1] as u32); // same chiplet
-        let addrs: Vec<_> = (0..lines).map(|i| noc_chi::LineAddr(0x100 + i)).collect();
-        amd_intra.push(coherence_ping(
-            &mut sys,
-            owner,
-            helper,
-            intra_reader,
-            state,
-            &addrs,
-        ));
-        let (hub, p) = systems::amd_like();
-        let mut sys = systems::coherent(hub, &p);
-        let owner = noc_core::NodeId(p.requesters[0] as u32);
-        let helper = noc_core::NodeId(p.requesters[2] as u32);
-        let inter_reader = noc_core::NodeId(p.requesters[9] as u32); // other chiplet
-        amd_inter.push(coherence_ping(
-            &mut sys,
-            owner,
-            helper,
-            inter_reader,
-            state,
-            &addrs,
-        ));
-    }
-
-    // This work: lines homed on the owner's compute die.
+    // This work: lines homed on the owner's compute die; readers on the
+    // owner's die and on the next.
     let mut ours_intra = Vec::new();
     let mut ours_inter = Vec::new();
     for &(state, _) in &states {
-        let mut s = systems::ours_coherent();
-        let local_hns: Vec<_> = s.map.home_nodes[..s.cfg.hn_per_ccd].to_vec();
-        let addrs = lines_homed_at(&s.sys, &local_hns, lines as usize, 0x100);
-        let owner = s.map.clusters_of_ccd(0)[0];
-        let helper = s.map.clusters_of_ccd(0)[2];
-        let intra_reader = s.map.clusters_of_ccd(0)[1];
-        ours_intra.push(coherence_ping(
-            &mut s.sys,
-            owner,
-            helper,
-            intra_reader,
-            state,
-            &addrs,
-        ));
-        let mut s = systems::ours_coherent();
-        let local_hns: Vec<_> = s.map.home_nodes[..s.cfg.hn_per_ccd].to_vec();
-        let addrs = lines_homed_at(&s.sys, &local_hns, lines as usize, 0x100);
-        let owner = s.map.clusters_of_ccd(0)[0];
-        let helper = s.map.clusters_of_ccd(0)[2];
-        let inter_reader = s.map.clusters_of_ccd(1)[0];
-        ours_inter.push(coherence_ping(
-            &mut s.sys,
-            owner,
-            helper,
-            inter_reader,
-            state,
-            &addrs,
-        ));
+        intel.push(ping_baseline(systems::intel_like(), 14, state, lines));
+        amd_intra.push(ping_baseline(systems::amd_like(), 1, state, lines));
+        amd_inter.push(ping_baseline(systems::amd_like(), 9, state, lines));
+        ours_intra.push(ping_ours((0, 1), state, lines));
+        ours_inter.push(ping_ours((1, 0), state, lines));
     }
 
     for (i, &(_, name)) in states.iter().enumerate() {

@@ -8,10 +8,11 @@
 //! observatory enabled and assert the watchdog stays quiet: these
 //! systems drain, so a liveness verdict would be a false positive.
 
-use noc_baseline::{MemHarness, MemHarnessConfig, RingAdapter};
+use noc_baseline::{MemHarness, RingAdapter};
 use noc_core::telemetry::HealthRule;
-use noc_core::NocDiagnostics;
-use noc_experiments::{fig11, systems};
+use noc_core::{NocDiagnostics, NodeId};
+use noc_experiments::fig11;
+use noc_experiments::systems::{self, Partition};
 use noc_server_cpu::experiments::{coherence_ping, lines_homed_at, server_interconnect};
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 
@@ -20,24 +21,20 @@ const PERIOD: u64 = 32;
 
 /// The fig11 harness factory, with the observatory switched on through
 /// the public `ServerCpuConfig::metrics_period` knob.
-fn observed_harness() -> (MemHarness<RingAdapter>, usize, Vec<usize>) {
+fn observed_harness() -> (MemHarness<RingAdapter>, NodeId, Vec<NodeId>) {
     let cfg = ServerCpuConfig {
         clusters_per_ccd: 12,
         metrics_period: PERIOD,
         ..Default::default()
     };
-    let (ic, eps) = server_interconnect(&cfg).expect("server config builds");
-    let mut noise = eps.clusters.clone();
-    let probe = noise.remove(0);
-    let h = MemHarness::new(
-        ic,
-        eps.ddrs.clone(),
-        MemHarnessConfig {
-            mem: systems::mem_params(),
-            ..Default::default()
-        },
-    );
-    (h, probe, noise)
+    let (ic, map) = server_interconnect(&cfg).expect("server config builds");
+    let part = Partition {
+        requesters: map.clusters,
+        home_nodes: Vec::new(),
+        memories: map.ddrs,
+        cores_per_requester: 4,
+    };
+    systems::probe_and_noise((ic, part))
 }
 
 #[test]

@@ -141,6 +141,13 @@ pub struct SocSpec {
     pub network: NetworkConfig,
 }
 
+/// The largest `network.inject_queue_cap` / `eject_queue_cap` a spec
+/// may ask for: 65 536 flits. The engine allocates every node's queues
+/// up front, so a cap is memory spent per device; this bound keeps a
+/// mistyped capacity from aborting the process on allocation, and sits
+/// far above any queue depth the paper's interfaces model (2–16).
+pub const MAX_QUEUE_CAP: usize = 1 << 16;
+
 /// Errors from parsing or compiling a [`SocSpec`].
 #[derive(Debug)]
 pub enum SpecError {
@@ -160,6 +167,9 @@ pub enum SpecError {
     /// A `network` queue capacity (`inject_queue_cap` or
     /// `eject_queue_cap`) is 0: no node interface could hold a flit.
     ZeroQueueCap(&'static str),
+    /// A `network` queue capacity exceeds [`MAX_QUEUE_CAP`]: more than
+    /// the engine will allocate per node.
+    QueueCapTooLarge(&'static str),
     /// The underlying topology was invalid.
     Topology(TopologyError),
 }
@@ -174,6 +184,9 @@ impl fmt::Display for SpecError {
             }
             SpecError::DuplicateDevice(name) => write!(f, "duplicate device name '{name}'"),
             SpecError::ZeroQueueCap(field) => write!(f, "network.{field} must be at least 1"),
+            SpecError::QueueCapTooLarge(field) => {
+                write!(f, "network.{field} must be at most {MAX_QUEUE_CAP}")
+            }
             SpecError::Topology(e) => write!(f, "topology error: {e}"),
         }
     }
@@ -257,16 +270,22 @@ impl SocSpec {
     ///
     /// # Errors
     ///
-    /// Fails on a zero queue capacity in `network`, dangling bridge
+    /// Fails on a zero or over-[`MAX_QUEUE_CAP`] queue capacity in
+    /// `network`, dangling bridge
     /// references, duplicate device names, or any topology-level
     /// violation (occupied ports, unreachable rings, zero bridge
     /// capacity).
     pub fn compile(&self) -> Result<(Topology, HashMap<String, NodeId>), SpecError> {
-        if self.network.inject_queue_cap == 0 {
-            return Err(SpecError::ZeroQueueCap("inject_queue_cap"));
-        }
-        if self.network.eject_queue_cap == 0 {
-            return Err(SpecError::ZeroQueueCap("eject_queue_cap"));
+        for (field, cap) in [
+            ("inject_queue_cap", self.network.inject_queue_cap),
+            ("eject_queue_cap", self.network.eject_queue_cap),
+        ] {
+            if cap == 0 {
+                return Err(SpecError::ZeroQueueCap(field));
+            }
+            if cap > MAX_QUEUE_CAP {
+                return Err(SpecError::QueueCapTooLarge(field));
+            }
         }
         let mut b = TopologyBuilder::new();
         let mut names = HashMap::new();
@@ -478,6 +497,28 @@ mod tests {
             spec.build(),
             Err(SpecError::ZeroQueueCap("eject_queue_cap"))
         ));
+    }
+
+    #[test]
+    fn rejects_queue_caps_the_engine_will_not_allocate() {
+        for cap in [usize::MAX, 1 << 34, MAX_QUEUE_CAP + 1] {
+            let mut spec = two_die_spec();
+            spec.network.inject_queue_cap = cap;
+            assert!(matches!(
+                spec.build(),
+                Err(SpecError::QueueCapTooLarge("inject_queue_cap"))
+            ));
+            let mut spec = two_die_spec();
+            spec.network.eject_queue_cap = cap;
+            assert!(matches!(
+                spec.build(),
+                Err(SpecError::QueueCapTooLarge("eject_queue_cap"))
+            ));
+        }
+        let mut spec = two_die_spec();
+        spec.network.inject_queue_cap = MAX_QUEUE_CAP;
+        spec.network.eject_queue_cap = MAX_QUEUE_CAP;
+        assert!(spec.validate().is_ok());
     }
 
     #[test]

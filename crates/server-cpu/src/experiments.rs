@@ -1,9 +1,9 @@
 //! Measurement runners behind the Server-CPU evaluation:
-//! coherence-latency pings (Table 5), DDR-latency-under-noise curves
-//! (Figure 11), and LMBench-style bandwidth runs (Figure 10).
+//! coherence-latency pings (Table 5) and DDR-latency-under-noise curves
+//! (Figure 11), plus the Server-CPU NoC as a raw transport for them.
 
-use crate::soc::ServerCpuConfig;
-use noc_baseline::{Interconnect, MemHarness, MemHarnessConfig, RingAdapter};
+use crate::soc::{ServerCpuConfig, ServerCpuMap};
+use noc_baseline::{MemHarness, RingAdapter};
 use noc_chi::system::ChiTransport;
 use noc_chi::{CoherentSystem, LineAddr, ReadKind};
 use noc_core::{NodeId, SpecError};
@@ -87,39 +87,22 @@ pub fn lines_homed_at<T: ChiTransport>(
     out
 }
 
-/// Endpoint indices of a [`server_interconnect`] adapter.
-#[derive(Debug, Clone)]
-pub struct ServerEndpoints {
-    /// Cluster endpoints (requesters), build order.
-    pub clusters: Vec<usize>,
-    /// DDR endpoints (memory side).
-    pub ddrs: Vec<usize>,
-}
-
-/// Build the Server-CPU topology and expose it through the generic
-/// [`Interconnect`] interface (clusters first, then DDR controllers),
-/// for raw-NoC bandwidth/latency experiments that the baselines can run
-/// identically.
+/// Build the Server-CPU topology as a raw [`RingAdapter`] transport,
+/// with the map of its devices, for bandwidth/latency experiments that
+/// the baselines can run identically.
 ///
 /// # Errors
 ///
 /// Returns the [`SpecError`] of a degenerate configuration's spec.
 pub fn server_interconnect(
     cfg: &ServerCpuConfig,
-) -> Result<(RingAdapter, ServerEndpoints), SpecError> {
+) -> Result<(RingAdapter, ServerCpuMap), SpecError> {
     let (spec, map) = cfg.spec();
     let (mut net, _) = spec.build()?;
     if cfg.metrics_period > 0 {
         net.enable_metrics(cfg.metrics_period);
     }
-    let mut endpoints: Vec<NodeId> = Vec::new();
-    endpoints.extend(&map.clusters);
-    endpoints.extend(&map.ddrs);
-    let eps = ServerEndpoints {
-        clusters: (0..map.clusters.len()).collect(),
-        ddrs: (map.clusters.len()..map.clusters.len() + map.ddrs.len()).collect(),
-    };
-    Ok((RingAdapter::new("multi-ring-server", net, endpoints), eps))
+    Ok((RingAdapter::new(net), map))
 }
 
 /// One point of the Figure 11 curve.
@@ -142,7 +125,7 @@ pub struct LatencyPoint {
 /// Sweep background-noise rates and record the probe core's DDR
 /// latency — Figure 11. `factory` builds a fresh harness per point and
 /// returns `(harness, probe_endpoint, noise_endpoints)`.
-pub fn latency_vs_noise<I, F>(
+pub fn latency_vs_noise<T, F>(
     factory: F,
     rates: &[f64],
     read_frac: f64,
@@ -150,8 +133,8 @@ pub fn latency_vs_noise<I, F>(
     measure: u64,
 ) -> Vec<LatencyPoint>
 where
-    I: Interconnect,
-    F: Fn() -> (MemHarness<I>, usize, Vec<usize>),
+    T: ChiTransport,
+    F: Fn() -> (MemHarness<T>, NodeId, Vec<NodeId>),
 {
     rates
         .iter()
@@ -182,31 +165,11 @@ pub fn turning_point_abs(points: &[LatencyPoint], latency_threshold: f64) -> Opt
         .map(|p| p.noise_rate)
 }
 
-/// LMBench-style closed-loop bandwidth run (Figure 10): `actives`
-/// requesters each keep `outstanding` requests in flight with the
-/// kernel's read fraction; returns delivered data bytes/cycle.
-pub fn lmbench_bandwidth<I: Interconnect>(
-    harness: &mut MemHarness<I>,
-    actives: &[usize],
-    outstanding: u32,
-    read_frac: f64,
-) -> f64 {
-    harness
-        .run_closed_loop(actives, outstanding, read_frac, 1_000, 10_000)
-        .bytes_per_cycle()
-}
-
-/// Default harness configuration used by the Server-CPU experiments
-/// (all systems get identical memory parameters — the paper normalizes
-/// DDR channel count and frequency).
-pub fn server_mem_cfg() -> MemHarnessConfig {
-    MemHarnessConfig::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::soc::ServerCpu;
+    use noc_baseline::MemHarnessConfig;
 
     fn small_cfg() -> ServerCpuConfig {
         ServerCpuConfig {
@@ -254,23 +217,15 @@ mod tests {
     }
 
     #[test]
-    fn server_interconnect_moves_traffic() {
-        let (ic, eps) = server_interconnect(&small_cfg()).unwrap();
-        let mut h = MemHarness::new(ic, eps.ddrs.clone(), server_mem_cfg());
-        let bw = lmbench_bandwidth(&mut h, &eps.clusters, 8, 1.0);
-        assert!(bw > 0.5, "bandwidth {bw} bytes/cycle too low");
-    }
-
-    #[test]
     fn noise_sweep_raises_latency() {
         let cfg = small_cfg();
         let points = latency_vs_noise(
             || {
-                let (ic, eps) = server_interconnect(&cfg).unwrap();
-                let mut noise = eps.clusters.clone();
+                let (ic, map) = server_interconnect(&cfg).unwrap();
+                let mut noise = map.clusters.clone();
                 let probe = noise.remove(0);
                 (
-                    MemHarness::new(ic, eps.ddrs.clone(), server_mem_cfg()),
+                    MemHarness::new(ic, map.ddrs, MemHarnessConfig::default()),
                     probe,
                     noise,
                 )

@@ -1,9 +1,11 @@
 //! End-to-end Server-CPU integration: the full stack (topology → NoC →
 //! CHI coherence → workload) across compute dies, I/O dies and packages.
 
-use noc_chi::{LineAddr, MesiState, ReadKind};
+use noc_chi::{CoherentSystem, Completion, LineAddr, MesiState, ReadKind, TxnId};
+use noc_core::NodeId;
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 use noc_sim::SimRng;
+use std::collections::BTreeSet;
 
 fn small() -> ServerCpuConfig {
     ServerCpuConfig {
@@ -12,6 +14,51 @@ fn small() -> ServerCpuConfig {
         ddr_per_ccd: 2,
         ..Default::default()
     }
+}
+
+/// The coherence invariants on `lines`, which the load tests below
+/// check after every tick. SWMR: one writable copy, or any number of
+/// readable ones. And the directory lists every copy a requester holds.
+fn assert_coherent(sys: &CoherentSystem, rns: &[NodeId], lines: &BTreeSet<u64>) {
+    for &line in lines {
+        let a = LineAddr(line);
+        let (mut writable, mut readable) = (0, 0);
+        for &rn in rns {
+            let state = sys.rn_state(rn, a);
+            writable += usize::from(state.writable());
+            readable += usize::from(state.readable());
+            assert!(
+                !state.readable() || sys.directory_of(a).holders(a).any(|h| h == rn),
+                "{rn} holds {a} but the directory does not list it"
+            );
+        }
+        assert!(writable <= 1, "{a} has {writable} writers");
+        assert!(
+            writable == 0 || readable == 1,
+            "{a}: a writable copy beside {} other copies",
+            readable - 1
+        );
+    }
+}
+
+/// One tick, then [`assert_coherent`] over every cluster.
+fn tick_checked(s: &mut ServerCpu, lines: &BTreeSet<u64>) {
+    s.sys.tick();
+    assert_coherent(&s.sys, &s.map.clusters, lines);
+}
+
+/// `run_until_complete`, with [`assert_coherent`] after every tick.
+fn run_checked(
+    s: &mut ServerCpu,
+    txn: TxnId,
+    budget: u64,
+    lines: &BTreeSet<u64>,
+) -> Option<Completion> {
+    (0..budget).find_map(|_| {
+        let done = s.sys.run_until_complete(txn, 1);
+        assert_coherent(&s.sys, &s.map.clusters, lines);
+        done
+    })
 }
 
 #[test]
@@ -42,6 +89,7 @@ fn many_clusters_hammer_shared_lines() {
     let mut s = ServerCpu::build(small()).expect("builds");
     let clusters = s.map.clusters.clone();
     let mut rng = SimRng::seed_from(99);
+    let lines: BTreeSet<u64> = (0..16).collect();
     let mut issued = 0u64;
     for step in 0..300 {
         let rn = clusters[rng.gen_index(clusters.len())];
@@ -57,7 +105,7 @@ fn many_clusters_hammer_shared_lines() {
             }
         }
         for _ in 0..4 {
-            s.sys.tick();
+            tick_checked(&mut s, &lines);
         }
     }
     // Everything settles.
@@ -65,7 +113,7 @@ fn many_clusters_hammer_shared_lines() {
         if s.sys.outstanding() == 0 {
             break;
         }
-        s.sys.tick();
+        tick_checked(&mut s, &lines);
     }
     assert_eq!(s.sys.outstanding(), 0, "transactions stuck");
     let done = s.sys.take_completions();
@@ -92,16 +140,15 @@ fn four_package_system_stays_coherent() {
     .expect("4P builds");
     let per_pkg = 2 * 2; // ccd_count × clusters_per_ccd
     let addr = LineAddr(0xBEEF);
+    let lines = BTreeSet::from([addr.0]);
     // A writer in package 0, readers in packages 1..4.
     let writer = s.map.clusters[0];
     let t = s.sys.write(writer, addr);
-    s.sys.run_until_complete(t, 500_000).expect("write");
+    run_checked(&mut s, t, 500_000, &lines).expect("write");
     for pkg in 1..4 {
         let reader = s.map.clusters[pkg * per_pkg];
         let t = s.sys.read(reader, addr, ReadKind::Shared);
-        let c = s
-            .sys
-            .run_until_complete(t, 500_000)
+        let c = run_checked(&mut s, t, 500_000, &lines)
             .unwrap_or_else(|| panic!("package {pkg} read stuck"));
         assert!(
             c.latency() > 40,
@@ -168,9 +215,11 @@ fn zipfian_server_application_runs_coherently() {
         })
         .collect();
     let mut issued = 0u64;
+    let mut lines = BTreeSet::new();
     for _ in 0..4_000u64 {
         for (i, app) in apps.iter_mut().enumerate() {
             for op in app.cycle_ops() {
+                lines.insert(op.line);
                 let addr = LineAddr(op.line);
                 if op.is_write {
                     s.sys.write(clusters[i], addr);
@@ -180,13 +229,13 @@ fn zipfian_server_application_runs_coherently() {
                 issued += 1;
             }
         }
-        s.sys.tick();
+        tick_checked(&mut s, &lines);
     }
     for _ in 0..300_000 {
         if s.sys.outstanding() == 0 {
             break;
         }
-        s.sys.tick();
+        tick_checked(&mut s, &lines);
     }
     assert_eq!(s.sys.outstanding(), 0, "server workload drained");
     assert_eq!(s.sys.take_completions().len() as u64, issued);
