@@ -146,6 +146,9 @@ impl SetAssocCache {
             return Inserted::AlreadyPresent;
         }
         if entries.len() < ways {
+            // Grow by exactly this way: a set's allocation is the most
+            // ways it has held, not `Vec`'s doubling (0 → 4 → 8 → 16).
+            entries.reserve_exact(1);
             entries.push(Entry::new(addr, dirty, tick));
             return Inserted::Installed;
         }
@@ -238,6 +241,23 @@ mod tests {
     #[test]
     fn an_entry_is_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Entry>(), 16);
+    }
+
+    #[test]
+    fn a_set_allocates_the_ways_it_has_installed() {
+        let mut c = SetAssocCache::new(1, 4);
+        for n in 1..=6u64 {
+            c.insert(LineAddr(n), false);
+            assert_eq!(
+                c.entries[0].capacity(),
+                (n as usize).min(4),
+                "after {n} installs"
+            );
+        }
+        // An invalidated way keeps its room for the next install.
+        assert_eq!(c.invalidate(LineAddr(6)), Some(false));
+        c.insert(LineAddr(7), false);
+        assert_eq!(c.entries[0].capacity(), 4);
     }
 
     #[test]

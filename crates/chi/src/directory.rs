@@ -22,6 +22,30 @@ pub enum DirState {
     Owned(NodeId),
 }
 
+/// What [`Directory`] stores for a held line: the sharer mask as two
+/// `u64` words (ranks 0–63 in the first, 64–127 in the second), or the
+/// owner. A [`DirState`] is 32 bytes because its `u128` is 16-aligned,
+/// which pads a `(LineAddr, DirState)` bucket to 48 bytes; this is 24
+/// bytes and 8-aligned, so a bucket is 32.
+#[derive(Debug, Clone, Copy)]
+enum Held {
+    Shared([u64; 2]),
+    Owned(NodeId),
+}
+
+impl Held {
+    fn shared(mask: u128) -> Self {
+        Held::Shared([mask as u64, (mask >> 64) as u64])
+    }
+
+    fn state(self) -> DirState {
+        match self {
+            Held::Shared([lo, hi]) => DirState::Shared(u128::from(lo) | u128::from(hi) << 64),
+            Held::Owned(owner) => DirState::Owned(owner),
+        }
+    }
+}
+
 /// Tracks, per line, which requesters hold copies — the "L3 tag" half of
 /// the paper's hybrid L3 design.
 ///
@@ -44,7 +68,7 @@ pub struct Directory {
     /// Rank → requester, ascending `NodeId`.
     ranked: Arc<[NodeId]>,
     /// Keyed lookups only (`len` is the map's own count).
-    lines: IdMap<LineAddr, DirState>,
+    lines: IdMap<LineAddr, Held>,
 }
 
 impl Directory {
@@ -83,12 +107,14 @@ impl Directory {
 
     /// Current state of a line (Invalid if no requester holds it).
     pub fn state(&self, addr: LineAddr) -> DirState {
-        self.lines.get(&addr).copied().unwrap_or(DirState::Invalid)
+        self.lines
+            .get(&addr)
+            .map_or(DirState::Invalid, |h| h.state())
     }
 
     /// Record `owner` as the sole (M/E) holder.
     pub fn set_owner(&mut self, addr: LineAddr, owner: NodeId) {
-        self.lines.insert(addr, DirState::Owned(owner));
+        self.lines.insert(addr, Held::Owned(owner));
     }
 
     /// Add a sharer, demoting an owner if present.
@@ -103,7 +129,7 @@ impl Directory {
             DirState::Owned(owner) => self.bit(owner),
         };
         let mask = held | self.bit(sharer);
-        self.lines.insert(addr, DirState::Shared(mask));
+        self.lines.insert(addr, Held::shared(mask));
     }
 
     /// Remove one holder (sharer or owner); the line's entry goes when
@@ -118,7 +144,7 @@ impl Directory {
                 if left == 0 {
                     self.lines.remove(&addr);
                 } else {
-                    self.lines.insert(addr, DirState::Shared(left));
+                    self.lines.insert(addr, Held::shared(left));
                 }
             }
             _ => {}
@@ -232,6 +258,36 @@ mod tests {
         assert!(d.holders(LineAddr(5)).eq([NodeId(64)]));
         d.remove(LineAddr(5), NodeId(64));
         assert_eq!(d.len(), 0);
+    }
+
+    #[test]
+    fn a_bucket_is_thirty_two_bytes() {
+        assert_eq!(std::mem::size_of::<Held>(), 24);
+        assert_eq!(std::mem::size_of::<(LineAddr, Held)>(), 32);
+    }
+
+    #[test]
+    fn masks_with_bits_in_both_words_round_trip() {
+        for mask in [
+            1,
+            1 << 63,
+            1 << 64,
+            1 << 127,
+            (1 << 64) | 1,
+            (1 << 95) | (1 << 63) | (1 << 5),
+            u128::MAX,
+        ] {
+            assert_eq!(Held::shared(mask).state(), DirState::Shared(mask));
+        }
+        // Built up one sharer at a time, and read back through `holders`.
+        let mut d = dir(MAX_REQUESTERS as u32);
+        let ranks = [0, 5, 63, 64, 65, 95, 127];
+        for &n in ranks.iter().rev() {
+            d.add_sharer(LineAddr(8), NodeId(n));
+        }
+        let mask = ranks.iter().fold(0u128, |m, &r| m | 1 << r);
+        assert_eq!(d.state(LineAddr(8)), DirState::Shared(mask));
+        assert!(d.holders(LineAddr(8)).eq(ranks.map(NodeId)));
     }
 
     #[test]

@@ -32,5 +32,5 @@ pub use cache::{Inserted, SetAssocCache};
 pub use directory::{DirState, Directory};
 pub use memory::{MemoryModel, MemoryParams};
 pub use message::{Message, MsgOp};
-pub use system::{CoherentSystem, Completion, LlcParams, SystemSpec, TxnKind};
+pub use system::{CoherentSystem, Completion, Incoherence, LlcParams, SystemSpec, TxnKind};
 pub use types::{LineAddr, MesiState, ReadKind, TxnId};

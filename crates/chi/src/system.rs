@@ -15,6 +15,7 @@ use noc_core::bits::word_ones;
 use noc_core::{BitRing, FlitClass, Network, NodeId};
 use noc_sim::{Cycle, IdMap, IdSet, SlotIndex};
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Arc;
 
 /// The transport a [`CoherentSystem`] runs over.
@@ -152,6 +153,54 @@ impl Completion {
         self.end.since(self.start)
     }
 }
+
+/// A coherence invariant a line breaks, as
+/// [`CoherentSystem::check_coherent`] finds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Incoherence {
+    /// More than one requester holds the line writable (M or E).
+    ManyWriters {
+        /// The line.
+        addr: LineAddr,
+        /// How many requesters hold it writable.
+        writers: usize,
+    },
+    /// A writable copy is not the only copy.
+    WriterNotAlone {
+        /// The line.
+        addr: LineAddr,
+        /// How many requesters hold a copy, the writer included.
+        copies: usize,
+    },
+    /// A requester holds a copy its home directory does not list, so a
+    /// write would not snoop it.
+    Unlisted {
+        /// The line.
+        addr: LineAddr,
+        /// The requester holding it.
+        rn: NodeId,
+    },
+}
+
+impl fmt::Display for Incoherence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Incoherence::ManyWriters { addr, writers } => {
+                write!(f, "{addr} has {writers} writers")
+            }
+            Incoherence::WriterNotAlone { addr, copies } => write!(
+                f,
+                "{addr}: a writable copy beside {} other copies",
+                copies - 1
+            ),
+            Incoherence::Unlisted { addr, rn } => {
+                write!(f, "{rn} holds {addr} but the directory does not list it")
+            }
+        }
+    }
+}
+
+impl std::error::Error for Incoherence {}
 
 #[derive(Debug, Clone, Copy)]
 enum Role {
@@ -398,6 +447,41 @@ impl<T: ChiTransport> CoherentSystem<T> {
             Some(Role::Rn(i)) => self.rn_lines[i].len(),
             _ => 0,
         }
+    }
+
+    /// Check the coherence invariants on `lines` over every requester:
+    /// at most one writable (M/E) copy, a writable copy is the only
+    /// copy, and the home directory lists every copy, so a write snoops
+    /// them all. SWMR is the first two.
+    ///
+    /// # Errors
+    ///
+    /// The first [`Incoherence`] found, in the order `lines` gives.
+    pub fn check_coherent(
+        &self,
+        lines: impl IntoIterator<Item = LineAddr>,
+    ) -> Result<(), Incoherence> {
+        for addr in lines {
+            let (mut copies, mut writers) = (0, 0);
+            for (i, &rn) in self.spec.requesters.iter().enumerate() {
+                let state = self.rn_line(i, addr);
+                if !state.readable() {
+                    continue;
+                }
+                copies += 1;
+                writers += usize::from(state.writable());
+                if !self.directory_of(addr).holders(addr).any(|h| h == rn) {
+                    return Err(Incoherence::Unlisted { addr, rn });
+                }
+            }
+            if writers > 1 {
+                return Err(Incoherence::ManyWriters { addr, writers });
+            }
+            if writers == 1 && copies > 1 {
+                return Err(Incoherence::WriterNotAlone { addr, copies });
+            }
+        }
+        Ok(())
     }
 
     /// The directory of the home node servicing `addr` (read-only).
@@ -989,5 +1073,83 @@ impl<T: ChiTransport> CoherentSystem<T> {
         };
         let d = self.spec.hn_latency;
         self.send_after(hn, t.requester, reply, d);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use noc_core::{NetworkConfig, RingKind, TopologyBuilder};
+
+    /// Three requesters, one home node and one memory on one ring; line
+    /// 1 read by requester 0, line 2 written by requester 1.
+    fn system() -> (CoherentSystem, [NodeId; 3]) {
+        let mut b = TopologyBuilder::new();
+        let die = b.add_chiplet("die");
+        let r = b.add_ring(die, RingKind::Full, 8).unwrap();
+        let rns = [0, 1, 2].map(|s| b.add_node(format!("rn{s}"), r, s).unwrap());
+        let hn = b.add_node("hn", r, 4).unwrap();
+        let ddr = b.add_node("ddr", r, 6).unwrap();
+        let net = Network::new(b.build().unwrap(), NetworkConfig::default());
+        let mut sys = CoherentSystem::new(
+            net,
+            SystemSpec {
+                requesters: rns.to_vec(),
+                home_nodes: vec![hn],
+                memories: vec![ddr],
+                mem_params: MemoryParams::ddr4(),
+                llc: LlcParams::default(),
+                line_bytes: 64,
+                local_hit_latency: 10,
+                hn_latency: 12,
+                snoop_latency: 6,
+            },
+        );
+        let t = sys.read(rns[0], LineAddr(1), ReadKind::Shared);
+        sys.run_until_complete(t, 10_000).expect("read completes");
+        let t = sys.write(rns[1], LineAddr(2));
+        sys.run_until_complete(t, 10_000).expect("write completes");
+        (sys, rns)
+    }
+
+    #[test]
+    fn check_coherent_names_each_broken_invariant() {
+        let (mut sys, rns) = system();
+        let lines = || (0..4).map(LineAddr);
+        assert_eq!(sys.check_coherent(lines()), Ok(()));
+        // A copy behind the directory's back.
+        sys.rn_lines[2].insert(LineAddr(3), MesiState::Shared);
+        let unlisted = Incoherence::Unlisted {
+            addr: LineAddr(3),
+            rn: rns[2],
+        };
+        assert_eq!(sys.check_coherent(lines()), Err(unlisted));
+        assert_eq!(
+            unlisted.to_string(),
+            format!(
+                "{} holds line:0x3 but the directory does not list it",
+                rns[2]
+            )
+        );
+        sys.rn_lines[2].remove(&LineAddr(3));
+        // A listed reader beside the writer, then a second writer.
+        let home = LineAddr(2).interleave(1);
+        sys.dirs[home].add_sharer(LineAddr(2), rns[0]);
+        sys.rn_lines[0].insert(LineAddr(2), MesiState::Shared);
+        assert_eq!(
+            sys.check_coherent(lines()),
+            Err(Incoherence::WriterNotAlone {
+                addr: LineAddr(2),
+                copies: 2
+            })
+        );
+        sys.rn_lines[0].insert(LineAddr(2), MesiState::Exclusive);
+        assert_eq!(
+            sys.check_coherent(lines()),
+            Err(Incoherence::ManyWriters {
+                addr: LineAddr(2),
+                writers: 2
+            })
+        );
     }
 }

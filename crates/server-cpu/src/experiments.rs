@@ -28,7 +28,8 @@ pub enum PreparedState {
 /// # Panics
 ///
 /// Panics if any preparation or measured transaction fails to complete
-/// within a generous cycle budget.
+/// within a generous cycle budget, and in debug builds if a coherence
+/// invariant ([`CoherentSystem::check_coherent`]) breaks on `addrs`.
 pub fn coherence_ping<T: ChiTransport>(
     sys: &mut CoherentSystem<T>,
     owner: NodeId,
@@ -38,29 +39,39 @@ pub fn coherence_ping<T: ChiTransport>(
     addrs: &[LineAddr],
 ) -> f64 {
     const BUDGET: u64 = 200_000;
+    // Debug builds: the coherence invariants on `addrs` hold after
+    // every transaction the ping completes.
+    let run = |sys: &mut CoherentSystem<T>, t, what: &str| {
+        let c = sys.run_until_complete(t, BUDGET).expect(what);
+        if cfg!(debug_assertions) {
+            if let Err(e) = sys.check_coherent(addrs.iter().copied()) {
+                panic!("{what}: {e}");
+            }
+        }
+        c
+    };
     for &addr in addrs {
         match state {
             PreparedState::M => {
                 let t = sys.write(owner, addr);
-                sys.run_until_complete(t, BUDGET).expect("prepare M");
+                run(sys, t, "prepare M");
             }
             PreparedState::E => {
                 let t = sys.read(owner, addr, ReadKind::Shared);
-                sys.run_until_complete(t, BUDGET).expect("prepare E");
+                run(sys, t, "prepare E");
             }
             PreparedState::S => {
                 let t = sys.read(owner, addr, ReadKind::Shared);
-                sys.run_until_complete(t, BUDGET).expect("prepare S/owner");
+                run(sys, t, "prepare S/owner");
                 let t = sys.read(helper, addr, ReadKind::Shared);
-                sys.run_until_complete(t, BUDGET).expect("prepare S/helper");
+                run(sys, t, "prepare S/helper");
             }
         }
     }
     let mut total = 0u64;
     for &addr in addrs {
         let t = sys.read(reader, addr, ReadKind::Shared);
-        let c = sys.run_until_complete(t, BUDGET).expect("measured read");
-        total += c.latency();
+        total += run(sys, t, "measured read").latency();
     }
     total as f64 / addrs.len() as f64
 }

@@ -667,7 +667,8 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                     completed_at: 0,
                     window_occupancy: self.ep(src).window.occupancy() as u64,
                     final_packet: 0,
-                    packets: Vec::new(),
+                    // One span per packet the transaction will stage.
+                    packets: Vec::with_capacity(req_packets.len() + resp_packets.len()),
                 },
             );
         }
@@ -776,7 +777,8 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                     completed_at: 0,
                     window_occupancy: self.ep(src).window.occupancy() as u64,
                     final_packet: 0,
-                    packets: Vec::new(),
+                    // One span per tree edge: every target has one parent.
+                    packets: Vec::with_capacity(tree.targets()),
                 },
             );
         }

@@ -51,32 +51,11 @@ fn build(ring_stations: u16, rn_per_die: usize) -> (CoherentSystem, Vec<NodeId>)
     (sys, rns)
 }
 
-/// The coherence invariants on the 24 lines the property touches. SWMR:
-/// at most one writable copy, and a writable copy is the only copy. And
-/// the directory lists every copy, so a write snoops them all.
-fn coherent(sys: &CoherentSystem, rns: &[NodeId]) -> TestCaseResult {
-    for line in 0..24u64 {
-        let states = rns.iter().map(|&rn| sys.rn_state(rn, LineAddr(line)));
-        let writable = states.clone().filter(|s| s.writable()).count();
-        let readable = states.filter(|s| s.readable()).count();
-        prop_assert!(writable <= 1, "line {} has {} writers", line, writable);
-        prop_assert!(
-            writable == 0 || readable == 1,
-            "line {}: a writable copy beside {} other copies",
-            line,
-            readable - 1
-        );
-        let a = LineAddr(line);
-        for &rn in rns {
-            prop_assert!(
-                !sys.rn_state(rn, a).readable() || sys.directory_of(a).holders(a).any(|h| h == rn),
-                "{} holds {} but the directory does not list it",
-                rn,
-                a
-            );
-        }
-    }
-    Ok(())
+/// The coherence invariants on the 24 lines the property touches (see
+/// [`CoherentSystem::check_coherent`]).
+fn coherent(sys: &CoherentSystem) -> TestCaseResult {
+    sys.check_coherent((0..24).map(LineAddr))
+        .map_err(|e| TestCaseError(e.to_string()))
 }
 
 proptest! {
@@ -108,13 +87,13 @@ proptest! {
             }
             for _ in 0..3 {
                 sys.tick();
-                coherent(&sys, &rns)?;
+                coherent(&sys)?;
             }
         }
         let mut budget = 300_000u64;
         while sys.outstanding() > 0 && budget > 0 {
             sys.tick();
-            coherent(&sys, &rns)?;
+            coherent(&sys)?;
             budget -= 1;
         }
         prop_assert_eq!(sys.outstanding(), 0, "stuck transactions");

@@ -2,7 +2,6 @@
 //! CHI coherence → workload) across compute dies, I/O dies and packages.
 
 use noc_chi::{CoherentSystem, Completion, LineAddr, MesiState, ReadKind, TxnId};
-use noc_core::NodeId;
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 use noc_sim::SimRng;
 use std::collections::BTreeSet;
@@ -16,35 +15,19 @@ fn small() -> ServerCpuConfig {
     }
 }
 
-/// The coherence invariants on `lines`, which the load tests below
-/// check after every tick. SWMR: one writable copy, or any number of
-/// readable ones. And the directory lists every copy a requester holds.
-fn assert_coherent(sys: &CoherentSystem, rns: &[NodeId], lines: &BTreeSet<u64>) {
-    for &line in lines {
-        let a = LineAddr(line);
-        let (mut writable, mut readable) = (0, 0);
-        for &rn in rns {
-            let state = sys.rn_state(rn, a);
-            writable += usize::from(state.writable());
-            readable += usize::from(state.readable());
-            assert!(
-                !state.readable() || sys.directory_of(a).holders(a).any(|h| h == rn),
-                "{rn} holds {a} but the directory does not list it"
-            );
-        }
-        assert!(writable <= 1, "{a} has {writable} writers");
-        assert!(
-            writable == 0 || readable == 1,
-            "{a}: a writable copy beside {} other copies",
-            readable - 1
-        );
+/// The coherence invariants on `lines` (see
+/// [`CoherentSystem::check_coherent`]), which the load tests below
+/// check after every tick.
+fn assert_coherent(sys: &CoherentSystem, lines: &BTreeSet<u64>) {
+    if let Err(e) = sys.check_coherent(lines.iter().map(|&l| LineAddr(l))) {
+        panic!("{e}");
     }
 }
 
-/// One tick, then [`assert_coherent`] over every cluster.
+/// One tick, then [`assert_coherent`].
 fn tick_checked(s: &mut ServerCpu, lines: &BTreeSet<u64>) {
     s.sys.tick();
-    assert_coherent(&s.sys, &s.map.clusters, lines);
+    assert_coherent(&s.sys, lines);
 }
 
 /// `run_until_complete`, with [`assert_coherent`] after every tick.
@@ -56,7 +39,7 @@ fn run_checked(
 ) -> Option<Completion> {
     (0..budget).find_map(|_| {
         let done = s.sys.run_until_complete(txn, 1);
-        assert_coherent(&s.sys, &s.map.clusters, lines);
+        assert_coherent(&s.sys, lines);
         done
     })
 }
