@@ -784,30 +784,52 @@ mod tests {
 
     /// Known defect (pinned so a fix flips it): under
     /// `run_vs_alternatives`' load-0.30 traffic the ring of rings stops
-    /// delivering by cycle 5 000 and never resumes, flits still inside
-    /// while deflections climb. Each ring waits on the next through an
-    /// RBRG-L1 that cannot SWAP: a cyclic bridge dependency.
+    /// making progress — no inject, eject or bridge transfer — and
+    /// never resumes: flits stay inside while deflections climb. The
+    /// last progress is at cycle 95, so the 5 000-cycle stall latches
+    /// at cycle 5 095. Each ring waits on the next through an RBRG-L1
+    /// that cannot SWAP: a cyclic bridge dependency.
     #[test]
     fn ring_of_rings_wedges_at_load_0_30() {
+        const STALL: u64 = 5_000;
         let (mut ic, eps) = ring_of_rings();
         let mut gen = TrafficGen::new(eps.len(), 0.30, Pattern::UniformRandom, 0.5, 11);
-        let mut delivered_at = Vec::new();
-        for cycle in 1..=40_000u64 {
+        // Flits received in all, and by the last cycle with progress.
+        let (mut received, mut received_by_progress) = (0u64, 0u64);
+        let mut cycle = |ic: &mut RingAdapter| {
             for (s, d, class, bytes) in gen.cycle_events() {
                 let _ = ic.offer(eps[s], eps[d], class, bytes, 0);
             }
             ic.tick();
             for &e in &eps {
-                while ic.recv(e).is_some() {}
+                while ic.recv(e).is_some() {
+                    received += 1;
+                }
             }
-            if cycle % 5_000 == 0 {
-                delivered_at.push(ic.network().stats().delivered.get());
+            if ic.network().stalled_for() == 0 {
+                received_by_progress = received;
             }
+            (received, received_by_progress)
+        };
+        let wedged_at = (1..=40_000u64)
+            .find(|_| {
+                cycle(&mut ic);
+                ic.network().stalled_for() >= STALL
+            })
+            .expect("the ring of rings kept making progress to cycle 40 000");
+        for _ in 0..STALL {
+            cycle(&mut ic);
         }
+        let (received, received_by_progress) = cycle(&mut ic);
         let net = ic.network();
-        assert!(
-            delivered_at.iter().all(|&d| d == delivered_at[0]),
-            "delivery resumed after cycle 5 000: {delivered_at:?}"
+        assert_eq!(
+            net.stalled_for(),
+            2 * STALL + 1,
+            "progress resumed after cycle {wedged_at}"
+        );
+        assert_eq!(
+            received, received_by_progress,
+            "a flit arrived after the stall"
         );
         assert!(net.in_flight() > 0, "the fabric drained");
         assert_eq!(net.stats().swaps.get(), 0, "RBRG-L1 bridges never SWAP");

@@ -149,6 +149,8 @@ pub struct Network<S: TraceSink = NullSink> {
     /// Every resident flit's body; everything else holds handles.
     pub(crate) slab: FlitSlab,
     pub(crate) now: Cycle,
+    /// The last cycle that ended with no flit resident.
+    settled_at: u64,
     next_flit_id: u64,
     sink: S,
     /// The observer half (`crate::observe`); `None` until switched on.
@@ -186,6 +188,7 @@ impl<S: TraceSink> Network<S> {
             bridges,
             slab: FlitSlab::default(),
             now: Cycle::ZERO,
+            settled_at: 0,
             next_flit_id: 0,
             sink,
             observatory: None,
@@ -487,9 +490,32 @@ impl<S: TraceSink> Network<S> {
         } else {
             epoch::run_cycle::<false>(shards, bridges, slab, &self.shared, self.now);
         }
+        if self.slab.live() == 0 {
+            self.settled_at = self.now.raw();
+        }
         if S::ENABLED || self.observatory.is_some() {
             self.epilogue();
         }
+    }
+
+    /// Cycles since the network last made progress while flits were
+    /// resident: since the later of the last cycle that ended empty and
+    /// the last inject onto a ring, eject into an Eject Queue, bridge
+    /// intake or bridge delivery. Deflections and I-tag moves are not
+    /// progress, so a wedged fabric counts up however busy its rings
+    /// look; so does one whose devices stop draining their Eject
+    /// Queues. Reads 0 while nothing is resident. Always on: each
+    /// progress event pays one store and the tick one compare, and no
+    /// fingerprint includes it.
+    pub fn stalled_for(&self) -> u64 {
+        if self.slab.live() == 0 {
+            return 0;
+        }
+        let progress = self
+            .shards
+            .iter()
+            .fold(self.settled_at, |p, sh| p.max(sh.progress_at));
+        self.now.raw() - progress
     }
 
     /// The largest `k` [`Network::tick_epoch`] accepts: the minimum
@@ -611,5 +637,44 @@ mod tests {
         lone.tick_epoch(64).unwrap();
         assert_eq!(lone.now().raw(), 64);
         assert!(lone.pop_delivered(z).is_some());
+    }
+
+    #[test]
+    fn stalled_for_counts_cycles_without_progress_while_flits_are_resident() {
+        // Two full rings joined by one bridge of latency 3.
+        let mut b = TopologyBuilder::new();
+        let d0 = b.add_chiplet("d0");
+        let d1 = b.add_chiplet("d1");
+        let r0 = b.add_ring(d0, RingKind::Full, 8).unwrap();
+        let r1 = b.add_ring(d1, RingKind::Full, 8).unwrap();
+        let src = b.add_node("a0", r0, 1).unwrap();
+        let dst = b.add_node("a1", r1, 1).unwrap();
+        b.add_bridge(BridgeConfig::l2().with_latency(3), r0, 6, r1, 6)
+            .unwrap();
+        let mut net = Network::new(b.build().unwrap(), NetworkConfig::default());
+        for _ in 0..20 {
+            net.tick();
+        }
+        assert_eq!(net.stalled_for(), 0, "an empty network is not stalled");
+        net.enqueue(src, dst, FlitClass::Data, 64, 1).unwrap();
+        assert_eq!(net.stalled_for(), 0);
+        let mut trail = Vec::new();
+        while net.delivered_len(dst) == 0 {
+            net.tick();
+            trail.push(net.stalled_for());
+        }
+        // Injected (0), three hops to the bridge, ejected into its
+        // endpoint and taken in (0), three cycles in the pipeline,
+        // delivered and re-injected (0), three hops, ejected (0).
+        assert_eq!(trail, vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
+        // A device that leaves its mail unread holds the flit resident.
+        for _ in 0..10 {
+            net.tick();
+        }
+        assert_eq!(net.stalled_for(), 10);
+        assert!(net.pop_delivered(dst).is_some());
+        assert_eq!(net.stalled_for(), 0);
+        net.tick();
+        assert_eq!(net.stalled_for(), 0);
     }
 }

@@ -359,9 +359,8 @@ impl<S: TraceSink> Network<S> {
     /// [`PostmortemBundle`] — up to [`RecorderConfig::max_bundles`],
     /// readable via [`Network::bundles`].
     ///
-    /// The registry itself then keeps only that window: at least the
-    /// newest max(R, 1) snapshots and fewer than twice that, however
-    /// long the run. Read the whole series through
+    /// The registry itself then keeps only that window: exactly the
+    /// newest max(R, 1) snapshots, however long the run. Read the whole series through
     /// [`MetricsRegistry::since`] as it is committed, and the commit
     /// count through [`MetricsRegistry::committed`].
     ///

@@ -204,6 +204,11 @@ pub(crate) struct RingShard {
     /// metrics sampling boundaries — so the deflection hot path stays
     /// free of accounting work.
     pub flow_buf: Vec<(u32, u32, FlowDelta)>,
+    /// The last cycle a flit on this ring moved forward: injected onto
+    /// the ring, ejected into an Eject Queue (SWAP's included), taken
+    /// into a bridge or delivered out of one. Deflections and I-tag
+    /// moves leave it alone. [`crate::Network::stalled_for`] reads it.
+    pub progress_at: u64,
 }
 
 /// Build the shared inputs, one shard per ring and the bridge escapes
@@ -235,6 +240,7 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
             trace: TraceBuffer::default(),
             flow_on: false,
             flow_buf: Vec::new(),
+            progress_at: 0,
         })
         .collect();
     let mut node_loc = Vec::with_capacity(topo.nodes().len());
@@ -477,6 +483,7 @@ impl RingShard {
                 self.head_changed(shared, ep);
             }
             self.stats.bridge_crossings.inc();
+            self.progress_at = nraw;
         }
     }
 
@@ -783,6 +790,7 @@ impl RingShard {
         let exit = self.nodes[ni].want.exit;
         let flit = self.nodes[ni].inject.pop().expect("head checked");
         self.head_changed(shared, ni);
+        self.progress_at = now.raw();
         let body = &mut slab[flit];
         body.itag_wait += self.nodes[ni].starve;
         if body.injected_at.is_none() {
@@ -869,6 +877,7 @@ impl RingShard {
                 }
                 slab[flit].settle_recirc(now);
                 self.nodes[t].eject.push(flit).expect("space just vacated");
+                self.progress_at = now.raw();
                 if TRACE {
                     let record = TraceRecord {
                         cycle: now.raw(),
@@ -971,6 +980,7 @@ impl RingShard {
         flit: FlitRef,
         lane: u8,
     ) {
+        self.progress_at = now.raw();
         slab[flit].settle_recirc(now);
         let body = &slab[flit];
         let is_device = matches!(self.nodes[t].kind, NodeKind::Device);
@@ -1084,6 +1094,7 @@ impl RingShard {
         }
         if moved != 0 {
             bridges.escapes[e].last_push = (nraw, moved);
+            self.progress_at = nraw;
         }
         if bridges.escapes[e].reserved.is_empty() && self.nodes[ep].eject.is_empty() {
             self.intake.clear(si);

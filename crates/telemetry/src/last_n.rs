@@ -1,6 +1,9 @@
-//! The one bounded store behind every "keep the last N" buffer in this
-//! crate: the trace sink, the flight recorder's event ring, the span
-//! collector's recent trees and the wait-graph tracker's histories.
+//! The bounded stores behind every "keep the last N" buffer in this
+//! crate. [`LastN`], a ring, holds the trace sink, the flight
+//! recorder's event ring, the span collector's recent trees and the
+//! wait-graph tracker's samples and histories. [`LastNSlice`] holds the
+//! two windows readers take as one slice: the metrics registry's
+//! snapshots and the wait-graph tracker's gauge rows.
 //!
 //! A [`LastN`] is a `Vec` that grows to its capacity once and is then
 //! written in place: a push at capacity overwrites the oldest element
@@ -104,6 +107,67 @@ impl<T: Clone> LastN<T> {
         out.extend_from_slice(oldest);
         out.extend_from_slice(newest);
         out
+    }
+}
+
+/// The last `keep` elements pushed, oldest first, as one contiguous
+/// slice. `usize::MAX` keeps every element.
+///
+/// The live tail is `buf[start..]`. An element that leaves the window
+/// is replaced by `T::default()` at once, so what it owned on the heap
+/// is freed then; the emptied prefix is compacted away once it is
+/// `keep` long. Each compaction moves the `keep` live elements, so a
+/// push costs amortised O(1) and the buffer never holds more than
+/// `2·keep` shells.
+#[derive(Debug, Clone)]
+pub(crate) struct LastNSlice<T> {
+    buf: Vec<T>,
+    /// Length of the evicted, emptied prefix of `buf`.
+    start: usize,
+    keep: usize,
+}
+
+impl<T: Default> LastNSlice<T> {
+    /// An empty store keeping the newest `keep` elements.
+    pub fn new(keep: usize) -> Self {
+        LastNSlice {
+            buf: Vec::new(),
+            start: 0,
+            keep,
+        }
+    }
+
+    /// Keep the newest `keep` elements from here on, dropping any
+    /// beyond that now.
+    pub fn set_keep(&mut self, keep: usize) {
+        self.keep = keep;
+        if self.len() > keep {
+            self.buf.drain(..self.buf.len() - keep);
+            self.start = 0;
+        }
+    }
+
+    /// Append `value`, evicting the oldest element past `keep`.
+    pub fn push(&mut self, value: T) {
+        self.buf.push(value);
+        if self.len() > self.keep {
+            self.buf[self.start] = T::default();
+            self.start += 1;
+            if self.start >= self.keep {
+                self.buf.drain(..self.start);
+                self.start = 0;
+            }
+        }
+    }
+
+    /// The retained elements, oldest first.
+    pub fn as_slice(&self) -> &[T] {
+        &self.buf[self.start..]
+    }
+
+    /// Number of retained elements.
+    pub fn len(&self) -> usize {
+        self.buf.len() - self.start
     }
 }
 
@@ -264,6 +328,52 @@ mod tests {
                 prop_assert_eq!(view.events_seen(), pushes as u64);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The slice store holds exactly the model's newest `keep`
+        /// elements after every push and every bound change, and never
+        /// more than `2·keep` slots, the emptied prefix included.
+        #[test]
+        fn the_slice_store_holds_exactly_its_window(
+            keep in 1usize..6,
+            pushes in 0usize..41,
+            rebound_at in 0usize..48,
+            rebound in 1usize..6,
+        ) {
+            let mut model = Model { capacity: keep, items: VecDeque::new(), dropped: 0 };
+            let mut store = LastNSlice::new(keep);
+            for i in 0..pushes as u64 {
+                if i as usize == rebound_at {
+                    store.set_keep(rebound);
+                    model.capacity = rebound;
+                    while model.items.len() > rebound {
+                        model.items.pop_front();
+                    }
+                }
+                // From 1, so an emptied slot (0) is told from a value.
+                model.push(i + 1);
+                store.push(i + 1);
+                let held: Vec<u64> = model.items.iter().copied().collect();
+                prop_assert_eq!(store.as_slice(), held.as_slice());
+                prop_assert_eq!(store.len(), held.len());
+                prop_assert!(store.buf.len() <= 2 * model.capacity);
+                prop_assert!(store.buf[..store.start].iter().all(|&v| v == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn an_unbounded_slice_store_keeps_everything() {
+        let mut store = LastNSlice::new(usize::MAX);
+        for i in 0..100u64 {
+            store.push(i);
+        }
+        assert_eq!(store.as_slice(), (0..100).collect::<Vec<_>>().as_slice());
+        store.set_keep(3);
+        assert_eq!(store.as_slice(), &[97, 98, 99]);
+        assert_eq!(store.buf.len(), 3);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //!   per-bridge-side pipeline occupancy / escape buffers / DRM state.
 
 use crate::flowstats::FlowRecord;
+use crate::last_n::LastNSlice;
 use serde::{Deserialize, Serialize};
 
 /// Number of log2 buckets in [`RingGauges::starve_buckets`]: bucket `i`
@@ -268,25 +269,25 @@ impl MetricsSnapshot {
 /// A new registry keeps the whole series. After
 /// [`MetricsRegistry::retain_last`]`(n)` — which the network calls with
 /// the flight recorder's `snapshot_window` when it attaches one — it
-/// keeps only a tail: at least the newest `max(n, 1)` snapshots and
-/// fewer than `2·max(n, 1)`, so memory is bounded by configuration, not
-/// by run length. Eviction drops the oldest half at once, amortised
-/// O(1) per commit, and keeps the retained tail one contiguous slice.
-/// Eviction changes nothing that is committed: `seq` stays the commit
-/// index, and [`MetricsRegistry::summed`] and
-/// [`MetricsRegistry::committed`] count every window. A reader that
+/// keeps exactly the newest `max(n, 1)` snapshots (fewer only until
+/// that many are committed), so memory is bounded by configuration,
+/// not by run length. A snapshot's rings are freed the commit it leaves
+/// the window; the retained tail stays one contiguous slice at
+/// amortised O(1) per commit. Eviction changes nothing that is
+/// committed: `seq` stays the commit index, and
+/// [`MetricsRegistry::summed`] and [`MetricsRegistry::committed`] count
+/// every window. A reader that
 /// needs the whole stream reads it as it is committed, through
 /// [`MetricsRegistry::since`].
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     period: u64,
     cumulative: WindowCounters,
-    /// The retained tail of the series, oldest first.
-    snapshots: Vec<MetricsSnapshot>,
+    /// The retained tail of the series, oldest first; unbounded until
+    /// [`MetricsRegistry::retain_last`].
+    snapshots: LastNSlice<MetricsSnapshot>,
     /// Snapshots ever committed, retained or evicted: the next `seq`.
     committed: u64,
-    /// Newest snapshots always retained; `usize::MAX` keeps everything.
-    keep: usize,
 }
 
 impl MetricsRegistry {
@@ -301,26 +302,17 @@ impl MetricsRegistry {
         MetricsRegistry {
             period,
             cumulative: WindowCounters::default(),
-            snapshots: Vec::new(),
+            snapshots: LastNSlice::new(usize::MAX),
             committed: 0,
-            keep: usize::MAX,
         }
     }
 
     /// Bound retention to the newest `max(n, 1)` snapshots: from here
-    /// on the registry holds at least that many (once committed) and
-    /// fewer than twice that many. `usize::MAX` keeps the whole series.
+    /// on the registry holds exactly that many once that many are
+    /// committed, and older ones are dropped now. `usize::MAX` keeps
+    /// the whole series.
     pub fn retain_last(&mut self, n: usize) {
-        self.keep = n.max(1);
-        self.evict();
-    }
-
-    /// Drop the oldest snapshots once the tail reaches twice the bound,
-    /// keeping the newest `keep`.
-    fn evict(&mut self) {
-        if self.snapshots.len() >= self.keep.saturating_mul(2) {
-            self.snapshots.drain(..self.snapshots.len() - self.keep);
-        }
+        self.snapshots.set_keep(n.max(1));
     }
 
     /// The configured sample period in cycles.
@@ -353,14 +345,13 @@ impl MetricsRegistry {
         };
         self.committed += 1;
         self.snapshots.push(snap);
-        self.evict();
-        self.snapshots.last().expect("just pushed")
+        self.snapshots.as_slice().last().expect("just pushed")
     }
 
     /// The retained snapshots, oldest first: every snapshot committed so
     /// far unless retention is bounded (see the type-level docs).
     pub fn snapshots(&self) -> &[MetricsSnapshot] {
-        &self.snapshots
+        self.snapshots.as_slice()
     }
 
     /// The snapshots from sequence number `seq` on, oldest first (empty
@@ -369,14 +360,15 @@ impl MetricsRegistry {
     /// `committed()` of the previous poll reads the series as it is
     /// committed.
     pub fn since(&self, seq: u64) -> Option<&[MetricsSnapshot]> {
-        let first = self.committed - self.snapshots.len() as u64;
-        let skip = seq.checked_sub(first)?.min(self.snapshots.len() as u64);
-        Some(&self.snapshots[skip as usize..])
+        let tail = self.snapshots();
+        let first = self.committed - tail.len() as u64;
+        let skip = seq.checked_sub(first)?.min(tail.len() as u64);
+        Some(&tail[skip as usize..])
     }
 
     /// The most recent snapshot.
     pub fn last(&self) -> Option<&MetricsSnapshot> {
-        self.snapshots.last()
+        self.snapshots().last()
     }
 
     /// Number of retained snapshots.
@@ -387,7 +379,7 @@ impl MetricsRegistry {
     /// Whether no snapshot is retained (equivalently: none has been
     /// committed yet — a bounded registry keeps at least one).
     pub fn is_empty(&self) -> bool {
-        self.snapshots.is_empty()
+        self.snapshots.len() == 0
     }
 
     /// Snapshots ever committed, retained or evicted.
@@ -506,15 +498,9 @@ mod tests {
     }
 
     /// Snapshots a registry bounded to `keep` retains after `committed`
-    /// commits: all of them up to `keep`, then `keep` plus however many
-    /// arrived since the last eviction (each eviction, at `2·keep`,
-    /// leaves `keep`).
+    /// commits: all of them up to `keep`, then exactly `keep`.
     fn retained(committed: u64, keep: u64) -> u64 {
-        if committed < keep {
-            committed
-        } else {
-            keep + (committed - keep) % keep
-        }
+        committed.min(keep)
     }
 
     proptest! {
@@ -523,7 +509,7 @@ mod tests {
         /// the same commits, with `since` polled after the commits `poll`
         /// selects and once at the end. Sequence numbers, the retained
         /// tail, the recorder's window, the streamed bytes, `summed()` and
-        /// `committed()` all agree; the tail stays under `2·max(R, 1)`;
+        /// `committed()` all agree; the tail is `min(committed, max(R, 1))`;
         /// `since` is `None` exactly when the poll came after its next
         /// snapshot was evicted, and the reader then resumes at the tail.
         #[test]
@@ -557,7 +543,6 @@ mod tests {
                 prop_assert_eq!(bounded.is_empty(), committed == 0);
                 let len = bounded.len() as u64;
                 prop_assert_eq!(len, retained(committed, keep));
-                prop_assert!(len < 2 * keep);
                 let tail = &full.snapshots()[(committed - len) as usize..];
                 prop_assert_eq!(bounded.snapshots(), tail);
                 let shown = |reg: &MetricsRegistry| -> Vec<u64> {
@@ -599,14 +584,15 @@ mod tests {
         for i in 0..5 {
             commit_nth(&mut reg, i);
         }
-        // Four commits evicted the oldest two; the fifth sits beside them.
+        // Each commit past the second evicted the oldest.
         let seqs = |s: &[MetricsSnapshot]| s.iter().map(|s| s.seq).collect::<Vec<_>>();
-        assert_eq!(seqs(reg.snapshots()), vec![2, 3, 4]);
-        assert_eq!(reg.since(1), None);
+        assert_eq!(seqs(reg.snapshots()), vec![3, 4]);
+        assert_eq!(reg.since(2), None);
         assert_eq!(reg.since(3).map(seqs), Some(vec![3, 4]));
+        assert_eq!(reg.since(4).map(seqs), Some(vec![4]));
         assert_eq!(reg.since(5).map(<[_]>::len), Some(0));
         assert_eq!(reg.since(99).map(<[_]>::len), Some(0));
-        assert_eq!((reg.committed(), reg.len()), (5, 3));
+        assert_eq!((reg.committed(), reg.len()), (5, 2));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   The recorder holds no copy; [`RecorderView::snapshots`] is a slice
 //!   of the registry. Attaching the recorder bounds that registry to
 //!   the same window ([`MetricsRegistry::retain_last`]), so the
-//!   snapshots cost fewer than 2·max(R, 1) entries however long the run.
+//!   registry holds exactly max(R, 1) snapshots however long the run
+//!   (at least one, so the latest sample stays readable at R = 0).
 //! * **events** — the last T flit-lifecycle [`TraceRecord`]s, in one
 //!   fixed-capacity ring. Memory is bounded by construction; a
 //!   recorder attached to a year-long run costs the same as one
@@ -32,10 +33,9 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 pub struct RecorderConfig {
     /// Snapshots retained (R): the visible history of a bundle. A
     /// network that attaches the recorder bounds its metrics registry
-    /// by it too: the registry keeps at least the newest max(R, 1)
-    /// snapshots and fewer than twice that (`usize::MAX` keeps the
-    /// whole series). Read the full stream through
-    /// [`MetricsRegistry::since`] as it is committed.
+    /// by it too: the registry keeps exactly the newest max(R, 1)
+    /// snapshots (`usize::MAX` keeps the whole series). Read the full
+    /// stream through [`MetricsRegistry::since`] as it is committed.
     pub snapshot_window: usize,
     /// Trace events retained (T) when a tracing sink is attached.
     pub event_window: usize,

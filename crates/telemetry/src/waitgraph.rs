@@ -56,7 +56,7 @@
 //! pass iterates sorted adjacency, and history is keyed by `BTreeMap`
 //! — the sampled stream is byte-identical run to run.
 
-use crate::last_n::LastN;
+use crate::last_n::{LastN, LastNSlice};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -145,9 +145,10 @@ pub struct WaitEdge {
 }
 
 /// Classification of one sampled wait graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WaitVerdict {
     /// Acyclic: every chain of waits bottoms out in a free resource.
+    #[default]
     Progressing,
     /// Cyclic, but at least one cycle member still makes progress.
     TransientCycle,
@@ -187,7 +188,7 @@ pub struct WaitGraphSample {
 
 /// Aggregate gauges of one sample — the Prometheus/JSONL surface and
 /// the diagnostics stall summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WaitStats {
     /// Sample cycle.
     pub cycle: u64,
@@ -336,10 +337,12 @@ pub struct WaitGraphConfig {
     /// (non-empty, zero progress delta) before the verdict escalates
     /// to [`WaitVerdict::Wedged`].
     pub freeze_windows: u32,
-    /// Bound on retained samples (oldest evicted first). Samples are
-    /// export-only — the verdict runs on per-resource streaks and the
-    /// wedge report keeps its own `history` — so the default keeps 32,
-    /// the flight recorder's default snapshot window.
+    /// Bound on retained samples and on retained gauge rows
+    /// ([`WaitGraphTracker::stats`]), oldest evicted first. Samples are
+    /// export-only and of the rows only the newest is read — the
+    /// verdict runs on per-resource streaks and the wedge report keeps
+    /// its own `history` — so the default keeps 32, the flight
+    /// recorder's default snapshot window.
     pub max_samples: usize,
     /// Occupancy-history depth kept per resource for the wedge report.
     pub history: usize,
@@ -377,7 +380,8 @@ pub struct WaitGraphTracker {
     /// sorted node list in one linear pass per sample).
     tracks: Vec<(ResourceId, ResourceTrack)>,
     samples: LastN<WaitGraphSample>,
-    stats: Vec<WaitStats>,
+    /// One gauge row per retained sample.
+    stats: LastNSlice<WaitStats>,
     report: Option<WedgeReport>,
 }
 
@@ -391,7 +395,7 @@ impl WaitGraphTracker {
             cfg,
             tracks: Vec::new(),
             samples: LastN::new(cfg.max_samples),
-            stats: Vec::new(),
+            stats: LastNSlice::new(cfg.max_samples),
             report: None,
         }
     }
@@ -666,9 +670,10 @@ impl WaitGraphTracker {
         self.samples.last()
     }
 
-    /// Per-sample gauge stream (never evicted; one row per ingest).
+    /// Gauge rows of the retained samples, oldest first: one row per
+    /// ingest, the newest [`WaitGraphConfig::max_samples`] of them.
     pub fn stats(&self) -> &[WaitStats] {
-        &self.stats
+        self.stats.as_slice()
     }
 
     /// Whether a wedge has latched.
@@ -905,6 +910,22 @@ mod tests {
         assert_eq!(st.blocked[0], 1, "one ring blocked");
         assert_eq!(st.blocked[2], 1, "one window blocked");
         assert_eq!(st.cyclic_sccs, 0);
+    }
+
+    #[test]
+    fn stats_rows_are_bounded_like_the_samples() {
+        let mut tr = WaitGraphTracker::new(WaitGraphConfig {
+            max_samples: 3,
+            ..WaitGraphConfig::default()
+        });
+        for cycle in 0..10 {
+            let (nodes, edges) = cycle_graph(1);
+            tr.ingest(cycle * 32, nodes, edges);
+        }
+        let rows: Vec<u64> = tr.stats().iter().map(|s| s.cycle).collect();
+        let samples: Vec<u64> = tr.samples().map(|s| s.cycle).collect();
+        assert_eq!(rows, vec![224, 256, 288]);
+        assert_eq!(rows, samples);
     }
 
     #[test]

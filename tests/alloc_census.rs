@@ -1,0 +1,327 @@
+//! Allocation census: heap allocations counted, not timed.
+//!
+//! A counting global allocator (std only) tallies every `alloc`,
+//! `alloc_zeroed` and `realloc` made on the calling thread — a
+//! thread-local counter, because the test harness runs tests side by
+//! side. Each case warms its system up, then counts a fixed stretch at
+//! a fixed seed and size and pins the figure:
+//!
+//! * the raw `Network` (no telemetry) and the `AiEngine` allocate
+//!   nothing per cycle in steady state: a handful of times in 20 000
+//!   cycles, each a bounded queue (a bridge pipeline, an L2 arrival
+//!   queue) growing to a new high-water mark;
+//! * `CoherentSystem` and `TxnFabric` allocate an exact number of times
+//!   over a fixed number of completed requests or transactions;
+//! * the flight recorder allocates the same number of times in every
+//!   metrics window, however long it runs.
+//!
+//! A pinned count moves when a change adds or removes an allocation on
+//! one of these paths. If the change meant to, update the pin and say
+//! why; if not, the census found a regression the clocks cannot see.
+//!
+//! Debug builds run the engine's `debug_check_*` walks, which allocate
+//! every cycle, so the census compiles only without debug assertions:
+//! `cargo test --release -p noc-tests --test alloc_census`.
+#![cfg(not(debug_assertions))]
+
+use noc_ai::{AiConfig, AiEngine, AiProcessor, AiTraffic};
+use noc_chi::{LineAddr, ReadKind};
+use noc_core::telemetry::{HealthConfig, RecorderConfig};
+use noc_core::{FlitClass, GridParams, Network, NetworkConfig, NodeId, Topology};
+use noc_server_cpu::{ServerCpu, ServerCpuConfig};
+use noc_sim::fuzz::TrafficPattern;
+use noc_sim::SimRng;
+use noc_txn::{TxnConfig, TxnFabric};
+use noc_workloads::{TxnMix, TxnRequest, TxnWorkload, Zipf};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `System`, counting allocations per thread.
+struct Counting;
+
+fn count() {
+    // `try_with`: the slot may be gone while a thread is torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is
+// a const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded with the caller's guarantees.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded with the caller's guarantees.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: forwarded with the caller's guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded with the caller's guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Allocations this thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Allocations made by `f` on this thread.
+fn allocs_in(f: impl FnOnce()) -> u64 {
+    let before = allocs();
+    f();
+    allocs() - before
+}
+
+/// A generated torus with its devices in name order.
+fn torus(side: u16, devices: u16, seed: u64) -> (Topology, Vec<NodeId>) {
+    let (topo, names) = GridParams::torus(side, side)
+        .with_stations(16)
+        .with_devices(devices)
+        .with_seed(seed)
+        .generate()
+        .expect("the torus generates")
+        .compile()
+        .expect("the torus compiles");
+    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
+    named.sort();
+    (topo, named.into_iter().map(|(_, id)| id).collect())
+}
+
+/// One open-loop cycle of raw flits: every device offers a flit with
+/// probability `rate` to a uniform other device (a refused flit is
+/// dropped), the network ticks, every device drains its mail.
+fn flit_cycle<S: noc_core::telemetry::TraceSink>(
+    net: &mut Network<S>,
+    devices: &[NodeId],
+    rng: &mut SimRng,
+    rate: f64,
+) {
+    for (src, &from) in devices.iter().enumerate() {
+        if rng.gen_bool(rate) {
+            let pick = rng.gen_index(devices.len() - 1);
+            let dst = if pick >= src { pick + 1 } else { pick };
+            let _ = net.enqueue(from, devices[dst], FlitClass::Data, 64, 0);
+        }
+    }
+    net.tick();
+    for &dev in devices {
+        while net.pop_delivered(dev).is_some() {}
+    }
+}
+
+/// The 8×8 torus at the injection knee (0.08 flits per device per
+/// cycle), no telemetry: after 20 000 cycles of warm-up, 5 allocations
+/// in the next 20 000, each a bridge pipeline reaching a new depth.
+#[test]
+fn a_raw_network_allocates_only_to_grow_its_queues() {
+    let (topo, devices) = torus(8, 4, 0x746f_7238);
+    let mut net = Network::new(topo, NetworkConfig::default());
+    let mut rng = SimRng::seed_from(7);
+    for _ in 0..20_000 {
+        flit_cycle(&mut net, &devices, &mut rng, 0.08);
+    }
+    let n = allocs_in(|| {
+        for _ in 0..20_000 {
+            flit_cycle(&mut net, &devices, &mut rng, 0.08);
+        }
+    });
+    assert!(net.stats().delivered.get() > 500_000, "the load ran");
+    assert_eq!(n, 5, "allocations over 20 000 cycles of raw flits");
+}
+
+/// The AI-Processor streaming at saturation (its own closed-loop
+/// traffic): after 20 000 cycles of warm-up, 29 allocations in the next
+/// 20 000, each a bridge pipeline or an L2 arrival queue reaching a new
+/// depth.
+#[test]
+fn the_ai_engine_allocates_only_to_grow_its_queues() {
+    let proc = AiProcessor::build(AiConfig::default()).expect("the default AI-Processor is valid");
+    let traffic = AiTraffic {
+        seed: 7,
+        ..AiTraffic::default()
+    };
+    let mut engine = AiEngine::new(proc, traffic);
+    engine.run(20_000, 0).expect("warm-up runs clean");
+    let mut moved = 0;
+    let n = allocs_in(|| {
+        let r = engine.run(0, 20_000).expect("runs clean");
+        moved = r.read_bytes + r.write_bytes + r.dma_bytes;
+    });
+    assert!(moved > 0, "the engine moved data");
+    assert_eq!(n, 29, "allocations over 20 000 AI-Processor cycles");
+}
+
+/// The Server-CPU under a closed loop of Zipf-distributed reads and
+/// writes, four outstanding per cluster: 10 365 allocations over 8 000
+/// completed requests (1.30 each). Most are the requesters' protocol
+/// handling; about a third are LLC sets growing by one way as new
+/// lines are installed.
+#[test]
+fn a_coherent_system_allocates_a_pinned_count_per_request() {
+    const WARM: u64 = 4_000;
+    const MEASURED: u64 = 8_000;
+    let cpu =
+        ServerCpu::build(ServerCpuConfig::default()).expect("the default Server-CPU is valid");
+    let clusters = cpu.map.clusters.clone();
+    let mut sys = cpu.sys;
+    let zipf = Zipf::new(65_536, 0.9);
+    let mut rng = SimRng::seed_from(7);
+    let requests: Vec<(u64, bool)> = (0..WARM + MEASURED + 4 * clusters.len() as u64)
+        .map(|_| (zipf.sample(&mut rng) as u64, !rng.gen_bool(0.7)))
+        .collect();
+    let mut cluster_of =
+        vec![usize::MAX; clusters.iter().map(|c| c.index() + 1).max().unwrap_or(0)];
+    for (i, c) in clusters.iter().enumerate() {
+        cluster_of[c.index()] = i;
+    }
+    let mut outstanding = vec![0u32; clusters.len()];
+    let (mut next, mut completed) = (0usize, 0u64);
+    let mut run_to = |target: u64| {
+        while completed < target {
+            for (c, &rn) in clusters.iter().enumerate() {
+                while outstanding[c] < 4 {
+                    let (line, write) = requests[next];
+                    next += 1;
+                    outstanding[c] += 1;
+                    if write {
+                        sys.write(rn, LineAddr(line));
+                    } else {
+                        sys.read(rn, LineAddr(line), ReadKind::Shared);
+                    }
+                }
+            }
+            sys.tick();
+            for done in sys.take_completions() {
+                outstanding[cluster_of[done.rn.index()]] -= 1;
+                completed += 1;
+            }
+        }
+        completed
+    };
+    run_to(WARM);
+    let mut done = 0;
+    let n = allocs_in(|| done = run_to(WARM + MEASURED));
+    assert_eq!(done - WARM, MEASURED, "no request was lost");
+    assert_eq!(n, 10_365, "allocations over {MEASURED} completed requests");
+}
+
+/// The benchmark's transaction mix (reads beside writes and atomics,
+/// bursts up to 1 KiB, 64 in flight) on the 4×4 torus, no telemetry:
+/// 29 302 allocations over 6 000 completed transactions (4.88 each):
+/// splitting into packets, staging each packet's flits, and the
+/// completion records handed back.
+#[test]
+fn a_txn_fabric_allocates_a_pinned_count_per_transaction() {
+    const WARM: u64 = 2_000;
+    const MEASURED: u64 = 6_000;
+    let (topo, devices) = torus(4, 2, 0x7261_6a65);
+    let mut fab = TxnFabric::new(
+        Network::new(topo, NetworkConfig::default()),
+        TxnConfig {
+            reassembly_slots: 1,
+            max_data_flits: 16,
+            ..TxnConfig::default()
+        },
+    );
+    let mix = TxnMix {
+        read_frac: 0.45,
+        write_frac: 0.43,
+        atomic_frac: 0.12,
+        bcast_frac: 0.0,
+        posted_frac: 0.5,
+    };
+    let workload = TxnWorkload::new(devices, mix, TrafficPattern::Uniform, 64, 16);
+    let mut rng = SimRng::seed_from(7);
+    let requests: Vec<TxnRequest> = (0..WARM + MEASURED + 64)
+        .map(|_| workload.next(&mut rng))
+        .collect();
+    let (mut next, mut completed) = (0usize, 0u64);
+    let mut run_to = |target: u64| {
+        while completed < target {
+            while fab.in_flight_txns() < 64 {
+                let TxnRequest::Point { src, dst, op } = &requests[next] else {
+                    panic!("the mix has no broadcasts");
+                };
+                match fab.submit(*src, *dst, *op).expect("valid endpoints") {
+                    Some(_) => next += 1,
+                    None => break,
+                }
+            }
+            fab.tick();
+            completed += fab.drain_completions().len() as u64;
+        }
+        completed
+    };
+    run_to(WARM);
+    let mut done = 0;
+    let n = allocs_in(|| done = run_to(WARM + MEASURED));
+    assert!(done - WARM >= MEASURED);
+    assert_eq!(
+        n,
+        29_302,
+        "allocations over {} completed transactions",
+        done - WARM
+    );
+}
+
+/// Raw flits on the 4×4 torus with the flight recorder on (metrics
+/// every 32 cycles, health watchdogs, flow tables), beside a twin
+/// without it fed the same traffic: the twin's allocations are the
+/// network's own (a queue reaching a new depth), so the difference is
+/// the recorder's. It is the same in every metrics window, however
+/// long the run: 49 = the snapshot's ring vector plus, for each of the
+/// 16 rings, its bridge gauges, flow rows and link row. On top of that,
+/// 9 windows in 448 allocate once more: a ring's staged flow deltas
+/// (one per delivery in the window) reaching a new high-water mark.
+#[test]
+fn the_flight_recorder_allocates_the_same_in_every_window() {
+    const PERIOD: u64 = 32;
+    let (topo, devices) = torus(4, 2, 0x7261_6a65);
+    let mut plain = Network::new(topo.clone(), NetworkConfig::default());
+    let mut net = Network::new(topo, NetworkConfig::default());
+    net.enable_flight_recorder(PERIOD, HealthConfig::default(), RecorderConfig::default());
+    let (mut plain_rng, mut rng) = (SimRng::seed_from(7), SimRng::seed_from(7));
+    let mut windows = Vec::new();
+    for _ in 0..512 {
+        let own = allocs_in(|| {
+            for _ in 0..PERIOD {
+                flit_cycle(&mut plain, &devices, &mut plain_rng, 0.05);
+            }
+        });
+        let all = allocs_in(|| {
+            for _ in 0..PERIOD {
+                flit_cycle(&mut net, &devices, &mut rng, 0.05);
+            }
+        });
+        windows.push(all - own);
+    }
+    assert_eq!(
+        plain.fingerprint(),
+        net.fingerprint(),
+        "observing perturbed the run"
+    );
+    // The first windows fill the registry and grow the recorder's
+    // tables; from the registry's bound on, every window is alike.
+    let steady = &windows[64..];
+    let extra: Vec<u64> = steady.iter().map(|&w| w - 49).collect();
+    assert!(extra.iter().all(|&x| x <= 1), "{steady:?}");
+    assert_eq!(extra.iter().sum::<u64>(), 9, "{steady:?}");
+}
