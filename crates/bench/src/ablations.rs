@@ -50,8 +50,8 @@ fn drive_uniform<T: ChiTransport>(
 }
 
 /// Figure 9 scenario: adversarial cross-ring saturation with and
-/// without SWAP.
-fn cross_ring_flood(swap: bool) -> (Network, Vec<NodeId>, Vec<NodeId>) {
+/// without SWAP, and with or without always-on escape buffers.
+fn cross_ring_flood(swap: bool, escape_always: bool) -> (Network, Vec<NodeId>, Vec<NodeId>) {
     let mut b = TopologyBuilder::new();
     let d0 = b.add_chiplet("d0");
     let d1 = b.add_chiplet("d1");
@@ -68,6 +68,7 @@ fn cross_ring_flood(swap: bool) -> (Network, Vec<NodeId>, Vec<NodeId>) {
         .with_buffer_cap(2)
         .with_width(1)
         .with_swap(swap)
+        .with_escape_always(escape_always)
         .with_deadlock_threshold(48)
         .with_reserved_cap(2);
     b.add_bridge(cfg, r0, 5, r1, 5).expect("bridge");
@@ -112,7 +113,7 @@ pub fn run_swap(scale: Scale) -> ExperimentResult {
     ]);
     let mut delivered = Vec::new();
     for swap in [true, false] {
-        let (mut net, a, z) = cross_ring_flood(swap);
+        let (mut net, a, z) = cross_ring_flood(swap, false);
         let d = run_flood(&mut net, &a, &z, cycles);
         delivered.push(d);
         r.push_row(vec![
@@ -448,7 +449,7 @@ pub fn run_llc_path(scale: Scale) -> ExperimentResult {
 /// Ablation: multi-package scale-up over PA SerDes (§4.2's 4P system) —
 /// cross-package coherence latency by package count.
 pub fn run_multi_package(scale: Scale) -> ExperimentResult {
-    use noc_chi::{LineAddr, ReadKind};
+    use noc_chi::ReadKind;
     use noc_server_cpu::{ServerCpu, ServerCpuConfig};
     let lines = scale.pick(6, 24);
     let mut r = ExperimentResult::new(
@@ -489,7 +490,6 @@ pub fn run_multi_package(scale: Scale) -> ExperimentResult {
         let mut local_sum = 0u64;
         let mut remote_sum = 0u64;
         for &addr in &addrs {
-            let _ = LineAddr(0); // keep the import used in all cfgs
             let t = s.sys.write(writer, addr);
             s.sys.run_until_complete(t, 500_000).expect("write");
             let t = s.sys.read(local_reader, addr, ReadKind::Shared);
@@ -554,42 +554,13 @@ pub fn run_escape_vs_swap(scale: Scale) -> ExperimentResult {
         "throughput (flits/kcycle)",
         "mean latency (cyc)",
     ]);
-    let build = |swap: bool, escape: bool| {
-        let mut b = TopologyBuilder::new();
-        let d0 = b.add_chiplet("d0");
-        let d1 = b.add_chiplet("d1");
-        let r0 = b.add_ring(d0, RingKind::Full, 6).expect("ring");
-        let r1 = b.add_ring(d1, RingKind::Full, 6).expect("ring");
-        let a: Vec<_> = (0..4)
-            .map(|i| b.add_node(format!("a{i}"), r0, i as u16).expect("node"))
-            .collect();
-        let z: Vec<_> = (0..4)
-            .map(|i| b.add_node(format!("z{i}"), r1, i as u16).expect("node"))
-            .collect();
-        let cfg = BridgeConfig::l2()
-            .with_latency(2)
-            .with_buffer_cap(2)
-            .with_width(1)
-            .with_swap(swap)
-            .with_escape_always(escape)
-            .with_deadlock_threshold(48)
-            .with_reserved_cap(2);
-        b.add_bridge(cfg, r0, 5, r1, 5).expect("bridge");
-        let net_cfg = NetworkConfig {
-            inject_queue_cap: 8,
-            eject_queue_cap: 2,
-            itag_threshold: 8,
-            ..NetworkConfig::default()
-        };
-        (Network::new(b.build().expect("valid"), net_cfg), a, z)
-    };
     let mut rows = Vec::new();
     for (name, swap, escape) in [
         ("SWAP (this work)", true, false),
         ("escape buffers always on", false, true),
         ("none", false, false),
     ] {
-        let (mut net, a, z) = build(swap, escape);
+        let (mut net, a, z) = cross_ring_flood(swap, escape);
         let d = run_flood(&mut net, &a, &z, cycles);
         let lat = net.stats().mean_total_latency();
         rows.push((name, d, lat));

@@ -1,0 +1,141 @@
+//! Drain after overload, on the paper's two SoCs (ROADMAP item 6,
+//! measurement half).
+//!
+//! Each committed spec (`specs/*.json`) takes open-loop uniform traffic
+//! at 1.0 flit per device per cycle for [`INJECT`] cycles: every device
+//! offers one flit each cycle to a uniformly drawn other device, a
+//! refused enqueue is dropped, and every delivery is popped the cycle it
+//! lands. Then the fabric drains with no new traffic until it is empty
+//! or until [`Network::stalled_for`] reaches [`STALL_W`] cycles. Every
+//! (spec, seed) outcome is pinned in [`OVERLOAD_KNOWN_WEDGES`], drained
+//! rows included, so a mechanism that lets the fabric drain after
+//! overload flips rows here.
+
+use noc_core::spec::SocSpec;
+use noc_core::{FlitClass, Network, NodeId};
+use noc_sim::fuzz::TrafficPattern;
+use noc_sim::SimRng;
+
+/// Cycles of offered overload.
+const INJECT: u64 = 500;
+
+/// Drain cycles without progress after which a run counts as wedged
+/// (the window `topogen_properties` and the ring-of-rings ablation use).
+const STALL_W: u64 = 5_000;
+
+/// Drain cycles after which a run that still makes progress is
+/// reported as neither drained nor wedged.
+const BUDGET: u64 = 50_000;
+
+/// How a run ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// The fabric emptied this many cycles after injection stopped.
+    Drained(u64),
+    /// The drain stopped on the stall verdict with this many flits
+    /// still in flight.
+    Wedged(u64),
+}
+
+use Outcome::{Drained, Wedged};
+
+/// Every run's outcome today, as `(spec, seed, outcome)`. The AI SoC
+/// wedges on every seed; the Server-CPU drains on seven of ten (the
+/// inject queues cap what 500 cycles of overload can put in) and wedges
+/// on three.
+#[rustfmt::skip]
+const OVERLOAD_KNOWN_WEDGES: &[(&str, u64, Outcome)] = &[
+    ("server_cpu", 0, Drained(781)),
+    ("server_cpu", 1, Drained(480)),
+    ("server_cpu", 2, Drained(821)),
+    ("server_cpu", 3, Drained(729)),
+    ("server_cpu", 4, Wedged(456)),
+    ("server_cpu", 5, Drained(682)),
+    ("server_cpu", 6, Drained(649)),
+    ("server_cpu", 7, Drained(977)),
+    ("server_cpu", 8, Wedged(462)),
+    ("server_cpu", 9, Wedged(452)),
+    ("ai_processor", 0, Wedged(7097)),
+    ("ai_processor", 1, Wedged(6812)),
+    ("ai_processor", 2, Wedged(6955)),
+    ("ai_processor", 3, Wedged(6932)),
+    ("ai_processor", 4, Wedged(7136)),
+    ("ai_processor", 5, Wedged(7171)),
+    ("ai_processor", 6, Wedged(7183)),
+    ("ai_processor", 7, Wedged(6768)),
+    ("ai_processor", 8, Wedged(6725)),
+    ("ai_processor", 9, Wedged(7307)),
+];
+
+/// Overload `spec` with `seed`'s traffic, then drain. `Err` if the
+/// drain is still making progress after [`BUDGET`] cycles.
+fn overload_then_drain(spec: &SocSpec, seed: u64) -> Result<Outcome, String> {
+    let (topo, names) = spec.compile().map_err(|e| e.to_string())?;
+    let mut named: Vec<(&String, NodeId)> = names.iter().map(|(k, v)| (k, *v)).collect();
+    named.sort();
+    let devices: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
+    let mut net = Network::new(topo, spec.network.clone());
+    let mut rng = SimRng::seed_from(seed);
+    let mut token = 0u64;
+    let pop_all = |net: &mut Network| {
+        for &d in &devices {
+            while net.pop_delivered(d).is_some() {}
+        }
+    };
+    for _ in 0..INJECT {
+        for si in 0..devices.len() {
+            let di = TrafficPattern::Uniform.pick_dest(&mut rng, devices.len(), si);
+            token += 1;
+            let _ = net.enqueue(devices[si], devices[di], FlitClass::Data, 64, token);
+        }
+        net.tick();
+        pop_all(&mut net);
+    }
+    for drained in 0..BUDGET {
+        if net.in_flight() == 0 {
+            return Ok(Drained(drained));
+        }
+        if net.stalled_for() >= STALL_W {
+            return Ok(Wedged(net.in_flight()));
+        }
+        net.tick();
+        pop_all(&mut net);
+    }
+    Err(format!(
+        "still progressing after {BUDGET} drain cycles ({} flits left)",
+        net.in_flight()
+    ))
+}
+
+fn spec_matches_pins(name: &str, json: &str) {
+    let spec = SocSpec::from_json(json).expect("committed spec parses");
+    let mut wrong = Vec::new();
+    for seed in 0..10u64 {
+        let got = overload_then_drain(&spec, seed);
+        let want = OVERLOAD_KNOWN_WEDGES
+            .iter()
+            .find(|&&(n, s, _)| n == name && s == seed)
+            .map(|&(_, _, o)| o);
+        if got.as_ref().ok() != want.as_ref() {
+            wrong.push(format!("seed {seed}: got {got:?}, pinned {want:?}"));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "{name}: update OVERLOAD_KNOWN_WEDGES\n{}",
+        wrong.join("\n")
+    );
+}
+
+#[test]
+fn server_cpu_overload_outcomes_are_pinned() {
+    spec_matches_pins("server_cpu", include_str!("../../../specs/server_cpu.json"));
+}
+
+#[test]
+fn ai_processor_overload_outcomes_are_pinned() {
+    spec_matches_pins(
+        "ai_processor",
+        include_str!("../../../specs/ai_processor.json"),
+    );
+}

@@ -33,9 +33,19 @@ use noc_sim::fuzz::{save_failing_artifact, SeedMatrix, TrafficPattern};
 use noc_sim::SimRng;
 use proptest::prelude::*;
 
+/// Drain cycles without progress ([`Network::stalled_for`]) after which
+/// a run counts as wedged: the ring-of-rings ablation's window.
+const STALL_W: u64 = 5_000;
+
+/// Ends a drain failure that stopped on the stall verdict rather than
+/// on the 20 000-cycle budget.
+const STALL_VERDICT: &str = "; stalled 5000 cycles";
+
 /// Drive one generated fabric under one seeded traffic schedule,
-/// checking every standing invariant along the way. Returns a
-/// human-readable description of the first violation.
+/// checking every standing invariant along the way. The drain after
+/// the injection phase ends when the fabric is empty, when it has made
+/// no progress for [`STALL_W`] cycles, or after 20 000 cycles. Returns
+/// a human-readable description of the first violation.
 fn fuzz_fabric(
     spec: &SocSpec,
     traffic_seed: u64,
@@ -123,13 +133,18 @@ fn fuzz_fabric(
                 }
             }
         }
-        if cycle >= cycles && net.in_flight() == 0 {
+        if cycle >= cycles && (net.in_flight() == 0 || net.stalled_for() >= STALL_W) {
             break;
         }
     }
     if net.in_flight() != 0 {
+        let verdict = if net.stalled_for() >= STALL_W {
+            STALL_VERDICT
+        } else {
+            ""
+        };
         return Err(format!(
-            "failed to drain within budget ({} flits left)",
+            "failed to drain within budget ({} flits left){verdict}",
             net.in_flight()
         ));
     }
@@ -354,9 +369,11 @@ fn hotspot_torus_holds_invariants() {
 /// asserted to fail that way, so a fix flips it (ROADMAP.md, "No
 /// excluded loads"):
 ///
-/// * Server-CPU: flits still in flight after the 20 000-cycle drain;
-///   deflections keep climbing on a longer drain, so this is a livelock
-///   although the fabric's bridge graph is acyclic.
+/// * Server-CPU: flits still in flight when the drain stops on the
+///   stall verdict (each of these must, not on the cycle budget: a
+///   wedge freezes the count); deflections keep climbing on a longer
+///   drain, so this is a livelock although the fabric's bridge graph
+///   is acyclic.
 /// * AI-Processor: the I-tag starvation bound breaks in deflection-free
 ///   runs.
 #[rustfmt::skip]
@@ -393,7 +410,14 @@ fn paper_soc_matrix(name: &str, json: &str) {
                 .find(|&&(n, s, _)| n == name && s == seed && pattern_name == "uniform");
             match (fuzz_fabric(&spec, seed, pattern, 120, 0.2), known) {
                 (Ok(()), None) => {}
-                (Err(msg), Some(&(_, _, want))) if msg.starts_with(want) => {}
+                (Err(msg), Some(&(_, _, want))) if msg.starts_with(want) => {
+                    if want.starts_with("failed to drain") && !msg.ends_with(STALL_VERDICT) {
+                        wrong.push(format!(
+                            "{pattern_name} seed {seed}: \"{msg}\" ended on the cycle \
+                             budget, not the stall verdict"
+                        ));
+                    }
+                }
                 (Ok(()), Some(&(_, _, want))) => wrong.push(format!(
                     "{pattern_name} seed {seed}: known defect \"{want}\" no longer fails; \
                      move it out of PAPER_SOC_KNOWN_DEFECTS"

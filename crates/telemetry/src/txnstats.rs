@@ -42,7 +42,6 @@ pub struct TxnRegistry {
     period: u64,
     completed_total: u64,
     window: Histogram,
-    cumulative: Histogram,
     snapshots: Vec<TxnSnapshot>,
 }
 
@@ -58,7 +57,6 @@ impl TxnRegistry {
             period,
             completed_total: 0,
             window: Histogram::new("txn-latency-window"),
-            cumulative: Histogram::new("txn-latency"),
             snapshots: Vec::new(),
         }
     }
@@ -72,7 +70,6 @@ impl TxnRegistry {
     pub fn record(&mut self, latency: u64) {
         self.completed_total += 1;
         self.window.record(latency);
-        self.cumulative.record(latency);
     }
 
     /// Close the current window at `at` with the given gauges.
@@ -94,11 +91,6 @@ impl TxnRegistry {
     /// All snapshots taken so far.
     pub fn snapshots(&self) -> &[TxnSnapshot] {
         &self.snapshots
-    }
-
-    /// Whole-run latency histogram (never reset by sampling).
-    pub fn cumulative(&self) -> &Histogram {
-        &self.cumulative
     }
 
     /// Transactions completed since creation.
@@ -145,7 +137,6 @@ mod tests {
         assert_eq!(s[1].completed_delta, 1);
         assert_eq!(s[1].completed_total, 4);
         assert!(s[1].p50 >= 512, "second window only saw the slow txn");
-        assert_eq!(r.cumulative().count(), 4, "cumulative never resets");
     }
 
     #[test]

@@ -25,12 +25,12 @@
 //! pump until the network drains; staged flits are never dropped.
 
 use crate::broadcast::BroadcastTree;
-use crate::packet::{data_flits, split_packets, PacketDesc, PacketKind, StagedFlit};
-use crate::reassembly::{Accept, ReassemblyBuffer};
+use crate::packet::{
+    data_flits, split_packets, Accept, Assembly, PacketDesc, PacketKind, StagedFlit,
+};
 use crate::types::{
     AtomicKind, TxnCompletion, TxnConfig, TxnCounters, TxnError, TxnId, TxnKind, TxnOp,
 };
-use crate::window::InFlightWindow;
 use noc_core::bits::word_ones;
 use noc_core::telemetry::{
     FlitSpan, NullSink, NullSpanSink, PacketSpan, PostmortemBundle, ResourceId, SpanRole, SpanSink,
@@ -40,15 +40,13 @@ use noc_core::telemetry::{
 use noc_core::{
     BitRing, EnqueueError, Flit, FlitClass, Network, NodeId, NodeKind, PacketToken, Topology,
 };
-use noc_sim::{Cycle, Histogram, IdMap, IdSet, SlotIndex};
+use noc_sim::{Cycle, Histogram, IdMap, SlotIndex};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Per-endpoint transaction state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Endpoint {
     id: NodeId,
-    reassembly: ReassemblyBuffer,
-    window: InFlightWindow,
     staged: VecDeque<StagedFlit>,
     msg_inbox: VecDeque<u64>,
     atomic_cell: u64,
@@ -56,20 +54,20 @@ struct Endpoint {
     /// admitted by the pump and not yet fully reassembled here
     /// ([`TxnConfig::reassembly_slots`]).
     credit_used: usize,
-}
-
-impl Endpoint {
-    fn new(id: NodeId, window: usize) -> Self {
-        Endpoint {
-            id,
-            reassembly: ReassemblyBuffer::new(),
-            window: InFlightWindow::new(window),
-            staged: VecDeque::new(),
-            msg_inbox: VecDeque::new(),
-            atomic_cell: 0,
-            credit_used: 0,
-        }
-    }
+    /// Packets bound here with some but not all of their flits in: the
+    /// occupancy of this endpoint's reassembly buffer.
+    open_packets: usize,
+    /// Flits ever absorbed here (headers and data, duplicates
+    /// excluded) — the wait graph's progress counter for the
+    /// reassembly buffer: open packets with no absorption across
+    /// samples mean every missing flit is stuck upstream.
+    accepted: u64,
+    /// Non-posted window slots held: exactly the live read,
+    /// non-posted write and atomic transactions issued here.
+    window_used: usize,
+    /// Window slots ever released — the wait graph's progress counter
+    /// for the window.
+    window_done: u64,
 }
 
 /// Stall-forensics state (see [`TxnFabric::enable_forensics`]).
@@ -88,6 +86,27 @@ struct BcastState {
     remaining: usize,
 }
 
+/// Whether a packet's header needs a reassembly credit at its
+/// destination before the pump releases it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Credit {
+    /// Never gated: responses, broadcast forwards, or crediting off.
+    Exempt,
+    /// The header waits, staged, for a credit.
+    Pending,
+    /// A credit is held until the packet finishes reassembly.
+    Held,
+}
+
+/// Fabric-side record of one live packet: what it is, its reassembly
+/// credit, and which of its flits its destination has.
+#[derive(Debug)]
+struct Packet {
+    desc: PacketDesc,
+    credit: Credit,
+    asm: Assembly,
+}
+
 /// Fabric-side record of one live transaction.
 #[derive(Debug)]
 struct TxnState {
@@ -104,6 +123,17 @@ struct TxnState {
     atomic: Option<AtomicKind>,
     atomic_result: Option<u64>,
     bcast: Option<BcastState>,
+}
+
+impl TxnState {
+    /// Whether the transaction holds a window slot at its source: the
+    /// non-posted kinds do from `submit` until their last response.
+    fn holds_slot(&self) -> bool {
+        matches!(
+            self.kind,
+            TxnKind::Read | TxnKind::WriteNonPosted | TxnKind::Atomic
+        )
+    }
 }
 
 /// The transaction layer over a deflection-routed [`Network`].
@@ -148,8 +178,8 @@ pub struct TxnFabric<S: TraceSink = NullSink, P: SpanSink = NullSpanSink> {
     pump_live: BitRing,
     /// Drain scratch: endpoints the network reported deliveries for.
     delivered: BitRing,
-    /// Live packet descriptors by packet id. Keyed lookups only.
-    packets: IdMap<u64, PacketDesc>,
+    /// Live packets by packet id. Keyed lookups only.
+    packets: IdMap<u64, Packet>,
     /// Live transactions by id. Keyed lookups only.
     txns: IdMap<u64, TxnState>,
     next_packet: u64,
@@ -176,14 +206,6 @@ pub struct TxnFabric<S: TraceSink = NullSink, P: SpanSink = NullSpanSink> {
     txn_spans: IdMap<u64, TxnSpanTree>,
     /// Wait-graph stall forensics, if enabled.
     forensics: Option<Forensics>,
-    /// Packets staged non-urgently that must acquire a reassembly
-    /// credit at their destination before the pump releases their
-    /// header flit. Keyed lookups only; empty when
-    /// [`TxnConfig::reassembly_slots`] is 0.
-    credit_pending: IdSet<u64>,
-    /// Packets currently holding a reassembly credit at their
-    /// destination. Keyed lookups only.
-    credited: IdSet<u64>,
 }
 
 /// Map the fabric's [`TxnKind`] onto
@@ -241,7 +263,10 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         let mut endpoints: Vec<Endpoint> = net
             .topology()
             .devices()
-            .map(|d| Endpoint::new(d.id, cfg.window))
+            .map(|d| Endpoint {
+                id: d.id,
+                ..Endpoint::default()
+            })
             .collect();
         endpoints.sort_by_key(|e| e.id);
         debug_assert!(
@@ -289,8 +314,6 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             pkt_spans: IdMap::default(),
             txn_spans: IdMap::default(),
             forensics: None,
-            credit_pending: IdSet::default(),
-            credited: IdSet::default(),
         }
     }
 
@@ -410,10 +433,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     /// Non-posted window slots occupied, summed over all endpoints —
     /// the observatory's window gauge.
     pub fn window_occupancy(&self) -> u64 {
-        self.endpoints
-            .iter()
-            .map(|e| e.window.occupancy() as u64)
-            .sum()
+        self.endpoints.iter().map(|e| e.window_used as u64).sum()
     }
 
     /// Flits currently in the network (pumped, not yet delivered).
@@ -428,8 +448,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
 
     /// Window occupancy of one endpoint (`None` for non-endpoints).
     pub fn window_of(&self, node: NodeId) -> Option<usize> {
-        self.slot(node)
-            .map(|s| self.endpoints[s].window.occupancy())
+        self.slot(node).map(|s| self.endpoints[s].window_used)
     }
 
     /// The destination-side 64-bit atomic cell of `node`.
@@ -506,7 +525,6 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         debug_assert!(urgent || !self.staging_full(from));
         let id = self.next_packet;
         self.next_packet += 1;
-        let flits = desc.flits(id, &self.cfg);
         if P::ENABLED {
             let role = if parent.is_none() {
                 SpanRole::Request
@@ -545,17 +563,27 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                 ),
             );
         }
-        self.packets.insert(id, desc);
-        if !urgent && self.cfg.reassembly_slots > 0 {
-            // Request packets acquire a reassembly credit at their
-            // destination before the pump releases their header.
-            // Urgent packets (responses, broadcast forwards) are
-            // exempt: deferring them would deadlock the windows
-            // waiting on them.
-            self.credit_pending.insert(id);
-        }
+        // Request packets acquire a reassembly credit at their
+        // destination before the pump releases their header. Urgent
+        // packets (responses, broadcast forwards) are exempt: deferring
+        // them would deadlock the windows waiting on them.
+        let credit = if !urgent && self.cfg.reassembly_slots > 0 {
+            Credit::Pending
+        } else {
+            Credit::Exempt
+        };
+        self.packets.insert(
+            id,
+            Packet {
+                desc,
+                credit,
+                asm: Assembly::default(),
+            },
+        );
         let slot = self.slot(from).expect("known endpoint");
-        self.endpoints[slot].staged.extend(flits);
+        self.endpoints[slot]
+            .staged
+            .extend(desc.flits(id, &self.cfg));
         self.staged.set(slot);
     }
 
@@ -623,7 +651,9 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         if src == dst {
             return Err(TxnError::SelfSend(src));
         }
-        if self.staging_full(src) || (op.non_posted() && self.ep(src).window.is_full()) {
+        if self.staging_full(src)
+            || (op.non_posted() && self.ep(src).window_used >= self.cfg.window)
+        {
             self.counters.backpressured += 1;
             return Ok(None);
         }
@@ -638,14 +668,17 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             TxnOp::Atomic(a) => (TxnKind::Atomic, Some(a)),
         };
 
-        // Carve the request direction into packets.
+        // Carve the request direction into packets; count the
+        // response direction's.
         let (req_packets, resp_packets) = match op {
-            TxnOp::Read { bytes } => (vec![0u32], split_packets(bytes, &self.cfg)),
-            TxnOp::Write { bytes, posted } => (
-                split_packets(bytes, &self.cfg),
-                if posted { vec![] } else { vec![0] },
+            TxnOp::Read { bytes } => (
+                split_packets(0, &self.cfg),
+                split_packets(bytes, &self.cfg).len(),
             ),
-            TxnOp::Atomic(_) => (vec![0], vec![0]),
+            TxnOp::Write { bytes, posted } => {
+                (split_packets(bytes, &self.cfg), usize::from(!posted))
+            }
+            TxnOp::Atomic(_) => (split_packets(0, &self.cfg), 1),
         };
 
         let payload = match op {
@@ -665,10 +698,10 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                     issued_at: now.raw(),
                     req_done_at: None,
                     completed_at: 0,
-                    window_occupancy: self.ep(src).window.occupancy() as u64,
+                    window_occupancy: self.ep(src).window_used as u64,
                     final_packet: 0,
                     // One span per packet the transaction will stage.
-                    packets: Vec::with_capacity(req_packets.len() + resp_packets.len()),
+                    packets: Vec::with_capacity(req_packets.len() + resp_packets),
                 },
             );
         }
@@ -681,7 +714,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                 bytes: payload,
                 issued_at: now,
                 req_remaining: req_packets.len() as u32,
-                resp_remaining: resp_packets.len() as u32,
+                resp_remaining: resp_packets as u32,
                 atomic,
                 atomic_result: None,
                 bcast: None,
@@ -714,8 +747,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         }
 
         if op.non_posted() {
-            let ok = self.ep_mut(src).window.try_reserve(txn);
-            debug_assert!(ok, "window checked above");
+            self.ep_mut(src).window_used += 1;
         }
         self.counters.submitted += 1;
         Ok(Some(TxnId(txn)))
@@ -775,7 +807,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                     issued_at: now.raw(),
                     req_done_at: None,
                     completed_at: 0,
-                    window_occupancy: self.ep(src).window.occupancy() as u64,
+                    window_occupancy: self.ep(src).window_used as u64,
                     final_packet: 0,
                     // One span per tree edge: every target has one parent.
                     packets: Vec::with_capacity(tree.targets()),
@@ -953,22 +985,29 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             .front()
             .expect("a live pump slot has staged flits");
         let tok = PacketToken::decode(flit.token);
-        if tok.is_header() && self.credit_pending.contains(&tok.packet) {
-            // Reserve a reassembly credit at the responder before
-            // releasing a request packet's header. The credit returns
-            // when the packet finishes reassembly there, bounding
-            // inbound demand per endpoint — the admission-side fix for
-            // the saturation wedge (full rings + full escape buffers in
-            // a cyclic wait SWAP cannot break).
-            let dst = self.packets[&tok.packet].dst;
-            let d = self.slot(dst).expect("known endpoint");
-            if self.endpoints[d].credit_used >= self.cfg.reassembly_slots {
-                self.counters.reassembly_deferred += 1;
-                return false;
+        // Reserve a reassembly credit at the responder before releasing
+        // a request packet's header. The credit returns when the packet
+        // finishes reassembly there, bounding inbound demand per
+        // endpoint — the admission-side fix for the saturation wedge
+        // (full rings + full escape buffers in a cyclic wait SWAP cannot
+        // break).
+        if tok.is_header() && self.cfg.reassembly_slots > 0 {
+            let pending = self
+                .packets
+                .get_mut(&tok.packet)
+                .filter(|p| p.credit == Credit::Pending);
+            if let Some(pkt) = pending {
+                let d = self
+                    .slot_of
+                    .get(pkt.desc.dst.index())
+                    .expect("known endpoint");
+                if self.endpoints[d].credit_used >= self.cfg.reassembly_slots {
+                    self.counters.reassembly_deferred += 1;
+                    return false;
+                }
+                self.endpoints[d].credit_used += 1;
+                pkt.credit = Credit::Held;
             }
-            self.endpoints[d].credit_used += 1;
-            self.credit_pending.remove(&tok.packet);
-            self.credited.insert(tok.packet);
         }
         let node = self.endpoints[i].id;
         match self
@@ -1041,15 +1080,15 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         self.net.push_wait_nodes(&mut nodes);
         nodes.extend(self.endpoints.iter().map(|ep| WaitNode {
             id: ResourceId::Window { node: ep.id.0 },
-            occupancy: ep.window.occupancy() as u64,
-            capacity: ep.window.cap() as u64,
-            progress: ep.window.completions(),
+            occupancy: ep.window_used as u64,
+            capacity: self.cfg.window as u64,
+            progress: ep.window_done,
         }));
         nodes.extend(self.endpoints.iter().map(|ep| WaitNode {
             id: ResourceId::Reassembly { node: ep.id.0 },
-            occupancy: ep.reassembly.open_packets() as u64,
+            occupancy: ep.open_packets as u64,
             capacity: self.cfg.reassembly_slots as u64,
-            progress: ep.reassembly.accepted(),
+            progress: ep.accepted,
         }));
         debug_assert!(nodes.windows(2).all(|w| w[0].id < w[1].id), "nodes sorted");
         nodes
@@ -1065,22 +1104,16 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         let topo_nodes = self.net.topology().nodes();
         // Holder id for edges: the owning transaction of a packet, or
         // the raw packet id for traffic the fabric never staged.
-        let holder_of = |packet: u64| self.packets.get(&packet).map_or(packet, |d| d.txn);
+        let holder_of = |packet: u64| self.packets.get(&packet).map_or(packet, |p| p.desc.txn);
 
         let mut edges: Vec<WaitEdge> = Vec::new();
         let placed = self.net.push_wait_edges(holder_of, &mut edges);
 
-        // Fabric-side placement: which endpoint is reassembling each
-        // open packet, and which ring each staged packet waits to
-        // enter. Both maps iterate owner-held ordered state.
-        let mut open_at: BTreeMap<u64, u32> = BTreeMap::new();
+        // Which ring each staged packet waits to enter (owner-held
+        // ordered state).
         let mut staged_on: BTreeMap<u64, u16> = BTreeMap::new();
         for ep in &self.endpoints {
-            let id = ep.id;
-            let ring = topo_nodes[id.index()].ring.0;
-            for pkt in ep.reassembly.open_packet_ids() {
-                open_at.insert(pkt, id.0);
-            }
+            let ring = topo_nodes[ep.id.index()].ring.0;
             for flit in &ep.staged {
                 staged_on
                     .entry(PacketToken::decode(flit.token).packet)
@@ -1098,16 +1131,16 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             if let Some(&ring) = staged_on.get(&packet) {
                 v.push(ResourceId::Ring { ring });
             }
-            if let Some(&n) = open_at.get(&packet) {
-                v.push(ResourceId::Reassembly { node: n });
-            }
-            if self.credit_pending.contains(&packet) {
-                // Admission-deferred: the header waits for a
-                // reassembly credit at the destination.
-                if let Some(desc) = self.packets.get(&packet) {
-                    if self.ep(desc.dst).credit_used >= self.cfg.reassembly_slots {
-                        v.push(ResourceId::Reassembly { node: desc.dst.0 });
-                    }
+            if let Some(pkt) = self.packets.get(&packet) {
+                let dst = pkt.desc.dst;
+                // Open in its destination's reassembly buffer, or
+                // admission-deferred: the header waits for a
+                // reassembly credit there.
+                if pkt.asm.is_open()
+                    || (pkt.credit == Credit::Pending
+                        && self.ep(dst).credit_used >= self.cfg.reassembly_slots)
+                {
+                    v.push(ResourceId::Reassembly { node: dst.0 });
                 }
             }
             v.sort_unstable();
@@ -1119,40 +1152,55 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         // sorted — determinism is restored before anything reads it).
         let mut pkts_of: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         {
-            let mut all: Vec<(u64, u64)> = self.packets.iter().map(|(&p, d)| (d.txn, p)).collect();
+            let mut all: Vec<(u64, u64)> =
+                self.packets.iter().map(|(&p, k)| (k.desc.txn, p)).collect();
             all.sort_unstable();
             for (t, p) in all {
                 pkts_of.entry(t).or_default().push(p);
             }
         }
 
-        for ep in &self.endpoints {
-            let id = ep.id;
-            let win = ResourceId::Window { node: id.0 };
-            let rea = ResourceId::Reassembly { node: id.0 };
-            // A held window slot waits on every resource its
-            // transaction's live packets occupy.
-            for txn in ep.window.pending_txns() {
-                for &pkt in pkts_of.get(&txn).map_or(&[][..], |v| v) {
-                    for to in places(pkt) {
-                        edges.push(WaitEdge {
-                            from: win,
-                            to,
-                            holder: txn,
-                        });
-                    }
-                }
-            }
-            // A pinned reassembly entry waits wherever its packet's
-            // missing flits are.
-            for pkt in ep.reassembly.open_packet_ids() {
-                let holder = holder_of(pkt);
-                for to in places(pkt) {
+        // What each endpoint holds, ascending: its window slots (the
+        // live non-posted transactions it issued), then its
+        // reassembly entries (the open packets bound to it).
+        let mut held: Vec<(u32, bool, u64)> = self
+            .txns
+            .iter()
+            .filter(|(_, st)| st.holds_slot())
+            .map(|(&t, st)| (st.src.0, false, t))
+            .chain(
+                self.packets
+                    .iter()
+                    .filter(|(_, p)| p.asm.is_open())
+                    .map(|(&id, p)| (p.desc.dst.0, true, id)),
+            )
+            .collect();
+        held.sort_unstable();
+        for (node, reassembly, id) in held {
+            if reassembly {
+                // A pinned reassembly entry waits wherever its packet's
+                // missing flits are.
+                let rea = ResourceId::Reassembly { node };
+                let holder = holder_of(id);
+                for to in places(id) {
                     if to != rea {
                         edges.push(WaitEdge {
                             from: rea,
                             to,
                             holder,
+                        });
+                    }
+                }
+            } else {
+                // A held window slot waits on every resource its
+                // transaction's live packets occupy.
+                let win = ResourceId::Window { node };
+                for &pkt in pkts_of.get(&id).map_or(&[][..], |v| v) {
+                    for to in places(pkt) {
+                        edges.push(WaitEdge {
+                            from: win,
+                            to,
+                            holder: id,
                         });
                     }
                 }
@@ -1246,34 +1294,38 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         let node = self.endpoints[slot].id;
         self.outstanding = self.outstanding.saturating_sub(1);
         let tok = PacketToken::decode(flit.token);
-        let Some(desc) = self.packets.get(&tok.packet).copied() else {
+        // A live packet id may still be a counterfeit aimed at the
+        // wrong endpoint: only the descriptor's receiver reassembles it.
+        let Some(pkt) = self
+            .packets
+            .get_mut(&tok.packet)
+            .filter(|p| p.desc.dst == node)
+        else {
             self.counters.stray_flits += 1;
             return;
         };
-        // A live packet id, but the flit may still be a counterfeit
-        // aimed at the wrong endpoint: only the descriptor's receiver
-        // reassembles it.
-        if desc.dst != node {
-            self.counters.stray_flits += 1;
-            return;
-        }
-        match self.endpoints[slot].reassembly.accept(tok, desc.n_data) {
+        let was_open = pkt.asm.is_open();
+        let (desc, held) = (pkt.desc, pkt.credit == Credit::Held);
+        let ep = &mut self.endpoints[slot];
+        match pkt.asm.accept(tok, desc.n_data) {
+            Accept::Duplicate => self.counters.duplicate_flits += 1,
             Accept::Partial => {
+                ep.accepted += 1;
+                ep.open_packets += usize::from(!was_open);
                 if P::ENABLED {
                     self.span_flit(tok.packet, flit, false);
                 }
             }
-            Accept::Duplicate => self.counters.duplicate_flits += 1,
             Accept::Complete => {
+                ep.accepted += 1;
+                ep.open_packets -= usize::from(was_open);
+                // A held reassembly credit returns to its destination
+                // (this endpoint).
+                ep.credit_used -= usize::from(held);
                 if P::ENABLED {
                     self.span_flit(tok.packet, flit, true);
                 }
                 self.packets.remove(&tok.packet);
-                if self.credited.remove(&tok.packet) {
-                    // The packet's reassembly credit returns to its
-                    // destination (this endpoint).
-                    self.endpoints[slot].credit_used -= 1;
-                }
                 self.counters.packets_reassembled += 1;
                 self.packet_complete(node, tok.packet, desc);
             }
@@ -1345,16 +1397,12 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         if st.resp_remaining > 0 {
             return;
         }
+        // The transaction held a window slot since `submit`; its last
+        // response releases it (so `late_responses` never counts).
         let src = st.src;
-        let released = self.ep_mut(src).window.complete(txn_id);
-        if !released {
-            self.counters.late_responses += 1;
-            self.txns.remove(&txn_id);
-            if P::ENABLED {
-                self.txn_spans.remove(&txn_id);
-            }
-            return;
-        }
+        let ep = self.ep_mut(src);
+        ep.window_used -= 1;
+        ep.window_done += 1;
         self.finish_txn(txn_id);
     }
 

@@ -11,12 +11,14 @@
 //!   ([`AtomicKind`]); plus rectangle [broadcast](TxnFabric::submit_broadcast)
 //!   to a station set and one-way [messages](TxnFabric::submit_message)
 //!   (the CHI transport rail);
-//! * packetization ([`packet`]) and out-of-order reassembly
-//!   ([`reassembly`]) that survive arbitrary per-flit deflection and
-//!   reordering;
-//! * bounded per-endpoint request/response [windows](window) with
-//!   backpressure (`Ok(None)` — retry later) instead of unbounded
-//!   buffering;
+//! * packetization ([`packet`]) and out-of-order reassembly that
+//!   survive arbitrary per-flit deflection and reordering: the fabric
+//!   keeps one record per live packet — its descriptor, its reassembly
+//!   credit and a seq bitmap of the flits its destination has;
+//! * bounded per-endpoint request/response windows with backpressure
+//!   (`Ok(None)` — retry later) instead of unbounded buffering: a
+//!   window slot is a live non-posted transaction, counted at its
+//!   source;
 //! * [broadcast fan-out trees](broadcast::BroadcastTree) derived from
 //!   the topology: one bridge crossing per foreign ring, bounded
 //!   fanout per hop;
@@ -55,19 +57,15 @@
 pub mod broadcast;
 pub mod fabric;
 pub mod packet;
-pub mod reassembly;
-pub mod window;
 
 mod types;
 
 pub use broadcast::BroadcastTree;
 pub use fabric::TxnFabric;
 pub use packet::{data_flits, split_packets, PacketDesc, PacketKind, StagedFlit};
-pub use reassembly::{Accept, ReassemblyBuffer};
 pub use types::{
     AtomicKind, TxnCompletion, TxnConfig, TxnCounters, TxnError, TxnId, TxnKind, TxnOp,
 };
-pub use window::InFlightWindow;
 
 #[cfg(test)]
 mod tests {
@@ -386,6 +384,35 @@ mod tests {
     }
 
     #[test]
+    fn late_response_is_a_stray_and_frees_no_slot() {
+        let (mut fab, d) = ring_fabric(TxnConfig::default());
+        let write = TxnOp::Write {
+            bytes: 64,
+            posted: false,
+        };
+        fab.submit(d[0], d[3], write).unwrap().unwrap();
+        fab.submit(d[0], d[4], TxnOp::Read { bytes: 64 })
+            .unwrap()
+            .unwrap();
+        assert_eq!(fab.window_of(d[0]), Some(2), "one slot per non-posted txn");
+        assert!(fab.run_until_quiet(100_000));
+        assert_eq!(fab.window_of(d[0]), Some(0));
+        // Packet ids allocate in staging order: the write's data is 0,
+        // the read request 1, and the two responses 2 and 3. Replay
+        // both response headers once their transactions are gone.
+        for packet in [2, 3] {
+            let late = PacketToken { packet, seq: 0 }.encode();
+            fab.inject_raw(d[3], d[0], FlitClass::Response, 0, late)
+                .unwrap();
+        }
+        assert!(fab.run_until_quiet(100_000));
+        assert_eq!(fab.counters().stray_flits, 2);
+        assert_eq!(fab.counters().late_responses, 0, "never counts");
+        assert_eq!(fab.window_of(d[0]), Some(0), "no slot released twice");
+        assert_eq!(fab.drain_completions().len(), 2);
+    }
+
+    #[test]
     fn observatory_snapshots_report_percentiles_and_gauge() {
         let cfg = TxnConfig {
             metrics_period: 64,
@@ -412,7 +439,7 @@ mod tests {
         assert_eq!(total_delta, 4, "every completion lands in some window");
         let busy = snaps.iter().find(|s| s.completed_delta > 0).unwrap();
         assert!(busy.p50 > 0 && busy.p99 >= busy.p50);
-        assert_eq!(fab.registry().unwrap().cumulative().count(), 4);
+        assert_eq!(fab.latency().count(), 4);
     }
 
     #[test]

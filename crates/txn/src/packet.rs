@@ -1,6 +1,6 @@
 //! Packetization: carving a transaction's byte stream into packets of
-//! header + data flits, and the per-packet descriptor the fabric keeps
-//! while a packet is in flight.
+//! header + data flits, and the per-packet descriptor and assembly
+//! bitmap the fabric keeps while a packet is in flight.
 //!
 //! The layout follows the Tenstorrent Blackhole NoC exemplar: every
 //! packet is one header flit (sequence 0) followed by up to
@@ -23,19 +23,9 @@ pub fn data_flits(bytes: u32, flit_bytes: u32) -> u32 {
 /// Split a transfer into per-packet byte counts. Always yields at
 /// least one packet, so zero-byte transfers still produce a header
 /// flit (a pure control packet).
-pub fn split_packets(bytes: u32, cfg: &TxnConfig) -> Vec<u32> {
+pub fn split_packets(bytes: u32, cfg: &TxnConfig) -> impl ExactSizeIterator<Item = u32> {
     let cap = cfg.packet_capacity();
-    if bytes == 0 {
-        return vec![0];
-    }
-    let mut out = Vec::with_capacity((bytes.div_ceil(cap)) as usize);
-    let mut left = bytes;
-    while left > 0 {
-        let take = left.min(cap);
-        out.push(take);
-        left -= take;
-    }
-    out
+    (0..bytes.div_ceil(cap).max(1)).map(move |i| (bytes - i * cap).min(cap))
 }
 
 /// What a packet is doing for its transaction. The direction check in
@@ -104,43 +94,96 @@ pub struct StagedFlit {
 }
 
 impl PacketDesc {
-    /// Stage every flit of this packet (header first, then data in
-    /// sequence order) for injection at its source.
-    pub fn flits(&self, packet_id: u64, cfg: &TxnConfig) -> Vec<StagedFlit> {
+    /// Every flit of this packet (header first, then data in sequence
+    /// order), staged for injection at its source.
+    pub fn flits(&self, packet_id: u64, cfg: &TxnConfig) -> impl Iterator<Item = StagedFlit> {
         assert!(
             self.n_data <= u32::from(cfg.max_data_flits),
             "packet of {} data flits exceeds the {}-flit cap",
             self.n_data,
             cfg.max_data_flits
         );
-        let mut out = Vec::with_capacity(1 + self.n_data as usize);
-        out.push(StagedFlit {
-            dst: self.dst,
-            class: self.class,
-            bytes: cfg.header_bytes,
+        let (dst, class, bytes) = (self.dst, self.class, self.bytes);
+        let (header_bytes, flit_bytes) = (cfg.header_bytes, cfg.flit_bytes);
+        (0..=self.n_data as u16).map(move |seq| StagedFlit {
+            dst,
+            class,
+            bytes: match seq {
+                0 => header_bytes,
+                _ => bytes
+                    .saturating_sub(u32::from(seq - 1) * flit_bytes)
+                    .min(flit_bytes),
+            },
             token: PacketToken {
                 packet: packet_id,
-                seq: 0,
+                seq,
             }
             .encode(),
-        });
-        let mut left = self.bytes;
-        for seq in 1..=self.n_data {
-            let take = left.min(cfg.flit_bytes);
-            left -= take;
-            out.push(StagedFlit {
-                dst: self.dst,
-                class: self.class,
-                bytes: take,
-                token: PacketToken {
-                    packet: packet_id,
-                    seq: seq as u16,
-                }
-                .encode(),
-            });
+        })
+    }
+}
+
+/// Outcome of feeding one flit to a packet's [`Assembly`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Accept {
+    /// The flit completed its packet.
+    Complete,
+    /// The flit was absorbed; the packet is still missing pieces.
+    Partial,
+    /// The flit's sequence was already received (dropped).
+    Duplicate,
+}
+
+/// Which flits of one packet have reached its destination. The
+/// deflection fabric gives no ordering guarantee: flits of one packet
+/// may deflect, overtake each other, or interleave with any other
+/// packet's, so a packet completes only once its header *and* every
+/// data flit its descriptor announces are in. The data-flit count comes
+/// from the descriptor (a hardware NIU would read it off the header and
+/// buffer early data flits optimistically, which this models).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Assembly {
+    have_header: bool,
+    received: u32,
+    /// Received data sequences (seq 1 → bit 0); 256 data flits fit in
+    /// four words.
+    seen: [u64; 4],
+}
+
+impl Assembly {
+    /// Whether any flit has arrived: the packet holds a place in its
+    /// destination's reassembly buffer.
+    pub(crate) fn is_open(&self) -> bool {
+        self.have_header || self.received > 0
+    }
+
+    /// Feed one flit of a packet of `n_data` data flits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a data sequence exceeds the 256-flit packet bound the
+    /// bitmap is sized for.
+    pub(crate) fn accept(&mut self, tok: PacketToken, n_data: u32) -> Accept {
+        if tok.is_header() {
+            if self.have_header {
+                return Accept::Duplicate;
+            }
+            self.have_header = true;
+        } else {
+            let bit = u32::from(tok.seq) - 1;
+            assert!(bit < 256, "data seq {} beyond packet bound", tok.seq);
+            let (word, mask) = ((bit / 64) as usize, 1u64 << (bit % 64));
+            if self.seen[word] & mask != 0 {
+                return Accept::Duplicate;
+            }
+            self.seen[word] |= mask;
+            self.received += 1;
         }
-        debug_assert_eq!(left, 0);
-        out
+        if self.have_header && self.received == n_data {
+            Accept::Complete
+        } else {
+            Accept::Partial
+        }
     }
 }
 
@@ -164,11 +207,12 @@ mod tests {
     #[test]
     fn split_respects_packet_capacity() {
         let c = cfg();
-        assert_eq!(split_packets(0, &c), vec![0]);
-        assert_eq!(split_packets(100, &c), vec![100]);
-        assert_eq!(split_packets(16 * 1024, &c), vec![16 * 1024]);
-        assert_eq!(split_packets(16 * 1024 + 1, &c), vec![16 * 1024, 1]);
-        let big = split_packets(3 * 16 * 1024 + 7, &c);
+        let split = |bytes| split_packets(bytes, &c).collect::<Vec<_>>();
+        assert_eq!(split(0), vec![0]);
+        assert_eq!(split(100), vec![100]);
+        assert_eq!(split(16 * 1024), vec![16 * 1024]);
+        assert_eq!(split(16 * 1024 + 1), vec![16 * 1024, 1]);
+        let big = split(3 * 16 * 1024 + 7);
         assert_eq!(big, vec![16 * 1024, 16 * 1024, 16 * 1024, 7]);
         assert_eq!(big.iter().sum::<u32>(), 3 * 16 * 1024 + 7);
     }
@@ -185,7 +229,7 @@ mod tests {
             bytes: 130,
             n_data: data_flits(130, c.flit_bytes),
         };
-        let flits = desc.flits(42, &c);
+        let flits: Vec<_> = desc.flits(42, &c).collect();
         assert_eq!(flits.len(), 4); // header + 3 data (64+64+2)
         let head = PacketToken::decode(flits[0].token);
         assert!(head.is_header());
@@ -212,8 +256,67 @@ mod tests {
             bytes: 0,
             n_data: 0,
         };
-        let flits = desc.flits(9, &c);
+        let flits: Vec<_> = desc.flits(9, &c).collect();
         assert_eq!(flits.len(), 1);
         assert!(PacketToken::decode(flits[0].token).is_header());
+    }
+
+    fn tok(seq: u16) -> PacketToken {
+        PacketToken { packet: 0, seq }
+    }
+
+    #[test]
+    fn header_only_packet_completes_immediately() {
+        let mut a = Assembly::default();
+        assert!(!a.is_open());
+        assert_eq!(a.accept(tok(0), 0), Accept::Complete);
+    }
+
+    #[test]
+    fn out_of_order_data_before_header() {
+        let mut a = Assembly::default();
+        assert_eq!(a.accept(tok(2), 2), Accept::Partial);
+        assert!(a.is_open());
+        assert_eq!(a.accept(tok(1), 2), Accept::Partial);
+        assert_eq!(a.accept(tok(0), 2), Accept::Complete);
+    }
+
+    #[test]
+    fn interleaved_packets_from_multiple_sources() {
+        // Three packets' flits arrive fully interleaved; each packet's
+        // assembly sees only its own.
+        let (mut p10, mut p11, mut p12) = Default::default();
+        let step = |a: &mut Assembly, seq, n| a.accept(tok(seq), n);
+        assert_eq!(step(&mut p10, 0, 2), Accept::Partial);
+        assert_eq!(step(&mut p11, 1, 1), Accept::Partial);
+        assert_eq!(step(&mut p12, 0, 0), Accept::Complete);
+        assert_eq!(step(&mut p10, 2, 2), Accept::Partial);
+        assert_eq!(step(&mut p11, 0, 1), Accept::Complete);
+        assert_eq!(step(&mut p10, 1, 2), Accept::Complete);
+    }
+
+    #[test]
+    fn duplicates_are_rejected_not_double_counted() {
+        let mut a = Assembly::default();
+        assert_eq!(a.accept(tok(1), 2), Accept::Partial);
+        assert_eq!(a.accept(tok(1), 2), Accept::Duplicate);
+        assert_eq!(a.accept(tok(0), 2), Accept::Partial);
+        assert_eq!(a.accept(tok(0), 2), Accept::Duplicate);
+        // Still needs the real second data flit.
+        assert_eq!(a.accept(tok(2), 2), Accept::Complete);
+    }
+
+    #[test]
+    fn full_size_packet_reassembles() {
+        let mut a = Assembly::default();
+        // 256 data flits, header arriving in the middle, evens then odds.
+        for seq in (2..=256u16).step_by(2) {
+            assert_eq!(a.accept(tok(seq), 256), Accept::Partial);
+        }
+        assert_eq!(a.accept(tok(0), 256), Accept::Partial);
+        for seq in (1..=253u16).step_by(2) {
+            assert_eq!(a.accept(tok(seq), 256), Accept::Partial);
+        }
+        assert_eq!(a.accept(tok(255), 256), Accept::Complete);
     }
 }

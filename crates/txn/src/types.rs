@@ -273,7 +273,12 @@ pub struct TxnCounters {
     pub stray_flits: u64,
     /// Flits repeating an already-received packet sequence (dropped).
     pub duplicate_flits: u64,
-    /// Responses for transactions no longer in the window (dropped).
+    /// Always 0. A response is counted only when it reaches a live
+    /// transaction, and every live non-posted transaction holds its
+    /// window slot until its last response, so no response arrives
+    /// late; a flit for a finished packet counts in `stray_flits`. The
+    /// field keeps its place because [`TxnCounters::digest`] (and so
+    /// every pinned fingerprint) hashes by position.
     pub late_responses: u64,
     /// Pump passes that paused an endpoint because the responder's
     /// reassembly credits were exhausted
