@@ -71,7 +71,9 @@ pub enum Inserted {
 pub struct SetAssocCache {
     sets: usize,
     ways: usize,
-    entries: Vec<Vec<Entry>>,
+    /// One boxed slice per set, exactly as long as the ways it holds:
+    /// a 16-byte header, and no allocation while the set is empty.
+    entries: Vec<Box<[Entry]>>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -88,7 +90,7 @@ impl SetAssocCache {
         SetAssocCache {
             sets,
             ways,
-            entries: vec![Vec::new(); sets],
+            entries: vec![Box::default(); sets],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -146,10 +148,12 @@ impl SetAssocCache {
             return Inserted::AlreadyPresent;
         }
         if entries.len() < ways {
-            // Grow by exactly this way: a set's allocation is the most
-            // ways it has held, not `Vec`'s doubling (0 → 4 → 8 → 16).
-            entries.reserve_exact(1);
-            entries.push(Entry::new(addr, dirty, tick));
+            // Grow by exactly this way: a set's allocation is the ways
+            // it holds, not `Vec`'s doubling (0 → 4 → 8 → 16).
+            let mut grown = std::mem::take(entries).into_vec();
+            grown.reserve_exact(1);
+            grown.push(Entry::new(addr, dirty, tick));
+            *entries = grown.into_boxed_slice();
             return Inserted::Installed;
         }
         let lru = entries
@@ -165,11 +169,15 @@ impl SetAssocCache {
         }
     }
 
-    /// Remove a line; returns whether it was present and dirty.
+    /// Remove a line; returns whether it was present and dirty. The
+    /// set shrinks by that way.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<bool> {
         let set = self.set_of(addr);
-        let pos = self.entries[set].iter().position(|e| e.addr == addr)?;
-        let e = self.entries[set].swap_remove(pos);
+        let entries = &mut self.entries[set];
+        let pos = entries.iter().position(|e| e.addr == addr)?;
+        let mut kept = std::mem::take(entries).into_vec();
+        let e = kept.swap_remove(pos);
+        *entries = kept.into_boxed_slice();
         Some(e.dirty())
     }
 
@@ -185,7 +193,7 @@ impl SetAssocCache {
 
     /// Currently resident line count.
     pub fn len(&self) -> usize {
-        self.entries.iter().map(Vec::len).sum()
+        self.entries.iter().map(|set| set.len()).sum()
     }
 
     /// Whether the cache holds no lines.
@@ -244,20 +252,28 @@ mod tests {
     }
 
     #[test]
+    fn a_set_header_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Box<[Entry]>>(), 16);
+    }
+
+    #[test]
     fn a_set_allocates_the_ways_it_has_installed() {
         let mut c = SetAssocCache::new(1, 4);
+        assert!(c.entries[0].is_empty(), "an empty set allocates nothing");
         for n in 1..=6u64 {
             c.insert(LineAddr(n), false);
+            // A boxed slice's allocation is exactly its length.
             assert_eq!(
-                c.entries[0].capacity(),
+                c.entries[0].len(),
                 (n as usize).min(4),
                 "after {n} installs"
             );
         }
-        // An invalidated way keeps its room for the next install.
+        // An invalidated way gives its room back; an install takes it.
         assert_eq!(c.invalidate(LineAddr(6)), Some(false));
+        assert_eq!(c.entries[0].len(), 3);
         c.insert(LineAddr(7), false);
-        assert_eq!(c.entries[0].capacity(), 4);
+        assert_eq!(c.entries[0].len(), 4);
     }
 
     #[test]

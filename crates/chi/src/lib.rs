@@ -22,6 +22,7 @@
 
 pub mod cache;
 pub mod directory;
+mod lines;
 pub mod memory;
 pub mod message;
 pub mod system;

@@ -8,6 +8,7 @@
 
 use crate::cache::{Inserted, SetAssocCache};
 use crate::directory::{DirState, Directory, MAX_REQUESTERS};
+use crate::lines::LineTable;
 use crate::memory::{MemoryModel, MemoryParams};
 use crate::message::{Message, MsgOp};
 use crate::types::{LineAddr, MesiState, ReadKind, TxnId};
@@ -331,8 +332,8 @@ pub struct CoherentSystem<T = Network> {
     spec: SystemSpec,
     agents: Agents,
     /// Per requester: line → state, for the lines it holds; an absent
-    /// line is Invalid. Keyed lookups only.
-    rn_lines: Vec<IdMap<LineAddr, MesiState>>,
+    /// line is Invalid.
+    rn_lines: Vec<LineTable>,
     dirs: Vec<Directory>,
     llcs: Vec<SetAssocCache>,
     mems: Vec<MemoryModel<Message>>,
@@ -392,7 +393,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
             .map(|_| MemoryModel::new(spec.mem_params))
             .collect();
         CoherentSystem {
-            rn_lines: vec![IdMap::default(); spec.requesters.len()],
+            rn_lines: vec![LineTable::default(); spec.requesters.len()],
             dirs: spec
                 .home_nodes
                 .iter()
@@ -500,18 +501,13 @@ impl<T: ChiTransport> CoherentSystem<T> {
     }
 
     fn rn_line(&self, idx: usize, addr: LineAddr) -> MesiState {
-        self.rn_lines[idx]
-            .get(&addr)
-            .copied()
-            .unwrap_or(MesiState::Invalid)
+        self.rn_lines[idx].get(addr)
     }
 
     /// Requester `idx` gives up `addr`: the line leaves its table, which
     /// holds only valid lines. Returns the state it was in.
     fn rn_forget(&mut self, idx: usize, addr: LineAddr) -> MesiState {
-        self.rn_lines[idx]
-            .remove(&addr)
-            .unwrap_or(MesiState::Invalid)
+        self.rn_lines[idx].remove(addr)
     }
 
     fn alloc_txn(&mut self) -> TxnId {
@@ -1131,7 +1127,7 @@ mod tests {
                 rns[2]
             )
         );
-        sys.rn_lines[2].remove(&LineAddr(3));
+        sys.rn_lines[2].remove(LineAddr(3));
         // A listed reader beside the writer, then a second writer.
         let home = LineAddr(2).interleave(1);
         sys.dirs[home].add_sharer(LineAddr(2), rns[0]);

@@ -63,6 +63,7 @@ pub mod route;
 mod shard;
 mod slab;
 pub mod spec;
+pub mod stall;
 pub mod stats;
 pub mod topogen;
 pub mod topology;
@@ -82,6 +83,7 @@ pub use ids::{BridgeId, ChipletId, Direction, NodeId, Port, RingId, RingKind};
 pub use network::Network;
 pub use route::RouteTable;
 pub use spec::{SocSpec, SpecError};
+pub use stall::StallReport;
 pub use stats::{NetStats, TickProfile};
 pub use topogen::{GridParams, HierRingParams, TopoGenError};
 pub use topology::{NodeKind, Topology, TopologyBuilder};

@@ -318,6 +318,11 @@ impl Lane {
         self.itags_live as usize
     }
 
+    /// The nodes the I-tagged slots are reserved for, in slot order.
+    pub(crate) fn itag_owners(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.itag_bits.iter_ones().map(|i| self.itags[i])
+    }
+
     /// The stations whose slot carries a flit, in slot order.
     pub(crate) fn occupied_stations(&self) -> impl Iterator<Item = usize> + '_ {
         let (dir, n, off) = (self.dir, self.flits.len(), self.offset);

@@ -1,18 +1,22 @@
-//! Drain after overload, on the paper's two SoCs (ROADMAP item 6,
-//! measurement half).
+//! Drain after overload, on the paper's two SoCs and the benchmark's
+//! generated 4×4 torus (ROADMAP item 6, measurement half).
 //!
-//! Each committed spec (`specs/*.json`) takes open-loop uniform traffic
+//! Each fabric — both committed specs (`specs/*.json`) and the
+//! `topogen` torus the benchmark's `torus4_*` workloads run on — takes
+//! open-loop uniform traffic
 //! at 1.0 flit per device per cycle for [`INJECT`] cycles: every device
 //! offers one flit each cycle to a uniformly drawn other device, a
 //! refused enqueue is dropped, and every delivery is popped the cycle it
 //! lands. Then the fabric drains with no new traffic until it is empty
 //! or until [`Network::stalled_for`] reaches [`STALL_W`] cycles. Every
-//! (spec, seed) outcome is pinned in [`OVERLOAD_KNOWN_WEDGES`], drained
-//! rows included, so a mechanism that lets the fabric drain after
-//! overload flips rows here.
+//! (fabric, seed) outcome is pinned in [`OVERLOAD_KNOWN_WEDGES`],
+//! drained rows included, so a mechanism that lets the fabric drain
+//! after overload flips rows here. A wedged run's
+//! [`Network::stall_report`] must name a full lane or a full escape,
+//! and every row that does not match its pin prints its report.
 
 use noc_core::spec::SocSpec;
-use noc_core::{FlitClass, Network, NodeId};
+use noc_core::{FlitClass, GridParams, Network, NodeId, StallReport};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 
@@ -39,10 +43,11 @@ enum Outcome {
 
 use Outcome::{Drained, Wedged};
 
-/// Every run's outcome today, as `(spec, seed, outcome)`. The AI SoC
+/// Every run's outcome today, as `(fabric, seed, outcome)`. The AI SoC
 /// wedges on every seed; the Server-CPU drains on seven of ten (the
 /// inject queues cap what 500 cycles of overload can put in) and wedges
-/// on three.
+/// on three; the benchmark's 4×4 torus drains on all ten, 421–829
+/// cycles after injection stops.
 #[rustfmt::skip]
 const OVERLOAD_KNOWN_WEDGES: &[(&str, u64, Outcome)] = &[
     ("server_cpu", 0, Drained(781)),
@@ -65,11 +70,22 @@ const OVERLOAD_KNOWN_WEDGES: &[(&str, u64, Outcome)] = &[
     ("ai_processor", 7, Wedged(6768)),
     ("ai_processor", 8, Wedged(6725)),
     ("ai_processor", 9, Wedged(7307)),
+    ("torus4", 0, Drained(763)),
+    ("torus4", 1, Drained(512)),
+    ("torus4", 2, Drained(625)),
+    ("torus4", 3, Drained(650)),
+    ("torus4", 4, Drained(665)),
+    ("torus4", 5, Drained(421)),
+    ("torus4", 6, Drained(829)),
+    ("torus4", 7, Drained(453)),
+    ("torus4", 8, Drained(589)),
+    ("torus4", 9, Drained(549)),
 ];
 
-/// Overload `spec` with `seed`'s traffic, then drain. `Err` if the
-/// drain is still making progress after [`BUDGET`] cycles.
-fn overload_then_drain(spec: &SocSpec, seed: u64) -> Result<Outcome, String> {
+/// Overload `spec` with `seed`'s traffic, then drain. Returns how the
+/// run ended and the network's stall report at that cycle; `Err` if
+/// the drain is still making progress after [`BUDGET`] cycles.
+fn overload_then_drain(spec: &SocSpec, seed: u64) -> Result<(Outcome, StallReport), String> {
     let (topo, names) = spec.compile().map_err(|e| e.to_string())?;
     let mut named: Vec<(&String, NodeId)> = names.iter().map(|(k, v)| (k, *v)).collect();
     named.sort();
@@ -93,31 +109,42 @@ fn overload_then_drain(spec: &SocSpec, seed: u64) -> Result<Outcome, String> {
     }
     for drained in 0..BUDGET {
         if net.in_flight() == 0 {
-            return Ok(Drained(drained));
+            return Ok((Drained(drained), net.stall_report()));
         }
         if net.stalled_for() >= STALL_W {
-            return Ok(Wedged(net.in_flight()));
+            return Ok((Wedged(net.in_flight()), net.stall_report()));
         }
         net.tick();
         pop_all(&mut net);
     }
     Err(format!(
-        "still progressing after {BUDGET} drain cycles ({} flits left)",
-        net.in_flight()
+        "still progressing after {BUDGET} drain cycles\n{}",
+        net.stall_report()
     ))
 }
 
-fn spec_matches_pins(name: &str, json: &str) {
-    let spec = SocSpec::from_json(json).expect("committed spec parses");
+/// Run seeds 0–9 of `name` on `spec` and check every outcome against
+/// its pin, and every wedge's report against the full-resource rule.
+fn spec_matches_pins(name: &str, spec: &SocSpec) {
     let mut wrong = Vec::new();
     for seed in 0..10u64 {
-        let got = overload_then_drain(&spec, seed);
         let want = OVERLOAD_KNOWN_WEDGES
             .iter()
             .find(|&&(n, s, _)| n == name && s == seed)
             .map(|&(_, _, o)| o);
-        if got.as_ref().ok() != want.as_ref() {
-            wrong.push(format!("seed {seed}: got {got:?}, pinned {want:?}"));
+        match overload_then_drain(spec, seed) {
+            Ok((got, report)) => {
+                if Some(got) != want {
+                    wrong.push(format!(
+                        "seed {seed}: got {got:?}, pinned {want:?}\n{report}"
+                    ));
+                } else if matches!(got, Wedged(_)) && !report.names_a_full_resource() {
+                    wrong.push(format!(
+                        "seed {seed}: wedged, but the report names no full lane or escape\n{report}"
+                    ));
+                }
+            }
+            Err(e) => wrong.push(format!("seed {seed}: {e}, pinned {want:?}")),
         }
     }
     assert!(
@@ -127,15 +154,35 @@ fn spec_matches_pins(name: &str, json: &str) {
     );
 }
 
+fn committed(json: &str) -> SocSpec {
+    SocSpec::from_json(json).expect("committed spec parses")
+}
+
 #[test]
 fn server_cpu_overload_outcomes_are_pinned() {
-    spec_matches_pins("server_cpu", include_str!("../../../specs/server_cpu.json"));
+    spec_matches_pins(
+        "server_cpu",
+        &committed(include_str!("../../../specs/server_cpu.json")),
+    );
 }
 
 #[test]
 fn ai_processor_overload_outcomes_are_pinned() {
     spec_matches_pins(
         "ai_processor",
-        include_str!("../../../specs/ai_processor.json"),
+        &committed(include_str!("../../../specs/ai_processor.json")),
     );
+}
+
+/// The benchmark's `torus4_*` fabric: a 4×4 torus of 16-station rings,
+/// two devices per ring, generated at the benchmark's seed.
+#[test]
+fn torus4_overload_outcomes_are_pinned() {
+    let spec = GridParams::torus(4, 4)
+        .with_stations(16)
+        .with_devices(2)
+        .with_seed(0x7261_6a65)
+        .generate()
+        .expect("the torus generates");
+    spec_matches_pins("torus4", &spec);
 }

@@ -794,7 +794,6 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         self.next_txn += 1;
         let now = self.net.now();
         let first_child = tree.children_of(src)[0];
-        let root_children: Vec<NodeId> = tree.children_of(src).to_vec();
         if P::ENABLED {
             self.txn_spans.insert(
                 txn,
@@ -812,6 +811,24 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                     // One span per tree edge: every target has one parent.
                     packets: Vec::with_capacity(tree.targets()),
                 },
+            );
+        }
+        // Stage the root's children straight from the tree, before it
+        // moves into the transaction's entry (staging never reads `txns`).
+        for &child in tree.children_of(src) {
+            self.stage_packet(
+                src,
+                PacketDesc {
+                    txn,
+                    kind: PacketKind::Bcast,
+                    src,
+                    dst: child,
+                    class: FlitClass::Data,
+                    bytes,
+                    n_data: data_flits(bytes, self.cfg.flit_bytes),
+                },
+                false,
+                None,
             );
         }
         self.txns.insert(
@@ -832,22 +849,6 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                 }),
             },
         );
-        for child in root_children {
-            self.stage_packet(
-                src,
-                PacketDesc {
-                    txn,
-                    kind: PacketKind::Bcast,
-                    src,
-                    dst: child,
-                    class: FlitClass::Data,
-                    bytes,
-                    n_data: data_flits(bytes, self.cfg.flit_bytes),
-                },
-                false,
-                None,
-            );
-        }
         self.counters.submitted += 1;
         Ok(Some(TxnId(txn)))
     }
@@ -1342,13 +1343,13 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                 self.txns.remove(&txn_id);
             }
             PacketKind::Bcast => {
-                // Forward to tree children, then count the delivery.
-                let children: Vec<NodeId> = {
-                    let st = self.txns.get(&txn_id).expect("live broadcast");
-                    let bc = st.bcast.as_ref().expect("broadcast state");
-                    bc.tree.children_of(node).to_vec()
-                };
-                for child in children {
+                // Forward to tree children, then count the delivery. The
+                // broadcast state is lent out of its entry while the
+                // children are staged (staging never reads `txns`), so
+                // the child list is walked in place, not copied.
+                let st = self.txns.get_mut(&txn_id).expect("live broadcast");
+                let mut bc = st.bcast.take().expect("broadcast state");
+                for &child in bc.tree.children_of(node) {
                     self.stage_packet(
                         node,
                         PacketDesc {
@@ -1364,11 +1365,11 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                         Some(packet_id),
                     );
                 }
-                let st = self.txns.get_mut(&txn_id).expect("live broadcast");
-                let bc = st.bcast.as_mut().expect("broadcast state");
                 bc.remaining -= 1;
                 if bc.remaining == 0 {
                     self.finish_txn(txn_id);
+                } else {
+                    self.txns.get_mut(&txn_id).expect("live broadcast").bcast = Some(bc);
                 }
             }
             PacketKind::ReadReq { .. }

@@ -283,6 +283,75 @@ fn a_txn_fabric_allocates_a_pinned_count_per_transaction() {
     );
 }
 
+/// Broadcasts only, on the same 4×4 torus: each reaches about half of
+/// the 32 devices through its relay tree, 4 in flight, one to four data
+/// flits each: 44 195 allocations over 1 500 completed broadcasts
+/// (29.5 each), nearly all of them building each broadcast's relay
+/// tree. Relays stage their children straight from the tree; copying
+/// each relay's child list per reassembled copy, as the fabric once
+/// did, cost 53 512 here.
+#[test]
+fn a_broadcast_mix_allocates_a_pinned_count_per_broadcast() {
+    const WARM: u64 = 500;
+    const MEASURED: u64 = 1_500;
+    let (topo, devices) = torus(4, 2, 0x7261_6a65);
+    let mut fab = TxnFabric::new(
+        Network::new(topo, NetworkConfig::default()),
+        TxnConfig {
+            max_data_flits: 4,
+            ..TxnConfig::default()
+        },
+    );
+    let mix = TxnMix {
+        read_frac: 0.0,
+        write_frac: 0.0,
+        atomic_frac: 0.0,
+        bcast_frac: 1.0,
+        posted_frac: 0.0,
+    };
+    let workload = TxnWorkload::new(devices, mix, TrafficPattern::Uniform, 64, 4);
+    let mut rng = SimRng::seed_from(7);
+    let requests: Vec<TxnRequest> = (0..WARM + MEASURED + 4)
+        .map(|_| workload.next(&mut rng))
+        .collect();
+    let (mut next, mut completed) = (0usize, 0u64);
+    let mut run_to = |target: u64| {
+        while completed < target {
+            while fab.in_flight_txns() < 4 {
+                let TxnRequest::Broadcast {
+                    src,
+                    targets,
+                    bytes,
+                } = &requests[next]
+                else {
+                    panic!("the mix is broadcasts only");
+                };
+                match fab
+                    .submit_broadcast(*src, targets, *bytes)
+                    .expect("valid broadcast")
+                {
+                    Some(_) => next += 1,
+                    None => break,
+                }
+            }
+            fab.tick();
+            completed += fab.drain_completions().len() as u64;
+            assert!(fab.network().now().raw() < 2_000_000, "the mix drains");
+        }
+        completed
+    };
+    run_to(WARM);
+    let mut done = 0;
+    let n = allocs_in(|| done = run_to(WARM + MEASURED));
+    assert!(done - WARM >= MEASURED);
+    assert_eq!(
+        n,
+        44_195,
+        "allocations over {} completed broadcasts",
+        done - WARM
+    );
+}
+
 /// Raw flits on the 4×4 torus with the flight recorder on (metrics
 /// every 32 cycles, health watchdogs, flow tables), beside a twin
 /// without it fed the same traffic: the twin's allocations are the
