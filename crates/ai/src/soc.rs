@@ -9,6 +9,9 @@ use noc_core::{
     BridgeLevel, Network, NetworkConfig, NocDiagnostics, NodeId, RingKind, SocSpec, SpecError,
 };
 
+/// RBRG-L1 traversal latency (§4.1.3).
+const BRIDGE_LATENCY: u32 = 2;
+
 /// AI-Processor configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AiConfig {
@@ -27,8 +30,6 @@ pub struct AiConfig {
     pub dma_count: usize,
     /// LLC directory slices.
     pub llc_count: usize,
-    /// RBRG-L1 traversal latency.
-    pub bridge_latency: u32,
     /// Data payload of one NoC transaction (the L2 access granule).
     pub line_bytes: u32,
     /// NoC clock in GHz (for TB/s conversion).
@@ -58,7 +59,6 @@ impl Default for AiConfig {
             hbm_count: 6,
             dma_count: 6,
             llc_count: 6,
-            bridge_latency: 2,
             line_bytes: 512,
             clock_ghz: 2.0,
             net: NetworkConfig {
@@ -161,7 +161,7 @@ impl AiConfig {
         for v in 0..vr {
             for h in 0..hr {
                 bridges.push(BridgeDef {
-                    latency: Some(self.bridge_latency),
+                    latency: Some(BRIDGE_LATENCY),
                     width: Some(4),
                     buffer_cap: Some(32),
                     ..BridgeDef::new(BridgeLevel::L1, at(v, h, hr), at(vr + h, v, vr))

@@ -35,6 +35,16 @@ enum Kind {
     },
 }
 
+/// L2 array access latency in cycles.
+const L2_LATENCY: u64 = 6;
+/// L2 slice port width in bytes/cycle, per direction. This is the
+/// byte-limited resource that makes balanced read/write mixes beat
+/// lopsided ones (paper Table 7): pure reads saturate the response port
+/// while the receive port idles, and vice versa.
+const L2_PORT_BYTES: u64 = 96;
+/// LLC directory lookup latency in cycles (Fig. 8B Path 1).
+const LLC_LATENCY: u64 = 4;
+
 /// Traffic parameters for one bandwidth run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AiTraffic {
@@ -45,20 +55,11 @@ pub struct AiTraffic {
     /// Probability per cycle that each HBM stack starts a DMA line
     /// transfer.
     pub dma_rate: f64,
-    /// L2 array access latency in cycles.
-    pub l2_latency: u64,
-    /// L2 slice port width in bytes/cycle, per direction. This is the
-    /// byte-limited resource that makes balanced read/write mixes beat
-    /// lopsided ones (paper Table 7): pure reads saturate the response
-    /// port while the receive port idles, and vice versa.
-    pub l2_port_bytes: u64,
     /// Route reads through the LLC directory (Fig. 8B Paths 1→2): the
     /// core asks the LLC, which forwards the request to an L2 slice on
     /// its own horizontal ring; data returns L2→core directly. Adds a
     /// directory hop per read.
     pub via_llc: bool,
-    /// LLC directory lookup latency in cycles.
-    pub llc_latency: u64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -69,10 +70,7 @@ impl Default for AiTraffic {
             read_frac: 0.5,
             outstanding: 16,
             dma_rate: 0.27,
-            l2_latency: 6,
-            l2_port_bytes: 96,
             via_llc: false,
-            llc_latency: 4,
             seed: 0xA1,
         }
     }
@@ -386,16 +384,14 @@ impl AiEngine {
     fn l2_arrivals(&mut self, i: usize) {
         let now = self.proc.net.now().raw();
         let line = u64::from(self.proc.cfg.line_bytes);
-        let width = self.traffic.l2_port_bytes.max(1);
-        let latency = self.traffic.l2_latency;
         let l2 = self.proc.map.l2s[i];
         while let Some(f) = self.proc.net.pop_delivered(l2) {
-            let in_cost = (u64::from(f.payload_bytes) / width).max(1);
+            let in_cost = (u64::from(f.payload_bytes) / L2_PORT_BYTES).max(1);
             match self.tokens[&f.token] {
                 Kind::ReadReq { .. } => {
                     let p = &mut self.l2_ports[i];
                     p.in_free = p.in_free.max(now) + in_cost;
-                    p.pending.push_back((p.in_free + latency, f.token));
+                    p.pending.push_back((p.in_free + L2_LATENCY, f.token));
                 }
                 Kind::WriteData { .. } => {
                     if self.recording {
@@ -403,7 +399,7 @@ impl AiEngine {
                     }
                     let p = &mut self.l2_ports[i];
                     p.in_free = p.in_free.max(now) + in_cost;
-                    p.pending.push_back((p.in_free + latency, f.token));
+                    p.pending.push_back((p.in_free + L2_LATENCY, f.token));
                 }
                 Kind::Dma => {
                     if self.recording {
@@ -446,7 +442,7 @@ impl AiEngine {
         while let Some(f) = self.proc.net.pop_delivered(llc) {
             match self.tokens[&f.token] {
                 Kind::LlcReq { .. } => {
-                    self.llc_pending[i].push_back((now + self.traffic.llc_latency, f.token));
+                    self.llc_pending[i].push_back((now + LLC_LATENCY, f.token));
                 }
                 other => unreachable!("LLC received {other:?}"),
             }
@@ -471,7 +467,6 @@ impl AiEngine {
 
     fn service_l2(&mut self) -> Result<(), EnqueueError> {
         let now = self.proc.net.now().raw();
-        let width = self.traffic.l2_port_bytes.max(1);
         let line = u64::from(self.proc.cfg.line_bytes);
         // Retry backpressured responses first (out-port already paid).
         let mut retry = std::mem::take(&mut self.retry);
@@ -493,7 +488,7 @@ impl AiEngine {
                 };
                 let p = &mut self.l2_ports[i];
                 p.pending.pop_front();
-                p.out_free = p.out_free.max(now) + (out_bytes / width).max(1);
+                p.out_free = p.out_free.max(now) + (out_bytes / L2_PORT_BYTES).max(1);
                 if !self.respond(i, token)? {
                     self.retry.push((i, token));
                     break;

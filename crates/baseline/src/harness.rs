@@ -13,18 +13,19 @@ use noc_core::{FlitClass, NodeId};
 use noc_sim::{Histogram, SimRng};
 use std::collections::HashMap;
 
+/// Request header bytes.
+const REQ_BYTES: u32 = 16;
+/// Controller request-queue depth: when full, arrivals stay in the
+/// interconnect (backpressure reaches the NoC).
+const MEM_QUEUE_CAP: usize = 12;
+
 /// Harness parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct MemHarnessConfig {
     /// Cache-line bytes (data payload).
     pub line_bytes: u32,
-    /// Request header bytes.
-    pub req_bytes: u32,
     /// Memory controller parameters (same for every controller).
     pub mem: MemoryParams,
-    /// Controller request-queue depth: when full, arrivals stay in the
-    /// interconnect (backpressure reaches the NoC).
-    pub mem_queue_cap: usize,
     /// RNG seed for read/write draws.
     pub seed: u64,
 }
@@ -33,9 +34,7 @@ impl Default for MemHarnessConfig {
     fn default() -> Self {
         MemHarnessConfig {
             line_bytes: 64,
-            req_bytes: 16,
             mem: MemoryParams::ddr4(),
-            mem_queue_cap: 12,
             seed: 0xFEED,
         }
     }
@@ -181,7 +180,7 @@ impl<T: ChiTransport> MemHarness<T> {
         let mem = self.mem_endpoints[self.rng.gen_index(self.mem_endpoints.len())];
         let token = self.next_token;
         let bytes = if is_read {
-            self.cfg.req_bytes
+            REQ_BYTES
         } else {
             self.cfg.line_bytes
         };
@@ -211,7 +210,7 @@ impl<T: ChiTransport> MemHarness<T> {
         // Requests arriving at memory endpoints (bounded controller
         // queue: a full controller backpressures into the NoC).
         for (mi, &ep) in self.mem_endpoints.iter().enumerate() {
-            while self.mems[mi].pending() < self.cfg.mem_queue_cap {
+            while self.mems[mi].pending() < MEM_QUEUE_CAP {
                 let Some(token) = self.ic.recv(ep) else {
                     break;
                 };

@@ -19,6 +19,17 @@ struct Msg {
     token: u64,
 }
 
+/// Mean intra-chiplet (local ring) latency in cycles.
+const INTRA_LATENCY: u64 = 12;
+/// One-way die-to-die link latency in cycles (IFOP-like).
+const LINK_LATENCY: u64 = 16;
+/// Flits per cycle each chiplet↔hub link carries.
+const LINK_WIDTH: usize = 1;
+/// Queue capacity at each link/switch stage.
+const QUEUE_CAP: usize = 16;
+/// Delivery queue depth per endpoint (consumer backpressure).
+const DELIVERY_CAP: usize = 8;
+
 /// Hub-and-spoke configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HubConfig {
@@ -26,18 +37,8 @@ pub struct HubConfig {
     pub chiplets: usize,
     /// Endpoints per chiplet.
     pub per_chiplet: usize,
-    /// Mean intra-chiplet (local ring) latency in cycles.
-    pub intra_latency: u64,
-    /// One-way die-to-die link latency in cycles.
-    pub link_latency: u64,
-    /// Flits per cycle each chiplet↔hub link carries.
-    pub link_width: usize,
     /// Flits per cycle the central switch can forward in total.
     pub hub_bandwidth: usize,
-    /// Queue capacity at each link/switch stage.
-    pub queue_cap: usize,
-    /// Delivery queue depth per endpoint (consumer backpressure).
-    pub delivery_cap: usize,
 }
 
 impl Default for HubConfig {
@@ -46,12 +47,7 @@ impl Default for HubConfig {
         HubConfig {
             chiplets: 8,
             per_chiplet: 8,
-            intra_latency: 12,
-            link_latency: 16,
-            link_width: 1,
             hub_bandwidth: 4,
-            queue_cap: 16,
-            delivery_cap: 8,
         }
     }
 }
@@ -92,9 +88,9 @@ impl HubSpoke {
     ///
     /// # Panics
     ///
-    /// Panics on zero chiplets/endpoints/queue capacity.
+    /// Panics on fewer than two chiplets or zero endpoints per chiplet.
     pub fn new(cfg: HubConfig) -> Self {
-        assert!(cfg.chiplets >= 2 && cfg.per_chiplet >= 1 && cfg.queue_cap >= 1);
+        assert!(cfg.chiplets >= 2 && cfg.per_chiplet >= 1);
         let c = cfg.chiplets;
         let n = c * cfg.per_chiplet;
         HubSpoke {
@@ -132,9 +128,9 @@ impl ChiTransport for HubSpoke {
         let msg = Msg { dst, token };
         if sc == self.chiplet_of(dst) {
             // Intra-chiplet: local ring latency only.
-            self.local[sc].push_back((self.now + self.cfg.intra_latency, msg));
+            self.local[sc].push_back((self.now + INTRA_LATENCY, msg));
             true
-        } else if self.egress[sc].len() < self.cfg.queue_cap {
+        } else if self.egress[sc].len() < QUEUE_CAP {
             self.egress[sc].push_back(msg);
             true
         } else {
@@ -149,7 +145,7 @@ impl ChiTransport for HubSpoke {
         // is full: head-of-line within the chiplet).
         for ch in 0..c {
             while let Some(&(t, msg)) = self.local[ch].front() {
-                if t > self.now || self.delivered.len(msg.dst) >= self.cfg.delivery_cap {
+                if t > self.now || self.delivered.len(msg.dst) >= DELIVERY_CAP {
                     break;
                 }
                 self.local[ch].pop_front();
@@ -158,23 +154,20 @@ impl ChiTransport for HubSpoke {
         }
         // Chiplet egress → link (after local ring transit).
         for ch in 0..c {
-            for _ in 0..self.cfg.link_width {
-                if self.to_hub[ch].len() >= self.cfg.queue_cap {
+            for _ in 0..LINK_WIDTH {
+                if self.to_hub[ch].len() >= QUEUE_CAP {
                     break;
                 }
                 let Some(msg) = self.egress[ch].pop_front() else {
                     break;
                 };
-                self.to_hub[ch].push_back((
-                    self.now + self.cfg.intra_latency + self.cfg.link_latency,
-                    msg,
-                ));
+                self.to_hub[ch].push_back((self.now + INTRA_LATENCY + LINK_LATENCY, msg));
             }
         }
         // Link arrivals → hub input queues.
         for ch in 0..c {
             while self.to_hub[ch].front().is_some_and(|&(t, _)| t <= self.now)
-                && self.hub_in[ch].len() < self.cfg.queue_cap
+                && self.hub_in[ch].len() < QUEUE_CAP
             {
                 let (_, msg) = self.to_hub[ch].pop_front().expect("checked");
                 self.hub_in[ch].push_back(msg);
@@ -193,13 +186,13 @@ impl ChiTransport for HubSpoke {
                 continue;
             };
             let dc = self.chiplet_of(head.dst);
-            if out_used[dc] || self.from_hub[dc].len() >= self.cfg.queue_cap {
+            if out_used[dc] || self.from_hub[dc].len() >= QUEUE_CAP {
                 continue;
             }
             let msg = self.hub_in[ch].pop_front().expect("head exists");
             out_used[dc] = true;
             forwards += 1;
-            self.from_hub[dc].push_back((self.now + self.cfg.link_latency, msg));
+            self.from_hub[dc].push_back((self.now + LINK_LATENCY, msg));
         }
         self.rr_hub = (self.rr_hub + 1) % c;
         // Hub→chiplet arrivals → local ring → delivery.
@@ -209,7 +202,7 @@ impl ChiTransport for HubSpoke {
                 .is_some_and(|&(t, _)| t <= self.now)
             {
                 let (_, msg) = self.from_hub[ch].pop_front().expect("checked");
-                self.local[ch].push_back((self.now + self.cfg.intra_latency, msg));
+                self.local[ch].push_back((self.now + INTRA_LATENCY, msg));
             }
             // Keep the local queue time-ordered (link arrivals append
             // later timestamps than pending locals, so this holds).
@@ -271,7 +264,7 @@ mod tests {
     fn intra_chiplet_is_cheap() {
         let mut h = HubSpoke::new(HubConfig::default());
         offer(&mut h, 0, 1, 0);
-        assert_eq!(latency_to(&mut h, 1), HubConfig::default().intra_latency);
+        assert_eq!(latency_to(&mut h, 1), INTRA_LATENCY);
     }
 
     #[test]
@@ -280,7 +273,7 @@ mod tests {
         let mut h = HubSpoke::new(cfg);
         offer(&mut h, 0, 63, 0);
         let latency = latency_to(&mut h, 63);
-        let floor = 2 * cfg.intra_latency + 2 * cfg.link_latency;
+        let floor = 2 * INTRA_LATENCY + 2 * LINK_LATENCY;
         assert!(
             latency >= floor,
             "latency {latency} below physical floor {floor}"
@@ -312,7 +305,7 @@ mod tests {
         }
         // 28 messages through a 1-flit/cycle switch: at least 28 cycles
         // of pure serialization beyond the pipeline latency.
-        assert!(t >= total + 2 * cfg.link_latency);
+        assert!(t >= total + 2 * LINK_LATENCY);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! `NodeId(i)`.
 //!
 //! Each design buffers at most 8 deliveries per endpoint (`delivery_cap`
-//! on the mesh and the hub, `DELIVERY_CAP` on the adapter): a consumer
+//! on the mesh, `DELIVERY_CAP` on the hub and the adapter): a consumer
 //! that stops receiving backs up into the interconnect, which the mesh
 //! and hub answer by blocking and the rings by deflecting.
 

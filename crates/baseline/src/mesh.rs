@@ -25,15 +25,16 @@ struct Msg {
     eligible_at: u64,
 }
 
+/// Input FIFO depth per port.
+const BUF_CAP: usize = 4;
+/// Router pipeline delay in cycles (route + VC/switch alloc + xbar).
+const ROUTER_DELAY: u64 = 3;
+
 /// Mesh configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeshConfig {
     /// Mesh is `k × k` routers, one endpoint per router.
     pub k: usize,
-    /// Input FIFO depth per port.
-    pub buf_cap: usize,
-    /// Router pipeline delay in cycles (route + VC/switch alloc + xbar).
-    pub router_delay: u64,
     /// Delivery (local egress) queue depth per endpoint; when the
     /// consumer stalls, the local port blocks and head-of-line blocking
     /// propagates upstream — the buffered design's structural weakness.
@@ -41,12 +42,10 @@ pub struct MeshConfig {
 }
 
 impl Default for MeshConfig {
-    /// A 3-stage router with 4-deep input buffers.
+    /// A 6 × 6 mesh with 8-deep delivery queues.
     fn default() -> Self {
         MeshConfig {
             k: 6,
-            buf_cap: 4,
-            router_delay: 3,
             delivery_cap: 8,
         }
     }
@@ -81,10 +80,9 @@ impl BufferedMesh {
     ///
     /// # Panics
     ///
-    /// Panics if `k < 2` or `buf_cap == 0`.
+    /// Panics if `k < 2`.
     pub fn new(cfg: MeshConfig) -> Self {
         assert!(cfg.k >= 2, "mesh needs k >= 2");
-        assert!(cfg.buf_cap > 0);
         let n = cfg.k * cfg.k;
         BufferedMesh {
             inputs: (0..n).map(|_| Default::default()).collect(),
@@ -157,13 +155,13 @@ impl ChiTransport for BufferedMesh {
         let (src, dst) = (src.index(), dst.index());
         assert!(src < n && dst < n);
         assert_ne!(src, dst, "self-send");
-        if self.inputs[src][L].len() >= self.cfg.buf_cap {
+        if self.inputs[src][L].len() >= BUF_CAP {
             return false;
         }
         self.inputs[src][L].push_back(Msg {
             dst,
             token,
-            eligible_at: self.now + self.cfg.router_delay,
+            eligible_at: self.now + ROUTER_DELAY,
         });
         true
     }
@@ -198,7 +196,7 @@ impl ChiTransport for BufferedMesh {
                     }
                     let nbr = self.neighbor(r, out);
                     let entry = Self::entry_port(out);
-                    if self.inputs[nbr][entry].len() + reserved[nbr][entry] < self.cfg.buf_cap {
+                    if self.inputs[nbr][entry].len() + reserved[nbr][entry] < BUF_CAP {
                         reserved[nbr][entry] += 1;
                         moves.push((r, inp, out));
                         self.rr[r][out] = (inp + 1) % PORTS;
@@ -212,7 +210,7 @@ impl ChiTransport for BufferedMesh {
             if out == L {
                 self.delivered.push(r, msg.token);
             } else {
-                msg.eligible_at = self.now + self.cfg.router_delay;
+                msg.eligible_at = self.now + ROUTER_DELAY;
                 let nbr = self.neighbor(r, out);
                 self.inputs[nbr][Self::entry_port(out)].push_back(msg);
             }
@@ -242,8 +240,6 @@ mod tests {
     fn mesh(k: usize) -> BufferedMesh {
         BufferedMesh::new(MeshConfig {
             k,
-            buf_cap: 4,
-            router_delay: 3,
             delivery_cap: 64,
         })
     }

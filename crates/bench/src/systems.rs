@@ -53,8 +53,6 @@ pub fn ours(clusters_per_ccd: usize) -> (RingAdapter, Partition) {
 pub fn intel_like() -> (BufferedMesh, Partition) {
     let mesh = BufferedMesh::new(MeshConfig {
         k: 7,
-        buf_cap: 4,
-        router_delay: 3,
         delivery_cap: 8,
     });
     // Cores on the first 28 endpoints, HNs next, memories spread last.

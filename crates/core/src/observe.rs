@@ -35,7 +35,7 @@ use noc_telemetry::{
 
 /// Online observability state: the snapshot registry, the watchdog
 /// monitor and one [`RingObs`] per ring, attached by
-/// [`Network::enable_metrics`] / [`Network::enable_observatory`],
+/// [`Network::enable_metrics`],
 /// optionally extended with the flight recorder and its captured
 /// postmortem bundles by [`Network::enable_flight_recorder`].
 #[derive(Debug, Clone)]
@@ -56,6 +56,14 @@ pub(crate) struct Observatory {
     rings: Vec<RingObs>,
 }
 
+/// Sampling windows between in-flight charge sweeps of a recording
+/// network. Deliveries are always accounted exactly at the next window;
+/// the sweep that attributes a *circulating* flit's deflections and
+/// samples link occupancy only runs every `CHARGE_STRIDE`-th window —
+/// plus, forced, right before any watchdog bundle capture and at
+/// `finish_metrics`, so frozen tables never lag.
+const CHARGE_STRIDE: usize = 8;
+
 /// What the observatory keeps of one ring.
 #[derive(Debug, Clone)]
 struct RingObs {
@@ -70,9 +78,6 @@ struct RingObs {
     /// deterministic occupancy sample, not an exact traversal count —
     /// counting every traversal would put work on every tick.
     link_util: Vec<u64>,
-    /// Sampling windows between in-flight charge sweeps (see
-    /// [`charge_inflight`]); 1 sweeps every window.
-    flow_charge_stride: usize,
     /// Windows left before the next in-flight charge sweep. A forced
     /// sweep (bundle capture, `finish_metrics`) resets the countdown so
     /// the following window boundary does not sweep again.
@@ -83,14 +88,12 @@ impl RingObs {
     /// A fresh record for `shard`: the window base at its current
     /// counters (so the first window excludes earlier history) and a
     /// flow table of capacity `flow_top_k`.
-    fn new(shard: &RingShard, flow_top_k: usize, stride: usize) -> Self {
-        let stride = stride.max(1);
+    fn new(shard: &RingShard, flow_top_k: usize) -> Self {
         RingObs {
             metrics_base: counters_now(shard),
             flows: FlowTable::new(flow_top_k),
             link_util: vec![0; shard.ring.stations as usize],
-            flow_charge_stride: stride,
-            windows_until_charge: stride,
+            windows_until_charge: CHARGE_STRIDE,
         }
     }
 
@@ -107,7 +110,7 @@ impl RingObs {
         self.flush_flow_events(shard);
         // +1 because a window boundary in the same cycle (finish's
         // final sample) will decrement before checking.
-        self.windows_until_charge = self.flow_charge_stride + 1;
+        self.windows_until_charge = CHARGE_STRIDE + 1;
     }
 
     /// Apply the shard's staged flow deltas in sorted (src, dst) order,
@@ -203,14 +206,14 @@ impl RingObs {
         let (flows, links) = if shard.flow_on {
             // Link occupancy and delivery flushes run every window;
             // the in-flight charge sweep only every
-            // `flow_charge_stride`-th, to keep steady-state cost down.
+            // `CHARGE_STRIDE`-th, to keep steady-state cost down.
             // Forced sweeps (bundle capture, finish) make the table
             // exact whenever it is actually frozen.
             self.sample_links(shard);
             self.windows_until_charge -= 1;
             if self.windows_until_charge == 0 {
                 charge_inflight(shard, slab);
-                self.windows_until_charge = self.flow_charge_stride;
+                self.windows_until_charge = CHARGE_STRIDE;
             }
             self.flush_flow_events(shard);
             (self.flows.ranked(), self.link_util.clone())
@@ -250,7 +253,7 @@ fn counters_now(shard: &RingShard) -> WindowCounters {
 
 /// Sweep `shard`'s in-flight flits: stage each one's as-yet-uncharged
 /// deflections and E-tag laps for its flow. Runs every
-/// `flow_charge_stride`-th metrics window plus whenever the table is
+/// `CHARGE_STRIDE`-th metrics window plus whenever the table is
 /// frozen (bundle capture, finish), so a wedged flow (circulating
 /// forever, delivering nothing) still climbs the table while the
 /// deflection hot path itself carries no accounting work.
@@ -333,25 +336,21 @@ impl<S: TraceSink> Network<S> {
     /// order.
     ///
     /// Counters observed before this call are excluded from the
-    /// windows; enabling mid-run starts a fresh series.
+    /// windows; enabling mid-run starts a fresh series. Replaces any
+    /// earlier observatory, flight recorder and flow accounting
+    /// included.
     ///
     /// # Panics
     ///
     /// Panics if `period` is zero.
     pub fn enable_metrics(&mut self, period: u64) {
-        self.enable_observatory(period, HealthConfig::default());
+        self.attach_observatory(period, HealthConfig::default(), None);
     }
 
-    /// [`Network::enable_metrics`] with explicit watchdog thresholds.
-    /// Replaces any earlier observatory, flight recorder and flow
-    /// accounting included.
-    pub fn enable_observatory(&mut self, period: u64, cfg: HealthConfig) {
-        self.attach_observatory(period, cfg, None);
-    }
-
-    /// [`Network::enable_observatory`] plus the flight recorder: each
-    /// ring additionally keeps a deterministic Space-Saving flow table
-    /// and per-link utilization row, the last
+    /// [`Network::enable_metrics`] with explicit watchdog thresholds
+    /// plus the flight recorder: each ring additionally keeps a
+    /// deterministic Space-Saving flow table and per-link utilization
+    /// row, the last
     /// [`RecorderConfig::snapshot_window`] snapshots of the (new)
     /// registry form the recorder's history, (when a tracing sink is
     /// attached) trace events are retained in its bounded event ring,
@@ -385,9 +384,7 @@ impl<S: TraceSink> Network<S> {
         health: HealthConfig,
         recorder: Option<RecorderConfig>,
     ) {
-        let (k, stride) = recorder
-            .as_ref()
-            .map_or((0, 1), |r| (r.flow_top_k, r.charge_stride));
+        let k = recorder.as_ref().map_or(0, |r| r.flow_top_k);
         let mut registry = MetricsRegistry::new(period);
         if let Some(r) = &recorder {
             registry.retain_last(r.snapshot_window);
@@ -402,11 +399,7 @@ impl<S: TraceSink> Network<S> {
             recorder: recorder.map(FlightRecorder::new),
             bundles: Vec::new(),
             last_wait: None,
-            rings: self
-                .shards
-                .iter()
-                .map(|s| RingObs::new(s, k, stride))
-                .collect(),
+            rings: self.shards.iter().map(|s| RingObs::new(s, k)).collect(),
         });
     }
 
@@ -434,7 +427,7 @@ impl<S: TraceSink> Network<S> {
     /// [`Network::enable_flight_recorder`] switched flow accounting on.
     /// Deliveries are current to the last sampling window; a still
     /// circulating flit's deflections are attributed at charge-stride
-    /// sweeps ([`RecorderConfig::charge_stride`]) and become exact
+    /// sweeps (every 8th window, `CHARGE_STRIDE`) and become exact
     /// after [`Network::finish_metrics`] or inside a watchdog bundle.
     pub fn flow_top(&self, k: usize) -> Vec<FlowRecord> {
         let Some(obs) = &self.observatory else {
@@ -468,7 +461,7 @@ impl<S: TraceSink> Network<S> {
     /// and not counted against [`RecorderConfig::max_bundles`]; unlike
     /// watchdog captures they do not force a charge sweep, so in-flight
     /// deflection attribution may lag by up to
-    /// [`RecorderConfig::charge_stride`] windows.
+    /// 8 windows (`CHARGE_STRIDE`).
     pub fn dump_postmortem(&self, reason: &str) -> Option<PostmortemBundle> {
         let obs = self.observatory.as_ref()?;
         let rec = self.recorder();

@@ -1,5 +1,7 @@
 //! Drain after overload, on the paper's two SoCs and the benchmark's
-//! generated 4×4 torus (ROADMAP item 6, measurement half).
+//! generated 4×4 torus: whether deflection routing, the I-tag/E-tag
+//! rules and SWAP (§4.1, §4.4) let a fabric empty once offered load
+//! stops.
 //!
 //! Each fabric — both committed specs (`specs/*.json`) and the
 //! `topogen` torus the benchmark's `torus4_*` workloads run on — takes
@@ -15,32 +17,11 @@
 //! [`Network::stall_report`] must name a full lane or a full escape,
 //! and every row that does not match its pin prints its report.
 
+mod scenarios;
+
 use noc_core::spec::SocSpec;
-use noc_core::{FlitClass, GridParams, Network, NodeId, StallReport};
-use noc_sim::fuzz::TrafficPattern;
-use noc_sim::SimRng;
-
-/// Cycles of offered overload.
-const INJECT: u64 = 500;
-
-/// Drain cycles without progress after which a run counts as wedged
-/// (the window `topogen_properties` and the ring-of-rings ablation use).
-const STALL_W: u64 = 5_000;
-
-/// Drain cycles after which a run that still makes progress is
-/// reported as neither drained nor wedged.
-const BUDGET: u64 = 50_000;
-
-/// How a run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Outcome {
-    /// The fabric emptied this many cycles after injection stopped.
-    Drained(u64),
-    /// The drain stopped on the stall verdict with this many flits
-    /// still in flight.
-    Wedged(u64),
-}
-
+use noc_core::GridParams;
+use scenarios::{overload_then_drain, Outcome};
 use Outcome::{Drained, Wedged};
 
 /// Every run's outcome today, as `(fabric, seed, outcome)`. The AI SoC
@@ -81,47 +62,6 @@ const OVERLOAD_KNOWN_WEDGES: &[(&str, u64, Outcome)] = &[
     ("torus4", 8, Drained(589)),
     ("torus4", 9, Drained(549)),
 ];
-
-/// Overload `spec` with `seed`'s traffic, then drain. Returns how the
-/// run ended and the network's stall report at that cycle; `Err` if
-/// the drain is still making progress after [`BUDGET`] cycles.
-fn overload_then_drain(spec: &SocSpec, seed: u64) -> Result<(Outcome, StallReport), String> {
-    let (topo, names) = spec.compile().map_err(|e| e.to_string())?;
-    let mut named: Vec<(&String, NodeId)> = names.iter().map(|(k, v)| (k, *v)).collect();
-    named.sort();
-    let devices: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
-    let mut net = Network::new(topo, spec.network.clone());
-    let mut rng = SimRng::seed_from(seed);
-    let mut token = 0u64;
-    let pop_all = |net: &mut Network| {
-        for &d in &devices {
-            while net.pop_delivered(d).is_some() {}
-        }
-    };
-    for _ in 0..INJECT {
-        for si in 0..devices.len() {
-            let di = TrafficPattern::Uniform.pick_dest(&mut rng, devices.len(), si);
-            token += 1;
-            let _ = net.enqueue(devices[si], devices[di], FlitClass::Data, 64, token);
-        }
-        net.tick();
-        pop_all(&mut net);
-    }
-    for drained in 0..BUDGET {
-        if net.in_flight() == 0 {
-            return Ok((Drained(drained), net.stall_report()));
-        }
-        if net.stalled_for() >= STALL_W {
-            return Ok((Wedged(net.in_flight()), net.stall_report()));
-        }
-        net.tick();
-        pop_all(&mut net);
-    }
-    Err(format!(
-        "still progressing after {BUDGET} drain cycles\n{}",
-        net.stall_report()
-    ))
-}
 
 /// Run seeds 0–9 of `name` on `spec` and check every outcome against
 /// its pin, and every wedge's report against the full-resource rule.

@@ -1,5 +1,7 @@
 //! Property-based tests of the core invariants listed in DESIGN.md §6.
 
+mod scenarios;
+
 use noc_core::{
     BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder,
 };
@@ -292,58 +294,11 @@ proptest! {
         stations in 8u16..24,
         eject_cap in 1usize..4,
     ) {
-        let mut b = TopologyBuilder::new();
-        let die = b.add_chiplet("die");
-        let r = b.add_ring(die, RingKind::Full, stations).unwrap();
-        let sink = b.add_node("sink", r, 0).unwrap();
-        let blocker_src = b.add_node("blk", r, 1).unwrap();
-        let probe_station = stations / 2;
-        let probe_src = b.add_node("probe", r, probe_station).unwrap();
-        let mut net = Network::new(
-            b.build().unwrap(),
-            NetworkConfig { eject_queue_cap: eject_cap, ..NetworkConfig::default() },
-        );
-        // Fill the sink's eject queue and leave it undrained.
-        let mut sent = 0usize;
-        for _ in 0..200 {
-            if sent < eject_cap
-                && net.enqueue(blocker_src, sink, FlitClass::Data, 64, 0).is_ok()
-            {
-                sent += 1;
-            }
-            net.tick();
-            if net.delivered_len(sink) == eject_cap && net.in_flight() == 0 {
-                break;
-            }
-        }
-        prop_assert_eq!(net.delivered_len(sink), eject_cap);
-        // Send the probe into the full sink: it must deflect once and
-        // place an E-tag.
-        net.enqueue(probe_src, sink, FlitClass::Data, 64, 42).unwrap();
-        for _ in 0..(4 * stations as u64) {
-            net.tick();
-            if net.stats().etags_placed.get() > 0 {
-                break;
-            }
-        }
-        prop_assert_eq!(net.stats().etags_placed.get(), 1, "probe never deflected");
-        // Resume draining: the probe must arrive within one further lap.
-        let mut probe = None;
-        for _ in 0..(4 * stations as u64) {
-            net.tick();
-            while let Some(f) = net.pop_delivered(sink) {
-                if f.token == 42 {
-                    probe = Some(f);
-                }
-            }
-            if probe.is_some() {
-                break;
-            }
-        }
-        let probe = probe.expect("probe never delivered");
+        let probe = scenarios::etag_probe(stations, eject_cap).map_err(TestCaseError)?;
         prop_assert_eq!(probe.deflections, 1, "more than one extra lap");
         // Direct distance plus exactly one circumference (±1 cycle of
         // injection skew).
+        let probe_station = stations / 2;
         let direct = (stations - probe_station) as u32; // shorter-arc Cw/Ccw symmetric
         prop_assert!(
             probe.hops <= direct.min(probe_station as u32) + stations as u32 + 1,

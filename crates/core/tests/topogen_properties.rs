@@ -366,8 +366,8 @@ fn hotspot_torus_holds_invariants() {
 
 /// Runs of the paper-SoC matrix that fail today, as
 /// `(spec, uniform-traffic seed, start of the failure message)`. Each is
-/// asserted to fail that way, so a fix flips it (ROADMAP.md, "No
-/// excluded loads"):
+/// asserted to fail that way, so a fix flips it rather than the load
+/// being dropped from the matrix:
 ///
 /// * Server-CPU: flits still in flight when the drain stops on the
 ///   stall verdict (each of these must, not on the cycle budget: a

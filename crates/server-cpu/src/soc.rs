@@ -11,6 +11,13 @@ use noc_core::{
     BridgeLevel, Network, NetworkConfig, NocDiagnostics, NodeId, RingKind, SocSpec, SpecError,
 };
 
+/// I/O dies per package (§4.2, Figure 8A).
+pub const IOD_COUNT: usize = 2;
+/// Die-to-die bridge latency in cycles (in-package RBRG-L2 PHY).
+const D2D_LATENCY: u32 = 8;
+/// Package-to-package latency in cycles (PA SerDes).
+const SERDES_LATENCY: u32 = 45;
+
 /// Server-CPU configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerCpuConfig {
@@ -25,12 +32,6 @@ pub struct ServerCpuConfig {
     pub hn_per_ccd: usize,
     /// DDR controllers per compute die.
     pub ddr_per_ccd: usize,
-    /// I/O dies per package.
-    pub iod_count: usize,
-    /// Die-to-die bridge latency in cycles (in-package RBRG-L2 PHY).
-    pub d2d_latency: u32,
-    /// Package-to-package latency in cycles (PA SerDes).
-    pub serdes_latency: u32,
     /// DDR controller model.
     pub mem_params: MemoryParams,
     /// Per-slice LLC geometry.
@@ -58,9 +59,6 @@ impl Default for ServerCpuConfig {
             clusters_per_ccd: 12,
             hn_per_ccd: 4,
             ddr_per_ccd: 4,
-            iod_count: 2,
-            d2d_latency: 8,
-            serdes_latency: 45,
             mem_params: MemoryParams::ddr4(),
             llc: LlcParams::default(),
             net: NetworkConfig::default(),
@@ -135,7 +133,7 @@ impl ServerCpuConfig {
                 }
                 chiplets.push(die(p, RingKind::Full, stations, devices));
             }
-            for i in 0..self.iod_count {
+            for i in 0..IOD_COUNT {
                 let (p, mut devices) = (format!("p{pkg}.iod{i}"), Vec::new());
                 for (j, d) in ["pcie", "eth", "sata", "accel"].iter().enumerate() {
                     dev(&mut devices, &mut map.io_devices, format!("{p}.{d}"), j);
@@ -154,7 +152,7 @@ impl ServerCpuConfig {
         let iod = |pkg: usize, i: usize, station| at(format!("p{pkg}.iod{i}"), station);
         // In-package bridges (RBRG-L2 over the parallel die-to-die PHY).
         let d2d = |a, b| BridgeDef {
-            latency: Some(self.d2d_latency),
+            latency: Some(D2D_LATENCY),
             ..BridgeDef::new(BridgeLevel::L2, a, b)
         };
         let mut bridges = Vec::new();
@@ -172,13 +170,13 @@ impl ServerCpuConfig {
             }
             // Each CCD to up to two I/O dies.
             for c in 0..self.ccd_count {
-                for k in 0..self.iod_count.min(2) {
-                    let i = (c + k) % self.iod_count;
+                for k in 0..IOD_COUNT.min(2) {
+                    let i = (c + k) % IOD_COUNT;
                     bridges.push(d2d(ccd(pkg, c, stations - 2), iod(pkg, i, 5)));
                 }
             }
             // I/O-die chain.
-            for i in 1..self.iod_count {
+            for i in 1..IOD_COUNT {
                 bridges.push(d2d(iod(pkg, i - 1, 4), iod(pkg, i, 4)));
             }
         }
@@ -192,7 +190,7 @@ impl ServerCpuConfig {
         for pkg in 0..links {
             let (a, b) = (iod(pkg, 0, 3), iod((pkg + 1) % self.packages, 0, 2));
             bridges.push(BridgeDef {
-                latency: Some(self.serdes_latency),
+                latency: Some(SERDES_LATENCY),
                 buffer_cap: Some(16),
                 ..BridgeDef::new(BridgeLevel::L2, a, b)
             });

@@ -29,26 +29,29 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-/// Thresholds for the watchdog rules. Defaults are deliberately
-/// conservative: quiet on the repository's standard workloads, loud on
-/// genuine pathologies (the regression tests hold both directions).
+/// Starvation onset: I-tags placed per cycle on one ring (§4.1.2).
+const STARVATION_ITAG_RATE: f64 = 0.25;
+/// Starvation onset: absolute current injection wait (cycles) of any
+/// single node.
+const STARVATION_MAX_WAIT: u64 = 512;
+/// Congestion knee: snapshots in the slope window.
+const KNEE_WINDOW: usize = 4;
+/// Congestion knee: minimum deflection rate before the slope is even
+/// considered (keeps cold-start noise out).
+const KNEE_MIN_RATE: f64 = 0.5;
+/// Congestion knee: deflection-rate increase per snapshot that counts
+/// as "rising".
+const KNEE_SLOPE: f64 = 0.05;
+/// SWAP storm: DRM entries on one bridge side within one window (§4.4).
+const SWAP_STORM_ENTRIES: u64 = 3;
+
+/// Thresholds for the watchdog rules that callers vary; the fixed ones
+/// are the `STARVATION_*`, `KNEE_*` and `SWAP_STORM_ENTRIES` consts.
+/// Defaults are deliberately conservative: quiet on the repository's
+/// standard workloads, loud on genuine pathologies (the regression
+/// tests hold both directions).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthConfig {
-    /// Starvation onset: I-tags placed per cycle on one ring.
-    pub starvation_itag_rate: f64,
-    /// Starvation onset: absolute current injection wait (cycles) of
-    /// any single node.
-    pub starvation_max_wait: u64,
-    /// Congestion knee: snapshots in the slope window.
-    pub knee_window: usize,
-    /// Congestion knee: minimum deflection rate before the slope is
-    /// even considered (keeps cold-start noise out).
-    pub knee_min_rate: f64,
-    /// Congestion knee: deflection-rate increase per snapshot that
-    /// counts as "rising".
-    pub knee_slope: f64,
-    /// SWAP storm: DRM entries on one bridge side within one window.
-    pub swap_storm_entries: u64,
     /// Liveness: cycles without any delivery (while flits are in
     /// flight) before the stall verdict fires.
     pub liveness_cycles: u64,
@@ -57,12 +60,6 @@ pub struct HealthConfig {
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
-            starvation_itag_rate: 0.25,
-            starvation_max_wait: 512,
-            knee_window: 4,
-            knee_min_rate: 0.5,
-            knee_slope: 0.05,
-            swap_storm_entries: 3,
             liveness_cycles: 512,
         }
     }
@@ -156,7 +153,7 @@ pub struct HealthMonitor {
     verdicts: Vec<Verdict>,
     /// Rings currently latched for starvation.
     starving: BTreeSet<u16>,
-    /// Deflection rates of the most recent snapshots (≤ knee_window).
+    /// Deflection rates of the most recent snapshots (≤ `KNEE_WINDOW`).
     rate_history: VecDeque<f64>,
     knee_latched: bool,
     /// Previous monotonic DRM-entry reading per (bridge, side).
@@ -253,20 +250,20 @@ impl HealthMonitor {
                 r.counters.itags_placed as f64 / snap.window as f64
             };
             let wait = r.gauges.max_starve;
-            let rate_high = rate > self.cfg.starvation_itag_rate;
-            let wait_high = wait >= self.cfg.starvation_max_wait;
+            let rate_high = rate > STARVATION_ITAG_RATE;
+            let wait_high = wait >= STARVATION_MAX_WAIT;
             if rate_high || wait_high {
                 if self.starving.insert(r.ring) {
                     let (value, threshold, what) = if rate_high {
                         (
                             rate,
-                            self.cfg.starvation_itag_rate,
+                            STARVATION_ITAG_RATE,
                             format!("I-tag rate {rate:.3}/cycle"),
                         )
                     } else {
                         (
                             wait as f64,
-                            self.cfg.starvation_max_wait as f64,
+                            STARVATION_MAX_WAIT as f64,
                             format!("a node has waited {wait} cycles to inject"),
                         )
                     };
@@ -293,16 +290,16 @@ impl HealthMonitor {
 
     fn check_knee(&mut self, snap: &MetricsSnapshot) {
         let rate = snap.totals.deflection_rate();
-        if self.rate_history.len() == self.cfg.knee_window.max(2) {
+        if self.rate_history.len() == KNEE_WINDOW {
             self.rate_history.pop_front();
         }
         self.rate_history.push_back(rate);
-        if self.rate_history.len() < self.cfg.knee_window.max(2) {
+        if self.rate_history.len() < KNEE_WINDOW {
             return;
         }
         let first = *self.rate_history.front().expect("non-empty");
         let slope = (rate - first) / (self.rate_history.len() - 1) as f64;
-        if rate >= self.cfg.knee_min_rate && slope >= self.cfg.knee_slope {
+        if rate >= KNEE_MIN_RATE && slope >= KNEE_SLOPE {
             if !self.knee_latched {
                 self.knee_latched = true;
                 self.verdicts.push(Verdict {
@@ -312,7 +309,7 @@ impl HealthMonitor {
                     ring: None,
                     bridge: None,
                     value: slope,
-                    threshold: self.cfg.knee_slope,
+                    threshold: KNEE_SLOPE,
                     message: format!(
                         "deflection rate {rate:.3} rising {slope:+.3}/window over the \
                          last {} windows; the network is past the congestion knee",
@@ -320,7 +317,7 @@ impl HealthMonitor {
                     ),
                 });
             }
-        } else if rate < self.cfg.knee_min_rate {
+        } else if rate < KNEE_MIN_RATE {
             self.knee_latched = false;
         }
     }
@@ -330,7 +327,7 @@ impl HealthMonitor {
             let key = (b.bridge, b.side);
             let prev = self.drm_prev.insert(key, b.drm_entries).unwrap_or(0);
             let delta = b.drm_entries.saturating_sub(prev);
-            if delta >= self.cfg.swap_storm_entries {
+            if delta >= SWAP_STORM_ENTRIES {
                 if self.storming.insert(key) {
                     self.verdicts.push(Verdict {
                         cycle: snap.cycle,
@@ -339,7 +336,7 @@ impl HealthMonitor {
                         ring: Some(b.ring),
                         bridge: Some(key),
                         value: delta as f64,
-                        threshold: self.cfg.swap_storm_entries as f64,
+                        threshold: SWAP_STORM_ENTRIES as f64,
                         message: format!(
                             "bridge {} side {} re-entered deadlock resolution {delta} \
                              times in one window; the cross-die dependency cycle keeps \
@@ -540,7 +537,6 @@ mod tests {
     fn liveness_fires_once_and_recovers() {
         let cfg = HealthConfig {
             liveness_cycles: 128,
-            ..HealthConfig::default()
         };
         let mut m = HealthMonitor::new(cfg);
         let idle = |cycle, in_flight| snap(cycle, 64, in_flight, vec![]);
@@ -626,7 +622,6 @@ mod tests {
     fn report_renders_verdicts() {
         let mut m = HealthMonitor::new(HealthConfig {
             liveness_cycles: 64,
-            ..HealthConfig::default()
         });
         m.observe(&snap(64, 64, 9, vec![]));
         let r = m.report();

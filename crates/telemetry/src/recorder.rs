@@ -42,14 +42,6 @@ pub struct RecorderConfig {
     /// Flows tracked per ring shard (Space-Saving capacity), and the
     /// cut applied when tables are merged for a bundle.
     pub flow_top_k: usize,
-    /// Sampling windows between in-flight charge sweeps (1 = every
-    /// window). Deliveries are always accounted exactly at the next
-    /// window; the sweep that attributes a *circulating* flit's
-    /// deflections and samples link occupancy only runs every
-    /// `charge_stride`-th window — plus, forced, right before any
-    /// watchdog bundle capture and at `finish_metrics`, so frozen
-    /// tables never lag.
-    pub charge_stride: usize,
     /// Watchdog-triggered bundles kept per run. Explicit
     /// `dump_postmortem` calls are not counted against this.
     pub max_bundles: usize,
@@ -61,7 +53,6 @@ impl Default for RecorderConfig {
             snapshot_window: 32,
             event_window: 4096,
             flow_top_k: 16,
-            charge_stride: 8,
             max_bundles: 4,
         }
     }

@@ -330,6 +330,9 @@ impl WedgeReport {
     }
 }
 
+/// Occupancy-history depth kept per resource for the wedge report.
+const HISTORY: usize = 8;
+
 /// Tracker configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitGraphConfig {
@@ -341,11 +344,9 @@ pub struct WaitGraphConfig {
     /// ([`WaitGraphTracker::stats`]), oldest evicted first. Samples are
     /// export-only and of the rows only the newest is read — the
     /// verdict runs on per-resource streaks and the wedge report keeps
-    /// its own `history` — so the default keeps 32, the flight
+    /// its own `HISTORY` rows — so the default keeps 32, the flight
     /// recorder's default snapshot window.
     pub max_samples: usize,
-    /// Occupancy-history depth kept per resource for the wedge report.
-    pub history: usize,
 }
 
 impl Default for WaitGraphConfig {
@@ -353,7 +354,6 @@ impl Default for WaitGraphConfig {
         WaitGraphConfig {
             freeze_windows: 4,
             max_samples: 32,
-            history: 8,
         }
     }
 }
@@ -389,7 +389,6 @@ impl WaitGraphTracker {
     /// A tracker with the given config.
     pub fn new(cfg: WaitGraphConfig) -> Self {
         assert!(cfg.freeze_windows > 0, "freeze_windows must be positive");
-        assert!(cfg.history > 0, "history must be positive");
         assert!(cfg.max_samples > 0, "max_samples must be positive");
         WaitGraphTracker {
             cfg,
@@ -483,7 +482,7 @@ impl WaitGraphTracker {
                     last_progress: 0,
                     frozen_streak: 0,
                     frozen_since: 0,
-                    occupancy: LastN::new(self.cfg.history),
+                    occupancy: LastN::new(HISTORY),
                 };
                 self.tracks.insert(ti, (n.id, track));
             }

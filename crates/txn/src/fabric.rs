@@ -43,6 +43,9 @@ use noc_core::{
 use noc_sim::{Cycle, Histogram, IdMap, SlotIndex};
 use std::collections::{BTreeMap, VecDeque};
 
+/// Maximum children per node in broadcast fan-out trees.
+const BROADCAST_FANOUT: usize = 4;
+
 /// Per-endpoint transaction state.
 #[derive(Debug, Default)]
 struct Endpoint {
@@ -240,11 +243,9 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     ///
     /// # Panics
     ///
-    /// If `cfg.flit_bytes`, `cfg.window`, `cfg.max_staged_flits` or
-    /// `cfg.broadcast_fanout` is 0, or `cfg.max_data_flits` is outside
-    /// `1..=256`. A zero window or staging cap would refuse every
-    /// submission forever, and a zero fan-out cannot build a broadcast
-    /// tree.
+    /// If `cfg.flit_bytes`, `cfg.window` or `cfg.max_staged_flits` is
+    /// 0, or `cfg.max_data_flits` is outside `1..=256`. A zero window or
+    /// staging cap would refuse every submission forever.
     pub fn with_spans(net: Network<S>, cfg: TxnConfig, spans: P) -> Self {
         assert!(cfg.flit_bytes > 0, "flit_bytes must be positive");
         assert!(
@@ -255,10 +256,6 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         assert!(
             cfg.max_staged_flits >= 1,
             "max_staged_flits must be at least 1"
-        );
-        assert!(
-            cfg.broadcast_fanout >= 1,
-            "broadcast_fanout must be at least 1"
         );
         let mut endpoints: Vec<Endpoint> = net
             .topology()
@@ -780,8 +777,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                 max: self.cfg.packet_capacity(),
             });
         }
-        let tree =
-            BroadcastTree::build(self.net.topology(), src, targets, self.cfg.broadcast_fanout);
+        let tree = BroadcastTree::build(self.net.topology(), src, targets, BROADCAST_FANOUT);
         if tree.targets() == 0 {
             return Err(TxnError::EmptyBroadcast);
         }

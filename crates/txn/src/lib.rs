@@ -596,13 +596,4 @@ mod tests {
             ..TxnConfig::default()
         });
     }
-
-    #[test]
-    #[should_panic(expected = "broadcast_fanout must be at least 1")]
-    fn zero_broadcast_fanout_is_rejected_at_construction() {
-        ring_fabric(TxnConfig {
-            broadcast_fanout: 0,
-            ..TxnConfig::default()
-        });
-    }
 }

@@ -13,6 +13,9 @@ use crate::types::TxnConfig;
 use noc_core::{FlitClass, NodeId, PacketToken};
 use serde::{Deserialize, Serialize};
 
+/// Header flit size in bytes, charged to bandwidth accounting.
+const HEADER_BYTES: u32 = 16;
+
 /// Number of data flits needed for `bytes` of payload (0 for an empty
 /// payload — control packets are header-only).
 pub fn data_flits(bytes: u32, flit_bytes: u32) -> u32 {
@@ -104,12 +107,12 @@ impl PacketDesc {
             cfg.max_data_flits
         );
         let (dst, class, bytes) = (self.dst, self.class, self.bytes);
-        let (header_bytes, flit_bytes) = (cfg.header_bytes, cfg.flit_bytes);
+        let flit_bytes = cfg.flit_bytes;
         (0..=self.n_data as u16).map(move |seq| StagedFlit {
             dst,
             class,
             bytes: match seq {
-                0 => header_bytes,
+                0 => HEADER_BYTES,
                 _ => bytes
                     .saturating_sub(u32::from(seq - 1) * flit_bytes)
                     .min(flit_bytes),
@@ -234,7 +237,7 @@ mod tests {
         let head = PacketToken::decode(flits[0].token);
         assert!(head.is_header());
         assert_eq!(head.packet, 42);
-        assert_eq!(flits[0].bytes, c.header_bytes);
+        assert_eq!(flits[0].bytes, HEADER_BYTES);
         assert_eq!(flits[3].bytes, 2);
         let total: u32 = flits[1..].iter().map(|f| f.bytes).sum();
         assert_eq!(total, 130);

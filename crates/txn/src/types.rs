@@ -182,16 +182,12 @@ pub struct TxnConfig {
     pub flit_bytes: u32,
     /// Maximum data flits per packet (Blackhole: 256, i.e. 16 KiB).
     pub max_data_flits: u16,
-    /// Header flit size in bytes, charged to bandwidth accounting.
-    pub header_bytes: u32,
     /// Per-endpoint cap on in-flight non-posted transactions. A full
     /// window backpressures `submit` into the `Ok(None)` path.
     pub window: usize,
     /// Per-endpoint cap on flits staged for injection; beyond it,
     /// `submit` backpressures rather than buffering unboundedly.
     pub max_staged_flits: usize,
-    /// Maximum children per node in broadcast fan-out trees.
-    pub broadcast_fanout: usize,
     /// Fabric-wide admission cap: flits in the network at once (pumped
     /// but not yet delivered). `0` derives a bound from the topology
     /// (half the fabric's ring slots). Unbounded injection can wedge a
@@ -222,10 +218,8 @@ impl Default for TxnConfig {
         TxnConfig {
             flit_bytes: 64,
             max_data_flits: 256,
-            header_bytes: 16,
             window: 8,
             max_staged_flits: 4096,
-            broadcast_fanout: 4,
             max_outstanding_flits: 0,
             metrics_period: 0,
             reassembly_slots: 0,

@@ -1,6 +1,7 @@
 //! Synthetic traffic generators for raw NoC experiments.
 
 use noc_core::FlitClass;
+use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
@@ -83,24 +84,12 @@ impl TrafficGen {
     fn pick_dst(&mut self, src: usize) -> usize {
         let n = self.n;
         let dst = match self.pattern {
-            Pattern::UniformRandom => {
-                let mut d = self.rng.gen_index(n - 1);
-                if d >= src {
-                    d += 1;
-                }
-                d
+            Pattern::UniformRandom => TrafficPattern::Uniform.pick_dest(&mut self.rng, n, src),
+            Pattern::Hotspot { hot_frac } => TrafficPattern::Hotspot {
+                target: 0,
+                bias: hot_frac,
             }
-            Pattern::Hotspot { hot_frac } => {
-                if src != 0 && self.rng.gen_bool(hot_frac) {
-                    0
-                } else {
-                    let mut d = self.rng.gen_index(n - 1);
-                    if d >= src {
-                        d += 1;
-                    }
-                    d
-                }
-            }
+            .pick_dest(&mut self.rng, n, src),
             Pattern::Permutation => n - 1 - src,
             Pattern::NeighborShift => (src + 1) % n,
         };

@@ -9,6 +9,7 @@
 
 use noc_chi::{LineAddr, ReadKind};
 use noc_server_cpu::experiments::{coherence_ping, lines_homed_at, PreparedState};
+use noc_server_cpu::soc::IOD_COUNT;
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.cores(),
         cfg.ccd_count * cfg.clusters_per_ccd,
         cfg.ccd_count,
-        cfg.iod_count
+        IOD_COUNT
     );
     let mut server = ServerCpu::build(cfg)?;
 

@@ -27,8 +27,9 @@ use noc_core::topogen::GridParams;
 use noc_core::{Network, NetworkConfig, NodeId};
 use noc_txn::{TxnConfig, TxnFabric, TxnOp};
 
-/// The ROADMAP wedge topology: 4×4 torus, 16 stations, 2 devices per
-/// station, pinned seed.
+/// The wedge topology, where full rings and full bridge escape buffers
+/// form a cyclic wait SWAP cannot break: 4×4 torus, 16 stations, 2
+/// devices per station, pinned seed.
 fn torus_devices() -> (noc_core::Topology, Vec<NodeId>) {
     let (topo, names) = GridParams::torus(4, 4)
         .with_stations(16)
