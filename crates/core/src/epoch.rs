@@ -7,7 +7,10 @@
 //! ([`crate::slab`]): delivery pops the matured flits landing on a ring,
 //! the per-ring cycle's intake and SWAP push into the escapes leaving
 //! it, and every container moves handles while the per-event writes go
-//! to the bodies in the slab. A flit pushed in a cycle is due
+//! to the bodies in the slab. The per-ring cycle also borrows the
+//! network's one set of delivery histograms ([`DeliveryHists`]): a
+//! device delivery records its latencies, hops and deflections there,
+//! read from the body in the slab. A flit pushed in a cycle is due
 //! one bridge latency (at least one cycle) later, so nothing a ring
 //! pushes can be delivered in the cycle it was pushed, whatever order
 //! the rings run in.
@@ -23,6 +26,7 @@
 use crate::bridge::Bridges;
 use crate::shard::{EngineShared, RingShard};
 use crate::slab::FlitSlab;
+use crate::stats::DeliveryHists;
 use noc_sim::Cycle;
 
 /// Run cycle `now` on `shards`, every ring of the network in ring order
@@ -31,6 +35,7 @@ pub(crate) fn run_cycle<const TRACE: bool>(
     shards: &mut [RingShard],
     bridges: &mut Bridges,
     slab: &mut FlitSlab,
+    hists: &mut DeliveryHists,
     shared: &EngineShared,
     now: Cycle,
 ) {
@@ -39,7 +44,7 @@ pub(crate) fn run_cycle<const TRACE: bool>(
     }
     debug_check_matured(shards, bridges, now.raw());
     for sh in shards.iter_mut() {
-        sh.phase_cycle::<TRACE>(shared, bridges, slab, now);
+        sh.phase_cycle::<TRACE>(shared, bridges, slab, hists, now);
     }
     debug_check_escapes(bridges);
     debug_check_handles(shards, bridges, slab);

@@ -7,7 +7,7 @@
 //! The engine is decomposed along the paper's own fault line: rings are
 //! independent conveyor belts coupled *only* at bridges. Each ring is a
 //! self-contained ring shard (`RingShard`) owning its lanes, bitsets,
-//! node interfaces, its sides' DRM state, statistics and telemetry
+//! node interfaces, its sides' DRM state, counters and telemetry
 //! buffer. Each bridge direction is one escape (`crate::bridge`): the
 //! Tx pipeline FIFO plus the reserved escape buffers, owned by
 //! [`Network`] next to the shards. So is the flit slab
@@ -70,7 +70,7 @@ use crate::observe::Observatory;
 use crate::route::RouteTable;
 use crate::shard::{EngineShared, NodeState, RingShard};
 use crate::slab::FlitSlab;
-use crate::stats::{NetStats, TickProfile};
+use crate::stats::{DeliveryHists, NetStats, RingCounters, TickProfile};
 use crate::topology::{NodeKind, Topology};
 use noc_sim::{BandwidthProbe, Cycle};
 use noc_telemetry::{FlitEvent, NullSink, TraceRecord, TraceSink, NO_FLIT, NO_LANE};
@@ -148,6 +148,9 @@ pub struct Network<S: TraceSink = NullSink> {
     pub(crate) bridges: Bridges,
     /// Every resident flit's body; everything else holds handles.
     pub(crate) slab: FlitSlab,
+    /// The delivery histograms of [`NetStats`], one set for the whole
+    /// network; each ring keeps only its counters.
+    hists: DeliveryHists,
     pub(crate) now: Cycle,
     /// The last cycle that ended with no flit resident.
     settled_at: u64,
@@ -187,6 +190,7 @@ impl<S: TraceSink> Network<S> {
             shards,
             bridges,
             slab: FlitSlab::default(),
+            hists: DeliveryHists::new(),
             now: Cycle::ZERO,
             settled_at: 0,
             next_flit_id: 0,
@@ -234,14 +238,14 @@ impl<S: TraceSink> Network<S> {
         &self.shared.cfg
     }
 
-    /// Accumulated statistics: the per-shard blocks merged in ring
-    /// order.
+    /// Accumulated statistics: every ring's counters summed, beside
+    /// the network's delivery histograms.
     pub fn stats(&self) -> NetStats {
-        let mut total = NetStats::new();
+        let mut counters = RingCounters::default();
         for shard in &self.shards {
-            total.merge_from(&shard.stats);
+            counters.add(&shard.counters);
         }
-        total
+        NetStats::from_parts(&counters, self.hists.clone())
     }
 
     /// The merged [`NetStats::fingerprint`] — the canonical value for
@@ -273,7 +277,7 @@ impl<S: TraceSink> Network<S> {
     /// not yet been delivered to a device.
     pub fn in_flight(&self) -> u64 {
         let (enqueued, delivered) = self.shards.iter().fold((0u64, 0u64), |(e, d), sh| {
-            (e + sh.stats.enqueued.get(), d + sh.stats.delivered.get())
+            (e + sh.counters.enqueued, d + sh.counters.delivered)
         });
         enqueued - delivered
     }
@@ -329,7 +333,7 @@ impl<S: TraceSink> Network<S> {
             let flit = Flit::new(id, src, dst, class, payload_bytes, token, self.now);
             let flit = self.slab.alloc(flit);
             shard.nodes[ni].inject.push(flit).expect("checked not full");
-            shard.stats.enqueued.inc();
+            shard.counters.enqueued += 1;
             if shard.nodes[ni].inject.len() == 1 {
                 shard.head_changed(&self.shared, ni);
             }
@@ -439,7 +443,7 @@ impl<S: TraceSink> Network<S> {
             .flat_map(|sh| {
                 sh.nodes
                     .iter()
-                    .filter_map(|n| n.probe.as_ref().map(|p| (n.id, p)))
+                    .filter_map(|n| n.probe.as_deref().map(|p| (n.id, p)))
             })
             .collect();
         all.sort_by_key(|(id, _)| id.0);
@@ -484,11 +488,12 @@ impl<S: TraceSink> Network<S> {
     pub fn tick(&mut self) {
         self.now += 1;
         // The one place the sink type picks the cycle's TRACE parameter.
-        let (shards, bridges, slab) = (&mut self.shards, &mut self.bridges, &mut self.slab);
+        let (shards, bridges) = (&mut self.shards, &mut self.bridges);
+        let (slab, hists) = (&mut self.slab, &mut self.hists);
         if S::ENABLED {
-            epoch::run_cycle::<true>(shards, bridges, slab, &self.shared, self.now);
+            epoch::run_cycle::<true>(shards, bridges, slab, hists, &self.shared, self.now);
         } else {
-            epoch::run_cycle::<false>(shards, bridges, slab, &self.shared, self.now);
+            epoch::run_cycle::<false>(shards, bridges, slab, hists, &self.shared, self.now);
         }
         if self.slab.live() == 0 {
             self.settled_at = self.now.raw();

@@ -235,19 +235,19 @@ impl RingObs {
 /// Current cumulative counter readings of `shard`, in
 /// [`WindowCounters`] form.
 fn counters_now(shard: &RingShard) -> WindowCounters {
-    let s = &shard.stats;
+    let c = &shard.counters;
     WindowCounters {
-        enqueued: s.enqueued.get(),
-        injected: s.injected.get(),
-        inject_losses: s.inject_losses.get(),
-        delivered: s.delivered.get(),
-        delivered_bytes: s.delivered_bytes.get(),
-        deflections: s.deflections.get(),
-        itags_placed: s.itags_placed.get(),
-        etags_placed: s.etags_placed.get(),
-        drm_entries: s.drm_entries.get(),
-        swaps: s.swaps.get(),
-        bridge_crossings: s.bridge_crossings.get(),
+        enqueued: c.enqueued,
+        injected: c.injected,
+        inject_losses: c.inject_losses,
+        delivered: c.delivered,
+        delivered_bytes: c.delivered_bytes,
+        deflections: c.deflections,
+        itags_placed: c.itags_placed,
+        etags_placed: c.etags_placed,
+        drm_entries: c.drm_entries,
+        swaps: c.swaps,
+        bridge_crossings: c.bridge_crossings,
     }
 }
 
@@ -291,9 +291,9 @@ fn ring_node(shard: &RingShard) -> WaitNode {
         },
         occupancy: shard.ring.occupancy() as u64,
         capacity: shard.ring.capacity() as u64,
-        progress: shard.stats.injected.get()
-            + shard.stats.delivered.get()
-            + shard.stats.bridge_crossings.get(),
+        progress: shard.counters.injected
+            + shard.counters.delivered
+            + shard.counters.bridge_crossings,
     }
 }
 

@@ -6,8 +6,8 @@
 //! attached to its stations (inject/eject queues, starvation counters,
 //! E-tag lists, cached head intent), what belongs to its side of each
 //! bridge ([`BridgeSide`]: endpoint and DRM state), the round-robin
-//! pointers and the per-intent station bitsets, plus a private
-//! [`NetStats`], [`TickProfile`] and [`TraceBuffer`].
+//! pointers and the per-intent station bitsets, plus its own
+//! [`RingCounters`], [`TickProfile`] and [`TraceBuffer`].
 //!
 //! Of the observer a shard keeps only what the hot path writes: the
 //! trace buffer, and the per-flow deltas it stages at deliveries while
@@ -19,8 +19,10 @@
 //! The station logic is ring-local: a flit leaves its ring only by
 //! being pushed into a bridge escape ([`crate::bridge`]), which the
 //! network owns and lends to each phase, and it cannot come out of the
-//! escape in the cycle it went in. The engine merges the shards' stats,
-//! profiles and trace buffers in ascending ring order. Immutable inputs
+//! escape in the cycle it went in. The engine sums the shards' counters
+//! and profiles and drains their trace buffers in ascending ring order;
+//! the delivery histograms are the network's ([`DeliveryHists`]), lent
+//! to the cycle like the escapes and the slab. Immutable inputs
 //! every shard needs (config, route table, global→local id maps) live
 //! in one shared [`EngineShared`].
 //!
@@ -43,7 +45,7 @@ use crate::queue::Fifo;
 use crate::ring::Ring;
 use crate::route::{ring_travel, RouteTable};
 use crate::slab::{FlitRef, FlitSlab};
-use crate::stats::{NetStats, TickProfile};
+use crate::stats::{DeliveryHists, RingCounters, TickProfile};
 use crate::topology::{NodeKind, Topology};
 use noc_sim::{BandwidthProbe, Cycle};
 use noc_telemetry::{FlitEvent, FlowDelta, TraceBuffer, TraceRecord, NO_FLIT, NO_LANE};
@@ -153,8 +155,9 @@ pub(crate) struct NodeState {
     pub deflected_here: u64,
     /// I-tags this node has placed on passing slots (diagnostics).
     pub itags_here: u64,
-    /// Bandwidth probe (devices only, when probing is configured).
-    pub probe: Option<BandwidthProbe>,
+    /// Bandwidth probe (devices only, when probing is configured);
+    /// boxed, so a node without one carries a pointer, not the probe.
+    pub probe: Option<Box<BandwidthProbe>>,
 }
 
 /// One ring plus everything attached to it. See the module docs.
@@ -188,7 +191,9 @@ pub(crate) struct RingShard {
     /// Eject Queue changes (SWAP and intake touch bridge endpoints
     /// only). [`crate::Network::nodes_with_deliveries`] walks it.
     pub delivered: BitRing,
-    pub stats: NetStats,
+    /// This ring's counters; the network's delivery histograms are
+    /// lent to the cycle instead (`crate::epoch`).
+    pub counters: RingCounters,
     /// Shard-local sweep instrumentation (`ticks` stays 0 here; the
     /// engine adds the tick count on top when merging).
     pub profile: TickProfile,
@@ -235,7 +240,7 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
             intake: BitRing::new(nsides),
             drm_watch: BitRing::new(nsides),
             delivered: BitRing::new(0),
-            stats: NetStats::new(),
+            counters: RingCounters::default(),
             profile: TickProfile::default(),
             trace: TraceBuffer::default(),
             flow_on: false,
@@ -268,7 +273,7 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
             deflected_here: 0,
             itags_here: 0,
             probe: (cfg.probe_window > 0 && matches!(n.kind, NodeKind::Device))
-                .then(|| BandwidthProbe::new(n.name.clone(), cfg.probe_window)),
+                .then(|| Box::new(BandwidthProbe::new(n.name.clone(), cfg.probe_window))),
         });
     }
     for shard in &mut shards {
@@ -482,7 +487,7 @@ impl RingShard {
             if self.nodes[ep].inject.len() == 1 {
                 self.head_changed(shared, ep);
             }
-            self.stats.bridge_crossings.inc();
+            self.counters.bridge_crossings += 1;
             self.progress_at = nraw;
         }
     }
@@ -499,10 +504,11 @@ impl RingShard {
         shared: &EngineShared,
         bridges: &mut Bridges,
         slab: &mut FlitSlab,
+        hists: &mut DeliveryHists,
         now: Cycle,
     ) {
-        self.local_deliveries_fast::<TRACE>(shared, slab, now);
-        self.sweep_active::<TRACE>(shared, bridges, slab, now);
+        self.local_deliveries_fast::<TRACE>(shared, slab, hists, now);
+        self.sweep_active::<TRACE>(shared, bridges, slab, hists, now);
         for lane in &mut self.ring.lanes {
             lane.advance();
         }
@@ -529,6 +535,7 @@ impl RingShard {
         shared: &EngineShared,
         bridges: &mut Bridges,
         slab: &mut FlitSlab,
+        hists: &mut DeliveryHists,
         now: Cycle,
     ) {
         let stations = self.ring.stations as u64;
@@ -544,7 +551,7 @@ impl RingShard {
                 while w != 0 {
                     let s = wi * 64 + w.trailing_zeros() as usize;
                     w &= w - 1;
-                    self.process_station::<TRACE>(shared, bridges, slab, now, li, s as u16);
+                    self.process_station::<TRACE>(shared, bridges, slab, hists, now, li, s as u16);
                     if cfg!(debug_assertions) {
                         // The visit raised no event ahead of `s` in this
                         // word that the snapshot `w` lacks: the snapshot
@@ -572,6 +579,7 @@ impl RingShard {
         &mut self,
         shared: &EngineShared,
         slab: &mut FlitSlab,
+        hists: &mut DeliveryHists,
         now: Cycle,
     ) {
         // Debug builds: the intents this cycle starts from are true.
@@ -584,7 +592,13 @@ impl RingShard {
                 for port in 0..2 {
                     if let Some(local) = self.ports[s][port] {
                         if self.nodes[local as usize].want.intent == Intent::Local {
-                            self.try_local_delivery::<TRACE>(shared, slab, now, local as usize);
+                            self.try_local_delivery::<TRACE>(
+                                shared,
+                                slab,
+                                hists,
+                                now,
+                                local as usize,
+                            );
                         }
                     }
                 }
@@ -598,6 +612,7 @@ impl RingShard {
         &mut self,
         shared: &EngineShared,
         slab: &mut FlitSlab,
+        hists: &mut DeliveryHists,
         now: Cycle,
         i: usize,
     ) {
@@ -622,7 +637,7 @@ impl RingShard {
             let body = &mut slab[flit];
             body.itag_wait += self.nodes[i].starve;
             body.injected_at = Some(now);
-            self.stats.injected.inc();
+            self.counters.injected += 1;
             if TRACE {
                 let record = TraceRecord {
                     cycle: now.raw(),
@@ -636,7 +651,7 @@ impl RingShard {
                 };
                 self.trace.push(record);
             }
-            self.finish_arrival::<TRACE>(slab, now, t, flit, NO_LANE);
+            self.finish_arrival::<TRACE>(slab, hists, now, t, flit, NO_LANE);
             self.nodes[i].starve = 0;
         }
     }
@@ -646,11 +661,13 @@ impl RingShard {
     /// round-robin), then starvation accounting and I-tag placement.
     /// It learns of an arrival from the lane's exit calendar and of what
     /// a head wants from the intent cache.
+    #[allow(clippy::too_many_arguments)]
     fn process_station<const TRACE: bool>(
         &mut self,
         shared: &EngineShared,
         bridges: &mut Bridges,
         slab: &mut FlitSlab,
+        hists: &mut DeliveryHists,
         now: Cycle,
         li: usize,
         s: u16,
@@ -658,7 +675,7 @@ impl RingShard {
         let ring_id = self.ring.id;
         // ---- arrival / ejection ----
         if self.ring.lanes[li].arrives(s) {
-            self.arrive::<TRACE>(shared, bridges, slab, now, li, s);
+            self.arrive::<TRACE>(shared, bridges, slab, hists, now, li, s);
         }
         // ---- injection ----
         let mut injected_port: Option<u8> = None;
@@ -735,7 +752,7 @@ impl RingShard {
                     .expect("only endpoints have a threshold");
                 self.drm_watch.set(si as usize);
             }
-            self.stats.inject_losses.inc();
+            self.counters.inject_losses += 1;
             if TRACE {
                 let fid = slab[*self.nodes[ni].inject.peek().expect("head checked")].id;
                 let record = TraceRecord {
@@ -757,7 +774,7 @@ impl RingShard {
                 self.ring.lanes[li].set_itag(s, self.nodes[ni].id);
                 self.nodes[ni].itag_pending = true;
                 self.nodes[ni].itags_here += 1;
-                self.stats.itags_placed.inc();
+                self.counters.itags_placed += 1;
                 if TRACE {
                     let fid = slab[*self.nodes[ni].inject.peek().expect("head checked")].id;
                     let record = TraceRecord {
@@ -795,7 +812,7 @@ impl RingShard {
         body.itag_wait += self.nodes[ni].starve;
         if body.injected_at.is_none() {
             body.injected_at = Some(now);
-            self.stats.injected.inc();
+            self.counters.injected += 1;
             if TRACE {
                 let record = TraceRecord {
                     cycle: now.raw(),
@@ -816,11 +833,13 @@ impl RingShard {
 
     /// Take the flit arriving at its exit station `s` off lane `li`
     /// and handle it: eject, SWAP, or deflect with an E-tag.
+    #[allow(clippy::too_many_arguments)]
     fn arrive<const TRACE: bool>(
         &mut self,
         shared: &EngineShared,
         bridges: &mut Bridges,
         slab: &mut FlitSlab,
+        hists: &mut DeliveryHists,
         now: Cycle,
         li: usize,
         s: u16,
@@ -852,7 +871,7 @@ impl RingShard {
                 self.consume_etag(t, fid);
                 slab[flit].etag = false;
             }
-            self.finish_arrival::<TRACE>(slab, now, t, flit, li as u8);
+            self.finish_arrival::<TRACE>(slab, hists, now, t, flit, li as u8);
             return;
         }
 
@@ -898,7 +917,7 @@ impl RingShard {
                     // takes this slot; if it leaves the ring here, at
                     // `s`, that is one full lap away.
                     self.inject_head::<TRACE>(shared, slab, now, t, li, s);
-                    self.stats.swaps.inc();
+                    self.counters.swaps += 1;
                     if TRACE {
                         let record = TraceRecord {
                             cycle: now.raw(),
@@ -920,7 +939,7 @@ impl RingShard {
         if !etag {
             body.etag = true;
             self.nodes[t].etag_list.push_back(fid);
-            self.stats.etags_placed.inc();
+            self.counters.etags_placed += 1;
             if TRACE {
                 let record = TraceRecord {
                     cycle: now.raw(),
@@ -946,7 +965,7 @@ impl RingShard {
         }
         // Flow accounting charges these counters lazily (at delivery
         // and at sampling boundaries) — nothing to do here.
-        self.stats.deflections.inc();
+        self.counters.deflections += 1;
         self.nodes[t].deflected_here += 1;
         if TRACE {
             let record = TraceRecord {
@@ -970,11 +989,13 @@ impl RingShard {
     }
 
     /// Complete an arrival into local node `t`'s eject queue, recording
-    /// delivery stats for devices. `lane` is the ring lane the flit
-    /// left (or [`NO_LANE`] for the zero-hop local path).
+    /// a device's delivery in this ring's counters and the network's
+    /// `hists`. `lane` is the ring lane the flit left (or [`NO_LANE`]
+    /// for the zero-hop local path).
     fn finish_arrival<const TRACE: bool>(
         &mut self,
         slab: &mut FlitSlab,
+        hists: &mut DeliveryHists,
         now: Cycle,
         t: usize,
         flit: FlitRef,
@@ -985,7 +1006,8 @@ impl RingShard {
         let body = &slab[flit];
         let is_device = matches!(self.nodes[t].kind, NodeKind::Device);
         if is_device {
-            self.stats.record_delivery(body, now);
+            self.counters.record_delivery(body);
+            hists.record(body, now);
             if self.flow_on {
                 // Charge the delivery plus whatever deflections and
                 // E-tag laps the window sweeps have not yet seen.
@@ -1134,7 +1156,7 @@ impl RingShard {
                     if starving && !inject_empty {
                         side.drm = true;
                         side.drm_entries += 1;
-                        self.stats.drm_entries.inc();
+                        self.counters.drm_entries += 1;
                     }
                 } else if out.reserved.len() <= out.cfg.drm_exit_occupancy && !starving {
                     side.drm = false;

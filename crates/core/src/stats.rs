@@ -52,24 +52,72 @@ pub struct NetStats {
     pub deflections_per_flit: Histogram,
 }
 
-impl NetStats {
-    /// Fresh, zeroed statistics.
+/// The counters one ring keeps: [`NetStats`]'s 13 counters as plain
+/// integers, in its field order. A ring's counters are read per ring
+/// (the observatory's window deltas and wait-graph progress), so each
+/// ring keeps its own; [`Network::stats`](crate::Network::stats) sums
+/// them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RingCounters {
+    pub enqueued: u64,
+    pub injected: u64,
+    pub inject_losses: u64,
+    pub delivered: u64,
+    pub delivered_bytes: u64,
+    pub deflections: u64,
+    pub itags_placed: u64,
+    pub etags_placed: u64,
+    pub drm_entries: u64,
+    pub swaps: u64,
+    pub bridge_crossings: u64,
+    pub etag_laps: u64,
+    pub itag_wait_cycles: u64,
+}
+
+impl RingCounters {
+    /// Count a device delivery of `flit`.
+    pub fn record_delivery(&mut self, flit: &Flit) {
+        self.delivered += 1;
+        self.delivered_bytes += u64::from(flit.payload_bytes);
+        self.etag_laps += u64::from(flit.etag_laps);
+        self.itag_wait_cycles += u64::from(flit.itag_wait);
+    }
+
+    /// Add `other`'s counts to these.
+    pub fn add(&mut self, other: &RingCounters) {
+        self.enqueued += other.enqueued;
+        self.injected += other.injected;
+        self.inject_losses += other.inject_losses;
+        self.delivered += other.delivered;
+        self.delivered_bytes += other.delivered_bytes;
+        self.deflections += other.deflections;
+        self.itags_placed += other.itags_placed;
+        self.etags_placed += other.etags_placed;
+        self.drm_entries += other.drm_entries;
+        self.swaps += other.swaps;
+        self.bridge_crossings += other.bridge_crossings;
+        self.etag_laps += other.etag_laps;
+        self.itag_wait_cycles += other.itag_wait_cycles;
+    }
+}
+
+/// [`NetStats`]'s delivery histograms, one set per network. Only
+/// [`Network::stats`](crate::Network::stats) reads them, and a
+/// histogram merge is a sum, so one set recorded in delivery order
+/// holds what per-ring sets merged in ring order would — at one
+/// network's cost instead of one per ring.
+#[derive(Debug, Clone)]
+pub(crate) struct DeliveryHists {
+    total_latency: [Histogram; 4],
+    network_latency: [Histogram; 4],
+    hops: Histogram,
+    deflections_per_flit: Histogram,
+}
+
+impl DeliveryHists {
     pub fn new() -> Self {
         let h = |name: &str| Histogram::new(name);
-        NetStats {
-            enqueued: Counter::new("enqueued"),
-            injected: Counter::new("injected"),
-            inject_losses: Counter::new("inject_losses"),
-            delivered: Counter::new("delivered"),
-            delivered_bytes: Counter::new("delivered_bytes"),
-            deflections: Counter::new("deflections"),
-            itags_placed: Counter::new("itags_placed"),
-            etags_placed: Counter::new("etags_placed"),
-            drm_entries: Counter::new("drm_entries"),
-            swaps: Counter::new("swaps"),
-            bridge_crossings: Counter::new("bridge_crossings"),
-            etag_laps: Counter::new("etag_laps"),
-            itag_wait_cycles: Counter::new("itag_wait_cycles"),
+        DeliveryHists {
             total_latency: [
                 h("total_latency.req"),
                 h("total_latency.rsp"),
@@ -87,17 +135,50 @@ impl NetStats {
         }
     }
 
-    /// Record a device delivery at time `now`.
-    pub fn record_delivery(&mut self, flit: &Flit, now: Cycle) {
-        self.delivered.inc();
-        self.delivered_bytes.add(flit.payload_bytes as u64);
-        self.etag_laps.add(flit.etag_laps as u64);
-        self.itag_wait_cycles.add(flit.itag_wait as u64);
+    /// Record a device delivery of `flit` at time `now`.
+    pub fn record(&mut self, flit: &Flit, now: Cycle) {
         let i = flit.class.index();
         self.total_latency[i].record(flit.total_latency(now));
         self.network_latency[i].record(flit.network_latency(now));
-        self.hops.record(flit.hops as u64);
-        self.deflections_per_flit.record(flit.deflections as u64);
+        self.hops.record(u64::from(flit.hops));
+        self.deflections_per_flit
+            .record(u64::from(flit.deflections));
+    }
+}
+
+impl NetStats {
+    /// Fresh, zeroed statistics.
+    pub fn new() -> Self {
+        Self::from_parts(&RingCounters::default(), DeliveryHists::new())
+    }
+
+    /// The public view of a network's statistics: its rings' counters,
+    /// summed, beside its one set of delivery histograms.
+    pub(crate) fn from_parts(c: &RingCounters, h: DeliveryHists) -> Self {
+        let counter = |name: &str, value: u64| {
+            let mut k = Counter::new(name);
+            k.add(value);
+            k
+        };
+        NetStats {
+            enqueued: counter("enqueued", c.enqueued),
+            injected: counter("injected", c.injected),
+            inject_losses: counter("inject_losses", c.inject_losses),
+            delivered: counter("delivered", c.delivered),
+            delivered_bytes: counter("delivered_bytes", c.delivered_bytes),
+            deflections: counter("deflections", c.deflections),
+            itags_placed: counter("itags_placed", c.itags_placed),
+            etags_placed: counter("etags_placed", c.etags_placed),
+            drm_entries: counter("drm_entries", c.drm_entries),
+            swaps: counter("swaps", c.swaps),
+            bridge_crossings: counter("bridge_crossings", c.bridge_crossings),
+            etag_laps: counter("etag_laps", c.etag_laps),
+            itag_wait_cycles: counter("itag_wait_cycles", c.itag_wait_cycles),
+            total_latency: h.total_latency,
+            network_latency: h.network_latency,
+            hops: h.hops,
+            deflections_per_flit: h.deflections_per_flit,
+        }
     }
 
     /// Mean end-to-end latency across all classes (cycles).
@@ -126,34 +207,6 @@ impl NetStats {
     /// number of flits still inside the network).
     pub fn outstanding(&self) -> u64 {
         self.enqueued.get() - self.delivered.get()
-    }
-
-    /// Fold another statistics block into this one (counter sums,
-    /// histogram merges). Used by the sharded engine to combine
-    /// per-ring statistics into the network-wide view; merging is
-    /// commutative, so the result is independent of shard order.
-    pub fn merge_from(&mut self, other: &NetStats) {
-        self.enqueued.add(other.enqueued.get());
-        self.injected.add(other.injected.get());
-        self.inject_losses.add(other.inject_losses.get());
-        self.delivered.add(other.delivered.get());
-        self.delivered_bytes.add(other.delivered_bytes.get());
-        self.deflections.add(other.deflections.get());
-        self.itags_placed.add(other.itags_placed.get());
-        self.etags_placed.add(other.etags_placed.get());
-        self.drm_entries.add(other.drm_entries.get());
-        self.swaps.add(other.swaps.get());
-        self.bridge_crossings.add(other.bridge_crossings.get());
-        self.etag_laps.add(other.etag_laps.get());
-        self.itag_wait_cycles.add(other.itag_wait_cycles.get());
-        for (mine, theirs) in self.total_latency.iter_mut().zip(&other.total_latency) {
-            mine.merge(theirs);
-        }
-        for (mine, theirs) in self.network_latency.iter_mut().zip(&other.network_latency) {
-            mine.merge(theirs);
-        }
-        self.hops.merge(&other.hops);
-        self.deflections_per_flit.merge(&other.deflections_per_flit);
     }
 
     /// A semantic digest of the run: every counter plus a
@@ -256,13 +309,15 @@ mod tests {
 
     #[test]
     fn delivery_updates_everything() {
-        let mut s = NetStats::new();
+        let (mut c, mut h) = (RingCounters::default(), DeliveryHists::new());
         let mut f = Flit::new(1, NodeId(0), NodeId(1), FlitClass::Data, 64, 0, Cycle(10));
         f.injected_at = Some(Cycle(12));
         f.hops = 5;
         f.deflections = 1;
-        s.enqueued.inc();
-        s.record_delivery(&f, Cycle(30));
+        c.enqueued += 1;
+        c.record_delivery(&f);
+        h.record(&f, Cycle(30));
+        let s = NetStats::from_parts(&c, h);
         assert_eq!(s.delivered.get(), 1);
         assert_eq!(s.delivered_bytes.get(), 64);
         assert_eq!(s.total_latency[FlitClass::Data.index()].mean(), 20.0);
@@ -270,6 +325,13 @@ mod tests {
         assert_eq!(s.hops.max(), 5);
         assert_eq!(s.outstanding(), 0);
         assert_eq!(s.mean_total_latency(), 20.0);
+    }
+
+    /// Every ring carries one counter block: 13 plain `u64`s, no names,
+    /// no heap.
+    #[test]
+    fn a_ring_counter_block_is_104_bytes() {
+        assert_eq!(std::mem::size_of::<RingCounters>(), 13 * 8);
     }
 
     #[test]

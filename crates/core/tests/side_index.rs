@@ -10,7 +10,8 @@
 //! runs on a ring with more bridge sides than one set word holds, and
 //! one per cycle for a flit a full
 //! endpoint Inject Queue holds in the pipeline — with the resulting
-//! trace stream pinned against the commit before the index existed.
+//! trace stream pinned against the commit before the index existed —
+//! and never more than a bridge's width taken into it in one cycle.
 //! The second half pokes the indices from outside: draining a bridge
 //! endpoint's Eject Queue behind the intake mark, cloning mid-run.
 //! Debug builds additionally run
@@ -254,11 +255,79 @@ fn a_flit_held_by_a_full_inject_queue_is_retried_and_traced_every_cycle() {
         visits >= total as u64,
         "every stalled cycle is a side visit"
     );
+}
+
+/// The stalled run's whole trace stream, against the one pinned before
+/// the side index. A pin, not a rule: it catches any change to the run.
+#[test]
+fn the_stalled_bridge_stream_is_the_one_pinned_before_the_side_index() {
+    let (records, _) = stalled_bridge_run();
     assert_eq!(
         stream_hash(&records),
         STALLED_STREAM,
         "trace stream moved against the one pinned before the side index"
     );
+}
+
+/// Two chiplets of two full rings each, the rings of a chiplet joined
+/// by an RBRG-L1 and the chiplets by an RBRG-L2, under saturating
+/// uniform traffic: in every cycle, each bridge direction takes at most
+/// its `width_flits_per_cycle` flits from its sending ring (§4.1.3),
+/// and each reaches that width at least once.
+#[test]
+fn a_bridge_direction_takes_at_most_its_width_per_cycle() {
+    let mut b = TopologyBuilder::new();
+    let mut rings = Vec::new();
+    for die in 0..2 {
+        let chiplet = b.add_chiplet(format!("d{die}"));
+        for _ in 0..2 {
+            rings.push(b.add_ring(chiplet, RingKind::Full, 16).unwrap());
+        }
+    }
+    let mut devs = Vec::new();
+    for (r, &ring) in rings.iter().enumerate() {
+        for station in [2, 5, 11, 14] {
+            devs.push(
+                b.add_node(format!("r{r}s{station}"), ring, station)
+                    .unwrap(),
+            );
+        }
+    }
+    b.add_bridge(BridgeConfig::l1(), rings[0], 8, rings[1], 8)
+        .unwrap();
+    b.add_bridge(BridgeConfig::l1(), rings[2], 8, rings[3], 8)
+        .unwrap();
+    b.add_bridge(BridgeConfig::l2(), rings[1], 0, rings[2], 0)
+        .unwrap();
+    let topo = b.build().unwrap();
+    let widths: Vec<u32> = topo
+        .bridges()
+        .iter()
+        .map(|b| b.config.width_flits_per_cycle)
+        .collect();
+    assert_eq!(widths, [1, 1, 2], "L1 and L2 widths differ");
+    let mut net = Network::with_sink(topo, NetworkConfig::default(), RingBufferSink::new(1 << 20));
+    let mut rng = Rng(0x0b1d_9e00);
+    lockstep(&mut [&mut net], &devs, &mut rng, 0..1_500, 1, true);
+    let sink = net.into_sink();
+    assert_eq!(sink.dropped(), 0, "sink too small to see every intake");
+    // Flits taken per (cycle, bridge, sending ring).
+    let mut taken: std::collections::BTreeMap<(u64, u16, u16), u32> = Default::default();
+    for r in sink.records() {
+        if let FlitEvent::BridgeEnqueued { bridge } = r.event {
+            *taken.entry((r.cycle, bridge, r.ring)).or_default() += 1;
+        }
+    }
+    let mut widest = vec![0u32; widths.len()];
+    for (&(cycle, bridge, ring), &n) in &taken {
+        let width = widths[bridge as usize];
+        assert!(
+            n <= width,
+            "cycle {cycle}: bridge {bridge} took {n} flits from ring {ring}, width {width}"
+        );
+        widest[bridge as usize] = widest[bridge as usize].max(n);
+    }
+    assert_eq!(widest, widths, "the load fills every bridge to its width");
 }
 
 // ---------------------------------------------------------------------
