@@ -19,23 +19,22 @@ const REQ_BYTES: u32 = 16;
 /// interconnect (backpressure reaches the NoC).
 const MEM_QUEUE_CAP: usize = 12;
 
+/// Cache-line bytes (data payload).
+const LINE_BYTES: u32 = 64;
+/// RNG seed for read/write draws.
+const SEED: u64 = 0xFEED;
+
 /// Harness parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct MemHarnessConfig {
-    /// Cache-line bytes (data payload).
-    pub line_bytes: u32,
     /// Memory controller parameters (same for every controller).
     pub mem: MemoryParams,
-    /// RNG seed for read/write draws.
-    pub seed: u64,
 }
 
 impl Default for MemHarnessConfig {
     fn default() -> Self {
         MemHarnessConfig {
-            line_bytes: 64,
             mem: MemoryParams::ddr4(),
-            seed: 0xFEED,
         }
     }
 }
@@ -133,7 +132,6 @@ impl MemHarnessReport {
 #[derive(Debug)]
 pub struct MemHarness<T> {
     ic: T,
-    cfg: MemHarnessConfig,
     mem_endpoints: Vec<NodeId>,
     mems: Vec<MemoryModel<u64>>,
     reqs: HashMap<u64, Req>,
@@ -161,9 +159,8 @@ impl<T: ChiTransport> MemHarness<T> {
             mem_endpoints,
             reqs: HashMap::new(),
             next_token: 0,
-            rng: SimRng::seed_from(cfg.seed),
+            rng: SimRng::seed_from(SEED),
             retry: Vec::new(),
-            cfg,
         }
     }
 
@@ -179,11 +176,7 @@ impl<T: ChiTransport> MemHarness<T> {
         // synchronized round-robin pointer would sweep hotspots.
         let mem = self.mem_endpoints[self.rng.gen_index(self.mem_endpoints.len())];
         let token = self.next_token;
-        let bytes = if is_read {
-            REQ_BYTES
-        } else {
-            self.cfg.line_bytes
-        };
+        let bytes = if is_read { REQ_BYTES } else { LINE_BYTES };
         let class = if is_read {
             FlitClass::Request
         } else {
@@ -239,7 +232,7 @@ impl<T: ChiTransport> MemHarness<T> {
     fn try_respond(&mut self, mi: usize, token: u64) -> bool {
         let req = self.reqs[&token];
         let (class, bytes) = if req.is_read {
-            (FlitClass::Data, self.cfg.line_bytes)
+            (FlitClass::Data, LINE_BYTES)
         } else {
             (FlitClass::Response, 8)
         };
@@ -260,9 +253,9 @@ impl<T: ChiTransport> MemHarness<T> {
                 run.stats[run.index[&r]].latency_sum += lat;
                 run.stats[run.index[&r]].latency.record(lat);
                 if req.is_read {
-                    run.read_bytes += u64::from(self.cfg.line_bytes);
+                    run.read_bytes += u64::from(LINE_BYTES);
                 } else {
-                    run.write_bytes += u64::from(self.cfg.line_bytes);
+                    run.write_bytes += u64::from(LINE_BYTES);
                 }
                 run.outstanding[run.index[&r]] -= 1;
             }

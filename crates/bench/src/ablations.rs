@@ -11,7 +11,8 @@ use noc_chi::system::ChiTransport;
 use noc_core::{
     BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder,
 };
-use noc_workloads::{Pattern, TrafficGen};
+use noc_sim::fuzz::TrafficPattern;
+use noc_workloads::TrafficGen;
 
 /// Uniform random traffic among `eps` for `cycles` (`TrafficGen` at
 /// `load` flits/node/cycle, half data, `seed`), receiving every
@@ -25,7 +26,7 @@ fn drive_uniform<T: ChiTransport>(
     seed: u64,
     cycles: u64,
 ) -> (u64, f64) {
-    let mut gen = TrafficGen::new(eps.len(), load, Pattern::UniformRandom, 0.5, seed);
+    let mut gen = TrafficGen::new(eps.len(), load, TrafficPattern::Uniform, 0.5, seed);
     let (mut received, mut latency_sum) = (0u64, 0u64);
     for _ in 0..cycles {
         let now = ic.now().raw();
@@ -764,7 +765,7 @@ mod tests {
     fn ring_of_rings_wedges_at_load_0_30() {
         const STALL: u64 = 5_000;
         let (mut ic, eps) = ring_of_rings();
-        let mut gen = TrafficGen::new(eps.len(), 0.30, Pattern::UniformRandom, 0.5, 11);
+        let mut gen = TrafficGen::new(eps.len(), 0.30, TrafficPattern::Uniform, 0.5, 11);
         // Flits received in all, and by the last cycle with progress.
         let (mut received, mut received_by_progress) = (0u64, 0u64);
         let mut cycle = |ic: &mut RingAdapter| {

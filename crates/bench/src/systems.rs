@@ -94,10 +94,7 @@ pub fn mem_harness<T: ChiTransport>(ic: T, part: &Partition) -> MemHarness<T> {
     MemHarness::new(
         ic,
         part.memories.clone(),
-        MemHarnessConfig {
-            mem: mem_params(),
-            ..Default::default()
-        },
+        MemHarnessConfig { mem: mem_params() },
     )
 }
 

@@ -68,9 +68,14 @@ pub mod stats;
 pub mod topogen;
 pub mod topology;
 
-/// Flit-lifecycle tracing (re-exported [`noc_telemetry`]): sinks for
-/// [`Network::with_sink`](network::Network::with_sink), latency /
-/// heatmap / utilization views, and the Chrome trace exporter.
+/// Flit-lifecycle tracing and the observatory (re-exported
+/// [`noc_telemetry`]): sinks for
+/// [`Network::with_sink`](network::Network::with_sink), the Chrome trace
+/// exporter, metrics snapshots and postmortem bundles. Latency, heatmap
+/// and occupancy numbers come from the engine itself
+/// ([`Network::stats`](network::Network::stats),
+/// [`Network::deflection_cells`](network::Network::deflection_cells),
+/// [`Network::ring_occupancy`](network::Network::ring_occupancy)).
 pub use noc_telemetry as telemetry;
 
 pub use bits::BitRing;

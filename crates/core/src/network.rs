@@ -424,11 +424,6 @@ impl<S: TraceSink> Network<S> {
         self.node(node).map_or(0, |n| n.starve)
     }
 
-    /// Outstanding E-tag reservations at `node` (diagnostics).
-    pub fn etag_backlog(&self, node: NodeId) -> usize {
-        self.node(node).map_or(0, |n| n.etag_list.len())
-    }
-
     /// Flits currently riding ring `ring`.
     pub fn ring_occupancy(&self, ring: RingId) -> usize {
         self.shards[ring.index()].ring.occupancy()

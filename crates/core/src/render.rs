@@ -1,19 +1,17 @@
 //! Topology rendering: Graphviz DOT export, a terminal summary, and
-//! ASCII heatmap / ring-utilization views for telemetry data.
+//! ASCII heatmap / ring-utilization views of the engine's counters.
 
 use crate::topology::{NodeKind, Topology};
+use noc_telemetry::heat_cell;
 use std::fmt::Write as _;
-
-/// Intensity ramp for [`ascii_heatmap`] cells, blank to densest.
-const RAMP: &[u8] = b" .:-=+*#%@";
 
 /// Render per-station counts as one ASCII heatmap row per ring.
 ///
-/// `cells[ring][station]` holds the count (rows may be shorter than the
-/// ring — missing cells read as zero, so the output of
-/// `Network::deflection_cells` / `itag_cells` or a telemetry
-/// `Heatmap::cells()` both fit). Cells are scaled against the global
-/// maximum on a ten-step ramp where any non-zero count is visible.
+/// `cells[ring][station]` holds the count, e.g. the output of
+/// `Network::deflection_cells` / `itag_cells` (rows may be shorter than
+/// the ring — missing cells read as zero). Cells are scaled against the
+/// global maximum by [`heat_cell`]: a ten-step ramp where any non-zero
+/// count is visible.
 ///
 /// # Example
 ///
@@ -40,17 +38,9 @@ pub fn ascii_heatmap(topo: &Topology, title: &str, cells: &[Vec<u64>]) -> String
     for ring in topo.rings() {
         let ri = ring.id.index();
         let row: &[u64] = cells.get(ri).map(Vec::as_slice).unwrap_or(&[]);
-        let mut art = String::new();
-        for s in 0..ring.stations as usize {
-            let v = row.get(s).copied().unwrap_or(0);
-            // Ceil scaling: zero stays blank, any non-zero gets >= '.'.
-            let idx = if max == 0 {
-                0
-            } else {
-                ((v * (RAMP.len() as u64 - 1)).div_ceil(max)) as usize
-            };
-            art.push(RAMP[idx] as char);
-        }
+        let art: String = (0..ring.stations as usize)
+            .map(|s| heat_cell(row.get(s).copied().unwrap_or(0), max))
+            .collect();
         let total: u64 = row.iter().sum();
         let _ = writeln!(out, "r{ri} {:>4?} |{art}| total {total}", ring.kind);
     }
@@ -60,8 +50,8 @@ pub fn ascii_heatmap(topo: &Topology, title: &str, cells: &[Vec<u64>]) -> String
 /// Render per-ring occupancy as ASCII utilization bars.
 ///
 /// `occupancy[ring]` is `(occupied, capacity)` — e.g. from
-/// `Ring::occupancy()` / `Ring::capacity()` live, or a telemetry
-/// `UtilizationTimeline` peak. Rings beyond `occupancy` are skipped.
+/// `Network::ring_occupancy` live or its peak over a run, against the
+/// ring's `stations × lanes` slots. Rings beyond `occupancy` are skipped.
 ///
 /// # Example
 ///
@@ -301,6 +291,22 @@ r1 Half |   | total 0
         let art = ascii_heatmap(&topo(), "x", &[vec![5]]);
         assert!(art.contains("r0 Full |@   | total 5"), "{art}");
         assert!(art.contains("r1 Half |   | total 0"), "{art}");
+    }
+
+    #[test]
+    fn heatmap_and_postmortem_heat_draw_the_same_cells() {
+        let rows = [vec![0, 1, 5, 12]];
+        let first_row = |art: &str| -> String {
+            let line = art.lines().find(|l| l.contains('|')).expect("a heat row");
+            line.split('|')
+                .nth(1)
+                .expect("cells between bars")
+                .to_string()
+        };
+        let topo_art = ascii_heatmap(&topo(), "x", &rows);
+        let bundle_art = noc_telemetry::link_heat_ascii("x", &[4], &rows);
+        assert_eq!(first_row(&topo_art), " .=@");
+        assert_eq!(first_row(&topo_art), first_row(&bundle_art));
     }
 
     #[test]

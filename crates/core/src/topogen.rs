@@ -423,6 +423,9 @@ impl GridParams {
     }
 }
 
+/// Ring kind of a hierarchy's global transit ring.
+const GLOBAL_KIND: RingKind = RingKind::Full;
+
 /// Parameters for a hierarchical-ring fabric: `locals` local rings
 /// (one chiplet each) joined by one global transit ring on a hub
 /// chiplet via RBRG-L2 bridges — the hierarchical deflection-ring
@@ -446,8 +449,6 @@ pub struct HierRingParams {
     pub devices_per_local: u16,
     /// Ring kind for local rings.
     pub local_kind: RingKind,
-    /// Ring kind for the global ring.
-    pub global_kind: RingKind,
     /// Seed for deterministic device placement.
     pub seed: u64,
     /// Network parameters for the built fabric.
@@ -466,7 +467,6 @@ impl HierRingParams {
             global_stations: locals.max(4),
             devices_per_local: 2,
             local_kind: RingKind::Full,
-            global_kind: RingKind::Full,
             seed: 1,
             network: NetworkConfig::default(),
         }
@@ -531,7 +531,7 @@ impl HierRingParams {
         let mut chiplets = vec![ChipletDef {
             name: "hub".to_string(),
             rings: vec![RingDef {
-                kind: self.global_kind,
+                kind: GLOBAL_KIND,
                 stations: self.global_stations,
                 devices: Vec::new(),
             }],

@@ -154,6 +154,52 @@ fn hot_destination_etags_then_drains() {
 }
 
 #[test]
+fn a_freed_eject_entry_waits_for_the_etagged_flit() {
+    // §4.1.2: a deflected flit reserves an Eject Queue entry at its
+    // target. When the target frees an entry before the flit comes back,
+    // a normal flit arriving first must deflect instead of taking it, so
+    // the tagged flit ejects on its next pass.
+    let mut b = TopologyBuilder::new();
+    let die = b.add_chiplet("die");
+    let r = b.add_ring(die, RingKind::Full, 16).unwrap();
+    let sink = b.add_node("sink", r, 0).unwrap();
+    let near = b.add_node("near", r, 1).unwrap();
+    let probe_src = b.add_node("probe", r, 8).unwrap();
+    let cfg = NetworkConfig {
+        eject_queue_cap: 1,
+        ..NetworkConfig::default()
+    };
+    let mut net = Network::new(b.build().unwrap(), cfg);
+    // Fill the sink's one-entry eject queue and leave it undrained.
+    net.enqueue(near, sink, FlitClass::Data, 64, 1).unwrap();
+    for _ in 0..20 {
+        net.tick();
+    }
+    assert_eq!(net.delivered_len(sink), 1);
+    // The probe deflects at the full sink and places its E-tag.
+    net.enqueue(probe_src, sink, FlitClass::Data, 64, 2)
+        .unwrap();
+    while net.stats().etags_placed.get() == 0 {
+        assert!(net.now().raw() < 200, "probe never deflected");
+        net.tick();
+    }
+    // Free the entry, and send a normal flit that arrives from one
+    // station away, well before the probe's lap of 16 cycles is over.
+    assert_eq!(drain(&mut net, sink).len(), 1);
+    net.enqueue(near, sink, FlitClass::Data, 64, 3).unwrap();
+    let mut order = Vec::new();
+    while order.len() < 2 {
+        assert!(net.now().raw() < 400, "flits never delivered");
+        net.tick();
+        order.extend(drain(&mut net, sink));
+    }
+    let tokens: Vec<u64> = order.iter().map(|f| f.token).collect();
+    assert_eq!(tokens, [2, 3], "the tagged probe ejects first");
+    assert_eq!(order[0].deflections, 1, "the probe circles exactly once");
+    assert!(order[1].deflections >= 1, "the normal flit left the entry");
+}
+
+#[test]
 fn starved_injector_gets_itag_and_progresses() {
     // Station 0 and 1 flood the ring clockwise toward station 6; the
     // device at station 5 (between them and the sink) competes for

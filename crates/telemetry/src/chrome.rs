@@ -14,9 +14,12 @@
 use crate::critical::critical_path;
 use crate::event::{FlitEvent, TraceRecord};
 use crate::spans::TxnSpanTree;
-use crate::views::CLASS_NAMES;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+
+/// Human name of a flit-class index (mirrors
+/// `noc_core::FlitClass::index()`).
+const CLASS_NAMES: [&str; 4] = ["REQ", "RSP", "SNP", "DAT"];
 
 /// Process ids used to group tracks in the viewer.
 const PID_FLITS: u32 = 1;

@@ -11,7 +11,6 @@
 //!   labels, ready for a scrape endpoint or `promtool` ingestion.
 
 use crate::metrics::MetricsSnapshot;
-use crate::txnstats::TxnSnapshot;
 use std::fmt::Write as _;
 
 /// `writeln!` into a `String`, made explicit about infallibility
@@ -163,66 +162,6 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// Render the latest transaction-layer snapshot as Prometheus text
-/// exposition (version 0.0.4) — the scrape-endpoint counterpart of
-/// [`txn_snapshots_jsonl`](crate::txn_snapshots_jsonl). Completion
-/// totals export as a counter, the windowed percentiles as `quantile`-
-/// labelled gauges (the summary convention, minus the `_sum`/`_count`
-/// series a streaming summary cannot provide), and the in-flight /
-/// window-occupancy gauges directly.
-pub fn prometheus_txn(snap: &TxnSnapshot) -> String {
-    let mut out = String::new();
-    let w = &mut out;
-
-    line!(
-        w,
-        "# HELP noc_txn_sample_cycle Cycle of the latest transaction sample."
-    );
-    line!(w, "# TYPE noc_txn_sample_cycle gauge");
-    line!(w, "noc_txn_sample_cycle {}", snap.at);
-    line!(
-        w,
-        "# HELP noc_txn_completed_total Transactions completed since start."
-    );
-    line!(w, "# TYPE noc_txn_completed_total counter");
-    line!(w, "noc_txn_completed_total {}", snap.completed_total);
-    line!(
-        w,
-        "# HELP noc_txn_window_completed Transactions completed in the last window."
-    );
-    line!(w, "# TYPE noc_txn_window_completed gauge");
-    line!(w, "noc_txn_window_completed {}", snap.completed_delta);
-
-    line!(
-        w,
-        "# HELP noc_txn_latency_cycles Windowed completion-latency percentiles."
-    );
-    line!(w, "# TYPE noc_txn_latency_cycles gauge");
-    let quantiles: [(&str, u64); 4] = [
-        ("0.5", snap.p50),
-        ("0.95", snap.p95),
-        ("0.99", snap.p99),
-        ("1", snap.max),
-    ];
-    for (q, v) in quantiles {
-        line!(w, "noc_txn_latency_cycles{{quantile=\"{q}\"}} {v}");
-    }
-
-    line!(
-        w,
-        "# HELP noc_txn_inflight Transactions in flight at sample time."
-    );
-    line!(w, "# TYPE noc_txn_inflight gauge");
-    line!(w, "noc_txn_inflight {}", snap.inflight_txns);
-    line!(
-        w,
-        "# HELP noc_txn_window_occupancy Non-posted window slots occupied, summed over endpoints."
-    );
-    line!(w, "# TYPE noc_txn_window_occupancy gauge");
-    line!(w, "noc_txn_window_occupancy {}", snap.window_occupancy);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,34 +239,5 @@ mod tests {
         ] {
             assert!(text.contains(needed), "{needed} missing:\n{text}");
         }
-    }
-
-    #[test]
-    fn txn_exposition_has_counter_quantiles_and_gauges() {
-        let mut reg = crate::TxnRegistry::new(32);
-        for v in [100, 200, 300, 4000] {
-            reg.record(v);
-        }
-        reg.sample(noc_sim::Cycle(32), 3, 7);
-        let text = prometheus_txn(reg.snapshots().last().expect("sampled"));
-        assert!(text.contains("noc_txn_sample_cycle 32"), "{text}");
-        assert!(text.contains("noc_txn_completed_total 4"), "{text}");
-        assert!(text.contains("noc_txn_window_completed 4"), "{text}");
-        assert!(
-            text.contains("noc_txn_latency_cycles{quantile=\"0.99\"}"),
-            "{text}"
-        );
-        assert!(text.contains("noc_txn_inflight 3"), "{text}");
-        assert!(text.contains("noc_txn_window_occupancy 7"), "{text}");
-        // Format discipline: every non-comment line is `name value`,
-        // every metric has HELP and TYPE headers.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            assert_eq!(line.split_whitespace().count(), 2, "{line}");
-        }
-        assert_eq!(
-            text.lines().filter(|l| l.starts_with("# TYPE")).count(),
-            6,
-            "{text}"
-        );
     }
 }

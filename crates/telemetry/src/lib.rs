@@ -23,18 +23,18 @@
 //!   dropped) plus never-dropping [`EventCounts`]; the workhorse for
 //!   tests and short diagnostics runs.
 //!
-//! # Derived views
+//! # Exports
 //!
-//! * [`LatencyView`] — log2-bucketed end-to-end and in-network latency
-//!   histograms per flit class, reported as p50/p95/p99/max.
-//! * [`Heatmap`] — per-(ring, station) event intensity (deflections,
-//!   I-tags, …), ready for `noc_core::render::ascii_heatmap`.
-//! * [`UtilizationTimeline`] — per-ring occupancy over time from the
-//!   engine's periodic `RingUtil` samples.
 //! * [`chrome_trace`] — a Chrome `trace_event` JSON export: one lane
 //!   per flit, spans from enqueue to delivery, instants for
 //!   deflections/tags/SWAPs, counter tracks for ring occupancy. Load
 //!   it in `chrome://tracing` or <https://ui.perfetto.dev>.
+//!
+//! Per-class latency percentiles, per-station deflection and I-tag
+//! counts and ring occupancy are not rebuilt from a trace here: the
+//! engine keeps them exactly (`NetStats`' histograms,
+//! `Network::deflection_cells`/`itag_cells`, `Network::ring_occupancy`),
+//! whether or not a sink records, and drops nothing.
 //!
 //! # Observatory
 //!
@@ -93,7 +93,6 @@ pub mod recorder;
 pub mod sink;
 pub mod spans;
 pub mod txnstats;
-pub mod views;
 pub mod waitgraph;
 
 pub use chrome::{chrome_trace, spans_chrome_trace};
@@ -101,13 +100,13 @@ pub use critical::{
     critical_path, CriticalLink, CriticalPath, LatencyBreakdown, PhaseCycles, PHASE_NAMES,
 };
 pub use event::{EventCounts, FlitEvent, TraceRecord, NO_FLIT, NO_LANE};
-pub use export::{prometheus_text, prometheus_txn, snapshots_jsonl};
+pub use export::{prometheus_text, snapshots_jsonl};
 pub use flowstats::{flow_table_ascii, merge_ranked, FlowDelta, FlowRecord, FlowTable};
 pub use health::{HealthConfig, HealthMonitor, HealthRule, Severity, Verdict};
 pub use metrics::{
     BridgeGauges, MetricsRegistry, MetricsSnapshot, RingGauges, RingWindow, WindowCounters,
 };
-pub use postmortem::{link_heat_ascii, BundleEnv, BundleMeta, PostmortemBundle};
+pub use postmortem::{heat_cell, link_heat_ascii, BundleEnv, BundleMeta, PostmortemBundle};
 pub use recorder::{FlightRecorder, RecorderConfig, RecorderView};
 pub use sink::{NullSink, RingBufferSink, TraceBuffer, TraceSink};
 pub use spans::{
@@ -115,7 +114,6 @@ pub use spans::{
     TailExemplars, TxnSpanTree, SPAN_OP_NAMES,
 };
 pub use txnstats::{txn_snapshots_jsonl, TxnRegistry, TxnSnapshot};
-pub use views::{Heatmap, LatencyView, UtilizationTimeline};
 pub use waitgraph::{
     cyclic_sccs, wait_graphs_jsonl, ResourceId, WaitEdge, WaitGraphConfig, WaitGraphSample,
     WaitGraphTracker, WaitNode, WaitStats, WaitVerdict, WedgeReport,

@@ -263,9 +263,20 @@ impl PostmortemBundle {
     }
 }
 
-/// Intensity ramp shared by the bundle's standalone heat rendering
-/// (blank = zero, `@` = hottest).
+/// Intensity ramp of every ASCII heat rendering, blank to densest.
 const RAMP: [char; 10] = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
+
+/// The heat character of a cell holding `v` on a map whose hottest cell
+/// holds `max`: zero stays blank and any non-zero count is visible, the
+/// ramp step being ⌈9·v / max⌉. [`link_heat_ascii`] and
+/// `noc_core::render::ascii_heatmap` both draw their cells with it.
+pub fn heat_cell(v: u64, max: u64) -> char {
+    if v == 0 {
+        return RAMP[0];
+    }
+    let step = (v * (RAMP.len() as u64 - 1)).div_ceil(max.max(v));
+    RAMP[step as usize]
+}
 
 /// Render a per-(ring, station) matrix as ASCII heat rows without
 /// needing a topology — `stations[r]` gives row r's width. The scale is
@@ -279,14 +290,7 @@ pub fn link_heat_ascii(title: &str, stations: &[u16], cells: &[Vec<u64>]) -> Str
         let width = stations.get(r).copied().unwrap_or(row.len() as u16) as usize;
         out.push_str(&format!("ring {r:>2} |"));
         for s in 0..width {
-            let v = row.get(s).copied().unwrap_or(0);
-            // Guard: max == 0 (idle window) maps every cell to blank.
-            let idx = if max == 0 || v == 0 {
-                usize::from(v != 0)
-            } else {
-                (v as usize * (RAMP.len() - 1)).div_ceil(max as usize)
-            };
-            out.push(RAMP[idx.min(RAMP.len() - 1)]);
+            out.push(heat_cell(row.get(s).copied().unwrap_or(0), max));
         }
         out.push_str("|\n");
     }

@@ -2,8 +2,8 @@
 //!
 //! Everything the paper's evaluation throws at the NoC, reconstructed:
 //!
-//! * [`TrafficGen`]/[`Pattern`] — synthetic endpoint traffic (uniform,
-//!   hotspot, permutation, neighbor) with read/write mixes;
+//! * [`TrafficGen`] — synthetic endpoint traffic (uniform or hotspot,
+//!   a `noc_sim::fuzz::TrafficPattern`) with read/write mixes;
 //! * [`Zipf`] — skewed server address sampling (§3.1.1);
 //! * [`lmbench_kernels`] — the Figure 10 bandwidth kernels;
 //! * [`SpecProfile`] + suites — analytic SPECint/SPECpower models
@@ -31,7 +31,7 @@ pub use nn::{
 pub use roofline::{figure3_app_points, AppPoint, Machine};
 pub use server_app::{ServerApp, ServerAppParams, ServerOp};
 pub use spec::{geomean_ratio, specint2006, specint2017, PowerModel, SpecProfile, SpecSuite};
-pub use synthetic::{Pattern, TrafficGen};
+pub use synthetic::TrafficGen;
 pub use trace::{Trace, TraceEvent};
 pub use txn::{TxnMix, TxnRequest, TxnWorkload};
 pub use zipf::Zipf;

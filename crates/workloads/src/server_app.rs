@@ -16,13 +16,14 @@ pub struct ServerOp {
     pub is_write: bool,
 }
 
+/// Zipf skew of object popularity (≈0.99 for memcached-like).
+const SKEW: f64 = 0.99;
+
 /// Parameters of the server application.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServerAppParams {
     /// Distinct objects in the store.
     pub objects: usize,
-    /// Zipf skew of object popularity (≈0.99 for memcached-like).
-    pub skew: f64,
     /// Cache lines touched per request (object size / line size).
     pub lines_per_request: u32,
     /// Fraction of requests that mutate their object.
@@ -37,7 +38,6 @@ impl Default for ServerAppParams {
     fn default() -> Self {
         ServerAppParams {
             objects: 65_536,
-            skew: 0.99,
             lines_per_request: 4,
             write_frac: 0.1,
             requests_per_kcycle: 20.0,
@@ -73,7 +73,7 @@ impl ServerApp {
     /// Create a generator with its own seeded RNG.
     pub fn new(params: ServerAppParams, seed: u64) -> Self {
         ServerApp {
-            zipf: Zipf::new(params.objects, params.skew),
+            zipf: Zipf::new(params.objects, SKEW),
             rng: SimRng::seed_from(seed),
             pending: Vec::new(),
             gap: 0,

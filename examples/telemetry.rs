@@ -1,24 +1,22 @@
 //! Telemetry walkthrough: trace a two-chiplet workload flit-by-flit,
-//! then turn the recorded stream into every derived view the
-//! `noc-telemetry` crate offers — a per-class latency percentile table,
-//! a per-station deflection heatmap, per-ring utilization, and a Chrome
-//! `trace_event` file you can open in `chrome://tracing` or
-//! <https://ui.perfetto.dev> — plus the online observatory: a live
-//! health report from the watchdog rules, a Prometheus scrape sample
-//! rendered from the latest metrics snapshot, the flight recorder's
-//! top-flow attribution table, and a self-contained postmortem bundle
-//! dumped to JSONL.
+//! print the engine's own per-class latency percentiles, per-station
+//! deflection heatmap and peak ring occupancy, and write the recorded
+//! stream as a Chrome `trace_event` file you can open in
+//! `chrome://tracing` or <https://ui.perfetto.dev> — plus the online
+//! observatory: a live health report from the watchdog rules, a
+//! Prometheus scrape sample rendered from the latest metrics snapshot,
+//! the flight recorder's top-flow attribution table, and a
+//! self-contained postmortem bundle dumped to JSONL.
 //!
 //! ```text
 //! cargo run --example telemetry
 //! ```
 
 use noc_core::render::{ascii_heatmap, ascii_rings};
-use noc_core::telemetry::{chrome_trace, Heatmap, LatencyView, TraceRecord, UtilizationTimeline};
-use noc_core::telemetry::{flow_table_ascii, HealthConfig, RecorderConfig};
-use noc_core::telemetry::{prometheus_text, FlitEvent, RingBufferSink};
+use noc_core::telemetry::{chrome_trace, flow_table_ascii, prometheus_text, TraceRecord};
+use noc_core::telemetry::{HealthConfig, RecorderConfig, RingBufferSink};
 use noc_core::{
-    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder,
+    BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingId, RingKind, TopologyBuilder,
 };
 use noc_sim::SimRng;
 
@@ -53,6 +51,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the bridge, and the NPUs fetch from HBM.
     let mut rng = SimRng::seed_from(7);
     let mut token = 0u64;
+    let rings: Vec<RingId> = net.topology().rings().iter().map(|r| r.id).collect();
+    let mut peak_occupancy = vec![0usize; rings.len()];
+    let mut track_peaks = |net: &Network<RingBufferSink>| {
+        for (peak, &ring) in peak_occupancy.iter_mut().zip(&rings) {
+            *peak = (*peak).max(net.ring_occupancy(ring));
+        }
+    };
     for cycle in 0..4_000u64 {
         for &cpu in &cpus {
             let _ = net.enqueue(cpu, ddr, FlitClass::Request, 16, token);
@@ -71,6 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             token += 1;
         }
         net.tick();
+        track_peaks(&net);
         // DDR drains slowly (one flit every other cycle): its eject
         // queue backs up, and arrivals deflect with E-tag reservations —
         // exactly what the heatmap below should light up.
@@ -87,6 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut spare = 0;
     while net.in_flight() > 0 && spare < 10_000 {
         net.tick();
+        track_peaks(&net);
         for dev in net.topology().devices().map(|d| d.id).collect::<Vec<_>>() {
             while net.pop_delivered(dev).is_some() {}
         }
@@ -119,48 +126,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         counts.bridge_enqueued
     );
 
-    // View 1: latency percentiles per flit class.
-    let lat = LatencyView::from_records(records.iter());
-    print!("{}", lat.summary_table("end-to-end latency (cycles)"));
+    // View 1: latency percentiles per flit class, from the engine's
+    // own delivery histograms.
+    let stats = net.stats();
+    println!("end-to-end latency (cycles)\n  class        n    p50    p95    p99    max");
+    for (class, h) in FlitClass::ALL.iter().zip(&stats.total_latency) {
+        if h.count() > 0 {
+            println!(
+                "  {:<8} {:>5} {:>6} {:>6} {:>6} {:>6}",
+                format!("{class:?}"),
+                h.count(),
+                h.percentile(0.50),
+                h.percentile(0.95),
+                h.percentile(0.99),
+                h.max()
+            );
+        }
+    }
 
     // View 2: where deflections cluster, station by station.
-    let shape: Vec<u16> = net.topology().rings().iter().map(|r| r.stations).collect();
-    let mut deflections = Heatmap::with_shape(&shape);
-    for r in records
-        .iter()
-        .filter(|r| matches!(r.event, FlitEvent::Deflected { .. }))
-    {
-        deflections.record(r.ring, r.station);
-    }
     println!();
     print!(
         "{}",
-        ascii_heatmap(net.topology(), "deflections", deflections.cells())
+        ascii_heatmap(net.topology(), "deflections", &net.deflection_cells())
     );
 
-    // View 3: ring utilization from the periodic RingUtil samples.
-    let timeline = UtilizationTimeline::from_records(records.iter());
-    let peaks: Vec<(u64, u64)> = (0..timeline.ring_count())
-        .map(|ri| {
-            let peak = timeline
-                .samples(ri)
-                .iter()
-                .map(|&(_, o)| o as u64)
-                .max()
-                .unwrap_or(0);
-            (peak, timeline.capacity(ri) as u64)
-        })
+    // View 3: each ring's peak occupancy over the run, tracked per cycle
+    // above, against its stations × lanes slots.
+    let peaks: Vec<(u64, u64)> = net
+        .topology()
+        .rings()
+        .iter()
+        .zip(&peak_occupancy)
+        .map(|(r, &peak)| (peak as u64, (r.stations as usize * r.kind.lanes()) as u64))
         .collect();
     println!();
     print!("{}", ascii_rings(net.topology(), &peaks));
-    for ri in 0..timeline.ring_count() {
-        println!(
-            "  ring {ri}: mean {:.1}% / peak {:.1}% over {} samples",
-            100.0 * timeline.mean_utilization(ri),
-            100.0 * timeline.peak_utilization(ri),
-            timeline.samples(ri).len()
-        );
-    }
 
     // View 4: the observatory — live health verdicts and a Prometheus
     // scrape sample from the latest snapshot. The DDR bottleneck above

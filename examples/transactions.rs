@@ -14,7 +14,7 @@
 //! cargo run --example transactions
 //! ```
 
-use noc_core::telemetry::{critical_path, prometheus_txn, txn_snapshots_jsonl, SpanCollector};
+use noc_core::telemetry::{critical_path, txn_snapshots_jsonl, SpanCollector};
 use noc_core::{GridParams, Network, NetworkConfig, NodeId};
 use noc_txn::{AtomicKind, TxnConfig, TxnFabric, TxnOp};
 
@@ -155,12 +155,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  … {} more windows", total - 6);
     }
 
-    // The same snapshot as a Prometheus scrape body (exposition 0.0.4).
+    // The last window as the registry keeps it.
     if let Some(last) = snaps.last() {
-        println!("\nprometheus exposition (last window, first lines):");
-        for line in prometheus_txn(last).lines().take(5) {
-            println!("  {line}");
-        }
+        println!("\nlast window: {last:?}");
     }
 
     // The causal-span view: take the slowest transaction the reservoir

@@ -3,7 +3,8 @@
 //! input") as an end-to-end test.
 
 use noc_core::{FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
-use noc_workloads::{Pattern, Trace, TraceEvent, TrafficGen};
+use noc_sim::fuzz::TrafficPattern;
+use noc_workloads::{Trace, TraceEvent, TrafficGen};
 
 fn build(n: u16) -> (Network, Vec<NodeId>) {
     let mut b = TopologyBuilder::new();
@@ -20,7 +21,7 @@ fn build(n: u16) -> (Network, Vec<NodeId>) {
 
 /// Record a synthetic run into a trace.
 fn record(cycles: u64, n: usize, seed: u64) -> Trace {
-    let mut gen = TrafficGen::new(n, 0.1, Pattern::UniformRandom, 0.5, seed);
+    let mut gen = TrafficGen::new(n, 0.1, TrafficPattern::Uniform, 0.5, seed);
     let mut trace = Trace::new();
     for cycle in 0..cycles {
         for (src, dst, class, bytes) in gen.cycle_events() {
