@@ -763,7 +763,7 @@ mod tests {
     /// that cannot SWAP: a cyclic bridge dependency.
     #[test]
     fn ring_of_rings_wedges_at_load_0_30() {
-        const STALL: u64 = 5_000;
+        use noc_core::drive::STALL_W;
         let (mut ic, eps) = ring_of_rings();
         let mut gen = TrafficGen::new(eps.len(), 0.30, TrafficPattern::Uniform, 0.5, 11);
         // Flits received in all, and by the last cycle with progress.
@@ -786,17 +786,17 @@ mod tests {
         let wedged_at = (1..=40_000u64)
             .find(|_| {
                 cycle(&mut ic);
-                ic.network().stalled_for() >= STALL
+                ic.network().stalled_for() >= STALL_W
             })
             .expect("the ring of rings kept making progress to cycle 40 000");
-        for _ in 0..STALL {
+        for _ in 0..STALL_W {
             cycle(&mut ic);
         }
         let (received, received_by_progress) = cycle(&mut ic);
         let net = ic.network();
         assert_eq!(
             net.stalled_for(),
-            2 * STALL + 1,
+            2 * STALL_W + 1,
             "progress resumed after cycle {wedged_at}"
         );
         assert_eq!(

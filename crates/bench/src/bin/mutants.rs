@@ -70,6 +70,7 @@ const PINNED_TESTS: &[&str] = &[
     "committed_spec_is_what_the_default_config_emits",
     "the_stalled_bridge_stream_is_the_one_pinned_before_the_side_index",
     "paper_soc_known_defects_still_fail_as_pinned",
+    "the_pinned_ai_itag_rows_keep_the_derived_bound",
 ];
 
 /// One catalogue entry.

@@ -22,6 +22,7 @@
 
 pub mod cache;
 pub mod directory;
+pub mod drive;
 mod lines;
 pub mod memory;
 pub mod message;

@@ -48,6 +48,7 @@ impl<S: TraceSink, P: SpanSink> ChiTransport for TxnFabric<S, P> {
 
 #[cfg(test)]
 mod tests {
+    use crate::drive::{settle, Verdict::Drained};
     use crate::{
         CoherentSystem, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec,
     };
@@ -92,24 +93,20 @@ mod tests {
         // S→S→M/I snoop dance, every message a real packet.
         sys.read(rns[0], LineAddr(3), ReadKind::Shared);
         sys.read(rns[1], LineAddr(3), ReadKind::Shared);
-        for _ in 0..20_000 {
-            if sys.outstanding() == 0 {
-                break;
-            }
-            sys.tick();
-        }
-        assert_eq!(sys.outstanding(), 0, "reads wedged over txn transport");
+        let verdict = settle(&mut sys, 20_000, |_| Ok(()));
+        assert!(
+            matches!(verdict, Ok(Drained(_))),
+            "reads over txn transport: {verdict:?}"
+        );
         assert_eq!(sys.rn_state(rns[0], LineAddr(3)), MesiState::Shared);
         assert_eq!(sys.rn_state(rns[1], LineAddr(3)), MesiState::Shared);
 
         sys.write(rns[2], LineAddr(3));
-        for _ in 0..20_000 {
-            if sys.outstanding() == 0 {
-                break;
-            }
-            sys.tick();
-        }
-        assert_eq!(sys.outstanding(), 0, "write wedged over txn transport");
+        let verdict = settle(&mut sys, 20_000, |_| Ok(()));
+        assert!(
+            matches!(verdict, Ok(Drained(_))),
+            "write over txn transport: {verdict:?}"
+        );
         assert_eq!(sys.rn_state(rns[2], LineAddr(3)), MesiState::Modified);
         assert_eq!(sys.rn_state(rns[0], LineAddr(3)), MesiState::Invalid);
         assert_eq!(sys.rn_state(rns[1], LineAddr(3)), MesiState::Invalid);

@@ -1,6 +1,7 @@
 //! LLC capacity-pressure tests: dirty evictions, write-back storms and
 //! directory behaviour under a working set larger than the LLC.
 
+use noc_chi::drive::{settle, Verdict::Drained};
 use noc_chi::{CoherentSystem, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec};
 use noc_core::{Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
 
@@ -36,16 +37,6 @@ fn tiny_llc_system() -> (CoherentSystem, Vec<NodeId>) {
     (sys, rns)
 }
 
-fn settle(sys: &mut CoherentSystem, budget: u64) {
-    for _ in 0..budget {
-        if sys.outstanding() == 0 {
-            return;
-        }
-        sys.tick();
-    }
-    panic!("did not settle");
-}
-
 #[test]
 fn writeback_storm_evicts_cleanly() {
     let (mut sys, rns) = tiny_llc_system();
@@ -57,7 +48,8 @@ fn writeback_storm_evicts_cleanly() {
         let wb = sys.write_back(rns[0], LineAddr(i)).expect("owner");
         sys.run_until_complete(wb, 50_000).expect("write-back");
     }
-    settle(&mut sys, 100_000);
+    let verdict = settle(&mut sys, 100_000, |_| Ok(()));
+    assert!(matches!(verdict, Ok(Drained(_))), "{verdict:?}");
     // Everything still works afterwards: fresh reads complete.
     let t = sys.read(rns[1], LineAddr(5), ReadKind::Shared);
     let c = sys.run_until_complete(t, 50_000).expect("read after storm");

@@ -1,6 +1,7 @@
 //! Protocol-level tests: MESI transitions, snoops, LLC behaviour and
 //! coherence invariants over a real multi-ring network.
 
+use noc_chi::drive::{settle, Verdict::Drained};
 use noc_chi::{
     CoherentSystem, DirState, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec,
     TxnKind,
@@ -56,16 +57,6 @@ fn assert_coherent(sys: &CoherentSystem, lines: std::ops::Range<u64>) {
     if let Err(e) = sys.check_coherent(lines.map(LineAddr)) {
         panic!("{e}");
     }
-}
-
-fn settle(sys: &mut CoherentSystem, budget: u64) {
-    for _ in 0..budget {
-        sys.tick();
-        if sys.outstanding() == 0 {
-            return;
-        }
-    }
-    panic!("transactions did not settle within {budget} cycles");
 }
 
 #[test]
@@ -196,7 +187,8 @@ fn a_snoop_that_overtakes_a_write_back_brings_nothing_back() {
             sys.tick();
         }
         sys.write_back(rns[0], a);
-        settle(&mut sys, 5000);
+        let verdict = settle(&mut sys, 5000, |_| Ok(()));
+        assert!(matches!(verdict, Ok(Drained(_))), "{verdict:?}");
         assert_coherent(&sys, a.0..a.0 + 1);
         let t = sys.write(rns[2], a);
         sys.run_until_complete(t, 5000).unwrap();
@@ -299,7 +291,8 @@ fn concurrent_reads_to_one_line_serialize_safely() {
         .iter()
         .map(|&rn| sys.read(rn, a, ReadKind::Shared))
         .collect();
-    settle(&mut sys, 10_000);
+    let verdict = settle(&mut sys, 10_000, |_| Ok(()));
+    assert!(matches!(verdict, Ok(Drained(_))), "{verdict:?}");
     let done = sys.take_completions();
     assert_eq!(done.len(), txns.len());
     for &rn in &rns {
@@ -335,14 +328,11 @@ fn interleaved_random_traffic_drains_and_stays_coherent() {
             assert_coherent(&sys, 0..32);
         }
     }
-    for _ in 0..50_000 {
-        if sys.outstanding() == 0 {
-            break;
-        }
-        sys.tick();
-        assert_coherent(&sys, 0..32);
-    }
-    assert_eq!(sys.outstanding(), 0);
+    let verdict = settle(&mut sys, 50_000, |sys| {
+        let lines = (0..32).map(LineAddr);
+        sys.check_coherent(lines).map_err(|e| e.to_string())
+    });
+    assert!(matches!(verdict, Ok(Drained(_))), "{verdict:?}");
 }
 
 #[test]
@@ -350,7 +340,8 @@ fn completions_report_kind_and_monotonic_time() {
     let (mut sys, rns) = small_system();
     let t1 = sys.read(rns[0], LineAddr(1), ReadKind::Shared);
     let t2 = sys.write(rns[1], LineAddr(2));
-    settle(&mut sys, 10_000);
+    let verdict = settle(&mut sys, 10_000, |_| Ok(()));
+    assert!(matches!(verdict, Ok(Drained(_))), "{verdict:?}");
     let cs = sys.take_completions();
     assert_eq!(cs.len(), 2);
     for c in &cs {

@@ -93,8 +93,6 @@ pub struct BridgeConfig {
     /// Consecutive failed-injection cycles at the bridge's cross
     /// station before deadlock is declared and DRM entered.
     pub deadlock_threshold: u32,
-    /// DRM exits once the occupied reserved buffers fall to this level.
-    pub drm_exit_occupancy: usize,
 }
 
 impl BridgeConfig {
@@ -111,7 +109,6 @@ impl BridgeConfig {
             swap_enabled: false,
             escape_always: false,
             deadlock_threshold: u32::MAX,
-            drm_exit_occupancy: 0,
         }
     }
 
@@ -127,7 +124,6 @@ impl BridgeConfig {
             swap_enabled: true,
             escape_always: false,
             deadlock_threshold: 64,
-            drm_exit_occupancy: 0,
         }
     }
 

@@ -49,6 +49,7 @@ pub mod bits;
 mod bridge;
 pub mod config;
 pub mod diag;
+pub mod drive;
 mod epoch;
 pub mod error;
 pub mod exec;

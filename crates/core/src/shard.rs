@@ -1158,7 +1158,7 @@ impl RingShard {
                         side.drm_entries += 1;
                         self.counters.drm_entries += 1;
                     }
-                } else if out.reserved.len() <= out.cfg.drm_exit_occupancy && !starving {
+                } else if out.reserved.is_empty() && !starving {
                     side.drm = false;
                 }
                 if !side.drm && !starving {

@@ -349,6 +349,15 @@ impl SocSpec {
     }
 }
 
+/// The ids of a device-name map ([`SocSpec::compile`]'s second half) in
+/// name order: a traffic schedule over this list does not depend on
+/// the map's iteration order.
+pub fn devices_by_name(names: &HashMap<String, NodeId>) -> Vec<NodeId> {
+    let mut named: Vec<(&String, NodeId)> = names.iter().map(|(k, &v)| (k, v)).collect();
+    named.sort_unstable();
+    named.into_iter().map(|(_, id)| id).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

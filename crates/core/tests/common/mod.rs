@@ -1,11 +1,16 @@
 //! Seeded generators and digests shared by the engine identity suites
-//! (`tick_equivalence`, `engine_goldens`, `side_index`, …), and the
-//! snapshot-stream reader of the observatory suites. Each suite uses a
+//! (`tick_equivalence`, `engine_goldens`, `side_index`, …) and the
+//! observatory suites, the observatory suites' mixed traffic, and
+//! their snapshot-stream reader. Each suite uses a
 //! subset, hence the blanket `dead_code` allowance.
 #![allow(dead_code)]
 
+use noc_core::drive::drain;
 use noc_core::telemetry::{snapshots_jsonl, TraceSink};
-use noc_core::{BridgeConfig, Flit, Network, NodeId, RingKind, Topology, TopologyBuilder};
+use noc_core::{
+    BridgeConfig, Flit, FlitClass, Network, NetworkConfig, NodeId, RingKind, Topology,
+    TopologyBuilder,
+};
 
 /// splitmix64: deterministic per-seed stream.
 pub struct Rng(pub u64);
@@ -89,6 +94,66 @@ pub fn random_topology(rng: &mut Rng) -> (Topology, Vec<NodeId>) {
         );
     }
     (b.build().expect("valid random topology"), devices)
+}
+
+/// Seed `seed`'s case for the observatory suites: a [`random_topology`]
+/// with at least two devices, random queue caps and I-tag threshold,
+/// and the seed of its traffic.
+pub fn random_case(seed: u64) -> (Topology, Vec<NodeId>, NetworkConfig, u64) {
+    let mut rng = Rng(seed.wrapping_mul(0x5851_f42d_4c95_7f2d) ^ 0xa076_1d64_78bd_642f);
+    let (topo, devices) = random_topology(&mut rng);
+    assert!(devices.len() >= 2, "seed {seed}: too few devices");
+    let cfg = NetworkConfig {
+        inject_queue_cap: 2 + rng.below(7) as usize,
+        eject_queue_cap: 1 + rng.below(4) as usize,
+        itag_threshold: 4 + rng.below(12) as u32,
+        ..NetworkConfig::default()
+    };
+    (topo, devices, cfg, rng.next())
+}
+
+/// The observatory suites' mixed traffic: for 200–299 cycles each
+/// device sends with probability 1/(2..=4) a flit of a random class and
+/// size to a random other device, mail popped every 1–4 cycles; then a
+/// [`drain`] of up to 10 000 cycles, mail popped every cycle.
+pub fn drive_mixed<S: TraceSink>(net: &mut Network<S>, devices: &[NodeId], seed: u64) {
+    let mut rng = Rng(seed);
+    let cycles = 200 + rng.below(100);
+    let drain_period = 1 + rng.below(4);
+    let send_die = 1 + rng.below(3);
+    let mut token = 0u64;
+    let pop_all = |net: &mut Network<S>| {
+        for &d in devices {
+            while net.pop_delivered(d).is_some() {}
+        }
+    };
+    for cycle in 0..cycles {
+        for si in 0..devices.len() {
+            if rng.below(1 + send_die) != 0 {
+                continue;
+            }
+            let di = (si + 1 + rng.below(devices.len() as u64 - 1) as usize) % devices.len();
+            let class = match rng.below(4) {
+                0 => FlitClass::Request,
+                1 => FlitClass::Response,
+                2 => FlitClass::Snoop,
+                _ => FlitClass::Data,
+            };
+            let bytes = [32u32, 64][rng.below(2) as usize];
+            token += 1;
+            let _ = net.enqueue(devices[si], devices[di], class, bytes, token);
+        }
+        net.tick();
+        if cycle % drain_period == 0 {
+            pop_all(net);
+        }
+    }
+    drain(net, 10_000, |net| {
+        pop_all(net);
+        Ok(())
+    })
+    .expect("popping never fails");
+    pop_all(net);
 }
 
 /// Random 2–4 ring chain: mixed half/full rings over two chiplets,

@@ -3,6 +3,7 @@
 //! (deflect, reserve, retry) and recover completely — never drop,
 //! duplicate or wedge.
 
+use noc_core::drive::{drain, Verdict::Drained};
 use noc_core::{
     BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder,
 };
@@ -50,18 +51,14 @@ fn consumer_stall_and_recovery() {
             got_by += 1;
         }
     }
-    // Drain everything.
-    for _ in 0..20_000 {
-        if net.in_flight() == 0 {
-            break;
-        }
-        net.tick();
+    let verdict = drain(&mut net, 20_000, |net| {
         while net.pop_delivered(sink).is_some() {}
         while net.pop_delivered(bystander).is_some() {
             got_by += 1;
         }
-    }
-    assert_eq!(net.in_flight(), 0, "network recovered completely");
+        Ok(())
+    });
+    assert!(matches!(verdict, Ok(Drained(_))), "recovery: {verdict:?}");
     assert_eq!(net.stats().delivered.get(), sent_sink + sent_by);
     assert_eq!(got_by, sent_by, "bystander traffic unaffected by the stall");
     assert!(
@@ -86,16 +83,13 @@ fn all_consumers_stall_then_resume() {
         net.tick(); // nobody drains
     }
     assert!(net.in_flight() > 0);
-    for _ in 0..50_000 {
-        if net.in_flight() == 0 {
-            break;
-        }
-        net.tick();
+    let verdict = drain(&mut net, 50_000, |net| {
         for &n in &ids {
             while net.pop_delivered(n).is_some() {}
         }
-    }
-    assert_eq!(net.in_flight(), 0);
+        Ok(())
+    });
+    assert!(matches!(verdict, Ok(Drained(_))), "{verdict:?}");
     assert_eq!(
         net.stats().delivered.get(),
         sent,
@@ -131,17 +125,14 @@ fn bridge_consumer_stall_recovers_cross_ring() {
         net.tick(); // dst never drained during this phase
     }
     let mut got = 0u64;
-    for _ in 0..50_000 {
-        net.tick();
+    let verdict = drain(&mut net, 50_000, |net| {
         while net.pop_delivered(dst).is_some() {
             got += 1;
         }
-        if net.in_flight() == 0 {
-            break;
-        }
-    }
+        Ok(())
+    });
+    assert!(matches!(verdict, Ok(Drained(_))), "{verdict:?}");
     assert_eq!(got, sent);
-    assert_eq!(net.in_flight(), 0);
 }
 
 #[test]

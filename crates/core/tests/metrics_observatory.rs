@@ -7,80 +7,13 @@
 //! ejection is artificially wedged, and must stay silent on workloads
 //! that drain.
 
+mod common;
+
+use common::{drive_mixed, random_case, random_topology, Rng};
 use noc_core::telemetry::{snapshots_jsonl, HealthRule, WindowCounters};
 use noc_core::{
-    BridgeConfig, FlitClass, NetStats, Network, NetworkConfig, NodeId, RingKind, Topology,
-    TopologyBuilder,
+    FlitClass, NetStats, Network, NetworkConfig, NodeId, RingKind, Topology, TopologyBuilder,
 };
-
-/// splitmix64: deterministic per-seed stream.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
-
-/// Random 2–4 ring topology over two chiplets, rings chained by
-/// bridges, devices scattered (same generator as `tick_equivalence`).
-fn random_topology(rng: &mut Rng) -> (Topology, Vec<NodeId>) {
-    let mut b = TopologyBuilder::new();
-    let dies = [b.add_chiplet("die0"), b.add_chiplet("die1")];
-    let nrings = 2 + rng.below(3) as usize;
-    let mut rings = Vec::new();
-    let mut stations = Vec::new();
-    for i in 0..nrings {
-        let kind = if rng.below(2) == 0 {
-            RingKind::Full
-        } else {
-            RingKind::Half
-        };
-        let n = 4 + rng.below(29) as u16;
-        let die = dies[(rng.below(2) as usize + i) % 2];
-        rings.push(b.add_ring(die, kind, n).expect("ring"));
-        stations.push(n);
-    }
-    let mut devices = Vec::new();
-    for i in 0..rings.len() {
-        let ndev = 2 + rng.below(4);
-        for d in 0..ndev {
-            for _ in 0..8 {
-                let s = rng.below(stations[i] as u64) as u16;
-                if let Ok(id) = b.add_node(format!("dev{i}_{d}"), rings[i], s) {
-                    devices.push(id);
-                    break;
-                }
-            }
-        }
-    }
-    for w in 0..nrings - 1 {
-        let cfg = BridgeConfig::l2()
-            .with_latency(1 + rng.below(4) as u32)
-            .with_deadlock_threshold(32 + rng.below(64) as u32);
-        let mut bridged = false;
-        for _ in 0..16 {
-            let sa = rng.below(stations[w] as u64) as u16;
-            let sb = rng.below(stations[w + 1] as u64) as u16;
-            if b.add_bridge(cfg.clone(), rings[w], sa, rings[w + 1], sb)
-                .is_ok()
-            {
-                bridged = true;
-                break;
-            }
-        }
-        assert!(bridged, "could not place bridge between rings {w}..");
-    }
-    (b.build().expect("valid random topology"), devices)
-}
 
 const SAMPLE_PERIOD: u64 = 32;
 
@@ -94,39 +27,7 @@ fn run_observed(
 ) -> Network {
     let mut net = Network::new(topo, cfg);
     net.enable_metrics(SAMPLE_PERIOD);
-    let mut rng = Rng(traffic_seed);
-    let cycles = 200 + rng.below(100);
-    let drain_period = 1 + rng.below(4);
-    let send_die = 1 + rng.below(3);
-    let mut token = 0u64;
-    for cycle in 0..cycles + 10_000 {
-        if cycle < cycles {
-            for si in 0..devices.len() {
-                if rng.below(1 + send_die) != 0 {
-                    continue;
-                }
-                let di = (si + 1 + rng.below(devices.len() as u64 - 1) as usize) % devices.len();
-                let class = match rng.below(4) {
-                    0 => FlitClass::Request,
-                    1 => FlitClass::Response,
-                    2 => FlitClass::Snoop,
-                    _ => FlitClass::Data,
-                };
-                let bytes = [32u32, 64][rng.below(2) as usize];
-                token += 1;
-                let _ = net.enqueue(devices[si], devices[di], class, bytes, token);
-            }
-        }
-        net.tick();
-        if cycle % drain_period == 0 || cycle >= cycles {
-            for &d in devices {
-                while net.pop_delivered(d).is_some() {}
-            }
-        }
-        if cycle >= cycles && net.in_flight() == 0 {
-            break;
-        }
-    }
+    drive_mixed(&mut net, devices, traffic_seed);
     net.finish_metrics();
     net
 }
@@ -181,16 +82,7 @@ fn reconcile(net: &Network, ctx: &str) {
 #[test]
 fn snapshots_reconcile_and_are_byte_identical_across_modes_on_20_seeds() {
     for seed in 0..20u64 {
-        let mut rng = Rng(seed.wrapping_mul(0x5851_f42d_4c95_7f2d) ^ 0xa076_1d64_78bd_642f);
-        let (topo, devices) = random_topology(&mut rng);
-        assert!(devices.len() >= 2, "seed {seed}: too few devices");
-        let cfg = NetworkConfig {
-            inject_queue_cap: 2 + rng.below(7) as usize,
-            eject_queue_cap: 1 + rng.below(4) as usize,
-            itag_threshold: 4 + rng.below(12) as u32,
-            ..NetworkConfig::default()
-        };
-        let traffic_seed = rng.next();
+        let (topo, devices, cfg, traffic_seed) = random_case(seed);
 
         let mut baseline: Option<(String, Vec<u64>)> = None;
         for run in 0..2 {

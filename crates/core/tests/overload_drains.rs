@@ -10,7 +10,7 @@
 //! offers one flit each cycle to a uniformly drawn other device, a
 //! refused enqueue is dropped, and every delivery is popped the cycle it
 //! lands. Then the fabric drains with no new traffic until it is empty
-//! or until [`Network::stalled_for`] reaches [`STALL_W`] cycles. Every
+//! or until [`Network::stalled_for`] reaches the driver's `STALL_W` cycles. Every
 //! (fabric, seed) outcome is pinned in [`OVERLOAD_KNOWN_WEDGES`],
 //! drained rows included, so a mechanism that lets the fabric drain
 //! after overload flips rows here. A wedged run's
@@ -19,10 +19,10 @@
 
 mod scenarios;
 
+use noc_core::drive::Verdict::{self, Drained, Wedged};
 use noc_core::spec::SocSpec;
 use noc_core::GridParams;
-use scenarios::{overload_then_drain, Outcome};
-use Outcome::{Drained, Wedged};
+use scenarios::overload_then_drain;
 
 /// Every run's outcome today, as `(fabric, seed, outcome)`. The AI SoC
 /// wedges on every seed; the Server-CPU drains on seven of ten (the
@@ -30,7 +30,7 @@ use Outcome::{Drained, Wedged};
 /// on three; the benchmark's 4×4 torus drains on all ten, 421–829
 /// cycles after injection stops.
 #[rustfmt::skip]
-const OVERLOAD_KNOWN_WEDGES: &[(&str, u64, Outcome)] = &[
+const OVERLOAD_KNOWN_WEDGES: &[(&str, u64, Verdict)] = &[
     ("server_cpu", 0, Drained(781)),
     ("server_cpu", 1, Drained(480)),
     ("server_cpu", 2, Drained(821)),

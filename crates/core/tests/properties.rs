@@ -2,6 +2,7 @@
 
 mod scenarios;
 
+use noc_core::drive::{drain, Verdict::Drained};
 use noc_core::{
     BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder,
 };
@@ -77,19 +78,15 @@ proptest! {
                 }
             }
         }
-        // Drain: generous budget.
-        for _ in 0..20_000 {
-            if net.in_flight() == 0 {
-                break;
-            }
-            net.tick();
+        let verdict = drain(&mut net, 20_000, |net| {
             for &node in &ids {
                 while net.pop_delivered(node).is_some() {
                     recv += 1;
                 }
             }
-        }
-        prop_assert_eq!(net.in_flight(), 0, "network failed to drain");
+            Ok(())
+        });
+        prop_assert!(matches!(verdict, Ok(Drained(_))), "network failed to drain: {:?}", verdict);
         prop_assert_eq!(sent, recv, "conservation violated");
         prop_assert_eq!(net.stats().enqueued.get(), sent);
         prop_assert_eq!(net.stats().delivered.get(), sent);
@@ -114,14 +111,14 @@ proptest! {
                     while net.pop_delivered(node).is_some() {}
                 }
             }
-            for _ in 0..5000 {
-                if net.in_flight() == 0 { break; }
-                net.tick();
+            let verdict = drain(&mut net, 5000, |net| {
                 for &node in &ids {
                     while net.pop_delivered(node).is_some() {}
                 }
-            }
+                Ok(())
+            });
             (
+                verdict,
                 net.stats().delivered.get(),
                 net.stats().deflections.get(),
                 net.stats().itags_placed.get(),
@@ -210,13 +207,11 @@ proptest! {
                 let _ = net.pop_delivered(dst);
             }
         }
-        // Drain the rest.
-        for _ in 0..20_000 {
-            if net.in_flight() == 0 { break; }
-            net.tick();
+        let verdict = drain(&mut net, 20_000, |net| {
             while net.pop_delivered(dst).is_some() {}
-        }
-        prop_assert_eq!(net.in_flight(), 0);
+            Ok(())
+        });
+        prop_assert!(matches!(verdict, Ok(Drained(_))), "{:?}", verdict);
         // With a draining sink, deflection counts stay bounded: the
         // E-tag reservation guarantees forward progress. Allow a lap
         // per queued reservation ahead of a flit (cap-bounded).
@@ -274,15 +269,17 @@ proptest! {
             );
         }
         // Drain phase: invariant must keep holding to the end.
-        for _ in 0..20_000 {
-            if net.in_flight() == 0 { break; }
-            net.tick();
+        let verdict = drain(&mut net, 20_000, |net| {
             for &node in &ids {
                 while net.pop_delivered(node).is_some() {}
             }
-            prop_assert_eq!(net.count_resident_flits(), net.in_flight());
-        }
-        prop_assert_eq!(net.in_flight(), 0, "network failed to drain");
+            let (resident, in_flight) = (net.count_resident_flits(), net.in_flight());
+            if resident != in_flight {
+                return Err(format!("{resident} resident, {in_flight} in flight"));
+            }
+            Ok(())
+        });
+        prop_assert!(matches!(verdict, Ok(Drained(_))), "network failed to drain: {:?}", verdict);
     }
 
     /// Invariant 2, exact form (§3.4.3): a single deflected flit whose

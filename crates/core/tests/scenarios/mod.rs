@@ -4,10 +4,9 @@
 //! subset, hence the blanket `dead_code` allowance.
 #![allow(dead_code)]
 
-use noc_core::spec::SocSpec;
-use noc_core::{
-    Flit, FlitClass, Network, NetworkConfig, NodeId, RingKind, StallReport, TopologyBuilder,
-};
+use noc_core::drive::{drain, OpenLoop, Verdict};
+use noc_core::spec::{devices_by_name, SocSpec};
+use noc_core::{Flit, FlitClass, Network, NetworkConfig, RingKind, StallReport, TopologyBuilder};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 
@@ -76,61 +75,26 @@ pub fn etag_probe(stations: u16, eject_cap: usize) -> Result<Flit, String> {
 /// Cycles of offered overload.
 pub const INJECT: u64 = 500;
 
-/// Drain cycles without progress after which a run counts as wedged
-/// (the window `topogen_properties` and the ring-of-rings ablation use).
-pub const STALL_W: u64 = 5_000;
-
 /// Drain cycles after which a run that still makes progress is
 /// reported as neither drained nor wedged.
 pub const BUDGET: u64 = 50_000;
 
-/// How a run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome {
-    /// The fabric emptied this many cycles after injection stopped.
-    Drained(u64),
-    /// The drain stopped on the stall verdict with this many flits
-    /// still in flight.
-    Wedged(u64),
-}
-
-/// Overload `spec` with `seed`'s traffic, then drain. Returns how the
-/// run ended and the network's stall report at that cycle; `Err` if
-/// the drain is still making progress after [`BUDGET`] cycles.
-pub fn overload_then_drain(spec: &SocSpec, seed: u64) -> Result<(Outcome, StallReport), String> {
+/// Overload `spec` with `seed`'s traffic, then [`drain`] it for up to
+/// [`BUDGET`] cycles. Returns the verdict and the network's stall
+/// report at that cycle; `Err` if the spec does not compile.
+pub fn overload_then_drain(spec: &SocSpec, seed: u64) -> Result<(Verdict, StallReport), String> {
     let (topo, names) = spec.compile().map_err(|e| e.to_string())?;
-    let mut named: Vec<(&String, NodeId)> = names.iter().map(|(k, v)| (k, *v)).collect();
-    named.sort();
-    let devices: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
+    let mut offers = OpenLoop::new(devices_by_name(&names), TrafficPattern::Uniform, 1.0);
     let mut net = Network::new(topo, spec.network.clone());
     let mut rng = SimRng::seed_from(seed);
-    let mut token = 0u64;
-    let pop_all = |net: &mut Network| {
-        for &d in &devices {
-            while net.pop_delivered(d).is_some() {}
-        }
-    };
     for _ in 0..INJECT {
-        for si in 0..devices.len() {
-            let di = TrafficPattern::Uniform.pick_dest(&mut rng, devices.len(), si);
-            token += 1;
-            let _ = net.enqueue(devices[si], devices[di], FlitClass::Data, 64, token);
-        }
+        offers.offer(&mut net, &mut rng);
         net.tick();
-        pop_all(&mut net);
+        offers.pop_all(&mut net);
     }
-    for drained in 0..BUDGET {
-        if net.in_flight() == 0 {
-            return Ok((Outcome::Drained(drained), net.stall_report()));
-        }
-        if net.stalled_for() >= STALL_W {
-            return Ok((Outcome::Wedged(net.in_flight()), net.stall_report()));
-        }
-        net.tick();
-        pop_all(&mut net);
-    }
-    Err(format!(
-        "still progressing after {BUDGET} drain cycles\n{}",
-        net.stall_report()
-    ))
+    let verdict = drain(&mut net, BUDGET, |net| {
+        offers.pop_all(net);
+        Ok(())
+    })?;
+    Ok((verdict, net.stall_report()))
 }

@@ -22,6 +22,7 @@
 mod common;
 
 use common::{digest, fnv1a, random_topology, Rng, FNV_OFFSET};
+use noc_core::spec::devices_by_name;
 use noc_core::telemetry::{FlitEvent, RingBufferSink, TraceSink};
 use noc_core::topogen::{GridParams, HierRingParams};
 use noc_core::{
@@ -49,9 +50,7 @@ fn two_ring(cfg: BridgeConfig) -> (Topology, Vec<NodeId>) {
 /// A generated fabric as `(topology, devices in name order)`.
 fn generated(spec: noc_core::SocSpec) -> (Topology, Vec<NodeId>) {
     let (topo, names) = spec.compile().expect("generated spec compiles");
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    (topo, named.into_iter().map(|(_, id)| id).collect())
+    (topo, devices_by_name(&names))
 }
 
 /// For `cycles` cycles: offer every net the same random traffic (each

@@ -8,6 +8,7 @@
 //! claims for §4.4: after DRM + SWAP break the cyclic dependency, the
 //! network fully drains — enqueued == delivered, nothing resident.
 
+use noc_core::drive::{drain, Verdict::Drained};
 use noc_core::{
     BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder,
 };
@@ -81,15 +82,12 @@ fn drm_swap_resolves_mutual_backpressure_and_delivers_everything() {
     // bounded workload must fully leave the network.
     let total = net.stats().enqueued.get();
     assert!(total > 0);
-    for _ in 0..20_000u64 {
-        net.tick();
+    let verdict = drain(&mut net, 20_000, |net| {
         for &n in a.iter().chain(&z) {
             while net.pop_delivered(n).is_some() {}
         }
-        if net.in_flight() == 0 {
-            break;
-        }
-    }
+        Ok(())
+    });
     assert_eq!(
         net.stats().delivered.get(),
         total,
@@ -98,7 +96,7 @@ fn drm_swap_resolves_mutual_backpressure_and_delivers_everything() {
         total,
         net.in_flight()
     );
-    assert_eq!(net.in_flight(), 0);
+    assert!(matches!(verdict, Ok(Drained(_))), "{verdict:?}");
     assert_eq!(
         net.count_resident_flits(),
         0,

@@ -16,6 +16,7 @@
 mod common;
 
 use common::{digest, random_topology, Rng};
+use noc_core::spec::devices_by_name;
 use noc_core::telemetry::RingBufferSink;
 use noc_core::topogen::GridParams;
 use noc_core::{
@@ -343,9 +344,7 @@ fn run_generated_seed(seed: u64) {
         .with_seed(seed);
     let spec = params.generate().expect("sampled params are valid");
     let (topo, names) = spec.compile().expect("generated spec compiles");
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    let devices: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
+    let devices = devices_by_name(&names);
     if devices.len() < 2 {
         return; // single-device 1×1 sample: nothing to send
     }

@@ -12,6 +12,8 @@
 mod common;
 
 use common::SnapshotStream;
+use noc_core::drive::{drain, OpenLoop, Verdict};
+use noc_core::spec::devices_by_name;
 use noc_core::telemetry::{HealthConfig, PostmortemBundle, RecorderConfig};
 use noc_core::topogen::GridParams;
 use noc_core::{FlitClass, Network, NetworkConfig, NocDiagnostics, NodeId, Topology};
@@ -31,9 +33,7 @@ fn torus_64(seed: u64) -> (Topology, Vec<NodeId>) {
         .expect("8x8 torus generates");
     assert_eq!(spec.total_stations(), 1024);
     let (topo, names) = spec.compile().expect("generated spec compiles");
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    (topo, named.into_iter().map(|(_, id)| id).collect())
+    (topo, devices_by_name(&names))
 }
 
 /// Drive one flight-recorded network over the generated torus to full
@@ -50,32 +50,23 @@ fn run_recorded(topo: Topology, devices: &[NodeId], traffic_seed: u64) -> (Netwo
             ..RecorderConfig::default()
         },
     );
+    let mut offers = OpenLoop::new(devices.to_vec(), TrafficPattern::Uniform, 0.12);
     let mut rng = SimRng::seed_from(traffic_seed);
-    let cycles = 220u64;
-    let mut token = 0u64;
     let mut snapshots = SnapshotStream::default();
-    for cycle in 0..cycles + 10_000 {
-        if cycle < cycles {
-            for si in 0..devices.len() {
-                if !rng.gen_bool(0.12) {
-                    continue;
-                }
-                let di = TrafficPattern::Uniform.pick_dest(&mut rng, devices.len(), si);
-                token += 1;
-                let _ = net.enqueue(devices[si], devices[di], FlitClass::Data, 64, token);
-            }
-        }
+    for cycle in 0..220u64 {
+        offers.offer(&mut net, &mut rng);
         net.tick();
         snapshots.read(&net);
-        if cycle % 2 == 0 || cycle >= cycles {
-            for &d in devices {
-                while net.pop_delivered(d).is_some() {}
-            }
-        }
-        if cycle >= cycles && net.in_flight() == 0 {
-            break;
+        if cycle % 2 == 0 {
+            offers.pop_all(&mut net);
         }
     }
+    let verdict = drain(&mut net, 10_000, |net| {
+        snapshots.read(net);
+        offers.pop_all(net);
+        Ok(())
+    });
+    assert!(matches!(verdict, Ok(Verdict::Drained(_))), "{verdict:?}");
     net.finish_metrics();
     snapshots.read(&net);
     (net, snapshots.jsonl)

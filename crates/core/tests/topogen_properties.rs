@@ -26,26 +26,25 @@
 //! acceptance test reads its seeds from `NOC_TOPO_FUZZ_SEED_BASE` /
 //! `NOC_TOPO_FUZZ_SEEDS` — the knobs the CI `topo-fuzz` job pins.
 
-use noc_core::spec::SocSpec;
+use noc_core::drive::{drain, OpenLoop, Verdict, STALL_W};
+use noc_core::spec::{devices_by_name, SocSpec};
 use noc_core::topogen::{GridParams, HierRingParams, TopoGenError};
-use noc_core::{FlitClass, Network, NodeId, RingKind, SpecError, TopologyError};
+use noc_core::{Network, RingKind, SpecError, TopologyError};
 use noc_sim::fuzz::{save_failing_artifact, SeedMatrix, TrafficPattern};
 use noc_sim::SimRng;
 use proptest::prelude::*;
 
-/// Drain cycles without progress ([`Network::stalled_for`]) after which
-/// a run counts as wedged: the ring-of-rings ablation's window.
-const STALL_W: u64 = 5_000;
-
-/// Ends a drain failure that stopped on the stall verdict rather than
-/// on the 20 000-cycle budget.
-const STALL_VERDICT: &str = "; stalled 5000 cycles";
+/// How a drain that stopped on the stall verdict, not on the cycle
+/// budget, ends its failure message.
+fn stall_verdict() -> String {
+    format!("; stalled {STALL_W} cycles")
+}
 
 /// Drive one generated fabric under one seeded traffic schedule,
-/// checking every standing invariant along the way. The drain after
-/// the injection phase ends when the fabric is empty, when it has made
-/// no progress for [`STALL_W`] cycles, or after 20 000 cycles. Returns
-/// a human-readable description of the first violation.
+/// checking every standing invariant along the way. The injection
+/// phase offers `rate` flits per device per cycle for `cycles` cycles;
+/// the [`drain`] after it has a 20 000-cycle budget. Returns a
+/// human-readable description of the first violation.
 fn fuzz_fabric(
     spec: &SocSpec,
     traffic_seed: u64,
@@ -56,9 +55,7 @@ fn fuzz_fabric(
     let (topo, names) = spec
         .compile()
         .map_err(|e| format!("validated spec failed to compile: {e}"))?;
-    let mut named: Vec<(&String, NodeId)> = names.iter().map(|(k, v)| (k, *v)).collect();
-    named.sort();
-    let devices: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
+    let devices = devices_by_name(&names);
     if devices.len() < 2 {
         return Err("fabric has fewer than two devices".into());
     }
@@ -73,25 +70,36 @@ fn fuzz_fabric(
         .map(|r| r.stations as u64)
         .max()
         .unwrap_or(1);
+    let mut offers = OpenLoop::new(devices.clone(), pattern, rate);
     let mut rng = SimRng::seed_from(traffic_seed);
     let drain_period = 1 + traffic_seed % 3;
-    let mut token = 0u64;
     let mut max_starve = 0u32;
     let mut delivered_checked = 0u64;
-    for cycle in 0..cycles + 20_000 {
-        if cycle < cycles {
-            for si in 0..devices.len() {
-                if !rng.gen_bool(rate) {
-                    continue;
+    // Pop every device's mail, checking the generalized E-tag one-lap
+    // bound: the direct route visits each ring at most once (≤ the
+    // fabric's total stations per visited ring segment) and every
+    // recorded deflection costs at most one extra lap.
+    let mut pop_checked = |net: &mut Network, cycle: u64| -> Result<(), String> {
+        for &d in &devices {
+            while let Some(fr) = net.pop_delivered(d) {
+                let bound = (fr.deflections as u64 + fr.ring_changes as u64 + 2) * total_stations;
+                if fr.hops as u64 > bound {
+                    return Err(format!(
+                        "cycle {cycle}: hops {} exceed one-lap bound {bound} \
+                         (deflections {}, ring changes {})",
+                        fr.hops, fr.deflections, fr.ring_changes
+                    ));
                 }
-                let di = pattern.pick_dest(&mut rng, devices.len(), si);
-                token += 1;
-                let _ = net.enqueue(devices[si], devices[di], FlitClass::Data, 64, token);
+                delivered_checked += 1;
             }
         }
-        net.tick();
-
-        // Invariant 1, per-tick form.
+        Ok(())
+    };
+    // Invariant 1, per-tick form, and the starve high-water mark; the
+    // mail is popped every `drain_period` cycles while traffic is
+    // offered and every cycle of the drain.
+    let mut after_tick = |net: &mut Network, draining: bool| -> Result<(), String> {
+        let cycle = net.now().raw() - 1;
         let undrained: u64 = devices.iter().map(|&d| net.delivered_len(d) as u64).sum();
         let resident = net.count_resident_flits();
         let in_flight = net.in_flight();
@@ -112,41 +120,31 @@ fn fuzz_fabric(
         for &d in &devices {
             max_starve = max_starve.max(net.starve_of(d));
         }
-
-        if cycle % drain_period == 0 || cycle >= cycles {
-            for &d in &devices {
-                while let Some(fr) = net.pop_delivered(d) {
-                    // Generalized E-tag one-lap bound: the direct route
-                    // visits each ring at most once (≤ the fabric's total
-                    // stations per visited ring segment) and every
-                    // recorded deflection costs at most one extra lap.
-                    let bound =
-                        (fr.deflections as u64 + fr.ring_changes as u64 + 2) * total_stations;
-                    if fr.hops as u64 > bound {
-                        return Err(format!(
-                            "cycle {cycle}: hops {} exceed one-lap bound {bound} \
-                             (deflections {}, ring changes {})",
-                            fr.hops, fr.deflections, fr.ring_changes
-                        ));
-                    }
-                    delivered_checked += 1;
-                }
-            }
+        if draining || cycle % drain_period == 0 {
+            pop_checked(net, cycle)?;
         }
-        if cycle >= cycles && (net.in_flight() == 0 || net.stalled_for() >= STALL_W) {
-            break;
-        }
+        Ok(())
+    };
+    for _ in 0..cycles {
+        offers.offer(&mut net, &mut rng);
+        net.tick();
+        after_tick(&mut net, false)?;
     }
-    if net.in_flight() != 0 {
-        let verdict = if net.stalled_for() >= STALL_W {
-            STALL_VERDICT
-        } else {
-            ""
-        };
-        return Err(format!(
-            "failed to drain within budget ({} flits left){verdict}",
-            net.in_flight()
-        ));
+    let verdict = drain(&mut net, 20_000, |net| after_tick(net, true))?;
+    // What the injection phase left undrained, if the drain needed no
+    // tick.
+    pop_checked(&mut net, cycles)?;
+    match verdict {
+        Verdict::Drained(_) => {}
+        Verdict::Wedged(left) => {
+            return Err(format!(
+                "failed to drain within budget ({left} flits left){}",
+                stall_verdict()
+            ))
+        }
+        Verdict::OverBudget(left) => {
+            return Err(format!("failed to drain within budget ({left} flits left)"))
+        }
     }
 
     // Invariant 3: the I-tag starvation bound holds whenever the run was
@@ -161,7 +159,7 @@ fn fuzz_fabric(
             spec.network.itag_threshold
         ));
     }
-    if token > 0 && delivered_checked == 0 {
+    if offers.offered() > 0 && delivered_checked == 0 {
         return Err("no deliveries despite sends".into());
     }
     Ok(())
@@ -460,7 +458,7 @@ fn paper_soc_known_defects_still_fail_as_pinned() {
         for &(_, seed, want) in PAPER_SOC_KNOWN_DEFECTS.iter().filter(|d| d.0 == name) {
             match fuzz_fabric(&spec, seed, TrafficPattern::Uniform, cycles, rate) {
                 Err(msg) if msg.starts_with(want) => {
-                    if want.starts_with("failed to drain") && !msg.ends_with(STALL_VERDICT) {
+                    if want.starts_with("failed to drain") && !msg.ends_with(&stall_verdict()) {
                         wrong.push(format!(
                             "{name} uniform seed {seed}: \"{msg}\" ended on the cycle \
                              budget, not the stall verdict"

@@ -6,9 +6,11 @@
 //! SoC (local rings joined by a global ring over RBRG-L2 bridges) and
 //! shows a cross-cluster flit paying exactly two ring changes.
 
+use noc_core::drive::{drain, OpenLoop};
 use noc_core::render::{ascii_heatmap, summary};
+use noc_core::spec::devices_by_name;
 use noc_core::topogen::{GridParams, HierRingParams};
-use noc_core::{FlitClass, NodeId};
+use noc_core::FlitClass;
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 
@@ -33,39 +35,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (mut net, names) = params.build()?;
     println!("{}", summary(net.topology()));
 
-    // Sorted device order makes the traffic schedule independent of
+    // Devices in name order make the traffic schedule independent of
     // hash-map iteration — the same discipline the fuzz harness uses.
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    let devices: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
-
     // Hotspot traffic: most flits chase device 0, so ejection pressure
     // piles up around one station and the deflection heatmap lights up.
     let pattern = TrafficPattern::Hotspot {
         target: 0,
         bias: 0.7,
     };
+    let mut offers = OpenLoop::new(devices_by_name(&names), pattern, 0.2);
     let mut rng = SimRng::seed_from(2022);
-    let mut token = 0u64;
-    for cycle in 0..30_000u64 {
-        if cycle < 6_000 {
-            for si in 0..devices.len() {
-                if !rng.gen_bool(0.2) {
-                    continue;
-                }
-                let di = pattern.pick_dest(&mut rng, devices.len(), si);
-                token += 1;
-                let _ = net.enqueue(devices[si], devices[di], FlitClass::Data, 64, token);
-            }
-        }
+    for _ in 0..6_000 {
+        offers.offer(&mut net, &mut rng);
         net.tick();
-        for &d in &devices {
-            while net.pop_delivered(d).is_some() {}
-        }
-        if cycle >= 6_000 && net.in_flight() == 0 {
-            break;
-        }
+        offers.pop_all(&mut net);
     }
+    let verdict = drain(&mut net, 24_000, |net| {
+        offers.pop_all(net);
+        Ok(())
+    })?;
+    println!("torus drain verdict: {verdict:?}");
 
     let s = net.stats();
     println!(

@@ -14,6 +14,7 @@
 //! cargo run --example transactions
 //! ```
 
+use noc_core::spec::devices_by_name;
 use noc_core::telemetry::{critical_path, txn_snapshots_jsonl, SpanCollector};
 use noc_core::{GridParams, Network, NetworkConfig, NodeId};
 use noc_txn::{AtomicKind, TxnConfig, TxnFabric, TxnOp};
@@ -29,9 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .compile()?;
     // Sorted-by-name device order: `compile` hands back a HashMap, and
     // its iteration order must never leak into the traffic schedule.
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    let devs: Vec<NodeId> = named.iter().map(|&(_, id)| id).collect();
+    let devs = devices_by_name(&names);
 
     let net = Network::new(topo, NetworkConfig::default());
     let cfg = TxnConfig {

@@ -27,9 +27,12 @@
 #![cfg(not(debug_assertions))]
 
 use noc_ai::{AiConfig, AiEngine, AiProcessor, AiTraffic};
-use noc_chi::{LineAddr, ReadKind};
+use noc_chi::drive::ClosedLoop;
+use noc_chi::{LineAddr, ReadKind, TxnKind};
+use noc_core::drive::OpenLoop;
+use noc_core::spec::devices_by_name;
 use noc_core::telemetry::{HealthConfig, RecorderConfig};
-use noc_core::{FlitClass, GridParams, Network, NetworkConfig, NodeId, Topology};
+use noc_core::{GridParams, Network, NetworkConfig, NodeId, Topology};
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
@@ -123,40 +126,31 @@ fn torus(side: u16, devices: u16, seed: u64) -> (Topology, Vec<NodeId>) {
         .expect("the torus generates")
         .compile()
         .expect("the torus compiles");
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    (topo, named.into_iter().map(|(_, id)| id).collect())
+    (topo, devices_by_name(&names))
 }
 
-/// One open-loop cycle of raw flits: every device offers a flit with
-/// probability `rate` to a uniform other device (a refused flit is
-/// dropped), the network ticks, every device drains its mail.
+/// One open-loop cycle of raw flits: `offers` makes the cycle's offers
+/// (a refused flit is dropped), the network ticks, every device drains
+/// its mail.
 fn flit_cycle<S: noc_core::telemetry::TraceSink>(
     net: &mut Network<S>,
-    devices: &[NodeId],
+    offers: &mut OpenLoop,
     rng: &mut SimRng,
-    rate: f64,
 ) {
-    for (src, &from) in devices.iter().enumerate() {
-        if rng.gen_bool(rate) {
-            let pick = rng.gen_index(devices.len() - 1);
-            let dst = if pick >= src { pick + 1 } else { pick };
-            let _ = net.enqueue(from, devices[dst], FlitClass::Data, 64, 0);
-        }
-    }
+    offers.offer(net, rng);
     net.tick();
-    for &dev in devices {
-        while net.pop_delivered(dev).is_some() {}
-    }
+    offers.pop_all(net);
 }
 
 /// The benchmark's 8×8 torus (64 rings, 256 devices), freshly built:
-/// 471 800 heap bytes left live by 35 229 allocations. The delivery
+/// 469 752 heap bytes left live by 35 229 allocations. The delivery
 /// histograms are one set per network, not one per ring, and a node
 /// without a bandwidth probe carries a null pointer, not an empty
 /// probe; with a full statistics block per ring and the probe inline
 /// in every node, the same network held 927 296 bytes after 37 321
-/// allocations.
+/// allocations. While `BridgeConfig` carried the always-zero
+/// `drm_exit_occupancy` it held 471 800: 8 bytes more in each of the
+/// 256 bridge escapes (two per bridge).
 #[test]
 fn a_fresh_network_holds_a_pinned_heap() {
     let (topo, _) = torus(8, 4, 0x746f_7238);
@@ -164,7 +158,7 @@ fn a_fresh_network_holds_a_pinned_heap() {
     assert_eq!(net.topology().rings().len(), 64);
     assert_eq!(
         (bytes, allocs),
-        (471_800, 35_229),
+        (469_752, 35_229),
         "live bytes and allocations of Network::new"
     );
 }
@@ -176,13 +170,14 @@ fn a_fresh_network_holds_a_pinned_heap() {
 fn a_raw_network_allocates_only_to_grow_its_queues() {
     let (topo, devices) = torus(8, 4, 0x746f_7238);
     let mut net = Network::new(topo, NetworkConfig::default());
+    let mut offers = OpenLoop::new(devices, TrafficPattern::Uniform, 0.08);
     let mut rng = SimRng::seed_from(7);
     for _ in 0..20_000 {
-        flit_cycle(&mut net, &devices, &mut rng, 0.08);
+        flit_cycle(&mut net, &mut offers, &mut rng);
     }
     let n = allocs_in(|| {
         for _ in 0..20_000 {
-            flit_cycle(&mut net, &devices, &mut rng, 0.08);
+            flit_cycle(&mut net, &mut offers, &mut rng);
         }
     });
     assert!(net.stats().delivered.get() > 500_000, "the load ran");
@@ -226,41 +221,25 @@ fn a_coherent_system_allocates_a_pinned_count_per_request() {
     let mut sys = cpu.sys;
     let zipf = Zipf::new(65_536, 0.9);
     let mut rng = SimRng::seed_from(7);
-    let requests: Vec<(u64, bool)> = (0..WARM + MEASURED + 4 * clusters.len() as u64)
-        .map(|_| (zipf.sample(&mut rng) as u64, !rng.gen_bool(0.7)))
+    let requests: Vec<(LineAddr, TxnKind)> = (0..WARM + MEASURED + 4 * clusters.len() as u64)
+        .map(|_| {
+            let line = LineAddr(zipf.sample(&mut rng) as u64);
+            let read = rng.gen_bool(0.7);
+            (
+                line,
+                if read {
+                    TxnKind::Read(ReadKind::Shared)
+                } else {
+                    TxnKind::Write
+                },
+            )
+        })
         .collect();
-    let mut cluster_of =
-        vec![usize::MAX; clusters.iter().map(|c| c.index() + 1).max().unwrap_or(0)];
-    for (i, c) in clusters.iter().enumerate() {
-        cluster_of[c.index()] = i;
-    }
-    let mut outstanding = vec![0u32; clusters.len()];
-    let (mut next, mut completed) = (0usize, 0u64);
-    let mut run_to = |target: u64| {
-        while completed < target {
-            for (c, &rn) in clusters.iter().enumerate() {
-                while outstanding[c] < 4 {
-                    let (line, write) = requests[next];
-                    next += 1;
-                    outstanding[c] += 1;
-                    if write {
-                        sys.write(rn, LineAddr(line));
-                    } else {
-                        sys.read(rn, LineAddr(line), ReadKind::Shared);
-                    }
-                }
-            }
-            sys.tick();
-            for done in sys.take_completions() {
-                outstanding[cluster_of[done.rn.index()]] -= 1;
-                completed += 1;
-            }
-        }
-        completed
-    };
-    run_to(WARM);
+    let mut requests = requests.into_iter();
+    let mut closed = ClosedLoop::new(4, &clusters);
+    closed.run_to(&mut sys, &mut requests, WARM);
     let mut done = 0;
-    let n = allocs_in(|| done = run_to(WARM + MEASURED));
+    let n = allocs_in(|| done = closed.run_to(&mut sys, &mut requests, WARM + MEASURED));
     assert_eq!(done - WARM, MEASURED, "no request was lost");
     assert_eq!(n, 10_365, "allocations over {MEASURED} completed requests");
 }
@@ -411,16 +390,18 @@ fn the_flight_recorder_allocates_the_same_in_every_window() {
     let mut net = Network::new(topo, NetworkConfig::default());
     net.enable_flight_recorder(PERIOD, HealthConfig::default(), RecorderConfig::default());
     let (mut plain_rng, mut rng) = (SimRng::seed_from(7), SimRng::seed_from(7));
+    let mut plain_offers = OpenLoop::new(devices, TrafficPattern::Uniform, 0.05);
+    let mut offers = plain_offers.clone();
     let mut windows = Vec::new();
     for _ in 0..512 {
         let own = allocs_in(|| {
             for _ in 0..PERIOD {
-                flit_cycle(&mut plain, &devices, &mut plain_rng, 0.05);
+                flit_cycle(&mut plain, &mut plain_offers, &mut plain_rng);
             }
         });
         let all = allocs_in(|| {
             for _ in 0..PERIOD {
-                flit_cycle(&mut net, &devices, &mut rng, 0.05);
+                flit_cycle(&mut net, &mut offers, &mut rng);
             }
         });
         windows.push(all - own);

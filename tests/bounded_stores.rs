@@ -18,10 +18,11 @@
 //! One store is still sized by run length: the transaction registry
 //! keeps every `TxnSnapshot`, one per 32 cycles.
 
+use noc_core::spec::devices_by_name;
 use noc_core::telemetry::{
     HealthConfig, RecorderConfig, RingBufferSink, SpanCollector, WaitGraphConfig,
 };
-use noc_core::{GridParams, Network, NetworkConfig, NodeId};
+use noc_core::{GridParams, Network, NetworkConfig};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 use noc_txn::{TxnConfig, TxnFabric};
@@ -58,9 +59,7 @@ fn every_store_but_the_txn_series_holds_its_bound_however_long_the_run() {
         .expect("the 4x4 torus generates")
         .compile()
         .expect("the 4x4 torus compiles");
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    let devices: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
+    let devices = devices_by_name(&names);
 
     let mut net = Network::with_sink(topo, NetworkConfig::default(), RingBufferSink::new(SINK));
     net.enable_flight_recorder(PERIOD, HealthConfig::default(), recorder.clone());

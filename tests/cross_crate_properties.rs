@@ -1,6 +1,7 @@
 //! Cross-crate property tests: coherence + NoC invariants under random
 //! multi-chiplet traffic (DESIGN.md §6, invariants 1, 7, 8).
 
+use noc_chi::drive::{settle, Verdict::Drained};
 use noc_chi::{CoherentSystem, LineAddr, LlcParams, MemoryParams, ReadKind, SystemSpec};
 use noc_core::route::Hop;
 use noc_core::{
@@ -90,13 +91,10 @@ proptest! {
                 coherent(&sys)?;
             }
         }
-        let mut budget = 300_000u64;
-        while sys.outstanding() > 0 && budget > 0 {
-            sys.tick();
-            coherent(&sys)?;
-            budget -= 1;
-        }
-        prop_assert_eq!(sys.outstanding(), 0, "stuck transactions");
+        let verdict = settle(&mut sys, 300_000, |sys| {
+            sys.check_coherent((0..24).map(LineAddr)).map_err(|e| e.to_string())
+        });
+        prop_assert!(matches!(verdict, Ok(Drained(_))), "stuck transactions: {:?}", verdict);
         prop_assert_eq!(sys.take_completions().len() as u64, issued);
     }
 
@@ -116,12 +114,10 @@ proptest! {
                 sys.tick();
                 sys.tick();
             }
-            for _ in 0..100_000 {
-                if sys.outstanding() == 0 { break; }
-                sys.tick();
-            }
+            let verdict = settle(&mut sys, 100_000, |_| Ok(()));
             let stats = sys.network().stats();
             (
+                verdict,
                 stats.delivered.get(),
                 stats.deflections.get(),
                 stats.bridge_crossings.get(),

@@ -1,6 +1,7 @@
 //! End-to-end Server-CPU integration: the full stack (topology → NoC →
 //! CHI coherence → workload) across compute dies, I/O dies and packages.
 
+use noc_chi::drive::{settle, Verdict::Drained};
 use noc_chi::{CoherentSystem, Completion, LineAddr, MesiState, ReadKind, TxnId};
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 use noc_sim::SimRng;
@@ -92,13 +93,14 @@ fn many_clusters_hammer_shared_lines() {
         }
     }
     // Everything settles.
-    for _ in 0..200_000 {
-        if s.sys.outstanding() == 0 {
-            break;
-        }
-        tick_checked(&mut s, &lines);
-    }
-    assert_eq!(s.sys.outstanding(), 0, "transactions stuck");
+    let verdict = settle(&mut s.sys, 200_000, |sys| {
+        assert_coherent(sys, &lines);
+        Ok(())
+    });
+    assert!(
+        matches!(verdict, Ok(Drained(_))),
+        "transactions stuck: {verdict:?}"
+    );
     let done = s.sys.take_completions();
     assert_eq!(done.len() as u64, issued);
     // Coherence invariant at quiescence.
@@ -150,13 +152,8 @@ fn network_statistics_are_consistent_after_run() {
         s.sys
             .read(rn, LineAddr(0x4000 + i as u64), ReadKind::Shared);
     }
-    for _ in 0..100_000 {
-        if s.sys.outstanding() == 0 {
-            break;
-        }
-        s.sys.tick();
-    }
-    assert_eq!(s.sys.outstanding(), 0);
+    let verdict = settle(&mut s.sys, 100_000, |_| Ok(()));
+    assert!(matches!(verdict, Ok(Drained(_))), "{verdict:?}");
     // CompAck flits may still be in flight after the last requester
     // completion; drain them too.
     for _ in 0..10_000 {
@@ -214,13 +211,14 @@ fn zipfian_server_application_runs_coherently() {
         }
         tick_checked(&mut s, &lines);
     }
-    for _ in 0..300_000 {
-        if s.sys.outstanding() == 0 {
-            break;
-        }
-        tick_checked(&mut s, &lines);
-    }
-    assert_eq!(s.sys.outstanding(), 0, "server workload drained");
+    let verdict = settle(&mut s.sys, 300_000, |sys| {
+        assert_coherent(sys, &lines);
+        Ok(())
+    });
+    assert!(
+        matches!(verdict, Ok(Drained(_))),
+        "server workload: {verdict:?}"
+    );
     assert_eq!(s.sys.take_completions().len() as u64, issued);
     // The hot Zipfian head is shared read-mostly: several clusters end
     // up with readable copies of some line.

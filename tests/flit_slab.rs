@@ -9,8 +9,10 @@
 //! where the peak is sampled.
 
 use noc_ai::{AiConfig, AiProcessor};
-use noc_core::{FlitClass, GridParams, Network, NetworkConfig, NodeId, NodeKind};
+use noc_core::drive::{drain, OpenLoop, Verdict};
+use noc_core::{GridParams, Network, NetworkConfig, NodeId, NodeKind};
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
+use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 
 /// The network's devices, ascending id.
@@ -37,21 +39,14 @@ fn pop_all(net: &mut Network) {
 }
 
 /// Offer Bernoulli(`rate`) flits per device per cycle with uniform
-/// destinations for `cycles` cycles (refused enqueues are dropped),
-/// checking live against resident flits before and after every tick.
-/// Returns the peak resident count.
+/// destinations for `cycles` cycles, checking live against resident
+/// flits before and after every tick. Returns the peak resident count.
 fn offer(net: &mut Network, rate: f64, cycles: u64, seed: u64) -> usize {
-    let devices = devices(net);
+    let mut offers = OpenLoop::new(devices(net), TrafficPattern::Uniform, rate);
     let mut rng = SimRng::seed_from(seed);
     let mut peak = 0;
     for _ in 0..cycles {
-        for (i, &src) in devices.iter().enumerate() {
-            if rng.gen_bool(rate) {
-                let pick = rng.gen_index(devices.len() - 1);
-                let dst = devices[if pick >= i { pick + 1 } else { pick }];
-                let _ = net.enqueue(src, dst, FlitClass::Data, 64, 0);
-            }
-        }
+        offers.offer(net, &mut rng);
         peak = peak.max(resident(net, "after the enqueues"));
         net.tick();
         resident(net, "after the tick");
@@ -69,15 +64,15 @@ fn check(mut net: Network, rate: f64, cycles: u64, what: &str) {
     peak = peak.max(offer(&mut net, rate, 3 * cycles, 2));
     let (_, slots) = net.flit_slab_usage();
     assert!(slots <= peak, "{what}: {slots} slots for a peak of {peak}");
-    for _ in 0..50_000 {
-        if net.in_flight() == 0 {
-            break;
-        }
-        net.tick();
-        resident(&net, "while draining");
-        pop_all(&mut net);
-    }
-    assert_eq!(net.in_flight(), 0, "{what}: drained");
+    let verdict = drain(&mut net, 50_000, |net| {
+        resident(net, "while draining");
+        pop_all(net);
+        Ok(())
+    });
+    assert!(
+        matches!(verdict, Ok(Verdict::Drained(_))),
+        "{what}: {verdict:?}"
+    );
     assert_eq!(net.flit_slab_usage(), (0, slots), "{what}: drained slab");
 }
 

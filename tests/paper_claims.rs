@@ -6,9 +6,9 @@
 #[path = "../crates/core/tests/scenarios/mod.rs"]
 mod scenarios;
 
+use noc_core::drive;
 use noc_core::SocSpec;
 use noc_experiments::{ablations, table05, table07, Scale};
-use scenarios::Outcome;
 
 #[derive(Debug, PartialEq)]
 enum Verdict {
@@ -69,7 +69,10 @@ fn swap_resolves_the_fig9_deadlock() {
 fn the_mechanisms_keep_the_socs_live() {
     let spec = SocSpec::from_json(include_str!("../specs/ai_processor.json")).unwrap();
     let (outcome, _) = scenarios::overload_then_drain(&spec, 0).unwrap();
-    assert_eq!(holds(matches!(outcome, Outcome::Drained(_))), LIVENESS);
+    assert_eq!(
+        holds(matches!(outcome, drive::Verdict::Drained(_))),
+        LIVENESS
+    );
 }
 
 #[test]

@@ -6,6 +6,7 @@
 //! transactions complete at the same cycles, but that every per-packet
 //! counter, causal edge and critical-flit record agrees byte for byte.
 
+use noc_core::spec::devices_by_name;
 use noc_core::telemetry::{
     critical_path, span_trees_jsonl, LatencyBreakdown, SpanCollector, SpanSink,
 };
@@ -37,9 +38,7 @@ fn torus(seed: u64) -> (noc_core::Topology, Vec<NodeId>) {
         .expect("params are valid")
         .compile()
         .expect("spec compiles");
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    let devs: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
+    let devs = devices_by_name(&names);
     (topo, devs)
 }
 

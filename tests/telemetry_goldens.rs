@@ -21,6 +21,7 @@
 //! with 32-flit bursts, which wedges the fabric so forensics latches and
 //! watchdog bundles are captured.
 
+use noc_core::spec::devices_by_name;
 use noc_core::telemetry::{
     chrome_trace, prometheus_text, snapshots_jsonl, span_trees_jsonl, spans_chrome_trace,
     txn_snapshots_jsonl, wait_graphs_jsonl, HealthConfig, MetricsSnapshot, PostmortemBundle,
@@ -122,9 +123,7 @@ fn torus() -> (noc_core::Topology, Vec<NodeId>) {
         .expect("the 4x4 torus generates")
         .compile()
         .expect("the 4x4 torus compiles");
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    (topo, named.into_iter().map(|(_, id)| id).collect())
+    (topo, devices_by_name(&names))
 }
 
 fn run(case: &Case) -> Digest {

@@ -6,6 +6,7 @@
 //! every directory lists every copy.
 
 use noc_baseline::{BufferedMesh, HubConfig, HubSpoke, MeshConfig};
+use noc_chi::drive::{settle, Verdict::Drained};
 use noc_chi::system::ChiTransport;
 use noc_chi::{CoherentSystem, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec};
 use noc_core::{Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
@@ -86,14 +87,14 @@ fn run<T: ChiTransport>(mut sys: CoherentSystem<T>, rns: &[NodeId]) -> usize {
             assert_coherent(&sys);
         }
     }
-    for _ in 0..300_000 {
-        if sys.outstanding() == 0 {
-            break;
-        }
-        sys.tick();
-        assert_coherent(&sys);
-    }
-    assert_eq!(sys.outstanding(), 0, "transport wedged");
+    let verdict = settle(&mut sys, 300_000, |sys| {
+        assert_coherent(sys);
+        Ok(())
+    });
+    assert!(
+        matches!(verdict, Ok(Drained(_))),
+        "transport wedged: {verdict:?}"
+    );
     sys.take_completions().len()
 }
 

@@ -10,7 +10,8 @@
 //! * conservation — accepted transactions all complete, exactly once,
 //!   with zero stray/duplicate/late counters.
 
-use noc_core::{GridParams, Network, NetworkConfig, NodeId};
+use noc_core::spec::devices_by_name;
+use noc_core::{GridParams, Network, NetworkConfig};
 use noc_sim::fuzz::{save_failing_artifact, SeedMatrix, TrafficPattern};
 use noc_sim::SimRng;
 use noc_txn::{TxnConfig, TxnCounters, TxnFabric};
@@ -55,9 +56,7 @@ fn run(seed: u64, trace: &mut TxnTrace) -> Result<(), String> {
         .map_err(|e| format!("compile: {e}"))?;
     // Sorted-by-name device order — the HashMap from `compile` must not
     // leak its iteration order into the traffic schedule.
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    let devs: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
+    let devs = devices_by_name(&names);
     let net = Network::new(topo, NetworkConfig::default());
     let cfg = TxnConfig {
         window: trace.window,

@@ -8,6 +8,7 @@
 //! identically; here the packetization, reassembly, window and
 //! broadcast decisions layered on top must too.
 
+use noc_core::spec::devices_by_name;
 use noc_core::{GridParams, Network, NetworkConfig, NodeId};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
@@ -36,9 +37,7 @@ fn torus(seed: u64) -> (noc_core::Topology, Vec<NodeId>) {
         .expect("spec compiles");
     // Sorted-by-name device order: `compile` hands back a HashMap, and
     // its iteration order must never leak into the traffic schedule.
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    let devs: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
+    let devs = devices_by_name(&names);
     (topo, devs)
 }
 

@@ -22,6 +22,7 @@
 //! * with the fix, the exact configurations that used to wedge drain
 //!   completely and the detector never latches — the fix guarantee.
 
+use noc_core::spec::devices_by_name;
 use noc_core::telemetry::{PostmortemBundle, WaitGraphConfig};
 use noc_core::topogen::GridParams;
 use noc_core::{Network, NetworkConfig, NodeId};
@@ -39,9 +40,7 @@ fn torus_devices() -> (noc_core::Topology, Vec<NodeId>) {
         .expect("torus generates")
         .compile()
         .expect("torus compiles");
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    (topo, named.into_iter().map(|(_, id)| id).collect())
+    (topo, devices_by_name(&names))
 }
 
 /// Antipodal 4 KiB DMA bursts: device i writes to the device half the

@@ -8,6 +8,7 @@
 //! pattern with legacy admission, which must latch the *same* wedge
 //! report on every run.
 
+use noc_core::spec::devices_by_name;
 use noc_core::telemetry::{wait_graphs_jsonl, WaitGraphConfig, WaitVerdict};
 use noc_core::{GridParams, Network, NetworkConfig, NodeId};
 use noc_sim::fuzz::TrafficPattern;
@@ -49,9 +50,7 @@ fn torus(seed: u64) -> (noc_core::Topology, Vec<NodeId>) {
         .expect("params are valid")
         .compile()
         .expect("spec compiles");
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    let devs: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
+    let devs = devices_by_name(&names);
     (topo, devs)
 }
 
@@ -131,9 +130,7 @@ fn run_wedge() -> DetectorStream {
         .expect("torus generates")
         .compile()
         .expect("torus compiles");
-    let mut named: Vec<(String, NodeId)> = names.into_iter().collect();
-    named.sort();
-    let devs: Vec<NodeId> = named.into_iter().map(|(_, id)| id).collect();
+    let devs = devices_by_name(&names);
     let mut net = Network::new(topo, NetworkConfig::default());
     net.enable_metrics(32);
     let mut fab = TxnFabric::new(
