@@ -124,7 +124,7 @@ impl MemHarnessReport {
 /// use noc_baseline::{MemHarness, MemHarnessConfig, BufferedMesh, MeshConfig};
 /// use noc_core::NodeId;
 ///
-/// let mesh = BufferedMesh::new(MeshConfig { k: 3, ..Default::default() });
+/// let mesh = BufferedMesh::new(MeshConfig { k: 3 });
 /// let mut h = MemHarness::new(mesh, vec![NodeId(8)], MemHarnessConfig::default());
 /// let report = h.run_closed_loop(&[NodeId(0), NodeId(1)], 4, 1.0, 500, 2000);
 /// assert!(report.completed > 0);
@@ -446,10 +446,7 @@ mod tests {
     #[test]
     fn single_requester_bandwidth_scales_with_outstanding() {
         let run = |outstanding| {
-            let mesh = BufferedMesh::new(MeshConfig {
-                k: 4,
-                ..Default::default()
-            });
+            let mesh = BufferedMesh::new(MeshConfig { k: 4 });
             let mut h = MemHarness::new(mesh, nodes([15]), MemHarnessConfig::default());
             h.run_closed_loop(&[NodeId(0)], outstanding, 1.0, 500, 3000)
                 .bytes_per_cycle()

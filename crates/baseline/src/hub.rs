@@ -7,7 +7,7 @@
 //! → destination ring. The central switch is the structural bottleneck
 //! the paper's distributed multi-ring design avoids.
 
-use crate::Mailboxes;
+use crate::{Mailboxes, DELIVERY_CAP};
 use noc_chi::system::ChiTransport;
 use noc_core::{FlitClass, NodeId};
 use noc_sim::Cycle;
@@ -27,8 +27,8 @@ const LINK_LATENCY: u64 = 16;
 const LINK_WIDTH: usize = 1;
 /// Queue capacity at each link/switch stage.
 const QUEUE_CAP: usize = 16;
-/// Delivery queue depth per endpoint (consumer backpressure).
-const DELIVERY_CAP: usize = 8;
+/// Flits per cycle the central switch can forward in total.
+const HUB_BANDWIDTH: usize = 4;
 
 /// Hub-and-spoke configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,8 +37,6 @@ pub struct HubConfig {
     pub chiplets: usize,
     /// Endpoints per chiplet.
     pub per_chiplet: usize,
-    /// Flits per cycle the central switch can forward in total.
-    pub hub_bandwidth: usize,
 }
 
 impl Default for HubConfig {
@@ -47,7 +45,6 @@ impl Default for HubConfig {
         HubConfig {
             chiplets: 8,
             per_chiplet: 8,
-            hub_bandwidth: 4,
         }
     }
 }
@@ -173,12 +170,12 @@ impl ChiTransport for HubSpoke {
                 self.hub_in[ch].push_back(msg);
             }
         }
-        // Central switch: up to hub_bandwidth forwards per cycle,
+        // Central switch: up to HUB_BANDWIDTH forwards per cycle,
         // round-robin over source chiplets, one per destination link.
         let mut out_used = vec![false; c];
         let mut forwards = 0usize;
         for i in 0..c {
-            if forwards >= self.cfg.hub_bandwidth {
+            if forwards >= HUB_BANDWIDTH {
                 break;
             }
             let ch = (self.rr_hub + i) % c;
@@ -282,10 +279,7 @@ mod tests {
 
     #[test]
     fn central_switch_serializes_cross_traffic() {
-        let cfg = HubConfig {
-            hub_bandwidth: 1,
-            ..HubConfig::default()
-        };
+        let cfg = HubConfig::default();
         let mut h = HubSpoke::new(cfg);
         // All chiplets fire at chiplet 0 simultaneously.
         let per = cfg.per_chiplet;
@@ -303,8 +297,9 @@ mod tests {
             got += drain(&mut h, 0..per);
             assert!(t < 10_000, "wedged");
         }
-        // 28 messages through a 1-flit/cycle switch: at least 28 cycles
-        // of pure serialization beyond the pipeline latency.
+        // 28 messages through the switch's one forward per destination
+        // link per cycle: at least 28 cycles of pure serialization
+        // beyond the pipeline latency.
         assert!(t >= total + 2 * LINK_LATENCY);
     }
 
@@ -336,7 +331,6 @@ mod tests {
         let hub = HubSpoke::new(crate::hub::HubConfig {
             chiplets: 2,
             per_chiplet: 4,
-            ..Default::default()
         });
         let mut sys = CoherentSystem::new(
             hub,
@@ -346,10 +340,6 @@ mod tests {
                 memories: vec![NodeId(2), NodeId(6)],
                 mem_params: MemoryParams::ddr4(),
                 llc: LlcParams::default(),
-                line_bytes: 64,
-                local_hit_latency: 10,
-                hn_latency: 12,
-                snoop_latency: 6,
             },
         );
         let a = LineAddr(7);

@@ -17,10 +17,10 @@
 //! [`noc_core::NodeId`]. On the mesh and the hub, endpoint `i` is
 //! `NodeId(i)`.
 //!
-//! Each design buffers at most 8 deliveries per endpoint (`delivery_cap`
-//! on the mesh, `DELIVERY_CAP` on the hub and the adapter): a consumer
-//! that stops receiving backs up into the interconnect, which the mesh
-//! and hub answer by blocking and the rings by deflecting.
+//! Each design buffers at most `DELIVERY_CAP` (8) deliveries per
+//! endpoint: a consumer that stops receiving backs up into the
+//! interconnect, which the mesh and hub answer by blocking and the
+//! rings by deflecting.
 
 #![forbid(unsafe_code)]
 
@@ -36,6 +36,12 @@ pub use ring_adapter::RingAdapter;
 
 use noc_core::NodeId;
 use std::collections::VecDeque;
+
+/// Delivery queue depth per endpoint of every transport here: when the
+/// consumer stalls, the mesh's local port and the hub's local ring
+/// block (head-of-line blocking propagates upstream — the buffered
+/// designs' structural weakness) and the rings deflect.
+const DELIVERY_CAP: usize = 8;
 
 /// Per-endpoint delivery buffers of received tokens, indexed by
 /// [`NodeId`]; each transport bounds their depth itself.

@@ -5,7 +5,7 @@
 //! credit-style downstream space checks, a fixed per-router pipeline
 //! delay, and round-robin switch allocation per output port.
 
-use crate::Mailboxes;
+use crate::{Mailboxes, DELIVERY_CAP};
 use noc_chi::system::ChiTransport;
 use noc_core::{FlitClass, NodeId};
 use noc_sim::Cycle;
@@ -35,19 +35,12 @@ const ROUTER_DELAY: u64 = 3;
 pub struct MeshConfig {
     /// Mesh is `k × k` routers, one endpoint per router.
     pub k: usize,
-    /// Delivery (local egress) queue depth per endpoint; when the
-    /// consumer stalls, the local port blocks and head-of-line blocking
-    /// propagates upstream — the buffered design's structural weakness.
-    pub delivery_cap: usize,
 }
 
 impl Default for MeshConfig {
-    /// A 6 × 6 mesh with 8-deep delivery queues.
+    /// A 6 × 6 mesh.
     fn default() -> Self {
-        MeshConfig {
-            k: 6,
-            delivery_cap: 8,
-        }
+        MeshConfig { k: 6 }
     }
 }
 
@@ -59,7 +52,7 @@ impl Default for MeshConfig {
 /// use noc_baseline::{BufferedMesh, MeshConfig};
 /// use noc_chi::system::ChiTransport;
 /// use noc_core::{FlitClass, NodeId};
-/// let mut mesh = BufferedMesh::new(MeshConfig { k: 4, ..Default::default() });
+/// let mut mesh = BufferedMesh::new(MeshConfig { k: 4 });
 /// assert!(mesh.offer(NodeId(0), NodeId(15), FlitClass::Data, 64, 1));
 /// for _ in 0..100 { mesh.tick(); }
 /// assert_eq!(mesh.recv(NodeId(15)), Some(1));
@@ -187,7 +180,7 @@ impl ChiTransport for BufferedMesh {
                         continue;
                     }
                     if out == L {
-                        if self.delivered.len(r) + reserved[r][L] < self.cfg.delivery_cap {
+                        if self.delivered.len(r) + reserved[r][L] < DELIVERY_CAP {
                             reserved[r][L] += 1;
                             moves.push((r, inp, out));
                             self.rr[r][out] = (inp + 1) % PORTS;
@@ -238,10 +231,7 @@ mod tests {
     };
 
     fn mesh(k: usize) -> BufferedMesh {
-        BufferedMesh::new(MeshConfig {
-            k,
-            delivery_cap: 64,
-        })
+        BufferedMesh::new(MeshConfig { k })
     }
 
     fn offer(m: &mut BufferedMesh, src: usize, dst: usize, token: u64) -> bool {
@@ -355,10 +345,7 @@ mod tests {
 
     #[test]
     fn chi_protocol_runs_over_buffered_mesh() {
-        let mesh = BufferedMesh::new(MeshConfig {
-            k: 3,
-            ..Default::default()
-        });
+        let mesh = BufferedMesh::new(MeshConfig { k: 3 });
         // Endpoints 0..9: 4 requesters, 3 home nodes, 2 memories.
         let mut sys = CoherentSystem::new(
             mesh,
@@ -368,10 +355,6 @@ mod tests {
                 memories: (7..9).map(NodeId).collect(),
                 mem_params: MemoryParams::ddr4(),
                 llc: LlcParams::default(),
-                line_bytes: 64,
-                local_hit_latency: 10,
-                hn_latency: 12,
-                snoop_latency: 6,
             },
         );
         let a = LineAddr(0x42);

@@ -3,15 +3,10 @@
 //! bufferless ring (the Intel-8280-style monolithic baseline and the
 //! scalability ablation of §3.4.2).
 
-use crate::Mailboxes;
+use crate::{Mailboxes, DELIVERY_CAP};
 use noc_chi::system::ChiTransport;
 use noc_core::{FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
 use noc_sim::Cycle;
-
-/// Per-node delivery buffer depth: consumer backpressure, to which
-/// the bufferless network responds with E-tag deflection instead of
-/// blocking.
-const DELIVERY_CAP: usize = 8;
 
 /// A [`Network`] whose deliveries wait in a buffer of at most
 /// `DELIVERY_CAP` (8) tokens per node until received; nodes are the

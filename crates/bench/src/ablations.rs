@@ -255,10 +255,7 @@ pub fn run_vs_alternatives(scale: Scale) -> ExperimentResult {
             "multi-ring (this work)",
             drive_uniform(&mut ic, &eps, load, 11, cycles),
         );
-        let mut mesh = BufferedMesh::new(MeshConfig {
-            k: 6,
-            ..Default::default()
-        });
+        let mut mesh = BufferedMesh::new(MeshConfig { k: 6 });
         record(
             "buffered mesh",
             drive_uniform(&mut mesh, &nodes(0..36), load, 11, cycles),

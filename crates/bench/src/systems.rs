@@ -51,10 +51,7 @@ pub fn ours(clusters_per_ccd: usize) -> (RingAdapter, Partition) {
 /// Intel-like monolithic buffered mesh (Ice-Lake-SP style): a 7×7 mesh
 /// hosting 28 cores, 8 home nodes and 8 memory controllers on one die.
 pub fn intel_like() -> (BufferedMesh, Partition) {
-    let mesh = BufferedMesh::new(MeshConfig {
-        k: 7,
-        delivery_cap: 8,
-    });
+    let mesh = BufferedMesh::new(MeshConfig { k: 7 });
     // Cores on the first 28 endpoints, HNs next, memories spread last.
     let part = Partition {
         requesters: nodes(0..28),
@@ -72,7 +69,6 @@ pub fn amd_like() -> (HubSpoke, Partition) {
     let hub = HubSpoke::new(HubConfig {
         chiplets: 10,
         per_chiplet: 8,
-        ..Default::default()
     });
     let part = Partition {
         requesters: nodes(0..64),  // chiplets 0..8
@@ -118,10 +114,6 @@ pub fn coherent<T: ChiTransport>(transport: T, part: &Partition) -> CoherentSyst
             memories: part.memories.clone(),
             mem_params: mem_params(),
             llc: LlcParams::default(),
-            line_bytes: 64,
-            local_hit_latency: 10,
-            hn_latency: 12,
-            snoop_latency: 6,
         },
     )
 }

@@ -137,10 +137,6 @@ mod tests {
                 memories: vec![NodeId(3)],
                 mem_params: MemoryParams::ddr4(),
                 llc: LlcParams::default(),
-                line_bytes: 64,
-                local_hit_latency: 10,
-                hn_latency: 12,
-                snoop_latency: 6,
             },
         );
         sys.read(NodeId(0), LineAddr(1), ReadKind::Shared);

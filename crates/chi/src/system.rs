@@ -96,6 +96,16 @@ impl Default for LlcParams {
     }
 }
 
+/// Cache line size in bytes.
+const LINE_BYTES: u32 = 64;
+/// Completion latency of a purely local cache hit.
+const LOCAL_HIT_LATENCY: u64 = 10;
+/// Home-node pipeline latency (directory + LLC tag/data access)
+/// applied to every message a home node sends.
+const HN_LATENCY: u64 = 12;
+/// Requester snoop-response latency (local cache lookup).
+const SNOOP_LATENCY: u64 = 6;
+
 /// Agent placement and protocol parameters of a coherent system.
 #[derive(Debug, Clone)]
 pub struct SystemSpec {
@@ -109,15 +119,6 @@ pub struct SystemSpec {
     pub mem_params: MemoryParams,
     /// LLC slice geometry.
     pub llc: LlcParams,
-    /// Cache line size in bytes.
-    pub line_bytes: u32,
-    /// Completion latency of a purely local cache hit.
-    pub local_hit_latency: u64,
-    /// Home-node pipeline latency (directory + LLC tag/data access)
-    /// applied to every message a home node sends.
-    pub hn_latency: u64,
-    /// Requester snoop-response latency (local cache lookup).
-    pub snoop_latency: u64,
 }
 
 /// What a completed transaction was.
@@ -316,10 +317,6 @@ struct HnTxn {
 ///     memories: vec![ddr],
 ///     mem_params: MemoryParams::ddr4(),
 ///     llc: LlcParams::default(),
-///     line_bytes: 64,
-///     local_hit_latency: 10,
-///     hn_latency: 12,
-///     snoop_latency: 6,
 /// });
 /// let txn = sys.read(cpu, LineAddr(0x100), ReadKind::Shared);
 /// let done = sys.run_until_complete(txn, 10_000).expect("completes");
@@ -381,7 +378,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
         let mut ranked = spec.requesters.clone();
         ranked.sort_unstable();
         let ranked: Arc<[NodeId]> = ranked.into();
-        let line = spec.line_bytes as u64;
+        let line = u64::from(LINE_BYTES);
         let llcs = spec
             .home_nodes
             .iter()
@@ -560,7 +557,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
             if matches!(kind, TxnKind::Write) {
                 self.rn_lines[idx].insert(addr, MesiState::Modified);
             }
-            let ready = start.raw() + self.spec.local_hit_latency;
+            let ready = start.raw() + LOCAL_HIT_LATENCY;
             let c = Completion {
                 txn,
                 rn,
@@ -708,7 +705,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
                         node,
                         dst,
                         msg.op.class(),
-                        msg.op.payload_bytes(self.spec.line_bytes),
+                        msg.op.payload_bytes(LINE_BYTES),
                         token,
                     ) {
                         break;
@@ -774,8 +771,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
                     addr: msg.addr,
                     from: rn,
                 };
-                let d = self.spec.snoop_latency;
-                self.send_after(rn, msg.from, reply, d);
+                self.send_after(rn, msg.from, reply, SNOOP_LATENCY);
             }
             MsgOp::SnpUnique => {
                 let was = self.rn_forget(idx, msg.addr);
@@ -787,8 +783,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
                     addr: msg.addr,
                     from: rn,
                 };
-                let d = self.spec.snoop_latency;
-                self.send_after(rn, msg.from, reply, d);
+                self.send_after(rn, msg.from, reply, SNOOP_LATENCY);
             }
             MsgOp::CompData { state } => {
                 let ack = Message {
@@ -902,8 +897,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
                     addr: msg.addr,
                     from: hn,
                 };
-                let d = self.spec.hn_latency;
-                self.send_after(hn, msg.from, reply, d);
+                self.send_after(hn, msg.from, reply, HN_LATENCY);
             }
             MsgOp::SnpRespData { was_dirty } => {
                 self.llc_install(idx, hn, msg.addr, was_dirty);
@@ -1067,8 +1061,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
             addr,
             from: hn,
         };
-        let d = self.spec.hn_latency;
-        self.send_after(hn, t.requester, reply, d);
+        self.send_after(hn, t.requester, reply, HN_LATENCY);
     }
 }
 
@@ -1095,10 +1088,6 @@ mod tests {
                 memories: vec![ddr],
                 mem_params: MemoryParams::ddr4(),
                 llc: LlcParams::default(),
-                line_bytes: 64,
-                local_hit_latency: 10,
-                hn_latency: 12,
-                snoop_latency: 6,
             },
         );
         let t = sys.read(rns[0], LineAddr(1), ReadKind::Shared);

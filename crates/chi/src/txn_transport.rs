@@ -78,10 +78,6 @@ mod tests {
             memories: sns,
             mem_params: MemoryParams::ddr4(),
             llc: LlcParams::default(),
-            line_bytes: 64,
-            local_hit_latency: 10,
-            hn_latency: 12,
-            snoop_latency: 6,
         };
         (CoherentSystem::new(fab, spec), rns)
     }

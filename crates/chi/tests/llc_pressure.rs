@@ -28,10 +28,6 @@ fn tiny_llc_system() -> (CoherentSystem, Vec<NodeId>) {
                 capacity_bytes: 32 * 64, // 32 lines
                 ways: 4,
             },
-            line_bytes: 64,
-            local_hit_latency: 10,
-            hn_latency: 12,
-            snoop_latency: 6,
         },
     );
     (sys, rns)

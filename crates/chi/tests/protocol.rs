@@ -15,10 +15,6 @@ fn spec(requesters: Vec<NodeId>, home_nodes: Vec<NodeId>, memories: Vec<NodeId>)
         memories,
         mem_params: MemoryParams::ddr4(),
         llc: LlcParams::default(),
-        line_bytes: 64,
-        local_hit_latency: 10,
-        hn_latency: 12,
-        snoop_latency: 6,
     }
 }
 

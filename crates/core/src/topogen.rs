@@ -16,7 +16,8 @@
 //! are packed one-per-station from the top of each ring, devices are
 //! placed deterministically from the seed on the remaining stations,
 //! and [`SocSpec::validate`] (port occupancy + reachability) runs
-//! before the spec is handed out. Degenerate parameters come back as
+//! before the spec is handed out. Its `network` is
+//! [`NetworkConfig::default`]. Degenerate parameters come back as
 //! typed [`TopoGenError`]s, never panics — which is what lets a
 //! property-fuzz harness sample the parameter space blindly.
 //!
@@ -228,8 +229,6 @@ pub struct GridParams {
     pub wrap: bool,
     /// Seed for deterministic device placement.
     pub seed: u64,
-    /// Network parameters for the built fabric.
-    pub network: NetworkConfig,
 }
 
 impl GridParams {
@@ -245,7 +244,6 @@ impl GridParams {
             devices_per_chiplet: 2,
             wrap: false,
             seed: 1,
-            network: NetworkConfig::default(),
         }
     }
 
@@ -407,7 +405,7 @@ impl GridParams {
             name: self.name.clone(),
             chiplets,
             bridges,
-            network: self.network.clone(),
+            network: NetworkConfig::default(),
         };
         spec.validate()?;
         Ok(spec)
@@ -451,8 +449,6 @@ pub struct HierRingParams {
     pub local_kind: RingKind,
     /// Seed for deterministic device placement.
     pub seed: u64,
-    /// Network parameters for the built fabric.
-    pub network: NetworkConfig,
 }
 
 impl HierRingParams {
@@ -468,7 +464,6 @@ impl HierRingParams {
             devices_per_local: 2,
             local_kind: RingKind::Full,
             seed: 1,
-            network: NetworkConfig::default(),
         }
     }
 
@@ -574,7 +569,7 @@ impl HierRingParams {
             name: self.name.clone(),
             chiplets,
             bridges,
-            network: self.network.clone(),
+            network: NetworkConfig::default(),
         };
         spec.validate()?;
         Ok(spec)

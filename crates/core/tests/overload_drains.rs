@@ -20,8 +20,11 @@
 mod scenarios;
 
 use noc_core::drive::Verdict::{self, Drained, Wedged};
-use noc_core::spec::SocSpec;
+use noc_core::drive::{drain, OpenLoop};
+use noc_core::spec::{devices_by_name, SocSpec};
 use noc_core::GridParams;
+use noc_sim::fuzz::TrafficPattern;
+use noc_sim::SimRng;
 use scenarios::overload_then_drain;
 
 /// Every run's outcome today, as `(fabric, seed, outcome)`. The AI SoC
@@ -125,4 +128,40 @@ fn torus4_overload_outcomes_are_pinned() {
         .generate()
         .expect("the torus generates");
     spec_matches_pins("torus4", &spec);
+}
+
+/// The `topologies` example's run: a 4×4 torus of 12-station rings,
+/// two devices per ring at placement seed 42, offered hotspot traffic
+/// (70 % of flits to device 0) at 0.2 flit per device per cycle from
+/// RNG seed 2022 for `HOTSPOT_INJECT` cycles. Well below the uniform
+/// overload above, it wedges: rings full and escapes full around the
+/// hot ring, with no progress from about cycle 1 300 on.
+#[test]
+fn hotspot_torus_wedges_under_the_topologies_example_load() {
+    const HOTSPOT_INJECT: u64 = 6_000;
+    let (mut net, names) = GridParams::torus(4, 4)
+        .with_stations(12)
+        .with_devices(2)
+        .with_seed(42)
+        .build()
+        .expect("the torus builds");
+    let pattern = TrafficPattern::Hotspot {
+        target: 0,
+        bias: 0.7,
+    };
+    let mut offers = OpenLoop::new(devices_by_name(&names), pattern, 0.2);
+    let mut rng = SimRng::seed_from(2022);
+    for _ in 0..HOTSPOT_INJECT {
+        offers.offer(&mut net, &mut rng);
+        net.tick();
+        offers.pop_all(&mut net);
+    }
+    let verdict = drain(&mut net, 24_000, |net| {
+        offers.pop_all(net);
+        Ok(())
+    })
+    .expect("popping never fails");
+    let report = net.stall_report();
+    assert!(matches!(verdict, Wedged(_)), "{verdict:?}\n{report}");
+    assert!(report.names_a_full_resource(), "{report}");
 }

@@ -11,6 +11,8 @@ use noc_core::{
     BridgeLevel, Network, NetworkConfig, NocDiagnostics, NodeId, RingKind, SocSpec, SpecError,
 };
 
+/// Compute dies per package (§4.2, Figure 8A).
+pub const CCD_COUNT: usize = 2;
 /// I/O dies per package (§4.2, Figure 8A).
 pub const IOD_COUNT: usize = 2;
 /// Die-to-die bridge latency in cycles (in-package RBRG-L2 PHY).
@@ -23,8 +25,6 @@ const SERDES_LATENCY: u32 = 45;
 pub struct ServerCpuConfig {
     /// Packages in the system (the paper scales to 4P via PA/SerDes).
     pub packages: usize,
-    /// Compute dies per package.
-    pub ccd_count: usize,
     /// CPU clusters per compute die (each cluster = 4 cores sharing an
     /// L3 tag slice).
     pub clusters_per_ccd: usize,
@@ -55,7 +55,6 @@ impl Default for ServerCpuConfig {
     fn default() -> Self {
         ServerCpuConfig {
             packages: 1,
-            ccd_count: 2,
             clusters_per_ccd: 12,
             hn_per_ccd: 4,
             ddr_per_ccd: 4,
@@ -71,7 +70,7 @@ impl Default for ServerCpuConfig {
 impl ServerCpuConfig {
     /// Total CPU cores (4 per cluster).
     pub fn cores(&self) -> usize {
-        self.packages * self.ccd_count * self.clusters_per_ccd * 4
+        self.packages * CCD_COUNT * self.clusters_per_ccd * 4
     }
 
     /// A scaled-down variant with `clusters` clusters per CCD (the
@@ -89,7 +88,6 @@ impl ServerCpuConfig {
     pub fn spec(&self) -> (SocSpec, ServerCpuMap) {
         let mut map = ServerCpuMap {
             clusters_per_ccd: self.clusters_per_ccd,
-            ccd_count: self.ccd_count,
             ..Default::default()
         };
         let mut next = 0;
@@ -118,7 +116,7 @@ impl ServerCpuConfig {
         let body = stations - 3;
         let mut chiplets = Vec::new();
         for pkg in 0..self.packages {
-            for c in 0..self.ccd_count {
+            for c in 0..CCD_COUNT {
                 let (p, mut devices) = (format!("p{pkg}.ccd{c}"), Vec::new());
                 for i in 0..self.clusters_per_ccd {
                     dev(&mut devices, &mut map.clusters, format!("{p}.cl{i}"), i);
@@ -160,7 +158,7 @@ impl ServerCpuConfig {
             // CCD chain (CCD0↔CCD1↔…): two parallel bridges per pair at
             // the last compute-ring station (the route table load-shares
             // them).
-            for c in 1..self.ccd_count {
+            for c in 1..CCD_COUNT {
                 for _ in 0..2 {
                     bridges.push(d2d(
                         ccd(pkg, c - 1, stations - 1),
@@ -169,7 +167,7 @@ impl ServerCpuConfig {
                 }
             }
             // Each CCD to up to two I/O dies.
-            for c in 0..self.ccd_count {
+            for c in 0..CCD_COUNT {
                 for k in 0..IOD_COUNT.min(2) {
                     let i = (c + k) % IOD_COUNT;
                     bridges.push(d2d(ccd(pkg, c, stations - 2), iod(pkg, i, 5)));
@@ -220,8 +218,6 @@ pub struct ServerCpuMap {
     pub pas: Vec<NodeId>,
     /// Clusters per compute die (for intra/inter-die selection).
     pub clusters_per_ccd: usize,
-    /// Compute dies per package.
-    pub ccd_count: usize,
 }
 
 impl ServerCpuMap {
@@ -271,10 +267,6 @@ impl ServerCpu {
                 memories: map.ddrs.clone(),
                 mem_params: cfg.mem_params,
                 llc: cfg.llc,
-                line_bytes: 64,
-                local_hit_latency: 10,
-                hn_latency: 12,
-                snoop_latency: 6,
             },
         );
         Ok(ServerCpu { sys, map, cfg })
@@ -369,7 +361,7 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let per_pkg = 2 * 4; // ccd_count × clusters_per_ccd
+        let per_pkg = CCD_COUNT * 4; // × clusters_per_ccd
         let rn0 = s.map.clusters[0];
         let rn1 = s.map.clusters[per_pkg]; // first cluster of package 1
         let a = LineAddr(0x3000);

@@ -35,12 +35,12 @@
 //!   under load: a saturated torus loop waits on itself while flits
 //!   drain through it);
 //! * [`WaitVerdict::Wedged`] — some cycle's members **all** show zero
-//!   progress-counter delta over
-//!   [`WaitGraphConfig::freeze_windows`] consecutive samples. Frozen
-//!   occupancy alone is not enough — a full ring under heavy load
-//!   keeps constant occupancy while moving thousands of flits — so
-//!   freezing is judged on monotone progress counters (injections,
-//!   deliveries, crossings, reassembled flits, window completions).
+//!   progress-counter delta over [`FREEZE_WINDOWS`] consecutive
+//!   samples. Frozen occupancy alone is not enough — a full ring under
+//!   heavy load keeps constant occupancy while moving thousands of
+//!   flits — so freezing is judged on monotone progress counters
+//!   (injections, deliveries, crossings, reassembled flits, window
+//!   completions).
 //!
 //! On the first `Wedged` verdict the tracker freezes a
 //! [`WedgeReport`]: the cyclic chain as resource → holder → resource
@@ -333,13 +333,14 @@ impl WedgeReport {
 /// Occupancy-history depth kept per resource for the wedge report.
 const HISTORY: usize = 8;
 
+/// Consecutive samples a cycle's members must all be frozen
+/// (non-empty, zero progress delta) before the verdict escalates to
+/// [`WaitVerdict::Wedged`].
+pub const FREEZE_WINDOWS: u32 = 4;
+
 /// Tracker configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitGraphConfig {
-    /// Consecutive samples a cycle's members must all be frozen
-    /// (non-empty, zero progress delta) before the verdict escalates
-    /// to [`WaitVerdict::Wedged`].
-    pub freeze_windows: u32,
     /// Bound on retained samples and on retained gauge rows
     /// ([`WaitGraphTracker::stats`]), oldest evicted first. Samples are
     /// export-only and of the rows only the newest is read — the
@@ -351,10 +352,7 @@ pub struct WaitGraphConfig {
 
 impl Default for WaitGraphConfig {
     fn default() -> Self {
-        WaitGraphConfig {
-            freeze_windows: 4,
-            max_samples: 32,
-        }
+        WaitGraphConfig { max_samples: 32 }
     }
 }
 
@@ -388,7 +386,6 @@ pub struct WaitGraphTracker {
 impl WaitGraphTracker {
     /// A tracker with the given config.
     pub fn new(cfg: WaitGraphConfig) -> Self {
-        assert!(cfg.freeze_windows > 0, "freeze_windows must be positive");
         assert!(cfg.max_samples > 0, "max_samples must be positive");
         WaitGraphTracker {
             cfg,
@@ -404,35 +401,24 @@ impl WaitGraphTracker {
         &self.cfg
     }
 
-    /// Ingest one raw graph (`nodes` sorted by id, `edges` arbitrary)
-    /// stamped at `cycle`; classify it, update freeze streaks, retain
-    /// the sample and return a reference to it.
-    pub fn ingest(
-        &mut self,
-        cycle: u64,
-        nodes: Vec<WaitNode>,
-        edges: Vec<WaitEdge>,
-    ) -> &WaitGraphSample {
-        let (_, oldest_frozen) = self.update_tracks(cycle, &nodes);
-        self.classify(cycle, nodes, edges, oldest_frozen)
-    }
-
-    /// Like [`WaitGraphTracker::ingest`], but edge construction is
-    /// deferred: `edges_fn` is only invoked once some ring or escape
-    /// resource has been frozen for the configured latch threshold.
+    /// Ingest one raw graph (`nodes` sorted by id) stamped at `cycle`:
+    /// update freeze streaks, classify, retain the sample and return a
+    /// reference to it. Edge construction is deferred: `edges_fn`
+    /// (edges in any order) is only invoked once some ring or escape
+    /// resource has been frozen for [`FREEZE_WINDOWS`] samples.
     /// Every wait cycle in this system passes through a ring or escape
     /// node (nothing waits *on* a window, and a reassembly buffer
     /// never waits on another one), and a wedge verdict requires every
     /// cycle member — so in particular that ring or escape — to carry
-    /// a streak of at least `freeze_windows`. A sample where no
+    /// a streak of at least `FREEZE_WINDOWS`. A sample where no
     /// ring/escape has reached the threshold therefore cannot latch;
     /// it is committed as [`WaitVerdict::Progressing`] with no edges,
     /// skipping the expensive packet-placement census and SCC pass.
-    /// Latch timing is identical to the eager form (streaks depend
-    /// only on nodes); the trade is that transient cycles among
-    /// still-progressing resources go unreported until something
-    /// actually approaches the wedge threshold — which is when they
-    /// matter.
+    /// Streaks depend only on nodes, so the latch cycle is the one a
+    /// full classification of every sample would give; the trade is
+    /// that transient cycles among still-progressing resources go
+    /// unreported until something actually approaches the wedge
+    /// threshold — which is when they matter.
     pub fn ingest_lazy(
         &mut self,
         cycle: u64,
@@ -464,8 +450,8 @@ impl WaitGraphTracker {
 
     /// Update per-resource freeze streaks from the sampled progress
     /// counters. Returns whether any ring or escape resource has been
-    /// frozen for `freeze_windows` samples (the lazy path's escalation
-    /// trigger) and the age of the oldest freeze. `tracks` is kept
+    /// frozen for [`FREEZE_WINDOWS`] samples (the escalation trigger)
+    /// and the age of the oldest freeze. `tracks` is kept
     /// sorted by [`ResourceId`] and merged against the (sorted) node
     /// list in one linear pass.
     fn update_tracks(&mut self, cycle: u64, nodes: &[WaitNode]) -> (bool, u64) {
@@ -500,7 +486,7 @@ impl WaitGraphTracker {
             t.occupancy.push(n.occupancy);
             if t.frozen_streak > 0 {
                 oldest = oldest.max(cycle.saturating_sub(t.frozen_since));
-                if t.frozen_streak >= self.cfg.freeze_windows
+                if t.frozen_streak >= FREEZE_WINDOWS
                     && matches!(n.id, ResourceId::Ring { .. } | ResourceId::Escape { .. })
                 {
                     escalate = true;
@@ -546,7 +532,7 @@ impl WaitGraphTracker {
             .filter(|scc| {
                 scc.iter().all(|r| {
                     self.track(r)
-                        .is_some_and(|t| t.frozen_streak >= self.cfg.freeze_windows)
+                        .is_some_and(|t| t.frozen_streak >= FREEZE_WINDOWS)
                 })
             })
             .collect();
@@ -651,7 +637,7 @@ impl WaitGraphTracker {
         holders.dedup();
         WedgeReport {
             cycle: sample.cycle,
-            freeze_windows: self.cfg.freeze_windows,
+            freeze_windows: FREEZE_WINDOWS,
             chain,
             pinned,
             occupancy,
@@ -759,31 +745,44 @@ mod tests {
         assert_eq!(cyclic_sccs(&nodes, &edges), vec![vec![ring(0)]]);
     }
 
+    /// Edges a sample before escalation must never build.
+    fn unbuilt() -> Vec<WaitEdge> {
+        unreachable!("edges built before any ring froze for FREEZE_WINDOWS samples")
+    }
+
+    /// Ingest `nodes` unchanged for `FREEZE_WINDOWS` samples: one that
+    /// starts each history, then `FREEZE_WINDOWS - 1` frozen ones. A
+    /// next sample with the same progress counters escalates.
+    fn freeze(tr: &mut WaitGraphTracker, nodes: &[WaitNode]) {
+        for i in 0..u64::from(FREEZE_WINDOWS) {
+            let s = tr.ingest_lazy(i * 32, nodes.to_vec(), unbuilt);
+            assert_eq!(s.verdict, WaitVerdict::Progressing);
+        }
+    }
+
     #[test]
     fn frozen_cycle_latches_after_w_windows() {
-        let cfg = WaitGraphConfig {
-            freeze_windows: 3,
-            ..WaitGraphConfig::default()
-        };
-        let mut tr = WaitGraphTracker::new(cfg);
+        let mut tr = WaitGraphTracker::new(WaitGraphConfig::default());
+        let w = u64::from(FREEZE_WINDOWS);
         // Sample 0 establishes history (no streak yet), then the
-        // progress counter stops dead.
-        for i in 0..5u64 {
+        // progress counter stops dead; no edges are built until the
+        // streak reaches FREEZE_WINDOWS.
+        for i in 0..w + 2 {
             let (nodes, edges) = cycle_graph(42); // progress constant
-            let s = tr.ingest(i * 32, nodes, edges);
-            if i < 3 {
-                assert_eq!(
-                    s.verdict,
-                    WaitVerdict::TransientCycle,
-                    "sample {i} latched early"
-                );
-                assert!(!tr.latched());
+            if i < w {
+                let s = tr.ingest_lazy(i * 32, nodes, unbuilt);
+                assert_eq!(s.verdict, WaitVerdict::Progressing, "sample {i}");
+                assert!(s.edges.is_empty());
+                assert!(!tr.latched(), "sample {i} latched early");
             } else {
+                let s = tr.ingest_lazy(i * 32, nodes, || edges);
                 assert_eq!(s.verdict, WaitVerdict::Wedged, "sample {i} failed to latch");
             }
         }
         assert!(tr.latched());
         let rep = tr.report().expect("latched");
+        assert_eq!(rep.cycle, w * 32, "latched on the first escalated sample");
+        assert_eq!(rep.freeze_windows, FREEZE_WINDOWS);
         assert_eq!(rep.chain.len(), 3);
         assert_eq!(rep.holders, vec![10, 11, 12]);
         assert!(rep.render().contains("ring:r0 -[10]-> ring:r1"));
@@ -791,15 +790,13 @@ mod tests {
 
     #[test]
     fn transient_cycle_with_progress_never_latches() {
-        let mut tr = WaitGraphTracker::new(WaitGraphConfig {
-            freeze_windows: 2,
-            ..WaitGraphConfig::default()
-        });
+        let mut tr = WaitGraphTracker::new(WaitGraphConfig::default());
         for i in 0..10u64 {
-            // Progress advances every sample: the cycle is live.
-            let (nodes, edges) = cycle_graph(100 + i);
-            let s = tr.ingest(i * 32, nodes, edges);
-            assert_eq!(s.verdict, WaitVerdict::TransientCycle);
+            // Progress advances every sample: the cycle is live, so it
+            // never escalates to a classification.
+            let (nodes, _) = cycle_graph(100 + i);
+            let s = tr.ingest_lazy(i * 32, nodes, unbuilt);
+            assert_eq!(s.verdict, WaitVerdict::Progressing);
         }
         assert!(!tr.latched());
         assert!(tr.report().is_none());
@@ -807,38 +804,39 @@ mod tests {
 
     #[test]
     fn one_live_member_keeps_the_cycle_transient() {
-        let mut tr = WaitGraphTracker::new(WaitGraphConfig {
-            freeze_windows: 2,
-            ..WaitGraphConfig::default()
-        });
+        let mut tr = WaitGraphTracker::new(WaitGraphConfig::default());
         for i in 0..10u64 {
             let (mut nodes, edges) = cycle_graph(42);
             nodes[1].progress = 42 + i; // ring 1 still moves
-            let s = tr.ingest(i * 32, nodes, edges);
-            assert_ne!(s.verdict, WaitVerdict::Wedged, "sample {i}");
+            let s = tr.ingest_lazy(i * 32, nodes, || edges);
+            // Rings 0 and 2 escalate the sample once frozen for
+            // FREEZE_WINDOWS; ring 1 keeps the cycle live.
+            let want = if i < u64::from(FREEZE_WINDOWS) {
+                WaitVerdict::Progressing
+            } else {
+                WaitVerdict::TransientCycle
+            };
+            assert_eq!(s.verdict, want, "sample {i}");
         }
         assert!(!tr.latched());
     }
 
     #[test]
     fn wedged_set_includes_feeders_and_report_pins_them() {
-        let mut tr = WaitGraphTracker::new(WaitGraphConfig {
-            freeze_windows: 2,
-            ..WaitGraphConfig::default()
-        });
+        let mut tr = WaitGraphTracker::new(WaitGraphConfig::default());
         let win = ResourceId::Window { node: 9 };
         let rea = ResourceId::Reassembly { node: 5 };
-        for i in 0..4u64 {
-            let (mut nodes, mut edges) = cycle_graph(42);
-            nodes.sort_by_key(|n| n.id);
+        let w = u64::from(FREEZE_WINDOWS);
+        for i in 0..w + 2 {
+            let (nodes, mut edges) = cycle_graph(42);
             let mut all = vec![node(win, 2, 7), node(rea, 1, 3)];
             all.extend(nodes);
             all.sort_by_key(|n| n.id);
             // window → reassembly → ring 0 (a feeder chain).
             edges.push(edge(win, rea, 77));
             edges.push(edge(rea, ring(0), 55));
-            let s = tr.ingest(i * 32, all, edges);
-            if i >= 2 {
+            let s = tr.ingest_lazy(i * 32, all, || edges);
+            if i >= w {
                 assert_eq!(s.verdict, WaitVerdict::Wedged);
                 assert!(s.wedged.contains(&win), "window reached into the wedge");
                 assert!(s.wedged.contains(&rea));
@@ -855,19 +853,16 @@ mod tests {
     #[test]
     fn occupancy_freeze_without_progress_freeze_is_not_a_wedge() {
         // A full ring moving traffic: occupancy constant, progress
-        // advancing. Must never latch.
-        let mut tr = WaitGraphTracker::new(WaitGraphConfig {
-            freeze_windows: 2,
-            ..WaitGraphConfig::default()
-        });
+        // advancing. Must never escalate, let alone latch.
+        let mut tr = WaitGraphTracker::new(WaitGraphConfig::default());
         for i in 0..8u64 {
-            let (mut nodes, edges) = cycle_graph(0);
+            let (mut nodes, _) = cycle_graph(0);
             for n in &mut nodes {
                 n.occupancy = 8; // pinned at capacity
                 n.progress = i * 100; // but flits flow through
             }
-            let s = tr.ingest(i * 32, nodes, edges);
-            assert_ne!(s.verdict, WaitVerdict::Wedged);
+            let s = tr.ingest_lazy(i * 32, nodes, unbuilt);
+            assert_eq!(s.verdict, WaitVerdict::Progressing);
         }
         assert!(!tr.latched());
     }
@@ -876,12 +871,13 @@ mod tests {
     fn edges_dedup_to_smallest_holder() {
         let mut tr = WaitGraphTracker::new(WaitGraphConfig::default());
         let nodes = vec![node(ring(0), 1, 0), node(ring(1), 1, 0)];
+        freeze(&mut tr, &nodes);
         let edges = vec![
             edge(ring(0), ring(1), 20),
             edge(ring(0), ring(1), 5),
             edge(ring(0), ring(1), 11),
         ];
-        let s = tr.ingest(0, nodes, edges);
+        let s = tr.ingest_lazy(1 << 10, nodes, || edges);
         assert_eq!(s.edges.len(), 1);
         assert_eq!(s.edges[0].holder, 5);
     }
@@ -890,11 +886,19 @@ mod tests {
     fn samples_round_trip_through_jsonl() {
         let mut tr = WaitGraphTracker::new(WaitGraphConfig::default());
         let (nodes, edges) = cycle_graph(1);
-        tr.ingest(32, nodes, edges);
+        freeze(&mut tr, &nodes);
+        tr.ingest_lazy(1 << 10, nodes, || edges);
         let jsonl = wait_graphs_jsonl(tr.samples());
-        let line = jsonl.lines().next().expect("one sample");
-        let back: WaitGraphSample = serde_json::from_str(line).expect("parses");
-        assert_eq!(&back, tr.last().expect("retained"));
+        let back: Vec<WaitGraphSample> = jsonl
+            .lines()
+            .map(|line| serde_json::from_str(line).expect("parses"))
+            .collect();
+        assert_eq!(back.len(), FREEZE_WINDOWS as usize + 1);
+        assert_eq!(
+            back.iter().collect::<Vec<_>>(),
+            tr.samples().collect::<Vec<_>>()
+        );
+        assert_eq!(back.last().expect("escalated").verdict, WaitVerdict::Wedged);
     }
 
     #[test]
@@ -903,8 +907,9 @@ mod tests {
         let win = ResourceId::Window { node: 1 };
         let mut nodes = vec![node(ring(0), 1, 0), node(ring(1), 1, 0), node(win, 1, 0)];
         nodes.sort_by_key(|n| n.id);
+        freeze(&mut tr, &nodes);
         let edges = vec![edge(ring(0), ring(1), 1), edge(win, ring(0), 2)];
-        tr.ingest(0, nodes, edges);
+        tr.ingest_lazy(1 << 10, nodes, || edges);
         let st = tr.stats().last().expect("one row");
         assert_eq!(st.blocked[0], 1, "one ring blocked");
         assert_eq!(st.blocked[2], 1, "one window blocked");
@@ -913,13 +918,10 @@ mod tests {
 
     #[test]
     fn stats_rows_are_bounded_like_the_samples() {
-        let mut tr = WaitGraphTracker::new(WaitGraphConfig {
-            max_samples: 3,
-            ..WaitGraphConfig::default()
-        });
+        let mut tr = WaitGraphTracker::new(WaitGraphConfig { max_samples: 3 });
         for cycle in 0..10 {
             let (nodes, edges) = cycle_graph(1);
-            tr.ingest(cycle * 32, nodes, edges);
+            tr.ingest_lazy(cycle * 32, nodes, || edges);
         }
         let rows: Vec<u64> = tr.stats().iter().map(|s| s.cycle).collect();
         let samples: Vec<u64> = tr.samples().map(|s| s.cycle).collect();
@@ -930,9 +932,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "max_samples must be positive")]
     fn zero_max_samples_is_rejected() {
-        WaitGraphTracker::new(WaitGraphConfig {
-            max_samples: 0,
-            ..WaitGraphConfig::default()
-        });
+        WaitGraphTracker::new(WaitGraphConfig { max_samples: 0 });
     }
 }

@@ -46,6 +46,10 @@ use std::collections::{BTreeMap, VecDeque};
 /// Maximum children per node in broadcast fan-out trees.
 const BROADCAST_FANOUT: usize = 4;
 
+/// Per-endpoint cap on flits staged for injection; beyond it,
+/// `submit` backpressures rather than buffering unboundedly.
+const MAX_STAGED_FLITS: usize = 4096;
+
 /// Per-endpoint transaction state.
 #[derive(Debug, Default)]
 struct Endpoint {
@@ -193,8 +197,12 @@ pub struct TxnFabric<S: TraceSink = NullSink, P: SpanSink = NullSpanSink> {
     registry: Option<TxnRegistry>,
     /// Flits pumped into the network and not yet delivered back.
     outstanding: u64,
-    /// Admission cap on `outstanding` (see
-    /// [`TxnConfig::max_outstanding_flits`]).
+    /// Fabric-wide admission cap on `outstanding`: half the fabric's
+    /// ring slots, at least 8. Unbounded injection can wedge a
+    /// multi-ring fabric — saturated rings and full bridge escape
+    /// buffers form a cyclic wait SWAP cannot break — so the
+    /// transaction layer keeps offered load below that regime;
+    /// deflection routing has no escape channels to fall back on.
     outstanding_cap: u64,
     /// Destination for finished span trees. Every bookkeeping site
     /// below is guarded by `P::ENABLED`, so for the default
@@ -243,20 +251,14 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     ///
     /// # Panics
     ///
-    /// If `cfg.flit_bytes`, `cfg.window` or `cfg.max_staged_flits` is
-    /// 0, or `cfg.max_data_flits` is outside `1..=256`. A zero window or
-    /// staging cap would refuse every submission forever.
+    /// If `cfg.window` is 0, or `cfg.max_data_flits` is outside
+    /// `1..=256`. A zero window would refuse every submission forever.
     pub fn with_spans(net: Network<S>, cfg: TxnConfig, spans: P) -> Self {
-        assert!(cfg.flit_bytes > 0, "flit_bytes must be positive");
         assert!(
             cfg.max_data_flits >= 1 && cfg.max_data_flits <= 256,
             "max_data_flits must be in 1..=256 (token seq space)"
         );
         assert!(cfg.window >= 1, "window must be at least 1");
-        assert!(
-            cfg.max_staged_flits >= 1,
-            "max_staged_flits must be at least 1"
-        );
         let mut endpoints: Vec<Endpoint> = net
             .topology()
             .devices()
@@ -273,22 +275,18 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         let slot_of = SlotIndex::new(endpoints.iter().map(|e| e.id.index()))
             .expect("device ids are distinct");
         let registry = (cfg.metrics_period > 0).then(|| TxnRegistry::new(cfg.metrics_period));
-        let outstanding_cap = if cfg.max_outstanding_flits > 0 {
-            cfg.max_outstanding_flits as u64
-        } else {
-            // Auto: half the fabric's ring slots. Saturation-induced
-            // bridge deadlock needs at least one ring full plus full
-            // escape buffers, so staying below half the slot count
-            // keeps the fabric out of that regime while still letting
-            // throughput scale with fabric size.
-            let slots: u64 = net
-                .topology()
-                .rings()
-                .iter()
-                .map(|r| u64::from(r.stations) * r.kind.lanes() as u64)
-                .sum();
-            (slots / 2).max(8)
-        };
+        // Half the fabric's ring slots. Saturation-induced bridge
+        // deadlock needs at least one ring full plus full escape
+        // buffers, so staying below half the slot count keeps the
+        // fabric out of that regime while still letting throughput
+        // scale with fabric size.
+        let slots: u64 = net
+            .topology()
+            .rings()
+            .iter()
+            .map(|r| u64::from(r.stations) * r.kind.lanes() as u64)
+            .sum();
+        let outstanding_cap = (slots / 2).max(8);
         TxnFabric {
             net,
             cfg,
@@ -331,20 +329,15 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     /// is disabled.
     pub fn dump_postmortem(&self, reason: &str) -> Option<PostmortemBundle> {
         let mut bundle = self.net.dump_postmortem(reason)?;
-        self.attach_exemplars(&mut bundle);
-        self.attach_wedges(&mut bundle);
+        self.attach_txn_context(&mut bundle);
         Some(bundle)
     }
 
-    /// Attach the sink's tail exemplars to an existing bundle — e.g.
-    /// one the network's watchdog latched mid-run, which the network
-    /// froze without transaction-layer context.
-    pub fn attach_exemplars(&self, bundle: &mut PostmortemBundle) {
+    /// Attach the sink's tail exemplars and the latched wedge report,
+    /// if any, to a bundle the network froze without transaction-layer
+    /// context.
+    fn attach_txn_context(&self, bundle: &mut PostmortemBundle) {
         bundle.txn_exemplars = self.span_sink.exemplars().to_vec();
-    }
-
-    /// Attach the latched wedge report, if any, to an existing bundle.
-    pub fn attach_wedges(&self, bundle: &mut PostmortemBundle) {
         if let Some(rep) = self.wedge_report() {
             bundle.wedges = vec![rep.clone()];
         }
@@ -508,7 +501,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     }
 
     fn staging_full(&self, src: NodeId) -> bool {
-        self.ep(src).staged.len() >= self.cfg.max_staged_flits
+        self.ep(src).staged.len() >= MAX_STAGED_FLITS
     }
 
     /// Allocate a packet, record its descriptor, and stage its flits at
@@ -736,7 +729,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                     dst,
                     class,
                     bytes,
-                    n_data: data_flits(bytes, self.cfg.flit_bytes),
+                    n_data: data_flits(bytes),
                 },
                 false,
                 None,
@@ -821,7 +814,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                     dst: child,
                     class: FlitClass::Data,
                     bytes,
-                    n_data: data_flits(bytes, self.cfg.flit_bytes),
+                    n_data: data_flits(bytes),
                 },
                 false,
                 None,
@@ -896,7 +889,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                 dst,
                 class,
                 bytes,
-                n_data: data_flits(bytes, self.cfg.flit_bytes),
+                n_data: data_flits(bytes),
             },
             false,
             None,
@@ -1237,8 +1230,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         else {
             return;
         };
-        self.attach_exemplars(&mut bundle);
-        self.attach_wedges(&mut bundle);
+        self.attach_txn_context(&mut bundle);
         self.forensics
             .as_mut()
             .expect("latched")
@@ -1461,7 +1453,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
                             dst: src,
                             class: FlitClass::Data,
                             bytes,
-                            n_data: data_flits(bytes, self.cfg.flit_bytes),
+                            n_data: data_flits(bytes),
                         },
                         true,
                         Some(packet_id),

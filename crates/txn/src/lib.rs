@@ -62,7 +62,7 @@ mod types;
 
 pub use broadcast::BroadcastTree;
 pub use fabric::TxnFabric;
-pub use packet::{data_flits, split_packets, PacketDesc, PacketKind, StagedFlit};
+pub use packet::{data_flits, split_packets, PacketDesc, PacketKind, StagedFlit, FLIT_BYTES};
 pub use types::{
     AtomicKind, TxnCompletion, TxnConfig, TxnCounters, TxnError, TxnId, TxnKind, TxnOp,
 };
@@ -181,18 +181,15 @@ mod tests {
 
     #[test]
     fn staging_bound_backpressures() {
-        let cfg = TxnConfig {
-            max_staged_flits: 4,
-            ..TxnConfig::default()
-        };
-        let (mut fab, d) = ring_fabric(cfg);
-        // 256-byte posted write = header + 4 data flits > bound once staged.
+        let (mut fab, d) = ring_fabric(TxnConfig::default());
+        // A 256 KiB posted write is 16 packets of header + 256 data
+        // flits: 4 112 staged flits, past the 4 096-flit bound.
         assert!(fab
             .submit(
                 d[0],
                 d[3],
                 TxnOp::Write {
-                    bytes: 256,
+                    bytes: 256 * 1024,
                     posted: true
                 }
             )
@@ -209,17 +206,13 @@ mod tests {
             )
             .unwrap()
             .is_none());
-        assert!(fab.run_until_quiet(100_000));
+        assert!(fab.run_until_quiet(1_000_000));
     }
 
     #[test]
     fn admission_throttle_bounds_outstanding_flits() {
-        let cfg = TxnConfig {
-            max_outstanding_flits: 4,
-            ..TxnConfig::default()
-        };
-        let (mut fab, d) = ring_fabric(cfg);
-        assert_eq!(fab.outstanding_cap(), 4);
+        let (mut fab, d) = ring_fabric(TxnConfig::default());
+        assert_eq!(fab.outstanding_cap(), 12);
         // Two 1 KiB posted writes stage 2 × (1 header + 16 data) flits —
         // far more than the cap allows into the network at once.
         fab.submit(
@@ -251,15 +244,15 @@ mod tests {
             assert!(cycles < 100_000, "throttled fabric wedged");
         }
         assert!(peak > 0, "nothing ever entered the network");
-        assert!(peak <= 4, "admission cap exceeded: peak {peak}");
+        assert!(peak <= 12, "admission cap exceeded: peak {peak}");
         assert_eq!(fab.outstanding(), 0, "all flits accounted for on drain");
         assert_eq!(fab.drain_completions().len(), 2, "writes still complete");
     }
 
     #[test]
     fn auto_admission_cap_derives_from_ring_slots() {
-        // The test ring has 12 stations × 2 lanes = 24 slots; the auto
-        // cap is half that.
+        // The test ring has 12 stations × 2 lanes = 24 slots; the cap
+        // is half that.
         let (fab, _) = ring_fabric(TxnConfig::default());
         assert_eq!(fab.outstanding_cap(), 12);
     }
@@ -584,15 +577,6 @@ mod tests {
     fn zero_window_is_rejected_at_construction() {
         ring_fabric(TxnConfig {
             window: 0,
-            ..TxnConfig::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "max_staged_flits must be at least 1")]
-    fn zero_staging_cap_is_rejected_at_construction() {
-        ring_fabric(TxnConfig {
-            max_staged_flits: 0,
             ..TxnConfig::default()
         });
     }

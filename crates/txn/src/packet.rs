@@ -5,7 +5,7 @@
 //! The layout follows the Tenstorrent Blackhole NoC exemplar: every
 //! packet is one header flit (sequence 0) followed by up to
 //! [`TxnConfig::max_data_flits`] data flits, each carrying up to
-//! [`TxnConfig::flit_bytes`] of payload. A transfer larger than one
+//! [`FLIT_BYTES`] of payload. A transfer larger than one
 //! packet's capacity is split into several packets, all belonging to
 //! the same transaction.
 
@@ -16,11 +16,13 @@ use serde::{Deserialize, Serialize};
 /// Header flit size in bytes, charged to bandwidth accounting.
 const HEADER_BYTES: u32 = 16;
 
+/// Data flit payload capacity in bytes (Blackhole: 64).
+pub const FLIT_BYTES: u32 = 64;
+
 /// Number of data flits needed for `bytes` of payload (0 for an empty
 /// payload — control packets are header-only).
-pub fn data_flits(bytes: u32, flit_bytes: u32) -> u32 {
-    assert!(flit_bytes > 0, "flit_bytes must be positive");
-    bytes.div_ceil(flit_bytes)
+pub fn data_flits(bytes: u32) -> u32 {
+    bytes.div_ceil(FLIT_BYTES)
 }
 
 /// Split a transfer into per-packet byte counts. Always yields at
@@ -78,7 +80,7 @@ pub struct PacketDesc {
     pub class: FlitClass,
     /// Payload bytes (excluding the header flit).
     pub bytes: u32,
-    /// Number of data flits (`data_flits(bytes, flit_bytes)`).
+    /// Number of data flits (`data_flits(bytes)`).
     pub n_data: u32,
 }
 
@@ -107,15 +109,14 @@ impl PacketDesc {
             cfg.max_data_flits
         );
         let (dst, class, bytes) = (self.dst, self.class, self.bytes);
-        let flit_bytes = cfg.flit_bytes;
         (0..=self.n_data as u16).map(move |seq| StagedFlit {
             dst,
             class,
             bytes: match seq {
                 0 => HEADER_BYTES,
                 _ => bytes
-                    .saturating_sub(u32::from(seq - 1) * flit_bytes)
-                    .min(flit_bytes),
+                    .saturating_sub(u32::from(seq - 1) * FLIT_BYTES)
+                    .min(FLIT_BYTES),
             },
             token: PacketToken {
                 packet: packet_id,
@@ -200,11 +201,11 @@ mod tests {
 
     #[test]
     fn data_flit_counts() {
-        assert_eq!(data_flits(0, 64), 0);
-        assert_eq!(data_flits(1, 64), 1);
-        assert_eq!(data_flits(64, 64), 1);
-        assert_eq!(data_flits(65, 64), 2);
-        assert_eq!(data_flits(16 * 1024, 64), 256);
+        assert_eq!(data_flits(0), 0);
+        assert_eq!(data_flits(1), 1);
+        assert_eq!(data_flits(64), 1);
+        assert_eq!(data_flits(65), 2);
+        assert_eq!(data_flits(16 * 1024), 256);
     }
 
     #[test]
@@ -230,7 +231,7 @@ mod tests {
             dst: NodeId(3),
             class: FlitClass::Data,
             bytes: 130,
-            n_data: data_flits(130, c.flit_bytes),
+            n_data: data_flits(130),
         };
         let flits: Vec<_> = desc.flits(42, &c).collect();
         assert_eq!(flits.len(), 4); // header + 3 data (64+64+2)

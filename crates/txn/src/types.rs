@@ -1,6 +1,7 @@
 //! Transaction vocabulary: operations, identifiers, completions,
 //! configuration and the layer's counter block.
 
+use crate::packet::FLIT_BYTES;
 use noc_core::NodeId;
 use noc_sim::Cycle;
 use serde::{Deserialize, Serialize};
@@ -151,7 +152,7 @@ pub enum TxnError {
     /// A broadcast was submitted with no targets besides the root.
     EmptyBroadcast,
     /// A broadcast payload exceeds one packet
-    /// (`flit_bytes * max_data_flits`).
+    /// (`FLIT_BYTES * max_data_flits`).
     BroadcastTooLarge {
         /// Bytes requested.
         bytes: u32,
@@ -178,24 +179,11 @@ impl std::error::Error for TxnError {}
 /// Transaction-layer configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TxnConfig {
-    /// Data flit payload capacity in bytes (Blackhole: 64).
-    pub flit_bytes: u32,
     /// Maximum data flits per packet (Blackhole: 256, i.e. 16 KiB).
     pub max_data_flits: u16,
     /// Per-endpoint cap on in-flight non-posted transactions. A full
     /// window backpressures `submit` into the `Ok(None)` path.
     pub window: usize,
-    /// Per-endpoint cap on flits staged for injection; beyond it,
-    /// `submit` backpressures rather than buffering unboundedly.
-    pub max_staged_flits: usize,
-    /// Fabric-wide admission cap: flits in the network at once (pumped
-    /// but not yet delivered). `0` derives a bound from the topology
-    /// (half the fabric's ring slots). Unbounded injection can wedge a
-    /// multi-ring fabric — saturated rings and full bridge escape
-    /// buffers form a cyclic wait SWAP cannot break — so the
-    /// transaction layer keeps offered load below that regime;
-    /// deflection routing has no escape channels to fall back on.
-    pub max_outstanding_flits: usize,
     /// Sample a transaction-metrics snapshot every this many cycles
     /// (0 disables the observatory hook).
     pub metrics_period: u64,
@@ -216,11 +204,8 @@ pub struct TxnConfig {
 impl Default for TxnConfig {
     fn default() -> Self {
         TxnConfig {
-            flit_bytes: 64,
             max_data_flits: 256,
             window: 8,
-            max_staged_flits: 4096,
-            max_outstanding_flits: 0,
             metrics_period: 0,
             reassembly_slots: 0,
         }
@@ -230,7 +215,7 @@ impl Default for TxnConfig {
 impl TxnConfig {
     /// Largest payload one packet can carry.
     pub fn packet_capacity(&self) -> u32 {
-        self.flit_bytes * u32::from(self.max_data_flits)
+        FLIT_BYTES * u32::from(self.max_data_flits)
     }
 }
 
@@ -362,7 +347,6 @@ mod tests {
     #[test]
     fn default_config_matches_blackhole_shape() {
         let c = TxnConfig::default();
-        assert_eq!(c.flit_bytes, 64);
         assert_eq!(c.max_data_flits, 256);
         assert_eq!(c.packet_capacity(), 16 * 1024);
     }

@@ -18,28 +18,26 @@ pub struct ServerOp {
 
 /// Zipf skew of object popularity (≈0.99 for memcached-like).
 const SKEW: f64 = 0.99;
+/// Cache lines touched per request (object size / line size).
+const LINES_PER_REQUEST: u32 = 4;
+/// Fraction of requests that mutate their object.
+const WRITE_FRAC: f64 = 0.1;
 
 /// Parameters of the server application.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServerAppParams {
     /// Distinct objects in the store.
     pub objects: usize,
-    /// Cache lines touched per request (object size / line size).
-    pub lines_per_request: u32,
-    /// Fraction of requests that mutate their object.
-    pub write_frac: f64,
     /// Mean requests per kilocycle per front-end core.
     pub requests_per_kcycle: f64,
 }
 
 impl Default for ServerAppParams {
-    /// A memcached-flavoured default: 64k objects, skew 0.99, 4-line
-    /// objects, 10% writes.
+    /// A memcached-flavoured default: 64k objects, 20 requests per
+    /// kilocycle.
     fn default() -> Self {
         ServerAppParams {
             objects: 65_536,
-            lines_per_request: 4,
-            write_frac: 0.1,
             requests_per_kcycle: 20.0,
         }
     }
@@ -88,9 +86,9 @@ impl ServerApp {
 
     fn start_request(&mut self) {
         let object = self.zipf.sample(&mut self.rng) as u64;
-        let is_write = self.rng.gen_bool(self.params.write_frac);
-        let base = object * u64::from(self.params.lines_per_request);
-        for i in 0..self.params.lines_per_request {
+        let is_write = self.rng.gen_bool(WRITE_FRAC);
+        let base = object * u64::from(LINES_PER_REQUEST);
+        for i in 0..LINES_PER_REQUEST {
             self.pending.push(ServerOp {
                 line: base + u64::from(i),
                 is_write,
@@ -127,13 +125,12 @@ mod tests {
     fn request_rate_roughly_matches() {
         let params = ServerAppParams {
             requests_per_kcycle: 50.0,
-            lines_per_request: 2,
             ..Default::default()
         };
         let mut app = ServerApp::new(params, 3);
         let ops: usize = (0..100_000).map(|_| app.cycle_ops().len()).sum();
-        // 50 req/kcycle × 100 kcycle × 2 lines = ~10_000 ops.
-        assert!((6_000..14_000).contains(&ops), "ops {ops}");
+        // 50 req/kcycle × 100 kcycle × 4 lines = ~20_000 ops.
+        assert!((12_000..28_000).contains(&ops), "ops {ops}");
     }
 
     #[test]
@@ -158,11 +155,7 @@ mod tests {
 
     #[test]
     fn write_fraction_respected() {
-        let params = ServerAppParams {
-            write_frac: 0.3,
-            ..Default::default()
-        };
-        let mut app = ServerApp::new(params, 9);
+        let mut app = ServerApp::new(ServerAppParams::default(), 9);
         let mut writes = 0u32;
         let mut total = 0u32;
         for _ in 0..200_000 {
@@ -174,13 +167,12 @@ mod tests {
             }
         }
         let frac = f64::from(writes) / f64::from(total);
-        assert!((frac - 0.3).abs() < 0.05, "write frac {frac}");
+        assert!((frac - WRITE_FRAC).abs() < 0.03, "write frac {frac}");
     }
 
     #[test]
     fn requests_touch_consecutive_lines() {
         let params = ServerAppParams {
-            lines_per_request: 4,
             requests_per_kcycle: 1000.0,
             ..Default::default()
         };

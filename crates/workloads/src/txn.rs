@@ -82,7 +82,8 @@ pub struct TxnWorkload {
 impl TxnWorkload {
     /// A workload over `devices` (must hold at least two endpoints).
     /// `flit_bytes`/`max_data_flits` bound sampled burst sizes and
-    /// should match the fabric's `TxnConfig`.
+    /// should match the fabric's (`noc_txn::FLIT_BYTES` and
+    /// `TxnConfig::max_data_flits`).
     ///
     /// # Panics
     ///

@@ -9,7 +9,7 @@
 
 use noc_chi::{LineAddr, ReadKind};
 use noc_server_cpu::experiments::{coherence_ping, lines_homed_at, PreparedState};
-use noc_server_cpu::soc::IOD_COUNT;
+use noc_server_cpu::soc::{CCD_COUNT, IOD_COUNT};
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,8 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "building Server-CPU: {} cores in {} clusters over {} compute dies + {} I/O dies",
         cfg.cores(),
-        cfg.ccd_count * cfg.clusters_per_ccd,
-        cfg.ccd_count,
+        CCD_COUNT * cfg.clusters_per_ccd,
+        CCD_COUNT,
         IOD_COUNT
     );
     let mut server = ServerCpu::build(cfg)?;

@@ -1,12 +1,15 @@
 //! Generate fabrics instead of hand-wiring them: the `topogen` layer
 //! turns a handful of parameters into a validated `SocSpec`. This
 //! example builds a 4×4 chiplet torus (the paper's grid-of-dies shape
-//! with wrap-around links), drives uniform traffic across it, and
-//! renders a deflection heatmap — then assembles a hierarchical-ring
-//! SoC (local rings joined by a global ring over RBRG-L2 bridges) and
-//! shows a cross-cluster flit paying exactly two ring changes.
+//! with wrap-around links), drives hotspot traffic across it (70 % of
+//! flits to one device, at 0.2 flit per device per cycle), drains it —
+//! this load wedges the fabric, and the example prints what holds it —
+//! and renders a deflection heatmap; then it assembles a
+//! hierarchical-ring SoC (local rings joined by a global ring over
+//! RBRG-L2 bridges) and shows a cross-cluster flit paying exactly two
+//! ring changes.
 
-use noc_core::drive::{drain, OpenLoop};
+use noc_core::drive::{drain, OpenLoop, Verdict};
 use noc_core::render::{ascii_heatmap, summary};
 use noc_core::spec::devices_by_name;
 use noc_core::topogen::{GridParams, HierRingParams};
@@ -56,15 +59,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
     println!("torus drain verdict: {verdict:?}");
 
-    let s = net.stats();
-    println!(
-        "torus after drain: {} delivered, mean latency {:.1} cycles, \
-         {} bridge crossings, {} deflections\n",
-        s.delivered.get(),
-        s.mean_total_latency(),
-        s.bridge_crossings.get(),
-        s.deflections.get()
-    );
+    if let Verdict::Wedged(_) = verdict {
+        println!("the torus fabric wedged:\n{}", net.stall_report());
+    } else {
+        let s = net.stats();
+        println!(
+            "torus after drain: {} delivered, mean latency {:.1} cycles, \
+             {} bridge crossings, {} deflections\n",
+            s.delivered.get(),
+            s.mean_total_latency(),
+            s.bridge_crossings.get(),
+            s.deflections.get()
+        );
+    }
     println!(
         "{}",
         ascii_heatmap(net.topology(), "torus deflections", &net.deflection_cells())

@@ -43,10 +43,6 @@ fn build(ring_stations: u16, rn_per_die: usize) -> (CoherentSystem, Vec<NodeId>)
             memories: vec![sn0, sn1],
             mem_params: MemoryParams::ddr4(),
             llc: LlcParams::default(),
-            line_bytes: 64,
-            local_hit_latency: 10,
-            hn_latency: 12,
-            snoop_latency: 6,
         },
     );
     (sys, rns)

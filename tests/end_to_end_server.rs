@@ -3,6 +3,7 @@
 
 use noc_chi::drive::{settle, Verdict::Drained};
 use noc_chi::{CoherentSystem, Completion, LineAddr, MesiState, ReadKind, TxnId};
+use noc_server_cpu::soc::CCD_COUNT;
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 use noc_sim::SimRng;
 use std::collections::BTreeSet;
@@ -123,7 +124,7 @@ fn four_package_system_stays_coherent() {
         ..Default::default()
     })
     .expect("4P builds");
-    let per_pkg = 2 * 2; // ccd_count × clusters_per_ccd
+    let per_pkg = CCD_COUNT * 2; // × clusters_per_ccd
     let addr = LineAddr(0xBEEF);
     let lines = BTreeSet::from([addr.0]);
     // A writer in package 0, readers in packages 1..4.
@@ -188,7 +189,6 @@ fn zipfian_server_application_runs_coherently() {
                 ServerAppParams {
                     objects: 512,
                     requests_per_kcycle: 40.0,
-                    ..Default::default()
                 },
                 i as u64 + 1,
             )

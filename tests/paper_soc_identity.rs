@@ -24,6 +24,7 @@
 
 use noc_ai::{AiConfig, AiProcessor};
 use noc_core::{Network, NodeId, RingId};
+use noc_server_cpu::soc::CCD_COUNT;
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -94,7 +95,7 @@ fn digests(net: &Network, map: &[(&str, &[NodeId])], extra: &str) -> [u64; 5] {
 fn server(cfg: ServerCpuConfig) -> [u64; 5] {
     let s = ServerCpu::build(cfg).expect("Server-CPU builds");
     let m = &s.map;
-    let extra = format!("{} {}", m.clusters_per_ccd, m.ccd_count);
+    let extra = format!("{} {}", m.clusters_per_ccd, CCD_COUNT);
     digests(
         s.sys.network(),
         &[

@@ -152,10 +152,6 @@ fn chi_txn_run(seed: u64) -> (u64, u64, u64) {
             memories: map.ddrs.clone(),
             mem_params: cfg.mem_params,
             llc: cfg.llc,
-            line_bytes: 64,
-            local_hit_latency: 10,
-            hn_latency: 12,
-            snoop_latency: 6,
         },
     );
     let (n, stream) = chi_run(&mut sys, &map.clusters, seed, TxnFabric::quiet);

@@ -26,7 +26,8 @@ use noc_server_cpu::experiments::{lines_homed_at, PreparedState};
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 use zero_load_model::ZeroLoad;
 
-/// The Server-CPU's `SystemSpec::hn_latency` and `snoop_latency`.
+/// The coherent system's home-node and snoop pipeline latencies
+/// (`noc-chi`'s `HN_LATENCY` and `SNOOP_LATENCY`).
 const HN_LATENCY: u64 = 12;
 const SNOOP_LATENCY: u64 = 6;
 /// Issue to enqueue: the outbox is flushed on the next tick.

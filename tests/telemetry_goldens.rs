@@ -140,10 +140,7 @@ fn run(case: &Case) -> Digest {
         },
         SpanCollector::new(64, 8),
     );
-    fab.enable_forensics(WaitGraphConfig {
-        max_samples: 4096,
-        ..WaitGraphConfig::default()
-    });
+    fab.enable_forensics(WaitGraphConfig { max_samples: 4096 });
 
     let wl = TxnWorkload::new(
         devs,

@@ -22,10 +22,6 @@ fn spec(rns: Vec<NodeId>, hns: Vec<NodeId>, sns: Vec<NodeId>) -> SystemSpec {
         memories: sns,
         mem_params: MemoryParams::ddr4(),
         llc: LlcParams::default(),
-        line_bytes: 64,
-        local_hit_latency: 10,
-        hn_latency: 12,
-        snoop_latency: 6,
     }
 }
 
@@ -132,10 +128,7 @@ fn ring_parts() -> (Network, SystemSpec) {
 }
 
 fn mesh_system() -> (CoherentSystem<BufferedMesh>, Vec<NodeId>) {
-    let mesh = BufferedMesh::new(MeshConfig {
-        k: 3,
-        ..Default::default()
-    });
+    let mesh = BufferedMesh::new(MeshConfig { k: 3 });
     let rns: Vec<NodeId> = (0..RNS as u32).map(NodeId).collect();
     let hns = vec![NodeId(4), NodeId(5)];
     let sns = vec![NodeId(6), NodeId(7)];
@@ -147,7 +140,6 @@ fn hub_system() -> (CoherentSystem<HubSpoke>, Vec<NodeId>) {
     let hub = HubSpoke::new(HubConfig {
         chiplets: 3,
         per_chiplet: 4,
-        ..Default::default()
     });
     let rns: Vec<NodeId> = (0..RNS as u32).map(NodeId).collect();
     let hns = vec![NodeId(4), NodeId(5)];

@@ -23,10 +23,7 @@ const TXNS_PER_SEED: usize = 24;
 /// samples retained, so the comparison covers a run's whole graph
 /// stream rather than the default 32-sample tail.
 fn forensics() -> WaitGraphConfig {
-    WaitGraphConfig {
-        max_samples: 4096,
-        ..WaitGraphConfig::default()
-    }
+    WaitGraphConfig { max_samples: 4096 }
 }
 
 /// The forensics surface of one run, all pre-serialized: comparing
@@ -60,7 +57,6 @@ fn txn_cfg() -> TxnConfig {
         max_data_flits: 32,
         metrics_period: 16,
         reassembly_slots: 1, // the credit path must itself be lockstep
-        ..TxnConfig::default()
     }
 }
 
