@@ -73,7 +73,7 @@ use crate::slab::FlitSlab;
 use crate::stats::{DeliveryHists, NetStats, RingCounters, TickProfile};
 use crate::topology::{NodeKind, Topology};
 use noc_sim::{BandwidthProbe, Cycle};
-use noc_telemetry::{FlitEvent, NullSink, TraceRecord, TraceSink, NO_FLIT, NO_LANE};
+use noc_telemetry::{FlitEvent, NullSink, TraceSink, NO_FLIT, NO_LANE};
 
 /// When a tracing sink is attached, every ring's occupancy is sampled
 /// ([`FlitEvent::RingUtil`]) once per this many cycles. Irrelevant for
@@ -341,17 +341,13 @@ impl<S: TraceSink> Network<S> {
         };
         self.next_flit_id += 1;
         if S::ENABLED {
-            self.sink.emit(TraceRecord {
-                cycle: self.now.raw(),
-                flit: id,
-                ring: loc.ring,
-                station,
-                lane: NO_LANE,
-                event: FlitEvent::Enqueued {
-                    node: src.0,
-                    class: class.index() as u8,
-                },
-            });
+            let event = FlitEvent::Enqueued {
+                node: src.0,
+                class: class.index() as u8,
+            };
+            let shard = &self.shards[loc.ring as usize];
+            let record = shard.record(self.now.raw(), id, station, NO_LANE, event);
+            self.sink.emit(record);
         }
         Ok(id)
     }
@@ -570,17 +566,12 @@ impl<S: TraceSink> Network<S> {
         let cycle = self.now.raw();
         if cycle.is_multiple_of(UTIL_SAMPLE_PERIOD) {
             for shard in &self.shards {
-                self.sink.emit(TraceRecord {
-                    cycle,
-                    flit: NO_FLIT,
-                    ring: shard.ring.id.0,
-                    station: 0,
-                    lane: NO_LANE,
-                    event: FlitEvent::RingUtil {
-                        occupied: shard.ring.occupancy() as u16,
-                        capacity: shard.ring.capacity() as u16,
-                    },
-                });
+                let event = FlitEvent::RingUtil {
+                    occupied: shard.ring.occupancy() as u16,
+                    capacity: shard.ring.capacity() as u16,
+                };
+                self.sink
+                    .emit(shard.record(cycle, NO_FLIT, 0, NO_LANE, event));
             }
         }
     }

@@ -30,7 +30,7 @@ use noc_telemetry::{
     merge_ranked, BridgeGauges, BundleEnv, BundleMeta, FlightRecorder, FlowDelta, FlowRecord,
     FlowTable, HealthConfig, HealthMonitor, MetricsRegistry, PostmortemBundle, RecorderConfig,
     RecorderView, ResourceId, RingGauges, RingWindow, TraceSink, WaitEdge, WaitGraphSample,
-    WaitNode, WaitStats, WindowCounters,
+    WaitNode, WaitStats, WindowCounters, FLOW_TOP_K, MAX_BUNDLES, SERIES_WINDOW,
 };
 
 /// Online observability state: the snapshot registry, the watchdog
@@ -45,8 +45,7 @@ pub(crate) struct Observatory {
     /// The flight recorder's event ring and limits; `None` unless it
     /// was enabled. Its snapshot window is the tail of `registry`.
     pub recorder: Option<FlightRecorder>,
-    /// Watchdog-triggered bundles, capped at
-    /// [`RecorderConfig::max_bundles`]. Explicit
+    /// Watchdog-triggered bundles, capped at [`MAX_BUNDLES`]. Explicit
     /// [`Network::dump_postmortem`] calls are not stored here.
     bundles: Vec<PostmortemBundle>,
     /// Gauges of the most recent wait-graph sample fed through
@@ -87,7 +86,8 @@ struct RingObs {
 impl RingObs {
     /// A fresh record for `shard`: the window base at its current
     /// counters (so the first window excludes earlier history) and a
-    /// flow table of capacity `flow_top_k`.
+    /// flow table of capacity `flow_top_k` (0 while flow accounting is
+    /// off).
     fn new(shard: &RingShard, flow_top_k: usize) -> Self {
         RingObs {
             metrics_base: counters_now(shard),
@@ -336,9 +336,11 @@ impl<S: TraceSink> Network<S> {
     /// order.
     ///
     /// Counters observed before this call are excluded from the
-    /// windows; enabling mid-run starts a fresh series. Replaces any
-    /// earlier observatory, flight recorder and flow accounting
-    /// included.
+    /// windows; enabling mid-run starts a fresh series. The registry
+    /// keeps the newest [`SERIES_WINDOW`] snapshots; read the whole
+    /// series through [`MetricsRegistry::since`] as it is committed.
+    /// Replaces any earlier observatory, flight recorder and flow
+    /// accounting included.
     ///
     /// # Panics
     ///
@@ -355,13 +357,13 @@ impl<S: TraceSink> Network<S> {
     /// registry form the recorder's history, (when a tracing sink is
     /// attached) trace events are retained in its bounded event ring,
     /// and any watchdog latching a new verdict captures a
-    /// [`PostmortemBundle`] — up to [`RecorderConfig::max_bundles`],
-    /// readable via [`Network::bundles`].
+    /// [`PostmortemBundle`] — up to [`MAX_BUNDLES`], readable via
+    /// [`Network::bundles`].
     ///
     /// The registry itself then keeps only that window: exactly the
-    /// newest max(R, 1) snapshots, however long the run. Read the whole series through
-    /// [`MetricsRegistry::since`] as it is committed, and the commit
-    /// count through [`MetricsRegistry::committed`].
+    /// newest max(R, 1) snapshots, however long the run. Read the whole
+    /// series through [`MetricsRegistry::since`] as it is committed,
+    /// and the commit count through [`MetricsRegistry::committed`].
     ///
     /// # Panics
     ///
@@ -384,17 +386,16 @@ impl<S: TraceSink> Network<S> {
         health: HealthConfig,
         recorder: Option<RecorderConfig>,
     ) {
-        let k = recorder.as_ref().map_or(0, |r| r.flow_top_k);
-        let mut registry = MetricsRegistry::new(period);
-        if let Some(r) = &recorder {
-            registry.retain_last(r.snapshot_window);
-        }
+        let k = if recorder.is_some() { FLOW_TOP_K } else { 0 };
+        let keep = recorder
+            .as_ref()
+            .map_or(SERIES_WINDOW, |r| r.snapshot_window);
         for shard in &mut self.shards {
             shard.flow_on = k != 0;
             shard.flow_buf.clear();
         }
         self.observatory = Some(Observatory {
-            registry,
+            registry: MetricsRegistry::new(period, keep),
             monitor: HealthMonitor::new(health),
             recorder: recorder.map(FlightRecorder::new),
             bundles: Vec::new(),
@@ -458,14 +459,14 @@ impl<S: TraceSink> Network<S> {
     /// per-link heat, every verdict so far, and the config needed for
     /// replay. Returns `None` when the observatory is
     /// disabled. Explicit dumps are not stored in [`Network::bundles`]
-    /// and not counted against [`RecorderConfig::max_bundles`]; unlike
+    /// and not counted against [`MAX_BUNDLES`]; unlike
     /// watchdog captures they do not force a charge sweep, so in-flight
     /// deflection attribution may lag by up to
     /// 8 windows (`CHARGE_STRIDE`).
     pub fn dump_postmortem(&self, reason: &str) -> Option<PostmortemBundle> {
         let obs = self.observatory.as_ref()?;
         let rec = self.recorder();
-        let flow_top_k = rec.map_or(0, |r| r.config().flow_top_k);
+        let flow_top_k = if rec.is_some() { FLOW_TOP_K } else { 0 };
         Some(PostmortemBundle {
             meta: BundleMeta {
                 reason: reason.to_string(),
@@ -493,9 +494,9 @@ impl<S: TraceSink> Network<S> {
         })
     }
 
-    /// The snapshot registry, if the observatory is enabled: the whole
-    /// series, or with the flight recorder attached only its window
-    /// (see [`Network::enable_flight_recorder`]).
+    /// The snapshot registry, if the observatory is enabled: the newest
+    /// [`SERIES_WINDOW`] snapshots, or with the flight recorder attached
+    /// its window (see [`Network::enable_flight_recorder`]).
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.observatory.as_ref().map(|o| &o.registry)
     }
@@ -730,11 +731,7 @@ impl<S: TraceSink> Network<S> {
     /// network may never deliver (so only sweeps see it).
     fn capture_on_verdict(&mut self, reason: &str, cycle: u64) {
         let obs = self.observatory.as_mut().expect("caller checked");
-        let room = obs
-            .recorder
-            .as_ref()
-            .is_some_and(|r| obs.bundles.len() < r.config().max_bundles);
-        if !room {
+        if obs.recorder.is_none() || obs.bundles.len() >= MAX_BUNDLES {
             return;
         }
         obs.charge_all(&mut self.shards, &mut self.slab);

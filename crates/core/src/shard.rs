@@ -333,6 +333,28 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
 }
 
 impl RingShard {
+    /// A trace record of `event` at `station` on this ring. Every call
+    /// sits behind a `TRACE` (or `S::ENABLED`) gate, so with tracing
+    /// off the record is never built.
+    #[inline]
+    pub(crate) fn record(
+        &self,
+        cycle: u64,
+        flit: u64,
+        station: u16,
+        lane: u8,
+        event: FlitEvent,
+    ) -> TraceRecord {
+        TraceRecord {
+            cycle,
+            flit,
+            ring: self.ring.id.0,
+            station,
+            lane,
+            event,
+        }
+    }
+
     // ------------------------------------------------------------------
     // Head-intent cache
     // ------------------------------------------------------------------
@@ -467,16 +489,10 @@ impl RingShard {
                     // Matured flit held in the pipeline by a full
                     // endpoint Inject Queue: backpressure.
                     let fid = inbound.fifo.front().map_or(NO_FLIT, |&(_, f)| slab[f].id);
-                    let record = TraceRecord {
-                        cycle: nraw,
-                        flit: fid,
-                        ring: self.ring.id.0,
-                        station: self.nodes[ep].station,
-                        lane: NO_LANE,
-                        event: FlitEvent::BridgeStalled {
-                            bridge: self.sides[si].bridge.index() as u16,
-                        },
-                    };
+                    let bridge = self.sides[si].bridge.index() as u16;
+                    let station = self.nodes[ep].station;
+                    let event = FlitEvent::BridgeStalled { bridge };
+                    let record = self.record(nraw, fid, station, NO_LANE, event);
                     self.trace.push(record);
                 }
                 break;
@@ -639,16 +655,10 @@ impl RingShard {
             body.injected_at = Some(now);
             self.counters.injected += 1;
             if TRACE {
-                let record = TraceRecord {
-                    cycle: now.raw(),
-                    flit: body.id,
-                    ring: self.ring.id.0,
-                    station,
-                    lane: NO_LANE,
-                    event: FlitEvent::Injected {
-                        node: self.nodes[i].id.0,
-                    },
+                let event = FlitEvent::Injected {
+                    node: self.nodes[i].id.0,
                 };
+                let record = self.record(now.raw(), body.id, station, NO_LANE, event);
                 self.trace.push(record);
             }
             self.finish_arrival::<TRACE>(slab, hists, now, t, flit, NO_LANE);
@@ -691,14 +701,8 @@ impl RingShard {
                     if want.intent == wants_lane {
                         if TRACE {
                             let fid = slab[*self.nodes[o].inject.peek().expect("head checked")].id;
-                            let record = TraceRecord {
-                                cycle: now.raw(),
-                                flit: fid,
-                                ring: ring_id.0,
-                                station: s,
-                                lane: li as u8,
-                                event: FlitEvent::ITagClaimed { node: owner.0 },
-                            };
+                            let event = FlitEvent::ITagClaimed { node: owner.0 };
+                            let record = self.record(now.raw(), fid, s, li as u8, event);
                             self.trace.push(record);
                         }
                         self.inject_head::<TRACE>(shared, slab, now, o, li, s);
@@ -755,16 +759,10 @@ impl RingShard {
             self.counters.inject_losses += 1;
             if TRACE {
                 let fid = slab[*self.nodes[ni].inject.peek().expect("head checked")].id;
-                let record = TraceRecord {
-                    cycle: now.raw(),
-                    flit: fid,
-                    ring: ring_id.0,
-                    station: s,
-                    lane: li as u8,
-                    event: FlitEvent::InjectLost {
-                        node: self.nodes[ni].id.0,
-                    },
+                let event = FlitEvent::InjectLost {
+                    node: self.nodes[ni].id.0,
                 };
+                let record = self.record(now.raw(), fid, s, li as u8, event);
                 self.trace.push(record);
             }
             if self.nodes[ni].starve >= shared.cfg.itag_threshold
@@ -777,16 +775,10 @@ impl RingShard {
                 self.counters.itags_placed += 1;
                 if TRACE {
                     let fid = slab[*self.nodes[ni].inject.peek().expect("head checked")].id;
-                    let record = TraceRecord {
-                        cycle: now.raw(),
-                        flit: fid,
-                        ring: ring_id.0,
-                        station: s,
-                        lane: li as u8,
-                        event: FlitEvent::ITagSet {
-                            node: self.nodes[ni].id.0,
-                        },
+                    let event = FlitEvent::ITagSet {
+                        node: self.nodes[ni].id.0,
                     };
+                    let record = self.record(now.raw(), fid, s, li as u8, event);
                     self.trace.push(record);
                 }
             }
@@ -814,16 +806,10 @@ impl RingShard {
             body.injected_at = Some(now);
             self.counters.injected += 1;
             if TRACE {
-                let record = TraceRecord {
-                    cycle: now.raw(),
-                    flit: body.id,
-                    ring: self.ring.id.0,
-                    station: s,
-                    lane: li as u8,
-                    event: FlitEvent::Injected {
-                        node: self.nodes[ni].id.0,
-                    },
+                let event = FlitEvent::Injected {
+                    node: self.nodes[ni].id.0,
                 };
+                let record = self.record(now.raw(), body.id, s, li as u8, event);
                 self.trace.push(record);
             }
         }
@@ -898,14 +884,8 @@ impl RingShard {
                 self.nodes[t].eject.push(flit).expect("space just vacated");
                 self.progress_at = now.raw();
                 if TRACE {
-                    let record = TraceRecord {
-                        cycle: now.raw(),
-                        flit: fid,
-                        ring: self.ring.id.0,
-                        station: s,
-                        lane: li as u8,
-                        event: FlitEvent::Ejected { node: target.0 },
-                    };
+                    let event = FlitEvent::Ejected { node: target.0 };
+                    let record = self.record(now.raw(), fid, s, li as u8, event);
                     self.trace.push(record);
                 }
                 // …and, in SWAP mode, swap the Inject Queue head onto
@@ -919,14 +899,8 @@ impl RingShard {
                     self.inject_head::<TRACE>(shared, slab, now, t, li, s);
                     self.counters.swaps += 1;
                     if TRACE {
-                        let record = TraceRecord {
-                            cycle: now.raw(),
-                            flit: fid,
-                            ring: self.ring.id.0,
-                            station: s,
-                            lane: li as u8,
-                            event: FlitEvent::SwapTriggered { node: target.0 },
-                        };
+                        let event = FlitEvent::SwapTriggered { node: target.0 };
+                        let record = self.record(now.raw(), fid, s, li as u8, event);
                         self.trace.push(record);
                     }
                 }
@@ -941,14 +915,8 @@ impl RingShard {
             self.nodes[t].etag_list.push_back(fid);
             self.counters.etags_placed += 1;
             if TRACE {
-                let record = TraceRecord {
-                    cycle: now.raw(),
-                    flit: fid,
-                    ring: self.ring.id.0,
-                    station: s,
-                    lane: li as u8,
-                    event: FlitEvent::ETagReserved { target: target.0 },
-                };
+                let event = FlitEvent::ETagReserved { target: target.0 };
+                let record = self.record(now.raw(), fid, s, li as u8, event);
                 self.trace.push(record);
             }
         }
@@ -968,14 +936,8 @@ impl RingShard {
         self.counters.deflections += 1;
         self.nodes[t].deflected_here += 1;
         if TRACE {
-            let record = TraceRecord {
-                cycle: now.raw(),
-                flit: fid,
-                ring: self.ring.id.0,
-                station: s,
-                lane: li as u8,
-                event: FlitEvent::Deflected { target: target.0 },
-            };
+            let event = FlitEvent::Deflected { target: target.0 };
+            let record = self.record(now.raw(), fid, s, li as u8, event);
             self.trace.push(record);
         }
         // Back into the slot it came from: one lap to the next try.
@@ -1028,30 +990,14 @@ impl RingShard {
             }
         }
         if TRACE {
-            let (ring, station) = (self.ring.id.0, self.nodes[t].station);
-            let cycle = now.raw();
-            self.trace.push(TraceRecord {
-                cycle,
-                flit: body.id,
-                ring,
-                station,
-                lane,
-                event: FlitEvent::Ejected {
-                    node: self.nodes[t].id.0,
-                },
-            });
+            let (cycle, station, node) = (now.raw(), self.nodes[t].station, self.nodes[t].id.0);
+            let record = self.record(cycle, body.id, station, lane, FlitEvent::Ejected { node });
+            self.trace.push(record);
             if is_device {
-                self.trace.push(TraceRecord {
-                    cycle,
-                    flit: body.id,
-                    ring,
-                    station,
-                    lane,
-                    event: FlitEvent::Delivered {
-                        node: self.nodes[t].id.0,
-                        class: body.class.index() as u8,
-                    },
-                });
+                let class = body.class.index() as u8;
+                let event = FlitEvent::Delivered { node, class };
+                let record = self.record(cycle, body.id, station, lane, event);
+                self.trace.push(record);
             }
         }
         match self.nodes[t].side {
@@ -1109,7 +1055,11 @@ impl RingShard {
             };
             slab[flit].ring_changes += 1;
             if TRACE {
-                self.push_bridge_enqueued(nraw, si, ep, slab[flit].id);
+                let bridge = self.sides[si].bridge.index() as u16;
+                let event = FlitEvent::BridgeEnqueued { bridge };
+                let station = self.nodes[ep].station;
+                let record = self.record(nraw, slab[flit].id, station, NO_LANE, event);
+                self.trace.push(record);
             }
             bridges.push(e, ready, flit);
             moved += 1;
@@ -1121,20 +1071,6 @@ impl RingShard {
         if bridges.escapes[e].reserved.is_empty() && self.nodes[ep].eject.is_empty() {
             self.intake.clear(si);
         }
-    }
-
-    /// Record a flit entering the bridge pipeline at endpoint `ep`.
-    fn push_bridge_enqueued(&mut self, cycle: u64, si: usize, ep: usize, flit: u64) {
-        self.trace.push(TraceRecord {
-            cycle,
-            flit,
-            ring: self.ring.id.0,
-            station: self.nodes[ep].station,
-            lane: NO_LANE,
-            event: FlitEvent::BridgeEnqueued {
-                bridge: self.sides[si].bridge.index() as u16,
-            },
-        });
     }
 
     /// Enter/exit deadlock resolution mode on the sides under DRM

@@ -116,7 +116,13 @@ pub fn random_case(seed: u64) -> (Topology, Vec<NodeId>, NetworkConfig, u64) {
 /// device sends with probability 1/(2..=4) a flit of a random class and
 /// size to a random other device, mail popped every 1–4 cycles; then a
 /// [`drain`] of up to 10 000 cycles, mail popped every cycle.
-pub fn drive_mixed<S: TraceSink>(net: &mut Network<S>, devices: &[NodeId], seed: u64) {
+/// `after_tick` runs after every tick, once the mail is popped.
+pub fn drive_mixed<S: TraceSink>(
+    net: &mut Network<S>,
+    devices: &[NodeId],
+    seed: u64,
+    mut after_tick: impl FnMut(&Network<S>),
+) {
     let mut rng = Rng(seed);
     let cycles = 200 + rng.below(100);
     let drain_period = 1 + rng.below(4);
@@ -147,9 +153,11 @@ pub fn drive_mixed<S: TraceSink>(net: &mut Network<S>, devices: &[NodeId], seed:
         if cycle % drain_period == 0 {
             pop_all(net);
         }
+        after_tick(net);
     }
     drain(net, 10_000, |net| {
         pop_all(net);
+        after_tick(net);
         Ok(())
     })
     .expect("popping never fails");
@@ -221,10 +229,10 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// A network's snapshot series read as it is committed: each
 /// [`SnapshotStream::read`] appends, as JSONL, what the registry
-/// committed since the previous read. With a flight recorder attached
-/// the registry keeps only the recorder's window, so a suite that
-/// compares the whole series reads it this way after every tick or
-/// epoch; the bytes equal `snapshots_jsonl` of the full series.
+/// committed since the previous read. The registry keeps only its
+/// window (the flight recorder's, or `SERIES_WINDOW` without one), so a
+/// suite that compares the whole series reads it this way after every
+/// tick or epoch; the bytes equal `snapshots_jsonl` of the full series.
 #[derive(Debug, Default)]
 pub struct SnapshotStream {
     pub jsonl: String,

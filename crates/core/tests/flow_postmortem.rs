@@ -26,11 +26,10 @@ fn run_recorded(
         HealthConfig::default(),
         RecorderConfig {
             snapshot_window: 8,
-            flow_top_k: 8,
             ..RecorderConfig::default()
         },
     );
-    drive_mixed(&mut net, devices, traffic_seed);
+    drive_mixed(&mut net, devices, traffic_seed, |_| {});
     net.finish_metrics();
     net
 }
@@ -105,14 +104,7 @@ fn wedged_ejection_crit_captures_one_bundle_naming_the_stalled_flow() {
             ..NetworkConfig::default()
         },
     );
-    net.enable_flight_recorder(
-        32,
-        HealthConfig::default(),
-        RecorderConfig {
-            max_bundles: 1,
-            ..RecorderConfig::default()
-        },
-    );
+    net.enable_flight_recorder(32, HealthConfig::default(), RecorderConfig::default());
     // More flits than the eject queue holds; never pop a single one.
     for token in 0..8u64 {
         while net

@@ -1,7 +1,9 @@
 //! Observatory correctness: the online metrics snapshot stream must be
 //! (a) exact — window counter deltas sum to the run's `NetStats`
 //! totals, counter for counter — and (b) deterministic — byte-identical
-//! JSONL across two fresh runs.
+//! JSONL across two fresh runs. The registry keeps only its window, so
+//! the stream is read as it is committed, through `since` after every
+//! tick.
 //!
 //! Plus the watchdog regression pair: the liveness rule must fire when
 //! ejection is artificially wedged, and must stay silent on workloads
@@ -10,7 +12,7 @@
 mod common;
 
 use common::{drive_mixed, random_case, random_topology, Rng};
-use noc_core::telemetry::{snapshots_jsonl, HealthRule, WindowCounters};
+use noc_core::telemetry::{snapshots_jsonl, HealthRule, MetricsSnapshot, WindowCounters};
 use noc_core::{
     FlitClass, NetStats, Network, NetworkConfig, NodeId, RingKind, Topology, TopologyBuilder,
 };
@@ -18,18 +20,26 @@ use noc_core::{
 const SAMPLE_PERIOD: u64 = 32;
 
 /// Drive one observatory-enabled network to full drain with a
-/// deterministic traffic pattern, finishing the metrics series.
+/// deterministic traffic pattern, finishing the metrics series; the
+/// network and every snapshot it committed, read after every tick.
 fn run_observed(
     topo: Topology,
     cfg: NetworkConfig,
     devices: &[NodeId],
     traffic_seed: u64,
-) -> Network {
+) -> (Network, Vec<MetricsSnapshot>) {
     let mut net = Network::new(topo, cfg);
     net.enable_metrics(SAMPLE_PERIOD);
-    drive_mixed(&mut net, devices, traffic_seed);
+    let mut series = Vec::new();
+    let mut read = |net: &Network| {
+        let reg = net.metrics().expect("observatory enabled");
+        let fresh = reg.since(series.len() as u64).expect("read every tick");
+        series.extend_from_slice(fresh);
+    };
+    drive_mixed(&mut net, devices, traffic_seed, &mut read);
     net.finish_metrics();
-    net
+    read(&net);
+    (net, series)
 }
 
 /// `NetStats` counters in `WindowCounters` shape, so reconciliation can
@@ -52,11 +62,12 @@ fn stats_as_counters(s: &NetStats) -> WindowCounters {
 
 /// Window sums must equal `NetStats` exactly: nothing sampled twice,
 /// nothing dropped between windows.
-fn reconcile(net: &Network, ctx: &str) {
+fn reconcile(net: &Network, series: &[MetricsSnapshot], ctx: &str) {
     let reg = net.metrics().expect("observatory enabled");
-    assert!(!reg.is_empty(), "{ctx}: no snapshots committed");
+    assert!(!series.is_empty(), "{ctx}: no snapshots committed");
+    assert_eq!(series.len() as u64, reg.committed(), "{ctx}: stream length");
     let mut acc = WindowCounters::default();
-    for snap in reg.snapshots() {
+    for snap in series {
         acc.add(&snap.totals);
         // Per-snapshot internal consistency: ring shares sum to totals.
         let mut ring_sum = WindowCounters::default();
@@ -87,13 +98,13 @@ fn snapshots_reconcile_and_are_byte_identical_across_modes_on_20_seeds() {
         let mut baseline: Option<(String, Vec<u64>)> = None;
         for run in 0..2 {
             let ctx = format!("seed {seed} run {run}");
-            let net = run_observed(topo.clone(), cfg.clone(), &devices, traffic_seed);
+            let (net, series) = run_observed(topo.clone(), cfg.clone(), &devices, traffic_seed);
             assert!(
                 net.stats().delivered.get() > 0,
                 "{ctx}: nothing was delivered"
             );
-            reconcile(&net, &ctx);
-            let jsonl = snapshots_jsonl(net.metrics().expect("enabled").snapshots());
+            reconcile(&net, &series, &ctx);
+            let jsonl = snapshots_jsonl(&series);
             let fp = net.stats().fingerprint();
             match &baseline {
                 None => baseline = Some((jsonl, fp)),
@@ -166,7 +177,7 @@ fn liveness_never_fires_on_draining_workloads() {
         let (topo, devices) = random_topology(&mut rng);
         let cfg = NetworkConfig::default();
         let traffic_seed = rng.next();
-        let net = run_observed(topo, cfg, &devices, traffic_seed);
+        let (net, _) = run_observed(topo, cfg, &devices, traffic_seed);
         if net.in_flight() > 0 {
             continue; // rare wedged seed: not a liveness false positive
         }

@@ -24,7 +24,7 @@ fn run_traced(
     // Small record buffer on purpose: reconciliation uses the never-
     // dropping EventCounts, not the bounded record ring.
     let mut net = Network::with_sink(topo, cfg, RingBufferSink::new(512));
-    drive_mixed(&mut net, devices, traffic_seed);
+    drive_mixed(&mut net, devices, traffic_seed, |_| {});
     net
 }
 

@@ -46,7 +46,6 @@ fn run_recorded(topo: Topology, devices: &[NodeId], traffic_seed: u64) -> (Netwo
         HealthConfig::default(),
         RecorderConfig {
             snapshot_window: 8,
-            flow_top_k: 8,
             ..RecorderConfig::default()
         },
     );
@@ -156,7 +155,6 @@ fn run_recorded_epoch(
         HealthConfig::default(),
         RecorderConfig {
             snapshot_window: 8,
-            flow_top_k: 8,
             ..RecorderConfig::default()
         },
     );

@@ -1,16 +1,17 @@
-//! Machine-readable exports of the observatory's snapshot stream.
+//! Machine-readable exports of the observatory's series.
 //!
-//! Two formats, both derived from the same deterministic
-//! [`MetricsSnapshot`] series:
+//! Two formats:
 //!
-//! * **JSONL** ([`snapshots_jsonl`]) — one JSON object per snapshot,
-//!   one per line, for offline time-series analysis. Byte-identical
-//!   run to run because the snapshots are.
+//! * **JSONL** ([`jsonl`]) — one JSON object per item, one per line,
+//!   for offline analysis of any series: metrics snapshots, the
+//!   transaction series, span trees, wait-graph samples. Byte-identical
+//!   run to run because the series are.
 //! * **Prometheus text exposition** ([`prometheus_text`]) — the
 //!   current state of the network as `noc_*` metrics with ring/bridge
 //!   labels, ready for a scrape endpoint or `promtool` ingestion.
 
 use crate::metrics::MetricsSnapshot;
+use serde::Serialize;
 use std::fmt::Write as _;
 
 /// `writeln!` into a `String`, made explicit about infallibility
@@ -21,13 +22,19 @@ macro_rules! line {
     };
 }
 
-/// Render a snapshot series as JSON Lines: one snapshot object per
-/// line, in order. Returns an empty string for an empty series.
-pub fn snapshots_jsonl(snapshots: &[MetricsSnapshot]) -> String {
+/// Render a series as JSON Lines: one object per line, in order.
+/// Returns an empty string for an empty series. The crate root also
+/// exports it as `snapshots_jsonl`, `txn_snapshots_jsonl` and
+/// `span_trees_jsonl`, the names its callers read it by.
+///
+/// # Panics
+///
+/// Panics only if JSON serialization of a plain struct fails, which
+/// would be a serde bug.
+pub fn jsonl<'a, T: Serialize + 'a>(items: impl IntoIterator<Item = &'a T>) -> String {
     let mut out = String::new();
-    for snap in snapshots {
-        let line = serde_json::to_string(snap).expect("snapshot serializes");
-        out.push_str(&line);
+    for item in items {
+        out.push_str(&serde_json::to_string(item).expect("a series item serializes"));
         out.push('\n');
     }
     out
@@ -169,7 +176,7 @@ mod tests {
     use serde::Value;
 
     fn sample_registry() -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new(32);
+        let mut reg = MetricsRegistry::new(32, 3);
         for i in 1..=3u64 {
             reg.commit(
                 i * 32,
@@ -206,14 +213,14 @@ mod tests {
     #[test]
     fn jsonl_is_one_valid_object_per_snapshot() {
         let reg = sample_registry();
-        let text = snapshots_jsonl(reg.snapshots());
+        let text = jsonl(reg.snapshots());
         assert_eq!(text.lines().count(), 3);
         for line in text.lines() {
             let v: Value = serde_json::from_str(line).expect("valid JSON");
             assert!(v.get("cycle").is_some(), "{line}");
             assert!(v.get("totals").is_some(), "{line}");
         }
-        assert!(snapshots_jsonl(&[]).is_empty());
+        assert!(jsonl::<MetricsSnapshot>(&[]).is_empty());
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! The bounded stores behind every "keep the last N" buffer in this
 //! crate. [`LastN`], a ring, holds the trace sink, the flight
 //! recorder's event ring, the span collector's recent trees and the
-//! wait-graph tracker's samples and histories. [`LastNSlice`] holds the
-//! two windows readers take as one slice: the metrics registry's
-//! snapshots and the wait-graph tracker's gauge rows.
+//! wait-graph tracker's samples and histories. [`Series`] holds the
+//! committed series readers take as one slice: the metrics registry's
+//! snapshots, the transaction series and the wait-graph tracker's
+//! gauge rows. It is the one retention rule of those series: a window
+//! fixed when the store is built ([`SERIES_WINDOW`] unless the owner
+//! sizes it), a commit count, and `since(seq)` for a reader that wants
+//! the whole series as it is committed.
 //!
 //! A [`LastN`] is a `Vec` that grows to its capacity once and is then
 //! written in place: a push at capacity overwrites the oldest element
@@ -110,8 +114,18 @@ impl<T: Clone> LastN<T> {
     }
 }
 
-/// The last `keep` elements pushed, oldest first, as one contiguous
-/// slice. `usize::MAX` keeps every element.
+/// The window every committed telemetry series keeps unless it is
+/// built with another: the metrics registry without a flight recorder,
+/// the transaction series, the recorder's snapshot window
+/// ([`RecorderConfig`](crate::RecorderConfig)) and the wait-graph
+/// tracker's samples ([`WaitGraphConfig`](crate::WaitGraphConfig)).
+pub const SERIES_WINDOW: usize = 32;
+
+/// A committed series: the last `keep` elements pushed, oldest first,
+/// as one contiguous slice, and the count of every element ever
+/// pushed. `keep` is fixed when the store is built, so memory is
+/// bounded by configuration, not by run length; a reader that needs
+/// the whole series polls [`Series::since`] as it is committed.
 ///
 /// The live tail is `buf[start..]`. An element that leaves the window
 /// is replaced by `T::default()` at once, so what it owned on the heap
@@ -120,36 +134,33 @@ impl<T: Clone> LastN<T> {
 /// push costs amortised O(1) and the buffer never holds more than
 /// `2·keep` shells.
 #[derive(Debug, Clone)]
-pub(crate) struct LastNSlice<T> {
+pub(crate) struct Series<T> {
     buf: Vec<T>,
     /// Length of the evicted, emptied prefix of `buf`.
     start: usize,
     keep: usize,
+    /// Elements ever pushed, retained or evicted: the next sequence
+    /// number.
+    committed: u64,
 }
 
-impl<T: Default> LastNSlice<T> {
-    /// An empty store keeping the newest `keep` elements.
+impl<T: Default> Series<T> {
+    /// An empty series keeping the newest `max(keep, 1)` elements, so
+    /// the latest one always stays readable.
     pub fn new(keep: usize) -> Self {
-        LastNSlice {
+        Series {
             buf: Vec::new(),
             start: 0,
-            keep,
+            keep: keep.max(1),
+            committed: 0,
         }
     }
 
-    /// Keep the newest `keep` elements from here on, dropping any
-    /// beyond that now.
-    pub fn set_keep(&mut self, keep: usize) {
-        self.keep = keep;
-        if self.len() > keep {
-            self.buf.drain(..self.buf.len() - keep);
-            self.start = 0;
-        }
-    }
-
-    /// Append `value`, evicting the oldest element past `keep`.
-    pub fn push(&mut self, value: T) {
+    /// Commit `value`, evicting the oldest element past `keep`, and
+    /// return it as retained.
+    pub fn push(&mut self, value: T) -> &T {
         self.buf.push(value);
+        self.committed += 1;
         if self.len() > self.keep {
             self.buf[self.start] = T::default();
             self.start += 1;
@@ -158,6 +169,7 @@ impl<T: Default> LastNSlice<T> {
                 self.start = 0;
             }
         }
+        self.buf.last().expect("just pushed")
     }
 
     /// The retained elements, oldest first.
@@ -168,6 +180,23 @@ impl<T: Default> LastNSlice<T> {
     /// Number of retained elements.
     pub fn len(&self) -> usize {
         self.buf.len() - self.start
+    }
+
+    /// Elements ever committed, retained or evicted.
+    pub fn committed(&self) -> u64 {
+        self.committed
+    }
+
+    /// The elements from sequence number `seq` (the 0-based commit
+    /// index) on, oldest first — empty once `seq` reaches
+    /// [`Series::committed`] — or `None` if one of them was already
+    /// evicted. Polling again from the `committed()` of the previous
+    /// poll reads the series as it is committed.
+    pub fn since(&self, seq: u64) -> Option<&[T]> {
+        let tail = self.as_slice();
+        let first = self.committed - tail.len() as u64;
+        let skip = seq.checked_sub(first)?.min(tail.len() as u64);
+        Some(&tail[skip as usize..])
     }
 }
 
@@ -320,7 +349,7 @@ mod tests {
             // The recorders are never cleared: each keeps the last
             // `capacity` events of the whole stream.
             let tail: Vec<u64> = (0..pushes as u64).skip(pushes.saturating_sub(capacity)).collect();
-            let registry = MetricsRegistry::new(1);
+            let registry = MetricsRegistry::new(1, 1);
             for recorder in [&single.recorder, &batched.recorder] {
                 let view = recorder.view(&registry);
                 let kept: Vec<u64> = view.events().map(|r| r.cycle).collect();
@@ -332,48 +361,40 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
-        /// The slice store holds exactly the model's newest `keep`
-        /// elements after every push and every bound change, and never
-        /// more than `2·keep` slots, the emptied prefix included.
+        /// The series holds exactly the model's newest `max(keep, 1)`
+        /// elements after every push, and never more than `2·keep`
+        /// slots, the emptied prefix included; `committed` counts every
+        /// push and `since` returns the model's elements from a
+        /// sequence number on, or `None` once the first was evicted.
         #[test]
         fn the_slice_store_holds_exactly_its_window(
-            keep in 1usize..6,
+            keep in 0usize..6,
             pushes in 0usize..41,
-            rebound_at in 0usize..48,
-            rebound in 1usize..6,
+            from in 0u64..48,
         ) {
-            let mut model = Model { capacity: keep, items: VecDeque::new(), dropped: 0 };
-            let mut store = LastNSlice::new(keep);
+            let window = keep.max(1);
+            let mut model = Model { capacity: window, items: VecDeque::new(), dropped: 0 };
+            let mut store = Series::new(keep);
             for i in 0..pushes as u64 {
-                if i as usize == rebound_at {
-                    store.set_keep(rebound);
-                    model.capacity = rebound;
-                    while model.items.len() > rebound {
-                        model.items.pop_front();
-                    }
-                }
                 // From 1, so an emptied slot (0) is told from a value.
                 model.push(i + 1);
-                store.push(i + 1);
+                prop_assert_eq!(*store.push(i + 1), i + 1);
                 let held: Vec<u64> = model.items.iter().copied().collect();
                 prop_assert_eq!(store.as_slice(), held.as_slice());
                 prop_assert_eq!(store.len(), held.len());
-                prop_assert!(store.buf.len() <= 2 * model.capacity);
+                prop_assert_eq!(store.committed(), i + 1);
+                prop_assert!(store.buf.len() <= 2 * window);
                 prop_assert!(store.buf[..store.start].iter().all(|&v| v == 0));
+                // Element `seq` holds the value `seq + 1`.
+                let first = i + 1 - held.len() as u64;
+                let want: Vec<u64> = (from.max(first)..=i).map(|s| s + 1).collect();
+                let got = store.since(from);
+                prop_assert_eq!(got.is_none(), from < first);
+                if let Some(got) = got {
+                    prop_assert_eq!(got, want.as_slice());
+                }
             }
         }
-    }
-
-    #[test]
-    fn an_unbounded_slice_store_keeps_everything() {
-        let mut store = LastNSlice::new(usize::MAX);
-        for i in 0..100u64 {
-            store.push(i);
-        }
-        assert_eq!(store.as_slice(), (0..100).collect::<Vec<_>>().as_slice());
-        store.set_keep(3);
-        assert_eq!(store.as_slice(), &[97, 98, 99]);
-        assert_eq!(store.buf.len(), 3);
     }
 
     #[test]

@@ -46,7 +46,13 @@
 //! [`HealthMonitor`] turns the stream into
 //! cycle-stamped watchdog verdicts (starvation onset, congestion knee,
 //! SWAP storms, liveness stalls), and the exporters render it as JSONL
-//! ([`snapshots_jsonl`]) or Prometheus text ([`prometheus_text`]).
+//! ([`jsonl`]) or Prometheus text ([`prometheus_text`]).
+//!
+//! Every committed series — the metrics snapshots, the transaction
+//! series, the wait-graph gauge rows — keeps one retention rule: a
+//! window fixed when its store is built ([`SERIES_WINDOW`] unless a
+//! recorder sizes it), a count of every commit, and `since(seq)` for a
+//! reader that wants the whole series as it is committed.
 //!
 //! # Flight recorder and postmortems
 //!
@@ -100,21 +106,25 @@ pub use critical::{
     critical_path, CriticalLink, CriticalPath, LatencyBreakdown, PhaseCycles, PHASE_NAMES,
 };
 pub use event::{EventCounts, FlitEvent, TraceRecord, NO_FLIT, NO_LANE};
-pub use export::{prometheus_text, snapshots_jsonl};
+pub use export::{
+    jsonl, jsonl as snapshots_jsonl, jsonl as span_trees_jsonl, jsonl as txn_snapshots_jsonl,
+    prometheus_text,
+};
 pub use flowstats::{flow_table_ascii, merge_ranked, FlowDelta, FlowRecord, FlowTable};
 pub use health::{HealthConfig, HealthMonitor, HealthRule, Severity, Verdict};
+pub use last_n::SERIES_WINDOW;
 pub use metrics::{
     BridgeGauges, MetricsRegistry, MetricsSnapshot, RingGauges, RingWindow, WindowCounters,
 };
 pub use postmortem::{heat_cell, link_heat_ascii, BundleEnv, BundleMeta, PostmortemBundle};
-pub use recorder::{FlightRecorder, RecorderConfig, RecorderView};
+pub use recorder::{FlightRecorder, RecorderConfig, RecorderView, FLOW_TOP_K, MAX_BUNDLES};
 pub use sink::{NullSink, RingBufferSink, TraceBuffer, TraceSink};
 pub use spans::{
-    span_trees_jsonl, FlitSpan, NullSpanSink, PacketSpan, SpanCollector, SpanRole, SpanSink,
-    TailExemplars, TxnSpanTree, SPAN_OP_NAMES,
+    FlitSpan, NullSpanSink, PacketSpan, SpanCollector, SpanRole, SpanSink, TailExemplars,
+    TxnSpanTree, SPAN_OP_NAMES,
 };
-pub use txnstats::{txn_snapshots_jsonl, TxnRegistry, TxnSnapshot};
+pub use txnstats::{TxnRegistry, TxnSnapshot};
 pub use waitgraph::{
-    cyclic_sccs, wait_graphs_jsonl, ResourceId, WaitEdge, WaitGraphConfig, WaitGraphSample,
-    WaitGraphTracker, WaitNode, WaitStats, WaitVerdict, WedgeReport,
+    cyclic_sccs, ResourceId, WaitEdge, WaitGraphConfig, WaitGraphSample, WaitGraphTracker,
+    WaitNode, WaitStats, WaitVerdict, WedgeReport,
 };

@@ -22,7 +22,7 @@
 //!   per-bridge-side pipeline occupancy / escape buffers / DRM state.
 
 use crate::flowstats::FlowRecord;
-use crate::last_n::LastNSlice;
+use crate::last_n::Series;
 use serde::{Deserialize, Serialize};
 
 /// Number of log2 buckets in [`RingGauges::starve_buckets`]: bucket `i`
@@ -266,53 +266,38 @@ impl MetricsSnapshot {
 ///
 /// # Retention
 ///
-/// A new registry keeps the whole series. After
-/// [`MetricsRegistry::retain_last`]`(n)` — which the network calls with
-/// the flight recorder's `snapshot_window` when it attaches one — it
-/// keeps exactly the newest `max(n, 1)` snapshots (fewer only until
-/// that many are committed), so memory is bounded by configuration,
-/// not by run length. A snapshot's rings are freed the commit it leaves
-/// the window; the retained tail stays one contiguous slice at
-/// amortised O(1) per commit. Eviction changes nothing that is
-/// committed: `seq` stays the commit index, and
+/// The registry keeps the newest `max(keep, 1)` snapshots, `keep` fixed
+/// when it is built: the network passes the flight recorder's
+/// `snapshot_window` when it attaches one and
+/// [`SERIES_WINDOW`](crate::SERIES_WINDOW) otherwise, so memory is
+/// bounded by configuration, not by run length. A snapshot's rings are
+/// freed the commit it leaves the window. Eviction changes nothing that
+/// is committed: `seq` stays the commit index, and
 /// [`MetricsRegistry::summed`] and [`MetricsRegistry::committed`] count
-/// every window. A reader that
-/// needs the whole stream reads it as it is committed, through
-/// [`MetricsRegistry::since`].
+/// every window. A reader that needs the whole stream reads it as it is
+/// committed, through [`MetricsRegistry::since`].
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     period: u64,
     cumulative: WindowCounters,
-    /// The retained tail of the series, oldest first; unbounded until
-    /// [`MetricsRegistry::retain_last`].
-    snapshots: LastNSlice<MetricsSnapshot>,
-    /// Snapshots ever committed, retained or evicted: the next `seq`.
-    committed: u64,
+    /// The retained tail of the series, oldest first.
+    snapshots: Series<MetricsSnapshot>,
 }
 
 impl MetricsRegistry {
-    /// Create a registry sampling every `period` cycles, keeping every
-    /// snapshot it commits.
+    /// Create a registry sampling every `period` cycles and keeping the
+    /// newest `max(keep, 1)` snapshots it commits.
     ///
     /// # Panics
     ///
     /// Panics if `period` is zero.
-    pub fn new(period: u64) -> Self {
+    pub fn new(period: u64, keep: usize) -> Self {
         assert!(period > 0, "metrics period must be positive");
         MetricsRegistry {
             period,
             cumulative: WindowCounters::default(),
-            snapshots: LastNSlice::new(usize::MAX),
-            committed: 0,
+            snapshots: Series::new(keep),
         }
-    }
-
-    /// Bound retention to the newest `max(n, 1)` snapshots: from here
-    /// on the registry holds exactly that many once that many are
-    /// committed, and older ones are dropped now. `usize::MAX` keeps
-    /// the whole series.
-    pub fn retain_last(&mut self, n: usize) {
-        self.snapshots.set_keep(n.max(1));
     }
 
     /// The configured sample period in cycles.
@@ -334,22 +319,18 @@ impl MetricsRegistry {
             totals.add(&r.counters);
         }
         self.cumulative.add(&totals);
-        let snap = MetricsSnapshot {
-            seq: self.committed,
+        self.snapshots.push(MetricsSnapshot {
+            seq: self.snapshots.committed(),
             cycle,
             window,
             in_flight,
             totals,
             cumulative: self.cumulative,
             rings,
-        };
-        self.committed += 1;
-        self.snapshots.push(snap);
-        self.snapshots.as_slice().last().expect("just pushed")
+        })
     }
 
-    /// The retained snapshots, oldest first: every snapshot committed so
-    /// far unless retention is bounded (see the type-level docs).
+    /// The retained snapshots, oldest first (see the type-level docs).
     pub fn snapshots(&self) -> &[MetricsSnapshot] {
         self.snapshots.as_slice()
     }
@@ -360,10 +341,7 @@ impl MetricsRegistry {
     /// `committed()` of the previous poll reads the series as it is
     /// committed.
     pub fn since(&self, seq: u64) -> Option<&[MetricsSnapshot]> {
-        let tail = self.snapshots();
-        let first = self.committed - tail.len() as u64;
-        let skip = seq.checked_sub(first)?.min(tail.len() as u64);
-        Some(&tail[skip as usize..])
+        self.snapshots.since(seq)
     }
 
     /// The most recent snapshot.
@@ -377,14 +355,14 @@ impl MetricsRegistry {
     }
 
     /// Whether no snapshot is retained (equivalently: none has been
-    /// committed yet — a bounded registry keeps at least one).
+    /// committed yet — the registry keeps at least one).
     pub fn is_empty(&self) -> bool {
         self.snapshots.len() == 0
     }
 
     /// Snapshots ever committed, retained or evicted.
     pub fn committed(&self) -> u64 {
-        self.committed
+        self.snapshots.committed()
     }
 
     /// Sum of every window committed so far — equals the cumulative
@@ -449,7 +427,7 @@ mod tests {
 
     #[test]
     fn registry_derives_totals_and_cumulative() {
-        let mut reg = MetricsRegistry::new(16);
+        let mut reg = MetricsRegistry::new(16, 2);
         assert!(reg.is_empty());
         let rings = vec![
             RingWindow {
@@ -486,7 +464,7 @@ mod tests {
 
     /// The `i`-th commit of the retention tests: one to three rings, so
     /// no two snapshots render alike.
-    fn commit_nth(reg: &mut MetricsRegistry, i: u64) {
+    fn commit_nth(reg: &mut MetricsRegistry, i: u64) -> MetricsSnapshot {
         let rings = (0..=i % 3)
             .map(|r| RingWindow {
                 ring: r as u16,
@@ -494,36 +472,30 @@ mod tests {
                 ..RingWindow::default()
             })
             .collect();
-        reg.commit(8 * (i + 1), 8, i % 7, rings);
-    }
-
-    /// Snapshots a registry bounded to `keep` retains after `committed`
-    /// commits: all of them up to `keep`, then exactly `keep`.
-    fn retained(committed: u64, keep: u64) -> u64 {
-        committed.min(keep)
+        reg.commit(8 * (i + 1), 8, i % 7, rings).clone()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
-        /// A registry bounded to R snapshots against an unbounded one fed
-        /// the same commits, with `since` polled after the commits `poll`
-        /// selects and once at the end. Sequence numbers, the retained
-        /// tail, the recorder's window, the streamed bytes, `summed()` and
-        /// `committed()` all agree; the tail is `min(committed, max(R, 1))`;
-        /// `since` is `None` exactly when the poll came after its next
-        /// snapshot was evicted, and the reader then resumes at the tail.
+        /// A registry keeping R snapshots against the list of every
+        /// snapshot it committed, with `since` polled after the commits
+        /// `poll` selects and once at the end. Sequence numbers, the
+        /// retained tail, the recorder's window, the streamed bytes,
+        /// `summed()` and `committed()` all agree with the list; the tail
+        /// is `min(committed, max(R, 1))`; `since` is `None` exactly when
+        /// the poll came after its next snapshot was evicted, and the
+        /// reader then resumes at the tail.
         #[test]
-        fn a_bounded_registry_streams_what_an_unbounded_one_keeps(
+        fn a_registry_streams_every_snapshot_it_committed(
             window in 0usize..6,
             commits in 0u64..60,
             poll in proptest::collection::vec(any::<bool>(), 60..61),
         ) {
-            use crate::export::snapshots_jsonl;
+            use crate::export::jsonl;
             use crate::recorder::{FlightRecorder, RecorderConfig};
             let keep = window.max(1) as u64;
-            let mut full = MetricsRegistry::new(8);
-            let mut bounded = MetricsRegistry::new(8);
-            bounded.retain_last(window);
+            let mut all: Vec<MetricsSnapshot> = Vec::new();
+            let mut reg = MetricsRegistry::new(8, window);
             let recorder = FlightRecorder::new(RecorderConfig {
                 snapshot_window: window,
                 ..RecorderConfig::default()
@@ -532,54 +504,49 @@ mod tests {
             for i in 0..=commits {
                 let last = i == commits;
                 if !last {
-                    commit_nth(&mut full, i);
-                    commit_nth(&mut bounded, i);
+                    all.push(commit_nth(&mut reg, i));
                 }
-                let committed = full.committed();
-                prop_assert_eq!(bounded.committed(), committed);
-                prop_assert_eq!(full.len() as u64, committed);
-                prop_assert_eq!(bounded.summed(), full.summed());
-                prop_assert_eq!(bounded.last(), full.last());
-                prop_assert_eq!(bounded.is_empty(), committed == 0);
-                let len = bounded.len() as u64;
-                prop_assert_eq!(len, retained(committed, keep));
-                let tail = &full.snapshots()[(committed - len) as usize..];
-                prop_assert_eq!(bounded.snapshots(), tail);
-                let shown = |reg: &MetricsRegistry| -> Vec<u64> {
-                    recorder.view(reg).snapshots().map(|s| s.seq).collect()
-                };
-                prop_assert_eq!(shown(&bounded), shown(&full));
+                let committed = all.len() as u64;
+                prop_assert_eq!(reg.committed(), committed);
+                let summed = all.last().map_or_else(WindowCounters::default, |s| s.cumulative);
+                prop_assert_eq!(reg.summed(), summed);
+                prop_assert_eq!(reg.last(), all.last());
+                prop_assert_eq!(reg.is_empty(), committed == 0);
+                let len = reg.len() as u64;
+                prop_assert_eq!(len, committed.min(keep));
+                prop_assert_eq!(reg.snapshots(), &all[(committed - len) as usize..]);
+                let shown: Vec<u64> = recorder.view(&reg).snapshots().map(|s| s.seq).collect();
+                let window_seqs: Vec<u64> =
+                    (committed.saturating_sub(window as u64)..committed).collect();
+                prop_assert_eq!(shown, window_seqs);
                 if last || poll[i as usize] {
                     let too_late = next < committed - len;
-                    let got = bounded.since(next);
+                    let got = reg.since(next);
                     prop_assert_eq!(got.is_none(), too_late);
-                    let fresh = match got {
-                        Some(fresh) => fresh,
-                        None => bounded.snapshots(),
-                    };
-                    prop_assert_eq!(Some(fresh), full.since(fresh.first().map_or(next, |s| s.seq)));
-                    streamed.push_str(&snapshots_jsonl(fresh));
+                    let fresh = got.unwrap_or(reg.snapshots());
+                    let from = fresh.first().map_or(next, |s| s.seq);
+                    prop_assert_eq!(fresh, &all[from as usize..]);
+                    streamed.push_str(&jsonl(fresh));
                     seqs.extend(fresh.iter().map(|s| s.seq));
                     next = committed;
                 }
             }
-            // What reached the reader, byte for byte, is what the
-            // unbounded registry holds at the same sequence numbers.
+            // What reached the reader, byte for byte, is what was
+            // committed at the same sequence numbers.
             let same: Vec<MetricsSnapshot> =
-                seqs.iter().map(|&s| full.snapshots()[s as usize].clone()).collect();
-            prop_assert_eq!(&streamed, &snapshots_jsonl(&same));
+                seqs.iter().map(|&s| all[s as usize].clone()).collect();
+            prop_assert_eq!(&streamed, &jsonl(&same));
             prop_assert!(seqs.windows(2).all(|w| w[0] < w[1]));
             prop_assert_eq!(seqs.last().copied(), commits.checked_sub(1));
             if seqs.len() as u64 == commits {
-                prop_assert_eq!(streamed, snapshots_jsonl(full.snapshots()));
+                prop_assert_eq!(streamed, jsonl(&all));
             }
         }
     }
 
     #[test]
     fn since_reads_the_stream_and_refuses_an_evicted_start() {
-        let mut reg = MetricsRegistry::new(8);
-        reg.retain_last(2);
+        let mut reg = MetricsRegistry::new(8, 2);
         assert_eq!(reg.since(0).map(<[_]>::len), Some(0));
         for i in 0..5 {
             commit_nth(&mut reg, i);
@@ -598,12 +565,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_period_is_rejected() {
-        let _ = MetricsRegistry::new(0);
+        let _ = MetricsRegistry::new(0, 1);
     }
 
     #[test]
     fn snapshot_round_trips_through_json() {
-        let mut reg = MetricsRegistry::new(8);
+        let mut reg = MetricsRegistry::new(8, 1);
         reg.commit(
             8,
             8,

@@ -9,10 +9,12 @@
 //!   last R entries of the network's [`MetricsRegistry`], which the
 //!   recorder is created beside and which sees the same commit stream.
 //!   The recorder holds no copy; [`RecorderView::snapshots`] is a slice
-//!   of the registry. Attaching the recorder bounds that registry to
-//!   the same window ([`MetricsRegistry::retain_last`]), so the
-//!   registry holds exactly max(R, 1) snapshots however long the run
-//!   (at least one, so the latest sample stays readable at R = 0).
+//!   of the registry. A network that attaches the recorder builds that
+//!   registry with the same window, so it holds exactly max(R, 1)
+//!   snapshots however long the run (at least one, so the latest sample
+//!   stays readable at R = 0) — the one retention rule of every
+//!   committed series, with R in place of
+//!   [`SERIES_WINDOW`].
 //! * **events** — the last T flit-lifecycle [`TraceRecord`]s, in one
 //!   fixed-capacity ring. Memory is bounded by construction; a
 //!   recorder attached to a year-long run costs the same as one
@@ -25,35 +27,35 @@
 //! tee is compiled away with the rest of the telemetry path.
 
 use crate::event::TraceRecord;
-use crate::last_n::LastN;
+use crate::last_n::{LastN, SERIES_WINDOW};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 
-/// Sizing for the flight recorder and the flow-attribution layer.
+/// Flows tracked per ring shard while the recorder is on (Space-Saving
+/// capacity), and the cut applied when tables are merged for a bundle.
+pub const FLOW_TOP_K: usize = 16;
+
+/// Watchdog-triggered bundles kept per run. Explicit `dump_postmortem`
+/// calls are not counted against this.
+pub const MAX_BUNDLES: usize = 4;
+
+/// Sizing for the flight recorder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecorderConfig {
     /// Snapshots retained (R): the visible history of a bundle. A
-    /// network that attaches the recorder bounds its metrics registry
-    /// by it too: the registry keeps exactly the newest max(R, 1)
-    /// snapshots (`usize::MAX` keeps the whole series). Read the full
-    /// stream through [`MetricsRegistry::since`] as it is committed.
+    /// network that attaches the recorder builds its metrics registry
+    /// with this window: the registry keeps exactly the newest
+    /// max(R, 1) snapshots. Read the full stream through
+    /// [`MetricsRegistry::since`] as it is committed.
     pub snapshot_window: usize,
     /// Trace events retained (T) when a tracing sink is attached.
     pub event_window: usize,
-    /// Flows tracked per ring shard (Space-Saving capacity), and the
-    /// cut applied when tables are merged for a bundle.
-    pub flow_top_k: usize,
-    /// Watchdog-triggered bundles kept per run. Explicit
-    /// `dump_postmortem` calls are not counted against this.
-    pub max_bundles: usize,
 }
 
 impl Default for RecorderConfig {
     fn default() -> Self {
         RecorderConfig {
-            snapshot_window: 32,
+            snapshot_window: SERIES_WINDOW,
             event_window: 4096,
-            flow_top_k: 16,
-            max_bundles: 4,
         }
     }
 }
@@ -163,9 +165,8 @@ mod tests {
         let mut r = FlightRecorder::new(RecorderConfig {
             snapshot_window: 3,
             event_window: 2,
-            ..RecorderConfig::default()
         });
-        let mut reg = MetricsRegistry::new(32);
+        let mut reg = MetricsRegistry::new(32, 3);
         commit(&mut reg, 10);
         let events: Vec<TraceRecord> = (0..10).map(event).collect();
         r.record_events(&events);
@@ -183,9 +184,8 @@ mod tests {
         let mut r = FlightRecorder::new(RecorderConfig {
             snapshot_window: 0,
             event_window: 0,
-            ..RecorderConfig::default()
         });
-        let mut reg = MetricsRegistry::new(32);
+        let mut reg = MetricsRegistry::new(32, 0);
         commit(&mut reg, 1);
         r.record_events(&[event(0)]);
         let v = r.view(&reg);
@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn a_window_longer_than_the_series_shows_all_of_it() {
         let r = FlightRecorder::new(RecorderConfig::default());
-        let mut reg = MetricsRegistry::new(32);
+        let mut reg = MetricsRegistry::new(32, SERIES_WINDOW);
         assert_eq!(r.view(&reg).snapshots().count(), 0);
         commit(&mut reg, 5);
         let seqs: Vec<u64> = r.view(&reg).snapshots().map(|s| s.seq).collect();

@@ -360,22 +360,6 @@ impl SpanSink for SpanCollector {
     }
 }
 
-/// Render span trees as JSON Lines, one tree per line — the transport
-/// the byte-identity tests and postmortem attachments compare.
-///
-/// # Panics
-///
-/// Panics only if JSON serialization of a plain struct fails, which
-/// would be a serde bug.
-pub fn span_trees_jsonl(trees: &[TxnSpanTree]) -> String {
-    let mut out = String::new();
-    for t in trees {
-        out.push_str(&serde_json::to_string(t).expect("TxnSpanTree serializes"));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,7 +436,7 @@ mod tests {
     #[test]
     fn jsonl_round_trips() {
         let trees = vec![tree(0, 0, 10), tree(1, 5, 50)];
-        let text = span_trees_jsonl(&trees);
+        let text = crate::jsonl(&trees);
         assert_eq!(text.lines().count(), 2);
         for (line, orig) in text.lines().zip(&trees) {
             let back: TxnSpanTree = serde_json::from_str(line).expect("valid JSON");

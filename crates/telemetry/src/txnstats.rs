@@ -4,17 +4,22 @@
 //! Mirrors the [`MetricsRegistry`](crate::MetricsRegistry) discipline:
 //! the transaction fabric samples a [`TxnSnapshot`] every `period`
 //! cycles from state it mutates after each network tick, so the
-//! snapshot stream is byte-identical run to run for free.
+//! snapshot stream is byte-identical run to run for free, and the
+//! registry keeps it by the one retention rule of every committed
+//! series: the newest [`SERIES_WINDOW`] snapshots, a count of every
+//! one committed, and [`TxnRegistry::since`] for a reader that wants
+//! the whole series as it is committed.
 //! Latency is recorded per *completed transaction* (not per flit),
 //! which is the number an application actually sees —
 //! a DMA burst's p99 here is the tail of whole bursts, headers,
 //! reassembly and response included.
 
+use crate::last_n::{Series, SERIES_WINDOW};
 use noc_sim::{Cycle, Histogram};
 use serde::{Deserialize, Serialize};
 
 /// One sampled window of transaction-layer state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TxnSnapshot {
     /// Cycle the snapshot was taken.
     pub at: u64,
@@ -36,17 +41,18 @@ pub struct TxnSnapshot {
     pub window_occupancy: u64,
 }
 
-/// Accumulates completion latencies and emits windowed snapshots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Accumulates completion latencies and commits windowed snapshots.
+#[derive(Debug, Clone)]
 pub struct TxnRegistry {
     period: u64,
     completed_total: u64,
     window: Histogram,
-    snapshots: Vec<TxnSnapshot>,
+    snapshots: Series<TxnSnapshot>,
 }
 
 impl TxnRegistry {
-    /// A registry sampling every `period` cycles.
+    /// A registry sampling every `period` cycles and keeping the newest
+    /// [`SERIES_WINDOW`] snapshots.
     ///
     /// # Panics
     ///
@@ -57,7 +63,7 @@ impl TxnRegistry {
             period,
             completed_total: 0,
             window: Histogram::new("txn-latency-window"),
-            snapshots: Vec::new(),
+            snapshots: Series::new(SERIES_WINDOW),
         }
     }
 
@@ -88,31 +94,29 @@ impl TxnRegistry {
         self.window.reset();
     }
 
-    /// All snapshots taken so far.
+    /// The retained snapshots, oldest first: the newest
+    /// [`SERIES_WINDOW`] committed.
     pub fn snapshots(&self) -> &[TxnSnapshot] {
-        &self.snapshots
+        self.snapshots.as_slice()
+    }
+
+    /// The snapshots from sequence number `seq` (the 0-based commit
+    /// index) on, oldest first, or `None` if one of them was already
+    /// evicted. Polling again from the `committed()` of the previous
+    /// poll reads the series as it is committed.
+    pub fn since(&self, seq: u64) -> Option<&[TxnSnapshot]> {
+        self.snapshots.since(seq)
+    }
+
+    /// Snapshots ever committed, retained or evicted.
+    pub fn committed(&self) -> u64 {
+        self.snapshots.committed()
     }
 
     /// Transactions completed since creation.
     pub fn completed_total(&self) -> u64 {
         self.completed_total
     }
-}
-
-/// Render snapshots as JSONL, one object per line — same transport as
-/// [`snapshots_jsonl`](crate::snapshots_jsonl) for the fabric metrics.
-///
-/// # Panics
-///
-/// Panics only if JSON serialization of a plain struct fails, which
-/// would be a serde bug.
-pub fn txn_snapshots_jsonl(snaps: &[TxnSnapshot]) -> String {
-    let mut out = String::new();
-    for s in snaps {
-        out.push_str(&serde_json::to_string(s).expect("TxnSnapshot serializes"));
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -148,12 +152,28 @@ mod tests {
     }
 
     #[test]
+    fn the_series_keeps_its_window_and_streams_every_commit() {
+        let mut r = TxnRegistry::new(10);
+        let n = 3 * SERIES_WINDOW as u64;
+        let mut streamed = Vec::new();
+        for i in 1..=n {
+            r.sample(Cycle(10 * i), 0, 0);
+            let fresh = r.since(streamed.len() as u64).expect("read every sample");
+            streamed.extend(fresh.iter().map(|s| s.at));
+        }
+        assert_eq!(r.snapshots().len(), SERIES_WINDOW);
+        assert_eq!(r.committed(), n);
+        assert_eq!(streamed, (1..=n).map(|i| 10 * i).collect::<Vec<_>>());
+        assert_eq!(r.since(0), None, "the first snapshot was evicted");
+    }
+
+    #[test]
     fn jsonl_is_one_parseable_object_per_line() {
         let mut r = TxnRegistry::new(10);
         r.record(7);
         r.sample(Cycle(10), 1, 1);
         r.sample(Cycle(20), 0, 0);
-        let text = txn_snapshots_jsonl(r.snapshots());
+        let text = crate::jsonl(r.snapshots());
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in lines {

@@ -56,7 +56,7 @@
 //! pass iterates sorted adjacency, and history is keyed by `BTreeMap`
 //! — the sampled stream is byte-identical run to run.
 
-use crate::last_n::{LastN, LastNSlice};
+use crate::last_n::{LastN, Series, SERIES_WINDOW};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -345,14 +345,16 @@ pub struct WaitGraphConfig {
     /// ([`WaitGraphTracker::stats`]), oldest evicted first. Samples are
     /// export-only and of the rows only the newest is read — the
     /// verdict runs on per-resource streaks and the wedge report keeps
-    /// its own `HISTORY` rows — so the default keeps 32, the flight
-    /// recorder's default snapshot window.
+    /// its own `HISTORY` rows — so the default keeps
+    /// [`SERIES_WINDOW`], the window of every committed series.
     pub max_samples: usize,
 }
 
 impl Default for WaitGraphConfig {
     fn default() -> Self {
-        WaitGraphConfig { max_samples: 32 }
+        WaitGraphConfig {
+            max_samples: SERIES_WINDOW,
+        }
     }
 }
 
@@ -379,7 +381,7 @@ pub struct WaitGraphTracker {
     tracks: Vec<(ResourceId, ResourceTrack)>,
     samples: LastN<WaitGraphSample>,
     /// One gauge row per retained sample.
-    stats: LastNSlice<WaitStats>,
+    stats: Series<WaitStats>,
     report: Option<WedgeReport>,
 }
 
@@ -391,7 +393,7 @@ impl WaitGraphTracker {
             cfg,
             tracks: Vec::new(),
             samples: LastN::new(cfg.max_samples),
-            stats: LastNSlice::new(cfg.max_samples),
+            stats: Series::new(cfg.max_samples),
             report: None,
         }
     }
@@ -672,17 +674,6 @@ impl WaitGraphTracker {
     }
 }
 
-/// Serialize samples as one JSON object per line — the export twin of
-/// [`snapshots_jsonl`](crate::export::snapshots_jsonl).
-pub fn wait_graphs_jsonl<'a>(samples: impl IntoIterator<Item = &'a WaitGraphSample>) -> String {
-    let mut out = String::new();
-    for s in samples {
-        out.push_str(&serde_json::to_string(s).expect("samples serialize"));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,7 +879,7 @@ mod tests {
         let (nodes, edges) = cycle_graph(1);
         freeze(&mut tr, &nodes);
         tr.ingest_lazy(1 << 10, nodes, || edges);
-        let jsonl = wait_graphs_jsonl(tr.samples());
+        let jsonl = crate::jsonl(tr.samples());
         let back: Vec<WaitGraphSample> = jsonl
             .lines()
             .map(|line| serde_json::from_str(line).expect("parses"))

@@ -456,12 +456,16 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         &self.latency
     }
 
-    /// Observatory snapshots (empty when `metrics_period == 0`).
+    /// The retained observatory snapshots, oldest first: the newest
+    /// [`SERIES_WINDOW`](noc_core::telemetry::SERIES_WINDOW) committed
+    /// (empty when `metrics_period == 0`).
     pub fn txn_snapshots(&self) -> &[TxnSnapshot] {
         self.registry.as_ref().map_or(&[], |r| r.snapshots())
     }
 
-    /// The transaction observatory registry, if enabled.
+    /// The transaction observatory registry, if enabled: read the whole
+    /// series through [`TxnRegistry::since`] as it is committed, and
+    /// its length through [`TxnRegistry::committed`].
     pub fn registry(&self) -> Option<&TxnRegistry> {
         self.registry.as_ref()
     }

@@ -166,8 +166,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // View 4: the observatory — live health verdicts and a Prometheus
     // scrape sample from the latest snapshot. The DDR bottleneck above
     // is exactly the kind of pressure the starvation watchdog reports.
-    // With the flight recorder on, the registry keeps only the
-    // recorder's window; `committed()` counts every snapshot of the run.
+    // The registry keeps only the recorder's window (the newest 32,
+    // `SERIES_WINDOW`, without a recorder); `committed()` counts every
+    // snapshot of the run.
     let reg = net.metrics().expect("observatory enabled");
     println!(
         "\nobservatory: {} snapshots committed, last {} retained (period {} cycles)",

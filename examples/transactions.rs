@@ -136,22 +136,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         lat.percentile(1.0),
         lat.count()
     );
-    let snaps = fab.txn_snapshots();
+    // The registry keeps the newest 32 windows (`SERIES_WINDOW`) and
+    // counts every one it committed; `since(seq)` polled as it commits
+    // reads the whole series.
+    let reg = fab.registry().expect("observatory on");
+    let snaps = reg.snapshots();
     let peak_window = snaps.iter().map(|s| s.window_occupancy).max().unwrap_or(0);
     let peak_inflight = snaps.iter().map(|s| s.inflight_txns).max().unwrap_or(0);
     println!(
-        "observatory: {} snapshots; peak {} txns in flight, peak window occupancy {}",
+        "observatory: {} snapshots committed, last {} retained; over those, \
+         peak {} txns in flight, peak window occupancy {}",
+        reg.committed(),
         snaps.len(),
         peak_inflight,
         peak_window
     );
-    println!("\nsnapshot series (one JSONL line per 64-cycle window):");
+    println!("\nretained series (one JSONL line per 64-cycle window):");
     for line in txn_snapshots_jsonl(snaps).lines().take(6) {
         println!("  {line}");
     }
-    let total = snaps.len();
-    if total > 6 {
-        println!("  … {} more windows", total - 6);
+    if snaps.len() > 6 {
+        println!("  … {} more retained windows", snaps.len() - 6);
     }
 
     // The last window as the registry keeps it.

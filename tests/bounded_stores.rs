@@ -1,28 +1,36 @@
-//! Bounded-store census: with every telemetry plane on, what each
-//! store holds does not depend on how long the run is.
+//! Bounded-store census: what each telemetry store holds does not
+//! depend on how long the run is.
 //!
-//! The observed configuration of the benchmark's `torus4_txn_observed`
-//! — the 4×4 torus under the benchmark's transaction mix, a tracing
-//! sink, the flight recorder and both observatories every 32 cycles,
-//! a span collector and wait-graph forensics — with small sink, event
-//! and span capacities, so the stores fill quickly. The census is
-//! taken after T cycles and again after 4T; every retained length must
-//! read the same, and equal its configured bound:
+//! Two configurations of the benchmark's 4×4 torus under its
+//! transaction mix, both with the network and transaction
+//! observatories sampling every 32 cycles:
 //!
-//! * the metrics registry holds the recorder's R snapshots;
+//! * every plane on, as in `torus4_txn_observed` — a tracing sink, the
+//!   flight recorder, a span collector and wait-graph forensics — with
+//!   small sink, event and span capacities, so the stores fill quickly;
+//! * `enable_metrics` alone, as the benchmark's `observatory` side
+//!   plane: no recorder, so the snapshot registry keeps the default
+//!   window.
+//!
+//! The census is taken after T cycles and again after 4T; every
+//! retained length must read the same, and equal its configured bound:
+//!
+//! * the metrics registry holds the recorder's R snapshots, or
+//!   `SERIES_WINDOW` without a recorder;
+//! * the transaction series holds `SERIES_WINDOW` snapshots;
 //! * the recorder's events, the trace sink and the recent span trees
 //!   each hold their capacity;
 //! * the wait-graph tracker's samples and gauge rows each hold
 //!   `max_samples`.
 //!
-//! One store is still sized by run length: the transaction registry
-//! keeps every `TxnSnapshot`, one per 32 cycles.
+//! Both series still count every window they committed.
 
 use noc_core::spec::devices_by_name;
 use noc_core::telemetry::{
-    HealthConfig, RecorderConfig, RingBufferSink, SpanCollector, WaitGraphConfig,
+    HealthConfig, NullSink, NullSpanSink, RecorderConfig, RingBufferSink, SpanCollector, SpanSink,
+    TraceSink, WaitGraphConfig, SERIES_WINDOW,
 };
-use noc_core::{GridParams, Network, NetworkConfig};
+use noc_core::{GridParams, Network, NetworkConfig, NodeId, Topology};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 use noc_txn::{TxnConfig, TxnFabric};
@@ -33,24 +41,20 @@ const T: u64 = 3_200;
 const SINK: usize = 512;
 const SPANS: usize = 64;
 
-/// Every retained length, in one comparable row.
+/// Every retained length, in one comparable row (`None` where the
+/// configuration has no such store).
 #[derive(Debug, PartialEq)]
 struct Census {
     registry: usize,
-    events: usize,
-    sink: usize,
-    spans: usize,
-    wait_samples: usize,
-    wait_stats: usize,
+    txn_series: usize,
+    events: Option<usize>,
+    sink: Option<usize>,
+    spans: Option<usize>,
+    wait_samples: Option<usize>,
+    wait_stats: Option<usize>,
 }
 
-#[test]
-fn every_store_but_the_txn_series_holds_its_bound_however_long_the_run() {
-    let recorder = RecorderConfig {
-        event_window: 256,
-        ..RecorderConfig::default()
-    };
-    let forensics = WaitGraphConfig::default();
+fn torus() -> (Topology, Vec<NodeId>) {
     let (topo, names) = GridParams::torus(4, 4)
         .with_stations(16)
         .with_devices(2)
@@ -59,21 +63,27 @@ fn every_store_but_the_txn_series_holds_its_bound_however_long_the_run() {
         .expect("the 4x4 torus generates")
         .compile()
         .expect("the 4x4 torus compiles");
-    let devices = devices_by_name(&names);
+    (topo, devices_by_name(&names))
+}
 
-    let mut net = Network::with_sink(topo, NetworkConfig::default(), RingBufferSink::new(SINK));
-    net.enable_flight_recorder(PERIOD, HealthConfig::default(), recorder.clone());
-    let mut fab = TxnFabric::with_spans(
-        net,
-        TxnConfig {
-            reassembly_slots: 1,
-            max_data_flits: 16,
-            metrics_period: PERIOD,
-            ..TxnConfig::default()
-        },
-        SpanCollector::new(SPANS, 8),
-    );
-    fab.enable_forensics(forensics);
+fn txn_config() -> TxnConfig {
+    TxnConfig {
+        reassembly_slots: 1,
+        max_data_flits: 16,
+        metrics_period: PERIOD,
+        ..TxnConfig::default()
+    }
+}
+
+/// Drive `fab` with the benchmark's mix, 64 transactions in flight,
+/// taking a census after T and after 4T cycles; both must equal
+/// `bound`, and both series must have committed every window.
+fn census_holds<S: TraceSink, P: SpanSink>(
+    fab: &mut TxnFabric<S, P>,
+    devices: Vec<NodeId>,
+    census: impl Fn(&TxnFabric<S, P>) -> Census,
+    bound: &Census,
+) {
     let mix = TxnMix {
         read_frac: 0.45,
         write_frac: 0.43,
@@ -84,63 +94,99 @@ fn every_store_but_the_txn_series_holds_its_bound_however_long_the_run() {
     let workload = TxnWorkload::new(devices, mix, TrafficPattern::Uniform, 64, 16);
     let mut rng = SimRng::seed_from(7);
     let mut pending: Option<TxnRequest> = None;
-
-    let census_at = |fab: &mut TxnFabric<RingBufferSink, SpanCollector>,
-                     rng: &mut SimRng,
-                     pending: &mut Option<TxnRequest>,
-                     cycles: u64| {
+    for cycles in [T, 4 * T] {
         while fab.now().raw() < cycles {
             while fab.in_flight_txns() < 64 {
-                let req = pending.take().unwrap_or_else(|| workload.next(rng));
+                let req = pending.take().unwrap_or_else(|| workload.next(&mut rng));
                 let TxnRequest::Point { src, dst, op } = req else {
                     panic!("the mix has no broadcasts");
                 };
                 if fab.submit(src, dst, op).expect("valid endpoints").is_none() {
-                    *pending = Some(req);
+                    pending = Some(req);
                     break;
                 }
             }
             fab.tick();
             fab.drain_completions();
         }
-        let net = fab.network();
-        let tracker = fab.wait_tracker().expect("forensics on");
-        // The one store still sized by run length.
+        assert_eq!(&census(fab), bound, "after {cycles} cycles");
+        let registry = fab.network().metrics().expect("observatory on");
+        let txn = fab.registry().expect("txn observatory on");
         assert_eq!(
-            fab.txn_snapshots().len() as u64,
-            cycles / PERIOD,
-            "the transaction series keeps every snapshot"
+            (registry.committed(), txn.committed()),
+            (cycles / PERIOD, cycles / PERIOD),
+            "every window was committed"
         );
-        Census {
-            registry: net.metrics().expect("observatory on").len(),
-            events: net.recorder().expect("recorder on").events().count(),
-            sink: net.sink().len(),
-            spans: fab.span_sink().recent().count(),
-            wait_samples: tracker.samples().count(),
-            wait_stats: tracker.stats().len(),
-        }
+    }
+}
+
+#[test]
+fn every_store_holds_its_bound_however_long_the_run() {
+    let recorder = RecorderConfig {
+        event_window: 256,
+        ..RecorderConfig::default()
     };
+    let forensics = WaitGraphConfig::default();
+    let (topo, devices) = torus();
+    let mut net = Network::with_sink(topo, NetworkConfig::default(), RingBufferSink::new(SINK));
+    net.enable_flight_recorder(PERIOD, HealthConfig::default(), recorder.clone());
+    let mut fab = TxnFabric::with_spans(net, txn_config(), SpanCollector::new(SPANS, 8));
+    fab.enable_forensics(forensics);
 
     let bound = Census {
         registry: recorder.snapshot_window,
-        events: recorder.event_window,
-        sink: SINK,
-        spans: SPANS,
-        wait_samples: forensics.max_samples,
-        wait_stats: forensics.max_samples,
+        txn_series: SERIES_WINDOW,
+        events: Some(recorder.event_window),
+        sink: Some(SINK),
+        spans: Some(SPANS),
+        wait_samples: Some(forensics.max_samples),
+        wait_stats: Some(forensics.max_samples),
     };
-    let short = census_at(&mut fab, &mut rng, &mut pending, T);
-    assert_eq!(short, bound, "after {T} cycles");
+    let census = |fab: &TxnFabric<RingBufferSink, SpanCollector>| {
+        let net = fab.network();
+        let tracker = fab.wait_tracker().expect("forensics on");
+        Census {
+            registry: net.metrics().expect("observatory on").len(),
+            txn_series: fab.txn_snapshots().len(),
+            events: Some(net.recorder().expect("recorder on").events().count()),
+            sink: Some(net.sink().len()),
+            spans: Some(fab.span_sink().recent().count()),
+            wait_samples: Some(tracker.samples().count()),
+            wait_stats: Some(tracker.stats().len()),
+        }
+    };
+    census_holds(&mut fab, devices, census, &bound);
     assert!(
         fab.span_sink().recorded() > SPANS as u64,
         "the span store wrapped"
     );
-    let long = census_at(&mut fab, &mut rng, &mut pending, 4 * T);
-    assert_eq!(long, bound, "after {} cycles", 4 * T);
-    let registry = fab.network().metrics().expect("observatory on");
-    assert_eq!(
-        registry.committed(),
-        4 * T / PERIOD,
-        "every window was committed"
-    );
+}
+
+#[test]
+fn the_metrics_plane_alone_keeps_the_default_window() {
+    let (topo, devices) = torus();
+    let mut net = Network::new(topo, NetworkConfig::default());
+    net.enable_metrics(PERIOD);
+    assert!(net.recorder().is_none());
+    let mut fab = TxnFabric::new(net, txn_config());
+
+    let bound = Census {
+        registry: SERIES_WINDOW,
+        txn_series: SERIES_WINDOW,
+        events: None,
+        sink: None,
+        spans: None,
+        wait_samples: None,
+        wait_stats: None,
+    };
+    let census = |fab: &TxnFabric<NullSink, NullSpanSink>| Census {
+        registry: fab.network().metrics().expect("observatory on").len(),
+        txn_series: fab.txn_snapshots().len(),
+        events: None,
+        sink: None,
+        spans: None,
+        wait_samples: fab.wait_tracker().map(|t| t.samples().count()),
+        wait_stats: fab.wait_tracker().map(|t| t.stats().len()),
+    };
+    census_holds(&mut fab, devices, census, &bound);
 }

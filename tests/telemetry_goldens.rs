@@ -12,20 +12,21 @@
 //!
 //! Every plane is on: a small `RingBufferSink` (so the sink wraps), the
 //! flight recorder with short windows, the network and transaction
-//! observatories, a `SpanCollector` and wait-graph forensics. The
-//! recorder's window bounds what the snapshot registry retains, so the
-//! registry's series is hashed as it is committed (read through `since`
-//! after every tick), and forensics keeps the 4096 wait-graph samples
-//! the goldens were pinned with, not the 32 it keeps by default. One
+//! observatories, a `SpanCollector` and wait-graph forensics. Every
+//! committed series keeps only its window (the recorder's for the
+//! snapshot registry, 32 for the transaction series), so both series
+//! are hashed as they are committed (read through `since` after every
+//! tick), and forensics keeps the 4096 wait-graph samples the goldens
+//! were pinned with, not the 32 it keeps by default. One
 //! case runs the benchmark's mix; the other runs `TxnMix::default()`
 //! with 32-flit bursts, which wedges the fabric so forensics latches and
 //! watchdog bundles are captured.
 
 use noc_core::spec::devices_by_name;
 use noc_core::telemetry::{
-    chrome_trace, prometheus_text, snapshots_jsonl, span_trees_jsonl, spans_chrome_trace,
-    txn_snapshots_jsonl, wait_graphs_jsonl, HealthConfig, MetricsSnapshot, PostmortemBundle,
-    RecorderConfig, RingBufferSink, SpanCollector, TxnSpanTree, WaitGraphConfig,
+    chrome_trace, jsonl, prometheus_text, snapshots_jsonl, span_trees_jsonl, spans_chrome_trace,
+    txn_snapshots_jsonl, HealthConfig, MetricsSnapshot, PostmortemBundle, RecorderConfig,
+    RingBufferSink, SpanCollector, TxnSpanTree, WaitGraphConfig,
 };
 use noc_core::{GridParams, Network, NetworkConfig, NodeId};
 use noc_sim::fuzz::TrafficPattern;
@@ -66,7 +67,6 @@ fn cases() -> [Case; 2] {
     let short = RecorderConfig {
         snapshot_window: 8,
         event_window: 300,
-        ..RecorderConfig::default()
     };
     [
         Case {
@@ -152,6 +152,7 @@ fn run(case: &Case) -> Digest {
     let mut rng = SimRng::seed_from(case.seed.wrapping_mul(0x9E37_79B9));
     let mut pending: Option<TxnRequest> = None;
     let (mut series, mut next) = (String::new(), 0u64);
+    let (mut txn_series, mut txn_next) = (String::new(), 0u64);
     while fab.now().raw() < case.cycles {
         while fab.in_flight_txns() < case.outstanding {
             let req = pending.take().unwrap_or_else(|| wl.next(&mut rng));
@@ -179,6 +180,10 @@ fn run(case: &Case) -> Digest {
         let fresh = registry.since(next).expect("read every tick");
         series.push_str(&snapshots_jsonl(fresh));
         next = registry.committed();
+        let txn = fab.registry().expect("txn observatory on");
+        let fresh = txn.since(txn_next).expect("read every tick");
+        txn_series.push_str(&txn_snapshots_jsonl(fresh));
+        txn_next = txn.committed();
     }
 
     let net = fab.network();
@@ -205,7 +210,7 @@ fn run(case: &Case) -> Digest {
             fnv(&series),
             fnv(&snapshots_jsonl(&window)),
             fnv(&prometheus_text(registry.last().expect("sampled"))),
-            fnv(&txn_snapshots_jsonl(fab.txn_snapshots())),
+            fnv(&txn_series),
             fnv(&chrome_trace(&sink.to_vec())),
             fnv(&format!(
                 "{}/{}",
@@ -214,9 +219,7 @@ fn run(case: &Case) -> Digest {
             )),
             fnv(&span_trees_jsonl(&trees)),
             fnv(&spans_chrome_trace(fab.tail_exemplars())),
-            fnv(&wait_graphs_jsonl(
-                fab.wait_tracker().expect("forensics on").samples(),
-            )),
+            fnv(&jsonl(fab.wait_tracker().expect("forensics on").samples())),
             fnv(&bundle_text),
         ],
     }

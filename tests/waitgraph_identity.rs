@@ -9,7 +9,7 @@
 //! report on every run.
 
 use noc_core::spec::devices_by_name;
-use noc_core::telemetry::{wait_graphs_jsonl, WaitGraphConfig, WaitVerdict};
+use noc_core::telemetry::{jsonl, WaitGraphConfig, WaitVerdict};
 use noc_core::{GridParams, Network, NetworkConfig, NodeId};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
@@ -63,7 +63,7 @@ fn txn_cfg() -> TxnConfig {
 fn stream_of<S: noc_core::telemetry::TraceSink>(fab: &TxnFabric<S>) -> DetectorStream {
     let tracker = fab.wait_tracker().expect("forensics enabled");
     DetectorStream {
-        graphs: wait_graphs_jsonl(tracker.samples()),
+        graphs: jsonl(tracker.samples()),
         stats: serde_json::to_string(&tracker.stats().to_vec()).expect("stats serialize"),
         report: serde_json::to_string(&fab.wedge_report()).expect("report serializes"),
         cycles: fab.now().raw(),
