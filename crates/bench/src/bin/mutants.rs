@@ -54,7 +54,6 @@ const PINNED_BINARIES: &[&str] = &[
     "txn_lockstep",
     "protocol_goldens",
     "telemetry_goldens",
-    "repro_goldens",
     "waitgraph_identity",
     "span_identity",
     "paper_soc_identity",
@@ -71,6 +70,7 @@ const PINNED_TESTS: &[&str] = &[
     "the_stalled_bridge_stream_is_the_one_pinned_before_the_side_index",
     "paper_soc_known_defects_still_fail_as_pinned",
     "the_pinned_ai_itag_rows_keep_the_derived_bound",
+    "repro_quick_results_are_byte_identical",
 ];
 
 /// One catalogue entry.

@@ -130,12 +130,4 @@ mod tests {
         let bw = bandwidth((ic, part), false, 1.0, Scale::Full);
         assert!(bw > 0.5, "bandwidth {bw} bytes/cycle too low");
     }
-
-    #[test]
-    fn fig10_ours_wins_quick() {
-        let r = run(Scale::Quick);
-        assert_eq!(r.rows.len(), 8);
-        let fails = r.notes.iter().filter(|n| n.ends_with("FAIL")).count();
-        assert_eq!(fails, 0, "{:?}", r.notes);
-    }
 }

@@ -93,19 +93,3 @@ pub fn run(scale: Scale) -> ExperimentResult {
     ));
     r
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig11_turning_points_quick() {
-        let r = run(Scale::Quick);
-        assert!(!r.rows.is_empty());
-        assert!(
-            r.notes.last().expect("notes").contains("PASS"),
-            "{:?}",
-            r.notes
-        );
-    }
-}

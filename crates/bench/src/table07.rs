@@ -109,16 +109,3 @@ pub fn run_model_driven(scale: Scale) -> ExperimentResult {
     ));
     r
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table7_quick_shape() {
-        let r = run(Scale::Quick);
-        assert_eq!(r.rows.len(), 6);
-        let fails = r.notes.iter().filter(|n| n.ends_with("FAIL")).count();
-        assert_eq!(fails, 0, "{:?}", r.notes);
-    }
-}

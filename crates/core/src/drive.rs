@@ -5,8 +5,9 @@
 //! Bernoulli offers, and [`drain`] ticks until the network is empty,
 //! until it has made no progress for [`STALL_W`] cycles
 //! ([`Network::stalled_for`]), or until a cycle budget runs out. The
-//! [`Verdict`] names which of the three ended the run; the CHI driver
-//! (`noc_chi::drive`) returns the same type.
+//! [`Verdict`] names which of the three ended the run; the CHI and
+//! transaction drivers (`noc_chi::drive`, `noc_txn::drive`) return the
+//! same type.
 //!
 //! # Example
 //!
@@ -49,13 +50,13 @@ pub const STALL_W: u64 = 5_000;
 pub enum Verdict {
     /// Empty after this many drain cycles (0 if it was empty already).
     Drained(u64),
-    /// [`drain`] stopped on the stall window with this many flits still
-    /// in flight.
+    /// [`drain`] stopped on the stall window with this many flits (for
+    /// a transaction fabric, transactions) still in flight.
     Wedged(u64),
-    /// The budget ran out with this many flits (or, for a CHI system,
-    /// transactions) still in flight before any stall verdict: for
-    /// [`drain`], the fabric was still making progress. Never folded
-    /// into [`Verdict::Drained`].
+    /// The budget ran out with this many flits (or, for a CHI system or
+    /// a transaction fabric, transactions) still in flight before any
+    /// stall verdict: for [`drain`], the fabric was still making
+    /// progress. Never folded into [`Verdict::Drained`].
     OverBudget(u64),
 }
 

@@ -149,6 +149,7 @@ impl TxnState {
 ///
 /// ```
 /// use noc_core::{Network, NetworkConfig, RingKind, TopologyBuilder};
+/// use noc_txn::drive::{settle, Verdict};
 /// use noc_txn::{TxnConfig, TxnFabric, TxnOp};
 ///
 /// let mut b = TopologyBuilder::new();
@@ -161,7 +162,8 @@ impl TxnState {
 /// let mut fab = TxnFabric::new(net, TxnConfig::default());
 /// let txn = fab.submit(a, c, TxnOp::Write { bytes: 256, posted: false })?
 ///     .expect("empty window accepts");
-/// assert!(fab.run_until_quiet(10_000));
+/// let verdict = settle(&mut fab, 10_000, |_| Ok(()));
+/// assert!(matches!(verdict, Ok(Verdict::Drained(_))));
 /// let done = fab.drain_completions();
 /// assert_eq!(done.len(), 1);
 /// assert_eq!(done[0].txn, txn);
@@ -1257,20 +1259,9 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         }
     }
 
-    /// Tick until the fabric is quiet (no staged flits, nothing in the
-    /// network, no live transactions) or `max_cycles` elapse. Returns
-    /// whether quiescence was reached.
-    pub fn run_until_quiet(&mut self, max_cycles: u64) -> bool {
-        for _ in 0..max_cycles {
-            if self.quiet() {
-                return true;
-            }
-            self.tick();
-        }
-        self.quiet()
-    }
-
-    /// Whether nothing is in flight at either layer. Undrained message
+    /// Whether nothing is in flight at either layer (no staged flits,
+    /// nothing in the network, no live transactions): the drained
+    /// test of [`settle`](crate::drive::settle). Undrained message
     /// inboxes and completions do not count — they are delivered.
     pub fn quiet(&self) -> bool {
         self.net.in_flight() == 0

@@ -24,7 +24,10 @@
 //!   fanout per hop;
 //! * an observatory hook: per-transaction latency percentiles and
 //!   in-flight gauges sampled into
-//!   [`TxnSnapshot`](noc_core::telemetry::TxnSnapshot)s.
+//!   [`TxnSnapshot`](noc_core::telemetry::TxnSnapshot)s;
+//! * the [driver](drive): a closed loop that offers a [`TxnRequest`]
+//!   sequence and holds a refused request for the next cycle, and a
+//!   `settle` judged by the network's stall window.
 //!
 //! Everything above the network runs in deterministic endpoint order,
 //! so the engine's run-to-run byte identity extends to transactions —
@@ -34,6 +37,7 @@
 //!
 //! ```
 //! use noc_core::{GridParams, Network, NetworkConfig};
+//! use noc_txn::drive::{settle, Verdict};
 //! use noc_txn::{TxnConfig, TxnFabric, TxnOp};
 //!
 //! let (topo, names) = GridParams::torus(2, 2)
@@ -47,7 +51,8 @@
 //! let net = Network::new(topo, NetworkConfig::default());
 //! let mut fab = TxnFabric::new(net, TxnConfig::default());
 //! fab.submit(devs[0], devs[5], TxnOp::Read { bytes: 4096 })?;
-//! assert!(fab.run_until_quiet(50_000));
+//! let verdict = settle(&mut fab, 50_000, |_| Ok(()));
+//! assert!(matches!(verdict, Ok(Verdict::Drained(_))));
 //! assert_eq!(fab.drain_completions().len(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -55,12 +60,14 @@
 #![forbid(unsafe_code)]
 
 pub mod broadcast;
+pub mod drive;
 pub mod fabric;
 pub mod packet;
 
 mod types;
 
 pub use broadcast::BroadcastTree;
+pub use drive::TxnRequest;
 pub use fabric::TxnFabric;
 pub use packet::{data_flits, split_packets, PacketDesc, PacketKind, StagedFlit, FLIT_BYTES};
 pub use types::{
@@ -70,12 +77,21 @@ pub use types::{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_core::telemetry::{SpanSink, TraceSink};
     use noc_core::{
         FlitClass, Network, NetworkConfig, NodeId, PacketToken, RingKind, TopologyBuilder,
     };
 
+    /// Whether `fab` settles drained within `budget` ticks.
+    fn drains<S: TraceSink, P: SpanSink>(fab: &mut TxnFabric<S, P>, budget: u64) -> bool {
+        matches!(
+            drive::settle(fab, budget, |_| Ok(())),
+            Ok(drive::Verdict::Drained(_))
+        )
+    }
+
     /// One full ring, six devices.
-    fn ring_fabric(cfg: TxnConfig) -> (TxnFabric, Vec<NodeId>) {
+    pub(crate) fn ring_fabric(cfg: TxnConfig) -> (TxnFabric, Vec<NodeId>) {
         let mut b = TopologyBuilder::new();
         let die = b.add_chiplet("die");
         let r = b.add_ring(die, RingKind::Full, 12).unwrap();
@@ -119,7 +135,7 @@ mod tests {
             .submit(d[0], d[5], TxnOp::Atomic(AtomicKind::Accumulate(41)))
             .unwrap()
             .unwrap();
-        assert!(fab.run_until_quiet(100_000), "fabric wedged");
+        assert!(drains(&mut fab, 100_000), "fabric wedged");
         let done = fab.drain_completions();
         assert_eq!(done.len(), 4);
         let by_id = |id| done.iter().find(|c| c.txn == id).unwrap();
@@ -169,13 +185,13 @@ mod tests {
             )
             .unwrap()
             .is_some());
-        assert!(fab.run_until_quiet(100_000));
+        assert!(drains(&mut fab, 100_000));
         // Freed slots accept again.
         assert!(fab
             .submit(d[0], d[3], TxnOp::Read { bytes: 64 })
             .unwrap()
             .is_some());
-        assert!(fab.run_until_quiet(100_000));
+        assert!(drains(&mut fab, 100_000));
         assert_eq!(fab.drain_completions().len(), 4);
     }
 
@@ -206,7 +222,7 @@ mod tests {
             )
             .unwrap()
             .is_none());
-        assert!(fab.run_until_quiet(1_000_000));
+        assert!(drains(&mut fab, 1_000_000));
     }
 
     #[test]
@@ -236,13 +252,14 @@ mod tests {
         .unwrap()
         .unwrap();
         let mut peak = 0u64;
-        let mut cycles = 0u64;
-        while !fab.quiet() {
-            fab.tick();
+        let verdict = drive::settle(&mut fab, 100_000, |fab| {
             peak = peak.max(fab.outstanding());
-            cycles += 1;
-            assert!(cycles < 100_000, "throttled fabric wedged");
-        }
+            Ok(())
+        });
+        assert!(
+            matches!(verdict, Ok(drive::Verdict::Drained(_))),
+            "throttled fabric wedged"
+        );
         assert!(peak > 0, "nothing ever entered the network");
         assert!(peak <= 12, "admission cap exceeded: peak {peak}");
         assert_eq!(fab.outstanding(), 0, "all flits accounted for on drain");
@@ -302,7 +319,7 @@ mod tests {
     fn broadcast_reaches_every_target_once() {
         let (mut fab, d) = ring_fabric(TxnConfig::default());
         let id = fab.submit_broadcast(d[0], &d[1..], 512).unwrap().unwrap();
-        assert!(fab.run_until_quiet(200_000), "broadcast wedged");
+        assert!(drains(&mut fab, 200_000), "broadcast wedged");
         let done = fab.drain_completions();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].txn, id);
@@ -320,7 +337,7 @@ mod tests {
         let (mut fab, d) = ring_fabric(TxnConfig::default());
         assert!(fab.submit_message(d[0], d[3], FlitClass::Request, 80, 0xAA));
         assert!(fab.submit_message(d[1], d[3], FlitClass::Data, 64, 0xBB));
-        assert!(fab.run_until_quiet(100_000));
+        assert!(drains(&mut fab, 100_000));
         let mut got = Vec::new();
         while let Some(t) = fab.recv_message(d[3]) {
             got.push(t);
@@ -343,7 +360,7 @@ mod tests {
         .encode();
         fab.inject_raw(d[0], d[2], FlitClass::Data, 64, bogus)
             .unwrap();
-        assert!(fab.run_until_quiet(100_000));
+        assert!(drains(&mut fab, 100_000));
         assert_eq!(fab.counters().stray_flits, 1);
         assert!(fab.drain_completions().is_empty());
     }
@@ -367,7 +384,7 @@ mod tests {
         let dup = PacketToken { packet: 0, seq: 1 }.encode();
         fab.inject_raw(d[1], d[3], FlitClass::Data, 64, dup)
             .unwrap();
-        assert!(fab.run_until_quiet(200_000));
+        assert!(drains(&mut fab, 200_000));
         assert_eq!(fab.drain_completions().len(), 1, "write still completes");
         assert_eq!(
             fab.counters().duplicate_flits + fab.counters().stray_flits,
@@ -388,7 +405,7 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(fab.window_of(d[0]), Some(2), "one slot per non-posted txn");
-        assert!(fab.run_until_quiet(100_000));
+        assert!(drains(&mut fab, 100_000));
         assert_eq!(fab.window_of(d[0]), Some(0));
         // Packet ids allocate in staging order: the write's data is 0,
         // the read request 1, and the two responses 2 and 3. Replay
@@ -398,7 +415,7 @@ mod tests {
             fab.inject_raw(d[3], d[0], FlitClass::Response, 0, late)
                 .unwrap();
         }
-        assert!(fab.run_until_quiet(100_000));
+        assert!(drains(&mut fab, 100_000));
         assert_eq!(fab.counters().stray_flits, 2);
         assert_eq!(fab.counters().late_responses, 0, "never counts");
         assert_eq!(fab.window_of(d[0]), Some(0), "no slot released twice");
@@ -417,7 +434,7 @@ mod tests {
                 .unwrap()
                 .unwrap();
         }
-        assert!(fab.run_until_quiet(100_000));
+        assert!(drains(&mut fab, 100_000));
         // Pad to the next sampling boundary so the last window closes.
         while fab.now().raw() % 64 != 0 {
             fab.tick();
@@ -473,7 +490,7 @@ mod tests {
         fab.submit_broadcast(d[5], &d[..5], 256).unwrap();
         // Messages are not transactions and must not produce trees.
         assert!(fab.submit_message(d[3], d[0], FlitClass::Request, 32, 0xC0));
-        assert!(fab.run_until_quiet(200_000), "fabric wedged");
+        assert!(drains(&mut fab, 200_000), "fabric wedged");
 
         let done = fab.drain_completions();
         assert_eq!(done.len(), 5);
@@ -556,7 +573,7 @@ mod tests {
             fab.submit(d[0], d[3], TxnOp::Read { bytes: 512 }).unwrap();
             fab.submit(d[1], d[4], TxnOp::Atomic(AtomicKind::Accumulate(3)))
                 .unwrap();
-            assert!(fab.run_until_quiet(100_000));
+            assert!(drains(fab, 100_000));
         }
         assert_eq!(a.fingerprint(), bfab.fingerprint());
         assert!(bfab.tail_exemplars().is_empty());
@@ -568,7 +585,7 @@ mod tests {
         let before = fab.fingerprint();
         assert!(before.len() > fab.network().fingerprint().len());
         fab.submit(d[0], d[1], TxnOp::Read { bytes: 64 }).unwrap();
-        assert!(fab.run_until_quiet(100_000));
+        assert!(drains(&mut fab, 100_000));
         assert_ne!(fab.fingerprint(), before);
     }
 

@@ -15,6 +15,9 @@ use noc_sim::SimRng;
 use noc_txn::{AtomicKind, TxnOp};
 use serde::{Deserialize, Serialize};
 
+/// The request type lives with its driver (`noc_txn::drive`).
+pub use noc_txn::TxnRequest;
+
 /// Mix of a transaction workload. Fractions are cumulative-sampled in
 /// field order; whatever probability mass remains after `read_frac`,
 /// `write_frac`, `atomic_frac` and `bcast_frac` falls back to reads.
@@ -44,29 +47,6 @@ impl Default for TxnMix {
             posted_frac: 0.5,
         }
     }
-}
-
-/// One generated transaction request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TxnRequest {
-    /// Point-to-point operation.
-    Point {
-        /// Issuing endpoint.
-        src: NodeId,
-        /// Destination endpoint.
-        dst: NodeId,
-        /// The operation.
-        op: TxnOp,
-    },
-    /// Broadcast from `src` to `targets`.
-    Broadcast {
-        /// Root endpoint.
-        src: NodeId,
-        /// Target set (never contains `src`).
-        targets: Vec<NodeId>,
-        /// Payload bytes (at most one packet).
-        bytes: u32,
-    },
 }
 
 /// Seeded generator of [`TxnRequest`]s over a fixed device list.

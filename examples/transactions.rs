@@ -16,8 +16,9 @@
 
 use noc_core::spec::devices_by_name;
 use noc_core::telemetry::{critical_path, txn_snapshots_jsonl, SpanCollector};
-use noc_core::{GridParams, Network, NetworkConfig, NodeId};
-use noc_txn::{AtomicKind, TxnConfig, TxnFabric, TxnOp};
+use noc_core::{GridParams, Network, NetworkConfig};
+use noc_txn::drive::{settle, ClosedLoop, Verdict};
+use noc_txn::{AtomicKind, TxnConfig, TxnFabric, TxnOp, TxnRequest};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 16-chiplet torus from the generative builder: 16 stations per
@@ -49,54 +50,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fab.outstanding_cap()
     );
 
+    // One closed loop, one offer a cycle, runs three phases in turn.
     // Phase 1 — a DMA burst wave: every device writes 4 KiB (1 header +
     // 64 data flits per packet) to the device half the fabric away,
     // non-posted so each burst is acknowledged through the window.
     let n = devs.len();
-    let mut accepted = 0usize;
-    let mut submitted = 0usize;
-    while accepted < n {
-        let src = devs[submitted % n];
-        let dst = devs[(submitted + n / 2) % n];
-        if fab
-            .submit(
-                src,
-                dst,
-                TxnOp::Write {
-                    bytes: 4096,
-                    posted: false,
-                },
-            )?
-            .is_some()
-        {
-            accepted += 1;
-        }
-        submitted += 1;
-        fab.tick();
-    }
-
+    let dma = (0..n).map(|i| TxnRequest::Point {
+        src: devs[i],
+        dst: devs[(i + n / 2) % n],
+        op: TxnOp::Write {
+            bytes: 4096,
+            posted: false,
+        },
+    });
     // Phase 2 — remote atomics: eight accumulate-and-fetch ops hammer
     // one shared cell, like a barrier counter.
     let cell = devs[n - 1];
-    for &src in devs.iter().take(8) {
-        while fab
-            .submit(src, cell, TxnOp::Atomic(AtomicKind::Accumulate(1)))?
-            .is_none()
-        {
-            fab.tick();
-        }
-        fab.tick();
-    }
-
+    let atomics = devs[..8].iter().map(|&src| TxnRequest::Point {
+        src,
+        dst: cell,
+        op: TxnOp::Atomic(AtomicKind::Accumulate(1)),
+    });
     // Phase 3 — a rectangle broadcast: device 0 pushes a 1 KiB tensor
     // tile to eight spread targets through the topology-derived fan-out
     // tree (one bridge crossing per foreign ring).
-    let targets: Vec<NodeId> = (0..8).map(|t| devs[1 + t * (n / 8)]).collect();
-    while fab.submit_broadcast(devs[0], &targets, 1024)?.is_none() {
-        fab.tick();
+    let broadcast = TxnRequest::Broadcast {
+        src: devs[0],
+        targets: (0..8).map(|t| devs[1 + t * (n / 8)]).collect(),
+        bytes: 1024,
+    };
+    let mut requests = dma.chain(atomics).chain([broadcast]);
+    let total = (n + 8 + 1) as u64;
+    let mut lp = ClosedLoop::new(usize::MAX, 1);
+    while lp.accepted() < total {
+        lp.cycle(&mut fab, &mut requests, |_| {})?;
     }
-
-    assert!(fab.run_until_quiet(500_000), "fabric wedged");
+    let verdict = settle(&mut fab, 500_000, |_| Ok(()))?;
+    assert!(matches!(verdict, Verdict::Drained(_)), "{verdict:?}");
     // Pad to the next sampling boundary so the last window commits.
     while fab.now().raw() % 64 != 0 {
         fab.tick();

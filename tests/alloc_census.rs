@@ -275,22 +275,15 @@ fn a_txn_fabric_allocates_a_pinned_count_per_transaction() {
     let requests: Vec<TxnRequest> = (0..WARM + MEASURED + 64)
         .map(|_| workload.next(&mut rng))
         .collect();
-    let (mut next, mut completed) = (0usize, 0u64);
+    let mut requests = requests.into_iter();
+    let mut closed = noc_txn::drive::ClosedLoop::new(64, usize::MAX);
     let mut run_to = |target: u64| {
-        while completed < target {
-            while fab.in_flight_txns() < 64 {
-                let TxnRequest::Point { src, dst, op } = &requests[next] else {
-                    panic!("the mix has no broadcasts");
-                };
-                match fab.submit(*src, *dst, *op).expect("valid endpoints") {
-                    Some(_) => next += 1,
-                    None => break,
-                }
-            }
-            fab.tick();
-            completed += fab.drain_completions().len() as u64;
+        while fab.counters().completed() < target {
+            closed
+                .cycle(&mut fab, &mut requests, |_| {})
+                .expect("valid endpoints");
         }
-        completed
+        fab.counters().completed()
     };
     run_to(WARM);
     let mut done = 0;
@@ -335,31 +328,16 @@ fn a_broadcast_mix_allocates_a_pinned_count_per_broadcast() {
     let requests: Vec<TxnRequest> = (0..WARM + MEASURED + 4)
         .map(|_| workload.next(&mut rng))
         .collect();
-    let (mut next, mut completed) = (0usize, 0u64);
+    let mut requests = requests.into_iter();
+    let mut closed = noc_txn::drive::ClosedLoop::new(4, usize::MAX);
     let mut run_to = |target: u64| {
-        while completed < target {
-            while fab.in_flight_txns() < 4 {
-                let TxnRequest::Broadcast {
-                    src,
-                    targets,
-                    bytes,
-                } = &requests[next]
-                else {
-                    panic!("the mix is broadcasts only");
-                };
-                match fab
-                    .submit_broadcast(*src, targets, *bytes)
-                    .expect("valid broadcast")
-                {
-                    Some(_) => next += 1,
-                    None => break,
-                }
-            }
-            fab.tick();
-            completed += fab.drain_completions().len() as u64;
+        while fab.counters().completed() < target {
+            closed
+                .cycle(&mut fab, &mut requests, |_| {})
+                .expect("valid broadcast");
             assert!(fab.network().now().raw() < 2_000_000, "the mix drains");
         }
-        completed
+        fab.counters().completed()
     };
     run_to(WARM);
     let mut done = 0;

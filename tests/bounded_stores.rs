@@ -25,16 +25,18 @@
 //!
 //! Both series still count every window they committed.
 
-use noc_core::spec::devices_by_name;
+mod common;
+
 use noc_core::telemetry::{
     HealthConfig, NullSink, NullSpanSink, RecorderConfig, RingBufferSink, SpanCollector, SpanSink,
     TraceSink, WaitGraphConfig, SERIES_WINDOW,
 };
-use noc_core::{GridParams, Network, NetworkConfig, NodeId, Topology};
+use noc_core::{Network, NetworkConfig, NodeId};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
+use noc_txn::drive::ClosedLoop;
 use noc_txn::{TxnConfig, TxnFabric};
-use noc_workloads::{TxnMix, TxnRequest, TxnWorkload};
+use noc_workloads::{TxnMix, TxnWorkload};
 
 const PERIOD: u64 = 32;
 const T: u64 = 3_200;
@@ -52,18 +54,6 @@ struct Census {
     spans: Option<usize>,
     wait_samples: Option<usize>,
     wait_stats: Option<usize>,
-}
-
-fn torus() -> (Topology, Vec<NodeId>) {
-    let (topo, names) = GridParams::torus(4, 4)
-        .with_stations(16)
-        .with_devices(2)
-        .with_seed(0x7261_6a65)
-        .generate()
-        .expect("the 4x4 torus generates")
-        .compile()
-        .expect("the 4x4 torus compiles");
-    (topo, devices_by_name(&names))
 }
 
 fn txn_config() -> TxnConfig {
@@ -93,21 +83,12 @@ fn census_holds<S: TraceSink, P: SpanSink>(
     };
     let workload = TxnWorkload::new(devices, mix, TrafficPattern::Uniform, 64, 16);
     let mut rng = SimRng::seed_from(7);
-    let mut pending: Option<TxnRequest> = None;
+    let mut requests = std::iter::repeat_with(|| workload.next(&mut rng));
+    let mut lp = ClosedLoop::new(64, usize::MAX);
     for cycles in [T, 4 * T] {
         while fab.now().raw() < cycles {
-            while fab.in_flight_txns() < 64 {
-                let req = pending.take().unwrap_or_else(|| workload.next(&mut rng));
-                let TxnRequest::Point { src, dst, op } = req else {
-                    panic!("the mix has no broadcasts");
-                };
-                if fab.submit(src, dst, op).expect("valid endpoints").is_none() {
-                    pending = Some(req);
-                    break;
-                }
-            }
-            fab.tick();
-            fab.drain_completions();
+            lp.cycle(fab, &mut requests, |_| {})
+                .expect("valid endpoints");
         }
         assert_eq!(&census(fab), bound, "after {cycles} cycles");
         let registry = fab.network().metrics().expect("observatory on");
@@ -127,7 +108,7 @@ fn every_store_holds_its_bound_however_long_the_run() {
         ..RecorderConfig::default()
     };
     let forensics = WaitGraphConfig::default();
-    let (topo, devices) = torus();
+    let (topo, devices) = common::torus4();
     let mut net = Network::with_sink(topo, NetworkConfig::default(), RingBufferSink::new(SINK));
     net.enable_flight_recorder(PERIOD, HealthConfig::default(), recorder.clone());
     let mut fab = TxnFabric::with_spans(net, txn_config(), SpanCollector::new(SPANS, 8));
@@ -164,7 +145,7 @@ fn every_store_holds_its_bound_however_long_the_run() {
 
 #[test]
 fn the_metrics_plane_alone_keeps_the_default_window() {
-    let (topo, devices) = torus();
+    let (topo, devices) = common::torus4();
     let mut net = Network::new(topo, NetworkConfig::default());
     net.enable_metrics(PERIOD);
     assert!(net.recorder().is_none());

@@ -6,15 +6,13 @@
 //! transactions complete at the same cycles, but that every per-packet
 //! counter, causal edge and critical-flit record agrees byte for byte.
 
-use noc_core::spec::devices_by_name;
+mod common;
+
 use noc_core::telemetry::{
     critical_path, span_trees_jsonl, LatencyBreakdown, SpanCollector, SpanSink,
 };
-use noc_core::{GridParams, Network, NetworkConfig, NodeId};
-use noc_sim::fuzz::TrafficPattern;
-use noc_sim::SimRng;
+use noc_core::{Network, NetworkConfig};
 use noc_txn::{TxnConfig, TxnFabric};
-use noc_workloads::{TxnMix, TxnRequest, TxnWorkload};
 
 const SEEDS: u64 = 20;
 const TXNS_PER_SEED: usize = 30;
@@ -30,18 +28,6 @@ struct SpanStream {
     recorded: u64,
 }
 
-fn torus(seed: u64) -> (noc_core::Topology, Vec<NodeId>) {
-    let (topo, names) = GridParams::torus(2, 2)
-        .with_devices(8)
-        .with_seed(seed)
-        .generate()
-        .expect("params are valid")
-        .compile()
-        .expect("spec compiles");
-    let devs = devices_by_name(&names);
-    (topo, devs)
-}
-
 fn txn_cfg() -> TxnConfig {
     TxnConfig {
         window: 4,
@@ -52,42 +38,10 @@ fn txn_cfg() -> TxnConfig {
 
 /// Drive the seeded workload to quiescence, collecting spans.
 fn run_variant(seed: u64) -> SpanStream {
-    let (topo, devs) = torus(seed);
+    let (topo, devs) = common::torus(seed);
     let net = Network::new(topo, NetworkConfig::default());
     let mut fab = TxnFabric::with_spans(net, txn_cfg(), SpanCollector::new(4096, EXEMPLAR_K));
-    let wl = TxnWorkload::new(devs, TxnMix::default(), TrafficPattern::Uniform, 64, 32);
-    let mut rng = SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9));
-    let mut accepted = 0usize;
-    let mut pending: Option<TxnRequest> = None;
-    let mut guard = 0u64;
-    while accepted < TXNS_PER_SEED {
-        let req = pending.take().unwrap_or_else(|| wl.next(&mut rng));
-        let outcome = match &req {
-            TxnRequest::Point { src, dst, op } => fab
-                .submit(*src, *dst, *op)
-                .expect("generated endpoints are valid")
-                .map(|_| ()),
-            TxnRequest::Broadcast {
-                src,
-                targets,
-                bytes,
-            } => fab
-                .submit_broadcast(*src, targets, *bytes)
-                .expect("generated broadcasts are valid")
-                .map(|_| ()),
-        };
-        match outcome {
-            Some(()) => accepted += 1,
-            None => pending = Some(req),
-        }
-        fab.tick();
-        guard += 1;
-        assert!(guard < 1_000_000, "seed {seed}: workload never accepted");
-    }
-    assert!(
-        fab.run_until_quiet(2_000_000),
-        "seed {seed}: fabric failed to quiesce"
-    );
+    common::run_mixed(&mut fab, devs, seed, TXNS_PER_SEED as u64);
 
     // Every recorded tree must reconcile exactly before we bother
     // comparing streams: phase sums == completion latency.

@@ -22,17 +22,19 @@
 //! with 32-flit bursts, which wedges the fabric so forensics latches and
 //! watchdog bundles are captured.
 
-use noc_core::spec::devices_by_name;
+mod common;
+
 use noc_core::telemetry::{
     chrome_trace, jsonl, prometheus_text, snapshots_jsonl, span_trees_jsonl, spans_chrome_trace,
     txn_snapshots_jsonl, HealthConfig, MetricsSnapshot, PostmortemBundle, RecorderConfig,
     RingBufferSink, SpanCollector, TxnSpanTree, WaitGraphConfig,
 };
-use noc_core::{GridParams, Network, NetworkConfig, NodeId};
+use noc_core::{Network, NetworkConfig};
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
+use noc_txn::drive::ClosedLoop;
 use noc_txn::{TxnConfig, TxnFabric};
-use noc_workloads::{TxnMix, TxnRequest, TxnWorkload};
+use noc_workloads::{TxnMix, TxnWorkload};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -114,20 +116,8 @@ struct Digest {
     hashes: [u64; 10],
 }
 
-fn torus() -> (noc_core::Topology, Vec<NodeId>) {
-    let (topo, names) = GridParams::torus(4, 4)
-        .with_stations(16)
-        .with_devices(2)
-        .with_seed(0x7261_6a65)
-        .generate()
-        .expect("the 4x4 torus generates")
-        .compile()
-        .expect("the 4x4 torus compiles");
-    (topo, devices_by_name(&names))
-}
-
 fn run(case: &Case) -> Digest {
-    let (topo, devs) = torus();
+    let (topo, devs) = common::torus4();
     let mut net = Network::with_sink(topo, NetworkConfig::default(), RingBufferSink::new(1_000));
     net.enable_flight_recorder(32, HealthConfig::default(), case.recorder.clone());
     let mut fab = TxnFabric::with_spans(
@@ -150,32 +140,12 @@ fn run(case: &Case) -> Digest {
         u32::from(case.max_data_flits),
     );
     let mut rng = SimRng::seed_from(case.seed.wrapping_mul(0x9E37_79B9));
-    let mut pending: Option<TxnRequest> = None;
+    let mut requests = std::iter::repeat_with(|| wl.next(&mut rng));
+    let mut lp = ClosedLoop::new(case.outstanding, usize::MAX);
     let (mut series, mut next) = (String::new(), 0u64);
     let (mut txn_series, mut txn_next) = (String::new(), 0u64);
     while fab.now().raw() < case.cycles {
-        while fab.in_flight_txns() < case.outstanding {
-            let req = pending.take().unwrap_or_else(|| wl.next(&mut rng));
-            let accepted = match &req {
-                TxnRequest::Point { src, dst, op } => {
-                    fab.submit(*src, *dst, *op).expect("valid").is_some()
-                }
-                TxnRequest::Broadcast {
-                    src,
-                    targets,
-                    bytes,
-                } => fab
-                    .submit_broadcast(*src, targets, *bytes)
-                    .expect("valid")
-                    .is_some(),
-            };
-            if !accepted {
-                pending = Some(req);
-                break;
-            }
-        }
-        fab.tick();
-        fab.drain_completions();
+        lp.cycle(&mut fab, &mut requests, |_| {}).expect("valid");
         let registry = fab.network().metrics().expect("observatory on");
         let fresh = registry.since(next).expect("read every tick");
         series.push_str(&snapshots_jsonl(fresh));

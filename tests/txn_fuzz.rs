@@ -14,6 +14,7 @@ use noc_core::spec::devices_by_name;
 use noc_core::{GridParams, Network, NetworkConfig};
 use noc_sim::fuzz::{save_failing_artifact, SeedMatrix, TrafficPattern};
 use noc_sim::SimRng;
+use noc_txn::drive::{settle, ClosedLoop, Verdict};
 use noc_txn::{TxnConfig, TxnCounters, TxnFabric};
 use noc_workloads::{TxnMix, TxnRequest, TxnWorkload};
 use serde::Serialize;
@@ -66,46 +67,28 @@ fn run(seed: u64, trace: &mut TxnTrace) -> Result<(), String> {
     let mut fab = TxnFabric::new(net, cfg);
     let wl = TxnWorkload::new(devs, TxnMix::default(), TrafficPattern::Uniform, 64, 32);
     let mut rng = SimRng::seed_from(seed);
-    let mut pending: Option<TxnRequest> = None;
-    let mut guard = 0u64;
-    while trace.submitted.len() < TXNS_PER_SEED {
-        let req = pending.take().unwrap_or_else(|| wl.next(&mut rng));
-        let accepted = match &req {
-            TxnRequest::Point { src, dst, op } => fab
-                .submit(*src, *dst, *op)
-                .map_err(|e| format!("submit: {e}"))?
-                .is_some(),
-            TxnRequest::Broadcast {
-                src,
-                targets,
-                bytes,
-            } => fab
-                .submit_broadcast(*src, targets, *bytes)
-                .map_err(|e| format!("broadcast: {e}"))?
-                .is_some(),
-        };
-        if accepted {
-            trace.submitted.push(req);
-        } else {
-            pending = Some(req);
-        }
-        fab.tick();
-        guard += 1;
-        if guard > 1_000_000 {
+    let submitted = &mut trace.submitted;
+    let mut requests =
+        std::iter::repeat_with(|| wl.next(&mut rng)).inspect(|r| submitted.push(r.clone()));
+    let mut lp = ClosedLoop::new(usize::MAX, 1);
+    let mut completions = Vec::new();
+    while lp.accepted() < TXNS_PER_SEED as u64 {
+        if fab.now().raw() >= 1_000_000 {
             return Err("workload starved: nothing accepted for 1M cycles".into());
         }
+        lp.cycle(&mut fab, &mut requests, |c| completions.push(c))
+            .map_err(|e| format!("submit: {e}"))?;
     }
-    let quiet = fab.run_until_quiet(2_000_000);
+    let verdict = settle(&mut fab, 2_000_000, |_| Ok(()))?;
     trace.counters = *fab.counters();
     trace.fingerprint = fab.fingerprint();
-    if !quiet {
+    if !matches!(verdict, Verdict::Drained(_)) {
         return Err(format!(
-            "failed to quiesce: {} txns in flight at cycle {}",
-            fab.in_flight_txns(),
+            "failed to quiesce: {verdict:?} at cycle {}",
             fab.now().raw()
         ));
     }
-    let completions = fab.drain_completions();
+    completions.extend(fab.drain_completions());
     let c = trace.counters;
     if c.stray_flits != 0 || c.duplicate_flits != 0 || c.late_responses != 0 {
         return Err(format!(

@@ -8,12 +8,10 @@
 //! identically; here the packetization, reassembly, window and
 //! broadcast decisions layered on top must too.
 
-use noc_core::spec::devices_by_name;
-use noc_core::{GridParams, Network, NetworkConfig, NodeId};
-use noc_sim::fuzz::TrafficPattern;
-use noc_sim::SimRng;
+mod common;
+
+use noc_core::{Network, NetworkConfig};
 use noc_txn::{TxnCompletion, TxnConfig, TxnCounters, TxnFabric, TxnKind};
-use noc_workloads::{TxnMix, TxnRequest, TxnWorkload};
 
 const SEEDS: u64 = 20;
 const TXNS_PER_SEED: usize = 30;
@@ -27,20 +25,6 @@ struct Outcome {
     cycles: u64,
 }
 
-fn torus(seed: u64) -> (noc_core::Topology, Vec<NodeId>) {
-    let (topo, names) = GridParams::torus(2, 2)
-        .with_devices(8)
-        .with_seed(seed)
-        .generate()
-        .expect("params are valid")
-        .compile()
-        .expect("spec compiles");
-    // Sorted-by-name device order: `compile` hands back a HashMap, and
-    // its iteration order must never leak into the traffic schedule.
-    let devs = devices_by_name(&names);
-    (topo, devs)
-}
-
 fn txn_cfg() -> TxnConfig {
     TxnConfig {
         window: 4,
@@ -51,50 +35,14 @@ fn txn_cfg() -> TxnConfig {
 
 /// Drive the seeded workload to quiescence.
 fn run_variant(seed: u64) -> Outcome {
-    let (topo, devs) = torus(seed);
+    let (topo, devs) = common::torus(seed);
     let net = Network::new(topo, NetworkConfig::default());
     let mut fab = TxnFabric::new(net, txn_cfg());
-    let wl = TxnWorkload::new(devs, TxnMix::default(), TrafficPattern::Uniform, 64, 32);
-    let mut rng = SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9));
-    let mut accepted = 0usize;
-    let mut pending: Option<TxnRequest> = None;
-    let mut guard = 0u64;
-    while accepted < TXNS_PER_SEED {
-        let req = pending.take().unwrap_or_else(|| wl.next(&mut rng));
-        let outcome = match &req {
-            TxnRequest::Point { src, dst, op } => fab
-                .submit(*src, *dst, *op)
-                .expect("generated endpoints are valid")
-                .map(|_| ()),
-            TxnRequest::Broadcast {
-                src,
-                targets,
-                bytes,
-            } => fab
-                .submit_broadcast(*src, targets, *bytes)
-                .expect("generated broadcasts are valid")
-                .map(|_| ()),
-        };
-        match outcome {
-            Some(()) => accepted += 1,
-            None => pending = Some(req), // backpressured: retry the same request
-        }
-        fab.tick();
-        guard += 1;
-        assert!(guard < 1_000_000, "seed {seed}: workload never accepted");
-    }
-    assert!(
-        fab.run_until_quiet(2_000_000),
-        "seed {seed}: fabric failed to quiesce: \
-         {} txns live, {} net flits in flight, counters {:?}",
-        fab.in_flight_txns(),
-        fab.network().in_flight(),
-        fab.counters()
-    );
+    let completions = common::run_mixed(&mut fab, devs, seed, TXNS_PER_SEED as u64);
     Outcome {
         fingerprint: fab.fingerprint(),
         cycles: fab.now().raw(),
-        completions: fab.drain_completions(),
+        completions,
         counters: *fab.counters(),
     }
 }

@@ -22,65 +22,31 @@
 //! * with the fix, the exact configurations that used to wedge drain
 //!   completely and the detector never latches — the fix guarantee.
 
-use noc_core::spec::devices_by_name;
-use noc_core::telemetry::{PostmortemBundle, WaitGraphConfig};
-use noc_core::topogen::GridParams;
-use noc_core::{Network, NetworkConfig, NodeId};
-use noc_txn::{TxnConfig, TxnFabric, TxnOp};
+mod common;
 
-/// The wedge topology, where full rings and full bridge escape buffers
-/// form a cyclic wait SWAP cannot break: 4×4 torus, 16 stations, 2
-/// devices per station, pinned seed.
-fn torus_devices() -> (noc_core::Topology, Vec<NodeId>) {
-    let (topo, names) = GridParams::torus(4, 4)
-        .with_stations(16)
-        .with_devices(2)
-        .with_seed(0x7261_6a65)
-        .generate()
-        .expect("torus generates")
-        .compile()
-        .expect("torus compiles");
-    (topo, devices_by_name(&names))
-}
+use noc_core::telemetry::{PostmortemBundle, WaitGraphConfig};
+use noc_core::{Network, NetworkConfig, NodeId};
+use noc_txn::drive::{settle, ClosedLoop, Verdict, STALL_W};
+use noc_txn::{TxnConfig, TxnFabric, TxnOp, TxnRequest};
 
 /// Antipodal 4 KiB DMA bursts: device i writes to the device half the
 /// ring away.
-fn dma(i: usize, devs: &[NodeId]) -> (NodeId, NodeId, TxnOp) {
+fn dma(i: usize, devs: &[NodeId]) -> TxnRequest {
     let n = devs.len();
-    (
-        devs[i % n],
-        devs[(i + n / 2) % n],
-        TxnOp::Write {
+    TxnRequest::Point {
+        src: devs[i % n],
+        dst: devs[(i + n / 2) % n],
+        op: TxnOp::Write {
             bytes: 4096,
             posted: false,
         },
-    )
-}
-
-/// Stride-7 2 KiB non-posted writes: the pattern that wedges legacy
-/// admission (the stride walks every bridge pair, closing a four-ring
-/// escape cycle).
-fn stride7(i: usize, devs: &[NodeId]) -> (NodeId, NodeId, TxnOp) {
-    let n = devs.len();
-    let src = i % n;
-    let mut dst = (i * 7 + 3) % n;
-    if dst == src {
-        dst = (dst + 1) % n;
     }
-    (
-        devs[src],
-        devs[dst],
-        TxnOp::Write {
-            bytes: 2048,
-            posted: false,
-        },
-    )
 }
 
 struct SaturationRun {
-    accepted: usize,
+    accepted: u64,
     completed: u64,
-    drained: bool,
+    verdict: Verdict,
     latched: bool,
     chain_len: usize,
     /// `WedgeReport::render()` of the latched report, empty if none.
@@ -90,18 +56,19 @@ struct SaturationRun {
     health: String,
 }
 
-/// Drive `total` requests from the generator, keeping up to
-/// `max_outstanding` transactions in flight (`greedy` refills the
-/// window every cycle; paced submits at most one per cycle), with the
-/// wait-graph detector armed. Returns what happened.
+/// Drive `total` requests from the generator through the closed loop,
+/// keeping up to `max_outstanding` transactions in flight and offering
+/// at most `per_cycle` a cycle, with the wait-graph detector armed;
+/// offers stop early once the network has made no progress for
+/// `STALL_W` cycles. The run ends on `settle`'s verdict.
 fn run_saturation(
-    req: fn(usize, &[NodeId]) -> (NodeId, NodeId, TxnOp),
+    req: fn(usize, &[NodeId]) -> TxnRequest,
     max_outstanding: usize,
     total: usize,
-    greedy: bool,
+    per_cycle: usize,
     slots: usize,
 ) -> SaturationRun {
-    let (topo, devs) = torus_devices();
+    let (topo, devs) = common::torus4();
     let mut net = Network::new(topo, NetworkConfig::default());
     net.enable_metrics(32);
     let mut fab = TxnFabric::new(
@@ -113,54 +80,36 @@ fn run_saturation(
         },
     );
     fab.enable_forensics(WaitGraphConfig::default());
-    let mut accepted = 0usize;
-    let mut last_completed = 0u64;
-    let mut last_progress_cycle = 0u64;
-    loop {
-        loop {
-            if accepted >= total || fab.in_flight_txns() >= max_outstanding {
-                break;
-            }
-            let (src, dst, op) = req(accepted, &devs);
-            if fab.submit(src, dst, op).expect("valid").is_some() {
-                accepted += 1;
-                if !greedy {
-                    break;
-                }
-            } else {
-                break;
-            }
-        }
-        fab.tick();
-        let done = fab.counters().completed();
-        if done != last_completed {
-            last_completed = done;
-            last_progress_cycle = fab.now().raw();
-        }
-        let quiet = fab.quiet() && accepted >= total;
-        let stuck = fab.now().raw() - last_progress_cycle > 50_000;
-        if quiet || fab.wedge_latched() || stuck {
-            return SaturationRun {
-                accepted,
-                completed: last_completed,
-                drained: quiet,
-                latched: fab.wedge_latched(),
-                chain_len: fab.wedge_report().map_or(0, |r| r.chain.len()),
-                wedge_text: fab.wedge_report().map(|r| r.render()).unwrap_or_default(),
-                bundle: fab.wedge_bundles().first().cloned(),
-                health: fab.network().health_report(),
-            };
-        }
+    let mut requests = (0..total).map(|i| req(i, &devs));
+    let mut lp = ClosedLoop::new(max_outstanding, per_cycle);
+    while lp.accepted() < total as u64 && fab.network().stalled_for() < STALL_W {
+        lp.cycle(&mut fab, &mut requests, |_| {}).expect("valid");
+    }
+    let verdict = settle(&mut fab, 1_000_000, |_| Ok(())).expect("no tick check");
+    SaturationRun {
+        accepted: lp.accepted(),
+        completed: fab.counters().completed(),
+        verdict,
+        latched: fab.wedge_latched(),
+        chain_len: fab.wedge_report().map_or(0, |r| r.chain.len()),
+        wedge_text: fab.wedge_report().map(|r| r.render()).unwrap_or_default(),
+        bundle: fab.wedge_bundles().first().cloned(),
+        health: fab.network().health_report(),
     }
 }
 
 #[test]
 fn legacy_admission_wedges_and_detector_latches() {
     // The pre-fix behaviour is itself pinned: greedy stride-7 at 200
-    // outstanding wedges within ~1.5k cycles, and the detector must
-    // latch with a non-trivial cyclic chain — not time out silently.
-    let run = run_saturation(stride7, 200, 2000, true, 0);
-    assert!(!run.drained, "legacy admission unexpectedly drained");
+    // outstanding wedges within ~1.5k cycles, `settle` calls it wedged
+    // one stall window later, and the detector must have latched with
+    // a non-trivial cyclic chain by then.
+    let run = run_saturation(common::stride7, 200, 2000, usize::MAX, 0);
+    assert!(
+        matches!(run.verdict, Verdict::Wedged(n) if n > 0),
+        "legacy admission did not wedge: {:?}",
+        run.verdict
+    );
     assert!(
         run.latched,
         "wedged (completed {} of {}) but the detector never latched",
@@ -190,11 +139,12 @@ fn legacy_admission_below_the_frontier_drains_silently() {
     // The detector's other half: at 32 outstanding the same greedy
     // stride-7 pattern drains under legacy admission, and a draining
     // run must never latch.
-    let run = run_saturation(stride7, 32, 400, true, 0);
+    let run = run_saturation(common::stride7, 32, 400, usize::MAX, 0);
     assert!(
-        run.drained,
+        matches!(run.verdict, Verdict::Drained(_)),
         "legacy stride-7 at 32 outstanding failed to drain: completed {} of {}",
-        run.completed, run.accepted
+        run.completed,
+        run.accepted
     );
     assert!(!run.latched, "detector latched on a draining run");
     assert_eq!(run.accepted, 400);
@@ -202,32 +152,34 @@ fn legacy_admission_below_the_frontier_drains_silently() {
 
 #[test]
 fn credited_admission_drains_greedy_dma_bursts() {
-    let run = run_saturation(dma, 200, 200, true, 1);
+    let run = run_saturation(dma, 200, 200, usize::MAX, 1);
     assert!(
         !run.latched,
         "detector latched on credited DMA bursts (completed {})",
         run.completed
     );
     assert!(
-        run.drained,
+        matches!(run.verdict, Verdict::Drained(_)),
         "credited DMA bursts failed to drain: completed {} of {}",
-        run.completed, run.accepted
+        run.completed,
+        run.accepted
     );
     assert_eq!(run.accepted, 200);
 }
 
 #[test]
 fn credited_admission_drains_paced_stride7() {
-    let run = run_saturation(stride7, 64, 600, false, 1);
+    let run = run_saturation(common::stride7, 64, 600, 1, 1);
     assert!(
         !run.latched,
         "detector latched on credited paced stride-7 (completed {})",
         run.completed
     );
     assert!(
-        run.drained,
+        matches!(run.verdict, Verdict::Drained(_)),
         "credited paced stride-7 failed to drain: completed {} of {}",
-        run.completed, run.accepted
+        run.completed,
+        run.accepted
     );
     assert_eq!(run.accepted, 600);
 }
@@ -235,16 +187,17 @@ fn credited_admission_drains_paced_stride7() {
 #[test]
 fn credited_admission_drains_greedy_stride7() {
     // The exact configuration of `legacy_admission_wedges_...`, fixed.
-    let run = run_saturation(stride7, 200, 600, true, 1);
+    let run = run_saturation(common::stride7, 200, 600, usize::MAX, 1);
     assert!(
         !run.latched,
         "detector latched on credited greedy stride-7 (completed {})",
         run.completed
     );
     assert!(
-        run.drained,
+        matches!(run.verdict, Verdict::Drained(_)),
         "credited greedy stride-7 failed to drain: completed {} of {}",
-        run.completed, run.accepted
+        run.completed,
+        run.accepted
     );
     assert_eq!(run.accepted, 600);
     assert!(

@@ -8,16 +8,15 @@
 //! pattern with legacy admission, which must latch the *same* wedge
 //! report on every run.
 
-use noc_core::spec::devices_by_name;
+mod common;
+
 use noc_core::telemetry::{jsonl, WaitGraphConfig, WaitVerdict};
-use noc_core::{GridParams, Network, NetworkConfig, NodeId};
-use noc_sim::fuzz::TrafficPattern;
-use noc_sim::SimRng;
-use noc_txn::{TxnConfig, TxnFabric, TxnOp};
-use noc_workloads::{TxnMix, TxnRequest, TxnWorkload};
+use noc_core::{Network, NetworkConfig};
+use noc_txn::drive::ClosedLoop;
+use noc_txn::{TxnConfig, TxnFabric};
 
 const SEEDS: u64 = 10;
-const TXNS_PER_SEED: usize = 24;
+const TXNS_PER_SEED: u64 = 24;
 
 /// The tracker config the streams are compared under: up to 4096
 /// samples retained, so the comparison covers a run's whole graph
@@ -37,18 +36,6 @@ struct DetectorStream {
     /// The latched wedge report, or `null`.
     report: String,
     cycles: u64,
-}
-
-fn torus(seed: u64) -> (noc_core::Topology, Vec<NodeId>) {
-    let (topo, names) = GridParams::torus(2, 2)
-        .with_devices(8)
-        .with_seed(seed)
-        .generate()
-        .expect("params are valid")
-        .compile()
-        .expect("spec compiles");
-    let devs = devices_by_name(&names);
-    (topo, devs)
 }
 
 fn txn_cfg() -> TxnConfig {
@@ -73,44 +60,12 @@ fn stream_of<S: noc_core::telemetry::TraceSink>(fab: &TxnFabric<S>) -> DetectorS
 /// Drive a mixed seeded workload to quiescence and return the detector
 /// stream.
 fn run_mixed(seed: u64) -> DetectorStream {
-    let (topo, devs) = torus(seed);
+    let (topo, devs) = common::torus(seed);
     let mut net = Network::new(topo, NetworkConfig::default());
     net.enable_metrics(16);
     let mut fab = TxnFabric::new(net, txn_cfg());
     fab.enable_forensics(forensics());
-    let wl = TxnWorkload::new(devs, TxnMix::default(), TrafficPattern::Uniform, 64, 32);
-    let mut rng = SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9));
-    let mut accepted = 0usize;
-    let mut pending: Option<TxnRequest> = None;
-    let mut guard = 0u64;
-    while accepted < TXNS_PER_SEED {
-        let req = pending.take().unwrap_or_else(|| wl.next(&mut rng));
-        let outcome = match &req {
-            TxnRequest::Point { src, dst, op } => fab
-                .submit(*src, *dst, *op)
-                .expect("generated endpoints are valid")
-                .map(|_| ()),
-            TxnRequest::Broadcast {
-                src,
-                targets,
-                bytes,
-            } => fab
-                .submit_broadcast(*src, targets, *bytes)
-                .expect("generated broadcasts are valid")
-                .map(|_| ()),
-        };
-        match outcome {
-            Some(()) => accepted += 1,
-            None => pending = Some(req),
-        }
-        fab.tick();
-        guard += 1;
-        assert!(guard < 1_000_000, "seed {seed}: workload never accepted");
-    }
-    assert!(
-        fab.run_until_quiet(2_000_000),
-        "seed {seed}: failed to quiesce"
-    );
+    common::run_mixed(&mut fab, devs, seed, TXNS_PER_SEED);
     stream_of(&fab)
 }
 
@@ -118,15 +73,7 @@ fn run_mixed(seed: u64) -> DetectorStream {
 /// reassembly credits) until the detector latches, then a few more
 /// cycles, and return the detector stream.
 fn run_wedge() -> DetectorStream {
-    let (topo, names) = GridParams::torus(4, 4)
-        .with_stations(16)
-        .with_devices(2)
-        .with_seed(0x7261_6a65)
-        .generate()
-        .expect("torus generates")
-        .compile()
-        .expect("torus compiles");
-    let devs = devices_by_name(&names);
+    let (topo, devs) = common::torus4();
     let mut net = Network::new(topo, NetworkConfig::default());
     net.enable_metrics(32);
     let mut fab = TxnFabric::new(
@@ -137,29 +84,10 @@ fn run_wedge() -> DetectorStream {
         },
     );
     fab.enable_forensics(forensics());
-    let n = devs.len();
-    let mut i = 0usize;
+    let mut requests = (0..).map(|i| common::stride7(i, &devs));
+    let mut lp = ClosedLoop::new(200, usize::MAX);
     while fab.now().raw() < 4_000 && !fab.wedge_latched() {
-        while fab.in_flight_txns() < 200 {
-            let src = i % n;
-            let mut dst = (i * 7 + 3) % n;
-            if dst == src {
-                dst = (dst + 1) % n;
-            }
-            let op = TxnOp::Write {
-                bytes: 2048,
-                posted: false,
-            };
-            if fab
-                .submit(devs[src], devs[dst], op)
-                .expect("valid")
-                .is_none()
-            {
-                break;
-            }
-            i += 1;
-        }
-        fab.tick();
+        lp.cycle(&mut fab, &mut requests, |_| {}).expect("valid");
     }
     assert!(fab.wedge_latched(), "stride-7 saturation must latch");
     // A few more cycles past the latch: the post-latch stream must
