@@ -178,6 +178,8 @@ pub struct AiEngine {
     llc_retry: Vec<(usize, u64)>,
     /// Closed-loop transactions in flight, parallel to `AiMap::cores`.
     core_outstanding: Vec<u32>,
+    /// Payload bytes each core has consumed, parallel to `AiMap::cores`.
+    core_bytes: Vec<u64>,
     /// L2 slices on each HBM stack's / LLC slice's own horizontal
     /// ring, parallel to `AiMap::{hbms, llcs}` (fixed at build time).
     hbm_partners: Vec<Vec<NodeId>>,
@@ -211,6 +213,7 @@ impl AiEngine {
             .unwrap_or_else(|i| panic!("{} is wired as two kinds of sink", NodeId(i as u32)));
         AiEngine {
             core_outstanding: vec![0; map.cores.len()],
+            core_bytes: vec![0; map.cores.len()],
             hbm_partners: (0..map.hbms.len())
                 .map(|h| map.l2s_on_ring_of_hbm(h))
                 .collect(),
@@ -242,9 +245,11 @@ impl AiEngine {
         &self.proc
     }
 
-    /// Mutable access (probes, stats).
-    pub fn processor_mut(&mut self) -> &mut AiProcessor {
-        &mut self.proc
+    /// Payload bytes delivered to each AI core since the engine was
+    /// built, warmup included, parallel to `AiMap::cores`: a delivery is
+    /// counted in the tick that ejects it (Figure 14 windows these).
+    pub fn core_bytes(&self) -> &[u64] {
+        &self.core_bytes
     }
 
     /// Try to enqueue one transaction flit under a fresh token.
@@ -420,6 +425,7 @@ impl AiEngine {
         let line = u64::from(self.proc.cfg.line_bytes);
         let core = self.proc.map.cores[i];
         while let Some(f) = self.proc.net.pop_delivered(core) {
+            self.core_bytes[i] += u64::from(f.payload_bytes);
             match self.tokens.remove(&f.token) {
                 Some(Kind::ReadData { core: c }) => {
                     if self.recording {
@@ -694,6 +700,22 @@ mod tests {
         proc.map.cores.push(past);
         let mut e = AiEngine::new(proc, AiTraffic::from_ratio(1, 1));
         assert_eq!(e.tick(), Err(EnqueueError::UnknownNode { node: past }));
+    }
+
+    #[test]
+    fn core_counters_sum_to_the_bytes_delivered_to_cores() {
+        // Pure reads without DMA: a core receives only read data, which
+        // the report counts too when recording starts at cycle 0.
+        let proc = AiProcessor::build(small()).unwrap();
+        let traffic = AiTraffic {
+            dma_rate: 0.0,
+            ..AiTraffic::from_ratio(1, 0)
+        };
+        let mut e = AiEngine::new(proc, traffic);
+        let r = e.run(0, 3000).expect("runs");
+        assert!(r.read_bytes > 0);
+        assert_eq!(e.core_bytes().iter().sum::<u64>(), r.read_bytes);
+        assert!(e.core_bytes().iter().all(|&b| b > 0), "every core reads");
     }
 
     #[test]

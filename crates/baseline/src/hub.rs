@@ -29,42 +29,27 @@ const LINK_WIDTH: usize = 1;
 const QUEUE_CAP: usize = 16;
 /// Flits per cycle the central switch can forward in total.
 const HUB_BANDWIDTH: usize = 4;
-
-/// Hub-and-spoke configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HubConfig {
-    /// Number of compute chiplets.
-    pub chiplets: usize,
-    /// Endpoints per chiplet.
-    pub per_chiplet: usize,
-}
-
-impl Default for HubConfig {
-    /// Milan-ish: 8 chiplets × 8 endpoints, IFOP-like link latency.
-    fn default() -> Self {
-        HubConfig {
-            chiplets: 8,
-            per_chiplet: 8,
-        }
-    }
-}
+/// Chiplets around the hub: Milan-ish, 8 compute chiplets plus the two
+/// IO-die-attached chiplets that hold home nodes and memory.
+pub const CHIPLETS: usize = 10;
+/// Endpoints per chiplet; endpoint `e` sits on chiplet `e / PER_CHIPLET`.
+pub const PER_CHIPLET: usize = 8;
 
 /// The hub-and-spoke interconnect.
 ///
 /// # Example
 ///
 /// ```
-/// use noc_baseline::{HubSpoke, HubConfig};
+/// use noc_baseline::HubSpoke;
 /// use noc_chi::system::ChiTransport;
 /// use noc_core::{FlitClass, NodeId};
-/// let mut hub = HubSpoke::new(HubConfig::default());
+/// let mut hub = HubSpoke::new();
 /// assert!(hub.offer(NodeId(0), NodeId(63), FlitClass::Data, 64, 5)); // cross-chiplet
 /// for _ in 0..200 { hub.tick(); }
 /// assert_eq!(hub.recv(NodeId(63)), Some(5));
 /// ```
 #[derive(Debug)]
 pub struct HubSpoke {
-    cfg: HubConfig,
     /// Per-chiplet egress queue toward the hub.
     egress: Vec<VecDeque<Msg>>,
     /// In flight chiplet→hub: (arrival cycle, msg).
@@ -81,15 +66,11 @@ pub struct HubSpoke {
 }
 
 impl HubSpoke {
-    /// Create a hub-and-spoke system.
-    ///
-    /// # Panics
-    ///
-    /// Panics on fewer than two chiplets or zero endpoints per chiplet.
-    pub fn new(cfg: HubConfig) -> Self {
-        assert!(cfg.chiplets >= 2 && cfg.per_chiplet >= 1);
-        let c = cfg.chiplets;
-        let n = c * cfg.per_chiplet;
+    /// Create a hub-and-spoke system of [`CHIPLETS`] × [`PER_CHIPLET`]
+    /// endpoints.
+    pub fn new() -> Self {
+        let c = CHIPLETS;
+        let n = c * PER_CHIPLET;
         HubSpoke {
             egress: vec![VecDeque::new(); c],
             to_hub: vec![VecDeque::new(); c],
@@ -99,12 +80,17 @@ impl HubSpoke {
             delivered: Mailboxes::new(n),
             rr_hub: 0,
             now: 0,
-            cfg,
         }
     }
 
     fn chiplet_of(&self, endpoint: usize) -> usize {
-        endpoint / self.cfg.per_chiplet
+        endpoint / PER_CHIPLET
+    }
+}
+
+impl Default for HubSpoke {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -117,7 +103,7 @@ impl ChiTransport for HubSpoke {
         _bytes: u32,
         token: u64,
     ) -> bool {
-        let n = self.cfg.chiplets * self.cfg.per_chiplet;
+        let n = CHIPLETS * PER_CHIPLET;
         let (src, dst) = (src.index(), dst.index());
         assert!(src < n && dst < n);
         assert_ne!(src, dst);
@@ -137,7 +123,7 @@ impl ChiTransport for HubSpoke {
 
     fn tick(&mut self) {
         self.now += 1;
-        let c = self.cfg.chiplets;
+        let c = CHIPLETS;
         // Local deliveries (blocked when the endpoint's delivery queue
         // is full: head-of-line within the chiplet).
         for ch in 0..c {
@@ -259,15 +245,14 @@ mod tests {
 
     #[test]
     fn intra_chiplet_is_cheap() {
-        let mut h = HubSpoke::new(HubConfig::default());
+        let mut h = HubSpoke::new();
         offer(&mut h, 0, 1, 0);
         assert_eq!(latency_to(&mut h, 1), INTRA_LATENCY);
     }
 
     #[test]
     fn cross_chiplet_pays_two_links_and_switch() {
-        let cfg = HubConfig::default();
-        let mut h = HubSpoke::new(cfg);
+        let mut h = HubSpoke::new();
         offer(&mut h, 0, 63, 0);
         let latency = latency_to(&mut h, 63);
         let floor = 2 * INTRA_LATENCY + 2 * LINK_LATENCY;
@@ -279,16 +264,15 @@ mod tests {
 
     #[test]
     fn central_switch_serializes_cross_traffic() {
-        let cfg = HubConfig::default();
-        let mut h = HubSpoke::new(cfg);
+        let mut h = HubSpoke::new();
         // All chiplets fire at chiplet 0 simultaneously.
-        let per = cfg.per_chiplet;
-        for ch in 1..cfg.chiplets {
+        let per = PER_CHIPLET;
+        for ch in 1..CHIPLETS {
             for i in 0..4 {
                 assert!(offer(&mut h, ch * per, i, (ch * 10 + i) as u64));
             }
         }
-        let total = 4 * (cfg.chiplets - 1) as u64;
+        let total = 4 * (CHIPLETS - 1) as u64;
         let mut got = 0u64;
         let mut t = 0u64;
         while got < total {
@@ -297,16 +281,16 @@ mod tests {
             got += drain(&mut h, 0..per);
             assert!(t < 10_000, "wedged");
         }
-        // 28 messages through the switch's one forward per destination
-        // link per cycle: at least 28 cycles of pure serialization
+        // 36 messages through the switch's one forward per destination
+        // link per cycle: at least 36 cycles of pure serialization
         // beyond the pipeline latency.
         assert!(t >= total + 2 * LINK_LATENCY);
     }
 
     #[test]
     fn conservation() {
-        let mut h = HubSpoke::new(HubConfig::default());
-        let n = 64;
+        let mut h = HubSpoke::new();
+        let n = CHIPLETS * PER_CHIPLET;
         let mut sent = 0u64;
         let mut got = 0u64;
         for i in 0..3000usize {
@@ -328,16 +312,14 @@ mod tests {
 
     #[test]
     fn chi_protocol_runs_over_hub_spoke() {
-        let hub = HubSpoke::new(crate::hub::HubConfig {
-            chiplets: 2,
-            per_chiplet: 4,
-        });
+        // One requester, home node and memory on each of chiplets 0 and 1.
+        let on = |chiplet: usize, i: usize| NodeId((chiplet * PER_CHIPLET + i) as u32);
         let mut sys = CoherentSystem::new(
-            hub,
+            HubSpoke::new(),
             SystemSpec {
-                requesters: vec![NodeId(0), NodeId(4)],
-                home_nodes: vec![NodeId(1), NodeId(5)],
-                memories: vec![NodeId(2), NodeId(6)],
+                requesters: vec![on(0, 0), on(1, 0)],
+                home_nodes: vec![on(0, 1), on(1, 1)],
+                memories: vec![on(0, 2), on(1, 2)],
                 mem_params: MemoryParams::ddr4(),
                 llc: LlcParams::default(),
             },

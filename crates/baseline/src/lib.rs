@@ -30,7 +30,7 @@ pub mod mesh;
 pub mod ring_adapter;
 
 pub use harness::{MemHarness, MemHarnessConfig, MemHarnessReport, RequesterStats};
-pub use hub::{HubConfig, HubSpoke};
+pub use hub::HubSpoke;
 pub use mesh::{BufferedMesh, MeshConfig};
 pub use ring_adapter::RingAdapter;
 

@@ -77,7 +77,6 @@ fn cross_ring_flood(swap: bool, escape_always: bool) -> (Network, Vec<NodeId>, V
         inject_queue_cap: 8,
         eject_queue_cap: 2,
         itag_threshold: 8,
-        ..NetworkConfig::default()
     };
     (Network::new(b.build().expect("valid"), net_cfg), a, z)
 }

@@ -15,7 +15,7 @@
 //! | [`fig12_13`] | Figures 12/13 — SPECint-2017/2006 |
 //! | [`table06`] | Table 6 — SPECpower-ssj-2008 |
 //! | [`table07`] | Table 7 — AI-NoC bandwidth per R/W ratio |
-//! | [`fig14`] | Figure 14 — bandwidth equilibrium probes |
+//! | [`fig14`] | Figure 14 — bandwidth equilibrium across AI cores |
 //! | [`table08`] | Table 8 — MLPerf training vs A100-class |
 //! | [`table09`] | Table 9 — commercial NoC survey |
 //! | [`ablations`] | Figure 9 SWAP + §3.4 design-choice ablations |

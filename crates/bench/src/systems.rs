@@ -4,9 +4,7 @@
 //! normalized memory parameters (the paper normalizes DDR channel count
 //! and frequency across systems).
 
-use noc_baseline::{
-    BufferedMesh, HubConfig, HubSpoke, MemHarness, MemHarnessConfig, MeshConfig, RingAdapter,
-};
+use noc_baseline::{BufferedMesh, HubSpoke, MemHarness, MemHarnessConfig, MeshConfig, RingAdapter};
 use noc_chi::system::ChiTransport;
 use noc_chi::{CoherentSystem, LlcParams, MemoryParams, SystemSpec};
 use noc_core::NodeId;
@@ -66,10 +64,7 @@ pub fn intel_like() -> (BufferedMesh, Partition) {
 /// 8 cores around a central switched IO die; home nodes and DDR sit on
 /// IO-die-attached chiplets, so every memory access crosses the hub.
 pub fn amd_like() -> (HubSpoke, Partition) {
-    let hub = HubSpoke::new(HubConfig {
-        chiplets: 10,
-        per_chiplet: 8,
-    });
+    let hub = HubSpoke::new();
     let part = Partition {
         requesters: nodes(0..64),  // chiplets 0..8
         home_nodes: nodes(64..72), // chiplet 8

@@ -26,11 +26,6 @@ pub struct NetworkConfig {
     /// Consecutive failed injection cycles before an I-tag is placed on
     /// a passing slot (§4.1.2).
     pub itag_threshold: u32,
-    /// RNG seed for any stochastic tie-breaks (none by default, but
-    /// workload harnesses fork their RNGs from here).
-    pub seed: u64,
-    /// Window, in cycles, of per-node bandwidth probes (0 disables).
-    pub probe_window: u64,
 }
 
 impl Default for NetworkConfig {
@@ -39,8 +34,6 @@ impl Default for NetworkConfig {
             inject_queue_cap: 8,
             eject_queue_cap: 4,
             itag_threshold: 8,
-            seed: 0xC0FFEE,
-            probe_window: 0,
         }
     }
 }
@@ -181,6 +174,15 @@ mod tests {
         assert!(cfg.inject_queue_cap > 0);
         assert!(cfg.eject_queue_cap > 0);
         assert!(cfg.itag_threshold > 0);
+    }
+
+    #[test]
+    fn a_network_config_serialises_only_the_fields_the_engine_reads() {
+        let json = serde_json::to_string(&NetworkConfig::default()).expect("serialises");
+        assert_eq!(
+            json,
+            r#"{"inject_queue_cap":8,"eject_queue_cap":4,"itag_threshold":8}"#
+        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ use crate::shard::{EngineShared, NodeState, RingShard};
 use crate::slab::FlitSlab;
 use crate::stats::{DeliveryHists, NetStats, RingCounters, TickProfile};
 use crate::topology::{NodeKind, Topology};
-use noc_sim::{BandwidthProbe, Cycle};
+use noc_sim::Cycle;
 use noc_telemetry::{FlitEvent, NullSink, TraceSink, NO_FLIT, NO_LANE};
 
 /// When a tracing sink is attached, every ring's occupancy is sampled
@@ -423,34 +423,6 @@ impl<S: TraceSink> Network<S> {
     /// Flits currently riding ring `ring`.
     pub fn ring_occupancy(&self, ring: RingId) -> usize {
         self.shards[ring.index()].ring.occupancy()
-    }
-
-    /// Per-device bandwidth probes (present when
-    /// [`NetworkConfig::probe_window`] is non-zero), ascending node id.
-    pub fn probes(&self) -> impl Iterator<Item = (NodeId, &BandwidthProbe)> {
-        let mut all: Vec<(NodeId, &BandwidthProbe)> = self
-            .shards
-            .iter()
-            .flat_map(|sh| {
-                sh.nodes
-                    .iter()
-                    .filter_map(|n| n.probe.as_deref().map(|p| (n.id, p)))
-            })
-            .collect();
-        all.sort_by_key(|(id, _)| id.0);
-        all.into_iter()
-    }
-
-    /// Flush probe windows at end of run.
-    pub fn finish_probes(&mut self) {
-        let now = self.now;
-        for shard in &mut self.shards {
-            for node in &mut shard.nodes {
-                if let Some(p) = &mut node.probe {
-                    p.finish(now);
-                }
-            }
-        }
     }
 
     /// Total flits physically present anywhere inside the network

@@ -19,7 +19,6 @@
 //! byte-identical run to run.
 
 use crate::bridge::{Bridges, Escape};
-use crate::exec::TickMode;
 use crate::flit::PacketToken;
 use crate::network::Network;
 use crate::shard::{EngineShared, RingShard};
@@ -27,10 +26,10 @@ use crate::slab::FlitSlab;
 use crate::topology::NodeKind;
 use noc_sim::Cycle;
 use noc_telemetry::{
-    merge_ranked, BridgeGauges, BundleEnv, BundleMeta, FlightRecorder, FlowDelta, FlowRecord,
-    FlowTable, HealthConfig, HealthMonitor, MetricsRegistry, PostmortemBundle, RecorderConfig,
-    RecorderView, ResourceId, RingGauges, RingWindow, TraceSink, WaitEdge, WaitGraphSample,
-    WaitNode, WaitStats, WindowCounters, FLOW_TOP_K, MAX_BUNDLES, SERIES_WINDOW,
+    merge_ranked, BridgeGauges, BundleMeta, FlightRecorder, FlowDelta, FlowRecord, FlowTable,
+    HealthConfig, HealthMonitor, MetricsRegistry, PostmortemBundle, RecorderConfig, RecorderView,
+    ResourceId, RingGauges, RingWindow, TraceSink, WaitEdge, WaitGraphSample, WaitNode, WaitStats,
+    WindowCounters, FLOW_TOP_K, MAX_BUNDLES, SERIES_WINDOW,
 };
 
 /// Online observability state: the snapshot registry, the watchdog
@@ -476,10 +475,6 @@ impl<S: TraceSink> Network<S> {
                 snapshots_seen: rec.map_or(0, |r| r.snapshots_seen()),
                 events_seen: rec.map_or(0, |r| r.events_seen()),
                 config: serde_json::to_value(&self.shared.cfg),
-            },
-            env: BundleEnv {
-                // The one tick; exported bundles keep naming it.
-                tick_mode: format!("{:?}", TickMode::Fast),
             },
             verdicts: obs.monitor.verdicts().to_vec(),
             flows: self.flow_top(flow_top_k),

@@ -47,7 +47,7 @@ use crate::route::{ring_travel, RouteTable};
 use crate::slab::{FlitRef, FlitSlab};
 use crate::stats::{DeliveryHists, RingCounters, TickProfile};
 use crate::topology::{NodeKind, Topology};
-use noc_sim::{BandwidthProbe, Cycle};
+use noc_sim::Cycle;
 use noc_telemetry::{FlitEvent, FlowDelta, TraceBuffer, TraceRecord, NO_FLIT, NO_LANE};
 use std::collections::VecDeque;
 
@@ -155,9 +155,6 @@ pub(crate) struct NodeState {
     pub deflected_here: u64,
     /// I-tags this node has placed on passing slots (diagnostics).
     pub itags_here: u64,
-    /// Bandwidth probe (devices only, when probing is configured);
-    /// boxed, so a node without one carries a pointer, not the probe.
-    pub probe: Option<Box<BandwidthProbe>>,
 }
 
 /// One ring plus everything attached to it. See the module docs.
@@ -272,8 +269,6 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
             etag_list: VecDeque::new(),
             deflected_here: 0,
             itags_here: 0,
-            probe: (cfg.probe_window > 0 && matches!(n.kind, NodeKind::Device))
-                .then(|| Box::new(BandwidthProbe::new(n.name.clone(), cfg.probe_window))),
         });
     }
     for shard in &mut shards {
@@ -984,9 +979,6 @@ impl RingShard {
                         etag_laps: u64::from(body.etag_laps - body.charged_etag_laps),
                     },
                 ));
-            }
-            if let Some(p) = &mut self.nodes[t].probe {
-                p.record(now, body.payload_bytes as u64);
             }
         }
         if TRACE {

@@ -136,7 +136,7 @@ pub struct SocSpec {
     /// Bridges between rings.
     #[serde(default)]
     pub bridges: Vec<BridgeDef>,
-    /// Network parameters (queues, tag thresholds, probes).
+    /// Network parameters (queue capacities and the I-tag threshold).
     #[serde(default)]
     pub network: NetworkConfig,
 }

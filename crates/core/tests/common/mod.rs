@@ -107,7 +107,6 @@ pub fn random_case(seed: u64) -> (Topology, Vec<NodeId>, NetworkConfig, u64) {
         inject_queue_cap: 2 + rng.below(7) as usize,
         eject_queue_cap: 1 + rng.below(4) as usize,
         itag_threshold: 4 + rng.below(12) as u32,
-        ..NetworkConfig::default()
     };
     (topo, devices, cfg, rng.next())
 }

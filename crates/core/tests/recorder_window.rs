@@ -284,7 +284,7 @@ fn a_watchdog_capture_inside_a_four_cycle_epoch_matches_one_cycle_epochs() {
         "capture at {cycle} must fall inside an epoch"
     );
     // The whole bundle, flow table included, matches byte for byte.
-    assert_eq!(a[0].comparable_jsonl(), b[0].comparable_jsonl());
+    assert_eq!(a[0].to_jsonl(), b[0].to_jsonl());
     // The window ends at the capture: nothing committed or traced after
     // the watchdog fired leaks into the bundle, though the epoch ran on.
     let last = b[0].snapshots.last().expect("window");

@@ -39,7 +39,6 @@ fn two_chiplet_net() -> (Network, Vec<NodeId>, Vec<NodeId>) {
         inject_queue_cap: 8,
         eject_queue_cap: 2,
         itag_threshold: 8,
-        ..NetworkConfig::default()
     };
     (Network::new(b.build().unwrap(), net_cfg), a, z)
 }

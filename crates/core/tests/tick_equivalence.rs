@@ -68,7 +68,6 @@ fn run_pair(seed: u64, rng: &mut Rng, topo: Topology, devices: Vec<NodeId>) {
         inject_queue_cap: 2 + rng.below(7) as usize,
         eject_queue_cap: 1 + rng.below(4) as usize,
         itag_threshold: 4 + rng.below(12) as u32,
-        ..NetworkConfig::default()
     };
     let mut traced = Network::with_sink(topo.clone(), cfg.clone(), RingBufferSink::new(256));
     let mut plain = Network::new(topo, cfg);
@@ -204,7 +203,6 @@ fn run_seed_3way(seed: u64) {
         inject_queue_cap: 2 + rng.below(7) as usize,
         eject_queue_cap: 1 + rng.below(4) as usize,
         itag_threshold: 4 + rng.below(12) as u32,
-        ..NetworkConfig::default()
     };
     let mut nets = [1 << 20, 64]
         .map(|cap| Network::with_sink(topo.clone(), cfg.clone(), RingBufferSink::new(cap)));
@@ -352,7 +350,6 @@ fn run_generated_seed(seed: u64) {
         inject_queue_cap: 2 + rng.below(7) as usize,
         eject_queue_cap: 1 + rng.below(4) as usize,
         itag_threshold: 4 + rng.below(12) as u32,
-        ..NetworkConfig::default()
     };
     let mut nets: Vec<Network> = (0..2)
         .map(|_| Network::new(topo.clone(), cfg.clone()))

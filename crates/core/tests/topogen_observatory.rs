@@ -218,7 +218,7 @@ fn observatory_byte_identical_with_epoch_batching() {
         let bundle = net
             .dump_postmortem("epoch determinism probe")
             .expect("observatory enabled")
-            .comparable_jsonl();
+            .to_jsonl();
         let links = net.link_cells();
         let fp = net.fingerprint();
         match &baseline {

@@ -10,9 +10,7 @@
 //! * [`SimRng`] — a small, fully deterministic pseudo-random number
 //!   generator (SplitMix64 seeded xoshiro256**). Identical seeds produce
 //!   identical simulations on every platform; no wall-clock anywhere.
-//! * Statistics: [`Counter`], [`Histogram`] (latency distributions),
-//!   [`BandwidthProbe`] (windowed byte throughput, the mechanism behind the
-//!   paper's Figure 14 equilibrium probes).
+//! * Statistics: [`Counter`] and [`Histogram`] (latency distributions).
 //! * [`IdMap`] / [`IdSet`] — hash tables over the deterministic
 //!   [`IdHasher`], for side tables keyed by ids the simulator allocates;
 //!   [`SlotIndex`] — dense `id → slot` numbering of a fixed agent set.
@@ -43,4 +41,4 @@ pub use clock::Cycle;
 pub use fuzz::{SeedMatrix, TrafficPattern};
 pub use idmap::{IdHasher, IdMap, IdSet, SlotIndex};
 pub use rng::SimRng;
-pub use stats::{BandwidthProbe, Counter, Histogram};
+pub use stats::{Counter, Histogram};

@@ -1,11 +1,10 @@
-//! Statistics: counters, latency histograms and bandwidth probes.
+//! Statistics: counters and latency histograms.
 //!
-//! These are the measurement instruments behind every table and figure in
-//! the reproduction: [`Histogram`] backs the latency tables (paper
-//! Table 5, Figure 11), [`BandwidthProbe`] backs the bandwidth numbers
-//! (Figure 10, Table 7) and the equilibrium time series (Figure 14).
+//! These are the measurement instruments behind the latency tables:
+//! [`Histogram`] backs paper Table 5 and Figure 11. Bandwidth is counted
+//! where the traffic is consumed: the AI engine's byte counters back
+//! Table 7 and the Figure 14 equilibrium windows.
 
-use crate::clock::Cycle;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -234,127 +233,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// A windowed byte-throughput probe.
-///
-/// Record byte movements with [`BandwidthProbe::record`]; every
-/// `window` cycles the accumulated bytes are flushed into a per-window
-/// series. This is exactly the paper's Figure 14 instrument: probes placed
-/// around the NoC whose per-window bandwidth is compared for equilibrium.
-///
-/// # Example
-///
-/// ```
-/// use noc_sim::{BandwidthProbe, Cycle};
-/// let mut p = BandwidthProbe::new("probe0", 100);
-/// for c in 0..250 {
-///     p.record(Cycle(c), 64);
-/// }
-/// p.finish(Cycle(250));
-/// assert_eq!(p.windows().len(), 3);
-/// assert_eq!(p.windows()[0].bytes, 6400);
-/// assert_eq!(p.total_bytes(), 250 * 64);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BandwidthProbe {
-    name: String,
-    window: u64,
-    current_start: u64,
-    current_bytes: u64,
-    total_bytes: u64,
-    windows: Vec<Window>,
-}
-
-/// One completed measurement window of a [`BandwidthProbe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Window {
-    /// First cycle of the window.
-    pub start: u64,
-    /// Window length in cycles.
-    pub len: u64,
-    /// Bytes observed during the window.
-    pub bytes: u64,
-}
-
-impl Window {
-    /// Bytes per cycle during this window.
-    pub fn bytes_per_cycle(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.len as f64
-        }
-    }
-}
-
-impl BandwidthProbe {
-    /// Create a probe flushing every `window` cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn new(name: impl Into<String>, window: u64) -> Self {
-        assert!(window > 0, "probe window must be positive");
-        BandwidthProbe {
-            name: name.into(),
-            window,
-            current_start: 0,
-            current_bytes: 0,
-            total_bytes: 0,
-            windows: Vec::new(),
-        }
-    }
-
-    /// Record `bytes` moving at time `now`. Windows are flushed lazily as
-    /// time crosses window boundaries; `now` must be monotonically
-    /// non-decreasing across calls.
-    pub fn record(&mut self, now: Cycle, bytes: u64) {
-        self.roll_to(now.raw());
-        self.current_bytes += bytes;
-        self.total_bytes += bytes;
-    }
-
-    fn roll_to(&mut self, now: u64) {
-        while now >= self.current_start + self.window {
-            self.windows.push(Window {
-                start: self.current_start,
-                len: self.window,
-                bytes: self.current_bytes,
-            });
-            self.current_start += self.window;
-            self.current_bytes = 0;
-        }
-    }
-
-    /// Flush the partial window at end of simulation (time `end`).
-    pub fn finish(&mut self, end: Cycle) {
-        self.roll_to(end.raw());
-        if end.raw() > self.current_start {
-            self.windows.push(Window {
-                start: self.current_start,
-                len: end.raw() - self.current_start,
-                bytes: self.current_bytes,
-            });
-            self.current_start = end.raw();
-            self.current_bytes = 0;
-        }
-    }
-
-    /// Completed windows so far.
-    pub fn windows(&self) -> &[Window] {
-        &self.windows
-    }
-
-    /// Total bytes recorded over the probe's lifetime.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// The probe's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,47 +313,5 @@ mod tests {
         h.reset();
         assert_eq!(h.count(), 0);
         assert_eq!(h.max(), 0);
-    }
-
-    #[test]
-    fn bandwidth_probe_windows() {
-        let mut p = BandwidthProbe::new("p", 10);
-        for c in 0..35 {
-            p.record(Cycle(c), 2);
-        }
-        p.finish(Cycle(35));
-        let w = p.windows();
-        assert_eq!(w.len(), 4);
-        assert_eq!(w[0].bytes, 20);
-        assert_eq!(w[3].len, 5);
-        assert_eq!(w[3].bytes, 10);
-        assert_eq!(p.total_bytes(), 70);
-    }
-
-    #[test]
-    fn bandwidth_probe_sparse_records_fill_empty_windows() {
-        let mut p = BandwidthProbe::new("p", 10);
-        p.record(Cycle(0), 5);
-        p.record(Cycle(25), 5);
-        p.finish(Cycle(30));
-        assert_eq!(p.windows().len(), 3);
-        assert_eq!(p.windows()[1].bytes, 0);
-        assert_eq!(p.windows()[2].bytes, 5);
-    }
-
-    #[test]
-    fn window_bytes_per_cycle() {
-        let w = Window {
-            start: 0,
-            len: 4,
-            bytes: 10,
-        };
-        assert!((w.bytes_per_cycle() - 2.5).abs() < 1e-12);
-        let z = Window {
-            start: 0,
-            len: 0,
-            bytes: 0,
-        };
-        assert_eq!(z.bytes_per_cycle(), 0.0);
     }
 }

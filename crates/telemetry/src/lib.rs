@@ -64,8 +64,8 @@
 //! registry and retains the last T trace events, and when a watchdog
 //! latches (or on an explicit dump) the engine freezes everything into
 //! a [`PostmortemBundle`]: recent history, flow top-K, link heat, fired
-//! rules, and the config + seed + tick mode needed for
-//! deterministic replay, serialized as kind-tagged JSONL.
+//! rules, and the engine config needed for deterministic replay,
+//! serialized as kind-tagged JSONL.
 //!
 //! # Example
 //!
@@ -116,7 +116,7 @@ pub use last_n::SERIES_WINDOW;
 pub use metrics::{
     BridgeGauges, MetricsRegistry, MetricsSnapshot, RingGauges, RingWindow, WindowCounters,
 };
-pub use postmortem::{heat_cell, link_heat_ascii, BundleEnv, BundleMeta, PostmortemBundle};
+pub use postmortem::{heat_cell, link_heat_ascii, BundleMeta, PostmortemBundle};
 pub use recorder::{FlightRecorder, RecorderConfig, RecorderView, FLOW_TOP_K, MAX_BUNDLES};
 pub use sink::{NullSink, RingBufferSink, TraceBuffer, TraceSink};
 pub use spans::{

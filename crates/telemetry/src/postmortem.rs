@@ -4,20 +4,14 @@
 //! A [`PostmortemBundle`] collects the recent past (the flight
 //! recorder's retained snapshots and events), the attribution layer
 //! (flow top-K and the per-link heat matrix), the fired watchdog
-//! verdicts, and the run's identity (engine config + seed, tick mode)
-//! — enough to understand the pathology *and* to replay the run
-//! deterministically.
+//! verdicts, and the run's identity (the engine config) — enough to
+//! understand the pathology *and* to replay the run deterministically.
 //!
 //! # Serialization and byte-identity
 //!
 //! [`PostmortemBundle::to_jsonl`] renders one `{"kind": ...}` object
-//! per line. Everything the simulation produced is byte-identical run
-//! to run. The execution environment the engine reports is confined
-//! to the single `"kind":"env"` line;
-//! [`PostmortemBundle::comparable_jsonl`] is the same rendering with
-//! that line removed, for comparing bundles whose environments may
-//! differ. Bundles written before the engine became single-threaded
-//! also carry an `exec_mode` key on that line; it is ignored on read.
+//! per line. Every line is simulation output, so two runs of one
+//! simulation render byte-identical bundles.
 
 use crate::flowstats::{flow_table_ascii, FlowRecord};
 use crate::health::Verdict;
@@ -28,8 +22,8 @@ use crate::TraceRecord;
 use serde::{Deserialize, Serialize, Value};
 
 /// Identity and provenance of a bundle: why and when it was captured,
-/// what it covers, and the engine configuration (seed included) needed
-/// to replay the run.
+/// what it covers, and the engine configuration needed to replay the
+/// run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BundleMeta {
     /// Why the bundle was captured: `"watchdog: ..."` for latched
@@ -46,17 +40,8 @@ pub struct BundleMeta {
     pub snapshots_seen: u64,
     /// Trace events ever recorded (retained or scrolled off).
     pub events_seen: u64,
-    /// The engine configuration as a JSON tree, including the
-    /// deterministic seed.
+    /// The engine configuration as a JSON tree.
     pub config: Value,
-}
-
-/// The execution environment, confined to its own JSONL line (see the
-/// module docs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BundleEnv {
-    /// The engine's tick mode (`Fast`, its only one).
-    pub tick_mode: String,
 }
 
 /// A self-contained postmortem of one network run. See the module docs.
@@ -64,9 +49,6 @@ pub struct BundleEnv {
 pub struct PostmortemBundle {
     /// Capture identity and replay provenance.
     pub meta: BundleMeta,
-    /// Execution environment (mode-dependent; excluded from
-    /// byte-identity comparisons).
-    pub env: BundleEnv,
     /// Every watchdog verdict fired up to the capture, in firing order.
     pub verdicts: Vec<Verdict>,
     /// Merged flow top-K: the heaviest src→dst pairs with delivery,
@@ -109,14 +91,12 @@ fn kind_line(kind: &str, value: &impl Serialize) -> String {
 }
 
 impl PostmortemBundle {
-    /// Render the bundle as JSON Lines: one `meta` line, one `env`
-    /// line, then one line per verdict, flow, the link matrix, each
-    /// snapshot and each event.
+    /// Render the bundle as JSON Lines: one `meta` line, then one line
+    /// per verdict, flow, the link matrix, each snapshot, each event,
+    /// each transaction exemplar and each wedge report.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         out.push_str(&kind_line("meta", &self.meta));
-        out.push('\n');
-        out.push_str(&kind_line("env", &self.env));
         out.push('\n');
         for v in &self.verdicts {
             out.push_str(&kind_line("verdict", v));
@@ -152,27 +132,15 @@ impl PostmortemBundle {
         out
     }
 
-    /// [`PostmortemBundle::to_jsonl`] with the `"kind":"env"` line
-    /// removed: the bytes that depend on the simulation alone, not on
-    /// the environment it ran in.
-    pub fn comparable_jsonl(&self) -> String {
-        self.to_jsonl()
-            .lines()
-            .filter(|l| !l.starts_with("{\"kind\":\"env\""))
-            .map(|l| format!("{l}\n"))
-            .collect()
-    }
-
     /// Parse a bundle back from its [`PostmortemBundle::to_jsonl`]
     /// rendering.
     ///
     /// # Errors
     ///
     /// Fails on malformed JSON, unknown `kind` tags, or a missing
-    /// `meta`/`env`/`links` line.
+    /// `meta`/`links` line.
     pub fn from_jsonl(text: &str) -> Result<Self, serde_json::Error> {
         let mut meta = None;
-        let mut env = None;
         let mut verdicts = Vec::new();
         let mut flows = Vec::new();
         let mut links = None;
@@ -189,7 +157,6 @@ impl PostmortemBundle {
             // The extra "kind" key is ignored by the typed parses.
             match kind {
                 "meta" => meta = Some(serde_json::from_value::<BundleMeta>(&v)?),
-                "env" => env = Some(serde_json::from_value::<BundleEnv>(&v)?),
                 "verdict" => verdicts.push(serde_json::from_value::<Verdict>(&v)?),
                 "flow" => flows.push(serde_json::from_value::<FlowRecord>(&v)?),
                 "links" => links = Some(serde_json::from_value::<LinksLine>(&v)?.cells),
@@ -206,7 +173,6 @@ impl PostmortemBundle {
         }
         Ok(PostmortemBundle {
             meta: meta.ok_or_else(|| serde_json::Error("bundle without meta line".into()))?,
-            env: env.ok_or_else(|| serde_json::Error("bundle without env line".into()))?,
             verdicts,
             flows,
             links: links.ok_or_else(|| serde_json::Error("bundle without links line".into()))?,
@@ -221,8 +187,8 @@ impl PostmortemBundle {
     /// flow attribution table and the per-link heat rows.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "postmortem @ cycle {} — {}\n  tick mode: {}\n",
-            self.meta.cycle, self.meta.reason, self.env.tick_mode
+            "postmortem @ cycle {} — {}\n",
+            self.meta.cycle, self.meta.reason
         );
         out.push_str(&format!(
             "  history: {} snapshot(s) retained of {} seen, {} event(s) of {}\n",
@@ -313,10 +279,7 @@ mod tests {
                 flow_top_k: 8,
                 snapshots_seen: 10,
                 events_seen: 0,
-                config: Value::Object(vec![("seed".into(), Value::UInt(42))]),
-            },
-            env: BundleEnv {
-                tick_mode: "Fast".into(),
+                config: Value::Object(vec![("itag_threshold".into(), Value::UInt(8))]),
             },
             verdicts: vec![Verdict {
                 cycle: 640,
@@ -388,31 +351,18 @@ mod tests {
             let v: Value = serde_json::from_str(line).expect("valid JSON");
             assert!(v.get("kind").is_some(), "{line}");
         }
-        // Bundles from the multi-threaded engine record an exec mode too.
-        let env = "{\"kind\":\"env\",\"tick_mode\":\"Fast\"}";
-        assert!(text.contains(env), "{text}");
-        let old = text.replace(
-            env,
-            "{\"kind\":\"env\",\"exec_mode\":\"Parallel(4)\",\"tick_mode\":\"Fast\"}",
-        );
-        assert_eq!(
-            PostmortemBundle::from_jsonl(&old).expect("old bundles parse"),
-            b
-        );
     }
 
     #[test]
-    fn env_line_is_the_only_mode_dependent_line() {
-        let a = sample_bundle();
-        let mut b = sample_bundle();
-        b.env = BundleEnv {
-            tick_mode: "Reference".into(),
-        };
-        assert_ne!(a.to_jsonl(), b.to_jsonl());
-        assert_eq!(a.comparable_jsonl(), b.comparable_jsonl());
-        // The env line itself is still present in the full rendering.
-        assert!(a.to_jsonl().contains("{\"kind\":\"env\""));
-        assert!(!a.comparable_jsonl().contains("{\"kind\":\"env\""));
+    fn an_env_line_is_an_unknown_kind() {
+        let text = sample_bundle().to_jsonl();
+        // Bundles used to carry an environment line after `meta`.
+        let old = text.replacen('\n', "\n{\"kind\":\"env\"}\n", 1);
+        let err = PostmortemBundle::from_jsonl(&old).expect_err("env is no bundle line");
+        assert!(
+            err.0.contains("unknown bundle line kind \"env\""),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -421,7 +371,6 @@ mod tests {
         assert!(r.contains("liveness-stall"), "{r}");
         assert!(r.contains("n1 -> n5"), "{r}");
         assert!(r.contains("link utilization"), "{r}");
-        assert!(r.contains("tick mode: Fast"), "{r}");
         assert!(
             r.contains("txn exemplars: 1 (slowest: txn 17 at 620 cycles)"),
             "{r}"
@@ -435,9 +384,6 @@ mod tests {
         assert!(text.contains("{\"kind\":\"txn_exemplar\""), "{text}");
         let back = PostmortemBundle::from_jsonl(&text).expect("parses");
         assert_eq!(back.txn_exemplars, b.txn_exemplars);
-        // Exemplars are simulation output: they stay in the comparable
-        // rendering.
-        assert!(b.comparable_jsonl().contains("{\"kind\":\"txn_exemplar\""));
         // Pre-PR 9 bundles (no exemplar lines) still parse.
         let old: String = text
             .lines()
@@ -455,8 +401,6 @@ mod tests {
         assert!(text.contains("{\"kind\":\"wedge\""), "{text}");
         let back = PostmortemBundle::from_jsonl(&text).expect("parses");
         assert_eq!(back.wedges, b.wedges);
-        // Wedge reports are simulation output: comparable across modes.
-        assert!(b.comparable_jsonl().contains("{\"kind\":\"wedge\""));
         // Rendered postmortem names the cycle chain.
         let r = b.render();
         assert!(r.contains("ring:r0 -[12]-> escape:b0.s1"), "{r}");
@@ -482,10 +426,7 @@ mod tests {
 
     #[test]
     fn missing_meta_is_an_error() {
-        assert!(PostmortemBundle::from_jsonl(
-            "{\"kind\":\"env\",\"exec_mode\":\"Sequential\",\"tick_mode\":\"Fast\"}\n"
-        )
-        .is_err());
+        assert!(PostmortemBundle::from_jsonl("{\"kind\":\"links\",\"cells\":[]}\n").is_err());
         assert!(PostmortemBundle::from_jsonl("{\"nokind\":1}\n").is_err());
     }
 }

@@ -29,7 +29,7 @@ pub use nn::{
     bert_large, gpt, mask_rcnn, resnet50, table3_models, wide_deep, yolov3, Layer, NnModel,
 };
 pub use roofline::{figure3_app_points, AppPoint, Machine};
-pub use server_app::{ServerApp, ServerAppParams, ServerOp};
+pub use server_app::{ServerApp, ServerOp};
 pub use spec::{geomean_ratio, specint2006, specint2017, PowerModel, SpecProfile, SpecSuite};
 pub use synthetic::TrafficGen;
 pub use trace::{Trace, TraceEvent};

@@ -22,34 +22,18 @@ const SKEW: f64 = 0.99;
 const LINES_PER_REQUEST: u32 = 4;
 /// Fraction of requests that mutate their object.
 const WRITE_FRAC: f64 = 0.1;
-
-/// Parameters of the server application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ServerAppParams {
-    /// Distinct objects in the store.
-    pub objects: usize,
-    /// Mean requests per kilocycle per front-end core.
-    pub requests_per_kcycle: f64,
-}
-
-impl Default for ServerAppParams {
-    /// A memcached-flavoured default: 64k objects, 20 requests per
-    /// kilocycle.
-    fn default() -> Self {
-        ServerAppParams {
-            objects: 65_536,
-            requests_per_kcycle: 20.0,
-        }
-    }
-}
+/// Distinct objects in the store (memcached-flavoured: 64k).
+pub const OBJECTS: usize = 65_536;
+/// Mean requests per kilocycle per front-end core.
+pub const REQUESTS_PER_KCYCLE: f64 = 20.0;
 
 /// Generates per-cycle memory operations for one front-end core.
 ///
 /// # Example
 ///
 /// ```
-/// use noc_workloads::{ServerApp, ServerAppParams};
-/// let mut app = ServerApp::new(ServerAppParams::default(), 7);
+/// use noc_workloads::ServerApp;
+/// let mut app = ServerApp::new(7);
 /// let mut ops = 0;
 /// for _ in 0..10_000 {
 ///     ops += app.cycle_ops().len();
@@ -58,7 +42,6 @@ impl Default for ServerAppParams {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServerApp {
-    params: ServerAppParams,
     zipf: Zipf,
     rng: SimRng,
     /// Operations queued from the in-flight request.
@@ -69,19 +52,13 @@ pub struct ServerApp {
 
 impl ServerApp {
     /// Create a generator with its own seeded RNG.
-    pub fn new(params: ServerAppParams, seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         ServerApp {
-            zipf: Zipf::new(params.objects, SKEW),
+            zipf: Zipf::new(OBJECTS, SKEW),
             rng: SimRng::seed_from(seed),
             pending: Vec::new(),
             gap: 0,
-            params,
         }
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> ServerAppParams {
-        self.params
     }
 
     fn start_request(&mut self) {
@@ -102,7 +79,7 @@ impl ServerApp {
     pub fn cycle_ops(&mut self) -> Vec<ServerOp> {
         if self.pending.is_empty() {
             if self.gap == 0 {
-                let p = self.params.requests_per_kcycle / 1000.0;
+                let p = REQUESTS_PER_KCYCLE / 1000.0;
                 self.gap = self.rng.gen_gap(p.min(1.0));
             }
             self.gap = self.gap.saturating_sub(1);
@@ -123,19 +100,17 @@ mod tests {
 
     #[test]
     fn request_rate_roughly_matches() {
-        let params = ServerAppParams {
-            requests_per_kcycle: 50.0,
-            ..Default::default()
-        };
-        let mut app = ServerApp::new(params, 3);
+        let mut app = ServerApp::new(3);
         let ops: usize = (0..100_000).map(|_| app.cycle_ops().len()).sum();
-        // 50 req/kcycle × 100 kcycle × 4 lines = ~20_000 ops.
-        assert!((12_000..28_000).contains(&ops), "ops {ops}");
+        // 20 req/kcycle × 100 kcycle × 4 lines = ~8_000 ops, within 40 %.
+        let expected = REQUESTS_PER_KCYCLE * 100.0 * f64::from(LINES_PER_REQUEST);
+        let ops = ops as f64;
+        assert!((0.6 * expected..1.4 * expected).contains(&ops), "ops {ops}");
     }
 
     #[test]
     fn popularity_is_skewed() {
-        let mut app = ServerApp::new(ServerAppParams::default(), 5);
+        let mut app = ServerApp::new(5);
         let mut counts = std::collections::HashMap::new();
         for _ in 0..200_000 {
             for op in app.cycle_ops() {
@@ -155,7 +130,7 @@ mod tests {
 
     #[test]
     fn write_fraction_respected() {
-        let mut app = ServerApp::new(ServerAppParams::default(), 9);
+        let mut app = ServerApp::new(9);
         let mut writes = 0u32;
         let mut total = 0u32;
         for _ in 0..200_000 {
@@ -172,11 +147,7 @@ mod tests {
 
     #[test]
     fn requests_touch_consecutive_lines() {
-        let params = ServerAppParams {
-            requests_per_kcycle: 1000.0,
-            ..Default::default()
-        };
-        let mut app = ServerApp::new(params, 1);
+        let mut app = ServerApp::new(1);
         // Collect one full request's ops.
         let mut ops = Vec::new();
         while ops.len() < 4 {
@@ -191,7 +162,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
-            let mut app = ServerApp::new(ServerAppParams::default(), seed);
+            let mut app = ServerApp::new(seed);
             (0..50_000)
                 .flat_map(|_| app.cycle_ops())
                 .map(|o| o.line)

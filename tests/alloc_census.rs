@@ -143,14 +143,15 @@ fn flit_cycle<S: noc_core::telemetry::TraceSink>(
 }
 
 /// The benchmark's 8×8 torus (64 rings, 256 devices), freshly built:
-/// 469 752 heap bytes left live by 35 229 allocations. The delivery
+/// 465 656 heap bytes left live by 35 229 allocations. The delivery
 /// histograms are one set per network, not one per ring, and a node
-/// without a bandwidth probe carries a null pointer, not an empty
-/// probe; with a full statistics block per ring and the probe inline
-/// in every node, the same network held 927 296 bytes after 37 321
-/// allocations. While `BridgeConfig` carried the always-zero
-/// `drm_exit_occupancy` it held 471 800: 8 bytes more in each of the
-/// 256 bridge escapes (two per bridge).
+/// carries no bandwidth probe; with a full statistics block per ring
+/// and the probe inline in every node, the same network held 927 296
+/// bytes after 37 321 allocations. While `BridgeConfig` carried the
+/// always-zero `drm_exit_occupancy` it held 471 800: 8 bytes more in
+/// each of the 256 bridge escapes (two per bridge). While each node
+/// kept a boxed probe slot (a null pointer unless probing was on) it
+/// held 469 752: 8 bytes more in each of the 512 node interfaces.
 #[test]
 fn a_fresh_network_holds_a_pinned_heap() {
     let (topo, _) = torus(8, 4, 0x746f_7238);
@@ -158,7 +159,7 @@ fn a_fresh_network_holds_a_pinned_heap() {
     assert_eq!(net.topology().rings().len(), 64);
     assert_eq!(
         (bytes, allocs),
-        (469_752, 35_229),
+        (465_656, 35_229),
         "live bytes and allocations of Network::new"
     );
 }

@@ -179,20 +179,12 @@ fn network_statistics_are_consistent_after_run() {
 fn zipfian_server_application_runs_coherently() {
     // The §3.1.1 workload shape: Zipfian-popular objects, read-heavy,
     // served by several front-end clusters over the coherent NoC.
-    use noc_workloads::{ServerApp, ServerAppParams};
+    use noc_workloads::ServerApp;
 
     let mut s = ServerCpu::build(small()).expect("builds");
     let clusters = s.map.clusters.clone();
     let mut apps: Vec<ServerApp> = (0..clusters.len())
-        .map(|i| {
-            ServerApp::new(
-                ServerAppParams {
-                    objects: 512,
-                    requests_per_kcycle: 40.0,
-                },
-                i as u64 + 1,
-            )
-        })
+        .map(|i| ServerApp::new(i as u64 + 1))
         .collect();
     let mut issued = 0u64;
     let mut lines = BTreeSet::new();

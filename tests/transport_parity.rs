@@ -5,7 +5,8 @@
 //! timing may differ. SWMR holds after every cycle on all of them, and
 //! every directory lists every copy.
 
-use noc_baseline::{BufferedMesh, HubConfig, HubSpoke, MeshConfig};
+use noc_baseline::hub::PER_CHIPLET;
+use noc_baseline::{BufferedMesh, HubSpoke, MeshConfig};
 use noc_chi::drive::{settle, Verdict::Drained};
 use noc_chi::system::ChiTransport;
 use noc_chi::{CoherentSystem, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec};
@@ -137,14 +138,12 @@ fn mesh_system() -> (CoherentSystem<BufferedMesh>, Vec<NodeId>) {
 }
 
 fn hub_system() -> (CoherentSystem<HubSpoke>, Vec<NodeId>) {
-    let hub = HubSpoke::new(HubConfig {
-        chiplets: 3,
-        per_chiplet: 4,
-    });
-    let rns: Vec<NodeId> = (0..RNS as u32).map(NodeId).collect();
-    let hns = vec![NodeId(4), NodeId(5)];
-    let sns = vec![NodeId(8), NodeId(9)];
-    let sys = CoherentSystem::new(hub, spec(rns.clone(), hns, sns));
+    // Requesters on chiplet 0, home nodes on 1 and memories on 2.
+    let on = |chiplet: usize, i: usize| NodeId((chiplet * PER_CHIPLET + i) as u32);
+    let rns: Vec<NodeId> = (0..RNS).map(|i| on(0, i)).collect();
+    let hns = vec![on(1, 0), on(1, 1)];
+    let sns = vec![on(2, 0), on(2, 1)];
+    let sys = CoherentSystem::new(HubSpoke::new(), spec(rns.clone(), hns, sns));
     (sys, rns)
 }
 
