@@ -44,13 +44,6 @@ pub(crate) struct Escape {
     /// Reserved escape buffers (SWAP/escape mode, §4.4), oldest first,
     /// at most `cfg.reserved_cap` flits.
     pub reserved: VecDeque<FlitRef>,
-    /// Flits ever pushed into `fifo` (monotonic).
-    pub pushed: u64,
-    /// Flits ever delivered out of `fifo` (monotonic). With `pushed`
-    /// it is the wait-graph detector's progress counter: either end
-    /// moving means the resource moves, which occupancy alone cannot
-    /// tell of a full pipe.
-    pub popped: u64,
     /// `(cycle, flits)` of the most recent intake that pushed anything,
     /// read only by [`Bridges::gauges`].
     pub last_push: (u64, usize),
@@ -96,7 +89,6 @@ impl Bridges {
     pub fn push(&mut self, e: usize, ready: u64, flit: FlitRef) {
         let esc = &mut self.escapes[e];
         esc.fifo.push_back((ready, flit));
-        esc.pushed += 1;
         let due = &mut self.due[esc.to_ring as usize];
         *due = (*due).min(ready);
     }

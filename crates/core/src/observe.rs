@@ -1,6 +1,7 @@
 //! The observer half of the engine: online metrics, health watchdogs,
-//! the flight recorder's flow accounting and the wait-graph evidence of
-//! the stall-forensics detector.
+//! the flight recorder's flow accounting and the fabric half of the
+//! wait graph that stall forensics builds once a network stops making
+//! progress.
 //!
 //! The engine's cycle (`crate::epoch::run_cycle`) writes only datapath
 //! state. Everything here reads it afterwards: the periodic metrics
@@ -18,7 +19,7 @@
 //! Every row is therefore a pure function of the engine state:
 //! byte-identical run to run.
 
-use crate::bridge::{Bridges, Escape};
+use crate::bridge::Bridges;
 use crate::flit::PacketToken;
 use crate::network::Network;
 use crate::shard::{EngineShared, RingShard};
@@ -28,8 +29,8 @@ use noc_sim::Cycle;
 use noc_telemetry::{
     merge_ranked, BridgeGauges, BundleMeta, FlightRecorder, FlowDelta, FlowRecord, FlowTable,
     HealthConfig, HealthMonitor, MetricsRegistry, PostmortemBundle, RecorderConfig, RecorderView,
-    ResourceId, RingGauges, RingWindow, TraceSink, WaitEdge, WaitGraphSample, WaitNode, WaitStats,
-    WindowCounters, FLOW_TOP_K, MAX_BUNDLES, SERIES_WINDOW,
+    ResourceId, RingGauges, RingWindow, TraceSink, WaitEdge, WedgeReport, WindowCounters,
+    FLOW_TOP_K, MAX_BUNDLES, SERIES_WINDOW,
 };
 
 /// Online observability state: the snapshot registry, the watchdog
@@ -47,9 +48,6 @@ pub(crate) struct Observatory {
     /// Watchdog-triggered bundles, capped at [`MAX_BUNDLES`]. Explicit
     /// [`Network::dump_postmortem`] calls are not stored here.
     bundles: Vec<PostmortemBundle>,
-    /// Gauges of the most recent wait-graph sample fed through
-    /// [`Network::observe_wait`], for the diagnostics stall summary.
-    last_wait: Option<WaitStats>,
     /// Per ring, ascending id.
     rings: Vec<RingObs>,
 }
@@ -280,40 +278,12 @@ fn charge_inflight(shard: &mut RingShard, slab: &mut FlitSlab) {
     }
 }
 
-/// `shard`'s slot pool as a wait-graph node: occupancy, capacity and
-/// monotone progress (injections + deliveries + bridge crossings), all
-/// O(1) reads.
-fn ring_node(shard: &RingShard) -> WaitNode {
-    WaitNode {
-        id: ResourceId::Ring {
-            ring: shard.ring.id.0,
-        },
-        occupancy: shard.ring.occupancy() as u64,
-        capacity: shard.ring.capacity() as u64,
-        progress: shard.counters.injected
-            + shard.counters.delivered
-            + shard.counters.bridge_crossings,
-    }
-}
-
 /// The wait-graph resource of escape `e` (index `2 * bridge + side`,
 /// see [`crate::bridge`]).
 fn escape_id(e: usize) -> ResourceId {
     ResourceId::Escape {
         bridge: (e / 2) as u32,
         side: (e % 2) as u8,
-    }
-}
-
-/// The wait-graph node of escape `e`: occupancy, capacity and monotone
-/// progress (flits pushed in plus flits delivered out: either end
-/// moving counts), all O(1) reads.
-fn escape_node(e: usize, esc: &Escape) -> WaitNode {
-    WaitNode {
-        id: escape_id(e),
-        occupancy: (esc.fifo.len() + esc.reserved.len()) as u64,
-        capacity: esc.cfg.buffer_cap as u64 + esc.cfg.reserved_cap as u64,
-        progress: esc.pushed + esc.popped,
     }
 }
 
@@ -398,7 +368,6 @@ impl<S: TraceSink> Network<S> {
             monitor: HealthMonitor::new(health),
             recorder: recorder.map(FlightRecorder::new),
             bundles: Vec::new(),
-            last_wait: None,
             rings: self.shards.iter().map(|s| RingObs::new(s, k)).collect(),
         });
     }
@@ -505,47 +474,15 @@ impl<S: TraceSink> Network<S> {
     /// one-line all-clear. Works on any network; says so when the
     /// observatory is off.
     pub fn health_report(&self) -> String {
-        let mut out = match self.health() {
+        match self.health() {
             Some(monitor) => monitor.report(),
             None => "health: observatory disabled (call enable_metrics)\n".to_string(),
-        };
-        if let Some(ws) = self.wait_stats() {
-            out.push_str(&format!(
-                "stalls: {} at cycle {} — blocked {} ring / {} escape / {} window / {} reassembly, \
-                 oldest frozen {} cycles, {} cyclic sccs\n",
-                ws.verdict,
-                ws.cycle,
-                ws.blocked[0],
-                ws.blocked[1],
-                ws.blocked[2],
-                ws.blocked[3],
-                ws.oldest_frozen,
-                ws.cyclic_sccs
-            ));
         }
-        out
-    }
-
-    /// Gauges of the most recent wait-graph sample observed, if any.
-    pub fn wait_stats(&self) -> Option<&WaitStats> {
-        self.observatory.as_ref().and_then(|o| o.last_wait.as_ref())
     }
 
     // ------------------------------------------------------------------
     // Wait-graph evidence
     // ------------------------------------------------------------------
-
-    /// The stall-forensics fast path: append one [`WaitNode`] per ring,
-    /// then one per bridge escape resource, in ascending [`ResourceId`]
-    /// order, with its occupancy, capacity and monotone progress — the
-    /// only place those are read. No per-flit walks: cheap enough to
-    /// run at every observatory boundary; [`Network::push_wait_edges`]
-    /// is only called when a freeze streak warrants edge construction.
-    pub fn push_wait_nodes(&self, nodes: &mut Vec<WaitNode>) {
-        nodes.extend(self.shards.iter().map(ring_node));
-        let escapes = self.bridges.escapes.iter().enumerate();
-        nodes.extend(escapes.map(|(e, esc)| escape_node(e, esc)));
-    }
 
     /// The fabric half of the stall-forensics edge set, pushed onto
     /// `edges`:
@@ -568,7 +505,8 @@ impl<S: TraceSink> Network<S> {
     /// transaction layer does, raw flit tests need not).
     ///
     /// Runs between ticks and walks every flit in ring, lane and
-    /// station order, so the result is deterministic.
+    /// station order, so the result is deterministic. Stall forensics
+    /// calls it once per stall episode, not per sample.
     pub fn push_wait_edges(
         &self,
         holder: impl Fn(u64) -> u64,
@@ -634,25 +572,16 @@ impl<S: TraceSink> Network<S> {
         placed
     }
 
-    /// Feed one wait-graph sample from the stall-forensics detector to
-    /// the health monitor's `deadlock-suspected` watchdog, and remember
-    /// its gauges `stats` for [`NocDiagnostics::health_summary`] stall
-    /// lines. A newly latched verdict captures a postmortem bundle
-    /// exactly like the snapshot watchdogs do. Returns how many new
-    /// verdicts fired. No-op (returns 0) when the observatory is
-    /// disabled.
-    ///
-    /// [`NocDiagnostics::health_summary`]: crate::diag::NocDiagnostics::health_summary
-    pub fn observe_wait(&mut self, sample: &WaitGraphSample, stats: WaitStats) -> usize {
+    /// Hand one wedge report from stall forensics to the health
+    /// monitor's `deadlock-suspected` watchdog, which fires, and capture
+    /// a postmortem bundle exactly like the snapshot watchdogs do. No-op
+    /// when the observatory is disabled.
+    pub fn observe_wait(&mut self, report: &WedgeReport) {
         let Some(obs) = self.observatory.as_mut() else {
-            return 0;
+            return;
         };
-        obs.last_wait = Some(stats);
-        let fired = obs.monitor.observe_wait(sample);
-        if fired > 0 {
-            self.capture_on_verdict("watchdog: CRIT:deadlock-suspected", sample.cycle);
-        }
-        fired
+        obs.monitor.observe_wait(report);
+        self.capture_on_verdict("watchdog: CRIT:deadlock-suspected", report.cycle);
     }
 
     // ------------------------------------------------------------------
@@ -686,11 +615,12 @@ impl<S: TraceSink> Network<S> {
     }
 
     /// Sample every ring, commit the rows as one snapshot in ascending
-    /// ring id, and let the watchdogs read it. Caller guarantees the
-    /// observatory is enabled.
+    /// ring id, and let the watchdogs read it beside the progress stamp.
+    /// Caller guarantees the observatory is enabled.
     fn sample_and_commit(&mut self, window: u64, in_cycle: bool) {
         let cycle = self.now.raw();
         let in_flight = self.in_flight();
+        let stalled_for = self.stalled_for();
         let obs = self.observatory.as_mut().expect("caller checked");
         let rings: Vec<RingWindow> = obs
             .rings
@@ -708,7 +638,7 @@ impl<S: TraceSink> Network<S> {
             })
             .collect();
         let snap = obs.registry.commit(cycle, window, in_flight, rings);
-        let new_verdicts = obs.monitor.observe(snap);
+        let new_verdicts = obs.monitor.observe(snap, stalled_for);
         if new_verdicts > 0 {
             let vs = obs.monitor.verdicts();
             let fired: Vec<String> = vs[vs.len() - new_verdicts..]

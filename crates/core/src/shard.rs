@@ -283,8 +283,6 @@ pub(crate) fn build(topo: Topology, cfg: NetworkConfig) -> (EngineShared, Vec<Ri
                 to_ring: eps[1 - side].ring,
                 fifo: VecDeque::new(),
                 reserved: VecDeque::new(),
-                pushed: 0,
-                popped: 0,
                 last_push: (0, 0),
             };
             let shard = &mut shards[loc.ring as usize];
@@ -493,7 +491,6 @@ impl RingShard {
                 break;
             }
             let (_, flit) = inbound.fifo.pop_front().expect("due implies non-empty");
-            inbound.popped += 1;
             self.nodes[ep].inject.push(flit).expect("checked not full");
             if self.nodes[ep].inject.len() == 1 {
                 self.head_changed(shared, ep);

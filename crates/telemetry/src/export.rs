@@ -4,8 +4,8 @@
 //!
 //! * **JSONL** ([`jsonl`]) — one JSON object per item, one per line,
 //!   for offline analysis of any series: metrics snapshots, the
-//!   transaction series, span trees, wait-graph samples. Byte-identical
-//!   run to run because the series are.
+//!   transaction series, span trees. Byte-identical run to run because
+//!   the series are.
 //! * **Prometheus text exposition** ([`prometheus_text`]) — the
 //!   current state of the network as `noc_*` metrics with ring/bridge
 //!   labels, ready for a scrape endpoint or `promtool` ingestion.

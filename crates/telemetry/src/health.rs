@@ -13,18 +13,25 @@
 //! * **SWAP storm** — one RBRG-L2 side re-entered deadlock resolution
 //!   mode repeatedly within a single window: the inter-die dependency
 //!   cycle keeps reforming.
-//! * **Liveness stall** — no flit was delivered for K cycles while
-//!   flits are in flight: if this fires, the E-tag one-lap guarantee is
-//!   being defeated (in practice: a device stopped draining its eject
-//!   queue, or an engine bug).
+//! * **Liveness stall** — the network has made no progress for K
+//!   cycles while flits are in flight: no flit injected, ejected or
+//!   crossed a bridge. The monitor reads that count, the network's one
+//!   progress stamp (`Network::stalled_for()`), beside each snapshot.
+//!   If this fires, the E-tag one-lap guarantee is being defeated (in
+//!   practice: a device stopped draining its eject queue, a resource
+//!   cycle wedged, or an engine bug).
+//!
+//! A fifth rule, **deadlock suspected**, is fed from outside the
+//! snapshot stream: the transaction fabric's wedge latch hands it each
+//! [`WedgeReport`] it finds ([`HealthMonitor::observe_wait`]).
 //!
 //! Rules latch on a rising edge: a verdict is emitted when a condition
 //! first becomes true and not again until it has cleared. Evaluation is
-//! a pure function of the snapshot stream, so verdicts are exactly as
-//! deterministic as the snapshots themselves.
+//! a pure function of the snapshot stream and the stamp, so verdicts
+//! are exactly as deterministic as the snapshots themselves.
 
 use crate::metrics::MetricsSnapshot;
-use crate::waitgraph::{WaitGraphSample, WaitVerdict};
+use crate::waitgraph::{WaitEdge, WedgeReport};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -52,8 +59,8 @@ const SWAP_STORM_ENTRIES: u64 = 3;
 /// tests hold both directions).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthConfig {
-    /// Liveness: cycles without any delivery (while flits are in
-    /// flight) before the stall verdict fires.
+    /// Liveness: cycles without progress (`Network::stalled_for()`)
+    /// before the stall verdict fires.
     pub liveness_cycles: u64,
 }
 
@@ -74,10 +81,10 @@ pub enum HealthRule {
     CongestionKnee,
     /// Repeated DRM entries on one bridge side.
     SwapStorm,
-    /// No deliveries for K cycles with flits in flight.
+    /// No progress for K cycles with flits in flight.
     LivenessStall,
-    /// The wait-graph detector certified a frozen cyclic wait: a
-    /// resource cycle whose members all stopped making progress.
+    /// The wedge latch certified a frozen cyclic wait: a resource cycle
+    /// in a network that stopped making progress.
     DeadlockSuspected,
 }
 
@@ -160,12 +167,7 @@ pub struct HealthMonitor {
     drm_prev: BTreeMap<(u16, u8), u64>,
     /// Bridge sides currently latched for SWAP storms.
     storming: BTreeSet<(u16, u8)>,
-    /// Cycle of the last snapshot that showed progress (deliveries, or
-    /// nothing left in flight).
-    last_progress_cycle: u64,
     stall_latched: bool,
-    /// Whether the wait-graph deadlock verdict is currently latched.
-    deadlock_latched: bool,
 }
 
 impl HealthMonitor {
@@ -179,9 +181,7 @@ impl HealthMonitor {
             knee_latched: false,
             drm_prev: BTreeMap::new(),
             storming: BTreeSet::new(),
-            last_progress_cycle: 0,
             stall_latched: false,
-            deadlock_latched: false,
         }
     }
 
@@ -190,41 +190,31 @@ impl HealthMonitor {
         &self.cfg
     }
 
-    /// Evaluate every rule against the next snapshot. Returns how many
-    /// new verdicts fired.
-    pub fn observe(&mut self, snap: &MetricsSnapshot) -> usize {
+    /// Evaluate every rule against the next snapshot, taken when the
+    /// network had made no progress for `stalled_for` cycles
+    /// (`Network::stalled_for()`). Returns how many new verdicts fired.
+    pub fn observe(&mut self, snap: &MetricsSnapshot, stalled_for: u64) -> usize {
         let before = self.verdicts.len();
         self.check_starvation(snap);
         self.check_knee(snap);
         self.check_swap_storm(snap);
-        self.check_liveness(snap);
+        self.check_liveness(snap, stalled_for);
         self.verdicts.len() - before
     }
 
-    /// Evaluate the `deadlock-suspected` rule against one wait-graph
-    /// sample from the stall-forensics detector. Rising-edge latched
-    /// like the snapshot rules: fires on the first
-    /// [`WaitVerdict::Wedged`] sample, stays silent while wedged, and
-    /// re-arms if a later sample shows the cycle broke. Returns how
-    /// many new verdicts fired (0 or 1).
-    pub fn observe_wait(&mut self, sample: &WaitGraphSample) -> usize {
-        if sample.verdict != WaitVerdict::Wedged {
-            self.deadlock_latched = false;
-            return 0;
-        }
-        if self.deadlock_latched {
-            return 0;
-        }
-        self.deadlock_latched = true;
-        let cycle_len = sample.cyclic.len();
-        let chain: Vec<String> = sample
-            .edges
+    /// Fire the `deadlock-suspected` verdict for one wedge report. The
+    /// wedge latch is its rising edge: it hands over one report per
+    /// stall episode whose wait graph has a cycle.
+    pub fn observe_wait(&mut self, report: &WedgeReport) {
+        let resources = |edges: &[WaitEdge]| edges.iter().map(|e| e.from).collect::<BTreeSet<_>>();
+        let cycle_len = resources(&report.chain).len();
+        let chain: Vec<String> = report
+            .chain
             .iter()
-            .filter(|e| sample.cyclic.contains(&e.from) && sample.cyclic.contains(&e.to))
             .map(|e| format!("{} -[{}]-> {}", e.from, e.holder, e.to))
             .collect();
         self.verdicts.push(Verdict {
-            cycle: sample.cycle,
+            cycle: report.cycle,
             rule: HealthRule::DeadlockSuspected,
             severity: Severity::Critical,
             ring: None,
@@ -232,14 +222,14 @@ impl HealthMonitor {
             value: cycle_len as f64,
             threshold: 0.0,
             message: format!(
-                "wait-graph cycle of {cycle_len} resource(s) frozen ({} pinned behind \
-                 it): {}; SWAP resolves intra-bridge deadlock only — this cyclic wait \
+                "wait-graph cycle of {cycle_len} resource(s) frozen for {} cycles ({} pinned \
+                 behind it): {}; SWAP resolves intra-bridge deadlock only — this cyclic wait \
                  spans resources it cannot reorder",
-                sample.wedged.len().saturating_sub(cycle_len),
+                report.stalled_for,
+                resources(&report.pinned).len(),
                 chain.join(", ")
             ),
         });
-        1
     }
 
     fn check_starvation(&mut self, snap: &MetricsSnapshot) {
@@ -351,14 +341,12 @@ impl HealthMonitor {
         }
     }
 
-    fn check_liveness(&mut self, snap: &MetricsSnapshot) {
-        if snap.totals.delivered > 0 || snap.in_flight == 0 {
-            self.last_progress_cycle = snap.cycle;
+    fn check_liveness(&mut self, snap: &MetricsSnapshot, stalled_for: u64) {
+        if stalled_for < self.cfg.liveness_cycles {
             self.stall_latched = false;
             return;
         }
-        let stalled_for = snap.cycle - self.last_progress_cycle;
-        if stalled_for >= self.cfg.liveness_cycles && !self.stall_latched {
+        if !self.stall_latched {
             self.stall_latched = true;
             self.verdicts.push(Verdict {
                 cycle: snap.cycle,
@@ -369,7 +357,7 @@ impl HealthMonitor {
                 value: stalled_for as f64,
                 threshold: self.cfg.liveness_cycles as f64,
                 message: format!(
-                    "no delivery for {stalled_for} cycles with {} flits in flight; \
+                    "no progress for {stalled_for} cycles with {} flits in flight; \
                      a device stopped draining its eject queue or the E-tag one-lap \
                      guarantee is being defeated",
                     snap.in_flight
@@ -450,18 +438,18 @@ mod tests {
             5,
             vec![ring(0, hot), ring(1, WindowCounters::default())],
         );
-        assert_eq!(m.observe(&s), 1);
+        assert_eq!(m.observe(&s, 0), 1);
         assert_eq!(m.verdicts()[0].rule, HealthRule::StarvationOnset);
         assert_eq!(m.verdicts()[0].ring, Some(0));
         // Still starving: latched, no second verdict.
-        assert_eq!(m.observe(&snap(128, 64, 5, vec![ring(0, hot)])), 0);
+        assert_eq!(m.observe(&snap(128, 64, 5, vec![ring(0, hot)]), 0), 0);
         // Recovers, then starves again: fires again.
         let quiet = WindowCounters {
             delivered: 4,
             ..WindowCounters::default()
         };
-        assert_eq!(m.observe(&snap(192, 64, 5, vec![ring(0, quiet)])), 0);
-        assert_eq!(m.observe(&snap(256, 64, 5, vec![ring(0, hot)])), 1);
+        assert_eq!(m.observe(&snap(192, 64, 5, vec![ring(0, quiet)]), 0), 0);
+        assert_eq!(m.observe(&snap(256, 64, 5, vec![ring(0, hot)]), 0), 1);
     }
 
     #[test]
@@ -475,17 +463,18 @@ mod tests {
         // Rising from 0.0 to 0.75 over four windows: fires once at the top.
         let mut fired = 0;
         for (i, (d, ok)) in [(0, 10), (20, 10), (60, 10), (90, 10)].iter().enumerate() {
-            fired += m.observe(&snap(
-                (i as u64 + 1) * 64,
-                64,
-                50,
-                vec![ring(0, at(*d, *ok))],
-            ));
+            fired += m.observe(
+                &snap((i as u64 + 1) * 64, 64, 50, vec![ring(0, at(*d, *ok))]),
+                0,
+            );
         }
         assert_eq!(fired, 1);
         assert_eq!(m.verdicts()[0].rule, HealthRule::CongestionKnee);
         // Stays saturated (high but flat): latched, silent.
-        assert_eq!(m.observe(&snap(320, 64, 50, vec![ring(0, at(90, 10))])), 0);
+        assert_eq!(
+            m.observe(&snap(320, 64, 50, vec![ring(0, at(90, 10))]), 0),
+            0
+        );
     }
 
     #[test]
@@ -499,7 +488,7 @@ mod tests {
         // History fills already at the plateau — no slope, no verdict.
         let mut fired = 0;
         for i in 1..=6u64 {
-            fired += m.observe(&snap(i * 64, 64, 50, vec![ring(0, sat)]));
+            fired += m.observe(&snap(i * 64, 64, 50, vec![ring(0, sat)]), 0);
         }
         assert_eq!(fired, 0, "{:?}", m.verdicts());
     }
@@ -524,10 +513,10 @@ mod tests {
             ..RingWindow::default()
         };
         // First observation: the whole monotonic count is the delta.
-        assert_eq!(m.observe(&snap(64, 64, 3, vec![side(1)])), 0);
-        assert_eq!(m.observe(&snap(128, 64, 3, vec![side(2)])), 0);
+        assert_eq!(m.observe(&snap(64, 64, 3, vec![side(1)]), 0), 0);
+        assert_eq!(m.observe(&snap(128, 64, 3, vec![side(2)]), 0), 0);
         // +3 in one window: storm.
-        assert_eq!(m.observe(&snap(192, 64, 3, vec![side(5)])), 1);
+        assert_eq!(m.observe(&snap(192, 64, 3, vec![side(5)]), 0), 1);
         let v = &m.verdicts()[0];
         assert_eq!(v.rule, HealthRule::SwapStorm);
         assert_eq!(v.bridge, Some((2, 1)));
@@ -540,82 +529,85 @@ mod tests {
         };
         let mut m = HealthMonitor::new(cfg);
         let idle = |cycle, in_flight| snap(cycle, 64, in_flight, vec![]);
-        assert_eq!(m.observe(&idle(64, 4)), 0); // below K
-        assert_eq!(m.observe(&idle(128, 4)), 1); // 128 cycles stalled
+        assert_eq!(m.observe(&idle(64, 4), 64), 0); // below K
+        assert_eq!(m.observe(&idle(128, 4), 128), 1); // 128 cycles stalled
         assert_eq!(m.verdicts()[0].rule, HealthRule::LivenessStall);
         assert_eq!(m.verdicts()[0].severity, Severity::Critical);
-        assert_eq!(m.observe(&idle(192, 4)), 0); // latched
-                                                 // Delivery resumes → unlatched; a fresh stall fires again.
-        let progress = snap(
-            256,
-            64,
-            4,
-            vec![ring(
-                0,
-                WindowCounters {
-                    delivered: 1,
-                    ..WindowCounters::default()
-                },
-            )],
-        );
-        assert_eq!(m.observe(&progress), 0);
-        assert_eq!(m.observe(&idle(512, 4)), 1);
+        assert_eq!(m.observe(&idle(192, 4), 192), 0); // latched
+                                                      // Progress resumes → unlatched; a fresh stall fires again.
+        assert_eq!(m.observe(&idle(256, 4), 30), 0);
+        assert_eq!(m.observe(&idle(512, 4), 286), 1);
+    }
+
+    #[test]
+    fn liveness_reads_the_stamp_not_the_deliveries() {
+        // No delivery in any window: below the stamp window nothing
+        // fires, at it exactly one verdict does.
+        let mut m = HealthMonitor::default();
+        let k = m.config().liveness_cycles;
+        let idle = |cycle| snap(cycle, 64, 12, vec![]);
+        for i in 1..k / 64 {
+            assert_eq!(m.observe(&idle(i * 64), k - 1), 0, "window {i}");
+        }
+        assert!(m.is_healthy());
+        assert_eq!(m.observe(&idle(k), k), 1);
+        assert_eq!(m.observe(&idle(k + 64), k + 64), 0, "latched");
+        let stalls = m
+            .verdicts()
+            .iter()
+            .filter(|v| v.rule == HealthRule::LivenessStall);
+        assert_eq!(stalls.count(), 1);
+        assert_eq!(m.verdicts()[0].value, k as f64);
     }
 
     #[test]
     fn empty_network_never_stalls() {
         let mut m = HealthMonitor::default();
         for i in 1..100u64 {
-            assert_eq!(m.observe(&snap(i * 64, 64, 0, vec![])), 0);
+            assert_eq!(m.observe(&snap(i * 64, 64, 0, vec![]), 0), 0);
         }
         assert!(m.is_healthy());
         assert!(m.report().contains("OK"));
     }
 
     #[test]
-    fn deadlock_suspected_latches_on_wedged_and_rearms() {
-        use crate::waitgraph::{ResourceId, WaitEdge, WaitGraphSample, WaitVerdict};
+    fn deadlock_suspected_names_the_chain() {
+        use crate::waitgraph::ResourceId;
         let ring = |r| ResourceId::Ring { ring: r };
-        let wedged = WaitGraphSample {
-            cycle: 320,
-            nodes: vec![],
-            edges: vec![
-                WaitEdge {
-                    from: ring(0),
-                    to: ring(1),
-                    holder: 7,
-                },
-                WaitEdge {
-                    from: ring(1),
-                    to: ring(0),
-                    holder: 9,
-                },
-            ],
-            verdict: WaitVerdict::Wedged,
-            cyclic: vec![ring(0), ring(1)],
-            wedged: vec![ring(0), ring(1)],
-        };
-        let clear = WaitGraphSample {
-            verdict: WaitVerdict::Progressing,
-            cyclic: vec![],
-            wedged: vec![],
-            ..wedged.clone()
-        };
+        let window = ResourceId::Window { node: 3 };
+        let edges = vec![
+            WaitEdge {
+                from: ring(0),
+                to: ring(1),
+                holder: 7,
+            },
+            WaitEdge {
+                from: ring(1),
+                to: ring(0),
+                holder: 9,
+            },
+            WaitEdge {
+                from: window,
+                to: ring(0),
+                holder: 4,
+            },
+        ];
+        let report = WedgeReport::from_edges(320, 140, edges).expect("a 2-cycle");
         let mut m = HealthMonitor::default();
-        assert_eq!(m.observe_wait(&clear), 0);
-        assert_eq!(m.observe_wait(&wedged), 1);
-        assert_eq!(m.observe_wait(&wedged), 0, "latched");
+        m.observe_wait(&report);
         let v = &m.verdicts()[0];
-        assert_eq!(v.rule, HealthRule::DeadlockSuspected);
-        assert_eq!(v.severity, Severity::Critical);
+        assert_eq!((v.cycle, v.rule), (320, HealthRule::DeadlockSuspected));
+        assert_eq!((v.severity, v.value), (Severity::Critical, 2.0));
         assert!(
             v.message.contains("ring:r0 -[7]-> ring:r1"),
             "{}",
             v.message
         );
-        // Cycle breaks, then reforms: fires again.
-        assert_eq!(m.observe_wait(&clear), 0);
-        assert_eq!(m.observe_wait(&wedged), 1);
+        assert!(
+            v.message.contains("frozen for 140 cycles (1 pinned"),
+            "{}",
+            v.message
+        );
     }
 
     #[test]
@@ -623,7 +615,7 @@ mod tests {
         let mut m = HealthMonitor::new(HealthConfig {
             liveness_cycles: 64,
         });
-        m.observe(&snap(64, 64, 9, vec![]));
+        m.observe(&snap(64, 64, 9, vec![]), 64);
         let r = m.report();
         assert!(r.contains("liveness-stall"), "{r}");
         assert!(r.contains("CRIT"), "{r}");

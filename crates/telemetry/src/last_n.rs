@@ -1,10 +1,9 @@
 //! The bounded stores behind every "keep the last N" buffer in this
 //! crate. [`LastN`], a ring, holds the trace sink, the flight
-//! recorder's event ring, the span collector's recent trees and the
-//! wait-graph tracker's samples and histories. [`Series`] holds the
-//! committed series readers take as one slice: the metrics registry's
-//! snapshots, the transaction series and the wait-graph tracker's
-//! gauge rows. It is the one retention rule of those series: a window
+//! recorder's event ring and the span collector's recent trees.
+//! [`Series`] holds the committed series readers take as one slice: the
+//! metrics registry's snapshots and the transaction series. It is the
+//! one retention rule of those series: a window
 //! fixed when the store is built ([`SERIES_WINDOW`] unless the owner
 //! sizes it), a commit count, and `since(seq)` for a reader that wants
 //! the whole series as it is committed.
@@ -65,14 +64,6 @@ impl<T> LastN<T> {
         oldest.iter().chain(newest)
     }
 
-    /// The most recently pushed element still retained.
-    pub fn last(&self) -> Option<&T> {
-        match self.head {
-            0 => self.buf.last(),
-            h => self.buf.get(h - 1),
-        }
-    }
-
     /// Number of retained elements.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -116,9 +107,8 @@ impl<T: Clone> LastN<T> {
 
 /// The window every committed telemetry series keeps unless it is
 /// built with another: the metrics registry without a flight recorder,
-/// the transaction series, the recorder's snapshot window
-/// ([`RecorderConfig`](crate::RecorderConfig)) and the wait-graph
-/// tracker's samples ([`WaitGraphConfig`](crate::WaitGraphConfig)).
+/// the transaction series and the recorder's snapshot window
+/// ([`RecorderConfig`](crate::RecorderConfig)).
 pub const SERIES_WINDOW: usize = 32;
 
 /// A committed series: the last `keep` elements pushed, oldest first,
@@ -338,7 +328,6 @@ mod tests {
                 }
                 prop_assert_eq!(of_store(&single.store), of_model(&model));
                 prop_assert_eq!(of_sink(&single.sink), of_model(&model));
-                prop_assert_eq!(single.store.last().copied(), model.items.back().copied());
                 prop_assert_eq!(single.sink.is_empty(), model.items.is_empty());
                 prop_assert_eq!(single.sink.counts().injected, i + 1);
             }
@@ -405,7 +394,6 @@ mod tests {
         }
         r.extend_from_slice(&[3, 4]);
         assert!(r.is_empty());
-        assert_eq!(r.last(), None);
         assert_eq!(r.dropped(), 5);
         assert!(r.to_vec().is_empty());
     }

@@ -48,8 +48,15 @@
 //! SWAP storms, liveness stalls), and the exporters render it as JSONL
 //! ([`jsonl`]) or Prometheus text ([`prometheus_text`]).
 //!
-//! Every committed series — the metrics snapshots, the transaction
-//! series, the wait-graph gauge rows — keeps one retention rule: a
+//! Both stall verdicts read one progress clock, the network's
+//! `stalled_for()` stamp: liveness fires when it reaches
+//! [`HealthConfig::liveness_cycles`], and the transaction fabric's
+//! [`WedgeLatch`] builds a typed resource wait-for graph once the stamp
+//! reaches [`FREEZE_W`] and certifies any cycle in it as a
+//! [`WedgeReport`] (`deadlock-suspected`). Nothing samples the graph.
+//!
+//! Every committed series — the metrics snapshots and the transaction
+//! series — keeps one retention rule: a
 //! window fixed when its store is built ([`SERIES_WINDOW`] unless a
 //! recorder sizes it), a count of every commit, and `since(seq)` for a
 //! reader that wants the whole series as it is committed.
@@ -125,6 +132,5 @@ pub use spans::{
 };
 pub use txnstats::{TxnRegistry, TxnSnapshot};
 pub use waitgraph::{
-    cyclic_sccs, ResourceId, WaitEdge, WaitGraphConfig, WaitGraphSample, WaitGraphTracker,
-    WaitNode, WaitStats, WaitVerdict, WedgeReport,
+    cyclic_sccs, ResourceId, WaitEdge, WaitGraphConfig, WedgeLatch, WedgeReport, FREEZE_W,
 };

@@ -67,9 +67,9 @@ pub struct PostmortemBundle {
     /// causal context for the latched verdict (empty when the run had
     /// no transaction layer or span tracing was off).
     pub txn_exemplars: Vec<TxnSpanTree>,
-    /// Wedge reports from the stall-forensics detector: the frozen
-    /// cyclic-wait certificates latched before capture (empty when the
-    /// detector was off or nothing wedged).
+    /// Wedge reports from the stall-forensics latch: the cyclic-wait
+    /// certificates latched before capture (empty when forensics was
+    /// off or nothing wedged).
     pub wedges: Vec<WedgeReport>,
 }
 
@@ -323,7 +323,7 @@ mod tests {
             }],
             wedges: vec![WedgeReport {
                 cycle: 640,
-                freeze_windows: 4,
+                stalled_for: 128,
                 chain: vec![WaitEdge {
                     from: ResourceId::Ring { ring: 0 },
                     to: ResourceId::Escape { bridge: 0, side: 1 },
@@ -334,7 +334,6 @@ mod tests {
                     to: ResourceId::Ring { ring: 0 },
                     holder: 17,
                 }],
-                occupancy: vec![(ResourceId::Ring { ring: 0 }, vec![32, 32, 32])],
                 holders: vec![12, 17],
             }],
         }

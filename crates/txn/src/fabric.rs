@@ -34,8 +34,8 @@ use crate::types::{
 use noc_core::bits::word_ones;
 use noc_core::telemetry::{
     FlitSpan, NullSink, NullSpanSink, PacketSpan, PostmortemBundle, ResourceId, SpanRole, SpanSink,
-    TraceSink, TxnRegistry, TxnSnapshot, TxnSpanTree, WaitEdge, WaitGraphConfig, WaitGraphTracker,
-    WaitNode, WedgeReport,
+    TraceSink, TxnRegistry, TxnSnapshot, TxnSpanTree, WaitEdge, WaitGraphConfig, WedgeLatch,
+    WedgeReport,
 };
 use noc_core::{
     BitRing, EnqueueError, Flit, FlitClass, Network, NodeId, NodeKind, PacketToken, Topology,
@@ -61,29 +61,18 @@ struct Endpoint {
     /// admitted by the pump and not yet fully reassembled here
     /// ([`TxnConfig::reassembly_slots`]).
     credit_used: usize,
-    /// Packets bound here with some but not all of their flits in: the
-    /// occupancy of this endpoint's reassembly buffer.
-    open_packets: usize,
-    /// Flits ever absorbed here (headers and data, duplicates
-    /// excluded) — the wait graph's progress counter for the
-    /// reassembly buffer: open packets with no absorption across
-    /// samples mean every missing flit is stuck upstream.
-    accepted: u64,
     /// Non-posted window slots held: exactly the live read,
     /// non-posted write and atomic transactions issued here.
     window_used: usize,
-    /// Window slots ever released — the wait graph's progress counter
-    /// for the window.
-    window_done: u64,
 }
 
 /// Stall-forensics state (see [`TxnFabric::enable_forensics`]).
 #[derive(Debug)]
 struct Forensics {
-    tracker: WaitGraphTracker,
-    /// Postmortem bundles captured on the rising wedge edge, with the
+    latch: WedgeLatch,
+    /// The postmortem bundle captured when the wedge latched, with the
     /// wedge report and tail exemplars attached.
-    bundles: Vec<PostmortemBundle>,
+    bundle: Option<PostmortemBundle>,
 }
 
 /// Broadcast progress of one transaction.
@@ -345,51 +334,48 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         }
     }
 
-    /// Enable stall forensics: at every transaction-observatory sample
-    /// boundary, build the typed resource wait-for graph (ring slots,
-    /// bridge escape buffers, in-flight windows, reassembly buffers),
-    /// classify it, and feed the network's `deadlock-suspected`
-    /// watchdog. On the first wedged verdict a [`WedgeReport`] latches
-    /// and a postmortem bundle with the report and tail exemplars
-    /// attached is captured ([`TxnFabric::wedge_bundles`]).
+    /// Enable stall forensics: at every transaction-observatory
+    /// boundary the [`WedgeLatch`] reads the network's progress stamp
+    /// ([`Network::stalled_for`]). The first boundary of each stall
+    /// episode ([`FREEZE_W`](noc_core::telemetry::FREEZE_W) cycles
+    /// without progress) builds the typed resource wait-for graph (ring
+    /// slots, bridge escape buffers, in-flight windows, reassembly
+    /// buffers) once; a cycle in it fires the network's
+    /// `deadlock-suspected` watchdog. The first such [`WedgeReport`]
+    /// latches, and a postmortem bundle with the report and tail
+    /// exemplars attached is captured ([`TxnFabric::wedge_bundles`]).
+    /// `_cfg` has nothing left to set ([`WaitGraphConfig`]).
     ///
     /// # Panics
     ///
     /// Panics unless the transaction observatory is on
     /// ([`TxnConfig::metrics_period`] > 0) — forensics rides its
-    /// sample schedule, which is what makes the detector stream
-    /// deterministic.
-    pub fn enable_forensics(&mut self, cfg: WaitGraphConfig) {
+    /// boundaries, which is what makes the latch cycle deterministic.
+    pub fn enable_forensics(&mut self, _cfg: WaitGraphConfig) {
         assert!(
             self.registry.is_some(),
             "stall forensics rides the transaction observatory; \
              set TxnConfig::metrics_period > 0"
         );
         self.forensics = Some(Forensics {
-            tracker: WaitGraphTracker::new(cfg),
-            bundles: Vec::new(),
+            latch: WedgeLatch::default(),
+            bundle: None,
         });
     }
 
-    /// The wait-graph tracker, if forensics is enabled — samples,
-    /// per-sample gauge rows, and the latched report live here.
-    pub fn wait_tracker(&self) -> Option<&WaitGraphTracker> {
-        self.forensics.as_ref().map(|f| &f.tracker)
-    }
-
-    /// Whether the deadlock detector has latched a wedge.
+    /// Whether stall forensics has latched a wedge.
     pub fn wedge_latched(&self) -> bool {
-        self.forensics.as_ref().is_some_and(|f| f.tracker.latched())
+        self.wedge_report().is_some()
     }
 
-    /// The frozen wedge report, if the detector latched.
+    /// The first wedge report, if stall forensics latched one.
     pub fn wedge_report(&self) -> Option<&WedgeReport> {
-        self.forensics.as_ref().and_then(|f| f.tracker.report())
+        self.forensics.as_ref().and_then(|f| f.latch.report())
     }
 
-    /// Postmortem bundles captured on the rising wedge edge.
+    /// The postmortem bundle captured when the wedge latched.
     pub fn wedge_bundles(&self) -> &[PostmortemBundle] {
-        self.forensics.as_ref().map_or(&[], |f| &f.bundles)
+        self.forensics.as_ref().map_or(&[], |f| f.bundle.as_slice())
     }
 
     /// The configuration.
@@ -1059,43 +1045,11 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         self.sample_forensics();
     }
 
-    /// Build the wait-graph's node set: one [`WaitNode`] per ring,
-    /// escape buffer, window and reassembly buffer, carrying occupancy
-    /// and monotone progress counters. This is the cheap per-boundary
-    /// pass — no per-flit packet walks; those only feed
-    /// `build_wait_edges`.
-    fn build_wait_nodes(&self) -> Vec<WaitNode> {
-        let topo = self.net.topology();
-        let mut nodes: Vec<WaitNode> = Vec::with_capacity(
-            topo.rings().len() + 2 * topo.bridges().len() + 2 * self.endpoints.len(),
-        );
-        // Push in [`ResourceId`] order (rings, escapes, windows,
-        // reassembly; each group ascending) so no sort is needed: the
-        // network emits rings/escapes sorted, and `endpoints` ascends
-        // by node id.
-        self.net.push_wait_nodes(&mut nodes);
-        nodes.extend(self.endpoints.iter().map(|ep| WaitNode {
-            id: ResourceId::Window { node: ep.id.0 },
-            occupancy: ep.window_used as u64,
-            capacity: self.cfg.window as u64,
-            progress: ep.window_done,
-        }));
-        nodes.extend(self.endpoints.iter().map(|ep| WaitNode {
-            id: ResourceId::Reassembly { node: ep.id.0 },
-            occupancy: ep.open_packets as u64,
-            capacity: self.cfg.reassembly_slots as u64,
-            progress: ep.accepted,
-        }));
-        debug_assert!(nodes.windows(2).all(|w| w[0].id < w[1].id), "nodes sorted");
-        nodes
-    }
-
-    /// Build the wait-graph's edge set: the engine contributes its
-    /// ring/escape edges and where every in-network packet sits, the
-    /// fabric contributes staged packets, credit-deferred headers and
-    /// the holder-transaction ids. This is the expensive pass — the lazy
-    /// tracker only requests it when a ring or escape resource has
-    /// stopped making progress.
+    /// Build the wait graph: the engine contributes its ring/escape
+    /// edges and where every in-network packet sits, the fabric
+    /// contributes staged packets, credit-deferred headers and the
+    /// holder-transaction ids. It walks every packet, so the wedge
+    /// latch asks for it once per stall episode.
     fn build_wait_edges(&self) -> Vec<WaitEdge> {
         let topo_nodes = self.net.topology().nodes();
         // Holder id for edges: the owning transaction of a packet, or
@@ -1205,29 +1159,28 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         edges
     }
 
-    /// Forensics hook, run at every observatory sample: take the cheap
-    /// node set, let the tracker decide whether the full edge build
-    /// is warranted ([`WaitGraphTracker::ingest_lazy`]), feed the
-    /// network's watchdog and gauges, and on the rising wedge edge
-    /// capture a postmortem bundle with the report and tail exemplars
-    /// attached.
+    /// Forensics hook, run at every observatory boundary: let the
+    /// wedge latch judge the progress stamp (building the graph at the
+    /// first boundary of a stall episode), hand a wedge it finds to the
+    /// network's watchdog, and when the first one latches capture a
+    /// postmortem bundle with the report and tail exemplars attached.
     fn sample_forensics(&mut self) {
-        // Take the forensics state out so the deferred edge closure can
-        // borrow `self` while the tracker is being driven.
+        // Take the forensics state out so the edge closure can borrow
+        // `self` while the latch judges.
         let Some(mut f) = self.forensics.take() else {
             return;
         };
-        let cycle = self.net.now().raw();
-        let nodes = self.build_wait_nodes();
-        let was_latched = f.tracker.latched();
-        f.tracker
-            .ingest_lazy(cycle, nodes, || self.build_wait_edges());
-        let sample = f.tracker.last().expect("just ingested");
-        let stats = *f.tracker.stats().last().expect("ingest pushed a row");
-        self.net.observe_wait(sample, stats);
-        let latched = f.tracker.latched();
+        let (cycle, stalled_for) = (self.net.now().raw(), self.net.stalled_for());
+        let was_latched = f.latch.report().is_some();
+        let found = f
+            .latch
+            .judge(cycle, stalled_for, || self.build_wait_edges());
         self.forensics = Some(f);
-        if was_latched || !latched {
+        let Some(report) = found else {
+            return;
+        };
+        self.net.observe_wait(&report);
+        if was_latched {
             return;
         }
         let Some(mut bundle) = self
@@ -1237,11 +1190,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             return;
         };
         self.attach_txn_context(&mut bundle);
-        self.forensics
-            .as_mut()
-            .expect("latched")
-            .bundles
-            .push(bundle);
+        self.forensics.as_mut().expect("latched").bundle = Some(bundle);
     }
 
     /// Advance one cycle: pump staged flits, run the network's
@@ -1288,24 +1237,18 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             self.counters.stray_flits += 1;
             return;
         };
-        let was_open = pkt.asm.is_open();
         let (desc, held) = (pkt.desc, pkt.credit == Credit::Held);
-        let ep = &mut self.endpoints[slot];
         match pkt.asm.accept(tok, desc.n_data) {
             Accept::Duplicate => self.counters.duplicate_flits += 1,
             Accept::Partial => {
-                ep.accepted += 1;
-                ep.open_packets += usize::from(!was_open);
                 if P::ENABLED {
                     self.span_flit(tok.packet, flit, false);
                 }
             }
             Accept::Complete => {
-                ep.accepted += 1;
-                ep.open_packets -= usize::from(was_open);
                 // A held reassembly credit returns to its destination
                 // (this endpoint).
-                ep.credit_used -= usize::from(held);
+                self.endpoints[slot].credit_used -= usize::from(held);
                 if P::ENABLED {
                     self.span_flit(tok.packet, flit, true);
                 }
@@ -1384,9 +1327,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         // The transaction held a window slot since `submit`; its last
         // response releases it (so `late_responses` never counts).
         let src = st.src;
-        let ep = self.ep_mut(src);
-        ep.window_used -= 1;
-        ep.window_done += 1;
+        self.ep_mut(src).window_used -= 1;
         self.finish_txn(txn_id);
     }
 

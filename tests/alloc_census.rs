@@ -143,7 +143,7 @@ fn flit_cycle<S: noc_core::telemetry::TraceSink>(
 }
 
 /// The benchmark's 8×8 torus (64 rings, 256 devices), freshly built:
-/// 465 656 heap bytes left live by 35 229 allocations. The delivery
+/// 461 560 heap bytes left live by 35 229 allocations. The delivery
 /// histograms are one set per network, not one per ring, and a node
 /// carries no bandwidth probe; with a full statistics block per ring
 /// and the probe inline in every node, the same network held 927 296
@@ -151,7 +151,10 @@ fn flit_cycle<S: noc_core::telemetry::TraceSink>(
 /// always-zero `drm_exit_occupancy` it held 471 800: 8 bytes more in
 /// each of the 256 bridge escapes (two per bridge). While each node
 /// kept a boxed probe slot (a null pointer unless probing was on) it
-/// held 469 752: 8 bytes more in each of the 512 node interfaces.
+/// held 469 752: 8 bytes more in each of the 512 node interfaces. While
+/// each escape counted the flits pushed into and popped out of it (the
+/// sampled wait graph's progress counters) it held 465 656: 16 bytes
+/// more in each of the 256 escapes.
 #[test]
 fn a_fresh_network_holds_a_pinned_heap() {
     let (topo, _) = torus(8, 4, 0x746f_7238);
@@ -159,7 +162,7 @@ fn a_fresh_network_holds_a_pinned_heap() {
     assert_eq!(net.topology().rings().len(), 64);
     assert_eq!(
         (bytes, allocs),
-        (465_656, 35_229),
+        (461_560, 35_229),
         "live bytes and allocations of Network::new"
     );
 }

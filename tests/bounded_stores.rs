@@ -6,7 +6,7 @@
 //! observatories sampling every 32 cycles:
 //!
 //! * every plane on, as in `torus4_txn_observed` — a tracing sink, the
-//!   flight recorder, a span collector and wait-graph forensics — with
+//!   flight recorder, a span collector and stall forensics — with
 //!   small sink, event and span capacities, so the stores fill quickly;
 //! * `enable_metrics` alone, as the benchmark's `observatory` side
 //!   plane: no recorder, so the snapshot registry keeps the default
@@ -20,8 +20,8 @@
 //! * the transaction series holds `SERIES_WINDOW` snapshots;
 //! * the recorder's events, the trace sink and the recent span trees
 //!   each hold their capacity;
-//! * the wait-graph tracker's samples and gauge rows each hold
-//!   `max_samples`.
+//! * stall forensics holds at most one wedge report and one wedge
+//!   bundle.
 //!
 //! Both series still count every window they committed.
 
@@ -52,8 +52,6 @@ struct Census {
     events: Option<usize>,
     sink: Option<usize>,
     spans: Option<usize>,
-    wait_samples: Option<usize>,
-    wait_stats: Option<usize>,
 }
 
 fn txn_config() -> TxnConfig {
@@ -91,6 +89,13 @@ fn census_holds<S: TraceSink, P: SpanSink>(
                 .expect("valid endpoints");
         }
         assert_eq!(&census(fab), bound, "after {cycles} cycles");
+        // A latched wedge keeps one report and the one bundle captured
+        // with it; nothing more accrues however long the run.
+        assert_eq!(
+            fab.wedge_bundles().len(),
+            usize::from(fab.wedge_latched()),
+            "after {cycles} cycles: at most one wedge report, with its one bundle"
+        );
         let registry = fab.network().metrics().expect("observatory on");
         let txn = fab.registry().expect("txn observatory on");
         assert_eq!(
@@ -107,12 +112,11 @@ fn every_store_holds_its_bound_however_long_the_run() {
         event_window: 256,
         ..RecorderConfig::default()
     };
-    let forensics = WaitGraphConfig::default();
     let (topo, devices) = common::torus4();
     let mut net = Network::with_sink(topo, NetworkConfig::default(), RingBufferSink::new(SINK));
     net.enable_flight_recorder(PERIOD, HealthConfig::default(), recorder.clone());
     let mut fab = TxnFabric::with_spans(net, txn_config(), SpanCollector::new(SPANS, 8));
-    fab.enable_forensics(forensics);
+    fab.enable_forensics(WaitGraphConfig);
 
     let bound = Census {
         registry: recorder.snapshot_window,
@@ -120,20 +124,15 @@ fn every_store_holds_its_bound_however_long_the_run() {
         events: Some(recorder.event_window),
         sink: Some(SINK),
         spans: Some(SPANS),
-        wait_samples: Some(forensics.max_samples),
-        wait_stats: Some(forensics.max_samples),
     };
     let census = |fab: &TxnFabric<RingBufferSink, SpanCollector>| {
         let net = fab.network();
-        let tracker = fab.wait_tracker().expect("forensics on");
         Census {
             registry: net.metrics().expect("observatory on").len(),
             txn_series: fab.txn_snapshots().len(),
             events: Some(net.recorder().expect("recorder on").events().count()),
             sink: Some(net.sink().len()),
             spans: Some(fab.span_sink().recent().count()),
-            wait_samples: Some(tracker.samples().count()),
-            wait_stats: Some(tracker.stats().len()),
         }
     };
     census_holds(&mut fab, devices, census, &bound);
@@ -157,8 +156,6 @@ fn the_metrics_plane_alone_keeps_the_default_window() {
         events: None,
         sink: None,
         spans: None,
-        wait_samples: None,
-        wait_stats: None,
     };
     let census = |fab: &TxnFabric<NullSink, NullSpanSink>| Census {
         registry: fab.network().metrics().expect("observatory on").len(),
@@ -166,8 +163,6 @@ fn the_metrics_plane_alone_keeps_the_default_window() {
         events: None,
         sink: None,
         spans: None,
-        wait_samples: fab.wait_tracker().map(|t| t.samples().count()),
-        wait_stats: fab.wait_tracker().map(|t| t.stats().len()),
     };
     census_holds(&mut fab, devices, census, &bound);
 }

@@ -109,14 +109,17 @@ fn repro_quick_results_are_byte_identical() {
 }
 
 /// The shape facts of every `repro --quick` result, unpinned: no shape
-/// check fails anywhere, every experiment has rows, the tables have
-/// their row counts, and the checks the paper's claims rest on pass.
+/// check fails anywhere, every experiment has rows and serialises to
+/// JSON that names it, the tables have their row counts, and the checks
+/// the paper's claims rest on pass.
 #[test]
 fn repro_quick_results_keep_their_shape() {
     for r in quick_results() {
         let fails: Vec<_> = r.notes.iter().filter(|n| n.ends_with("FAIL")).collect();
         assert!(fails.is_empty(), "{}: {fails:?}", r.id);
         assert!(!r.rows.is_empty(), "{} produced no rows", r.id);
+        let json = serde_json::to_string(r).expect("results serialise");
+        assert!(json.contains(&r.id), "{}: its JSON names no id", r.id);
     }
     for (id, rows) in [
         ("table05", 6),

@@ -12,20 +12,18 @@
 //!
 //! Every plane is on: a small `RingBufferSink` (so the sink wraps), the
 //! flight recorder with short windows, the network and transaction
-//! observatories, a `SpanCollector` and wait-graph forensics. Every
+//! observatories, a `SpanCollector` and stall forensics. Every
 //! committed series keeps only its window (the recorder's for the
 //! snapshot registry, 32 for the transaction series), so both series
 //! are hashed as they are committed (read through `since` after every
-//! tick), and forensics keeps the 4096 wait-graph samples the goldens
-//! were pinned with, not the 32 it keeps by default. One
-//! case runs the benchmark's mix; the other runs `TxnMix::default()`
-//! with 32-flit bursts, which wedges the fabric so forensics latches and
-//! watchdog bundles are captured.
+//! tick). One case runs the benchmark's mix; the other runs
+//! `TxnMix::default()` with 32-flit bursts, which wedges the fabric so
+//! forensics latches and watchdog bundles are captured.
 
 mod common;
 
 use noc_core::telemetry::{
-    chrome_trace, jsonl, prometheus_text, snapshots_jsonl, span_trees_jsonl, spans_chrome_trace,
+    chrome_trace, prometheus_text, snapshots_jsonl, span_trees_jsonl, spans_chrome_trace,
     txn_snapshots_jsonl, HealthConfig, MetricsSnapshot, PostmortemBundle, RecorderConfig,
     RingBufferSink, SpanCollector, TxnSpanTree, WaitGraphConfig,
 };
@@ -102,7 +100,7 @@ const PARTS: [&str; 10] = [
     "sink EventCounts + dropped",
     "span_trees_jsonl",
     "spans_chrome_trace(exemplars)",
-    "wait_graphs_jsonl",
+    "wedge report",
     "bundles to_jsonl",
 ];
 
@@ -130,7 +128,7 @@ fn run(case: &Case) -> Digest {
         },
         SpanCollector::new(64, 8),
     );
-    fab.enable_forensics(WaitGraphConfig { max_samples: 4096 });
+    fab.enable_forensics(WaitGraphConfig);
 
     let wl = TxnWorkload::new(
         devs,
@@ -189,7 +187,7 @@ fn run(case: &Case) -> Digest {
             )),
             fnv(&span_trees_jsonl(&trees)),
             fnv(&spans_chrome_trace(fab.tail_exemplars())),
-            fnv(&jsonl(fab.wait_tracker().expect("forensics on").samples())),
+            fnv(&serde_json::to_string(&fab.wedge_report()).expect("report serializes")),
             fnv(&bundle_text),
         ],
     }
@@ -205,10 +203,19 @@ type Golden = (&'static str, u64, bool, u64, usize, u64, [u64; 10]);
 /// bundle text without its old environment line, which is exactly what
 /// `to_jsonl` renders now. A copy of the parent commit that serialised
 /// only the three remaining config fields printed the same two hashes.
+///
+/// Part 9 hashed the sampled wait-graph stream until the stall verdicts
+/// moved onto the network's progress stamp; it now hashes the latched
+/// wedge report (`null` for the bench mix). In the wedging case the
+/// report and both stall verdicts move to the first 32-cycle boundary
+/// past the stamp's crossing: `deadlock-suspected` 3 488 → 3 520 (the
+/// stamp reaches `FREEZE_W` = 128 at 3 502) and `liveness-stall`
+/// 3 872 → 3 904 (512 at 3 886). That moves its bundles' hash; every
+/// other part, verdict and run-shape column is unchanged.
 #[rustfmt::skip]
 const TELEMETRY_GOLDENS: &[Golden] = &[
-    ("bench-mix seed 1", 3000, false, 93, 1, 87006, [0x8baebae84eeddb37, 0x321c2db89fa61fbf, 0x25f2a122790dd094, 0xb978c00a5ddf5478, 0x4fbd206d037f425f, 0xc691d0c578ba8c43, 0x26af2dc38cb93dad, 0xc3daa8f7c570871a, 0xcfe51c73bef77ed7, 0x1f7af5cee6132282]),
-    ("default mix, 32-flit bursts (wedges)", 8000, true, 250, 6, 262517, [0x64f46b17a7b45c39, 0xd0f588849b3d2534, 0x20e7aa9803a0b973, 0xc55b75492ceb248e, 0x889811af3c029341, 0x21d1b7856873cdd0, 0xabc860b7343c3c22, 0xf2cdd50d1d12a07a, 0x033d297a2b840863, 0x3b38449f1f48f144]),
+    ("bench-mix seed 1", 3000, false, 93, 1, 87006, [0x8baebae84eeddb37, 0x321c2db89fa61fbf, 0x25f2a122790dd094, 0xb978c00a5ddf5478, 0x4fbd206d037f425f, 0xc691d0c578ba8c43, 0x26af2dc38cb93dad, 0xc3daa8f7c570871a, 0x5b9bc4ba528108e4, 0x1f7af5cee6132282]),
+    ("default mix, 32-flit bursts (wedges)", 8000, true, 250, 6, 262517, [0x64f46b17a7b45c39, 0xd0f588849b3d2534, 0x20e7aa9803a0b973, 0xc55b75492ceb248e, 0x889811af3c029341, 0x21d1b7856873cdd0, 0xabc860b7343c3c22, 0xf2cdd50d1d12a07a, 0x6f74c830168c7e42, 0x3941818d2a2d4a7b]),
 ];
 
 #[test]
