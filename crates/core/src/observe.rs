@@ -147,21 +147,23 @@ impl RingObs {
         }
     }
 
-    /// One metrics row of `shard`: window counter deltas since the last
-    /// sample plus instantaneous ring/bridge gauges. Runs at the end of
-    /// a cycle (`in_cycle`) or between ticks, when
-    /// `Network::finish_metrics` closes the series; the bridge gauges
-    /// depend on which ([`Bridges::gauges`]).
+    /// One metrics row of `shard`, written over `row` (its buffers
+    /// reused): window counter deltas since the last sample plus
+    /// instantaneous ring/bridge gauges. Runs at the end of a cycle
+    /// (`in_cycle`) or between ticks, when `Network::finish_metrics`
+    /// closes the series; the bridge gauges depend on which
+    /// ([`Bridges::gauges`]).
     #[allow(clippy::too_many_arguments)]
     fn sample(
         &mut self,
+        row: &mut RingWindow,
         shard: &mut RingShard,
         shared: &EngineShared,
         bridges: &Bridges,
         slab: &mut FlitSlab,
         now: Cycle,
         in_cycle: bool,
-    ) -> RingWindow {
+    ) {
         let now_counters = counters_now(shard);
         let counters = now_counters.delta_since(&self.metrics_base);
         self.metrics_base = now_counters;
@@ -185,7 +187,8 @@ impl RingObs {
         }
 
         let ring = shard.ring.id.0;
-        let bridge_rows = shard.sides.iter().map(|side| {
+        row.bridges.clear();
+        row.bridges.extend(shard.sides.iter().map(|side| {
             let (tx_pipe, rx_depth) = bridges.gauges(side, now.raw(), in_cycle);
             BridgeGauges {
                 bridge: side.bridge.index() as u16,
@@ -197,10 +200,9 @@ impl RingObs {
                 in_drm: side.drm,
                 drm_entries: side.drm_entries,
             }
-        });
-        let bridge_rows = bridge_rows.collect();
+        }));
 
-        let (flows, links) = if shard.flow_on {
+        if shard.flow_on {
             // Link occupancy and delivery flushes run every window;
             // the in-flight charge sweep only every
             // `CHARGE_STRIDE`-th, to keep steady-state cost down.
@@ -213,19 +215,15 @@ impl RingObs {
                 self.windows_until_charge = CHARGE_STRIDE;
             }
             self.flush_flow_events(shard);
-            (self.flows.ranked(), self.link_util.clone())
+            self.flows.ranked(&mut row.flows);
+            row.links.clone_from(&self.link_util);
         } else {
-            (Vec::new(), Vec::new())
-        };
-
-        RingWindow {
-            ring,
-            counters,
-            gauges,
-            bridges: bridge_rows,
-            flows,
-            links,
+            row.flows.clear();
+            row.links.clear();
         }
+        row.ring = ring;
+        row.counters = counters;
+        row.gauges = gauges;
     }
 }
 
@@ -622,21 +620,20 @@ impl<S: TraceSink> Network<S> {
         let in_flight = self.in_flight();
         let stalled_for = self.stalled_for();
         let obs = self.observatory.as_mut().expect("caller checked");
-        let rings: Vec<RingWindow> = obs
-            .rings
-            .iter_mut()
-            .zip(&mut self.shards)
-            .map(|(o, shard)| {
-                o.sample(
-                    shard,
-                    &self.shared,
-                    &self.bridges,
-                    &mut self.slab,
-                    self.now,
-                    in_cycle,
-                )
-            })
-            .collect();
+        // Sample into the rows of the snapshot the last commit evicted.
+        let mut rings = obs.registry.take_spare();
+        rings.resize_with(obs.rings.len(), RingWindow::default);
+        for ((row, o), shard) in rings.iter_mut().zip(&mut obs.rings).zip(&mut self.shards) {
+            o.sample(
+                row,
+                shard,
+                &self.shared,
+                &self.bridges,
+                &mut self.slab,
+                self.now,
+                in_cycle,
+            );
+        }
         let snap = obs.registry.commit(cycle, window, in_flight, rings);
         let new_verdicts = obs.monitor.observe(snap, stalled_for);
         if new_verdicts > 0 {

@@ -13,9 +13,10 @@
 
 use crate::critical::critical_path;
 use crate::event::{FlitEvent, TraceRecord};
+use crate::export::written_once;
 use crate::spans::TxnSpanTree;
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt;
 
 /// Human name of a flit-class index (mirrors
 /// `noc_core::FlitClass::index()`).
@@ -29,18 +30,46 @@ fn class_name(class: u8) -> &'static str {
     CLASS_NAMES.get(class as usize).copied().unwrap_or("?")
 }
 
-fn instant_name(event: &FlitEvent) -> Option<String> {
-    match event {
-        FlitEvent::InjectLost { .. } => Some("inject-lost".into()),
-        FlitEvent::ITagSet { .. } => Some("itag-set".into()),
-        FlitEvent::ITagClaimed { .. } => Some("itag-claimed".into()),
-        FlitEvent::Deflected { .. } => Some("deflected".into()),
-        FlitEvent::ETagReserved { .. } => Some("etag-reserved".into()),
-        FlitEvent::BridgeEnqueued { bridge } => Some(format!("bridge{bridge}-enq")),
-        FlitEvent::BridgeStalled { bridge } => Some(format!("bridge{bridge}-stall")),
-        FlitEvent::SwapTriggered { .. } => Some("swap".into()),
-        _ => None,
+/// The name of an instant event: a fixed word, or `bridge{id}-` and a
+/// suffix.
+struct InstantName(Option<u16>, &'static str);
+
+impl fmt::Display for InstantName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(bridge) => write!(f, "bridge{bridge}-{}", self.1),
+            None => f.write_str(self.1),
+        }
     }
+}
+
+fn instant_name(event: &FlitEvent) -> Option<InstantName> {
+    Some(match *event {
+        FlitEvent::InjectLost { .. } => InstantName(None, "inject-lost"),
+        FlitEvent::ITagSet { .. } => InstantName(None, "itag-set"),
+        FlitEvent::ITagClaimed { .. } => InstantName(None, "itag-claimed"),
+        FlitEvent::Deflected { .. } => InstantName(None, "deflected"),
+        FlitEvent::ETagReserved { .. } => InstantName(None, "etag-reserved"),
+        FlitEvent::BridgeEnqueued { bridge } => InstantName(Some(bridge), "enq"),
+        FlitEvent::BridgeStalled { bridge } => InstantName(Some(bridge), "stall"),
+        FlitEvent::SwapTriggered { .. } => InstantName(None, "swap"),
+        _ => return None,
+    })
+}
+
+/// A `trace_event` JSON object whose event array `events` writes,
+/// rendered by the one export writer. `events` is handed the output
+/// and a separator that reads `""` before the first event and `","`
+/// before every later one.
+fn trace_object(
+    events: impl Fn(&mut dyn fmt::Write, &mut dyn FnMut() -> &'static str) -> fmt::Result,
+) -> String {
+    written_once(|w| {
+        w.write_str("{\"traceEvents\":[")?;
+        let mut first = true;
+        events(w, &mut || if std::mem::take(&mut first) { "" } else { "," })?;
+        w.write_str("],\"displayTimeUnit\":\"ns\"}")
+    })
 }
 
 /// Render `records` as a Chrome `trace_event` JSON object.
@@ -60,71 +89,62 @@ fn instant_name(event: &FlitEvent) -> Option<String> {
 /// assert!(json.contains("\"ph\":\"X\""));
 /// ```
 pub fn chrome_trace(records: &[TraceRecord]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, ev: &str| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(ev);
-    };
-
-    // (enqueue cycle, src node) per in-flight flit.
-    let mut open: HashMap<u64, (u64, u32)> = HashMap::new();
-    let mut ev = String::new();
-    for r in records {
-        ev.clear();
-        match r.event {
-            FlitEvent::Enqueued { node, .. } => {
-                open.insert(r.flit, (r.cycle, node));
-            }
-            FlitEvent::Delivered { node, class } => {
-                if let Some((start, src)) = open.remove(&r.flit) {
-                    let dur = (r.cycle - start).max(1);
-                    write!(
-                        ev,
-                        "{{\"name\":\"flit {} {} n{}->n{}\",\"cat\":\"flit\",\
-                         \"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
-                        r.flit,
-                        class_name(class),
-                        src,
-                        node,
-                        start,
-                        dur,
-                        PID_FLITS,
-                        r.flit
-                    )
-                    .expect("writing to a String cannot fail");
-                    push(&mut out, &ev);
+    trace_object(|w, sep| {
+        // (enqueue cycle, src node) per in-flight flit.
+        let mut open: HashMap<u64, (u64, u32)> = HashMap::new();
+        for r in records {
+            match r.event {
+                FlitEvent::Enqueued { node, .. } => {
+                    open.insert(r.flit, (r.cycle, node));
                 }
-            }
-            FlitEvent::RingUtil { occupied, .. } => {
-                write!(
-                    ev,
-                    "{{\"name\":\"ring{} occupancy\",\"ph\":\"C\",\"ts\":{},\
+                FlitEvent::Delivered { node, class } => {
+                    if let Some((start, src)) = open.remove(&r.flit) {
+                        write!(
+                            w,
+                            "{}{{\"name\":\"flit {} {} n{}->n{}\",\"cat\":\"flit\",\
+                             \"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
+                            sep(),
+                            r.flit,
+                            class_name(class),
+                            src,
+                            node,
+                            start,
+                            (r.cycle - start).max(1),
+                            PID_FLITS,
+                            r.flit
+                        )?;
+                    }
+                }
+                FlitEvent::RingUtil { occupied, .. } => write!(
+                    w,
+                    "{}{{\"name\":\"ring{} occupancy\",\"ph\":\"C\",\"ts\":{},\
                      \"pid\":{},\"tid\":0,\"args\":{{\"occupied\":{}}}}}",
-                    r.ring, r.cycle, PID_RINGS, occupied
-                )
-                .expect("writing to a String cannot fail");
-                push(&mut out, &ev);
-            }
-            _ => {
-                if let Some(name) = instant_name(&r.event) {
-                    write!(
-                        ev,
-                        "{{\"name\":\"{} r{}s{}\",\"cat\":\"lifecycle\",\"ph\":\"i\",\
-                         \"ts\":{},\"pid\":{},\"tid\":{},\"s\":\"t\"}}",
-                        name, r.ring, r.station, r.cycle, PID_FLITS, r.flit
-                    )
-                    .expect("writing to a String cannot fail");
-                    push(&mut out, &ev);
+                    sep(),
+                    r.ring,
+                    r.cycle,
+                    PID_RINGS,
+                    occupied
+                )?,
+                _ => {
+                    if let Some(name) = instant_name(&r.event) {
+                        write!(
+                            w,
+                            "{}{{\"name\":\"{} r{}s{}\",\"cat\":\"lifecycle\",\"ph\":\"i\",\
+                             \"ts\":{},\"pid\":{},\"tid\":{},\"s\":\"t\"}}",
+                            sep(),
+                            name,
+                            r.ring,
+                            r.station,
+                            r.cycle,
+                            PID_FLITS,
+                            r.flit
+                        )?;
+                    }
                 }
             }
         }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
+        Ok(())
+    })
 }
 
 /// Render transaction span trees as a Chrome `trace_event` JSON object.
@@ -137,104 +157,87 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
 /// <https://ui.perfetto.dev>; cycle numbers are written as microsecond
 /// timestamps, so the "us" axis reads as cycles.
 pub fn spans_chrome_trace(trees: &[TxnSpanTree]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, ev: &str| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(ev);
-    };
+    trace_object(|w, sep| {
+        for tree in trees {
+            let pid = tree.txn;
+            write!(
+                w,
+                "{}{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
+                 \"args\":{{\"name\":\"txn {} {} n{}->n{}\"}}}}",
+                sep(),
+                pid,
+                tree.txn,
+                tree.op_name(),
+                tree.src,
+                tree.dst
+            )?;
+            write!(
+                w,
+                "{}{{\"name\":\"txn {} {}\",\"cat\":\"txn\",\"ph\":\"X\",\
+                 \"ts\":{},\"dur\":{},\"pid\":{},\"tid\":0,\
+                 \"args\":{{\"bytes\":{},\"window_occupancy\":{}}}}}",
+                sep(),
+                tree.txn,
+                tree.op_name(),
+                tree.issued_at,
+                tree.latency().max(1),
+                pid,
+                tree.bytes,
+                tree.window_occupancy
+            )?;
 
-    let mut ev = String::new();
-    for tree in trees {
-        let pid = tree.txn;
-        ev.clear();
-        write!(
-            ev,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-             \"args\":{{\"name\":\"txn {} {} n{}->n{}\"}}}}",
-            pid,
-            tree.txn,
-            tree.op_name(),
-            tree.src,
-            tree.dst
-        )
-        .expect("writing to a String cannot fail");
-        push(&mut out, &ev);
-
-        ev.clear();
-        write!(
-            ev,
-            "{{\"name\":\"txn {} {}\",\"cat\":\"txn\",\"ph\":\"X\",\
-             \"ts\":{},\"dur\":{},\"pid\":{},\"tid\":0,\
-             \"args\":{{\"bytes\":{},\"window_occupancy\":{}}}}}",
-            tree.txn,
-            tree.op_name(),
-            tree.issued_at,
-            tree.latency().max(1),
-            pid,
-            tree.bytes,
-            tree.window_occupancy
-        )
-        .expect("writing to a String cannot fail");
-        push(&mut out, &ev);
-
-        // Critical-chain phase segments, nested inside the root span on
-        // track 0: contiguous and non-overlapping by construction.
-        let path = critical_path(tree);
-        for link in &path.links {
-            let mut at = link.from;
-            for (name, cycles) in crate::critical::PHASE_NAMES
-                .iter()
-                .zip(link.phases.as_array())
-            {
-                if cycles == 0 {
-                    continue;
+            // Critical-chain phase segments, nested inside the root span
+            // on track 0: contiguous and non-overlapping by construction.
+            for link in &critical_path(tree).links {
+                let mut at = link.from;
+                for (name, cycles) in crate::critical::PHASE_NAMES
+                    .iter()
+                    .zip(link.phases.as_array())
+                {
+                    if cycles == 0 {
+                        continue;
+                    }
+                    write!(
+                        w,
+                        "{}{{\"name\":\"{} p{}\",\"cat\":\"critical\",\"ph\":\"X\",\
+                         \"ts\":{},\"dur\":{},\"pid\":{},\"tid\":0}}",
+                        sep(),
+                        name,
+                        link.packet,
+                        at,
+                        cycles,
+                        pid
+                    )?;
+                    at += cycles;
                 }
-                ev.clear();
+            }
+
+            for (i, p) in tree.packets.iter().enumerate() {
                 write!(
-                    ev,
-                    "{{\"name\":\"{} p{}\",\"cat\":\"critical\",\"ph\":\"X\",\
-                     \"ts\":{},\"dur\":{},\"pid\":{},\"tid\":0}}",
-                    name, link.packet, at, cycles, pid
-                )
-                .expect("writing to a String cannot fail");
-                push(&mut out, &ev);
-                at += cycles;
+                    w,
+                    "{}{{\"name\":\"pkt {} {} n{}->n{}\",\"cat\":\"packet\",\"ph\":\"X\",\
+                     \"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\
+                     \"args\":{{\"flits\":{},\"hops\":{},\"deflections\":{},\
+                     \"recirc\":{},\"bridges\":{}}}}}",
+                    sep(),
+                    p.packet,
+                    p.role.name(),
+                    p.src,
+                    p.dst,
+                    p.staged_at,
+                    (p.reassembled_at - p.staged_at).max(1),
+                    pid,
+                    i + 1,
+                    p.flits,
+                    p.hops,
+                    p.deflections,
+                    p.recirc_cycles,
+                    p.bridge_crossings
+                )?;
             }
         }
-
-        for (i, p) in tree.packets.iter().enumerate() {
-            let tid = i as u64 + 1;
-            ev.clear();
-            write!(
-                ev,
-                "{{\"name\":\"pkt {} {} n{}->n{}\",\"cat\":\"packet\",\"ph\":\"X\",\
-                 \"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\
-                 \"args\":{{\"flits\":{},\"hops\":{},\"deflections\":{},\
-                 \"recirc\":{},\"bridges\":{}}}}}",
-                p.packet,
-                p.role.name(),
-                p.src,
-                p.dst,
-                p.staged_at,
-                (p.reassembled_at - p.staged_at).max(1),
-                pid,
-                tid,
-                p.flits,
-                p.hops,
-                p.deflections,
-                p.recirc_cycles,
-                p.bridge_crossings
-            )
-            .expect("writing to a String cannot fail");
-            push(&mut out, &ev);
-        }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    out
+        Ok(())
+    })
 }
 
 #[cfg(test)]

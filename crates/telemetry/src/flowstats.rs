@@ -95,7 +95,7 @@ pub struct FlowTable {
     entries: Vec<FlowRecord>,
     capacity: usize,
     /// Positions in `entries`, in the order the last
-    /// [`FlowTable::ranked`] returned them. Weights move little between
+    /// [`FlowTable::ranked`] ranked them. Weights move little between
     /// sampling windows, so this is close to sorted for the next call:
     /// on `torus4_txn_observed` it holds 5.9 inversions on average
     /// against 57 for insertion order (16 flows; 21 % of windows keep
@@ -217,18 +217,20 @@ impl FlowTable {
         victim
     }
 
-    /// The tracked flows ranked for presentation: weight descending,
-    /// `(src, dst)` ascending. Re-sorts the order it returned last
-    /// time, so a sampling window pays for what moved, not for a fresh
-    /// sort.
-    pub fn ranked(&mut self) -> Vec<FlowRecord> {
+    /// The tracked flows ranked for presentation, written over `out`:
+    /// weight descending, `(src, dst)` ascending. Re-sorts the order it
+    /// ranked last time, so a sampling window pays for what moved, not
+    /// for a fresh sort, and reuses `out`'s buffer, so ranking into last
+    /// window's row allocates nothing once it has held a full table.
+    pub fn ranked(&mut self, out: &mut Vec<FlowRecord>) {
         let entries = &self.entries;
         let order = &mut self.rank_order;
         order.extend(order.len() as u32..entries.len() as u32);
         // `rank_key` is a total order on the (unique) flow keys, so this
         // stable sort returns what any sort by it would.
         order.sort_by_key(|&i| entries[i as usize].rank_key());
-        order.iter().map(|&i| entries[i as usize]).collect()
+        out.clear();
+        out.extend(order.iter().map(|&i| entries[i as usize]));
     }
 
     /// The raw entries in insertion order (deterministic, unranked).
@@ -300,6 +302,12 @@ pub fn flow_table_ascii(flows: &[FlowRecord], name_of: impl Fn(u32) -> String) -
 mod tests {
     use super::*;
 
+    fn ranked(t: &mut FlowTable) -> Vec<FlowRecord> {
+        let mut out = Vec::new();
+        t.ranked(&mut out);
+        out
+    }
+
     /// `n` deliveries of `src → dst`, each 10 cycles with one I-tag wait.
     fn deliver(t: &mut FlowTable, src: u32, dst: u32, n: u64) {
         let delta = FlowDelta {
@@ -327,7 +335,7 @@ mod tests {
         deliver(&mut t, 0, 1, 3);
         deflect(&mut t, 0, 1, false);
         deflect(&mut t, 0, 1, true);
-        let r = t.ranked();
+        let r = ranked(&mut t);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].delivered, 3);
         assert_eq!(r[0].latency_sum, 30);
@@ -343,7 +351,7 @@ mod tests {
         let mut t = FlowTable::new(0);
         deliver(&mut t, 0, 1, 100);
         assert!(t.is_empty());
-        assert!(t.ranked().is_empty());
+        assert!(ranked(&mut t).is_empty());
     }
 
     #[test]
@@ -354,7 +362,7 @@ mod tests {
         // Table full; a new pair recycles (2,3) — the minimum.
         deliver(&mut t, 4, 5, 1);
         assert_eq!(t.len(), 2);
-        let r = t.ranked();
+        let r = ranked(&mut t);
         assert_eq!((r[0].src, r[0].dst), (0, 1));
         assert_eq!((r[1].src, r[1].dst), (4, 5));
         // Inherited weight 1 + its own delivery, error bound 1.
@@ -371,7 +379,7 @@ mod tests {
         for i in 0..500u32 {
             deliver(&mut t, 10 + i, 2, 1);
         }
-        let r = t.ranked();
+        let r = ranked(&mut t);
         assert_eq!((r[0].src, r[0].dst), (0, 1));
         assert!(r[0].weight() >= 1000);
     }
@@ -432,13 +440,13 @@ mod tests {
         };
         deliver(&mut t, 0, 1, 3);
         deliver(&mut t, 2, 3, 2);
-        assert_eq!(t.ranked(), fresh(&t));
+        assert_eq!(ranked(&mut t), fresh(&t));
         // Reverse the order, then add a third flow and recycle one.
         deliver(&mut t, 2, 3, 4);
-        assert_eq!(t.ranked(), fresh(&t));
+        assert_eq!(ranked(&mut t), fresh(&t));
         deliver(&mut t, 4, 5, 9);
         deliver(&mut t, 6, 7, 1);
-        let r = t.ranked();
+        let r = ranked(&mut t);
         assert_eq!(r, fresh(&t));
         let keys: Vec<(u32, u32)> = r.iter().map(|e| (e.src, e.dst)).collect();
         assert_eq!(keys, vec![(4, 5), (2, 3), (6, 7)]);
@@ -463,7 +471,7 @@ mod tests {
     fn ascii_table_renders_and_guards_empty_flows() {
         let mut t = FlowTable::new(4);
         deflect(&mut t, 0, 1, false);
-        let s = flow_table_ascii(&t.ranked(), |id| format!("n{id}"));
+        let s = flow_table_ascii(&ranked(&mut t), |id| format!("n{id}"));
         assert!(s.contains("n0 -> n1"), "{s}");
         assert!(s.contains("0.0"), "wedged flow mean latency: {s}");
         let empty = flow_table_ascii(&[], |id| id.to_string());

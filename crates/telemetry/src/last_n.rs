@@ -118,8 +118,9 @@ pub const SERIES_WINDOW: usize = 32;
 /// the whole series polls [`Series::since`] as it is committed.
 ///
 /// The live tail is `buf[start..]`. An element that leaves the window
-/// is replaced by `T::default()` at once, so what it owned on the heap
-/// is freed then; the emptied prefix is compacted away once it is
+/// is taken out at once (a `T::default()` shell stays in its place)
+/// and handed back to the pusher, which may reuse what it owns on the
+/// heap or drop it; the emptied prefix is compacted away once it is
 /// `keep` long. Each compaction moves the `keep` live elements, so a
 /// push costs amortised O(1) and the buffer never holds more than
 /// `2·keep` shells.
@@ -146,20 +147,21 @@ impl<T: Default> Series<T> {
         }
     }
 
-    /// Commit `value`, evicting the oldest element past `keep`, and
-    /// return it as retained.
-    pub fn push(&mut self, value: T) -> &T {
+    /// Commit `value` and return the oldest element if that takes the
+    /// series past `keep`.
+    pub fn push(&mut self, value: T) -> Option<T> {
         self.buf.push(value);
         self.committed += 1;
-        if self.len() > self.keep {
-            self.buf[self.start] = T::default();
-            self.start += 1;
-            if self.start >= self.keep {
-                self.buf.drain(..self.start);
-                self.start = 0;
-            }
+        if self.len() <= self.keep {
+            return None;
         }
-        self.buf.last().expect("just pushed")
+        let evicted = std::mem::take(&mut self.buf[self.start]);
+        self.start += 1;
+        if self.start >= self.keep {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
+        Some(evicted)
     }
 
     /// The retained elements, oldest first.
@@ -351,7 +353,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
         /// The series holds exactly the model's newest `max(keep, 1)`
-        /// elements after every push, and never more than `2·keep`
+        /// elements after every push, hands back the one a push
+        /// evicts, and never more than `2·keep`
         /// slots, the emptied prefix included; `committed` counts every
         /// push and `since` returns the model's elements from a
         /// sequence number on, or `None` once the first was evicted.
@@ -367,7 +370,8 @@ mod tests {
             for i in 0..pushes as u64 {
                 // From 1, so an emptied slot (0) is told from a value.
                 model.push(i + 1);
-                prop_assert_eq!(*store.push(i + 1), i + 1);
+                let evicted = (i >= window as u64).then(|| i + 1 - window as u64);
+                prop_assert_eq!(store.push(i + 1), evicted);
                 let held: Vec<u64> = model.items.iter().copied().collect();
                 prop_assert_eq!(store.as_slice(), held.as_slice());
                 prop_assert_eq!(store.len(), held.len());

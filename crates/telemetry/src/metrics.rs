@@ -271,7 +271,9 @@ impl MetricsSnapshot {
 /// `snapshot_window` when it attaches one and
 /// [`SERIES_WINDOW`](crate::SERIES_WINDOW) otherwise, so memory is
 /// bounded by configuration, not by run length. A snapshot's rings are
-/// freed the commit it leaves the window. Eviction changes nothing that
+/// kept as the one spare the commit it leaves the window
+/// ([`MetricsRegistry::take_spare`]) and freed at the next eviction if
+/// nobody took them. Eviction changes nothing that
 /// is committed: `seq` stays the commit index, and
 /// [`MetricsRegistry::summed`] and [`MetricsRegistry::committed`] count
 /// every window. A reader that needs the whole stream reads it as it is
@@ -282,6 +284,9 @@ pub struct MetricsRegistry {
     cumulative: WindowCounters,
     /// The retained tail of the series, oldest first.
     snapshots: Series<MetricsSnapshot>,
+    /// The ring rows of the snapshot the last commit evicted, lent to
+    /// the engine to sample the next window into.
+    spare: Vec<RingWindow>,
 }
 
 impl MetricsRegistry {
@@ -297,6 +302,7 @@ impl MetricsRegistry {
             period,
             cumulative: WindowCounters::default(),
             snapshots: Series::new(keep),
+            spare: Vec::new(),
         }
     }
 
@@ -319,7 +325,7 @@ impl MetricsRegistry {
             totals.add(&r.counters);
         }
         self.cumulative.add(&totals);
-        self.snapshots.push(MetricsSnapshot {
+        let evicted = self.snapshots.push(MetricsSnapshot {
             seq: self.snapshots.committed(),
             cycle,
             window,
@@ -327,7 +333,17 @@ impl MetricsRegistry {
             totals,
             cumulative: self.cumulative,
             rings,
-        })
+        });
+        self.spare = evicted.map(|old| old.rings).unwrap_or_default();
+        self.last().expect("just committed")
+    }
+
+    /// The ring rows of the snapshot the last commit evicted (empty
+    /// before the first eviction), for the engine to overwrite in
+    /// place and hand back to [`MetricsRegistry::commit`]: once the
+    /// window is full, a sample allocates nothing.
+    pub fn take_spare(&mut self) -> Vec<RingWindow> {
+        std::mem::take(&mut self.spare)
     }
 
     /// The retained snapshots, oldest first (see the type-level docs).

@@ -13,6 +13,7 @@
 //! per line. Every line is simulation output, so two runs of one
 //! simulation render byte-identical bundles.
 
+use crate::export::written_once;
 use crate::flowstats::{flow_table_ascii, FlowRecord};
 use crate::health::Verdict;
 use crate::metrics::MetricsSnapshot;
@@ -20,6 +21,7 @@ use crate::spans::TxnSpanTree;
 use crate::waitgraph::WedgeReport;
 use crate::TraceRecord;
 use serde::{Deserialize, Serialize, Value};
+use std::fmt;
 
 /// Identity and provenance of a bundle: why and when it was captured,
 /// what it covers, and the engine configuration needed to replay the
@@ -79,15 +81,16 @@ struct LinksLine {
     cells: Vec<Vec<u64>>,
 }
 
-/// Serialize `value` as one JSONL line with a leading `"kind"` tag.
-fn kind_line(kind: &str, value: &impl Serialize) -> String {
+/// Write `value` as one JSONL line with a leading `"kind"` tag.
+fn kind_line(w: &mut dyn fmt::Write, kind: &str, value: &impl Serialize) -> fmt::Result {
     let inner = match value.to_value() {
         Value::Object(entries) => entries,
         other => vec![("value".to_string(), other)],
     };
     let mut entries = vec![("kind".to_string(), Value::Str(kind.to_string()))];
     entries.extend(inner);
-    serde_json::to_string(&Value::Object(entries)).expect("bundle line serializes")
+    serde_json::write_to(w, &Value::Object(entries))?;
+    w.write_char('\n')
 }
 
 impl PostmortemBundle {
@@ -95,41 +98,32 @@ impl PostmortemBundle {
     /// per verdict, flow, the link matrix, each snapshot, each event,
     /// each transaction exemplar and each wedge report.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&kind_line("meta", &self.meta));
-        out.push('\n');
-        for v in &self.verdicts {
-            out.push_str(&kind_line("verdict", v));
-            out.push('\n');
-        }
-        for f in &self.flows {
-            out.push_str(&kind_line("flow", f));
-            out.push('\n');
-        }
-        out.push_str(&kind_line(
-            "links",
-            &LinksLine {
-                cells: self.links.clone(),
-            },
-        ));
-        out.push('\n');
-        for s in &self.snapshots {
-            out.push_str(&kind_line("snapshot", s));
-            out.push('\n');
-        }
-        for e in &self.events {
-            out.push_str(&kind_line("event", e));
-            out.push('\n');
-        }
-        for t in &self.txn_exemplars {
-            out.push_str(&kind_line("txn_exemplar", t));
-            out.push('\n');
-        }
-        for w in &self.wedges {
-            out.push_str(&kind_line("wedge", w));
-            out.push('\n');
-        }
-        out
+        let links = LinksLine {
+            cells: self.links.clone(),
+        };
+        written_once(|w| {
+            kind_line(w, "meta", &self.meta)?;
+            for v in &self.verdicts {
+                kind_line(w, "verdict", v)?;
+            }
+            for f in &self.flows {
+                kind_line(w, "flow", f)?;
+            }
+            kind_line(w, "links", &links)?;
+            for s in &self.snapshots {
+                kind_line(w, "snapshot", s)?;
+            }
+            for e in &self.events {
+                kind_line(w, "event", e)?;
+            }
+            for t in &self.txn_exemplars {
+                kind_line(w, "txn_exemplar", t)?;
+            }
+            for r in &self.wedges {
+                kind_line(w, "wedge", r)?;
+            }
+            Ok(())
+        })
     }
 
     /// Parse a bundle back from its [`PostmortemBundle::to_jsonl`]

@@ -107,7 +107,7 @@ impl ClosedLoop {
         &mut self,
         fab: &mut TxnFabric<S, P>,
         requests: &mut impl Iterator<Item = TxnRequest>,
-        on_done: impl FnMut(TxnCompletion),
+        mut on_done: impl FnMut(TxnCompletion),
     ) -> Result<(), TxnError> {
         let mut offers = 0;
         while offers < self.per_cycle && fab.in_flight_txns() < self.outstanding {
@@ -130,7 +130,9 @@ impl ClosedLoop {
             self.accepted += 1;
         }
         fab.tick();
-        fab.drain_completions().into_iter().for_each(on_done);
+        while let Some(done) = fab.pop_completion() {
+            on_done(done);
+        }
         Ok(())
     }
 }

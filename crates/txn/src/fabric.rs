@@ -1223,6 +1223,12 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
         self.completions.drain(..).collect()
     }
 
+    /// Take the oldest completion not yet taken: the allocation-free
+    /// form of [`TxnFabric::drain_completions`] the drive loop uses.
+    pub(crate) fn pop_completion(&mut self) -> Option<TxnCompletion> {
+        self.completions.pop_front()
+    }
+
     fn accept_flit(&mut self, slot: usize, flit: &Flit) {
         let node = self.endpoints[slot].id;
         self.outstanding = self.outstanding.saturating_sub(1);

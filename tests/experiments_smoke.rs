@@ -1,61 +1,15 @@
-//! Smoke-run the fast experiments end-to-end and assert every shape
-//! check passes (the slow figures are covered by their own module tests
-//! and the `repro` binary), plus a postmortem smoke on both SoC models
-//! that leaves real bundles under `target/postmortem/` for CI to
-//! archive.
+//! A postmortem smoke on both SoC models that leaves real bundles under
+//! `target/postmortem/` for CI to archive. Every experiment's shape
+//! checks run once, in `tests/repro_goldens.rs`
+//! (`repro_quick_results_keep_their_shape`).
 
 use noc_ai::{AiConfig, AiEngine, AiProcessor, AiTraffic};
 use noc_chi::{LineAddr, ReadKind};
 use noc_core::telemetry::{PostmortemBundle, RecorderConfig};
 use noc_core::NocDiagnostics;
-use noc_experiments::{ExperimentResult, Scale};
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 use noc_sim::SimRng;
 use std::path::PathBuf;
-
-fn assert_no_fail(r: &ExperimentResult) {
-    let fails: Vec<_> = r.notes.iter().filter(|n| n.ends_with("FAIL")).collect();
-    assert!(fails.is_empty(), "{}: {fails:?}", r.id);
-    assert!(!r.rows.is_empty(), "{} produced no rows", r.id);
-}
-
-#[test]
-fn fig03_table04_table09_pass() {
-    assert_no_fail(&noc_experiments::fig03::run(Scale::Quick));
-    assert_no_fail(&noc_experiments::table04::run(Scale::Quick));
-    assert_no_fail(&noc_experiments::table09::run(Scale::Quick));
-}
-
-#[test]
-fn table07_and_fig14_pass() {
-    assert_no_fail(&noc_experiments::table07::run(Scale::Quick));
-    assert_no_fail(&noc_experiments::fig14::run(Scale::Quick));
-}
-
-#[test]
-fn table05_passes() {
-    assert_no_fail(&noc_experiments::table05::run(Scale::Quick));
-}
-
-#[test]
-fn table08_passes() {
-    assert_no_fail(&noc_experiments::table08::run(Scale::Quick));
-}
-
-#[test]
-fn swap_and_itag_ablations_pass() {
-    assert_no_fail(&noc_experiments::ablations::run_swap(Scale::Quick));
-    assert_no_fail(&noc_experiments::ablations::run_itag_threshold(
-        Scale::Quick,
-    ));
-}
-
-#[test]
-fn results_serialize_to_json() {
-    let r = noc_experiments::table09::run(Scale::Quick);
-    let json = serde_json::to_string(&r).expect("serializable");
-    assert!(json.contains("table09"));
-}
 
 /// Sanity-check one SoC's explicit postmortem dump and persist the
 /// bundle where CI picks it up as an artifact.
