@@ -4,13 +4,15 @@
 //! takes at most one ring change (X-Y/Y-X routing).
 
 use noc_core::spec::{BridgeDef, ChipletDef, DeviceDef, EndpointRef, RingDef};
-use noc_core::telemetry::{HealthConfig, RecorderConfig};
 use noc_core::{
     BridgeLevel, Network, NetworkConfig, NocDiagnostics, NodeId, RingKind, SocSpec, SpecError,
 };
 
 /// RBRG-L1 traversal latency (§4.1.3).
 const BRIDGE_LATENCY: u32 = 2;
+/// Inject and eject queue depth of every AI-Processor node, the
+/// spec's `network` block (the Server-CPU keeps the defaults).
+const QUEUE_CAP: usize = 16;
 
 /// AI-Processor configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,17 +36,6 @@ pub struct AiConfig {
     pub line_bytes: u32,
     /// NoC clock in GHz (for TB/s conversion).
     pub clock_ghz: f64,
-    /// Network parameters.
-    pub net: NetworkConfig,
-    /// Observatory sampling period in cycles: a metrics snapshot (and
-    /// health-watchdog pass) every this many cycles. `0` (the default)
-    /// keeps the observatory off.
-    pub metrics_period: u64,
-    /// Flight-recorder sizing. `Some` (with `metrics_period > 0`)
-    /// additionally enables per-flow attribution, bounded history
-    /// retention, and watchdog-triggered postmortem bundles; `None`
-    /// (the default) keeps the observatory metrics-only.
-    pub recorder: Option<RecorderConfig>,
 }
 
 impl Default for AiConfig {
@@ -61,13 +52,6 @@ impl Default for AiConfig {
             llc_count: 6,
             line_bytes: 512,
             clock_ghz: 2.0,
-            net: NetworkConfig {
-                inject_queue_cap: 16,
-                eject_queue_cap: 16,
-                ..NetworkConfig::default()
-            },
-            metrics_period: 0,
-            recorder: None,
         }
     }
 }
@@ -175,7 +159,11 @@ impl AiConfig {
                 rings,
             }],
             bridges,
-            network: self.net.clone(),
+            network: NetworkConfig {
+                inject_queue_cap: QUEUE_CAP,
+                eject_queue_cap: QUEUE_CAP,
+                ..NetworkConfig::default()
+            },
         };
         (spec, map)
     }
@@ -238,24 +226,15 @@ pub struct AiProcessor {
 }
 
 impl AiProcessor {
-    /// Build the processor.
+    /// Build the processor. A caller that observes it switches the
+    /// observatory on at `net` before the first tick.
     ///
     /// # Errors
     ///
     /// Returns the [`SpecError`] of a degenerate configuration's spec.
     pub fn build(cfg: AiConfig) -> Result<Self, SpecError> {
         let (spec, map) = cfg.spec();
-        let (mut net, _) = spec.build()?;
-        if cfg.metrics_period > 0 {
-            match &cfg.recorder {
-                Some(rec) => net.enable_flight_recorder(
-                    cfg.metrics_period,
-                    HealthConfig::default(),
-                    rec.clone(),
-                ),
-                None => net.enable_metrics(cfg.metrics_period),
-            }
-        }
+        let (net, _) = spec.build()?;
         Ok(AiProcessor { net, map, cfg })
     }
 }

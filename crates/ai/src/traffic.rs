@@ -674,9 +674,11 @@ mod tests {
         // transactions per core, every cycle hits InjectQueueFull;
         // the engine must absorb it as backpressure and still make
         // forward progress, and `run` must report success.
-        let mut cfg = small();
-        cfg.net.inject_queue_cap = 1;
-        let proc = AiProcessor::build(cfg).unwrap();
+        let cfg = small();
+        let (mut spec, map) = cfg.spec();
+        spec.network.inject_queue_cap = 1;
+        let (net, _) = spec.build().unwrap();
+        let proc = AiProcessor { net, map, cfg };
         let mut e = AiEngine::new(proc, AiTraffic::from_ratio(1, 1));
         let r = e.run(500, 3000).expect("backpressure is not an error");
         assert!(

@@ -24,21 +24,6 @@ const LINE_BYTES: u32 = 64;
 /// RNG seed for read/write draws.
 const SEED: u64 = 0xFEED;
 
-/// Harness parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct MemHarnessConfig {
-    /// Memory controller parameters (same for every controller).
-    pub mem: MemoryParams,
-}
-
-impl Default for MemHarnessConfig {
-    fn default() -> Self {
-        MemHarnessConfig {
-            mem: MemoryParams::ddr4(),
-        }
-    }
-}
-
 /// Outstanding-miss budget of one noise requester (a multi-core
 /// cluster's worth of memory-level parallelism).
 const NOISE_MLP: u64 = 8;
@@ -121,11 +106,11 @@ impl MemHarnessReport {
 /// # Example
 ///
 /// ```
-/// use noc_baseline::{MemHarness, MemHarnessConfig, BufferedMesh, MeshConfig};
+/// use noc_baseline::{MemHarness, BufferedMesh, MeshConfig};
 /// use noc_core::NodeId;
 ///
 /// let mesh = BufferedMesh::new(MeshConfig { k: 3 });
-/// let mut h = MemHarness::new(mesh, vec![NodeId(8)], MemHarnessConfig::default());
+/// let mut h = MemHarness::new(mesh, vec![NodeId(8)]);
 /// let report = h.run_closed_loop(&[NodeId(0), NodeId(1)], 4, 1.0, 500, 2000);
 /// assert!(report.completed > 0);
 /// ```
@@ -142,16 +127,17 @@ pub struct MemHarness<T> {
 }
 
 impl<T: ChiTransport> MemHarness<T> {
-    /// Attach memory controllers at the `mem_endpoints` nodes of `ic`.
+    /// Attach one DDR controller ([`MemoryParams::ddr4`]) at each of
+    /// the `mem_endpoints` nodes of `ic`.
     ///
     /// # Panics
     ///
     /// Panics if `mem_endpoints` is empty.
-    pub fn new(ic: T, mem_endpoints: Vec<NodeId>, cfg: MemHarnessConfig) -> Self {
+    pub fn new(ic: T, mem_endpoints: Vec<NodeId>) -> Self {
         assert!(!mem_endpoints.is_empty());
         let mems = mem_endpoints
             .iter()
-            .map(|_| MemoryModel::new(cfg.mem))
+            .map(|_| MemoryModel::new(MemoryParams::ddr4()))
             .collect();
         MemHarness {
             ic,
@@ -420,7 +406,7 @@ mod tests {
     #[test]
     fn closed_loop_moves_data() {
         let ring = RingAdapter::single_ring(8, NetworkConfig::default());
-        let mut h = MemHarness::new(ring, nodes([6, 7]), MemHarnessConfig::default());
+        let mut h = MemHarness::new(ring, nodes([6, 7]));
         let report = h.run_closed_loop(&nodes(0..3), 4, 0.5, 500, 3000);
         assert!(report.completed > 100, "completed {}", report.completed);
         assert!(report.mean_latency > 0.0);
@@ -432,7 +418,7 @@ mod tests {
     fn probe_latency_rises_with_noise() {
         let probe_latency = |noise_rate| {
             let ring = RingAdapter::single_ring(10, NetworkConfig::default());
-            let mut h = MemHarness::new(ring, nodes([9]), MemHarnessConfig::default());
+            let mut h = MemHarness::new(ring, nodes([9]));
             let r = h.run_probe_with_noise(NodeId(0), &nodes(1..5), noise_rate, 0.5, 500, 4000);
             r.per_requester[0].mean_latency()
         };
@@ -447,7 +433,7 @@ mod tests {
     fn single_requester_bandwidth_scales_with_outstanding() {
         let run = |outstanding| {
             let mesh = BufferedMesh::new(MeshConfig { k: 4 });
-            let mut h = MemHarness::new(mesh, nodes([15]), MemHarnessConfig::default());
+            let mut h = MemHarness::new(mesh, nodes([15]));
             h.run_closed_loop(&[NodeId(0)], outstanding, 1.0, 500, 3000)
                 .bytes_per_cycle()
         };

@@ -208,7 +208,7 @@ impl ChiTransport for HubSpoke {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_chi::{CoherentSystem, LineAddr, LlcParams, MemoryParams, ReadKind, SystemSpec};
+    use noc_chi::{CoherentSystem, LineAddr, LlcParams, ReadKind, SystemSpec};
 
     fn offer(h: &mut HubSpoke, src: usize, dst: usize, token: u64) -> bool {
         h.offer(
@@ -320,7 +320,6 @@ mod tests {
                 requesters: vec![on(0, 0), on(1, 0)],
                 home_nodes: vec![on(0, 1), on(1, 1)],
                 memories: vec![on(0, 2), on(1, 2)],
-                mem_params: MemoryParams::ddr4(),
                 llc: LlcParams::default(),
             },
         );

@@ -29,7 +29,7 @@ pub mod hub;
 pub mod mesh;
 pub mod ring_adapter;
 
-pub use harness::{MemHarness, MemHarnessConfig, MemHarnessReport, RequesterStats};
+pub use harness::{MemHarness, MemHarnessReport, RequesterStats};
 pub use hub::HubSpoke;
 pub use mesh::{BufferedMesh, MeshConfig};
 pub use ring_adapter::RingAdapter;

@@ -226,9 +226,7 @@ impl ChiTransport for BufferedMesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_chi::{
-        CoherentSystem, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec,
-    };
+    use noc_chi::{CoherentSystem, LineAddr, LlcParams, MesiState, ReadKind, SystemSpec};
 
     fn mesh(k: usize) -> BufferedMesh {
         BufferedMesh::new(MeshConfig { k })
@@ -353,7 +351,6 @@ mod tests {
                 requesters: (0..4).map(NodeId).collect(),
                 home_nodes: (4..7).map(NodeId).collect(),
                 memories: (7..9).map(NodeId).collect(),
-                mem_params: MemoryParams::ddr4(),
                 llc: LlcParams::default(),
             },
         );

@@ -6,11 +6,12 @@
 use crate::report::{fnum, ExperimentResult, Scale};
 use crate::systems::nodes;
 use noc_ai::{AiConfig, AiEngine, AiProcessor, AiTraffic};
-use noc_baseline::{BufferedMesh, MeshConfig, RingAdapter};
+use noc_baseline::{BufferedMesh, MemHarness, MeshConfig, RingAdapter};
 use noc_chi::system::ChiTransport;
 use noc_core::{
     BridgeConfig, FlitClass, Network, NetworkConfig, NodeId, RingKind, TopologyBuilder,
 };
+use noc_server_cpu::experiments::server_interconnect;
 use noc_sim::fuzz::TrafficPattern;
 use noc_workloads::TrafficGen;
 
@@ -466,7 +467,6 @@ pub fn run_multi_package(scale: Scale) -> ExperimentResult {
             clusters_per_ccd: 4,
             hn_per_ccd: 2,
             ddr_per_ccd: 2,
-            ..Default::default()
         };
         let cores = cfg.cores();
         let mut s = ServerCpu::build(cfg).expect("builds");
@@ -700,13 +700,8 @@ pub fn run_io_interference(scale: Scale) -> ExperimentResult {
     ]);
 
     let run = |io_rate: f64| -> f64 {
-        let (spec, map) = cfg.spec();
-        let (net, _) = spec.build().expect("builds");
-        let mut h = noc_baseline::MemHarness::new(
-            RingAdapter::new(net),
-            map.ddrs,
-            noc_baseline::MemHarnessConfig::default(),
-        );
+        let (ic, map) = server_interconnect(&cfg).expect("builds");
+        let mut h = MemHarness::new(ic, map.ddrs);
         // The probe is the first cluster; every I/O device makes noise.
         let report = h.run_probe_with_noise(
             map.clusters[0],
@@ -743,12 +738,6 @@ pub fn run_io_interference(scale: Scale) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn swap_ablation_quick() {
-        let r = run_swap(Scale::Quick);
-        assert!(r.notes.iter().any(|n| n.contains("PASS")), "{:?}", r.notes);
-    }
 
     /// Known defect (pinned so a fix flips it): under
     /// `run_vs_alternatives`' load-0.30 traffic the ring of rings stops
@@ -801,17 +790,5 @@ mod tests {
         );
         assert!(net.in_flight() > 0, "the fabric drained");
         assert_eq!(net.stats().swaps.get(), 0, "RBRG-L1 bridges never SWAP");
-    }
-
-    #[test]
-    fn half_vs_full_quick() {
-        let r = run_half_vs_full(Scale::Quick);
-        assert!(r.notes.iter().any(|n| n.contains("PASS")), "{:?}", r.notes);
-    }
-
-    #[test]
-    fn itag_ablation_quick() {
-        let r = run_itag_threshold(Scale::Quick);
-        assert!(r.notes.iter().any(|n| n.contains("PASS")), "{:?}", r.notes);
     }
 }

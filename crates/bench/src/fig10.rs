@@ -3,6 +3,7 @@
 
 use crate::report::{fnum, ExperimentResult, Scale};
 use crate::systems::{self, Partition};
+use noc_baseline::MemHarness;
 use noc_chi::system::ChiTransport;
 use noc_workloads::{geomean_ratio, lmbench_kernels};
 
@@ -20,7 +21,7 @@ fn bandwidth<T: ChiTransport>(
     } else {
         (&part.requesters[..], 8)
     };
-    systems::mem_harness(ic, &part)
+    MemHarness::new(ic, part.memories.clone())
         .run_closed_loop(
             actives,
             outstanding,

@@ -1,12 +1,14 @@
 //! System factories shared by the Server-CPU experiments: this work's
 //! multi-ring NoC plus the two commercial-style baselines, all driven
-//! through the one [`ChiTransport`] interface by [`NodeId`], with
-//! normalized memory parameters (the paper normalizes DDR channel count
-//! and frequency across systems).
+//! through the one [`ChiTransport`] interface by [`NodeId`]. Every
+//! system's memory controllers are the one DDR model,
+//! [`noc_chi::MemoryParams::ddr4`] (the paper normalizes DDR channel
+//! count and frequency across systems), which both [`MemHarness`] and
+//! [`CoherentSystem`] build.
 
-use noc_baseline::{BufferedMesh, HubSpoke, MemHarness, MemHarnessConfig, MeshConfig, RingAdapter};
+use noc_baseline::{BufferedMesh, HubSpoke, MemHarness, MeshConfig, RingAdapter};
 use noc_chi::system::ChiTransport;
-use noc_chi::{CoherentSystem, LlcParams, MemoryParams, SystemSpec};
+use noc_chi::{CoherentSystem, LlcParams, SystemSpec};
 use noc_core::NodeId;
 use noc_server_cpu::experiments::server_interconnect;
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
@@ -74,29 +76,14 @@ pub fn amd_like() -> (HubSpoke, Partition) {
     (hub, part)
 }
 
-/// Normalized memory model shared by every system.
-pub fn mem_params() -> MemoryParams {
-    MemoryParams::ddr4()
-}
-
-/// A memory harness over `ic` with `part`'s memories and the normalized
-/// memory model.
-pub fn mem_harness<T: ChiTransport>(ic: T, part: &Partition) -> MemHarness<T> {
-    MemHarness::new(
-        ic,
-        part.memories.clone(),
-        MemHarnessConfig { mem: mem_params() },
-    )
-}
-
 /// The Figure 11 setup over `ic`: the first requester probes, the rest
 /// make background noise.
 pub fn probe_and_noise<T: ChiTransport>(
     (ic, part): (T, Partition),
 ) -> (MemHarness<T>, NodeId, Vec<NodeId>) {
-    let mut noise = part.requesters.clone();
+    let mut noise = part.requesters;
     let probe = noise.remove(0);
-    (mem_harness(ic, &part), probe, noise)
+    (MemHarness::new(ic, part.memories), probe, noise)
 }
 
 /// Build a CHI coherent system over any transport given a partition.
@@ -107,7 +94,6 @@ pub fn coherent<T: ChiTransport>(transport: T, part: &Partition) -> CoherentSyst
             requesters: part.requesters.clone(),
             home_nodes: part.home_nodes.clone(),
             memories: part.memories.clone(),
-            mem_params: mem_params(),
             llc: LlcParams::default(),
         },
     )

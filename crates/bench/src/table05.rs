@@ -112,16 +112,3 @@ pub fn run(scale: Scale) -> ExperimentResult {
     r.note("paper: ours 44/44/48 intra, 65/65/69 inter; Intel-6248 91; AMD-7742 ≈138".to_string());
     r
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table5_shape_quick() {
-        let r = run(Scale::Quick);
-        assert_eq!(r.rows.len(), 6);
-        let fails = r.notes.iter().filter(|n| n.ends_with("FAIL")).count();
-        assert_eq!(fails, 0, "{:?}", r.notes);
-    }
-}

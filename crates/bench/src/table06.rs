@@ -104,16 +104,3 @@ pub fn run(scale: Scale) -> ExperimentResult {
     ));
     r
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table6_quick_shape() {
-        let r = run(Scale::Quick);
-        assert_eq!(r.rows.len(), 3);
-        let fails = r.notes.iter().filter(|n| n.ends_with("FAIL")).count();
-        assert_eq!(fails, 0, "{:?}", r.notes);
-    }
-}

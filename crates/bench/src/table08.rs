@@ -114,14 +114,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table8_quick_shape() {
-        let r = run(Scale::Quick);
-        assert_eq!(r.rows.len(), 3);
-        let fails = r.notes.iter().filter(|n| n.ends_with("FAIL")).count();
-        assert_eq!(fails, 0, "{:?}", r.notes);
-    }
-
-    #[test]
     fn accel_step_time_monotone_in_peak() {
         let m = resnet50(64);
         let slow = Accel {

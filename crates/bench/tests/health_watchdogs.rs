@@ -13,21 +13,19 @@ use noc_core::telemetry::HealthRule;
 use noc_core::{NocDiagnostics, NodeId};
 use noc_experiments::fig11;
 use noc_experiments::systems::{self, Partition};
-use noc_server_cpu::experiments::{coherence_ping, lines_homed_at, server_interconnect};
+use noc_server_cpu::experiments::{coherence_ping, lines_homed_at};
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 
 /// Observatory sampling period for the regression runs.
 const PERIOD: u64 = 32;
 
-/// The fig11 harness factory, with the observatory switched on through
-/// the public `ServerCpuConfig::metrics_period` knob.
+/// The fig11 harness factory, with the observatory switched on at the
+/// network before it is wrapped.
 fn observed_harness() -> (MemHarness<RingAdapter>, NodeId, Vec<NodeId>) {
-    let cfg = ServerCpuConfig {
-        clusters_per_ccd: 12,
-        metrics_period: PERIOD,
-        ..Default::default()
-    };
-    let (ic, map) = server_interconnect(&cfg).expect("server config builds");
+    let (spec, map) = ServerCpuConfig::default().spec();
+    let (mut net, _) = spec.build().expect("server config builds");
+    net.enable_metrics(PERIOD);
+    let ic = RingAdapter::new(net);
     let part = Partition {
         requesters: map.clusters,
         home_nodes: Vec::new(),
@@ -70,11 +68,11 @@ fn fig11_noise_sweep_never_trips_the_liveness_watchdog() {
 fn coherent_server_health_summary_reports_a_live_observatory() {
     // Satellite surface check: `NocDiagnostics::health_summary` on a
     // metrics-enabled SoC after a standard coherence workload.
-    let mut s = ServerCpu::build(ServerCpuConfig {
-        metrics_period: PERIOD,
-        ..Default::default()
-    })
-    .expect("default server builds");
+    let cfg = ServerCpuConfig::default();
+    let (spec, map) = cfg.spec();
+    let (mut net, _) = spec.build().expect("default server builds");
+    net.enable_metrics(PERIOD);
+    let mut s = ServerCpu::over(net, map, cfg);
 
     let local_hns: Vec<_> = s.map.home_nodes[..s.cfg.hn_per_ccd].to_vec();
     let addrs = lines_homed_at(&s.sys, &local_hns, 8, 0x100);
@@ -94,7 +92,14 @@ fn coherent_server_health_summary_reports_a_live_observatory() {
     let summary = s.health_summary();
     assert!(
         !summary.contains("observatory disabled"),
-        "metrics_period should have enabled the observatory: {summary}"
+        "enable_metrics should have enabled the observatory: {summary}"
+    );
+    // Switched on before the first tick, the observatory saw every
+    // window of the run.
+    let net = s.noc();
+    assert_eq!(
+        net.metrics().expect("observatory on").committed(),
+        net.now().raw() / PERIOD
     );
     let monitor = s.noc().health().expect("observatory enabled");
     assert!(

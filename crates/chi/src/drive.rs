@@ -98,7 +98,6 @@ pub fn settle<T: ChiTransport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::MemoryParams;
     use crate::system::{LlcParams, SystemSpec};
     use crate::types::ReadKind;
     use noc_core::FlitClass;
@@ -135,7 +134,6 @@ mod tests {
                 requesters: vec![NodeId(0), NodeId(1)],
                 home_nodes: vec![NodeId(2)],
                 memories: vec![NodeId(3)],
-                mem_params: MemoryParams::ddr4(),
                 llc: LlcParams::default(),
             },
         );

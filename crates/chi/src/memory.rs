@@ -1,4 +1,4 @@
-//! Memory controller models (DDR channels, HBM stacks).
+//! The memory controller model: one DDR channel.
 //!
 //! A controller is a latency + bandwidth pair: requests are issued at
 //! most one per `issue_interval` cycles (channel bandwidth) and complete
@@ -25,16 +25,6 @@ impl MemoryParams {
         MemoryParams {
             service_latency: 60,
             issue_interval: 4,
-        }
-    }
-
-    /// An HBM2e-like stack: similar latency, one line per cycle
-    /// (~500 GB/s per stack at 64 B/cycle, 2 GHz NoC × ~4 pseudo-channels
-    /// folded into one model).
-    pub fn hbm() -> Self {
-        MemoryParams {
-            service_latency: 50,
-            issue_interval: 1,
         }
     }
 }
@@ -156,11 +146,6 @@ mod tests {
         assert_eq!(m.pop_ready(100), Some('a'));
         assert_eq!(m.pop_ready(103), None);
         assert_eq!(m.pop_ready(104), Some('b'));
-    }
-
-    #[test]
-    fn presets_are_ordered() {
-        assert!(MemoryParams::hbm().issue_interval < MemoryParams::ddr4().issue_interval);
     }
 
     #[test]

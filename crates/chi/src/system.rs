@@ -113,10 +113,9 @@ pub struct SystemSpec {
     pub requesters: Vec<NodeId>,
     /// Home nodes (LLC slice + directory each).
     pub home_nodes: Vec<NodeId>,
-    /// Memory controllers.
+    /// Memory controllers, each one DDR channel
+    /// ([`MemoryParams::ddr4`]).
     pub memories: Vec<NodeId>,
-    /// Parameters shared by all memory controllers.
-    pub mem_params: MemoryParams,
     /// LLC slice geometry.
     pub llc: LlcParams,
 }
@@ -299,8 +298,7 @@ struct HnTxn {
 /// # Example
 ///
 /// ```
-/// use noc_chi::{CoherentSystem, LineAddr, LlcParams, MemoryParams,
-///               ReadKind, SystemSpec};
+/// use noc_chi::{CoherentSystem, LineAddr, LlcParams, ReadKind, SystemSpec};
 /// use noc_core::{Network, NetworkConfig, RingKind, TopologyBuilder};
 ///
 /// let mut b = TopologyBuilder::new();
@@ -315,7 +313,6 @@ struct HnTxn {
 ///     requesters: vec![cpu],
 ///     home_nodes: vec![hn],
 ///     memories: vec![ddr],
-///     mem_params: MemoryParams::ddr4(),
 ///     llc: LlcParams::default(),
 /// });
 /// let txn = sys.read(cpu, LineAddr(0x100), ReadKind::Shared);
@@ -387,7 +384,7 @@ impl<T: ChiTransport> CoherentSystem<T> {
         let mems = spec
             .memories
             .iter()
-            .map(|_| MemoryModel::new(spec.mem_params))
+            .map(|_| MemoryModel::new(MemoryParams::ddr4()))
             .collect();
         CoherentSystem {
             rn_lines: vec![LineTable::default(); spec.requesters.len()],
@@ -1086,7 +1083,6 @@ mod tests {
                 requesters: rns.to_vec(),
                 home_nodes: vec![hn],
                 memories: vec![ddr],
-                mem_params: MemoryParams::ddr4(),
                 llc: LlcParams::default(),
             },
         );

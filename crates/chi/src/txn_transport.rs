@@ -49,9 +49,7 @@ impl<S: TraceSink, P: SpanSink> ChiTransport for TxnFabric<S, P> {
 #[cfg(test)]
 mod tests {
     use crate::drive::{settle, Verdict::Drained};
-    use crate::{
-        CoherentSystem, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec,
-    };
+    use crate::{CoherentSystem, LineAddr, LlcParams, MesiState, ReadKind, SystemSpec};
     use noc_core::{Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
     use noc_txn::{TxnConfig, TxnFabric};
 
@@ -76,7 +74,6 @@ mod tests {
             requesters: rns.clone(),
             home_nodes: hns,
             memories: sns,
-            mem_params: MemoryParams::ddr4(),
             llc: LlcParams::default(),
         };
         (CoherentSystem::new(fab, spec), rns)

@@ -2,7 +2,7 @@
 //! directory behaviour under a working set larger than the LLC.
 
 use noc_chi::drive::{settle, Verdict::Drained};
-use noc_chi::{CoherentSystem, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec};
+use noc_chi::{CoherentSystem, LineAddr, LlcParams, MesiState, ReadKind, SystemSpec};
 use noc_core::{Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
 
 /// A system whose LLC slice holds only 32 lines, so modest working sets
@@ -23,7 +23,6 @@ fn tiny_llc_system() -> (CoherentSystem, Vec<NodeId>) {
             requesters: rns.clone(),
             home_nodes: vec![hn],
             memories: vec![sn],
-            mem_params: MemoryParams::ddr4(),
             llc: LlcParams {
                 capacity_bytes: 32 * 64, // 32 lines
                 ways: 4,

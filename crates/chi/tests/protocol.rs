@@ -3,8 +3,7 @@
 
 use noc_chi::drive::{settle, Verdict::Drained};
 use noc_chi::{
-    CoherentSystem, DirState, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec,
-    TxnKind,
+    CoherentSystem, DirState, LineAddr, LlcParams, MesiState, ReadKind, SystemSpec, TxnKind,
 };
 use noc_core::{Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
 
@@ -13,7 +12,6 @@ fn spec(requesters: Vec<NodeId>, home_nodes: Vec<NodeId>, memories: Vec<NodeId>)
         requesters,
         home_nodes,
         memories,
-        mem_params: MemoryParams::ddr4(),
         llc: LlcParams::default(),
     }
 }

@@ -109,10 +109,7 @@ pub fn server_interconnect(
     cfg: &ServerCpuConfig,
 ) -> Result<(RingAdapter, ServerCpuMap), SpecError> {
     let (spec, map) = cfg.spec();
-    let (mut net, _) = spec.build()?;
-    if cfg.metrics_period > 0 {
-        net.enable_metrics(cfg.metrics_period);
-    }
+    let (net, _) = spec.build()?;
     Ok((RingAdapter::new(net), map))
 }
 
@@ -180,7 +177,6 @@ pub fn turning_point_abs(points: &[LatencyPoint], latency_threshold: f64) -> Opt
 mod tests {
     use super::*;
     use crate::soc::ServerCpu;
-    use noc_baseline::MemHarnessConfig;
 
     fn small_cfg() -> ServerCpuConfig {
         ServerCpuConfig {
@@ -235,11 +231,7 @@ mod tests {
                 let (ic, map) = server_interconnect(&cfg).unwrap();
                 let mut noise = map.clusters.clone();
                 let probe = noise.remove(0);
-                (
-                    MemHarness::new(ic, map.ddrs, MemHarnessConfig::default()),
-                    probe,
-                    noise,
-                )
+                (MemHarness::new(ic, map.ddrs), probe, noise)
             },
             &[0.0, 0.2, 0.8],
             0.5,

@@ -4,9 +4,8 @@
 //! devices and the Protocol Adapter; RBRG-L2 bridges between dies and
 //! (via PA/SerDes) between packages.
 
-use noc_chi::{CoherentSystem, LlcParams, MemoryParams, SystemSpec};
+use noc_chi::{CoherentSystem, LlcParams, SystemSpec};
 use noc_core::spec::{BridgeDef, ChipletDef, DeviceDef, EndpointRef, RingDef};
-use noc_core::telemetry::{HealthConfig, RecorderConfig};
 use noc_core::{
     BridgeLevel, Network, NetworkConfig, NocDiagnostics, NodeId, RingKind, SocSpec, SpecError,
 };
@@ -32,21 +31,6 @@ pub struct ServerCpuConfig {
     pub hn_per_ccd: usize,
     /// DDR controllers per compute die.
     pub ddr_per_ccd: usize,
-    /// DDR controller model.
-    pub mem_params: MemoryParams,
-    /// Per-slice LLC geometry.
-    pub llc: LlcParams,
-    /// Network queue/tag parameters.
-    pub net: NetworkConfig,
-    /// Observatory sampling period in cycles: a metrics snapshot (and
-    /// health-watchdog pass) every this many cycles. `0` (the default)
-    /// keeps the observatory off.
-    pub metrics_period: u64,
-    /// Flight-recorder sizing. `Some` (with `metrics_period > 0`)
-    /// additionally enables per-flow attribution, bounded history
-    /// retention, and watchdog-triggered postmortem bundles; `None`
-    /// (the default) keeps the observatory metrics-only.
-    pub recorder: Option<RecorderConfig>,
 }
 
 impl Default for ServerCpuConfig {
@@ -58,11 +42,6 @@ impl Default for ServerCpuConfig {
             clusters_per_ccd: 12,
             hn_per_ccd: 4,
             ddr_per_ccd: 4,
-            mem_params: MemoryParams::ddr4(),
-            llc: LlcParams::default(),
-            net: NetworkConfig::default(),
-            metrics_period: 0,
-            recorder: None,
         }
     }
 }
@@ -197,7 +176,7 @@ impl ServerCpuConfig {
             name: "server-cpu".into(),
             chiplets,
             bridges,
-            network: self.net.clone(),
+            network: NetworkConfig::default(),
         };
         (spec, map)
     }
@@ -241,35 +220,32 @@ pub struct ServerCpu {
 }
 
 impl ServerCpu {
-    /// Build the default one-package, 96-core system.
+    /// Build the system `cfg` describes: [`ServerCpuConfig::spec`],
+    /// then [`ServerCpu::over`].
     ///
     /// # Errors
     ///
     /// Returns the [`SpecError`] of a degenerate configuration's spec.
     pub fn build(cfg: ServerCpuConfig) -> Result<Self, SpecError> {
         let (spec, map) = cfg.spec();
-        let (mut net, _) = spec.build()?;
-        if cfg.metrics_period > 0 {
-            match &cfg.recorder {
-                Some(rec) => net.enable_flight_recorder(
-                    cfg.metrics_period,
-                    HealthConfig::default(),
-                    rec.clone(),
-                ),
-                None => net.enable_metrics(cfg.metrics_period),
-            }
-        }
+        let (net, _) = spec.build()?;
+        Ok(ServerCpu::over(net, map, cfg))
+    }
+
+    /// Wire the coherent system onto `net`, the network built from
+    /// `cfg.spec()` with its node map `map`. A caller that observes the
+    /// system switches the observatory on at `net` before handing it in.
+    pub fn over(net: Network, map: ServerCpuMap, cfg: ServerCpuConfig) -> Self {
         let sys = CoherentSystem::new(
             net,
             SystemSpec {
                 requesters: map.clusters.clone(),
                 home_nodes: map.home_nodes.clone(),
                 memories: map.ddrs.clone(),
-                mem_params: cfg.mem_params,
-                llc: cfg.llc,
+                llc: LlcParams::default(),
             },
         );
-        Ok(ServerCpu { sys, map, cfg })
+        ServerCpu { sys, map, cfg }
     }
 }
 

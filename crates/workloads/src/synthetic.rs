@@ -4,6 +4,9 @@ use noc_core::FlitClass;
 use noc_sim::fuzz::TrafficPattern;
 use noc_sim::SimRng;
 
+/// Payload bytes of every generated transaction (one cache line).
+const PAYLOAD_BYTES: u32 = 64;
+
 /// A traffic injector: at a given per-node rate, produce `(src, dst)`
 /// endpoint indices plus a read/write class mix.
 ///
@@ -28,8 +31,6 @@ pub struct TrafficGen {
     pattern: TrafficPattern,
     read_frac: f64,
     rng: SimRng,
-    /// Payload bytes per generated transaction.
-    pub payload_bytes: u32,
 }
 
 impl TrafficGen {
@@ -50,7 +51,6 @@ impl TrafficGen {
             pattern,
             read_frac,
             rng: SimRng::seed_from(seed),
-            payload_bytes: 64,
         }
     }
 
@@ -76,7 +76,7 @@ impl TrafficGen {
                 } else {
                     FlitClass::Data
                 };
-                out.push((src, dst, class, self.payload_bytes));
+                out.push((src, dst, class, PAYLOAD_BYTES));
             }
         }
         out

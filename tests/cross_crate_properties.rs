@@ -2,7 +2,7 @@
 //! multi-chiplet traffic (DESIGN.md §6, invariants 1, 7, 8).
 
 use noc_chi::drive::{settle, Verdict::Drained};
-use noc_chi::{CoherentSystem, LineAddr, LlcParams, MemoryParams, ReadKind, SystemSpec};
+use noc_chi::{CoherentSystem, LineAddr, LlcParams, ReadKind, SystemSpec};
 use noc_core::route::Hop;
 use noc_core::{
     BridgeConfig, GridParams, Network, NetworkConfig, NodeId, RingId, RingKind, RouteTable,
@@ -41,7 +41,6 @@ fn build(ring_stations: u16, rn_per_die: usize) -> (CoherentSystem, Vec<NodeId>)
             requesters: rns.clone(),
             home_nodes: vec![hn0, hn1],
             memories: vec![sn0, sn1],
-            mem_params: MemoryParams::ddr4(),
             llc: LlcParams::default(),
         },
     );

@@ -121,7 +121,6 @@ fn four_package_system_stays_coherent() {
         clusters_per_ccd: 2,
         hn_per_ccd: 2,
         ddr_per_ccd: 2,
-        ..Default::default()
     })
     .expect("4P builds");
     let per_pkg = CCD_COUNT * 2; // × clusters_per_ccd

@@ -5,11 +5,14 @@
 
 use noc_ai::{AiConfig, AiEngine, AiProcessor, AiTraffic};
 use noc_chi::{LineAddr, ReadKind};
-use noc_core::telemetry::{PostmortemBundle, RecorderConfig};
+use noc_core::telemetry::{HealthConfig, PostmortemBundle, RecorderConfig};
 use noc_core::NocDiagnostics;
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 use noc_sim::SimRng;
 use std::path::PathBuf;
+
+/// Observatory sampling period of both smoke runs.
+const PERIOD: u64 = 32;
 
 /// Sanity-check one SoC's explicit postmortem dump and persist the
 /// bundle where CI picks it up as an artifact.
@@ -29,15 +32,16 @@ fn check_and_archive(bundle: PostmortemBundle, file: &str) {
 
 #[test]
 fn server_cpu_postmortem_smoke() {
-    let mut s = ServerCpu::build(ServerCpuConfig {
+    let cfg = ServerCpuConfig {
         clusters_per_ccd: 4,
         hn_per_ccd: 2,
         ddr_per_ccd: 2,
-        metrics_period: 32,
-        recorder: Some(RecorderConfig::default()),
         ..Default::default()
-    })
-    .expect("builds");
+    };
+    let (spec, map) = cfg.spec();
+    let (mut net, _) = spec.build().expect("builds");
+    net.enable_flight_recorder(PERIOD, HealthConfig::default(), RecorderConfig::default());
+    let mut s = ServerCpu::over(net, map, cfg);
     let clusters = s.map.clusters.clone();
     let mut rng = SimRng::seed_from(7);
     for step in 0..200 {
@@ -57,9 +61,14 @@ fn server_cpu_postmortem_smoke() {
         !report.contains("(no flows observed)"),
         "server CPU saw traffic but attributed no flows:\n{report}"
     );
-    let bundle = s
-        .sys
-        .network()
+    let net = s.sys.network();
+    // Switched on before the first tick, the observatory saw every
+    // window of the run.
+    assert_eq!(
+        net.metrics().expect("observatory on").committed(),
+        net.now().raw() / PERIOD
+    );
+    let bundle = net
         .dump_postmortem("server-cpu smoke")
         .expect("recorder enabled");
     check_and_archive(bundle, "server_cpu_smoke.jsonl");
@@ -67,7 +76,7 @@ fn server_cpu_postmortem_smoke() {
 
 #[test]
 fn ai_processor_postmortem_smoke() {
-    let proc = AiProcessor::build(AiConfig {
+    let mut proc = AiProcessor::build(AiConfig {
         v_rings: 4,
         cores_per_vring: 4,
         h_rings: 3,
@@ -75,11 +84,11 @@ fn ai_processor_postmortem_smoke() {
         hbm_count: 3,
         dma_count: 3,
         llc_count: 3,
-        metrics_period: 32,
-        recorder: Some(RecorderConfig::default()),
         ..Default::default()
     })
     .expect("builds");
+    proc.net
+        .enable_flight_recorder(PERIOD, HealthConfig::default(), RecorderConfig::default());
     let mut e = AiEngine::new(proc, AiTraffic::from_ratio(1, 1));
     e.run(200, 2_000).expect("runs");
     let p = e.processor();
@@ -87,6 +96,10 @@ fn ai_processor_postmortem_smoke() {
     assert!(
         !report.contains("(no flows observed)"),
         "AI processor saw traffic but attributed no flows:\n{report}"
+    );
+    assert_eq!(
+        p.net.metrics().expect("observatory on").committed(),
+        p.net.now().raw() / PERIOD
     );
     let bundle = p.net.dump_postmortem("ai smoke").expect("recorder enabled");
     check_and_archive(bundle, "ai_smoke.jsonl");

@@ -14,7 +14,7 @@
 
 use noc_ai::{AiConfig, AiEngine, AiProcessor, AiTraffic};
 use noc_chi::system::ChiTransport;
-use noc_chi::{CoherentSystem, LineAddr, ReadKind, SystemSpec, TxnKind};
+use noc_chi::{CoherentSystem, LineAddr, LlcParams, ReadKind, SystemSpec, TxnKind};
 use noc_core::NodeId;
 use noc_server_cpu::{ServerCpu, ServerCpuConfig};
 use noc_sim::SimRng;
@@ -150,8 +150,7 @@ fn chi_txn_run(seed: u64) -> (u64, u64, u64) {
             requesters: map.clusters.clone(),
             home_nodes: map.home_nodes.clone(),
             memories: map.ddrs.clone(),
-            mem_params: cfg.mem_params,
-            llc: cfg.llc,
+            llc: LlcParams::default(),
         },
     );
     let (n, stream) = chi_run(&mut sys, &map.clusters, seed, TxnFabric::quiet);

@@ -9,7 +9,7 @@ use noc_baseline::hub::PER_CHIPLET;
 use noc_baseline::{BufferedMesh, HubSpoke, MeshConfig};
 use noc_chi::drive::{settle, Verdict::Drained};
 use noc_chi::system::ChiTransport;
-use noc_chi::{CoherentSystem, LineAddr, LlcParams, MemoryParams, MesiState, ReadKind, SystemSpec};
+use noc_chi::{CoherentSystem, LineAddr, LlcParams, MesiState, ReadKind, SystemSpec};
 use noc_core::{Network, NetworkConfig, NodeId, RingKind, TopologyBuilder};
 use noc_txn::{TxnConfig, TxnFabric};
 
@@ -21,7 +21,6 @@ fn spec(rns: Vec<NodeId>, hns: Vec<NodeId>, sns: Vec<NodeId>) -> SystemSpec {
         requesters: rns,
         home_nodes: hns,
         memories: sns,
-        mem_params: MemoryParams::ddr4(),
         llc: LlcParams::default(),
     }
 }
